@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race race-hot verify fuzz-smoke obs-smoke watch-smoke bench bench-concurrency bench-snmp bench-json bench-serve bench-shed bench-scale bench-fed bench-baseline bench-check
+.PHONY: build test vet lint race race-hot verify fuzz-smoke obs-smoke watch-smoke bench-smoke bench bench-concurrency bench-snmp bench-json bench-serve bench-shed bench-scale bench-fed bench-baseline bench-check
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,15 @@ obs-smoke:
 # UPDATEs arrive and the sched/watch gauges are exported.
 watch-smoke:
 	sh scripts/watch_smoke.sh
+
+# The benchmark harness under bench/ is a module of its own (it builds
+# from its checkout, see bench/run.sh) that imports internal/ packages,
+# and `go build ./... && go test ./...` at the root does not descend into
+# it: this builds it and runs its tests against the tree as it stands, so
+# an internal API change that breaks the harness shows here, not at the
+# next benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Every benchmark in the tree, with allocation counts. A fixed iteration
 # count (not -benchtime 1x, whose single iteration is all warm-up noise)

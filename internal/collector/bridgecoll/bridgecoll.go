@@ -7,6 +7,7 @@
 package bridgecoll
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -48,6 +49,7 @@ type Config struct {
 // switchInfo is everything learned about one bridge.
 type switchInfo struct {
 	addr     netip.Addr
+	id       string // addr rendered once: the bridge's graph node ID
 	name     string
 	numPorts int
 	fdb      map[collector.MAC]int // station -> port
@@ -62,6 +64,11 @@ type swLink struct {
 	aPort int
 	b     netip.Addr
 	bPort int
+}
+
+// reversed returns the same connection seen from the other end.
+func (l swLink) reversed() swLink {
+	return swLink{a: l.b, aPort: l.bPort, b: l.a, bPort: l.aPort}
 }
 
 // station is one end host/router attachment.
@@ -80,8 +87,13 @@ type Collector struct {
 	links    []swLink
 	stations map[collector.MAC]station
 	domainOf map[netip.Addr]int // switch -> broadcast-domain id
-	started  bool
-	monitor  *sim.Timer
+	// parent and depth root a tree in every domain: each non-root
+	// switch's link toward the root (a = the switch, b = its parent) and
+	// its distance from it.
+	parent  map[netip.Addr]swLink
+	depth   map[netip.Addr]int
+	started bool
+	monitor *sim.Timer
 
 	// walkRequests counts full FDB walks, for cost accounting in tests.
 	walkRequests int
@@ -161,60 +173,50 @@ func (c *Collector) Stop() {
 	}
 }
 
-// walkSwitch reads one bridge's Bridge-MIB and interface table. It takes
+// walkSwitch reads one bridge's Bridge-MIB and interface table in one
+// lock-step walk: the system and bridge scalars ride the first GetBulk as
+// non-repeaters, and the short ifSpeed column is dropped from the requests
+// once it leaves its root while the forwarding database walks on. It takes
 // no locks and touches no collector state, so callers may walk many
 // bridges concurrently and commit the results under c.mu afterwards
 // (walk accounting happens at commit).
 func (c *Collector) walkSwitch(addr netip.Addr) (*switchInfo, error) {
-	a := addr.String()
 	si := &switchInfo{
 		addr:    addr,
+		id:      addr.String(),
 		fdb:     make(map[collector.MAC]int),
 		perPort: make(map[int][]collector.MAC),
 		speed:   make(map[int]float64),
 	}
-	if v, err := c.cfg.Client.GetOne(a, mib.SysName); err == nil {
-		si.name = string(v.Bytes)
-	}
-	v, err := c.cfg.Client.GetOne(a, mib.Dot1dBaseNumPorts)
-	if err != nil {
-		return nil, err
-	}
-	si.numPorts = int(v.Int)
-	// dot1dBaseBridgeAddress names the bridge's own MAC, which must not
-	// be mistaken for a station.
-	if v, err := c.cfg.Client.GetOne(a, mib.Dot1dBaseBridgeAddr); err == nil {
-		if m, ok := collector.MACFromBytes(v.Bytes); ok {
-			si.mgmtMAC = m
-		}
-	}
-	// The FDB and interface-speed walks fill disjoint switchInfo fields,
-	// so they run concurrently under the collector's parallelism bound.
-	walks := []func() error{
-		func() error {
-			return c.cfg.Client.BulkWalk(a, mib.Dot1dTpFdbPort, 32, func(o snmp.OID, val snmp.Value) bool {
-				mac, ok := collector.MACFromOID(o)
-				if !ok {
-					return true
-				}
+	scalars, err := c.cfg.Client.BulkWalkColumns(context.Background(), addr.String(),
+		[]snmp.OID{mib.SysName, mib.Dot1dBaseNumPorts, mib.Dot1dBaseBridgeAddr},
+		[]snmp.OID{mib.Dot1dTpFdbPort, mib.IfSpeed}, 32,
+		func(col int, o snmp.OID, val snmp.Value) bool {
+			if col == 1 {
+				si.speed[int(o[len(o)-1])] = float64(val.Int)
+				return true
+			}
+			if mac, ok := collector.MACFromOID(o); ok {
 				port := int(val.Int)
 				si.fdb[mac] = port
 				si.perPort[port] = append(si.perPort[port], mac)
-				return true
-			})
-		},
-		func() error {
-			return c.cfg.Client.BulkWalk(a, mib.IfSpeed, 16, func(o snmp.OID, val snmp.Value) bool {
-				si.speed[int(o[len(o)-1])] = float64(val.Int)
-				return true
-			})
-		},
-	}
-	if err := conc.ForEach(len(walks), c.cfg.Parallelism, func(i int) error { return walks[i]() }); err != nil {
+			}
+			return true
+		})
+	if err != nil {
 		return nil, err
 	}
-	// A bridge's own management MAC is the one station MAC every *other*
-	// bridge has learned but this one does not list (it is local).
+	name, numPorts, bridgeAddr := scalars[0], scalars[1], scalars[2]
+	if numPorts.Kind == snmp.KindNoSuchObject {
+		return nil, fmt.Errorf("agent serves no dot1dBaseNumPorts")
+	}
+	si.name = string(name.Bytes)
+	si.numPorts = int(numPorts.Int)
+	// dot1dBaseBridgeAddress names the bridge's own MAC, which must not
+	// be mistaken for a station.
+	if m, ok := collector.MACFromBytes(bridgeAddr.Bytes); ok {
+		si.mgmtMAC = m
+	}
 	return si, nil
 }
 
@@ -320,9 +322,14 @@ func (c *Collector) inferTopologyLocked() error {
 		}
 	}
 
-	// Broadcast-domain ids: connected components of the inferred
-	// switch topology.
+	// Broadcast-domain ids: connected components of the inferred switch
+	// topology. The same search roots a tree in each domain (a bridged
+	// Ethernet is one — spanning tree keeps it so) and records every
+	// switch's link toward the root, so a switch-to-switch path is a walk
+	// up two parent chains instead of a search.
 	c.domainOf = make(map[netip.Addr]int)
+	c.parent = make(map[netip.Addr]swLink)
+	c.depth = make(map[netip.Addr]int)
 	domain := 0
 	for _, a := range addrs {
 		if _, seen := c.domainOf[a]; seen {
@@ -335,18 +342,19 @@ func (c *Collector) inferTopologyLocked() error {
 			cur := queue[0]
 			queue = queue[1:]
 			for _, l := range c.links {
-				var next netip.Addr
+				up := l // oriented child -> parent (cur)
 				switch cur {
 				case l.a:
-					next = l.b
+					up = l.reversed()
 				case l.b:
-					next = l.a
 				default:
 					continue
 				}
-				if _, seen := c.domainOf[next]; !seen {
-					c.domainOf[next] = domain
-					queue = append(queue, next)
+				if _, seen := c.domainOf[up.a]; !seen {
+					c.domainOf[up.a] = domain
+					c.parent[up.a] = up
+					c.depth[up.a] = c.depth[cur] + 1
+					queue = append(queue, up.a)
 				}
 			}
 		}

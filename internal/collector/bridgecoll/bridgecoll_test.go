@@ -2,6 +2,8 @@ package bridgecoll
 
 import (
 	"net/netip"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -332,5 +334,103 @@ func TestInteriorSwitchWithoutStations(t *testing.T) {
 	}
 	if len(segs) != 4 {
 		t.Fatalf("path segments = %d, want 4", len(segs))
+	}
+}
+
+// Several stations found off their ports cost one re-walk of the bridges,
+// each move is reported, and a station on no bridge fails the search.
+func TestSearchStationsRewalksOnce(t *testing.T) {
+	_, n, bc, d := lan(t)
+	moved := map[collector.MAC]netip.Addr{}
+	bc.cfg.OnMove = func(mac collector.MAC, from, to netip.Addr) { moved[mac] = to }
+	n.MoveHost(d["h0"], d["eB"], 100e6, time.Millisecond)
+	n.MoveHost(d["h3"], d["eA"], 100e6, time.Millisecond)
+	walks := bc.walkRequests
+	// h1 has not moved: searched for, found where it was, not reported.
+	if err := bc.SearchStations([]collector.MAC{macOf(d["h0"]), macOf(d["h3"]), macOf(d["h1"])}); err != nil {
+		t.Fatal(err)
+	}
+	if got := bc.walkRequests - walks; got != 3 {
+		t.Fatalf("search walked %d bridges, want each of the 3 once", got)
+	}
+	want := map[collector.MAC]netip.Addr{
+		macOf(d["h0"]): d["eB"].ManagementAddr(),
+		macOf(d["h3"]): d["eA"].ManagementAddr(),
+	}
+	if len(moved) != 2 || moved[macOf(d["h0"])] != want[macOf(d["h0"])] || moved[macOf(d["h3"])] != want[macOf(d["h3"])] {
+		t.Fatalf("moves reported = %v, want %v", moved, want)
+	}
+	if err := bc.SearchStations([]collector.MAC{macOf(d["h1"]), {1, 2, 3, 4, 5, 6}}); err == nil {
+		t.Fatal("search for a station on no bridge succeeded")
+	}
+}
+
+// A path across the tree climbs from both ends to the switch the two
+// parent chains share, whichever end is deeper or is the root itself.
+func TestPathFollowsParentChains(t *testing.T) {
+	_, _, bc, d := lan(t)
+	ids := func(segs []Segment) []string {
+		out := []string{segs[0].FromID}
+		for _, s := range segs {
+			out = append(out, s.ToID)
+		}
+		return out
+	}
+	core, eA, eB := d["core"].ManagementAddr().String(), d["eA"].ManagementAddr().String(), d["eB"].ManagementAddr().String()
+	h0, h4 := StationID(macOf(d["h0"])), StationID(macOf(d["h4"]))
+	for _, tc := range []struct {
+		a, b string
+		want []string
+	}{
+		{"h0", "h4", []string{h0, eA, core, eB, h4}},
+		{"h4", "h0", []string{h4, eB, core, eA, h0}},
+	} {
+		segs, err := bc.Path(macOf(d[tc.a]), macOf(d[tc.b]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(segs); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("path %s-%s = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+		// Every switch-to-switch hop is polled at the port it leaves by.
+		for _, s := range segs[1 : len(segs)-1] {
+			if !s.PollIsFrom || s.PollSwitch.String() != s.FromID {
+				t.Fatalf("hop %s-%s polled at %v (from end: %v)", s.FromID, s.ToID, s.PollSwitch, s.PollIsFrom)
+			}
+		}
+	}
+}
+
+// Stations on bridges a router separates sit in different broadcast
+// domains: no level-2 path joins them, and Path says so without a search.
+func TestNoPathAcrossDomains(t *testing.T) {
+	s := sim.NewSim()
+	n := netsim.New(s)
+	swA, swB, r := n.AddSwitch("swA"), n.AddSwitch("swB"), n.AddRouter("r")
+	ha, hb := n.AddHost("ha"), n.AddHost("hb")
+	n.Connect(ha, swA, 100e6, time.Millisecond)
+	n.Connect(swA, r, 1e9, time.Millisecond)
+	n.Connect(r, swB, 1e9, time.Millisecond)
+	n.Connect(hb, swB, 100e6, time.Millisecond)
+	n.AssignSubnets()
+	n.ComputeRoutes()
+	reg := snmp.NewRegistry()
+	mib.AttachAll(n, reg)
+	bc := New(Config{
+		Client:   snmp.NewClient(&snmp.InProc{Registry: reg}, "public"),
+		Sched:    s,
+		Switches: []netip.Addr{swA.ManagementAddr(), swB.ManagementAddr()},
+	})
+	if err := bc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	da, okA := bc.Domain(macOf(ha))
+	db, okB := bc.Domain(macOf(hb))
+	if !okA || !okB || da == db {
+		t.Fatalf("domains = %d (%v), %d (%v), want two different ones", da, okA, db, okB)
+	}
+	_, err := bc.Path(macOf(ha), macOf(hb))
+	if err == nil || !strings.Contains(err.Error(), "no L2 path") {
+		t.Fatalf("path across domains = %v, want a no-L2-path error", err)
 	}
 }

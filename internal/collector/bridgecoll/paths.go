@@ -27,7 +27,10 @@ type Segment struct {
 }
 
 // StationID renders the graph node ID used for a station.
-func StationID(mac collector.MAC) string { return "st:" + mac.String() }
+func StationID(mac collector.MAC) string {
+	b := make([]byte, 0, len("st:00:00:00:00:00:00"))
+	return string(mac.AppendHex(append(b, "st:"...)))
+}
 
 // Domain returns the broadcast-domain id a station belongs to. Two
 // stations with the same domain id are level-2 reachable from each other.
@@ -78,22 +81,37 @@ func (c *Collector) VerifyLocation(mac collector.MAC) (netip.Addr, int, error) {
 // path queries keep being answered from the previous database while the
 // search runs.
 func (c *Collector) SearchStation(mac collector.MAC) (netip.Addr, int, error) {
-	c.mu.Lock()
-	old, hadOld := c.stations[mac]
-	c.mu.Unlock()
-	if err := c.rewalkAll(); err != nil {
+	if err := c.SearchStations([]collector.MAC{mac}); err != nil {
 		return netip.Addr{}, 0, err
 	}
+	sw, port, _ := c.Locate(mac)
+	return sw, port, nil
+}
+
+// SearchStations is SearchStation for several stations at the price of
+// one: a single re-walk of the bridges resynchronizes the whole database,
+// so a query that found many stations off their believed ports pays for
+// it once. It fails if any of the stations is on no bridge afterwards.
+func (c *Collector) SearchStations(macs []collector.MAC) error {
 	c.mu.Lock()
-	st, ok := c.stations[mac]
+	old := make([]station, len(macs))
+	for i, mac := range macs {
+		old[i] = c.stations[mac] // zero station (invalid sw) = unknown before
+	}
 	c.mu.Unlock()
-	if !ok {
-		return netip.Addr{}, 0, fmt.Errorf("bridgecoll: station %v not found on any bridge", mac)
+	if err := c.rewalkAll(); err != nil {
+		return err
 	}
-	if hadOld && (old.sw != st.sw || old.port != st.port) && c.cfg.OnMove != nil {
-		c.cfg.OnMove(mac, old.sw, st.sw)
+	for i, mac := range macs {
+		sw, port, ok := c.Locate(mac)
+		if !ok {
+			return fmt.Errorf("bridgecoll: station %v not found on any bridge", mac)
+		}
+		if old[i].sw.IsValid() && (old[i].sw != sw || old[i].port != port) && c.cfg.OnMove != nil {
+			c.cfg.OnMove(mac, old[i].sw, sw)
+		}
 	}
-	return st.sw, st.port, nil
+	return nil
 }
 
 // monitorOnce verifies the location of every known station, the
@@ -110,44 +128,66 @@ func (c *Collector) monitorOnce() {
 	}
 }
 
+// noPathError is Path's failure: an endpoint the database does not hold,
+// or two stations in different broadcast domains. Callers probe with Path
+// and fall back to routing on error, so the message is only rendered if
+// someone prints it.
+type noPathError struct {
+	a, b     collector.MAC
+	oka, okb bool
+	swA, swB netip.Addr
+}
+
+func (e *noPathError) Error() string {
+	if !e.oka || !e.okb {
+		return fmt.Sprintf("bridgecoll: unknown station (%v known=%v, %v known=%v)", e.a, e.oka, e.b, e.okb)
+	}
+	return fmt.Sprintf("bridgecoll: no L2 path between %v and %v", e.swA, e.swB)
+}
+
 // Path returns the level-2 segments between two stations. Both must be in
-// the topology database.
+// the topology database and in the same broadcast domain.
 func (c *Collector) Path(a, b collector.MAC) ([]Segment, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sa, oka := c.stations[a]
 	sb, okb := c.stations[b]
-	if !oka || !okb {
-		return nil, fmt.Errorf("bridgecoll: unknown station (%v known=%v, %v known=%v)", a, oka, b, okb)
+	if !oka || !okb || c.domainOf[sa.sw] != c.domainOf[sb.sw] {
+		return nil, &noPathError{a: a, b: b, oka: oka, okb: okb, swA: sa.sw, swB: sb.sw}
 	}
-	segs := []Segment{{
+	swA, swB := c.switches[sa.sw], c.switches[sb.sw]
+	segs := make([]Segment, 0, 2+c.depth[sa.sw]+c.depth[sb.sw])
+	segs = append(segs, Segment{
 		FromID:     StationID(a),
-		ToID:       sa.sw.String(),
-		Capacity:   c.switches[sa.sw].speed[sa.port],
+		ToID:       swA.id,
+		Capacity:   swA.speed[sa.port],
 		PollSwitch: sa.sw,
 		PollPort:   sa.port,
 		PollIsFrom: false, // polled port is at the To (switch) end
-	}}
-	if sa.sw != sb.sw {
-		swPath, err := c.switchPathLocked(sa.sw, sb.sw)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range swPath {
-			segs = append(segs, Segment{
-				FromID:     l.a.String(),
-				ToID:       l.b.String(),
-				Capacity:   c.switches[l.a].speed[l.aPort],
-				PollSwitch: l.a,
-				PollPort:   l.aPort,
-				PollIsFrom: true,
-			})
+	})
+	// Up a's parent chain to the switch the two chains share, then down
+	// b's. Both walks climb; b's links are collected and replayed
+	// reversed so every segment points from a toward b.
+	x, y := sa.sw, sb.sw
+	var down []swLink
+	for x != y {
+		if c.depth[x] >= c.depth[y] {
+			l := c.parent[x]
+			segs = append(segs, c.switchSegmentLocked(l))
+			x = l.b
+		} else {
+			l := c.parent[y]
+			down = append(down, l.reversed())
+			y = l.b
 		}
 	}
+	for i := len(down) - 1; i >= 0; i-- {
+		segs = append(segs, c.switchSegmentLocked(down[i]))
+	}
 	segs = append(segs, Segment{
-		FromID:     sb.sw.String(),
+		FromID:     swB.id,
 		ToID:       StationID(b),
-		Capacity:   c.switches[sb.sw].speed[sb.port],
+		Capacity:   swB.speed[sb.port],
 		PollSwitch: sb.sw,
 		PollPort:   sb.port,
 		PollIsFrom: true, // polled port is at the From (switch) end
@@ -155,52 +195,18 @@ func (c *Collector) Path(a, b collector.MAC) ([]Segment, error) {
 	return segs, nil
 }
 
-// switchPathLocked finds the bridge-to-bridge path as directed swLinks
-// from sa to sb over the inferred topology.
-func (c *Collector) switchPathLocked(sa, sb netip.Addr) ([]swLink, error) {
-	type state struct {
-		at   netip.Addr
-		prev *state
-		via  swLink // oriented so via.a is the earlier switch
+// switchSegmentLocked renders one switch-to-switch hop, polled at the port
+// it leaves through.
+func (c *Collector) switchSegmentLocked(l swLink) Segment {
+	from := c.switches[l.a]
+	return Segment{
+		FromID:     from.id,
+		ToID:       c.switches[l.b].id,
+		Capacity:   from.speed[l.aPort],
+		PollSwitch: l.a,
+		PollPort:   l.aPort,
+		PollIsFrom: true,
 	}
-	visited := map[netip.Addr]bool{sa: true}
-	queue := []*state{{at: sa}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range c.links {
-			var next netip.Addr
-			var oriented swLink
-			switch cur.at {
-			case l.a:
-				next = l.b
-				oriented = l
-			case l.b:
-				next = l.a
-				oriented = swLink{a: l.b, aPort: l.bPort, b: l.a, bPort: l.aPort}
-			default:
-				continue
-			}
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			st := &state{at: next, prev: cur, via: oriented}
-			if next == sb {
-				var rev []swLink
-				for s := st; s.prev != nil; s = s.prev {
-					rev = append(rev, s.via)
-				}
-				out := make([]swLink, len(rev))
-				for i := range rev {
-					out[i] = rev[len(rev)-1-i]
-				}
-				return out, nil
-			}
-			queue = append(queue, st)
-		}
-	}
-	return nil, fmt.Errorf("bridgecoll: no L2 path between %v and %v", sa, sb)
 }
 
 // Stations lists the known station MACs in stable order.

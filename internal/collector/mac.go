@@ -1,10 +1,6 @@
 package collector
 
-import (
-	"fmt"
-
-	"remos/internal/snmp"
-)
+import "remos/internal/snmp"
 
 // MAC is a 48-bit station address as collectors see it in Bridge-MIB
 // forwarding tables.
@@ -12,7 +8,22 @@ type MAC [6]byte
 
 // String formats the address as colon-separated hex.
 func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	var b [17]byte
+	return string(m.AppendHex(b[:0]))
+}
+
+// AppendHex appends the colon-separated hex form to dst. Node IDs are
+// built from it on every segment of every level-2 path, so it writes the
+// digits directly instead of going through fmt.
+func (m MAC) AppendHex(dst []byte) []byte {
+	const digits = "0123456789abcdef"
+	for i, v := range m {
+		if i > 0 {
+			dst = append(dst, ':')
+		}
+		dst = append(dst, digits[v>>4], digits[v&0xf])
+	}
+	return dst
 }
 
 // OIDSuffix returns the six sub-identifiers indexing this MAC in

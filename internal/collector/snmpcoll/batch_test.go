@@ -75,10 +75,10 @@ func TestBatchedPollingExchangeCounts(t *testing.T) {
 	const agents, ifaces = 4, 8
 
 	batched := newPollRig(t, agents, ifaces, 24, 0)
-	batched.pollOnce() // probe cycle: one (4-varbind) exchange per interface
-	if reqs, vbs, _ := batched.PollStats(); reqs != agents*ifaces || vbs != agents*ifaces*4 {
+	batched.pollOnce() // probe cycle: 4 varbinds per interface, 6 interfaces per Get
+	if reqs, vbs, _ := batched.PollStats(); reqs != agents*2 || vbs != agents*ifaces*4 {
 		t.Fatalf("probe cycle = %d exchanges / %d varbinds, want %d / %d",
-			reqs, vbs, agents*ifaces, agents*ifaces*4)
+			reqs, vbs, agents*2, agents*ifaces*4)
 	}
 	if m := batched.modes(); m[modeHC] != agents*ifaces {
 		t.Fatalf("after probe, modes = %v, want all %d in modeHC", m, agents*ifaces)

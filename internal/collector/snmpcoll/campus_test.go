@@ -1,0 +1,264 @@
+package snmpcoll_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"sync"
+	"testing"
+	"time"
+
+	"remos/internal/collector"
+	"remos/internal/collector/snmpcoll"
+	"remos/internal/experiments"
+	"remos/internal/mib"
+	"remos/internal/netsim"
+	"remos/internal/snmp"
+)
+
+// The campus tests run the phased discovery on the Fig 3 substrate
+// (experiments.BuildCampus, which this package's internal tests cannot
+// import): against the pairwise walk, and against its exchange budget.
+
+func buildCampus(t testing.TB, hosts int) *experiments.Campus {
+	t.Helper()
+	camp, err := experiments.BuildCampus(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(camp.Dep.Stop)
+	return camp
+}
+
+func campusTwin(t testing.TB, camp *experiments.Campus, mut func(*snmpcoll.Config)) *snmpcoll.Collector {
+	t.Helper()
+	c := camp.Site.SNMP.Twin(mut)
+	t.Cleanup(c.Stop)
+	return c
+}
+
+func addrs(devs []*netsim.Device) []netip.Addr {
+	out := make([]netip.Addr, len(devs))
+	for i, d := range devs {
+		out[i] = d.Addr()
+	}
+	return out
+}
+
+// pick draws n distinct campus hosts.
+func pick(rnd *rand.Rand, camp *experiments.Campus, n int) []netip.Addr {
+	out := make([]netip.Addr, n)
+	for i, k := range rnd.Perm(len(camp.Hosts))[:n] {
+		out[i] = camp.Hosts[k].Addr()
+	}
+	return out
+}
+
+func TestCampusDiscoveryMatchesPairwiseWalk(t *testing.T) {
+	camp := buildCampus(t, 256)
+	// Some load across and inside wings, so utilization orientation is
+	// compared on more than zeros.
+	for _, pair := range [][2]int{{0, 1}, {2, 7}, {4, 8}, {5, 64}} {
+		if _, err := camp.Net.StartFlow(camp.Hosts[pair[0]], camp.Hosts[pair[1]], netsim.FlowSpec{Demand: 3e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Hosts are interleaved across the four wings: every fourth one is in
+	// wing 0.
+	var wing0 []netip.Addr
+	for i := 0; i < len(camp.Hosts); i += 4 {
+		wing0 = append(wing0, camp.Hosts[i].Addr())
+	}
+	sets := [][]netip.Addr{
+		addrs(camp.Hosts[:1]),
+		addrs(camp.Hosts[:2]),
+		{camp.Hosts[0].Addr(), camp.Hosts[4].Addr()}, // N = 2, one wing
+		wing0[:32],
+		{wing0[40], wing0[3], wing0[17], wing0[3], wing0[63]},
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		sets = append(sets, pick(rand.New(rand.NewSource(seed)), camp, 32))
+	}
+	for i, hosts := range sets {
+		// A fresh pair of collectors per set: every set is discovered cold.
+		got, ref := campusTwin(t, camp, nil), campusTwin(t, camp, nil)
+		t.Run(fmt.Sprintf("set%d", i), func(t *testing.T) {
+			snmpcoll.AssertSameDiscovery(t, got, ref, hosts)
+			if i%5 != 0 {
+				return
+			}
+			// The same query repeated warm, after both pollers sampled.
+			camp.Sim.RunFor(11 * time.Second)
+			snmpcoll.AssertSameDiscovery(t, got, ref, hosts)
+		})
+	}
+}
+
+func TestCampusDiscoveryMatchesPairwiseWalkAfterMove(t *testing.T) {
+	camp := buildCampus(t, 256)
+	got, ref := campusTwin(t, camp, nil), campusTwin(t, camp, nil)
+	hosts := pick(rand.New(rand.NewSource(42)), camp, 32)
+	snmpcoll.AssertSameDiscovery(t, got, ref, hosts)
+	// Move two of the queried hosts to another edge switch of their own
+	// wing. The two collectors share one Bridge Collector, so whichever
+	// runs first meets the stale database and has to repair it: once the
+	// phased discovery goes first, once the pairwise walk.
+	edgeOf := func(h netip.Addr, e int) *netsim.Device {
+		var w, idx int
+		fmt.Sscanf(camp.Net.DeviceByIP(h).Name, "h%d-%d", &w, &idx)
+		return camp.Net.Device(fmt.Sprintf("edge%d-%d", w, (idx/16+e)%4))
+	}
+	camp.Net.MoveHost(camp.Net.DeviceByIP(hosts[3]), edgeOf(hosts[3], 1), 100e6, time.Millisecond)
+	snmpcoll.AssertSameDiscovery(t, got, ref, hosts)
+	camp.Net.MoveHost(camp.Net.DeviceByIP(hosts[9]), edgeOf(hosts[9], 2), 100e6, time.Millisecond)
+	q := collector.Query{Hosts: hosts}
+	want, _, err := ref.ReferenceCollect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := got.Collect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := snmpcoll.CanonicalDiscovery(got, res.Graph), snmpcoll.CanonicalDiscovery(ref, want.Graph); g != w {
+		t.Fatalf("after the second move\n--- phased\n%s--- pairwise\n%s", g, w)
+	}
+}
+
+// The reply — link order included — is a function of the query alone,
+// whatever the parallelism the devices were asked with.
+func TestCampusDiscoveryIndependentOfParallelism(t *testing.T) {
+	camp := buildCampus(t, 256)
+	hosts := pick(rand.New(rand.NewSource(7)), camp, 32)
+	var texts [][]byte
+	for _, par := range []int{1, 8, 8} {
+		c := campusTwin(t, camp, func(cfg *snmpcoll.Config) { cfg.Parallelism = par })
+		res, err := c.Collect(collector.Query{Hosts: hosts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Graph.EncodeText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, buf.Bytes())
+	}
+	for i, text := range texts[1:] {
+		if !bytes.Equal(texts[0], text) {
+			t.Fatalf("run %d (Parallelism 8) encodes differently from Parallelism 1:\n%s\nvs\n%s", i+1, text, texts[0])
+		}
+	}
+}
+
+// recordingTransport notes, for every exchange, which device was asked
+// what kind of question.
+type recordingTransport struct {
+	inner  snmp.Transport
+	device map[string]string // agent address -> device name
+
+	mu    sync.Mutex
+	total int
+	asked map[exchangeKind]int // requests per (device, phase)
+	binds map[exchangeKind]int // varbinds those requests carried
+}
+
+type exchangeKind struct {
+	device string
+	phase  string
+}
+
+func (r *recordingTransport) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) {
+	msg, err := snmp.Unmarshal(req)
+	if err != nil || len(msg.PDU.VarBinds) == 0 {
+		return nil, 0, fmt.Errorf("recordingTransport: undecodable request to %s", addr)
+	}
+	name := msg.PDU.VarBinds[0].Name
+	phase := "other " + name.String()
+	switch {
+	case msg.PDU.Type == snmp.GetBulkRequest:
+		phase = "walk"
+	case name.HasPrefix(mib.IPNetToMediaPhys):
+		phase = "arp"
+	case name.HasPrefix(mib.Dot1dTpFdbPort):
+		phase = "verify"
+	case name.Cmp(mib.SysUpTime) == 0:
+		phase = "validate"
+	case name.HasPrefix(mib.IfTable), name.HasPrefix(mib.IfXTable):
+		phase = "baseline"
+	}
+	k := exchangeKind{device: r.device[addr], phase: phase}
+	r.mu.Lock()
+	r.total++
+	r.asked[k]++
+	r.binds[k] += len(msg.PDU.VarBinds)
+	r.mu.Unlock()
+	return r.inner.RoundTrip(addr, req)
+}
+
+func (r *recordingTransport) reset() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.total, r.asked, r.binds = 0, map[exchangeKind]int{}, map[exchangeKind]int{}
+}
+
+// TestCampusExchangeBudget pins what a 32-host query on the 256-host
+// campus may cost: at most 80 exchanges cold and 30 warm (the pairwise
+// walk with one-varbind Gets took 193 and 40), and in each phase no device
+// — whichever of its addresses it is asked under — gets more requests
+// than its varbinds need under MaxVarBinds: one, for nearly all of them.
+func TestCampusExchangeBudget(t *testing.T) {
+	camp := buildCampus(t, 256)
+	rec := &recordingTransport{inner: camp.Dep.Transport, device: map[string]string{}}
+	for _, d := range camp.Net.Devices() {
+		for _, ifc := range d.Ifaces() {
+			if ifc.IP.IsValid() {
+				rec.device[ifc.IP.String()] = d.Name
+			}
+		}
+		if mgmt := d.ManagementAddr(); mgmt.IsValid() {
+			rec.device[mgmt.String()] = d.Name
+		}
+	}
+	const maxVarBinds = 24 // the default
+	for seed := int64(1); seed <= 5; seed++ {
+		rec.reset()
+		c := campusTwin(t, camp, func(cfg *snmpcoll.Config) { cfg.Transport = rec })
+		q := collector.Query{Hosts: pick(rand.New(rand.NewSource(seed)), camp, 32)}
+		check := func(when string, budget int) {
+			t.Helper()
+			_, stats, err := c.CollectWithStats(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Requests != rec.total {
+				t.Fatalf("seed %d %s: query metered %d requests, transport saw %d", seed, when, stats.Requests, rec.total)
+			}
+			t.Logf("seed %d %s: %d exchanges", seed, when, rec.total)
+			if rec.total > budget {
+				t.Errorf("seed %d %s: %d exchanges, budget %d: %v", seed, when, rec.total, budget, rec.asked)
+			}
+			for k, n := range rec.asked {
+				if k.device == "" {
+					t.Errorf("seed %d %s: request to an address no device holds", seed, when)
+				}
+				if k.phase == "walk" {
+					// A walk takes a second request only to see the end of
+					// a table the first one filled.
+					if n > 2 {
+						t.Errorf("seed %d %s: %s walked in %d requests", seed, when, k.device, n)
+					}
+					continue
+				}
+				if need := (rec.binds[k] + maxVarBinds - 1) / maxVarBinds; n > need {
+					t.Errorf("seed %d %s: %s got %d %s requests for %d varbinds, %d would do",
+						seed, when, k.device, n, k.phase, rec.binds[k], need)
+				}
+			}
+		}
+		check("cold", 80)
+		camp.Sim.RunFor(6 * time.Second) // settle the poller outside the count
+		rec.reset()
+		check("warm", 30)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"remos/internal/collector"
@@ -30,62 +31,38 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	meter := &snmp.Meter{}
 	cl := c.client(meter)
 	defer cl.Close() // release any pipelined per-agent sessions
-	b := newBuild(ctx, c, cl)
 
 	if len(q.Hosts) == 0 {
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")
 	}
+	b := newBuild(ctx, c, cl)
 	sp := tr.Start(c.Name() + ":discover")
-	// Warm the router cache for every distinct first-hop gateway in
-	// parallel before the serial hop-by-hop walk: multi-gateway queries
-	// walk their entry routers concurrently instead of one at a time.
-	c.prefetchGateways(ctx, cl, q.Hosts)
-	// Discover the union of pairwise paths. The route cache makes this
-	// effectively linear in the number of new hosts even though it
-	// iterates pairs (the naive algorithm's worst case is O(N²); this
-	// is the optimization the paper alludes to).
-	for i := 0; i < len(q.Hosts); i++ {
-		for j := i + 1; j < len(q.Hosts); j++ {
-			if err := b.addPath(q.Hosts[i], q.Hosts[j]); err != nil {
-				return nil, QueryStats{}, fmt.Errorf("snmpcoll: path %v-%v: %w", q.Hosts[i], q.Hosts[j], err)
-			}
-		}
+	if err := b.discover(q.Hosts); err != nil {
+		sp.EndDetail(err.Error())
+		return nil, QueryStats{}, err
 	}
-	if len(q.Hosts) == 1 {
-		if err := b.addHostOnly(q.Hosts[0]); err != nil {
-			return nil, QueryStats{}, err
-		}
-	}
-	sp.EndDetail(fmt.Sprintf("%d routers", len(b.routersUsed)))
+	sp.EndDetail(fmt.Sprintf("%d routers", len(b.used)))
 
-	// Per-query validation of every cached device involved (reboot and
-	// liveness check) — the warm-cache query cost. Devices validate in
-	// parallel; the address ordering keeps the reported error (if any)
-	// deterministic.
-	used := make([]netip.Addr, 0, len(b.routersUsed))
-	for a := range b.routersUsed {
-		used = append(used, a)
-	}
-	sort.Slice(used, func(i, j int) bool { return used[i].Less(used[j]) })
-	sp = tr.Start(c.Name() + ":validate")
-	validated := make([]*routerInfo, len(used))
-	if err := conc.ForEachCtx(ctx, len(used), c.cfg.Parallelism, func(i int) error {
-		fresh, err := c.validateRouter(ctx, cl, b.routersUsed[used[i]])
-		if err != nil {
-			return err
+	// Per-query validation of every cached router involved (reboot and
+	// liveness check) — the warm-cache query cost. A router fetched by this
+	// very query just answered with its sysUpTime and is not asked again.
+	// Devices validate in parallel; the address ordering keeps the
+	// reported error (if any) deterministic.
+	var stale []*routerInfo
+	for _, ri := range b.used {
+		if !b.fresh[ri] {
+			stale = append(stale, ri)
 		}
-		validated[i] = fresh
-		return nil
+	}
+	sort.Slice(stale, func(i, j int) bool { return stale[i].addr.Less(stale[j].addr) })
+	sp = tr.Start(c.Name() + ":validate")
+	if err := conc.ForEachCtx(ctx, len(stale), c.cfg.Parallelism, func(i int) error {
+		return c.validateRouter(ctx, cl, stale[i])
 	}); err != nil {
 		sp.EndDetail(err.Error())
 		return nil, QueryStats{}, err
 	}
-	for i, a := range used {
-		if validated[i] != nil {
-			b.routersUsed[a] = validated[i]
-		}
-	}
-	sp.EndDetail(fmt.Sprintf("%d devices", len(used)))
+	sp.EndDetail(fmt.Sprintf("%d devices", len(stale)))
 
 	// Annotate utilization from monitoring history, registering any
 	// unmonitored links for the poller; registration performs the
@@ -111,52 +88,38 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	return res, QueryStats{Requests: reqs, RTT: rtt, ColdStart: cold}, nil
 }
 
-// prefetchGateways fills the router cache for the distinct gateways of
-// the queried hosts concurrently. Errors are deliberately dropped here:
-// the serial discovery path re-attempts the fetch and reports the failure
-// with full path context. Prefetching is pointless (and would double the
-// measured cost) when the route cache is disabled or there is nothing to
-// do in parallel.
-func (c *Collector) prefetchGateways(ctx context.Context, cl *snmp.Client, hosts []netip.Addr) {
-	if c.cfg.DisableRouteCache || conc.Limit(c.cfg.Parallelism) == 1 {
-		return
-	}
-	seen := make(map[netip.Addr]bool)
-	var gws []netip.Addr
-	for _, h := range hosts {
-		gw, ok := c.cfg.GatewayOf(h)
-		if !ok || seen[gw] {
-			continue
-		}
-		seen[gw] = true
-		c.mu.Lock()
-		_, cached := c.routers[gw]
-		c.mu.Unlock()
-		if !cached {
-			gws = append(gws, gw)
-		}
-	}
-	if len(gws) < 2 {
-		return
-	}
-	conc.ForEachCtx(ctx, len(gws), c.cfg.Parallelism, func(i int) error {
-		c.routerFor(ctx, cl, gws[i])
-		return nil
-	})
-}
-
-// build accumulates one query's graph.
+// build accumulates one query's graph. Everything a query learns is kept
+// here for the query's duration even when DisableRouteCache forbids
+// keeping it longer, so no device is asked the same thing twice by one
+// query.
 type build struct {
 	ctx context.Context
 	c   *Collector
 	cl  *snmp.Client
 	g   *topology.Graph
 
-	routersUsed map[netip.Addr]*routerInfo
-	linkPolls   map[string]pollReg // link key -> poll registration
-	verified    map[netip.Addr]bool
-	l2Attached  map[netip.Addr]bool // hosts already connected via an L2 path
-	connected   map[string]bool     // node-ID pairs already joined (possibly multi-hop)
+	hosts    []netip.Addr              // the distinct queried hosts, in query order
+	ids      map[netip.Addr]string     // their node IDs
+	gateways map[netip.Addr]netip.Addr // their configured first-hop routers (invalid: none)
+	macs     map[netip.Addr]collector.MAC
+
+	routers   map[netip.Addr]*routerInfo // by any address met this query
+	routerErr map[netip.Addr]error       // fetches that failed this query
+	fresh     map[*routerInfo]bool       // fetched by this query: already validated
+	used      []*routerInfo              // routers on some path, each once
+
+	linkPolls map[pairKey]pollReg // link -> poll registration
+	connected map[pairKey]bool    // node-ID pairs already joined (possibly multi-hop)
+}
+
+// pairKey names an unordered pair of node IDs.
+type pairKey [2]string
+
+func pairOf(a, b string) pairKey {
+	if a > b {
+		a, b = b, a
+	}
+	return pairKey{a, b}
 }
 
 type pollReg struct {
@@ -168,155 +131,457 @@ type pollReg struct {
 
 func newBuild(ctx context.Context, c *Collector, cl *snmp.Client) *build {
 	return &build{
-		ctx:         ctx,
-		c:           c,
-		cl:          cl,
-		g:           topology.NewGraph(),
-		routersUsed: make(map[netip.Addr]*routerInfo),
-		linkPolls:   make(map[string]pollReg),
-		verified:    make(map[netip.Addr]bool),
-		l2Attached:  make(map[netip.Addr]bool),
-		connected:   make(map[string]bool),
+		ctx:       ctx,
+		c:         c,
+		cl:        cl,
+		g:         topology.NewGraph(),
+		ids:       make(map[netip.Addr]string),
+		gateways:  make(map[netip.Addr]netip.Addr),
+		macs:      make(map[netip.Addr]collector.MAC),
+		routers:   make(map[netip.Addr]*routerInfo),
+		routerErr: make(map[netip.Addr]error),
+		fresh:     make(map[*routerInfo]bool),
+		linkPolls: make(map[pairKey]pollReg),
+		connected: make(map[pairKey]bool),
 	}
 }
 
-func linkKey(a, b string) string {
-	if a < b {
-		return a + "|" + b
+// discover builds the graph joining the queried hosts, in phases whose
+// work is linear in the hosts and whose SNMP traffic is one request per
+// device and phase: place the hosts, fetch their gateway routers, resolve
+// every host's MAC at its gateway, verify every station's location at its
+// switch, then connect.
+func (b *build) discover(hosts []netip.Addr) error {
+	for _, h := range hosts {
+		b.addHost(h)
 	}
-	return b + "|" + a
-}
-
-// ensureLink adds a link once per unordered pair, remembering its poll
-// point.
-func (b *build) ensureLink(l topology.Link, reg *pollReg) error {
-	key := linkKey(l.From, l.To)
-	if _, dup := b.linkPolls[key]; dup {
-		return nil
+	if b.c.cfg.Bridge == nil {
+		// No MACs to resolve, no stations to verify: every pair is routed,
+		// through the hosts' gateways.
+		if len(b.hosts) > 1 {
+			b.fetchRouters(b.gatewaysOf(b.hosts))
+		}
+		return b.connect(hosts)
 	}
-	if _, err := b.g.AddLink(l); err != nil {
+	var unresolved []netip.Addr
+	for _, h := range b.hosts {
+		if _, ok := b.cachedMAC(h); !ok {
+			unresolved = append(unresolved, h)
+		}
+	}
+	b.fetchRouters(b.gatewaysOf(unresolved))
+	b.resolveMACs(unresolved)
+	if err := b.verifyLocations(); err != nil {
 		return err
 	}
-	if reg != nil {
-		b.linkPolls[key] = *reg
-	} else {
-		b.linkPolls[key] = pollReg{}
+	return b.connect(hosts)
+}
+
+// addHost places a queried host in the graph.
+func (b *build) addHost(h netip.Addr) {
+	if _, dup := b.ids[h]; dup {
+		return
+	}
+	id := h.String()
+	b.ids[h] = id
+	b.gateways[h], _ = b.c.cfg.GatewayOf(h)
+	b.hosts = append(b.hosts, h)
+	b.g.AddNode(topology.Node{ID: id, Kind: topology.HostNode, Addr: id})
+}
+
+// gatewaysOf returns the distinct configured gateways of the hosts, in
+// first-seen order.
+func (b *build) gatewaysOf(hosts []netip.Addr) []netip.Addr {
+	seen := make(map[netip.Addr]bool)
+	var gws []netip.Addr
+	for _, h := range hosts {
+		if gw := b.gateways[h]; gw.IsValid() && !seen[gw] {
+			seen[gw] = true
+			gws = append(gws, gw)
+		}
+	}
+	return gws
+}
+
+// fetchRouters loads the routers at the given addresses concurrently,
+// ahead of the serial path following. A failure is remembered, not
+// reported: the path that needs the router reports it with its context.
+func (b *build) fetchRouters(addrs []netip.Addr) {
+	type result struct {
+		ri    *routerInfo
+		fresh bool
+		err   error
+	}
+	out := make([]result, len(addrs))
+	// Per-item errors land in out; an expired ctx resurfaces at the next exchange.
+	conc.ForEachCtx(b.ctx, len(addrs), b.c.cfg.Parallelism, func(i int) error {
+		out[i].ri, out[i].fresh, out[i].err = b.c.routerFor(b.ctx, b.cl, addrs[i])
+		return nil
+	})
+	for i, r := range out {
+		if r.err != nil {
+			b.routerErr[addrs[i]] = r.err
+		} else {
+			b.adopt(r.ri, r.fresh)
+		}
+	}
+}
+
+// adopt makes a router view this query's view of every address the router
+// holds.
+func (b *build) adopt(ri *routerInfo, fresh bool) {
+	for _, a := range ri.addrs {
+		b.routers[a] = ri
+	}
+	if fresh {
+		b.fresh[ri] = true
+	}
+}
+
+// router returns this query's view of the router at addr, loading it on
+// first mention.
+func (b *build) router(addr netip.Addr) (*routerInfo, error) {
+	if ri, ok := b.routers[addr]; ok {
+		return ri, nil
+	}
+	if err, failed := b.routerErr[addr]; failed {
+		return nil, err
+	}
+	ri, fresh, err := b.c.routerFor(b.ctx, b.cl, addr)
+	if err != nil {
+		b.routerErr[addr] = err
+		return nil, err
+	}
+	b.adopt(ri, fresh)
+	return ri, nil
+}
+
+// cachedMAC returns the MAC this query already holds for an address, or
+// the one in the collector's ARP cache — part of its static state (dropped
+// by DropCaches, kept by DropDynamic), which DisableRouteCache bypasses.
+func (b *build) cachedMAC(ip netip.Addr) (collector.MAC, bool) {
+	if mac, ok := b.macs[ip]; ok {
+		return mac, true
+	}
+	if b.c.cfg.DisableRouteCache {
+		return collector.MAC{}, false
+	}
+	b.c.mu.Lock()
+	mac, ok := b.c.arp[ip]
+	b.c.mu.Unlock()
+	if ok {
+		b.macs[ip] = mac
+	}
+	return mac, ok
+}
+
+// learnMACs records resolved MACs for this query and in the collector's
+// ARP cache.
+func (b *build) learnMACs(found map[netip.Addr]collector.MAC) {
+	b.c.mu.Lock()
+	defer b.c.mu.Unlock()
+	for ip, m := range found {
+		b.macs[ip] = m
+		b.c.arp[ip] = m
+	}
+}
+
+// arpEntry names one row of a router's ipNetToMediaTable.
+type arpEntry struct {
+	ifIndex int
+	ip      netip.Addr
+}
+
+// getAll reads the given objects from one agent, as many per Get as
+// MaxVarBinds allows, and returns their values in order. An object the
+// agent does not answer for by name, and every object of a failed
+// exchange, comes back as the zero Value.
+func (b *build) getAll(agent netip.Addr, oids []snmp.OID) []snmp.Value {
+	vals := make([]snmp.Value, len(oids))
+	per := b.c.maxVarBinds()
+	for lo := 0; lo < len(oids); lo += per {
+		hi := min(lo+per, len(oids))
+		vbs, err := b.cl.GetContext(b.ctx, agent.String(), oids[lo:hi]...)
+		if err != nil || len(vbs) != hi-lo {
+			continue
+		}
+		for k, vb := range vbs {
+			if vb.Name.Cmp(oids[lo+k]) == 0 {
+				vals[lo+k] = vb.Value
+			}
+		}
+	}
+	return vals
+}
+
+// arpGet reads ARP entries from the router at via; entries it does not
+// hold are absent from the result.
+func (b *build) arpGet(via netip.Addr, entries []arpEntry) map[netip.Addr]collector.MAC {
+	oids := make([]snmp.OID, len(entries))
+	for i, e := range entries {
+		ip4 := e.ip.As4()
+		oids[i] = mib.IPNetToMediaPhys.Append(uint32(e.ifIndex),
+			uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3]))
+	}
+	found := make(map[netip.Addr]collector.MAC, len(entries))
+	for i, v := range b.getAll(via, oids) {
+		if m, ok := collector.MACFromBytes(v.Bytes); ok {
+			found[entries[i].ip] = m
+		}
+	}
+	return found
+}
+
+// appendNextHops extends entries, up to limit, with the ARP entries of the
+// router's next hops whose MACs are not known yet: a router asked for
+// anything from its ARP table is asked for its neighbours in the same Get,
+// so the paths that later leave it need not ask again.
+func (b *build) appendNextHops(entries []arpEntry, ri *routerInfo, limit int) []arpEntry {
+	for _, e := range ri.routes {
+		if len(entries) >= limit {
+			break
+		}
+		if !e.nextHop.IsValid() || slices.ContainsFunc(entries, func(x arpEntry) bool { return x.ip == e.nextHop }) {
+			continue
+		}
+		if _, known := b.cachedMAC(e.nextHop); !known {
+			entries = append(entries, arpEntry{ifIndex: e.ifIndex, ip: e.nextHop})
+		}
+	}
+	return entries
+}
+
+// resolveMACs resolves the given hosts' MACs: one ipNetToMedia Get per
+// gateway router for all the hosts behind it (the router's next hops fill
+// the PDU's spare room), configuration for whatever that leaves. What it
+// learns joins the collector's ARP cache.
+func (b *build) resolveMACs(hosts []netip.Addr) {
+	type group struct {
+		gw      netip.Addr
+		ri      *routerInfo
+		entries []arpEntry
+		found   map[netip.Addr]collector.MAC
+	}
+	var groups []*group
+	byGW := make(map[netip.Addr]*group)
+	for _, h := range hosts {
+		gw := b.gateways[h]
+		ri := b.routers[gw] // loaded by fetchRouters, or unreachable, or no gateway
+		if ri == nil {
+			continue
+		}
+		e, ok := ri.lpm(h)
+		if !ok {
+			continue
+		}
+		g := byGW[gw]
+		if g == nil {
+			g = &group{gw: gw, ri: ri}
+			byGW[gw] = g
+			groups = append(groups, g)
+		}
+		g.entries = append(g.entries, arpEntry{ifIndex: e.ifIndex, ip: h})
+	}
+	per := b.c.maxVarBinds()
+	for _, g := range groups {
+		g.entries = b.appendNextHops(g.entries, g.ri, (len(g.entries)+per-1)/per*per)
+	}
+	// arpGet reports failure as absence; configuration covers it below.
+	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
+		groups[i].found = b.arpGet(groups[i].gw, groups[i].entries)
+		return nil
+	})
+	learned := make(map[netip.Addr]collector.MAC)
+	for _, g := range groups {
+		for ip, m := range g.found {
+			learned[ip] = m
+		}
+	}
+	if b.c.cfg.ResolveMAC != nil {
+		for _, h := range hosts {
+			if _, ok := learned[h]; !ok {
+				if m, ok := b.c.cfg.ResolveMAC(h); ok {
+					learned[h] = m
+				}
+			}
+		}
+	}
+	b.learnMACs(learned)
+}
+
+// verifyLocations performs the per-query host location check through the
+// Bridge Collector: one Get per switch of the forwarding entries of all the
+// queried stations believed attached to it. Stations found off their
+// believed port (or not answered for) have moved; one re-walk of the
+// bridges then resynchronizes the Bridge Collector's database for all of
+// them. Stations the database does not know are outside the bridged
+// domain and are left alone.
+func (b *build) verifyLocations() error {
+	br := b.c.cfg.Bridge
+	type group struct {
+		sw    netip.Addr
+		macs  []collector.MAC
+		ports []int
+		moved []bool
+	}
+	var groups []*group
+	bySwitch := make(map[netip.Addr]*group)
+	for _, h := range b.hosts {
+		mac, ok := b.macs[h]
+		if !ok {
+			continue
+		}
+		sw, port, known := br.Locate(mac)
+		if !known {
+			continue
+		}
+		g := bySwitch[sw]
+		if g == nil {
+			g = &group{sw: sw}
+			bySwitch[sw] = g
+			groups = append(groups, g)
+		}
+		g.macs = append(g.macs, mac)
+		g.ports = append(g.ports, port)
+	}
+	// A failed exchange marks its stations moved; the re-walk reports a dead switch.
+	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
+		g := groups[i]
+		oids := make([]snmp.OID, len(g.macs))
+		for k, mac := range g.macs {
+			oids[k] = mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...)
+		}
+		g.moved = make([]bool, len(g.macs))
+		for k, v := range b.getAll(g.sw, oids) {
+			g.moved[k] = v.Kind != snmp.KindInteger || int(v.Int) != g.ports[k]
+		}
+		return nil
+	})
+	var moved []collector.MAC
+	for _, g := range groups {
+		for k, m := range g.moved {
+			if m {
+				moved = append(moved, g.macs[k])
+			}
+		}
+	}
+	if len(moved) == 0 {
+		return nil
+	}
+	return br.SearchStations(moved)
+}
+
+// connect joins the queried hosts. The graph wanted is the union of the
+// paths between all pairs, but almost every pair adds nothing new, and
+// which do is known without visiting them:
+//
+// Inside one broadcast domain the bridged topology is a tree, and the
+// union of all pairwise paths of a tree is the union of the paths from one
+// of its nodes to each of the others — so the first queried host of a
+// domain is joined to every other one, and no two later ones to each
+// other.
+//
+// Across domains a pair is joined by src — src's gateway — the router
+// chain toward dst — dst. The chain depends on src only through its
+// gateway, so of the hosts sharing a domain and a gateway only the first
+// walks the chains (to every later host outside its domain); the others
+// have nothing to add but their own attachment to that gateway.
+//
+// Hosts the Bridge Collector cannot place (no MAC, or not a known station)
+// have no domain: they are routed to everybody, and grouped by gateway
+// alone.
+//
+// Pairs are visited in query order, so each link is first added — and
+// takes its orientation and poll point — by the same path as in a walk
+// over all pairs.
+func (b *build) connect(hosts []netip.Addr) error {
+	n := len(hosts)
+	domain := make([]int, n) // 0: none
+	gateway := make([]netip.Addr, n)
+	type group struct {
+		domain  int
+		gateway netip.Addr
+	}
+	domainSeen := make(map[int]bool)
+	groupSeen := make(map[group]bool)
+	firstOfDomain := make([]bool, n)
+	firstOfGroup := make([]bool, n)
+	for i, h := range hosts {
+		if mac, ok := b.macs[h]; ok && b.c.cfg.Bridge != nil {
+			domain[i], _ = b.c.cfg.Bridge.Domain(mac)
+		}
+		gateway[i] = b.gateways[h]
+		if d := domain[i]; d != 0 && !domainSeen[d] {
+			domainSeen[d], firstOfDomain[i] = true, true
+		}
+		if g := (group{domain[i], gateway[i]}); !groupSeen[g] {
+			groupSeen[g], firstOfGroup[i] = true, true
+		}
+	}
+	sameDomain := func(i, j int) bool { return domain[i] != 0 && domain[i] == domain[j] }
+	// routedLater[i]: some later host is outside host i's domain. after is
+	// the common domain of the hosts behind i: -1 none yet, 0 several (or
+	// a host without one).
+	routedLater := make([]bool, n)
+	for i, after := n-1, -1; i >= 0; i-- {
+		routedLater[i] = after != -1 && (after == 0 || after != domain[i])
+		if after == -1 {
+			after = domain[i]
+		} else if after != domain[i] {
+			after = 0
+		}
+	}
+
+	for i, src := range hosts {
+		if !firstOfGroup[i] {
+			if routedLater[i] {
+				if err := b.attachToGateway(src); err != nil {
+					return fmt.Errorf("snmpcoll: attaching %v: %w", src, err)
+				}
+			}
+			continue
+		}
+		for j := i + 1; j < n; j++ {
+			dst := hosts[j]
+			if sameDomain(i, j) {
+				if !firstOfDomain[i] {
+					continue
+				}
+				segs, err := b.c.cfg.Bridge.Path(b.macs[src], b.macs[dst])
+				if err == nil {
+					if err := b.addL2Segments(segs, b.ids[src], b.ids[dst]); err != nil {
+						return err
+					}
+					continue
+				}
+				// The bridge database changed under the query: route.
+			}
+			if err := b.addRoutedPath(src, dst); err != nil {
+				return fmt.Errorf("snmpcoll: path %v-%v: %w", src, dst, err)
+			}
+		}
 	}
 	return nil
 }
 
-// addHostOnly places a lone queried host in the graph.
-func (b *build) addHostOnly(h netip.Addr) error {
-	b.g.AddNode(topology.Node{ID: h.String(), Kind: topology.HostNode, Addr: h.String()})
-	return b.verifyHost(h)
+// attachToGateway joins a host to its configured first-hop router.
+func (b *build) attachToGateway(h netip.Addr) error {
+	gw := b.gateways[h]
+	if !gw.IsValid() {
+		return fmt.Errorf("no gateway configured for %v", h)
+	}
+	if err := b.useRouter(gw); err != nil {
+		return err
+	}
+	return b.attachHostToRouter(h, gw)
 }
 
-// resolveMAC resolves a host's MAC: from the static ARP cache, by an SNMP
-// ipNetToMedia lookup at the host's gateway router, or from configuration.
-// The result is cached — it is part of the collector's static state
-// (dropped by DropCaches, kept by DropDynamic).
-func (b *build) resolveMAC(h netip.Addr) (collector.MAC, bool) {
-	b.c.mu.Lock()
-	mac, ok := b.c.arp[h]
-	b.c.mu.Unlock()
-	if ok && !b.c.cfg.DisableRouteCache {
-		return mac, true
-	}
-	if gw, okGw := b.c.cfg.GatewayOf(h); okGw {
-		if ri, err := b.c.routerFor(b.ctx, b.cl, gw); err == nil {
-			if e, okR := ri.lpm(h); okR {
-				ip4 := h.As4()
-				oid := mib.IPNetToMediaPhys.Append(uint32(e.ifIndex),
-					uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3]))
-				if v, err := b.cl.GetOneContext(b.ctx, gw.String(), oid); err == nil {
-					if m, okM := collector.MACFromBytes(v.Bytes); okM {
-						b.c.mu.Lock()
-						b.c.arp[h] = m
-						b.c.mu.Unlock()
-						return m, true
-					}
-				}
-			}
-		}
-	}
-	if b.c.cfg.ResolveMAC != nil {
-		if m, okC := b.c.cfg.ResolveMAC(h); okC {
-			b.c.mu.Lock()
-			b.c.arp[h] = m
-			b.c.mu.Unlock()
-			return m, true
-		}
-	}
-	return collector.MAC{}, false
-}
-
-// verifyHost performs the per-query host location check through the
-// Bridge Collector (one SNMP Get when the location is already believed).
-func (b *build) verifyHost(h netip.Addr) error {
-	if b.verified[h] {
-		return nil
-	}
-	b.verified[h] = true
-	if b.c.cfg.Bridge == nil {
-		return nil
-	}
-	mac, ok := b.resolveMAC(h)
-	if !ok {
-		return nil
-	}
-	// Unknown stations are outside the bridge domain; fine.
-	sw, port, known := b.c.cfg.Bridge.Locate(mac)
-	if !known {
-		return nil
-	}
-	// One Get of the station's forwarding entry on the bridge it is
-	// believed to be attached to — the cheap location check, issued on
-	// this query's metered client so it counts toward query time.
-	v, err := b.cl.GetOneContext(b.ctx, sw.String(), mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...))
-	if err == nil && int(v.Int) == port {
-		return nil
-	}
-	// The station moved (or the bridge lost it): have the Bridge
-	// Collector resynchronize its database.
-	_, _, err = b.c.cfg.Bridge.SearchStation(mac)
-	return err
-}
-
-// addPath discovers and adds the full path between two hosts.
-func (b *build) addPath(src, dst netip.Addr) error {
-	for _, h := range []netip.Addr{src, dst} {
-		b.g.AddNode(topology.Node{ID: h.String(), Kind: topology.HostNode, Addr: h.String()})
-		if err := b.verifyHost(h); err != nil {
-			return err
-		}
-	}
-	// Same level-2 domain? Then the whole path is bridged. If both
-	// endpoints are already attached to the bridged portion of this
-	// query's graph, the connecting path is already present (bridged
-	// topologies are trees) — this is the route-caching optimization
-	// that keeps large-N queries from exploring all O(N²) pairs.
-	if b.c.cfg.Bridge != nil {
-		ms, okS := b.resolveMAC(src)
-		md, okD := b.resolveMAC(dst)
-		if okS && okD {
-			dS, okDS := b.c.cfg.Bridge.Domain(ms)
-			dD, okDD := b.c.cfg.Bridge.Domain(md)
-			if okDS && okDD && dS == dD && b.l2Attached[src] && b.l2Attached[dst] {
-				return nil
-			}
-			if segs, err := b.c.cfg.Bridge.Path(ms, md); err == nil {
-				if err := b.addL2Segments(segs, src.String(), dst.String()); err != nil {
-					return err
-				}
-				b.l2Attached[src] = true
-				b.l2Attached[dst] = true
-				return nil
-			}
-		}
-	}
-	// Routed: follow from src's gateway.
-	gw, ok := b.c.cfg.GatewayOf(src)
-	if !ok {
+// addRoutedPath adds the routed path between two hosts: src to its
+// gateway, the router chain from there toward dst, dst to the chain's last
+// router.
+func (b *build) addRoutedPath(src, dst netip.Addr) error {
+	gw := b.gateways[src]
+	if !gw.IsValid() {
 		return fmt.Errorf("no gateway configured for %v", src)
 	}
 	chain, err := b.routerChain(gw, dst)
@@ -335,6 +600,20 @@ func (b *build) addPath(src, dst netip.Addr) error {
 	}
 	// Attach dst to the last router.
 	return b.attachHostToRouter(dst, chain[len(chain)-1])
+}
+
+// ensureLink adds a link once per unordered pair, remembering its poll
+// point.
+func (b *build) ensureLink(l topology.Link, reg pollReg) error {
+	key := pairOf(l.From, l.To)
+	if _, dup := b.linkPolls[key]; dup {
+		return nil
+	}
+	if _, err := b.g.AddLink(l); err != nil {
+		return err
+	}
+	b.linkPolls[key] = reg
+	return nil
 }
 
 // routerChain follows routes hop-to-hop from the start router toward dst,
@@ -362,8 +641,7 @@ func (b *build) routerChain(start, dst netip.Addr) ([]netip.Addr, error) {
 		if err := b.useRouter(cur); err != nil {
 			return nil, err
 		}
-		ri := b.routersUsed[cur]
-		e, ok := ri.lpm(dst)
+		e, ok := b.routers[cur].lpm(dst)
 		if !ok {
 			return nil, fmt.Errorf("router %v has no route to %v", cur, dst)
 		}
@@ -378,20 +656,18 @@ func (b *build) routerChain(start, dst netip.Addr) ([]netip.Addr, error) {
 	return chain, nil
 }
 
-// useRouter ensures a router's tables are loaded and tracked this query.
-// The graph node is keyed by the router's canonical identity (sysName),
-// so a router contacted under several of its addresses appears once.
+// useRouter ensures the router at addr is loaded, validated and in the
+// graph. The graph node is keyed by the router's canonical identity
+// (sysName), so a router reached under several of its addresses appears
+// once, carrying the address it was first reached by.
 func (b *build) useRouter(addr netip.Addr) error {
-	if _, ok := b.routersUsed[addr]; ok {
-		return nil
-	}
-	ri, err := b.c.routerFor(b.ctx, b.cl, addr)
+	ri, err := b.router(addr)
 	if err != nil {
 		return err
 	}
-	b.routersUsed[addr] = ri
 	if b.g.Node(ri.nodeID()) == nil {
-		b.g.AddNode(topology.Node{ID: ri.nodeID(), Kind: topology.RouterNode, Addr: ri.addr.String()})
+		b.used = append(b.used, ri)
+		b.g.AddNode(topology.Node{ID: ri.nodeID(), Kind: topology.RouterNode, Addr: addr.String()})
 	}
 	return nil
 }
@@ -402,49 +678,40 @@ func (b *build) useRouter(addr netip.Addr) error {
 // otherwise through a virtual switch — the paper's representation for
 // shared Ethernets and segments the collector cannot see inside.
 func (b *build) attachHostToRouter(h, r netip.Addr) error {
-	ri := b.routersUsed[r]
-	rtrID := r.String()
-	if ri != nil {
-		rtrID = ri.nodeID()
-	}
-	hostID := h.String()
-	if b.connected[linkKey(hostID, rtrID)] {
+	ri := b.routers[r]
+	hostID, rtrID := b.ids[h], ri.nodeID()
+	joined := pairOf(hostID, rtrID)
+	if b.connected[joined] {
 		return nil
 	}
-	if b.c.cfg.Bridge != nil && ri != nil {
-		if mh, okH := b.resolveMAC(h); okH {
-			if e, okR := ri.lpm(h); okR {
-				if mr, okM := ri.macByIf[e.ifIndex]; okM {
-					if segs, err := b.c.cfg.Bridge.Path(mh, mr); err == nil {
-						b.connected[linkKey(hostID, rtrID)] = true
-						return b.addL2Segments(segs, hostID, rtrID)
-					}
-				}
+	b.connected[joined] = true
+	e, routed := ri.lpm(h)
+	if b.c.cfg.Bridge != nil && routed {
+		mh, okH := b.macs[h]
+		mr, okR := ri.macByIf[e.ifIndex]
+		if okH && okR {
+			if segs, err := b.c.cfg.Bridge.Path(mh, mr); err == nil {
+				return b.addL2Segments(segs, hostID, rtrID)
 			}
 		}
 	}
 	// Virtual switch fallback: host -- vswitch -- router, capacity from
 	// the router's interface speed toward the host.
 	speed := 0.0
-	if ri != nil {
-		if e, ok := ri.lpm(h); ok {
-			speed = ri.ifSpeed[e.ifIndex]
-		}
+	if routed {
+		speed = ri.ifSpeed[e.ifIndex]
 	}
 	vID := "v:" + rtrID
 	if b.g.Node(vID) == nil {
 		b.g.AddNode(topology.Node{ID: vID, Kind: topology.VirtualNode})
 	}
-	if err := b.ensureLink(topology.Link{From: hostID, To: vID, Capacity: speed}, nil); err != nil {
+	if err := b.ensureLink(topology.Link{From: hostID, To: vID, Capacity: speed}, pollReg{}); err != nil {
 		return err
 	}
-	b.connected[linkKey(hostID, rtrID)] = true
 	// Router side of the virtual switch is pollable on the router.
-	var reg *pollReg
-	if ri != nil {
-		if e, ok := ri.lpm(h); ok {
-			reg = &pollReg{agent: r, ifIndex: e.ifIndex, from: rtrID, to: vID, outIsFromTo: true}
-		}
+	var reg pollReg
+	if routed {
+		reg = pollReg{agent: r, ifIndex: e.ifIndex, from: rtrID, to: vID, outIsFromTo: true}
 	}
 	return b.ensureLink(topology.Link{From: rtrID, To: vID, Capacity: speed}, reg)
 }
@@ -462,17 +729,12 @@ func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) er
 			t = toID
 		}
 		// Interior IDs are switch management addresses: add nodes.
-		for _, n := range []struct {
-			id    string
-			first bool
-		}{{f, i == 0}, {t, i == len(segs)-1}} {
-			if b.g.Node(n.id) == nil {
-				kind := topology.SwitchNode
-				addr := n.id
-				b.g.AddNode(topology.Node{ID: n.id, Kind: kind, Addr: addr})
+		for _, id := range [2]string{f, t} {
+			if b.g.Node(id) == nil {
+				b.g.AddNode(topology.Node{ID: id, Kind: topology.SwitchNode, Addr: id})
 			}
 		}
-		reg := &pollReg{
+		reg := pollReg{
 			agent:   s.PollSwitch,
 			ifIndex: s.PollPort,
 			from:    f,
@@ -494,54 +756,39 @@ func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) er
 // router's ARP table), otherwise as a direct link. The egress interface
 // speed gives the capacity and the egress interface is the poll point.
 func (b *build) addRouterHop(a, bAddr netip.Addr, dst netip.Addr) error {
-	riA := b.routersUsed[a]
-	riB := b.routersUsed[bAddr]
+	riA, riB := b.routers[a], b.routers[bAddr]
 	aID, bID := riA.nodeID(), riB.nodeID()
-	if b.connected[linkKey(aID, bID)] {
+	joined := pairOf(aID, bID)
+	if b.connected[joined] {
 		return nil
 	}
 	e, ok := riA.lpm(dst)
 	if !ok {
 		return fmt.Errorf("router %v lost its route to %v", a, dst)
 	}
+	b.connected[joined] = true
 	if b.c.cfg.Bridge != nil {
 		ma, okA := riA.macByIf[e.ifIndex]
-		mb, okB := b.arpLookup(a, riA, e.ifIndex, bAddr)
+		mb, okB := b.nextHopMAC(a, riA, e.ifIndex, bAddr)
 		if okA && okB {
 			if segs, err := b.c.cfg.Bridge.Path(ma, mb); err == nil {
-				b.connected[linkKey(aID, bID)] = true
 				return b.addL2Segments(segs, aID, bID)
 			}
 		}
 	}
-	speed := riA.ifSpeed[e.ifIndex]
-	b.connected[linkKey(aID, bID)] = true
-	reg := &pollReg{agent: a, ifIndex: e.ifIndex, from: aID, to: bID, outIsFromTo: true}
-	return b.ensureLink(topology.Link{From: aID, To: bID, Capacity: speed}, reg)
+	reg := pollReg{agent: a, ifIndex: e.ifIndex, from: aID, to: bID, outIsFromTo: true}
+	return b.ensureLink(topology.Link{From: aID, To: bID, Capacity: riA.ifSpeed[e.ifIndex]}, reg)
 }
 
-// arpLookup resolves target's MAC through the ARP table of the router at
-// via (interface ifIndex), with the collector-level ARP cache.
-func (b *build) arpLookup(via netip.Addr, ri *routerInfo, ifIndex int, target netip.Addr) (collector.MAC, bool) {
-	b.c.mu.Lock()
-	mac, ok := b.c.arp[target]
-	b.c.mu.Unlock()
-	if ok && !b.c.cfg.DisableRouteCache {
+// nextHopMAC resolves the MAC of target, a next hop of the router at via
+// out of interface ifIndex, from that router's ARP table (unless the
+// router already said, when it resolved hosts for this query).
+func (b *build) nextHopMAC(via netip.Addr, ri *routerInfo, ifIndex int, target netip.Addr) (collector.MAC, bool) {
+	if mac, ok := b.cachedMAC(target); ok {
 		return mac, true
 	}
-	ip4 := target.As4()
-	oid := mib.IPNetToMediaPhys.Append(uint32(ifIndex),
-		uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3]))
-	v, err := b.cl.GetOneContext(b.ctx, via.String(), oid)
-	if err != nil {
-		return collector.MAC{}, false
-	}
-	m, okM := collector.MACFromBytes(v.Bytes)
-	if !okM {
-		return collector.MAC{}, false
-	}
-	b.c.mu.Lock()
-	b.c.arp[target] = m
-	b.c.mu.Unlock()
-	return m, true
+	entries := b.appendNextHops([]arpEntry{{ifIndex: ifIndex, ip: target}}, ri, b.c.maxVarBinds())
+	b.learnMACs(b.arpGet(via, entries))
+	mac, ok := b.macs[target]
+	return mac, ok
 }

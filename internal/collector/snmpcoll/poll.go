@@ -14,11 +14,15 @@ import (
 
 // annotate fills each graph link's utilization from history, registering
 // poll points for links not yet monitored. It reports whether any link was
-// cold (registered just now, so utilization is not yet available).
+// cold (registered just now, so utilization is not yet available). The new
+// points are registered first and then given their baseline read together,
+// one Get per device, so the first poll yields a delta one interval from
+// now.
 func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
+	var added []*pollPoint
 	for _, l := range b.g.Links() {
-		reg, ok := b.linkPolls[linkKey(l.From, l.To)]
-		if !ok || !reg.agent.IsValid() {
+		reg := b.linkPolls[pairOf(l.From, l.To)]
+		if !reg.agent.IsValid() {
 			continue // unmeasurable link (virtual host side)
 		}
 		kFwd := collector.HistKey{From: reg.from, To: reg.to}
@@ -34,11 +38,12 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 			}
 			l.UtilFromTo = fwd
 			l.UtilToFrom = rev
+		} else {
+			coldStart = true // no delta yet
 		}
-		c.mu.Lock()
 		mk := monitorKey{agent: reg.agent, ifIndex: reg.ifIndex}
-		_, monitored := c.monitors[mk]
-		if !monitored {
+		c.mu.Lock()
+		if _, monitored := c.monitors[mk]; !monitored {
 			p := &pollPoint{
 				agent:       reg.agent,
 				ifIndex:     reg.ifIndex,
@@ -47,18 +52,12 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 				outIsFromTo: reg.outIsFromTo,
 			}
 			c.monitors[mk] = p
-			c.mu.Unlock()
+			added = append(added, p)
 			coldStart = true
-			// Initial baseline read so the first poll yields a
-			// delta one interval from now.
-			c.readCounters(ctx, cl, p)
-			continue
 		}
 		c.mu.Unlock()
-		if !okF && !okR {
-			coldStart = true // monitored, but no delta yet
-		}
 	}
+	c.readPoints(ctx, cl, added)
 	return coldStart
 }
 
@@ -88,18 +87,8 @@ func (m counterMode) counterKind() snmp.Kind {
 	return snmp.KindCounter32
 }
 
-// readCounters reads a poll point's octet counters once, recording a
-// utilization sample when a previous baseline exists. The point's mutex
-// is held for the whole exchange, serializing reads of one interface so
-// a query-path baseline read and a parallel poll never interleave their
-// delta computations.
-func (c *Collector) readCounters(ctx context.Context, cl *snmp.Client, p *pollPoint) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c.readCountersLocked(ctx, cl, p)
-}
-
-// readCountersLocked is readCounters with p.mu already held.
+// readCountersLocked reads a poll point's octet counters once (p.mu
+// held), recording a utilization sample when a previous baseline exists.
 func (c *Collector) readCountersLocked(ctx context.Context, cl *snmp.Client, p *pollPoint) {
 	now := c.now()
 	oids := p.pollOIDs(nil)
@@ -215,12 +204,7 @@ func (c *Collector) now() time.Time {
 }
 
 // pollOnce reads every monitored interface — the periodic monitoring loop
-// ("by default, the utilization is monitored every five seconds"). Points
-// are grouped by agent and each device's counters are read in multi-
-// varbind Gets bounded by Config.MaxVarBinds, so a poll cycle costs one
-// exchange per device rather than one per interface; the batches are then
-// issued by a worker pool (Config.Parallelism wide) so a large monitoring
-// set completes within the poll interval.
+// ("by default, the utilization is monitored every five seconds").
 func (c *Collector) pollOnce() {
 	c.mu.Lock()
 	points := make([]*pollPoint, 0, len(c.monitors))
@@ -228,88 +212,113 @@ func (c *Collector) pollOnce() {
 		points = append(points, p)
 	}
 	c.mu.Unlock()
+	c.readPoints(context.Background(), c.pollClient, points)
+	c.lastPoll.Store(c.now().UnixNano())
+}
+
+// readPoints reads the given poll points' counters, one device's points
+// at a time (in (agent, ifIndex) order, which is also the order their
+// locks are taken in); the devices are spread over a worker pool
+// (Config.Parallelism wide) so a large monitoring set completes within the
+// poll interval.
+func (c *Collector) readPoints(ctx context.Context, cl *snmp.Client, points []*pollPoint) {
 	sort.Slice(points, func(i, j int) bool {
 		if points[i].agent != points[j].agent {
 			return points[i].agent.Less(points[j].agent)
 		}
 		return points[i].ifIndex < points[j].ifIndex
 	})
-	// Chunk consecutive same-agent points; each chunk is one Get of up to
-	// MaxVarBinds varbinds (two per interface).
-	perPDU := c.maxVarBinds() / 2
-	var batches [][]*pollPoint
+	var devices [][]*pollPoint
 	for start := 0; start < len(points); {
 		end := start + 1
-		for end < len(points) && points[end].agent == points[start].agent && end-start < perPDU {
+		for end < len(points) && points[end].agent == points[start].agent {
 			end++
 		}
-		batches = append(batches, points[start:end])
+		devices = append(devices, points[start:end])
 		start = end
 	}
-	cl := c.pollClient
-	conc.ForEach(len(batches), c.cfg.Parallelism, func(i int) error {
-		c.readBatch(cl, batches[i])
+	conc.ForEach(len(devices), c.cfg.Parallelism, func(i int) error {
+		c.readDevice(ctx, cl, devices[i])
 		return nil
 	})
-	c.lastPoll.Store(c.now().UnixNano())
 }
 
-// readBatch reads one device's chunk of poll points in a single Get,
-// timestamping the whole batch once. Points still probing for their
-// counter generation are read individually (their probe doubles as the
-// baseline read). A failed or short response falls back to per-interface
-// reads, so one misbehaving varbind cannot poison a device's whole batch.
-func (c *Collector) readBatch(cl *snmp.Client, batch []*pollPoint) {
-	for _, p := range batch {
+// readDevice reads one device's poll points in multi-varbind Gets bounded
+// by Config.MaxVarBinds — two varbinds for a settled point, four for one
+// still probing its counter generation — so a round costs the device one
+// exchange, or a few, rather than one per interface. The points' mutexes
+// are held throughout, serializing reads of one interface so a query-path
+// baseline read and a parallel poll never interleave their delta
+// computations.
+func (c *Collector) readDevice(ctx context.Context, cl *snmp.Client, points []*pollPoint) {
+	for _, p := range points {
 		p.mu.Lock()
 	}
 	defer func() {
-		for _, p := range batch {
+		for _, p := range points {
 			p.mu.Unlock()
 		}
 	}()
-	// Separate settled points (2 OIDs each, batchable) from probes.
-	settled := batch[:0:0]
-	for _, p := range batch {
-		if p.mode == modeProbe {
-			c.readCountersLocked(context.Background(), cl, p)
-		} else {
-			settled = append(settled, p)
+	limit := c.maxVarBinds()
+	for start := 0; start < len(points); {
+		end, n := start, 0
+		for end < len(points) {
+			w := 2
+			if points[end].mode == modeProbe {
+				w = 4
+			}
+			if end > start && n+w > limit {
+				break
+			}
+			n += w
+			end++
 		}
+		c.readBatchLocked(ctx, cl, points[start:end])
+		start = end
 	}
-	if len(settled) == 0 {
+}
+
+// readBatchLocked reads a chunk of one device's poll points (their
+// mutexes held) in a single Get, timestamping the whole batch once. A
+// point still probing for its counter generation contributes its four
+// probe OIDs to the same Get (the probe doubles as the baseline read). A
+// failed or short response falls back to per-interface reads, so one
+// misbehaving varbind cannot poison a device's whole batch.
+func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, batch []*pollPoint) {
+	if len(batch) == 1 {
+		c.readCountersLocked(ctx, cl, batch[0])
 		return
 	}
-	if len(settled) == 1 {
-		c.readCountersLocked(context.Background(), cl, settled[0])
-		return
-	}
-	oids := make([]snmp.OID, 0, 2*len(settled))
-	for _, p := range settled {
+	oids := make([]snmp.OID, 0, 4*len(batch))
+	ends := make([]int, len(batch)) // ends[i]: where point i's OIDs stop
+	for i, p := range batch {
 		oids = p.pollOIDs(oids)
+		ends[i] = len(oids)
 	}
 	now := c.now()
-	vbs, err := cl.Get(settled[0].agent.String(), oids...)
+	vbs, err := cl.GetContext(ctx, batch[0].agent.String(), oids...)
 	if err != nil {
-		for _, p := range settled {
+		for _, p := range batch {
 			p.havePrev = false // device unreachable; resync next time
 		}
 		return
 	}
 	if len(vbs) != len(oids) {
 		// Malformed response: retry each interface on its own.
-		for _, p := range settled {
-			c.readCountersLocked(context.Background(), cl, p)
+		for _, p := range batch {
+			c.readCountersLocked(ctx, cl, p)
 		}
 		return
 	}
-	for i, p := range settled {
-		pair := oids[2*i : 2*i+2]
-		in, out, ok := p.applyCounterVarBinds(pair, vbs[2*i:2*i+2])
+	lo := 0
+	for i, p := range batch {
+		hi := ends[i]
+		in, out, ok := p.applyCounterVarBinds(oids[lo:hi], vbs[lo:hi])
+		lo = hi
 		if !ok {
 			// This interface answered with an unexpected OID or kind
 			// (partial error): re-read it alone, which re-probes.
-			c.readCountersLocked(context.Background(), cl, p)
+			c.readCountersLocked(ctx, cl, p)
 			continue
 		}
 		c.applyDelta(p, in, out, now)

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,21 +54,22 @@ type Config struct {
 	// DisableRouteCache turns off route and router-table caching, the
 	// ablation knob behind the Fig 3 cold/warm comparison.
 	DisableRouteCache bool
-	// Parallelism bounds how many devices are walked or polled
-	// concurrently (gateway prefetch, cached-router validation, periodic
-	// polling) and how many of one router's tables are walked at once.
+	// Parallelism bounds how many devices are walked, asked or polled
+	// concurrently (the gateway, resolve and verify phases of a query,
+	// cached-router validation, baseline reads, periodic polling).
 	// 0 selects GOMAXPROCS; 1 restores the fully serial paths.
 	Parallelism int
-	// MaxVarBinds bounds how many varbinds one polling Get carries
-	// (default 24). The poller batches all of a device's monitored
-	// interfaces into ceil(2*ifaces/MaxVarBinds) exchanges instead of one
-	// exchange per interface. 0 selects the default; values below 2 are
-	// raised to 2 (one interface per PDU).
+	// MaxVarBinds bounds how many varbinds one Get carries (default 24).
+	// The poller batches all of a device's monitored interfaces into
+	// ceil(2*ifaces/MaxVarBinds) exchanges instead of one exchange per
+	// interface, and a query asks one device for all the ARP or
+	// forwarding entries it needs from it under the same bound. 0 selects
+	// the default; values below 2 are raised to 2 (one interface per PDU).
 	MaxVarBinds int
 	// Pipeline is the number of requests kept outstanding per agent
 	// (passed to the SNMP client). Values <= 1 keep lock-step exchanges;
-	// larger values let concurrent table walks of one router overlap
-	// their round trips (requires a SessionTransport).
+	// larger values let concurrent requests to one agent overlap their
+	// round trips (requires a SessionTransport).
 	Pipeline int
 
 	// StreamPredict, when set to an RPS model spec (e.g. "AR(16)"),
@@ -93,11 +95,20 @@ type Config struct {
 // cached routerInfo without locking; a rebooted router is replaced by a
 // fresh routerInfo rather than mutated in place.
 type routerInfo struct {
+	// addr is the address the router was first contacted under, where
+	// validation keeps talking to it. addrs is addr plus every address in
+	// the router's own ipAddrTable: the keys it is cached under, so a
+	// router met again as somebody's next hop is recognized, not walked
+	// and validated a second time.
 	addr    netip.Addr
+	addrs   []netip.Addr
 	sysName string
 	upTime  atomic.Uint32 // ticks at cache fill/validation, for reboot detection
 	routes  []routeEntry
-	ifSpeed map[int]float64
+	// ifNumber is the interface count the router reported; with the
+	// route count it sizes the walk that refreshes this view.
+	ifNumber int
+	ifSpeed  map[int]float64
 	// addrByIf and macByIf come from ipAddrTable and ifPhysAddress:
 	// every address the router holds and each interface's MAC. They let
 	// the collector recognize one router contacted under several
@@ -299,142 +310,114 @@ func (c *Collector) PollInterval() time.Duration { return c.cfg.PollInterval }
 // History exposes the measurement history store (for prediction services).
 func (c *Collector) History() *collector.History { return c.hist }
 
-// fetchRouter walks one router's route table and interface speeds. The
-// four independent table groups (system+routes, ifSpeed, ifPhysAddr,
-// ipAdEnt) are walked concurrently under the collector's parallelism
-// bound; they fill disjoint routerInfo fields, so the assembled view is
-// identical to a serial fetch.
-func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip.Addr) (*routerInfo, error) {
-	a := addr.String()
+// routerColumns are the table columns fetchRouter walks together: the
+// four route-table columns, then the interface and address tables.
+var routerColumns = []snmp.OID{
+	mib.IPRouteDest, mib.IPRouteMask, mib.IPRouteNext, mib.IPRouteIfIdx,
+	mib.IfSpeed, mib.IfPhysAddr, mib.IPAdEntIfIndex,
+}
+
+const (
+	colRouteDest = iota
+	colRouteMask
+	colRouteNext
+	colRouteIfIdx
+	colIfSpeed
+	colIfPhysAddr
+	colIPAdEnt
+)
+
+// firstContactRows sizes the first GetBulk to a router nothing is known
+// about: enough rows that a small router's tables end inside the response.
+const firstContactRows = 8
+
+// fetchRouter learns one router — system group, route table, interface
+// speeds and MACs, own addresses — in one lock-step column walk: a router
+// whose tables fit the first response costs one exchange. prev, the view
+// this fetch replaces (nil on first contact), sizes that first request:
+// one row more than the longest table it held, so the walk sees every
+// column end.
+func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip.Addr, prev *routerInfo) (*routerInfo, error) {
 	ri := &routerInfo{
 		addr:     addr,
+		addrs:    []netip.Addr{addr},
 		ifSpeed:  make(map[int]float64),
 		addrByIf: make(map[int]netip.Addr),
 		macByIf:  make(map[int]collector.MAC),
 	}
-	walks := []func() error{
-		func() error { return c.fetchSystemAndRoutes(ctx, cl, a, ri) },
-		func() error {
-			return cl.BulkWalkContext(ctx, a, mib.IfSpeed, 16, func(o snmp.OID, v snmp.Value) bool {
+	rows := firstContactRows
+	if prev != nil {
+		rows = max(len(prev.routes), prev.ifNumber) + 1
+	}
+	// Route rows are keyed by destination; a column may mention a
+	// destination the dest column has not reached yet, so rows are created
+	// on first mention and keep that order.
+	routeAt := map[netip.Addr]int{}
+	route := func(ip netip.Addr) *routeEntry {
+		i, ok := routeAt[ip]
+		if !ok {
+			i = len(ri.routes)
+			routeAt[ip] = i
+			ri.routes = append(ri.routes, routeEntry{prefix: netip.PrefixFrom(ip, 24)})
+		}
+		return &ri.routes[i]
+	}
+	scalars, err := cl.BulkWalkColumns(ctx, addr.String(),
+		[]snmp.OID{mib.SysName, mib.SysUpTime, mib.IfNumber}, routerColumns, rows,
+		func(col int, o snmp.OID, v snmp.Value) bool {
+			switch col {
+			case colIfSpeed:
 				ri.ifSpeed[int(o[len(o)-1])] = float64(v.Int)
 				return true
-			})
-		},
-		func() error {
-			return cl.BulkWalkContext(ctx, a, mib.IfPhysAddr, 16, func(o snmp.OID, v snmp.Value) bool {
+			case colIfPhysAddr:
 				if m, ok := collector.MACFromBytes(v.Bytes); ok {
 					ri.macByIf[int(o[len(o)-1])] = m
 				}
 				return true
-			})
-		},
-		func() error {
-			return cl.BulkWalkContext(ctx, a, mib.IPAdEntIfIndex, 16, func(o snmp.OID, v snmp.Value) bool {
-				if len(o) < 4 {
-					return true
-				}
-				ip := netip.AddrFrom4([4]byte{byte(o[len(o)-4]), byte(o[len(o)-3]), byte(o[len(o)-2]), byte(o[len(o)-1])})
-				ri.addrByIf[int(v.Int)] = ip
+			}
+			ip, ok := ip4Suffix(o)
+			if !ok {
 				return true
-			})
-		},
-	}
-	if err := conc.ForEachCtx(ctx, len(walks), c.cfg.Parallelism, func(i int) error { return walks[i]() }); err != nil {
+			}
+			switch col {
+			case colIPAdEnt:
+				ri.addrByIf[int(v.Int)] = ip
+				if ip != addr {
+					ri.addrs = append(ri.addrs, ip)
+				}
+			case colRouteDest:
+				route(ip)
+			case colRouteMask:
+				if len(v.Bytes) == 4 {
+					e := route(ip)
+					e.prefix = netip.PrefixFrom(ip, maskBits([4]byte(v.Bytes)))
+				}
+			case colRouteNext:
+				if nh, ok := netip.AddrFromSlice(v.Bytes); ok && nh.Is4() && !nh.IsUnspecified() {
+					route(ip).nextHop = nh
+				}
+			case colRouteIfIdx:
+				route(ip).ifIndex = int(v.Int)
+			}
+			return true
+		})
+	if err != nil {
 		return nil, err
 	}
+	ri.sysName = string(scalars[0].Bytes)
+	ri.upTime.Store(uint32(scalars[1].Int))
+	ri.ifNumber = int(scalars[2].Int)
 	return ri, nil
 }
 
-// fetchSystemAndRoutes reads the system group and the four route-table
-// columns (dest, mask, next hop, ifIndex). The system read and the column
-// walks run concurrently under the parallelism bound, each column into
-// its own accumulator; the accumulators then merge in fixed column order
-// with route order following the dest column, so the cached table is
-// identical to a serial fetch.
-func (c *Collector) fetchSystemAndRoutes(ctx context.Context, cl *snmp.Client, a string, ri *routerInfo) error {
-	type colEntry struct {
-		ip netip.Addr
-		v  snmp.Value
+// ip4Suffix reads the IPv4 address indexing a row from the last four
+// sub-identifiers of its OID.
+func ip4Suffix(o snmp.OID) (netip.Addr, bool) {
+	if len(o) < 4 {
+		return netip.Addr{}, false
 	}
-	roots := []snmp.OID{mib.IPRouteDest, mib.IPRouteMask, mib.IPRouteNext, mib.IPRouteIfIdx}
-	acc := make([][]colEntry, len(roots))
-	tasks := []func() error{
-		func() error {
-			vbs, err := cl.GetContext(ctx, a, mib.SysName, mib.SysUpTime)
-			if err != nil {
-				return err
-			}
-			for _, vb := range vbs {
-				switch {
-				case vb.Name.Cmp(mib.SysName) == 0:
-					ri.sysName = string(vb.Value.Bytes)
-				case vb.Name.Cmp(mib.SysUpTime) == 0:
-					ri.upTime.Store(uint32(vb.Value.Int))
-				}
-			}
-			return nil
-		},
-	}
-	for i, root := range roots {
-		i, root := i, root
-		tasks = append(tasks, func() error {
-			return cl.BulkWalkContext(ctx, a, root, 32, func(o snmp.OID, v snmp.Value) bool {
-				if len(o) < 4 {
-					return true
-				}
-				ip := netip.AddrFrom4([4]byte{byte(o[len(o)-4]), byte(o[len(o)-3]), byte(o[len(o)-2]), byte(o[len(o)-1])})
-				acc[i] = append(acc[i], colEntry{ip: ip, v: v})
-				return true
-			})
-		})
-	}
-	if err := conc.ForEachCtx(ctx, len(tasks), c.cfg.Parallelism, func(i int) error { return tasks[i]() }); err != nil {
-		return err
-	}
-	type parsed struct {
-		maskLen int
-		nextHop netip.Addr
-		ifIndex int
-	}
-	dests := map[netip.Addr]*parsed{}
-	order := []netip.Addr{}
-	get := func(ip netip.Addr) *parsed {
-		e := dests[ip]
-		if e == nil {
-			e = &parsed{maskLen: 24}
-			dests[ip] = e
-			order = append(order, ip)
-		}
-		return e
-	}
-	for _, ce := range acc[0] {
-		get(ce.ip)
-	}
-	for _, ce := range acc[1] {
-		if len(ce.v.Bytes) == 4 {
-			get(ce.ip).maskLen = maskBits([4]byte{ce.v.Bytes[0], ce.v.Bytes[1], ce.v.Bytes[2], ce.v.Bytes[3]})
-		}
-	}
-	for _, ce := range acc[2] {
-		if len(ce.v.Bytes) == 4 {
-			nh := netip.AddrFrom4([4]byte{ce.v.Bytes[0], ce.v.Bytes[1], ce.v.Bytes[2], ce.v.Bytes[3]})
-			if nh != netip.AddrFrom4([4]byte{0, 0, 0, 0}) {
-				get(ce.ip).nextHop = nh
-			}
-		}
-	}
-	for _, ce := range acc[3] {
-		get(ce.ip).ifIndex = int(ce.v.Int)
-	}
-	for _, ip := range order {
-		e := dests[ip]
-		ri.routes = append(ri.routes, routeEntry{
-			prefix:  netip.PrefixFrom(ip, e.maskLen),
-			nextHop: e.nextHop,
-			ifIndex: e.ifIndex,
-		})
-	}
-	return nil
+	t := o[len(o)-4:]
+	return netip.AddrFrom4([4]byte{byte(t[0]), byte(t[1]), byte(t[2]), byte(t[3])}), true
 }
 
 func maskBits(m [4]byte) int {
@@ -451,63 +434,71 @@ func maskBits(m [4]byte) int {
 	return bits
 }
 
-// routerFor returns a (possibly cached) router view; caching is skipped
-// when the ablation knob disables it. Cache fills are single-flighted:
-// concurrent queries missing on the same router share one walk instead of
-// each walking the device (skipped under the ablation knob, where every
-// query must pay the full cold cost).
-func (c *Collector) routerFor(ctx context.Context, cl *snmp.Client, addr netip.Addr) (*routerInfo, error) {
+// routerFor returns a (possibly cached) router view, and whether it was
+// fetched just now — a fetch reads sysUpTime, so a fresh view needs no
+// validation this query. Caching is skipped when the ablation knob
+// disables it. Cache fills are single-flighted: concurrent queries missing
+// on the same router share one walk instead of each walking the device
+// (skipped under the ablation knob, where every query must pay the full
+// cold cost).
+func (c *Collector) routerFor(ctx context.Context, cl *snmp.Client, addr netip.Addr) (ri *routerInfo, fresh bool, err error) {
 	c.mu.Lock()
-	ri, ok := c.routers[addr]
+	cached := c.routers[addr]
 	c.mu.Unlock()
-	if ok && !c.cfg.DisableRouteCache {
+	if cached != nil && !c.cfg.DisableRouteCache {
+		return cached, false, nil
+	}
+	fetch := func() (*routerInfo, error) {
+		ri, err := c.fetchRouter(ctx, cl, addr, cached)
+		if err != nil {
+			return nil, err
+		}
+		c.storeRouter(ri)
 		return ri, nil
 	}
 	if c.cfg.DisableRouteCache {
-		ri, err := c.fetchRouter(ctx, cl, addr)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.routers[addr] = ri
-		c.mu.Unlock()
-		return ri, nil
+		ri, err = fetch()
+	} else {
+		ri, err, _ = c.fetches.Do(addr, fetch)
 	}
-	ri, err, _ := c.fetches.Do(addr, func() (*routerInfo, error) {
-		ri, err := c.fetchRouter(ctx, cl, addr)
-		if err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.routers[addr] = ri
-		c.mu.Unlock()
-		return ri, nil
-	})
-	return ri, err
+	return ri, true, err
+}
+
+// storeRouter caches a fetched router under every address it holds: one
+// identity per router, whichever address a path reaches it by.
+func (c *Collector) storeRouter(ri *routerInfo) {
+	c.mu.Lock()
+	for _, a := range ri.addrs {
+		c.routers[a] = ri
+	}
+	c.mu.Unlock()
 }
 
 // validateRouter performs the cheap per-query liveness/reboot check on a
 // cached router: one sysUpTime read. A reboot (uptime going backwards)
 // invalidates the cached tables and the counter baselines for that
-// device and refreshes them; the query proceeds on the returned fresh
-// view (cached routerInfo is replaced, never mutated, so queries already
-// holding the old pointer keep a consistent pre-reboot snapshot). An
-// unreachable agent is an error.
-func (c *Collector) validateRouter(ctx context.Context, cl *snmp.Client, ri *routerInfo) (*routerInfo, error) {
+// device and refreshes them (cached routerInfo is replaced, never
+// mutated, so queries already holding the old pointer keep a consistent
+// pre-reboot snapshot). An unreachable agent is an error.
+func (c *Collector) validateRouter(ctx context.Context, cl *snmp.Client, ri *routerInfo) error {
 	v, err := cl.GetOneContext(ctx, ri.addr.String(), mib.SysUpTime)
 	if err != nil {
-		return nil, fmt.Errorf("snmpcoll: router %v unreachable: %w", ri.addr, err)
+		return fmt.Errorf("snmpcoll: router %v unreachable: %w", ri.addr, err)
 	}
 	if uint32(v.Int) >= ri.upTime.Load() {
 		ri.upTime.Store(uint32(v.Int))
-		return ri, nil
+		return nil
 	}
 	// Rebooted: drop what we believed about it and re-learn.
 	c.mu.Lock()
-	delete(c.routers, ri.addr)
-	points := make([]*pollPoint, 0, len(c.monitors))
+	var points []*pollPoint
+	for _, a := range ri.addrs {
+		if c.routers[a] == ri {
+			delete(c.routers, a)
+		}
+	}
 	for _, p := range c.monitors {
-		if p.agent == ri.addr {
+		if slices.Contains(ri.addrs, p.agent) {
 			points = append(points, p)
 		}
 	}
@@ -517,14 +508,12 @@ func (c *Collector) validateRouter(ctx context.Context, cl *snmp.Client, ri *rou
 		p.havePrev = false
 		p.mu.Unlock()
 	}
-	fresh, err := c.fetchRouter(ctx, cl, ri.addr)
+	fresh, err := c.fetchRouter(ctx, cl, ri.addr, ri)
 	if err != nil {
-		return nil, fmt.Errorf("snmpcoll: refreshing rebooted router %v: %w", ri.addr, err)
+		return fmt.Errorf("snmpcoll: refreshing rebooted router %v: %w", ri.addr, err)
 	}
-	c.mu.Lock()
-	c.routers[ri.addr] = fresh
-	c.mu.Unlock()
-	return fresh, nil
+	c.storeRouter(fresh)
+	return nil
 }
 
 // lpm finds the longest-prefix route for dst in a cached router table.

@@ -85,16 +85,32 @@ func (a *Agent) Handle(req *Message) *Message {
 			}
 			resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{Name: next, Value: v})
 		}
-		for _, vb := range req.PDU.VarBinds[nonRep:] {
-			cur := vb.Name
-			for i := 0; i < maxRep; i++ {
-				next, v, ok := a.View.Next(cur)
-				if !ok {
-					resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{Name: cur.Clone(), Value: EndOfMibView})
-					break
+		// Repeaters are answered row by row (RFC 3416 §4.2.3): the i-th
+		// successor of every repeater, then the (i+1)-th of every repeater.
+		// A repeater that ran off the MIB keeps answering endOfMibView so
+		// rows stay aligned; a row of nothing else ends the response.
+		reps := req.PDU.VarBinds[nonRep:]
+		cur := make([]OID, len(reps))
+		ended := make([]bool, len(reps))
+		for k, vb := range reps {
+			cur[k] = vb.Name
+		}
+		for i := 0; i < maxRep && len(reps) > 0; i++ {
+			live := false
+			for k := range reps {
+				if !ended[k] {
+					if next, v, ok := a.View.Next(cur[k]); ok {
+						resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{Name: next, Value: v})
+						cur[k] = next
+						live = true
+						continue
+					}
+					ended[k] = true
 				}
-				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{Name: next, Value: v})
-				cur = next
+				resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{Name: cur[k].Clone(), Value: EndOfMibView})
+			}
+			if !live {
+				break
 			}
 		}
 	default:

@@ -532,38 +532,115 @@ func (c *Client) BulkWalk(addr string, root OID, maxRep int, fn func(OID, Value)
 	return c.BulkWalkContext(context.Background(), addr, root, maxRep, fn)
 }
 
-// BulkWalkContext is BulkWalk honoring the context's cancellation.
+// BulkWalkContext is BulkWalk honoring the context's cancellation: the
+// one-column case of BulkWalkColumns.
 func (c *Client) BulkWalkContext(ctx context.Context, addr string, root OID, maxRep int, fn func(OID, Value) bool) error {
+	_, err := c.BulkWalkColumns(ctx, addr, nil, []OID{root}, maxRep, func(_ int, o OID, v Value) bool {
+		return fn(o, v)
+	})
+	return err
+}
+
+// maxBulkVarBinds bounds the repeater varbinds one GetBulk asks for
+// (open columns x max-repetitions), keeping responses inside a datagram.
+const maxBulkVarBinds = 512
+
+// BulkWalkColumns walks several subtrees of one agent together, in
+// lock-step GetBulk exchanges: every request carries one repeating varbind
+// per column still inside its root, so a table of k columns costs the
+// round trips of its longest column instead of k walks. scalars are
+// instance OIDs fetched as the first request's non-repeaters; their values
+// come back in order, KindNoSuchObject standing for one the agent does not
+// hold. fn sees the objects row by row (row i of every open column, then
+// row i+1); returning false stops the walk. A column is dropped when a
+// response leaves its root or ends the MIB.
+//
+// maxRep (<=0 selects 32) sizes the first request only. Afterwards the
+// walk asks for what the previous response used: twice the request while
+// every row comes back used and columns remain open, never more than an
+// agent that capped a request has shown it returns.
+func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, columns []OID, maxRep int,
+	fn func(col int, name OID, v Value) bool) ([]Value, error) {
 	if maxRep <= 0 {
 		maxRep = 32
 	}
-	cur := root
-	for {
+	vals := make([]Value, len(scalars))
+	open := make([]int, len(columns)) // indices of the columns still walked
+	cur := make([]OID, len(columns))
+	for k, root := range columns {
+		open[k], cur[k] = k, root
+	}
+	nonRep := len(scalars)
+	agentCap := maxBulkVarBinds
+	for len(open) > 0 || nonRep > 0 {
+		if lim := maxBulkVarBinds / max(len(open), 1); maxRep > lim {
+			maxRep = lim
+		}
+		vbs := make([]VarBind, 0, nonRep+len(open))
+		for _, inst := range scalars[:nonRep] {
+			// GetNext semantics: the instance's parent names it.
+			vbs = append(vbs, VarBind{Name: inst[:len(inst)-1], Value: Null})
+		}
+		for _, k := range open {
+			vbs = append(vbs, VarBind{Name: cur[k], Value: Null})
+		}
 		pdu, err := c.roundTrip(ctx, addr, PDU{
 			Type:        GetBulkRequest,
-			ErrorStatus: 0,      // non-repeaters
+			ErrorStatus: nonRep, // non-repeaters
 			ErrorIndex:  maxRep, // max-repetitions
-			VarBinds:    []VarBind{{Name: cur, Value: Null}},
+			VarBinds:    vbs,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if len(pdu.VarBinds) == 0 {
-			return nil
-		}
-		progressed := false
-		for _, vb := range pdu.VarBinds {
-			if vb.Value.Kind == KindEndOfMibView || !vb.Name.HasPrefix(root) {
-				return nil
+		got := pdu.VarBinds
+		for i := range vals[:nonRep] {
+			vals[i] = NoSuchObject
+			if i < len(got) && got[i].Name.Cmp(scalars[i]) == 0 {
+				vals[i] = got[i].Value
 			}
-			if !fn(vb.Name, vb.Value) {
-				return nil
+		}
+		got = got[min(nonRep, len(got)):]
+		nonRep = 0
+
+		width := len(open)
+		if width == 0 {
+			break
+		}
+		closed := make([]bool, width)
+		for i, vb := range got {
+			pos := i % width
+			if closed[pos] {
+				continue
 			}
-			cur = vb.Name
-			progressed = true
+			k := open[pos]
+			if vb.Value.Kind == KindEndOfMibView || !vb.Name.HasPrefix(columns[k]) {
+				closed[pos] = true
+				continue
+			}
+			if vb.Name.Cmp(cur[k]) <= 0 {
+				return nil, fmt.Errorf("snmp: agent %s walked backwards at %s", addr, vb.Name)
+			}
+			if !fn(k, vb.Name, vb.Value) {
+				return vals, nil
+			}
+			cur[k] = vb.Name
 		}
-		if !progressed {
-			return nil
+		rows := len(got) / width
+		if rows == 0 {
+			break // an empty response cannot make progress
 		}
+		still := open[:0]
+		for pos, k := range open {
+			if !closed[pos] {
+				still = append(still, k)
+			}
+		}
+		open = still
+		if rows < maxRep {
+			agentCap = rows // the agent caps repetitions: never ask for more again
+		}
+		maxRep = min(2*maxRep, agentCap)
 	}
+	return vals, nil
 }

@@ -33,6 +33,27 @@ func corpusMessages() []*Message {
 			VarBinds: []VarBind{{Name: MustParseOID("2.100.3"), Value: Null}}}},
 		{Community: "public", PDU: PDU{Type: GetBulkRequest, RequestID: 3, ErrorStatus: 1, ErrorIndex: 32,
 			VarBinds: []VarBind{{Name: MustParseOID("1.3.6.1.2.1.2.2.1"), Value: Null}}}},
+		// A lock-step column walk: two non-repeaters and three repeaters,
+		// and its response of two rows, the last column ending mid-response.
+		{Community: "public", PDU: PDU{Type: GetBulkRequest, RequestID: 8, ErrorStatus: 2, ErrorIndex: 2,
+			VarBinds: []VarBind{
+				{Name: MustParseOID("1.3.6.1.2.1.1.5"), Value: Null},
+				{Name: MustParseOID("1.3.6.1.2.1.1.3"), Value: Null},
+				{Name: MustParseOID("1.3.6.1.2.1.4.21.1.1"), Value: Null},
+				{Name: MustParseOID("1.3.6.1.2.1.4.21.1.7"), Value: Null},
+				{Name: MustParseOID("1.3.6.1.2.1.4.22.1.2"), Value: Null},
+			}}},
+		{Community: "public", PDU: PDU{Type: GetResponse, RequestID: 8,
+			VarBinds: []VarBind{
+				{Name: MustParseOID("1.3.6.1.2.1.1.5.0"), Value: Str("gw0")},
+				{Name: MustParseOID("1.3.6.1.2.1.1.3.0"), Value: Ticks(4200)},
+				{Name: MustParseOID("1.3.6.1.2.1.4.21.1.1.10.0.16.0"), Value: IPv4([4]byte{10, 0, 16, 0})},
+				{Name: MustParseOID("1.3.6.1.2.1.4.21.1.7.10.0.16.0"), Value: IPv4([4]byte{0, 0, 0, 0})},
+				{Name: MustParseOID("1.3.6.1.2.1.4.22.1.2.2.10.0.16.9"), Value: Octets([]byte{2, 0, 0, 0, 0, 9})},
+				{Name: MustParseOID("1.3.6.1.2.1.4.21.1.1.10.0.32.0"), Value: IPv4([4]byte{10, 0, 32, 0})},
+				{Name: MustParseOID("1.3.6.1.2.1.4.21.1.7.10.0.32.0"), Value: IPv4([4]byte{10, 0, 0, 2})},
+				{Name: MustParseOID("1.3.6.1.2.1.4.22.1.2.2.10.0.16.9"), Value: EndOfMibView},
+			}}},
 		{Community: "public", PDU: PDU{Type: GetResponse, RequestID: 4,
 			VarBinds: []VarBind{
 				{Name: MustParseOID("1.3.6.1.99.1"), Value: NoSuchObject},

@@ -166,7 +166,7 @@ func (g *Graph) CollapseSwitchClouds(prefix string) int {
 		g.links = kept
 		g.reindexLinks()
 		for _, id := range comp {
-			delete(g.nodes, id)
+			g.dropNode(id)
 		}
 		adj = g.adjacency()
 	}
@@ -175,7 +175,7 @@ func (g *Graph) CollapseSwitchClouds(prefix string) int {
 
 // removeNode deletes a node and every link touching it.
 func (g *Graph) removeNode(id string) {
-	delete(g.nodes, id)
+	g.dropNode(id)
 	var kept []*Link
 	for _, l := range g.links {
 		if l.From != id && l.To != id {

@@ -98,14 +98,22 @@ func clampNonNeg(v float64) float64 {
 
 // Graph is a virtual topology.
 type Graph struct {
-	nodes   map[string]*Node
+	nodes map[string]*Node
+	// byAddr finds the node carrying an address without scanning nodes;
+	// AddNode maintains it, as does everything else that binds or drops a
+	// node or rewrites a node's Addr.
+	byAddr  map[string]*Node
 	links   []*Link
 	linkIdx map[[2]string]*Link // canonical (sorted) endpoint pair -> first link
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{nodes: make(map[string]*Node), linkIdx: make(map[[2]string]*Link)}
+	return &Graph{
+		nodes:   make(map[string]*Node),
+		byAddr:  make(map[string]*Node),
+		linkIdx: make(map[[2]string]*Link),
+	}
 }
 
 func pairKey(a, b string) [2]string {
@@ -118,8 +126,31 @@ func pairKey(a, b string) [2]string {
 // AddNode inserts or replaces a node.
 func (g *Graph) AddNode(n Node) *Node {
 	cp := n
+	g.dropNode(n.ID)
 	g.nodes[n.ID] = &cp
+	g.indexAddr(&cp)
 	return &cp
+}
+
+func (g *Graph) indexAddr(n *Node) {
+	if n.Addr != "" {
+		g.byAddr[n.Addr] = n
+	}
+}
+
+func (g *Graph) unindexAddr(n *Node) {
+	if g.byAddr[n.Addr] == n {
+		delete(g.byAddr, n.Addr)
+	}
+}
+
+// dropNode unbinds a node ID and its address; links are the caller's
+// business.
+func (g *Graph) dropNode(id string) {
+	if n := g.nodes[id]; n != nil {
+		g.unindexAddr(n)
+		delete(g.nodes, id)
+	}
 }
 
 // Node returns the node with the given ID, or nil.
@@ -139,14 +170,7 @@ func (g *Graph) Nodes() []*Node {
 func (g *Graph) Links() []*Link { return g.links }
 
 // NodeByAddr returns the node with the given address, or nil.
-func (g *Graph) NodeByAddr(addr string) *Node {
-	for _, n := range g.nodes {
-		if n.Addr == addr && addr != "" {
-			return n
-		}
-	}
-	return nil
-}
+func (g *Graph) NodeByAddr(addr string) *Node { return g.byAddr[addr] }
 
 // AddLink inserts a link. Both endpoints must already exist.
 func (g *Graph) AddLink(l Link) (*Link, error) {
@@ -186,6 +210,7 @@ func (g *Graph) Merge(other *Graph) {
 		if exist := g.nodes[n.ID]; exist != nil {
 			if exist.Addr == "" {
 				exist.Addr = n.Addr
+				g.indexAddr(exist)
 			}
 			continue
 		}
@@ -218,8 +243,10 @@ func (g *Graph) Update(other *Graph) {
 	for _, n := range other.nodes {
 		if exist := g.nodes[n.ID]; exist != nil {
 			exist.Kind = n.Kind
-			if n.Addr != "" {
+			if n.Addr != "" && n.Addr != exist.Addr {
+				g.unindexAddr(exist)
 				exist.Addr = n.Addr
+				g.indexAddr(exist)
 			}
 			continue
 		}
@@ -246,15 +273,20 @@ func (g *Graph) Update(other *Graph) {
 func (g *Graph) Clone() *Graph {
 	// Copies sit on the warm-query serving path (every cache hit clones),
 	// so nodes and links are copied into two slabs and presized maps:
-	// four allocations total instead of one per node and link.
+	// five allocations total instead of one per node and link.
 	out := &Graph{
 		nodes:   make(map[string]*Node, len(g.nodes)),
+		byAddr:  make(map[string]*Node, len(g.byAddr)),
 		linkIdx: make(map[[2]string]*Link, len(g.linkIdx)),
 	}
 	nodeSlab := make([]Node, 0, len(g.nodes))
 	for _, n := range g.nodes {
 		nodeSlab = append(nodeSlab, *n)
-		out.nodes[n.ID] = &nodeSlab[len(nodeSlab)-1]
+		cp := &nodeSlab[len(nodeSlab)-1]
+		out.nodes[n.ID] = cp
+		if g.byAddr[n.Addr] == n {
+			out.byAddr[n.Addr] = cp
+		}
 	}
 	if len(g.links) > 0 {
 		linkSlab := make([]Link, 0, len(g.links))

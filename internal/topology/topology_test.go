@@ -412,3 +412,64 @@ func BenchmarkEncodeDecodeText(b *testing.B) {
 		}
 	}
 }
+
+// NodeByAddr answers from an index; everything that binds, rebinds or
+// drops a node must keep it in step.
+func TestNodeByAddrIndexFollowsMutations(t *testing.T) {
+	g := NewGraph()
+	g.AddNode(Node{ID: "a", Kind: HostNode, Addr: "10.0.0.1"})
+	g.AddNode(Node{ID: "sw", Kind: SwitchNode})
+	g.AddNode(Node{ID: "b", Kind: HostNode, Addr: "10.0.0.2"})
+	g.AddLink(Link{From: "a", To: "sw", Capacity: 1})
+	g.AddLink(Link{From: "sw", To: "b", Capacity: 1})
+	check := func(g *Graph, addr, wantID string) {
+		t.Helper()
+		got := ""
+		if n := g.NodeByAddr(addr); n != nil {
+			got = n.ID
+		}
+		if got != wantID {
+			t.Fatalf("NodeByAddr(%q) = %q, want %q", addr, got, wantID)
+		}
+	}
+	check(g, "10.0.0.1", "a")
+	check(g, "", "")
+	check(g, "10.9.9.9", "")
+
+	// Re-adding an ID under a new address forgets the old one.
+	g.AddNode(Node{ID: "a", Kind: HostNode, Addr: "10.0.0.9"})
+	check(g, "10.0.0.1", "")
+	check(g, "10.0.0.9", "a")
+
+	// Clone indexes its own copies.
+	c := g.Clone()
+	check(c, "10.0.0.2", "b")
+	if c.NodeByAddr("10.0.0.2") == g.NodeByAddr("10.0.0.2") {
+		t.Fatal("clone's index points into the original")
+	}
+
+	// Merge fills an empty address; Update rewrites one.
+	other := NewGraph()
+	other.AddNode(Node{ID: "sw", Kind: SwitchNode, Addr: "10.0.0.250"})
+	other.AddNode(Node{ID: "b", Kind: HostNode, Addr: "10.0.0.3"})
+	g.Merge(other)
+	check(g, "10.0.0.250", "sw")
+	check(g, "10.0.0.2", "b") // Merge keeps an address already set
+	g.Update(other)
+	check(g, "10.0.0.3", "b")
+	check(g, "10.0.0.2", "")
+
+	// Pruning copies nodes, collapsing drops them: addresses follow.
+	p, err := g.Prune([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(p, "10.0.0.9", "a")
+	check(p, "10.0.0.250", "sw")
+	p.CollapseChains(map[string]bool{"a": true, "b": true})
+	if p.Node("sw") != nil {
+		t.Fatal("chain collapse kept the interior switch")
+	}
+	check(p, "10.0.0.250", "")
+	check(p, "10.0.0.3", "b")
+}
