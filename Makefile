@@ -33,7 +33,8 @@ race:
 race-hot:
 	$(GO) test -race ./internal/proto/ ./internal/collector/qcache/ \
 		./internal/watch/ ./internal/obs/ ./internal/admission/ \
-		./internal/snapshot/ ./internal/federation/ ./internal/directory/
+		./internal/snapshot/ ./internal/federation/ ./internal/directory/ \
+		./internal/topology/
 
 verify: vet lint build test race
 

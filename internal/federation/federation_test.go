@@ -232,6 +232,7 @@ func TestEpochCacheInvalidation(t *testing.T) {
 	checkFlowsMatchGroundTruth(t, m, flows)
 	fetches := m.router.mFetches.Value()
 	stitches := m.router.mStitches.Value()
+	trees := m.router.paths.TreeBuilds()
 
 	// Same epochs: the repeat query is answered entirely from cache.
 	checkFlowsMatchGroundTruth(t, m, flows)
@@ -254,6 +255,11 @@ func TestEpochCacheInvalidation(t *testing.T) {
 	}
 	if got := m.router.mStitches.Value(); got == stitches {
 		t.Fatal("epoch moved but the stitched graph was not rebuilt")
+	}
+	// The masters re-polled an unchanged fabric: the re-stitched graph
+	// routes as the last one did and keeps its path trees.
+	if got := m.router.paths.TreeBuilds(); got != trees || trees == 0 {
+		t.Fatalf("a metrics-only re-stitch rebuilt path trees: %d builds, had %d", got, trees)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -60,9 +59,9 @@ type Router struct {
 	domains  map[string]domainState
 	resolved map[string]collector.Interface
 	// The stitched-graph memo: valid while every domain's cache entry
-	// is unchanged (signature over domain/advert/epoch/staleness).
-	stitchSig string
-	paths     *topology.PathIndex
+	// is the one it was stitched from (in sorted domain order).
+	stitched []domainState
+	paths    *topology.PathIndex
 
 	mCollects  *obs.Counter
 	mFlows     *obs.Counter
@@ -225,7 +224,10 @@ func (r *Router) fetchDomain(ctx context.Context, domain string, adverts []direc
 }
 
 // stitchedPaths refreshes every domain and returns the path index over
-// the stitched graph, rebuilt only when some domain's epoch moved.
+// the stitched graph, rebuilt only when some domain's epoch moved. A
+// rebuild that finds the domains' nodes and links where they were — the
+// masters re-polled, nothing was rewired — keeps the routing shape and
+// its BFS trees (topology.NewPathIndexFrom checks that it may).
 func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error) {
 	names, byDomain := r.domainAdverts()
 	if len(names) == 0 {
@@ -241,12 +243,11 @@ func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var sig strings.Builder
-	for _, name := range names {
-		st := r.domains[name]
-		fmt.Fprintf(&sig, "%s=%s@%d,%v;", name, st.From, st.Epoch, st.Stale)
+	current := r.paths != nil && len(r.stitched) == len(names)
+	for i := 0; current && i < len(names); i++ {
+		current = r.stitched[i] == r.domains[names[i]]
 	}
-	if sig.String() == r.stitchSig && r.paths != nil {
+	if current {
 		return r.paths, nil
 	}
 	// Merging every domain's serving graph joins the domains at their
@@ -254,12 +255,13 @@ func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error)
 	// netsim partition tests pin this), so max-min on the stitched
 	// graph equals a single master's whole-graph walk byte for byte.
 	stitched := topology.NewGraph()
+	r.stitched = r.stitched[:0]
 	for _, name := range names {
+		r.stitched = append(r.stitched, r.domains[name])
 		stitched.Merge(r.domains[name].Graph)
 	}
 	r.mStitches.Inc()
-	r.stitchSig = sig.String()
-	r.paths = topology.NewPathIndex(stitched)
+	r.paths = topology.NewPathIndexFrom(r.paths, stitched)
 	return r.paths, nil
 }
 

@@ -135,7 +135,7 @@ func DefaultPolicy() Policy {
 			"directory.Service.mu":    50, // lease table
 		},
 		LockHeld: set("proto", "qcache", "watch", "obs", "admission",
-			"snapshot", "federation", "directory"),
+			"snapshot", "federation", "directory", "topology"),
 	}
 }
 

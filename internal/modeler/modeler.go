@@ -76,20 +76,34 @@ type Config struct {
 
 // Modeler is a per-application Remos endpoint.
 type Modeler struct {
-	cfg Config
+	cfg     Config
+	queries [len(queryKinds)]*obs.Counter // remos_modeler_queries_total{kind}
 }
 
+// queryKind indexes queryKinds: the API calls the Modeler counts and
+// traces by name.
+type queryKind int
+
+const (
+	topologyQuery queryKind = iota
+	flowsQuery
+	hostloadQuery
+	predictQuery
+)
+
+var queryKinds = [...]string{"topology", "flows", "hostload", "predict"}
+
 // begin counts an API call and, when tracing is configured and the
-// context does not already carry a trace, opens one. The returned finish
-// must be called when the API call completes.
-func (m *Modeler) begin(ctx context.Context, kind, attrs string) (context.Context, func(error)) {
-	m.cfg.Obs.Counter("remos_modeler_queries_total",
-		"Remos API queries by kind", "kind", kind).Inc()
+// context does not already carry a trace, opens one labelled with the
+// hosts asked about. The returned finish must be called when the API
+// call completes.
+func (m *Modeler) begin(ctx context.Context, kind queryKind, hosts []netip.Addr) (context.Context, func(error)) {
+	m.queries[kind].Inc()
 	tr := obs.FromContext(ctx)
 	if tr != nil || m.cfg.Traces == nil {
 		return ctx, func(error) {}
 	}
-	tr = obs.NewTrace(kind, attrs)
+	tr = obs.NewTrace(queryKinds[kind], hostAttrs(hosts))
 	return obs.NewContext(ctx, tr), func(err error) {
 		tr.SetErr(err)
 		m.cfg.Traces.Observe(tr)
@@ -115,7 +129,12 @@ func New(cfg Config) *Modeler {
 	if cfg.MaxStale <= 0 {
 		cfg.MaxStale = 5 * time.Second
 	}
-	return &Modeler{cfg: cfg}
+	m := &Modeler{cfg: cfg}
+	for kind, name := range queryKinds {
+		m.queries[kind] = cfg.Obs.Counter("remos_modeler_queries_total",
+			"Remos API queries by kind", "kind", name)
+	}
+	return m
 }
 
 // dedupeHosts returns the unique hosts in first-seen order. Queries
@@ -197,7 +216,7 @@ func (m *Modeler) GetTopology(hosts []netip.Addr, opt TopologyOptions) (*topolog
 // stage timings.
 func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, opt TopologyOptions) (g *topology.Graph, err error) {
 	hosts = dedupeHosts(hosts)
-	ctx, finish := m.begin(ctx, "topology", hostAttrs(hosts))
+	ctx, finish := m.begin(ctx, topologyQuery, hosts)
 	defer func() { finish(err) }()
 	tr := obs.FromContext(ctx)
 	ids := make([]string, len(hosts))
@@ -314,7 +333,7 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 		endpoints = append(endpoints, f.Src, f.Dst)
 	}
 	hosts := dedupeHosts(endpoints)
-	ctx, finish := m.begin(ctx, "flows", hostAttrs(hosts))
+	ctx, finish := m.begin(ctx, flowsQuery, hosts)
 	defer func() { finish(err) }()
 	tr := obs.FromContext(ctx)
 	reqs := make([]topology.FlowRequest, len(flows))
@@ -597,7 +616,7 @@ func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int
 	if horizon <= 0 {
 		horizon = 1
 	}
-	ctx, finish := m.begin(ctx, "hostload", h.String())
+	ctx, finish := m.begin(ctx, hostloadQuery, []netip.Addr{h})
 	defer func() { finish(err) }()
 	res, err := m.cfg.HostLoad.Collect(collector.Query{
 		Hosts:           []netip.Addr{h},
@@ -644,7 +663,7 @@ func (m *Modeler) PredictSeries(src, dst netip.Addr, spec string, horizon int) (
 
 // PredictSeriesContext is PredictSeries under the caller's context.
 func (m *Modeler) PredictSeriesContext(ctx context.Context, src, dst netip.Addr, spec string, horizon int) (p rps.Prediction, err error) {
-	ctx, finish := m.begin(ctx, "predict", hostAttrs([]netip.Addr{src, dst}))
+	ctx, finish := m.begin(ctx, predictQuery, []netip.Addr{src, dst})
 	defer func() { finish(err) }()
 	res, err := m.cfg.Collector.Collect(collector.Query{
 		Hosts:       []netip.Addr{src, dst},

@@ -10,15 +10,19 @@
 // region trigger one walk.
 //
 // Each generation (an Epoch) carries the merged graph, per-host
-// freshness stamps, an address index, and a topology.PathIndex whose
-// memoized BFS trees and reduced-capacity max-min make flow answers
-// O(path length) instead of O(graph size). Derived structures keyed by
-// epoch — the pruned/collapsed subgraph memo — are evicted on every
-// epoch swap, the invariant remoslint's epochkey check enforces.
+// freshness stamps, and a topology.PathIndex whose memoized BFS trees
+// and reduced-capacity max-min make flow answers O(path length) instead
+// of O(graph size). A poll that only moved measurements leaves the
+// routing shape as it was, so the new generation's index shares the old
+// one's adjacency and trees (topology.NewPathIndexFrom checks that it
+// may). Derived structures keyed by epoch — the pruned/collapsed
+// subgraph memo — are evicted on every epoch swap, the invariant
+// remoslint's epochkey check enforces.
 package snapshot
 
 import (
 	"context"
+	"maps"
 	"net/netip"
 	"sort"
 	"strings"
@@ -42,7 +46,6 @@ type Snapshot struct {
 	epoch  Epoch
 	graph  *topology.Graph
 	paths  *topology.PathIndex
-	byAddr map[string]string // host address -> node ID
 	hostAt map[netip.Addr]time.Time
 	at     time.Time // most recent apply folded in
 }
@@ -61,9 +64,13 @@ func (s *Snapshot) Paths() *topology.PathIndex { return s.paths }
 func (s *Snapshot) At() time.Time { return s.at }
 
 // NodeID resolves a host address to its node ID in the generation's
-// graph ("" if unknown), via the index built at apply time — O(1) where
-// Graph.NodeByAddr scans.
-func (s *Snapshot) NodeID(addr netip.Addr) string { return s.byAddr[addr.String()] }
+// graph ("" if unknown).
+func (s *Snapshot) NodeID(addr netip.Addr) string {
+	if n := s.graph.NodeByAddr(addr.String()); n != nil {
+		return n.ID
+	}
+	return ""
+}
 
 // FreshFor reports whether every given host was refreshed within bound
 // of now. A host never applied is never fresh.
@@ -168,8 +175,9 @@ func (st *Store) Fresh(hosts []netip.Addr, bound time.Duration) *Snapshot {
 
 // Apply folds one poll result into a new generation: the previous graph
 // is cloned, the result is merged latest-wins (topology.Update), the
-// polled hosts' freshness stamps advance, and the new Snapshot — with a
-// fresh PathIndex and address index — is swapped in atomically. Derived
+// polled hosts' freshness stamps advance, and the new Snapshot — its
+// PathIndex sharing the previous generation's routing shape when the
+// poll changed measurements only — is swapped in atomically. Derived
 // memos of superseded epochs are evicted. Returns the new generation.
 func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) *Snapshot {
 	if res == nil || res.Graph == nil {
@@ -178,14 +186,12 @@ func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) 
 	st.applyMu.Lock()
 	old := st.cur.Load()
 	var g *topology.Graph
+	var prev *topology.PathIndex
 	var hostAt map[netip.Addr]time.Time
 	var epoch Epoch
 	if old != nil {
-		g = old.graph.Clone()
-		hostAt = make(map[netip.Addr]time.Time, len(old.hostAt)+len(hosts))
-		for h, t := range old.hostAt {
-			hostAt[h] = t
-		}
+		g, prev = old.graph.Clone(), old.paths
+		hostAt = maps.Clone(old.hostAt)
 		epoch = old.epoch + 1
 	} else {
 		g = topology.NewGraph()
@@ -196,15 +202,9 @@ func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) 
 	for _, h := range hosts {
 		hostAt[h] = at
 	}
-	byAddr := make(map[string]string, len(g.Nodes()))
-	for _, n := range g.Nodes() {
-		if n.Addr != "" {
-			byAddr[n.Addr] = n.ID
-		}
-	}
 	snap := &Snapshot{
-		epoch: epoch, graph: g, paths: topology.NewPathIndex(g),
-		byAddr: byAddr, hostAt: hostAt, at: at,
+		epoch: epoch, graph: g, paths: topology.NewPathIndexFrom(prev, g),
+		hostAt: hostAt, at: at,
 	}
 	st.cur.Store(snap)
 	st.applyMu.Unlock()

@@ -281,3 +281,58 @@ func (failColl) Name() string { return "fail" }
 func (failColl) Collect(collector.Query) (*collector.Result, error) {
 	return nil, fmt.Errorf("down")
 }
+
+// TestApplyKeepsPathTreesAcrossMetricOnlySwaps: a poll that moved
+// measurements only hands the next generation the trees the last one
+// built — and the new measurements; a poll that changed the topology
+// starts its generation with none.
+func TestApplyKeepsPathTreesAcrossMetricOnlySwaps(t *testing.T) {
+	ck := newClock()
+	st := New(Config{Now: ck.Now})
+	reqs := []topology.FlowRequest{{Src: "10.0.1.1", Dst: "10.0.2.1"}, {Src: "10.0.2.1", Dst: "10.0.1.2"}}
+	ask := func(s *Snapshot) float64 {
+		t.Helper()
+		preds, err := s.Paths().FlowAlloc(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return preds[0].Available
+	}
+
+	s1 := st.Apply(testHosts, &collector.Result{Graph: dumbbell()}, ck.Now())
+	if got := ask(s1); got != 6e6 {
+		t.Fatalf("epoch 1 WAN share = %g, want 6e6", got)
+	}
+	if got := s1.Paths().TreeBuilds(); got != 2 {
+		t.Fatalf("two sources built %d trees", got)
+	}
+
+	hot := dumbbell()
+	hot.FindLink("r1", "r2").UtilFromTo = 8e6
+	s2 := st.Apply(testHosts, &collector.Result{Graph: hot}, ck.Now())
+	if got := ask(s2); got != 2e6 {
+		t.Fatalf("epoch 2 WAN share = %g, want the new reading's 2e6", got)
+	}
+	if got := s2.Paths().TreeBuilds(); got != 2 {
+		t.Fatalf("a measurement-only swap rebuilt trees: %d builds, want the first epoch's 2", got)
+	}
+	if got := ask(s1); got != 6e6 {
+		t.Fatalf("epoch 1 now answers %g: the generations share measurements, not just shape", got)
+	}
+
+	grown := dumbbell()
+	grown.AddNode(topology.Node{ID: "10.0.2.2", Kind: topology.HostNode, Addr: "10.0.2.2"})
+	if _, err := grown.AddLink(topology.Link{From: "r2", To: "10.0.2.2", Capacity: 100e6}); err != nil {
+		t.Fatal(err)
+	}
+	s3 := st.Apply(testHosts, &collector.Result{Graph: grown}, ck.Now())
+	if got := s3.Paths().TreeBuilds(); got != 0 {
+		t.Fatalf("a topology change started its generation with %d trees built", got)
+	}
+	if _, err := s3.Paths().Path("10.0.1.1", "10.0.2.2"); err != nil {
+		t.Fatalf("new host unroutable: %v", err)
+	}
+	if got := s2.Paths().TreeBuilds(); got != 2 {
+		t.Fatalf("the superseded shape's count moved to %d", got)
+	}
+}
