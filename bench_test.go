@@ -9,6 +9,7 @@
 package remos_test
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -350,7 +351,7 @@ func ablationPredictSource(b *testing.B, fromCollector bool) {
 	opt := remos.FlowOptions{Predict: true, Horizon: 3, FromCollector: fromCollector}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.GetFlows(flows, opt); err != nil {
+		if _, err := m.GetFlowsContext(context.Background(), flows, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

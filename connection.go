@@ -20,7 +20,7 @@ type Update = watch.Update
 
 // WatchQuery names the endpoint pair a watch monitors. The watched
 // value is the pair's bottleneck available bandwidth — the same number
-// AvailableBandwidth reports.
+// AvailableBandwidthContext reports.
 type WatchQuery struct {
 	Src, Dst netip.Addr
 }

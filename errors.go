@@ -42,7 +42,7 @@ var (
 // request's error. Both wire protocols round-trip the hint, so a caller
 // backs off exactly as long as the admission layer asks:
 //
-//	if _, err := m.GetFlows(flows); errors.Is(err, remos.ErrOverloaded) {
+//	if _, err := m.GetFlowsContext(ctx, flows, opt); errors.Is(err, remos.ErrOverloaded) {
 //		if d, ok := remos.RetryAfter(err); ok {
 //			time.Sleep(d)
 //		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -274,7 +275,7 @@ func Mirror(sites []MirrorSite, trials int, fileBytes float64, seed int64) (*Mir
 		if err := cmu.Bench.MeasureAllParallel(probeWindow); err != nil {
 			return nil, err
 		}
-		ranks, err := m.BestServer(client.Addr(), servers, modeler.FlowOptions{})
+		ranks, err := m.BestServerContext(context.Background(), client.Addr(), servers, modeler.FlowOptions{})
 		if err != nil {
 			return nil, err
 		}

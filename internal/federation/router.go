@@ -284,18 +284,7 @@ func (r *Router) GetFlowsContext(ctx context.Context, flows []modeler.Flow, _ mo
 	if err != nil {
 		return nil, err
 	}
-	out := make([]modeler.FlowInfo, len(flows))
-	for i := range flows {
-		out[i] = modeler.FlowInfo{
-			Flow:      flows[i],
-			Available: preds[i].Available,
-			Latency:   preds[i].Latency,
-			Jitter:    preds[i].Jitter,
-			Path:      preds[i].Path,
-			Predicted: preds[i].Available,
-		}
-	}
-	return out, nil
+	return modeler.FlowInfos(flows, preds), nil
 }
 
 // Collect implements collector.Interface. A query with hosts fans

@@ -200,20 +200,14 @@ type TopologyOptions struct {
 	MaxStale time.Duration
 }
 
-// GetTopology answers the Remos topology query: the virtual topology
-// spanning the given hosts, annotated with capacity and utilization. By
-// default the Modeler simplifies the graph — pruning off-path detail,
-// collapsing switch clouds into virtual switches and splicing out
-// degree-2 chains — "to present the topology to the application in a more
-// manageable form".
-func (m *Modeler) GetTopology(hosts []netip.Addr, opt TopologyOptions) (*topology.Graph, error) {
-	return m.GetTopologyContext(context.Background(), hosts, opt)
-}
-
-// GetTopologyContext is GetTopology under the caller's context: the
-// context's cancellation and deadline reach the master fan-out and the
-// SNMP exchanges underneath, and its trace (if any) collects the query's
-// stage timings.
+// GetTopologyContext answers the Remos topology query: the virtual
+// topology spanning the given hosts, annotated with capacity and
+// utilization. By default the Modeler simplifies the graph — pruning
+// off-path detail, collapsing switch clouds into virtual switches and
+// splicing out degree-2 chains — "to present the topology to the
+// application in a more manageable form". The context's cancellation and
+// deadline reach the master fan-out and the SNMP exchanges underneath,
+// and its trace (if any) collects the query's stage timings.
 func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, opt TopologyOptions) (g *topology.Graph, err error) {
 	hosts = dedupeHosts(hosts)
 	ctx, finish := m.begin(ctx, topologyQuery, hosts)
@@ -287,6 +281,25 @@ type FlowInfo struct {
 	ErrVar    float64
 }
 
+// FlowInfos pairs each requested flow with its allocation on the current
+// topology (preds[i] answers flows[i]). Without a forecast, the
+// prediction is the current value.
+func FlowInfos(flows []Flow, preds []topology.FlowPrediction) []FlowInfo {
+	out := make([]FlowInfo, len(flows))
+	for i := range preds {
+		p := &preds[i]
+		out[i] = FlowInfo{
+			Flow:      flows[i],
+			Available: p.Available,
+			Latency:   p.Latency,
+			Jitter:    p.Jitter,
+			Path:      p.Path,
+			Predicted: p.Available,
+		}
+	}
+	return out
+}
+
 // FlowsClient is the client side of the wire FLOWS verb; both protocol
 // clients implement it. See Config.RemoteFlows.
 type FlowsClient interface {
@@ -314,16 +327,11 @@ type FlowOptions struct {
 	MaxStale time.Duration
 }
 
-// GetFlows answers the Remos flow query: for the set of flows the
+// GetFlowsContext answers the Remos flow query: for the set of flows the
 // application wants to create simultaneously, the max-min fair bandwidth
 // each can expect, on the current topology and optionally on the
-// predicted one.
-func (m *Modeler) GetFlows(flows []Flow, opt FlowOptions) ([]FlowInfo, error) {
-	return m.GetFlowsContext(context.Background(), flows, opt)
-}
-
-// GetFlowsContext is GetFlows under the caller's context (cancellation,
-// deadline, and trace propagate through the whole query path).
+// predicted one. Cancellation, deadline, and trace propagate through the
+// whole query path.
 func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOptions) (out []FlowInfo, err error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("modeler: no flows requested")
@@ -351,18 +359,7 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 			preds, perr := snap.Paths().FlowAlloc(reqs)
 			sp.End()
 			if perr == nil {
-				out = make([]FlowInfo, len(flows))
-				for i := range flows {
-					out[i] = FlowInfo{
-						Flow:      flows[i],
-						Available: preds[i].Available,
-						Latency:   preds[i].Latency,
-						Jitter:    preds[i].Jitter,
-						Path:      preds[i].Path,
-						Predicted: preds[i].Available,
-					}
-				}
-				return out, nil
+				return FlowInfos(flows, preds), nil
 			}
 			if !errors.Is(perr, rerr.ErrUnknownHost) {
 				// A routing answer (e.g. no path) from a fresh snapshot
@@ -405,17 +402,7 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 	if err != nil {
 		return nil, err
 	}
-	out = make([]FlowInfo, len(flows))
-	for i := range flows {
-		out[i] = FlowInfo{
-			Flow:      flows[i],
-			Available: preds[i].Available,
-			Latency:   preds[i].Latency,
-			Jitter:    preds[i].Jitter,
-			Path:      preds[i].Path,
-			Predicted: preds[i].Available,
-		}
-	}
+	out = FlowInfos(flows, preds)
 	if !opt.Predict {
 		return out, nil
 	}
@@ -521,14 +508,8 @@ func (m *Modeler) predictSeries(ss []collector.Sample, fitter rps.Fitter, horizo
 	return v, p.ErrVar[horizon-1]
 }
 
-// AvailableBandwidth is the scalar convenience query: the max-min
+// AvailableBandwidthContext is the scalar convenience query: the max-min
 // bandwidth a single new flow between the two hosts can expect.
-func (m *Modeler) AvailableBandwidth(src, dst netip.Addr) (float64, error) {
-	return m.AvailableBandwidthContext(context.Background(), src, dst)
-}
-
-// AvailableBandwidthContext is AvailableBandwidth under the caller's
-// context.
 func (m *Modeler) AvailableBandwidthContext(ctx context.Context, src, dst netip.Addr) (float64, error) {
 	infos, err := m.GetFlowsContext(ctx, []Flow{{Src: src, Dst: dst}}, FlowOptions{})
 	if err != nil {
@@ -537,23 +518,18 @@ func (m *Modeler) AvailableBandwidthContext(ctx context.Context, src, dst netip.
 	return infos[0].Available, nil
 }
 
-// ServerRank is one candidate in a BestServer answer.
+// ServerRank is one candidate in a BestServerContext answer.
 type ServerRank struct {
 	Server    netip.Addr
 	Bandwidth float64 // predicted available bandwidth client<-server
 	Err       error   // non-nil if the candidate could not be evaluated
 }
 
-// BestServer ranks candidate servers by the bandwidth a download to
-// client can expect, best first — the mirrored-server and video-server
+// BestServerContext ranks candidate servers by the bandwidth a download
+// to client can expect, best first — the mirrored-server and video-server
 // selection pattern of Sections 5.4 and 5.5. Unreachable candidates sort
-// last with their error recorded.
-func (m *Modeler) BestServer(client netip.Addr, servers []netip.Addr, opt FlowOptions) ([]ServerRank, error) {
-	return m.BestServerContext(context.Background(), client, servers, opt)
-}
-
-// BestServerContext is BestServer under the caller's context; a
-// cancellation stops the remaining candidate evaluations.
+// last with their error recorded; a cancellation stops the remaining
+// candidate evaluations.
 func (m *Modeler) BestServerContext(ctx context.Context, client netip.Addr, servers []netip.Addr, opt FlowOptions) ([]ServerRank, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("modeler: no candidate servers")
@@ -598,17 +574,12 @@ type HostLoadInfo struct {
 	Forecast rps.Prediction
 }
 
-// HostLoad reports a host's current CPU load and its forecast, from the
-// configured host load collector: collector-side streaming forecasts when
-// available, otherwise a client-side fit over the load history with the
-// modeler's prediction model. This is the host-measurement half of the
-// Remos/RPS coupling ("RPS provides prediction services and host
-// measurement services to Remos").
-func (m *Modeler) HostLoad(h netip.Addr, horizon int) (HostLoadInfo, error) {
-	return m.HostLoadContext(context.Background(), h, horizon)
-}
-
-// HostLoadContext is HostLoad under the caller's context.
+// HostLoadContext reports a host's current CPU load and its forecast,
+// from the configured host load collector: collector-side streaming
+// forecasts when available, otherwise a client-side fit over the load
+// history with the modeler's prediction model. This is the
+// host-measurement half of the Remos/RPS coupling ("RPS provides
+// prediction services and host measurement services to Remos").
 func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int) (info HostLoadInfo, err error) {
 	if m.cfg.HostLoad == nil {
 		return HostLoadInfo{}, fmt.Errorf("modeler: no host load collector configured")
@@ -655,13 +626,9 @@ func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int
 	return info, nil
 }
 
-// PredictSeries runs a client-server RPS prediction over the measurement
-// history the collectors hold for the directed pair of node IDs.
-func (m *Modeler) PredictSeries(src, dst netip.Addr, spec string, horizon int) (rps.Prediction, error) {
-	return m.PredictSeriesContext(context.Background(), src, dst, spec, horizon)
-}
-
-// PredictSeriesContext is PredictSeries under the caller's context.
+// PredictSeriesContext runs a client-server RPS prediction over the
+// measurement history the collectors hold for the directed pair of node
+// IDs.
 func (m *Modeler) PredictSeriesContext(ctx context.Context, src, dst netip.Addr, spec string, horizon int) (p rps.Prediction, err error) {
 	ctx, finish := m.begin(ctx, predictQuery, []netip.Addr{src, dst})
 	defer func() { finish(err) }()

@@ -1,6 +1,7 @@
 package modeler
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/netip"
@@ -66,7 +67,7 @@ func a(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 func TestGetTopologySimplifies(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
-	g, err := m.GetTopology([]netip.Addr{a("10.0.1.1"), a("10.0.2.1")}, TopologyOptions{})
+	g, err := m.GetTopologyContext(context.Background(), []netip.Addr{a("10.0.1.1"), a("10.0.2.1")}, TopologyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestGetTopologySimplifies(t *testing.T) {
 
 func TestGetTopologyRaw(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
-	g, err := m.GetTopology([]netip.Addr{a("10.0.1.1"), a("10.0.2.1")}, TopologyOptions{Raw: true})
+	g, err := m.GetTopologyContext(context.Background(), []netip.Addr{a("10.0.1.1"), a("10.0.2.1")}, TopologyOptions{Raw: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestGetTopologyRaw(t *testing.T) {
 
 func TestGetFlowsMaxMin(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
-	infos, err := m.GetFlows([]Flow{
+	infos, err := m.GetFlowsContext(context.Background(), []Flow{
 		{Src: a("10.0.1.1"), Dst: a("10.0.2.1")},
 		{Src: a("10.0.1.2"), Dst: a("10.0.2.1")},
 	}, FlowOptions{})
@@ -120,14 +121,14 @@ func TestGetFlowsMaxMin(t *testing.T) {
 
 func TestGetFlowsEmptyRejected(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
-	if _, err := m.GetFlows(nil, FlowOptions{}); err == nil {
+	if _, err := m.GetFlowsContext(context.Background(), nil, FlowOptions{}); err == nil {
 		t.Fatal("empty flow query accepted")
 	}
 }
 
 func TestCollectorErrorPropagates(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{failWith: fmt.Errorf("down")}})
-	if _, err := m.AvailableBandwidth(a("10.0.1.1"), a("10.0.2.1")); err == nil {
+	if _, err := m.AvailableBandwidthContext(context.Background(), a("10.0.1.1"), a("10.0.2.1")); err == nil {
 		t.Fatal("collector failure swallowed")
 	}
 }
@@ -150,7 +151,7 @@ func TestFlowPredictionUsesHistory(t *testing.T) {
 	// says 4e6: the prediction must follow the history.
 	fc := &fakeColl{histGen: steadyHistory(8e6, 200)}
 	m := New(Config{Collector: fc})
-	infos, err := m.GetFlows([]Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
+	infos, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
 		FlowOptions{Predict: true, Horizon: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +170,7 @@ func TestFlowPredictionUsesHistory(t *testing.T) {
 func TestFlowPredictionShortHistoryFallsBack(t *testing.T) {
 	fc := &fakeColl{histGen: steadyHistory(9e6, 5)} // below MinHistory
 	m := New(Config{Collector: fc})
-	infos, err := m.GetFlows([]Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
+	infos, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
 		FlowOptions{Predict: true})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,7 @@ func TestFlowPredictionShortHistoryFallsBack(t *testing.T) {
 func TestFlowPredictionBadModelSpec(t *testing.T) {
 	fc := &fakeColl{histGen: steadyHistory(8e6, 200)}
 	m := New(Config{Collector: fc})
-	if _, err := m.GetFlows([]Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
+	if _, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
 		FlowOptions{Predict: true, Model: "WAVELET(3)"}); err == nil {
 		t.Fatal("bad model spec accepted")
 	}
@@ -192,7 +193,7 @@ func TestBestServerRanks(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
 	// Both candidates resolve over the same graph; 10.0.1.2 shares the
 	// client's LAN (100e6), 10.0.2.1 crosses the WAN (6e6 avail).
-	ranks, err := m.BestServer(a("10.0.1.1"),
+	ranks, err := m.BestServerContext(context.Background(), a("10.0.1.1"),
 		[]netip.Addr{a("10.0.2.1"), a("10.0.1.2")}, FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestBestServerRanks(t *testing.T) {
 
 func TestBestServerNoCandidates(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
-	if _, err := m.BestServer(a("10.0.1.1"), nil, FlowOptions{}); err == nil {
+	if _, err := m.BestServerContext(context.Background(), a("10.0.1.1"), nil, FlowOptions{}); err == nil {
 		t.Fatal("empty candidate list accepted")
 	}
 }
@@ -215,7 +216,7 @@ func TestBestServerNoCandidates(t *testing.T) {
 func TestPredictSeries(t *testing.T) {
 	fc := &fakeColl{histGen: steadyHistory(5e6, 300)}
 	m := New(Config{Collector: fc})
-	p, err := m.PredictSeries(a("10.0.1.1"), a("10.0.2.1"), "BM(16)", 4)
+	p, err := m.PredictSeriesContext(context.Background(), a("10.0.1.1"), a("10.0.2.1"), "BM(16)", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestPredictSeries(t *testing.T) {
 
 func TestPredictSeriesNoHistory(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
-	if _, err := m.PredictSeries(a("10.0.1.1"), a("10.0.2.1"), "MEAN", 1); err == nil {
+	if _, err := m.PredictSeriesContext(context.Background(), a("10.0.1.1"), a("10.0.2.1"), "MEAN", 1); err == nil {
 		t.Fatal("prediction without history succeeded")
 	}
 }
@@ -248,7 +249,7 @@ func TestFlowPredictionFromCollector(t *testing.T) {
 		}
 	}
 	m := New(Config{Collector: fc})
-	infos, err := m.GetFlows([]Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
+	infos, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
 		FlowOptions{Predict: true, Horizon: 2, FromCollector: true})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +270,7 @@ func TestFlowPredictionFromCollectorFallsBack(t *testing.T) {
 	// in even with FromCollector set.
 	fc := &fakeColl{histGen: steadyHistory(8e6, 200)}
 	m := New(Config{Collector: fc})
-	infos, err := m.GetFlows([]Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
+	infos, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
 		FlowOptions{Predict: true, Horizon: 3, FromCollector: true})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +290,7 @@ func TestFlowPredictionHorizonBeyondForecast(t *testing.T) {
 		}
 	}
 	m := New(Config{Collector: fc})
-	infos, err := m.GetFlows([]Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
+	infos, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
 		FlowOptions{Predict: true, Horizon: 10, FromCollector: true})
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +333,7 @@ func TestHostLoadFromCollectorForecast(t *testing.T) {
 		},
 	}
 	m := New(Config{Collector: &fakeColl{}, HostLoad: lc})
-	info, err := m.HostLoad(a("10.0.1.1"), 2)
+	info, err := m.HostLoadContext(context.Background(), a("10.0.1.1"), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ func TestHostLoadClientSideFallback(t *testing.T) {
 	}
 	lc := &loadColl{hist: map[collector.HistKey][]collector.Sample{key: samples}}
 	m := New(Config{Collector: &fakeColl{}, HostLoad: lc, PredictModel: "BM(16)"})
-	info, err := m.HostLoad(a("10.0.1.1"), 3)
+	info, err := m.HostLoadContext(context.Background(), a("10.0.1.1"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestHostLoadClientSideFallback(t *testing.T) {
 
 func TestHostLoadUnconfigured(t *testing.T) {
 	m := New(Config{Collector: &fakeColl{}})
-	if _, err := m.HostLoad(a("10.0.1.1"), 1); err == nil {
+	if _, err := m.HostLoadContext(context.Background(), a("10.0.1.1"), 1); err == nil {
 		t.Fatal("HostLoad without a collector succeeded")
 	}
 }
@@ -371,7 +372,7 @@ func TestHostLoadUnconfigured(t *testing.T) {
 func TestHostLoadNoSamplesYet(t *testing.T) {
 	lc := &loadColl{}
 	m := New(Config{Collector: &fakeColl{}, HostLoad: lc})
-	if _, err := m.HostLoad(a("10.0.1.1"), 1); err == nil {
+	if _, err := m.HostLoadContext(context.Background(), a("10.0.1.1"), 1); err == nil {
 		t.Fatal("HostLoad with no samples succeeded")
 	}
 }

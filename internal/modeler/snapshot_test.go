@@ -1,6 +1,7 @@
 package modeler
 
 import (
+	"context"
 	"math"
 	"net/netip"
 	"sync"
@@ -56,7 +57,7 @@ func TestSnapshotHitGetFlowsZeroCollectorRoundTrips(t *testing.T) {
 	flows := []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}
 
 	// First query: cold, one coalesced walk populates the snapshot.
-	if _, err := m.GetFlows(flows, FlowOptions{}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cc.calls.Load(); got != 1 {
@@ -64,7 +65,7 @@ func TestSnapshotHitGetFlowsZeroCollectorRoundTrips(t *testing.T) {
 	}
 	// Warm queries: all snapshot hits.
 	for i := 0; i < 50; i++ {
-		infos, err := m.GetFlows(flows, FlowOptions{})
+		infos, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,18 +89,18 @@ func TestSnapshotStaleFallsBackToRefresh(t *testing.T) {
 	ck := &testClock{t: time.Unix(1000, 0)}
 	m := snapModeler(cc, ck)
 	flows := []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}
-	if _, err := m.GetFlows(flows, FlowOptions{}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ck.Advance(10 * time.Second) // past the 5s default bound
-	if _, err := m.GetFlows(flows, FlowOptions{}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cc.calls.Load(); got != 2 {
 		t.Fatalf("stale snapshot ran %d walks, want a refresh (2 total)", got)
 	}
 	// The refresh restored freshness: the next query hits again.
-	if _, err := m.GetFlows(flows, FlowOptions{}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cc.calls.Load(); got != 2 {
@@ -112,18 +113,18 @@ func TestNegativeMaxStaleForcesCollectorWalk(t *testing.T) {
 	ck := &testClock{t: time.Unix(1000, 0)}
 	m := snapModeler(cc, ck)
 	flows := []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}
-	if _, err := m.GetFlows(flows, FlowOptions{}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Opting out per query bypasses the (fresh) snapshot.
-	if _, err := m.GetFlows(flows, FlowOptions{MaxStale: -1}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{MaxStale: -1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cc.calls.Load(); got != 2 {
 		t.Fatalf("MaxStale<0 query ran %d walks total, want 2", got)
 	}
 	// Same for topology queries.
-	if _, err := m.GetTopology([]netip.Addr{a("10.0.1.1"), a("10.0.2.1")},
+	if _, err := m.GetTopologyContext(context.Background(), []netip.Addr{a("10.0.1.1"), a("10.0.2.1")},
 		TopologyOptions{MaxStale: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestPredictionQueriesBypassSnapshot(t *testing.T) {
 	ck := &testClock{t: time.Unix(1000, 0)}
 	m := snapModeler(cc, ck)
 	flows := []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}
-	if _, err := m.GetFlows(flows, FlowOptions{}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Prediction needs history: always a collector walk, snapshot or not.
-	if _, err := m.GetFlows(flows, FlowOptions{Predict: true}); err != nil {
+	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{Predict: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cc.calls.Load(); got != 2 {
@@ -158,7 +159,7 @@ func TestSnapshotTopologyAnswersFromSubgraphMemo(t *testing.T) {
 	ck := &testClock{t: time.Unix(1000, 0)}
 	m := snapModeler(cc, ck)
 	hosts := []netip.Addr{a("10.0.1.1"), a("10.0.2.1")}
-	g1, err := m.GetTopology(hosts, TopologyOptions{})
+	g1, err := m.GetTopologyContext(context.Background(), hosts, TopologyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSnapshotTopologyAnswersFromSubgraphMemo(t *testing.T) {
 		t.Fatalf("bw = %v err = %v, want 6e6", bw, err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := m.GetTopology(hosts, TopologyOptions{}); err != nil {
+		if _, err := m.GetTopologyContext(context.Background(), hosts, TopologyOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +180,7 @@ func TestSnapshotTopologyAnswersFromSubgraphMemo(t *testing.T) {
 		t.Fatalf("warm topology queries ran %d walks, want 1", got)
 	}
 	// Raw queries never answer from the snapshot.
-	if _, err := m.GetTopology(hosts, TopologyOptions{Raw: true}); err != nil {
+	if _, err := m.GetTopologyContext(context.Background(), hosts, TopologyOptions{Raw: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cc.calls.Load(); got != 2 {
@@ -192,7 +193,7 @@ func TestSnapshotTopologyAnswersFromSubgraphMemo(t *testing.T) {
 func TestGetFlowsDedupesHostsOneWalkPerUniqueHost(t *testing.T) {
 	cc := &countingColl{}
 	m := New(Config{Collector: cc}) // no snapshot: direct fan-out path
-	_, err := m.GetFlows([]Flow{
+	_, err := m.GetFlowsContext(context.Background(), []Flow{
 		{Src: a("10.0.1.1"), Dst: a("10.0.2.1")},
 		{Src: a("10.0.1.1"), Dst: a("10.0.2.1")},
 		{Src: a("10.0.2.1"), Dst: a("10.0.1.1")},
@@ -210,7 +211,7 @@ func TestGetTopologyDedupesHosts(t *testing.T) {
 	cc := &countingColl{}
 	m := New(Config{Collector: cc})
 	hosts := []netip.Addr{a("10.0.1.1"), a("10.0.2.1"), a("10.0.1.1"), a("10.0.2.1")}
-	if _, err := m.GetTopology(hosts, TopologyOptions{}); err != nil {
+	if _, err := m.GetTopologyContext(context.Background(), hosts, TopologyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	assertUnique(t, cc.lastQ.Hosts, 2)

@@ -29,15 +29,13 @@ package proto
 // bad credentials are 401 with the usual X-Remos-Error-Code.
 
 import (
-	"context"
+	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"remos/internal/admission"
 	"remos/internal/rerr"
 )
 
@@ -59,40 +57,19 @@ func unblank(tok string) string {
 	return tok
 }
 
-// handleTenantLine serves one TENANT preamble on an ASCII connection,
-// resolving the connection's identity and default tier. It reports
-// whether the connection may continue. Every failure — malformed line,
-// unknown tier, bad credentials — answers with an ERR line and drops
-// the connection: the preamble pipelines ahead of the first request, so
-// keeping a connection whose preamble was answered with an error would
-// desync the request/response pairing.
-func (s *TCPServer) handleTenantLine(w io.Writer, line string, ten *admission.Tenant, tier *admission.Tier) bool {
-	f := strings.Fields(line)
-	if len(f) < 2 || len(f) > 4 {
-		writeError(w, fmt.Errorf("proto: bad tenant line %q", strings.TrimSpace(line)))
-		return false
+// tenant serves one TENANT preamble, resolving the connection's identity
+// and default tier. Every failure — malformed line, unknown tier, bad
+// credentials — answers with an ERR line and drops the connection: the
+// preamble pipelines ahead of the first request, so keeping a connection
+// whose preamble was answered with an error would desync the
+// request/response pairing.
+func (c *asciiConn) tenant(line []byte, args fields) (keep bool, err error) {
+	var tok [3][]byte // id, key, tier; only the id is required
+	if n := args.collect(tok[:]); n < 1 || n > len(tok) {
+		return false, fmt.Errorf("proto: bad tenant line %q", bytes.TrimSpace(line))
 	}
-	id := unblank(f[1])
-	key := ""
-	if len(f) >= 3 {
-		key = unblank(f[2])
-	}
-	wireTier := ""
-	if len(f) == 4 {
-		wireTier = f[3]
-	}
-	newTier, ok := admission.ParseTier(wireTier)
-	if !ok {
-		writeError(w, fmt.Errorf("proto: unknown priority tier %q", wireTier))
-		return false
-	}
-	newTen, err := s.Admission.Authenticate(id, key)
-	if err != nil {
-		writeError(w, err)
-		return false
-	}
-	*ten, *tier = newTen, newTier
-	return true
+	c.ten, c.tier, err = c.srv.core.identify(unblank(string(tok[0])), unblank(string(tok[1])), string(tok[2]))
+	return err == nil, err
 }
 
 // preambleLine renders the TENANT line a tenant-configured client sends
@@ -140,63 +117,6 @@ func decodeErrLine(rest string) error {
 	return rerr.WithRetryAfter(decodeRemoteError(code, "proto: remote error: "+rest), retry)
 }
 
-// writeHTTPError reports a failure with its wire code header, its
-// retry-after hint (when carried), and the given status.
-func writeHTTPError(w http.ResponseWriter, err error, status int) {
-	if code := rerr.Code(err); code != "" {
-		w.Header().Set(errorCodeHeader, code)
-	}
-	if d, ok := rerr.RetryAfter(err); ok {
-		w.Header().Set("Retry-After", strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10))
-		w.Header().Set(retryAfterHeader, strconv.FormatInt(int64((d+time.Millisecond-1)/time.Millisecond), 10))
-	}
-	http.Error(w, err.Error(), status)
-}
-
-// authenticateHTTP resolves one HTTP request's tenant identity and
-// priority tier from its headers, answering 401/400 itself on failure.
-func (s *HTTPServer) authenticateHTTP(w http.ResponseWriter, r *http.Request) (admission.Tenant, admission.Tier, bool) {
-	ten, err := s.Admission.Authenticate(r.Header.Get(tenantHeader), r.Header.Get(tenantKeyHeader))
-	if err != nil {
-		writeHTTPError(w, err, http.StatusUnauthorized)
-		return admission.Tenant{}, admission.TierDefault, false
-	}
-	tier, ok := admission.ParseTier(r.Header.Get(priorityHeader))
-	if !ok {
-		http.Error(w, fmt.Sprintf("unknown priority tier %q", r.Header.Get(priorityHeader)), http.StatusBadRequest)
-		return admission.Tenant{}, admission.TierDefault, false
-	}
-	return ten, tier, true
-}
-
-// admitHTTP gates one HTTP request through the admission controller,
-// answering 401/400/429 itself. The returned release func must be
-// called when the request finishes.
-func (s *HTTPServer) admitHTTP(w http.ResponseWriter, r *http.Request) (func(), bool) {
-	ten, tier, ok := s.authenticateHTTP(w, r)
-	if !ok {
-		return nil, false
-	}
-	release, err := s.Admission.Admit(r.Context(), ten, tier)
-	if err != nil {
-		writeHTTPError(w, err, admissionStatus(err))
-		return nil, false
-	}
-	return release, true
-}
-
-// admissionStatus maps an admission failure to its HTTP status.
-func admissionStatus(err error) int {
-	switch {
-	case rerr.Code(err) == rerr.CodeOverloaded:
-		return http.StatusTooManyRequests
-	case rerr.Code(err) == rerr.CodeUnauthenticated:
-		return http.StatusUnauthorized
-	default:
-		return http.StatusServiceUnavailable
-	}
-}
-
 // decodeHTTPError rebuilds a remote failure from a non-200 response,
 // including any retry-after hint the server attached.
 func decodeHTTPError(resp *http.Response, msg string) error {
@@ -226,12 +146,4 @@ func setTenantHeaders(req *http.Request, tenant, key, priority string) {
 	if priority != "" {
 		req.Header.Set(priorityHeader, priority)
 	}
-}
-
-// admitASCII gates one decoded ASCII request. Kept as a method for
-// symmetry with admitHTTP; the ASCII protocol carries no per-request
-// context, so queue waits are bounded by the controller's MaxQueueWait
-// alone.
-func (s *TCPServer) admitASCII(ten admission.Tenant, tier admission.Tier) (func(), error) {
-	return s.Admission.Admit(context.Background(), ten, tier)
 }

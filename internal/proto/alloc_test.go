@@ -3,12 +3,15 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"net/netip"
 	"strings"
 	"testing"
 
+	"remos/internal/admission"
 	"remos/internal/collector"
+	"remos/internal/modeler"
 )
 
 // wireQuery renders one on-the-wire query for nHosts hosts.
@@ -71,6 +74,50 @@ func TestWriteQueryAllocationBudget(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("writeQuery allocates %.0f times per call, want 0", n)
+	}
+}
+
+// staticFlows answers every flow query with the same prebuilt slice, so
+// the exchange below measures the protocol and not the answerer.
+type staticFlows struct{ infos []modeler.FlowInfo }
+
+func (s staticFlows) GetFlowsContext(context.Context, []modeler.Flow, modeler.FlowOptions) ([]modeler.FlowInfo, error) {
+	return s.infos, nil
+}
+
+// TestServeFlowsAllocationBudget pins one server-side FLOWS exchange —
+// decode off a pooled reader, admission, the core's verb, encode — at
+// what it cost when the handler called the answerer itself: 7
+// allocations for two flows. The request core between the codec and the
+// answerer must not add one.
+func TestServeFlowsAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	ctrl := admission.New(admission.Config{})
+	defer ctrl.Close()
+	answer := []modeler.FlowInfo{
+		{Available: 6e6, Path: []string{"10.0.1.1", "r1", "10.0.2.1"}},
+		{Available: 7e6, Path: []string{"10.0.2.1", "r1", "10.0.1.1"}},
+	}
+	srv := &TCPServer{}
+	srv.core = newCore("ascii", nil, staticFlows{answer}, nil, ctrl, nil, nil)
+	c := &asciiConn{srv: srv, r: bufio.NewReaderSize(nil, 4096), w: lockedWriter{w: io.Discard}}
+	c.ten, c.tier, _ = srv.core.identify("", "", "")
+	wire := []byte("FLOWS 2\n10.0.1.1 10.0.2.1 0\n10.0.2.1 10.0.1.1 3e+06\nEND\n")
+	src := bytes.NewReader(nil)
+	if n := testing.AllocsPerRun(200, func() {
+		src.Reset(wire)
+		c.r.Reset(src)
+		line, err := readLine(c.r, &c.scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep, err := c.flows(line); !keep || err != nil {
+			t.Fatalf("FLOWS exchange failed: keep=%t err=%v", keep, err)
+		}
+	}); n > 7 {
+		t.Fatalf("one FLOWS exchange allocates %.0f times, want <= 7", n)
 	}
 }
 

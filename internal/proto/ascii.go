@@ -127,16 +127,11 @@ func readQueryBody(line []byte, r *bufio.Reader, scratch *[]byte) (collector.Que
 	return q, nil
 }
 
-// writeResult renders one ASCII result into the response buffer. The
-// per-sample lines go through append-based formatting, not fmt, because
-// a history-bearing answer can carry thousands of them.
-func writeResult(buf *bytes.Buffer, res *collector.Result) error {
-	buf.WriteString("OK\n")
-	if err := res.Graph.EncodeText(buf); err != nil {
-		return err
-	}
-	keys := make([]collector.HistKey, 0, len(res.History))
-	for k := range res.History {
+// sortedKeys returns a series map's keys in (From, To) order, the order
+// both codecs render them in.
+func sortedKeys[V any](m map[collector.HistKey]V) []collector.HistKey {
+	keys := make([]collector.HistKey, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -145,6 +140,18 @@ func writeResult(buf *bytes.Buffer, res *collector.Result) error {
 		}
 		return keys[i].To < keys[j].To
 	})
+	return keys
+}
+
+// writeResult renders one ASCII result into the response buffer. The
+// per-sample lines go through append-based formatting, not fmt, because
+// a history-bearing answer can carry thousands of them.
+func writeResult(buf *bytes.Buffer, res *collector.Result) error {
+	buf.WriteString("OK\n")
+	if err := res.Graph.EncodeText(buf); err != nil {
+		return err
+	}
+	keys := sortedKeys(res.History)
 	buf.WriteString("HISTORY ")
 	bufInt(buf, int64(len(keys)))
 	buf.WriteByte('\n')
@@ -165,16 +172,7 @@ func writeResult(buf *bytes.Buffer, res *collector.Result) error {
 		}
 	}
 	if len(res.Predictions) > 0 {
-		pkeys := make([]collector.HistKey, 0, len(res.Predictions))
-		for k := range res.Predictions {
-			pkeys = append(pkeys, k)
-		}
-		sort.Slice(pkeys, func(i, j int) bool {
-			if pkeys[i].From != pkeys[j].From {
-				return pkeys[i].From < pkeys[j].From
-			}
-			return pkeys[i].To < pkeys[j].To
-		})
+		pkeys := sortedKeys(res.Predictions)
 		buf.WriteString("PREDICTIONS ")
 		bufInt(buf, int64(len(pkeys)))
 		buf.WriteByte('\n')
@@ -403,9 +401,13 @@ type TCPServer struct {
 	Obs    *obs.Registry
 	Traces *obs.Ring
 
-	m  serverMetrics
-	ln net.Listener
-	wg sync.WaitGroup
+	core core
+	ln   net.Listener
+	wg   sync.WaitGroup // accept loop, connections, watch drains
+
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // live connections, for Close
+	closed bool
 }
 
 // ListenAndServe binds addr ("127.0.0.1:0" for ephemeral) and serves in
@@ -416,7 +418,8 @@ func (s *TCPServer) ListenAndServe(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.m = newServerMetrics(s.Obs, "ascii")
+	s.core = newCore("ascii", s.Collector, s.Flows, s.Watch, s.Admission, s.Obs, s.Traces)
+	s.conns = make(map[net.Conn]struct{})
 	s.wg.Add(1)
 	//remoslint:allow goctx accept loop ends when Close closes the listener; Close waits on the group
 	go func() {
@@ -426,105 +429,136 @@ func (s *TCPServer) ListenAndServe(addr string) (string, error) {
 			if err != nil {
 				return
 			}
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				conn.Close()
+				return
+			}
+			s.conns[conn] = struct{}{}
 			s.wg.Add(1)
+			s.mu.Unlock()
 			//remoslint:allow goctx serve loop ends when the peer disconnects or Close tears the connection down
 			go func() {
 				defer s.wg.Done()
-				defer conn.Close()
-				// Whole messages are serialized through one writer so
-				// async UPDATE lines never interleave mid-response.
-				w := &lockedWriter{w: conn}
-				subs := make(map[int64]*watch.Subscription)
-				defer func() {
-					for _, sub := range subs {
-						sub.Close(nil) // disconnect tears down every watch
-					}
-				}()
-				r := readerPool.Get().(*bufio.Reader)
-				r.Reset(conn)
-				defer func() {
-					r.Reset(emptyReader{}) // drop the connection reference before pooling
-					readerPool.Put(r)
-				}()
-				// Connections start anonymous; a TENANT preamble swaps
-				// in the authenticated identity and default tier.
-				ten, _ := s.Admission.Authenticate("", "")
-				tier := admission.TierDefault
-				var scratch []byte
-				for {
-					line, err := readLine(r, &scratch)
-					if err != nil {
-						return // EOF: drop the connection
-					}
-					fs := newFields(line)
-					verb := fs.next()
-					// The watch and tenant verbs are control-plane rare;
-					// their handlers keep the string-based grammar.
-					if bytes.Equal(verb, []byte("TENANT")) {
-						if !s.handleTenantLine(w, string(line), &ten, &tier) {
-							return // bad credentials: drop the connection
-						}
-						continue
-					}
-					if bytes.Equal(verb, []byte("WATCH")) {
-						s.handleWatchLine(w, string(line), subs, ten)
-						continue
-					}
-					if bytes.Equal(verb, []byte("UNWATCH")) {
-						s.handleUnwatchLine(w, string(line), subs)
-						continue
-					}
-					if bytes.Equal(verb, []byte("FLOWS")) {
-						if s.serveFlows(w, line, r, &scratch, ten, tier) != nil {
-							return
-						}
-						continue
-					}
-					q, err := readQueryBody(line, r, &scratch)
-					if err != nil {
-						return // garbage: drop the connection
-					}
-					// Admit after the body is consumed so a shed leaves the
-					// connection aligned on the next request.
-					release, aerr := s.admitASCII(ten, tier)
-					if aerr != nil {
-						writeError(w, aerr)
-						continue
-					}
-					res, err, tr := serveQuery(s.Collector, q, s.m, s.Traces != nil, "ascii")
-					release()
-					if err != nil {
-						writeError(w, err)
-						s.Traces.Observe(tr)
-						continue
-					}
-					sp := tr.Start("encode")
-					buf := respPool.Get().(*bytes.Buffer)
-					buf.Reset()
-					werr := writeResult(buf, res)
-					if werr == nil {
-						_, werr = w.Write(buf.Bytes())
-					}
-					respPool.Put(buf)
-					sp.End()
-					s.Traces.Observe(tr)
-					if werr != nil {
-						return
-					}
-				}
+				s.serveConn(conn, conn)
+				conn.Close()
+				s.mu.Lock()
+				delete(s.conns, conn)
+				s.mu.Unlock()
 			}()
 		}
 	}()
 	return ln.Addr().String(), nil
 }
 
-// Close stops the server and waits for active connections to finish their
-// current exchange.
+// asciiConn is the state of one served connection.
+type asciiConn struct {
+	srv     *TCPServer
+	r       *bufio.Reader
+	scratch []byte
+	// Whole messages are serialized through one writer so async UPDATE
+	// lines never interleave mid-response.
+	w    lockedWriter
+	subs map[int64]*watch.Subscription
+	// Connections start anonymous; a TENANT preamble swaps in the
+	// authenticated identity and default tier.
+	ten  admission.Tenant
+	tier admission.Tier
+}
+
+// serveConn is the per-connection loop: one request line picks the verb,
+// the verb's handler decodes the rest, runs the core steps and encodes
+// the answer. It returns when the peer hangs up or sends something that
+// leaves the stream unaligned.
+func (s *TCPServer) serveConn(rd io.Reader, wr io.Writer) {
+	c := &asciiConn{srv: s, w: lockedWriter{w: wr}, subs: make(map[int64]*watch.Subscription)}
+	c.ten, c.tier, _ = s.core.identify("", "", "")
+	c.r = readerPool.Get().(*bufio.Reader)
+	c.r.Reset(rd)
+	defer func() {
+		for _, sub := range c.subs {
+			sub.Close(nil) // disconnect tears down every watch
+		}
+		c.r.Reset(emptyReader{}) // drop the connection reference before pooling
+		readerPool.Put(c.r)
+	}()
+	for {
+		line, err := readLine(c.r, &c.scratch)
+		if err != nil {
+			return // EOF: drop the connection
+		}
+		fs := newFields(line)
+		var keep bool
+		switch string(fs.next()) {
+		case "TENANT":
+			keep, err = c.tenant(line, fs)
+		case "WATCH":
+			keep, err = true, c.watch(line, fs)
+		case "UNWATCH":
+			keep, err = true, c.unwatch(line, fs)
+		case "FLOWS":
+			keep, err = c.flows(line)
+		default:
+			keep, err = c.query(line)
+		}
+		if err != nil {
+			writeError(&c.w, err)
+		}
+		if !keep {
+			return
+		}
+	}
+}
+
+// query serves one QUERY exchange. Like every verb handler it returns
+// the failure to answer with, if any; keep reports whether the stream is
+// still aligned on a request boundary.
+func (c *asciiConn) query(line []byte) (keep bool, err error) {
+	q, err := readQueryBody(line, c.r, &c.scratch)
+	if err != nil {
+		return false, nil // garbage: drop the connection
+	}
+	// Admit after the body is consumed so a shed leaves the connection
+	// aligned on the next request. The protocol carries no per-request
+	// context, so the queue wait is bounded by the controller alone.
+	release, err := c.srv.core.admit(context.Background(), c.ten, c.tier)
+	if err != nil {
+		return true, err
+	}
+	res, tr, err := c.srv.core.query(q)
+	release()
+	if err != nil {
+		return true, err
+	}
+	sp := tr.Start("encode")
+	buf := respPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	werr := writeResult(buf, res)
+	if werr == nil {
+		_, werr = c.w.Write(buf.Bytes())
+	}
+	respPool.Put(buf)
+	sp.End()
+	c.srv.core.traces.Observe(tr)
+	return werr == nil, nil
+}
+
+// Close stops the server: the listener and every live connection are
+// closed, and Close returns once the connections' exchanges in flight
+// and their watch drains have finished.
 func (s *TCPServer) Close() error {
 	if s.ln == nil {
 		return nil
 	}
 	err := s.ln.Close()
+	s.mu.Lock()
+	s.closed = true
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
 	return err
 }
 
@@ -573,6 +607,24 @@ func (c *TCPClient) Collect(q collector.Query) (*collector.Result, error) {
 	return res, nil
 }
 
+// dial opens a connection and, for a tenant-configured client, sends the
+// TENANT preamble. The preamble is silent on success, so it pipelines
+// ahead of the first request at no round-trip cost; an auth failure
+// surfaces as the typed ERR answer to that request.
+func (c *TCPClient) dial(timeout time.Duration) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", c.Addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	if p := preambleLine(c.Tenant, c.TenantKey, c.Priority); p != "" {
+		if _, err := io.WriteString(conn, p); err != nil {
+			conn.Close()
+			return nil, err
+		}
+	}
+	return conn, nil
+}
+
 // exchange runs one request/response round trip under the client lock
 // with the shared deadline, cancellation-watcher, and reconnect-once
 // discipline. send writes the request; recv reads the response off the
@@ -593,20 +645,12 @@ func (c *TCPClient) exchange(ctx context.Context, send func(io.Writer) error, re
 	}
 	try := func() error {
 		if c.conn == nil {
-			conn, err := net.DialTimeout("tcp", c.Addr, time.Until(deadline))
+			conn, err := c.dial(time.Until(deadline))
 			if err != nil {
 				return err
 			}
 			c.conn = conn
 			c.r = bufio.NewReader(conn)
-			// The preamble is silent on success, so it pipelines ahead
-			// of the first request at no round-trip cost; an auth
-			// failure surfaces as the typed ERR answer to that request.
-			if p := preambleLine(c.Tenant, c.TenantKey, c.Priority); p != "" {
-				if _, err := io.WriteString(conn, p); err != nil {
-					return err
-				}
-			}
 		}
 		c.conn.SetDeadline(deadline)
 		if done := ctx.Done(); done != nil {

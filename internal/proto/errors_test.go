@@ -56,6 +56,9 @@ func TestErrorClassRoundTrip(t *testing.T) {
 		{"unknown-host", rerr.Tagf(rerr.ErrUnknownHost, "master: no collector is responsible for 10.9.9.9"), rerr.ErrUnknownHost},
 		{"unavailable", rerr.Tagf(rerr.ErrCollectorUnavailable, "master: snmp-a: boom"), rerr.ErrCollectorUnavailable},
 		{"timeout", rerr.Tagf(rerr.ErrTimeout, "snmp: timeout waiting for 10.0.0.1"), rerr.ErrTimeout},
+		// A shed the collector itself relays (a federation peer's, say)
+		// keeps its retry-after hint, as the server's own sheds do.
+		{"relayed-shed", rerr.WithRetryAfter(rerr.Tagf(rerr.ErrOverloaded, "federation: peer shed the sub-query"), 1500*time.Millisecond), rerr.ErrOverloaded},
 	}
 	for _, tc := range cases {
 		coll := &classedCollector{err: tc.remote}
@@ -70,6 +73,10 @@ func TestErrorClassRoundTrip(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.remote.Error()) {
 				t.Errorf("%s/%s: message lost: %q does not contain %q",
 					proto, tc.name, err.Error(), tc.remote.Error())
+			}
+			want, _ := rerr.RetryAfter(tc.remote)
+			if got, _ := rerr.RetryAfter(err); got != want {
+				t.Errorf("%s/%s: retry-after hint = %v over the wire, want %v", proto, tc.name, got, want)
 			}
 		}
 	}
@@ -201,13 +208,13 @@ func TestClientContextCancellation(t *testing.T) {
 
 func TestClientContextDeadline(t *testing.T) {
 	stall := newStallCollector()
-	defer close(stall.release)
 	srv := &TCPServer{Collector: stall}
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	defer close(stall.release) // first: Close waits for the exchange in flight
 	cl := &TCPClient{Addr: addr, Timeout: time.Minute}
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

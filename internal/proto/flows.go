@@ -35,9 +35,7 @@ import (
 	"strings"
 	"time"
 
-	"remos/internal/admission"
 	"remos/internal/modeler"
-	"remos/internal/rerr"
 )
 
 // FlowAnswerer answers flow queries server-side; the Modeler implements
@@ -197,38 +195,27 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 	return infos, nil
 }
 
-// serveFlows handles one FLOWS exchange on the ASCII server. A non-nil
-// return means the connection is unusable and should be dropped.
-func (s *TCPServer) serveFlows(w io.Writer, line []byte, r *bufio.Reader, scratch *[]byte, ten admission.Tenant, tier admission.Tier) error {
-	flows, err := readFlowsBody(line, r, scratch)
+// flows serves one FLOWS exchange on an ASCII connection.
+func (c *asciiConn) flows(line []byte) (keep bool, err error) {
+	flows, err := readFlowsBody(line, c.r, &c.scratch)
 	if err != nil {
-		return err // garbage mid-request: drop the connection
+		return false, nil // garbage mid-request: drop the connection
 	}
-	if s.Flows == nil {
-		writeError(w, rerr.Tagf(rerr.ErrCollectorUnavailable, "proto: server has no flow answerer"))
-		return nil
-	}
-	release, aerr := s.admitASCII(ten, tier)
-	if aerr != nil {
-		writeError(w, aerr)
-		return nil
-	}
-	defer release()
-	start := time.Now()
-	infos, err := s.Flows.GetFlowsContext(context.Background(), flows, modeler.FlowOptions{})
-	s.m.requests.Inc()
-	s.m.seconds.Observe(time.Since(start).Seconds())
+	release, err := c.srv.core.admit(context.Background(), c.ten, c.tier)
 	if err != nil {
-		s.m.errors.Inc()
-		writeError(w, err)
-		return nil
+		return true, err
+	}
+	infos, err := c.srv.core.flows(context.Background(), flows)
+	release()
+	if err != nil {
+		return true, err
 	}
 	buf := respPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	writeFlowsResult(buf, infos)
-	_, werr := w.Write(buf.Bytes())
+	_, werr := c.w.Write(buf.Bytes())
 	respPool.Put(buf)
-	return werr
+	return werr == nil, nil
 }
 
 // Flows asks the remote server's Modeler for flow answers over the
@@ -282,56 +269,28 @@ type xmlFlowInfo struct {
 }
 
 // handleFlows serves POST /flows on the XML protocol.
-func (s *HTTPServer) handleFlows(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.Flows == nil {
-		w.Header().Set(errorCodeHeader, rerr.Code(rerr.ErrCollectorUnavailable))
-		http.Error(w, "server has no flow answerer", http.StatusServiceUnavailable)
-		return
-	}
-	release, ok := s.admitHTTP(w, r)
-	if !ok {
-		return
+func (s *HTTPServer) handleFlows(w http.ResponseWriter, r *http.Request) error {
+	var xq xmlFlowsQuery
+	release, err := s.admitPost(r, &xq)
+	if err != nil {
+		return err
 	}
 	defer release()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var xq xmlFlowsQuery
-	if err := xml.Unmarshal(body, &xq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	flows := make([]modeler.Flow, 0, len(xq.Flows))
 	for _, xf := range xq.Flows {
 		src, err := netip.ParseAddr(xf.Src)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad src %q", xf.Src), http.StatusBadRequest)
-			return
+			return fmt.Errorf("proto: bad src %q", xf.Src)
 		}
 		dst, err := netip.ParseAddr(xf.Dst)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad dst %q", xf.Dst), http.StatusBadRequest)
-			return
+			return fmt.Errorf("proto: bad dst %q", xf.Dst)
 		}
 		flows = append(flows, modeler.Flow{Src: src, Dst: dst, Demand: xf.Demand})
 	}
-	start := time.Now()
-	infos, err := s.Flows.GetFlowsContext(r.Context(), flows, modeler.FlowOptions{})
-	s.m.requests.Inc()
-	s.m.seconds.Observe(time.Since(start).Seconds())
+	infos, err := s.core.flows(r.Context(), flows)
 	if err != nil {
-		s.m.errors.Inc()
-		if code := rerr.Code(err); code != "" {
-			w.Header().Set(errorCodeHeader, code)
-		}
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+		return err
 	}
 	out := xmlFlowsResult{Flows: make([]xmlFlowInfo, len(infos))}
 	for i, fi := range infos {
@@ -342,12 +301,7 @@ func (s *HTTPServer) handleFlows(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	enc, err := xml.Marshal(out)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/xml")
-	w.Write(enc)
+	return writeXML(w, enc, err)
 }
 
 // Flows asks the remote server's Modeler for flow answers over the XML
@@ -357,35 +311,9 @@ func (c *HTTPClient) Flows(ctx context.Context, flows []modeler.Flow) ([]modeler
 	for i, f := range flows {
 		xq.Flows[i] = xmlFlowReq{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
 	}
-	body, err := xml.Marshal(xq)
+	out, err := c.post(ctx, "/flows", xq)
 	if err != nil {
 		return nil, err
-	}
-	hc := c.Client
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/flows", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/xml")
-	setTenantHeaders(req, c.Tenant, c.TenantKey, c.Priority)
-	resp, err := hc.Do(req)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, classifyClientErr(c.BaseURL, err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, classifyClientErr(c.BaseURL, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg := fmt.Sprintf("proto: remote error (%d): %s", resp.StatusCode, bytes.TrimSpace(out))
-		return nil, decodeHTTPError(resp, msg)
 	}
 	var xr xmlFlowsResult
 	if err := xml.Unmarshal(out, &xr); err != nil {

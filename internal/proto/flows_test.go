@@ -120,7 +120,7 @@ func TestXMLFlowsRoundTrip(t *testing.T) {
 // the FLOWS wire: a tagged answerer error comes back Is-matchable, and
 // the ASCII connection survives the application-level error.
 func TestFlowsErrorCodeSurvivesBothTransports(t *testing.T) {
-	ff := &fakeFlows{fail: rerr.Tagf(rerr.ErrUnknownHost, "proto test: no such endpoint")}
+	ff := &fakeFlows{fail: rerr.WithRetryAfter(rerr.Tagf(rerr.ErrUnknownHost, "proto test: no such endpoint"), 250*time.Millisecond)}
 
 	tsrv := &TCPServer{Collector: &echoCollector{}, Flows: ff}
 	taddr, err := tsrv.ListenAndServe("127.0.0.1:0")
@@ -141,8 +141,12 @@ func TestFlowsErrorCodeSurvivesBothTransports(t *testing.T) {
 
 	flows := []modeler.Flow{{Src: netip.MustParseAddr("10.9.9.9"), Dst: netip.MustParseAddr("10.0.1.1")}}
 	for _, cl := range []flowsClient{tcl, hcl} {
-		if _, err := cl.Flows(context.Background(), flows); !errors.Is(err, rerr.ErrUnknownHost) {
+		_, err := cl.Flows(context.Background(), flows)
+		if !errors.Is(err, rerr.ErrUnknownHost) {
 			t.Fatalf("%T: err = %v, want ErrUnknownHost to survive the wire", cl, err)
+		}
+		if d, _ := rerr.RetryAfter(err); d != 250*time.Millisecond {
+			t.Fatalf("%T: retry-after hint = %v over the wire, want 250ms", cl, d)
 		}
 	}
 	// The persistent ASCII connection is still usable afterwards.

@@ -1,0 +1,141 @@
+package proto
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/xml"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"remos/internal/admission"
+	"remos/internal/sim"
+	"remos/internal/watch"
+)
+
+// FuzzASCIIConn feeds arbitrary bytes to the per-connection serve loop
+// of a fully equipped server (answerer, registry, admission on a frozen
+// clock, so a drained bucket sheds at once instead of queueing) and
+// checks the loop neither panics nor hangs and that everything it wrote
+// is a sequence of well-formed replies — results the client-side
+// readers accept, ERR lines, watch acknowledgements — possibly cut short
+// by a dropped connection, never a half-written or unknown message.
+// Seeds are the recorded request transcripts.
+func FuzzASCIIConn(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "transcripts", "ascii", "*.in"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no transcript seeds: %v", err)
+	}
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reg := watch.New(watch.Config{})
+		defer reg.Close(nil)
+		ctrl := admission.New(admission.Config{
+			Sched: sim.NewSim(),
+			Tenants: map[string]admission.TenantConfig{
+				"metered": {Key: "k1", Limits: admission.Limits{Rate: 0.5, Burst: 2}},
+				"w":       {Limits: admission.Limits{MaxWatches: 1}},
+			},
+		})
+		defer ctrl.Close()
+		srv := &TCPServer{}
+		srv.core = newCore("ascii", &transcriptCollector{}, &transcriptFlows{}, reg, ctrl, nil, nil)
+
+		var out bytes.Buffer
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.serveConn(bytes.NewReader(data), &out)
+			srv.wg.Wait() // the connection's watch drains
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("serve loop hung")
+		}
+
+		r := bufio.NewReader(&out)
+		var scratch []byte
+		for {
+			head, err := r.Peek(4)
+			if len(head) == 0 {
+				return // end of the reply stream
+			}
+			switch {
+			case bytes.HasPrefix(head, []byte("OK\n")):
+				_, err = readResult(r, &scratch)
+			case bytes.HasPrefix(head, []byte("OKF ")):
+				_, err = readFlowsResult(r, &scratch)
+			case bytes.HasPrefix(head, []byte("ERR ")):
+				_, err = readLine(r, &scratch)
+			default:
+				var line []byte
+				if line, err = readLine(r, &scratch); err == nil {
+					fs := newFields(line)
+					verb := string(fs.next())
+					_, isID := parseInt(fs.next())
+					if (verb != "WATCHING" && verb != "UNWATCHED") || !isID || fs.next() != nil {
+						t.Fatalf("server wrote an unknown message %q", line)
+					}
+				}
+			}
+			if err != nil {
+				t.Fatalf("server wrote a malformed reply (%v) in %q", err, out.Bytes())
+			}
+		}
+	})
+}
+
+// FuzzXMLRequest feeds arbitrary bodies to the POST /query and POST
+// /flows handlers: no panic, and the answer is either a document the
+// client-side decoders accept or one of the statuses a malformed or
+// failing request maps to.
+func FuzzXMLRequest(f *testing.F) {
+	for _, body := range []string{
+		"<query>" + xmlTwoHosts, `<query history="true" predictions="true">` + xmlTwoHosts,
+		xmlOneQuery, xmlOneFlow, "<query><host>10.9.9.1</host></query>",
+		`<flows><flow src="10.0.2.1" dst="10.0.1.1" demand="3e+06"></flow></flows>`,
+		`<flows><flow src="10.9.9.2" dst="10.0.1.1"></flow></flows>`,
+		"<query><host>not-an-address</host></query>", "<flows><flow", "WHAT IS THIS", "",
+	} {
+		f.Add(false, []byte(body))
+		f.Add(true, []byte(body))
+	}
+	f.Fuzz(func(t *testing.T, flows bool, body []byte) {
+		srv := &HTTPServer{}
+		srv.core = newCore("xml", &transcriptCollector{}, &transcriptFlows{}, nil, nil, nil, nil)
+		path, handle := "/query", handler(srv.handleQuery)
+		if flows {
+			path, handle = "/flows", handler(srv.handleFlows)
+		}
+		rec := httptest.NewRecorder()
+		handle.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var err error
+			if flows {
+				err = xml.Unmarshal(rec.Body.Bytes(), new(xmlFlowsResult))
+			} else {
+				_, err = decodeResultXML(rec.Body.Bytes())
+			}
+			if err != nil {
+				t.Fatalf("200 answer does not decode (%v): %q", err, rec.Body.Bytes())
+			}
+		case http.StatusBadRequest, http.StatusBadGateway:
+			if rec.Body.Len() == 0 {
+				t.Fatalf("status %d without a message", rec.Code)
+			}
+		default:
+			t.Fatalf("unexpected status %d: %q", rec.Code, rec.Body.Bytes())
+		}
+	})
+}

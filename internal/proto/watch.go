@@ -2,11 +2,12 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/netip"
 	"net/url"
@@ -15,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"remos/internal/admission"
 	"remos/internal/rerr"
 	"remos/internal/watch"
 )
@@ -54,65 +54,53 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 	return lw.w.Write(p)
 }
 
-// parseWatchLine parses "WATCH <src> <dst> <below> <above> <changefrac>".
-func parseWatchLine(line string) (watch.Spec, error) {
-	f := strings.Fields(line)
-	if len(f) != 6 || f[0] != "WATCH" {
-		return watch.Spec{}, fmt.Errorf("proto: bad watch line %q", strings.TrimSpace(line))
+// watch serves one "WATCH <src> <dst> <below> <above> <changefrac>"
+// line: it subscribes, acknowledges, and starts the drain goroutine that
+// turns pushed updates into UPDATE/END lines. The subscription is
+// recorded in the per-connection map so UNWATCH and connection teardown
+// find it.
+func (c *asciiConn) watch(line []byte, args fields) error {
+	spec, err := parseWatchArgs(line, args)
+	if err != nil {
+		return err
 	}
-	src, err1 := netip.ParseAddr(f[1])
-	dst, err2 := netip.ParseAddr(f[2])
+	sub, release, err := c.srv.core.subscribe(c.ten, spec)
+	if err != nil {
+		return err
+	}
+	c.subs[sub.ID] = sub
+	fmt.Fprintf(&c.w, "WATCHING %d\n", sub.ID)
+	c.srv.wg.Add(1)
+	//remoslint:allow goctx drain loop ends when the subscription closes (disconnect closes every subscription)
+	go func() {
+		defer c.srv.wg.Done()
+		// The quota slot frees on every teardown path (UNWATCH,
+		// server-side END, disconnect) exactly once.
+		defer release()
+		drainASCII(&c.w, sub)
+	}()
+	return nil
+}
+
+func parseWatchArgs(line []byte, args fields) (watch.Spec, error) {
+	var tok [5][]byte
+	if args.collect(tok[:]) != len(tok) {
+		return watch.Spec{}, fmt.Errorf("proto: bad watch line %q", bytes.TrimSpace(line))
+	}
+	src, err1 := netip.ParseAddr(string(tok[0]))
+	dst, err2 := netip.ParseAddr(string(tok[1]))
 	if err1 != nil || err2 != nil {
-		return watch.Spec{}, fmt.Errorf("proto: bad watch endpoints %q", strings.TrimSpace(line))
+		return watch.Spec{}, fmt.Errorf("proto: bad watch endpoints %q", bytes.TrimSpace(line))
 	}
 	var nums [3]float64
-	for i, s := range f[3:] {
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v < 0 {
-			return watch.Spec{}, fmt.Errorf("proto: bad watch predicate %q", s)
+	for i, t := range tok[2:] {
+		v, ok := parseFloat(t)
+		if !ok || v < 0 {
+			return watch.Spec{}, fmt.Errorf("proto: bad watch predicate %q", t)
 		}
 		nums[i] = v
 	}
 	return watch.Spec{Src: src, Dst: dst, Below: nums[0], Above: nums[1], ChangeFrac: nums[2]}, nil
-}
-
-// handleWatchLine serves one WATCH request on an ASCII connection: it
-// subscribes, acknowledges, and starts the drain goroutine that turns
-// pushed updates into UPDATE/END lines. The subscription is recorded in
-// the per-connection map so UNWATCH and connection teardown find it.
-func (s *TCPServer) handleWatchLine(w io.Writer, line string, subs map[int64]*watch.Subscription, ten admission.Tenant) {
-	if s.Watch == nil {
-		writeError(w, rerr.Tagf(rerr.ErrCollectorUnavailable, "proto: server has no watch registry"))
-		return
-	}
-	spec, err := parseWatchLine(line)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Charge the tenant's watch quota before subscribing; the drain
-	// goroutine's defer releases it on every teardown path (UNWATCH,
-	// server-side END, disconnect) exactly once.
-	wrel, err := s.Admission.AcquireWatch(ten)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	sub, err := s.Watch.Subscribe(spec)
-	if err != nil {
-		wrel()
-		writeError(w, err)
-		return
-	}
-	subs[sub.ID] = sub
-	fmt.Fprintf(w, "WATCHING %d\n", sub.ID)
-	s.wg.Add(1)
-	//remoslint:allow goctx drain loop ends when the subscription closes (disconnect closes every subscription)
-	go func() {
-		defer s.wg.Done()
-		defer wrel()
-		drainASCII(w, sub)
-	}()
 }
 
 // drainASCII forwards one subscription's updates onto the connection
@@ -135,23 +123,22 @@ func drainASCII(w io.Writer, sub *watch.Subscription) {
 	}
 }
 
-// handleUnwatchLine serves "UNWATCH <id>".
-func (s *TCPServer) handleUnwatchLine(w io.Writer, line string, subs map[int64]*watch.Subscription) {
-	f := strings.Fields(line)
-	if len(f) != 2 {
-		writeError(w, fmt.Errorf("proto: bad unwatch line %q", strings.TrimSpace(line)))
-		return
+// unwatch serves "UNWATCH <id>".
+func (c *asciiConn) unwatch(line []byte, args fields) error {
+	var tok [1][]byte
+	if args.collect(tok[:]) != len(tok) {
+		return fmt.Errorf("proto: bad unwatch line %q", bytes.TrimSpace(line))
 	}
-	id, err := strconv.ParseInt(f[1], 10, 64)
-	if err != nil {
-		writeError(w, fmt.Errorf("proto: bad watch id %q", f[1]))
-		return
+	id, ok := parseInt(tok[0])
+	if !ok {
+		return fmt.Errorf("proto: bad watch id %q", tok[0])
 	}
-	if sub := subs[id]; sub != nil {
+	if sub := c.subs[id]; sub != nil {
 		sub.Close(nil)
-		delete(subs, id)
+		delete(c.subs, id)
 	}
-	fmt.Fprintf(w, "UNWATCHED %d\n", id)
+	fmt.Fprintf(&c.w, "UNWATCHED %d\n", id)
+	return nil
 }
 
 // Watch subscribes over the ASCII protocol on a dedicated connection
@@ -169,19 +156,12 @@ func (c *TCPClient) Watch(ctx context.Context, spec watch.Spec) (<-chan watch.Up
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", c.Addr, timeout)
+	// Watches ride a dedicated connection (with its own tenant preamble).
+	conn, err := c.dial(timeout)
 	if err != nil {
 		return nil, classifyClientErr(c.Addr, err)
 	}
 	conn.SetDeadline(time.Now().Add(timeout))
-	// Watches ride a dedicated connection, so it carries its own
-	// tenant preamble (silent on success).
-	if p := preambleLine(c.Tenant, c.TenantKey, c.Priority); p != "" {
-		if _, err := io.WriteString(conn, p); err != nil {
-			conn.Close()
-			return nil, classifyClientErr(c.Addr, err)
-		}
-	}
 	fmt.Fprintf(conn, "WATCH %s %s %g %g %g\n",
 		spec.Src, spec.Dst, spec.Below, spec.Above, spec.ChangeFrac)
 	r := bufio.NewReader(conn)
@@ -313,25 +293,18 @@ type sseEnd struct {
 }
 
 // handleWatch serves GET /watch as Server-Sent Events.
-func (s *HTTPServer) handleWatch(w http.ResponseWriter, r *http.Request) {
-	if s.Watch == nil {
-		http.Error(w, "watch not enabled", http.StatusNotFound)
-		return
-	}
+func (s *HTTPServer) handleWatch(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
+		return &httpError{http.StatusMethodNotAllowed, "GET required"}
 	}
 	q := r.URL.Query()
 	spec := watch.Spec{}
 	var err error
 	if spec.Src, err = netip.ParseAddr(q.Get("src")); err != nil {
-		http.Error(w, "bad src", http.StatusBadRequest)
-		return
+		return errors.New("proto: bad src")
 	}
 	if spec.Dst, err = netip.ParseAddr(q.Get("dst")); err != nil {
-		http.Error(w, "bad dst", http.StatusBadRequest)
-		return
+		return errors.New("proto: bad dst")
 	}
 	for _, p := range []struct {
 		name string
@@ -339,34 +312,23 @@ func (s *HTTPServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}{{"below", &spec.Below}, {"above", &spec.Above}, {"change", &spec.ChangeFrac}} {
 		if v := q.Get(p.name); v != "" {
 			if *p.dst, err = strconv.ParseFloat(v, 64); err != nil || *p.dst < 0 {
-				http.Error(w, "bad "+p.name, http.StatusBadRequest)
-				return
+				return fmt.Errorf("proto: bad %s", p.name)
 			}
 		}
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
+		return &httpError{http.StatusInternalServerError, "streaming unsupported"}
 	}
-	ten, _, ok := s.authenticateHTTP(w, r)
-	if !ok {
-		return
-	}
-	wrel, err := s.Admission.AcquireWatch(ten)
+	ten, _, err := s.identify(r)
 	if err != nil {
-		writeHTTPError(w, err, admissionStatus(err))
-		return
+		return err
 	}
-	defer wrel()
-	sub, err := s.Watch.Subscribe(spec)
+	sub, release, err := s.core.subscribe(ten, spec)
 	if err != nil {
-		if code := rerr.Code(err); code != "" {
-			w.Header().Set(errorCodeHeader, code)
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return err
 	}
+	defer release()
 	defer sub.Close(nil)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
@@ -376,13 +338,13 @@ func (s *HTTPServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case u, ok := <-sub.Updates():
 			if !ok {
-				return
+				return nil
 			}
 			if u.Err != nil {
 				b, _ := json.Marshal(sseEnd{Code: rerr.Code(u.Err), Msg: u.Err.Error()})
 				fmt.Fprintf(w, "event: end\ndata: %s\n\n", b)
 				fl.Flush()
-				return
+				return nil
 			}
 			b, err := json.Marshal(u)
 			if err != nil {
@@ -391,7 +353,7 @@ func (s *HTTPServer) handleWatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "event: update\ndata: %s\n\n", b)
 			fl.Flush()
 		case <-r.Context().Done():
-			return
+			return nil
 		}
 	}
 }
@@ -414,30 +376,15 @@ func (c *HTTPClient) Watch(ctx context.Context, spec watch.Spec) (<-chan watch.U
 	if spec.ChangeFrac > 0 {
 		vals.Set("change", strconv.FormatFloat(spec.ChangeFrac, 'g', -1, 64))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/watch?"+vals.Encode(), nil)
-	if err != nil {
-		return nil, err
-	}
-	setTenantHeaders(req, c.Tenant, c.TenantKey, c.Priority)
-	// The stream is long-lived, so the default query client with its
-	// overall timeout would sever it; use the caller's client only if it
-	// carries no timeout.
+	// The stream is long-lived, so a client with an overall timeout
+	// would sever it; use the caller's client only if it carries none.
 	hc := c.Client
 	if hc == nil || hc.Timeout > 0 {
 		hc = &http.Client{}
 	}
-	resp, err := hc.Do(req)
+	resp, err := c.exchange(ctx, hc, http.MethodGet, "/watch?"+vals.Encode(), nil)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, classifyClientErr(c.BaseURL, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		msg := fmt.Sprintf("proto: remote error (%d): %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		return nil, decodeHTTPError(resp, msg)
+		return nil, err
 	}
 	buf := spec.Buf
 	if buf <= 0 {

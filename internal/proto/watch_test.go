@@ -202,17 +202,17 @@ func TestWatchRejectsBadSpec(t *testing.T) {
 }
 
 func TestWatchAgainstServerWithoutRegistry(t *testing.T) {
-	srv := &TCPServer{Collector: &echoCollector{}}
-	addr, _ := srv.ListenAndServe("127.0.0.1:0")
-	defer srv.Close()
-	cl := &TCPClient{Addr: addr}
-	defer cl.Close()
-	_, err := cl.Watch(context.Background(), watch.Spec{Src: watchSrc, Dst: watchDst, Below: 1e6})
-	if err == nil {
-		t.Fatal("watch against a watchless server succeeded")
-	}
-	if !errors.Is(err, rerr.ErrCollectorUnavailable) {
-		t.Fatalf("err = %v, want typed UNAVAILABLE", err)
+	for name, cl := range map[string]watchClient{
+		"ascii": startASCII(t, nil),
+		"sse":   startSSE(t, nil),
+	} {
+		_, err := cl.Watch(context.Background(), watch.Spec{Src: watchSrc, Dst: watchDst, Below: 1e6})
+		if err == nil {
+			t.Fatalf("%s: watch against a watchless server succeeded", name)
+		}
+		if !errors.Is(err, rerr.ErrCollectorUnavailable) {
+			t.Fatalf("%s: err = %v, want typed UNAVAILABLE", name, err)
+		}
 	}
 }
 
@@ -297,6 +297,13 @@ func TestWatchGoroutineCleanup(t *testing.T) {
 			waitActive(t, reg, 0)
 		}
 	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails unless the process goroutine count settles back
+// to at most before.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
@@ -310,4 +317,52 @@ func TestWatchGoroutineCleanup(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestTCPServerCloseDropsConnections: Close with an idle client and a
+// live WATCH still attached closes both connections and returns only
+// once their serve loops and the watch drain are gone — no goroutine or
+// subscription outlives it.
+func TestTCPServerCloseDropsConnections(t *testing.T) {
+	reg := watch.New(watch.Config{})
+	defer reg.Close(nil)
+	before := runtime.NumGoroutine()
+	srv := &TCPServer{Collector: &echoCollector{}, Watch: reg}
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := &TCPClient{Addr: addr}
+	defer idle.Close()
+	if _, err := idle.Collect(collector.Query{Hosts: hostList("10.0.0.1")}); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := (&TCPClient{Addr: addr}).Watch(context.Background(), watch.Spec{Src: watchSrc, Dst: watchDst, Below: 5e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitActive(t, reg, 1)
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return with clients attached")
+	}
+	if n := reg.Active(); n != 0 {
+		t.Fatalf("%d subscriptions outlived Close", n)
+	}
+	var last watch.Update
+	for u := range ch {
+		last = u
+	}
+	if !errors.Is(last.Err, rerr.ErrCollectorUnavailable) {
+		t.Fatalf("watch ended with %v, want the dropped connection as typed UNAVAILABLE", last.Err)
+	}
+	idle.Close()
+	waitGoroutines(t, before)
 }

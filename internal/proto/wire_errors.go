@@ -3,13 +3,8 @@ package proto
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
-	"strings"
-	"time"
 
-	"remos/internal/collector"
-	"remos/internal/obs"
 	"remos/internal/rerr"
 )
 
@@ -54,49 +49,4 @@ func classifyClientErr(name string, err error) error {
 		return rerr.Tagf(rerr.ErrTimeout, "proto: %s: %w", name, err)
 	}
 	return rerr.Tagf(rerr.ErrCollectorUnavailable, "proto: %s: %w", name, err)
-}
-
-// serverMetrics is the per-protocol request instrumentation, resolved
-// once at listen time so the serving path touches only atomics.
-type serverMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	seconds  *obs.Histogram
-}
-
-func newServerMetrics(reg *obs.Registry, proto string) serverMetrics {
-	return serverMetrics{
-		requests: reg.Counter("remos_requests_total",
-			"queries served over the component protocols", "proto", proto),
-		errors: reg.Counter("remos_request_errors_total",
-			"served queries that failed", "proto", proto),
-		seconds: reg.Histogram("remos_request_seconds",
-			"query serving latency in seconds", nil, "proto", proto),
-	}
-}
-
-// serveQuery runs one decoded query through the collector with a fresh
-// trace in its context (when tracing is on), recording request metrics.
-// The trace is returned unfinished so the caller can span the response
-// encoding before handing it to the ring.
-func serveQuery(coll collector.Interface, q collector.Query, m serverMetrics, traced bool, kind string) (*collector.Result, error, *obs.Trace) {
-	var tr *obs.Trace
-	if traced {
-		hosts := make([]string, len(q.Hosts))
-		for i, h := range q.Hosts {
-			hosts[i] = h.String()
-		}
-		tr = obs.NewTrace(kind, strings.Join(hosts, ","))
-		tr.Event("parse", fmt.Sprintf("%d hosts hist=%t pred=%t",
-			len(q.Hosts), q.WithHistory, q.WithPredictions))
-	}
-	start := time.Now()
-	res, err := coll.Collect(q.WithContext(obs.NewContext(q.Context(), tr)))
-	m.requests.Inc()
-	m.seconds.Observe(time.Since(start).Seconds())
-	if err != nil {
-		m.errors.Inc()
-		tr.SetErr(err)
-	}
-	return res, err, tr
 }

@@ -83,6 +83,21 @@ func (f *fields) next() []byte {
 	return tok
 }
 
+// collect fills dst with the remaining tokens and reports how many there
+// were, counting at most one past what dst holds — enough for the
+// control verbs to tell "too many" from "just right".
+func (f *fields) collect(dst [][]byte) int {
+	n := 0
+	for tok := f.next(); tok != nil; tok = f.next() {
+		if n == len(dst) {
+			return n + 1
+		}
+		dst[n] = tok
+		n++
+	}
+	return n
+}
+
 // parseInt is a minimal decimal parser for wire counts and timestamps
 // (optional leading minus, digits only), avoiding the []byte->string
 // conversion strconv would need.

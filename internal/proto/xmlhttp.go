@@ -2,13 +2,16 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/netip"
-	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"remos/internal/admission"
@@ -84,34 +87,14 @@ func encodeResultXML(res *collector.Result) ([]byte, error) {
 		return nil, err
 	}
 	out.Graph = innerXML{Raw: probe.Inner}
-	keys := make([]collector.HistKey, 0, len(res.History))
-	for k := range res.History {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].From != keys[j].From {
-			return keys[i].From < keys[j].From
-		}
-		return keys[i].To < keys[j].To
-	})
-	for _, k := range keys {
+	for _, k := range sortedKeys(res.History) {
 		s := xmlSeries{From: k.From, To: k.To}
 		for _, smp := range res.History[k] {
 			s.Samples = append(s.Samples, xmlSample{T: smp.T.UnixNano(), Bits: smp.Bits})
 		}
 		out.Series = append(out.Series, s)
 	}
-	pkeys := make([]collector.HistKey, 0, len(res.Predictions))
-	for k := range res.Predictions {
-		pkeys = append(pkeys, k)
-	}
-	sort.Slice(pkeys, func(i, j int) bool {
-		if pkeys[i].From != pkeys[j].From {
-			return pkeys[i].From < pkeys[j].From
-		}
-		return pkeys[i].To < pkeys[j].To
-	})
-	for _, k := range pkeys {
+	for _, k := range sortedKeys(res.Predictions) {
 		fc := res.Predictions[k]
 		xf := xmlForecast{From: k.From, To: k.To}
 		for i := range fc.Values {
@@ -189,19 +172,19 @@ type HTTPServer struct {
 	Obs    *obs.Registry
 	Traces *obs.Ring
 
-	m   serverMetrics
-	srv *http.Server
-	ln  net.Listener
+	core core
+	srv  *http.Server
+	ln   net.Listener
 }
 
 // ListenAndServe binds addr and serves in the background, returning the
 // bound address.
 func (s *HTTPServer) ListenAndServe(addr string) (string, error) {
-	s.m = newServerMetrics(s.Obs, "xml")
+	s.core = newCore("xml", s.Collector, s.Flows, s.Watch, s.Admission, s.Obs, s.Traces)
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/watch", s.handleWatch)
-	mux.HandleFunc("/flows", s.handleFlows)
+	mux.Handle("/query", handler(s.handleQuery))
+	mux.Handle("/watch", handler(s.handleWatch))
+	mux.Handle("/flows", handler(s.handleFlows))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -213,57 +196,134 @@ func (s *HTTPServer) ListenAndServe(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-func (s *HTTPServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
+// httpError is a failure of the HTTP exchange itself — the wrong method,
+// an answer that cannot be encoded or streamed — carrying the status
+// that no error class implies.
+type httpError struct {
+	status int
+	msg    string
+}
+
+func (e *httpError) Error() string { return e.msg }
+
+// writeHTTPError is the codec's one error writer. The status follows
+// from the failure: what the collector or answerer behind the server
+// returned is relayed verbatim as 502; what the server raised itself
+// answers by its class (a shed is 429, bad credentials 401, any other
+// class 503) or, unclassified, as the client's malformed request (400),
+// without this package's message prefix, which HTTP bodies never
+// carried. Class and retry-after hint travel as headers either way.
+func writeHTTPError(w http.ResponseWriter, err error) {
+	status, msg, code := http.StatusBadGateway, err.Error(), rerr.Code(err)
+	var (
+		up *upstreamError
+		he *httpError
+	)
+	switch {
+	case errors.As(err, &up):
+	case errors.As(err, &he):
+		status = he.status
+	default:
+		msg = strings.TrimPrefix(msg, "proto: ")
+		switch code {
+		case "":
+			status = http.StatusBadRequest
+		case rerr.CodeOverloaded:
+			status = http.StatusTooManyRequests
+		case rerr.CodeUnauthenticated:
+			status = http.StatusUnauthorized
+		default:
+			status = http.StatusServiceUnavailable
+		}
 	}
-	release, ok := s.admitHTTP(w, r)
-	if !ok {
-		return
+	if code != "" {
+		w.Header().Set(errorCodeHeader, code)
+	}
+	if d, ok := rerr.RetryAfter(err); ok {
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((d+time.Second-1)/time.Second), 10))
+		w.Header().Set(retryAfterHeader, strconv.FormatInt(int64((d+time.Millisecond-1)/time.Millisecond), 10))
+	}
+	http.Error(w, msg, status)
+}
+
+// handler adapts a verb handler, which returns the failure it could not
+// answer, to net/http: the codec has one place errors are written.
+type handler func(http.ResponseWriter, *http.Request) error
+
+func (h handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if err := h(w, r); err != nil {
+		writeHTTPError(w, err)
+	}
+}
+
+// writeXML sends an encoded answer, or returns the encoder's failure.
+func writeXML(w http.ResponseWriter, out []byte, err error) error {
+	if err != nil {
+		return &httpError{http.StatusInternalServerError, err.Error()}
+	}
+	w.Header().Set("Content-Type", "application/xml")
+	w.Write(out)
+	return nil
+}
+
+// identify resolves a request's tenant identity and tier from its
+// X-Remos-Tenant headers.
+func (s *HTTPServer) identify(r *http.Request) (admission.Tenant, admission.Tier, error) {
+	return s.core.identify(r.Header.Get(tenantHeader), r.Header.Get(tenantKeyHeader), r.Header.Get(priorityHeader))
+}
+
+// admitPost runs what precedes the verb of a POST exchange, in HTTP's
+// order — identity, admission, and only then the body, so a shed request
+// costs no read — decoding the XML body into req. On success the caller
+// must call release when the request finishes.
+func (s *HTTPServer) admitPost(r *http.Request, req any) (release func(), err error) {
+	if r.Method != http.MethodPost {
+		return nil, &httpError{http.StatusMethodNotAllowed, "POST required"}
+	}
+	ten, tier, err := s.identify(r)
+	if err != nil {
+		return nil, err
+	}
+	if release, err = s.core.admit(r.Context(), ten, tier); err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	if err == nil {
+		err = xml.Unmarshal(body, req)
+	}
+	if err != nil {
+		release()
+		return nil, err
+	}
+	return release, nil
+}
+
+func (s *HTTPServer) handleQuery(w http.ResponseWriter, r *http.Request) error {
+	var xq xmlQuery
+	release, err := s.admitPost(r, &xq)
+	if err != nil {
+		return err
 	}
 	defer release()
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var xq xmlQuery
-	if err := xml.Unmarshal(body, &xq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	q := collector.Query{WithHistory: xq.History, WithPredictions: xq.Predictions}
 	for _, h := range xq.Hosts {
 		a, err := netip.ParseAddr(h)
 		if err != nil {
-			http.Error(w, fmt.Sprintf("bad host %q", h), http.StatusBadRequest)
-			return
+			return fmt.Errorf("proto: bad host %q", h)
 		}
 		q.Hosts = append(q.Hosts, a)
 	}
 	// The HTTP request context carries the client's disconnect, so an
 	// abandoned query cancels its fan-out.
-	q = q.WithContext(r.Context())
-	res, err, tr := serveQuery(s.Collector, q, s.m, s.Traces != nil, "xml")
+	res, tr, err := s.core.query(q.WithContext(r.Context()))
 	if err != nil {
-		if code := rerr.Code(err); code != "" {
-			w.Header().Set(errorCodeHeader, code)
-		}
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		s.Traces.Observe(tr)
-		return
+		return err
 	}
 	sp := tr.Start("encode")
 	out, err := encodeResultXML(res)
 	sp.End()
-	s.Traces.Observe(tr)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/xml")
-	w.Write(out)
+	s.core.traces.Observe(tr)
+	return writeXML(w, out, err)
 }
 
 // Close stops the server.
@@ -294,28 +354,24 @@ type HTTPClient struct {
 // Name implements collector.Interface.
 func (c *HTTPClient) Name() string { return "remote-xml:" + c.BaseURL }
 
-// Collect implements collector.Interface. The query's context rides the
-// HTTP request, so deadlines and cancellation propagate to the server;
-// failures are classified the same way as the ASCII client's.
-func (c *HTTPClient) Collect(q collector.Query) (*collector.Result, error) {
-	ctx := q.Context()
-	xq := xmlQuery{History: q.WithHistory, Predictions: q.WithPredictions}
-	for _, h := range q.Hosts {
-		xq.Hosts = append(xq.Hosts, h.String())
+// exchange sends one request through hc and returns its 200 response,
+// the body still unread (the caller closes it). Everything else comes
+// back as an error classified the same way as the ASCII client's: the
+// caller's own cancellation as is, a failure to reach the server by its
+// network class, and a non-200 answer decoded to the class and retry
+// hint the server attached.
+func (c *HTTPClient) exchange(ctx context.Context, hc *http.Client, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	body, err := xml.Marshal(xq)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	hc := c.Client
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/xml")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/query", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/xml")
 	setTenantHeaders(req, c.Tenant, c.TenantKey, c.Priority)
 	resp, err := hc.Do(req)
 	if err != nil {
@@ -324,14 +380,47 @@ func (c *HTTPClient) Collect(q collector.Query) (*collector.Result, error) {
 		}
 		return nil, classifyClientErr(c.BaseURL, err)
 	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+		return nil, decodeHTTPError(resp, fmt.Sprintf("proto: remote error (%d): %s", resp.StatusCode, bytes.TrimSpace(msg)))
+	}
+	return resp, nil
+}
+
+// post runs one XML request/response exchange and returns the answer
+// document.
+func (c *HTTPClient) post(ctx context.Context, path string, req any) ([]byte, error) {
+	body, err := xml.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	hc := c.Client
+	if hc == nil {
+		hc = &http.Client{Timeout: 10 * time.Second}
+	}
+	resp, err := c.exchange(ctx, hc, http.MethodPost, path, body)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return nil, classifyClientErr(c.BaseURL, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		msg := fmt.Sprintf("proto: remote error (%d): %s", resp.StatusCode, bytes.TrimSpace(out))
-		return nil, decodeHTTPError(resp, msg)
+	return out, nil
+}
+
+// Collect implements collector.Interface. The query's context rides the
+// HTTP request, so deadlines and cancellation propagate to the server.
+func (c *HTTPClient) Collect(q collector.Query) (*collector.Result, error) {
+	xq := xmlQuery{History: q.WithHistory, Predictions: q.WithPredictions}
+	for _, h := range q.Hosts {
+		xq.Hosts = append(xq.Hosts, h.String())
+	}
+	out, err := c.post(q.Context(), "/query", xq)
+	if err != nil {
+		return nil, err
 	}
 	return decodeResultXML(out)
 }

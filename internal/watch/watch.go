@@ -47,7 +47,7 @@ const (
 type Spec struct {
 	// Src, Dst are the endpoints; the watched value is the bottleneck
 	// available bandwidth of the path between them, the same number
-	// AvailableBandwidth reports.
+	// AvailableBandwidthContext reports.
 	Src, Dst netip.Addr
 	// Below pushes when availability drops below this many bits/s
 	// (edge-triggered: once per downward crossing). 0 disables.

@@ -81,51 +81,12 @@ type Forecast = collector.Forecast
 // HostLoadInfo is the answer to a host load query.
 type HostLoadInfo = modeler.HostLoadInfo
 
-// ModelerConfig configures NewModeler.
+// ModelerConfig configures NewModelerConfig.
 type ModelerConfig = modeler.Config
 
-// NewModeler builds a Modeler over any collector (usually a Master).
-//
-// Deprecated: for remote collectors use Dial; for local collectors use
-// NewModelerConfig, which exposes the full configuration.
-func NewModeler(c Collector) *Modeler {
-	return modeler.New(modeler.Config{Collector: c})
-}
-
-// NewModelerConfig builds a Modeler with explicit configuration.
+// NewModelerConfig builds a Modeler over a local collector (usually a
+// Master); for remote collectors use Dial.
 func NewModelerConfig(cfg ModelerConfig) *Modeler { return modeler.New(cfg) }
-
-// ConnectTCP returns a Modeler speaking the ASCII protocol to a remote
-// Master Collector at addr ("host:port").
-//
-// Deprecated: use Dial("tcp://" + addr). Dial reports dial-time
-// errors and takes Options; in particular these wrappers cannot carry
-// tenant credentials (WithTenant), so against a daemon with admission
-// limits configured they are metered as the anonymous pool.
-func ConnectTCP(addr string) *Modeler {
-	m, _ := Dial("tcp://" + addr)
-	return m
-}
-
-// ConnectHTTP returns a Modeler speaking the XML protocol to a remote
-// Master Collector at baseURL ("http://host:port").
-//
-// Deprecated: use Dial(baseURL), for the same reasons as ConnectTCP.
-func ConnectHTTP(baseURL string) *Modeler {
-	m, _ := Dial(baseURL)
-	return m
-}
-
-// ConnectTCPWithHostLoad returns a Modeler that reaches a Master
-// Collector at masterAddr and a host load collector at loadAddr, both
-// over the ASCII protocol.
-//
-// Deprecated: use Dial("tcp://"+masterAddr, WithHostLoad("tcp://"+loadAddr)),
-// for the same reasons as ConnectTCP.
-func ConnectTCPWithHostLoad(masterAddr, loadAddr string) *Modeler {
-	m, _ := Dial("tcp://"+masterAddr, WithHostLoad("tcp://"+loadAddr))
-	return m
-}
 
 // ParsePredictor resolves an RPS model spec such as "AR(16)", "MEAN",
 // "ARIMA(8,1,8)" or "REFIT(AR(16),128)"; the result can be used in

@@ -1,6 +1,7 @@
 package remos_test
 
 import (
+	"context"
 	"math"
 	"net/netip"
 	"testing"
@@ -62,10 +63,19 @@ func stackOpts(t testing.TB, opts core.Options) (*core.Deployment, map[string]*n
 	return dep, d
 }
 
+func dial(t *testing.T, target string) *remos.Modeler {
+	t.Helper()
+	m, err := remos.Dial(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestEndToEndInProcess(t *testing.T) {
 	dep, d := stack(t)
-	m := remos.NewModeler(dep.Sites["cmu"].Master)
-	bw, err := m.AvailableBandwidth(d["app"].Addr(), d["srv"].Addr())
+	m := remos.NewModelerConfig(remos.ModelerConfig{Collector: dep.Sites["cmu"].Master})
+	bw, err := m.AvailableBandwidthContext(context.Background(), d["app"].Addr(), d["srv"].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +83,7 @@ func TestEndToEndInProcess(t *testing.T) {
 		t.Fatalf("cross-site bandwidth %v, want ~8e6", bw)
 	}
 	// Same-LAN query: no WAN involvement, full local capacity.
-	bw, err = m.AvailableBandwidth(d["app"].Addr(), d["peer"].Addr())
+	bw, err = m.AvailableBandwidthContext(context.Background(), d["app"].Addr(), d["peer"].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +100,8 @@ func TestEndToEndOverASCIIProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	m := remos.ConnectTCP(addr)
-	bw, err := m.AvailableBandwidth(d["app"].Addr(), d["srv"].Addr())
+	m := dial(t, "tcp://"+addr)
+	bw, err := m.AvailableBandwidthContext(context.Background(), d["app"].Addr(), d["srv"].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +118,8 @@ func TestEndToEndOverXMLProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	m := remos.ConnectHTTP("http://" + addr)
-	g, err := m.GetTopology([]netip.Addr{d["app"].Addr(), d["srv"].Addr()}, remos.TopologyOptions{})
+	m := dial(t, "http://"+addr)
+	g, err := m.GetTopologyContext(context.Background(), []netip.Addr{d["app"].Addr(), d["srv"].Addr()}, remos.TopologyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +134,9 @@ func TestEndToEndPredictionOverProtocol(t *testing.T) {
 	if _, err := dep.Net.StartFlow(d["peer"], d["srv"], netsim.FlowSpec{Demand: 3e6}); err != nil {
 		t.Fatal(err)
 	}
-	m0 := remos.NewModeler(dep.Sites["cmu"].Master)
+	m0 := remos.NewModelerConfig(remos.ModelerConfig{Collector: dep.Sites["cmu"].Master})
 	// Prime monitoring, then accumulate history.
-	if _, err := m0.AvailableBandwidth(d["app"].Addr(), d["srv"].Addr()); err != nil {
+	if _, err := m0.AvailableBandwidthContext(context.Background(), d["app"].Addr(), d["srv"].Addr()); err != nil {
 		t.Fatal(err)
 	}
 	dep.Sim.RunFor(10 * time.Minute)
@@ -137,8 +147,8 @@ func TestEndToEndPredictionOverProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	m := remos.ConnectTCP(addr)
-	infos, err := m.GetFlows([]remos.Flow{{Src: d["app"].Addr(), Dst: d["srv"].Addr()}},
+	m := dial(t, "tcp://"+addr)
+	infos, err := m.GetFlowsContext(context.Background(), []remos.Flow{{Src: d["app"].Addr(), Dst: d["srv"].Addr()}},
 		remos.FlowOptions{Predict: true, Horizon: 2, Model: "BM(32)"})
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +161,8 @@ func TestEndToEndPredictionOverProtocol(t *testing.T) {
 
 func TestBestServerEndToEnd(t *testing.T) {
 	dep, d := stack(t)
-	m := remos.NewModeler(dep.Sites["cmu"].Master)
-	ranks, err := m.BestServer(d["app"].Addr(),
+	m := remos.NewModelerConfig(remos.ModelerConfig{Collector: dep.Sites["cmu"].Master})
+	ranks, err := m.BestServerContext(context.Background(), d["app"].Addr(),
 		[]netip.Addr{d["srv"].Addr(), d["peer"].Addr()}, remos.FlowOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +224,8 @@ func TestCollectorSidePredictionsOverProtocol(t *testing.T) {
 	if _, err := n.StartFlow(peer, srv, netsim.FlowSpec{Demand: 6e6}); err != nil {
 		t.Fatal(err)
 	}
-	m0 := remos.NewModeler(dep.Sites["all"].Master)
-	if _, err := m0.AvailableBandwidth(app.Addr(), srv.Addr()); err != nil {
+	m0 := remos.NewModelerConfig(remos.ModelerConfig{Collector: dep.Sites["all"].Master})
+	if _, err := m0.AvailableBandwidthContext(context.Background(), app.Addr(), srv.Addr()); err != nil {
 		t.Fatal(err) // primes monitoring
 	}
 	s.RunFor(10 * time.Minute) // history + streaming fits
@@ -226,8 +236,8 @@ func TestCollectorSidePredictionsOverProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tcpSrv.Close()
-	m := remos.ConnectTCP(addr)
-	infos, err := m.GetFlows([]remos.Flow{{Src: app.Addr(), Dst: srv.Addr()}},
+	m := dial(t, "tcp://"+addr)
+	infos, err := m.GetFlowsContext(context.Background(), []remos.Flow{{Src: app.Addr(), Dst: srv.Addr()}},
 		remos.FlowOptions{Predict: true, Horizon: 2, FromCollector: true})
 	if err != nil {
 		t.Fatal(err)

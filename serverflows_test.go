@@ -77,7 +77,7 @@ func TestServerFlowsDelegation(t *testing.T) {
 		t.Fatalf("server answerer saw %d queries, want 1", got)
 	}
 
-	// AvailableBandwidth is a one-flow query underneath; it delegates too.
+	// AvailableBandwidthContext is a one-flow query underneath; it delegates too.
 	bw, err := m.AvailableBandwidthContext(ctx, d["app"].Addr(), d["srv"].Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -108,11 +108,11 @@ func TestTenantDialEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 2; i++ {
-				if _, err := m.AvailableBandwidth(src, dst); err != nil {
+				if _, err := m.AvailableBandwidthContext(context.Background(), src, dst); err != nil {
 					t.Fatalf("burst query %d: %v", i, err)
 				}
 			}
-			_, err = m.AvailableBandwidth(src, dst)
+			_, err = m.AvailableBandwidthContext(context.Background(), src, dst)
 			if !errors.Is(err, remos.ErrOverloaded) {
 				t.Fatalf("shed error = %v, want remos.ErrOverloaded", err)
 			}
@@ -122,7 +122,7 @@ func TestTenantDialEndToEnd(t *testing.T) {
 			// Back off exactly as told (on the injected clock) and the
 			// same Modeler queries again.
 			ts.sim.RunFor(2 * time.Second)
-			if _, err := m.AvailableBandwidth(src, dst); err != nil {
+			if _, err := m.AvailableBandwidthContext(context.Background(), src, dst); err != nil {
 				t.Fatalf("query after backoff: %v", err)
 			}
 
@@ -130,7 +130,7 @@ func TestTenantDialEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := bad.AvailableBandwidth(src, dst); !errors.Is(err, remos.ErrUnauthenticated) {
+			if _, err := bad.AvailableBandwidthContext(context.Background(), src, dst); !errors.Is(err, remos.ErrUnauthenticated) {
 				t.Fatalf("bad-key error = %v, want remos.ErrUnauthenticated", err)
 			}
 		})
