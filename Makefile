@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzServeCommands -fuzztime 10s ./internal/directory/
 	$(GO) test -run xxx -fuzz FuzzASCIIConn -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzXMLRequest -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzXMLFlowsReply -fuzztime 10s ./internal/proto/
 
 # Boots remosd and asserts the observability plane (/metrics, /healthz,
 # /debug/queries) reports a real query end to end.

@@ -88,11 +88,12 @@ func TestFlightDeduplicates(t *testing.T) {
 	release := make(chan struct{})
 	const waiters = 16
 	var wg sync.WaitGroup
-	var sharedCount atomic.Int32
+	var sharedCount, arrived atomic.Int32
 	wg.Add(waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
 			defer wg.Done()
+			arrived.Add(1)
 			v, err, shared := f.Do("k", func() (int, error) {
 				calls.Add(1)
 				<-release
@@ -106,8 +107,13 @@ func TestFlightDeduplicates(t *testing.T) {
 			}
 		}()
 	}
-	// Let every goroutine reach Do before releasing the one real call.
-	for calls.Load() == 0 {
+	// Let every goroutine reach Do before releasing the one real call: a
+	// goroutine that has announced itself is one lock acquisition away
+	// from joining the flight, and the yields give it that.
+	for calls.Load() == 0 || arrived.Load() < waiters {
+		runtime.Gosched()
+	}
+	for i := 0; i < 1000; i++ {
 		runtime.Gosched()
 	}
 	close(release)

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"strings"
 	"testing"
+	"time"
 
 	"remos/internal/admission"
 	"remos/internal/collector"
@@ -118,6 +121,62 @@ func TestServeFlowsAllocationBudget(t *testing.T) {
 		}
 	}); n > 7 {
 		t.Fatalf("one FLOWS exchange allocates %.0f times, want <= 7", n)
+	}
+}
+
+// TestHTTPFlowsAllocationBudget pins the XML side of the same exchange,
+// so what the hand-written codec bought cannot erode silently: one
+// handleFlows call for two flows through a recorder — admission, pooled
+// body read, scanner, the core's verb, encoder — and one codec-only
+// round of the four documents with warm pools. Through encoding/xml
+// the same handler call cost 101 allocations (the recorder's own
+// included either way) and the same four documents 193.
+func TestHTTPFlowsAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	ctrl := admission.New(admission.Config{})
+	defer ctrl.Close()
+	a, b := netip.MustParseAddr("10.0.1.1"), netip.MustParseAddr("10.0.2.1")
+	flows := []modeler.Flow{{Src: a, Dst: b}, {Src: b, Dst: a, Demand: 3e6}}
+	answer := []modeler.FlowInfo{
+		{Flow: flows[0], Available: 6e6, Latency: 14 * time.Millisecond, Path: []string{"10.0.1.1", "r1", "10.0.2.1"}},
+		{Flow: flows[1], Available: 7e6, Latency: 14 * time.Millisecond, Path: []string{"10.0.2.1", "r1", "10.0.1.1"}},
+	}
+	srv := &HTTPServer{}
+	srv.core = newCore("xml", nil, staticFlows{answer}, nil, ctrl, nil, nil)
+	wire := []byte(`<flows><flow src="10.0.1.1" dst="10.0.2.1"></flow><flow src="10.0.2.1" dst="10.0.1.1" demand="3e+06"></flow></flows>`)
+	body := bytes.NewReader(nil)
+	req := httptest.NewRequest(http.MethodPost, "/flows", body)
+	req.ContentLength = int64(len(wire))
+	if n := testing.AllocsPerRun(200, func() {
+		body.Reset(wire)
+		rec := httptest.NewRecorder()
+		if err := srv.handleFlows(rec, req); err != nil || rec.Body.Len() == 0 {
+			t.Fatalf("handleFlows: %v, %d bytes", err, rec.Body.Len())
+		}
+	}); n > 12 {
+		t.Fatalf("one handleFlows call allocates %.0f times, want <= 12", n)
+	}
+
+	// The codec alone allocates what it returns: the two result slices
+	// (grown once each here) and, per answered flow, its path's text and
+	// slice.
+	if n := testing.AllocsPerRun(200, func() {
+		buf := respPool.Get().(*bytes.Buffer)
+		defer respPool.Put(buf)
+		buf.Reset()
+		encodeFlowsQuery(buf, flows)
+		if got, ok := scanFlowsQuery(buf.Bytes()); !ok || len(got) != 2 {
+			t.Fatalf("scanFlowsQuery(%q) = %v, %t", buf.Bytes(), got, ok)
+		}
+		buf.Reset()
+		encodeFlowsResult(buf, answer)
+		if got, ok := scanFlowsResult(buf.Bytes()); !ok || len(got) != 2 || len(got[1].Path) != 3 {
+			t.Fatalf("scanFlowsResult(%q) = %v, %t", buf.Bytes(), got, ok)
+		}
+	}); n > 8 {
+		t.Fatalf("one codec round allocates %.0f times, want <= 8", n)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
-	"strings"
 	"time"
 
 	"remos/internal/modeler"
@@ -242,7 +241,9 @@ func (c *TCPClient) Flows(ctx context.Context, flows []modeler.Flow) ([]modeler.
 	return infos, nil
 }
 
-// The XML bodies of POST /flows.
+// The XML bodies of POST /flows: the shapes the general decoders
+// unmarshal into and the tests marshal as the encoders' reference (see
+// xml_codec.go).
 type xmlFlowsQuery struct {
 	XMLName xml.Name     `xml:"flows"`
 	Flows   []xmlFlowReq `xml:"flow"`
@@ -270,72 +271,44 @@ type xmlFlowInfo struct {
 
 // handleFlows serves POST /flows on the XML protocol.
 func (s *HTTPServer) handleFlows(w http.ResponseWriter, r *http.Request) error {
-	var xq xmlFlowsQuery
-	release, err := s.admitPost(r, &xq)
+	var flows []modeler.Flow
+	release, err := s.admitPost(r, func(body []byte) (err error) {
+		flows, err = decodeFlowsQuery(body)
+		return err
+	})
 	if err != nil {
 		return err
 	}
 	defer release()
-	flows := make([]modeler.Flow, 0, len(xq.Flows))
-	for _, xf := range xq.Flows {
-		src, err := netip.ParseAddr(xf.Src)
-		if err != nil {
-			return fmt.Errorf("proto: bad src %q", xf.Src)
-		}
-		dst, err := netip.ParseAddr(xf.Dst)
-		if err != nil {
-			return fmt.Errorf("proto: bad dst %q", xf.Dst)
-		}
-		flows = append(flows, modeler.Flow{Src: src, Dst: dst, Demand: xf.Demand})
-	}
 	infos, err := s.core.flows(r.Context(), flows)
 	if err != nil {
 		return err
 	}
-	out := xmlFlowsResult{Flows: make([]xmlFlowInfo, len(infos))}
-	for i, fi := range infos {
-		out.Flows[i] = xmlFlowInfo{
-			Src: fi.Flow.Src.String(), Dst: fi.Flow.Dst.String(),
-			Avail: fi.Available, LatencyNs: fi.Latency.Nanoseconds(),
-			JitterNs: fi.Jitter.Nanoseconds(), Path: strings.Join(fi.Path, " "),
-		}
-	}
-	enc, err := xml.Marshal(out)
-	return writeXML(w, enc, err)
+	buf := respPool.Get().(*bytes.Buffer)
+	defer respPool.Put(buf)
+	buf.Reset()
+	encodeFlowsResult(buf, infos)
+	return writeXML(w, buf.Bytes(), nil)
 }
 
 // Flows asks the remote server's Modeler for flow answers over the XML
 // protocol.
 func (c *HTTPClient) Flows(ctx context.Context, flows []modeler.Flow) ([]modeler.FlowInfo, error) {
-	xq := xmlFlowsQuery{Flows: make([]xmlFlowReq, len(flows))}
-	for i, f := range flows {
-		xq.Flows[i] = xmlFlowReq{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
-	}
-	out, err := c.post(ctx, "/flows", xq)
+	tmpl, err := c.templates()
 	if err != nil {
 		return nil, err
 	}
-	var xr xmlFlowsResult
-	if err := xml.Unmarshal(out, &xr); err != nil {
-		return nil, err
-	}
-	infos := make([]modeler.FlowInfo, len(xr.Flows))
-	for i, xf := range xr.Flows {
-		infos[i] = modeler.FlowInfo{
-			Available: xf.Avail,
-			Latency:   time.Duration(xf.LatencyNs),
-			Jitter:    time.Duration(xf.JitterNs),
-			Predicted: xf.Avail,
-		}
-		if src, err := netip.ParseAddr(xf.Src); err == nil {
-			infos[i].Flow.Src = src
-		}
-		if dst, err := netip.ParseAddr(xf.Dst); err == nil {
-			infos[i].Flow.Dst = dst
-		}
-		if xf.Path != "" {
-			infos[i].Path = strings.Split(xf.Path, " ")
-		}
-	}
-	return infos, nil
+	buf := respPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	encodeFlowsQuery(buf, flows)
+	// The transport may still be reading a request body after the
+	// exchange returns, so the body is a copy and not the pooled buffer.
+	body := bytes.Clone(buf.Bytes())
+	respPool.Put(buf)
+	var infos []modeler.FlowInfo
+	err = c.post(ctx, tmpl.flows, body, func(out []byte) (err error) {
+		infos, err = decodeFlowsResult(out)
+		return err
+	})
+	return infos, err
 }

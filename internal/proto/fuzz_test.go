@@ -3,7 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
-	"encoding/xml"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -98,7 +98,8 @@ func FuzzASCIIConn(f *testing.F) {
 // FuzzXMLRequest feeds arbitrary bodies to the POST /query and POST
 // /flows handlers: no panic, and the answer is either a document the
 // client-side decoders accept or one of the statuses a malformed or
-// failing request maps to.
+// failing request maps to. Whenever the canonical-form scanner takes the
+// body itself, encoding/xml decodes the same value from it.
 func FuzzXMLRequest(f *testing.F) {
 	for _, body := range []string{
 		"<query>" + xmlTwoHosts, `<query history="true" predictions="true">` + xmlTwoHosts,
@@ -106,11 +107,21 @@ func FuzzXMLRequest(f *testing.F) {
 		`<flows><flow src="10.0.2.1" dst="10.0.1.1" demand="3e+06"></flow></flows>`,
 		`<flows><flow src="10.9.9.2" dst="10.0.1.1"></flow></flows>`,
 		"<query><host>not-an-address</host></query>", "<flows><flow", "WHAT IS THIS", "",
+		`<flows><flow dst="fe80::1%eth0" src="::ffff:10.0.0.1" demand="NaN"/></flows>`,
+		"<flows>\n <flow src=\"10.0.1.1\" dst=\"10.0.2.1\" demand=\"\"></flow>\n</flows>\n", "<flows/>",
+		`<flows><flow src="10.0.1.1" dst="10.0.2.1" src="10.0.3.1"></flow></flows>`,
+		`<flows><flow src="&#49;0.0.1.1" dst='10.0.2.1'></flow></flows>x`,
+		`<query predictions="false" history="true"> <host>::1</host> </query>`, "<query/>",
 	} {
 		f.Add(false, []byte(body))
 		f.Add(true, []byte(body))
 	}
 	f.Fuzz(func(t *testing.T, flows bool, body []byte) {
+		if flows {
+			checkScanFlowsQuery(t, body)
+		} else {
+			checkScanQuery(t, body)
+		}
 		srv := &HTTPServer{}
 		srv.core = newCore("xml", &transcriptCollector{}, &transcriptFlows{}, nil, nil, nil, nil)
 		path, handle := "/query", handler(srv.handleQuery)
@@ -123,7 +134,7 @@ func FuzzXMLRequest(f *testing.F) {
 		case http.StatusOK:
 			var err error
 			if flows {
-				err = xml.Unmarshal(rec.Body.Bytes(), new(xmlFlowsResult))
+				_, err = decodeFlowsResult(rec.Body.Bytes())
 			} else {
 				_, err = decodeResultXML(rec.Body.Bytes())
 			}
@@ -136,6 +147,45 @@ func FuzzXMLRequest(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unexpected status %d: %q", rec.Code, rec.Body.Bytes())
+		}
+	})
+}
+
+// FuzzXMLFlowsReply feeds arbitrary answer documents to the client side
+// of POST /flows: no panic; whenever the canonical-form scanner takes
+// the document itself, encoding/xml decodes the same value from it; and
+// whatever decodes, the encoder renders as xml.Marshal does. Seeds are
+// the bodies of the recorded HTTP reply transcripts.
+func FuzzXMLFlowsReply(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "transcripts", "http", "*.out"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no transcript seeds: %v", err)
+	}
+	for _, path := range seeds {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for r := bufio.NewReader(bytes.NewReader(b)); ; {
+			resp, err := http.ReadResponse(r, nil)
+			if err != nil {
+				break // the end of the transcript
+			}
+			body, _ := io.ReadAll(resp.Body)
+			f.Add(body)
+		}
+	}
+	f.Add([]byte(`<flowresult><flow src="fe80::1%eth0" dst="10.0.2.1" avail="" path="a  b "/></flowresult>`))
+	f.Add([]byte(`<flowresult><flow src="10.0.1.1" dst="10.0.2.1" latns="+5" path="a&amp;b"></flow></flowresult>x`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkScanFlowsResult(t, body)
+		infos, err := decodeFlowsResult(body)
+		if err != nil {
+			return
+		}
+		got, want := encoded(func(b *bytes.Buffer) { encodeFlowsResult(b, infos) }), marshalFlowsResult(t, infos)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encodeFlowsResult(%v)\n got: %q\nwant: %q", infos, got, want)
 		}
 	})
 }

@@ -380,9 +380,14 @@ func (c *HTTPClient) Watch(ctx context.Context, spec watch.Spec) (<-chan watch.U
 	// would sever it; use the caller's client only if it carries none.
 	hc := c.Client
 	if hc == nil || hc.Timeout > 0 {
-		hc = &http.Client{}
+		hc = defaultHTTPClient
 	}
-	resp, err := c.exchange(ctx, hc, http.MethodGet, "/watch?"+vals.Encode(), nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/watch?"+vals.Encode(), nil)
+	if err != nil {
+		return nil, err
+	}
+	setTenantHeaders(req, c.Tenant, c.TenantKey, c.Priority)
+	resp, err := c.exchange(ctx, hc, req)
 	if err != nil {
 		return nil, err
 	}

@@ -9,9 +9,9 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/netip"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"remos/internal/admission"
@@ -75,18 +75,16 @@ func encodeResultXML(res *collector.Result) ([]byte, error) {
 	if err := res.Graph.EncodeXML(&gbuf); err != nil {
 		return nil, err
 	}
-	// Re-parse to splice the topology element inside <result>: simplest
-	// correct composition without hand-writing XML.
-	out := xmlResult{}
-	// Strip the outer <topology> wrapper from the graph encoding; keep
-	// its inner content.
-	var probe struct {
-		Inner []byte `xml:",innerxml"`
+	// The graph encoding is <topology>…</topology> and nothing else;
+	// <result> carries what is between the two tags verbatim.
+	inner, ok := bytes.CutPrefix(gbuf.Bytes(), []byte("<topology>"))
+	if ok {
+		inner, ok = bytes.CutSuffix(inner, []byte("</topology>"))
 	}
-	if err := xml.Unmarshal(gbuf.Bytes(), &probe); err != nil {
-		return nil, err
+	if !ok {
+		return nil, errors.New("proto: graph encoding is not one <topology> element")
 	}
-	out.Graph = innerXML{Raw: probe.Inner}
+	out := xmlResult{Graph: innerXML{Raw: inner}}
 	for _, k := range sortedKeys(res.History) {
 		s := xmlSeries{From: k.From, To: k.To}
 		for _, smp := range res.History[k] {
@@ -190,7 +188,9 @@ func (s *HTTPServer) ListenAndServe(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: mux}
+	// A peer that never finishes its request header is dropped, not
+	// left holding a goroutine.
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: httpTimeout}
 	//remoslint:allow goctx http.Server.Serve returns when Close shuts the server down
 	go s.srv.Serve(ln)
 	return ln.Addr().String(), nil
@@ -261,10 +261,14 @@ func writeXML(w http.ResponseWriter, out []byte, err error) error {
 	if err != nil {
 		return &httpError{http.StatusInternalServerError, err.Error()}
 	}
-	w.Header().Set("Content-Type", "application/xml")
+	w.Header()["Content-Type"] = xmlContentType
 	w.Write(out)
 	return nil
 }
+
+// xmlContentType is shared by every answer; nothing mutates a header
+// value in place.
+var xmlContentType = []string{"application/xml"}
 
 // identify resolves a request's tenant identity and tier from its
 // X-Remos-Tenant headers.
@@ -274,9 +278,9 @@ func (s *HTTPServer) identify(r *http.Request) (admission.Tenant, admission.Tier
 
 // admitPost runs what precedes the verb of a POST exchange, in HTTP's
 // order — identity, admission, and only then the body, so a shed request
-// costs no read — decoding the XML body into req. On success the caller
-// must call release when the request finishes.
-func (s *HTTPServer) admitPost(r *http.Request, req any) (release func(), err error) {
+// costs no read — and hands the body to decode, which must not retain
+// it. On success the caller must call release when the request finishes.
+func (s *HTTPServer) admitPost(r *http.Request, decode func(body []byte) error) (release func(), err error) {
 	if r.Method != http.MethodPost {
 		return nil, &httpError{http.StatusMethodNotAllowed, "POST required"}
 	}
@@ -287,9 +291,10 @@ func (s *HTTPServer) admitPost(r *http.Request, req any) (release func(), err er
 	if release, err = s.core.admit(r.Context(), ten, tier); err != nil {
 		return nil, err
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err == nil {
-		err = xml.Unmarshal(body, req)
+	buf := respPool.Get().(*bytes.Buffer)
+	defer respPool.Put(buf)
+	if err = readBody(buf, r.Body, 0, 16<<20); err == nil {
+		err = decode(buf.Bytes())
 	}
 	if err != nil {
 		release()
@@ -298,21 +303,37 @@ func (s *HTTPServer) admitPost(r *http.Request, req any) (release func(), err er
 	return release, nil
 }
 
+// readBody reads r to its end into buf, or to limit bytes, whichever
+// comes first. hint sizes the buffer up front: the length a peer that is
+// trusted with that much memory announced, or nothing.
+func readBody(buf *bytes.Buffer, r io.Reader, hint, limit int64) error {
+	buf.Reset()
+	buf.Grow(int(min(max(hint, 0), limit)) + bytes.MinRead) // room for the read that finds the end
+	for int64(buf.Len()) < limit {
+		buf.Grow(bytes.MinRead)
+		p := buf.AvailableBuffer()
+		n, err := r.Read(p[:min(int64(cap(p)), limit-int64(buf.Len()))])
+		buf.Write(p[:n])
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (s *HTTPServer) handleQuery(w http.ResponseWriter, r *http.Request) error {
-	var xq xmlQuery
-	release, err := s.admitPost(r, &xq)
+	var q collector.Query
+	release, err := s.admitPost(r, func(body []byte) (err error) {
+		q, err = decodeQuery(body)
+		return err
+	})
 	if err != nil {
 		return err
 	}
 	defer release()
-	q := collector.Query{WithHistory: xq.History, WithPredictions: xq.Predictions}
-	for _, h := range xq.Hosts {
-		a, err := netip.ParseAddr(h)
-		if err != nil {
-			return fmt.Errorf("proto: bad host %q", h)
-		}
-		q.Hosts = append(q.Hosts, a)
-	}
 	// The HTTP request context carries the client's disconnect, so an
 	// abandoned query cancels its fan-out.
 	res, tr, err := s.core.query(q.WithContext(r.Context()))
@@ -338,7 +359,8 @@ func (s *HTTPServer) Close() error {
 type HTTPClient struct {
 	// BaseURL is e.g. "http://host:port".
 	BaseURL string
-	// Client overrides the HTTP client (default: 10s timeout).
+	// Client overrides the HTTP client. Without one, a request whose
+	// context carries no deadline gets 10 seconds.
 	Client *http.Client
 
 	// Tenant/TenantKey identify this client to the server's admission
@@ -349,6 +371,52 @@ type HTTPClient struct {
 	Tenant    string
 	TenantKey string
 	Priority  string
+
+	tmpl atomic.Pointer[postTemplates]
+}
+
+// httpTimeout bounds an exchange nobody else bounds: a request through
+// the default client whose context has no deadline, and a peer's request
+// header on the server.
+const httpTimeout = 10 * time.Second
+
+// defaultHTTPClient serves every HTTPClient without one of its own. It
+// has no Timeout: post bounds the exchange through the context, and a
+// watch stream is long-lived.
+var defaultHTTPClient = &http.Client{}
+
+// postTemplates holds what every POST of one client repeats — the
+// parsed URL per verb and the header set — as requests to copy. They
+// and their header map are shared by every exchange and never written.
+type postTemplates struct {
+	from         templateFields
+	query, flows *http.Request
+}
+
+// templateFields are the client fields the templates are built from.
+type templateFields struct{ baseURL, tenant, key, priority string }
+
+// templates returns the client's request templates, building them on
+// first use and again if a field they derive from has changed since.
+func (c *HTTPClient) templates() (*postTemplates, error) {
+	from := templateFields{c.BaseURL, c.Tenant, c.TenantKey, c.Priority}
+	t := c.tmpl.Load()
+	if t != nil && t.from == from {
+		return t, nil
+	}
+	t = &postTemplates{from: from}
+	var err error
+	if t.query, err = http.NewRequest(http.MethodPost, c.BaseURL+"/query", nil); err != nil {
+		return nil, err
+	}
+	if t.flows, err = http.NewRequest(http.MethodPost, c.BaseURL+"/flows", nil); err != nil {
+		return nil, err
+	}
+	t.query.Header.Set("Content-Type", "application/xml")
+	setTenantHeaders(t.query, c.Tenant, c.TenantKey, c.Priority)
+	t.flows.Header = t.query.Header
+	c.tmpl.Store(t)
+	return t, nil
 }
 
 // Name implements collector.Interface.
@@ -356,29 +424,13 @@ func (c *HTTPClient) Name() string { return "remote-xml:" + c.BaseURL }
 
 // exchange sends one request through hc and returns its 200 response,
 // the body still unread (the caller closes it). Everything else comes
-// back as an error classified the same way as the ASCII client's: the
-// caller's own cancellation as is, a failure to reach the server by its
-// network class, and a non-200 answer decoded to the class and retry
-// hint the server attached.
-func (c *HTTPClient) exchange(ctx context.Context, hc *http.Client, method, path string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/xml")
-	}
-	setTenantHeaders(req, c.Tenant, c.TenantKey, c.Priority)
+// back as an error classified the same way as the ASCII client's (see
+// failed), a non-200 answer decoded to the class and retry hint the
+// server attached.
+func (c *HTTPClient) exchange(caller context.Context, hc *http.Client, req *http.Request) (*http.Response, error) {
 	resp, err := hc.Do(req)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, classifyClientErr(c.BaseURL, err)
+		return nil, c.failed(caller, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
@@ -388,39 +440,76 @@ func (c *HTTPClient) exchange(ctx context.Context, hc *http.Client, method, path
 	return resp, nil
 }
 
-// post runs one XML request/response exchange and returns the answer
-// document.
-func (c *HTTPClient) post(ctx context.Context, path string, req any) ([]byte, error) {
-	body, err := xml.Marshal(req)
-	if err != nil {
-		return nil, err
+// failed classifies the failure of an exchange made on behalf of
+// caller, the context the client was handed: the caller's own
+// cancellation or deadline comes back as is; a deadline the caller did
+// not set — the default one post adds — is the TIMEOUT class, as it was
+// when http.Client.Timeout enforced it; any other failure to reach the
+// server goes by its network class.
+func (c *HTTPClient) failed(caller context.Context, err error) error {
+	if cerr := caller.Err(); cerr != nil {
+		return cerr
 	}
-	hc := c.Client
-	if hc == nil {
-		hc = &http.Client{Timeout: 10 * time.Second}
+	if errors.Is(err, context.DeadlineExceeded) {
+		return rerr.Tagf(rerr.ErrTimeout, "proto: %s: %w", c.BaseURL, err)
 	}
-	resp, err := c.exchange(ctx, hc, http.MethodPost, path, body)
+	return classifyClientErr(c.BaseURL, err)
+}
+
+// post runs one XML request/response exchange from a template and hands
+// the answer document to decode, which must not retain it. body must
+// stay untouched after the call: the transport may read it later still.
+func (c *HTTPClient) post(ctx context.Context, tmpl *http.Request, body []byte, decode func([]byte) error) error {
+	caller, hc, header := ctx, c.Client, tmpl.Header
+	if hc != nil {
+		header = header.Clone() // a caller's client may write to it (a cookie jar does)
+	} else {
+		hc = defaultHTTPClient
+		if _, ok := ctx.Deadline(); !ok {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, httpTimeout)
+			defer cancel()
+		}
+	}
+	req := tmpl.WithContext(ctx)
+	req.Header = header
+	req.ContentLength = int64(len(body))
+	// The body types net/http knows to be in memory, so that header and
+	// body leave in one write, and replayable on a stale connection.
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	req.Body, _ = req.GetBody()
+	resp, err := c.exchange(caller, hc, req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, classifyClientErr(c.BaseURL, err)
+	buf := respPool.Get().(*bytes.Buffer)
+	defer respPool.Put(buf)
+	if err := readBody(buf, resp.Body, resp.ContentLength, 64<<20); err != nil {
+		return c.failed(caller, err)
 	}
-	return out, nil
+	return decode(buf.Bytes())
 }
 
 // Collect implements collector.Interface. The query's context rides the
 // HTTP request, so deadlines and cancellation propagate to the server.
 func (c *HTTPClient) Collect(q collector.Query) (*collector.Result, error) {
+	tmpl, err := c.templates()
+	if err != nil {
+		return nil, err
+	}
 	xq := xmlQuery{History: q.WithHistory, Predictions: q.WithPredictions}
 	for _, h := range q.Hosts {
 		xq.Hosts = append(xq.Hosts, h.String())
 	}
-	out, err := c.post(q.Context(), "/query", xq)
+	body, err := xml.Marshal(xq)
 	if err != nil {
 		return nil, err
 	}
-	return decodeResultXML(out)
+	var res *collector.Result
+	err = c.post(q.Context(), tmpl.query, body, func(out []byte) (err error) {
+		res, err = decodeResultXML(out)
+		return err
+	})
+	return res, err
 }

@@ -94,9 +94,16 @@ func TestObservabilitySmoke(t *testing.T) {
 		t.Logf("metrics:\n%s", metrics)
 	}
 
+	// The ASCII server hands a trace to the ring after it has written the
+	// reply, so the second one may land a moment after the client returns.
 	var recs []obs.TraceRecord
-	if err := json.Unmarshal([]byte(get("/debug/queries")), &recs); err != nil {
-		t.Fatalf("parsing /debug/queries: %v", err)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if err := json.Unmarshal([]byte(get("/debug/queries")), &recs); err != nil {
+			t.Fatalf("parsing /debug/queries: %v", err)
+		}
+		if len(recs) >= 2 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if len(recs) != 2 {
 		t.Fatalf("ring holds %d traces, want 2", len(recs))
