@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race race-hot verify fuzz-smoke obs-smoke watch-smoke bench-smoke bench bench-concurrency bench-snmp bench-json bench-serve bench-shed bench-scale bench-fed bench-baseline bench-check
+.PHONY: build test vet lint race race-hot verify fuzz-smoke obs-smoke watch-smoke bench-smoke bench-aa bench bench-concurrency bench-snmp
 
 build:
 	$(GO) build ./...
@@ -28,13 +28,16 @@ race:
 	$(GO) test -race ./...
 
 # The race detector focused on the concurrency-heavy packages the
-# lockorder/lockheld analyzers police — the fast inner loop while
-# working on locking code (full-tree `make race` stays the merge gate).
+# lockorder/lockheld analyzers police, plus the root package, whose
+# end-to-end tests drive those planes concurrently over the wire (load
+# shedding, mixed serving beside the watch plane) — the fast inner loop
+# while working on locking code (full-tree `make race` stays the merge
+# gate).
 race-hot:
 	$(GO) test -race ./internal/proto/ ./internal/collector/qcache/ \
 		./internal/watch/ ./internal/obs/ ./internal/admission/ \
 		./internal/snapshot/ ./internal/federation/ ./internal/directory/ \
-		./internal/topology/
+		./internal/topology/ .
 
 verify: vet lint build test race
 
@@ -67,6 +70,13 @@ watch-smoke:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# The performance gate: every bench/ workload twice from one binary.
+# Exits 1 when an answer fails the oracle, or when two runs of the same
+# code differ on an end-to-end metric by more than its BENCHMARK.json
+# bound — a machine on which the numbers cannot carry a claim.
+bench-aa:
+	cd bench && $(GO) run . -aa 2
+
 # Every benchmark in the tree, with allocation counts. A fixed iteration
 # count (not -benchtime 1x, whose single iteration is all warm-up noise)
 # keeps the sweep quick while producing usable numbers.
@@ -83,69 +93,7 @@ bench-concurrency:
 		-benchmem -cpu 1,4,8 ./
 
 # The SNMP data-plane exhibits: device-batched polling vs. per-interface
-# exchanges, and the BER codec with allocation counts. Results stream to
-# BENCH_snmp.json (go test -json events) for tooling.
+# exchanges, and the BER codec with allocation counts.
 bench-snmp:
-	$(GO) test -json -run xxx -bench 'PollBatchedVsSerial|BERCodec' -benchmem \
-		./internal/collector/snmpcoll/ ./internal/snmp/ | tee BENCH_snmp.json
-
-# Machine-readable evaluation-regeneration timings: one BENCH_<name>.json
-# record per experiment (a small -maxn keeps it quick; drop the flag to
-# time the paper-scale runs).
-bench-json:
-	$(GO) run ./cmd/remosbench -json -maxn 40 fig3
-
-# The end-to-end serving benchmark: a full two-site stack (deployment,
-# warm-query cache, watch plane, both wire protocols) under concurrent
-# mixed cold/warm/watch traffic.
-bench-serve:
-	$(GO) run ./cmd/remosbench -json serve
-
-# The large-topology scale benchmark: a ~10k-node two-tier fabric
-# applied to the snapshot store once, then hammered with flow queries
-# that must never fall back to a collector walk (the rig's collector
-# fails loudly on any miss).
-bench-scale:
-	$(GO) run ./cmd/remosbench -json scale
-
-# The load-shedding benchmark: well-behaved interactive tenants measured
-# with and without a fleet of misbehaving batch clients hammering far
-# over their token budget. Fails structurally if any misbehaving request
-# ends in anything but admission or a typed retry-hinted shed.
-bench-shed:
-	$(GO) run ./cmd/remosbench -json shed
-
-# The federation benchmark: a multi-domain collector mesh over real
-# sockets under mixed intra/cross-domain flow queries, with domain 0's
-# primary master killed mid-run. Fails structurally if any sampled
-# answer diverges from a single-master walk, any client error is
-# untyped, or the standby never takes over via lease expiry.
-bench-fed:
-	$(GO) run ./cmd/remosbench -json fed
-
-# Refresh the committed baselines deliberately — run on a quiet machine
-# and commit the new records together with the change that moved them.
-bench-baseline:
-	$(GO) run ./cmd/remosbench -json -maxn 40 fig3
-	$(GO) run ./cmd/remosbench -json serve
-	$(GO) run ./cmd/remosbench -json shed
-	$(GO) run ./cmd/remosbench -json scale
-	$(GO) run ./cmd/remosbench -json fed
-
-# The benchmark regression gate: regenerate both records into .benchfresh/
-# and compare against the committed baselines. BENCH_SLACK widens the
-# thresholds for noisy machines (CI uses 3); even at maximum slack a 2x
-# slowdown fails.
-BENCH_SLACK ?= 2
-bench-check:
-	@mkdir -p .benchfresh
-	$(GO) run ./cmd/remosbench -json -outdir .benchfresh -maxn 40 fig3
-	$(GO) run ./cmd/remosbench -json -outdir .benchfresh serve
-	$(GO) run ./cmd/remosbench -json -outdir .benchfresh shed
-	$(GO) run ./cmd/remosbench -json -outdir .benchfresh scale
-	$(GO) run ./cmd/remosbench -json -outdir .benchfresh fed
-	$(GO) run ./scripts/bench_compare.go -slack $(BENCH_SLACK) BENCH_fig3.json .benchfresh/BENCH_fig3.json
-	$(GO) run ./scripts/bench_compare.go -slack $(BENCH_SLACK) BENCH_serve.json .benchfresh/BENCH_serve.json
-	$(GO) run ./scripts/bench_compare.go -slack $(BENCH_SLACK) BENCH_shed.json .benchfresh/BENCH_shed.json
-	$(GO) run ./scripts/bench_compare.go -slack $(BENCH_SLACK) BENCH_scale.json .benchfresh/BENCH_scale.json
-	$(GO) run ./scripts/bench_compare.go -slack $(BENCH_SLACK) BENCH_fed.json .benchfresh/BENCH_fed.json
+	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec' -benchmem \
+		./internal/collector/snmpcoll/ ./internal/snmp/

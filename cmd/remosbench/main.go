@@ -1,11 +1,11 @@
 // Command remosbench regenerates every table and figure of the paper's
-// evaluation section, plus the end-to-end serving benchmark. Each
-// subcommand prints the same rows/series the paper reports; "all" runs
-// the full set.
+// evaluation section. Each subcommand prints the same rows/series the
+// paper reports; "all" runs the full set. Serving performance is not
+// measured here: that is BENCHMARK.json and bench/ (see bench/README.md).
 //
 // Usage:
 //
-//	remosbench [flags] {fig3|fig4|fig5|fig6|fig7|fig8|fig9|table1|fig10|fig11|serve|shed|scale|fed|all}
+//	remosbench [flags] {fig3|fig4|fig5|fig6|fig7|fig8|fig9|table1|fig10|fig11|all}
 //
 // Flags:
 //
@@ -13,81 +13,47 @@
 //	-trials N   mirrored-server trials (default 108 good / 72 poor)
 //	-runs N     video experiment runs (default 21)
 //	-seed N     experiment seed (default 1)
-//	-clients N  serve-bench concurrent clients (default 8)
-//	-queries N  serve-bench total queries (default 800)
-//	-scale-leaves N  scale-bench leaf pods (0 = default 100)
-//	-scale-hosts N   scale-bench hosts per leaf (0 = default 100;
-//	            CI shrinks both to keep the fabric small)
-//	-shed-bad N      shed-bench misbehaving clients (default 8)
-//	-shed-phase D    shed-bench measured phase duration (default 1s)
-//	-fed-domains N   fed-bench administrative domains (0 = default 3;
-//	            CI shrinks to 2 for a quick smoke)
-//	-fed-queries N   fed-bench total flow queries (0 = default 20000)
-//	-json       additionally write BENCH_<name>.json per experiment
-//	            (the internal/benchfmt record format the bench-check
-//	            gate compares)
-//	-outdir D   directory the JSON records land in (default ".";
-//	            bench-check writes fresh runs next to, not over, the
-//	            committed baselines)
-//	-timestamp  RFC 3339 timestamp stamped into the JSON records
-//	            (default: wall clock now; pin it for reproducible CI runs)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"strings"
 	"time"
 
-	"remos/internal/benchfmt"
 	"remos/internal/experiments"
-	"remos/internal/servebench"
 )
 
-// writeBenchJSON writes one experiment's wall-clock record in the
-// committed benchmark format.
-func writeBenchJSON(dir, name string, elapsed time.Duration, stamp string) error {
-	rec := benchfmt.Record{
-		Name:      name,
-		Timestamp: stamp,
-		Metrics: []benchfmt.Metric{{
-			Metric: "regen_wall_seconds",
-			Value:  elapsed.Seconds(),
-			Unit:   "s",
-			Kind:   benchfmt.KindWall,
-		}},
-	}
-	return benchfmt.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), rec)
-}
+// order lists the exhibits as the paper numbers them; "all" runs them
+// in this order.
+var order = []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table1", "fig10", "fig11"}
 
 func main() {
-	maxN := flag.Int("maxn", 1280, "largest Fig 3 query size")
-	trials := flag.Int("trials", 0, "mirrored-server trials (0 = paper defaults)")
-	runs := flag.Int("runs", 21, "video experiment runs")
-	seed := flag.Int64("seed", 1, "experiment seed")
-	clients := flag.Int("clients", 8, "serve-bench concurrent clients")
-	queries := flag.Int("queries", 800, "serve-bench total queries")
-	scaleLeaves := flag.Int("scale-leaves", 0, "scale-bench leaf pods (0 = default)")
-	scaleHosts := flag.Int("scale-hosts", 0, "scale-bench hosts per leaf (0 = default)")
-	shedBad := flag.Int("shed-bad", 0, "shed-bench misbehaving clients (0 = default 8)")
-	shedPhase := flag.Duration("shed-phase", 0, "shed-bench measured phase duration (0 = default 1s)")
-	fedDomains := flag.Int("fed-domains", 0, "fed-bench administrative domains (0 = default 3)")
-	fedQueries := flag.Int("fed-queries", 0, "fed-bench total flow queries (0 = default 20000)")
-	jsonOut := flag.Bool("json", false, "write BENCH_<name>.json per experiment")
-	outDir := flag.String("outdir", ".", "directory for the JSON records")
-	stampFlag := flag.String("timestamp", "", "RFC 3339 timestamp for the JSON records (default: now)")
-	flag.Parse()
-	stamp := *stampFlag
-	if stamp == "" {
-		stamp = time.Now().UTC().Format(time.RFC3339)
-	} else if _, err := time.Parse(time.RFC3339, stamp); err != nil {
-		fmt.Fprintf(os.Stderr, "remosbench: -timestamp %q is not RFC 3339: %v\n", stamp, err)
-		os.Exit(2)
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is main with its arguments and exit code made explicit.
+func run(args []string) int {
+	fs := flag.NewFlagSet("remosbench", flag.ContinueOnError)
+	maxN := fs.Int("maxn", 1280, "largest Fig 3 query size")
+	trials := fs.Int("trials", 0, "mirrored-server trials (0 = paper defaults)")
+	runs := fs.Int("runs", 21, "video experiment runs")
+	seed := fs.Int64("seed", 1, "experiment seed")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: remosbench [flags] {%s|all}\n", strings.Join(order, "|"))
+		fs.PrintDefaults()
 	}
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 
 	cmds := map[string]func() error{
@@ -179,116 +145,24 @@ func main() {
 			r.Print(os.Stdout)
 			return nil
 		},
-		"serve": func() error {
-			res, err := servebench.Run(servebench.Config{
-				Clients: *clients,
-				Queries: *queries,
-				Seed:    *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Serving benchmark: %d clients, %d queries (%d cold), %d watchers\n",
-				res.Clients, res.Queries, res.ColdQueries, res.Watchers)
-			fmt.Printf("  %10.0f queries/sec\n", res.QPS)
-			fmt.Printf("  %10v p50 latency\n", res.P50.Round(time.Microsecond))
-			fmt.Printf("  %10v p99 latency\n", res.P99.Round(time.Microsecond))
-			fmt.Printf("  %10.0f allocs/op  %.0f B/op (process-wide)\n", res.AllocsPerOp, res.BytesPerOp)
-			if *jsonOut {
-				return benchfmt.WriteFile(filepath.Join(*outDir, "BENCH_serve.json"), res.Record(stamp))
-			}
-			return nil
-		},
-		"shed": func() error {
-			res, err := servebench.RunShed(servebench.ShedConfig{
-				Bad:           *shedBad,
-				PhaseDuration: *shedPhase,
-				Seed:          *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Load-shedding benchmark: %d good clients vs %d misbehaving clients\n",
-				res.Good, res.Bad)
-			fmt.Printf("  %10v good p50   %10v good p99   (uncontended baseline)\n",
-				res.BaselineP50.Round(time.Microsecond), res.BaselineP99.Round(time.Microsecond))
-			fmt.Printf("  %10v good p50   %10v good p99   (under misbehaving load)\n",
-				res.ContendedP50.Round(time.Microsecond), res.ContendedP99.Round(time.Microsecond))
-			fmt.Printf("  %10.3f p99 ratio (contended/baseline)\n", res.P99Ratio)
-			fmt.Printf("  %10.0f good queries/sec contended (%d queries)\n", res.GoodQPS, res.GoodQueries)
-			fmt.Printf("  %10d misbehaving attempts: %d admitted, %d shed typed (%d retry-hinted), 0 dropped\n",
-				res.BadAttempts, res.BadAdmitted, res.BadShed, res.RetryHinted)
-			if *jsonOut {
-				return benchfmt.WriteFile(filepath.Join(*outDir, "BENCH_shed.json"), res.Record(stamp))
-			}
-			return nil
-		},
-		"scale": func() error {
-			res, err := servebench.RunScale(servebench.ScaleConfig{
-				Leaves:       *scaleLeaves,
-				HostsPerLeaf: *scaleHosts,
-				Seed:         *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("Scale benchmark: %d nodes, %d links, %d clients, %d snapshot-backed flow queries\n",
-				res.Nodes, res.Links, res.Clients, res.Queries)
-			fmt.Printf("  %10.0f queries/sec\n", res.QPS)
-			fmt.Printf("  %10v p50 latency\n", res.P50.Round(time.Microsecond))
-			fmt.Printf("  %10v p99 latency\n", res.P99.Round(time.Microsecond))
-			fmt.Printf("  %10v build (one-time)  %v cold full-graph FlowAlloc\n",
-				res.Build.Round(time.Millisecond), res.ColdAlloc.Round(time.Microsecond))
-			if *jsonOut {
-				return benchfmt.WriteFile(filepath.Join(*outDir, "BENCH_scale.json"), res.Record(stamp))
-			}
-			return nil
-		},
-		"fed": func() error {
-			res, err := servebench.RunFed(servebench.FedConfig{
-				Domains: *fedDomains,
-				Queries: *fedQueries,
-				Seed:    *seed,
-			})
-			if err != nil {
-				return err
-			}
-			res.Print()
-			if *jsonOut {
-				return benchfmt.WriteFile(filepath.Join(*outDir, "BENCH_fed.json"), res.Record(stamp))
-			}
-			return nil
-		},
 	}
 
-	order := []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table1", "fig10", "fig11", "serve", "shed", "scale", "fed"}
-	run := func(name string) {
+	names := []string{fs.Arg(0)}
+	if fs.Arg(0) == "all" {
+		names = order
+	}
+	for _, name := range names {
 		fn, ok := cmds[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "remosbench: unknown experiment %q\n", name)
-			os.Exit(2)
+			fmt.Fprintf(os.Stderr, "remosbench: unknown experiment %q (want %s or all)\n", name, strings.Join(order, ", "))
+			return 2
 		}
 		start := time.Now()
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "remosbench: %s: %v\n", name, err)
-			os.Exit(1)
+			return 1
 		}
-		elapsed := time.Since(start)
-		fmt.Printf("[%s regenerated in %v]\n\n", name, elapsed.Round(time.Millisecond))
-		// serve, shed, scale and fed write their own richer records above.
-		if *jsonOut && name != "serve" && name != "shed" && name != "scale" && name != "fed" {
-			if err := writeBenchJSON(*outDir, name, elapsed, stamp); err != nil {
-				fmt.Fprintf(os.Stderr, "remosbench: %s: %v\n", name, err)
-				os.Exit(1)
-			}
-		}
+		fmt.Printf("[%s regenerated in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-
-	if flag.Arg(0) == "all" {
-		for _, name := range order {
-			run(name)
-		}
-		return
-	}
-	run(flag.Arg(0))
+	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,13 +37,26 @@ type mesh struct {
 	reg     *obs.Registry
 }
 
-func buildMesh(t *testing.T, n *netsim.Network, s *sim.Sim, k int) *mesh {
+// newMesh partitions the fabric into k domains and puts a router over an
+// empty directory; the caller starts the masters.
+func newMesh(t *testing.T, n *netsim.Network, s *sim.Sim, k int) *mesh {
 	t.Helper()
 	p, err := netsim.PartitionDomains(n, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := &mesh{s: s, n: n, p: p, dir: directory.New(s), reg: obs.New()}
+	m.router, err = NewRouter(RouterConfig{Directory: m.dir, Obs: m.reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func buildMesh(t *testing.T, n *netsim.Network, s *sim.Sim, k int) *mesh {
+	t.Helper()
+	m := newMesh(t, n, s, k)
+	p := m.p
 	for i := 0; i < k; i++ {
 		i := i
 		ds, err := StartDomain(DomainConfig{
@@ -63,10 +77,6 @@ func buildMesh(t *testing.T, n *netsim.Network, s *sim.Sim, k int) *mesh {
 		m.masters = append(m.masters, ds)
 		m.hosts = append(m.hosts, p.DomainHosts(i)...)
 	}
-	m.router, err = NewRouter(RouterConfig{Directory: m.dir, Obs: m.reg})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return m
 }
 
@@ -79,18 +89,7 @@ func checkFlowsMatchGroundTruth(t *testing.T, m *mesh, flows []modeler.Flow) {
 	if err != nil {
 		t.Fatalf("federated flows: %v", err)
 	}
-	truth, err := netsim.TopologyGraph(m.n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := make([]topology.FlowRequest, len(flows))
-	for i, f := range flows {
-		reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
-	}
-	want, err := truth.FlowAlloc(reqs)
-	if err != nil {
-		t.Fatalf("ground-truth walk: %v", err)
-	}
+	want := groundTruth(t, m.n, flows)
 	for i := range flows {
 		if got[i].Available != want[i].Available ||
 			got[i].Latency != want[i].Latency ||
@@ -102,6 +101,25 @@ func checkFlowsMatchGroundTruth(t *testing.T, m *mesh, flows []modeler.Flow) {
 				want[i].Available, want[i].Latency, want[i].Jitter, want[i].Path)
 		}
 	}
+}
+
+// groundTruth is a single master's walk of the whole unpartitioned
+// topology for the flows.
+func groundTruth(t *testing.T, n *netsim.Network, flows []modeler.Flow) []topology.FlowPrediction {
+	t.Helper()
+	truth, err := netsim.TopologyGraph(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]topology.FlowRequest, len(flows))
+	for i, f := range flows {
+		reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
+	}
+	want, err := truth.FlowAlloc(reqs)
+	if err != nil {
+		t.Fatalf("ground-truth walk: %v", err)
+	}
+	return want
 }
 
 func TestStitchedFlowsMatchSingleMasterTwoTier(t *testing.T) {
@@ -310,6 +328,154 @@ func TestFailoverToSecondaryOnLeaseExpiry(t *testing.T) {
 	}
 	if dom0 == nil || dom0.CachedFrom != "dom0-b" {
 		t.Fatalf("domain 0 not served by the secondary after lease expiry: %+v", dom0)
+	}
+}
+
+// startWireMaster starts a domain master reachable only over sockets — a
+// private directory it heartbeats into, a replicator pushing that lease
+// to the router's directory server at peer, a wire server in front of
+// its collector — and returns its crash: heartbeat, replication and wire
+// server stop at once, and the lease is left to lapse.
+func startWireMaster(t *testing.T, m *mesh, peer string, domain, priority int) (crash func()) {
+	t.Helper()
+	gate := &gatedCollector{}
+	srv := &proto.TCPServer{Collector: gate}
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	mdir := directory.New(m.s)
+	ds, err := StartDomain(DomainConfig{
+		Name:      fmt.Sprintf("dom%d-%c", domain, 'a'+priority),
+		Domain:    fmt.Sprintf("dom%d", domain),
+		Priority:  priority,
+		Endpoint:  "tcp://" + addr,
+		Graph:     func() (*topology.Graph, error) { return m.p.ServingGraph(domain) },
+		Hosts:     m.p.DomainHosts(domain),
+		Prefixes:  m.p.HostPrefixes(domain),
+		Directory: mdir,
+		Sched:     m.s,
+		Refresh:   time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ds.Close)
+	gate.inner = ds.Collector()
+	rep := directory.StartReplicator(directory.ReplicatorConfig{
+		Service: mdir, Peers: []string{peer}, Sched: m.s, Interval: time.Second,
+	})
+	t.Cleanup(rep.Close)
+	rep.Push()
+	return func() {
+		ds.Kill()
+		rep.Close()
+		gate.dead.Store(true)
+		srv.Close()
+	}
+}
+
+// TestKillFailoverOverSockets is TestFailoverToSecondaryOnLeaseExpiry
+// with what the in-process half leaves out: masters behind wire servers
+// with replicated leases, the router behind its own server with the
+// default fan-out, and concurrent clients querying throughout — while
+// epochs move, while the primary dies without deregistering, and while
+// its lease lapses. Every answer equals the single-master walk, every
+// error is typed, and domain 0 ends up served by the standby.
+func TestKillFailoverOverSockets(t *testing.T) {
+	s := sim.NewSim()
+	n := netsim.New(s)
+	tt := netsim.BuildTwoTier(n, netsim.TwoTierSpec{Spines: 2, Leaves: 4, HostsPerLeaf: 2})
+	m := newMesh(t, n, s, 2)
+	dirSrv := &directory.Server{Service: m.dir}
+	peer, err := dirSrv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dirSrv.Close()
+	crashPrimary := startWireMaster(t, m, peer, 0, 0)
+	startWireMaster(t, m, peer, 1, 0)
+	startWireMaster(t, m, peer, 0, 1)
+	routerSrv := &proto.TCPServer{Collector: m.router, Flows: m.router}
+	routerAddr, err := routerSrv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer routerSrv.Close()
+
+	// Every ordered host pair, intra- and cross-domain, each asked alone;
+	// the fabric is idle, so one walk per pair is the truth for the run.
+	var flows []modeler.Flow
+	var want [][]modeler.FlowInfo
+	for _, a := range tt.Hosts {
+		for _, b := range tt.Hosts {
+			if a != b {
+				f := []modeler.Flow{{Src: a.Addr(), Dst: b.Addr()}}
+				flows = append(flows, f[0])
+				want = append(want, modeler.FlowInfos(f, groundTruth(t, n, f)))
+			}
+		}
+	}
+
+	// hammer keeps four wire clients querying the router for as long as
+	// during runs, and for at least a lap of the mix each.
+	hammer := func(during func()) {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				cl := &proto.TCPClient{Addr: routerAddr}
+				defer cl.Close()
+				for i := 0; ; i++ {
+					if i >= len(flows) {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+					k := (c*len(flows)/4 + i) % len(flows)
+					got, err := cl.Flows(context.Background(), flows[k:k+1])
+					if err != nil && rerr.Code(err) == "" {
+						t.Errorf("client %d query %d: untyped error: %v", c, i, err)
+						return
+					}
+					if err == nil && !reflect.DeepEqual(got, want[k]) {
+						t.Errorf("client %d query %d diverges from single-master walk:\ngot  %+v\nwant %+v", c, i, got, want[k])
+						return
+					}
+				}
+			}(c)
+		}
+		during()
+		close(stop)
+		wg.Wait()
+	}
+
+	// Heartbeats move every epoch: re-fetch and re-stitch under load.
+	hammer(func() { s.RunFor(2 * time.Second) })
+	hammer(func() {
+		crashPrimary()
+		// The dead lease still stands, so a host-scoped query walks
+		// domain 0's adverts in priority order: the primary refuses, the
+		// standby answers.
+		cl := &proto.TCPClient{Addr: routerAddr}
+		defer cl.Close()
+		if _, err := cl.Collect(collector.Query{Hosts: m.p.DomainHosts(0)[:1]}); err != nil {
+			t.Errorf("host query with the primary down: %v", err)
+		}
+	})
+	if m.router.mFailovers.Value() == 0 {
+		t.Fatal("primary kill produced no failover")
+	}
+	// The lease (3×Refresh) lapses; the standby becomes the best advert.
+	hammer(func() { s.RunFor(4 * time.Second) })
+	hammer(func() {})
+	if dom := m.router.Snapshot().Domains[0]; dom.Domain != "dom0" || dom.CachedFrom != "dom0-b" || dom.Stale || len(dom.Adverts) != 1 {
+		t.Fatalf("domain 0 not settled on the standby after lease expiry: %+v", dom)
 	}
 }
 

@@ -46,6 +46,12 @@ type domainState struct {
 	Stale bool
 }
 
+// current reports whether the entry is the answer the domain's best
+// advert names: fetched from it, at the epoch it advertises.
+func (st domainState) current(best directory.Advert) bool {
+	return !st.Stale && st.From == best.Name && st.Epoch == best.Epoch
+}
+
 // Router answers queries that may span administrative domains. It is a
 // collector (Collect fans sub-queries to the owning masters and merges)
 // and a flow answerer (GetFlowsContext stitches every domain's serving
@@ -169,7 +175,7 @@ func (r *Router) fetchDomain(ctx context.Context, domain string, adverts []direc
 	r.mu.Lock()
 	cur, ok := r.domains[domain]
 	r.mu.Unlock()
-	if ok && !cur.Stale && cur.From == best.Name && cur.Epoch == best.Epoch {
+	if ok && cur.current(best) {
 		r.mCacheHits.Inc()
 		return nil
 	}
@@ -234,11 +240,28 @@ func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error)
 		return nil, rerr.Tagf(rerr.ErrCollectorUnavailable,
 			"federation: no domains advertised in the directory")
 	}
-	err := conc.ForEachCtx(ctx, len(names), r.cfg.Parallelism, func(i int) error {
-		return r.fetchDomain(ctx, names[i], byDomain[names[i]])
-	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	// Between epoch moves every domain's entry is current: settle that
+	// under one lock hold and start fetch workers only for the rest.
+	var behind []string
+	r.mu.Lock()
+	for _, name := range names {
+		if cur, ok := r.domains[name]; ok && cur.current(byDomain[name][0]) {
+			r.mCacheHits.Inc()
+		} else {
+			behind = append(behind, name)
+		}
+	}
+	r.mu.Unlock()
+	if len(behind) > 0 {
+		err := conc.ForEachCtx(ctx, len(behind), r.cfg.Parallelism, func(i int) error {
+			return r.fetchDomain(ctx, behind[i], byDomain[behind[i]])
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	r.mu.Lock()

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"remos/internal/admission"
 	"remos/internal/collector"
 	"remos/internal/proto"
+	"remos/internal/rerr"
 	"remos/internal/sim"
 	"remos/internal/topology"
 	"remos/internal/watch"
@@ -74,13 +78,13 @@ func newTenantStack(t *testing.T, cfg admission.Config) *tenantStack {
 	return ts
 }
 
-func (ts *tenantStack) watches(tenant string) int {
+func (ts *tenantStack) status(tenant string) admission.TenantStatus {
 	for _, st := range ts.ctrl.Snapshot() {
 		if st.Tenant == tenant {
-			return st.Watches
+			return st
 		}
 	}
-	return 0
+	return admission.TenantStatus{}
 }
 
 // TestTenantDialEndToEnd drives the tenant options through the public
@@ -169,7 +173,7 @@ func TestConnectionCloseReleasesWatchQuota(t *testing.T) {
 			if err != nil {
 				t.Fatalf("first watch: %v", err)
 			}
-			waitCond(t, func() bool { return ts.watches("app") == 1 })
+			waitCond(t, func() bool { return ts.status("app").Watches == 1 })
 
 			other := dial()
 			if _, err := other.Watch(context.Background(),
@@ -193,7 +197,7 @@ func TestConnectionCloseReleasesWatchQuota(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("watch channel never closed after Connection.Close")
 			}
-			waitCond(t, func() bool { return ts.watches("app") == 0 })
+			waitCond(t, func() bool { return ts.status("app").Watches == 0 })
 
 			if _, err := other.Watch(context.Background(),
 				remos.WatchQuery{Src: src, Dst: dst}, remos.WatchBelow(5e6)); err != nil {
@@ -202,7 +206,7 @@ func TestConnectionCloseReleasesWatchQuota(t *testing.T) {
 			if err := other.Close(); err != nil {
 				t.Fatalf("close second conn: %v", err)
 			}
-			waitCond(t, func() bool { return ts.watches("app") == 0 })
+			waitCond(t, func() bool { return ts.status("app").Watches == 0 })
 
 			// A closed connection refuses new watches instead of leaking
 			// an untracked subscription.
@@ -211,6 +215,87 @@ func TestConnectionCloseReleasesWatchQuota(t *testing.T) {
 				t.Fatal("watch on closed connection succeeded")
 			}
 		})
+	}
+}
+
+// TestMisbehavingFleetIsShedNotDropped is the load-shedding proof: a
+// batch-tier fleet sharing one token bucket hammers a TCPServer, ignoring
+// every hint, beside unthrottled interactive tenants. On the frozen clock
+// the bucket never refills, so the accounting is exact: the fleet is
+// admitted exactly its burst, every other attempt is a typed
+// ErrOverloaded carrying the server's retry-after hint, the server counts
+// one shed per shed a client saw (a dropped connection would be redialled
+// and counted twice), and every interactive query completes.
+func TestMisbehavingFleetIsShedNotDropped(t *testing.T) {
+	const burst, badClients, goodClients, goodQueries = 16, 6, 3, 200
+	ts := newTenantStack(t, admission.Config{
+		Tenants: map[string]admission.TenantConfig{
+			"good":    {Limits: admission.Limits{Tier: admission.Interactive}},
+			"crawler": {Limits: admission.Limits{Rate: 1, Burst: burst, Tier: admission.Batch}},
+		},
+	})
+	addr := strings.TrimPrefix(ts.tcp, "tcp://")
+	q := collector.Query{Hosts: []netip.Addr{netip.MustParseAddr("10.0.1.1"), netip.MustParseAddr("10.0.2.2")}}
+
+	var admitted, shed atomic.Int64
+	goodDone := make(chan struct{})
+	var goodWG, badWG sync.WaitGroup
+	for b := 0; b < badClients; b++ {
+		badWG.Add(1)
+		go func() {
+			defer badWG.Done()
+			cl := &proto.TCPClient{Addr: addr, Tenant: "crawler", Priority: "batch"}
+			defer cl.Close()
+			// Stop only once the good tenants are done and this client
+			// alone has overrun the shared burst.
+			for n := 0; ; n++ {
+				if n > burst {
+					select {
+					case <-goodDone:
+						return
+					default:
+					}
+				}
+				_, err := cl.Collect(q)
+				switch {
+				case err == nil:
+					admitted.Add(1)
+				case errors.Is(err, rerr.ErrOverloaded):
+					shed.Add(1)
+					// A drained Rate-1 bucket owes its next token in 1s.
+					if d, ok := rerr.RetryAfter(err); !ok || d != time.Second {
+						t.Errorf("shed carried retry-after %v, %t; want 1s", d, ok)
+					}
+				default:
+					t.Errorf("misbehaving attempt ended neither admitted nor shed: %v", err)
+				}
+			}
+		}()
+	}
+	for g := 0; g < goodClients; g++ {
+		goodWG.Add(1)
+		go func(g int) {
+			defer goodWG.Done()
+			cl := &proto.TCPClient{Addr: addr, Tenant: "good", Priority: "interactive"}
+			defer cl.Close()
+			for i := 0; i < goodQueries; i++ {
+				if _, err := cl.Collect(q); err != nil {
+					t.Errorf("good client %d query %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	goodWG.Wait()
+	close(goodDone)
+	badWG.Wait()
+
+	if st := ts.status("crawler"); admitted.Load() != burst || st.Admitted != burst || shed.Load() == 0 || st.Shed != shed.Load() {
+		t.Fatalf("fleet saw %d admitted (want its burst, %d) and %d shed; the server counted %d and %d",
+			admitted.Load(), burst, shed.Load(), st.Admitted, st.Shed)
+	}
+	if st := ts.status("good"); st.Admitted != goodClients*goodQueries || st.Shed != 0 {
+		t.Fatalf("good tenants: %d admitted, %d shed; want %d, 0", st.Admitted, st.Shed, goodClients*goodQueries)
 	}
 }
 

@@ -3,10 +3,13 @@ package remos_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/netip"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,16 +17,19 @@ import (
 	"remos/internal/collector"
 	"remos/internal/collector/qcache"
 	"remos/internal/core"
+	"remos/internal/modeler"
 	"remos/internal/netsim"
 	"remos/internal/proto"
 	"remos/internal/rerr"
 	"remos/internal/sched"
+	"remos/internal/snapshot"
 	"remos/internal/watch"
 )
 
 // watchStack wires the full continuous-collection plane the way remosd
 // does: deployment -> qcache -> background scheduler -> watch registry,
-// served over both wire protocols.
+// served over both wire protocols, with a snapshot-backed Modeler
+// answering FLOWS.
 type watchStack struct {
 	dep   *core.Deployment
 	d     map[string]*netsim.Device
@@ -68,13 +74,19 @@ func newWatchStack(t *testing.T) *watchStack {
 	t.Cleanup(plane.Stop)
 	t.Cleanup(func() { ws.watch.Close(nil) })
 
-	tsrv := &proto.TCPServer{Collector: cache, Watch: ws.watch, Obs: reg}
+	// The server-side Modeler behind the FLOWS verb, snapshot-backed as
+	// in remosd.
+	flows := modeler.New(modeler.Config{
+		Collector: cache, MaxStale: time.Minute, Obs: reg,
+		Snapshot: snapshot.New(snapshot.Config{Now: dep.Sim.Now, Obs: reg}),
+	})
+	tsrv := &proto.TCPServer{Collector: cache, Watch: ws.watch, Flows: flows, Obs: reg}
 	tcpAddr, err := tsrv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tsrv.Close() })
-	hsrv := &proto.HTTPServer{Collector: cache, Watch: ws.watch, Obs: reg}
+	hsrv := &proto.HTTPServer{Collector: cache, Watch: ws.watch, Flows: flows, Obs: reg}
 	httpAddr, err := hsrv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -248,6 +260,122 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMixedConcurrentServing drives every serving path of one stack at
+// once — warm FLOWS, cold QUERYs that invalidate their cache slot first,
+// and both verbs over XML/HTTP — while the scheduler polls and watchers
+// on both transports are pushed a baseline and then a threshold
+// crossing. Every query completes with a usable answer and every watcher
+// is pushed both updates with no gap in sequence; under -race this is
+// the cross-plane locking proof.
+func TestMixedConcurrentServing(t *testing.T) {
+	ws := newWatchStack(t)
+	src, dst, peer := ws.d["app"].Addr(), ws.d["srv"].Addr(), ws.d["peer"].Addr()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	mix := [][]netip.Addr{{src, dst}, {dst, src}, {peer, dst}, {src, peer}}
+	warm := func(flows func(context.Context, []modeler.Flow) ([]modeler.FlowInfo, error), i int) error {
+		p := mix[i%len(mix)]
+		infos, err := flows(ctx, []modeler.Flow{{Src: p[0], Dst: p[1]}})
+		if err == nil && (len(infos) != 1 || infos[0].Available <= 0 || len(infos[0].Path) < 2) {
+			err = fmt.Errorf("unusable flow answer %+v", infos)
+		}
+		return err
+	}
+	cold := func(c collector.Interface, i int) error {
+		q := collector.Query{Hosts: mix[i%len(mix)]}
+		ws.cache.Invalidate(qcache.Key(q))
+		res, err := c.Collect(q)
+		if err == nil && (res.Graph.NodeByAddr(q.Hosts[0].String()) == nil || res.Graph.NodeByAddr(q.Hosts[1].String()) == nil) {
+			err = fmt.Errorf("cold answer lacks an endpoint of %v", q.Hosts)
+		}
+		return err
+	}
+	ascii1, ascii2, xml := &proto.TCPClient{Addr: ws.tcp}, &proto.TCPClient{Addr: ws.tcp}, &proto.HTTPClient{BaseURL: ws.http}
+	clients := []func(i int) error{
+		func(i int) error { return warm((&proto.TCPClient{Addr: ws.tcp}).Flows, i) }, // a connection per query
+		func(i int) error { return warm(ascii1.Flows, i) },
+		func(i int) error { return cold(ascii2, i) },
+		func(i int) error {
+			if i%2 == 0 {
+				return warm(xml.Flows, i)
+			}
+			return cold(xml, i)
+		},
+	}
+	stop := make(chan struct{})
+	var clientWG sync.WaitGroup
+	stopClients := sync.OnceFunc(func() {
+		close(stop)
+		clientWG.Wait()
+	})
+	defer stopClients()
+	for c, query := range clients {
+		clientWG.Add(1)
+		go func(c int, query func(int) error) {
+			defer clientWG.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := query(i); err != nil {
+					t.Errorf("client %d query %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c, query)
+	}
+
+	const watchers = 6
+	var inits, belows atomic.Int64
+	var watchWG sync.WaitGroup
+	for w := 0; w < watchers; w++ {
+		target := "tcp://" + ws.tcp
+		if w%3 == 2 {
+			target = ws.http
+		}
+		conn, err := remos.Connect(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := conn.Watch(ctx, remos.WatchQuery{Src: src, Dst: dst}, remos.WatchBelow(5e6))
+		if err != nil {
+			t.Fatalf("watcher %d: %v", w, err)
+		}
+		watchWG.Add(1)
+		go func(w int) {
+			defer watchWG.Done()
+			next := int64(1)
+			for u := range ch {
+				if u.Err != nil {
+					continue // the terminal update announcing our own cancel
+				}
+				if u.Seq != next || (u.Seq == 1) != (u.Reason == "init") {
+					t.Errorf("watcher %d: update %d (%s) arrived where %d was due: a push was dropped", w, u.Seq, u.Reason, next)
+				}
+				next = u.Seq + 1
+				switch u.Reason {
+				case "init":
+					inits.Add(1)
+				case "below":
+					belows.Add(1)
+				}
+			}
+		}(w)
+	}
+	pump(t, ws.dep, func() bool { return inits.Load() == watchers })
+	// A scripted 6e6 flow congests the 8e6 WAN hop under the threshold.
+	if _, err := ws.dep.Net.StartFlow(ws.d["peer"], ws.d["srv"], netsim.FlowSpec{Demand: 6e6}); err != nil {
+		t.Fatal(err)
+	}
+	pump(t, ws.dep, func() bool { return belows.Load() >= watchers })
+	stopClients()
+	cancel()
+	watchWG.Wait()
 }
 
 // TestWatchPlaneServerShutdownTypedReason checks the daemon-shutdown
