@@ -16,11 +16,10 @@ vet:
 
 # remoslint: the Remos invariant analyzers — clock injection (wallclock),
 # seeded determinism (globalrand), error taxonomy (errwrap), metric
-# naming (metricname), goroutine hygiene (goctx), and the concurrency
-# discipline (lockorder, lockheld, pubimmutable). Exit 1 on findings OR
-# when total analysis time exceeds lint.TimeBudget, so the suite can
-# never quietly grow too slow for CI; `go run ./cmd/remoslint -json`
-# emits machine-readable diagnostics with per-check wall time.
+# naming (metricname), goroutine hygiene (goctx), pooled-buffer balance
+# (poolreturn), and the lock discipline (lockorder, lockheld). Exit 1 on
+# findings; `go run ./cmd/remoslint -allows` lists the live allow
+# directives.
 lint:
 	$(GO) run ./cmd/remoslint ./...
 
@@ -28,16 +27,20 @@ race:
 	$(GO) test -race ./...
 
 # The race detector focused on the concurrency-heavy packages the
-# lockorder/lockheld analyzers police, plus the root package, whose
-# end-to-end tests drive those planes concurrently over the wire (load
-# shedding, mixed serving beside the watch plane) — the fast inner loop
-# while working on locking code (full-tree `make race` stays the merge
-# gate).
+# lockorder/lockheld analyzers police, plus conc and benchcoll (the
+# listener and the one user of it outside that set) and the root
+# package, whose end-to-end tests drive those planes concurrently over
+# the wire (load shedding, mixed serving beside the watch plane) — the
+# fast inner loop while working on locking code (full-tree `make race`
+# stays the merge gate). The publish-through-atomic.Pointer sites have
+# no analyzer: the reader-beside-writer tests in these packages are
+# their guard.
 race-hot:
 	$(GO) test -race ./internal/proto/ ./internal/collector/qcache/ \
 		./internal/watch/ ./internal/obs/ ./internal/admission/ \
 		./internal/snapshot/ ./internal/federation/ ./internal/directory/ \
-		./internal/topology/ .
+		./internal/topology/ ./internal/conc/ \
+		./internal/collector/benchcoll/ .
 
 verify: vet lint build test race
 

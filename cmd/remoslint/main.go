@@ -5,14 +5,10 @@
 //
 // Usage:
 //
-//	remoslint [-json] [-budget d] [-allows] [./...]
+//	remoslint [-allows] [./...]
 //
-// -json emits the full report: findings plus per-check wall time and
-// the budget verdict. -budget bounds total analysis time (default
-// lint.TimeBudget); exceeding it is a failure even with zero findings,
-// so the lint suite can never quietly grow too slow for CI. -allows
-// audits every live //remoslint:allow directive (file, line, check,
-// reason) and exits 0 — directive creep is reviewed, not gated.
+// -allows audits every live //remoslint:allow directive (file, line,
+// check, reason) and exits 0 — directive creep is reviewed, not gated.
 //
 // The package pattern is accepted for familiarity but the linter always
 // audits the whole module: the invariants (duplicate metric names, one
@@ -23,17 +19,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"remos/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON (findings + per-check timing)")
-	budget := flag.Duration("budget", lint.TimeBudget, "fail when total analysis time exceeds this")
 	allows := flag.Bool("allows", false, "list every live //remoslint:allow directive and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: remoslint [-json] [-budget d] [-allows] [./...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: remoslint [-allows] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -57,61 +50,27 @@ func main() {
 		fatal(err)
 	}
 
+	// The audit rides the diagnostic shape — file:line: [check] reason —
+	// so both listings relativize and print the same way.
+	var rows []lint.Diagnostic
 	if *allows {
-		listAllows(pkgs, cwd, *jsonOut)
-		return
-	}
-
-	start := time.Now()
-	diags, times := lint.RunTimed(pkgs, lint.DefaultPolicy())
-	total := time.Since(start)
-	lint.Relativize(diags, cwd)
-	if *jsonOut {
-		err = lint.WriteReport(os.Stdout, lint.NewReport(diags, times, total, *budget))
+		for _, a := range lint.Allows(pkgs) {
+			rows = append(rows, lint.Diagnostic{File: a.File, Line: a.Line, Check: a.Check, Message: a.Reason})
+		}
 	} else {
-		err = lint.WriteText(os.Stdout, diags)
+		rows = lint.Run(pkgs, lint.DefaultPolicy())
 	}
-	if err != nil {
+	lint.Relativize(rows, cwd)
+	if err := lint.WriteText(os.Stdout, rows); err != nil {
 		fatal(err)
 	}
-	failed := false
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "remoslint: %d finding(s)\n", len(diags))
-		failed = true
-	}
-	if total > *budget {
-		fmt.Fprintf(os.Stderr, "remoslint: analysis took %s, over the %s budget\n",
-			total.Round(time.Millisecond), *budget)
-		failed = true
-	}
-	if failed {
+	switch {
+	case *allows:
+		fmt.Fprintf(os.Stderr, "remoslint: %d live allow directive(s)\n", len(rows))
+	case len(rows) > 0:
+		fmt.Fprintf(os.Stderr, "remoslint: %d finding(s)\n", len(rows))
 		os.Exit(1)
 	}
-}
-
-// listAllows prints the //remoslint:allow audit: one row per live
-// directive. Paths are relativized like findings.
-func listAllows(pkgs []*lint.Package, cwd string, jsonOut bool) {
-	rows := lint.Allows(pkgs)
-	// Reuse the Diagnostic relativization by round-tripping the paths.
-	diags := make([]lint.Diagnostic, len(rows))
-	for i, a := range rows {
-		diags[i] = lint.Diagnostic{File: a.File}
-	}
-	lint.Relativize(diags, cwd)
-	for i := range rows {
-		rows[i].File = diags[i].File
-	}
-	if jsonOut {
-		if err := lint.WriteAllows(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	for _, a := range rows {
-		fmt.Printf("%s:%d: [%s] %s\n", a.File, a.Line, a.Check, a.Reason)
-	}
-	fmt.Fprintf(os.Stderr, "remoslint: %d live allow directive(s)\n", len(rows))
 }
 
 func fatal(err error) {

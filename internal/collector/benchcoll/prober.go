@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"remos/internal/conc"
 	"remos/internal/netsim"
 	"remos/internal/sim"
 )
@@ -64,56 +65,30 @@ func (p *NetsimProber) Jitter(src, dst netip.Addr) (time.Duration, error) {
 // connections and discards whatever arrives, like the sink side of
 // Netperf's TCP_STREAM test. Each site's Benchmark Collector runs one.
 type Sink struct {
-	ln   net.Listener
-	wg   sync.WaitGroup
-	once sync.Once
+	ln *conc.Listener
 }
 
 // ListenAndServe binds the address ("host:port", port 0 for ephemeral)
 // and serves until Close. It returns the bound address.
 func (s *Sink) ListenAndServe(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := conc.Listen(addr, func(conn net.Conn) {
+		buf := make([]byte, 64*1024)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	})
 	if err != nil {
 		return "", err
 	}
 	s.ln = ln
-	s.wg.Add(1)
-	//remoslint:allow goctx accept loop ends when Close closes the listener; Close waits on the group
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			//remoslint:allow goctx discard loop ends when the peer or Close tears the connection down
-			go func() {
-				defer s.wg.Done()
-				defer conn.Close()
-				buf := make([]byte, 64*1024)
-				for {
-					if _, err := conn.Read(buf); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
+	return ln.Addr(), nil
 }
 
-// Close stops the sink.
-func (s *Sink) Close() error {
-	var err error
-	s.once.Do(func() {
-		if s.ln != nil {
-			err = s.ln.Close()
-		}
-	})
-	s.wg.Wait()
-	return err
-}
+// Close stops the sink: the listener and every accepted connection are
+// closed, and Close returns once their discard loops have exited.
+func (s *Sink) Close() error { return s.ln.Close() }
 
 // TCPProber measures over real sockets: Start connects to the peer's Sink
 // and writes as fast as permitted until stopped, reporting achieved

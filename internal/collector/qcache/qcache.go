@@ -323,9 +323,7 @@ func (c *Cache) Collect(q collector.Query) (*collector.Result, error) {
 	// The entry is already published in the map, but its fields land
 	// exactly once before close(done), and every reader waits on done
 	// first — the channel close is the happens-before edge.
-	//remoslint:allow pubimmutable single-flight fill: done channel orders these writes before any read
 	e.res, e.err = c.inner.Collect(q)
-	//remoslint:allow pubimmutable single-flight fill: done channel orders this write before any read
 	e.at = c.now()
 	close(e.done)
 	if e.err != nil || c.cfg.TTL <= 0 {

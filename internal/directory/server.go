@@ -8,8 +8,9 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"remos/internal/conc"
 )
 
 // The directory wire protocol: a line-oriented service in the spirit of
@@ -59,51 +60,31 @@ func wireTTL(ttl time.Duration) int {
 type Server struct {
 	Service *Service
 
-	ln net.Listener
-	wg sync.WaitGroup
+	ln *conc.Listener
 }
 
 // ListenAndServe binds addr and serves in the background, returning the
 // bound address.
 func (s *Server) ListenAndServe(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := conc.Listen(addr, func(conn net.Conn) {
+		r := bufio.NewReader(conn)
+		for {
+			if err := s.serveOne(conn, r); err != nil {
+				return
+			}
+		}
+	})
 	if err != nil {
 		return "", err
 	}
 	s.ln = ln
-	s.wg.Add(1)
-	//remoslint:allow goctx accept loop ends when Close closes the listener; Close waits on the group
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.wg.Add(1)
-			//remoslint:allow goctx serve loop ends when the peer disconnects or Close tears the connection down
-			go func() {
-				defer s.wg.Done()
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				for {
-					if err := s.serveOne(conn, r); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
+	return ln.Addr(), nil
 }
 
-// Close stops the server.
-func (s *Server) Close() error {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Close()
-}
+// Close stops the server: the listener and every established peer
+// connection are closed, and Close returns once their serve loops have
+// exited.
+func (s *Server) Close() error { return s.ln.Close() }
 
 // serveOne reads and answers one command. It takes plain reader/writer
 // halves (rather than a net.Conn) so the parser is drivable from fuzz

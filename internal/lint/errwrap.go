@@ -16,8 +16,6 @@ import (
 // internally).
 type errwrapCheck struct{}
 
-func (errwrapCheck) name() string { return "errwrap" }
-
 func (errwrapCheck) run(p *pass) {
 	if !p.policy.ErrWrap[p.pkg.Name] {
 		return

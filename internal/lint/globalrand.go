@@ -10,8 +10,6 @@ import "go/ast"
 // rand.NewZipf) is exactly the sanctioned pattern and stays legal.
 type globalrandCheck struct{}
 
-func (globalrandCheck) name() string { return "globalrand" }
-
 // globalRandFuncs are math/rand's package-level draws on the shared
 // global source.
 var globalRandFuncs = set(

@@ -18,8 +18,6 @@ import (
 // the check.
 type goctxCheck struct{}
 
-func (goctxCheck) name() string { return "goctx" }
-
 func (goctxCheck) run(p *pass) {
 	if !p.policy.GoCtx[p.pkg.Name] {
 		return

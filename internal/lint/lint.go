@@ -28,11 +28,6 @@
 //	             balanced by a Put on the same pool within the same
 //	             function (direct or deferred), so serving paths cannot
 //	             quietly stop recycling buffers.
-//	epochkey   — every long-lived map keyed by a snapshot epoch (a named
-//	             Epoch type, directly or inside a struct key) is bounded:
-//	             the declaring package must delete from or clear it, so
-//	             epoch-keyed memoizations cannot leak one generation per
-//	             poll.
 //	lockorder  — the declared lock hierarchy (Policy.LockLevels) holds
 //	             everywhere: while a ranked lock is held, only strictly
 //	             lower-ranked locks may be acquired, directly or through
@@ -42,10 +37,6 @@
 //	             without default, Wait, network I/O, time.Sleep, nested
 //	             unranked mutexes) runs between Lock/RLock and Unlock in
 //	             the hot-path packages, directly or through calls.
-//	pubimmutable — a value published through atomic.Pointer.Store, or
-//	             read from Load, is never written through afterward in
-//	             the storing/loading function or same-package callees
-//	             (copy-on-write values are immutable once shared).
 //
 // A finding is suppressed by a //remoslint:allow <check> <reason>
 // comment on the same line or the line above. The directive itself is
@@ -55,23 +46,21 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding, positioned and attributed to a check.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
 func (d Diagnostic) String() string {
@@ -150,7 +139,6 @@ func set(names ...string) map[string]bool {
 // checker is one analyzer. Checks report raw findings through the pass;
 // directive suppression happens centrally in Run.
 type checker interface {
-	name() string
 	run(p *pass)
 }
 
@@ -205,7 +193,7 @@ type directive struct {
 // knownChecks names every analyzer (plus the directive verifier
 // itself), for directive validation.
 var knownChecks = set("wallclock", "globalrand", "errwrap", "metricname", "goctx",
-	"poolreturn", "epochkey", "lockorder", "lockheld", "pubimmutable")
+	"poolreturn", "lockorder", "lockheld")
 
 // collectDirectives parses the allow directives of one package.
 func (r *runner) collectDirectives(pkg *Package) {
@@ -239,32 +227,11 @@ func (r *runner) collectDirectives(pkg *Package) {
 	}
 }
 
-// CheckTime is one analyzer's accumulated wall time across every
-// package it ran over (including its finish pass).
-type CheckTime struct {
-	Check   string  `json:"check"`
-	Seconds float64 `json:"seconds"`
-}
-
-// TimeBudget bounds a full repo lint in make lint / CI. Chosen by
-// measuring `remoslint ./...` on the dev container (~2s wall including
-// the type-check load, of which the analyzers themselves are <300ms)
-// and multiplying by ~30x so only a real pathology — an analyzer gone
-// quadratic, an interface expansion explosion — trips it, never a slow
-// shared runner.
-const TimeBudget = 60 * time.Second
-
 // Run executes every analyzer over the packages and returns the
-// surviving diagnostics, sorted by position.
-func Run(pkgs []*Package, policy Policy) []Diagnostic {
-	diags, _ := RunTimed(pkgs, policy)
-	return diags
-}
-
-// RunTimed is Run plus per-check wall time. The shared concurrency
+// surviving diagnostics, sorted by position. The shared concurrency
 // substrate (function summaries + call graph) is built lazily by the
-// first check that needs it, so its cost lands on lockorder's row.
-func RunTimed(pkgs []*Package, policy Policy) ([]Diagnostic, []CheckTime) {
+// first check that needs it.
+func Run(pkgs []*Package, policy Policy) []Diagnostic {
 	r := &runner{policy: policy, metrics: make(map[string][]metricSite)}
 	cs := newConcState(policy)
 	checks := []checker{
@@ -274,31 +241,20 @@ func RunTimed(pkgs []*Package, policy Policy) ([]Diagnostic, []CheckTime) {
 		&metricnameCheck{},
 		goctxCheck{},
 		poolreturnCheck{},
-		epochkeyCheck{},
 		&lockorderCheck{cs: cs},
 		&lockheldCheck{cs: cs},
-		pubimmutableCheck{},
 	}
-	elapsed := make([]time.Duration, len(checks))
 	for _, pkg := range pkgs {
 		r.collectDirectives(pkg)
 		p := &pass{pkg: pkg, policy: policy, r: r}
-		for i, c := range checks {
-			start := time.Now()
+		for _, c := range checks {
 			c.run(p)
-			elapsed[i] += time.Since(start)
 		}
 	}
-	for i, c := range checks {
+	for _, c := range checks {
 		if f, ok := c.(finisher); ok {
-			start := time.Now()
 			f.finish(r)
-			elapsed[i] += time.Since(start)
 		}
-	}
-	times := make([]CheckTime, len(checks))
-	for i, c := range checks {
-		times[i] = CheckTime{Check: c.name(), Seconds: elapsed[i].Seconds()}
 	}
 
 	// Suppress findings covered by a valid directive on the same line
@@ -357,17 +313,17 @@ func RunTimed(pkgs []*Package, policy Policy) ([]Diagnostic, []CheckTime) {
 		}
 		return diags[i].Col < diags[j].Col
 	})
-	return diags, times
+	return diags
 }
 
 // AllowDirective is one live //remoslint:allow comment, for the
 // -allows audit listing (malformed directives are findings instead and
 // do not appear here).
 type AllowDirective struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Check  string `json:"check"`
-	Reason string `json:"reason"`
+	File   string
+	Line   int
+	Check  string
+	Reason string
 }
 
 // Allows lists every well-formed allow directive in the packages,
@@ -397,47 +353,6 @@ func Allows(pkgs []*Package) []AllowDirective {
 	return out
 }
 
-// WriteAllows renders the -allows audit as a JSON array.
-func WriteAllows(w io.Writer, allows []AllowDirective) error {
-	if allows == nil {
-		allows = []AllowDirective{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(allows)
-}
-
-// Report is the -json document: findings plus the timing that gates
-// make lint's budget.
-type Report struct {
-	Findings      []Diagnostic `json:"findings"`
-	Checks        []CheckTime  `json:"checks"`
-	TotalSeconds  float64      `json:"total_seconds"`
-	BudgetSeconds float64      `json:"budget_seconds"`
-	OverBudget    bool         `json:"over_budget"`
-}
-
-// NewReport assembles a Report against the given budget.
-func NewReport(diags []Diagnostic, times []CheckTime, total, budget time.Duration) Report {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	return Report{
-		Findings:      diags,
-		Checks:        times,
-		TotalSeconds:  total.Seconds(),
-		BudgetSeconds: budget.Seconds(),
-		OverBudget:    total > budget,
-	}
-}
-
-// WriteReport renders the full -json document.
-func WriteReport(w io.Writer, rep Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // Relativize rewrites diagnostic file paths relative to dir (best
 // effort; unrelatable paths stay absolute).
 func Relativize(diags []Diagnostic, dir string) {
@@ -456,14 +371,4 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders diagnostics as a JSON array for machine consumers.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
 }

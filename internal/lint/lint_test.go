@@ -2,8 +2,8 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -111,18 +111,15 @@ func TestErrwrapGolden(t *testing.T)    { golden(t, "errwrap") }
 func TestMetricnameGolden(t *testing.T) { golden(t, "metricname") }
 func TestGoctxGolden(t *testing.T)      { golden(t, "goctx") }
 func TestPoolreturnGolden(t *testing.T) { golden(t, "poolreturn") }
-func TestEpochkeyGolden(t *testing.T)   { golden(t, "epochkey") }
-
-func TestLockorderGolden(t *testing.T)    { golden(t, "lockorder") }
-func TestLockheldGolden(t *testing.T)     { golden(t, "lockheld") }
-func TestPubimmutableGolden(t *testing.T) { golden(t, "pubimmutable") }
+func TestLockorderGolden(t *testing.T)  { golden(t, "lockorder") }
+func TestLockheldGolden(t *testing.T)   { golden(t, "lockheld") }
 
 // TestGoldenExitStatus asserts each negative fixture would fail a lint
 // run — the acceptance criterion that remoslint demonstrably exits 1 on
 // each analyzer's golden cases.
 func TestGoldenExitStatus(t *testing.T) {
 	for _, name := range []string{"wallclock", "globalrand", "errwrap", "metricname", "goctx",
-		"poolreturn", "epochkey", "lockorder", "lockheld", "pubimmutable", "allow"} {
+		"poolreturn", "lockorder", "lockheld", "allow"} {
 		pkg, err := LoadDir(filepath.Join("testdata", "src", name), "golden/"+name)
 		if err != nil {
 			t.Fatalf("load %s: %v", name, err)
@@ -191,14 +188,13 @@ func TestRepoLintClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded (%d); loader lost the module", len(pkgs))
 	}
-	diags, times := RunTimed(pkgs, DefaultPolicy())
-	for _, d := range diags {
+	for _, d := range Run(pkgs, DefaultPolicy()) {
 		t.Errorf("%s", d)
 	}
 
 	// Pinned: the newest, least-hardened concurrent code (federation's
 	// router, the directory's replication plane) is inside the coverage
-	// of all three concurrency checks rather than out of policy — being
+	// of both concurrency checks rather than out of policy — being
 	// clean must mean "checked and clean".
 	pol := DefaultPolicy()
 	for _, pkg := range []string{"federation", "directory"} {
@@ -211,41 +207,37 @@ func TestRepoLintClean(t *testing.T) {
 			t.Errorf("%s is not ranked in LockLevels; lockorder cannot see it", cls)
 		}
 	}
-	ran := make(map[string]bool, len(times))
-	for _, ct := range times {
-		ran[ct.Check] = true
-	}
-	for _, check := range []string{"lockorder", "lockheld", "pubimmutable"} {
-		if !ran[check] {
-			t.Errorf("check %s did not run over the repository", check)
-		}
-	}
 }
 
-// TestRunTimedReportsChecks pins the timing surface make lint's budget
-// gate is built on: one entry per analyzer, non-negative durations.
-func TestRunTimedReportsChecks(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "lockorder"), "golden/lockorder")
+// TestDesignTableMatchesChecks keeps DESIGN.md §10 honest: the rows of
+// its two per-check tables (first cell a backticked check name) are
+// exactly the analyzers that exist.
+func TestDesignTableMatchesChecks(t *testing.T) {
+	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, times := RunTimed([]*Package{pkg}, fixturePolicy("lockorder"))
-	seen := make(map[string]bool, len(times))
-	for _, ct := range times {
-		if ct.Seconds < 0 {
-			t.Errorf("check %s reports negative wall time %v", ct.Check, ct.Seconds)
-		}
-		if seen[ct.Check] {
-			t.Errorf("check %s reported twice", ct.Check)
-		}
-		seen[ct.Check] = true
+	doc, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 10. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 10")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := make(map[string]int)
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]]++
 	}
 	for check := range knownChecks {
-		if check == "allow" {
-			continue
+		if rows[check] != 2 {
+			t.Errorf("check %s has %d rows in DESIGN.md §10, want one in the invariant table and one in the audit", check, rows[check])
 		}
-		if !seen[check] {
-			t.Errorf("no timing entry for check %s", check)
+	}
+	for name := range rows {
+		if !knownChecks[name] {
+			t.Errorf("DESIGN.md §10 has a row for %s, which is not an analyzer", name)
 		}
 	}
 }
@@ -297,30 +289,6 @@ func TestParseVerbs(t *testing.T) {
 				t.Errorf("parseVerbs(%q)[%d] = %v, want %v", c.format, i, got[i], c.want[i])
 			}
 		}
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	diags := []Diagnostic{
-		{File: "a.go", Line: 3, Col: 2, Check: "wallclock", Message: "direct time.Now"},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, diags); err != nil {
-		t.Fatal(err)
-	}
-	var back []Diagnostic
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("round-trip: %v\n%s", err, buf.String())
-	}
-	if len(back) != 1 || back[0] != diags[0] {
-		t.Errorf("round-trip mismatch: %+v", back)
-	}
-	buf.Reset()
-	if err := WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Errorf("nil diagnostics rendered %q, want []", buf.String())
 	}
 }
 

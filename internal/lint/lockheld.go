@@ -22,8 +22,6 @@ type lockheldCheck struct {
 	cs *concState
 }
 
-func (lockheldCheck) name() string { return "lockheld" }
-
 func (c *lockheldCheck) run(p *pass) {
 	c.cs.collect(p.pkg)
 }

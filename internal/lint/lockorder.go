@@ -25,8 +25,6 @@ type lockorderCheck struct {
 	cs *concState
 }
 
-func (lockorderCheck) name() string { return "lockorder" }
-
 func (c *lockorderCheck) run(p *pass) {
 	c.cs.collect(p.pkg)
 }

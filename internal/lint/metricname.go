@@ -18,8 +18,6 @@ import (
 // silently split.
 type metricnameCheck struct{}
 
-func (*metricnameCheck) name() string { return "metricname" }
-
 // metricSite records one registration for the duplicate analysis.
 type metricSite struct {
 	pos  token.Position

@@ -17,8 +17,6 @@ import (
 // happens.
 type poolreturnCheck struct{}
 
-func (poolreturnCheck) name() string { return "poolreturn" }
-
 func (poolreturnCheck) run(p *pass) {
 	if !p.policy.PoolReturn[p.pkg.Name] {
 		return

@@ -10,8 +10,6 @@ import "go/ast"
 // the driver verifies stays attached to a real use.
 type wallclockCheck struct{}
 
-func (wallclockCheck) name() string { return "wallclock" }
-
 // wallclockFuncs are the time functions that read or wait on the
 // runtime clock. Pure constructors (time.Date, time.Unix) and types
 // (time.Time, time.Duration) stay legal.

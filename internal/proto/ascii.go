@@ -25,6 +25,7 @@ import (
 
 	"remos/internal/admission"
 	"remos/internal/collector"
+	"remos/internal/conc"
 	"remos/internal/obs"
 	"remos/internal/rerr"
 	"remos/internal/topology"
@@ -401,55 +402,21 @@ type TCPServer struct {
 	Obs    *obs.Registry
 	Traces *obs.Ring
 
-	core core
-	ln   net.Listener
-	wg   sync.WaitGroup // accept loop, connections, watch drains
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{} // live connections, for Close
-	closed bool
+	core   core
+	ln     *conc.Listener
+	drains sync.WaitGroup // watch drains, which outlive their connection's serve loop
 }
 
 // ListenAndServe binds addr ("127.0.0.1:0" for ephemeral) and serves in
 // the background, returning the bound address.
 func (s *TCPServer) ListenAndServe(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	s.core = newCore("ascii", s.Collector, s.Flows, s.Watch, s.Admission, s.Obs, s.Traces)
+	ln, err := conc.Listen(addr, func(conn net.Conn) { s.serveConn(conn, conn) })
 	if err != nil {
 		return "", err
 	}
 	s.ln = ln
-	s.core = newCore("ascii", s.Collector, s.Flows, s.Watch, s.Admission, s.Obs, s.Traces)
-	s.conns = make(map[net.Conn]struct{})
-	s.wg.Add(1)
-	//remoslint:allow goctx accept loop ends when Close closes the listener; Close waits on the group
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.wg.Add(1)
-			s.mu.Unlock()
-			//remoslint:allow goctx serve loop ends when the peer disconnects or Close tears the connection down
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn, conn)
-				conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
+	return ln.Addr(), nil
 }
 
 // asciiConn is the state of one served connection.
@@ -548,17 +515,8 @@ func (c *asciiConn) query(line []byte) (keep bool, err error) {
 // closed, and Close returns once the connections' exchanges in flight
 // and their watch drains have finished.
 func (s *TCPServer) Close() error {
-	if s.ln == nil {
-		return nil
-	}
 	err := s.ln.Close()
-	s.mu.Lock()
-	s.closed = true
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.drains.Wait()
 	return err
 }
 

@@ -55,7 +55,7 @@ func FuzzASCIIConn(f *testing.F) {
 		go func() {
 			defer close(done)
 			srv.serveConn(bytes.NewReader(data), &out)
-			srv.wg.Wait() // the connection's watch drains
+			srv.drains.Wait() // the connection's watch drains
 		}()
 		select {
 		case <-done:

@@ -70,10 +70,10 @@ func (c *asciiConn) watch(line []byte, args fields) error {
 	}
 	c.subs[sub.ID] = sub
 	fmt.Fprintf(&c.w, "WATCHING %d\n", sub.ID)
-	c.srv.wg.Add(1)
+	c.srv.drains.Add(1)
 	//remoslint:allow goctx drain loop ends when the subscription closes (disconnect closes every subscription)
 	go func() {
-		defer c.srv.wg.Done()
+		defer c.srv.drains.Done()
 		// The quota slot frees on every teardown path (UNWATCH,
 		// server-side END, disconnect) exactly once.
 		defer release()

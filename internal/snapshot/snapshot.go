@@ -15,9 +15,10 @@
 // of O(graph size). A poll that only moved measurements leaves the
 // routing shape as it was, so the new generation's index shares the old
 // one's adjacency and trees (topology.NewPathIndexFrom checks that it
-// may). Derived structures keyed by epoch — the pruned/collapsed
-// subgraph memo — are evicted on every epoch swap, the invariant
-// remoslint's epochkey check enforces.
+// may). State derived from one generation alone — the pruned/collapsed
+// subgraph memo — belongs to that generation and is collected with it:
+// the Store holds nothing keyed by epoch, so there is nothing to evict
+// on a swap.
 package snapshot
 
 import (
@@ -35,19 +36,24 @@ import (
 	"remos/internal/topology"
 )
 
-// Epoch numbers snapshot generations. Every Apply produces a new epoch;
-// derived state keyed by an Epoch is only valid while that generation
-// is current and must be evicted when it is superseded.
+// Epoch numbers snapshot generations. Every Apply produces a new epoch.
 type Epoch uint64
 
-// Snapshot is one immutable generation. All fields are frozen at Apply
-// time; readers share the struct without synchronization.
+// Snapshot is one immutable generation. Everything but the subgraph
+// memo is frozen at Apply time; readers share the struct without
+// synchronization.
 type Snapshot struct {
 	epoch  Epoch
 	graph  *topology.Graph
 	paths  *topology.PathIndex
 	hostAt map[netip.Addr]time.Time
 	at     time.Time // most recent apply folded in
+
+	// memo holds the generation's pruned/collapsed subgraphs by
+	// endpoint-set signature (sorted node IDs joined by commas). It is
+	// made on the first Subgraph and dies with the generation.
+	memoMu sync.Mutex
+	memo   map[string]*topology.Graph
 }
 
 // Epoch returns the generation number.
@@ -93,17 +99,14 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Store maintains the current generation and its derived-state memos.
-// All methods are safe for concurrent use; readers of Current never
-// block writers and vice versa.
+// Store maintains the current generation. All methods are safe for
+// concurrent use; readers of Current never block writers and vice
+// versa.
 type Store struct {
 	now func() time.Time
 	cur atomic.Pointer[Snapshot]
 
 	applyMu sync.Mutex // serializes Apply (epoch construction + swap)
-
-	subMu sync.Mutex
-	subs  map[subKey]*topology.Graph // epoch-keyed; evicted on swap
 
 	flightMu sync.Mutex
 	inflight *flight
@@ -120,14 +123,6 @@ type Store struct {
 	gEpoch      *obs.Gauge
 }
 
-// subKey identifies one memoized pruned/collapsed subgraph: the
-// generation it was derived from and the canonical endpoint-set
-// signature (sorted node IDs joined by commas).
-type subKey struct {
-	epoch Epoch
-	sig   string
-}
-
 // flight is one in-progress coalesced collector walk.
 type flight struct {
 	hosts map[netip.Addr]bool
@@ -136,15 +131,14 @@ type flight struct {
 	err   error
 }
 
-// New creates an empty store.
+// New creates an empty store. It panics on a Config without a clock: a
+// store that fell back to wall time would call every snapshot of a
+// simulated deployment stale.
 func New(cfg Config) *Store {
-	st := &Store{
-		now:  cfg.Now,
-		subs: make(map[subKey]*topology.Graph),
+	if cfg.Now == nil {
+		panic("snapshot: Config.Now is required")
 	}
-	if st.now == nil {
-		st.now = time.Now //remoslint:allow wallclock designated nil-Now fallback for production construction
-	}
+	st := &Store{now: cfg.Now}
 	st.mApplies = cfg.Obs.Counter("remos_snapshot_applies_total", "poll results folded into the snapshot plane")
 	st.mHits = cfg.Obs.Counter("remos_snapshot_hits_total", "queries answered from a fresh snapshot")
 	st.mMisses = cfg.Obs.Counter("remos_snapshot_misses_total", "queries that found no fresh-enough snapshot")
@@ -177,8 +171,8 @@ func (st *Store) Fresh(hosts []netip.Addr, bound time.Duration) *Snapshot {
 // is cloned, the result is merged latest-wins (topology.Update), the
 // polled hosts' freshness stamps advance, and the new Snapshot — its
 // PathIndex sharing the previous generation's routing shape when the
-// poll changed measurements only — is swapped in atomically. Derived
-// memos of superseded epochs are evicted. Returns the new generation.
+// poll changed measurements only — is swapped in atomically. Returns the
+// new generation.
 func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) *Snapshot {
 	if res == nil || res.Graph == nil {
 		return st.cur.Load()
@@ -209,24 +203,14 @@ func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) 
 	st.cur.Store(snap)
 	st.applyMu.Unlock()
 
-	// Evict derived state of superseded epochs: an epoch-keyed map must
-	// shrink on swap or it grows one orphaned family per poll.
-	st.subMu.Lock()
-	for k := range st.subs {
-		if k.epoch != epoch {
-			delete(st.subs, k)
-		}
-	}
-	st.subMu.Unlock()
-
 	st.mApplies.Inc()
 	st.gEpoch.Set(float64(epoch))
 	return snap
 }
 
 // Subgraph returns the pruned + collapsed simplification of the
-// generation's graph for the given endpoint node IDs, memoized per
-// (epoch, endpoint-set signature). The returned graph is a private
+// generation's graph for the given endpoint node IDs, memoized on the
+// generation per endpoint-set signature. The returned graph is a private
 // clone the caller owns.
 func (st *Store) Subgraph(s *Snapshot, ids []string, keepSwitches bool) (*topology.Graph, error) {
 	sorted := append([]string(nil), ids...)
@@ -235,10 +219,9 @@ func (st *Store) Subgraph(s *Snapshot, ids []string, keepSwitches bool) (*topolo
 	if keepSwitches {
 		sig = "ks|" + sig
 	}
-	key := subKey{epoch: s.epoch, sig: sig}
-	st.subMu.Lock()
-	g, ok := st.subs[key]
-	st.subMu.Unlock()
+	s.memoMu.Lock()
+	g, ok := s.memo[sig]
+	s.memoMu.Unlock()
 	if ok {
 		st.mSubHits.Inc()
 		return g.Clone(), nil
@@ -255,13 +238,12 @@ func (st *Store) Subgraph(s *Snapshot, ids []string, keepSwitches bool) (*topolo
 		protect[id] = true
 	}
 	pruned.CollapseChains(protect)
-	st.subMu.Lock()
-	// Memoize only while the epoch is still current; a stale fill would
-	// linger until the next swap's evict pass.
-	if st.cur.Load() == s {
-		st.subs[key] = pruned
+	s.memoMu.Lock()
+	if s.memo == nil {
+		s.memo = make(map[string]*topology.Graph)
 	}
-	st.subMu.Unlock()
+	s.memo[sig] = pruned
+	s.memoMu.Unlock()
 	st.mSubBuilds.Inc()
 	return pruned.Clone(), nil
 }

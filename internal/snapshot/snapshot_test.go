@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +114,11 @@ func TestApplyUpdatesReadingsLatestWins(t *testing.T) {
 	}
 }
 
+// TestSubgraphMemoizedPerEpochAndEvicted: the memo belongs to the
+// generation it was derived from. A reader still holding a superseded
+// generation is answered from it, and fills it, not the current one; and
+// once the last reader lets go, nothing in the Store reaches the old
+// generation or its memo, so the collector takes both.
 func TestSubgraphMemoizedPerEpochAndEvicted(t *testing.T) {
 	ck := newClock()
 	st := New(Config{Now: ck.Now})
@@ -125,8 +131,8 @@ func TestSubgraphMemoizedPerEpochAndEvicted(t *testing.T) {
 	if g1.Node("10.0.1.2") != nil || g1.Node("s1") != nil {
 		t.Fatal("subgraph not simplified")
 	}
-	if len(st.subs) != 1 {
-		t.Fatalf("memo holds %d entries, want 1", len(st.subs))
+	if len(s1.memo) != 1 {
+		t.Fatalf("memo holds %d entries, want 1", len(s1.memo))
 	}
 	// The hit returns a private clone: mutating it must not poison the memo.
 	g1.FindLink("10.0.1.1", "r1").Capacity = 1
@@ -137,10 +143,35 @@ func TestSubgraphMemoizedPerEpochAndEvicted(t *testing.T) {
 	if g2.FindLink("10.0.1.1", "r1").Capacity == 1 {
 		t.Fatal("caller mutation reached the memo")
 	}
-	// Epoch swap evicts the superseded memo family.
-	st.Apply(testHosts, &collector.Result{Graph: dumbbell()}, ck.Now())
-	if len(st.subs) != 0 {
-		t.Fatalf("memo holds %d entries after swap, want 0", len(st.subs))
+
+	hot := dumbbell()
+	hot.FindLink("r1", "r2").UtilFromTo = 8e6
+	s2 := st.Apply(testHosts, &collector.Result{Graph: hot}, ck.Now())
+	old, err := st.Subgraph(s1, []string{"10.0.1.2", "10.0.2.1"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := old.FindLink("r1", "r2").UtilFromTo; got != 4e6 {
+		t.Fatalf("superseded generation answers WAN util %g, want its own 4e6", got)
+	}
+	if len(s1.memo) != 2 || len(s2.memo) != 0 {
+		t.Fatalf("a fill through the old generation left %d entries on it and %d on the current one, want 2 and 0",
+			len(s1.memo), len(s2.memo))
+	}
+
+	collected := make(chan struct{})
+	runtime.SetFinalizer(s1, func(*Snapshot) { close(collected) })
+	s1 = nil
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the superseded generation is still reachable after the next Apply")
+		}
 	}
 }
 
@@ -334,5 +365,78 @@ func TestApplyKeepsPathTreesAcrossMetricOnlySwaps(t *testing.T) {
 	}
 	if got := s2.Paths().TreeBuilds(); got != 2 {
 		t.Fatalf("the superseded shape's count moved to %d", got)
+	}
+}
+
+func TestNewRefusesNilClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a Config without a clock")
+		}
+	}()
+	New(Config{})
+}
+
+// TestReadersBesideApply reads every field of whatever generation is
+// current, and its memo, while a writer keeps publishing the next one
+// (meaningful under -race: a generation written to after Apply stored it
+// is a report here). Generation e carries a WAN utilisation derived from
+// e, so a reader can tell a torn generation from a whole one.
+func TestReadersBesideApply(t *testing.T) {
+	ck := newClock()
+	st := New(Config{Now: ck.Now})
+	util := func(e Epoch) float64 { return float64(e%1000) * 1e3 }
+	apply := func(e Epoch) {
+		g := dumbbell()
+		g.FindLink("r1", "r2").UtilFromTo = util(e)
+		st.Apply(testHosts, &collector.Result{Graph: g}, ck.Now())
+	}
+	apply(1)
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last Epoch
+			for swaps := 0; swaps < 50; {
+				s := st.Fresh(testHosts, time.Hour)
+				if s == nil || s.Epoch() < last || s.At().IsZero() {
+					t.Errorf("read after generation %d: %+v", last, s)
+					return
+				}
+				if s.Epoch() > last {
+					swaps++
+				} else {
+					runtime.Gosched() // let the writer publish
+				}
+				last = s.Epoch()
+				want := util(s.Epoch())
+				if got := s.Graph().FindLink("r1", "r2").UtilFromTo; got != want {
+					t.Errorf("generation %d graph reads WAN util %g, want %g", s.Epoch(), got, want)
+					return
+				}
+				bw, _, err := s.Paths().BottleneckAvail("10.0.1.1", "10.0.2.1")
+				if err != nil || bw != 10e6-want {
+					t.Errorf("generation %d index answers %g, %v; want %g", s.Epoch(), bw, err, 10e6-want)
+					return
+				}
+				g, err := st.Subgraph(s, []string{"10.0.1.1", "10.0.2.1"}, false)
+				if err != nil || g.FindLink("r1", "r2").UtilFromTo != want {
+					t.Errorf("generation %d subgraph: %v", s.Epoch(), err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { readers.Wait(); close(done) }()
+	for e := Epoch(2); ; e++ {
+		select {
+		case <-done:
+			return
+		default:
+			apply(e)
+			runtime.Gosched()
+		}
 	}
 }
