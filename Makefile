@@ -49,6 +49,8 @@ verify: vet lint build test race
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/snmp/
 	$(GO) test -run xxx -fuzz FuzzServeCommands -fuzztime 10s ./internal/directory/
+	$(GO) test -run xxx -fuzz FuzzReplicationMessages -fuzztime 10s ./internal/directory/
+	$(GO) test -run xxx -fuzz FuzzDecodeText -fuzztime 10s ./internal/topology/
 	$(GO) test -run xxx -fuzz FuzzASCIIConn -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzXMLRequest -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzXMLFlowsReply -fuzztime 10s ./internal/proto/
@@ -95,8 +97,9 @@ bench-concurrency:
 	$(GO) test -run xxx -bench 'MasterFanout|WarmQueryCache|WatchEvaluate|WatchSubscribeChurn|HistogramObserve' \
 		-benchmem -cpu 1,4,8 ./
 
-# The SNMP data-plane exhibits: device-batched polling vs. per-interface
-# exchanges, and the BER codec with allocation counts.
+# The cold-path exhibits: device-batched polling vs. per-interface
+# exchanges, the BER codec and the agent's exchange, and the ASCII graph
+# codec on a cold reply graph, all with allocation counts.
 bench-snmp:
-	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec' -benchmem \
-		./internal/collector/snmpcoll/ ./internal/snmp/
+	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|GraphTextCodec' -benchmem \
+		./internal/collector/snmpcoll/ ./internal/snmp/ ./internal/topology/

@@ -74,6 +74,7 @@ func (l swLink) reversed() swLink {
 // station is one end host/router attachment.
 type station struct {
 	mac  collector.MAC
+	id   string // StationID(mac), rendered once when the station is learned
 	sw   netip.Addr
 	port int
 }
@@ -373,7 +374,7 @@ func (c *Collector) inferTopologyLocked() error {
 			if linkPorts[a][port] {
 				continue // learned through another switch
 			}
-			c.stations[mac] = station{mac: mac, sw: a, port: port}
+			c.stations[mac] = station{mac: mac, id: StationID(mac), sw: a, port: port}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package bridgecoll
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"remos/internal/collector"
 	"remos/internal/mib"
@@ -148,17 +149,24 @@ func (e *noPathError) Error() string {
 // Path returns the level-2 segments between two stations. Both must be in
 // the topology database and in the same broadcast domain.
 func (c *Collector) Path(a, b collector.MAC) ([]Segment, error) {
+	return c.AppendPath(nil, a, b)
+}
+
+// AppendPath is Path appending to segs, for a caller that folds one path
+// after another into a graph and keeps none of them. On error segs comes
+// back as it was.
+func (c *Collector) AppendPath(segs []Segment, a, b collector.MAC) ([]Segment, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sa, oka := c.stations[a]
 	sb, okb := c.stations[b]
 	if !oka || !okb || c.domainOf[sa.sw] != c.domainOf[sb.sw] {
-		return nil, &noPathError{a: a, b: b, oka: oka, okb: okb, swA: sa.sw, swB: sb.sw}
+		return segs, &noPathError{a: a, b: b, oka: oka, okb: okb, swA: sa.sw, swB: sb.sw}
 	}
 	swA, swB := c.switches[sa.sw], c.switches[sb.sw]
-	segs := make([]Segment, 0, 2+c.depth[sa.sw]+c.depth[sb.sw])
+	segs = slices.Grow(segs, 2+c.depth[sa.sw]+c.depth[sb.sw])
 	segs = append(segs, Segment{
-		FromID:     StationID(a),
+		FromID:     sa.id,
 		ToID:       swA.id,
 		Capacity:   swA.speed[sa.port],
 		PollSwitch: sa.sw,
@@ -169,7 +177,8 @@ func (c *Collector) Path(a, b collector.MAC) ([]Segment, error) {
 	// b's. Both walks climb; b's links are collected and replayed
 	// reversed so every segment points from a toward b.
 	x, y := sa.sw, sb.sw
-	var down []swLink
+	var downBuf [8]swLink // deeper trees than this spill to the heap
+	down := downBuf[:0]
 	for x != y {
 		if c.depth[x] >= c.depth[y] {
 			l := c.parent[x]
@@ -186,7 +195,7 @@ func (c *Collector) Path(a, b collector.MAC) ([]Segment, error) {
 	}
 	segs = append(segs, Segment{
 		FromID:     swB.id,
-		ToID:       StationID(b),
+		ToID:       sb.id,
 		Capacity:   swB.speed[sb.port],
 		PollSwitch: sb.sw,
 		PollPort:   sb.port,
@@ -257,10 +266,10 @@ func (c *Collector) Graph() *topology.Graph {
 	for _, addr := range c.cfg.Switches {
 		g.AddNode(topology.Node{ID: addr.String(), Kind: topology.SwitchNode, Addr: addr.String()})
 	}
-	for mac, st := range c.stations {
-		g.AddNode(topology.Node{ID: StationID(mac), Kind: topology.HostNode})
+	for _, st := range c.stations {
+		g.AddNode(topology.Node{ID: st.id, Kind: topology.HostNode})
 		g.AddLink(topology.Link{
-			From: StationID(mac), To: st.sw.String(),
+			From: st.id, To: st.sw.String(),
 			Capacity: c.switches[st.sw].speed[st.port],
 		})
 	}

@@ -189,7 +189,10 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 		}
 		set := grouped[e.Name]
 		if set == nil {
-			set = make(map[netip.Addr]bool)
+			// Sized for the usual case, every host at one site (and the
+			// site's benchmark endpoint joining the list below).
+			set = make(map[netip.Addr]bool, len(q.Hosts))
+			groups[e.Name] = make([]netip.Addr, 0, len(q.Hosts)+1)
 			grouped[e.Name] = set
 			entries[e.Name] = e
 		}

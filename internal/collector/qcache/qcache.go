@@ -22,7 +22,8 @@
 package qcache
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,73 +191,50 @@ func (c *Cache) shardFor(key string) *shard {
 }
 
 // Key renders the canonical cache key for a query: the host set sorted
-// (so host order does not fragment the cache) plus the query flags.
-// This sits on the warm-hit path, so the common small-query case renders
-// into stack scratch via netip's AppendTo and pays a single allocation
-// (the returned string) instead of one per host.
+// by its text (so host order does not fragment the cache) plus the query
+// flags. Every host renders into one scratch buffer through netip's
+// AppendTo and the rendered spans are sorted in place, so the only
+// allocation is the returned string — this sits on the warm-hit path —
+// plus the scratch itself for a query of more than smallHosts hosts.
 func Key(q collector.Query) string {
-	if len(q.Hosts) <= smallHosts {
-		return smallKey(q)
+	var bufArr [smallHosts * addrText]byte
+	var spanArr [smallHosts][2]int
+	buf, spans := bufArr[:0], spanArr[:0]
+	if n := len(q.Hosts); n > smallHosts {
+		buf, spans = make([]byte, 0, n*addrText), make([][2]int, 0, n)
 	}
-	hosts := make([]string, len(q.Hosts))
-	for i, h := range q.Hosts {
-		hosts[i] = h.String()
-	}
-	sort.Strings(hosts)
-	var b strings.Builder
-	b.WriteString(strings.Join(hosts, ","))
-	if q.WithHistory {
-		b.WriteString("|hist")
-	}
-	if q.WithPredictions {
-		b.WriteString("|pred")
-	}
-	return b.String()
-}
-
-// smallHosts bounds the stack-rendered Key fast path; queries this size
-// cover the serving workload (pairs and small host sets).
-const smallHosts = 8
-
-// smallKey is the allocation-light Key fast path: each host renders into
-// one scratch buffer, an insertion sort orders the rendered spans, and
-// the canonical form is assembled in a second scratch buffer.
-func smallKey(q collector.Query) string {
-	var scratch [8 * 48]byte // 48 bytes covers a zone-qualified IPv6 literal
-	var spans [smallHosts][2]int
-	buf := scratch[:0]
-	for i, h := range q.Hosts {
+	for _, h := range q.Hosts {
 		start := len(buf)
 		buf = h.AppendTo(buf)
-		spans[i] = [2]int{start, len(buf)}
+		spans = append(spans, [2]int{start, len(buf)})
 	}
-	n := len(q.Hosts)
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a := buf[spans[j-1][0]:spans[j-1][1]]
-			b := buf[spans[j][0]:spans[j][1]]
-			if string(a) <= string(b) { // comparison only; no conversion alloc
-				break
-			}
-			spans[j-1], spans[j] = spans[j], spans[j-1]
-		}
-	}
-	var outArr [8*48 + smallHosts + 10]byte
-	out := outArr[:0]
-	for i := 0; i < n; i++ {
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
+	})
+	var out strings.Builder
+	out.Grow(len(buf) + len(spans) + len("|hist|pred"))
+	for i, sp := range spans {
 		if i > 0 {
-			out = append(out, ',')
+			out.WriteByte(',')
 		}
-		out = append(out, buf[spans[i][0]:spans[i][1]]...)
+		out.Write(buf[sp[0]:sp[1]])
 	}
 	if q.WithHistory {
-		out = append(out, "|hist"...)
+		out.WriteString("|hist")
 	}
 	if q.WithPredictions {
-		out = append(out, "|pred"...)
+		out.WriteString("|pred")
 	}
-	return string(out)
+	return out.String()
 }
+
+// smallHosts bounds the queries Key renders in stack scratch: they cover
+// the serving workload (pairs and small host sets). addrText is the room
+// one address is given: enough for a zone-qualified IPv6 literal.
+const (
+	smallHosts = 8
+	addrText   = 48
+)
 
 // Collect implements collector.Interface. Identical queries inside the
 // TTL answer from cache; concurrent identical queries share a single
@@ -409,7 +387,7 @@ func (c *Cache) Invalidate(prefixes ...string) int {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		cur := sh.load()
-		var next entryMap
+		var next entryMap // the shard's map minus the dropped keys, made on the first drop
 		for k := range cur {
 			for _, p := range prefixes {
 				if strings.HasPrefix(k, p) {
@@ -426,7 +404,8 @@ func (c *Cache) Invalidate(prefixes ...string) int {
 			}
 		}
 		if next != nil {
-			sh.m.Store(&next)
+			published := next // next itself stays on the stack of a shard with nothing to drop
+			sh.m.Store(&published)
 		}
 		sh.mu.Unlock()
 	}

@@ -35,7 +35,7 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	if len(q.Hosts) == 0 {
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")
 	}
-	b := newBuild(ctx, c, cl)
+	b := newBuild(ctx, c, cl, len(q.Hosts))
 	sp := tr.Start(c.Name() + ":discover")
 	if err := b.discover(q.Hosts); err != nil {
 		sp.EndDetail(err.Error())
@@ -108,6 +108,9 @@ type build struct {
 	fresh     map[*routerInfo]bool       // fetched by this query: already validated
 	used      []*routerInfo              // routers on some path, each once
 
+	segs   []bridgecoll.Segment // l2Path's scratch
+	chains [][]netip.Addr       // the distinct router chains walked, see internChain
+
 	linkPolls map[pairKey]pollReg // link -> poll registration
 	connected map[pairKey]bool    // node-ID pairs already joined (possibly multi-hop)
 }
@@ -129,20 +132,24 @@ type pollReg struct {
 	outIsFromTo bool
 }
 
-func newBuild(ctx context.Context, c *Collector, cl *snmp.Client) *build {
+// newBuild starts a query's build with its maps sized from the number of
+// hosts queried: a host brings itself, about one switch and about two
+// links into the graph.
+func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *build {
 	return &build{
 		ctx:       ctx,
 		c:         c,
 		cl:        cl,
-		g:         topology.NewGraph(),
-		ids:       make(map[netip.Addr]string),
-		gateways:  make(map[netip.Addr]netip.Addr),
-		macs:      make(map[netip.Addr]collector.MAC),
+		g:         topology.NewGraphSized(2*hosts, 2*hosts),
+		hosts:     make([]netip.Addr, 0, hosts),
+		ids:       make(map[netip.Addr]string, hosts),
+		gateways:  make(map[netip.Addr]netip.Addr, hosts),
+		macs:      make(map[netip.Addr]collector.MAC, hosts),
 		routers:   make(map[netip.Addr]*routerInfo),
 		routerErr: make(map[netip.Addr]error),
 		fresh:     make(map[*routerInfo]bool),
-		linkPolls: make(map[pairKey]pollReg),
-		connected: make(map[pairKey]bool),
+		linkPolls: make(map[pairKey]pollReg, 2*hosts),
+		connected: make(map[pairKey]bool, hosts),
 	}
 }
 
@@ -299,9 +306,10 @@ type arpEntry struct {
 func (b *build) getAll(agent netip.Addr, oids []snmp.OID) []snmp.Value {
 	vals := make([]snmp.Value, len(oids))
 	per := b.c.maxVarBinds()
+	addr := agent.String()
 	for lo := 0; lo < len(oids); lo += per {
 		hi := min(lo+per, len(oids))
-		vbs, err := b.cl.GetContext(b.ctx, agent.String(), oids[lo:hi]...)
+		vbs, err := b.cl.GetContext(b.ctx, addr, oids[lo:hi]...)
 		if err != nil || len(vbs) != hi-lo {
 			continue
 		}
@@ -318,9 +326,10 @@ func (b *build) getAll(agent netip.Addr, oids []snmp.OID) []snmp.Value {
 // hold are absent from the result.
 func (b *build) arpGet(via netip.Addr, entries []arpEntry) map[netip.Addr]collector.MAC {
 	oids := make([]snmp.OID, len(entries))
+	arena := make(snmp.OIDArena, 0, len(entries)*(len(mib.IPNetToMediaPhys)+5))
 	for i, e := range entries {
 		ip4 := e.ip.As4()
-		oids[i] = mib.IPNetToMediaPhys.Append(uint32(e.ifIndex),
+		oids[i] = arena.Append(mib.IPNetToMediaPhys, uint32(e.ifIndex),
 			uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3]))
 	}
 	found := make(map[netip.Addr]collector.MAC, len(entries))
@@ -362,8 +371,9 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 		entries []arpEntry
 		found   map[netip.Addr]collector.MAC
 	}
-	var groups []*group
-	byGW := make(map[netip.Addr]*group)
+	per := b.c.maxVarBinds()
+	var groups []group
+	byGW := make(map[netip.Addr]int) // gateway -> index in groups
 	for _, h := range hosts {
 		gw := b.gateways[h]
 		ri := b.routers[gw] // loaded by fetchRouters, or unreachable, or no gateway
@@ -374,16 +384,16 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 		if !ok {
 			continue
 		}
-		g := byGW[gw]
-		if g == nil {
-			g = &group{gw: gw, ri: ri}
-			byGW[gw] = g
-			groups = append(groups, g)
+		i, seen := byGW[gw]
+		if !seen {
+			i = len(groups)
+			byGW[gw] = i
+			groups = append(groups, group{gw: gw, ri: ri, entries: make([]arpEntry, 0, per)})
 		}
-		g.entries = append(g.entries, arpEntry{ifIndex: e.ifIndex, ip: h})
+		groups[i].entries = append(groups[i].entries, arpEntry{ifIndex: e.ifIndex, ip: h})
 	}
-	per := b.c.maxVarBinds()
-	for _, g := range groups {
+	for i := range groups {
+		g := &groups[i]
 		g.entries = b.appendNextHops(g.entries, g.ri, (len(g.entries)+per-1)/per*per)
 	}
 	// arpGet reports failure as absence; configuration covers it below.
@@ -391,7 +401,7 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 		groups[i].found = b.arpGet(groups[i].gw, groups[i].entries)
 		return nil
 	})
-	learned := make(map[netip.Addr]collector.MAC)
+	learned := make(map[netip.Addr]collector.MAC, len(hosts))
 	for _, g := range groups {
 		for ip, m := range g.found {
 			learned[ip] = m
@@ -418,14 +428,17 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 // domain and are left alone.
 func (b *build) verifyLocations() error {
 	br := b.c.cfg.Bridge
-	type group struct {
-		sw    netip.Addr
-		macs  []collector.MAC
-		ports []int
-		moved []bool
+	type station struct {
+		mac   collector.MAC
+		port  int
+		moved bool
 	}
-	var groups []*group
-	bySwitch := make(map[netip.Addr]*group)
+	type group struct {
+		sw       netip.Addr
+		stations []station
+	}
+	var groups []group
+	bySwitch := make(map[netip.Addr]int) // switch -> index in groups
 	for _, h := range b.hosts {
 		mac, ok := b.macs[h]
 		if !ok {
@@ -435,33 +448,32 @@ func (b *build) verifyLocations() error {
 		if !known {
 			continue
 		}
-		g := bySwitch[sw]
-		if g == nil {
-			g = &group{sw: sw}
-			bySwitch[sw] = g
-			groups = append(groups, g)
+		i, seen := bySwitch[sw]
+		if !seen {
+			i = len(groups)
+			bySwitch[sw] = i
+			groups = append(groups, group{sw: sw, stations: make([]station, 0, 4)})
 		}
-		g.macs = append(g.macs, mac)
-		g.ports = append(g.ports, port)
+		groups[i].stations = append(groups[i].stations, station{mac: mac, port: port})
 	}
 	// A failed exchange marks its stations moved; the re-walk reports a dead switch.
 	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
-		g := groups[i]
-		oids := make([]snmp.OID, len(g.macs))
-		for k, mac := range g.macs {
-			oids[k] = mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...)
+		g := &groups[i]
+		oids := make([]snmp.OID, len(g.stations))
+		arena := make(snmp.OIDArena, 0, len(oids)*(len(mib.Dot1dTpFdbPort)+len(collector.MAC{})))
+		for k, st := range g.stations {
+			oids[k] = arena.Append(mib.Dot1dTpFdbPort, st.mac.OIDSuffix()...)
 		}
-		g.moved = make([]bool, len(g.macs))
 		for k, v := range b.getAll(g.sw, oids) {
-			g.moved[k] = v.Kind != snmp.KindInteger || int(v.Int) != g.ports[k]
+			g.stations[k].moved = v.Kind != snmp.KindInteger || int(v.Int) != g.stations[k].port
 		}
 		return nil
 	})
 	var moved []collector.MAC
 	for _, g := range groups {
-		for k, m := range g.moved {
-			if m {
-				moved = append(moved, g.macs[k])
+		for _, st := range g.stations {
+			if st.moved {
+				moved = append(moved, st.mac)
 			}
 		}
 	}
@@ -547,7 +559,7 @@ func (b *build) connect(hosts []netip.Addr) error {
 				if !firstOfDomain[i] {
 					continue
 				}
-				segs, err := b.c.cfg.Bridge.Path(b.macs[src], b.macs[dst])
+				segs, err := b.l2Path(b.macs[src], b.macs[dst])
 				if err == nil {
 					if err := b.addL2Segments(segs, b.ids[src], b.ids[dst]); err != nil {
 						return err
@@ -631,13 +643,14 @@ func (b *build) routerChain(start, dst netip.Addr) ([]netip.Addr, error) {
 		}
 		return cached, nil
 	}
-	var chain []netip.Addr
+	var buf [8]netip.Addr // longer chains spill to the heap
+	walked := buf[:0]
 	cur := start
 	for hops := 0; ; hops++ {
 		if hops > 32 {
 			return nil, fmt.Errorf("route loop toward %v", dst)
 		}
-		chain = append(chain, cur)
+		walked = append(walked, cur)
 		if err := b.useRouter(cur); err != nil {
 			return nil, err
 		}
@@ -650,10 +663,26 @@ func (b *build) routerChain(start, dst netip.Addr) ([]netip.Addr, error) {
 		}
 		cur = e.nextHop
 	}
+	chain := b.internChain(walked)
 	b.c.mu.Lock()
 	b.c.chains[ck] = chain
 	b.c.mu.Unlock()
 	return chain, nil
+}
+
+// internChain returns the query's one copy of a router chain. The host
+// pairs of a query walk few distinct chains (one per pair of gateways),
+// so each is stored once and shared by every (start, dst) it serves;
+// nothing writes to a stored chain.
+func (b *build) internChain(chain []netip.Addr) []netip.Addr {
+	for _, have := range b.chains {
+		if slices.Equal(have, chain) {
+			return have
+		}
+	}
+	chain = slices.Clone(chain)
+	b.chains = append(b.chains, chain)
+	return chain
 }
 
 // useRouter ensures the router at addr is loaded, validated and in the
@@ -690,7 +719,7 @@ func (b *build) attachHostToRouter(h, r netip.Addr) error {
 		mh, okH := b.macs[h]
 		mr, okR := ri.macByIf[e.ifIndex]
 		if okH && okR {
-			if segs, err := b.c.cfg.Bridge.Path(mh, mr); err == nil {
+			if segs, err := b.l2Path(mh, mr); err == nil {
 				return b.addL2Segments(segs, hostID, rtrID)
 			}
 		}
@@ -714,6 +743,15 @@ func (b *build) attachHostToRouter(h, r netip.Addr) error {
 		reg = pollReg{agent: r, ifIndex: e.ifIndex, from: rtrID, to: vID, outIsFromTo: true}
 	}
 	return b.ensureLink(topology.Link{From: rtrID, To: vID, Capacity: speed}, reg)
+}
+
+// l2Path asks the Bridge Collector for the level-2 path between two
+// stations. The segments live in the build's scratch until the next call:
+// addL2Segments folds them into the graph right away.
+func (b *build) l2Path(from, to collector.MAC) ([]bridgecoll.Segment, error) {
+	segs, err := b.c.cfg.Bridge.AppendPath(b.segs[:0], from, to)
+	b.segs = segs[:0]
+	return segs, err
 }
 
 // addL2Segments folds Bridge Collector path segments into the graph,
@@ -771,7 +809,7 @@ func (b *build) addRouterHop(a, bAddr netip.Addr, dst netip.Addr) error {
 		ma, okA := riA.macByIf[e.ifIndex]
 		mb, okB := b.nextHopMAC(a, riA, e.ifIndex, bAddr)
 		if okA && okB {
-			if segs, err := b.c.cfg.Bridge.Path(ma, mb); err == nil {
+			if segs, err := b.l2Path(ma, mb); err == nil {
 				return b.addL2Segments(segs, aID, bID)
 			}
 		}

@@ -20,7 +20,9 @@ import (
 // now.
 func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
 	var added []*pollPoint
-	for _, l := range b.g.Links() {
+	var slab []pollPoint // the new points, made together
+	links := b.g.Links()
+	for i, l := range links {
 		reg := b.linkPolls[pairOf(l.From, l.To)]
 		if !reg.agent.IsValid() {
 			continue // unmeasurable link (virtual host side)
@@ -44,13 +46,14 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 		mk := monitorKey{agent: reg.agent, ifIndex: reg.ifIndex}
 		c.mu.Lock()
 		if _, monitored := c.monitors[mk]; !monitored {
-			p := &pollPoint{
-				agent:       reg.agent,
-				ifIndex:     reg.ifIndex,
-				from:        reg.from,
-				to:          reg.to,
-				outIsFromTo: reg.outIsFromTo,
+			if slab == nil {
+				slab = make([]pollPoint, 0, len(links)-i)
+				added = make([]*pollPoint, 0, len(links)-i)
 			}
+			slab = slab[:len(slab)+1]
+			p := &slab[len(slab)-1]
+			p.agent, p.ifIndex = reg.agent, reg.ifIndex
+			p.from, p.to, p.outIsFromTo = reg.from, reg.to, reg.outIsFromTo
 			c.monitors[mk] = p
 			added = append(added, p)
 			coldStart = true
@@ -61,22 +64,32 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 	return coldStart
 }
 
-// pollOIDs returns the OIDs a point's next read fetches, by mode. A probe
-// asks for both counter generations in one Get so the first (baseline)
-// exchange also decides which pair this interface serves — the cold read
-// stays a single exchange either way.
-func (p *pollPoint) pollOIDs(dst []snmp.OID) []snmp.OID {
+// pollOIDLen is the length of every OID pollOIDs builds: a counter column
+// plus the interface index.
+var pollOIDLen = len(mib.IfHCInOctets) + 1
+
+// pollOIDs appends the OIDs a point's next read fetches, by mode, carving
+// them from arena (sized 4*pollOIDLen per point at most). A probe asks for
+// both counter generations in one Get so the first (baseline) exchange
+// also decides which pair this interface serves — the cold read stays a
+// single exchange either way.
+func (p *pollPoint) pollOIDs(dst []snmp.OID, arena *snmp.OIDArena) []snmp.OID {
 	idx := uint32(p.ifIndex)
-	switch p.mode {
-	case modeHC:
-		return append(dst, mib.IfHCInOctets.Append(idx), mib.IfHCOutOctets.Append(idx))
-	case mode32:
-		return append(dst, mib.IfInOctets.Append(idx), mib.IfOutOctets.Append(idx))
-	default: // modeProbe
-		return append(dst,
-			mib.IfHCInOctets.Append(idx), mib.IfHCOutOctets.Append(idx),
-			mib.IfInOctets.Append(idx), mib.IfOutOctets.Append(idx))
+	if p.mode != mode32 { // modeHC, modeProbe
+		dst = append(dst, arena.Append(mib.IfHCInOctets, idx), arena.Append(mib.IfHCOutOctets, idx))
 	}
+	if p.mode != modeHC { // mode32, modeProbe
+		dst = append(dst, arena.Append(mib.IfInOctets, idx), arena.Append(mib.IfOutOctets, idx))
+	}
+	return dst
+}
+
+// width is how many OIDs the point's next read asks for.
+func (p *pollPoint) width() int {
+	if p.mode == modeProbe {
+		return 4
+	}
+	return 2
 }
 
 // counterKind is the value kind the mode's counters must carry.
@@ -88,11 +101,12 @@ func (m counterMode) counterKind() snmp.Kind {
 }
 
 // readCountersLocked reads a poll point's octet counters once (p.mu
-// held), recording a utilization sample when a previous baseline exists.
-func (c *Collector) readCountersLocked(ctx context.Context, cl *snmp.Client, p *pollPoint) {
+// held) from its agent at addr, recording a utilization sample when a previous baseline exists.
+func (c *Collector) readCountersLocked(ctx context.Context, cl *snmp.Client, addr string, p *pollPoint) {
 	now := c.now()
-	oids := p.pollOIDs(nil)
-	vbs, err := cl.GetContext(ctx, p.agent.String(), oids...)
+	arena := make(snmp.OIDArena, 0, 4*pollOIDLen)
+	oids := p.pollOIDs(make([]snmp.OID, 0, 4), &arena)
+	vbs, err := cl.GetContext(ctx, addr, oids...)
 	if err != nil {
 		p.havePrev = false // device unreachable; resync next time
 		return
@@ -260,43 +274,40 @@ func (c *Collector) readDevice(ctx context.Context, cl *snmp.Client, points []*p
 		}
 	}()
 	limit := c.maxVarBinds()
+	addr := points[0].agent.String() // rendered once for all of the device's exchanges
 	for start := 0; start < len(points); {
 		end, n := start, 0
 		for end < len(points) {
-			w := 2
-			if points[end].mode == modeProbe {
-				w = 4
-			}
+			w := points[end].width()
 			if end > start && n+w > limit {
 				break
 			}
 			n += w
 			end++
 		}
-		c.readBatchLocked(ctx, cl, points[start:end])
+		c.readBatchLocked(ctx, cl, addr, points[start:end])
 		start = end
 	}
 }
 
-// readBatchLocked reads a chunk of one device's poll points (their
-// mutexes held) in a single Get, timestamping the whole batch once. A
+// readBatchLocked reads a chunk of the poll points of the device at addr
+// (their mutexes held) in a single Get, timestamping the whole batch once. A
 // point still probing for its counter generation contributes its four
 // probe OIDs to the same Get (the probe doubles as the baseline read). A
 // failed or short response falls back to per-interface reads, so one
 // misbehaving varbind cannot poison a device's whole batch.
-func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, batch []*pollPoint) {
+func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr string, batch []*pollPoint) {
 	if len(batch) == 1 {
-		c.readCountersLocked(ctx, cl, batch[0])
+		c.readCountersLocked(ctx, cl, addr, batch[0])
 		return
 	}
 	oids := make([]snmp.OID, 0, 4*len(batch))
-	ends := make([]int, len(batch)) // ends[i]: where point i's OIDs stop
-	for i, p := range batch {
-		oids = p.pollOIDs(oids)
-		ends[i] = len(oids)
+	arena := make(snmp.OIDArena, 0, 4*len(batch)*pollOIDLen)
+	for _, p := range batch {
+		oids = p.pollOIDs(oids, &arena)
 	}
 	now := c.now()
-	vbs, err := cl.GetContext(ctx, batch[0].agent.String(), oids...)
+	vbs, err := cl.GetContext(ctx, addr, oids...)
 	if err != nil {
 		for _, p := range batch {
 			p.havePrev = false // device unreachable; resync next time
@@ -306,19 +317,19 @@ func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, batch 
 	if len(vbs) != len(oids) {
 		// Malformed response: retry each interface on its own.
 		for _, p := range batch {
-			c.readCountersLocked(ctx, cl, p)
+			c.readCountersLocked(ctx, cl, addr, p)
 		}
 		return
 	}
 	lo := 0
-	for i, p := range batch {
-		hi := ends[i]
+	for _, p := range batch {
+		hi := lo + p.width() // read before the response settles a probing point's mode
 		in, out, ok := p.applyCounterVarBinds(oids[lo:hi], vbs[lo:hi])
 		lo = hi
 		if !ok {
 			// This interface answered with an unexpected OID or kind
 			// (partial error): re-read it alone, which re-probes.
-			c.readCountersLocked(ctx, cl, p)
+			c.readCountersLocked(ctx, cl, addr, p)
 			continue
 		}
 		c.applyDelta(p, in, out, now)

@@ -40,7 +40,7 @@ func (c *Collector) ReferenceCollect(q collector.Query) (*collector.Result, Quer
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")
 	}
 	w := &referenceWalk{
-		b:          newBuild(ctx, c, cl),
+		b:          newBuild(ctx, c, cl, len(q.Hosts)),
 		verified:   make(map[netip.Addr]bool),
 		l2Attached: make(map[netip.Addr]bool),
 	}

@@ -74,6 +74,9 @@ var (
 	Dot1dTpFdbStatus     = Dot1dTpFdbTable.Append(3)
 )
 
+// sysObjectID is the emulated devices' sysObjectID value.
+var sysObjectID = snmp.MustParseOID("1.3.6.1.4.1.99999.1")
+
 // FdbStatusLearned is the dot1dTpFdbStatus value for a learned entry.
 const FdbStatusLearned = 3
 
@@ -120,7 +123,7 @@ func (v *DeviceView) refreshLocked() {
 
 	// system group
 	add(SysDescr, constStr(fmt.Sprintf("remos emulated %s %s", d.Kind, d.Name)))
-	add(SysObject, func() snmp.Value { return snmp.OIDValue(snmp.MustParseOID("1.3.6.1.4.1.99999.1")) })
+	add(SysObject, constVal(snmp.OIDValue(sysObjectID)))
 	add(SysUpTime, func() snmp.Value {
 		since := d.BootTime()
 		if since.IsZero() {
@@ -147,7 +150,7 @@ func (v *DeviceView) refreshLocked() {
 			}
 			return snmp.Gauge(uint32(speed))
 		})
-		add(IfPhysAddr.Append(idx), func() snmp.Value { return snmp.Octets(append([]byte(nil), ifc.MAC[:]...)) })
+		add(IfPhysAddr.Append(idx), constMAC(ifc.MAC))
 		add(IfOperSt.Append(idx), func() snmp.Value {
 			if ifc.Link != nil {
 				return snmp.Int64(1) // up
@@ -184,25 +187,20 @@ func (v *DeviceView) refreshLocked() {
 	add(IPForwarding, func() snmp.Value { return snmp.Int64(fwd) })
 	if d.IsRouter() {
 		for _, rt := range d.Routes() {
-			rt := rt
 			dest := rt.Prefix.Masked().Addr().As4()
 			sub := []uint32{uint32(dest[0]), uint32(dest[1]), uint32(dest[2]), uint32(dest[3])}
-			add(IPRouteDest.Append(sub...), func() snmp.Value { return snmp.IPv4(dest) })
-			add(IPRouteIfIdx.Append(sub...), func() snmp.Value { return snmp.Int64(int64(rt.IfIndex)) })
-			add(IPRouteNext.Append(sub...), func() snmp.Value {
-				if rt.NextHop.IsValid() {
-					return snmp.IPv4(rt.NextHop.As4())
-				}
-				return snmp.IPv4([4]byte{0, 0, 0, 0}) // directly connected
-			})
-			add(IPRouteMask.Append(sub...), func() snmp.Value {
-				bits := rt.Prefix.Bits()
-				var m uint32 = 0
-				if bits > 0 {
-					m = ^uint32(0) << (32 - uint(bits))
-				}
-				return snmp.IPv4([4]byte{byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)})
-			})
+			add(IPRouteDest.Append(sub...), constVal(snmp.IPv4(dest)))
+			add(IPRouteIfIdx.Append(sub...), constVal(snmp.Int64(int64(rt.IfIndex))))
+			next := [4]byte{} // 0.0.0.0: directly connected
+			if rt.NextHop.IsValid() {
+				next = rt.NextHop.As4()
+			}
+			add(IPRouteNext.Append(sub...), constVal(snmp.IPv4(next)))
+			var m uint32
+			if bits := rt.Prefix.Bits(); bits > 0 {
+				m = ^uint32(0) << (32 - uint(bits))
+			}
+			add(IPRouteMask.Append(sub...), constVal(snmp.IPv4([4]byte{byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)})))
 		}
 	}
 
@@ -243,9 +241,7 @@ func (v *DeviceView) refreshLocked() {
 					oif := oif
 					ip4 := oif.IP.As4()
 					sub := []uint32{uint32(rif.Index), uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3])}
-					add(IPNetToMediaPhys.Append(sub...), func() snmp.Value {
-						return snmp.Octets(append([]byte(nil), oif.MAC[:]...))
-					})
+					add(IPNetToMediaPhys.Append(sub...), constMAC(oif.MAC))
 				}
 			}
 		}
@@ -255,9 +251,7 @@ func (v *DeviceView) refreshLocked() {
 	if d.Kind == netsim.Switch {
 		if len(ifaces) > 0 {
 			first := ifaces[0]
-			add(Dot1dBaseBridgeAddr, func() snmp.Value {
-				return snmp.Octets(append([]byte(nil), first.MAC[:]...))
-			})
+			add(Dot1dBaseBridgeAddr, constMAC(first.MAC))
 		}
 		add(Dot1dBaseNumPorts, func() snmp.Value { return snmp.Int64(int64(len(ifaces))) })
 		for _, ifc := range ifaces {
@@ -287,9 +281,7 @@ func (v *DeviceView) refreshLocked() {
 		for _, fe := range v.net.FDB(d) {
 			fe := fe
 			sub := macSub(fe.MAC)
-			add(Dot1dTpFdbAddress.Append(sub...), func() snmp.Value {
-				return snmp.Octets(append([]byte(nil), fe.MAC[:]...))
-			})
+			add(Dot1dTpFdbAddress.Append(sub...), constMAC(fe.MAC))
 			add(Dot1dTpFdbPort.Append(sub...), func() snmp.Value { return snmp.Int64(int64(fe.Port)) })
 			add(Dot1dTpFdbStatus.Append(sub...), func() snmp.Value { return snmp.Int64(FdbStatusLearned) })
 		}
@@ -302,9 +294,17 @@ func macSub(m netsim.MAC) []uint32 {
 	return []uint32{uint32(m[0]), uint32(m[1]), uint32(m[2]), uint32(m[3]), uint32(m[4]), uint32(m[5])}
 }
 
-func constStr(s string) func() snmp.Value {
-	return func() snmp.Value { return snmp.Str(s) }
+// constVal serves a value fixed for the layout's lifetime. Octet strings
+// and OIDs are built once per refresh and handed out as they are, not
+// copied per request: the agent only encodes them, and a decoded response
+// never aliases them.
+func constVal(v snmp.Value) func() snmp.Value {
+	return func() snmp.Value { return v }
 }
+
+func constStr(s string) func() snmp.Value { return constVal(snmp.Str(s)) }
+
+func constMAC(m netsim.MAC) func() snmp.Value { return constVal(snmp.Octets(m[:])) }
 
 func sortEntries(es []entry) {
 	sort.Slice(es, func(i, j int) bool { return es[i].oid.Cmp(es[j].oid) < 0 })
@@ -345,7 +345,9 @@ func (v *DeviceView) Next(oid snmp.OID) (snmp.OID, snmp.Value, bool) {
 		}
 	}
 	if lo < len(v.entries) {
-		return v.entries[lo].oid.Clone(), v.entries[lo].fn(), true
+		// The layout's OIDs are built fresh by each refresh and never
+		// written again, so the caller may keep this one.
+		return v.entries[lo].oid, v.entries[lo].fn(), true
 	}
 	return nil, snmp.Value{}, false
 }

@@ -112,9 +112,13 @@ func readQueryBody(line []byte, r *bufio.Reader, scratch *[]byte) (collector.Que
 		if err != nil {
 			return collector.Query{}, err
 		}
-		a, err := netip.ParseAddr(string(bytes.TrimSpace(line)))
-		if err != nil {
-			return collector.Query{}, fmt.Errorf("proto: bad host %q: %w", bytes.TrimSpace(line), err)
+		host := bytes.TrimSpace(line)
+		quad, ok := dottedQuad(host) // the usual case, parsed in place
+		a := netip.AddrFrom4(quad)
+		if !ok {
+			if a, err = netip.ParseAddr(string(host)); err != nil {
+				return collector.Query{}, fmt.Errorf("proto: bad host %q: %w", host, err)
+			}
 		}
 		q.Hosts = append(q.Hosts, a)
 	}

@@ -38,13 +38,76 @@ func TestMarshalAllocationBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkBERCodec measures the codec on a 12-varbind counter response.
-// Run with -benchmem; the encode path should report 0 B/op when the caller
-// reuses its buffer, and decode allocation is bounded by the pre-counted
-// varbind and OID slices.
+// A decoded message is the Message and three backing arrays (varbinds,
+// OID sub-identifiers, octets), whatever it carries.
+func TestUnmarshalAllocationBudget(t *testing.T) {
+	wire, err := mixedResponse().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Unmarshal(wire); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Fatalf("Unmarshal of a 24-varbind mixed response allocates %.0f times, want <= 4", n)
+	}
+}
+
+// bulkExchange is an agent and a request of the shape a router walk sends
+// it: a scalar and two table columns in one GetBulk.
+func bulkExchange(t testing.TB) (*Agent, []byte) {
+	view, err := NewStaticView(map[string]Value{
+		"1.3.6.1.2.1.1.5.0":      Str("dev1"),
+		"1.3.6.1.2.1.2.2.1.10.1": Counter(100),
+		"1.3.6.1.2.1.2.2.1.10.2": Counter(200),
+		"1.3.6.1.2.1.2.2.1.16.1": Counter(300),
+		"1.3.6.1.2.1.2.2.1.16.2": Counter(400),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &Message{Community: "public", PDU: PDU{Type: GetBulkRequest, RequestID: 7, ErrorStatus: 1, ErrorIndex: 8,
+		VarBinds: []VarBind{
+			{Name: MustParseOID("1.3.6.1.2.1.1.5"), Value: Null},
+			{Name: MustParseOID("1.3.6.1.2.1.2.2.1.10"), Value: Null},
+			{Name: MustParseOID("1.3.6.1.2.1.2.2.1.16"), Value: Null},
+		}}}
+	wire, err := req.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Agent{Community: "public", View: view}, wire
+}
+
+// Once its pooled scratch has grown to the request's shape, the agent
+// allocates the response datagram and nothing else of its own.
+func TestHandleBytesAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	a, wire := bulkExchange(t)
+	if n := testing.AllocsPerRun(200, func() {
+		if a.HandleBytes(wire) == nil {
+			t.Fatal("request dropped")
+		}
+	}); n > 2 {
+		t.Fatalf("steady-state HandleBytes allocates %.0f times, want <= 2", n)
+	}
+}
+
+// BenchmarkBERCodec measures the codec on a 12-varbind counter response
+// and on the 24-varbind mixed one, and the agent's whole exchange. Run
+// with -benchmem; the encode path should report 0 B/op when the caller
+// reuses its buffer, decode allocates the message and its three arrays,
+// and the agent its response datagram.
 func BenchmarkBERCodec(b *testing.B) {
 	m := benchResponse()
 	wire, err := m.Marshal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixed, err := mixedResponse().Marshal()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,6 +141,24 @@ func BenchmarkBERCodec(b *testing.B) {
 			}
 			if _, err := Unmarshal(enc); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("DecodeMixed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Unmarshal(mixed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("AgentHandleBytes", func(b *testing.B) {
+		a, req := bulkExchange(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if a.HandleBytes(req) == nil {
+				b.Fatal("request dropped")
 			}
 		}
 	})

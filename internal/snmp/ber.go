@@ -431,30 +431,38 @@ func parseUintBody(b []byte) (uint64, error) {
 	return v, nil
 }
 
-func parseOIDBody(b []byte) (OID, error) {
+// countOIDBody returns how many sub-identifiers appendOIDSubs will produce
+// for a well-formed body: two for the head byte, one per byte without the
+// continuation bit after it.
+func countOIDBody(b []byte) int {
 	if len(b) == 0 {
-		return nil, fmt.Errorf("snmp: empty OID body")
+		return 0
 	}
-	// Pre-count the sub-identifiers (one per byte without the continuation
-	// bit) so the result slice is allocated exactly once at final size.
-	count := 2
+	n := 2
 	for _, c := range b[1:] {
 		if c&0x80 == 0 {
-			count++
+			n++
 		}
 	}
-	o := make(OID, 2, count)
+	return n
+}
+
+// appendOIDSubs decodes an OID body onto dst.
+func appendOIDSubs(dst []uint32, b []byte) ([]uint32, error) {
+	if len(b) == 0 {
+		return dst, fmt.Errorf("snmp: empty OID body")
+	}
 	if b[0] >= 80 {
-		o[0], o[1] = 2, uint32(b[0])-80
+		dst = append(dst, 2, uint32(b[0])-80)
 	} else {
-		o[0], o[1] = uint32(b[0])/40, uint32(b[0])%40
+		dst = append(dst, uint32(b[0])/40, uint32(b[0])%40)
 	}
 	var cur uint32
 	inRun := false
 	for _, c := range b[1:] {
 		cur = cur<<7 | uint32(c&0x7f)
 		if c&0x80 == 0 {
-			o = append(o, cur)
+			dst = append(dst, cur)
 			cur = 0
 			inRun = false
 		} else {
@@ -462,13 +470,61 @@ func parseOIDBody(b []byte) (OID, error) {
 		}
 	}
 	if inRun {
-		return nil, ErrTruncated
+		return dst, ErrTruncated
 	}
-	return o, nil
+	return dst, nil
 }
 
-// unmarshalValue decodes one TLV into a Value.
-func (r *reader) unmarshalValue() (Value, error) {
+// readInteger reads one INTEGER TLV.
+func (r *reader) readInteger() (int64, error) {
+	tag, length, err := r.readTL()
+	if err != nil {
+		return 0, err
+	}
+	body, err := r.readBytes(length)
+	if err != nil {
+		return 0, err
+	}
+	if tag != tagInteger {
+		return 0, fmt.Errorf("snmp: tag 0x%02x where an INTEGER belongs", tag)
+	}
+	return parseIntBody(body)
+}
+
+// decoder is one decoded message and the storage its values live in: the
+// varbind slice, one []uint32 holding every OID (names and OID values) and
+// one []byte holding every octet string and IpAddress. Each value is a
+// cap-limited sub-slice of its arena, so appending to one reallocates it
+// instead of reaching its neighbour. A fresh decoder backs one Unmarshal;
+// the agent reuses pooled ones, whose previous message dies with the next
+// decode.
+type decoder struct {
+	msg       Message
+	community []byte // aliases the input, valid only while it is
+	oids      []uint32
+	octets    []byte
+}
+
+// oid decodes an OID body into the arena.
+func (d *decoder) oid(body []byte) (OID, error) {
+	start := len(d.oids)
+	var err error
+	if d.oids, err = appendOIDSubs(d.oids, body); err != nil {
+		return nil, err
+	}
+	return OID(d.oids[start:len(d.oids):len(d.oids)]), nil
+}
+
+// bytes copies an octet-string body into the arena. The result is never
+// nil, so an empty octet string decodes to what Octets([]byte{}) builds.
+func (d *decoder) bytes(body []byte) []byte {
+	start := len(d.octets)
+	d.octets = append(d.octets, body...)
+	return d.octets[start:len(d.octets):len(d.octets)]
+}
+
+// value decodes one TLV into a Value.
+func (d *decoder) value(r *reader) (Value, error) {
 	tag, length, err := r.readTL()
 	if err != nil {
 		return Value{}, err
@@ -487,11 +543,9 @@ func (r *reader) unmarshalValue() (Value, error) {
 		}
 		return Int64(v), nil
 	case tagOctetString:
-		out := make([]byte, len(body))
-		copy(out, body)
-		return Octets(out), nil
+		return Octets(d.bytes(body)), nil
 	case tagOID:
-		o, err := parseOIDBody(body)
+		o, err := d.oid(body)
 		if err != nil {
 			return Value{}, err
 		}
@@ -500,9 +554,7 @@ func (r *reader) unmarshalValue() (Value, error) {
 		if len(body) != 4 {
 			return Value{}, fmt.Errorf("snmp: IpAddress body %d bytes", len(body))
 		}
-		var b4 [4]byte
-		copy(b4[:], body)
-		return IPv4(b4), nil
+		return Value{Kind: KindIPAddress, Bytes: d.bytes(body)}, nil
 	case tagCounter32, tagGauge32, tagTimeTicks, tagCounter64:
 		v, err := parseUintBody(body)
 		if err != nil {

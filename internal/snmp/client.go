@@ -224,7 +224,7 @@ func (c *Client) roundTrip(ctx context.Context, addr string, pdu PDU) (*PDU, err
 			lastErr = err
 			continue
 		}
-		resp, err := Unmarshal(respB)
+		resp, err := unmarshalHint(respB, c.Community)
 		if err != nil {
 			lastErr = err
 			continue
@@ -274,7 +274,7 @@ func (c *Client) roundTripPipelined(ctx context.Context, st SessionTransport, ad
 			lastErr = err
 			continue
 		}
-		resp, err := Unmarshal(respB)
+		resp, err := unmarshalHint(respB, c.Community)
 		if err != nil {
 			lastErr = err
 			continue

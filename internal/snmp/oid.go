@@ -103,6 +103,21 @@ func (o OID) Append(sub ...uint32) OID {
 	return out
 }
 
+// OIDArena builds the OIDs of one request in a single backing array,
+// presized by the caller: make(OIDArena, 0, n) for n sub-identifiers in
+// all. The OIDs live as long as any one of them does.
+type OIDArena []uint32
+
+// Append returns a new OID of base followed by the given sub-identifiers,
+// carved from the arena and cap-limited to its own elements, so appending
+// to it cannot reach the next one. OIDs carved earlier stay valid when
+// the arena outgrows its capacity.
+func (a *OIDArena) Append(base OID, sub ...uint32) OID {
+	start := len(*a)
+	*a = append(append(*a, base...), sub...)
+	return OID((*a)[start:len(*a):len(*a)])
+}
+
 // Clone returns a copy of the OID.
 func (o OID) Clone() OID {
 	out := make(OID, len(o))

@@ -105,6 +105,12 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 		copy(grown, dst)
 		dst = grown
 	}
+	return m.appendSized(dst, pduLen, vbsLen), nil
+}
+
+// appendSized is the append pass, given the sizing pass's interior
+// lengths; dst has room.
+func (m *Message) appendSized(dst []byte, pduLen, vbsLen int) []byte {
 	bodyLen := sizeTLV(sizeIntBody(snmpVersion2c)) +
 		sizeTLV(len(m.Community)) +
 		sizeTLV(pduLen)
@@ -130,168 +136,231 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 		dst = appendOIDBody(dst, vb.Name)
 		dst = appendValue(dst, vb.Value)
 	}
-	return dst, nil
+	return dst
 }
 
 // Marshal encodes the message in BER, allocating exactly one buffer of the
 // final size.
 func (m *Message) Marshal() ([]byte, error) {
-	total, _, _, err := m.marshalSize()
+	total, pduLen, vbsLen, err := m.marshalSize()
 	if err != nil {
 		return nil, err
 	}
-	return m.AppendMarshal(make([]byte, 0, total))
+	return m.appendSized(make([]byte, 0, total), pduLen, vbsLen), nil
+}
+
+// header reads the message prologue — outer SEQUENCE, version, community —
+// and returns a reader positioned at the PDU's tag with the community
+// bytes, which alias b.
+func header(b []byte) (reader, []byte, error) {
+	r := reader{b: b}
+	tag, length, err := r.readTL()
+	if err != nil {
+		return reader{}, nil, err
+	}
+	if tag != tagSequence {
+		return reader{}, nil, fmt.Errorf("snmp: message does not start with SEQUENCE (0x%02x)", tag)
+	}
+	inner, err := r.readBytes(length)
+	if err != nil {
+		return reader{}, nil, err
+	}
+	r = reader{b: inner}
+	ver, err := r.readInteger()
+	if err != nil {
+		return reader{}, nil, err
+	}
+	if ver != snmpVersion2c {
+		return reader{}, nil, fmt.Errorf("snmp: unsupported version %d", ver)
+	}
+	ctag, clen, err := r.readTL()
+	if err != nil {
+		return reader{}, nil, err
+	}
+	community, err := r.readBytes(clen)
+	if err != nil {
+		return reader{}, nil, err
+	}
+	if ctag != tagOctetString {
+		return reader{}, nil, fmt.Errorf("snmp: community tag 0x%02x, want OctetString", ctag)
+	}
+	return r, community, nil
 }
 
 // peekRequestID extracts the PDU type and request-id from an encoded
 // message without a full decode, for matching pipelined responses to their
 // outstanding requests. ok is false if b is not a parseable message prefix.
 func peekRequestID(b []byte) (PDUType, int32, bool) {
-	r := reader{b: b}
-	tag, length, err := r.readTL()
-	if err != nil || tag != tagSequence {
-		return 0, 0, false
-	}
-	inner, err := r.readBytes(length)
+	r, _, err := header(b)
 	if err != nil {
-		return 0, 0, false
-	}
-	r = reader{b: inner}
-	if ver, err := r.unmarshalValue(); err != nil || ver.Kind != KindInteger {
-		return 0, 0, false
-	}
-	if comm, err := r.unmarshalValue(); err != nil || comm.Kind != KindOctetString {
 		return 0, 0, false
 	}
 	ptag, _, err := r.readTL()
 	if err != nil {
 		return 0, 0, false
 	}
-	pr := reader{b: r.b[r.i:]}
-	reqID, err := pr.unmarshalValue()
-	if err != nil || reqID.Kind != KindInteger {
+	reqID, err := r.readInteger()
+	if err != nil {
 		return 0, 0, false
 	}
-	return PDUType(ptag), int32(reqID.Int), true
+	return PDUType(ptag), int32(reqID), true
 }
 
-// Unmarshal decodes a BER message. The varbind slice is preallocated at its
-// exact final length by pre-scanning the varbind list's TLV headers.
-func Unmarshal(b []byte) (*Message, error) {
-	r := reader{b: b}
-	tag, length, err := r.readTL()
-	if err != nil {
-		return nil, err
-	}
-	if tag != tagSequence {
-		return nil, fmt.Errorf("snmp: message does not start with SEQUENCE (0x%02x)", tag)
-	}
-	inner, err := r.readBytes(length)
-	if err != nil {
-		return nil, err
-	}
-	r = reader{b: inner}
+// defaultCommunity is the conventional v2c community: a message carrying
+// it decodes without allocating a string for it.
+const defaultCommunity = "public"
 
-	ver, err := r.unmarshalValue()
-	if err != nil {
+// communityString returns b as a string, reusing hint when they are equal.
+func communityString(b []byte, hint string) string {
+	if string(b) == hint {
+		return hint
+	}
+	return string(b)
+}
+
+// Unmarshal decodes a BER message into storage of its own: the Message,
+// its varbind slice, one []uint32 every OID aliases and one []byte every
+// octet string and IpAddress aliases, all sized exactly by a pre-scan of
+// the varbind list. Each value is cap-limited to its own elements (an
+// append reallocates rather than overwriting a neighbour), and nothing
+// aliases b.
+func Unmarshal(b []byte) (*Message, error) {
+	return unmarshalHint(b, defaultCommunity)
+}
+
+// unmarshalHint is Unmarshal for a caller that knows which community it
+// expects back.
+func unmarshalHint(b []byte, community string) (*Message, error) {
+	d := new(decoder)
+	if err := d.decode(b); err != nil {
 		return nil, err
 	}
-	if ver.Kind != KindInteger || ver.Int != snmpVersion2c {
-		return nil, fmt.Errorf("snmp: unsupported version %v", ver)
+	d.msg.Community = communityString(d.community, community)
+	return &d.msg, nil
+}
+
+// measure pre-scans a varbind list: how many varbinds, OID
+// sub-identifiers and octet-string bytes decoding it will produce. The
+// counts are exact for a list the decoder accepts, and bounded by a small
+// multiple of len(vbody) for any input.
+func measure(vbody []byte) (vbs, subs, octets int, err error) {
+	for sc := (reader{b: vbody}); sc.remaining() > 0; vbs++ {
+		_, elen, err := sc.readTL()
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		ebody, err := sc.readBytes(elen)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		er := reader{b: ebody}
+		for i := 0; i < 2; i++ { // name, value
+			tag, length, err := er.readTL()
+			if err != nil {
+				break // the decode loop reports it
+			}
+			body, err := er.readBytes(length)
+			if err != nil {
+				break
+			}
+			switch tag {
+			case tagOID:
+				subs += countOIDBody(body)
+			case tagOctetString, tagIPAddress:
+				octets += len(body)
+			}
+		}
 	}
-	comm, err := r.unmarshalValue()
+	return vbs, subs, octets, nil
+}
+
+// decode parses b into d, reusing whatever capacity d's varbind slice and
+// arenas already have. On error d holds garbage.
+func (d *decoder) decode(b []byte) error {
+	r, community, err := header(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if comm.Kind != KindOctetString {
-		return nil, fmt.Errorf("snmp: community is %v, want OctetString", comm.Kind)
-	}
+	d.community = community
 
 	ptag, plen, err := r.readTL()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pbody, err := r.readBytes(plen)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pr := reader{b: pbody}
-	msg := &Message{Community: string(comm.Bytes)}
-	msg.PDU.Type = PDUType(ptag)
-	switch msg.PDU.Type {
+	pdu := &d.msg.PDU
+	pdu.Type = PDUType(ptag)
+	switch pdu.Type {
 	case GetRequest, GetNextRequest, GetResponse, SetRequest, GetBulkRequest:
 	default:
-		return nil, fmt.Errorf("snmp: unsupported PDU type 0x%02x", ptag)
+		return fmt.Errorf("snmp: unsupported PDU type 0x%02x", ptag)
 	}
-
-	reqID, err := pr.unmarshalValue()
-	if err != nil {
-		return nil, err
+	var hdr [3]int64 // request-id, error-status, error-index
+	for i := range hdr {
+		if hdr[i], err = pr.readInteger(); err != nil {
+			return fmt.Errorf("snmp: malformed PDU header: %w", err)
+		}
 	}
-	errStat, err := pr.unmarshalValue()
-	if err != nil {
-		return nil, err
-	}
-	errIdx, err := pr.unmarshalValue()
-	if err != nil {
-		return nil, err
-	}
-	if reqID.Kind != KindInteger || errStat.Kind != KindInteger || errIdx.Kind != KindInteger {
-		return nil, fmt.Errorf("snmp: malformed PDU header")
-	}
-	msg.PDU.RequestID = int32(reqID.Int)
-	msg.PDU.ErrorStatus = int(errStat.Int)
-	msg.PDU.ErrorIndex = int(errIdx.Int)
+	pdu.RequestID = int32(hdr[0])
+	pdu.ErrorStatus = int(hdr[1])
+	pdu.ErrorIndex = int(hdr[2])
 
 	vtag, vlen, err := pr.readTL()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if vtag != tagSequence {
-		return nil, fmt.Errorf("snmp: varbind list tag 0x%02x", vtag)
+		return fmt.Errorf("snmp: varbind list tag 0x%02x", vtag)
 	}
 	vbody, err := pr.readBytes(vlen)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Pre-scan the list's entry headers to size the slice exactly.
-	count := 0
-	for sc := (reader{b: vbody}); sc.remaining() > 0; count++ {
-		_, elen, err := sc.readTL()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sc.readBytes(elen); err != nil {
-			return nil, err
-		}
+	nvb, nsub, noct, err := measure(vbody)
+	if err != nil {
+		return err
 	}
-	msg.PDU.VarBinds = make([]VarBind, 0, count)
+	if pdu.VarBinds == nil || cap(pdu.VarBinds) < nvb {
+		pdu.VarBinds = make([]VarBind, 0, nvb)
+	}
+	if cap(d.oids) < nsub {
+		d.oids = make([]uint32, 0, nsub)
+	}
+	if d.octets == nil || cap(d.octets) < noct {
+		d.octets = make([]byte, 0, noct)
+	}
+	pdu.VarBinds, d.oids, d.octets = pdu.VarBinds[:0], d.oids[:0], d.octets[:0]
+
 	vr := reader{b: vbody}
 	for vr.remaining() > 0 {
 		etag, elen, err := vr.readTL()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if etag != tagSequence {
-			return nil, fmt.Errorf("snmp: varbind tag 0x%02x", etag)
+			return fmt.Errorf("snmp: varbind tag 0x%02x", etag)
 		}
 		ebody, err := vr.readBytes(elen)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		er := reader{b: ebody}
-		name, err := er.unmarshalValue()
+		name, err := d.value(&er)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if name.Kind != KindOID {
-			return nil, fmt.Errorf("snmp: varbind name kind %v", name.Kind)
+			return fmt.Errorf("snmp: varbind name kind %v", name.Kind)
 		}
-		val, err := er.unmarshalValue()
+		val, err := d.value(&er)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		msg.PDU.VarBinds = append(msg.PDU.VarBinds, VarBind{Name: name.Oid, Value: val})
+		pdu.VarBinds = append(pdu.VarBinds, VarBind{Name: name.Oid, Value: val})
 	}
-	return msg, nil
+	return nil
 }

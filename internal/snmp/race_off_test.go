@@ -1,0 +1,5 @@
+//go:build !race
+
+package snmp
+
+const raceEnabled = false

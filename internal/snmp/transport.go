@@ -359,9 +359,7 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 			if err != nil {
 				return // closed
 			}
-			req := make([]byte, n)
-			copy(req, buf[:n])
-			if resp := s.Agent.HandleBytes(req); resp != nil {
+			if resp := s.Agent.HandleBytes(buf[:n]); resp != nil { // HandleBytes does not retain the request
 				conn.WriteToUDP(resp, peer)
 			}
 		}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -25,94 +26,170 @@ import (
 //
 // Node IDs must not contain whitespace.
 func (g *Graph) EncodeText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
 	nodes := g.Nodes()
-	fmt.Fprintf(bw, "GRAPH %d %d\n", len(nodes), len(g.links))
+	// One buffer, sized for what the lines below usually need: the IDs
+	// and addresses as they are, plus room for the keywords, separators
+	// and numbers of a line (five numbers of a link rarely print longer
+	// than twelve bytes each).
+	size := len("GRAPH 4294967296 4294967296\nEND\n")
+	for _, n := range nodes {
+		size += len("NODE   virtual \n") + len(n.ID) + len(n.Addr)
+	}
+	for _, l := range g.links {
+		size += len("LINK       \n") + len(l.From) + len(l.To) + 5*12
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "GRAPH "...)
+	b = strconv.AppendInt(b, int64(len(nodes)), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(g.links)), 10)
+	b = append(b, '\n')
 	for _, n := range nodes {
 		if strings.ContainsAny(n.ID, " \t\n") {
 			return fmt.Errorf("topology: node ID %q contains whitespace", n.ID)
 		}
-		addr := n.Addr
-		if addr == "" {
-			addr = "-"
+		b = append(b, "NODE "...)
+		b = append(b, n.ID...)
+		b = append(b, ' ')
+		b = append(b, n.Kind.String()...)
+		b = append(b, ' ')
+		if n.Addr == "" {
+			b = append(b, '-')
+		} else {
+			b = append(b, n.Addr...)
 		}
-		fmt.Fprintf(bw, "NODE %s %s %s\n", n.ID, n.Kind, addr)
+		b = append(b, '\n')
 	}
 	for _, l := range g.links {
-		fmt.Fprintf(bw, "LINK %s %s %g %g %g %d %d\n",
-			l.From, l.To, l.Capacity, l.UtilFromTo, l.UtilToFrom,
-			l.Latency.Nanoseconds(), l.Jitter.Nanoseconds())
+		b = append(b, "LINK "...)
+		b = append(b, l.From...)
+		b = append(b, ' ')
+		b = append(b, l.To...)
+		for _, f := range [3]float64{l.Capacity, l.UtilFromTo, l.UtilToFrom} {
+			// 'g' at the shortest precision that round-trips: what %g prints.
+			b = strconv.AppendFloat(append(b, ' '), f, 'g', -1, 64)
+		}
+		b = strconv.AppendInt(append(b, ' '), l.Latency.Nanoseconds(), 10)
+		b = strconv.AppendInt(append(b, ' '), l.Jitter.Nanoseconds(), 10)
+		b = append(b, '\n')
 	}
-	fmt.Fprintln(bw, "END")
-	return bw.Flush()
+	b = append(b, "END\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
-// DecodeText parses the ASCII form produced by EncodeText.
+// textFields splits a line on ASCII white space into at most len(dst)
+// fields, in place; n is how many fields the line has in all, so n >
+// len(dst) says it has too many.
+func textFields(line []byte, dst [][]byte) (n int) {
+	for i := 0; i < len(line); {
+		if asciiSpace(line[i]) {
+			i++
+			continue
+		}
+		start := i
+		for i < len(line) && !asciiSpace(line[i]) {
+			i++
+		}
+		if n < len(dst) {
+			dst[n] = line[start:i]
+		}
+		n++
+	}
+	return n
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// DecodeText parses the ASCII form produced by EncodeText. Lines are
+// scanned in place; only the strings the graph keeps are made.
 func DecodeText(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 4096), 16*1024*1024)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("topology: empty input")
 	}
-	var nn, nl int
-	if _, err := fmt.Sscanf(sc.Text(), "GRAPH %d %d", &nn, &nl); err != nil {
-		return nil, fmt.Errorf("topology: bad header %q: %v", sc.Text(), err)
+	var f [9][]byte
+	bad := func(what string) error { return fmt.Errorf("topology: bad %s %q", what, sc.Bytes()) }
+	if textFields(sc.Bytes(), f[:]) < 3 || string(f[0]) != "GRAPH" {
+		return nil, bad("header")
 	}
-	g := NewGraph()
+	nn, err1 := strconv.Atoi(string(f[1]))
+	nl, err2 := strconv.Atoi(string(f[2]))
+	if err1 != nil || err2 != nil {
+		return nil, bad("header")
+	}
+	if nn < 0 || nl < 0 {
+		return nil, fmt.Errorf("topology: negative count in header %q", sc.Bytes())
+	}
+	// The counts are the peer's word: room is made for one chunk's worth,
+	// beyond which storage follows the lines that actually arrive.
+	g := NewGraphSized(min(nn, slabMax), min(nl, slabMax))
 	for i := 0; i < nn; i++ {
 		if !sc.Scan() {
 			return nil, io.ErrUnexpectedEOF
 		}
-		f := strings.Fields(sc.Text())
-		if len(f) != 4 || f[0] != "NODE" {
-			return nil, fmt.Errorf("topology: bad node line %q", sc.Text())
+		if textFields(sc.Bytes(), f[:]) != 4 || string(f[0]) != "NODE" {
+			return nil, bad("node line")
 		}
-		kind, err := ParseNodeKind(f[2])
-		if err != nil {
-			return nil, err
+		kind, ok := parseKind(f[2])
+		if !ok {
+			return nil, fmt.Errorf("topology: unknown node kind %q", f[2])
 		}
-		addr := f[3]
-		if addr == "-" {
-			addr = ""
+		n := Node{ID: string(f[1]), Kind: kind}
+		switch {
+		case string(f[3]) == "-":
+		case string(f[3]) == n.ID:
+			n.Addr = n.ID // a host's ID is its address: one string
+		default:
+			n.Addr = string(f[3])
 		}
-		g.AddNode(Node{ID: f[1], Kind: kind, Addr: addr})
+		g.AddNode(n)
 	}
 	for i := 0; i < nl; i++ {
 		if !sc.Scan() {
 			return nil, io.ErrUnexpectedEOF
 		}
-		f := strings.Fields(sc.Text())
-		if (len(f) != 7 && len(f) != 8) || f[0] != "LINK" {
-			return nil, fmt.Errorf("topology: bad link line %q", sc.Text())
+		nf := textFields(sc.Bytes(), f[:])
+		if (nf != 7 && nf != 8) || string(f[0]) != "LINK" {
+			return nil, bad("link line")
+		}
+		// The endpoints must name nodes already read; the link shares
+		// their ID strings.
+		from, to := g.nodes[string(f[1])], g.nodes[string(f[2])]
+		if from == nil || to == nil {
+			return nil, fmt.Errorf("topology: link %s-%s references missing node", f[1], f[2])
 		}
 		var vals [3]float64
-		for j := 0; j < 3; j++ {
-			v, err := strconv.ParseFloat(f[3+j], 64)
+		for j := range vals {
+			v, err := strconv.ParseFloat(string(f[3+j]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("topology: bad link number %q: %v", f[3+j], err)
 			}
 			vals[j] = v
 		}
-		ns, err := strconv.ParseInt(f[6], 10, 64)
+		ns, err := strconv.ParseInt(string(f[6]), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("topology: bad latency %q: %v", f[6], err)
 		}
 		var jitterNs int64
-		if len(f) == 8 {
-			jitterNs, err = strconv.ParseInt(f[7], 10, 64)
+		if nf == 8 {
+			jitterNs, err = strconv.ParseInt(string(f[7]), 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("topology: bad jitter %q: %v", f[7], err)
 			}
 		}
 		if _, err := g.AddLink(Link{
-			From: f[1], To: f[2],
+			From: from.ID, To: to.ID,
 			Capacity: vals[0], UtilFromTo: vals[1], UtilToFrom: vals[2],
 			Latency: time.Duration(ns), Jitter: time.Duration(jitterNs),
 		}); err != nil {
 			return nil, err
 		}
 	}
-	if !sc.Scan() || strings.TrimSpace(sc.Text()) != "END" {
+	if !sc.Scan() || string(bytes.TrimSpace(sc.Bytes())) != "END" {
 		return nil, fmt.Errorf("topology: missing END trailer")
 	}
 	return g, nil

@@ -26,7 +26,7 @@ func (g *Graph) Prune(endpoints []string) (*Graph, error) {
 			}
 			keepNode[endpoints[i]] = true
 			for _, h := range hops {
-				keepNode[h.peer()] = true
+				keepNode[h.peerID()] = true
 				keepLink[h.link] = true
 			}
 		}
@@ -62,8 +62,8 @@ func (g *Graph) CollapseChains(protect map[string]bool) {
 			if protect[n.ID] || (n.Kind != SwitchNode && n.Kind != VirtualNode) {
 				continue
 			}
-			hl := adj[n.ID]
-			if len(hl) == 2 && hl[0].peer() != n.ID && hl[1].peer() != n.ID && hl[0].peer() != hl[1].peer() {
+			hl := adj.of(n.ID)
+			if len(hl) == 2 && hl[0].peerID() != n.ID && hl[1].peerID() != n.ID && hl[0].peerID() != hl[1].peerID() {
 				victim = n
 				break
 			}
@@ -71,7 +71,7 @@ func (g *Graph) CollapseChains(protect map[string]bool) {
 		if victim == nil {
 			return
 		}
-		hl := adj[victim.ID]
+		hl := adj.of(victim.ID)
 		a, b := hl[0], hl[1]
 		// Orient each half-link outward from the victim: "toward peer"
 		// and "from peer" utilizations.
@@ -87,8 +87,8 @@ func (g *Graph) CollapseChains(protect map[string]bool) {
 		availAB := minf(a.link.Capacity-fromA, b.link.Capacity-towardB)
 		availBA := minf(b.link.Capacity-fromB, a.link.Capacity-towardA)
 		merged := Link{
-			From:       a.peer(),
-			To:         b.peer(),
+			From:       a.peerID(),
+			To:         b.peerID(),
 			Capacity:   bottleneck,
 			UtilFromTo: maxf(0, bottleneck-clampNonNeg(availAB)),
 			UtilToFrom: maxf(0, bottleneck-clampNonNeg(availBA)),
@@ -130,8 +130,8 @@ func (g *Graph) CollapseSwitchClouds(prefix string) int {
 			cur := queue[0]
 			queue = queue[1:]
 			comp = append(comp, cur)
-			for _, h := range adj[cur] {
-				p := h.peer()
+			for _, h := range adj.of(cur) {
+				p := h.peerID()
 				if pn := g.nodes[p]; pn != nil && pn.Kind == SwitchNode && !visited[p] {
 					visited[p] = true
 					queue = append(queue, p)

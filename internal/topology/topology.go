@@ -8,7 +8,9 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"remos/internal/maxmin"
@@ -28,34 +30,33 @@ const (
 	VirtualNode
 )
 
+// kindNames are the kinds' names in the wire protocols, by kind.
+var kindNames = [...]string{HostNode: "host", RouterNode: "router", SwitchNode: "switch", VirtualNode: "virtual"}
+
 // String names the kind (used by the ASCII protocol).
 func (k NodeKind) String() string {
-	switch k {
-	case HostNode:
-		return "host"
-	case RouterNode:
-		return "router"
-	case SwitchNode:
-		return "switch"
-	case VirtualNode:
-		return "virtual"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("NodeKind(%d)", int(k))
 }
 
 // ParseNodeKind is the inverse of String.
 func ParseNodeKind(s string) (NodeKind, error) {
-	switch s {
-	case "host":
-		return HostNode, nil
-	case "router":
-		return RouterNode, nil
-	case "switch":
-		return SwitchNode, nil
-	case "virtual":
-		return VirtualNode, nil
+	if k, ok := parseKind([]byte(s)); ok {
+		return k, nil
 	}
 	return 0, fmt.Errorf("topology: unknown node kind %q", s)
+}
+
+// parseKind is ParseNodeKind on bytes scanned in place.
+func parseKind(b []byte) (NodeKind, bool) {
+	for k, name := range kindNames {
+		if string(b) == name {
+			return NodeKind(k), true
+		}
+	}
+	return 0, false
 }
 
 // Node is one vertex of the virtual topology.
@@ -96,7 +97,8 @@ func clampNonNeg(v float64) float64 {
 	return v
 }
 
-// Graph is a virtual topology.
+// Graph is a virtual topology. Like a map, it may be read from several
+// goroutines at once but not while one of them mutates it.
 type Graph struct {
 	nodes map[string]*Node
 	// byAddr finds the node carrying an address without scanning nodes;
@@ -105,16 +107,64 @@ type Graph struct {
 	byAddr  map[string]*Node
 	links   []*Link
 	linkIdx map[[2]string]*Link // canonical (sorted) endpoint pair -> first link
+	// nodeSlab and linkSlab are where AddNode and AddLink put their
+	// copies: chunks that double up to slabMax, so building a graph costs
+	// a handful of allocations, not one per node and link. A chunk lives
+	// as long as anything in it is referenced.
+	nodeSlab []Node
+	linkSlab []Link
+	// adj memoizes adjacency(): built by the first routing request after
+	// a change, read by every one until the next. Everything that binds
+	// or drops a node or a link, or rewrites a link's endpoints, drops it
+	// (invalidate). Concurrent readers may each build it; they build the
+	// same thing.
+	adj atomic.Pointer[adjacency]
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{
-		nodes:   make(map[string]*Node),
-		byAddr:  make(map[string]*Node),
-		linkIdx: make(map[[2]string]*Link),
+func NewGraph() *Graph { return NewGraphSized(0, 0) }
+
+// NewGraphSized returns an empty graph with room for the given number of
+// nodes and links, for a builder that knows roughly what it will hold.
+func NewGraphSized(nodes, links int) *Graph {
+	g := &Graph{
+		nodes:   make(map[string]*Node, nodes),
+		byAddr:  make(map[string]*Node, nodes),
+		links:   make([]*Link, 0, links),
+		linkIdx: make(map[[2]string]*Link, links),
+	}
+	g.reserve(nodes, links)
+	return g
+}
+
+// slabMin and slabMax bound the chunks AddNode and AddLink carve from.
+const (
+	slabMin = 8
+	slabMax = 256
+)
+
+// reserve makes sure the next nodes AddNode calls and links AddLink
+// calls carve from one chunk each.
+func (g *Graph) reserve(nodes, links int) {
+	if cap(g.nodeSlab)-len(g.nodeSlab) < nodes {
+		g.nodeSlab = make([]Node, 0, nodes)
+	}
+	if cap(g.linkSlab)-len(g.linkSlab) < links {
+		g.linkSlab = make([]Link, 0, links)
 	}
 }
+
+// carve returns room for one more element of a slab, starting a chunk
+// twice the size of the last when that one is full.
+func carve[T any](slab []T) []T {
+	if len(slab) < cap(slab) {
+		return slab[:len(slab)+1]
+	}
+	return make([]T, 1, min(max(2*cap(slab), slabMin), slabMax))
+}
+
+// invalidate drops what is memoized about the graph's structure.
+func (g *Graph) invalidate() { g.adj.Store(nil) }
 
 func pairKey(a, b string) [2]string {
 	if a > b {
@@ -125,11 +175,14 @@ func pairKey(a, b string) [2]string {
 
 // AddNode inserts or replaces a node.
 func (g *Graph) AddNode(n Node) *Node {
-	cp := n
+	g.nodeSlab = carve(g.nodeSlab)
+	cp := &g.nodeSlab[len(g.nodeSlab)-1]
+	*cp = n
 	g.dropNode(n.ID)
-	g.nodes[n.ID] = &cp
-	g.indexAddr(&cp)
-	return &cp
+	g.nodes[n.ID] = cp
+	g.indexAddr(cp)
+	g.invalidate()
+	return cp
 }
 
 func (g *Graph) indexAddr(n *Node) {
@@ -150,6 +203,7 @@ func (g *Graph) dropNode(id string) {
 	if n := g.nodes[id]; n != nil {
 		g.unindexAddr(n)
 		delete(g.nodes, id)
+		g.invalidate()
 	}
 }
 
@@ -162,7 +216,7 @@ func (g *Graph) Nodes() []*Node {
 	for _, n := range g.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Node) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -177,12 +231,15 @@ func (g *Graph) AddLink(l Link) (*Link, error) {
 	if g.nodes[l.From] == nil || g.nodes[l.To] == nil {
 		return nil, fmt.Errorf("topology: link %s-%s references missing node", l.From, l.To)
 	}
-	cp := l
-	g.links = append(g.links, &cp)
+	g.linkSlab = carve(g.linkSlab)
+	cp := &g.linkSlab[len(g.linkSlab)-1]
+	*cp = l
+	g.links = append(g.links, cp)
 	if k := pairKey(l.From, l.To); g.linkIdx[k] == nil {
-		g.linkIdx[k] = &cp
+		g.linkIdx[k] = cp
 	}
-	return &cp, nil
+	g.invalidate()
+	return cp, nil
 }
 
 // FindLink returns the first link joining the two nodes in either
@@ -193,6 +250,7 @@ func (g *Graph) FindLink(a, b string) *Link {
 
 // reindexLinks rebuilds the link index after bulk link mutation.
 func (g *Graph) reindexLinks() {
+	g.invalidate()
 	g.linkIdx = make(map[[2]string]*Link, len(g.links))
 	for _, l := range g.links {
 		if k := pairKey(l.From, l.To); g.linkIdx[k] == nil {
@@ -204,19 +262,36 @@ func (g *Graph) reindexLinks() {
 // Merge folds other into g: nodes are united by ID (other's attributes win
 // for duplicates only where g's are empty) and duplicate links (same
 // unordered endpoints) keep the larger utilization readings — collectors
-// measuring the same physical link may report at different instants.
+// measuring the same physical link may report at different instants. An
+// address other binds to one of its nodes (NodeByAddr) comes out bound to
+// that node's counterpart in g, so the result does not depend on the
+// order the nodes are visited in.
 func (g *Graph) Merge(other *Graph) {
-	for _, n := range other.Nodes() {
-		if exist := g.nodes[n.ID]; exist != nil {
-			if exist.Addr == "" {
-				exist.Addr = n.Addr
-				g.indexAddr(exist)
-			}
+	fresh := 0
+	for id := range other.nodes {
+		if g.nodes[id] == nil {
+			fresh++
+		}
+	}
+	g.reserve(fresh, 0)
+	for _, n := range other.nodes {
+		into := g.nodes[n.ID]
+		switch {
+		case into == nil:
+			// Added without its address: whether the address binds to
+			// it is other's to say, below.
+			into = g.AddNode(Node{ID: n.ID, Kind: n.Kind})
+			into.Addr = n.Addr
+		case into.Addr == "":
+			into.Addr = n.Addr
+		default:
 			continue
 		}
-		g.AddNode(*n)
+		if n.Addr != "" && other.byAddr[n.Addr] == n {
+			g.byAddr[n.Addr] = into
+		}
 	}
-	for _, l := range other.links {
+	for i, l := range other.links {
 		if exist := g.FindLink(l.From, l.To); exist != nil {
 			a, b := l.UtilFromTo, l.UtilToFrom
 			if exist.From != l.From {
@@ -230,7 +305,8 @@ func (g *Graph) Merge(other *Graph) {
 			}
 			continue
 		}
-		g.AddLink(*l)
+		g.reserve(0, len(other.links)-i) // one chunk for all that are new; a no-op after the first
+		g.AddLink(*l)                    // both endpoints were just united
 	}
 }
 
@@ -304,25 +380,71 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
-// neighbors builds an adjacency list. Each entry carries the link and
-// whether the node is the From endpoint.
+// halfLink is one direction of travel over a link.
 type halfLink struct {
 	link  *Link
-	fromA bool // true when traversing From->To
+	fromA bool  // true when traversing From->To
+	peer  int32 // the node arrived at, by its number in the adjacency this half belongs to
 }
 
-func (h halfLink) peer() string {
+func (h halfLink) peerID() string {
 	if h.fromA {
 		return h.link.To
 	}
 	return h.link.From
 }
 
-func (g *Graph) adjacency() map[string][]halfLink {
-	adj := make(map[string][]halfLink, len(g.nodes))
+// adjacency is the graph's links by the node they leave, in canonical
+// order. Nodes are numbered densely (in no particular order) so that a
+// search keeps its state in slices; node i's half-links are
+// half[off[i]:off[i+1]].
+type adjacency struct {
+	num  map[string]int32
+	off  []int32
+	half []halfLink
+}
+
+// of returns the half-links leaving the node.
+func (a *adjacency) of(id string) []halfLink {
+	i, ok := a.num[id]
+	if !ok {
+		return nil
+	}
+	return a.half[a.off[i]:a.off[i+1]]
+}
+
+// adjacency returns the memoized adjacency, building it if a mutation
+// dropped it.
+func (g *Graph) adjacency() *adjacency {
+	if a := g.adj.Load(); a != nil {
+		return a
+	}
+	a := g.buildAdjacency()
+	g.adj.Store(a)
+	return a
+}
+
+func (g *Graph) buildAdjacency() *adjacency {
+	a := &adjacency{num: make(map[string]int32, len(g.nodes))}
+	for id := range g.nodes {
+		a.num[id] = int32(len(a.num))
+	}
+	a.off = make([]int32, len(a.num)+1)
 	for _, l := range g.links {
-		adj[l.From] = append(adj[l.From], halfLink{link: l, fromA: true})
-		adj[l.To] = append(adj[l.To], halfLink{link: l, fromA: false})
+		a.off[a.num[l.From]+1]++
+		a.off[a.num[l.To]+1]++
+	}
+	for i := 1; i < len(a.off); i++ {
+		a.off[i] += a.off[i-1]
+	}
+	a.half = make([]halfLink, 2*len(g.links))
+	next := slices.Clone(a.off[:len(a.num)])
+	for _, l := range g.links {
+		from, to := a.num[l.From], a.num[l.To]
+		a.half[next[from]] = halfLink{link: l, fromA: true, peer: to}
+		next[from]++
+		a.half[next[to]] = halfLink{link: l, fromA: false, peer: from}
+		next[to]++
 	}
 	// Canonical neighbor order: BFS tie-breaking must depend on the
 	// graph's content, not on link insertion history, so that two graphs
@@ -331,10 +453,12 @@ func (g *Graph) adjacency() map[string][]halfLink {
 	// in a different link order than a single-master walk). Sort each
 	// node's neighbors by peer ID; parallel links between the same pair
 	// keep their relative insertion order.
-	for _, hs := range adj {
-		sort.SliceStable(hs, func(i, j int) bool { return hs[i].peer() < hs[j].peer() })
+	for i := 0; i < len(a.num); i++ {
+		slices.SortStableFunc(a.half[a.off[i]:a.off[i+1]], func(x, y halfLink) int {
+			return strings.Compare(x.peerID(), y.peerID())
+		})
 	}
-	return adj
+	return a
 }
 
 // Path returns the node IDs of a shortest (hop-count) path between two
@@ -344,11 +468,17 @@ func (g *Graph) Path(from, to string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := []string{from}
+	return nodePath(from, hops), nil
+}
+
+// nodePath lists the node IDs along hops, starting at from.
+func nodePath(from string, hops []halfLink) []string {
+	out := make([]string, 1, len(hops)+1)
+	out[0] = from
 	for _, h := range hops {
-		out = append(out, h.peer())
+		out = append(out, h.peerID())
 	}
-	return out, nil
+	return out
 }
 
 func (g *Graph) pathHalfLinks(from, to string) ([]halfLink, error) {
@@ -359,35 +489,35 @@ func (g *Graph) pathHalfLinks(from, to string) ([]halfLink, error) {
 		return nil, nil
 	}
 	adj := g.adjacency()
-	type state struct {
-		id   string
-		prev *state
-		via  halfLink
-	}
-	visited := map[string]bool{from: true}
-	queue := []*state{{id: from}}
+	src, dst := adj.num[from], adj.num[to]
+	// Breadth-first from src. arrive[v] is the half-link the search
+	// reached v by (nil link: not reached), depth[v] how many it took.
+	arrive := make([]halfLink, len(adj.num))
+	depth := make([]int32, len(adj.num))
+	queue := make([]int32, 1, len(adj.num))
+	queue[0] = src
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, h := range adj[cur.id] {
-			peer := h.peer()
-			if visited[peer] {
+		for _, h := range adj.half[adj.off[cur]:adj.off[cur+1]] {
+			if h.peer == src || arrive[h.peer].link != nil {
 				continue
 			}
-			visited[peer] = true
-			st := &state{id: peer, prev: cur, via: h}
-			if peer == to {
-				var rev []halfLink
-				for s := st; s.prev != nil; s = s.prev {
-					rev = append(rev, s.via)
-				}
-				out := make([]halfLink, len(rev))
-				for i := range rev {
-					out[i] = rev[len(rev)-1-i]
+			arrive[h.peer], depth[h.peer] = h, depth[cur]+1
+			if h.peer == dst {
+				out := make([]halfLink, depth[dst])
+				for v := dst; v != src; {
+					h := arrive[v]
+					out[depth[v]-1] = h
+					if h.fromA {
+						v = adj.num[h.link.From]
+					} else {
+						v = adj.num[h.link.To]
+					}
 				}
 				return out, nil
 			}
-			queue = append(queue, st)
+			queue = append(queue, h.peer)
 		}
 	}
 	return nil, rerr.Tagf(rerr.ErrNoRoute, "topology: no path from %s to %s", from, to)
@@ -403,7 +533,6 @@ func (g *Graph) BottleneckAvail(from, to string) (bw float64, path []string, err
 		return 0, nil, err
 	}
 	bw = -1
-	path = []string{from}
 	for _, h := range hops {
 		avail := h.link.AvailFromTo()
 		if !h.fromA {
@@ -412,12 +541,11 @@ func (g *Graph) BottleneckAvail(from, to string) (bw float64, path []string, err
 		if bw < 0 || avail < bw {
 			bw = avail
 		}
-		path = append(path, h.peer())
 	}
 	if bw < 0 {
 		bw = 0
 	}
-	return bw, path, nil
+	return bw, nodePath(from, hops), nil
 }
 
 // FlowRequest names one flow an application intends to create.
@@ -460,7 +588,6 @@ func (g *Graph) FlowAlloc(reqs []FlowRequest) ([]FlowPrediction, error) {
 		links := make([]int, len(hops))
 		var lat time.Duration
 		var jitterVar float64
-		path := []string{rq.Src}
 		for j, h := range hops {
 			li := index[h.link] * 2
 			if !h.fromA {
@@ -470,11 +597,10 @@ func (g *Graph) FlowAlloc(reqs []FlowRequest) ([]FlowPrediction, error) {
 			lat += h.link.Latency
 			js := h.link.Jitter.Seconds()
 			jitterVar += js * js
-			path = append(path, h.peer())
 		}
 		flows[i] = maxmin.Flow{Links: links, Demand: rq.Demand}
 		preds[i] = FlowPrediction{
-			Request: rq, Latency: lat, Path: path,
+			Request: rq, Latency: lat, Path: nodePath(rq.Src, hops),
 			Jitter: time.Duration(math.Sqrt(jitterVar) * float64(time.Second)),
 		}
 	}
