@@ -28,8 +28,8 @@ race:
 
 # The race detector focused on the concurrency-heavy packages the
 # lockorder/lockheld analyzers police, plus conc and benchcoll (the
-# listener and the one user of it outside that set) and the root
-# package, whose end-to-end tests drive those planes concurrently over
+# listener and the one user of it outside that set), collector (the
+# shared streaming Predictor parallel polls feed) and the root package, whose end-to-end tests drive those planes concurrently over
 # the wire (load shedding, mixed serving beside the watch plane) — the
 # fast inner loop while working on locking code (full-tree `make race`
 # stays the merge gate). The publish-through-atomic.Pointer sites have
@@ -40,7 +40,7 @@ race-hot:
 		./internal/watch/ ./internal/obs/ ./internal/admission/ \
 		./internal/snapshot/ ./internal/federation/ ./internal/directory/ \
 		./internal/topology/ ./internal/conc/ \
-		./internal/collector/benchcoll/ .
+		./internal/collector/ ./internal/collector/benchcoll/ .
 
 verify: vet lint build test race
 
@@ -88,14 +88,15 @@ bench-aa:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 100x -benchmem ./...
 
-# The contention exhibits: cold fan-out serial vs. parallel, the
-# warm-query cache serial and hammered from many goroutines, watch-plane
-# evaluation at 1k/10k subscribers with subscribe churn, and the metrics
-# histograms. The -cpu matrix shows the scaling curve; widths past the
-# core count oversubscribe, which is exactly where contended locks cliff.
+# The contention exhibits: cold fan-out serial vs. parallel, watch-plane
+# evaluation at 1k/10k subscribers with subscribe churn, the metrics
+# histograms, and the warm-query cache hammered from many goroutines
+# (qcache's own benchmark). The -cpu matrix shows the scaling curve;
+# widths past the core count oversubscribe, which is exactly where
+# contended locks cliff.
 bench-concurrency:
-	$(GO) test -run xxx -bench 'MasterFanout|WarmQueryCache|WatchEvaluate|WatchSubscribeChurn|HistogramObserve' \
-		-benchmem -cpu 1,4,8 ./
+	$(GO) test -run xxx -bench 'MasterFanout|WatchEvaluate|WatchSubscribeChurn|HistogramObserve|WarmHitParallel' \
+		-benchmem -cpu 1,4,8 ./ ./internal/collector/qcache/
 
 # The cold-path exhibits: device-batched polling vs. per-interface
 # exchanges, the BER codec and the agent's exchange, and the ASCII graph

@@ -53,8 +53,6 @@ func newBenchSite(b *testing.B, disableCache bool) *benchSite {
 		Transport:     tr,
 		Community:     "public",
 		StreamPredict: "AR(16)",
-		StreamMinFit:  32,
-		StreamHorizon: 8,
 		Sched:         s,
 		GatewayOf: func(h netip.Addr) (netip.Addr, bool) {
 			dev := n.DeviceByIP(h)

@@ -20,10 +20,11 @@
 //	       [-obs :3571] [-slow-query 500ms]
 //	       [-scenario twosite|campus] [-qcache-ttl 2s] [-parallelism 0]
 //	       [-max-varbinds 24] [-pipeline 4]
-//	       [-sched-interval 1s] [-sched-predict 'AR(16)'] [-bench-interval 0]
+//	       [-sched-interval 1s] [-bench-interval 0] [-snapshot-stale 5s]
 //	       [-tenant id:key:rate:burst:conc:watches:tier ...]
 //	       [-anon-limits rate:burst:conc:watches] [-max-queue-wait 500ms]
-//	       [-domains 2 -domain 0 -peer host:port ...]
+//	       [-domains 2 -domain 0 -peer host:port ... -fed-priority 0
+//	        -fed-refresh 1s -fed-lease 3s]
 //
 // The -obs listener exposes the observability plane: /metrics
 // (Prometheus text), /healthz (per-collector liveness and last-poll
@@ -182,14 +183,10 @@ func main() {
 		"queries at least this slow are flagged in /debug/queries")
 	schedIval := flag.Duration("sched-interval", time.Second,
 		"continuous-collection base poll interval (adaptive around this); 0 disables the background scheduler and the watch plane")
-	schedPredict := flag.String("sched-predict", "AR(16)",
-		"RPS model fitted per background-polled edge ('' disables streaming predictors)")
 	benchIval := flag.Duration("bench-interval", 0,
 		"wide-area benchmark round interval (0 = collector default); the WAN hop is benchmark-measured, so this bounds watch-update freshness across sites")
-	snapOn := flag.Bool("snapshot", true,
-		"maintain the versioned topology snapshot plane from background polls and answer FLOWS/flow queries from it (zero collector round-trips while fresh)")
 	snapStale := flag.Duration("snapshot-stale", 5*time.Second,
-		"staleness bound for snapshot-backed answers; older generations fall back to a coalesced collector walk")
+		"staleness bound for answers served from the versioned topology snapshot plane (kept fresh by background polls; zero collector round-trips while fresh); older generations fall back to a coalesced collector walk")
 	var tenants tenantFlags
 	flag.Var(&tenants, "tenant",
 		"register one admission tenant as id:key:rate:burst:conc:watches:tier (repeatable; empty fields unlimited)")
@@ -222,14 +219,10 @@ func main() {
 		remosd.WithQueryCacheTTL(*qcacheTTL),
 		remosd.WithCollectorTuning(*parallelism, *maxVarBinds, *pipeline),
 		remosd.WithSlowQuery(*slowQuery),
-		remosd.WithScheduler(*schedIval, *schedPredict),
+		remosd.WithScheduler(*schedIval),
 		remosd.WithBenchInterval(*benchIval),
+		remosd.WithSnapshotStaleness(*snapStale),
 		remosd.WithLogf(log.Printf),
-	}
-	if *snapOn {
-		opts = append(opts, remosd.WithSnapshotStaleness(*snapStale))
-	} else {
-		opts = append(opts, remosd.WithoutSnapshot())
 	}
 	opts = append(opts, tenants.opts...)
 	if *anonSpec != "" {

@@ -1,9 +1,10 @@
 // Benchmarks for the concurrent collector pipeline: master fan-out
-// serial vs. parallel on a multi-site topology, and the warm-query cache
-// against a cold collector fan-out. The fan-out pair uses a transport
-// that really sleeps a small per-request latency, so the wall-clock
-// numbers reflect what parallelism buys on a management plane with
-// non-zero round-trip times (the regime the paper's collectors live in).
+// serial vs. parallel on a multi-site topology. The fan-out pair uses a
+// transport that really sleeps a small per-request latency, so the
+// wall-clock numbers reflect what parallelism buys on a management plane
+// with non-zero round-trip times (the regime the paper's collectors live
+// in). The warm-query cache in front of that fan-out is measured by
+// bench/'s warm_* workloads and qcache's own contention benchmark.
 package remos_test
 
 import (
@@ -18,7 +19,6 @@ import (
 	"remos/internal/collector/benchcoll"
 	"remos/internal/collector/bridgecoll"
 	"remos/internal/collector/master"
-	"remos/internal/collector/qcache"
 	"remos/internal/collector/snmpcoll"
 	"remos/internal/mib"
 	"remos/internal/netsim"
@@ -224,36 +224,11 @@ func TestMasterFanoutRigDeterminism(t *testing.T) {
 
 // --- Contention benchmarks ------------------------------------------
 //
-// The serving-path structures (query cache, watch registry, metrics
-// histograms) are shared by every connection goroutine. These benchmarks
+// The serving-path structures (watch registry, metrics histograms) are
+// shared by every connection goroutine. These benchmarks
 // drive them from GOMAXPROCS-many goroutines; run with -cpu 1,4,8 to see
 // the scaling curve (on a small box the higher widths oversubscribe, which
 // is exactly the regime where a contended lock shows up as a cliff).
-
-// BenchmarkWarmQueryCacheParallel hammers one warm cache entry from many
-// goroutines — the pure read-side contention of the serving hot path.
-// The warm hit takes no lock: a shard snapshot load, a TTL check and two
-// atomic counters.
-func BenchmarkWarmQueryCacheParallel(b *testing.B) {
-	rig := newMultiSiteRig(b, 4, 0, 0)
-	cache := qcache.New(rig.master, qcache.Config{TTL: time.Hour})
-	if _, err := cache.Collect(rig.query); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := cache.Collect(rig.query); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.StopTimer()
-	if st := cache.Stats(); st.Hits < int64(b.N) {
-		b.Fatalf("cache stats %+v: warm path not exercised", st)
-	}
-}
 
 // watchFanoutRig builds a star topology graph plus a registry carrying
 // nSubs subscriptions spread over nPairs endpoint pairs.
@@ -271,7 +246,7 @@ func watchFanoutRig(b testing.TB, nPairs, nSubs int) (*watch.Registry, *collecto
 		}
 		pairs[i] = [2]netip.Addr{src, dst}
 	}
-	reg := watch.New(watch.Config{})
+	reg := watch.New(watch.Config{Now: time.Now})
 	b.Cleanup(func() { reg.Close(nil) })
 	for i := 0; i < nSubs; i++ {
 		p := pairs[i%nPairs]
@@ -344,26 +319,4 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWarmQueryCache measures the warm path: identical queries
-// answered from the warm-query cache in front of the master, against the
-// same rig the cold fan-out benchmarks walk. Compare ns/op with
-// BenchmarkMasterFanout* for the cold/warm gap.
-func BenchmarkWarmQueryCache(b *testing.B) {
-	rig := newMultiSiteRig(b, 4, 0, 25*time.Microsecond)
-	cache := qcache.New(rig.master, qcache.Config{TTL: time.Hour})
-	if _, err := cache.Collect(rig.query); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cache.Collect(rig.query); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if st := cache.Stats(); st.Hits < int64(b.N) {
-		b.Fatalf("cache stats %+v: warm path not exercised", st)
-	}
 }

@@ -172,7 +172,7 @@ func dial(target string, opts ...Option) (*Modeler, collector.Interface, error) 
 	}
 	coll := raw
 	if dc.cacheTTL > 0 {
-		coll = qcache.New(coll, qcache.Config{TTL: dc.cacheTTL, Obs: dc.obs})
+		coll = qcache.New(coll, qcache.Config{TTL: dc.cacheTTL, Now: time.Now, Obs: dc.obs})
 	}
 	cfg := modeler.Config{
 		Collector:    coll,

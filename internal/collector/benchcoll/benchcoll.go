@@ -66,8 +66,6 @@ type Config struct {
 	// "exchange data", so either direction is available; server
 	// selection cares about peer->local.
 	ProbeReverse bool
-	// HistoryLen bounds per-peer history (default 512).
-	HistoryLen int
 }
 
 // Collector is a running Benchmark Collector.
@@ -101,7 +99,7 @@ func New(cfg Config) *Collector {
 	c := &Collector{
 		cfg:    cfg,
 		latest: make(map[string]measurement),
-		hist:   collector.NewHistory(cfg.HistoryLen),
+		hist:   collector.NewHistory(0),
 	}
 	if cfg.Sched != nil && len(cfg.Peers) > 0 {
 		// Probe one peer per interval, round-robin, so probe traffic

@@ -113,6 +113,34 @@ func (r *Result) Clone() *Result {
 	return out
 }
 
+// MergeResults coalesces sub-results, in slice order, into the one
+// answer q asked for: the graphs merged, and the history and predictions
+// the query requested (later sub-results win a shared key). Callers that
+// fan out pass the results in a fixed order so the answer does not depend
+// on which sub-query landed first.
+func MergeResults(results []*Result, q Query) *Result {
+	merged := topology.NewGraph()
+	history := make(map[HistKey][]Sample)
+	forecasts := make(map[HistKey]Forecast)
+	for _, sub := range results {
+		merged.Merge(sub.Graph)
+		for k, v := range sub.History {
+			history[k] = v
+		}
+		for k, v := range sub.Predictions {
+			forecasts[k] = v
+		}
+	}
+	res := &Result{Graph: merged}
+	if q.WithHistory {
+		res.History = history
+	}
+	if q.WithPredictions {
+		res.Predictions = forecasts
+	}
+	return res
+}
+
 // Interface is implemented by every collector, local or remote. Collect
 // must be safe for concurrent callers.
 type Interface interface {
@@ -150,6 +178,13 @@ func (h *History) Add(k HistKey, s Sample) {
 		buf = buf[len(buf)-h.cap:]
 	}
 	h.data[k] = buf
+}
+
+// reset drops every sample.
+func (h *History) reset() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	clear(h.data)
 }
 
 // Get returns a copy of the samples for a key, oldest first.

@@ -1,8 +1,6 @@
 package collector
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -153,64 +151,5 @@ func TestPropertyHistoryBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistoryArchiveRoundTrip(t *testing.T) {
-	h := NewHistory(32)
-	k1 := HistKey{From: "r1", To: "r2"}
-	k2 := HistKey{From: "10.0.1.2", To: "cpu"}
-	for i := 0; i < 5; i++ {
-		h.Add(k1, Sample{T: time.Unix(int64(i), 42), Bits: float64(i) * 1e6})
-		h.Add(k2, Sample{T: time.Unix(int64(i), 0), Bits: float64(i) / 10})
-	}
-	var buf bytes.Buffer
-	if err := h.Archive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadHistory(&buf, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []HistKey{k1, k2} {
-		a, b := h.Get(k), back.Get(k)
-		if len(a) != len(b) {
-			t.Fatalf("key %v: %d vs %d samples", k, len(a), len(b))
-		}
-		for i := range a {
-			if !a[i].T.Equal(b[i].T) || a[i].Bits != b[i].Bits {
-				t.Fatalf("key %v sample %d: %+v vs %+v", k, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestReadHistoryRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"NOPE 1\n",
-		"HISTORYV1 1\nSERIES a b x\nEND\n",
-		"HISTORYV1 1\nSERIES a b 1\nbadline\nEND\n",
-		"HISTORYV1 0\n", // missing END
-	}
-	for i, c := range cases {
-		if _, err := ReadHistory(strings.NewReader(c), 0); err == nil {
-			t.Errorf("case %d: garbage archive accepted", i)
-		}
-	}
-}
-
-func TestArchiveEmptyStore(t *testing.T) {
-	h := NewHistory(4)
-	var buf bytes.Buffer
-	if err := h.Archive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadHistory(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Keys()) != 0 {
-		t.Fatal("empty archive produced keys")
 	}
 }

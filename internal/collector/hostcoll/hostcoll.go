@@ -14,7 +14,6 @@ import (
 
 	"remos/internal/collector"
 	"remos/internal/mib"
-	"remos/internal/rps"
 	"remos/internal/sim"
 	"remos/internal/snmp"
 	"remos/internal/topology"
@@ -39,50 +38,40 @@ type Config struct {
 	// Hosts are the managed hosts' addresses (their agents must serve
 	// the Host Resources MIB).
 	Hosts []netip.Addr
-	// Poll is the sampling period; host load is conventionally sampled
-	// at 1 Hz (the paper's "normal 1 Hz rate").
-	Poll time.Duration
 	// StreamPredict attaches a streaming RPS predictor per host (model
 	// spec, e.g. "AR(16)" — the paper's host-load choice). Empty
 	// disables prediction.
 	StreamPredict string
-	// StreamMinFit is the history needed before fitting (default 64).
-	StreamMinFit int
-	// StreamHorizon is the forecast depth (default 30, matching the
-	// paper's "benefits out to at least 30 seconds").
-	StreamHorizon int
-	// HistoryLen bounds per-host history (default 512).
-	HistoryLen int
 }
+
+const (
+	// poll is the sampling period: the paper's "normal 1 Hz rate".
+	poll = time.Second
+	// streamHorizon is the forecast depth in samples, matching the
+	// paper's "benefits out to at least 30 seconds" at that rate.
+	streamHorizon = 30
+)
 
 // Collector is a running host load collector.
 type Collector struct {
 	cfg Config
 
+	pred  *collector.Predictor // per-host load history and forecasts
+	timer *sim.Timer
+
 	mu      sync.Mutex
-	hist    *collector.History
-	streams map[netip.Addr]*rps.Stream
-	timer   *sim.Timer
 	samples int
 }
 
 // New creates a host load collector and starts its sampler.
 func New(cfg Config) *Collector {
-	if cfg.Poll <= 0 {
-		cfg.Poll = time.Second
+	pred, err := collector.NewPredictor(cfg.StreamPredict, streamHorizon)
+	if err != nil {
+		panic(fmt.Sprintf("hostcoll: bad StreamPredict spec %q: %v", cfg.StreamPredict, err))
 	}
-	if cfg.StreamPredict != "" {
-		if _, err := rps.ParseFitter(cfg.StreamPredict); err != nil {
-			panic(fmt.Sprintf("hostcoll: bad StreamPredict spec %q: %v", cfg.StreamPredict, err))
-		}
-	}
-	c := &Collector{
-		cfg:     cfg,
-		hist:    collector.NewHistory(cfg.HistoryLen),
-		streams: make(map[netip.Addr]*rps.Stream),
-	}
+	c := &Collector{cfg: cfg, pred: pred}
 	if cfg.Sched != nil && len(cfg.Hosts) > 0 {
-		c.timer = cfg.Sched.Every(cfg.Poll, c.pollOnce)
+		c.timer = cfg.Sched.Every(poll, c.pollOnce)
 	}
 	return c
 }
@@ -90,25 +79,12 @@ func New(cfg Config) *Collector {
 // Name implements collector.Interface.
 func (c *Collector) Name() string { return "hostload" }
 
-// Stop halts sampling.
+// Stop halts sampling and prediction.
 func (c *Collector) Stop() {
 	if c.timer != nil {
 		c.timer.Stop()
 	}
-}
-
-func (c *Collector) minFit() int {
-	if c.cfg.StreamMinFit > 0 {
-		return c.cfg.StreamMinFit
-	}
-	return 64
-}
-
-func (c *Collector) horizon() int {
-	if c.cfg.StreamHorizon > 0 {
-		return c.cfg.StreamHorizon
-	}
-	return 30
+	c.pred.Close()
 }
 
 // pollOnce samples every host's hrProcessorLoad.
@@ -119,33 +95,10 @@ func (c *Collector) pollOnce() {
 		if err != nil {
 			continue // unreachable this round; next round retries
 		}
-		load := float64(v.Int) / 100
-		c.hist.Add(LoadKey(h), collector.Sample{T: now, Bits: load})
+		c.pred.Feed(LoadKey(h), collector.Sample{T: now, Bits: float64(v.Int) / 100})
 		c.mu.Lock()
 		c.samples++
-		st := c.streams[h]
 		c.mu.Unlock()
-		if c.cfg.StreamPredict == "" {
-			continue
-		}
-		if st == nil {
-			series := c.hist.Get(LoadKey(h))
-			if len(series) < c.minFit() {
-				continue
-			}
-			fitter, _ := rps.ParseFitter(c.cfg.StreamPredict)
-			model, err := fitter.Fit(collector.Values(series))
-			if err != nil {
-				continue
-			}
-			c.mu.Lock()
-			if c.streams[h] == nil {
-				c.streams[h] = rps.NewStream(model, c.horizon())
-			}
-			c.mu.Unlock()
-			continue
-		}
-		st.Observe(load)
 	}
 }
 
@@ -158,30 +111,17 @@ func (c *Collector) Samples() int {
 
 // Load returns a host's most recent load sample.
 func (c *Collector) Load(h netip.Addr) (float64, bool) {
-	s, ok := c.hist.Latest(LoadKey(h))
+	s, ok := c.pred.History().Latest(LoadKey(h))
 	return s.Bits, ok
 }
 
 // Forecast returns a host's streaming load forecast, if one is fitted.
 func (c *Collector) Forecast(h netip.Addr) (collector.Forecast, bool) {
-	c.mu.Lock()
-	st := c.streams[h]
-	c.mu.Unlock()
-	if st == nil {
-		return collector.Forecast{}, false
-	}
-	p, n := st.Last()
-	if n == 0 || len(p.Values) == 0 {
-		return collector.Forecast{}, false
-	}
-	return collector.Forecast{
-		Values: append([]float64(nil), p.Values...),
-		ErrVar: append([]float64(nil), p.ErrVar...),
-	}, true
+	return c.pred.Forecast(LoadKey(h))
 }
 
 // History exposes the load history store.
-func (c *Collector) History() *collector.History { return c.hist }
+func (c *Collector) History() *collector.History { return c.pred.History() }
 
 // Collect implements collector.Interface: host nodes only (no links —
 // load is a node property), with per-host history and forecasts under
@@ -202,7 +142,7 @@ func (c *Collector) Collect(q collector.Query) (*collector.Result, error) {
 			if res.History == nil {
 				res.History = make(map[collector.HistKey][]collector.Sample)
 			}
-			res.History[LoadKey(h)] = c.hist.Get(LoadKey(h))
+			res.History[LoadKey(h)] = c.pred.History().Get(LoadKey(h))
 		}
 		if q.WithPredictions {
 			if fc, ok := c.Forecast(h); ok {

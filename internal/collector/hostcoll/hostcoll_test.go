@@ -41,10 +41,7 @@ func loadLab(t testing.TB, spec string) (*sim.Sim, *Collector, map[string]*netsi
 		Client:        snmp.NewClient(&snmp.InProc{Registry: reg}, "public"),
 		Sched:         s,
 		Hosts:         []netip.Addr{d["busy"].Addr(), d["idle"].Addr()},
-		Poll:          time.Second,
 		StreamPredict: spec,
-		StreamMinFit:  32,
-		StreamHorizon: 10,
 	})
 	t.Cleanup(c.Stop)
 	return s, c, d
@@ -77,15 +74,15 @@ func TestLoadForecasting(t *testing.T) {
 	if !ok {
 		t.Fatal("no forecast after 2 minutes at 1 Hz")
 	}
-	if len(fc.Values) != 10 {
-		t.Fatalf("forecast horizon %d, want 10", len(fc.Values))
+	if len(fc.Values) != 30 {
+		t.Fatalf("forecast horizon %d, want 30", len(fc.Values))
 	}
 	cur, _ := c.Load(d["busy"].Addr())
 	if math.Abs(fc.Values[0]-cur) > 1.5 {
 		t.Fatalf("one-step forecast %v far from current load %v", fc.Values[0], cur)
 	}
 	// Error bars grow with horizon (sane model).
-	if fc.ErrVar[9] < fc.ErrVar[0] {
+	if fc.ErrVar[29] < fc.ErrVar[0] {
 		t.Fatalf("errvar shrank with horizon: %v", fc.ErrVar)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"remos/internal/conc"
 	"remos/internal/obs"
 	"remos/internal/rerr"
-	"remos/internal/topology"
 )
 
 // Entry is one directory row: a collector and its responsibility. The
@@ -273,27 +272,8 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 	// Deterministic coalescing: sites in sorted name order, wide-area
 	// last — the same order the serial implementation used.
 	sp := tr.Start("merge")
-	merged := topology.NewGraph()
-	history := make(map[collector.HistKey][]collector.Sample)
-	forecasts := make(map[collector.HistKey]collector.Forecast)
-	for _, sub := range results {
-		merged.Merge(sub.Graph)
-		for k, v := range sub.History {
-			history[k] = v
-		}
-		for k, v := range sub.Predictions {
-			forecasts[k] = v
-		}
-	}
-
+	res = collector.MergeResults(results, q)
 	sp.End()
-	res = &collector.Result{Graph: merged}
-	if q.WithHistory {
-		res.History = history
-	}
-	if q.WithPredictions {
-		res.Predictions = forecasts
-	}
 	return res, nil
 }
 

@@ -39,8 +39,8 @@ type Config struct {
 	// re-collected. TTL <= 0 disables retention — the cache then only
 	// coalesces concurrent identical queries (pure single-flight).
 	TTL time.Duration
-	// Now supplies the clock (nil means time.Now). Deployments over the
-	// simulated scheduler pass its Now so TTLs follow simulated time.
+	// Now supplies the clock entries age on: the deployment's sim clock,
+	// so TTLs follow simulated time, or time.Now. Required.
 	Now func() time.Time
 	// MaxEntries bounds the number of retained answers (default 1024);
 	// the oldest entries are evicted first. The bound is enforced per
@@ -136,8 +136,13 @@ type Cache struct {
 	mInvalidation *obs.Counter
 }
 
-// New wraps a collector with a warm-query cache.
+// New wraps a collector with a warm-query cache. It panics on a Config
+// without a clock: a cache silently ageing entries on the wall clock
+// beside a deployment on simulated time is a wiring bug.
 func New(inner collector.Interface, cfg Config) *Cache {
+	if cfg.Now == nil {
+		panic("qcache: Config.Now is required")
+	}
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 1024
 	}
@@ -171,14 +176,6 @@ func New(inner collector.Interface, cfg Config) *Cache {
 // Name implements collector.Interface, transparently: the cache answers
 // under the wrapped collector's identity.
 func (c *Cache) Name() string { return c.inner.Name() }
-
-func (c *Cache) now() time.Time {
-	if c.cfg.Now != nil {
-		return c.cfg.Now()
-	}
-	//remoslint:allow wallclock designated fallback: nil Config.Now means the wall clock by contract
-	return time.Now()
-}
 
 // shardFor picks the stripe for a key (FNV-1a over the key bytes).
 func (c *Cache) shardFor(key string) *shard {
@@ -266,7 +263,7 @@ func (c *Cache) Collect(q collector.Query) (*collector.Result, error) {
 				tr.Event("cache", "coalesced")
 				return e.res.Clone(), nil
 			}
-			if e.err == nil && c.cfg.TTL > 0 && c.now().Sub(e.at) < c.cfg.TTL {
+			if e.err == nil && c.cfg.TTL > 0 && c.cfg.Now().Sub(e.at) < c.cfg.TTL {
 				// The warm hit: an atomic snapshot load, a read of an
 				// immutable map, and atomic counters — no lock, exclusive
 				// or shared, anywhere on this path.
@@ -302,7 +299,7 @@ func (c *Cache) Collect(q collector.Query) (*collector.Result, error) {
 	// exactly once before close(done), and every reader waits on done
 	// first — the channel close is the happens-before edge.
 	e.res, e.err = c.inner.Collect(q)
-	e.at = c.now()
+	e.at = c.cfg.Now()
 	close(e.done)
 	if e.err != nil || c.cfg.TTL <= 0 {
 		// Errors are never cached; without a TTL nothing is retained
@@ -329,7 +326,7 @@ func (c *Cache) evictInto(m entryMap) {
 	if len(m) <= c.perShard {
 		return
 	}
-	now := c.now()
+	now := c.cfg.Now()
 	for k, e := range m {
 		if e.landed() && c.cfg.TTL > 0 && now.Sub(e.at) >= c.cfg.TTL {
 			delete(m, k)

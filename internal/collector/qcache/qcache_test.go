@@ -101,7 +101,7 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestFlagsPartitionCache(t *testing.T) {
 	inner := &slowColl{}
-	c := New(inner, Config{TTL: time.Hour})
+	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
 	base := q("10.0.0.1")
 	withHist := base
 	withHist.WithHistory = true
@@ -114,7 +114,7 @@ func TestFlagsPartitionCache(t *testing.T) {
 
 func TestSingleFlightCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	inner := &slowColl{gate: make(chan struct{})}
-	c := New(inner, Config{TTL: time.Hour})
+	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -146,7 +146,7 @@ func TestSingleFlightCoalescesConcurrentIdenticalQueries(t *testing.T) {
 
 func TestNoTTLStillCoalescesButDoesNotRetain(t *testing.T) {
 	inner := &slowColl{}
-	c := New(inner, Config{TTL: 0})
+	c := New(inner, Config{Now: time.Now})
 	c.Collect(q("10.0.0.1"))
 	c.Collect(q("10.0.0.1"))
 	if inner.calls.Load() != 2 {
@@ -159,7 +159,7 @@ func TestNoTTLStillCoalescesButDoesNotRetain(t *testing.T) {
 
 func TestErrorsAreNotCached(t *testing.T) {
 	inner := &slowColl{err: errors.New("boom")}
-	c := New(inner, Config{TTL: time.Hour})
+	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
 	if _, err := c.Collect(q("10.0.0.1")); err == nil {
 		t.Fatal("want error")
 	}
@@ -270,7 +270,7 @@ func TestEvictionSweepsAllExpiredFirst(t *testing.T) {
 
 func TestFlush(t *testing.T) {
 	inner := &slowColl{}
-	c := New(inner, Config{TTL: time.Hour})
+	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
 	c.Collect(q("10.0.0.1"))
 	c.Flush()
 	c.Collect(q("10.0.0.1"))
@@ -281,7 +281,7 @@ func TestFlush(t *testing.T) {
 
 func TestInvalidateDropsMatchingPrefixes(t *testing.T) {
 	inner := &slowColl{}
-	c := New(inner, Config{TTL: time.Hour})
+	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
 	base := q("10.0.0.1", "10.0.0.2")
 	withHist := base
 	withHist.WithHistory = true
@@ -318,7 +318,7 @@ func TestInvalidateDropsMatchingPrefixes(t *testing.T) {
 // waiters nor let the superseded flight re-insert itself as warm state.
 func TestInvalidateDuringInFlightFill(t *testing.T) {
 	inner := &slowColl{gate: make(chan struct{})}
-	c := New(inner, Config{TTL: time.Hour})
+	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
 	ask := q("10.0.0.1", "10.0.0.2")
 	prefix := Key(q("10.0.0.2", "10.0.0.1")) // host order does not matter
 	// invalidateInFlight waits for the inner call after the seen-th — a
@@ -380,7 +380,7 @@ func TestInvalidateDuringInFlightFill(t *testing.T) {
 // beyond "no deadlock, no error, no torn state".
 func TestInvalidateVersusSingleflightChurn(t *testing.T) {
 	inner := &slowColl{}
-	c := New(inner, Config{TTL: time.Hour})
+	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
 	prefix := Key(collector.Query{Hosts: q("10.0.0.1", "10.0.0.2").Hosts})
 
 	stop := make(chan struct{})
@@ -414,4 +414,13 @@ func TestInvalidateVersusSingleflightChurn(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	inval.Wait()
+}
+
+func TestNewRefusesNilClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a Config without a clock")
+		}
+	}()
+	New(&slowColl{}, Config{TTL: time.Hour})
 }

@@ -12,6 +12,7 @@ import (
 	"remos/internal/collector"
 	"remos/internal/mib"
 	"remos/internal/netsim"
+	"remos/internal/sim"
 	"remos/internal/snmp"
 )
 
@@ -36,11 +37,15 @@ func newPollRig(tb testing.TB, agents, ifaces, maxVarBinds, pipeline int) *Colle
 		reg.Register(fmt.Sprintf("10.0.%d.1", a), &snmp.Agent{Community: "public", View: view})
 	}
 	c := New(Config{
-		Name:        "poll-rig",
-		Transport:   &snmp.InProc{Registry: reg},
-		Community:   "public",
-		MaxVarBinds: maxVarBinds,
-		Pipeline:    pipeline,
+		Name:      "poll-rig",
+		Transport: &snmp.InProc{Registry: reg},
+		Community: "public",
+		// The wall clock, so that back-to-back pollOnce calls see time
+		// pass and record samples; the periodic poller never comes due.
+		Sched:        sim.Real{},
+		PollInterval: time.Hour,
+		MaxVarBinds:  maxVarBinds,
+		Pipeline:     pipeline,
 	})
 	tb.Cleanup(c.Stop)
 	for a := 1; a <= agents; a++ {
@@ -283,6 +288,7 @@ func TestPartialErrorReprobesInterface(t *testing.T) {
 	c := New(Config{
 		Transport:   &snmp.InProc{Registry: reg},
 		Community:   "public",
+		Sched:       sim.NewSim(),
 		MaxVarBinds: 24,
 	})
 	t.Cleanup(c.Stop)

@@ -73,13 +73,12 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 
 	res := &collector.Result{Graph: b.g}
 	if q.WithHistory {
-		res.History = c.hist.Snapshot()
+		res.History = c.pred.History().Snapshot()
 	}
 	if q.WithPredictions {
-		res.Predictions = c.predictions()
+		res.Predictions = c.pred.Forecasts()
 	}
 	reqs, rtt := meter.Snapshot()
-	c.queriesServed.Add(1)
 	c.mQueries.Inc()
 	if cold {
 		c.mCold.Inc()

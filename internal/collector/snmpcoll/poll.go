@@ -21,6 +21,7 @@ import (
 func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
 	var added []*pollPoint
 	var slab []pollPoint // the new points, made together
+	hist := c.pred.History()
 	links := b.g.Links()
 	for i, l := range links {
 		reg := b.linkPolls[pairOf(l.From, l.To)]
@@ -29,8 +30,8 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 		}
 		kFwd := collector.HistKey{From: reg.from, To: reg.to}
 		kRev := collector.HistKey{From: reg.to, To: reg.from}
-		sFwd, okF := c.hist.Latest(kFwd)
-		sRev, okR := c.hist.Latest(kRev)
+		sFwd, okF := hist.Latest(kFwd)
+		sRev, okR := hist.Latest(kRev)
 		if okF || okR {
 			// Orient onto the link (reg.from/to may be swapped
 			// relative to l.From/To).
@@ -103,7 +104,7 @@ func (m counterMode) counterKind() snmp.Kind {
 // readCountersLocked reads a poll point's octet counters once (p.mu
 // held) from its agent at addr, recording a utilization sample when a previous baseline exists.
 func (c *Collector) readCountersLocked(ctx context.Context, cl *snmp.Client, addr string, p *pollPoint) {
-	now := c.now()
+	now := c.cfg.Sched.Now()
 	arena := make(snmp.OIDArena, 0, 4*pollOIDLen)
 	oids := p.pollOIDs(make([]snmp.OID, 0, 4), &arena)
 	vbs, err := cl.GetContext(ctx, addr, oids...)
@@ -198,23 +199,11 @@ func (c *Collector) applyDelta(p *pollPoint, in, out uint64, now time.Time) {
 			if !p.outIsFromTo {
 				fwdBits, revBits = inBits, outBits
 			}
-			c.hist.Add(fwdKey, collector.Sample{T: now, Bits: fwdBits})
-			c.hist.Add(revKey, collector.Sample{T: now, Bits: revBits})
-			// Feed the directly attached streaming predictors
-			// (Section 2.3), when configured.
-			c.feedStream(fwdKey, fwdBits)
-			c.feedStream(revKey, revBits)
+			c.pred.Feed(fwdKey, collector.Sample{T: now, Bits: fwdBits})
+			c.pred.Feed(revKey, collector.Sample{T: now, Bits: revBits})
 		}
 	}
 	p.prevIn, p.prevOut, p.prevAt, p.havePrev = in, out, now, true
-}
-
-func (c *Collector) now() time.Time {
-	if c.cfg.Sched != nil {
-		return c.cfg.Sched.Now()
-	}
-	//remoslint:allow wallclock designated fallback: nil Config.Sched means the wall clock by contract
-	return time.Now()
 }
 
 // pollOnce reads every monitored interface — the periodic monitoring loop
@@ -227,7 +216,7 @@ func (c *Collector) pollOnce() {
 	}
 	c.mu.Unlock()
 	c.readPoints(context.Background(), c.pollClient, points)
-	c.lastPoll.Store(c.now().UnixNano())
+	c.lastPoll.Store(c.cfg.Sched.Now().UnixNano())
 }
 
 // readPoints reads the given poll points' counters, one device's points
@@ -306,7 +295,7 @@ func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr s
 	for _, p := range batch {
 		oids = p.pollOIDs(oids, &arena)
 	}
-	now := c.now()
+	now := c.cfg.Sched.Now()
 	vbs, err := cl.GetContext(ctx, addr, oids...)
 	if err != nil {
 		for _, p := range batch {
@@ -336,17 +325,10 @@ func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr s
 	}
 }
 
-// Monitored returns the number of interfaces under periodic monitoring.
-func (c *Collector) Monitored() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.monitors)
-}
-
 // Utilization returns the latest measured utilization for the directed
 // pair of node IDs, if any.
 func (c *Collector) Utilization(from, to string) (float64, bool) {
-	s, ok := c.hist.Latest(collector.HistKey{From: from, To: to})
+	s, ok := c.pred.History().Latest(collector.HistKey{From: from, To: to})
 	return s.Bits, ok
 }
 
@@ -359,8 +341,7 @@ func (c *Collector) DropCaches() {
 	c.chains = make(map[chainKey][]netip.Addr)
 	c.arp = make(map[netip.Addr]collector.MAC)
 	c.monitors = make(map[monitorKey]*pollPoint)
-	c.hist = collector.NewHistory(c.cfg.HistoryLen)
-	c.streams = make(map[collector.HistKey]*streamState)
+	c.pred.Reset()
 }
 
 // DropDynamic clears only the dynamic data (monitoring baselines and
@@ -370,6 +351,5 @@ func (c *Collector) DropDynamic() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.monitors = make(map[monitorKey]*pollPoint)
-	c.hist = collector.NewHistory(c.cfg.HistoryLen)
-	c.streams = make(map[collector.HistKey]*streamState)
+	c.pred.Reset()
 }

@@ -23,7 +23,6 @@ import (
 	"remos/internal/conc"
 	"remos/internal/mib"
 	"remos/internal/obs"
-	"remos/internal/rps"
 	"remos/internal/sim"
 	"remos/internal/snmp"
 )
@@ -35,7 +34,7 @@ type Config struct {
 	// Transport and Community configure SNMP access.
 	Transport snmp.Transport
 	Community string
-	// Sched drives periodic polling.
+	// Sched drives periodic polling and stamps samples. Required.
 	Sched sim.Scheduler
 	// GatewayOf returns the configured first-hop router for a host —
 	// "the routers they are configured to use" in the paper's words.
@@ -49,8 +48,6 @@ type Config struct {
 	// PollInterval is the utilization monitoring period (default 5s,
 	// the paper's default).
 	PollInterval time.Duration
-	// HistoryLen bounds per-link measurement history (default 512).
-	HistoryLen int
 	// DisableRouteCache turns off route and router-table caching, the
 	// ablation knob behind the Fig 3 cold/warm comparison.
 	DisableRouteCache bool
@@ -73,16 +70,11 @@ type Config struct {
 	Pipeline int
 
 	// StreamPredict, when set to an RPS model spec (e.g. "AR(16)"),
-	// attaches a streaming predictor to every monitored link direction:
-	// the Section 2.3 configuration where predictions are computed at
-	// the collector and shared across consumers. Empty disables.
+	// attaches a streaming predictor (collector.Predictor) to every
+	// monitored link direction: the Section 2.3 configuration where
+	// predictions are computed at the collector and shared across
+	// consumers. Empty disables.
 	StreamPredict string
-	// StreamMinFit is the history length required before fitting
-	// (default 64 samples).
-	StreamMinFit int
-	// StreamHorizon is how many steps ahead streaming predictions run
-	// (default 8).
-	StreamHorizon int
 
 	// Obs, when set, receives this collector's metrics (query counts,
 	// cold starts, SNMP exchange costs). Nil disables instrumentation.
@@ -184,8 +176,7 @@ type Collector struct {
 	chains   map[chainKey][]netip.Addr // route cache: first router + dst -> router chain
 	arp      map[netip.Addr]collector.MAC
 	monitors map[monitorKey]*pollPoint
-	hist     *collector.History
-	streams  map[collector.HistKey]*streamState
+	pred     *collector.Predictor // per-link history and forecasts
 	poller   *sim.Timer
 
 	// fetches single-flights concurrent cache fills of the same router,
@@ -199,8 +190,7 @@ type Collector struct {
 	pollMeter  *snmp.Meter
 	pollClient *snmp.Client
 
-	queriesServed atomic.Int64
-	lastPoll      atomic.Int64 // unix nanos of the last completed poll cycle
+	lastPoll atomic.Int64 // unix nanos of the last completed poll cycle
 
 	mQueries *obs.Counter
 	mCold    *obs.Counter
@@ -216,8 +206,21 @@ type monitorKey struct {
 	ifIndex int
 }
 
-// New creates an SNMP Collector and starts its periodic poller.
+// streamHorizon is how many poll intervals ahead streaming predictions
+// run.
+const streamHorizon = 8
+
+// New creates an SNMP Collector and starts its periodic poller. It
+// panics on a Config without a scheduler, or with a StreamPredict spec
+// rps cannot parse: both are wiring bugs.
 func New(cfg Config) *Collector {
+	if cfg.Sched == nil {
+		panic("snmpcoll: Config.Sched is required")
+	}
+	pred, err := collector.NewPredictor(cfg.StreamPredict, streamHorizon)
+	if err != nil {
+		panic(fmt.Sprintf("snmpcoll: bad StreamPredict spec %q: %v", cfg.StreamPredict, err))
+	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 5 * time.Second
 	}
@@ -227,13 +230,7 @@ func New(cfg Config) *Collector {
 		chains:   make(map[chainKey][]netip.Addr),
 		arp:      make(map[netip.Addr]collector.MAC),
 		monitors: make(map[monitorKey]*pollPoint),
-		hist:     collector.NewHistory(cfg.HistoryLen),
-		streams:  make(map[collector.HistKey]*streamState),
-	}
-	if cfg.StreamPredict != "" {
-		if _, err := rps.ParseFitter(cfg.StreamPredict); err != nil {
-			panic(fmt.Sprintf("snmpcoll: bad StreamPredict spec %q: %v", cfg.StreamPredict, err))
-		}
+		pred:     pred,
 	}
 	c.pollMeter = &snmp.Meter{}
 	c.pollClient = c.client(c.pollMeter)
@@ -241,9 +238,7 @@ func New(cfg Config) *Collector {
 		"queries answered by SNMP collectors", "collector", c.Name())
 	c.mCold = cfg.Obs.Counter("remos_snmpcoll_cold_queries_total",
 		"queries that had to start monitoring unmeasured links", "collector", c.Name())
-	if cfg.Sched != nil {
-		c.poller = cfg.Sched.Every(cfg.PollInterval, c.pollOnce)
-	}
+	c.poller = cfg.Sched.Every(cfg.PollInterval, c.pollOnce)
 	return c
 }
 
@@ -255,11 +250,11 @@ func (c *Collector) Name() string {
 	return "snmp"
 }
 
-// Stop halts periodic polling and releases the poll client's sessions.
+// Stop halts periodic polling and prediction and releases the poll
+// client's sessions.
 func (c *Collector) Stop() {
-	if c.poller != nil {
-		c.poller.Stop()
-	}
+	c.poller.Stop()
+	c.pred.Close()
 	if c.pollClient != nil {
 		c.pollClient.Close()
 	}
@@ -308,7 +303,7 @@ func (c *Collector) PollStats() (requests, varbinds int, rtt time.Duration) {
 func (c *Collector) PollInterval() time.Duration { return c.cfg.PollInterval }
 
 // History exposes the measurement history store (for prediction services).
-func (c *Collector) History() *collector.History { return c.hist }
+func (c *Collector) History() *collector.History { return c.pred.History() }
 
 // routerColumns are the table columns fetchRouter walks together: the
 // four route-table columns, then the interface and address tables.

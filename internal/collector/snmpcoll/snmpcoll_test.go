@@ -347,3 +347,12 @@ func TestDropCachesRestoresColdBehaviour(t *testing.T) {
 		t.Fatalf("cold replay cost %d != original cold %d", cold2.Requests, cold1.Requests)
 	}
 }
+
+func TestNewRefusesNilClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a Config without a scheduler")
+		}
+	}()
+	New(Config{})
+}

@@ -8,6 +8,7 @@ import (
 
 	"remos/internal/collector"
 	"remos/internal/netsim"
+	"remos/internal/sim"
 )
 
 // Tests for collector-side streaming prediction (the Section 2.3
@@ -16,26 +17,32 @@ import (
 func streamSite(t *testing.T) *site {
 	return newSite(t, func(c *Config) {
 		c.StreamPredict = "BM(16)"
-		c.StreamMinFit = 16
-		c.StreamHorizon = 4
 	})
 }
 
 func TestStreamingPredictorsAttachAfterMinHistory(t *testing.T) {
 	st := streamSite(t)
-	q := collector.Query{Hosts: []netip.Addr{addrOf(st, "h1"), addrOf(st, "h2")}}
+	q := collector.Query{
+		Hosts:           []netip.Addr{addrOf(st, "h1"), addrOf(st, "h2")},
+		WithPredictions: true,
+	}
 	st.n.StartFlow(st.d["h1"], st.d["h2"], netsim.FlowSpec{Demand: 4e6})
-	if _, err := st.sc.Collect(q); err != nil {
-		t.Fatal(err)
+	forecasts := func() int {
+		res, err := st.sc.Collect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Predictions)
 	}
-	// Below the fit threshold: no streams yet.
-	st.s.RunFor(30 * time.Second) // 6 polls
-	if st.sc.StreamCount() != 0 {
-		t.Fatalf("streams fitted with only ~6 samples: %d", st.sc.StreamCount())
+	forecasts() // starts monitoring
+	// Below the 64-sample fit threshold: no forecasts yet.
+	st.s.RunFor(5 * time.Minute) // 60 polls
+	if n := forecasts(); n != 0 {
+		t.Fatalf("%d forecasts with only ~60 samples", n)
 	}
-	// Past it: every monitored direction gets a predictor.
-	st.s.RunFor(100 * time.Second)
-	if st.sc.StreamCount() == 0 {
+	// Past it: the monitored directions get predictors.
+	st.s.RunFor(time.Minute)
+	if forecasts() == 0 {
 		t.Fatal("no streaming predictors after ample history")
 	}
 }
@@ -50,7 +57,7 @@ func TestCollectReturnsForecasts(t *testing.T) {
 	if _, err := st.sc.Collect(q); err != nil {
 		t.Fatal(err)
 	}
-	st.s.RunFor(200 * time.Second)
+	st.s.RunFor(400 * time.Second)
 	res, err := st.sc.Collect(q)
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +66,8 @@ func TestCollectReturnsForecasts(t *testing.T) {
 	if !ok {
 		t.Fatalf("no forecast for the WAN link; got %d forecasts", len(res.Predictions))
 	}
-	if len(fc.Values) != 4 {
-		t.Fatalf("forecast horizon %d, want 4", len(fc.Values))
+	if len(fc.Values) != 8 {
+		t.Fatalf("forecast horizon %d, want 8", len(fc.Values))
 	}
 	// Steady 4 Mbit/s load: the forecast says so.
 	if math.Abs(fc.Values[0]-4e6) > 5e5 {
@@ -86,7 +93,7 @@ func TestForecastTracksLoadChange(t *testing.T) {
 	if _, err := st.sc.Collect(q); err != nil {
 		t.Fatal(err)
 	}
-	st.s.RunFor(200 * time.Second)
+	st.s.RunFor(400 * time.Second)
 	f.SetDemand(8e6)
 	st.s.RunFor(120 * time.Second) // the BM(16) window turns over
 	res, err := st.sc.Collect(q)
@@ -124,5 +131,5 @@ func TestBadStreamSpecPanicsAtConstruction(t *testing.T) {
 			t.Fatal("no panic for bad StreamPredict spec")
 		}
 	}()
-	New(Config{StreamPredict: "WAVELET(3)"})
+	New(Config{Sched: sim.NewSim(), StreamPredict: "WAVELET(3)"})
 }

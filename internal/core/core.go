@@ -43,8 +43,6 @@ type SiteSpec struct {
 	// BenchInterval and BenchDuration override benchmark pacing.
 	BenchInterval time.Duration
 	BenchDuration time.Duration
-	// BenchDemand caps probe bandwidth (0 = elastic).
-	BenchDemand float64
 	// BenchReverse probes peer->local (the download direction).
 	BenchReverse bool
 	// StreamPredict attaches collector-side streaming predictors to
@@ -80,21 +78,13 @@ type Deployment struct {
 	// it and every site's Master consults it per query.
 	Directory *directory.Service
 
-	siteOrder   []string
-	obs         *obs.Registry
-	community   string
-	parallelism int
-	maxVarBinds int
-	pipeline    int
-	refresh     *sim.Timer
+	siteOrder []string
+	opt       Options
+	refresh   *sim.Timer
 }
 
 // Options tunes deployment-wide behaviour.
 type Options struct {
-	// SNMPLatency models the management-plane round trip (default 2ms).
-	SNMPLatency time.Duration
-	// Community is the SNMP community (default "public").
-	Community string
 	// Parallelism bounds concurrent work in every collector layer:
 	// master fan-out, SNMP device walks and polling, and bridge walks.
 	// 0 selects GOMAXPROCS; 1 restores the fully serial pipeline.
@@ -110,41 +100,36 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+const (
+	// snmpLatency models the management-plane round trip.
+	snmpLatency = 2 * time.Millisecond
+	// community is the SNMP community every agent and collector uses.
+	community = "public"
+)
+
 // NewDeployment attaches SNMP agents to every managed device and prepares
 // the shared transport. Call AddSite for each site, then Finish.
 // AssignSubnets and ComputeRoutes must already have run on the network.
 func NewDeployment(s *sim.Sim, n *netsim.Network, opt Options) *Deployment {
-	if opt.SNMPLatency <= 0 {
-		opt.SNMPLatency = 2 * time.Millisecond
-	}
-	if opt.Community == "" {
-		opt.Community = "public"
-	}
 	reg := snmp.NewRegistry()
 	mib.AttachAll(n, reg)
 	tr := &snmp.InProc{
 		Registry: reg,
-		Latency:  func(string) time.Duration { return opt.SNMPLatency },
+		Latency:  func(string) time.Duration { return snmpLatency },
 	}
-	d := &Deployment{
+	return &Deployment{
 		Sim:       s,
 		Net:       n,
 		Registry:  reg,
 		Transport: tr,
 		Sites:     make(map[string]*Site),
+		opt:       opt,
 	}
-	d.community = opt.Community
-	d.obs = opt.Obs
-	d.parallelism = opt.Parallelism
-	d.maxVarBinds = opt.MaxVarBinds
-	d.pipeline = opt.Pipeline
-	return d
 }
 
-// community is stored for collector construction.
 func (d *Deployment) client() *snmp.Client {
-	cl := snmp.NewClient(d.Transport, d.community)
-	cl.Pipeline = d.pipeline
+	cl := snmp.NewClient(d.Transport, community)
+	cl.Pipeline = d.opt.Pipeline
 	return cl
 }
 
@@ -193,8 +178,8 @@ func (d *Deployment) AddSite(spec SiteSpec) (*Site, error) {
 			Client:      d.client(),
 			Sched:       d.Sim,
 			Switches:    addrs,
-			Parallelism: d.parallelism,
-			Obs:         d.obs,
+			Parallelism: d.opt.Parallelism,
+			Obs:         d.opt.Obs,
 		})
 		if err := site.Bridge.Start(); err != nil {
 			return nil, fmt.Errorf("core: site %s bridge: %w", spec.Name, err)
@@ -205,7 +190,7 @@ func (d *Deployment) AddSite(spec SiteSpec) (*Site, error) {
 	site.SNMP = snmpcoll.New(snmpcoll.Config{
 		Name:      "snmp-" + spec.Name,
 		Transport: d.Transport,
-		Community: d.community,
+		Community: community,
 		Sched:     d.Sim,
 		GatewayOf: func(h netip.Addr) (netip.Addr, bool) {
 			dev := d.Net.DeviceByIP(h)
@@ -224,10 +209,10 @@ func (d *Deployment) AddSite(spec SiteSpec) (*Site, error) {
 		Bridge:        site.Bridge,
 		PollInterval:  spec.PollInterval,
 		StreamPredict: spec.StreamPredict,
-		Parallelism:   d.parallelism,
-		MaxVarBinds:   d.maxVarBinds,
-		Pipeline:      d.pipeline,
-		Obs:           d.obs,
+		Parallelism:   d.opt.Parallelism,
+		MaxVarBinds:   d.opt.MaxVarBinds,
+		Pipeline:      d.opt.Pipeline,
+		Obs:           d.opt.Obs,
 	})
 
 	d.Sites[spec.Name] = site
@@ -262,7 +247,6 @@ func (d *Deployment) Finish() error {
 			Sched:         d.Sim,
 			Interval:      site.Spec.BenchInterval,
 			ProbeDuration: site.Spec.BenchDuration,
-			ProbeDemand:   site.Spec.BenchDemand,
 			ProbeReverse:  site.Spec.BenchReverse,
 		})
 	}
@@ -308,8 +292,8 @@ func (d *Deployment) Finish() error {
 			Name:        "master-" + name,
 			Directory:   d.Directory,
 			WideArea:    wide,
-			Parallelism: d.parallelism,
-			Obs:         d.obs,
+			Parallelism: d.opt.Parallelism,
+			Obs:         d.opt.Obs,
 		})
 	}
 	return nil

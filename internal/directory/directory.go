@@ -242,29 +242,24 @@ func (s *Service) Status() []AdvertStatus {
 // compute lease ages against the same time base.
 func (s *Service) Now() time.Time { return s.sched.Now() }
 
-// Resolve turns an advertisement into a usable collector: the local
-// handle when present, otherwise a protocol client for the endpoint.
-func Resolve(a Advert) (collector.Interface, error) {
-	if a.Collector != nil {
-		return a.Collector, nil
-	}
+// clientFor builds a protocol client for an advertised endpoint.
+func clientFor(endpoint string) (collector.Interface, error) {
 	switch {
-	case len(a.Endpoint) > 6 && a.Endpoint[:6] == "tcp://":
-		return &proto.TCPClient{Addr: a.Endpoint[6:]}, nil
-	case len(a.Endpoint) > 7 && a.Endpoint[:7] == "http://":
-		return &proto.HTTPClient{BaseURL: a.Endpoint}, nil
+	case len(endpoint) > 6 && endpoint[:6] == "tcp://":
+		return &proto.TCPClient{Addr: endpoint[6:]}, nil
+	case len(endpoint) > 7 && endpoint[:7] == "http://":
+		return &proto.HTTPClient{BaseURL: endpoint}, nil
 	}
-	return nil, fmt.Errorf("directory: cannot resolve endpoint %q", a.Endpoint)
+	return nil, fmt.Errorf("directory: cannot resolve endpoint %q", endpoint)
 }
 
 // Entries implements master.Directory: the current advertisements as
-// master entries, with remote endpoints resolved to protocol clients
-// (cached so connections persist across queries).
+// master entries, with remote endpoints resolved to protocol clients.
 func (s *Service) Entries() ([]master.Entry, error) {
 	adverts := s.Adverts()
 	out := make([]master.Entry, 0, len(adverts))
 	for _, a := range adverts {
-		c, err := s.resolveCached(a)
+		c, err := s.Resolve(a)
 		if err != nil {
 			return nil, fmt.Errorf("directory: advert %q: %w", a.Name, err)
 		}
@@ -278,7 +273,10 @@ func (s *Service) Entries() ([]master.Entry, error) {
 	return out, nil
 }
 
-func (s *Service) resolveCached(a Advert) (collector.Interface, error) {
+// Resolve turns an advertisement into a usable collector: the local
+// handle when present, otherwise a protocol client for the endpoint,
+// cached per name and endpoint so connections persist across queries.
+func (s *Service) Resolve(a Advert) (collector.Interface, error) {
 	if a.Collector != nil {
 		return a.Collector, nil
 	}
@@ -292,7 +290,7 @@ func (s *Service) resolveCached(a Advert) (collector.Interface, error) {
 		return c, nil
 	}
 	s.mu.Unlock()
-	c, err := Resolve(a)
+	c, err := clientFor(a.Endpoint)
 	if err != nil {
 		return nil, err
 	}

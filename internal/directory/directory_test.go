@@ -94,13 +94,18 @@ func TestLongestPrefixLookup(t *testing.T) {
 }
 
 func TestResolveEndpoints(t *testing.T) {
-	if _, err := Resolve(Advert{Endpoint: "tcp://127.0.0.1:9999"}); err != nil {
+	d := New(sim.NewSim())
+	tcp, err := d.Resolve(Advert{Name: "a", Endpoint: "tcp://127.0.0.1:9999"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resolve(Advert{Endpoint: "http://127.0.0.1:9999"}); err != nil {
+	if again, _ := d.Resolve(Advert{Name: "a", Endpoint: "tcp://127.0.0.1:9999"}); again != tcp {
+		t.Fatal("a second resolve of the same advert built a second client")
+	}
+	if _, err := d.Resolve(Advert{Name: "a", Endpoint: "http://127.0.0.1:9999"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resolve(Advert{Endpoint: "gopher://x"}); err == nil {
+	if _, err := d.Resolve(Advert{Name: "a", Endpoint: "gopher://x"}); err == nil {
 		t.Fatal("unknown scheme resolved")
 	}
 }

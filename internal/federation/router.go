@@ -61,9 +61,8 @@ func (st domainState) current(best directory.Advert) bool {
 type Router struct {
 	cfg RouterConfig
 
-	mu       sync.Mutex
-	domains  map[string]domainState
-	resolved map[string]collector.Interface
+	mu      sync.Mutex
+	domains map[string]domainState
 	// The stitched-graph memo: valid while every domain's cache entry
 	// is the one it was stitched from (in sorted domain order).
 	stitched []domainState
@@ -90,11 +89,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	r := &Router{
-		cfg:      cfg,
-		domains:  make(map[string]domainState),
-		resolved: make(map[string]collector.Interface),
-	}
+	r := &Router{cfg: cfg, domains: make(map[string]domainState)}
 	r.mCollects = cfg.Obs.Counter("remos_federation_collects_total",
 		"topology queries fanned out to owning domain masters")
 	r.mFlows = cfg.Obs.Counter("remos_federation_flow_queries_total",
@@ -144,29 +139,6 @@ func (r *Router) domainAdverts() ([]string, map[string][]directory.Advert) {
 	return names, byDomain
 }
 
-// resolve returns a collector for the advert, preferring the local
-// handle and caching protocol clients so connections persist.
-func (r *Router) resolve(a directory.Advert) (collector.Interface, error) {
-	if a.Collector != nil {
-		return a.Collector, nil
-	}
-	key := a.Name + "|" + a.Endpoint
-	r.mu.Lock()
-	c, ok := r.resolved[key]
-	r.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	c, err := directory.Resolve(a)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.resolved[key] = c
-	r.mu.Unlock()
-	return c, nil
-}
-
 // fetchDomain brings one domain's cache entry up to the advertised
 // epoch, walking the domain's adverts in failover order and falling
 // back to a stale cached graph only when every replica is unreachable.
@@ -181,7 +153,7 @@ func (r *Router) fetchDomain(ctx context.Context, domain string, adverts []direc
 	}
 	var firstErr error
 	for i, a := range adverts {
-		coll, err := r.resolve(a)
+		coll, err := r.cfg.Directory.Resolve(a)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -355,7 +327,7 @@ func (r *Router) Collect(q collector.Query) (*collector.Result, error) {
 		name := names[i]
 		var firstErr error
 		for n, a := range failover[name] {
-			coll, err := r.resolve(a)
+			coll, err := r.cfg.Directory.Resolve(a)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
@@ -388,7 +360,7 @@ func (r *Router) Collect(q collector.Query) (*collector.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mergeResults(results, q), nil
+	return collector.MergeResults(results, q), nil
 }
 
 // collectLocal answers the empty query with the locally-served domains'
@@ -413,33 +385,5 @@ func (r *Router) collectLocal(ctx context.Context) (*collector.Result, error) {
 		}
 		results[i] = res
 	}
-	return mergeResults(results, collector.Query{}), nil
-}
-
-// mergeResults coalesces sub-results deterministically (the results
-// slice is already in sorted domain order).
-func mergeResults(results []*collector.Result, q collector.Query) *collector.Result {
-	merged := topology.NewGraph()
-	history := make(map[collector.HistKey][]collector.Sample)
-	forecasts := make(map[collector.HistKey]collector.Forecast)
-	for _, sub := range results {
-		if sub == nil {
-			continue
-		}
-		merged.Merge(sub.Graph)
-		for k, v := range sub.History {
-			history[k] = v
-		}
-		for k, v := range sub.Predictions {
-			forecasts[k] = v
-		}
-	}
-	res := &collector.Result{Graph: merged}
-	if q.WithHistory {
-		res.History = history
-	}
-	if q.WithPredictions {
-		res.Predictions = forecasts
-	}
-	return res
+	return collector.MergeResults(results, collector.Query{}), nil
 }

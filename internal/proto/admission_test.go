@@ -31,7 +31,7 @@ func newAdmissionRig(t *testing.T, cfg admission.Config) *admissionRig {
 	cfg.Sched = rig.sim
 	rig.ctrl = admission.New(cfg)
 	t.Cleanup(rig.ctrl.Close)
-	rig.reg = watch.New(watch.Config{})
+	rig.reg = watch.New(watch.Config{Now: time.Now})
 	t.Cleanup(func() { rig.reg.Close(nil) })
 
 	tcpSrv := &TCPServer{Collector: rig.coll, Watch: rig.reg, Flows: &fakeFlows{}, Admission: rig.ctrl}

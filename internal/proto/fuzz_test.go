@@ -37,7 +37,7 @@ func FuzzASCIIConn(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		reg := watch.New(watch.Config{})
+		reg := watch.New(watch.Config{Now: time.Now})
 		defer reg.Close(nil)
 		ctrl := admission.New(admission.Config{
 			Sched: sim.NewSim(),

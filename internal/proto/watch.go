@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/netip"
 	"net/url"
@@ -161,6 +162,12 @@ func (c *TCPClient) Watch(ctx context.Context, spec watch.Spec) (<-chan watch.Up
 	if err != nil {
 		return nil, classifyClientErr(c.Addr, err)
 	}
+	return c.watchOn(ctx, conn, spec, timeout)
+}
+
+// watchOn runs the WATCH exchange and the update stream on a freshly
+// dialled connection, which it owns from here on.
+func (c *TCPClient) watchOn(ctx context.Context, conn net.Conn, spec watch.Spec, timeout time.Duration) (<-chan watch.Update, error) {
 	conn.SetDeadline(time.Now().Add(timeout))
 	fmt.Fprintf(conn, "WATCH %s %s %g %g %g\n",
 		spec.Src, spec.Dst, spec.Below, spec.Above, spec.ChangeFrac)
@@ -241,6 +248,11 @@ func (c *TCPClient) Watch(ctx context.Context, spec watch.Spec) (<-chan watch.Up
 					Err: decodeRemoteError(code, "proto: watch ended by server: "+msg)})
 				return
 			case "UNWATCHED":
+				// The server's answer to the cancellation watcher's
+				// UNWATCH, when it arrives before that goroutine's Close
+				// fails the read: the watch still ended by the caller's
+				// cancellation, and says so.
+				deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst, Err: ctx.Err()})
 				return
 			}
 		}

@@ -3,8 +3,12 @@ package proto
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"net"
 	"net/netip"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,7 +91,7 @@ func startSSE(t *testing.T, reg *watch.Registry) watchClient {
 }
 
 func testWatchRoundTrip(t *testing.T, mk func(*testing.T, *watch.Registry) watchClient) {
-	reg := watch.New(watch.Config{})
+	reg := watch.New(watch.Config{Now: time.Now})
 	defer reg.Close(nil)
 	cl := mk(t, reg)
 
@@ -145,8 +149,64 @@ func testWatchRoundTrip(t *testing.T, mk func(*testing.T, *watch.Registry) watch
 func TestASCIIWatchRoundTrip(t *testing.T) { testWatchRoundTrip(t, startASCII) }
 func TestSSEWatchRoundTrip(t *testing.T)   { testWatchRoundTrip(t, startSSE) }
 
+// TestASCIIWatchUnwatchedBeforeClose holds the race the round-trip test
+// used to lose about once in 300 runs: the server's UNWATCHED reaching
+// the client's reader before the cancellation watcher has closed the
+// connection. The scripted peer sits on a net.Pipe, where a write returns
+// only once it has been read: by reading the client's UNWATCH line up to,
+// not including, its newline, the peer keeps the watcher inside its write
+// — so short of its Close — until the reader has consumed UNWATCHED.
+func TestASCIIWatchUnwatchedBeforeClose(t *testing.T) {
+	readLine := func(c net.Conn) string {
+		var line []byte
+		for b := make([]byte, 1); ; {
+			if _, err := c.Read(b); err != nil || b[0] == '\n' {
+				return string(line)
+			}
+			line = append(line, b[0])
+		}
+	}
+	const unwatch = "UNWATCH 7"
+	for i := 0; i < 200; i++ {
+		client, peer := net.Pipe()
+		ctx, cancel := context.WithCancel(context.Background())
+		peerErr := make(chan error, 1)
+		go func() {
+			defer peer.Close()
+			if got := readLine(peer); !strings.HasPrefix(got, "WATCH ") {
+				peerErr <- fmt.Errorf("request %q", got)
+				return
+			}
+			io.WriteString(peer, "WATCHING 7\n")
+			held := make([]byte, len(unwatch))
+			if _, err := io.ReadFull(peer, held); err != nil || string(held) != unwatch {
+				peerErr <- fmt.Errorf("unwatch %q: %v", held, err)
+				return
+			}
+			io.WriteString(peer, "UNWATCHED 7\n") // returns once the client's reader has it
+			readLine(peer)                        // the held newline: the watcher may close now
+			peerErr <- nil
+		}()
+		ch, err := (&TCPClient{}).watchOn(ctx, client,
+			watch.Spec{Src: watchSrc, Dst: watchDst, ChangeFrac: 0.1}, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		if u, ok := <-ch; !ok || !errors.Is(u.Err, context.Canceled) {
+			t.Fatalf("iteration %d: got update %+v (open %t), want the terminal context.Canceled", i, u, ok)
+		}
+		if u, ok := <-ch; ok {
+			t.Fatalf("iteration %d: channel delivered %+v after the terminal update", i, u)
+		}
+		if err := <-peerErr; err != nil {
+			t.Fatalf("iteration %d: peer: %v", i, err)
+		}
+	}
+}
+
 func testWatchServerShutdown(t *testing.T, mk func(*testing.T, *watch.Registry) watchClient) {
-	reg := watch.New(watch.Config{})
+	reg := watch.New(watch.Config{Now: time.Now})
 	cl := mk(t, reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -183,7 +243,7 @@ func TestASCIIWatchServerShutdown(t *testing.T) { testWatchServerShutdown(t, sta
 func TestSSEWatchServerShutdown(t *testing.T)   { testWatchServerShutdown(t, startSSE) }
 
 func TestWatchRejectsBadSpec(t *testing.T) {
-	reg := watch.New(watch.Config{})
+	reg := watch.New(watch.Config{Now: time.Now})
 	defer reg.Close(nil)
 	for name, cl := range map[string]watchClient{
 		"ascii": startASCII(t, reg),
@@ -220,7 +280,7 @@ func TestWatchAgainstServerWithoutRegistry(t *testing.T) {
 // one raw connection: WATCH, an interleaved QUERY, pushed UPDATEs and
 // UNWATCH all frame correctly through the shared writer.
 func TestASCIIQueriesAndWatchesShareAConnection(t *testing.T) {
-	reg := watch.New(watch.Config{})
+	reg := watch.New(watch.Config{Now: time.Now})
 	defer reg.Close(nil)
 	srv := &TCPServer{Collector: &echoCollector{}, Watch: reg}
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
@@ -261,7 +321,7 @@ func TestASCIIQueriesAndWatchesShareAConnection(t *testing.T) {
 // and asserts the process goroutine count settles back: no leaked
 // drains, readers, or cancellation watchers.
 func TestWatchGoroutineCleanup(t *testing.T) {
-	reg := watch.New(watch.Config{})
+	reg := watch.New(watch.Config{Now: time.Now})
 	defer reg.Close(nil)
 	ascii := startASCII(t, reg)
 	sse := startSSE(t, reg)
@@ -324,7 +384,7 @@ func waitGoroutines(t *testing.T, before int) {
 // once their serve loops and the watch drain are gone — no goroutine or
 // subscription outlives it.
 func TestTCPServerCloseDropsConnections(t *testing.T) {
-	reg := watch.New(watch.Config{})
+	reg := watch.New(watch.Config{Now: time.Now})
 	defer reg.Close(nil)
 	before := runtime.NumGoroutine()
 	srv := &TCPServer{Collector: &echoCollector{}, Watch: reg}

@@ -6,15 +6,14 @@
 // narrowing when the network moves — so the system converts from
 // N-clients-polling to measure-once-push-many.
 //
-// Every poll appends per-edge utilization samples into a
-// collector.History, feeds long-lived rps.Stream predictors per
-// monitored edge (the paper's §2.3 streaming configuration, now with a
-// real producer), and invalidates-then-refreshes the qcache entries it
+// Every poll invalidates-then-refreshes the qcache entries it
 // supersedes: because the scheduler collects *through* the cache with
 // the same canonical key a client query produces, hot queries are
 // answered from warm state without triggering new SNMP exchanges.
-// Fresh results are handed to the watch registry (Config.OnResult) for
-// predicate evaluation and push delivery.
+// Fresh results are folded into the snapshot store (Config.Snapshot) and
+// handed to the watch registry (Config.OnResult) for predicate
+// evaluation and push delivery. History and streaming prediction stay
+// where the paper puts them, at the collectors (collector.Predictor).
 package sched
 
 import (
@@ -29,7 +28,6 @@ import (
 
 	"remos/internal/collector"
 	"remos/internal/obs"
-	"remos/internal/rps"
 	"remos/internal/sim"
 	"remos/internal/snapshot"
 )
@@ -48,30 +46,10 @@ type Config struct {
 	// tests and experiments, real time in remosd.
 	Sched sim.Scheduler
 	// BaseInterval is a new target's starting poll interval (default
-	// 2s). MinInterval/MaxInterval bound adaptation (defaults Base/4
-	// and 8*Base).
+	// 2s). Adaptation stays between Base/4 and MaxInterval (default
+	// 8*Base).
 	BaseInterval time.Duration
-	MinInterval  time.Duration
 	MaxInterval  time.Duration
-	// Jitter spreads poll times by ±this fraction of the interval
-	// (default 0.1) so targets never phase-lock. Jitter is drawn from a
-	// per-target seeded source: deterministic under the simulated
-	// clock.
-	Jitter float64
-	// ChangeFrac is the per-edge utilization change, relative to link
-	// capacity, that counts as "the network moved" (default 0.05).
-	ChangeFrac float64
-	// Seed perturbs the per-target jitter sources.
-	Seed int64
-	// HistoryLen bounds retained samples per edge (default 512).
-	HistoryLen int
-	// Predict, when non-empty, is the RPS model spec (e.g. "AR(16)")
-	// fitted per monitored edge once PredictMinFit samples (default 64)
-	// accumulate, then advanced every poll; PredictHorizon (default 8)
-	// is the forecast depth.
-	Predict        string
-	PredictMinFit  int
-	PredictHorizon int
 	// OnResult receives every successful poll's result (already a
 	// private clone) — the watch registry's Evaluate hooks in here.
 	OnResult func(hosts []netip.Addr, res *collector.Result)
@@ -84,22 +62,29 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+const (
+	// jitter spreads poll times by ±this fraction of the interval so
+	// targets never phase-lock. It is drawn from a per-target source
+	// seeded by the target's key: deterministic under the simulated clock.
+	jitter = 0.1
+	// changeFrac is the per-edge utilization change, relative to link
+	// capacity, that counts as "the network moved".
+	changeFrac = 0.05
+)
+
 // Scheduler runs adaptive background poll loops. Safe for concurrent
 // use; poll callbacks run on the sim.Scheduler's goroutine(s).
 type Scheduler struct {
 	cfg    Config
-	hist   *collector.History
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu      sync.Mutex
 	targets map[string]*target
-	streams map[collector.HistKey]*streamRec
 	closed  bool
 
-	mPolls   *obs.Counter
-	mErrors  *obs.Counter
-	mSamples *obs.Counter
+	mPolls  *obs.Counter
+	mErrors *obs.Counter
 }
 
 // target is one registered host set with its adaptive poll state.
@@ -114,19 +99,11 @@ type target struct {
 	gIval    *obs.Gauge
 }
 
-// streamRec is one edge's long-lived streaming predictor.
-type streamRec struct {
-	mu     sync.Mutex
-	stream *rps.Stream
-}
-
-// New validates the config and returns a scheduler with no targets.
-func New(cfg Config) (*Scheduler, error) {
+// New fills the config's defaults and returns a scheduler with no
+// targets.
+func New(cfg Config) *Scheduler {
 	if cfg.BaseInterval <= 0 {
 		cfg.BaseInterval = 2 * time.Second
-	}
-	if cfg.MinInterval <= 0 {
-		cfg.MinInterval = cfg.BaseInterval / 4
 	}
 	if cfg.MaxInterval <= 0 {
 		cfg.MaxInterval = 8 * cfg.BaseInterval
@@ -134,43 +111,23 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxInterval < cfg.BaseInterval {
 		cfg.MaxInterval = cfg.BaseInterval
 	}
-	if cfg.Jitter <= 0 {
-		cfg.Jitter = 0.1
-	}
-	if cfg.ChangeFrac <= 0 {
-		cfg.ChangeFrac = 0.05
-	}
-	if cfg.HistoryLen <= 0 {
-		cfg.HistoryLen = 512
-	}
-	if cfg.PredictMinFit <= 0 {
-		cfg.PredictMinFit = 64
-	}
-	if cfg.PredictHorizon <= 0 {
-		cfg.PredictHorizon = 8
-	}
-	if cfg.Predict != "" {
-		if _, err := rps.ParseFitter(cfg.Predict); err != nil {
-			return nil, err
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:     cfg,
-		hist:    collector.NewHistory(cfg.HistoryLen),
 		ctx:     ctx,
 		cancel:  cancel,
 		targets: make(map[string]*target),
-		streams: make(map[collector.HistKey]*streamRec),
 	}
 	s.mPolls = cfg.Obs.Counter("remos_sched_polls_total", "background polls issued by the scheduler")
 	s.mErrors = cfg.Obs.Counter("remos_sched_poll_errors_total", "background polls that failed")
-	s.mSamples = cfg.Obs.Counter("remos_sched_samples_total", "per-edge samples appended by the scheduler")
 	cfg.Obs.GaugeFunc("remos_sched_targets", "host sets under background polling", func() float64 {
 		return float64(s.Targets())
 	})
-	return s, nil
+	return s
 }
+
+// minInterval is the floor of interval adaptation.
+func (s *Scheduler) minInterval() time.Duration { return s.cfg.BaseInterval / 4 }
 
 // targetKey canonicalizes a host set exactly like qcache.Key does for a
 // flagless query: sorted addresses joined by commas.
@@ -186,7 +143,7 @@ func targetKey(hosts []netip.Addr) string {
 // AddTarget registers a host set for background polling. Targets are
 // refcounted: matching AddTarget/RemoveTarget calls nest, and the poll
 // loop runs while the count is positive. The first poll fires almost
-// immediately (a jittered fraction of MinInterval).
+// immediately (a jittered fraction of the minimum interval).
 func (s *Scheduler) AddTarget(hosts []netip.Addr) {
 	if len(hosts) == 0 {
 		return
@@ -208,13 +165,13 @@ func (s *Scheduler) AddTarget(hosts []netip.Addr) {
 		hosts:    append([]netip.Addr(nil), hosts...),
 		refs:     1,
 		interval: s.cfg.BaseInterval,
-		rng:      rand.New(rand.NewSource(s.cfg.Seed ^ int64(h.Sum64()))),
+		rng:      rand.New(rand.NewSource(int64(h.Sum64()))),
 		last:     make(map[collector.HistKey]float64),
 		gIval:    s.cfg.Obs.Gauge("remos_sched_poll_interval_seconds", "current adaptive poll interval", "target", key),
 	}
 	t.gIval.Set(t.interval.Seconds())
 	s.targets[key] = t
-	first := time.Duration(t.rng.Float64() * float64(s.cfg.MinInterval))
+	first := time.Duration(t.rng.Float64() * float64(s.minInterval()))
 	t.timer = s.cfg.Sched.After(first, func() { s.poll(t) })
 }
 
@@ -237,8 +194,9 @@ func (s *Scheduler) RemoveTarget(hosts []netip.Addr) {
 	delete(s.targets, key)
 }
 
-// poll runs one collection for a target, feeds history/streams/watches,
-// adapts the interval, and reschedules itself.
+// poll runs one collection for a target, hands the result to the
+// snapshot store and the watches, adapts the interval to how far the
+// readings moved, and reschedules itself.
 func (s *Scheduler) poll(t *target) {
 	s.mu.Lock()
 	if s.closed || s.targets[t.key] != t {
@@ -271,9 +229,6 @@ func (s *Scheduler) poll(t *target) {
 				{collector.HistKey{From: l.From, To: l.To}, l.UtilFromTo},
 				{collector.HistKey{From: l.To, To: l.From}, l.UtilToFrom},
 			} {
-				s.hist.Add(dir.k, collector.Sample{T: now, Bits: dir.util})
-				s.mSamples.Inc()
-				s.feedStream(dir.k, dir.util)
 				if prev, ok := t.last[dir.k]; ok {
 					if d := (dir.util - prev) / l.Capacity; d > maxChange {
 						maxChange = d
@@ -284,7 +239,7 @@ func (s *Scheduler) poll(t *target) {
 				t.last[dir.k] = dir.util
 			}
 		}
-		changed = maxChange >= s.cfg.ChangeFrac
+		changed = maxChange >= changeFrac
 		if s.cfg.Snapshot != nil {
 			s.cfg.Snapshot.Apply(t.hosts, res, now)
 		}
@@ -296,13 +251,13 @@ func (s *Scheduler) poll(t *target) {
 	// Adapt: narrow on movement (or errors — the network may be in
 	// trouble exactly when we fail to see it), widen while stable.
 	if changed || err != nil {
-		t.interval = max(s.cfg.MinInterval, t.interval/2)
+		t.interval = max(s.minInterval(), t.interval/2)
 	} else {
 		t.interval = min(s.cfg.MaxInterval, t.interval*3/2)
 	}
 	t.gIval.Set(t.interval.Seconds())
 
-	next := jittered(t.interval, s.cfg.Jitter, t.rng)
+	next := jittered(t.interval, jitter, t.rng)
 	s.mu.Lock()
 	if !s.closed && s.targets[t.key] == t {
 		t.timer = s.cfg.Sched.After(next, func() { s.poll(t) })
@@ -319,71 +274,6 @@ func jittered(d time.Duration, frac float64, rng *rand.Rand) time.Duration {
 	}
 	return out
 }
-
-// feedStream advances (or lazily fits) the long-lived predictor for one
-// edge, mirroring the snmpcoll streaming configuration.
-func (s *Scheduler) feedStream(k collector.HistKey, v float64) {
-	if s.cfg.Predict == "" {
-		return
-	}
-	s.mu.Lock()
-	rec := s.streams[k]
-	s.mu.Unlock()
-	if rec == nil {
-		hist := s.hist.Get(k)
-		if len(hist) < s.cfg.PredictMinFit {
-			return
-		}
-		fitter, err := rps.ParseFitter(s.cfg.Predict)
-		if err != nil {
-			return // validated in New; defensive
-		}
-		model, err := fitter.Fit(collector.Values(hist))
-		if err != nil {
-			return // degenerate history; retry on a later sample
-		}
-		rec = &streamRec{stream: rps.NewStream(model, s.cfg.PredictHorizon)}
-		s.mu.Lock()
-		if existing := s.streams[k]; existing != nil {
-			rec = existing
-		} else if s.closed {
-			s.mu.Unlock()
-			rec.stream.Close()
-			return
-		} else {
-			s.streams[k] = rec
-		}
-		s.mu.Unlock()
-		return // the fit consumed this sample via history
-	}
-	rec.mu.Lock()
-	rec.stream.Observe(v)
-	rec.mu.Unlock()
-}
-
-// Forecast returns the streaming prediction for one edge, if a
-// predictor is live.
-func (s *Scheduler) Forecast(k collector.HistKey) (collector.Forecast, bool) {
-	s.mu.Lock()
-	rec := s.streams[k]
-	s.mu.Unlock()
-	if rec == nil {
-		return collector.Forecast{}, false
-	}
-	rec.mu.Lock()
-	p, n := rec.stream.Last()
-	rec.mu.Unlock()
-	if n == 0 || len(p.Values) == 0 {
-		return collector.Forecast{}, false
-	}
-	return collector.Forecast{
-		Values: append([]float64(nil), p.Values...),
-		ErrVar: append([]float64(nil), p.ErrVar...),
-	}, true
-}
-
-// History exposes the scheduler's accumulated per-edge samples.
-func (s *Scheduler) History() *collector.History { return s.hist }
 
 // Targets reports how many host sets are under background polling.
 func (s *Scheduler) Targets() int {
@@ -403,8 +293,7 @@ func (s *Scheduler) Interval(hosts []netip.Addr) time.Duration {
 	return 0
 }
 
-// Stop cancels every poll loop and in-flight collection and closes the
-// streaming predictors. Idempotent.
+// Stop cancels every poll loop and in-flight collection. Idempotent.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()
 	if s.closed {
@@ -418,13 +307,6 @@ func (s *Scheduler) Stop() {
 		}
 	}
 	clear(s.targets)
-	streams := make([]*streamRec, 0, len(s.streams))
-	for _, rec := range s.streams {
-		streams = append(streams, rec)
-	}
 	s.mu.Unlock()
 	s.cancel()
-	for _, rec := range streams {
-		rec.stream.Close()
-	}
 }

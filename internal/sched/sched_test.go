@@ -60,16 +60,12 @@ func newTestSched(t *testing.T, s sim.Scheduler, coll collector.Interface, mut f
 		Collector:    coll,
 		Sched:        s,
 		BaseInterval: 2 * time.Second,
-		MinInterval:  500 * time.Millisecond,
 		MaxInterval:  16 * time.Second,
 	}
 	if mut != nil {
 		mut(&cfg)
 	}
-	sc, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := New(cfg)
 	t.Cleanup(sc.Stop)
 	return sc
 }
@@ -171,23 +167,6 @@ func TestStopIsIdempotentAndHaltsPolls(t *testing.T) {
 	}
 }
 
-func TestHistoryAccumulatesBothDirections(t *testing.T) {
-	s := sim.NewSim()
-	coll := &scriptColl{}
-	coll.setUtil(3e6)
-	sc := newTestSched(t, s, coll, nil)
-	sc.AddTarget([]netip.Addr{hostA, hostB})
-	s.RunFor(time.Minute)
-	fwd := sc.History().Get(collector.HistKey{From: hostA.String(), To: hostB.String()})
-	rev := sc.History().Get(collector.HistKey{From: hostB.String(), To: hostA.String()})
-	if len(fwd) == 0 || len(rev) == 0 {
-		t.Fatalf("history fwd=%d rev=%d samples, want both directions", len(fwd), len(rev))
-	}
-	if fwd[len(fwd)-1].Bits != 3e6 || rev[len(rev)-1].Bits != 1.5e6 {
-		t.Fatalf("sample values fwd=%v rev=%v", fwd[len(fwd)-1].Bits, rev[len(rev)-1].Bits)
-	}
-}
-
 func TestInvalidateRunsBeforeEachPoll(t *testing.T) {
 	s := sim.NewSim()
 	coll := &scriptColl{}
@@ -215,11 +194,12 @@ func TestPollThroughCacheKeepsQueriesWarm(t *testing.T) {
 	s := sim.NewSim()
 	inner := &scriptColl{}
 	cache := qcache.New(inner, qcache.Config{TTL: time.Hour, Now: s.Now})
+	var results atomic.Int64
 	sc := newTestSched(t, s, cache, func(c *Config) {
-		c.Collector = cache
 		c.Invalidate = func(hosts []netip.Addr) {
 			cache.Invalidate(qcache.Key(collector.Query{Hosts: hosts}))
 		}
+		c.OnResult = func([]netip.Addr, *collector.Result) { results.Add(1) }
 	})
 	sc.AddTarget([]netip.Addr{hostA, hostB})
 	s.RunFor(time.Minute)
@@ -239,42 +219,11 @@ func TestPollThroughCacheKeepsQueriesWarm(t *testing.T) {
 			polls, inner.calls.Load())
 	}
 	// And each poll really did refresh: every poll invalidated then
-	// re-collected, so inner calls == polls issued by the scheduler.
-	if got := sc.History().Get(collector.HistKey{From: hostA.String(), To: hostB.String()}); len(got) == 0 {
-		t.Fatal("no samples despite cache in the path")
-	}
-}
-
-func TestStreamingPredictorComesAlive(t *testing.T) {
-	s := sim.NewSim()
-	coll := &scriptColl{}
-	coll.setUtil(2e6)
-	sc := newTestSched(t, s, coll, func(c *Config) {
-		c.Predict = "AR(8)"
-		c.PredictMinFit = 16
-		c.PredictHorizon = 4
-		c.MaxInterval = 2 * time.Second // keep sampling fast
-	})
-	sc.AddTarget([]netip.Addr{hostA, hostB})
-	// Vary the signal so the fit isn't degenerate.
-	i := 0
-	drift := s.Every(time.Second, func() {
-		i++
-		coll.setUtil(2e6 + 1e5*float64(i%7))
-	})
-	defer drift.Stop()
-	s.RunFor(3 * time.Minute)
-
-	k := collector.HistKey{From: hostA.String(), To: hostB.String()}
-	fc, ok := sc.Forecast(k)
-	if !ok {
-		t.Fatalf("no live predictor after %d polls", coll.calls.Load())
-	}
-	if len(fc.Values) != 4 {
-		t.Fatalf("forecast depth %d, want 4", len(fc.Values))
-	}
-	if _, ok := sc.Forecast(collector.HistKey{From: "x", To: "y"}); ok {
-		t.Fatal("forecast for unmonitored edge")
+	// re-collected, so each was a cache miss that reached the inner
+	// collector and delivered a result; only the two client queries hit.
+	if st := cache.Stats(); st.Misses != polls || st.Hits != 2 || results.Load() != polls {
+		t.Fatalf("cache %+v and %d results delivered for %d polls, want every poll a miss and a result, 2 hits",
+			st, results.Load(), polls)
 	}
 }
 
@@ -308,7 +257,6 @@ func TestMetricsExported(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"remos_sched_polls_total",
-		"remos_sched_samples_total",
 		"remos_sched_targets 1",
 		`remos_sched_poll_interval_seconds{target="10.0.0.1,10.0.0.2"}`,
 	} {

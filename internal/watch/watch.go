@@ -98,8 +98,8 @@ type Update struct {
 
 // Config wires a Registry to its surroundings.
 type Config struct {
-	// Now supplies sample timestamps (nil means time.Now). Deployments
-	// over the simulated scheduler pass its Now.
+	// Now supplies sample timestamps: the deployment's sim clock, or
+	// time.Now. Required.
 	Now func() time.Time
 	// EnsureTarget, when set, is called with the endpoint pair of every
 	// new watch so the poll scheduler starts covering it; ReleaseTarget
@@ -108,8 +108,6 @@ type Config struct {
 	// once per subscription.
 	EnsureTarget  func(hosts []netip.Addr)
 	ReleaseTarget func(hosts []netip.Addr)
-	// DefaultBuf overrides the default subscription channel depth.
-	DefaultBuf int
 	// Obs, when set, receives the watch-plane gauges and counters.
 	Obs *obs.Registry
 }
@@ -149,10 +147,13 @@ type Registry struct {
 	mEvals   *obs.Counter
 }
 
-// New builds an empty registry.
+// defaultBuf is a subscription's channel depth when its Spec names none.
+const defaultBuf = 16
+
+// New builds an empty registry. It panics on a Config without a clock.
 func New(cfg Config) *Registry {
-	if cfg.DefaultBuf <= 0 {
-		cfg.DefaultBuf = 16
+	if cfg.Now == nil {
+		panic("watch: Config.Now is required")
 	}
 	r := &Registry{cfg: cfg}
 	for i := range r.shards {
@@ -178,14 +179,6 @@ func (r *Registry) shardFor(pk [2]netip.Addr) *regShard {
 		}
 	}
 	return &r.shards[h%registryShards]
-}
-
-func (r *Registry) now() time.Time {
-	if r.cfg.Now != nil {
-		return r.cfg.Now()
-	}
-	//remoslint:allow wallclock designated fallback: nil Config.Now means the wall clock by contract
-	return time.Now()
 }
 
 // Subscription is one active watch. Updates arrive on Updates(); the
@@ -217,7 +210,7 @@ func (r *Registry) Subscribe(spec Spec) (*Subscription, error) {
 		return nil, err
 	}
 	if spec.Buf <= 0 {
-		spec.Buf = r.cfg.DefaultBuf
+		spec.Buf = defaultBuf
 	}
 	sub := &Subscription{ID: r.nextID.Add(1), Spec: spec, reg: r, ch: make(chan Update, spec.Buf)}
 	pk := pairKey(spec.Src, spec.Dst)
@@ -261,7 +254,7 @@ func (s *Subscription) Close(reason error) {
 	s.closed = true
 	if reason != nil {
 		s.seq++
-		u := Update{Seq: s.seq, At: s.reg.now(), Src: s.Spec.Src, Dst: s.Spec.Dst, Err: reason}
+		u := Update{Seq: s.seq, At: s.reg.cfg.Now(), Src: s.Spec.Src, Dst: s.Spec.Dst, Err: reason}
 		// Strongly prefer delivering the close reason: if the buffer is
 		// full, evict one stale update to make room. We are the sole
 		// sender (evaluate holds s.mu too), so the drain below is safe.
@@ -378,7 +371,7 @@ func (r *Registry) Evaluate(res *collector.Result) {
 	if res == nil || res.Graph == nil {
 		return
 	}
-	at := r.now()
+	at := r.cfg.Now()
 	type pairWork struct {
 		subs []*Subscription
 	}

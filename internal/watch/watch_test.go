@@ -52,7 +52,7 @@ func drain(t *testing.T, sub *Subscription) []Update {
 }
 
 func TestSpecValidation(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	cases := []Spec{
 		{},                       // no addrs, no predicate
 		{Src: hostA, Dst: hostB}, // no predicate
@@ -72,7 +72,7 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestInitThenEdgeTriggeredBelow(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	sub, err := r.Subscribe(Spec{Src: hostA, Dst: hostB, Below: 5e6})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestInitThenEdgeTriggeredBelow(t *testing.T) {
 }
 
 func TestInitReportsAlreadySatisfiedPredicate(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, Below: 5e6})
 	defer sub.Close(nil)
 	r.Evaluate(resultWithAvail(2e6)) // already under the threshold
@@ -128,7 +128,7 @@ func TestInitReportsAlreadySatisfiedPredicate(t *testing.T) {
 }
 
 func TestAbovePredicate(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, Above: 6e6})
 	defer sub.Close(nil)
 	r.Evaluate(resultWithAvail(4e6)) // init, under
@@ -140,7 +140,7 @@ func TestAbovePredicate(t *testing.T) {
 }
 
 func TestChangeFraction(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.10})
 	defer sub.Close(nil)
 	r.Evaluate(resultWithAvail(5e6))   // init
@@ -174,6 +174,7 @@ func TestEnsureReleaseRefcounting(t *testing.T) {
 	var mu sync.Mutex
 	ensures, releases := 0, 0
 	r := New(Config{
+		Now:           time.Now,
 		EnsureTarget:  func([]netip.Addr) { mu.Lock(); ensures++; mu.Unlock() },
 		ReleaseTarget: func([]netip.Addr) { mu.Lock(); releases++; mu.Unlock() },
 	})
@@ -200,7 +201,7 @@ func TestEnsureReleaseRefcounting(t *testing.T) {
 
 func TestSlowConsumerDropsNeverBlocks(t *testing.T) {
 	reg := obs.New()
-	r := New(Config{Obs: reg})
+	r := New(Config{Now: time.Now, Obs: reg})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.001, Buf: 2})
 	defer sub.Close(nil)
 
@@ -237,7 +238,7 @@ func TestSlowConsumerDropsNeverBlocks(t *testing.T) {
 }
 
 func TestCloseWithReasonDeliversTerminalUpdate(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, Below: 5e6, Buf: 1})
 	r.Evaluate(resultWithAvail(2e6)) // fills the 1-deep buffer
 	reason := rerr.Tagf(rerr.ErrCollectorUnavailable, "shutting down")
@@ -257,7 +258,7 @@ func TestCloseWithReasonDeliversTerminalUpdate(t *testing.T) {
 }
 
 func TestRegistryCloseTerminatesAllAndRejectsNew(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	var subs []*Subscription
 	for i := 0; i < 4; i++ {
 		s, err := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.1})
@@ -288,7 +289,7 @@ func TestRegistryCloseTerminatesAllAndRejectsNew(t *testing.T) {
 }
 
 func TestEvaluateSkipsForeignGraphs(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.1})
 	defer sub.Close(nil)
 	g := topology.NewGraph()
@@ -302,7 +303,7 @@ func TestEvaluateSkipsForeignGraphs(t *testing.T) {
 }
 
 func TestConcurrentSubscribeEvaluateClose(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Now: time.Now})
 	stop := make(chan struct{})
 	evalDone := make(chan struct{})
 	go func() {
@@ -352,7 +353,7 @@ func TestConcurrentSubscribeEvaluateClose(t *testing.T) {
 
 func TestMetricsNames(t *testing.T) {
 	reg := obs.New()
-	r := New(Config{Obs: reg})
+	r := New(Config{Now: time.Now, Obs: reg})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.1})
 	r.Evaluate(resultWithAvail(5e6))
 	var buf strings.Builder
@@ -368,4 +369,13 @@ func TestMetricsNames(t *testing.T) {
 		}
 	}
 	sub.Close(nil)
+}
+
+func TestNewRefusesNilClock(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a Config without a clock")
+		}
+	}()
+	New(Config{})
 }

@@ -29,7 +29,7 @@ func TestObservabilitySmoke(t *testing.T) {
 	traces := remos.NewTraceRing(64, 0)
 	dep, d := stackOpts(t, core.Options{Obs: reg})
 
-	queryable := qcache.New(dep.Sites["cmu"].Master, qcache.Config{TTL: time.Minute, Obs: reg})
+	queryable := qcache.New(dep.Sites["cmu"].Master, qcache.Config{TTL: time.Minute, Now: dep.Sim.Now, Obs: reg})
 	srv := &proto.TCPServer{Collector: queryable, Obs: reg, Traces: traces}
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {

@@ -2,7 +2,6 @@ package remosd
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"time"
 
@@ -10,12 +9,10 @@ import (
 	"remos/internal/federation"
 	"remos/internal/netsim"
 	"remos/internal/obs"
-	"remos/internal/proto"
-	"remos/internal/sim"
 	"remos/internal/topology"
 )
 
-// startFederated brings the daemon up in federated mode: the scenario
+// federated assembles the federated-mode stack: the scenario
 // fabric is partitioned into cfg.Domains administrative domains, this
 // daemon runs the master for domain cfg.Domain (its lease heartbeats
 // into the local directory replica and replicates to every -peer), and
@@ -28,124 +25,40 @@ import (
 // the stitched answer — is identical mesh-wide: a cross-domain FLOWS
 // query returns byte-for-byte what a single master walking the whole
 // network would.
-func (cfg Config) startFederated(logf func(format string, args ...any)) (*Daemon, error) {
-	reg := obs.New()
-	traces := obs.NewRing(128, cfg.SlowQuery)
-	d := &Daemon{Metrics: reg}
-	fail := func(err error) (*Daemon, error) {
-		d.Close()
-		return nil, err
-	}
+func (cfg Config) federated(d *Daemon, logf func(format string, args ...any), st *stack) error {
 	if cfg.Domain < 0 || cfg.Domain >= cfg.Domains {
-		return fail(fmt.Errorf("remosd: federated domain index %d out of range [0,%d)", cfg.Domain, cfg.Domains))
+		return fmt.Errorf("remosd: federated domain index %d out of range [0,%d)", cfg.Domain, cfg.Domains)
 	}
-
-	s := sim.NewSim()
+	s, reg := st.sim, st.reg
 	sn, err := buildNetwork(s, cfg.Scenario)
 	if err != nil {
-		return fail(fmt.Errorf("remosd: %w", err))
+		return fmt.Errorf("remosd: %w", err)
 	}
 	part, err := netsim.PartitionDomains(sn.n, cfg.Domains)
 	if err != nil {
-		return fail(fmt.Errorf("remosd: %w", err))
+		return fmt.Errorf("remosd: %w", err)
 	}
 	for _, h := range sn.hosts {
 		d.Hosts = append(d.Hosts, HostInfo{Name: h.Name, Addr: h.Addr()})
-	}
-
-	dir := directory.New(s)
-
-	// Admission front end, shared by both wire servers, exactly as in
-	// single-master mode.
-	ctrl, err := cfg.admissionController(s, reg)
-	if err != nil {
-		return fail(err)
-	}
-	if ctrl != nil {
-		d.onClose(ctrl.Close)
-		logf("remosd: admission on (%d tenants, anonymous limits %v)", len(cfg.Tenants), cfg.Anonymous != nil)
-	}
-
-	router, err := federation.NewRouter(federation.RouterConfig{
-		Directory:   dir,
-		Obs:         reg,
-		Parallelism: cfg.Parallelism,
-	})
-	if err != nil {
-		return fail(fmt.Errorf("remosd: %w", err))
-	}
-
-	// Listen before registering the domain master: the advert carries
-	// this server's bound address as its endpoint, so peers can fan
-	// sub-queries in over the wire. The advert also carries the local
-	// collector handle, so this daemon's own router never dials itself.
-	tcpSrv := &proto.TCPServer{
-		Collector: router, Flows: router,
-		Admission: ctrl, Obs: reg, Traces: traces,
-	}
-	addr, err := tcpSrv.ListenAndServe(cfg.ListenASCII)
-	if err != nil {
-		return fail(fmt.Errorf("remosd: listen: %w", err))
-	}
-	d.onClose(func() { tcpSrv.Close() })
-	d.ASCIIAddr = addr
-	logf("remosd: ASCII protocol on %s (federation router)", addr)
-
-	domainName := fmt.Sprintf("d%d", cfg.Domain)
-	master, err := federation.StartDomain(federation.DomainConfig{
-		Name:      fmt.Sprintf("%s-p%d", domainName, cfg.FedPriority),
-		Domain:    domainName,
-		Priority:  cfg.FedPriority,
-		Endpoint:  "tcp://" + addr,
-		Graph:     func() (*topology.Graph, error) { return part.ServingGraph(cfg.Domain) },
-		Hosts:     part.DomainHosts(cfg.Domain),
-		Prefixes:  part.HostPrefixes(cfg.Domain),
-		Directory: dir,
-		Sched:     s,
-		Obs:       reg,
-		Refresh:   cfg.FedRefresh,
-		LeaseTTL:  cfg.FedLeaseTTL,
-	})
-	if err != nil {
-		return fail(fmt.Errorf("remosd: %w", err))
-	}
-	d.onClose(master.Close)
-	d.FedDomain = domainName
-	logf("remosd: federated master for domain %s (%d/%d, priority %d, %d hosts, %d prefixes)",
-		domainName, cfg.Domain, cfg.Domains, cfg.FedPriority,
-		len(part.DomainHosts(cfg.Domain)), len(part.HostPrefixes(cfg.Domain)))
-
-	if cfg.ListenHTTP != "" {
-		httpSrv := &proto.HTTPServer{
-			Collector: router, Flows: router,
-			Admission: ctrl, Obs: reg, Traces: traces,
-		}
-		haddr, err := httpSrv.ListenAndServe(cfg.ListenHTTP)
-		if err != nil {
-			return fail(fmt.Errorf("remosd: http listen: %w", err))
-		}
-		d.onClose(func() { httpSrv.Close() })
-		d.HTTPAddr = haddr
-		logf("remosd: XML protocol on http://%s (federation router)", haddr)
 	}
 
 	// The directory replica: peers replicate their leases in here, and
 	// this daemon's leases replicate out to every -peer. Push-only
 	// anti-entropy over a full mesh converges every replica on the
 	// union of live leases.
-	if cfg.ListenDirectory != "" {
-		dirSrv := &directory.Server{Service: dir}
-		daddr, err := dirSrv.ListenAndServe(cfg.ListenDirectory)
-		if err != nil {
-			return fail(fmt.Errorf("remosd: directory listen: %w", err))
-		}
-		d.onClose(func() { dirSrv.Close() })
-		d.DirectoryAddr = daddr
-		logf("remosd: directory replica on %s (peers may REPLICATE)", daddr)
-	} else if len(cfg.FedPeers) > 0 {
-		logf("remosd: warning: -peer set but the directory listener is disabled; peers cannot replicate in")
+	dir := directory.New(s)
+	router, err := federation.NewRouter(federation.RouterConfig{
+		Directory:   dir,
+		Obs:         reg,
+		Parallelism: cfg.Parallelism,
+	})
+	if err != nil {
+		return fmt.Errorf("remosd: %w", err)
 	}
 	if len(cfg.FedPeers) > 0 {
+		if cfg.ListenDirectory == "" {
+			logf("remosd: warning: -peer set but the directory listener is disabled; peers cannot replicate in")
+		}
 		ival := cfg.FedRefresh
 		if ival <= 0 {
 			ival = time.Second
@@ -162,60 +75,67 @@ func (cfg Config) startFederated(logf func(format string, args ...any)) (*Daemon
 		logf("remosd: replicating leases to %d peer(s) every %v", len(cfg.FedPeers), ival)
 	}
 
-	if cfg.ListenObs != "" {
-		oln, err := net.Listen("tcp", cfg.ListenObs)
+	domainName := fmt.Sprintf("d%d", cfg.Domain)
+	var master *federation.DomainServer
+	// The domain master registers once the ASCII server is listening: the
+	// advert carries that server's bound address as its endpoint, so peers
+	// can fan sub-queries in over the wire. The advert also carries the
+	// local collector handle, so this daemon's own router never dials
+	// itself.
+	startMaster := func(asciiAddr string) error {
+		var err error
+		master, err = federation.StartDomain(federation.DomainConfig{
+			Name:      fmt.Sprintf("%s-p%d", domainName, cfg.FedPriority),
+			Domain:    domainName,
+			Priority:  cfg.FedPriority,
+			Endpoint:  "tcp://" + asciiAddr,
+			Graph:     func() (*topology.Graph, error) { return part.ServingGraph(cfg.Domain) },
+			Hosts:     part.DomainHosts(cfg.Domain),
+			Prefixes:  part.HostPrefixes(cfg.Domain),
+			Directory: dir,
+			Sched:     s,
+			Obs:       reg,
+			Refresh:   cfg.FedRefresh,
+			LeaseTTL:  cfg.FedLeaseTTL,
+		})
 		if err != nil {
-			return fail(fmt.Errorf("remosd: obs listen: %w", err))
+			return fmt.Errorf("remosd: %w", err)
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/", obs.Handler(reg, traces, fedHealth(domainName, master, dir)))
-		mux.Handle("/debug/federation", router.DebugHandler())
-		if ctrl != nil {
-			mux.Handle("/debug/tenants", ctrl.DebugHandler())
-		}
-		osrv := &http.Server{Handler: mux}
-		go osrv.Serve(oln)
-		d.onClose(func() { osrv.Close() })
-		d.ObsAddr = oln.Addr().String()
-		logf("remosd: observability on http://%s (/metrics /healthz /debug/queries /debug/federation)", d.ObsAddr)
+		d.onClose(master.Close)
+		d.FedDomain = domainName
+		logf("remosd: federated master for domain %s (%d/%d, priority %d, %d hosts, %d prefixes); both wire servers answer through the federation router",
+			domainName, cfg.Domain, cfg.Domains, cfg.FedPriority,
+			len(part.DomainHosts(cfg.Domain)), len(part.HostPrefixes(cfg.Domain)))
+		return nil
 	}
 
-	logf("remosd: scenario %q, %d domains; queryable hosts:", cfg.Scenario, cfg.Domains)
-	for _, h := range d.Hosts {
-		logf("remosd:   %-12s %s", h.Name, h.Addr)
-	}
-
-	// Drive the lease heartbeats and replication in step with the wall
-	// clock.
-	stop := make(chan struct{})
-	go s.RunRealTime(50*time.Millisecond, stop)
-	d.onClose(func() { close(stop) })
-	return d, nil
+	st.collector, st.flows, st.dir, st.bound = router, router, dir, startMaster
+	st.health = func() []obs.ComponentHealth { return fedHealth(domainName, master, dir) }
+	st.debug = map[string]http.Handler{"/debug/federation": router.DebugHandler()}
+	return nil
 }
 
 // fedHealth reports the federated planes' liveness: the domain master
 // is healthy once it has a serving graph, and the directory replica is
 // healthy while it holds an unexpired lease for every advertised
 // domain it has seen.
-func fedHealth(domain string, master *federation.DomainServer, dir *directory.Service) obs.HealthFunc {
-	return func() []obs.ComponentHealth {
-		m := obs.ComponentHealth{Component: "federation-master-" + domain}
-		if master.Epoch() > 0 {
-			m.Healthy = true
-		} else {
-			m.Detail = "no serving graph yet"
-		}
-		domains := make(map[string]bool)
-		for _, a := range dir.Adverts() {
-			if a.Domain != "" {
-				domains[a.Domain] = true
-			}
-		}
-		r := obs.ComponentHealth{
-			Component: "federation-directory",
-			Healthy:   len(domains) > 0,
-			Detail:    fmt.Sprintf("%d domain(s) advertised", len(domains)),
-		}
-		return []obs.ComponentHealth{m, r}
+func fedHealth(domain string, master *federation.DomainServer, dir *directory.Service) []obs.ComponentHealth {
+	m := obs.ComponentHealth{Component: "federation-master-" + domain}
+	if master.Epoch() > 0 {
+		m.Healthy = true
+	} else {
+		m.Detail = "no serving graph yet"
 	}
+	domains := make(map[string]bool)
+	for _, a := range dir.Adverts() {
+		if a.Domain != "" {
+			domains[a.Domain] = true
+		}
+	}
+	r := obs.ComponentHealth{
+		Component: "federation-directory",
+		Healthy:   len(domains) > 0,
+		Detail:    fmt.Sprintf("%d domain(s) advertised", len(domains)),
+	}
+	return []obs.ComponentHealth{m, r}
 }

@@ -90,10 +90,7 @@ type Config struct {
 	SlowQuery     time.Duration // trace-flagging threshold
 
 	SchedInterval time.Duration // background poll base interval; 0 disables
-	SchedPredict  string        // RPS model per background-polled edge
 	BenchInterval time.Duration // wide-area benchmark round interval
-
-	Snapshot      bool          // maintain the versioned topology snapshot plane
 	SnapshotStale time.Duration // staleness bound for snapshot-backed answers
 
 	// Admission: the multi-tenant front end. The controller is built
@@ -137,8 +134,6 @@ func DefaultConfig() Config {
 		QueryCacheTTL:   2 * time.Second,
 		SlowQuery:       500 * time.Millisecond,
 		SchedInterval:   time.Second,
-		SchedPredict:    "AR(16)",
-		Snapshot:        true,
 		SnapshotStale:   5 * time.Second,
 	}
 }
@@ -179,17 +174,14 @@ func WithCollectorTuning(parallelism, maxVarBinds, pipeline int) Option {
 
 // WithScheduler configures the continuous-collection plane (base = 0
 // disables it and the watch plane).
-func WithScheduler(base time.Duration, predict string) Option {
-	return func(c *Config) { c.SchedInterval, c.SchedPredict = base, predict }
+func WithScheduler(base time.Duration) Option {
+	return func(c *Config) { c.SchedInterval = base }
 }
 
 // WithSnapshotStaleness bounds snapshot-backed answer staleness.
 func WithSnapshotStaleness(d time.Duration) Option {
-	return func(c *Config) { c.Snapshot, c.SnapshotStale = true, d }
+	return func(c *Config) { c.SnapshotStale = d }
 }
-
-// WithoutSnapshot disables the versioned topology snapshot plane.
-func WithoutSnapshot() Option { return func(c *Config) { c.Snapshot = false } }
 
 // WithBenchInterval sets the wide-area benchmark round interval.
 func WithBenchInterval(d time.Duration) Option { return func(c *Config) { c.BenchInterval = d } }
@@ -335,6 +327,117 @@ func (cfg Config) admissionController(s sim.Scheduler, reg *obs.Registry) (*admi
 	return admission.New(acfg), nil
 }
 
+// stack is what the daemon serves: Start makes the clock, registry and
+// trace ring, a mode (singleMaster or federated) assembles the rest, and
+// serve puts it on the network.
+type stack struct {
+	sim    *sim.Sim
+	reg    *obs.Registry
+	traces *obs.Ring
+
+	collector collector.Interface // answers QUERY
+	flows     proto.FlowAnswerer  // answers FLOWS
+	watch     *watch.Registry     // nil: no watch plane
+	dir       *directory.Service  // served on ListenDirectory
+
+	health obs.HealthFunc
+	debug  map[string]http.Handler // the mode's own routes on the obs mux
+
+	// bound, when set, runs once the ASCII server is listening and before
+	// anything else starts: the federated master advertises that address
+	// as its endpoint.
+	bound func(asciiAddr string) error
+}
+
+// serve is the bring-up both modes share: the admission front end, the
+// two wire servers, the directory listener, the observability mux, and
+// the driver that advances the deployment's clock in step with the wall
+// clock. Every listener it starts is registered on d for Close.
+func (cfg Config) serve(d *Daemon, logf func(format string, args ...any), st stack) error {
+	ctrl, err := cfg.admissionController(st.sim, st.reg)
+	if err != nil {
+		return err
+	}
+	if ctrl != nil {
+		d.onClose(ctrl.Close)
+		logf("remosd: admission on (%d tenants, anonymous limits %v)", len(cfg.Tenants), cfg.Anonymous != nil)
+	}
+
+	tcpSrv := &proto.TCPServer{
+		Collector: st.collector, Watch: st.watch, Flows: st.flows,
+		Admission: ctrl, Obs: st.reg, Traces: st.traces,
+	}
+	addr, err := tcpSrv.ListenAndServe(cfg.ListenASCII)
+	if err != nil {
+		return fmt.Errorf("remosd: listen: %w", err)
+	}
+	d.onClose(func() { tcpSrv.Close() })
+	d.ASCIIAddr = addr
+	logf("remosd: ASCII protocol on %s", addr)
+	if st.bound != nil {
+		if err := st.bound(addr); err != nil {
+			return err
+		}
+	}
+
+	if cfg.ListenHTTP != "" {
+		httpSrv := &proto.HTTPServer{
+			Collector: st.collector, Watch: st.watch, Flows: st.flows,
+			Admission: ctrl, Obs: st.reg, Traces: st.traces,
+		}
+		haddr, err := httpSrv.ListenAndServe(cfg.ListenHTTP)
+		if err != nil {
+			return fmt.Errorf("remosd: http listen: %w", err)
+		}
+		d.onClose(func() { httpSrv.Close() })
+		d.HTTPAddr = haddr
+		logf("remosd: XML protocol on http://%s", haddr)
+	}
+
+	if cfg.ListenDirectory != "" {
+		dirSrv := &directory.Server{Service: st.dir}
+		daddr, err := dirSrv.ListenAndServe(cfg.ListenDirectory)
+		if err != nil {
+			return fmt.Errorf("remosd: directory listen: %w", err)
+		}
+		d.onClose(func() { dirSrv.Close() })
+		d.DirectoryAddr = daddr
+		logf("remosd: directory service on %s (collectors may REGISTER, peers may REPLICATE)", daddr)
+	}
+
+	if cfg.ListenObs != "" {
+		oln, err := net.Listen("tcp", cfg.ListenObs)
+		if err != nil {
+			return fmt.Errorf("remosd: obs listen: %w", err)
+		}
+		mux := http.NewServeMux()
+		mux.Handle("/", obs.Handler(st.reg, st.traces, st.health))
+		for path, h := range st.debug {
+			mux.Handle(path, h)
+		}
+		if ctrl != nil {
+			mux.Handle("/debug/tenants", ctrl.DebugHandler())
+		}
+		osrv := &http.Server{Handler: mux}
+		go osrv.Serve(oln)
+		d.onClose(func() { osrv.Close() })
+		d.ObsAddr = oln.Addr().String()
+		logf("remosd: observability on http://%s (/metrics /healthz /debug/*)", d.ObsAddr)
+	}
+
+	logf("remosd: scenario %q; queryable hosts:", cfg.Scenario)
+	for _, h := range d.Hosts {
+		logf("remosd:   %-12s %s", h.Name, h.Addr)
+	}
+
+	// Drive the emulated network, the collectors' polling and the lease
+	// heartbeats in step with the wall clock.
+	stop := make(chan struct{})
+	go st.sim.RunRealTime(50*time.Millisecond, stop)
+	d.onClose(func() { close(stop) })
+	return nil
+}
+
 // Start brings the configured daemon up. On error, everything already
 // started is torn down before returning.
 func (cfg Config) Start() (*Daemon, error) {
@@ -342,18 +445,29 @@ func (cfg Config) Start() (*Daemon, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	d := &Daemon{Metrics: obs.New()}
+	st := stack{sim: sim.NewSim(), reg: d.Metrics, traces: obs.NewRing(128, cfg.SlowQuery)}
+	assemble := cfg.singleMaster
 	if cfg.Domains > 1 {
-		return cfg.startFederated(logf)
+		assemble = cfg.federated
 	}
-	reg := obs.New()
-	traces := obs.NewRing(128, cfg.SlowQuery)
-	d := &Daemon{Metrics: reg}
-	fail := func(err error) (*Daemon, error) {
+	err := assemble(d, logf, &st)
+	if err == nil {
+		err = cfg.serve(d, logf, st)
+	}
+	if err != nil {
 		d.Close()
 		return nil, err
 	}
+	return d, nil
+}
 
-	s := sim.NewSim()
+// singleMaster assembles the single-master stack: the scenario's
+// collector deployment, its first site's Master behind the warm-query
+// cache, the snapshot store, and (unless disabled) the background
+// scheduler, the watch registry and the host load collector.
+func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any), st *stack) error {
+	s, reg := st.sim, st.reg
 	dep, hosts, err := buildScenario(s, cfg.Scenario, cfg.BenchInterval, core.Options{
 		Parallelism: cfg.Parallelism,
 		MaxVarBinds: cfg.MaxVarBinds,
@@ -361,7 +475,7 @@ func (cfg Config) Start() (*Daemon, error) {
 		Obs:         reg,
 	})
 	if err != nil {
-		return fail(fmt.Errorf("remosd: %w", err))
+		return fmt.Errorf("remosd: %w", err)
 	}
 	d.onClose(dep.Stop)
 	if err := dep.MeasureAllBenchmarks(); err != nil {
@@ -372,28 +486,15 @@ func (cfg Config) Start() (*Daemon, error) {
 	}
 
 	// The served collector: the first site's Master behind the
-	// warm-query cache.
+	// warm-query cache. Cache, snapshot store, scheduler and watch
+	// registry all age their state on the deployment's clock.
 	master := dep.Sites[firstSite(dep)].Master
-	queryable := qcache.New(master, qcache.Config{TTL: cfg.QueryCacheTTL, Obs: reg})
+	queryable := qcache.New(master, qcache.Config{TTL: cfg.QueryCacheTTL, Now: s.Now, Obs: reg})
 	logf("remosd: warm-query cache TTL %v, parallelism %d (0=GOMAXPROCS), max-varbinds %d, pipeline %d",
 		cfg.QueryCacheTTL, cfg.Parallelism, cfg.MaxVarBinds, cfg.Pipeline)
 
-	// Admission front end, shared by both wire servers.
-	ctrl, err := cfg.admissionController(s, reg)
-	if err != nil {
-		return fail(err)
-	}
-	if ctrl != nil {
-		d.onClose(ctrl.Close)
-		logf("remosd: admission on (%d tenants, anonymous limits %v)", len(cfg.Tenants), cfg.Anonymous != nil)
-	}
-
-	// Snapshot plane.
-	var snapStore *snapshot.Store
-	if cfg.Snapshot {
-		snapStore = snapshot.New(snapshot.Config{Now: s.Now, Obs: reg})
-		logf("remosd: snapshot plane on (staleness bound %v)", cfg.SnapshotStale)
-	}
+	snapStore := snapshot.New(snapshot.Config{Now: s.Now, Obs: reg})
+	logf("remosd: snapshot plane on (staleness bound %v)", cfg.SnapshotStale)
 
 	// Continuous-collection plane and watch registry.
 	var watchReg *watch.Registry
@@ -411,7 +512,7 @@ func (cfg Config) Start() (*Daemon, error) {
 			EnsureTarget:  func(h []netip.Addr) { plane.AddTarget(h) },
 			ReleaseTarget: func(h []netip.Addr) { plane.RemoveTarget(h) },
 		})
-		plane, err = sched.New(sched.Config{
+		plane = sched.New(sched.Config{
 			Collector: queryable,
 			Invalidate: func(h []netip.Addr) {
 				queryable.Invalidate(qcache.Key(collector.Query{Hosts: h}))
@@ -419,16 +520,12 @@ func (cfg Config) Start() (*Daemon, error) {
 			Sched:        s,
 			BaseInterval: cfg.SchedInterval,
 			MaxInterval:  maxIval,
-			Predict:      cfg.SchedPredict,
 			OnResult: func(_ []netip.Addr, res *collector.Result) {
 				watchReg.Evaluate(res)
 			},
 			Snapshot: snapStore,
 			Obs:      reg,
 		})
-		if err != nil {
-			return fail(fmt.Errorf("remosd: scheduler: %w", err))
-		}
 		d.onClose(plane.Stop)
 		d.onClose(func() {
 			watchReg.Close(rerr.Tagf(rerr.ErrCollectorUnavailable, "remosd shutting down"))
@@ -440,39 +537,8 @@ func (cfg Config) Start() (*Daemon, error) {
 				plane.AddTarget([]netip.Addr{hosts[0].Addr(), h.Addr()})
 			}
 		}
-		logf("remosd: background scheduler on (base %v, max %v, predict %q); watch plane enabled",
-			cfg.SchedInterval, maxIval, cfg.SchedPredict)
-	}
-
-	// The server-side Modeler behind the FLOWS verb.
-	mdl := modeler.New(modeler.Config{
-		Collector: queryable, Snapshot: snapStore, MaxStale: cfg.SnapshotStale,
-		Obs: reg, Traces: traces,
-	})
-	tcpSrv := &proto.TCPServer{
-		Collector: queryable, Watch: watchReg, Flows: mdl,
-		Admission: ctrl, Obs: reg, Traces: traces,
-	}
-	addr, err := tcpSrv.ListenAndServe(cfg.ListenASCII)
-	if err != nil {
-		return fail(fmt.Errorf("remosd: listen: %w", err))
-	}
-	d.onClose(func() { tcpSrv.Close() })
-	d.ASCIIAddr = addr
-	logf("remosd: ASCII protocol on %s", addr)
-
-	if cfg.ListenHTTP != "" {
-		httpSrv := &proto.HTTPServer{
-			Collector: queryable, Watch: watchReg, Flows: mdl,
-			Admission: ctrl, Obs: reg, Traces: traces,
-		}
-		haddr, err := httpSrv.ListenAndServe(cfg.ListenHTTP)
-		if err != nil {
-			return fail(fmt.Errorf("remosd: http listen: %w", err))
-		}
-		d.onClose(func() { httpSrv.Close() })
-		d.HTTPAddr = haddr
-		logf("remosd: XML protocol on http://%s", haddr)
+		logf("remosd: background scheduler on (base %v, max %v); watch plane enabled",
+			cfg.SchedInterval, maxIval)
 	}
 
 	if cfg.ListenHostLoad != "" {
@@ -497,51 +563,20 @@ func (cfg Config) Start() (*Daemon, error) {
 		loadSrv := &proto.TCPServer{Collector: hc}
 		laddr, err := loadSrv.ListenAndServe(cfg.ListenHostLoad)
 		if err != nil {
-			return fail(fmt.Errorf("remosd: host load listen: %w", err))
+			return fmt.Errorf("remosd: host load listen: %w", err)
 		}
 		d.onClose(func() { loadSrv.Close() })
 		d.HostLoadAddr = laddr
 		logf("remosd: host load collector on %s", laddr)
 	}
 
-	if cfg.ListenObs != "" {
-		oln, err := net.Listen("tcp", cfg.ListenObs)
-		if err != nil {
-			return fail(fmt.Errorf("remosd: obs listen: %w", err))
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/", obs.Handler(reg, traces, healthFunc(dep)))
-		if ctrl != nil {
-			mux.Handle("/debug/tenants", ctrl.DebugHandler())
-		}
-		osrv := &http.Server{Handler: mux}
-		go osrv.Serve(oln)
-		d.onClose(func() { osrv.Close() })
-		d.ObsAddr = oln.Addr().String()
-		logf("remosd: observability on http://%s (/metrics /healthz /debug/queries /debug/tenants)", d.ObsAddr)
-	}
-
-	if cfg.ListenDirectory != "" && dep.Directory != nil {
-		dirSrv := &directory.Server{Service: dep.Directory}
-		daddr, err := dirSrv.ListenAndServe(cfg.ListenDirectory)
-		if err != nil {
-			return fail(fmt.Errorf("remosd: directory listen: %w", err))
-		}
-		d.onClose(func() { dirSrv.Close() })
-		d.DirectoryAddr = daddr
-		logf("remosd: directory service on %s (remote collectors may REGISTER)", daddr)
-	}
-
-	logf("remosd: scenario %q; queryable hosts:", cfg.Scenario)
-	for _, h := range d.Hosts {
-		logf("remosd:   %-12s %s", h.Name, h.Addr)
-	}
-
-	// Drive the emulated network in step with the wall clock.
-	stop := make(chan struct{})
-	go s.RunRealTime(50*time.Millisecond, stop)
-	d.onClose(func() { close(stop) })
-	return d, nil
+	st.collector, st.watch, st.dir, st.health = queryable, watchReg, dep.Directory, healthFunc(dep)
+	// The server-side Modeler behind the FLOWS verb.
+	st.flows = modeler.New(modeler.Config{
+		Collector: queryable, Snapshot: snapStore, MaxStale: cfg.SnapshotStale,
+		Obs: reg, Traces: st.traces,
+	})
+	return nil
 }
 
 // healthFunc reports per-collector liveness: each site's SNMP collector

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"remos"
+	"remos/internal/directory"
 	"remos/remosd"
 )
 
@@ -25,7 +26,7 @@ func TestStartProgrammatic(t *testing.T) {
 		remosd.WithObs("127.0.0.1:0"),
 		remosd.WithDirectory(""),
 		remosd.WithHostLoad(""),
-		remosd.WithScheduler(0, ""),
+		remosd.WithScheduler(0),
 		// Refill is negligible over the test's lifetime, so the burst
 		// is the whole budget: one query in, the next one shed.
 		remosd.WithTenant("app", "sekrit", remosd.Limits{Rate: 0.001, Burst: 1}),
@@ -92,10 +93,71 @@ func TestStartRejectsBadTier(t *testing.T) {
 	_, err := remosd.Start(
 		remosd.WithListen("127.0.0.1:0"),
 		remosd.WithHTTP(""), remosd.WithObs(""), remosd.WithDirectory(""),
-		remosd.WithHostLoad(""), remosd.WithScheduler(0, ""),
+		remosd.WithHostLoad(""), remosd.WithScheduler(0),
 		remosd.WithTenant("x", "", remosd.Limits{Priority: "urgent"}),
 	)
 	if err == nil || !strings.Contains(err.Error(), "unknown priority tier") {
 		t.Fatalf("Start error = %v, want unknown priority tier", err)
+	}
+}
+
+// TestBothModesServeEveryPlane starts a single-master daemon and one
+// master of a two-domain mesh — both through the one bring-up the modes
+// share — and checks that each answers on every listener it opens: a
+// flow query over ASCII and over XML/HTTP, LIST on the directory, and
+// /healthz naming the mode's own components.
+func TestBothModesServeEveryPlane(t *testing.T) {
+	for _, mode := range []struct {
+		name      string
+		opts      []remosd.Option
+		component string // a /healthz row only this mode reports
+	}{
+		{"single-master", nil, "master-a"},
+		{"federated", []remosd.Option{remosd.WithFederation(2, 0)}, "federation-master-d0"},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			d, err := remosd.Start(append([]remosd.Option{
+				remosd.WithListen("127.0.0.1:0"),
+				remosd.WithHTTP("127.0.0.1:0"),
+				remosd.WithDirectory("127.0.0.1:0"),
+				remosd.WithObs("127.0.0.1:0"),
+				remosd.WithHostLoad(""),
+			}, mode.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+
+			// app1 and app2 share a switch, so the pair is inside domain
+			// d0 as well as inside the single master's first site.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			flow := []remos.Flow{{Src: d.Hosts[0].Addr, Dst: d.Hosts[1].Addr}}
+			for _, target := range []string{"tcp://" + d.ASCIIAddr, "http://" + d.HTTPAddr} {
+				m, err := remos.Dial(target, remos.WithServerFlows())
+				if err != nil {
+					t.Fatal(err)
+				}
+				infos, err := m.GetFlowsContext(ctx, flow, remos.FlowOptions{})
+				if err != nil || len(infos) != 1 || infos[0].Available <= 0 {
+					t.Fatalf("%s: flow answer %+v, %v", target, infos, err)
+				}
+			}
+
+			adverts, err := (&directory.Client{Addr: d.DirectoryAddr}).List()
+			if err != nil || len(adverts) == 0 {
+				t.Fatalf("directory LIST = %+v, %v; want the mode's own adverts", adverts, err)
+			}
+
+			resp, err := http.Get("http://" + d.ObsAddr + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if want := `"component":"` + mode.component + `"`; !strings.Contains(string(body), want) {
+				t.Fatalf("/healthz has no %s:\n%s", want, body)
+			}
+		})
 	}
 }

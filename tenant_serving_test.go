@@ -57,7 +57,7 @@ func newTenantStack(t *testing.T, cfg admission.Config) *tenantStack {
 	cfg.Sched = ts.sim
 	ts.ctrl = admission.New(cfg)
 	t.Cleanup(ts.ctrl.Close)
-	ts.reg = watch.New(watch.Config{})
+	ts.reg = watch.New(watch.Config{Now: ts.sim.Now})
 	t.Cleanup(func() { ts.reg.Close(nil) })
 
 	tsrv := &proto.TCPServer{Collector: linkCollector{}, Watch: ts.reg, Admission: ts.ctrl}

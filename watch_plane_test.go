@@ -56,7 +56,7 @@ func newWatchStack(t *testing.T) *watchStack {
 		EnsureTarget:  func(hosts []netip.Addr) { ws.plane.AddTarget(hosts) },
 		ReleaseTarget: func(hosts []netip.Addr) { ws.plane.RemoveTarget(hosts) },
 	})
-	plane, err := sched.New(sched.Config{
+	ws.plane = sched.New(sched.Config{
 		Collector: cache,
 		Invalidate: func(hosts []netip.Addr) {
 			cache.Invalidate(qcache.Key(collector.Query{Hosts: hosts}))
@@ -67,11 +67,7 @@ func newWatchStack(t *testing.T) *watchStack {
 		OnResult:     func(_ []netip.Addr, res *collector.Result) { ws.watch.Evaluate(res) },
 		Obs:          reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.plane = plane
-	t.Cleanup(plane.Stop)
+	t.Cleanup(ws.plane.Stop)
 	t.Cleanup(func() { ws.watch.Close(nil) })
 
 	// The server-side Modeler behind the FLOWS verb, snapshot-backed as
@@ -226,7 +222,6 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 		"remos_watch_active 2",
 		"remos_watch_updates_total",
 		"remos_sched_polls_total",
-		"remos_sched_samples_total",
 		"remos_sched_targets 1",
 		"remos_sched_poll_interval_seconds{target=",
 		"remos_qcache_invalidations_total",
