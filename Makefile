@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race race-hot verify fuzz-smoke obs-smoke watch-smoke bench-smoke bench-aa bench bench-concurrency bench-snmp
+.PHONY: build test vet lint race race-hot verify fuzz-smoke obs-smoke watch-smoke bench-smoke bench-aa bench bench-concurrency bench-snmp bench-flows
 
 build:
 	$(GO) build ./...
@@ -29,17 +29,21 @@ race:
 # The race detector focused on the concurrency-heavy packages the
 # lockorder/lockheld analyzers police, plus conc and benchcoll (the
 # listener and the one user of it outside that set), collector (the
-# shared streaming Predictor parallel polls feed) and the root package, whose end-to-end tests drive those planes concurrently over
-# the wire (load shedding, mixed serving beside the watch plane) — the
-# fast inner loop while working on locking code (full-tree `make race`
-# stays the merge gate). The publish-through-atomic.Pointer sites have
-# no analyzer: the reader-beside-writer tests in these packages are
-# their guard.
+# shared streaming Predictor parallel polls feed), modeler (whose queries
+# run beside the snapshot writer and build a shape's address table on
+# first use) and the root package, whose end-to-end tests drive those
+# planes concurrently over the wire (load shedding, mixed serving beside
+# the watch plane) — the fast inner loop while working on locking code
+# (full-tree `make race` stays the merge gate). The
+# publish-through-atomic.Pointer sites have no analyzer: the
+# reader-beside-writer tests in these packages are their guard. CI's
+# race-hot matrix (.github/workflows/verify.yml) has one cell per
+# package here; keep the two lists in step.
 race-hot:
 	$(GO) test -race ./internal/proto/ ./internal/collector/qcache/ \
 		./internal/watch/ ./internal/obs/ ./internal/admission/ \
 		./internal/snapshot/ ./internal/federation/ ./internal/directory/ \
-		./internal/topology/ ./internal/conc/ \
+		./internal/topology/ ./internal/modeler/ ./internal/conc/ \
 		./internal/collector/ ./internal/collector/benchcoll/ .
 
 verify: vet lint build test race
@@ -104,3 +108,12 @@ bench-concurrency:
 bench-snmp:
 	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|GraphTextCodec' -benchmem \
 		./internal/collector/snmpcoll/ ./internal/snmp/ ./internal/topology/
+
+# The snapshot-backed flow query: the Modeler's 8-flow queries over one
+# generation of the 10 204-node two-tier fabric (what bench/'s
+# scale_static runs), and the path index asked in text and by address.
+# The pin for this path's layout, hashing and allocations outside the
+# contract run.
+bench-flows:
+	$(GO) test -run xxx -bench 'SnapshotFlows|PathIndexFlowAlloc' -benchmem \
+		./internal/modeler/ ./internal/topology/

@@ -664,6 +664,9 @@ func (b *build) routerChain(start, dst netip.Addr) ([]netip.Addr, error) {
 	}
 	chain := b.internChain(walked)
 	b.c.mu.Lock()
+	if len(b.c.chains) >= chainBudget {
+		clear(b.c.chains)
+	}
 	b.c.chains[ck] = chain
 	b.c.mu.Unlock()
 	return chain, nil

@@ -3,6 +3,8 @@ package snmpcoll
 import (
 	"math"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,5 +181,100 @@ func TestUnresolvableHostGetsVirtualAttachment(t *testing.T) {
 		Hosts: []netip.Addr{addrOf(st, "h1"), addrOf(st, "h2")},
 	}); err != nil {
 		t.Fatalf("collector wedged after ghost query: %v", err)
+	}
+}
+
+// TestRouteChangeBehindRebootDropsCachedChains: the route cache holds
+// the router chain of every (gateway, host) asked about, each the answer
+// of the tables the routers had then. A router that reboots onto new
+// routes gets its tables re-read by the query that notices; the chains
+// walked through its old tables must go with them, or the next query
+// follows the old chain taking the new tables' hops. Here ra-mid-rb gains
+// a direct ra-rb link: the query after the one that detects the reboots
+// must answer like a collector that never saw the old routes.
+func TestRouteChangeBehindRebootDropsCachedChains(t *testing.T) {
+	// The middle router is made first so the link added later is the last
+	// broadcast domain AssignSubnets meets: nothing else is renumbered.
+	st := newSiteOn(t, nil, func(n *netsim.Network, d map[string]*netsim.Device) {
+		d["ha"], d["hb"] = n.AddHost("ha"), n.AddHost("hb")
+		d["sa"], d["sb"] = n.AddSwitch("sa"), n.AddSwitch("sb")
+		d["mid"], d["ra"], d["rb"] = n.AddRouter("mid"), n.AddRouter("ra"), n.AddRouter("rb")
+		n.Connect(d["ha"], d["sa"], 100e6, time.Millisecond)
+		n.Connect(d["sa"], d["ra"], 1e9, time.Millisecond)
+		n.Connect(d["ra"], d["mid"], 10e6, 5*time.Millisecond)
+		n.Connect(d["mid"], d["rb"], 10e6, 5*time.Millisecond)
+		n.Connect(d["rb"], d["sb"], 1e9, time.Millisecond)
+		n.Connect(d["hb"], d["sb"], 100e6, time.Millisecond)
+	})
+	hosts := []netip.Addr{addrOf(st, "ha"), addrOf(st, "hb")}
+	q := collector.Query{Hosts: hosts}
+	// A reboot shows as sysUpTime below the last one a query saw: let the
+	// routers be seen 20 s up.
+	st.s.RunFor(20 * time.Second)
+	res, err := st.sc.Collect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Graph.Node("mid") == nil || res.Graph.FindLink("ra", "rb") != nil {
+		t.Fatalf("before the change the path should run through mid: %v", ids(res.Graph))
+	}
+
+	st.n.Connect(st.d["ra"], st.d["rb"], 10e6, 5*time.Millisecond)
+	st.n.AssignSubnets()
+	st.n.ComputeRoutes()
+	if got := []netip.Addr{addrOf(st, "ha"), addrOf(st, "hb")}; !slices.Equal(got, hosts) {
+		t.Fatalf("the new link renumbered the hosts: %v, were %v", got, hosts)
+	}
+	mib.AttachAll(st.n, st.reg) // agents on the new interfaces too
+	st.n.Reboot(st.d["ra"])
+	st.n.Reboot(st.d["rb"])
+	st.s.RunFor(time.Second)
+
+	// The detecting query discovers from what it had cached, then finds
+	// both routers rebooted and re-reads them.
+	if _, err := st.sc.Collect(q); err != nil {
+		t.Fatalf("query that detects the reboots: %v", err)
+	}
+	res, err = st.sc.Collect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(st.sc.cfg)
+	t.Cleanup(fresh.Stop)
+	want, _, err := fresh.ReferenceCollect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The graphs only: st.sc's poll points include the old path's.
+	graphOf := func(c *Collector, g *topology.Graph) string {
+		lines := strings.SplitAfter(CanonicalDiscovery(c, g), "\n")
+		return strings.Join(slices.DeleteFunc(lines, func(l string) bool { return strings.HasPrefix(l, "monitor ") }), "")
+	}
+	if g, w := graphOf(st.sc, res.Graph), graphOf(fresh, want.Graph); g != w {
+		t.Fatalf("the query after the detecting one\n%s--- a collector that never saw the old routes\n%s%s", g, w, firstDiff(g, w))
+	}
+	if res.Graph.Node("mid") != nil || res.Graph.FindLink("ra", "rb") == nil {
+		t.Fatalf("after the change the path should be ra-rb direct: %v", ids(res.Graph))
+	}
+}
+
+// TestRouteCacheIsBounded: at chainBudget entries the cache is dropped
+// whole, so a daemon asked about ever more host pairs does not hold a
+// chain for each for life.
+func TestRouteCacheIsBounded(t *testing.T) {
+	st := newSite(t, nil)
+	st.sc.mu.Lock()
+	for i := 0; i < chainBudget; i++ {
+		gw := netip.AddrFrom4([4]byte{172, 16, byte(i >> 8), byte(i)})
+		st.sc.chains[chainKey{start: gw, dst: gw}] = nil
+	}
+	st.sc.mu.Unlock()
+	if _, err := st.sc.Collect(collector.Query{Hosts: []netip.Addr{addrOf(st, "h1"), addrOf(st, "h2")}}); err != nil {
+		t.Fatal(err)
+	}
+	st.sc.mu.Lock()
+	defer st.sc.mu.Unlock()
+	if n := len(st.sc.chains); n == 0 || n > 4 {
+		t.Fatalf("route cache holds %d chains after a two-host query at the bound, want that query's own", n)
 	}
 }

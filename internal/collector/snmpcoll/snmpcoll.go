@@ -201,6 +201,12 @@ type chainKey struct {
 	dst   netip.Addr
 }
 
+// chainBudget bounds the route cache, which otherwise holds an entry
+// per (gateway, host) ever asked about for the daemon's life. At the
+// bound the cache is dropped whole and refills with the pairs still
+// being asked about, from router tables that stay cached.
+const chainBudget = 1 << 16
+
 type monitorKey struct {
 	agent   netip.Addr
 	ifIndex int
@@ -484,12 +490,20 @@ func (c *Collector) validateRouter(ctx context.Context, cl *snmp.Client, ri *rou
 		ri.upTime.Store(uint32(v.Int))
 		return nil
 	}
-	// Rebooted: drop what we believed about it and re-learn.
+	// Rebooted: drop what we believed about it and re-learn. That
+	// includes every cached chain through it: a chain is the old tables'
+	// answer, and the next query would follow it with the new tables'
+	// hops.
 	c.mu.Lock()
 	var points []*pollPoint
 	for _, a := range ri.addrs {
 		if c.routers[a] == ri {
 			delete(c.routers, a)
+		}
+	}
+	for ck, chain := range c.chains {
+		if slices.ContainsFunc(chain, func(r netip.Addr) bool { return slices.Contains(ri.addrs, r) }) {
+			delete(c.chains, ck)
 		}
 	}
 	for _, p := range c.monitors {

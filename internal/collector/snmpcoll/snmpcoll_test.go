@@ -33,32 +33,47 @@ type site struct {
 
 func newSite(t testing.TB, cfgMut func(*Config)) *site {
 	t.Helper()
+	return newSiteOn(t, cfgMut, func(n *netsim.Network, d map[string]*netsim.Device) {
+		for _, h := range []string{"h1", "h2", "h3", "h4"} {
+			d[h] = n.AddHost(h)
+		}
+		d["swA"] = n.AddSwitch("swA")
+		d["swB"] = n.AddSwitch("swB")
+		d["r1"] = n.AddRouter("r1")
+		d["r2"] = n.AddRouter("r2")
+		n.Connect(d["h1"], d["swA"], 100e6, time.Millisecond)
+		n.Connect(d["h3"], d["swA"], 100e6, time.Millisecond)
+		n.Connect(d["swA"], d["r1"], 1e9, time.Millisecond)
+		n.Connect(d["r1"], d["r2"], 10e6, 10*time.Millisecond)
+		n.Connect(d["r2"], d["swB"], 1e9, time.Millisecond)
+		n.Connect(d["h2"], d["swB"], 100e6, time.Millisecond)
+		n.Connect(d["h4"], d["swB"], 100e6, time.Millisecond)
+	})
+}
+
+// newSiteOn is newSite over a network of the test's own building: wire
+// adds the devices to n and names them in d.
+func newSiteOn(t testing.TB, cfgMut func(*Config), wire func(n *netsim.Network, d map[string]*netsim.Device)) *site {
+	t.Helper()
 	s := sim.NewSim()
 	n := netsim.New(s)
 	d := map[string]*netsim.Device{}
-	for _, h := range []string{"h1", "h2", "h3", "h4"} {
-		d[h] = n.AddHost(h)
-	}
-	d["swA"] = n.AddSwitch("swA")
-	d["swB"] = n.AddSwitch("swB")
-	d["r1"] = n.AddRouter("r1")
-	d["r2"] = n.AddRouter("r2")
-	n.Connect(d["h1"], d["swA"], 100e6, time.Millisecond)
-	n.Connect(d["h3"], d["swA"], 100e6, time.Millisecond)
-	n.Connect(d["swA"], d["r1"], 1e9, time.Millisecond)
-	n.Connect(d["r1"], d["r2"], 10e6, 10*time.Millisecond)
-	n.Connect(d["r2"], d["swB"], 1e9, time.Millisecond)
-	n.Connect(d["h2"], d["swB"], 100e6, time.Millisecond)
-	n.Connect(d["h4"], d["swB"], 100e6, time.Millisecond)
+	wire(n, d)
 	n.AssignSubnets()
 	n.ComputeRoutes()
 	reg := snmp.NewRegistry()
 	mib.AttachAll(n, reg)
 	tr := &snmp.InProc{Registry: reg, Latency: func(string) time.Duration { return 2 * time.Millisecond }}
+	var switches []netip.Addr
+	for _, dev := range n.Devices() {
+		if dev.Kind == netsim.Switch {
+			switches = append(switches, dev.ManagementAddr())
+		}
+	}
 	bc := bridgecoll.New(bridgecoll.Config{
 		Client:   snmp.NewClient(tr, "public"),
 		Sched:    s,
-		Switches: []netip.Addr{d["swA"].ManagementAddr(), d["swB"].ManagementAddr()},
+		Switches: switches,
 	})
 	if err := bc.Start(); err != nil {
 		t.Fatal(err)

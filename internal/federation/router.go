@@ -271,15 +271,7 @@ func (r *Router) GetFlowsContext(ctx context.Context, flows []modeler.Flow, _ mo
 	if err != nil {
 		return nil, err
 	}
-	reqs := make([]topology.FlowRequest, len(flows))
-	for i, f := range flows {
-		reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
-	}
-	preds, err := paths.FlowAlloc(reqs)
-	if err != nil {
-		return nil, err
-	}
-	return modeler.FlowInfos(flows, preds), nil
+	return modeler.AllocFlows(paths, flows)
 }
 
 // Collect implements collector.Interface. A query with hosts fans

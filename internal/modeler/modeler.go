@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -143,8 +144,26 @@ func New(cfg Config) *Modeler {
 // warm-query cache key ("a,a,b" is not "a,b"), so every collector-bound
 // host set passes through here first.
 func dedupeHosts(hosts []netip.Addr) []netip.Addr {
+	return compactHosts(slices.Clone(hosts))
+}
+
+// dedupeScanMax is the largest host set deduplicated by comparing each
+// host with the ones kept so far: cheaper than building a map up to a
+// few dozen hosts, and a flow query names at most a dozen or two.
+const dedupeScanMax = 32
+
+// compactHosts is dedupeHosts in place: the result is a prefix of hosts.
+func compactHosts(hosts []netip.Addr) []netip.Addr {
+	out := hosts[:0]
+	if len(hosts) <= dedupeScanMax {
+		for _, h := range hosts {
+			if !slices.Contains(out, h) {
+				out = append(out, h)
+			}
+		}
+		return out
+	}
 	seen := make(map[netip.Addr]bool, len(hosts))
-	out := make([]netip.Addr, 0, len(hosts))
 	for _, h := range hosts {
 		if !seen[h] {
 			seen[h] = true
@@ -255,13 +274,11 @@ func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, op
 	return g, nil
 }
 
-// Flow names one flow an application wants to create.
-type Flow struct {
-	Src, Dst netip.Addr
-	// Demand is the rate the application wants in bits per second;
-	// 0 asks "as much as possible".
-	Demand float64
-}
+// Flow names one flow an application wants to create: Src, Dst and the
+// Demand in bits per second, 0 asking "as much as possible". It is the
+// path index's own request type, so a flow list reaches the index as
+// the caller built it.
+type Flow = topology.AddrFlow
 
 // FlowInfo is the answer for one requested flow.
 type FlowInfo struct {
@@ -300,6 +317,24 @@ func FlowInfos(flows []Flow, preds []topology.FlowPrediction) []FlowInfo {
 	return out
 }
 
+// AllocFlows answers flows from a path index over a graph whose hosts
+// are identified by address text — FlowInfos of the index's FlowAlloc on
+// the rendered endpoints, without rendering them and with the answers
+// written where the caller keeps them.
+func AllocFlows(px *topology.PathIndex, flows []Flow) ([]FlowInfo, error) {
+	out := make([]FlowInfo, len(flows))
+	err := px.FlowAllocAddrs(flows, func(i int, avail float64, lat, jitter time.Duration, path []string) {
+		out[i] = FlowInfo{
+			Flow: flows[i], Available: avail, Latency: lat, Jitter: jitter, Path: path,
+			Predicted: avail,
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // FlowsClient is the client side of the wire FLOWS verb; both protocol
 // clients implement it. See Config.RemoteFlows.
 type FlowsClient interface {
@@ -336,30 +371,27 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("modeler: no flows requested")
 	}
-	endpoints := make([]netip.Addr, 0, len(flows)*2)
+	hosts := make([]netip.Addr, 0, len(flows)*2)
 	for _, f := range flows {
-		endpoints = append(endpoints, f.Src, f.Dst)
+		hosts = append(hosts, f.Src, f.Dst)
 	}
-	hosts := dedupeHosts(endpoints)
+	hosts = compactHosts(hosts)
 	ctx, finish := m.begin(ctx, flowsQuery, hosts)
 	defer func() { finish(err) }()
 	tr := obs.FromContext(ctx)
-	reqs := make([]topology.FlowRequest, len(flows))
-	for i, f := range flows {
-		reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
-	}
 
 	// The snapshot fast path: a fresh-enough generation answers from its
-	// memoized path index — no collector round-trip, no graph clone, and
-	// a max-min run over only the links these flows cross. Prediction
-	// queries skip it; they need collector-side history.
+	// memoized path index — no collector round-trip, no graph clone, no
+	// endpoint rendered as text, and a max-min run over only the links
+	// these flows cross. Prediction queries skip it; they need
+	// collector-side history.
 	if !opt.Predict {
 		if snap := m.snapshotFor(ctx, hosts, m.staleBound(opt.MaxStale)); snap != nil {
 			sp := tr.Start("maxmin")
-			preds, perr := snap.Paths().FlowAlloc(reqs)
+			infos, perr := AllocFlows(snap.Paths(), flows)
 			sp.End()
 			if perr == nil {
-				return FlowInfos(flows, preds), nil
+				return infos, nil
 			}
 			if !errors.Is(perr, rerr.ErrUnknownHost) {
 				// A routing answer (e.g. no path) from a fresh snapshot
@@ -396,6 +428,11 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 		return nil, err
 	}
 
+	// Only the collectors' own graph is asked in text.
+	reqs := make([]topology.FlowRequest, len(flows))
+	for i, f := range flows {
+		reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
+	}
 	sp = tr.Start("maxmin")
 	preds, err := res.Graph.FlowAlloc(reqs)
 	sp.End()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,6 +186,36 @@ func TestSnapshotTopologyAnswersFromSubgraphMemo(t *testing.T) {
 	}
 	if got := cc.calls.Load(); got != 2 {
 		t.Fatalf("raw query ran %d walks total, want 2", got)
+	}
+}
+
+// TestSnapshotFlowsResolveByIDNotAddr: the snapshot answers for the
+// endpoints it holds under their own address as node ID. A router's
+// interface address — the Addr of a node whose ID is its name — is an
+// unknown host to it, as it is in text, and takes the walk (the refresh
+// for a host never applied, then the private collect); a flow between
+// two hosts it knows takes none.
+func TestSnapshotFlowsResolveByIDNotAddr(t *testing.T) {
+	cc := &countingColl{}
+	m := snapModeler(cc, &testClock{t: time.Unix(1000, 0)})
+	ctx := context.Background()
+	if _, err := m.GetFlowsContext(ctx, []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}, FlowOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	walks := cc.calls.Load()
+	infos, err := m.GetFlowsContext(ctx, []Flow{{Src: a("10.0.2.1"), Dst: a("10.0.1.1")}, {Src: a("10.0.1.1"), Dst: a("10.0.1.1")}}, FlowOptions{})
+	if err != nil || cc.calls.Load() != walks {
+		t.Fatalf("known hosts: %v, %d walks", err, cc.calls.Load()-walks)
+	}
+	if want := []string{"10.0.2.1", "s2", "r2", "r1", "s1", "10.0.1.1"}; !slices.Equal(infos[0].Path, want) || infos[0].Predicted != infos[0].Available {
+		t.Fatalf("answer %+v, want path %v", infos[0], want)
+	}
+	if !slices.Equal(infos[1].Path, []string{"10.0.1.1"}) {
+		t.Fatalf("self-flow path %v", infos[1].Path)
+	}
+	_, err = m.GetFlowsContext(ctx, []Flow{{Src: a("10.9.0.1"), Dst: a("10.0.2.1")}}, FlowOptions{})
+	if err == nil || cc.calls.Load() != walks+2 {
+		t.Fatalf("router interface address: err %v after %d walks, want an error after 2", err, cc.calls.Load()-walks)
 	}
 }
 

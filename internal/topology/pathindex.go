@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"net/netip"
 	"slices"
 	"sort"
 	"sync"
@@ -91,6 +92,12 @@ type shape struct {
 	budget int64 // treeBudget; a field so tests can reach the bound
 	memo   atomic.Pointer[treeMemo]
 	builds atomic.Int64
+
+	// addrs is num keyed by parsed address, for the node IDs that are an
+	// address's canonical text: addrs[a] is num[a.String()] without
+	// rendering a. Built by the first address query (addrTable) and, like
+	// the trees, shared by every generation that shares the shape.
+	addrs atomic.Pointer[map[netip.Addr]int32]
 }
 
 // treeMemo holds one tree per source node: trees[src][v] is the hop
@@ -225,20 +232,76 @@ func (sh *shape) tree(src int32) []hop {
 	return t
 }
 
-// walk appends to buf the hops of a shortest path from->to in travel
-// order, reconstructed from the source's BFS tree.
-func (px *PathIndex) walk(buf []hop, from, to string) ([]hop, error) {
-	sh := px.shape
+// addrTable returns the address -> node number table, building it on
+// first use. It is keyed from the node IDs, never from Node.Addr: an
+// address query resolves exactly as the same query in text does, so a
+// router interface address that is not the router's ID stays unknown.
+// (The one address whose text ParseAddr refuses is the zero Addr,
+// "invalid IP"; no codec admits that as an ID, so it stays unknown too.)
+func (sh *shape) addrTable() map[netip.Addr]int32 {
+	if t := sh.addrs.Load(); t != nil {
+		return *t
+	}
+	t := make(map[netip.Addr]int32)
+	var text []byte
+	for i, id := range sh.ids {
+		a, err := netip.ParseAddr(id)
+		if err != nil {
+			continue
+		}
+		// "010.0.0.1" never parses, but "::FFFF:1.2.3.4" and "0::1" do:
+		// only the spelling String() gives is the one a query renders.
+		if text = a.AppendTo(text[:0]); string(text) == id {
+			t[a] = int32(i)
+		}
+	}
+	// Racing first queries each build the same table; the last store wins.
+	sh.addrs.Store(&t)
+	return t
+}
+
+func unknownHost(end, id string) error {
+	return rerr.Tagf(rerr.ErrUnknownHost, "topology: path %s %s not in graph", end, id)
+}
+
+// ends resolves a path's endpoint IDs to node numbers. A path from a
+// node to itself needs only the source to exist.
+func (sh *shape) ends(from, to string) (src, dst int32, err error) {
 	src, ok := sh.num[from]
 	if !ok {
-		return buf, rerr.Tagf(rerr.ErrUnknownHost, "topology: path source %s not in graph", from)
+		return 0, 0, unknownHost("source", from)
 	}
 	if from == to {
-		return buf, nil
+		return src, src, nil
 	}
-	dst, ok := sh.num[to]
+	if dst, ok = sh.num[to]; !ok {
+		return 0, 0, unknownHost("destination", to)
+	}
+	return src, dst, nil
+}
+
+// addrEnds is ends(from.String(), to.String()), rendering an address
+// only into the error that says it is unknown.
+func (sh *shape) addrEnds(from, to netip.Addr) (src, dst int32, err error) {
+	t := sh.addrTable()
+	src, ok := t[from]
 	if !ok {
-		return buf, rerr.Tagf(rerr.ErrUnknownHost, "topology: path destination %s not in graph", to)
+		return 0, 0, unknownHost("source", from.String())
+	}
+	if from == to {
+		return src, src, nil
+	}
+	if dst, ok = t[to]; !ok {
+		return 0, 0, unknownHost("destination", to.String())
+	}
+	return src, dst, nil
+}
+
+// route appends to buf the hops of a shortest path src->dst in travel
+// order, reconstructed from the source's BFS tree.
+func (sh *shape) route(buf []hop, src, dst int32) ([]hop, error) {
+	if src == dst {
+		return buf, nil
 	}
 	// Follow the arriving hops back from dst, then reverse.
 	t := sh.tree(src)
@@ -246,15 +309,22 @@ func (px *PathIndex) walk(buf []hop, from, to string) ([]hop, error) {
 	for cur := dst; cur != src; {
 		h := t[cur]
 		if h == noHop {
-			return buf[:start], rerr.Tagf(rerr.ErrNoRoute, "topology: no path from %s to %s", from, to)
+			return buf[:start], rerr.Tagf(rerr.ErrNoRoute, "topology: no path from %s to %s", sh.ids[src], sh.ids[dst])
 		}
 		buf = append(buf, h)
 		cur = sh.tail(h)
 	}
-	for i, j := start, len(buf)-1; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
+	slices.Reverse(buf[start:])
 	return buf, nil
+}
+
+// walk is route between two node IDs.
+func (px *PathIndex) walk(buf []hop, from, to string) ([]hop, error) {
+	src, dst, err := px.shape.ends(from, to)
+	if err != nil {
+		return buf, err
+	}
+	return px.shape.route(buf, src, dst)
 }
 
 // avail is the available bandwidth in the hop's direction, from this
@@ -307,81 +377,192 @@ func (px *PathIndex) BottleneckAvail(from, to string) (bw float64, path []string
 
 // flowScratch is the per-call working state of the PathIndex queries,
 // pooled so batched allocations reuse the hop buffer, the capacity
-// vector, the hop->capacity map, and the maxmin scratch.
+// vector, the hop->capacity table, and the maxmin scratch.
 type flowScratch struct {
-	hops  []hop // every flow's path, end to end
-	ends  []int // flow i's hops end at hops[ends[i]]
-	links []int // hops as capacity-vector positions, for maxmin
+	hops  []hop         // every flow's path, end to end
+	ends  []int         // flow i's hops end at hops[ends[i]]
+	srcs  []int32       // flow i's source node number
+	flows []maxmin.Flow // flow i's demand; allocate adds its links
+	links []int         // hops as capacity-vector positions, for maxmin
 	caps  []float64
-	index map[hop]int
-	flows []maxmin.Flow
 	rates []float64
 	alloc maxmin.Allocator
+
+	// slots[h] is hop h's position in caps if it carries the current
+	// call's stamp, else left over from an earlier call, perhaps on
+	// another index: stamping a call is what clearing a map[hop]int was,
+	// at no cost per call.
+	slots []hopSlot
+	stamp uint32
 }
 
-var flowScratchPool = sync.Pool{
-	New: func() any { return &flowScratch{index: make(map[hop]int)} },
+type hopSlot struct {
+	stamp uint32
+	pos   int32
 }
 
-// FlowAlloc answers a flow query like Graph.FlowAlloc, but from the
-// memoized path trees and over a capacity vector restricted to the link
-// directions the requested flows cross. The rates are identical to the
-// whole-graph allocation: a directed link no requested flow crosses has
-// active count zero throughout progressive filling, so it never
-// produces an increment bound and never freezes anything.
-func (px *PathIndex) FlowAlloc(reqs []FlowRequest) ([]FlowPrediction, error) {
-	st := flowScratchPool.Get().(*flowScratch)
-	defer flowScratchPool.Put(st)
-	st.hops, st.ends = st.hops[:0], st.ends[:0]
-	for _, rq := range reqs {
-		var err error
-		if st.hops, err = px.walk(st.hops, rq.Src, rq.Dst); err != nil {
-			return nil, err
-		}
-		st.ends = append(st.ends, len(st.hops))
+var flowScratchPool = sync.Pool{New: func() any { return new(flowScratch) }}
+
+func (st *flowScratch) reset() {
+	st.hops, st.ends, st.srcs, st.flows = st.hops[:0], st.ends[:0], st.srcs[:0], st.flows[:0]
+}
+
+// add appends one flow and its path.
+func (st *flowScratch) add(sh *shape, src, dst int32, demand float64) (err error) {
+	if st.hops, err = sh.route(st.hops, src, dst); err != nil {
+		return err
 	}
-	st.links = slices.Grow(st.links[:0], len(st.hops))[:len(st.hops)]
-	st.caps, st.flows = st.caps[:0], st.flows[:0]
-	clear(st.index)
+	st.ends = append(st.ends, len(st.hops))
+	st.srcs = append(st.srcs, src)
+	st.flows = append(st.flows, maxmin.Flow{Demand: demand})
+	return nil
+}
 
-	// What the caller keeps: the predictions, and one slab holding every
-	// path (each capped, so appending to one cannot reach the next).
-	preds := make([]FlowPrediction, len(reqs))
-	nodes := make([]string, 0, len(st.hops)+len(reqs))
+// nextStamp starts a call over an index of the given number of hops: no
+// slot carries the stamp it returns. The table grows to the largest
+// index the scratch has served; a fresh table is all zero stamps, which
+// no call uses, and so is the table when the counter comes round.
+func (st *flowScratch) nextStamp(hops int) uint32 {
+	if len(st.slots) < hops {
+		st.slots = make([]hopSlot, hops)
+	}
+	if st.stamp++; st.stamp == 0 {
+		clear(st.slots)
+		st.stamp = 1
+	}
+	return st.stamp
+}
+
+// FlowAnswer receives the answer for flow i of a query: its max-min
+// rate, its path's latency and jitter, and the path's node IDs, which
+// the receiver may keep.
+type FlowAnswer func(i int, avail float64, lat, jitter time.Duration, path []string)
+
+// allocate runs max-min over the flows st holds and hands each flow's
+// answer to answer, in order. The capacity vector is restricted to the
+// link directions the flows cross, which yields the whole-graph rates: a
+// directed link no requested flow crosses has active count zero
+// throughout progressive filling, so it never produces an increment
+// bound and never freezes anything. It allocates one slab holding every
+// path (each capped, so appending to one cannot reach the next).
+func (px *PathIndex) allocate(st *flowScratch, answer FlowAnswer) error {
+	st.links = slices.Grow(st.links[:0], len(st.hops))[:len(st.hops)]
+	st.caps = st.caps[:0]
+	stamp := st.nextStamp(2 * len(px.links))
 	start := 0
-	for i, rq := range reqs {
-		hops, links := st.hops[start:st.ends[i]], st.links[start:st.ends[i]]
-		start = st.ends[i]
-		var lat time.Duration
-		var jitterVar float64
-		for j, h := range hops {
-			li, ok := st.index[h]
-			if !ok {
-				li = len(st.caps)
-				st.index[h] = li
+	for i, end := range st.ends {
+		links := st.links[start:end]
+		for j, h := range st.hops[start:end] {
+			s := &st.slots[h]
+			if s.stamp != stamp {
+				*s = hopSlot{stamp: stamp, pos: int32(len(st.caps))}
 				st.caps = append(st.caps, px.avail(h))
 			}
-			links[j] = li
-			l := px.links[h>>1]
-			lat += l.Latency
-			js := l.Jitter.Seconds()
-			jitterVar += js * js
+			links[j] = int(s.pos)
 		}
-		st.flows = append(st.flows, maxmin.Flow{Links: links, Demand: rq.Demand})
-		first := len(nodes)
-		nodes = px.nodePath(nodes, rq.Src, hops)
-		preds[i] = FlowPrediction{
-			Request: rq, Latency: lat, Path: nodes[first:len(nodes):len(nodes)],
-			Jitter: time.Duration(math.Sqrt(jitterVar) * float64(time.Second)),
-		}
+		st.flows[i].Links = links
+		start = end
 	}
 	rates, err := st.alloc.AllocateInto(st.rates[:0], st.caps, st.flows)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st.rates = rates
-	for i := range preds {
-		preds[i].Available = rates[i]
+
+	sh := px.shape
+	nodes := make([]string, 0, len(st.hops)+len(st.ends))
+	start = 0
+	for i, end := range st.ends {
+		var lat time.Duration
+		var jitterVar float64
+		first := len(nodes)
+		nodes = append(nodes, sh.ids[st.srcs[i]])
+		for _, h := range st.hops[start:end] {
+			l := px.links[h>>1]
+			lat += l.Latency
+			if l.Jitter != 0 { // SNMP-derived links carry none
+				js := l.Jitter.Seconds()
+				jitterVar += js * js
+			}
+			nodes = append(nodes, sh.ids[sh.head(h)])
+		}
+		start = end
+		var jitter time.Duration
+		if jitterVar != 0 {
+			jitter = time.Duration(math.Sqrt(jitterVar) * float64(time.Second))
+		}
+		answer(i, rates[i], lat, jitter, nodes[first:len(nodes):len(nodes)])
+	}
+	return nil
+}
+
+// FlowAlloc answers a flow query like Graph.FlowAlloc, with identical
+// rates, but from the memoized path trees and at a cost proportional to
+// the paths' lengths (see allocate). It allocates the predictions and
+// the slab their paths share.
+func (px *PathIndex) FlowAlloc(reqs []FlowRequest) ([]FlowPrediction, error) {
+	st := flowScratchPool.Get().(*flowScratch)
+	defer flowScratchPool.Put(st)
+	return px.flowAlloc(st, reqs)
+}
+
+// flowAlloc is FlowAlloc on a scratch of the caller's (a test's, to
+// steer one scratch through several indexes).
+func (px *PathIndex) flowAlloc(st *flowScratch, reqs []FlowRequest) ([]FlowPrediction, error) {
+	st.reset()
+	for _, rq := range reqs {
+		src, dst, err := px.shape.ends(rq.Src, rq.Dst)
+		if err == nil {
+			err = st.add(px.shape, src, dst, rq.Demand)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	preds := make([]FlowPrediction, len(reqs))
+	err := px.allocate(st, func(i int, avail float64, lat, jitter time.Duration, path []string) {
+		preds[i] = FlowPrediction{Request: reqs[i], Available: avail, Latency: lat, Jitter: jitter, Path: path}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return preds, nil
+}
+
+// AddrFlow names one flow by its endpoints' addresses, for graphs whose
+// host nodes are identified by canonical address text (every collector's
+// are). It is the Modeler's and the public API's Flow.
+type AddrFlow struct {
+	Src, Dst netip.Addr
+	// Demand is the rate the application wants in bits per second;
+	// 0 asks "as much as possible".
+	Demand float64
+}
+
+// FlowAllocAddrs is FlowAlloc over the flows' endpoints rendered as
+// node IDs — the same rates, paths and errors, word for word — without
+// rendering them: each address is resolved to its node number once
+// (addrTable), and text exists only in the error that names an unknown
+// one. The answers go to the caller's answer function, flow by flow,
+// rather than into a slice of this package's choosing, so the path slab
+// is the only allocation.
+func (px *PathIndex) FlowAllocAddrs(flows []AddrFlow, answer FlowAnswer) error {
+	st := flowScratchPool.Get().(*flowScratch)
+	defer flowScratchPool.Put(st)
+	return px.flowAllocAddrs(st, flows, answer)
+}
+
+func (px *PathIndex) flowAllocAddrs(st *flowScratch, flows []AddrFlow, answer FlowAnswer) error {
+	st.reset()
+	for i := range flows {
+		f := &flows[i]
+		src, dst, err := px.shape.addrEnds(f.Src, f.Dst)
+		if err == nil {
+			err = st.add(px.shape, src, dst, f.Demand)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return px.allocate(st, answer)
 }
