@@ -30,11 +30,11 @@ race:
 # lockorder/lockheld analyzers police, plus conc and benchcoll (the
 # listener and the one user of it outside that set), collector (the
 # shared streaming Predictor parallel polls feed), modeler (whose queries
-# run beside the snapshot writer and build a shape's address table on
-# first use) and the root package, whose end-to-end tests drive those
-# planes concurrently over the wire (load shedding, mixed serving beside
-# the watch plane) — the fast inner loop while working on locking code
-# (full-tree `make race` stays the merge gate). The
+# run beside the snapshot writer and read the stamp vector the next
+# generation is copied from) and the root package, whose end-to-end tests
+# drive those planes concurrently over the wire (load shedding, mixed
+# serving beside the watch plane) — the fast inner loop while working on
+# locking code (full-tree `make race` stays the merge gate). The
 # publish-through-atomic.Pointer sites have no analyzer: the
 # reader-beside-writer tests in these packages are their guard. CI's
 # race-hot matrix (.github/workflows/verify.yml) has one cell per
@@ -111,9 +111,13 @@ bench-snmp:
 
 # The snapshot-backed flow query: the Modeler's 8-flow queries over one
 # generation of the 10 204-node two-tier fabric (what bench/'s
-# scale_static runs), and the path index asked in text and by address.
-# The pin for this path's layout, hashing and allocations outside the
-# contract run.
+# scale_static runs), the path index asked in text and by address, and
+# the store beside them — the freshness check of a query's 11 hosts and
+# one Apply of the fabric's 10 000, onto the same shape and onto another
+# (what scale_churn's writer does). The pin for this path's layout,
+# hashing and allocations outside the contract run; CI runs it with a
+# short fixed BENCH_FLOWS_TIME so the pins cannot rot unbuilt.
+BENCH_FLOWS_TIME ?= 1s
 bench-flows:
-	$(GO) test -run xxx -bench 'SnapshotFlows|PathIndexFlowAlloc' -benchmem \
-		./internal/modeler/ ./internal/topology/
+	$(GO) test -run xxx -bench 'SnapshotFlows|PathIndexFlowAlloc|StoreApply|StoreFresh' -benchmem \
+		-benchtime $(BENCH_FLOWS_TIME) ./internal/modeler/ ./internal/topology/ ./internal/snapshot/

@@ -271,7 +271,7 @@ func (r *Router) GetFlowsContext(ctx context.Context, flows []modeler.Flow, _ mo
 	if err != nil {
 		return nil, err
 	}
-	return modeler.AllocFlows(paths, flows)
+	return modeler.AllocFlows(paths, flows, nil)
 }
 
 // Collect implements collector.Interface. A query with hosts fans

@@ -63,7 +63,8 @@ func TestSnapshotFlowsAllocationBudget(t *testing.T) {
 
 // TestDedupeHostsKeepsFirstSeenOrder holds both of dedupeHosts' ways —
 // the scan up to dedupeScanMax hosts, the map above — to the plain
-// definition, and the caller's slice to what it was.
+// definition, the caller's slice to what it was, and the positions
+// compactHosts reports to where each host given ended up.
 func TestDedupeHostsKeepsFirstSeenOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 16, dedupeScanMax - 1, dedupeScanMax, dedupeScanMax + 1, 3 * dedupeScanMax} {
@@ -84,6 +85,16 @@ func TestDedupeHostsKeepsFirstSeenOrder(t *testing.T) {
 			}
 			if !slices.Equal(hosts, given) {
 				t.Fatalf("dedupeHosts rewrote its argument: %v, was %v", hosts, given)
+			}
+			at := make([]int32, n)
+			got := compactHosts(hosts, at)
+			if !slices.Equal(got, want) {
+				t.Fatalf("compactHosts(%v) = %v, want %v", given, got, want)
+			}
+			for i, h := range given {
+				if got[at[i]] != h {
+					t.Fatalf("compactHosts(%v): host %d, %v, reported at %d of %v", given, i, h, at[i], got)
+				}
 			}
 		}
 	}

@@ -144,7 +144,7 @@ func New(cfg Config) *Modeler {
 // warm-query cache key ("a,a,b" is not "a,b"), so every collector-bound
 // host set passes through here first.
 func dedupeHosts(hosts []netip.Addr) []netip.Addr {
-	return compactHosts(slices.Clone(hosts))
+	return compactHosts(slices.Clone(hosts), nil)
 }
 
 // dedupeScanMax is the largest host set deduplicated by comparing each
@@ -153,21 +153,30 @@ func dedupeHosts(hosts []netip.Addr) []netip.Addr {
 const dedupeScanMax = 32
 
 // compactHosts is dedupeHosts in place: the result is a prefix of hosts.
-func compactHosts(hosts []netip.Addr) []netip.Addr {
+// at, when not nil, is as long as hosts and receives each given host's
+// position in the result.
+func compactHosts(hosts []netip.Addr, at []int32) []netip.Addr {
 	out := hosts[:0]
-	if len(hosts) <= dedupeScanMax {
-		for _, h := range hosts {
-			if !slices.Contains(out, h) {
-				out = append(out, h)
+	var seen map[netip.Addr]int32
+	if len(hosts) > dedupeScanMax {
+		seen = make(map[netip.Addr]int32, len(hosts))
+	}
+	for i, h := range hosts {
+		pos := int32(-1)
+		if seen == nil {
+			pos = int32(slices.Index(out, h))
+		} else if p, ok := seen[h]; ok {
+			pos = p
+		}
+		if pos < 0 {
+			pos = int32(len(out))
+			out = append(out, h)
+			if seen != nil {
+				seen[h] = pos
 			}
 		}
-		return out
-	}
-	seen := make(map[netip.Addr]bool, len(hosts))
-	for _, h := range hosts {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
+		if at != nil {
+			at[i] = pos
 		}
 	}
 	return out
@@ -190,18 +199,24 @@ func (m *Modeler) staleBound(q time.Duration) time.Duration {
 // running the coalesced refresh on miss. nil means "serve this query
 // through a direct collect" — the plane is off, disabled for this
 // query, or the shared walk failed (its failure is shared, the
-// fallback is private).
-func (m *Modeler) snapshotFor(ctx context.Context, hosts []netip.Addr, bound time.Duration) *snapshot.Snapshot {
+// fallback is private). nodes, when not nil, is as long as hosts and
+// receives their node numbers in the generation's path index.
+func (m *Modeler) snapshotFor(ctx context.Context, hosts []netip.Addr, nodes []int32, bound time.Duration) *snapshot.Snapshot {
 	st := m.cfg.Snapshot
 	if st == nil || bound <= 0 {
 		return nil
 	}
-	if s := st.Fresh(hosts, bound); s != nil {
+	if s := st.FreshNodes(hosts, nodes, bound); s != nil {
 		return s
 	}
 	s, err := st.Refresh(ctx, m.cfg.Collector, hosts)
 	if err != nil {
 		return nil
+	}
+	if nodes != nil {
+		for i, h := range hosts {
+			nodes[i] = s.Paths().NodeOf(h)
+		}
 	}
 	return s
 }
@@ -237,7 +252,7 @@ func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, op
 		ids[i] = h.String()
 	}
 	if !opt.Raw {
-		if snap := m.snapshotFor(ctx, hosts, m.staleBound(opt.MaxStale)); snap != nil {
+		if snap := m.snapshotFor(ctx, hosts, nil, m.staleBound(opt.MaxStale)); snap != nil {
 			sp := tr.Start("simplify")
 			g, err := m.cfg.Snapshot.Subgraph(snap, ids, opt.KeepSwitches)
 			sp.End()
@@ -320,10 +335,11 @@ func FlowInfos(flows []Flow, preds []topology.FlowPrediction) []FlowInfo {
 // AllocFlows answers flows from a path index over a graph whose hosts
 // are identified by address text — FlowInfos of the index's FlowAlloc on
 // the rendered endpoints, without rendering them and with the answers
-// written where the caller keeps them.
-func AllocFlows(px *topology.PathIndex, flows []Flow) ([]FlowInfo, error) {
+// written where the caller keeps them. ends is the endpoints' node
+// numbers if the caller has them, else nil (PathIndex.FlowAllocAddrs).
+func AllocFlows(px *topology.PathIndex, flows []Flow, ends []int32) ([]FlowInfo, error) {
 	out := make([]FlowInfo, len(flows))
-	err := px.FlowAllocAddrs(flows, func(i int, avail float64, lat, jitter time.Duration, path []string) {
+	err := px.FlowAllocAddrs(flows, ends, func(i int, avail float64, lat, jitter time.Duration, path []string) {
 		out[i] = FlowInfo{
 			Flow: flows[i], Available: avail, Latency: lat, Jitter: jitter, Path: path,
 			Predicted: avail,
@@ -375,20 +391,34 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 	for _, f := range flows {
 		hosts = append(hosts, f.Src, f.Dst)
 	}
-	hosts = compactHosts(hosts)
+	// ends[k] is where endpoint k stands among the distinct hosts, then
+	// its node number; nodes holds the distinct hosts' numbers. Both live
+	// on the stack for any query the scan dedupes.
+	var endsBuf, nodesBuf [dedupeScanMax]int32
+	ends, nodes := endsBuf[:], nodesBuf[:]
+	if len(hosts) > dedupeScanMax {
+		ends, nodes = make([]int32, len(hosts)), make([]int32, len(hosts))
+	}
+	ends = ends[:len(hosts)]
+	hosts = compactHosts(hosts, ends)
+	nodes = nodes[:len(hosts)]
 	ctx, finish := m.begin(ctx, flowsQuery, hosts)
 	defer func() { finish(err) }()
 	tr := obs.FromContext(ctx)
 
 	// The snapshot fast path: a fresh-enough generation answers from its
 	// memoized path index — no collector round-trip, no graph clone, no
-	// endpoint rendered as text, and a max-min run over only the links
-	// these flows cross. Prediction queries skip it; they need
-	// collector-side history.
+	// endpoint rendered as text, each distinct host resolved to its node
+	// number once for the freshness check and the routing both, and a
+	// max-min run over only the links these flows cross. Prediction
+	// queries skip it; they need collector-side history.
 	if !opt.Predict {
-		if snap := m.snapshotFor(ctx, hosts, m.staleBound(opt.MaxStale)); snap != nil {
+		if snap := m.snapshotFor(ctx, hosts, nodes, m.staleBound(opt.MaxStale)); snap != nil {
+			for k, pos := range ends {
+				ends[k] = nodes[pos]
+			}
 			sp := tr.Start("maxmin")
-			infos, perr := AllocFlows(snap.Paths(), flows)
+			infos, perr := AllocFlows(snap.Paths(), flows, ends)
 			sp.End()
 			if perr == nil {
 				return infos, nil

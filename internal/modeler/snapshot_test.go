@@ -219,6 +219,43 @@ func TestSnapshotFlowsResolveByIDNotAddr(t *testing.T) {
 	}
 }
 
+// slowColl is the dumbbell fake behind an agent that takes two seconds
+// of the test clock to answer.
+type slowColl struct {
+	countingColl
+	ck *testClock
+}
+
+func (c *slowColl) Collect(q collector.Query) (*collector.Result, error) {
+	c.ck.Advance(2 * time.Second)
+	return c.countingColl.Collect(q)
+}
+
+// TestSlowWalkAgesTheGenerationItProduces: a generation is as old as the
+// moment its walk began. The query that led a two-second walk is answered
+// from it; the next one, tolerating one second, walks again rather than
+// take two-second-old readings for fresh; one tolerating five does not.
+func TestSlowWalkAgesTheGenerationItProduces(t *testing.T) {
+	ck := &testClock{t: time.Unix(1000, 0)}
+	cc := &slowColl{ck: ck}
+	m := snapModeler(cc, ck)
+	ctx := context.Background()
+	flows := []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}
+	ask := func(maxStale time.Duration, wantWalks int64, what string) {
+		t.Helper()
+		infos, err := m.GetFlowsContext(ctx, flows, FlowOptions{MaxStale: maxStale})
+		if err != nil || math.Abs(infos[0].Available-6e6) > 1 {
+			t.Fatalf("%s: %+v, %v", what, infos, err)
+		}
+		if got := cc.calls.Load(); got != wantWalks {
+			t.Fatalf("%s: %d walks so far, want %d", what, got, wantWalks)
+		}
+	}
+	ask(time.Second, 1, "the query that leads the walk")
+	ask(time.Second, 2, "a 1s bound on readings 2s old")
+	ask(5*time.Second, 2, "a 5s bound on readings 2s old")
+}
+
 // TestGetFlowsDedupesHostsOneWalkPerUniqueHost pins the fan-out fix:
 // flow lists repeating endpoints must walk each unique host once.
 func TestGetFlowsDedupesHostsOneWalkPerUniqueHost(t *testing.T) {

@@ -209,6 +209,7 @@ func (s *Scheduler) poll(t *target) {
 		s.cfg.Invalidate(t.hosts)
 	}
 	q := collector.Query{Hosts: t.hosts}.WithContext(s.ctx)
+	began := s.cfg.Sched.Now() // the snapshot's stamp: no reading is younger
 	res, err := s.cfg.Collector.Collect(q)
 	s.mPolls.Inc()
 
@@ -216,7 +217,6 @@ func (s *Scheduler) poll(t *target) {
 	if err != nil {
 		s.mErrors.Inc()
 	} else if res != nil && res.Graph != nil {
-		now := s.cfg.Sched.Now()
 		maxChange := 0.0
 		for _, l := range res.Graph.Links() {
 			if l.Capacity <= 0 {
@@ -241,7 +241,7 @@ func (s *Scheduler) poll(t *target) {
 		}
 		changed = maxChange >= changeFrac
 		if s.cfg.Snapshot != nil {
-			s.cfg.Snapshot.Apply(t.hosts, res, now)
+			s.cfg.Snapshot.Apply(t.hosts, res, began)
 		}
 		if s.cfg.OnResult != nil {
 			s.cfg.OnResult(t.hosts, res)

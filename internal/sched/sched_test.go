@@ -12,6 +12,7 @@ import (
 	"remos/internal/collector/qcache"
 	"remos/internal/obs"
 	"remos/internal/sim"
+	"remos/internal/snapshot"
 	"remos/internal/topology"
 )
 
@@ -263,5 +264,53 @@ func TestMetricsExported(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, out)
 		}
+	}
+}
+
+// slowWalk is a sim clock a collector can hold up: every Collect takes
+// two seconds of it.
+type slowWalk struct {
+	sim.Scheduler
+	scriptColl
+	spent atomic.Int64 // nanoseconds walks have taken so far
+	began atomic.Int64 // the clock (UnixNano) as the last walk began
+}
+
+func (w *slowWalk) Now() time.Time { return w.Scheduler.Now().Add(time.Duration(w.spent.Load())) }
+
+func (w *slowWalk) Collect(q collector.Query) (*collector.Result, error) {
+	w.began.Store(w.Now().UnixNano())
+	w.spent.Add(int64(2 * time.Second))
+	return w.scriptColl.Collect(q)
+}
+
+// TestPollStampsSnapshotWithTheInstantItBegan: the generation a poll
+// produces is as old as the poll's first reading, not as young as its
+// last — a two-second walk hands the snapshot plane data that is two
+// seconds old already.
+func TestPollStampsSnapshotWithTheInstantItBegan(t *testing.T) {
+	s := sim.NewSim()
+	w := &slowWalk{Scheduler: s}
+	store := snapshot.New(snapshot.Config{Now: w.Now})
+	sc := newTestSched(t, w, w, func(c *Config) { c.Snapshot = store })
+	hosts := []netip.Addr{hostA, hostB}
+	sc.AddTarget(hosts)
+	for w.calls.Load() == 0 {
+		if !s.Step() {
+			t.Fatal("no poll was scheduled")
+		}
+	}
+	snap := store.Current()
+	if snap == nil {
+		t.Fatal("the poll produced no generation")
+	}
+	if began := time.Unix(0, w.began.Load()); !snap.At().Equal(began) {
+		t.Fatalf("the generation is stamped %v; its walk began at %v", snap.At(), began.UTC())
+	}
+	if store.Fresh(hosts, time.Second) != nil {
+		t.Fatal("readings two seconds old pass a one-second bound")
+	}
+	if store.Fresh(hosts, 2*time.Second) != snap {
+		t.Fatal("readings two seconds old fail a two-second bound")
 	}
 }

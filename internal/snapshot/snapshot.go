@@ -9,13 +9,16 @@
 // coalesced by merged host set so N clients asking about the same
 // region trigger one walk.
 //
-// Each generation (an Epoch) carries the merged graph, per-host
-// freshness stamps, and a topology.PathIndex whose memoized BFS trees
-// and reduced-capacity max-min make flow answers O(path length) instead
-// of O(graph size). A poll that only moved measurements leaves the
-// routing shape as it was, so the new generation's index shares the old
-// one's adjacency and trees (topology.NewPathIndexFrom checks that it
-// may). State derived from one generation alone — the pruned/collapsed
+// Each generation (an Epoch) carries the merged graph, a
+// topology.PathIndex whose memoized BFS trees and reduced-capacity
+// max-min make flow answers O(path length) instead of O(graph size), and
+// the hosts' freshness stamps as a vector indexed by the index's node
+// numbers — so one resolution of a host's address serves the freshness
+// check and the routing both. A poll that only moved measurements leaves
+// the routing shape as it was, so the new generation's index shares the
+// old one's adjacency, trees and node numbers (topology.NewPathIndexFrom
+// checks that it may) and its stamps are the old vector copied and
+// patched. State derived from one generation alone — the pruned/collapsed
 // subgraph memo — belongs to that generation and is collected with it:
 // the Store holds nothing keyed by epoch, so there is nothing to evict
 // on a swap.
@@ -24,6 +27,7 @@ package snapshot
 import (
 	"context"
 	"maps"
+	"math"
 	"net/netip"
 	"sort"
 	"strings"
@@ -43,11 +47,25 @@ type Epoch uint64
 // memo is frozen at Apply time; readers share the struct without
 // synchronization.
 type Snapshot struct {
-	epoch  Epoch
-	graph  *topology.Graph
-	paths  *topology.PathIndex
-	hostAt map[netip.Addr]time.Time
-	at     time.Time // most recent apply folded in
+	epoch Epoch
+	graph *topology.Graph
+	paths *topology.PathIndex
+	at    time.Time // most recent apply folded in
+
+	// Freshness: when each host was last applied, as an offset from base —
+	// the first generation's apply instant, the same for every generation
+	// of a store. Offsets are taken with Time.Sub, so clocks that carry a
+	// monotonic reading are compared on it, as now.Sub(at) would, and a
+	// step of the wall clock ages nothing. stamps is indexed by paths' node
+	// numbers and holds never for a node no apply named. offGraph holds
+	// the hosts applied that paths cannot resolve (a router interface
+	// address: a node's Addr, not its ID); it is consulted for those hosts
+	// only, never written once the generation is published, and shared
+	// with the next generation unless that one must change it.
+	base     time.Time
+	stamps   []time.Duration
+	offGraph map[netip.Addr]time.Duration
+	ownsOff  bool // Apply's, while it builds s: offGraph is not the predecessor's map
 
 	// memo holds the generation's pruned/collapsed subgraphs by
 	// endpoint-set signature (sorted node IDs joined by commas). It is
@@ -69,25 +87,96 @@ func (s *Snapshot) Paths() *topology.PathIndex { return s.paths }
 // At returns the time of the apply that produced this generation.
 func (s *Snapshot) At() time.Time { return s.at }
 
-// NodeID resolves a host address to its node ID in the generation's
-// graph ("" if unknown).
-func (s *Snapshot) NodeID(addr netip.Addr) string {
-	if n := s.graph.NodeByAddr(addr.String()); n != nil {
-		return n.ID
-	}
-	return ""
-}
+// never is the stamp of a host no apply has named.
+const never = time.Duration(math.MinInt64)
+
+// offGraphCap bounds offGraph. At the bound the map is emptied before
+// the next host goes in: a dropped stamp costs that host's next query a
+// collector walk, nothing else.
+const offGraphCap = 1024
 
 // FreshFor reports whether every given host was refreshed within bound
 // of now. A host never applied is never fresh.
 func (s *Snapshot) FreshFor(hosts []netip.Addr, bound time.Duration, now time.Time) bool {
-	for _, h := range hosts {
-		at, ok := s.hostAt[h]
-		if !ok || now.Sub(at) > bound {
+	return s.freshFor(hosts, nil, bound, now)
+}
+
+// freshFor is FreshFor that also leaves in nodes[i], when nodes is not
+// nil, the node number of hosts[i] in s.paths — of every host if the
+// answer is yes, up to the first stale one if it is no.
+func (s *Snapshot) freshFor(hosts []netip.Addr, nodes []int32, bound time.Duration, now time.Time) bool {
+	age := now.Sub(s.base) // of base; a host's age is this less its stamp
+	for i, h := range hosts {
+		at := never
+		n := s.paths.NodeOf(h)
+		if n != topology.NoNode {
+			at = s.stamps[n]
+		} else if off, ok := s.offGraph[h]; ok {
+			at = off
+		}
+		if nodes != nil {
+			nodes[i] = n
+		}
+		if at == never || age-at > bound {
 			return false
 		}
 	}
 	return true
+}
+
+// inherit gives s, whose graph and paths are set, the stamps of the
+// generation before it and reports whether they had to be re-homed. A
+// generation that shares its predecessor's node numbers copies the
+// vector — the predecessor's is being read beside us — and shares the
+// overflow. Otherwise every stamp is put again under the new numbers: a
+// node that left the graph moves to the overflow, a host that entered it
+// moves out.
+func (s *Snapshot) inherit(old *Snapshot) (rehomed bool) {
+	s.stamps = make([]time.Duration, s.paths.NumNodes())
+	if old != nil && s.paths.SharesNumbers(old.paths) {
+		copy(s.stamps, old.stamps)
+		s.offGraph = old.offGraph
+		return false
+	}
+	for i := range s.stamps {
+		s.stamps[i] = never
+	}
+	if old == nil {
+		return false
+	}
+	for n, at := range old.stamps {
+		if at == never {
+			continue
+		}
+		// Only a node NodeOf resolves is ever stamped: its ID parses.
+		if h, err := netip.ParseAddr(old.paths.NodeID(int32(n))); err == nil {
+			s.stamp(h, at)
+		}
+	}
+	for h, at := range old.offGraph {
+		s.stamp(h, at)
+	}
+	return true
+}
+
+// stamp records that host h was applied at offset at: in the vector if
+// the graph holds h, in the overflow if not. The first write to an
+// overflow shared with the predecessor clones it.
+func (s *Snapshot) stamp(h netip.Addr, at time.Duration) {
+	if n := s.paths.NodeOf(h); n != topology.NoNode {
+		s.stamps[n] = at
+		return
+	}
+	if !s.ownsOff {
+		if s.offGraph = maps.Clone(s.offGraph); s.offGraph == nil {
+			s.offGraph = make(map[netip.Addr]time.Duration)
+		}
+		s.ownsOff = true
+	}
+	if _, held := s.offGraph[h]; !held && len(s.offGraph) >= offGraphCap {
+		clear(s.offGraph)
+	}
+	s.offGraph[h] = at
 }
 
 // Config wires a Store.
@@ -120,7 +209,9 @@ type Store struct {
 	mCoalesced  *obs.Counter
 	mSubHits    *obs.Counter
 	mSubBuilds  *obs.Counter
+	mReshapes   *obs.Counter
 	gEpoch      *obs.Gauge
+	gOffGraph   *obs.Gauge
 }
 
 // flight is one in-progress coalesced collector walk.
@@ -147,7 +238,9 @@ func New(cfg Config) *Store {
 	st.mCoalesced = cfg.Obs.Counter("remos_snapshot_coalesced_total", "cold queries that joined an in-flight walk instead of launching one")
 	st.mSubHits = cfg.Obs.Counter("remos_snapshot_subgraph_hits_total", "simplified-subgraph memo hits")
 	st.mSubBuilds = cfg.Obs.Counter("remos_snapshot_subgraph_builds_total", "simplified subgraphs computed and memoized")
+	st.mReshapes = cfg.Obs.Counter("remos_snapshot_reshapes_total", "applies that could not share the previous generation's routing shape and re-homed every freshness stamp")
 	st.gEpoch = cfg.Obs.Gauge("remos_snapshot_epoch", "current snapshot generation number")
+	st.gOffGraph = cfg.Obs.Gauge("remos_snapshot_offgraph_hosts", "applied hosts the current generation's graph does not hold as a node")
 	return st
 }
 
@@ -158,8 +251,17 @@ func (st *Store) Current() *Snapshot { return st.cur.Load() }
 // the store's clock, else nil. It records the hit/miss metrics, so call
 // it once per query decision.
 func (st *Store) Fresh(hosts []netip.Addr, bound time.Duration) *Snapshot {
+	return st.FreshNodes(hosts, nil, bound)
+}
+
+// FreshNodes is Fresh for a caller that goes on to route over the
+// generation it gets: the freshness check resolves every host to its node
+// number in the generation's path index anyway (topology.NoNode for a
+// host the graph does not hold), and leaves them in nodes, which must be
+// as long as hosts. Without a generation nodes holds nothing of use.
+func (st *Store) FreshNodes(hosts []netip.Addr, nodes []int32, bound time.Duration) *Snapshot {
 	s := st.cur.Load()
-	if s == nil || bound <= 0 || !s.FreshFor(hosts, bound, st.now()) {
+	if s == nil || bound <= 0 || !s.freshFor(hosts, nodes, bound, st.now()) {
 		st.mMisses.Inc()
 		return nil
 	}
@@ -169,9 +271,10 @@ func (st *Store) Fresh(hosts []netip.Addr, bound time.Duration) *Snapshot {
 
 // Apply folds one poll result into a new generation: the previous graph
 // is cloned, the result is merged latest-wins (topology.Update), the
-// polled hosts' freshness stamps advance, and the new Snapshot — its
+// polled hosts' freshness stamps advance to at — the instant the poll
+// began reading, not the one it was done — and the new Snapshot, its
 // PathIndex sharing the previous generation's routing shape when the
-// poll changed measurements only — is swapped in atomically. Returns the
+// poll changed measurements only, is swapped in atomically. Returns the
 // new generation.
 func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) *Snapshot {
 	if res == nil || res.Graph == nil {
@@ -179,32 +282,28 @@ func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) 
 	}
 	st.applyMu.Lock()
 	old := st.cur.Load()
-	var g *topology.Graph
+	snap := &Snapshot{epoch: 1, graph: topology.NewGraph(), at: at, base: at}
 	var prev *topology.PathIndex
-	var hostAt map[netip.Addr]time.Time
-	var epoch Epoch
 	if old != nil {
-		g, prev = old.graph.Clone(), old.paths
-		hostAt = maps.Clone(old.hostAt)
-		epoch = old.epoch + 1
-	} else {
-		g = topology.NewGraph()
-		hostAt = make(map[netip.Addr]time.Time, len(hosts))
-		epoch = 1
+		snap.epoch, snap.graph, snap.base = old.epoch+1, old.graph.Clone(), old.base
+		prev = old.paths
 	}
-	g.Update(res.Graph)
+	snap.graph.Update(res.Graph)
+	snap.paths = topology.NewPathIndexFrom(prev, snap.graph)
+	rehomed := snap.inherit(old)
+	offset := at.Sub(snap.base)
 	for _, h := range hosts {
-		hostAt[h] = at
-	}
-	snap := &Snapshot{
-		epoch: epoch, graph: g, paths: topology.NewPathIndexFrom(prev, g),
-		hostAt: hostAt, at: at,
+		snap.stamp(h, offset)
 	}
 	st.cur.Store(snap)
 	st.applyMu.Unlock()
 
 	st.mApplies.Inc()
-	st.gEpoch.Set(float64(epoch))
+	if rehomed {
+		st.mReshapes.Inc()
+	}
+	st.gEpoch.Set(float64(snap.epoch))
+	st.gOffGraph.Set(float64(len(snap.offGraph)))
 	return snap
 }
 
@@ -305,12 +404,16 @@ func (st *Store) Refresh(ctx context.Context, coll collector.Interface, hosts []
 			merged = append(merged, h)
 		}
 		sort.Slice(merged, func(i, j int) bool { return merged[i].Less(merged[j]) })
+		// The readings are no younger than the moment the walk began: a
+		// stamp taken after it would call them fresh for the walk's length
+		// longer than they are.
+		began := st.now()
 		res, err := coll.Collect(collector.Query{Hosts: merged}.WithContext(ctx))
 		var snap *Snapshot
 		if err != nil {
 			st.mRefreshErr.Inc()
 		} else {
-			snap = st.Apply(merged, res, st.now())
+			snap = st.Apply(merged, res, began)
 		}
 		st.flightMu.Lock()
 		f.snap, f.err = snap, err

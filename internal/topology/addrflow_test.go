@@ -147,6 +147,23 @@ func allocAddrs(alloc func([]AddrFlow, FlowAnswer) error, flows []AddrFlow) ([]F
 	return preds, nil
 }
 
+// resolvedBy and resolvedFor are the address entry's two ways in: the
+// index resolves the endpoints, or the caller has (as the Modeler does,
+// once per distinct host, for the freshness check).
+func resolvedBy(px *PathIndex) func([]AddrFlow, FlowAnswer) error {
+	return func(flows []AddrFlow, answer FlowAnswer) error { return px.FlowAllocAddrs(flows, nil, answer) }
+}
+
+func resolvedFor(px *PathIndex) func([]AddrFlow, FlowAnswer) error {
+	return func(flows []AddrFlow, answer FlowAnswer) error {
+		ends := make([]int32, 0, 2*len(flows))
+		for _, f := range flows {
+			ends = append(ends, px.NodeOf(f.Src), px.NodeOf(f.Dst))
+		}
+		return px.FlowAllocAddrs(flows, ends, answer)
+	}
+}
+
 // errClass is what the Modeler branches on: only an unknown endpoint
 // merits a collector walk; no route is the answer.
 func errClass(err error) string {
@@ -195,7 +212,10 @@ func TestPropertyAddrEntryMatchesTextEntry(t *testing.T) {
 			flows := ad.query(rng)
 			reqs := rendered(flows)
 			want, werr := px.FlowAlloc(reqs)
-			got, gerr := allocAddrs(px.FlowAllocAddrs, flows)
+			got, gerr := allocAddrs(resolvedBy(px), flows)
+			if pre, perr := allocAddrs(resolvedFor(px), flows); fmt.Sprint(perr) != fmt.Sprint(gerr) || !reflect.DeepEqual(pre, got) {
+				t.Fatalf("seed %d %v: endpoints resolved beforehand %+v (%v)\nresolved by the index %+v (%v)", seed, flows, pre, perr, got, gerr)
+			}
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) || errClass(gerr) != errClass(werr) {
 				t.Fatalf("seed %d %v: address entry fails with %v (%s), text entry with %v (%s)",
 					seed, flows, gerr, errClass(gerr), werr, errClass(werr))
@@ -243,7 +263,7 @@ func TestAddrEntryUnknownEndpointsStayDistinct(t *testing.T) {
 		{AddrFlow{Src: ad.hosts[0], Dst: ad.island[0]}, "no route",
 			fmt.Sprintf("topology: no path from %v to %v", ad.hosts[0], ad.island[0])},
 	} {
-		_, err := allocAddrs(px.FlowAllocAddrs, []AddrFlow{tc.flow})
+		_, err := allocAddrs(resolvedBy(px), []AddrFlow{tc.flow})
 		if errClass(err) != tc.class || err.Error() != tc.text {
 			t.Errorf("%v: %v (%s), want %q (%s)", tc.flow, err, errClass(err), tc.text, tc.class)
 		}
@@ -268,14 +288,14 @@ func TestAddrEntryAllocations(t *testing.T) {
 	}
 	query := func() {
 		out := make([]answer, len(flows))
-		err := px.FlowAllocAddrs(flows, func(i int, avail float64, _, _ time.Duration, path []string) {
+		err := px.FlowAllocAddrs(flows, nil, func(i int, avail float64, _, _ time.Duration, path []string) {
 			out[i] = answer{avail, path}
 		})
 		if err != nil || len(out[0].path) == 0 {
 			t.Fatal(err, out)
 		}
 	}
-	query() // warm the trees, the address table and the pool
+	query() // warm the trees and the pool
 	if n := testing.AllocsPerRun(200, query); n > 2 {
 		t.Fatalf("the address entry allocates %.0f times per 8-flow query, want 2", n)
 	}
@@ -323,7 +343,7 @@ func TestScratchAlternatesBetweenIndexesAcrossStampWrap(t *testing.T) {
 			flows[i] = AddrFlow{Src: s.hosts[rng.Intn(len(s.hosts))], Dst: s.hosts[rng.Intn(len(s.hosts))]}
 		}
 		got, err := allocAddrs(func(f []AddrFlow, answer FlowAnswer) error {
-			return s.px.flowAllocAddrs(st, f, answer)
+			return s.px.flowAllocAddrs(st, f, nil, answer)
 		}, flows)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -350,12 +370,11 @@ func TestScratchAlternatesBetweenIndexesAcrossStampWrap(t *testing.T) {
 	}
 }
 
-// TestAddrTableBuiltBesideReaders: the shape's address table is built
-// by whichever query asks first and published through an atomic pointer
-// to every generation sharing the shape. Each round starts with no
-// table; queries on generation N and N+1 race to build it and read it
-// (meaningful under -race: with the table stored before it is filled,
-// the detector reports the fill against the other generation's lookup).
+// TestAddrTableBuiltBesideReaders: the shape's address tables are built
+// with the shape, before any index over it exists, and only read
+// afterwards: queries on generation N and N+1, which share them, run
+// side by side (meaningful under -race: a table filled on first use, as
+// it once was, is a write beside the other generation's lookup).
 func TestAddrTableBuiltBesideReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ad := randomAddressed(rng)
@@ -381,7 +400,6 @@ func TestAddrTableBuiltBesideReaders(t *testing.T) {
 		}
 	}
 	for round := 0; round < 50; round++ {
-		gens[0].shape.addrs.Store(nil)
 		var wg sync.WaitGroup
 		errs := make(chan error, 4)
 		for w := 0; w < 4; w++ {
@@ -391,7 +409,7 @@ func TestAddrTableBuiltBesideReaders(t *testing.T) {
 				px, want := gens[w%2], want[w%2]
 				for i := 0; i < 20; i++ {
 					k := (w*31 + round + i) % len(flows)
-					got, err := allocAddrs(px.FlowAllocAddrs, flows[k:k+1])
+					got, err := allocAddrs(resolvedBy(px), flows[k:k+1])
 					if err == nil && !reflect.DeepEqual(got[0], want[k]) {
 						err = fmt.Errorf("generation %d: %+v, want %+v", w%2, got[0], want[k])
 					}
@@ -441,7 +459,7 @@ func BenchmarkPathIndexFlowAlloc(b *testing.B) {
 		out := make([]float64, 8)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			err := px.FlowAllocAddrs(queries[i%len(queries)], func(i int, avail float64, _, _ time.Duration, _ []string) {
+			err := px.FlowAllocAddrs(queries[i%len(queries)], nil, func(i int, avail float64, _, _ time.Duration, _ []string) {
 				out[i] = avail
 			})
 			if err != nil {

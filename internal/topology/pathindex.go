@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"encoding/binary"
 	"math"
 	"net/netip"
 	"slices"
@@ -59,6 +60,28 @@ func NewPathIndexFrom(prev *PathIndex, g *Graph) *PathIndex {
 // Graph returns the indexed graph (shared, not a copy).
 func (px *PathIndex) Graph() *Graph { return px.g }
 
+// NoNode is the node number of an address no node of the graph has as
+// its ID.
+const NoNode int32 = -1
+
+// NumNodes is how many nodes the index numbers: 0 to NumNodes()-1, in ID
+// order. Numbers mean the same node in every index that SharesNumbers.
+func (px *PathIndex) NumNodes() int { return len(px.shape.ids) }
+
+// NodeID returns the ID of node number n.
+func (px *PathIndex) NodeID(n int32) string { return px.shape.ids[n] }
+
+// NodeOf resolves an address to the number of the node whose ID is the
+// address's canonical text, NoNode when there is none. It is keyed from
+// the node IDs, never from Node.Addr: an address resolves exactly as its
+// text does in FlowAlloc, so a router interface address that is not the
+// router's ID stays unknown.
+func (px *PathIndex) NodeOf(a netip.Addr) int32 { return px.shape.nodeOf(a) }
+
+// SharesNumbers reports whether the two indexes number their nodes
+// alike because they share one routing shape (see NewPathIndexFrom).
+func (px *PathIndex) SharesNumbers(other *PathIndex) bool { return px.shape == other.shape }
+
 // TreeBuilds counts the BFS trees computed over the index's shape since
 // the shape was built, by this generation or any that shares it.
 func (px *PathIndex) TreeBuilds() int64 { return px.shape.builds.Load() }
@@ -93,11 +116,14 @@ type shape struct {
 	memo   atomic.Pointer[treeMemo]
 	builds atomic.Int64
 
-	// addrs is num keyed by parsed address, for the node IDs that are an
-	// address's canonical text: addrs[a] is num[a.String()] without
-	// rendering a. Built by the first address query (addrTable) and, like
-	// the trees, shared by every generation that shares the shape.
-	addrs atomic.Pointer[map[netip.Addr]int32]
+	// addr4 and addrs are num keyed by parsed address, for the node IDs
+	// that are an address's canonical text: nodeOf(a) is num[a.String()]
+	// without rendering a. Plain IPv4 — nearly every host — is keyed by its
+	// 32 bits, which the runtime hashes and compares as one word; the
+	// 24-byte netip.Addr keys of addrs (IPv6, 4-in-6, zoned) cost several
+	// times that per lookup.
+	addr4 map[uint32]int32
+	addrs map[netip.Addr]int32
 }
 
 // treeMemo holds one tree per source node: trees[src][v] is the hop
@@ -159,6 +185,7 @@ func newShape(g *Graph) *shape {
 		}
 	}
 	sh.memo.Store(newTreeMemo(n))
+	sh.indexAddrs()
 	return sh
 }
 
@@ -232,17 +259,12 @@ func (sh *shape) tree(src int32) []hop {
 	return t
 }
 
-// addrTable returns the address -> node number table, building it on
-// first use. It is keyed from the node IDs, never from Node.Addr: an
-// address query resolves exactly as the same query in text does, so a
-// router interface address that is not the router's ID stays unknown.
-// (The one address whose text ParseAddr refuses is the zero Addr,
-// "invalid IP"; no codec admits that as an ID, so it stays unknown too.)
-func (sh *shape) addrTable() map[netip.Addr]int32 {
-	if t := sh.addrs.Load(); t != nil {
-		return *t
-	}
-	t := make(map[netip.Addr]int32)
+// indexAddrs builds the address tables from the node IDs. (The one
+// address whose text ParseAddr refuses is the zero Addr, "invalid IP"; no
+// codec admits that as an ID, so it stays unknown.)
+func (sh *shape) indexAddrs() {
+	sh.addr4 = make(map[uint32]int32, len(sh.ids))
+	sh.addrs = make(map[netip.Addr]int32)
 	var text []byte
 	for i, id := range sh.ids {
 		a, err := netip.ParseAddr(id)
@@ -251,13 +273,34 @@ func (sh *shape) addrTable() map[netip.Addr]int32 {
 		}
 		// "010.0.0.1" never parses, but "::FFFF:1.2.3.4" and "0::1" do:
 		// only the spelling String() gives is the one a query renders.
-		if text = a.AppendTo(text[:0]); string(text) == id {
-			t[a] = int32(i)
+		if text = a.AppendTo(text[:0]); string(text) != id {
+			continue
+		}
+		if a.Is4() {
+			sh.addr4[key4(a)] = int32(i)
+		} else {
+			sh.addrs[a] = int32(i)
 		}
 	}
-	// Racing first queries each build the same table; the last store wins.
-	sh.addrs.Store(&t)
-	return t
+}
+
+func key4(a netip.Addr) uint32 {
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
+func (sh *shape) nodeOf(a netip.Addr) int32 {
+	var n int32
+	var ok bool
+	if a.Is4() { // never a 4-in-6 address, never zoned
+		n, ok = sh.addr4[key4(a)]
+	} else {
+		n, ok = sh.addrs[a]
+	}
+	if !ok {
+		return NoNode
+	}
+	return n
 }
 
 func unknownHost(end, id string) error {
@@ -276,23 +319,6 @@ func (sh *shape) ends(from, to string) (src, dst int32, err error) {
 	}
 	if dst, ok = sh.num[to]; !ok {
 		return 0, 0, unknownHost("destination", to)
-	}
-	return src, dst, nil
-}
-
-// addrEnds is ends(from.String(), to.String()), rendering an address
-// only into the error that says it is unknown.
-func (sh *shape) addrEnds(from, to netip.Addr) (src, dst int32, err error) {
-	t := sh.addrTable()
-	src, ok := t[from]
-	if !ok {
-		return 0, 0, unknownHost("source", from.String())
-	}
-	if from == to {
-		return src, src, nil
-	}
-	if dst, ok = t[to]; !ok {
-		return 0, 0, unknownHost("destination", to.String())
 	}
 	return src, dst, nil
 }
@@ -382,6 +408,7 @@ type flowScratch struct {
 	hops  []hop         // every flow's path, end to end
 	ends  []int         // flow i's hops end at hops[ends[i]]
 	srcs  []int32       // flow i's source node number
+	nodes []int32       // FlowAllocAddrs' own resolution of the endpoints
 	flows []maxmin.Flow // flow i's demand; allocate adds its links
 	links []int         // hops as capacity-vector positions, for maxmin
 	caps  []float64
@@ -541,26 +568,39 @@ type AddrFlow struct {
 
 // FlowAllocAddrs is FlowAlloc over the flows' endpoints rendered as
 // node IDs — the same rates, paths and errors, word for word — without
-// rendering them: each address is resolved to its node number once
-// (addrTable), and text exists only in the error that names an unknown
-// one. The answers go to the caller's answer function, flow by flow,
-// rather than into a slice of this package's choosing, so the path slab
-// is the only allocation.
-func (px *PathIndex) FlowAllocAddrs(flows []AddrFlow, answer FlowAnswer) error {
+// rendering them: routing runs on node numbers, and text exists only in
+// the error that names an unknown endpoint. A caller that has resolved
+// the endpoints already (NodeOf, on this index or one it SharesNumbers
+// with) passes the numbers, ends[2i] and ends[2i+1] for flows[i].Src and
+// .Dst; with nil ends each endpoint is resolved here. The answers go to
+// the caller's answer function, flow by flow, rather than into a slice of
+// this package's choosing, so the path slab is the only allocation.
+func (px *PathIndex) FlowAllocAddrs(flows []AddrFlow, ends []int32, answer FlowAnswer) error {
 	st := flowScratchPool.Get().(*flowScratch)
 	defer flowScratchPool.Put(st)
-	return px.flowAllocAddrs(st, flows, answer)
+	return px.flowAllocAddrs(st, flows, ends, answer)
 }
 
-func (px *PathIndex) flowAllocAddrs(st *flowScratch, flows []AddrFlow, answer FlowAnswer) error {
+func (px *PathIndex) flowAllocAddrs(st *flowScratch, flows []AddrFlow, ends []int32, answer FlowAnswer) error {
+	if ends == nil {
+		st.nodes = st.nodes[:0]
+		for i := range flows {
+			st.nodes = append(st.nodes, px.shape.nodeOf(flows[i].Src), px.shape.nodeOf(flows[i].Dst))
+		}
+		ends = st.nodes
+	}
 	st.reset()
 	for i := range flows {
-		f := &flows[i]
-		src, dst, err := px.shape.addrEnds(f.Src, f.Dst)
-		if err == nil {
-			err = st.add(px.shape, src, dst, f.Demand)
+		// A flow from a node to itself needs only the source to exist, and
+		// has it: one address resolves to one number.
+		f, src, dst := &flows[i], ends[2*i], ends[2*i+1]
+		if src == NoNode {
+			return unknownHost("source", f.Src.String())
 		}
-		if err != nil {
+		if dst == NoNode {
+			return unknownHost("destination", f.Dst.String())
+		}
+		if err := st.add(px.shape, src, dst, f.Demand); err != nil {
 			return err
 		}
 	}
