@@ -31,7 +31,10 @@ race:
 # listener and the one user of it outside that set), collector (the
 # shared streaming Predictor parallel polls feed), modeler (whose queries
 # run beside the snapshot writer and read the stamp vector the next
-# generation is copied from) and the root package, whose end-to-end tests
+# generation is copied from), the cold path's three — snmp (the agent's
+# and the client's pooled scratch), mib (the device layout published per
+# topology epoch, walked beside a relayout) and snmpcoll (parallel device
+# walks and polls over both) — and the root package, whose end-to-end tests
 # drive those planes concurrently over the wire (load shedding, mixed
 # serving beside the watch plane) — the fast inner loop while working on
 # locking code (full-tree `make race` stays the merge gate). The
@@ -44,7 +47,8 @@ race-hot:
 		./internal/watch/ ./internal/obs/ ./internal/admission/ \
 		./internal/snapshot/ ./internal/federation/ ./internal/directory/ \
 		./internal/topology/ ./internal/modeler/ ./internal/conc/ \
-		./internal/collector/ ./internal/collector/benchcoll/ .
+		./internal/collector/ ./internal/collector/benchcoll/ \
+		./internal/snmp/ ./internal/mib/ ./internal/collector/snmpcoll/ .
 
 verify: vet lint build test race
 
@@ -103,11 +107,15 @@ bench-concurrency:
 		-benchmem -cpu 1,4,8 ./ ./internal/collector/qcache/
 
 # The cold-path exhibits: device-batched polling vs. per-interface
-# exchanges, the BER codec and the agent's exchange, and the ASCII graph
-# codec on a cold reply graph, all with allocation counts.
+# exchanges, the BER codec, one whole exchange against a device layout (the
+# poller's 24-varbind Get and a 7-column walk step) and a GetNext walk of
+# it, and the ASCII graph codec on a cold reply graph, all with allocation
+# counts. CI runs it with a short fixed BENCH_SNMP_TIME so the cold-path
+# pins cannot rot unbuilt.
+BENCH_SNMP_TIME ?= 1s
 bench-snmp:
-	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|GraphTextCodec' -benchmem \
-		./internal/collector/snmpcoll/ ./internal/snmp/ ./internal/topology/
+	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|GraphTextCodec' -benchmem \
+		-benchtime $(BENCH_SNMP_TIME) ./internal/collector/snmpcoll/ ./internal/snmp/ ./internal/mib/ ./internal/topology/
 
 # The snapshot-backed flow query: the Modeler's 8-flow queries over one
 # generation of the 10 204-node two-tier fabric (what bench/'s

@@ -220,11 +220,11 @@ func TestHCCountersSurviveLongInterval(t *testing.T) {
 	}
 }
 
-// hcToggleView delegates to a full view but can drop the ifXTable
-// mid-flight, like a device losing its high-capacity counters across a
-// firmware change.
+// hcToggleView serves a full table but can drop the ifXTable mid-flight,
+// like a device losing its high-capacity counters across a firmware
+// change.
 type hcToggleView struct {
-	inner snmp.MIBView
+	full, legacy *snmp.Table
 
 	mu   sync.Mutex
 	noHC bool
@@ -236,33 +236,13 @@ func (v *hcToggleView) dropHC() {
 	v.mu.Unlock()
 }
 
-func (v *hcToggleView) hcOff() bool {
+func (v *hcToggleView) Table() *snmp.Table {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.noHC
-}
-
-func isHC(o snmp.OID) bool { return o.HasPrefix(mib.IfXTable) }
-
-func (v *hcToggleView) Get(o snmp.OID) (snmp.Value, bool) {
-	if v.hcOff() && isHC(o) {
-		return snmp.Value{}, false
+	if v.noHC {
+		return v.legacy
 	}
-	return v.inner.Get(o)
-}
-
-func (v *hcToggleView) Next(o snmp.OID) (snmp.OID, snmp.Value, bool) {
-	for {
-		n, val, ok := v.inner.Next(o)
-		if !ok {
-			return nil, snmp.Value{}, false
-		}
-		if v.hcOff() && isHC(n) {
-			o = n
-			continue
-		}
-		return n, val, true
-	}
+	return v.full
 }
 
 // TestPartialErrorReprobesInterface: when a device stops serving its HC
@@ -279,11 +259,20 @@ func TestPartialErrorReprobesInterface(t *testing.T) {
 		binds[fmt.Sprintf("1.3.6.1.2.1.31.1.1.1.6.%d", i)] = snmp.Counter64Val(uint64(100 * i))
 		binds[fmt.Sprintf("1.3.6.1.2.1.31.1.1.1.10.%d", i)] = snmp.Counter64Val(uint64(200 * i))
 	}
-	inner, err := snmp.NewStaticView(binds)
+	full, err := snmp.NewStaticView(binds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := &hcToggleView{inner: inner}
+	for k := range binds {
+		if snmp.MustParseOID(k).HasPrefix(mib.IfXTable) {
+			delete(binds, k)
+		}
+	}
+	legacy, err := snmp.NewStaticView(binds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := &hcToggleView{full: full, legacy: legacy}
 	reg.Register("10.0.1.1", &snmp.Agent{Community: "public", View: view})
 	c := New(Config{
 		Transport:   &snmp.InProc{Registry: reg},

@@ -298,27 +298,35 @@ type arpEntry struct {
 	ip      netip.Addr
 }
 
-// getAll reads the given objects from one agent, as many per Get as
-// MaxVarBinds allows, and returns their values in order. An object the
-// agent does not answer for by name, and every object of a failed
-// exchange, comes back as the zero Value.
-func (b *build) getAll(agent netip.Addr, oids []snmp.OID) []snmp.Value {
-	vals := make([]snmp.Value, len(oids))
+// getEach reads the given objects from one agent, as many per Get as
+// MaxVarBinds allows, and shows fn every one by its position in oids,
+// while the response its value came in is alive: fn copies out what it
+// keeps. An object the agent does not answer for by name, and every object
+// of a failed exchange, is shown as the zero Value.
+func (b *build) getEach(agent netip.Addr, oids []snmp.OID, fn func(i int, v snmp.Value)) {
 	per := b.c.maxVarBinds()
 	addr := agent.String()
 	for lo := 0; lo < len(oids); lo += per {
-		hi := min(lo+per, len(oids))
-		vbs, err := b.cl.GetContext(b.ctx, addr, oids[lo:hi]...)
-		if err != nil || len(vbs) != hi-lo {
-			continue
-		}
-		for k, vb := range vbs {
-			if vb.Name.Cmp(oids[lo+k]) == 0 {
-				vals[lo+k] = vb.Value
+		chunk := oids[lo:min(lo+per, len(oids))]
+		answered := false
+		_ = b.cl.GetFunc(b.ctx, addr, chunk, func(vbs []snmp.VarBind) { // a failed exchange leaves answered unset
+			if answered = len(vbs) == len(chunk); !answered {
+				return
+			}
+			for k, vb := range vbs {
+				v := vb.Value
+				if vb.Name.Cmp(chunk[k]) != 0 {
+					v = snmp.Value{}
+				}
+				fn(lo+k, v)
+			}
+		})
+		if !answered {
+			for k := range chunk {
+				fn(lo+k, snmp.Value{})
 			}
 		}
 	}
-	return vals
 }
 
 // arpGet reads ARP entries from the router at via; entries it does not
@@ -332,11 +340,11 @@ func (b *build) arpGet(via netip.Addr, entries []arpEntry) map[netip.Addr]collec
 			uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3]))
 	}
 	found := make(map[netip.Addr]collector.MAC, len(entries))
-	for i, v := range b.getAll(via, oids) {
+	b.getEach(via, oids, func(i int, v snmp.Value) {
 		if m, ok := collector.MACFromBytes(v.Bytes); ok {
 			found[entries[i].ip] = m
 		}
-	}
+	})
 	return found
 }
 
@@ -463,9 +471,9 @@ func (b *build) verifyLocations() error {
 		for k, st := range g.stations {
 			oids[k] = arena.Append(mib.Dot1dTpFdbPort, st.mac.OIDSuffix()...)
 		}
-		for k, v := range b.getAll(g.sw, oids) {
+		b.getEach(g.sw, oids, func(k int, v snmp.Value) {
 			g.stations[k].moved = v.Kind != snmp.KindInteger || int(v.Int) != g.stations[k].port
-		}
+		})
 		return nil
 	})
 	var moved []collector.MAC

@@ -107,16 +107,14 @@ func (c *Collector) readCountersLocked(ctx context.Context, cl *snmp.Client, add
 	now := c.cfg.Sched.Now()
 	arena := make(snmp.OIDArena, 0, 4*pollOIDLen)
 	oids := p.pollOIDs(make([]snmp.OID, 0, 4), &arena)
-	vbs, err := cl.GetContext(ctx, addr, oids...)
+	err := cl.GetFunc(ctx, addr, oids, func(vbs []snmp.VarBind) {
+		if in, out, ok := p.applyCounterVarBinds(oids, vbs); ok {
+			c.applyDelta(p, in, out, now)
+		}
+	})
 	if err != nil {
 		p.havePrev = false // device unreachable; resync next time
-		return
 	}
-	in, out, ok := p.applyCounterVarBinds(oids, vbs)
-	if !ok {
-		return
-	}
-	c.applyDelta(p, in, out, now)
 }
 
 // applyCounterVarBinds validates a response against the OIDs the point
@@ -296,32 +294,32 @@ func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr s
 		oids = p.pollOIDs(oids, &arena)
 	}
 	now := c.cfg.Sched.Now()
-	vbs, err := cl.GetContext(ctx, addr, oids...)
+	err := cl.GetFunc(ctx, addr, oids, func(vbs []snmp.VarBind) {
+		if len(vbs) != len(oids) {
+			// Malformed response: retry each interface on its own.
+			for _, p := range batch {
+				c.readCountersLocked(ctx, cl, addr, p)
+			}
+			return
+		}
+		lo := 0
+		for _, p := range batch {
+			hi := lo + p.width() // read before the response settles a probing point's mode
+			in, out, ok := p.applyCounterVarBinds(oids[lo:hi], vbs[lo:hi])
+			lo = hi
+			if !ok {
+				// This interface answered with an unexpected OID or kind
+				// (partial error): re-read it alone, which re-probes.
+				c.readCountersLocked(ctx, cl, addr, p)
+				continue
+			}
+			c.applyDelta(p, in, out, now)
+		}
+	})
 	if err != nil {
 		for _, p := range batch {
 			p.havePrev = false // device unreachable; resync next time
 		}
-		return
-	}
-	if len(vbs) != len(oids) {
-		// Malformed response: retry each interface on its own.
-		for _, p := range batch {
-			c.readCountersLocked(ctx, cl, addr, p)
-		}
-		return
-	}
-	lo := 0
-	for _, p := range batch {
-		hi := lo + p.width() // read before the response settles a probing point's mode
-		in, out, ok := p.applyCounterVarBinds(oids[lo:hi], vbs[lo:hi])
-		lo = hi
-		if !ok {
-			// This interface answered with an unexpected OID or kind
-			// (partial error): re-read it alone, which re-probes.
-			c.readCountersLocked(ctx, cl, addr, p)
-			continue
-		}
-		c.applyDelta(p, in, out, now)
 	}
 }
 

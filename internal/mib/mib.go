@@ -6,8 +6,8 @@ package mib
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"remos/internal/netsim"
 	"remos/internal/sim"
@@ -80,16 +80,11 @@ var sysObjectID = snmp.MustParseOID("1.3.6.1.4.1.99999.1")
 // FdbStatusLearned is the dot1dTpFdbStatus value for a learned entry.
 const FdbStatusLearned = 3
 
-// entry is one bound OID with a lazily evaluated value.
-type entry struct {
-	oid snmp.OID
-	fn  func() snmp.Value
-}
-
 // DeviceView serves a netsim device's management objects. It implements
-// snmp.MIBView. Table layout (OID order) is cached and revalidated against
-// the network's topology epoch; values (counters, uptime) are computed on
-// access.
+// snmp.MIBView: the layout (which objects, in OID order, with the values
+// that cannot change while the topology stands) is an immutable snmp.Table
+// published per topology epoch; live values (counters, uptime) are
+// computed on access.
 type DeviceView struct {
 	net *netsim.Network
 	dev *netsim.Device
@@ -99,32 +94,68 @@ type DeviceView struct {
 	// exercised.
 	NoHC bool
 
-	mu      sync.Mutex
-	epoch   int
-	entries []entry
+	mu  sync.Mutex // serialises rebuilds; readers never take it
+	cur atomic.Pointer[layout]
+}
+
+// layout is one epoch's table. It is filled before it is published and
+// never written afterwards.
+type layout struct {
+	epoch int
+	table *snmp.Table
 }
 
 // NewDeviceView builds a view over the device.
 func NewDeviceView(n *netsim.Network, d *netsim.Device) *DeviceView {
-	return &DeviceView{net: n, dev: d, epoch: -1}
+	return &DeviceView{net: n, dev: d}
 }
 
-func (v *DeviceView) refreshLocked() {
+// Table implements snmp.MIBView: the layout of the network's current
+// topology epoch, rebuilt by the first request to find it stale. Requests
+// already answering from the previous table finish on it.
+func (v *DeviceView) Table() *snmp.Table {
 	ep := v.net.TopologyEpoch()
-	if ep == v.epoch {
-		return
+	if l := v.cur.Load(); l != nil && l.epoch == ep {
+		return l.table
 	}
-	v.epoch = ep
-	v.entries = v.entries[:0]
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	// The epoch is read again under the lock: whoever rebuilt while this
+	// request waited may have built this epoch or a later one.
+	ep = v.net.TopologyEpoch()
+	if l := v.cur.Load(); l != nil && l.epoch == ep {
+		return l.table
+	}
+	l := &layout{epoch: ep, table: v.build()}
+	v.cur.Store(l)
+	return l.table
+}
+
+// build lays out the device as the network has it now. What cannot change
+// while the topology stands — names, indexes, MACs, routes, the forwarding
+// database — is bound as a value, built once and handed out as it is (the
+// agent only encodes it, and a decoded response never aliases it); what
+// can is bound as a function.
+func (v *DeviceView) build() *snmp.Table {
 	d := v.dev
-	add := func(oid snmp.OID, fn func() snmp.Value) {
-		v.entries = append(v.entries, entry{oid: oid, fn: fn})
+	ifaces := d.Ifaces()
+	var fdb []netsim.FdbEntry
+	if d.Kind == netsim.Switch {
+		fdb = v.net.FDB(d)
+	}
+	// Room for everything but a router's ARP entries.
+	binds := make([]snmp.Binding, 0, 16+12*len(ifaces)+4*len(d.Routes())+3*len(fdb))
+	fixed := func(oid snmp.OID, val snmp.Value) {
+		binds = append(binds, snmp.Binding{Name: oid, Value: val})
+	}
+	live := func(oid snmp.OID, fn func() snmp.Value) {
+		binds = append(binds, snmp.Binding{Name: oid, Live: fn})
 	}
 
 	// system group
-	add(SysDescr, constStr(fmt.Sprintf("remos emulated %s %s", d.Kind, d.Name)))
-	add(SysObject, constVal(snmp.OIDValue(sysObjectID)))
-	add(SysUpTime, func() snmp.Value {
+	fixed(SysDescr, snmp.Str(fmt.Sprintf("remos emulated %s %s", d.Kind, d.Name)))
+	fixed(SysObject, snmp.OIDValue(sysObjectID))
+	live(SysUpTime, func() snmp.Value {
 		since := d.BootTime()
 		if since.IsZero() {
 			since = sim.Epoch
@@ -132,45 +163,43 @@ func (v *DeviceView) refreshLocked() {
 		up := v.net.Scheduler().Now().Sub(since)
 		return snmp.Ticks(uint32(up.Milliseconds() / 10))
 	})
-	add(SysName, constStr(d.Name))
+	fixed(SysName, snmp.Str(d.Name))
 
 	// interfaces group
-	ifaces := d.Ifaces()
-	add(IfNumber, func() snmp.Value { return snmp.Int64(int64(len(ifaces))) })
+	fixed(IfNumber, snmp.Int64(int64(len(ifaces))))
 	for _, ifc := range ifaces {
-		ifc := ifc
 		idx := uint32(ifc.Index)
-		add(IfIndex.Append(idx), func() snmp.Value { return snmp.Int64(int64(ifc.Index)) })
-		add(IfDescr.Append(idx), constStr(ifc.Name))
-		add(IfType.Append(idx), func() snmp.Value { return snmp.Int64(6) }) // ethernetCsmacd
-		add(IfSpeed.Append(idx), func() snmp.Value {
+		fixed(IfIndex.Append(idx), snmp.Int64(int64(ifc.Index)))
+		fixed(IfDescr.Append(idx), snmp.Str(ifc.Name))
+		fixed(IfType.Append(idx), snmp.Int64(6)) // ethernetCsmacd
+		live(IfSpeed.Append(idx), func() snmp.Value {
 			speed := ifc.Speed()
 			if speed > 4294967295 {
 				speed = 4294967295 // Gauge32 ceiling, as RFC 2863 prescribes
 			}
 			return snmp.Gauge(uint32(speed))
 		})
-		add(IfPhysAddr.Append(idx), constMAC(ifc.MAC))
-		add(IfOperSt.Append(idx), func() snmp.Value {
+		fixed(IfPhysAddr.Append(idx), macVal(ifc.MAC))
+		live(IfOperSt.Append(idx), func() snmp.Value {
 			if ifc.Link != nil {
 				return snmp.Int64(1) // up
 			}
 			return snmp.Int64(2) // down
 		})
-		add(IfInOctets.Append(idx), func() snmp.Value {
+		live(IfInOctets.Append(idx), func() snmp.Value {
 			in, _ := ifc.Counters()
 			return snmp.Counter(in)
 		})
-		add(IfOutOctets.Append(idx), func() snmp.Value {
+		live(IfOutOctets.Append(idx), func() snmp.Value {
 			_, out := ifc.Counters()
 			return snmp.Counter(out)
 		})
 		if !v.NoHC {
-			add(IfHCInOctets.Append(idx), func() snmp.Value {
+			live(IfHCInOctets.Append(idx), func() snmp.Value {
 				in, _ := ifc.Counters()
 				return snmp.Counter64Val(in)
 			})
-			add(IfHCOutOctets.Append(idx), func() snmp.Value {
+			live(IfHCOutOctets.Append(idx), func() snmp.Value {
 				_, out := ifc.Counters()
 				return snmp.Counter64Val(out)
 			})
@@ -184,29 +213,29 @@ func (v *DeviceView) refreshLocked() {
 	if d.IsRouter() {
 		fwd = 1
 	}
-	add(IPForwarding, func() snmp.Value { return snmp.Int64(fwd) })
+	fixed(IPForwarding, snmp.Int64(fwd))
 	if d.IsRouter() {
 		for _, rt := range d.Routes() {
 			dest := rt.Prefix.Masked().Addr().As4()
 			sub := []uint32{uint32(dest[0]), uint32(dest[1]), uint32(dest[2]), uint32(dest[3])}
-			add(IPRouteDest.Append(sub...), constVal(snmp.IPv4(dest)))
-			add(IPRouteIfIdx.Append(sub...), constVal(snmp.Int64(int64(rt.IfIndex))))
+			fixed(IPRouteDest.Append(sub...), snmp.IPv4(dest))
+			fixed(IPRouteIfIdx.Append(sub...), snmp.Int64(int64(rt.IfIndex)))
 			next := [4]byte{} // 0.0.0.0: directly connected
 			if rt.NextHop.IsValid() {
 				next = rt.NextHop.As4()
 			}
-			add(IPRouteNext.Append(sub...), constVal(snmp.IPv4(next)))
+			fixed(IPRouteNext.Append(sub...), snmp.IPv4(next))
 			var m uint32
 			if bits := rt.Prefix.Bits(); bits > 0 {
 				m = ^uint32(0) << (32 - uint(bits))
 			}
-			add(IPRouteMask.Append(sub...), constVal(snmp.IPv4([4]byte{byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)})))
+			fixed(IPRouteMask.Append(sub...), snmp.IPv4([4]byte{byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)}))
 		}
 	}
 
 	// Host Resources: CPU load for hosts with an attached load source.
 	if d.Kind == netsim.Host {
-		add(HrProcessorLoad, func() snmp.Value {
+		live(HrProcessorLoad, func() snmp.Value {
 			return snmp.Gauge(uint32(d.Load() * 100))
 		})
 	}
@@ -218,30 +247,27 @@ func (v *DeviceView) refreshLocked() {
 		if !ifc.IP.IsValid() {
 			continue
 		}
-		ifc := ifc
 		ip4 := ifc.IP.As4()
-		add(IPAdEntIfIndex.Append(uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3])),
-			func() snmp.Value { return snmp.Int64(int64(ifc.Index)) })
+		fixed(IPAdEntIfIndex.Append(uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3])),
+			snmp.Int64(int64(ifc.Index)))
 	}
 
 	// ARP table (routers only): one entry per station on each attached
 	// segment, the source the SNMP Collector uses to resolve host MACs
 	// for Bridge Collector lookups.
 	if d.IsRouter() {
-		for _, rif := range d.Ifaces() {
+		for _, rif := range ifaces {
 			if !rif.Prefix.IsValid() {
 				continue
 			}
-			rif := rif
 			for _, other := range v.net.Devices() {
 				for _, oif := range other.Ifaces() {
 					if oif == rif || !oif.IP.IsValid() || oif.Prefix != rif.Prefix {
 						continue
 					}
-					oif := oif
 					ip4 := oif.IP.As4()
 					sub := []uint32{uint32(rif.Index), uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3])}
-					add(IPNetToMediaPhys.Append(sub...), constMAC(oif.MAC))
+					fixed(IPNetToMediaPhys.Append(sub...), macVal(oif.MAC))
 				}
 			}
 		}
@@ -250,107 +276,38 @@ func (v *DeviceView) refreshLocked() {
 	// Bridge-MIB (switches only).
 	if d.Kind == netsim.Switch {
 		if len(ifaces) > 0 {
-			first := ifaces[0]
-			add(Dot1dBaseBridgeAddr, constMAC(first.MAC))
+			fixed(Dot1dBaseBridgeAddr, macVal(ifaces[0].MAC))
 		}
-		add(Dot1dBaseNumPorts, func() snmp.Value { return snmp.Int64(int64(len(ifaces))) })
+		fixed(Dot1dBaseNumPorts, snmp.Int64(int64(len(ifaces))))
 		for _, ifc := range ifaces {
-			ifc := ifc
-			add(Dot1dBasePortIfIndex.Append(uint32(ifc.Index)),
-				func() snmp.Value { return snmp.Int64(int64(ifc.Index)) })
+			fixed(Dot1dBasePortIfIndex.Append(uint32(ifc.Index)), snmp.Int64(int64(ifc.Index)))
 		}
 		// Access points additionally serve the wireless station table.
 		if ap := v.net.AccessPointOf(d); ap != nil {
 			assocs := ap.Associations()
-			add(WlanNumStations, func() snmp.Value { return snmp.Int64(int64(len(assocs))) })
+			fixed(WlanNumStations, snmp.Int64(int64(len(assocs))))
 			for _, a := range assocs {
-				a := a
 				sub := macSub(netsim.MAC(a.MAC))
-				add(WlanStaRate.Append(sub...), func() snmp.Value {
-					rate := a.Rate
-					if rate > 4294967295 {
-						rate = 4294967295
-					}
-					return snmp.Gauge(uint32(rate))
-				})
-				add(WlanStaRSSI.Append(sub...), func() snmp.Value {
-					return snmp.Int64(int64(a.RSSI))
-				})
+				fixed(WlanStaRate.Append(sub...), snmp.Gauge(uint32(min(a.Rate, 4294967295))))
+				fixed(WlanStaRSSI.Append(sub...), snmp.Int64(int64(a.RSSI)))
 			}
 		}
-		for _, fe := range v.net.FDB(d) {
-			fe := fe
+		for _, fe := range fdb {
 			sub := macSub(fe.MAC)
-			add(Dot1dTpFdbAddress.Append(sub...), constMAC(fe.MAC))
-			add(Dot1dTpFdbPort.Append(sub...), func() snmp.Value { return snmp.Int64(int64(fe.Port)) })
-			add(Dot1dTpFdbStatus.Append(sub...), func() snmp.Value { return snmp.Int64(FdbStatusLearned) })
+			fixed(Dot1dTpFdbAddress.Append(sub...), macVal(fe.MAC))
+			fixed(Dot1dTpFdbPort.Append(sub...), snmp.Int64(int64(fe.Port)))
+			fixed(Dot1dTpFdbStatus.Append(sub...), snmp.Int64(FdbStatusLearned))
 		}
 	}
-
-	sortEntries(v.entries)
+	return snmp.NewTable(binds)
 }
 
 func macSub(m netsim.MAC) []uint32 {
 	return []uint32{uint32(m[0]), uint32(m[1]), uint32(m[2]), uint32(m[3]), uint32(m[4]), uint32(m[5])}
 }
 
-// constVal serves a value fixed for the layout's lifetime. Octet strings
-// and OIDs are built once per refresh and handed out as they are, not
-// copied per request: the agent only encodes them, and a decoded response
-// never aliases them.
-func constVal(v snmp.Value) func() snmp.Value {
-	return func() snmp.Value { return v }
-}
-
-func constStr(s string) func() snmp.Value { return constVal(snmp.Str(s)) }
-
-func constMAC(m netsim.MAC) func() snmp.Value { return constVal(snmp.Octets(m[:])) }
-
-func sortEntries(es []entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].oid.Cmp(es[j].oid) < 0 })
-}
-
-// Get implements snmp.MIBView.
-func (v *DeviceView) Get(oid snmp.OID) (snmp.Value, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.refreshLocked()
-	lo, hi := 0, len(v.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch c := v.entries[mid].oid.Cmp(oid); {
-		case c == 0:
-			return v.entries[mid].fn(), true
-		case c < 0:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return snmp.Value{}, false
-}
-
-// Next implements snmp.MIBView.
-func (v *DeviceView) Next(oid snmp.OID) (snmp.OID, snmp.Value, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.refreshLocked()
-	lo, hi := 0, len(v.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.entries[mid].oid.Cmp(oid) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(v.entries) {
-		// The layout's OIDs are built fresh by each refresh and never
-		// written again, so the caller may keep this one.
-		return v.entries[lo].oid, v.entries[lo].fn(), true
-	}
-	return nil, snmp.Value{}, false
-}
+// macVal is the octet-string value of a MAC, on storage of its own.
+func macVal(m netsim.MAC) snmp.Value { return snmp.Octets(m[:]) }
 
 // AttachAll creates an agent for every SNMP-reachable device in the
 // network and registers it in the registry under the device's management

@@ -85,7 +85,7 @@ func TestIfSpeedCapsAtGauge32(t *testing.T) {
 	n.AssignSubnets()
 	n.ComputeRoutes()
 	view := NewDeviceView(n, a)
-	v, ok := view.Get(IfSpeed.Append(1))
+	v, ok := view.Table().Get(IfSpeed.Append(1))
 	if !ok || v.Int != 4294967295 {
 		t.Fatalf("10G ifSpeed = %v, want Gauge32 ceiling", v)
 	}
@@ -302,8 +302,14 @@ func BenchmarkDeviceViewNext(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cur := Dot1dTpFdbPort.Clone()
 		for {
-			next, _, ok := view.Next(cur)
-			if !ok || !next.HasPrefix(Dot1dTpFdbPort) {
+			// One GetNext request: the layout, a search, a read.
+			t := view.Table()
+			at := t.Seek(cur)
+			if at == t.Len() {
+				break
+			}
+			next, _ := t.At(at)
+			if !next.HasPrefix(Dot1dTpFdbPort) {
 				break
 			}
 			cur = next

@@ -227,7 +227,7 @@ type Network struct {
 	byIP map[netip.Addr]*Iface
 	aps  map[*Device]*AccessPoint
 
-	fdbEpoch int // bumped on any topology change; invalidates FDB caches
+	fdbEpoch int // bumped on any topology, address or route change; invalidates derived views
 }
 
 // New creates an empty network on the given scheduler.
@@ -376,9 +376,10 @@ func (n *Network) Reboot(d *Device) {
 	}
 }
 
-// TopologyEpoch returns a counter that increments on every topology
-// change (devices added, links connected, hosts moved). Callers caching
-// derived views (forwarding databases, MIB tables) revalidate against it.
+// TopologyEpoch returns a counter that increments on every change to what
+// a device's tables hold (devices added, links connected, hosts moved,
+// addresses assigned, routes computed). Callers caching derived views
+// (forwarding databases, MIB tables) revalidate against it.
 func (n *Network) TopologyEpoch() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -93,6 +93,7 @@ func (n *Network) segmentsLocked() []*segment {
 func (n *Network) AssignSubnets() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.fdbEpoch++ // every address a derived view lays out is rewritten below
 	n.byIP = make(map[netip.Addr]*Iface)
 	n.subnetSeq = 0
 	for _, seg := range n.segmentsLocked() {
@@ -151,6 +152,7 @@ func (n *Network) AssignSubnets() {
 func (n *Network) ComputeRoutes() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.fdbEpoch++ // every route and gateway is rewritten below
 	segs := n.segmentsLocked()
 
 	// Adjacency: routers sharing a segment. For each pair record the

@@ -120,6 +120,18 @@ var NoSuchObject = Value{Kind: KindNoSuchObject}
 // EndOfMibView is the v2c exception ending GetNext/GetBulk walks.
 var EndOfMibView = Value{Kind: KindEndOfMibView}
 
+// Clone returns a copy of the value sharing no storage with v: what a
+// caller keeps of a decoded message that dies with its exchange.
+func (v Value) Clone() Value {
+	if v.Bytes != nil {
+		v.Bytes = append([]byte{}, v.Bytes...)
+	}
+	if v.Oid != nil {
+		v.Oid = v.Oid.Clone()
+	}
+	return v
+}
+
 // String renders the value for debugging and the ASCII protocol.
 func (v Value) String() string {
 	switch v.Kind {
@@ -246,10 +258,19 @@ func checkOID(o OID) error {
 }
 
 // sizeOIDBody returns the body size for an OID that passed checkOID.
+// Sub-identifiers below 2^7 and 2^14 — every MIB arc, ifIndex, MAC and
+// IPv4 octet — are sized and written without the general base-128 loop.
 func sizeOIDBody(o OID) int {
 	n := 1
 	for _, v := range o[2:] {
-		n += sizeBase128(v)
+		switch {
+		case v < 1<<7:
+			n++
+		case v < 1<<14:
+			n += 2
+		default:
+			n += sizeBase128(v)
+		}
 	}
 	return n
 }
@@ -258,7 +279,14 @@ func sizeOIDBody(o OID) int {
 func appendOIDBody(dst []byte, o OID) []byte {
 	dst = append(dst, byte(o[0]*40+o[1]))
 	for _, v := range o[2:] {
-		dst = appendBase128(dst, v)
+		switch {
+		case v < 1<<7:
+			dst = append(dst, byte(v))
+		case v < 1<<14:
+			dst = append(dst, byte(v>>7)|0x80, byte(v&0x7f))
+		default:
+			dst = appendBase128(dst, v)
+		}
 	}
 	return dst
 }
@@ -496,8 +524,8 @@ func (r *reader) readInteger() (int64, error) {
 // one []byte holding every octet string and IpAddress. Each value is a
 // cap-limited sub-slice of its arena, so appending to one reallocates it
 // instead of reaching its neighbour. A fresh decoder backs one Unmarshal;
-// the agent reuses pooled ones, whose previous message dies with the next
-// decode.
+// the agent and the client reuse pooled ones, whose previous message dies
+// with the next decode.
 type decoder struct {
 	msg       Message
 	community []byte // aliases the input, valid only while it is
@@ -523,42 +551,42 @@ func (d *decoder) bytes(body []byte) []byte {
 	return d.octets[start:len(d.octets):len(d.octets)]
 }
 
-// value decodes one TLV into a Value.
-func (d *decoder) value(r *reader) (Value, error) {
+// value decodes one TLV into *v, overwriting whatever it held.
+func (d *decoder) value(r *reader, v *Value) error {
 	tag, length, err := r.readTL()
 	if err != nil {
-		return Value{}, err
+		return err
 	}
 	body, err := r.readBytes(length)
 	if err != nil {
-		return Value{}, err
+		return err
 	}
 	switch tag {
 	case tagNull:
-		return Null, nil
+		*v = Null
 	case tagInteger:
-		v, err := parseIntBody(body)
+		i, err := parseIntBody(body)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return Int64(v), nil
+		*v = Int64(i)
 	case tagOctetString:
-		return Octets(d.bytes(body)), nil
+		*v = Octets(d.bytes(body))
 	case tagOID:
 		o, err := d.oid(body)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
-		return OIDValue(o), nil
+		*v = OIDValue(o)
 	case tagIPAddress:
 		if len(body) != 4 {
-			return Value{}, fmt.Errorf("snmp: IpAddress body %d bytes", len(body))
+			return fmt.Errorf("snmp: IpAddress body %d bytes", len(body))
 		}
-		return Value{Kind: KindIPAddress, Bytes: d.bytes(body)}, nil
+		*v = Value{Kind: KindIPAddress, Bytes: d.bytes(body)}
 	case tagCounter32, tagGauge32, tagTimeTicks, tagCounter64:
-		v, err := parseUintBody(body)
+		u, err := parseUintBody(body)
 		if err != nil {
-			return Value{}, err
+			return err
 		}
 		var k Kind
 		switch tag {
@@ -572,15 +600,17 @@ func (d *decoder) value(r *reader) (Value, error) {
 			k = KindCounter64
 		}
 		if k != KindCounter64 {
-			v = uint64(uint32(v)) // 32-bit application types truncate
+			u = uint64(uint32(u)) // 32-bit application types truncate
 		}
-		return Value{Kind: k, Int: int64(v)}, nil
+		*v = Value{Kind: k, Int: int64(u)}
 	case tagNoSuchObject:
-		return NoSuchObject, nil
+		*v = NoSuchObject
 	case tagNoSuchInst:
-		return Value{Kind: KindNoSuchInstance}, nil
+		*v = Value{Kind: KindNoSuchInstance}
 	case tagEndOfMibView:
-		return EndOfMibView, nil
+		*v = EndOfMibView
+	default:
+		return fmt.Errorf("snmp: unsupported BER tag 0x%02x", tag)
 	}
-	return Value{}, fmt.Errorf("snmp: unsupported BER tag 0x%02x", tag)
+	return nil
 }

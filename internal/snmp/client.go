@@ -73,12 +73,27 @@ func (m *Meter) Reset() {
 	m.mu.Unlock()
 }
 
-// encodePool recycles request encode buffers across roundTrip calls. A
-// pooled buffer may only back the synchronous path: the transport hands
-// the bytes to the agent and returns before roundTrip puts the buffer
-// back, so nothing aliases it afterwards. Pipelined sends keep requests
-// in flight after Send returns and therefore marshal fresh buffers.
-var encodePool = sync.Pool{New: func() any { return new([]byte) }}
+// clientScratch is everything one exchange needs and nothing outlives:
+// the request's varbinds and its encoding, the decoded response and its
+// arenas, and — for a walk, which holds one scratch for all its exchanges —
+// the walk's columns. The request's encoding may live here only on the
+// lock-step path: the transport hands the bytes to the agent and returns
+// before the scratch is reused, so nothing aliases them afterwards;
+// pipelined sends keep requests in flight after Send returns and marshal
+// fresh buffers. A decoded response is visible only to the callback of the
+// exchange that decoded it: what outlives the callback is copied out.
+type clientScratch struct {
+	req []VarBind
+	buf []byte
+	dec decoder
+
+	open   []int  // BulkWalkColumns: indices of the columns still walked
+	closed []bool // per open column, for one response
+	at     []OID  // per column: the name to walk on from, in own or in dec
+	own    []OID  // per column: backing the cursor is copied to between exchanges
+}
+
+var clientPool = sync.Pool{New: func() any { return new(clientScratch) }}
 
 // Client issues SNMP requests through a Transport.
 type Client struct {
@@ -185,30 +200,44 @@ func (c *Client) attempts() int {
 	return c.Retries + 1
 }
 
-// checkResponse validates a decoded response against the request.
-func checkResponse(resp *Message, reqID int32) (*PDU, error) {
-	if resp.PDU.Type != GetResponse || resp.PDU.RequestID != reqID {
-		return nil, fmt.Errorf("snmp: mismatched response (type %v, id %d)", resp.PDU.Type, resp.PDU.RequestID)
-	}
-	return &resp.PDU, nil
-}
-
-func (c *Client) roundTrip(ctx context.Context, addr string, pdu PDU) (*PDU, error) {
-	if c.Pipeline > 1 {
-		if st, ok := c.Transport.(SessionTransport); ok {
-			return c.roundTripPipelined(ctx, st, addr, pdu)
-		}
-	}
-	pdu.RequestID = c.reqID.Add(1)
-	msg := &Message{Community: c.Community, PDU: pdu}
-	bufp := encodePool.Get().(*[]byte)
-	req, err := msg.AppendMarshal((*bufp)[:0])
-	if err != nil {
-		encodePool.Put(bufp)
+// response decodes one response datagram into the scratch and checks that
+// it answers reqID.
+func (sc *clientScratch) response(b []byte, reqID int32) (*PDU, error) {
+	if err := sc.dec.decode(b); err != nil {
 		return nil, err
 	}
-	*bufp = req
-	defer encodePool.Put(bufp)
+	pdu := &sc.dec.msg.PDU
+	if pdu.Type != GetResponse || pdu.RequestID != reqID {
+		return nil, fmt.Errorf("snmp: mismatched response (type %v, id %d)", pdu.Type, pdu.RequestID)
+	}
+	return pdu, nil
+}
+
+// roundTrip is the one exchange core: it sends pdu with sc.req for
+// varbinds and decodes the answer into sc, re-sending after a timeout and
+// after a response that does not decode or match. The PDU it returns lives
+// in sc and dies with sc's next exchange.
+//
+// Lock-step, the request is encoded once, into sc, under one RequestID.
+// With Pipeline > 1 over a SessionTransport every attempt is a fresh
+// buffer (the session retains it while in flight) under a fresh RequestID:
+// a late response to a timed-out attempt then fails to match anything and
+// is dropped, instead of being mistaken for the retry's answer.
+func (c *Client) roundTrip(ctx context.Context, addr string, sc *clientScratch, pdu PDU) (*PDU, error) {
+	msg := Message{Community: c.Community, PDU: pdu}
+	msg.PDU.VarBinds = sc.req
+	var p *pipe
+	var err error
+	if st, ok := c.Transport.(SessionTransport); ok && c.Pipeline > 1 {
+		if p, err = c.pipe(st, addr); err != nil {
+			return nil, err
+		}
+	} else {
+		msg.PDU.RequestID = c.reqID.Add(1)
+		if sc.buf, err = msg.AppendMarshal(sc.buf[:0]); err != nil {
+			return nil, err
+		}
+	}
 	var lastErr error
 	for i := 0; i < c.attempts(); i++ {
 		// The blocking RoundTrip itself is not interruptible, but
@@ -217,19 +246,30 @@ func (c *Client) roundTrip(ctx context.Context, addr string, pdu PDU) (*PDU, err
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		respB, rtt, err := c.Transport.RoundTrip(addr, req)
-		c.Meter.AddExchange(rtt, len(pdu.VarBinds))
+		var respB []byte
+		var rtt time.Duration
+		if p == nil {
+			respB, rtt, err = c.Transport.RoundTrip(addr, sc.buf)
+		} else {
+			msg.PDU.RequestID = c.reqID.Add(1)
+			var req []byte
+			if req, err = msg.Marshal(); err != nil {
+				return nil, err
+			}
+			c.mInflight.Add(1)
+			respB, rtt, err = p.call(ctx, msg.PDU.RequestID, req)
+			c.mInflight.Add(-1)
+		}
+		c.Meter.AddExchange(rtt, len(sc.req))
 		c.record(rtt, err, i)
 		if err != nil {
+			if p != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+				return nil, err
+			}
 			lastErr = err
 			continue
 		}
-		resp, err := unmarshalHint(respB, c.Community)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		out, err := checkResponse(resp, pdu.RequestID)
+		out, err := sc.response(respB, msg.PDU.RequestID)
 		if err != nil {
 			lastErr = err
 			continue
@@ -243,54 +283,21 @@ func (c *Client) roundTrip(ctx context.Context, addr string, pdu PDU) (*PDU, err
 	return nil, finalErr(addr, lastErr)
 }
 
-func (c *Client) roundTripPipelined(ctx context.Context, st SessionTransport, addr string, pdu PDU) (*PDU, error) {
-	p, err := c.pipe(st, addr)
+// exchange runs one request of the given type for the named objects on a
+// pooled scratch, and shows the response's varbinds to use before the
+// scratch they live in goes back.
+func (c *Client) exchange(ctx context.Context, addr string, typ PDUType, names []OID, use func([]VarBind) error) error {
+	sc := clientPool.Get().(*clientScratch)
+	defer clientPool.Put(sc)
+	sc.req = sc.req[:0]
+	for _, o := range names {
+		sc.req = append(sc.req, VarBind{Name: o, Value: Null})
+	}
+	pdu, err := c.roundTrip(ctx, addr, sc, PDU{Type: typ})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var lastErr error
-	for i := 0; i < c.attempts(); i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// A fresh RequestID per attempt: a late response to a timed-out
-		// attempt then fails to match anything and is dropped, instead of
-		// being mistaken for the retry's answer.
-		pdu.RequestID = c.reqID.Add(1)
-		msg := &Message{Community: c.Community, PDU: pdu}
-		req, err := msg.Marshal() // fresh: the session retains it while in flight
-		if err != nil {
-			return nil, err
-		}
-		c.mInflight.Add(1)
-		respB, rtt, err := p.call(ctx, pdu.RequestID, req)
-		c.mInflight.Add(-1)
-		c.Meter.AddExchange(rtt, len(pdu.VarBinds))
-		c.record(rtt, err, i)
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil, err
-			}
-			lastErr = err
-			continue
-		}
-		resp, err := unmarshalHint(respB, c.Community)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		out, err := checkResponse(resp, pdu.RequestID)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if out.ErrorStatus != ErrStatusNoError {
-			return nil, fmt.Errorf("snmp: agent %s returned error status %d at index %d",
-				addr, out.ErrorStatus, out.ErrorIndex)
-		}
-		return out, nil
-	}
-	return nil, finalErr(addr, lastErr)
+	return use(pdu.VarBinds)
 }
 
 // pipe returns the pipelined session for addr, opening it on first use.
@@ -443,18 +450,28 @@ func (c *Client) Get(addr string, oids ...OID) ([]VarBind, error) {
 	return c.GetContext(context.Background(), addr, oids...)
 }
 
-// GetContext is Get honoring the context's cancellation between
-// attempts and while waiting on pipelined responses.
+// GetFunc fetches the exact OIDs and shows fn the response's varbinds,
+// honoring the context's cancellation between attempts and while waiting
+// on pipelined responses. The varbinds live in the exchange's scratch:
+// they are valid until fn returns, and fn copies out what it keeps.
+func (c *Client) GetFunc(ctx context.Context, addr string, oids []OID, fn func([]VarBind)) error {
+	return c.exchange(ctx, addr, GetRequest, oids, func(vbs []VarBind) error {
+		fn(vbs)
+		return nil
+	})
+}
+
+// GetContext is GetFunc for a caller that keeps the response: the
+// varbinds are copies of its own.
 func (c *Client) GetContext(ctx context.Context, addr string, oids ...OID) ([]VarBind, error) {
-	vbs := make([]VarBind, len(oids))
-	for i, o := range oids {
-		vbs[i] = VarBind{Name: o, Value: Null}
-	}
-	pdu, err := c.roundTrip(ctx, addr, PDU{Type: GetRequest, VarBinds: vbs})
-	if err != nil {
-		return nil, err
-	}
-	return pdu.VarBinds, nil
+	var out []VarBind
+	err := c.GetFunc(ctx, addr, oids, func(vbs []VarBind) {
+		out = make([]VarBind, len(vbs))
+		for i, vb := range vbs {
+			out[i] = VarBind{Name: vb.Name.Clone(), Value: vb.Value.Clone()}
+		}
+	})
+	return out, err
 }
 
 // GetOne fetches a single OID and requires the object to exist.
@@ -463,20 +480,19 @@ func (c *Client) GetOne(addr string, oid OID) (Value, error) {
 }
 
 // GetOneContext is GetOne honoring the context's cancellation.
-func (c *Client) GetOneContext(ctx context.Context, addr string, oid OID) (Value, error) {
-	vbs, err := c.GetContext(ctx, addr, oid)
-	if err != nil {
-		return Value{}, err
-	}
-	if len(vbs) != 1 {
-		return Value{}, fmt.Errorf("snmp: got %d varbinds for one OID", len(vbs))
-	}
-	v := vbs[0].Value
-	switch v.Kind {
-	case KindNoSuchObject, KindNoSuchInstance, KindEndOfMibView:
-		return Value{}, fmt.Errorf("snmp: %s has no object %s", addr, oid)
-	}
-	return v, nil
+func (c *Client) GetOneContext(ctx context.Context, addr string, oid OID) (v Value, err error) {
+	err = c.exchange(ctx, addr, GetRequest, []OID{oid}, func(vbs []VarBind) error {
+		if len(vbs) != 1 {
+			return fmt.Errorf("snmp: got %d varbinds for one OID", len(vbs))
+		}
+		switch vbs[0].Value.Kind {
+		case KindNoSuchObject, KindNoSuchInstance, KindEndOfMibView:
+			return fmt.Errorf("snmp: %s has no object %s", addr, oid)
+		}
+		v = vbs[0].Value.Clone()
+		return nil
+	})
+	return v, err
 }
 
 // Next performs one GetNext step.
@@ -485,19 +501,17 @@ func (c *Client) Next(addr string, oid OID) (OID, Value, error) {
 }
 
 // NextContext is Next honoring the context's cancellation.
-func (c *Client) NextContext(ctx context.Context, addr string, oid OID) (OID, Value, error) {
-	pdu, err := c.roundTrip(ctx, addr, PDU{Type: GetNextRequest, VarBinds: []VarBind{{Name: oid, Value: Null}}})
-	if err != nil {
-		return nil, Value{}, err
-	}
-	if len(pdu.VarBinds) != 1 {
-		return nil, Value{}, fmt.Errorf("snmp: GetNext returned %d varbinds", len(pdu.VarBinds))
-	}
-	vb := pdu.VarBinds[0]
-	if vb.Value.Kind == KindEndOfMibView {
-		return nil, Value{}, nil
-	}
-	return vb.Name, vb.Value, nil
+func (c *Client) NextContext(ctx context.Context, addr string, oid OID) (next OID, v Value, err error) {
+	err = c.exchange(ctx, addr, GetNextRequest, []OID{oid}, func(vbs []VarBind) error {
+		if len(vbs) != 1 {
+			return fmt.Errorf("snmp: GetNext returned %d varbinds", len(vbs))
+		}
+		if vbs[0].Value.Kind != KindEndOfMibView {
+			next, v = vbs[0].Name.Clone(), vbs[0].Value.Clone()
+		}
+		return nil
+	})
+	return next, v, err
 }
 
 // Walk visits every object under root in order using GetNext, calling fn
@@ -550,10 +564,15 @@ const maxBulkVarBinds = 512
 // per column still inside its root, so a table of k columns costs the
 // round trips of its longest column instead of k walks. scalars are
 // instance OIDs fetched as the first request's non-repeaters; their values
-// come back in order, KindNoSuchObject standing for one the agent does not
-// hold. fn sees the objects row by row (row i of every open column, then
-// row i+1); returning false stops the walk. A column is dropped when a
-// response leaves its root or ends the MIB.
+// come back in order, as copies, KindNoSuchObject standing for one the
+// agent does not hold. fn sees the objects row by row (row i of every open
+// column, then row i+1); returning false stops the walk. A column is
+// dropped when a response leaves its root or ends the MIB.
+//
+// Every response of the walk is decoded into one scratch: the name and
+// value fn is shown are valid until it returns, and fn copies out what it
+// keeps. The name each column walks on from is copied into the walk's own
+// buffer before the next exchange overwrites the response it came in.
 //
 // maxRep (<=0 selects 32) sizes the first request only. Afterwards the
 // walk asks for what the previous response used: twice the request while
@@ -564,31 +583,35 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 	if maxRep <= 0 {
 		maxRep = 32
 	}
+	sc := clientPool.Get().(*clientScratch)
+	defer clientPool.Put(sc)
 	vals := make([]Value, len(scalars))
-	open := make([]int, len(columns)) // indices of the columns still walked
-	cur := make([]OID, len(columns))
+	open, at := sc.open[:0], sc.at[:0]
 	for k, root := range columns {
-		open[k], cur[k] = k, root
+		open, at = append(open, k), append(at, root)
 	}
+	for len(sc.own) < len(columns) {
+		sc.own = append(sc.own, nil)
+	}
+	sc.open, sc.at = open, at
 	nonRep := len(scalars)
 	agentCap := maxBulkVarBinds
 	for len(open) > 0 || nonRep > 0 {
 		if lim := maxBulkVarBinds / max(len(open), 1); maxRep > lim {
 			maxRep = lim
 		}
-		vbs := make([]VarBind, 0, nonRep+len(open))
+		sc.req = sc.req[:0]
 		for _, inst := range scalars[:nonRep] {
 			// GetNext semantics: the instance's parent names it.
-			vbs = append(vbs, VarBind{Name: inst[:len(inst)-1], Value: Null})
+			sc.req = append(sc.req, VarBind{Name: inst[:len(inst)-1], Value: Null})
 		}
 		for _, k := range open {
-			vbs = append(vbs, VarBind{Name: cur[k], Value: Null})
+			sc.req = append(sc.req, VarBind{Name: at[k], Value: Null})
 		}
-		pdu, err := c.roundTrip(ctx, addr, PDU{
+		pdu, err := c.roundTrip(ctx, addr, sc, PDU{
 			Type:        GetBulkRequest,
 			ErrorStatus: nonRep, // non-repeaters
 			ErrorIndex:  maxRep, // max-repetitions
-			VarBinds:    vbs,
 		})
 		if err != nil {
 			return nil, err
@@ -597,7 +620,7 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 		for i := range vals[:nonRep] {
 			vals[i] = NoSuchObject
 			if i < len(got) && got[i].Name.Cmp(scalars[i]) == 0 {
-				vals[i] = got[i].Value
+				vals[i] = got[i].Value.Clone()
 			}
 		}
 		got = got[min(nonRep, len(got)):]
@@ -607,8 +630,10 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 		if width == 0 {
 			break
 		}
-		closed := make([]bool, width)
-		for i, vb := range got {
+		closed := append(sc.closed[:0], make([]bool, width)...)
+		sc.closed = closed
+		for i := range got {
+			vb := &got[i]
 			pos := i % width
 			if closed[pos] {
 				continue
@@ -618,13 +643,13 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 				closed[pos] = true
 				continue
 			}
-			if vb.Name.Cmp(cur[k]) <= 0 {
+			if vb.Name.Cmp(at[k]) <= 0 {
 				return nil, fmt.Errorf("snmp: agent %s walked backwards at %s", addr, vb.Name)
 			}
 			if !fn(k, vb.Name, vb.Value) {
 				return vals, nil
 			}
-			cur[k] = vb.Name
+			at[k] = vb.Name
 		}
 		rows := len(got) / width
 		if rows == 0 {
@@ -634,6 +659,8 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 		for pos, k := range open {
 			if !closed[pos] {
 				still = append(still, k)
+				sc.own[k] = append(sc.own[k][:0], at[k]...)
+				at[k] = sc.own[k]
 			}
 		}
 		open = still

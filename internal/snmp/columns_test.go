@@ -222,8 +222,7 @@ func TestBulkWalkColumnsCancelBetweenPDUs(t *testing.T) {
 }
 
 func TestBulkWalkColumnsRejectsBackwardsAgent(t *testing.T) {
-	c, reg := newInProcClient(t, "public")
-	reg.Register("a", &Agent{Community: "public", View: stuckView{}})
+	c := NewClient(stuckAgent{}, "public")
 	_, err := c.BulkWalkColumns(context.Background(), "a", nil, tableColumns[:1], 4,
 		func(int, OID, Value) bool { return true })
 	if err == nil {
@@ -231,12 +230,21 @@ func TestBulkWalkColumnsRejectsBackwardsAgent(t *testing.T) {
 	}
 }
 
-// stuckView answers every GetNext with the same object.
-type stuckView struct{}
+// stuckAgent answers every repetition of every GetBulk with the same
+// object, which no agent serving a Table can.
+type stuckAgent struct{}
 
-func (stuckView) Get(OID) (Value, bool) { return Value{}, false }
-func (stuckView) Next(OID) (OID, Value, bool) {
-	return MustParseOID("1.3.6.1.5.1.1.1"), Int64(1), true
+func (stuckAgent) RoundTrip(_ string, req []byte) ([]byte, time.Duration, error) {
+	m, err := Unmarshal(req)
+	if err != nil {
+		return nil, 0, err
+	}
+	resp := &Message{Community: m.Community, PDU: PDU{Type: GetResponse, RequestID: m.PDU.RequestID}}
+	for i := 0; i < m.PDU.ErrorIndex; i++ {
+		resp.PDU.VarBinds = append(resp.PDU.VarBinds, VarBind{Name: MustParseOID("1.3.6.1.5.1.1.1"), Value: Int64(1)})
+	}
+	b, err := resp.Marshal()
+	return b, 0, err
 }
 
 func TestBulkWalkColumnsSameOverUDP(t *testing.T) {

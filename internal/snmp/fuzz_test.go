@@ -67,10 +67,41 @@ func corpusMessages() []*Message {
 	}
 }
 
+// dirtyDecoder returns a decoder as the pools hold them: it has decoded a
+// larger message than most inputs (so its arenas are full of another
+// message's values), and its last decode failed mid-message.
+func dirtyDecoder(t testing.TB) *decoder {
+	var d decoder
+	for _, m := range corpusMessages() {
+		b, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.decode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	whole, err := mixedResponse().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.decode(whole); err != nil {
+		t.Fatal(err)
+	}
+	whole[len(whole)-6] = 0x7f // the last value (an IpAddress) under a tag nobody decodes
+	if err := d.decode(whole); err == nil {
+		t.Fatal("the broken message decoded")
+	}
+	return &d
+}
+
 // FuzzDecodeMessage drives the BER decoder with arbitrary bytes. The
 // decoder must never panic or read out of bounds, and anything it accepts
 // must re-encode and re-decode to the identical message (the decoded form
-// is canonical), with peekRequestID agreeing with the full decode.
+// is canonical), with peekRequestID agreeing with the full decode. A
+// reused decoder — single pass, arenas grown by append, whatever it held
+// before — must decode every input to the same message, or fail with the
+// same error, as the fresh one that pre-scans.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range corpusMessages() {
 		b, err := m.Marshal()
@@ -83,6 +114,16 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{0x30, 0x84, 0xff, 0xff, 0xff, 0xff}) // absurd length claim
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Unmarshal(b)
+		d := dirtyDecoder(t)
+		switch derr := d.decode(b); {
+		case (err == nil) != (derr == nil), err != nil && err.Error() != derr.Error():
+			t.Fatalf("a fresh decoder says %v, a reused one %v", err, derr)
+		case err == nil:
+			d.msg.Community = communityString(d.community, defaultCommunity)
+			if !reflect.DeepEqual(m, &d.msg) {
+				t.Fatalf("a reused decoder disagrees with a fresh one:\n fresh: %+v\nreused: %+v", m, &d.msg)
+			}
+		}
 		if err != nil {
 			return
 		}

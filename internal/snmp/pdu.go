@@ -65,30 +65,62 @@ type Message struct {
 
 const snmpVersion2c = 1
 
-// marshalSize computes the BER sizes needed to encode m in a single pass:
-// the total message size plus the interior pdu and varbind-list content
-// lengths that AppendMarshal needs when writing headers front-to-back.
-// It also validates every varbind, so AppendMarshal cannot fail.
-func (m *Message) marshalSize() (total, pduLen, vbsLen int, err error) {
-	for i := range m.PDU.VarBinds {
-		vb := &m.PDU.VarBinds[i]
-		if err := checkOID(vb.Name); err != nil {
-			return 0, 0, 0, err
-		}
-		vsz, err := sizeValue(vb.Value)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		vbsLen += sizeTLV(sizeTLV(sizeOIDBody(vb.Name)) + vsz)
-	}
-	pduLen = sizeTLV(sizeIntBody(int64(m.PDU.RequestID))) +
+// sizedVarBinds is how many varbinds' sizes the sizing pass keeps for the
+// append pass: a walk's widest response (7 columns x 16 rows) and every
+// Get fit. Past it the append pass sizes a varbind again.
+const sizedVarBinds = 128
+
+// sizing is what the sizing pass learns and the append pass needs to write
+// headers front-to-back: the message size, the interior pdu and
+// varbind-list content lengths, and each varbind's name body length and
+// value TLV size.
+type sizing struct {
+	total, pduLen, vbsLen int
+	vb                    [sizedVarBinds]struct{ name, value int32 }
+}
+
+// frame sets the lengths around a varbind list of vbsLen content bytes.
+func (s *sizing) frame(m *Message, vbsLen int) {
+	s.vbsLen = vbsLen
+	s.pduLen = sizeTLV(sizeIntBody(int64(m.PDU.RequestID))) +
 		sizeTLV(sizeIntBody(int64(m.PDU.ErrorStatus))) +
 		sizeTLV(sizeIntBody(int64(m.PDU.ErrorIndex))) +
 		sizeTLV(vbsLen)
-	bodyLen := sizeTLV(sizeIntBody(snmpVersion2c)) +
-		sizeTLV(len(m.Community)) +
-		sizeTLV(pduLen)
-	return sizeTLV(bodyLen), pduLen, vbsLen, nil
+	s.total = sizeTLV(m.bodyLen(s.pduLen))
+}
+
+// bodyLen is the content length of the outer SEQUENCE.
+func (m *Message) bodyLen(pduLen int) int {
+	return sizeTLV(sizeIntBody(snmpVersion2c)) + sizeTLV(len(m.Community)) + sizeTLV(pduLen)
+}
+
+// sizeVarBind returns one varbind's name body length and value TLV size,
+// validating both.
+func sizeVarBind(vb *VarBind) (name, value int, err error) {
+	if err := checkOID(vb.Name); err != nil {
+		return 0, 0, err
+	}
+	value, err = sizeValue(vb.Value)
+	return sizeOIDBody(vb.Name), value, err
+}
+
+// marshalSize is the sizing pass: every definite length of m, in one walk
+// over the varbinds. It also validates every varbind, so the append pass
+// cannot fail.
+func (m *Message) marshalSize(s *sizing) error {
+	vbsLen := 0
+	for i := range m.PDU.VarBinds {
+		name, value, err := sizeVarBind(&m.PDU.VarBinds[i])
+		if err != nil {
+			return err
+		}
+		if i < sizedVarBinds {
+			s.vb[i].name, s.vb[i].value = int32(name), int32(value)
+		}
+		vbsLen += sizeTLV(sizeTLV(name) + value)
+	}
+	s.frame(m, vbsLen)
+	return nil
 }
 
 // AppendMarshal BER-encodes the message onto dst and returns the extended
@@ -96,41 +128,42 @@ func (m *Message) marshalSize() (total, pduLen, vbsLen int, err error) {
 // computed in a sizing pass, then every tag, length, and body is appended
 // directly — no intermediate per-TLV buffers.
 func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
-	total, pduLen, vbsLen, err := m.marshalSize()
-	if err != nil {
+	var s sizing
+	if err := m.marshalSize(&s); err != nil {
 		return nil, err
 	}
-	if cap(dst)-len(dst) < total {
-		grown := make([]byte, len(dst), len(dst)+total)
+	if cap(dst)-len(dst) < s.total {
+		grown := make([]byte, len(dst), len(dst)+s.total)
 		copy(grown, dst)
 		dst = grown
 	}
-	return m.appendSized(dst, pduLen, vbsLen), nil
+	return m.appendSized(dst, &s), nil
 }
 
-// appendSized is the append pass, given the sizing pass's interior
-// lengths; dst has room.
-func (m *Message) appendSized(dst []byte, pduLen, vbsLen int) []byte {
-	bodyLen := sizeTLV(sizeIntBody(snmpVersion2c)) +
-		sizeTLV(len(m.Community)) +
-		sizeTLV(pduLen)
-	dst = appendHeader(dst, tagSequence, bodyLen)
+// appendSized is the append pass, given the sizing pass's lengths; dst has
+// room.
+func (m *Message) appendSized(dst []byte, s *sizing) []byte {
+	dst = appendHeader(dst, tagSequence, m.bodyLen(s.pduLen))
 	dst = appendHeader(dst, tagInteger, sizeIntBody(snmpVersion2c))
 	dst = appendIntBody(dst, snmpVersion2c)
 	dst = appendHeader(dst, tagOctetString, len(m.Community))
 	dst = append(dst, m.Community...)
-	dst = appendHeader(dst, byte(m.PDU.Type), pduLen)
+	dst = appendHeader(dst, byte(m.PDU.Type), s.pduLen)
 	dst = appendHeader(dst, tagInteger, sizeIntBody(int64(m.PDU.RequestID)))
 	dst = appendIntBody(dst, int64(m.PDU.RequestID))
 	dst = appendHeader(dst, tagInteger, sizeIntBody(int64(m.PDU.ErrorStatus)))
 	dst = appendIntBody(dst, int64(m.PDU.ErrorStatus))
 	dst = appendHeader(dst, tagInteger, sizeIntBody(int64(m.PDU.ErrorIndex)))
 	dst = appendIntBody(dst, int64(m.PDU.ErrorIndex))
-	dst = appendHeader(dst, tagSequence, vbsLen)
+	dst = appendHeader(dst, tagSequence, s.vbsLen)
 	for i := range m.PDU.VarBinds {
 		vb := &m.PDU.VarBinds[i]
-		nameLen := sizeOIDBody(vb.Name)
-		vsz, _ := sizeValue(vb.Value) // validated by marshalSize
+		var nameLen, vsz int
+		if i < sizedVarBinds {
+			nameLen, vsz = int(s.vb[i].name), int(s.vb[i].value)
+		} else {
+			nameLen, vsz, _ = sizeVarBind(vb) // validated by marshalSize
+		}
 		dst = appendHeader(dst, tagSequence, sizeTLV(nameLen)+vsz)
 		dst = appendHeader(dst, tagOID, nameLen)
 		dst = appendOIDBody(dst, vb.Name)
@@ -142,11 +175,11 @@ func (m *Message) appendSized(dst []byte, pduLen, vbsLen int) []byte {
 // Marshal encodes the message in BER, allocating exactly one buffer of the
 // final size.
 func (m *Message) Marshal() ([]byte, error) {
-	total, pduLen, vbsLen, err := m.marshalSize()
-	if err != nil {
+	var s sizing
+	if err := m.marshalSize(&s); err != nil {
 		return nil, err
 	}
-	return m.appendSized(make([]byte, 0, total), pduLen, vbsLen), nil
+	return m.appendSized(make([]byte, 0, s.total), &s), nil
 }
 
 // header reads the message prologue — outer SEQUENCE, version, community —
@@ -225,39 +258,34 @@ func communityString(b []byte, hint string) string {
 // append reallocates rather than overwriting a neighbour), and nothing
 // aliases b.
 func Unmarshal(b []byte) (*Message, error) {
-	return unmarshalHint(b, defaultCommunity)
-}
-
-// unmarshalHint is Unmarshal for a caller that knows which community it
-// expects back.
-func unmarshalHint(b []byte, community string) (*Message, error) {
 	d := new(decoder)
 	if err := d.decode(b); err != nil {
 		return nil, err
 	}
-	d.msg.Community = communityString(d.community, community)
+	d.msg.Community = communityString(d.community, defaultCommunity)
 	return &d.msg, nil
 }
 
 // measure pre-scans a varbind list: how many varbinds, OID
 // sub-identifiers and octet-string bytes decoding it will produce. The
-// counts are exact for a list the decoder accepts, and bounded by a small
-// multiple of len(vbody) for any input.
-func measure(vbody []byte) (vbs, subs, octets int, err error) {
+// counts are exact for a list the decoder accepts, stop where the decode
+// loop will report an error, and are bounded by a small multiple of
+// len(vbody) for any input.
+func measure(vbody []byte) (vbs, subs, octets int) {
 	for sc := (reader{b: vbody}); sc.remaining() > 0; vbs++ {
 		_, elen, err := sc.readTL()
 		if err != nil {
-			return 0, 0, 0, err
+			break
 		}
 		ebody, err := sc.readBytes(elen)
 		if err != nil {
-			return 0, 0, 0, err
+			break
 		}
 		er := reader{b: ebody}
 		for i := 0; i < 2; i++ { // name, value
 			tag, length, err := er.readTL()
 			if err != nil {
-				break // the decode loop reports it
+				break
 			}
 			body, err := er.readBytes(length)
 			if err != nil {
@@ -271,11 +299,14 @@ func measure(vbody []byte) (vbs, subs, octets int, err error) {
 			}
 		}
 	}
-	return vbs, subs, octets, nil
+	return vbs, subs, octets
 }
 
-// decode parses b into d, reusing whatever capacity d's varbind slice and
-// arenas already have. On error d holds garbage.
+// decode parses b into d. A decoder with no storage yet (one Unmarshal)
+// sizes its varbind slice and arenas exactly with a pre-scan; a reused one
+// decodes in a single pass into the capacity it has and grows an arena by
+// append when a message outgrows it — windows already cut keep pointing at
+// the array they were cut from. On error d holds garbage.
 func (d *decoder) decode(b []byte) error {
 	r, community, err := header(b)
 	if err != nil {
@@ -320,17 +351,10 @@ func (d *decoder) decode(b []byte) error {
 	if err != nil {
 		return err
 	}
-	nvb, nsub, noct, err := measure(vbody)
-	if err != nil {
-		return err
-	}
-	if pdu.VarBinds == nil || cap(pdu.VarBinds) < nvb {
+	if pdu.VarBinds == nil {
+		nvb, nsub, noct := measure(vbody)
 		pdu.VarBinds = make([]VarBind, 0, nvb)
-	}
-	if cap(d.oids) < nsub {
 		d.oids = make([]uint32, 0, nsub)
-	}
-	if d.octets == nil || cap(d.octets) < noct {
 		d.octets = make([]byte, 0, noct)
 	}
 	pdu.VarBinds, d.oids, d.octets = pdu.VarBinds[:0], d.oids[:0], d.octets[:0]
@@ -349,18 +373,18 @@ func (d *decoder) decode(b []byte) error {
 			return err
 		}
 		er := reader{b: ebody}
-		name, err := d.value(&er)
-		if err != nil {
+		var name Value
+		if err := d.value(&er, &name); err != nil {
 			return err
 		}
 		if name.Kind != KindOID {
 			return fmt.Errorf("snmp: varbind name kind %v", name.Kind)
 		}
-		val, err := d.value(&er)
-		if err != nil {
+		// The value is decoded where it will live, not copied there.
+		pdu.VarBinds = append(pdu.VarBinds, VarBind{Name: name.Oid})
+		if err := d.value(&er, &pdu.VarBinds[len(pdu.VarBinds)-1].Value); err != nil {
 			return err
 		}
-		pdu.VarBinds = append(pdu.VarBinds, VarBind{Name: name.Oid, Value: val})
 	}
 	return nil
 }

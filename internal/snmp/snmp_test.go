@@ -240,11 +240,11 @@ func testView(t *testing.T) MIBView {
 }
 
 func TestStaticViewOrdering(t *testing.T) {
-	v := testView(t)
+	v := testView(t).Table()
 	// Numeric, not string, ordering: .10.2 < .10.10.
-	next, _, ok := v.Next(MustParseOID("1.3.6.1.2.1.2.2.1.10.2"))
-	if !ok || next.String() != "1.3.6.1.2.1.2.2.1.10.10" {
-		t.Fatalf("Next(.10.2) = %v, want .10.10", next)
+	next := next(v, MustParseOID("1.3.6.1.2.1.2.2.1.10.2"))
+	if next.Name.String() != "1.3.6.1.2.1.2.2.1.10.10" {
+		t.Fatalf("next(.10.2) = %v, want .10.10", next)
 	}
 }
 
