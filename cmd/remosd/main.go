@@ -10,16 +10,17 @@
 // instead (see package snmp's UDP transport and package benchcoll's
 // TCPProber).
 //
-// The command is a thin flag→option translator over the embeddable
-// remosd package; everything below is equally settable programmatically
-// via remosd.Start.
+// The command is a thin flag→Config translator over the embeddable
+// remosd package: each flag sets one remosd.Config field and defaults to
+// that field's remosd.DefaultConfig value, so everything below is equally
+// settable programmatically via remosd.Start.
 //
 // Usage:
 //
 //	remosd [-listen :3567] [-http :3568] [-dir :3569] [-hostload :3570]
 //	       [-obs :3571] [-slow-query 500ms]
 //	       [-scenario twosite|campus] [-qcache-ttl 2s] [-parallelism 0]
-//	       [-max-varbinds 24] [-pipeline 4]
+//	       [-max-varbinds 24]
 //	       [-sched-interval 1s] [-bench-interval 0] [-snapshot-stale 5s]
 //	       [-tenant id:key:rate:burst:conc:watches:tier ...]
 //	       [-anon-limits rate:burst:conc:watches] [-max-queue-wait 500ms]
@@ -64,6 +65,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -71,37 +73,9 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"time"
 
 	"remos/remosd"
 )
-
-// peerFlags accumulates repeated -peer flags.
-type peerFlags struct{ addrs []string }
-
-func (p *peerFlags) String() string { return strings.Join(p.addrs, ",") }
-
-func (p *peerFlags) Set(v string) error {
-	if v == "" {
-		return fmt.Errorf("empty -peer address")
-	}
-	p.addrs = append(p.addrs, v)
-	return nil
-}
-
-// tenantFlags accumulates repeated -tenant flags.
-type tenantFlags struct{ opts []remosd.Option }
-
-func (t *tenantFlags) String() string { return "" }
-
-func (t *tenantFlags) Set(v string) error {
-	id, key, lim, err := parseTenantSpec(v)
-	if err != nil {
-		return err
-	}
-	t.opts = append(t.opts, remosd.WithTenant(id, key, lim))
-	return nil
-}
 
 // parseTenantSpec parses "id:key:rate:burst:conc:watches:tier" with
 // trailing fields optional and empty fields meaning unlimited/no key.
@@ -163,92 +137,90 @@ func parseAnonSpec(v string) (remosd.Limits, error) {
 	return lim, err
 }
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:3567", "ASCII protocol listen address")
-	httpAddr := flag.String("http", "127.0.0.1:3568", "XML/HTTP protocol listen address ('' disables)")
-	dirAddr := flag.String("dir", "127.0.0.1:3569", "directory service listen address ('' disables)")
-	loadAddr := flag.String("hostload", "127.0.0.1:3570", "host load collector listen address ('' disables)")
-	scenario := flag.String("scenario", "twosite", "demo scenario: twosite or campus")
-	qcacheTTL := flag.Duration("qcache-ttl", 2*time.Second,
+// parseFlags reads a command line into a Config. Each flag's default is
+// the field's DefaultConfig value, so an empty command line is exactly
+// DefaultConfig.
+func parseFlags(args []string) (remosd.Config, error) {
+	cfg := remosd.DefaultConfig()
+	fs := flag.NewFlagSet("remosd", flag.ContinueOnError)
+	fs.StringVar(&cfg.ListenASCII, "listen", cfg.ListenASCII, "ASCII protocol listen address")
+	fs.StringVar(&cfg.ListenHTTP, "http", cfg.ListenHTTP, "XML/HTTP protocol listen address ('' disables)")
+	fs.StringVar(&cfg.ListenDirectory, "dir", cfg.ListenDirectory, "directory service listen address ('' disables)")
+	fs.StringVar(&cfg.ListenHostLoad, "hostload", cfg.ListenHostLoad, "host load collector listen address ('' disables)")
+	fs.StringVar(&cfg.Scenario, "scenario", cfg.Scenario, "demo scenario: twosite or campus")
+	fs.DurationVar(&cfg.QueryCacheTTL, "qcache-ttl", cfg.QueryCacheTTL,
 		"warm-query cache staleness bound; 0 keeps only single-flight dedup of concurrent identical queries")
-	parallelism := flag.Int("parallelism", 0,
+	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism,
 		"collector pipeline parallelism (master fan-out, device walks, polling); 0 = GOMAXPROCS, 1 = serial")
-	maxVarBinds := flag.Int("max-varbinds", 24,
+	fs.IntVar(&cfg.MaxVarBinds, "max-varbinds", cfg.MaxVarBinds,
 		"varbinds per polling Get PDU; the poller batches a device's interfaces into PDUs of this size")
-	pipeline := flag.Int("pipeline", 4,
-		"SNMP requests kept outstanding per agent; 1 = classic lock-step exchanges")
-	obsAddr := flag.String("obs", "127.0.0.1:3571",
+	fs.StringVar(&cfg.ListenObs, "obs", cfg.ListenObs,
 		"observability listen address for /metrics, /healthz, /debug/queries and /debug/tenants ('' disables)")
-	slowQuery := flag.Duration("slow-query", 500*time.Millisecond,
+	fs.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery,
 		"queries at least this slow are flagged in /debug/queries")
-	schedIval := flag.Duration("sched-interval", time.Second,
+	fs.DurationVar(&cfg.SchedInterval, "sched-interval", cfg.SchedInterval,
 		"continuous-collection base poll interval (adaptive around this); 0 disables the background scheduler and the watch plane")
-	benchIval := flag.Duration("bench-interval", 0,
+	fs.DurationVar(&cfg.BenchInterval, "bench-interval", cfg.BenchInterval,
 		"wide-area benchmark round interval (0 = collector default); the WAN hop is benchmark-measured, so this bounds watch-update freshness across sites")
-	snapStale := flag.Duration("snapshot-stale", 5*time.Second,
+	fs.DurationVar(&cfg.SnapshotStale, "snapshot-stale", cfg.SnapshotStale,
 		"staleness bound for answers served from the versioned topology snapshot plane (kept fresh by background polls; zero collector round-trips while fresh); older generations fall back to a coalesced collector walk")
-	var tenants tenantFlags
-	flag.Var(&tenants, "tenant",
-		"register one admission tenant as id:key:rate:burst:conc:watches:tier (repeatable; empty fields unlimited)")
-	anonSpec := flag.String("anon-limits", "",
+	fs.Func("tenant",
+		"register one admission tenant as id:key:rate:burst:conc:watches:tier (repeatable; empty fields unlimited)",
+		func(v string) error {
+			id, key, lim, err := parseTenantSpec(v)
+			if err != nil {
+				return err
+			}
+			remosd.WithTenant(id, key, lim)(&cfg)
+			return nil
+		})
+	anonSpec := fs.String("anon-limits", "",
 		"admission limits for unidentified connections as rate:burst:conc:watches ('' = unlimited)")
-	maxQueueWait := flag.Duration("max-queue-wait", 0,
+	fs.DurationVar(&cfg.MaxQueueWait, "max-queue-wait", cfg.MaxQueueWait,
 		"bound on admission queueing before a request is shed (0 = admission default)")
-	domains := flag.Int("domains", 0,
+	fs.IntVar(&cfg.Domains, "domains", cfg.Domains,
 		"federated mode: partition the scenario into this many administrative domains (0/1 = single master)")
-	domain := flag.Int("domain", 0,
+	fs.IntVar(&cfg.Domain, "domain", cfg.Domain,
 		"federated mode: the domain index this daemon masters, in [0, -domains)")
-	var peers peerFlags
-	flag.Var(&peers, "peer",
-		"peer daemon's directory address for lease replication (repeatable)")
-	fedPriority := flag.Int("fed-priority", 0,
+	fs.Func("peer", "peer daemon's directory address for lease replication (repeatable)", func(v string) error {
+		if v == "" {
+			return fmt.Errorf("empty -peer address")
+		}
+		cfg.FedPeers = append(cfg.FedPeers, v)
+		return nil
+	})
+	fs.IntVar(&cfg.FedPriority, "fed-priority", cfg.FedPriority,
 		"this master's failover rank among its domain's replicas (lower preferred)")
-	fedRefresh := flag.Duration("fed-refresh", 0,
+	fs.DurationVar(&cfg.FedRefresh, "fed-refresh", cfg.FedRefresh,
 		"federation heartbeat/serving-graph refresh interval (0 = 1s default)")
-	fedLease := flag.Duration("fed-lease", 0,
+	fs.DurationVar(&cfg.FedLeaseTTL, "fed-lease", cfg.FedLeaseTTL,
 		"federation advert lease lifetime (0 = 3x refresh default)")
-	flag.Parse()
-
-	opts := []remosd.Option{
-		remosd.WithListen(*listen),
-		remosd.WithHTTP(*httpAddr),
-		remosd.WithDirectory(*dirAddr),
-		remosd.WithHostLoad(*loadAddr),
-		remosd.WithObs(*obsAddr),
-		remosd.WithScenario(*scenario),
-		remosd.WithQueryCacheTTL(*qcacheTTL),
-		remosd.WithCollectorTuning(*parallelism, *maxVarBinds, *pipeline),
-		remosd.WithSlowQuery(*slowQuery),
-		remosd.WithScheduler(*schedIval),
-		remosd.WithBenchInterval(*benchIval),
-		remosd.WithSnapshotStaleness(*snapStale),
-		remosd.WithLogf(log.Printf),
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
 	}
-	opts = append(opts, tenants.opts...)
 	if *anonSpec != "" {
 		lim, err := parseAnonSpec(*anonSpec)
 		if err != nil {
-			log.Fatalf("remosd: -anon-limits: %v", err)
+			return cfg, fmt.Errorf("-anon-limits: %v", err)
 		}
-		opts = append(opts, remosd.WithAnonymousLimits(lim))
+		cfg.Anonymous = &lim
 	}
-	if *maxQueueWait > 0 {
-		opts = append(opts, remosd.WithMaxQueueWait(*maxQueueWait))
+	if cfg.Domains <= 1 && (len(cfg.FedPeers) > 0 || cfg.FedPriority != 0) {
+		return cfg, fmt.Errorf("-peer and -fed-priority need federated mode (-domains >= 2)")
 	}
-	if *domains > 1 {
-		opts = append(opts,
-			remosd.WithFederation(*domains, *domain),
-			remosd.WithFederationPriority(*fedPriority),
-			remosd.WithFederationLease(*fedRefresh, *fedLease),
-		)
-		for _, p := range peers.addrs {
-			opts = append(opts, remosd.WithFederationPeer(p))
-		}
-	} else if len(peers.addrs) > 0 || *fedPriority != 0 {
-		log.Fatalf("remosd: -peer and -fed-priority need federated mode (-domains >= 2)")
-	}
+	return cfg, nil
+}
 
-	d, err := remosd.Start(opts...)
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		log.Fatalf("remosd: %v", err)
+	}
+	cfg.Logf = log.Printf
+	d, err := cfg.Start()
 	if err != nil {
 		log.Fatal(err)
 	}

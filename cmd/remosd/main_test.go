@@ -1,7 +1,9 @@
 package main
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"remos/remosd"
 )
@@ -38,6 +40,38 @@ func TestParseTenantSpec(t *testing.T) {
 		if id != c.id || key != c.key || lim != c.lim {
 			t.Errorf("parseTenantSpec(%q) = %q, %q, %+v", c.in, id, key, lim)
 		}
+	}
+}
+
+// TestEmptyCommandLineIsDefaultConfig: the flags read their defaults
+// from DefaultConfig, so the two cannot drift apart. Logf is main's to
+// set and stays nil here.
+func TestEmptyCommandLineIsDefaultConfig(t *testing.T) {
+	cfg, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := remosd.DefaultConfig(); !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("empty command line = %+v\nDefaultConfig   = %+v", cfg, want)
+	}
+}
+
+func TestParseFlagsSetsFields(t *testing.T) {
+	cfg, err := parseFlags([]string{
+		"-qcache-ttl", "0", "-snapshot-stale", "2s", "-tenant", "app:sekrit:50",
+		"-anon-limits", "5:10", "-domains", "2", "-domain", "1", "-peer", "127.0.0.1:4569",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.QueryCacheTTL != 0 || cfg.SnapshotStale != 2*time.Second ||
+		cfg.Tenants["app"] != (remosd.Tenant{Key: "sekrit", Limits: remosd.Limits{Rate: 50}}) ||
+		cfg.Anonymous == nil || *cfg.Anonymous != (remosd.Limits{Rate: 5, Burst: 10}) ||
+		cfg.Domains != 2 || cfg.Domain != 1 || !reflect.DeepEqual(cfg.FedPeers, []string{"127.0.0.1:4569"}) {
+		t.Fatalf("parsed config = %+v", cfg)
+	}
+	if _, err := parseFlags([]string{"-peer", "127.0.0.1:4569"}); err == nil {
+		t.Fatal("-peer accepted without federated mode")
 	}
 }
 

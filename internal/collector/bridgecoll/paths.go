@@ -1,6 +1,7 @@
 package bridgecoll
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -69,7 +70,7 @@ func (c *Collector) VerifyLocation(mac collector.MAC) (netip.Addr, int, error) {
 	if !known {
 		return c.SearchStation(mac)
 	}
-	v, err := c.cfg.Client.GetOne(st.sw.String(), mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...))
+	v, err := c.cfg.Client.GetOne(context.Background(), st.sw.String(), mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...))
 	if err == nil && int(v.Int) == st.port {
 		return st.sw, st.port, nil // still where we thought
 	}

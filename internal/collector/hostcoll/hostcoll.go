@@ -7,6 +7,7 @@
 package hostcoll
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -91,7 +92,7 @@ func (c *Collector) Stop() {
 func (c *Collector) pollOnce() {
 	now := c.cfg.Sched.Now()
 	for _, h := range c.cfg.Hosts {
-		v, err := c.cfg.Client.GetOne(h.String(), mib.HrProcessorLoad)
+		v, err := c.cfg.Client.GetOne(context.Background(), h.String(), mib.HrProcessorLoad)
 		if err != nil {
 			continue // unreachable this round; next round retries
 		}

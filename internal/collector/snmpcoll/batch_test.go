@@ -19,7 +19,7 @@ import (
 // newPollRig builds a collector over `agents` static devices of `ifaces`
 // interfaces each, with every monitored interface already registered as a
 // poll point — the pure polling workload, no discovery.
-func newPollRig(tb testing.TB, agents, ifaces, maxVarBinds, pipeline int) *Collector {
+func newPollRig(tb testing.TB, agents, ifaces, maxVarBinds int) *Collector {
 	tb.Helper()
 	reg := snmp.NewRegistry()
 	for a := 1; a <= agents; a++ {
@@ -45,7 +45,6 @@ func newPollRig(tb testing.TB, agents, ifaces, maxVarBinds, pipeline int) *Colle
 		Sched:        sim.Real{},
 		PollInterval: time.Hour,
 		MaxVarBinds:  maxVarBinds,
-		Pipeline:     pipeline,
 	})
 	tb.Cleanup(c.Stop)
 	for a := 1; a <= agents; a++ {
@@ -79,7 +78,7 @@ func (c *Collector) modes() map[counterMode]int {
 func TestBatchedPollingExchangeCounts(t *testing.T) {
 	const agents, ifaces = 4, 8
 
-	batched := newPollRig(t, agents, ifaces, 24, 0)
+	batched := newPollRig(t, agents, ifaces, 24)
 	batched.pollOnce() // probe cycle: 4 varbinds per interface, 6 interfaces per Get
 	if reqs, vbs, _ := batched.PollStats(); reqs != agents*2 || vbs != agents*ifaces*4 {
 		t.Fatalf("probe cycle = %d exchanges / %d varbinds, want %d / %d",
@@ -95,7 +94,7 @@ func TestBatchedPollingExchangeCounts(t *testing.T) {
 			reqs, vbs, agents, agents*ifaces*2)
 	}
 
-	serial := newPollRig(t, agents, ifaces, 2, 0)
+	serial := newPollRig(t, agents, ifaces, 2)
 	serial.pollOnce() // probe
 	serial.pollMeter.Reset()
 	serial.pollOnce() // MaxVarBinds 2 = one interface per PDU
@@ -104,9 +103,9 @@ func TestBatchedPollingExchangeCounts(t *testing.T) {
 	}
 }
 
-// TestBatchedPollingParity: batching (and pipelining) must not change a
-// single recorded sample — identical rigs polled with 1 vs 12 interfaces
-// per PDU produce byte-identical measurement histories.
+// TestBatchedPollingParity: batching must not change a single recorded
+// sample — identical rigs polled with 1 vs 12 interfaces per PDU produce
+// byte-identical measurement histories.
 func TestBatchedPollingParity(t *testing.T) {
 	run := func(mut func(*Config)) map[collector.HistKey][]collector.Sample {
 		st := newSite(t, mut)
@@ -121,7 +120,7 @@ func TestBatchedPollingParity(t *testing.T) {
 		return st.sc.History().Snapshot()
 	}
 	serial := run(func(c *Config) { c.MaxVarBinds = 2 })
-	batched := run(func(c *Config) { c.MaxVarBinds = 24; c.Pipeline = 4 })
+	batched := run(func(c *Config) { c.MaxVarBinds = 24 })
 	if !reflect.DeepEqual(serial, batched) {
 		t.Fatalf("batched history differs from serial:\nserial:  %v\nbatched: %v", serial, batched)
 	}
@@ -311,14 +310,12 @@ func BenchmarkPollBatchedVsSerial(b *testing.B) {
 	for _, bc := range []struct {
 		name        string
 		maxVarBinds int
-		pipeline    int
 	}{
-		{"Batched24", 24, 0},
-		{"Batched24Pipelined", 24, 4},
-		{"Serial", 2, 0},
+		{"Batched24", 24},
+		{"Serial", 2},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			c := newPollRig(b, 4, 8, bc.maxVarBinds, bc.pipeline)
+			c := newPollRig(b, 4, 8, bc.maxVarBinds)
 			c.pollOnce() // settle modes outside the timed region
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -30,7 +30,6 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	tr := obs.FromContext(ctx)
 	meter := &snmp.Meter{}
 	cl := c.client(meter)
-	defer cl.Close() // release any pipelined per-agent sessions
 
 	if len(q.Hosts) == 0 {
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")

@@ -35,7 +35,6 @@ func (c *Collector) ReferenceCollect(q collector.Query) (*collector.Result, Quer
 	ctx := q.Context()
 	meter := &snmp.Meter{}
 	cl := c.client(meter)
-	defer cl.Close()
 	if len(q.Hosts) == 0 {
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")
 	}
@@ -80,7 +79,7 @@ func (w *referenceWalk) resolveMAC(h netip.Addr) (collector.MAC, bool) {
 				ip4 := h.As4()
 				oid := mib.IPNetToMediaPhys.Append(uint32(e.ifIndex),
 					uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3]))
-				if v, err := b.cl.GetOneContext(b.ctx, gw.String(), oid); err == nil {
+				if v, err := b.cl.GetOne(b.ctx, gw.String(), oid); err == nil {
 					if m, okM := collector.MACFromBytes(v.Bytes); okM {
 						return remember(m)
 					}
@@ -116,7 +115,7 @@ func (w *referenceWalk) verifyHost(h netip.Addr) error {
 	if !known {
 		return nil
 	}
-	v, err := b.cl.GetOneContext(b.ctx, sw.String(), mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...))
+	v, err := b.cl.GetOne(b.ctx, sw.String(), mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...))
 	if err == nil && int(v.Int) == port {
 		return nil
 	}

@@ -63,11 +63,6 @@ type Config struct {
 	// forwarding entries it needs from it under the same bound. 0 selects
 	// the default; values below 2 are raised to 2 (one interface per PDU).
 	MaxVarBinds int
-	// Pipeline is the number of requests kept outstanding per agent
-	// (passed to the SNMP client). Values <= 1 keep lock-step exchanges;
-	// larger values let concurrent requests to one agent overlap their
-	// round trips (requires a SessionTransport).
-	Pipeline int
 
 	// StreamPredict, when set to an RPS model spec (e.g. "AR(16)"),
 	// attaches a streaming predictor (collector.Predictor) to every
@@ -185,8 +180,7 @@ type Collector struct {
 
 	// pollMeter accumulates the cost of periodic polling: with batching,
 	// requests counts exchanges (one per device per cycle), not
-	// interfaces. pollClient is the long-lived client behind it, so
-	// pipelined sessions persist across poll cycles.
+	// interfaces. pollClient is the client behind it.
 	pollMeter  *snmp.Meter
 	pollClient *snmp.Client
 
@@ -256,21 +250,16 @@ func (c *Collector) Name() string {
 	return "snmp"
 }
 
-// Stop halts periodic polling and prediction and releases the poll
-// client's sessions.
+// Stop halts periodic polling and prediction.
 func (c *Collector) Stop() {
 	c.poller.Stop()
 	c.pred.Close()
-	if c.pollClient != nil {
-		c.pollClient.Close()
-	}
 }
 
 // client builds a client around the shared transport with the given meter.
 func (c *Collector) client(m *snmp.Meter) *snmp.Client {
 	cl := snmp.NewClient(c.cfg.Transport, c.cfg.Community)
 	cl.Meter = m
-	cl.Pipeline = c.cfg.Pipeline
 	cl.Instrument(c.cfg.Obs)
 	return cl
 }
@@ -482,7 +471,7 @@ func (c *Collector) storeRouter(ri *routerInfo) {
 // mutated, so queries already holding the old pointer keep a consistent
 // pre-reboot snapshot). An unreachable agent is an error.
 func (c *Collector) validateRouter(ctx context.Context, cl *snmp.Client, ri *routerInfo) error {
-	v, err := cl.GetOneContext(ctx, ri.addr.String(), mib.SysUpTime)
+	v, err := cl.GetOne(ctx, ri.addr.String(), mib.SysUpTime)
 	if err != nil {
 		return fmt.Errorf("snmpcoll: router %v unreachable: %w", ri.addr, err)
 	}

@@ -8,6 +8,7 @@
 package wirelesscoll
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -100,13 +101,13 @@ func (c *Collector) sweep(notify bool) error {
 	fresh := make(map[collector.MAC]station)
 	for _, apAddr := range c.cfg.APs {
 		a := apAddr.String()
-		if v, err := c.cfg.Client.GetOne(a, mib.SysName); err == nil {
+		if v, err := c.cfg.Client.GetOne(context.Background(), a, mib.SysName); err == nil {
 			c.mu.Lock()
 			c.apNames[apAddr] = string(v.Bytes)
 			c.mu.Unlock()
 		}
 		rates := map[collector.MAC]float64{}
-		err := c.cfg.Client.BulkWalk(a, mib.WlanStaRate, 16, func(o snmp.OID, v snmp.Value) bool {
+		err := c.cfg.Client.BulkWalk(context.Background(), a, mib.WlanStaRate, 16, func(o snmp.OID, v snmp.Value) bool {
 			if mac, ok := collector.MACFromOID(o); ok {
 				rates[mac] = float64(v.Int)
 			}
@@ -116,7 +117,7 @@ func (c *Collector) sweep(notify bool) error {
 			return fmt.Errorf("wirelesscoll: walking %v: %w", apAddr, err)
 		}
 		rssis := map[collector.MAC]int{}
-		err = c.cfg.Client.BulkWalk(a, mib.WlanStaRSSI, 16, func(o snmp.OID, v snmp.Value) bool {
+		err = c.cfg.Client.BulkWalk(context.Background(), a, mib.WlanStaRSSI, 16, func(o snmp.OID, v snmp.Value) bool {
 			if mac, ok := collector.MACFromOID(o); ok {
 				rssis[mac] = int(v.Int)
 			}

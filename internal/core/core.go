@@ -91,9 +91,6 @@ type Options struct {
 	Parallelism int
 	// MaxVarBinds bounds varbinds per polling Get PDU (0 = default 24).
 	MaxVarBinds int
-	// Pipeline is the number of SNMP requests kept outstanding per agent
-	// (0 or 1 = lock-step).
-	Pipeline int
 	// Obs, when set, instruments every collector layer (SNMP exchange
 	// counters, master fan-out counters, per-collector query counters)
 	// into one registry. Nil disables instrumentation.
@@ -125,12 +122,6 @@ func NewDeployment(s *sim.Sim, n *netsim.Network, opt Options) *Deployment {
 		Sites:     make(map[string]*Site),
 		opt:       opt,
 	}
-}
-
-func (d *Deployment) client() *snmp.Client {
-	cl := snmp.NewClient(d.Transport, community)
-	cl.Pipeline = d.opt.Pipeline
-	return cl
 }
 
 // AddSite wires one site's collectors. Benchmark peering and masters are
@@ -175,7 +166,7 @@ func (d *Deployment) AddSite(spec SiteSpec) (*Site, error) {
 			addrs = append(addrs, sw.ManagementAddr())
 		}
 		site.Bridge = bridgecoll.New(bridgecoll.Config{
-			Client:      d.client(),
+			Client:      snmp.NewClient(d.Transport, community),
 			Sched:       d.Sim,
 			Switches:    addrs,
 			Parallelism: d.opt.Parallelism,
@@ -211,7 +202,6 @@ func (d *Deployment) AddSite(spec SiteSpec) (*Site, error) {
 		StreamPredict: spec.StreamPredict,
 		Parallelism:   d.opt.Parallelism,
 		MaxVarBinds:   d.opt.MaxVarBinds,
-		Pipeline:      d.opt.Pipeline,
 		Obs:           d.opt.Obs,
 	})
 

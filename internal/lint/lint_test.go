@@ -216,7 +216,6 @@ func TestRepoLintClean(t *testing.T) {
 		"internal/proto/ascii.go lockheld": 2,
 		"internal/proto/watch.go goctx":    1,
 		"internal/proto/xmlhttp.go goctx":  1,
-		"internal/snmp/client.go goctx":    1,
 		"internal/snmp/transport.go goctx": 1,
 	}
 	got := make(map[string]int)

@@ -1,6 +1,7 @@
 package mib
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func testNet(t testing.TB) (*sim.Sim, *netsim.Network, *snmp.Client, map[string]
 func TestSystemGroup(t *testing.T) {
 	s, _, c, d := testNet(t)
 	addr := d["r1"].ManagementAddr().String()
-	v, err := c.GetOne(addr, SysName)
+	v, err := c.GetOne(context.Background(), addr, SysName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestSystemGroup(t *testing.T) {
 		t.Fatalf("sysName = %q", v.Bytes)
 	}
 	s.RunFor(30 * time.Second)
-	v, err = c.GetOne(addr, SysUpTime)
+	v, err = c.GetOne(context.Background(), addr, SysUpTime)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestSystemGroup(t *testing.T) {
 func TestIfTable(t *testing.T) {
 	_, _, c, d := testNet(t)
 	addr := d["r1"].ManagementAddr().String()
-	v, err := c.GetOne(addr, IfNumber)
+	v, err := c.GetOne(context.Background(), addr, IfNumber)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestIfTable(t *testing.T) {
 		t.Fatalf("r1 ifNumber = %d, want 2", v.Int)
 	}
 	// WAN interface speed.
-	v, err = c.GetOne(addr, IfSpeed.Append(2))
+	v, err = c.GetOne(context.Background(), addr, IfSpeed.Append(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestIfSpeedCapsAtGauge32(t *testing.T) {
 func TestOctetCountersThroughSNMP(t *testing.T) {
 	s, n, c, d := testNet(t)
 	addr := d["r1"].ManagementAddr().String()
-	before, err := c.GetOne(addr, IfOutOctets.Append(2))
+	before, err := c.GetOne(context.Background(), addr, IfOutOctets.Append(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestOctetCountersThroughSNMP(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunFor(10 * time.Second)
-	after, err := c.GetOne(addr, IfOutOctets.Append(2))
+	after, err := c.GetOne(context.Background(), addr, IfOutOctets.Append(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestCounter32Wraps(t *testing.T) {
 	}
 	// 10 Mbit/s = 1.25 MB/s; 2^32 bytes take ~3436s. Run past one wrap.
 	s.RunFor(4000 * time.Second)
-	v, err := c.GetOne(addr, IfOutOctets.Append(2))
+	v, err := c.GetOne(context.Background(), addr, IfOutOctets.Append(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestRouteTable(t *testing.T) {
 	_, n, c, d := testNet(t)
 	addr := d["r1"].ManagementAddr().String()
 	var dests []string
-	err := c.Walk(addr, IPRouteDest, func(o snmp.OID, v snmp.Value) bool {
+	err := c.Walk(context.Background(), addr, IPRouteDest, func(o snmp.OID, v snmp.Value) bool {
 		dests = append(dests, v.String())
 		return true
 	})
@@ -150,7 +151,7 @@ func TestRouteTable(t *testing.T) {
 	// Next hop for h2's subnet must be r2.
 	h2 := d["h2"].Addr().As4()
 	sub := snmp.OID{uint32(h2[0]), uint32(h2[1]), uint32(h2[2]), 0}
-	v, err := c.GetOne(addr, IPRouteNext.Append(sub...))
+	v, err := c.GetOne(context.Background(), addr, IPRouteNext.Append(sub...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestRouteMask(t *testing.T) {
 	addr := d["r1"].ManagementAddr().String()
 	h1 := d["h1"].Addr().As4()
 	sub := snmp.OID{uint32(h1[0]), uint32(h1[1]), uint32(h1[2]), 0}
-	v, err := c.GetOne(addr, IPRouteMask.Append(sub...))
+	v, err := c.GetOne(context.Background(), addr, IPRouteMask.Append(sub...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +186,14 @@ func TestRouteMask(t *testing.T) {
 
 func TestIPForwardingFlag(t *testing.T) {
 	_, _, c, d := testNet(t)
-	v, err := c.GetOne(d["r1"].ManagementAddr().String(), IPForwarding)
+	v, err := c.GetOne(context.Background(), d["r1"].ManagementAddr().String(), IPForwarding)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Int != 1 {
 		t.Fatalf("router ipForwarding = %d, want 1", v.Int)
 	}
-	v, err = c.GetOne(d["sw"].ManagementAddr().String(), IPForwarding)
+	v, err = c.GetOne(context.Background(), d["sw"].ManagementAddr().String(), IPForwarding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestIPForwardingFlag(t *testing.T) {
 func TestBridgeMIBFdb(t *testing.T) {
 	_, n, c, d := testNet(t)
 	addr := d["sw"].ManagementAddr().String()
-	v, err := c.GetOne(addr, Dot1dBaseNumPorts)
+	v, err := c.GetOne(context.Background(), addr, Dot1dBaseNumPorts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestBridgeMIBFdb(t *testing.T) {
 		t.Fatalf("numPorts = %d, want 2", v.Int)
 	}
 	ports := map[string]int64{}
-	err = c.Walk(addr, Dot1dTpFdbPort, func(o snmp.OID, v snmp.Value) bool {
+	err = c.Walk(context.Background(), addr, Dot1dTpFdbPort, func(o snmp.OID, v snmp.Value) bool {
 		mac := o[len(o)-6:]
 		ports[snmp.OID(mac).String()] = v.Int
 		return true
@@ -243,13 +244,13 @@ func TestFdbReflectsHostMove(t *testing.T) {
 
 	addr := d["sw"].ManagementAddr().String()
 	h1mac := macSub(d["h1"].Ifaces()[0].MAC)
-	v, err := c.GetOne(addr, Dot1dTpFdbPort.Append(h1mac...))
+	v, err := c.GetOne(context.Background(), addr, Dot1dTpFdbPort.Append(h1mac...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	portBefore := v.Int
 	n.MoveHost(d["h1"], sw2, 100e6, time.Millisecond)
-	v, err = c.GetOne(addr, Dot1dTpFdbPort.Append(h1mac...))
+	v, err = c.GetOne(context.Background(), addr, Dot1dTpFdbPort.Append(h1mac...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestFdbReflectsHostMove(t *testing.T) {
 
 func TestHostsHaveNoAgentByDefault(t *testing.T) {
 	_, _, c, d := testNet(t)
-	if _, err := c.Get(d["h1"].Addr().String(), SysName); err == nil {
+	if _, err := c.Get(context.Background(), d["h1"].Addr().String(), SysName); err == nil {
 		t.Fatal("host answered SNMP; hosts should be dark by default")
 	}
 }
@@ -268,7 +269,7 @@ func TestHostsHaveNoAgentByDefault(t *testing.T) {
 func TestFullWalkTerminates(t *testing.T) {
 	_, _, c, d := testNet(t)
 	rows := 0
-	err := c.BulkWalk(d["r1"].ManagementAddr().String(), snmp.MustParseOID("1.3.6.1.2.1"), 16,
+	err := c.BulkWalk(context.Background(), d["r1"].ManagementAddr().String(), snmp.MustParseOID("1.3.6.1.2.1"), 16,
 		func(snmp.OID, snmp.Value) bool {
 			rows++
 			return rows < 10000

@@ -47,7 +47,9 @@ type Config struct {
 	Sched sim.Scheduler
 	// BaseInterval is a new target's starting poll interval (default
 	// 2s). Adaptation stays between Base/4 and MaxInterval (default
-	// 8*Base).
+	// 8*Base), and no two polls of a target start further apart than
+	// MaxInterval: a caller that sets it to a staleness bound gets every
+	// target re-polled within that bound.
 	BaseInterval time.Duration
 	MaxInterval  time.Duration
 	// OnResult receives every successful poll's result (already a
@@ -63,9 +65,10 @@ type Config struct {
 }
 
 const (
-	// jitter spreads poll times by ±this fraction of the interval so
-	// targets never phase-lock. It is drawn from a per-target source
-	// seeded by the target's key: deterministic under the simulated clock.
+	// jitter shortens each gap by up to this fraction of the interval so
+	// targets never phase-lock, and never lengthens it, so the widest gap
+	// is MaxInterval itself. It is drawn from a per-target source seeded
+	// by the target's key: deterministic under the simulated clock.
 	jitter = 0.1
 	// changeFrac is the per-edge utilization change, relative to link
 	// capacity, that counts as "the network moved".
@@ -257,22 +260,22 @@ func (s *Scheduler) poll(t *target) {
 	}
 	t.gIval.Set(t.interval.Seconds())
 
-	next := jittered(t.interval, jitter, t.rng)
+	// The gap runs from this poll's start, so a walk that takes clock time
+	// does not stretch it.
+	next := began.Add(jittered(t.interval, jitter, t.rng))
 	s.mu.Lock()
 	if !s.closed && s.targets[t.key] == t {
-		t.timer = s.cfg.Sched.After(next, func() { s.poll(t) })
+		t.timer = s.cfg.Sched.At(next, func() { s.poll(t) })
 	}
 	s.mu.Unlock()
 }
 
-// jittered spreads d by ±frac.
+// jittered shortens d by a random fraction in [0, frac).
 func jittered(d time.Duration, frac float64, rng *rand.Rand) time.Duration {
-	j := 1 + (rng.Float64()*2-1)*frac
-	out := time.Duration(float64(d) * j)
-	if out <= 0 {
-		out = d
+	if out := time.Duration(float64(d) * (1 - rng.Float64()*frac)); out > 0 {
+		return out
 	}
-	return out
+	return d
 }
 
 // Targets reports how many host sets are under background polling.

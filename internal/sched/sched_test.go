@@ -86,6 +86,29 @@ func TestStableReadingsWidenInterval(t *testing.T) {
 	}
 }
 
+// TestGapsStayInsideMaxInterval: jitter shortens the gap between two
+// polls of a stable target and never stretches it past MaxInterval, so a
+// caller that sets MaxInterval to a staleness bound gets the target
+// re-polled inside it.
+func TestGapsStayInsideMaxInterval(t *testing.T) {
+	s := sim.NewSim()
+	var last time.Time
+	var widest time.Duration
+	sc := newTestSched(t, s, &scriptColl{}, func(c *Config) {
+		c.OnResult = func([]netip.Addr, *collector.Result) {
+			if !last.IsZero() {
+				widest = max(widest, s.Now().Sub(last))
+			}
+			last = s.Now()
+		}
+	})
+	sc.AddTarget([]netip.Addr{hostA, hostB})
+	s.RunFor(10 * time.Minute)
+	if widest > 16*time.Second || widest < 14*time.Second {
+		t.Fatalf("widest gap between polls = %v, want within the 16s max and near it", widest)
+	}
+}
+
 func TestMovementNarrowsInterval(t *testing.T) {
 	s := sim.NewSim()
 	coll := &scriptColl{}

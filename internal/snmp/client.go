@@ -76,12 +76,11 @@ func (m *Meter) Reset() {
 // clientScratch is everything one exchange needs and nothing outlives:
 // the request's varbinds and its encoding, the decoded response and its
 // arenas, and — for a walk, which holds one scratch for all its exchanges —
-// the walk's columns. The request's encoding may live here only on the
-// lock-step path: the transport hands the bytes to the agent and returns
-// before the scratch is reused, so nothing aliases them afterwards;
-// pipelined sends keep requests in flight after Send returns and marshal
-// fresh buffers. A decoded response is visible only to the callback of the
-// exchange that decoded it: what outlives the callback is copied out.
+// the walk's columns. The request's encoding may live here because the
+// transport hands the bytes to the agent and returns before the scratch is
+// reused, so nothing aliases them afterwards. A decoded response is
+// visible only to the callback of the exchange that decoded it: what
+// outlives the callback is copied out.
 type clientScratch struct {
 	req []VarBind
 	buf []byte
@@ -95,20 +94,16 @@ type clientScratch struct {
 
 var clientPool = sync.Pool{New: func() any { return new(clientScratch) }}
 
-// Client issues SNMP requests through a Transport.
+// Client issues SNMP requests through a Transport. Every exchange is
+// lock-step: one request, then its response. A Client is safe for
+// concurrent use, and concurrent callers overlap their round trips —
+// to one agent as to many — because the Transport is.
 type Client struct {
 	Transport Transport
 	Community string
 
 	// Retries is the number of re-sends after a timeout (default 1).
 	Retries int
-
-	// Pipeline is the number of requests kept outstanding per agent.
-	// Values <= 1 keep the classic lock-step behavior. Larger values
-	// require the Transport to implement SessionTransport; concurrent
-	// callers (parallel table walks during discovery) then overlap their
-	// round trips instead of serializing on RTT. Set before first use.
-	Pipeline int
 
 	// Meter, when set, accumulates exchange costs.
 	Meter *Meter
@@ -119,13 +114,8 @@ type Client struct {
 	mRetries   *obs.Counter
 	mTimeouts  *obs.Counter
 	mRTT       *obs.Histogram
-	mInflight  *obs.Gauge
 
 	reqID atomic.Int32
-
-	mu     sync.Mutex
-	pipes  map[string]*pipe
-	closed bool
 }
 
 // NewClient returns a client over the given transport with the community.
@@ -149,8 +139,6 @@ func (c *Client) Instrument(reg *obs.Registry) {
 		"SNMP exchanges that timed out")
 	c.mRTT = reg.Histogram("remos_snmp_rtt_seconds",
 		"SNMP exchange round-trip time", nil)
-	c.mInflight = reg.Gauge("remos_snmp_pipeline_inflight",
-		"SNMP requests currently outstanding on pipelined sessions")
 }
 
 // record updates metrics for one exchange attempt.
@@ -178,21 +166,6 @@ func finalErr(addr string, lastErr error) error {
 	return err
 }
 
-// Close releases per-agent sessions opened for pipelining. The client
-// itself remains usable in lock-step mode afterwards only if Pipeline <= 1;
-// pipelined calls after Close fail with ErrClosed.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	pipes := c.pipes
-	c.pipes = nil
-	c.closed = true
-	c.mu.Unlock()
-	for _, p := range pipes {
-		p.close()
-	}
-	return nil
-}
-
 func (c *Client) attempts() int {
 	if c.Retries < 0 {
 		return 1
@@ -213,30 +186,18 @@ func (sc *clientScratch) response(b []byte, reqID int32) (*PDU, error) {
 	return pdu, nil
 }
 
-// roundTrip is the one exchange core: it sends pdu with sc.req for
-// varbinds and decodes the answer into sc, re-sending after a timeout and
-// after a response that does not decode or match. The PDU it returns lives
-// in sc and dies with sc's next exchange.
-//
-// Lock-step, the request is encoded once, into sc, under one RequestID.
-// With Pipeline > 1 over a SessionTransport every attempt is a fresh
-// buffer (the session retains it while in flight) under a fresh RequestID:
-// a late response to a timed-out attempt then fails to match anything and
-// is dropped, instead of being mistaken for the retry's answer.
+// roundTrip is the one exchange core: it encodes pdu, with sc.req for
+// varbinds, once into sc under one RequestID, sends it, and decodes the
+// answer into sc, re-sending the same bytes after a timeout and after a
+// response that does not decode or match. The PDU it returns lives in sc
+// and dies with sc's next exchange.
 func (c *Client) roundTrip(ctx context.Context, addr string, sc *clientScratch, pdu PDU) (*PDU, error) {
 	msg := Message{Community: c.Community, PDU: pdu}
 	msg.PDU.VarBinds = sc.req
-	var p *pipe
+	msg.PDU.RequestID = c.reqID.Add(1)
 	var err error
-	if st, ok := c.Transport.(SessionTransport); ok && c.Pipeline > 1 {
-		if p, err = c.pipe(st, addr); err != nil {
-			return nil, err
-		}
-	} else {
-		msg.PDU.RequestID = c.reqID.Add(1)
-		if sc.buf, err = msg.AppendMarshal(sc.buf[:0]); err != nil {
-			return nil, err
-		}
+	if sc.buf, err = msg.AppendMarshal(sc.buf[:0]); err != nil {
+		return nil, err
 	}
 	var lastErr error
 	for i := 0; i < c.attempts(); i++ {
@@ -246,26 +207,10 @@ func (c *Client) roundTrip(ctx context.Context, addr string, sc *clientScratch, 
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
-		var respB []byte
-		var rtt time.Duration
-		if p == nil {
-			respB, rtt, err = c.Transport.RoundTrip(addr, sc.buf)
-		} else {
-			msg.PDU.RequestID = c.reqID.Add(1)
-			var req []byte
-			if req, err = msg.Marshal(); err != nil {
-				return nil, err
-			}
-			c.mInflight.Add(1)
-			respB, rtt, err = p.call(ctx, msg.PDU.RequestID, req)
-			c.mInflight.Add(-1)
-		}
+		respB, rtt, err := c.Transport.RoundTrip(addr, sc.buf)
 		c.Meter.AddExchange(rtt, len(sc.req))
 		c.record(rtt, err, i)
 		if err != nil {
-			if p != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				return nil, err
-			}
 			lastErr = err
 			continue
 		}
@@ -300,160 +245,10 @@ func (c *Client) exchange(ctx context.Context, addr string, typ PDUType, names [
 	return use(pdu.VarBinds)
 }
 
-// pipe returns the pipelined session for addr, opening it on first use.
-func (c *Client) pipe(st SessionTransport, addr string) (*pipe, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if p, ok := c.pipes[addr]; ok {
-		return p, nil
-	}
-	sess, err := st.OpenSession(addr)
-	if err != nil {
-		return nil, err
-	}
-	p := newPipe(sess, c.Pipeline)
-	if c.pipes == nil {
-		c.pipes = make(map[string]*pipe)
-	}
-	c.pipes[addr] = p
-	return p, nil
-}
-
-// pipe demultiplexes pipelined exchanges over one Session: up to `window`
-// requests outstanding, each waiter registered under its RequestID, and a
-// single receiver goroutine matching whatever response arrives next to the
-// waiter that sent it.
-type pipe struct {
-	sess   Session
-	window chan struct{}
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	waiting map[int32]chan pipeResult
-	dead    error // set when the session fails or closes
-}
-
-type pipeResult struct {
-	resp []byte
-	rtt  time.Duration
-	err  error
-}
-
-func newPipe(sess Session, window int) *pipe {
-	if window < 1 {
-		window = 1
-	}
-	p := &pipe{
-		sess:    sess,
-		window:  make(chan struct{}, window),
-		waiting: make(map[int32]chan pipeResult),
-	}
-	p.cond = sync.NewCond(&p.mu)
-	//remoslint:allow goctx receive loop ends when the session closes (Recv returns ErrClosed)
-	go p.receive()
-	return p
-}
-
-// call sends one encoded request and blocks for its matched response or
-// the caller's cancellation. A canceled waiter deregisters itself; its
-// late response (if any) is then unmatched and dropped by the receiver.
-func (p *pipe) call(ctx context.Context, reqID int32, req []byte) ([]byte, time.Duration, error) {
-	select {
-	case p.window <- struct{}{}:
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
-	}
-	defer func() { <-p.window }()
-	ch := make(chan pipeResult, 1)
-	p.mu.Lock()
-	if p.dead != nil {
-		err := p.dead
-		p.mu.Unlock()
-		return nil, 0, err
-	}
-	p.waiting[reqID] = ch
-	p.cond.Signal()
-	p.mu.Unlock()
-	if err := p.sess.Send(reqID, req); err != nil {
-		p.mu.Lock()
-		delete(p.waiting, reqID)
-		p.mu.Unlock()
-		return nil, 0, err
-	}
-	select {
-	case r := <-ch:
-		return r.resp, r.rtt, r.err
-	case <-ctx.Done():
-		p.mu.Lock()
-		delete(p.waiting, reqID)
-		p.mu.Unlock()
-		return nil, 0, ctx.Err()
-	}
-}
-
-// receive runs until the session dies, parking while nothing is
-// outstanding so an idle UDP session is not polled.
-func (p *pipe) receive() {
-	for {
-		p.mu.Lock()
-		for len(p.waiting) == 0 && p.dead == nil {
-			p.cond.Wait()
-		}
-		if p.dead != nil {
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
-
-		reqID, resp, rtt, err := p.sess.Recv()
-		if err != nil && reqID == 0 {
-			// Session-fatal: fail every waiter and stop.
-			p.fail(err)
-			return
-		}
-		p.mu.Lock()
-		ch := p.waiting[reqID]
-		delete(p.waiting, reqID)
-		p.mu.Unlock()
-		if ch != nil {
-			ch <- pipeResult{resp: resp, rtt: rtt, err: err}
-		}
-	}
-}
-
-// fail marks the pipe dead and releases every waiter with err.
-func (p *pipe) fail(err error) {
-	p.mu.Lock()
-	if p.dead == nil {
-		p.dead = err
-	}
-	waiting := p.waiting
-	p.waiting = make(map[int32]chan pipeResult)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	for _, ch := range waiting {
-		ch <- pipeResult{err: err}
-	}
-}
-
-func (p *pipe) close() {
-	p.sess.Close() // unblocks the receiver's Recv
-	p.fail(ErrClosed)
-}
-
-// Get fetches the exact OIDs. Missing objects come back with
-// KindNoSuchObject values rather than an error.
-func (c *Client) Get(addr string, oids ...OID) ([]VarBind, error) {
-	return c.GetContext(context.Background(), addr, oids...)
-}
-
 // GetFunc fetches the exact OIDs and shows fn the response's varbinds,
-// honoring the context's cancellation between attempts and while waiting
-// on pipelined responses. The varbinds live in the exchange's scratch:
-// they are valid until fn returns, and fn copies out what it keeps.
+// honoring the context's cancellation between attempts. The varbinds live
+// in the exchange's scratch: they are valid until fn returns, and fn
+// copies out what it keeps.
 func (c *Client) GetFunc(ctx context.Context, addr string, oids []OID, fn func([]VarBind)) error {
 	return c.exchange(ctx, addr, GetRequest, oids, func(vbs []VarBind) error {
 		fn(vbs)
@@ -461,9 +256,10 @@ func (c *Client) GetFunc(ctx context.Context, addr string, oids []OID, fn func([
 	})
 }
 
-// GetContext is GetFunc for a caller that keeps the response: the
-// varbinds are copies of its own.
-func (c *Client) GetContext(ctx context.Context, addr string, oids ...OID) ([]VarBind, error) {
+// Get fetches the exact OIDs: GetFunc for a caller that keeps the
+// response, whose varbinds are copies of its own. Missing objects come
+// back with KindNoSuchObject values rather than an error.
+func (c *Client) Get(ctx context.Context, addr string, oids ...OID) ([]VarBind, error) {
 	var out []VarBind
 	err := c.GetFunc(ctx, addr, oids, func(vbs []VarBind) {
 		out = make([]VarBind, len(vbs))
@@ -475,12 +271,7 @@ func (c *Client) GetContext(ctx context.Context, addr string, oids ...OID) ([]Va
 }
 
 // GetOne fetches a single OID and requires the object to exist.
-func (c *Client) GetOne(addr string, oid OID) (Value, error) {
-	return c.GetOneContext(context.Background(), addr, oid)
-}
-
-// GetOneContext is GetOne honoring the context's cancellation.
-func (c *Client) GetOneContext(ctx context.Context, addr string, oid OID) (v Value, err error) {
+func (c *Client) GetOne(ctx context.Context, addr string, oid OID) (v Value, err error) {
 	err = c.exchange(ctx, addr, GetRequest, []OID{oid}, func(vbs []VarBind) error {
 		if len(vbs) != 1 {
 			return fmt.Errorf("snmp: got %d varbinds for one OID", len(vbs))
@@ -496,12 +287,7 @@ func (c *Client) GetOneContext(ctx context.Context, addr string, oid OID) (v Val
 }
 
 // Next performs one GetNext step.
-func (c *Client) Next(addr string, oid OID) (OID, Value, error) {
-	return c.NextContext(context.Background(), addr, oid)
-}
-
-// NextContext is Next honoring the context's cancellation.
-func (c *Client) NextContext(ctx context.Context, addr string, oid OID) (next OID, v Value, err error) {
+func (c *Client) Next(ctx context.Context, addr string, oid OID) (next OID, v Value, err error) {
 	err = c.exchange(ctx, addr, GetNextRequest, []OID{oid}, func(vbs []VarBind) error {
 		if len(vbs) != 1 {
 			return fmt.Errorf("snmp: GetNext returned %d varbinds", len(vbs))
@@ -515,17 +301,12 @@ func (c *Client) NextContext(ctx context.Context, addr string, oid OID) (next OI
 }
 
 // Walk visits every object under root in order using GetNext, calling fn
-// for each. fn returning false stops the walk early.
-func (c *Client) Walk(addr string, root OID, fn func(OID, Value) bool) error {
-	return c.WalkContext(context.Background(), addr, root, fn)
-}
-
-// WalkContext is Walk honoring the context's cancellation: a canceled
-// walk stops between steps with the context's error.
-func (c *Client) WalkContext(ctx context.Context, addr string, root OID, fn func(OID, Value) bool) error {
+// for each. fn returning false stops the walk early; a canceled walk stops
+// between steps with the context's error.
+func (c *Client) Walk(ctx context.Context, addr string, root OID, fn func(OID, Value) bool) error {
 	cur := root
 	for {
-		next, v, err := c.NextContext(ctx, addr, cur)
+		next, v, err := c.Next(ctx, addr, cur)
 		if err != nil {
 			return err
 		}
@@ -541,14 +322,8 @@ func (c *Client) WalkContext(ctx context.Context, addr string, root OID, fn func
 
 // BulkWalk visits every object under root using GetBulk with the given
 // repetition count (<=0 selects 32), which costs far fewer round trips
-// than Walk on large tables.
-func (c *Client) BulkWalk(addr string, root OID, maxRep int, fn func(OID, Value) bool) error {
-	return c.BulkWalkContext(context.Background(), addr, root, maxRep, fn)
-}
-
-// BulkWalkContext is BulkWalk honoring the context's cancellation: the
-// one-column case of BulkWalkColumns.
-func (c *Client) BulkWalkContext(ctx context.Context, addr string, root OID, maxRep int, fn func(OID, Value) bool) error {
+// than Walk on large tables: the one-column case of BulkWalkColumns.
+func (c *Client) BulkWalk(ctx context.Context, addr string, root OID, maxRep int, fn func(OID, Value) bool) error {
 	_, err := c.BulkWalkColumns(ctx, addr, nil, []OID{root}, maxRep, func(_ int, o OID, v Value) bool {
 		return fn(o, v)
 	})

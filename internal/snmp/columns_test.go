@@ -278,7 +278,7 @@ func TestBulkWalkIsTheOneColumnCase(t *testing.T) {
 	reg.Register("a", &Agent{Community: "public", View: tableView(t)})
 	root := MustParseOID("1.3.6.1.5")
 	var want []string
-	if err := c.Walk("a", root, func(o OID, v Value) bool {
+	if err := c.Walk(context.Background(), "a", root, func(o OID, v Value) bool {
 		want = append(want, o.String()+"="+v.String())
 		return true
 	}); err != nil {
@@ -286,7 +286,7 @@ func TestBulkWalkIsTheOneColumnCase(t *testing.T) {
 	}
 	for maxRep := 1; maxRep <= 9; maxRep++ {
 		var got []string
-		if err := c.BulkWalk("a", root, maxRep, func(o OID, v Value) bool {
+		if err := c.BulkWalk(context.Background(), "a", root, maxRep, func(o OID, v Value) bool {
 			got = append(got, o.String()+"="+v.String())
 			return true
 		}); err != nil {

@@ -148,7 +148,7 @@ func TestOversizeGetAnswersTooBig(t *testing.T) {
 	}
 	c := NewClient(&UDP{Timeout: 300 * time.Millisecond}, "public")
 	start := time.Now()
-	_, err := c.Get(addr, oids...)
+	_, err := c.Get(context.Background(), addr, oids...)
 	if err == nil || errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), fmt.Sprintf("error status %d", ErrStatusTooBig)) {
 		t.Fatalf("oversize Get returned %v after %v, want the agent's tooBig", err, time.Since(start))
 	}
@@ -170,7 +170,7 @@ func TestOversizeGetAnswersTooBig(t *testing.T) {
 		t.Fatalf("oversize GetNext answered %+v, want %+v", resp.PDU, want)
 	}
 	// What fits is still answered.
-	if vbs, err := c.Get(addr, oids[:20]...); err != nil || len(vbs) != 20 {
+	if vbs, err := c.Get(context.Background(), addr, oids[:20]...); err != nil || len(vbs) != 20 {
 		t.Fatalf("a Get that fits: %d varbinds, %v", len(vbs), err)
 	}
 }
@@ -250,7 +250,7 @@ func TestClientScratchIsDeadAfterCallback(t *testing.T) {
 	}
 	var keep []kept
 	get := func(c *Client, n int) {
-		vbs, err := c.GetContext(context.Background(), "a", scalarOIDs[:n]...)
+		vbs, err := c.Get(context.Background(), "a", scalarOIDs[:n]...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +276,7 @@ func TestClientScratchIsDeadAfterCallback(t *testing.T) {
 					// shapes, and everything in the pool overwritten.
 					get(two, 1+len(names)%len(scalarOIDs))
 					if len(names)%5 == 0 {
-						_ = two.BulkWalk("a", columns[1], 3, func(OID, Value) bool { return true })
+						_ = two.BulkWalk(context.Background(), "a", columns[1], 3, func(OID, Value) bool { return true })
 					}
 					scribble()
 				}
@@ -299,12 +299,12 @@ func TestClientScratchIsDeadAfterCallback(t *testing.T) {
 			t.Fatalf("round %d: walk beside scribbled scratch saw\n%v\n%v\nwant\n%v\n%v", round, names, strs, wantNames, wantStrs)
 		}
 		get(one, len(scalarOIDs))
-		next, v, err := two.Next("a", scalarOIDs[0][:len(scalarOIDs[0])-1])
+		next, v, err := two.Next(context.Background(), "a", scalarOIDs[0][:len(scalarOIDs[0])-1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		keep = append(keep, kept{"Next", VarBind{Name: next, Value: v}, VarBind{Name: scalarOIDs[0], Value: wantScalars[0]}})
-		sysName, err := one.GetOne("a", MustParseOID("1.3.6.1.2.1.1.5.0"))
+		sysName, err := one.GetOne(context.Background(), "a", MustParseOID("1.3.6.1.2.1.1.5.0"))
 		if err != nil {
 			t.Fatal(err)
 		}

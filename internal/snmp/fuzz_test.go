@@ -98,10 +98,9 @@ func dirtyDecoder(t testing.TB) *decoder {
 // FuzzDecodeMessage drives the BER decoder with arbitrary bytes. The
 // decoder must never panic or read out of bounds, and anything it accepts
 // must re-encode and re-decode to the identical message (the decoded form
-// is canonical), with peekRequestID agreeing with the full decode. A
-// reused decoder — single pass, arenas grown by append, whatever it held
-// before — must decode every input to the same message, or fail with the
-// same error, as the fresh one that pre-scans.
+// is canonical). A reused decoder — single pass, arenas grown by append,
+// whatever it held before — must decode every input to the same message,
+// or fail with the same error, as the fresh one that pre-scans.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range corpusMessages() {
 		b, err := m.Marshal()
@@ -126,11 +125,6 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		if err != nil {
 			return
-		}
-		ptype, reqID, ok := peekRequestID(b)
-		if !ok || ptype != m.PDU.Type || reqID != m.PDU.RequestID {
-			t.Fatalf("peekRequestID = (%v, %d, %v), decode = (%v, %d)",
-				ptype, reqID, ok, m.PDU.Type, m.PDU.RequestID)
 		}
 		enc, err := m.Marshal()
 		if err != nil {

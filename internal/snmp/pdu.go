@@ -220,25 +220,6 @@ func header(b []byte) (reader, []byte, error) {
 	return r, community, nil
 }
 
-// peekRequestID extracts the PDU type and request-id from an encoded
-// message without a full decode, for matching pipelined responses to their
-// outstanding requests. ok is false if b is not a parseable message prefix.
-func peekRequestID(b []byte) (PDUType, int32, bool) {
-	r, _, err := header(b)
-	if err != nil {
-		return 0, 0, false
-	}
-	ptag, _, err := r.readTL()
-	if err != nil {
-		return 0, 0, false
-	}
-	reqID, err := r.readInteger()
-	if err != nil {
-		return 0, 0, false
-	}
-	return PDUType(ptag), int32(reqID), true
-}
-
 // defaultCommunity is the conventional v2c community: a message carrying
 // it decodes without allocating a string for it.
 const defaultCommunity = "public"

@@ -2,6 +2,7 @@ package snmp
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -311,7 +312,7 @@ func newInProcClient(t *testing.T, community string) (*Client, *Registry) {
 func TestClientGetViaInProc(t *testing.T) {
 	c, reg := newInProcClient(t, "public")
 	reg.Register("10.0.0.1", &Agent{Community: "public", View: testView(t)})
-	v, err := c.GetOne("10.0.0.1", MustParseOID("1.3.6.1.2.1.1.5.0"))
+	v, err := c.GetOne(context.Background(), "10.0.0.1", MustParseOID("1.3.6.1.2.1.1.5.0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestClientMeterCountsRequests(t *testing.T) {
 	reg.Register("a", &Agent{Community: "public", View: testView(t)})
 	c.Meter = &Meter{}
 	for i := 0; i < 5; i++ {
-		if _, err := c.Get("a", MustParseOID("1.3.6.1.2.1.1.1.0")); err != nil {
+		if _, err := c.Get(context.Background(), "a", MustParseOID("1.3.6.1.2.1.1.1.0")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -342,7 +343,7 @@ func TestClientTimeoutOnMissingAgent(t *testing.T) {
 	c, _ := newInProcClient(t, "public")
 	c.Retries = 2
 	c.Meter = &Meter{}
-	if _, err := c.Get("nowhere", MustParseOID("1.3")); err == nil {
+	if _, err := c.Get(context.Background(), "nowhere", MustParseOID("1.3")); err == nil {
 		t.Fatal("expected timeout")
 	}
 	if n, _ := c.Meter.Snapshot(); n != 3 {
@@ -353,7 +354,7 @@ func TestClientTimeoutOnMissingAgent(t *testing.T) {
 func TestClientWrongCommunityTimesOut(t *testing.T) {
 	c, reg := newInProcClient(t, "guess")
 	reg.Register("a", &Agent{Community: "public", View: testView(t)})
-	if _, err := c.Get("a", MustParseOID("1.3")); err == nil {
+	if _, err := c.Get(context.Background(), "a", MustParseOID("1.3")); err == nil {
 		t.Fatal("wrong community should look like a timeout")
 	}
 }
@@ -362,7 +363,7 @@ func TestClientWalk(t *testing.T) {
 	c, reg := newInProcClient(t, "public")
 	reg.Register("a", &Agent{Community: "public", View: testView(t)})
 	var got []string
-	err := c.Walk("a", MustParseOID("1.3.6.1.2.1.2.2.1.10"), func(o OID, v Value) bool {
+	err := c.Walk(context.Background(), "a", MustParseOID("1.3.6.1.2.1.2.2.1.10"), func(o OID, v Value) bool {
 		got = append(got, o.String())
 		return true
 	})
@@ -379,7 +380,7 @@ func TestClientWalkEarlyStop(t *testing.T) {
 	c, reg := newInProcClient(t, "public")
 	reg.Register("a", &Agent{Community: "public", View: testView(t)})
 	n := 0
-	c.Walk("a", MustParseOID("1.3.6.1.2.1.2.2.1.10"), func(OID, Value) bool {
+	c.Walk(context.Background(), "a", MustParseOID("1.3.6.1.2.1.2.2.1.10"), func(OID, Value) bool {
 		n++
 		return false
 	})
@@ -398,13 +399,13 @@ func TestClientBulkWalkMatchesWalk(t *testing.T) {
 	}
 	var a1, a2 []string
 	collect(func() error {
-		return c.Walk("a", MustParseOID("1.3.6.1.2.1"), func(o OID, v Value) bool {
+		return c.Walk(context.Background(), "a", MustParseOID("1.3.6.1.2.1"), func(o OID, v Value) bool {
 			a1 = append(a1, o.String()+"="+v.String())
 			return true
 		})
 	}, &a1)
 	collect(func() error {
-		return c.BulkWalk("a", MustParseOID("1.3.6.1.2.1"), 2, func(o OID, v Value) bool {
+		return c.BulkWalk(context.Background(), "a", MustParseOID("1.3.6.1.2.1"), 2, func(o OID, v Value) bool {
 			a2 = append(a2, o.String()+"="+v.String())
 			return true
 		})
@@ -418,10 +419,10 @@ func TestBulkWalkFewerRoundTrips(t *testing.T) {
 	c, reg := newInProcClient(t, "public")
 	reg.Register("a", &Agent{Community: "public", View: testView(t)})
 	c.Meter = &Meter{}
-	c.Walk("a", MustParseOID("1.3.6.1.2.1"), func(OID, Value) bool { return true })
+	c.Walk(context.Background(), "a", MustParseOID("1.3.6.1.2.1"), func(OID, Value) bool { return true })
 	walkN, _ := c.Meter.Snapshot()
 	c.Meter.Reset()
-	c.BulkWalk("a", MustParseOID("1.3.6.1.2.1"), 8, func(OID, Value) bool { return true })
+	c.BulkWalk(context.Background(), "a", MustParseOID("1.3.6.1.2.1"), 8, func(OID, Value) bool { return true })
 	bulkN, _ := c.Meter.Snapshot()
 	if bulkN >= walkN {
 		t.Fatalf("BulkWalk used %d round trips, Walk used %d", bulkN, walkN)
@@ -437,7 +438,7 @@ func TestUDPTransportEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(&UDP{Timeout: time.Second}, "public")
-	v, err := c.GetOne(addr, MustParseOID("1.3.6.1.2.1.1.1.0"))
+	v, err := c.GetOne(context.Background(), addr, MustParseOID("1.3.6.1.2.1.1.1.0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestUDPTransportEndToEnd(t *testing.T) {
 		t.Fatalf("over UDP: %v", v)
 	}
 	var rows int
-	if err := c.BulkWalk(addr, MustParseOID("1.3.6.1.2.1.2.2.1"), 16, func(OID, Value) bool {
+	if err := c.BulkWalk(context.Background(), addr, MustParseOID("1.3.6.1.2.1.2.2.1"), 16, func(OID, Value) bool {
 		rows++
 		return true
 	}); err != nil {
@@ -465,7 +466,7 @@ func TestUDPTimeout(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(&UDP{Timeout: 50 * time.Millisecond}, "public")
 	c.Retries = 0
-	if _, err := c.Get(addr, MustParseOID("1.3")); err == nil {
+	if _, err := c.Get(context.Background(), addr, MustParseOID("1.3")); err == nil {
 		t.Fatal("expected timeout against wrong-community agent")
 	}
 }

@@ -8,10 +8,13 @@ import (
 )
 
 // Transport delivers one request datagram to an agent address and returns
-// the response. Implementations must be safe for concurrent use. The
-// returned rtt is the (real or modeled) round-trip time of the exchange,
-// which the client accumulates into its Meter — the quantity the Fig 3
-// scalability experiment measures.
+// the response. Implementations must be safe for concurrent use, and
+// concurrent exchanges — with one agent as with many — must not wait on
+// each other: InProc runs the agent on the caller's goroutine and UDP
+// dials a socket per exchange, so a Client's concurrent callers overlap
+// their round trips. The returned rtt is the (real or modeled) round-trip
+// time of the exchange, which the client accumulates into its Meter — the
+// quantity the Fig 3 scalability experiment measures.
 type Transport interface {
 	RoundTrip(addr string, req []byte) (resp []byte, rtt time.Duration, err error)
 }
@@ -83,88 +86,6 @@ func (t *InProc) RoundTrip(addr string, req []byte) ([]byte, time.Duration, erro
 	return resp, rtt, nil
 }
 
-// ErrClosed reports use of a session (or client) after Close.
-var ErrClosed = fmt.Errorf("snmp: session closed")
-
-// Session is a pipelined exchange channel to one agent: multiple requests
-// may be in flight at once, and responses are matched to requests by the
-// RequestID encoded in the PDU rather than by arrival order. Send and Recv
-// may be called from different goroutines; neither retains req/resp bytes
-// after returning.
-type Session interface {
-	// Send transmits one encoded request. reqID is the RequestID encoded
-	// in req, so per-request transport errors can be attributed without
-	// decoding.
-	Send(reqID int32, req []byte) error
-	// Recv blocks for the next completed exchange. For successful
-	// exchanges resp is the raw response datagram (which may answer any
-	// outstanding reqID — the caller demultiplexes); for failed ones resp
-	// is nil and reqID names the request that failed.
-	Recv() (reqID int32, resp []byte, rtt time.Duration, err error)
-	Close() error
-}
-
-// SessionTransport is implemented by transports that support pipelining.
-// Clients with Pipeline > 1 open one session per agent and keep N requests
-// outstanding on it.
-type SessionTransport interface {
-	Transport
-	OpenSession(addr string) (Session, error)
-}
-
-// OpenSession implements SessionTransport. The in-proc session dispatches
-// each request on its own goroutine, so N outstanding requests to one
-// simulated agent overlap their modeled RTTs just as real datagrams would.
-func (t *InProc) OpenSession(addr string) (Session, error) {
-	return &inprocSession{t: t, addr: addr, done: make(chan struct{}), ch: make(chan inprocResult)}, nil
-}
-
-type inprocResult struct {
-	reqID int32
-	resp  []byte
-	rtt   time.Duration
-	err   error
-}
-
-type inprocSession struct {
-	t    *InProc
-	addr string
-	ch   chan inprocResult
-
-	closeOnce sync.Once
-	done      chan struct{}
-}
-
-func (s *inprocSession) Send(reqID int32, req []byte) error {
-	select {
-	case <-s.done:
-		return ErrClosed
-	default:
-	}
-	go func() {
-		resp, rtt, err := s.t.RoundTrip(s.addr, req)
-		select {
-		case s.ch <- inprocResult{reqID: reqID, resp: resp, rtt: rtt, err: err}:
-		case <-s.done:
-		}
-	}()
-	return nil
-}
-
-func (s *inprocSession) Recv() (int32, []byte, time.Duration, error) {
-	select {
-	case r := <-s.ch:
-		return r.reqID, r.resp, r.rtt, r.err
-	case <-s.done:
-		return 0, nil, 0, ErrClosed
-	}
-}
-
-func (s *inprocSession) Close() error {
-	s.closeOnce.Do(func() { close(s.done) })
-	return nil
-}
-
 // UDP is a Transport sending real SNMP datagrams. Addresses take the
 // usual "host:port" form.
 type UDP struct {
@@ -199,132 +120,6 @@ func (t *UDP) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) 
 		return nil, time.Since(start), err
 	}
 	return buf[:n], time.Since(start), nil
-}
-
-// OpenSession implements SessionTransport: one connected UDP socket with
-// many requests outstanding. Responses are matched to requests by decoding
-// the response's RequestID; the oldest outstanding request times out when
-// nothing arrives for it within Timeout.
-func (t *UDP) OpenSession(addr string) (Session, error) {
-	conn, err := net.Dial("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	timeout := t.Timeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	s := &udpSession{
-		conn:    conn.(*net.UDPConn),
-		timeout: timeout,
-		sent:    make(map[int32]time.Time),
-		buf:     make([]byte, 65535),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s, nil
-}
-
-type udpSession struct {
-	conn    *net.UDPConn
-	timeout time.Duration
-	buf     []byte // Recv scratch; Recv is single-goroutine
-
-	mu     sync.Mutex
-	cond   *sync.Cond          // signals a new outstanding request
-	sent   map[int32]time.Time // send time per outstanding RequestID
-	order  []int32             // outstanding RequestIDs, oldest first
-	closed bool
-}
-
-func (s *udpSession) Send(reqID int32, req []byte) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.sent[reqID] = time.Now()
-	s.order = append(s.order, reqID)
-	s.cond.Signal()
-	s.mu.Unlock()
-	_, err := s.conn.Write(req)
-	return err
-}
-
-// oldest blocks until a request is outstanding (Recv may run ahead of the
-// Send it will answer) and returns the longest-outstanding RequestID.
-func (s *udpSession) oldest() (int32, time.Time, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.order) > 0 {
-			id := s.order[0]
-			if t, ok := s.sent[id]; ok {
-				return id, t, nil
-			}
-			s.order = s.order[1:] // already answered
-		}
-		if s.closed {
-			return 0, time.Time{}, ErrClosed
-		}
-		s.cond.Wait()
-	}
-}
-
-func (s *udpSession) settle(reqID int32) (time.Time, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.sent[reqID]
-	if ok {
-		delete(s.sent, reqID)
-	}
-	return t, ok
-}
-
-func (s *udpSession) Recv() (int32, []byte, time.Duration, error) {
-	for {
-		id, sentAt, err := s.oldest()
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		if err := s.conn.SetReadDeadline(sentAt.Add(s.timeout)); err != nil {
-			return 0, nil, 0, err
-		}
-		n, err := s.conn.Read(s.buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				// The oldest request has waited a full timeout: expire it
-				// and let newer ones keep waiting.
-				s.settle(id)
-				return id, nil, time.Since(sentAt), ErrTimeout
-			}
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return 0, nil, 0, ErrClosed
-			}
-			return 0, nil, 0, err
-		}
-		resp := make([]byte, n)
-		copy(resp, s.buf[:n])
-		_, respID, pok := peekRequestID(resp)
-		if !pok {
-			continue // unparseable datagram; keep waiting
-		}
-		at, known := s.settle(respID)
-		if !known {
-			continue // duplicate or stale response
-		}
-		return respID, resp, time.Since(at), nil
-	}
-}
-
-func (s *udpSession) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	return s.conn.Close()
 }
 
 // Server serves one agent over a real UDP socket, for live deployments and

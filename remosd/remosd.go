@@ -16,8 +16,8 @@
 //	...
 //	d.Close()
 //
-// cmd/remosd is now a thin flag→option translator over this package,
-// so everything settable on the command line is settable here too.
+// cmd/remosd is a thin flag→Config translator over this package, so
+// everything settable on the command line is settable here too.
 package remosd
 
 import (
@@ -84,7 +84,6 @@ type Config struct {
 	Scenario    string // demo scenario: "twosite" or "campus"
 	Parallelism int    // collector pipeline parallelism; 0 = GOMAXPROCS
 	MaxVarBinds int    // varbinds per polling Get PDU
-	Pipeline    int    // SNMP requests outstanding per agent
 
 	QueryCacheTTL time.Duration // warm-query cache staleness bound
 	SlowQuery     time.Duration // trace-flagging threshold
@@ -130,7 +129,6 @@ func DefaultConfig() Config {
 		ListenObs:       "127.0.0.1:3571",
 		Scenario:        "twosite",
 		MaxVarBinds:     24,
-		Pipeline:        4,
 		QueryCacheTTL:   2 * time.Second,
 		SlowQuery:       500 * time.Millisecond,
 		SchedInterval:   time.Second,
@@ -164,12 +162,10 @@ func WithQueryCacheTTL(ttl time.Duration) Option {
 	return func(c *Config) { c.QueryCacheTTL = ttl }
 }
 
-// WithCollectorTuning sets the collector pipeline's parallelism,
-// varbinds per PDU, and outstanding requests per agent.
-func WithCollectorTuning(parallelism, maxVarBinds, pipeline int) Option {
-	return func(c *Config) {
-		c.Parallelism, c.MaxVarBinds, c.Pipeline = parallelism, maxVarBinds, pipeline
-	}
+// WithCollectorTuning sets the collector pipeline's parallelism and
+// varbinds per PDU.
+func WithCollectorTuning(parallelism, maxVarBinds int) Option {
+	return func(c *Config) { c.Parallelism, c.MaxVarBinds = parallelism, maxVarBinds }
 }
 
 // WithScheduler configures the continuous-collection plane (base = 0
@@ -471,7 +467,6 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 	dep, hosts, err := buildScenario(s, cfg.Scenario, cfg.BenchInterval, core.Options{
 		Parallelism: cfg.Parallelism,
 		MaxVarBinds: cfg.MaxVarBinds,
-		Pipeline:    cfg.Pipeline,
 		Obs:         reg,
 	})
 	if err != nil {
@@ -490,8 +485,8 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 	// registry all age their state on the deployment's clock.
 	master := dep.Sites[firstSite(dep)].Master
 	queryable := qcache.New(master, qcache.Config{TTL: cfg.QueryCacheTTL, Now: s.Now, Obs: reg})
-	logf("remosd: warm-query cache TTL %v, parallelism %d (0=GOMAXPROCS), max-varbinds %d, pipeline %d",
-		cfg.QueryCacheTTL, cfg.Parallelism, cfg.MaxVarBinds, cfg.Pipeline)
+	logf("remosd: warm-query cache TTL %v, parallelism %d (0=GOMAXPROCS), max-varbinds %d",
+		cfg.QueryCacheTTL, cfg.Parallelism, cfg.MaxVarBinds)
 
 	snapStore := snapshot.New(snapshot.Config{Now: s.Now, Obs: reg})
 	logf("remosd: snapshot plane on (staleness bound %v)", cfg.SnapshotStale)
@@ -499,12 +494,6 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 	// Continuous-collection plane and watch registry.
 	var watchReg *watch.Registry
 	if cfg.SchedInterval > 0 {
-		maxIval := 8 * cfg.SchedInterval
-		if cfg.QueryCacheTTL > 0 && cfg.QueryCacheTTL < maxIval {
-			// Keep the adaptive interval inside the cache's staleness
-			// bound so scheduler-covered queries stay warm.
-			maxIval = cfg.QueryCacheTTL
-		}
 		var plane *sched.Scheduler
 		watchReg = watch.New(watch.Config{
 			Obs:           reg,
@@ -512,19 +501,8 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 			EnsureTarget:  func(h []netip.Addr) { plane.AddTarget(h) },
 			ReleaseTarget: func(h []netip.Addr) { plane.RemoveTarget(h) },
 		})
-		plane = sched.New(sched.Config{
-			Collector: queryable,
-			Invalidate: func(h []netip.Addr) {
-				queryable.Invalidate(qcache.Key(collector.Query{Hosts: h}))
-			},
-			Sched:        s,
-			BaseInterval: cfg.SchedInterval,
-			MaxInterval:  maxIval,
-			OnResult: func(_ []netip.Addr, res *collector.Result) {
-				watchReg.Evaluate(res)
-			},
-			Snapshot: snapStore,
-			Obs:      reg,
+		plane = cfg.pollPlane(s, queryable, snapStore, reg, func(_ []netip.Addr, res *collector.Result) {
+			watchReg.Evaluate(res)
 		})
 		d.onClose(plane.Stop)
 		d.onClose(func() {
@@ -538,7 +516,7 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 			}
 		}
 		logf("remosd: background scheduler on (base %v, max %v); watch plane enabled",
-			cfg.SchedInterval, maxIval)
+			cfg.SchedInterval, cfg.maxPollInterval())
 	}
 
 	if cfg.ListenHostLoad != "" {
@@ -577,6 +555,41 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 		Obs: reg, Traces: st.traces,
 	})
 	return nil
+}
+
+// maxPollInterval is the widest gap the scheduler leaves between two
+// polls of a stable target: eight base intervals, narrowed to the tighter
+// of the positive staleness bounds, so the cache entry and the snapshot
+// generation a covered pair answers from are re-polled before they age
+// past what their readers accept.
+func (cfg Config) maxPollInterval() time.Duration {
+	maxIval := 8 * cfg.SchedInterval
+	for _, bound := range []time.Duration{cfg.QueryCacheTTL, cfg.SnapshotStale} {
+		if bound > 0 && bound < maxIval {
+			maxIval = bound
+		}
+	}
+	return maxIval
+}
+
+// pollPlane builds the background scheduler over the served cache: each
+// poll invalidates its target's entry and collects through the cache, so
+// the answer is the entry's new warm state, and folds it into the
+// snapshot store before onResult sees it.
+func (cfg Config) pollPlane(s sim.Scheduler, cache *qcache.Cache, store *snapshot.Store, reg *obs.Registry,
+	onResult func([]netip.Addr, *collector.Result)) *sched.Scheduler {
+	return sched.New(sched.Config{
+		Collector: cache,
+		Invalidate: func(h []netip.Addr) {
+			cache.Invalidate(qcache.Key(collector.Query{Hosts: h}))
+		},
+		Sched:        s,
+		BaseInterval: cfg.SchedInterval,
+		MaxInterval:  cfg.maxPollInterval(),
+		OnResult:     onResult,
+		Snapshot:     store,
+		Obs:          reg,
+	})
 }
 
 // healthFunc reports per-collector liveness: each site's SNMP collector
