@@ -17,19 +17,21 @@ vet:
 # remoslint: the Remos invariant analyzers — clock injection (wallclock),
 # seeded determinism (globalrand), error taxonomy (errwrap), metric
 # naming (metricname), goroutine hygiene (goctx), pooled-buffer balance
-# (poolreturn), and the lock discipline (lockorder, lockheld). Exit 1 on
-# findings; `go run ./cmd/remoslint -allows` lists the live allow
-# directives.
+# (poolreturn), and the lock discipline read off the code (lockorder:
+# no cycle in the observed lock order; lockheld: nothing blocks under a
+# held mutex, module-wide). Exit 1 on findings; `go run
+# ./cmd/remoslint -allows` lists the live allow directives.
 lint:
 	$(GO) run ./cmd/remoslint ./...
 
 race:
 	$(GO) test -race ./...
 
-# The race detector focused on the concurrency-heavy packages the
-# lockorder/lockheld analyzers police, plus conc and benchcoll (the
-# listener and the one user of it outside that set), collector (the
-# shared streaming Predictor parallel polls feed), modeler (whose queries
+# The race detector focused on the concurrency-heavy packages: the
+# serving planes (proto, qcache, watch, obs, admission, snapshot,
+# federation, directory, topology), conc and benchcoll (the listener
+# and its one user outside the serving planes), collector (the shared
+# streaming Predictor parallel polls feed), modeler (whose queries
 # run beside the snapshot writer and read the stamp vector the next
 # generation is copied from), the cold path's three — snmp (the agent's
 # and the client's pooled scratch), mib (the device layout published per
@@ -41,7 +43,8 @@ race:
 # publish-through-atomic.Pointer sites have no analyzer: the
 # reader-beside-writer tests in these packages are their guard. CI's
 # race-hot matrix (.github/workflows/verify.yml) has one cell per
-# package here; keep the two lists in step.
+# package here; TestRaceHotListsMatch (internal/lint) fails if the two
+# lists differ.
 race-hot:
 	$(GO) test -race ./internal/proto/ ./internal/collector/qcache/ \
 		./internal/watch/ ./internal/obs/ ./internal/admission/ \

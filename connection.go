@@ -67,7 +67,8 @@ type Connection struct {
 	raw io.Closer // the protocol client, when it holds a connection
 
 	mu      sync.Mutex
-	cancels []context.CancelFunc
+	watches map[uint64]context.CancelFunc // live watches, by sequence number
+	nextID  uint64
 	closed  bool
 }
 
@@ -99,11 +100,11 @@ func Connect(target string, opts ...Option) (*Connection, error) {
 // connection.
 func (c *Connection) Close() error {
 	c.mu.Lock()
-	cancels := c.cancels
-	c.cancels = nil
+	watches := c.watches
+	c.watches = nil
 	c.closed = true
 	c.mu.Unlock()
-	for _, cancel := range cancels {
+	for _, cancel := range watches {
 		cancel()
 	}
 	if c.raw != nil {
@@ -140,8 +141,20 @@ func (c *Connection) Watch(ctx context.Context, q WatchQuery, opts ...WatchOptio
 		cancel()
 		return nil, fmt.Errorf("remos: connection is closed")
 	}
-	c.cancels = append(c.cancels, cancel)
+	id := c.nextID
+	c.nextID++
+	if c.watches == nil {
+		c.watches = make(map[uint64]context.CancelFunc)
+	}
+	c.watches[id] = cancel
 	c.mu.Unlock()
+	// Forget the watch once its context ends, so a long-lived Connection
+	// holds state only for the watches still running.
+	context.AfterFunc(wctx, func() {
+		c.mu.Lock()
+		delete(c.watches, id)
+		c.mu.Unlock()
+	})
 	ch, err := c.w.Watch(wctx, spec)
 	if err != nil {
 		cancel()

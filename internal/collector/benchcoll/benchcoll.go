@@ -57,10 +57,6 @@ type Config struct {
 	Interval time.Duration
 	// ProbeDuration is how long each probe transfers (default 5s).
 	ProbeDuration time.Duration
-	// ProbeDemand caps the probe rate to bound intrusiveness; 0 lets
-	// the probe take its full fair share (most accurate, most
-	// intrusive — the trade-off Section 6.1 notes).
-	ProbeDemand float64
 	// ProbeReverse runs probes from the peer toward the local endpoint,
 	// measuring the download direction. The benchmark collectors
 	// "exchange data", so either direction is available; server
@@ -135,7 +131,7 @@ func (c *Collector) startProbe(peer Peer) (func() float64, error) {
 	if c.cfg.ProbeReverse {
 		src, dst = dst, src
 	}
-	return c.cfg.Prober.Start(src, dst, c.cfg.ProbeDemand)
+	return c.cfg.Prober.Start(src, dst, 0) // elastic: the probe takes its full fair share
 }
 
 // record stores one completed measurement.

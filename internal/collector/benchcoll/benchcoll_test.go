@@ -116,21 +116,12 @@ func TestProbeSeesCrossTraffic(t *testing.T) {
 
 func TestDemandCappedProbeLessIntrusive(t *testing.T) {
 	s, n, d := wan(t)
-	c := New(Config{
-		LocalName:     "a",
-		LocalHost:     d["a"].Addr(),
-		Peers:         []Peer{{Name: "b", Host: d["b"].Addr()}},
-		Prober:        &NetsimProber{Net: n},
-		Sched:         s,
-		ProbeDuration: 5 * time.Second,
-		ProbeDemand:   1e6, // lightweight probe
-	})
-	defer c.Stop()
-	if err := c.MeasureAll(); err != nil {
+	stop, err := (&NetsimProber{Net: n}).Start(d["a"].Addr(), d["b"].Addr(), 1e6) // lightweight probe
+	if err != nil {
 		t.Fatal(err)
 	}
-	bw, _, _ := c.Latest("b")
-	if math.Abs(bw-1e6) > 1e5 {
+	s.RunFor(5 * time.Second)
+	if bw := stop(); math.Abs(bw-1e6) > 1e5 {
 		t.Fatalf("capped probe measured %v, want ~1e6 (its own cap)", bw)
 	}
 }

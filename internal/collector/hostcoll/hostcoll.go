@@ -121,9 +121,6 @@ func (c *Collector) Forecast(h netip.Addr) (collector.Forecast, bool) {
 	return c.pred.Forecast(LoadKey(h))
 }
 
-// History exposes the load history store.
-func (c *Collector) History() *collector.History { return c.pred.History() }
-
 // Collect implements collector.Interface: host nodes only (no links —
 // load is a node property), with per-host history and forecasts under
 // LoadKey keys.

@@ -62,7 +62,11 @@ func TestLoadSampling(t *testing.T) {
 		t.Fatalf("busy load = %v (ok=%v), want substantial", busy, ok)
 	}
 	// History accumulates per host independently.
-	if got := len(c.History().Get(LoadKey(d["busy"].Addr()))); got != 30 {
+	res, err := c.Collect(collector.Query{Hosts: []netip.Addr{d["busy"].Addr()}, WithHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.History[LoadKey(d["busy"].Addr())]); got != 30 {
 		t.Fatalf("busy history = %d samples, want 30", got)
 	}
 }

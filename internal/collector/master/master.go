@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync/atomic"
 
 	"remos/internal/collector"
 	"remos/internal/conc"
@@ -71,9 +70,6 @@ type Config struct {
 // Master is a Master Collector.
 type Master struct {
 	cfg Config
-	// served counts queries, for diagnostics. Atomic so the stats path
-	// never contends with concurrent Collect calls.
-	served atomic.Int64
 
 	mQueries    *obs.Counter
 	mSubQueries *obs.Counter
@@ -163,7 +159,6 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 	if len(q.Hosts) == 0 {
 		return nil, fmt.Errorf("master: empty query")
 	}
-	m.served.Add(1)
 	m.mQueries.Inc()
 	defer func() {
 		if err != nil {
@@ -276,6 +271,3 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 	sp.End()
 	return res, nil
 }
-
-// Served returns how many queries the master has answered.
-func (m *Master) Served() int { return int(m.served.Load()) }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"remos/internal/collector"
+	"remos/internal/obs"
 	"remos/internal/topology"
 )
 
@@ -76,6 +77,7 @@ func newTestMaster() (*Master, *fake, *fake, *fake) {
 			{Name: "b", Prefixes: []netip.Prefix{pfx("10.0.2.0/24")}, Collector: siteB, BenchHost: addr("10.0.2.9")},
 		},
 		WideArea: wide,
+		Obs:      obs.New(),
 	})
 	return m, siteA, siteB, wide
 }
@@ -205,6 +207,7 @@ func TestHierarchicalMasters(t *testing.T) {
 		Entries: []Entry{
 			{Name: "region", Prefixes: inner.Prefixes(), Collector: inner},
 		},
+		Obs: obs.New(),
 	})
 	res, err := outer.Collect(collector.Query{Hosts: []netip.Addr{addr("10.0.1.1"), addr("10.0.1.3")}})
 	if err != nil {
@@ -216,8 +219,8 @@ func TestHierarchicalMasters(t *testing.T) {
 	if len(res.Graph.Nodes()) != 2 {
 		t.Fatalf("merged nodes = %d", len(res.Graph.Nodes()))
 	}
-	if inner.Served() != 1 || outer.Served() != 1 {
-		t.Fatalf("served counts inner=%d outer=%d", inner.Served(), outer.Served())
+	if inner.mQueries.Value() != 1 || outer.mQueries.Value() != 1 {
+		t.Fatalf("query counts inner=%d outer=%d", inner.mQueries.Value(), outer.mQueries.Value())
 	}
 }
 
@@ -386,7 +389,7 @@ func TestPrefixesSurfacesDirectoryErrors(t *testing.T) {
 }
 
 // TestConcurrentCollects: many goroutines query one master at once; every
-// answer must be identical and the served counter exact (run under
+// answer must be identical and the query counter exact (run under
 // -race).
 func TestConcurrentCollects(t *testing.T) {
 	m, _, _, _ := newTestMaster()
@@ -427,7 +430,7 @@ func TestConcurrentCollects(t *testing.T) {
 			t.Fatalf("goroutine %d got a different merged graph", i)
 		}
 	}
-	if m.Served() != goroutines+1 {
-		t.Fatalf("served = %d, want %d", m.Served(), goroutines+1)
+	if got := m.mQueries.Value(); got != goroutines+1 {
+		t.Fatalf("queries = %d, want %d", got, goroutines+1)
 	}
 }

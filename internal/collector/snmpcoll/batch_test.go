@@ -60,6 +60,15 @@ func newPollRig(tb testing.TB, agents, ifaces, maxVarBinds int) *Collector {
 	return c
 }
 
+// meterPolls puts a fresh meter under c's poll client and returns it:
+// with batching, its requests count exchanges (one per device per
+// cycle), not interfaces.
+func meterPolls(c *Collector) *snmp.Meter {
+	m := &snmp.Meter{}
+	c.pollClient.Meter = m
+	return m
+}
+
 func (c *Collector) modes() map[counterMode]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -79,26 +88,27 @@ func TestBatchedPollingExchangeCounts(t *testing.T) {
 	const agents, ifaces = 4, 8
 
 	batched := newPollRig(t, agents, ifaces, 24)
+	meter := meterPolls(batched)
 	batched.pollOnce() // probe cycle: 4 varbinds per interface, 6 interfaces per Get
-	if reqs, vbs, _ := batched.PollStats(); reqs != agents*2 || vbs != agents*ifaces*4 {
+	if reqs, vbs, _ := meter.Counts(); reqs != agents*2 || vbs != agents*ifaces*4 {
 		t.Fatalf("probe cycle = %d exchanges / %d varbinds, want %d / %d",
 			reqs, vbs, agents*2, agents*ifaces*4)
 	}
 	if m := batched.modes(); m[modeHC] != agents*ifaces {
 		t.Fatalf("after probe, modes = %v, want all %d in modeHC", m, agents*ifaces)
 	}
-	batched.pollMeter.Reset()
+	meter.Reset()
 	batched.pollOnce() // settled: 8 ifaces x 2 varbinds = 16 <= 24, one Get per device
-	if reqs, vbs, _ := batched.PollStats(); reqs != agents || vbs != agents*ifaces*2 {
+	if reqs, vbs, _ := meter.Counts(); reqs != agents || vbs != agents*ifaces*2 {
 		t.Fatalf("batched cycle = %d exchanges / %d varbinds, want %d / %d",
 			reqs, vbs, agents, agents*ifaces*2)
 	}
 
 	serial := newPollRig(t, agents, ifaces, 2)
 	serial.pollOnce() // probe
-	serial.pollMeter.Reset()
+	meter = meterPolls(serial)
 	serial.pollOnce() // MaxVarBinds 2 = one interface per PDU
-	if reqs, _, _ := serial.PollStats(); reqs != agents*ifaces {
+	if reqs, _, _ := meter.Counts(); reqs != agents*ifaces {
 		t.Fatalf("serial cycle = %d exchanges, want %d (one per interface)", reqs, agents*ifaces)
 	}
 }
@@ -117,7 +127,7 @@ func TestBatchedPollingParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.s.RunFor(30 * time.Second)
-		return st.sc.History().Snapshot()
+		return st.sc.pred.History().Snapshot()
 	}
 	serial := run(func(c *Config) { c.MaxVarBinds = 2 })
 	batched := run(func(c *Config) { c.MaxVarBinds = 24 })
@@ -297,9 +307,9 @@ func TestPartialErrorReprobesInterface(t *testing.T) {
 	if m := c.modes(); m[mode32] != ifaces {
 		t.Fatalf("modes after HC loss = %v, want all mode32", m)
 	}
-	c.pollMeter.Reset()
+	meter := meterPolls(c)
 	c.pollOnce() // settled again: back to one exchange for the device
-	if reqs, _, _ := c.PollStats(); reqs != 1 {
+	if reqs, _, _ := meter.Counts(); reqs != 1 {
 		t.Fatalf("post-recovery cycle = %d exchanges, want 1", reqs)
 	}
 }

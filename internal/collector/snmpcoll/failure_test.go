@@ -57,7 +57,7 @@ func TestRebootDoesNotProduceBogusSpike(t *testing.T) {
 	st.s.RunFor(60 * time.Second)
 	st.n.Reboot(st.d["r1"])
 	st.s.RunFor(30 * time.Second)
-	hist := st.sc.History().Get(collector.HistKey{From: "r1", To: "r2"})
+	hist := st.sc.pred.History().Get(collector.HistKey{From: "r1", To: "r2"})
 	for _, s := range hist {
 		if s.Bits > 100e6 {
 			t.Fatalf("bogus utilization spike %v bits/s recorded after reboot", s.Bits)
@@ -102,7 +102,7 @@ func TestPollerSurvivesDarkAgent(t *testing.T) {
 	st.s.RunFor(30 * time.Second)
 	// History for links polled at live agents keeps advancing: swB's
 	// ports are polled at the switch, which is still up.
-	hist := st.sc.History()
+	hist := st.sc.pred.History()
 	advanced := false
 	cutoff := st.s.Now().Add(-10 * time.Second)
 	for _, k := range hist.Keys() {
@@ -116,7 +116,7 @@ func TestPollerSurvivesDarkAgent(t *testing.T) {
 }
 
 func latestSample(st *site, k collector.HistKey) collector.Sample {
-	s, _ := st.sc.History().Latest(k)
+	s, _ := st.sc.pred.History().Latest(k)
 	return s
 }
 

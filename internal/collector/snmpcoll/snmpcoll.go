@@ -178,11 +178,7 @@ type Collector struct {
 	// so a query storm walks each device once.
 	fetches conc.Flight[netip.Addr, *routerInfo]
 
-	// pollMeter accumulates the cost of periodic polling: with batching,
-	// requests counts exchanges (one per device per cycle), not
-	// interfaces. pollClient is the client behind it.
-	pollMeter  *snmp.Meter
-	pollClient *snmp.Client
+	pollClient *snmp.Client // the periodic poller's client
 
 	lastPoll atomic.Int64 // unix nanos of the last completed poll cycle
 
@@ -232,8 +228,7 @@ func New(cfg Config) *Collector {
 		monitors: make(map[monitorKey]*pollPoint),
 		pred:     pred,
 	}
-	c.pollMeter = &snmp.Meter{}
-	c.pollClient = c.client(c.pollMeter)
+	c.pollClient = c.client(nil)
 	c.mQueries = cfg.Obs.Counter("remos_snmpcoll_queries_total",
 		"queries answered by SNMP collectors", "collector", c.Name())
 	c.mCold = cfg.Obs.Counter("remos_snmpcoll_cold_queries_total",
@@ -286,19 +281,8 @@ func (c *Collector) maxVarBinds() int {
 	return n
 }
 
-// PollStats reports the cumulative cost of periodic polling: the number
-// of SNMP exchanges, the varbinds they carried, and the summed RTT. With
-// batching, exchanges grow with the number of polled devices rather than
-// interfaces.
-func (c *Collector) PollStats() (requests, varbinds int, rtt time.Duration) {
-	return c.pollMeter.Counts()
-}
-
 // PollInterval returns the monitoring period.
 func (c *Collector) PollInterval() time.Duration { return c.cfg.PollInterval }
-
-// History exposes the measurement history store (for prediction services).
-func (c *Collector) History() *collector.History { return c.pred.History() }
 
 // routerColumns are the table columns fetchRouter walks together: the
 // four route-table columns, then the interface and address tables.

@@ -1,8 +1,8 @@
 package lint
 
 // Concurrency-discipline substrate shared by the lockorder and lockheld
-// analyzers: a module-wide index of per-function summaries (which ranked
-// locks a function acquires, which blocking operations it performs,
+// analyzers: a module-wide index of per-function summaries (which mutex
+// classes a function acquires, which blocking operations it performs,
 // which functions it calls) plus per-site events recorded together with
 // the set of mutexes syntactically held at that site.
 //
@@ -30,29 +30,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strings"
 )
 
-// lockClass is one ranked mutex class from Policy.LockLevels, keyed
-// "pkgName.TypeName.fieldName".
-type lockClass struct {
-	class string // policy key; "" for an unranked mutex
-	level int
-}
-
 // heldLock is one currently-held mutex: its rendered expression (the
-// identity used to match the Unlock) plus its ranked class, if any.
+// identity used to match the Unlock) plus its class (see classify).
 type heldLock struct {
-	text string
-	rw   bool // held via RLock
-	lockClass
-}
-
-func (h heldLock) String() string {
-	if h.class == "" {
-		return h.text
-	}
-	return fmt.Sprintf("%s (%s, level %d)", h.text, h.class, h.level)
+	text  string
+	class string
 }
 
 // heldSet is the ordered set of locks held at a program point.
@@ -86,15 +72,8 @@ func (s *heldSet) remove(text string) {
 	}
 }
 
-// concOp is one direct blocking operation in a function body.
-type concOp struct {
-	pos  token.Pos
-	what string
-}
-
 // concCall is one resolved call edge out of a function.
 type concCall struct {
-	pos   token.Pos
 	label string // rendered callee expression, for messages
 
 	obj   types.Object     // static callee (func/method, or the var a closure is bound to)
@@ -107,7 +86,6 @@ type concCall struct {
 // concTrace is how a transitive fact (acquires class C / may block)
 // reaches a function: the call chain walked, ending at the fact.
 type concTrace struct {
-	pos  token.Pos
 	what string   // blocking-op description (transBlock only)
 	via  []string // callee display names along the chain
 }
@@ -134,21 +112,20 @@ type concNode struct {
 	pkg  *Package
 	name string
 
-	acquires map[string]token.Pos // ranked classes directly acquired
-	blocks   []concOp             // direct blocking operations
-	calls    []*concCall
+	calls []*concCall
 
 	acqEvents   []concEvent // acquisitions with locks already held
 	blockEvents []concEvent // blocking ops under a lock
 	callEvents  []concEvent // calls made under a lock
 
-	transAcq   map[string]*concTrace // ranked classes reachable through calls
+	// Seeded with the function's own acquisitions and first blocking op,
+	// then closed over its calls by finalize.
+	transAcq   map[string]*concTrace // classes acquired, directly or through calls
 	transBlock *concTrace            // some blocking op is reachable
 }
 
 // concState is built once per Run and shared by lockorder and lockheld.
 type concState struct {
-	policy    Policy
 	nodes     []*concNode
 	index     map[types.Object]*concNode // decl object (or closure binding var) -> node
 	loaded    map[*types.Package]*Package
@@ -162,9 +139,8 @@ type ifaceKey struct {
 	mname string
 }
 
-func newConcState(policy Policy) *concState {
+func newConcState() *concState {
 	return &concState{
-		policy:    policy,
 		index:     make(map[types.Object]*concNode),
 		loaded:    make(map[*types.Package]*Package),
 		seen:      make(map[*Package]bool),
@@ -176,7 +152,6 @@ func (cs *concState) newNode(pkg *Package, name string) *concNode {
 	n := &concNode{
 		pkg:      pkg,
 		name:     name,
-		acquires: make(map[string]token.Pos),
 		transAcq: make(map[string]*concTrace),
 	}
 	cs.nodes = append(cs.nodes, n)
@@ -512,15 +487,13 @@ func (w *concWalker) call(c *ast.CallExpr, held *heldSet) {
 		text := exprText(sel.X)
 		switch sel.Sel.Name {
 		case "Lock", "RLock":
-			l := heldLock{text: text, rw: sel.Sel.Name == "RLock", lockClass: w.classify(sel.X)}
+			l := heldLock{text: text, class: w.classify(sel.X)}
 			if len(held.locks) > 0 {
 				w.node.acqEvents = append(w.node.acqEvents,
 					concEvent{pos: c.Pos(), acq: l, held: held.snapshot()})
 			}
-			if l.class != "" {
-				if _, ok := w.node.acquires[l.class]; !ok {
-					w.node.acquires[l.class] = c.Pos()
-				}
+			if _, ok := w.node.transAcq[l.class]; !ok {
+				w.node.transAcq[l.class] = &concTrace{}
 			}
 			held.add(l)
 			return
@@ -596,7 +569,6 @@ func (w *concWalker) resolveEdge(c *ast.CallExpr, held *heldSet) {
 		w.expr(c.Fun, held)
 	}
 	if edge != nil {
-		edge.pos = c.Pos()
 		edge.label = exprText(c.Fun)
 		w.node.calls = append(w.node.calls, edge)
 		if len(held.locks) > 0 {
@@ -645,30 +617,23 @@ func (w *concWalker) isMutexRecv(sel *ast.SelectorExpr) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// classify maps a lock expression to its ranked class: the mutex must
-// be a field selected from a value of a named type that appears in
-// Policy.LockLevels as pkg.Type.field.
-func (w *concWalker) classify(x ast.Expr) lockClass {
-	sel, ok := x.(*ast.SelectorExpr)
-	if !ok {
-		return lockClass{}
+// classify maps a lock expression to its class. A field selected from
+// a value of a named type is keyed "pkgName.TypeName.fieldName", so all
+// instances share one class; any other mutex is its own class, keyed by
+// its declaring variable or, lacking one, by its expression.
+func (w *concWalker) classify(x ast.Expr) string {
+	if sel, ok := x.(*ast.SelectorExpr); ok {
+		if named := namedOf(w.typeOf(sel.X)); named != nil && named.Obj().Pkg() != nil {
+			return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + sel.Sel.Name
+		}
 	}
-	base := w.typeOf(sel.X)
-	if base == nil {
-		return lockClass{}
+	if id, ok := x.(*ast.Ident); ok {
+		if obj := w.info().ObjectOf(id); obj != nil && obj.Pkg() != nil {
+			pos := w.pkg.Fset.Position(obj.Pos())
+			return fmt.Sprintf("%s.%s@%s:%d", obj.Pkg().Name(), obj.Name(), filepath.Base(pos.Filename), pos.Line)
+		}
 	}
-	if ptr, ok := base.Underlying().(*types.Pointer); ok {
-		base = ptr.Elem()
-	}
-	named, ok := base.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return lockClass{}
-	}
-	key := named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + sel.Sel.Name
-	if lvl, ok := w.cs.policy.LockLevels[key]; ok {
-		return lockClass{class: key, level: lvl}
-	}
-	return lockClass{}
+	return w.pkg.Name + "." + exprText(x)
 }
 
 // deferredUnlock handles defer x.Unlock(): the lock stays held to the
@@ -684,7 +649,9 @@ func (w *concWalker) deferredUnlock(c *ast.CallExpr, held *heldSet) bool {
 
 // block records a direct blocking operation.
 func (w *concWalker) block(pos token.Pos, what string, held *heldSet) {
-	w.node.blocks = append(w.node.blocks, concOp{pos: pos, what: what})
+	if w.node.transBlock == nil {
+		w.node.transBlock = &concTrace{what: what}
+	}
 	if len(held.locks) > 0 {
 		w.node.blockEvents = append(w.node.blockEvents,
 			concEvent{pos: pos, what: what, held: held.snapshot()})
@@ -815,13 +782,6 @@ func (cs *concState) finalize() {
 				c.targets = cs.implementations(c.iface, c.mname)
 			}
 		}
-		// Seed transitive facts with the direct ones.
-		for cls, pos := range n.acquires {
-			n.transAcq[cls] = &concTrace{pos: pos}
-		}
-		if len(n.blocks) > 0 {
-			n.transBlock = &concTrace{pos: n.blocks[0].pos, what: n.blocks[0].what}
-		}
 	}
 
 	for changed := true; changed; {
@@ -831,17 +791,14 @@ func (cs *concState) finalize() {
 				for _, t := range c.targets {
 					for cls, tr := range t.transAcq {
 						if _, ok := n.transAcq[cls]; !ok {
-							n.transAcq[cls] = &concTrace{
-								pos: c.pos, what: tr.what,
-								via: append([]string{t.name}, tr.via...),
-							}
+							n.transAcq[cls] = &concTrace{via: append([]string{t.name}, tr.via...)}
 							changed = true
 						}
 					}
 					if n.transBlock == nil && t.transBlock != nil {
 						n.transBlock = &concTrace{
-							pos: c.pos, what: t.transBlock.what,
-							via: append([]string{t.name}, t.transBlock.via...),
+							what: t.transBlock.what,
+							via:  append([]string{t.name}, t.transBlock.via...),
 						}
 						changed = true
 					}
@@ -899,7 +856,7 @@ func (cs *concState) implementations(ifc *types.Interface, mname string) []*conc
 func heldText(held []heldLock) string {
 	parts := make([]string, len(held))
 	for i, h := range held {
-		parts[i] = h.String()
+		parts[i] = h.text
 	}
 	return strings.Join(parts, ", ")
 }

@@ -28,15 +28,16 @@
 //	             balanced by a Put on the same pool within the same
 //	             function (direct or deferred), so serving paths cannot
 //	             quietly stop recycling buffers.
-//	lockorder  — the declared lock hierarchy (Policy.LockLevels) holds
-//	             everywhere: while a ranked lock is held, only strictly
-//	             lower-ranked locks may be acquired, directly or through
-//	             the module-local call graph; same-level locks never
-//	             nest.
+//	lockorder  — the lock order the module actually has is acyclic:
+//	             every mutex field is a class, an edge A -> B is any
+//	             acquisition of B while A is held (directly, through the
+//	             module-local call graph or module-interface dispatch),
+//	             and every acquisition site on a cycle or self-loop is a
+//	             finding.
 //	lockheld   — no blocking operation (channel send/recv, select
-//	             without default, Wait, network I/O, time.Sleep, nested
-//	             unranked mutexes) runs between Lock/RLock and Unlock in
-//	             the hot-path packages, directly or through calls.
+//	             without default, Wait, network I/O, time.Sleep) runs
+//	             between Lock/RLock and Unlock anywhere in the module,
+//	             directly or through calls.
 //
 // A finding is suppressed by a //remoslint:allow <check> <reason>
 // comment on the same line or the line above. The directive itself is
@@ -85,15 +86,6 @@ type Policy struct {
 	// MetricSubsystems are the allowed second tokens of a metric name
 	// (remos_<subsystem>_...).
 	MetricSubsystems map[string]bool
-	// LockLevels is the repo-wide lock hierarchy: ranked mutex fields
-	// keyed "pkgName.TypeName.fieldName", lowest level innermost. While
-	// a level-L lock is held only strictly lower levels may be
-	// acquired; same-level locks must never nest. Amending the table is
-	// an API change — see DESIGN.md §10 for the procedure.
-	LockLevels map[string]int
-	// LockHeld packages are hot paths where nothing may block while a
-	// mutex is held.
-	LockHeld map[string]bool
 }
 
 // DefaultPolicy is the Remos repository policy.
@@ -110,21 +102,6 @@ func DefaultPolicy() Policy {
 			"federation", "hostload", "master", "modeler", "qcache",
 			"request", "requests", "sched", "snapshot", "snmp", "snmpcoll",
 			"watch", "wireless"),
-		// The serving-stack hierarchy, innermost (lowest) first. The
-		// levels are spaced by 10 so a new structure can slot between
-		// existing planes without renumbering.
-		LockLevels: map[string]int{
-			"qcache.shard.mu":         10, // COW shard spinout: clone-and-swap only
-			"watch.regShard.mu":       20, // watch registry stripe
-			"obs.Registry.mu":         30, // metric family registration
-			"obs.Trace.mu":            30, // span assembly
-			"obs.Ring.mu":             30, // trace ring
-			"admission.Controller.mu": 40, // tenant buckets + queues; reports into obs
-			"federation.Router.mu":    50, // domain cache + stitching
-			"directory.Service.mu":    50, // lease table
-		},
-		LockHeld: set("proto", "qcache", "watch", "obs", "admission",
-			"snapshot", "federation", "directory", "topology"),
 	}
 }
 
@@ -233,7 +210,7 @@ func (r *runner) collectDirectives(pkg *Package) {
 // first check that needs it.
 func Run(pkgs []*Package, policy Policy) []Diagnostic {
 	r := &runner{policy: policy, metrics: make(map[string][]metricSite)}
-	cs := newConcState(policy)
+	cs := newConcState()
 	checks := []checker{
 		wallclockCheck{},
 		globalrandCheck{},

@@ -7,30 +7,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // wantRe extracts the quoted expectation patterns of one // want
 // comment, analysistest style: // want `re` "re" ...
 var wantRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
-
-// fixturePolicy is DefaultPolicy plus the opt-ins a fixture cannot
-// express through its package clause alone: the lockorder fixture
-// declares its own two-level hierarchy, and the lockheld fixture names
-// itself a hot-path package.
-func fixturePolicy(name string) Policy {
-	p := DefaultPolicy()
-	switch name {
-	case "lockorder":
-		p.LockLevels["lockorder.Inner.mu"] = 10
-		p.LockLevels["lockorder.Outer.mu"] = 20
-	case "lockheld":
-		p.LockHeld["lockheld"] = true
-	}
-	return p
-}
 
 // golden runs every analyzer over one testdata package and matches the
 // diagnostics against its // want comments line by line.
@@ -41,7 +27,7 @@ func golden(t *testing.T, name string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-	diags := Run([]*Package{pkg}, fixturePolicy(name))
+	diags := Run([]*Package{pkg}, DefaultPolicy())
 
 	// Collect want expectations: (file base, line) -> patterns.
 	type key struct {
@@ -125,7 +111,7 @@ func TestGoldenExitStatus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load %s: %v", name, err)
 		}
-		if diags := Run([]*Package{pkg}, fixturePolicy(name)); len(diags) == 0 {
+		if diags := Run([]*Package{pkg}, DefaultPolicy()); len(diags) == 0 {
 			t.Errorf("%s fixture produced no findings; a lint run over it would exit 0", name)
 		}
 	}
@@ -174,39 +160,45 @@ func TestAllowDirectives(t *testing.T) {
 	}
 }
 
-// TestRepoLintClean asserts the repository itself passes every
-// analyzer: the fix sweep stays fixed, and regressions fail the suite
-// even before CI runs make lint.
-func TestRepoLintClean(t *testing.T) {
+var repo struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// loadRepo loads the repository's module once for every test that
+// audits it.
+func loadRepo(t *testing.T) []*Package {
+	t.Helper()
+	repo.once.Do(func() {
+		repo.pkgs, repo.err = LoadModule(repoRoot(t))
+	})
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	if len(repo.pkgs) < 10 {
+		t.Fatalf("suspiciously few packages loaded (%d); loader lost the module", len(repo.pkgs))
+	}
+	return repo.pkgs
+}
+
+func repoRoot(t *testing.T) string {
+	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 10 {
-		t.Fatalf("suspiciously few packages loaded (%d); loader lost the module", len(pkgs))
-	}
+	return root
+}
+
+// TestRepoLintClean asserts the repository itself passes every
+// analyzer: the fix sweep stays fixed, and regressions fail the suite
+// even before CI runs make lint.
+func TestRepoLintClean(t *testing.T) {
+	pkgs := loadRepo(t)
+	root := repoRoot(t)
 	for _, d := range Run(pkgs, DefaultPolicy()) {
 		t.Errorf("%s", d)
-	}
-
-	// Pinned: the newest, least-hardened concurrent code (federation's
-	// router, the directory's replication plane) is inside the coverage
-	// of both concurrency checks rather than out of policy — being
-	// clean must mean "checked and clean".
-	pol := DefaultPolicy()
-	for _, pkg := range []string{"federation", "directory"} {
-		if !pol.LockHeld[pkg] {
-			t.Errorf("package %s is not in the lockheld policy; its locks are unpoliced", pkg)
-		}
-	}
-	for _, cls := range []string{"federation.Router.mu", "directory.Service.mu"} {
-		if _, ok := pol.LockLevels[cls]; !ok {
-			t.Errorf("%s is not ranked in LockLevels; lockorder cannot see it", cls)
-		}
 	}
 
 	// Pinned: the live allow directives, by file and check. Excusing one
@@ -235,11 +227,7 @@ func TestRepoLintClean(t *testing.T) {
 // its two per-check tables (first cell a backticked check name) are
 // exactly the analyzers that exist.
 func TestDesignTableMatchesChecks(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	doc, err := os.ReadFile(filepath.Join(repoRoot(t), "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +249,47 @@ func TestDesignTableMatchesChecks(t *testing.T) {
 		if !knownChecks[name] {
 			t.Errorf("DESIGN.md §10 has a row for %s, which is not an analyzer", name)
 		}
+	}
+}
+
+// TestRaceHotListsMatch keeps the Makefile's race-hot target and CI's
+// race-hot matrix (one cell per package) on the same package list.
+func TestRaceHotListsMatch(t *testing.T) {
+	root := repoRoot(t)
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, target, ok := strings.Cut(string(mk), "\nrace-hot:\n")
+	if !ok {
+		t.Fatal("Makefile has no race-hot target")
+	}
+	target, _, _ = strings.Cut(target, "\n\n")
+	var fromMake []string
+	for _, f := range strings.Fields(target) {
+		if strings.HasPrefix(f, ".") {
+			fromMake = append(fromMake, f)
+		}
+	}
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "verify.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, job, ok := strings.Cut(string(ci), "\n  race-hot:\n")
+	if !ok {
+		t.Fatal("verify.yml has no race-hot job")
+	}
+	job, _, _ = strings.Cut(job, "steps:")
+	var fromCI []string
+	for _, line := range strings.Split(job, "\n") {
+		if pkg, ok := strings.CutPrefix(strings.TrimSpace(line), "- "); ok {
+			fromCI = append(fromCI, pkg)
+		}
+	}
+	sort.Strings(fromMake)
+	sort.Strings(fromCI)
+	if len(fromMake) == 0 || !reflect.DeepEqual(fromMake, fromCI) {
+		t.Errorf("race-hot lists differ:\nMakefile:   %v\nverify.yml: %v", fromMake, fromCI)
 	}
 }
 

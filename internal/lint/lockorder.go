@@ -1,25 +1,22 @@
 package lint
 
-// lockorder enforces the repo-wide lock hierarchy declared in
-// Policy.LockLevels. The rule: while any ranked lock of level L is
-// held, only strictly lower-ranked locks may be acquired — directly or
-// anywhere in the call graph of a call made inside the critical
-// section. Acquiring a same-level lock (two stripes of the same shard
-// set) is always a violation: stripes have no order between them, so
-// nesting them deadlocks under inverse interleaving.
-//
-// The hierarchy is deliberately coarse — one level per locked
-// structure, lowest innermost:
-//
-//	10 qcache shard < 20 watch stripe < 30 obs stripe
-//	   < 40 admission bucket < 50 federation router / directory
-//
-// so a higher-plane component (admission, federation) may call into a
-// lower-plane one (obs, qcache) while locked, but never the reverse.
-// Unranked mutexes are outside the hierarchy and are lockorder's
-// no-op; lockheld polices nesting that involves them.
+// lockorder reports cycles in the lock order the module actually has.
+// Every mutex is a class: a struct field of a named type is keyed
+// pkg.Type.field (so every stripe of a shard set shares one class), any
+// other mutex is its own class. The observed order is a graph with an
+// edge A -> B wherever class B is acquired while A is held — directly,
+// anywhere in the module-local call graph of a call made inside the
+// critical section, or through dispatch on a module interface. An
+// acyclic order cannot deadlock on mutexes alone; every acquisition
+// site whose edge lies on a cycle is a finding. A self-loop is a cycle
+// too: two stripes of one shard set, or a re-entry through a helper.
 
-import "fmt"
+import (
+	"fmt"
+	"go/token"
+	"sort"
+	"strings"
+)
 
 type lockorderCheck struct {
 	cs *concState
@@ -29,73 +26,107 @@ func (c *lockorderCheck) run(p *pass) {
 	c.cs.collect(p.pkg)
 }
 
-func (c *lockorderCheck) finish(r *runner) {
-	cs := c.cs
+// lockSite is one observed edge held.class -> to of the lock order, at
+// an acquisition or a call made under held.
+type lockSite struct {
+	node *concNode
+	pos  token.Pos
+	held heldLock
+	to   string
+	what string // how to is acquired, for messages
+}
+
+// lockSites lists every edge occurrence of the observed lock order.
+func (cs *concState) lockSites() []lockSite {
 	cs.finalize()
+	var out []lockSite
+	add := func(n *concNode, ev concEvent, to, what string) {
+		for _, h := range ev.held {
+			out = append(out, lockSite{node: n, pos: ev.pos, held: h, to: to, what: what})
+		}
+	}
 	for _, n := range cs.nodes {
 		for _, ev := range n.acqEvents {
-			if ev.acq.class == "" {
-				continue
-			}
-			if h, bad := worstHeld(ev.held, ev.acq.level); bad {
-				r.report(n.pkg.Fset, ev.pos, "lockorder",
-					orderMsg(fmt.Sprintf("acquires %s (level %d)", ev.acq.class, ev.acq.level), ev.acq.level, h))
-			}
+			add(n, ev, ev.acq.class, "acquires "+ev.acq.class)
 		}
 		for _, ev := range n.callEvents {
-			minHeld := -1
-			for _, h := range ev.held {
-				if h.class != "" && (minHeld < 0 || h.level < minHeld) {
-					minHeld = h.level
-				}
-			}
-			if minHeld < 0 {
-				continue // no ranked lock held: nothing to order against
-			}
 			for _, t := range ev.call.targets {
-				reported := false
-				for cls, tr := range t.transAcq {
-					lvl := cs.policy.LockLevels[cls]
-					if lvl < minHeld {
-						continue
-					}
-					h, _ := worstHeld(ev.held, lvl)
-					r.report(n.pkg.Fset, ev.pos, "lockorder",
-						orderMsg(fmt.Sprintf("call to %s acquires %s (level %d)%s",
-							ev.call.label, cls, lvl, (&concTrace{via: append([]string{t.name}, tr.via...)}).chain()),
-							lvl, h))
-					reported = true
-					break // one finding per call site
-				}
-				if reported {
-					break
+				for _, cls := range sortedKeys(t.transAcq) {
+					tr := &concTrace{via: append([]string{t.name}, t.transAcq[cls].via...)}
+					add(n, ev, cls, fmt.Sprintf("call to %s acquires %s%s", ev.call.label, cls, tr.chain()))
 				}
 			}
 		}
 	}
+	return out
 }
 
-// worstHeld returns the held ranked lock that the acquisition of a
-// level-lvl lock violates against (the lowest held level ≤ lvl), and
-// whether a violation exists at all.
-func worstHeld(held []heldLock, lvl int) (heldLock, bool) {
-	var worst heldLock
-	found := false
-	for _, h := range held {
-		if h.class == "" || lvl < h.level {
+// lockGraph is the observed lock order: held class -> acquired classes.
+type lockGraph map[string]map[string]bool
+
+func newLockGraph(sites []lockSite) lockGraph {
+	g := make(lockGraph)
+	for _, s := range sites {
+		if g[s.held.class] == nil {
+			g[s.held.class] = make(map[string]bool)
+		}
+		g[s.held.class][s.to] = true
+	}
+	return g
+}
+
+// path returns a shortest chain of classes from -> ... -> to, or nil
+// when to is unreachable; path(a, a) is [a].
+func (g lockGraph) path(from, to string) []string {
+	prev := map[string]string{from: ""}
+	for queue := []string{from}; len(queue) > 0; queue = queue[1:] {
+		v := queue[0]
+		if v == to {
+			var out []string
+			for ; v != ""; v = prev[v] {
+				out = append([]string{v}, out...)
+			}
+			return out
+		}
+		for _, w := range sortedKeys(g[v]) {
+			if _, seen := prev[w]; !seen {
+				prev[w] = v
+				queue = append(queue, w)
+			}
+		}
+	}
+	return nil
+}
+
+func (c *lockorderCheck) finish(r *runner) {
+	sites := c.cs.lockSites()
+	g := newLockGraph(sites)
+	type siteKey struct {
+		node *concNode
+		pos  token.Pos
+	}
+	reported := make(map[siteKey]bool)
+	for _, s := range sites {
+		k := siteKey{s.node, s.pos}
+		if reported[k] {
+			continue // one finding per site
+		}
+		back := g.path(s.to, s.held.class)
+		if back == nil {
 			continue
 		}
-		if !found || h.level < worst.level {
-			worst = h
-			found = true
-		}
+		reported[k] = true
+		cycle := strings.Join(append([]string{s.held.class}, back...), " -> ")
+		r.report(s.node.pkg.Fset, s.pos, "lockorder",
+			fmt.Sprintf("lock-order cycle %s: %s while holding %s (%s)", cycle, s.what, s.held.text, s.held.class))
 	}
-	return worst, found
 }
 
-func orderMsg(what string, lvl int, held heldLock) string {
-	if lvl == held.level {
-		return fmt.Sprintf("lock hierarchy: %s while holding %s: same-level locks must never nest", what, held)
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return fmt.Sprintf("lock hierarchy: %s while holding %s: only strictly lower levels may be acquired under a held lock", what, held)
+	sort.Strings(keys)
+	return keys
 }

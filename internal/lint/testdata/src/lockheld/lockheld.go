@@ -1,5 +1,5 @@
-// The lockheld fixture opts in via the test policy: package lockheld is
-// a hot-path package where nothing may block while a mutex is held.
+// The lockheld fixture: nothing may block while a mutex is held, in any
+// package.
 package lockheld
 
 import (
@@ -72,11 +72,11 @@ func sleepUnderLock(g *guard) {
 
 type other struct{ mu sync.Mutex }
 
-// nestedUnderLock: unranked mutexes have no hierarchy argument, so
-// nesting them under a held lock is flagged here.
+// nestedUnderLock does not block: nesting is lockorder's business, and
+// this one lies on no cycle.
 func nestedUnderLock(g *guard, o *other) {
 	g.mu.Lock()
-	o.mu.Lock() // want `acquires o\.mu while holding g\.mu`
+	o.mu.Lock()
 	o.mu.Unlock()
 	g.mu.Unlock()
 }

@@ -285,17 +285,6 @@ func (s *Scheduler) Targets() int {
 	return len(s.targets)
 }
 
-// Interval reports a target's current adaptive poll interval (0 if the
-// host set is not registered). Diagnostics and tests.
-func (s *Scheduler) Interval(hosts []netip.Addr) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t := s.targets[targetKey(hosts)]; t != nil {
-		return t.interval
-	}
-	return 0
-}
-
 // Stop cancels every poll loop and in-flight collection. Idempotent.
 func (s *Scheduler) Stop() {
 	s.mu.Lock()

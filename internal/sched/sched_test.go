@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"net/netip"
 	"strings"
 	"sync"
@@ -71,14 +72,22 @@ func newTestSched(t *testing.T, s sim.Scheduler, coll collector.Interface, mut f
 	return sc
 }
 
+// pollInterval reads a target's adaptive interval off the scheduler's
+// remos_sched_poll_interval_seconds gauge.
+func pollInterval(reg *obs.Registry, hosts []netip.Addr) time.Duration {
+	g := reg.Gauge("remos_sched_poll_interval_seconds", "current adaptive poll interval", "target", targetKey(hosts))
+	return time.Duration(math.Round(g.Value() * float64(time.Second)))
+}
+
 func TestStableReadingsWidenInterval(t *testing.T) {
 	s := sim.NewSim()
 	coll := &scriptColl{}
-	sc := newTestSched(t, s, coll, nil)
+	reg := obs.New()
+	sc := newTestSched(t, s, coll, func(c *Config) { c.Obs = reg })
 	hosts := []netip.Addr{hostA, hostB}
 	sc.AddTarget(hosts)
 	s.RunFor(5 * time.Minute)
-	if got := sc.Interval(hosts); got != 16*time.Second {
+	if got := pollInterval(reg, hosts); got != 16*time.Second {
 		t.Fatalf("stable target interval = %v, want the 16s max", got)
 	}
 	if coll.calls.Load() == 0 {
@@ -112,7 +121,8 @@ func TestGapsStayInsideMaxInterval(t *testing.T) {
 func TestMovementNarrowsInterval(t *testing.T) {
 	s := sim.NewSim()
 	coll := &scriptColl{}
-	sc := newTestSched(t, s, coll, nil)
+	reg := obs.New()
+	sc := newTestSched(t, s, coll, func(c *Config) { c.Obs = reg })
 	hosts := []netip.Addr{hostA, hostB}
 	sc.AddTarget(hosts)
 	s.RunFor(5 * time.Minute) // settle at max
@@ -129,7 +139,7 @@ func TestMovementNarrowsInterval(t *testing.T) {
 	// Once the interval narrows under the 1s swing period, some polls
 	// land inside the same second and see no change, so the steady state
 	// oscillates just above the minimum rather than pinning to it.
-	if got := sc.Interval(hosts); got > time.Second {
+	if got := pollInterval(reg, hosts); got > time.Second {
 		t.Fatalf("churning target interval = %v, want it driven near the 500ms min", got)
 	}
 }
@@ -152,8 +162,8 @@ func TestTargetRefcounting(t *testing.T) {
 		t.Fatalf("Targets() = %d after final remove", sc.Targets())
 	}
 	sc.RemoveTarget(hosts) // over-release is a no-op
-	if sc.Interval(hosts) != 0 {
-		t.Fatal("Interval nonzero for unregistered target")
+	if sc.Targets() != 0 {
+		t.Fatalf("Targets() = %d after an over-release", sc.Targets())
 	}
 }
 
