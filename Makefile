@@ -56,7 +56,9 @@ race-hot:
 verify: vet lint build test race
 
 # Shake each fuzz target for 10s so the targets (and their seed corpora)
-# can't bit-rot; CI runs this on every push.
+# can't bit-rot; CI runs this on every push. The list is every func Fuzz*
+# in the module: TestFuzzSmokeListsEveryTarget (internal/lint) fails if a
+# target is missing from it.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/snmp/
 	$(GO) test -run xxx -fuzz FuzzServeCommands -fuzztime 10s ./internal/directory/
@@ -65,6 +67,9 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzASCIIConn -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzXMLRequest -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzXMLFlowsReply -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzReadResult -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzSSEEvents -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzDecodeHTTPError -fuzztime 10s ./internal/proto/
 
 # Boots remosd and asserts the observability plane (/metrics, /healthz,
 # /debug/queries) reports a real query end to end.

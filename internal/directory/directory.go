@@ -9,7 +9,9 @@ package directory
 
 import (
 	"fmt"
+	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,7 +69,42 @@ type Service struct {
 
 	mu       sync.Mutex
 	entries  map[string]entry
-	resolved map[string]collector.Interface
+	resolved map[resolveKey]collector.Interface
+	// view is the current View; every mutation of entries clears it,
+	// and the next read rebuilds it.
+	view *View
+}
+
+// resolveKey names one cached protocol client: an advert at an endpoint.
+type resolveKey struct{ name, endpoint string }
+
+// View is one immutable picture of the directory: the unexpired adverts
+// with their leases, in the orders the per-query readers walk them. The
+// Service builds one per change to the advert set or a lease, and one
+// when the clock passes the earliest lease expiry, so a View is never
+// staler than the leases; every reader in between gets the same View.
+// It is shared: a View and every slice in it are read-only.
+type View struct {
+	// All is every unexpired advert with its lease, sorted by name.
+	All []AdvertStatus
+	// Domains are the administrative domains the federated adverts (a
+	// non-empty Domain) name, sorted by name.
+	Domains []Domain
+	// expires is the earliest lease expiry in All.
+	expires time.Time
+}
+
+// Domain is one administrative domain of a View.
+type Domain struct {
+	Name string
+	// Adverts are the domain's adverts in failover order: lowest
+	// Priority first, then by name.
+	Adverts []AdvertStatus
+}
+
+// fresh reports whether every lease in the view is still live at now.
+func (v *View) fresh(now time.Time) bool {
+	return len(v.All) == 0 || !v.expires.Before(now)
 }
 
 // New creates a directory on the given clock.
@@ -102,6 +139,7 @@ func (s *Service) Register(a Advert, ttl time.Duration) error {
 	}
 	now := s.sched.Now()
 	s.entries[a.Name] = entry{advert: a, expires: now.Add(ttl), renewed: now}
+	s.view = nil
 	return nil
 }
 
@@ -130,11 +168,13 @@ func (s *Service) ReplicaApply(a Advert, ttl time.Duration) bool {
 			if expires.After(prev.expires) {
 				prev.expires = expires
 				s.entries[a.Name] = prev
+				s.view = nil
 			}
 			return true
 		}
 	}
 	s.entries[a.Name] = entry{advert: a, expires: expires, renewed: now}
+	s.view = nil
 	return true
 }
 
@@ -143,23 +183,94 @@ func (s *Service) Deregister(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.entries, name)
+	s.view = nil
 }
 
-// Adverts returns the unexpired advertisements, sorted by name. Expired
-// entries are purged as a side effect.
-func (s *Service) Adverts() []Advert {
+// View returns the directory's current View, rebuilding it first when
+// an advert or lease has changed since the last one was built or a lease
+// in it has lapsed. A rebuild purges the expired entries and retires the
+// protocol clients cached for adverts that are gone or have moved
+// endpoint, closing each once no lock is held.
+func (s *Service) View() *View {
 	now := s.sched.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Advert
+	v := s.view
+	var retired []collector.Interface
+	if v == nil || !v.fresh(now) {
+		v, retired = s.rebuild(now)
+		s.view = v
+	}
+	s.mu.Unlock()
+	for _, c := range retired {
+		if c, ok := c.(io.Closer); ok {
+			c.Close()
+		}
+	}
+	return v
+}
+
+// rebuild builds the View at now from the entries, purging the expired
+// ones, and drops every cached client whose advert is gone or names
+// another endpoint, returning those for the caller to close. s.mu must
+// be held.
+func (s *Service) rebuild(now time.Time) (*View, []collector.Interface) {
+	v := &View{}
+	var federated []AdvertStatus
 	for name, e := range s.entries {
 		if e.expires.Before(now) {
 			delete(s.entries, name)
 			continue
 		}
-		out = append(out, e.advert)
+		st := AdvertStatus{Advert: e.advert, Expires: e.expires, Renewed: e.renewed}
+		v.All = append(v.All, st)
+		if st.Domain != "" {
+			federated = append(federated, st)
+		}
+		if len(v.All) == 1 || e.expires.Before(v.expires) {
+			v.expires = e.expires
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.Slice(v.All, func(i, j int) bool { return v.All[i].Name < v.All[j].Name })
+	sort.Slice(federated, func(i, j int) bool {
+		a, b := &federated[i], &federated[j]
+		if a.Domain != b.Domain {
+			return a.Domain < b.Domain
+		}
+		if a.Priority != b.Priority {
+			return a.Priority < b.Priority
+		}
+		return a.Name < b.Name
+	})
+	for lo := 0; lo < len(federated); {
+		hi := lo + 1
+		for hi < len(federated) && federated[hi].Domain == federated[lo].Domain {
+			hi++
+		}
+		v.Domains = append(v.Domains, Domain{Name: federated[lo].Domain, Adverts: federated[lo:hi:hi]})
+		lo = hi
+	}
+
+	var retired []collector.Interface
+	for k, c := range s.resolved {
+		if e, ok := s.entries[k.name]; !ok || e.advert.Endpoint != k.endpoint {
+			delete(s.resolved, k)
+			retired = append(retired, c)
+		}
+	}
+	return v, retired
+}
+
+// Adverts returns the unexpired advertisements, sorted by name, in a
+// slice the caller owns.
+func (s *Service) Adverts() []Advert {
+	all := s.View().All
+	if len(all) == 0 {
+		return nil
+	}
+	out := make([]Advert, len(all))
+	for i := range all {
+		out[i] = all[i].Advert
+	}
 	return out
 }
 
@@ -184,7 +295,8 @@ func (s *Service) LookupAll(h netip.Addr) []Advert {
 		bits int
 	}
 	var ms []match
-	for _, a := range s.Adverts() {
+	for _, st := range s.View().All {
+		a := st.Advert
 		best := -1
 		for _, p := range a.Prefixes {
 			if p.Contains(h) && p.Bits() > best {
@@ -221,21 +333,9 @@ type AdvertStatus struct {
 }
 
 // Status returns the unexpired advertisements with their lease
-// expiries, sorted by name.
+// expiries, sorted by name, in a slice the caller owns.
 func (s *Service) Status() []AdvertStatus {
-	now := s.sched.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []AdvertStatus
-	for name, e := range s.entries {
-		if e.expires.Before(now) {
-			delete(s.entries, name)
-			continue
-		}
-		out = append(out, AdvertStatus{Advert: e.advert, Expires: e.expires, Renewed: e.renewed})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return slices.Clone(s.View().All)
 }
 
 // Now exposes the directory's clock, so callers rendering Status can
@@ -256,9 +356,10 @@ func clientFor(endpoint string) (collector.Interface, error) {
 // Entries implements master.Directory: the current advertisements as
 // master entries, with remote endpoints resolved to protocol clients.
 func (s *Service) Entries() ([]master.Entry, error) {
-	adverts := s.Adverts()
-	out := make([]master.Entry, 0, len(adverts))
-	for _, a := range adverts {
+	all := s.View().All
+	out := make([]master.Entry, 0, len(all))
+	for _, st := range all {
+		a := st.Advert
 		c, err := s.Resolve(a)
 		if err != nil {
 			return nil, fmt.Errorf("directory: advert %q: %w", a.Name, err)
@@ -276,26 +377,25 @@ func (s *Service) Entries() ([]master.Entry, error) {
 // Resolve turns an advertisement into a usable collector: the local
 // handle when present, otherwise a protocol client for the endpoint,
 // cached per name and endpoint so connections persist across queries.
+// The cache keeps a client until a View rebuild finds its advert gone or
+// re-registered at another endpoint, and then closes it.
 func (s *Service) Resolve(a Advert) (collector.Interface, error) {
 	if a.Collector != nil {
 		return a.Collector, nil
 	}
-	key := a.Name + "|" + a.Endpoint
+	key := resolveKey{a.Name, a.Endpoint}
 	s.mu.Lock()
-	if s.resolved == nil {
-		s.resolved = make(map[string]collector.Interface)
-	}
+	defer s.mu.Unlock()
 	if c, ok := s.resolved[key]; ok {
-		s.mu.Unlock()
 		return c, nil
 	}
-	s.mu.Unlock()
 	c, err := clientFor(a.Endpoint)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
+	if s.resolved == nil {
+		s.resolved = make(map[resolveKey]collector.Interface)
+	}
 	s.resolved[key] = c
-	s.mu.Unlock()
 	return c, nil
 }

@@ -3,7 +3,6 @@ package federation
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 )
 
 // AdvertSnapshot is one advert's view in the federation snapshot.
@@ -45,30 +44,8 @@ type RouterSnapshot struct {
 // with lease ages from the directory's own clock, plus the router's
 // cache and counters.
 func (r *Router) Snapshot() RouterSnapshot {
-	status := r.cfg.Directory.Status()
+	domains := r.cfg.Directory.View().Domains
 	now := r.cfg.Directory.Now()
-	byDomain := make(map[string][]AdvertSnapshot)
-	for _, st := range status {
-		if st.Domain == "" {
-			continue
-		}
-		byDomain[st.Domain] = append(byDomain[st.Domain], AdvertSnapshot{
-			Name:     st.Name,
-			Endpoint: st.Endpoint,
-			Local:    st.Collector != nil,
-			Priority: st.Priority,
-			Epoch:    st.Epoch,
-			Seq:      st.Seq,
-			LeaseAge: now.Sub(st.Renewed).Seconds(),
-			LeaseTTL: st.Expires.Sub(now).Seconds(),
-		})
-	}
-	names := make([]string, 0, len(byDomain))
-	for name := range byDomain {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	out := RouterSnapshot{
 		FlowQueries: r.mFlows.Value(),
 		Collects:    r.mCollects.Value(),
@@ -80,16 +57,21 @@ func (r *Router) Snapshot() RouterSnapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, name := range names {
-		as := byDomain[name]
-		sort.Slice(as, func(i, j int) bool {
-			if as[i].Priority != as[j].Priority {
-				return as[i].Priority < as[j].Priority
+	for _, d := range domains {
+		ds := DomainSnapshot{Domain: d.Name, Adverts: make([]AdvertSnapshot, len(d.Adverts))}
+		for i, st := range d.Adverts {
+			ds.Adverts[i] = AdvertSnapshot{
+				Name:     st.Name,
+				Endpoint: st.Endpoint,
+				Local:    st.Collector != nil,
+				Priority: st.Priority,
+				Epoch:    st.Epoch,
+				Seq:      st.Seq,
+				LeaseAge: now.Sub(st.Renewed).Seconds(),
+				LeaseTTL: st.Expires.Sub(now).Seconds(),
 			}
-			return as[i].Name < as[j].Name
-		})
-		ds := DomainSnapshot{Domain: name, Adverts: as}
-		if st, ok := r.domains[name]; ok {
+		}
+		if st, ok := r.domains[d.Name]; ok {
 			ds.CachedFrom, ds.CachedEpoch, ds.Stale = st.From, st.Epoch, st.Stale
 		}
 		out.Domains = append(out.Domains, ds)

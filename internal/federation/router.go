@@ -112,47 +112,20 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Name implements collector.Interface.
 func (r *Router) Name() string { return r.cfg.Name }
 
-// domainAdverts groups the directory's federated adverts by domain,
-// each group in failover order (priority, then name), and returns the
-// sorted domain names. Non-federated adverts (no Domain) are not part
-// of the mesh and are skipped.
-func (r *Router) domainAdverts() ([]string, map[string][]directory.Advert) {
-	byDomain := make(map[string][]directory.Advert)
-	for _, a := range r.cfg.Directory.Adverts() {
-		if a.Domain == "" {
-			continue
-		}
-		byDomain[a.Domain] = append(byDomain[a.Domain], a)
-	}
-	names := make([]string, 0, len(byDomain))
-	for name, as := range byDomain {
-		names = append(names, name)
-		sort.Slice(as, func(i, j int) bool {
-			if as[i].Priority != as[j].Priority {
-				return as[i].Priority < as[j].Priority
-			}
-			return as[i].Name < as[j].Name
-		})
-	}
-	sort.Strings(names)
-	r.gDomains.Set(float64(len(names)))
-	return names, byDomain
-}
-
 // fetchDomain brings one domain's cache entry up to the advertised
 // epoch, walking the domain's adverts in failover order and falling
 // back to a stale cached graph only when every replica is unreachable.
-func (r *Router) fetchDomain(ctx context.Context, domain string, adverts []directory.Advert) error {
-	best := adverts[0]
+func (r *Router) fetchDomain(ctx context.Context, d directory.Domain) error {
 	r.mu.Lock()
-	cur, ok := r.domains[domain]
+	cur, ok := r.domains[d.Name]
 	r.mu.Unlock()
-	if ok && cur.current(best) {
+	if ok && cur.current(d.Adverts[0].Advert) {
 		r.mCacheHits.Inc()
 		return nil
 	}
 	var firstErr error
-	for i, a := range adverts {
+	for i, st := range d.Adverts {
+		a := st.Advert
 		coll, err := r.cfg.Directory.Resolve(a)
 		if err != nil {
 			if firstErr == nil {
@@ -180,7 +153,7 @@ func (r *Router) fetchDomain(ctx context.Context, domain string, adverts []direc
 			r.mFailovers.Inc()
 		}
 		r.mu.Lock()
-		r.domains[domain] = domainState{From: a.Name, Epoch: a.Epoch, Graph: res.Graph}
+		r.domains[d.Name] = domainState{From: a.Name, Epoch: a.Epoch, Graph: res.Graph}
 		r.mu.Unlock()
 		return nil
 	}
@@ -191,13 +164,13 @@ func (r *Router) fetchDomain(ctx context.Context, domain string, adverts []direc
 		if !cur.Stale {
 			cur.Stale = true
 			r.mu.Lock()
-			r.domains[domain] = cur
+			r.domains[d.Name] = cur
 			r.mu.Unlock()
 		}
 		r.mStale.Inc()
 		return nil
 	}
-	return rerr.Tag(fmt.Errorf("federation: domain %q unreachable: %w", domain, firstErr),
+	return rerr.Tag(fmt.Errorf("federation: domain %q unreachable: %w", d.Name, firstErr),
 		rerr.ErrCollectorUnavailable)
 }
 
@@ -205,10 +178,13 @@ func (r *Router) fetchDomain(ctx context.Context, domain string, adverts []direc
 // the stitched graph, rebuilt only when some domain's epoch moved. A
 // rebuild that finds the domains' nodes and links where they were — the
 // masters re-polled, nothing was rewired — keeps the routing shape and
-// its BFS trees (topology.NewPathIndexFrom checks that it may).
+// its BFS trees (topology.NewPathIndexFrom checks that it may). The
+// domains and their failover order are the directory's View, read as
+// is: the view is shared, and rebuilt only when a lease changes.
 func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error) {
-	names, byDomain := r.domainAdverts()
-	if len(names) == 0 {
+	domains := r.cfg.Directory.View().Domains
+	r.gDomains.Set(float64(len(domains)))
+	if len(domains) == 0 {
 		return nil, rerr.Tagf(rerr.ErrCollectorUnavailable,
 			"federation: no domains advertised in the directory")
 	}
@@ -217,19 +193,19 @@ func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error)
 	}
 	// Between epoch moves every domain's entry is current: settle that
 	// under one lock hold and start fetch workers only for the rest.
-	var behind []string
+	var behind []directory.Domain
 	r.mu.Lock()
-	for _, name := range names {
-		if cur, ok := r.domains[name]; ok && cur.current(byDomain[name][0]) {
+	for _, d := range domains {
+		if cur, ok := r.domains[d.Name]; ok && cur.current(d.Adverts[0].Advert) {
 			r.mCacheHits.Inc()
 		} else {
-			behind = append(behind, name)
+			behind = append(behind, d)
 		}
 	}
 	r.mu.Unlock()
 	if len(behind) > 0 {
 		err := conc.ForEachCtx(ctx, len(behind), r.cfg.Parallelism, func(i int) error {
-			return r.fetchDomain(ctx, behind[i], byDomain[behind[i]])
+			return r.fetchDomain(ctx, behind[i])
 		})
 		if err != nil {
 			return nil, err
@@ -238,9 +214,9 @@ func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	current := r.paths != nil && len(r.stitched) == len(names)
-	for i := 0; current && i < len(names); i++ {
-		current = r.stitched[i] == r.domains[names[i]]
+	current := r.paths != nil && len(r.stitched) == len(domains)
+	for i := 0; current && i < len(domains); i++ {
+		current = r.stitched[i] == r.domains[domains[i].Name]
 	}
 	if current {
 		return r.paths, nil
@@ -251,9 +227,10 @@ func (r *Router) stitchedPaths(ctx context.Context) (*topology.PathIndex, error)
 	// graph equals a single master's whole-graph walk byte for byte.
 	stitched := topology.NewGraph()
 	r.stitched = r.stitched[:0]
-	for _, name := range names {
-		r.stitched = append(r.stitched, r.domains[name])
-		stitched.Merge(r.domains[name].Graph)
+	for _, d := range domains {
+		st := r.domains[d.Name]
+		r.stitched = append(r.stitched, st)
+		stitched.Merge(st.Graph)
 	}
 	r.mStitches.Inc()
 	r.paths = topology.NewPathIndexFrom(r.paths, stitched)

@@ -3,10 +3,13 @@ package lint
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -290,6 +293,71 @@ func TestRaceHotListsMatch(t *testing.T) {
 	sort.Strings(fromCI)
 	if len(fromMake) == 0 || !reflect.DeepEqual(fromMake, fromCI) {
 		t.Errorf("race-hot lists differ:\nMakefile:   %v\nverify.yml: %v", fromMake, fromCI)
+	}
+}
+
+// TestFuzzSmokeListsEveryTarget keeps the Makefile's fuzz-smoke target
+// equal to the fuzz targets in the module (nested modules and testdata
+// excluded), so a new target cannot be left out of CI's smoke run and a
+// deleted one cannot linger in it.
+func TestFuzzSmokeListsEveryTarget(t *testing.T) {
+	root := repoRoot(t)
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, target, ok := strings.Cut(string(mk), "\nfuzz-smoke:\n")
+	if !ok {
+		t.Fatal("Makefile has no fuzz-smoke target")
+	}
+	target, _, _ = strings.Cut(target, "\n\n")
+	var fromMake []string
+	for _, line := range strings.Split(target, "\n") {
+		f := strings.Fields(line)
+		if i := slices.Index(f, "-fuzz"); i >= 0 && i+1 < len(f) {
+			fromMake = append(fromMake, path.Clean(f[len(f)-1])+" "+f[i+1])
+		}
+	}
+
+	fuzzFunc := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	var fromCode []string
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil ||
+				d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		dir, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		for _, m := range fuzzFunc.FindAllSubmatch(src, -1) {
+			fromCode = append(fromCode, filepath.ToSlash(dir)+" "+string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(fromMake)
+	sort.Strings(fromCode)
+	if len(fromCode) == 0 || !reflect.DeepEqual(fromMake, fromCode) {
+		t.Errorf("fuzz-smoke does not list the module's fuzz targets:\nMakefile: %v\nmodule:   %v", fromMake, fromCode)
 	}
 }
 

@@ -91,6 +91,24 @@ func preambleLine(tenant, key, priority string) string {
 	return "TENANT " + id + " " + k + " " + priority + "\n"
 }
 
+// maxRetryAfter caps a peer's retry-after hint. A peer may send any
+// count, and a count of milliseconds above ~9.2e12 (of seconds above
+// ~9.2e9) would overflow time.Duration into a negative or garbage
+// backoff; every decoded hint is in [0, maxRetryAfter] instead.
+const maxRetryAfter = time.Hour
+
+// retryHint converts a peer's retry-after count of units into a backoff
+// in [0, maxRetryAfter]; a count that is not positive is no hint.
+func retryHint(n int64, unit time.Duration) time.Duration {
+	if n <= 0 {
+		return 0
+	}
+	if n >= int64(maxRetryAfter/unit) {
+		return maxRetryAfter
+	}
+	return time.Duration(n) * unit
+}
+
 // decodeErrLine decodes the tail of an ASCII "ERR " line: an optional
 // wire code, an optional RETRY=<ms> hint, then the message. Both
 // extensions degrade to message text on old peers.
@@ -110,7 +128,7 @@ func decodeErrLine(rest string) error {
 			tail = ""
 		}
 		if ms, err := strconv.ParseInt(tok, 10, 64); err == nil && ms > 0 {
-			retry = time.Duration(ms) * time.Millisecond
+			retry = retryHint(ms, time.Millisecond)
 			rest = tail
 		}
 	}
@@ -123,12 +141,12 @@ func decodeHTTPError(resp *http.Response, msg string) error {
 	err := decodeRemoteError(resp.Header.Get(errorCodeHeader), msg)
 	if v := resp.Header.Get(retryAfterHeader); v != "" {
 		if ms, perr := strconv.ParseInt(v, 10, 64); perr == nil && ms > 0 {
-			return rerr.WithRetryAfter(err, time.Duration(ms)*time.Millisecond)
+			return rerr.WithRetryAfter(err, retryHint(ms, time.Millisecond))
 		}
 	}
 	if v := resp.Header.Get("Retry-After"); v != "" {
 		if sec, perr := strconv.ParseInt(v, 10, 64); perr == nil && sec > 0 {
-			return rerr.WithRetryAfter(err, time.Duration(sec)*time.Second)
+			return rerr.WithRetryAfter(err, retryHint(sec, time.Second))
 		}
 	}
 	return err

@@ -226,6 +226,17 @@ func writeError(w io.Writer, err error) {
 	fmt.Fprintf(w, "ERR %s %s\n", code, msg)
 }
 
+// maxPresize bounds every capacity the client-side readers (readResult,
+// readFlowsResult) take from a count the peer declares. A count is only
+// a claim: its lines still have to arrive one by one, so the presize
+// covers an honest reply of modest size and the line loop grows the rest
+// as it reads, while a reply declaring 10^18 samples and sending none
+// costs no more than one declaring 1024.
+const maxPresize = 1024
+
+// presize is a peer-declared count as a capacity hint, at most maxPresize.
+func presize(n int64) int { return int(min(n, maxPresize)) }
+
 // readResult parses one ASCII result. Per-sample lines are scanned in
 // place; only the strings the Result retains (keys, error text) are
 // materialized.
@@ -260,7 +271,7 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 		nk = v
 	}
 	if nk > 0 {
-		res.History = make(map[collector.HistKey][]collector.Sample, nk)
+		res.History = make(map[collector.HistKey][]collector.Sample, presize(nk))
 	}
 	for i := int64(0); i < nk; i++ {
 		line, err := readLine(r, scratch)
@@ -274,7 +285,7 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 			return nil, fmt.Errorf("proto: bad HIST line %q", bytes.TrimSpace(line))
 		}
 		key := collector.HistKey{From: string(from), To: string(to)}
-		samples := make([]collector.Sample, 0, m)
+		samples := make([]collector.Sample, 0, presize(m))
 		for j := int64(0); j < m; j++ {
 			line, err := readLine(r, scratch)
 			if err != nil {
@@ -301,7 +312,7 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 			return nil, fmt.Errorf("proto: bad predictions header %q", trail)
 		}
 		if nk > 0 {
-			res.Predictions = make(map[collector.HistKey]collector.Forecast, nk)
+			res.Predictions = make(map[collector.HistKey]collector.Forecast, presize(nk))
 		}
 		for i := int64(0); i < nk; i++ {
 			line, err := readLine(r, scratch)
@@ -315,8 +326,8 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 				return nil, fmt.Errorf("proto: bad PRED line %q", bytes.TrimSpace(line))
 			}
 			fc := collector.Forecast{
-				Values: make([]float64, 0, h),
-				ErrVar: make([]float64, 0, h),
+				Values: make([]float64, 0, presize(h)),
+				ErrVar: make([]float64, 0, presize(h)),
 			}
 			for j := int64(0); j < h; j++ {
 				line, err := readLine(r, scratch)

@@ -149,7 +149,7 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 	if !ok || n < 0 || fs.next() != nil {
 		return nil, fmt.Errorf("proto: bad flows response header %q", head)
 	}
-	infos := make([]modeler.FlowInfo, 0, n)
+	infos := make([]modeler.FlowInfo, 0, presize(n))
 	for i := int64(0); i < n; i++ {
 		line, err := readLine(r, scratch)
 		if err != nil {
@@ -170,7 +170,7 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 			Predicted: avail,
 		}
 		if k > 0 {
-			fi.Path = make([]string, 0, k)
+			fi.Path = make([]string, 0, presize(k))
 			for j := int64(0); j < k; j++ {
 				tok := fs.next()
 				if tok == nil {

@@ -412,46 +412,79 @@ func (c *HTTPClient) Watch(ctx context.Context, spec watch.Spec) (<-chan watch.U
 		defer close(ch)
 		defer resp.Body.Close()
 		sc := bufio.NewScanner(resp.Body)
-		event, data := "", ""
-		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "event: "):
-				event = strings.TrimPrefix(line, "event: ")
-			case strings.HasPrefix(line, "data: "):
-				data = strings.TrimPrefix(line, "data: ")
-			case line == "":
-				switch event {
-				case "update":
-					var u watch.Update
-					if json.Unmarshal([]byte(data), &u) == nil {
-						select {
-						case ch <- u:
-						case <-ctx.Done():
-							deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst, Err: ctx.Err()})
-							return
-						}
-					}
-				case "end":
-					var e sseEnd
-					json.Unmarshal([]byte(data), &e)
-					deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst,
-						Err: decodeRemoteError(e.Code, "proto: watch ended by server: "+e.Msg)})
-					return
-				}
-				event, data = "", ""
+		var ferr error
+		for {
+			event, data, err := nextSSE(sc)
+			if err != nil {
+				ferr = err
+				break
+			}
+			u, ok := decodeSSE(event, data)
+			if !ok {
+				continue
+			}
+			if u.Err != nil {
+				u.Src, u.Dst = spec.Src, spec.Dst
+				deliverTerminal(ch, u)
+				return
+			}
+			select {
+			case ch <- u:
+			case <-ctx.Done():
+				deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst, Err: ctx.Err()})
+				return
 			}
 		}
-		ferr := sc.Err()
 		if cerr := ctx.Err(); cerr != nil {
 			deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst, Err: cerr})
 			return
 		}
-		if ferr == nil {
+		if ferr == io.EOF {
 			ferr = io.ErrUnexpectedEOF
 		}
 		deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst,
 			Err: classifyClientErr(c.BaseURL, ferr)})
 	}()
 	return ch, nil
+}
+
+// nextSSE reads the next complete event of a Server-Sent Events stream:
+// its "event: " and "data: " lines up to a blank line, the last of each
+// winning, other lines ignored. It returns io.EOF once the stream ends
+// (an event cut short by the end is dropped), or the stream's read
+// error.
+func nextSSE(sc *bufio.Scanner) (event, data string, err error) {
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			data = strings.TrimPrefix(line, "data: ")
+		case line == "":
+			return event, data, nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return "", "", err
+	}
+	return "", "", io.EOF
+}
+
+// decodeSSE turns one event of a watch stream into the update it
+// carries: an "update" event's JSON, or for an "end" event the terminal
+// update whose Err is the server's typed close reason. ok is false for
+// an event the client skips: another name, or an update that does not
+// decode.
+func decodeSSE(event, data string) (u watch.Update, ok bool) {
+	switch event {
+	case "update":
+		return u, json.Unmarshal([]byte(data), &u) == nil
+	case "end":
+		var e sseEnd
+		json.Unmarshal([]byte(data), &e)
+		u.Err = decodeRemoteError(e.Code, "proto: watch ended by server: "+e.Msg)
+		return u, true
+	}
+	return u, false
 }
