@@ -51,7 +51,8 @@ race-hot:
 		./internal/snapshot/ ./internal/federation/ ./internal/directory/ \
 		./internal/topology/ ./internal/modeler/ ./internal/conc/ \
 		./internal/collector/ ./internal/collector/benchcoll/ \
-		./internal/snmp/ ./internal/mib/ ./internal/collector/snmpcoll/ .
+		./internal/collector/master/ ./internal/snmp/ ./internal/mib/ \
+		./internal/collector/snmpcoll/ .
 
 verify: vet lint build test race
 

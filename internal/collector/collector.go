@@ -118,7 +118,28 @@ func (r *Result) Clone() *Result {
 // the query requested (later sub-results win a shared key). Callers that
 // fan out pass the results in a fixed order so the answer does not depend
 // on which sub-query landed first.
+//
+// MergeResults takes ownership of the sub-results, which is what lets it
+// hand a lone one up as it is, trimmed to what q asked for, where a merge
+// would only copy it: unless its graph has parallel links (which a merge
+// folds), the copy would encode, bind addresses and route exactly as the
+// original. That holds because every Collect returns a result its caller
+// owns: qcache a Clone of its entry, the federation domain collector a
+// Clone of its generation's graph, the proto clients what they decoded,
+// the master and the federation router what MergeResults made of results
+// they own in turn, and the SNMP, bridge, benchmark, host-load and
+// wireless collectors a graph built for the call.
 func MergeResults(results []*Result, q Query) *Result {
+	if len(results) == 1 && !results[0].Graph.HasParallelLinks() {
+		res := results[0]
+		if !q.WithHistory {
+			res.History = nil
+		}
+		if !q.WithPredictions {
+			res.Predictions = nil
+		}
+		return res
+	}
 	merged := topology.NewGraph()
 	history := make(map[HistKey][]Sample)
 	forecasts := make(map[HistKey]Forecast)
@@ -147,7 +168,7 @@ type Interface interface {
 	// Name identifies the collector for diagnostics.
 	Name() string
 	// Collect answers a query about the collector's portion of the
-	// network.
+	// network. The result belongs to the caller, who may mutate it.
 	Collect(q Query) (*Result, error)
 }
 

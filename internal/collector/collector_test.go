@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"remos/internal/snmp"
+	"remos/internal/topology"
 )
 
 func sample(i int) Sample {
@@ -151,5 +152,54 @@ func TestPropertyHistoryBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pairGraph joins hosts a and b by the given links, each [utilFromTo,
+// utilToFrom] on a 10 Mb/s link from a to b.
+func pairGraph(links ...[2]float64) *topology.Graph {
+	g := topology.NewGraph()
+	g.AddNode(topology.Node{ID: "a", Kind: topology.HostNode, Addr: "a"})
+	g.AddNode(topology.Node{ID: "b", Kind: topology.HostNode, Addr: "b"})
+	for _, u := range links {
+		g.AddLink(topology.Link{From: "a", To: "b", Capacity: 10e6, UtilFromTo: u[0], UtilToFrom: u[1]})
+	}
+	return g
+}
+
+// A lone sub-result is the answer, trimmed to what the query asked for.
+func TestMergeResultsHandsUpALoneResult(t *testing.T) {
+	k := HistKey{From: "a", To: "b"}
+	sub := func() *Result {
+		return &Result{
+			Graph:       pairGraph([2]float64{1e6, 2e6}),
+			History:     map[HistKey][]Sample{k: {sample(1)}},
+			Predictions: map[HistKey]Forecast{k: {Values: []float64{1}}},
+		}
+	}
+	in := sub()
+	out := MergeResults([]*Result{in}, Query{})
+	if out != in {
+		t.Fatal("a lone sub-result was copied")
+	}
+	if out.History != nil || out.Predictions != nil {
+		t.Fatalf("unasked history %v / predictions %v came back", out.History, out.Predictions)
+	}
+	out = MergeResults([]*Result{sub()}, Query{WithHistory: true, WithPredictions: true})
+	if len(out.History[k]) != 1 || len(out.Predictions[k].Values) != 1 {
+		t.Fatalf("asked-for history %v / predictions %v were dropped", out.History, out.Predictions)
+	}
+}
+
+// A lone sub-result with parallel links is merged, which folds them.
+func TestMergeResultsFoldsALoneResultsParallelLinks(t *testing.T) {
+	in := &Result{Graph: pairGraph([2]float64{1e6, 5e6}, [2]float64{3e6, 2e6})}
+	out := MergeResults([]*Result{in}, Query{})
+	if out == in {
+		t.Fatal("a sub-result with parallel links was handed up unmerged")
+	}
+	links := out.Graph.Links()
+	if len(links) != 1 || links[0].UtilFromTo != 3e6 || links[0].UtilToFrom != 5e6 {
+		t.Fatalf("merged links = %v, want one carrying the larger readings 3e6/5e6", links)
 	}
 }

@@ -20,6 +20,12 @@ import (
 // interfaces each, with every monitored interface already registered as a
 // poll point — the pure polling workload, no discovery.
 func newPollRig(tb testing.TB, agents, ifaces, maxVarBinds int) *Collector {
+	return newPollRigServing(tb, agents, ifaces, maxVarBinds, func(a, i int) bool { return true })
+}
+
+// newPollRigServing is newPollRig over devices that serve the
+// high-capacity counters of interface i of agent a only where hc says so.
+func newPollRigServing(tb testing.TB, agents, ifaces, maxVarBinds int, hc func(a, i int) bool) *Collector {
 	tb.Helper()
 	reg := snmp.NewRegistry()
 	for a := 1; a <= agents; a++ {
@@ -27,8 +33,10 @@ func newPollRig(tb testing.TB, agents, ifaces, maxVarBinds int) *Collector {
 		for i := 1; i <= ifaces; i++ {
 			binds[fmt.Sprintf("1.3.6.1.2.1.2.2.1.10.%d", i)] = snmp.Counter(uint64(1000*a + i))
 			binds[fmt.Sprintf("1.3.6.1.2.1.2.2.1.16.%d", i)] = snmp.Counter(uint64(2000*a + i))
-			binds[fmt.Sprintf("1.3.6.1.2.1.31.1.1.1.6.%d", i)] = snmp.Counter64Val(uint64(1000*a+i) + 1<<40)
-			binds[fmt.Sprintf("1.3.6.1.2.1.31.1.1.1.10.%d", i)] = snmp.Counter64Val(uint64(2000*a+i) + 1<<40)
+			if hc(a, i) {
+				binds[fmt.Sprintf("1.3.6.1.2.1.31.1.1.1.6.%d", i)] = snmp.Counter64Val(uint64(1000*a+i) + 1<<40)
+				binds[fmt.Sprintf("1.3.6.1.2.1.31.1.1.1.10.%d", i)] = snmp.Counter64Val(uint64(2000*a+i) + 1<<40)
+			}
 		}
 		view, err := snmp.NewStaticView(binds)
 		if err != nil {
@@ -89,10 +97,10 @@ func TestBatchedPollingExchangeCounts(t *testing.T) {
 
 	batched := newPollRig(t, agents, ifaces, 24)
 	meter := meterPolls(batched)
-	batched.pollOnce() // probe cycle: 4 varbinds per interface, 6 interfaces per Get
-	if reqs, vbs, _ := meter.Counts(); reqs != agents*2 || vbs != agents*ifaces*4 {
+	batched.pollOnce() // probe cycle: the HC pair only, 8 ifaces x 2 = 16 <= 24, one Get per device
+	if reqs, vbs, _ := meter.Counts(); reqs != agents || vbs != agents*ifaces*2 {
 		t.Fatalf("probe cycle = %d exchanges / %d varbinds, want %d / %d",
-			reqs, vbs, agents*2, agents*ifaces*4)
+			reqs, vbs, agents, agents*ifaces*2)
 	}
 	if m := batched.modes(); m[modeHC] != agents*ifaces {
 		t.Fatalf("after probe, modes = %v, want all %d in modeHC", m, agents*ifaces)
@@ -174,6 +182,88 @@ func TestNoHCFallsBackToCounter32(t *testing.T) {
 	util, ok := st.sc.Utilization("r1", "r2")
 	if !ok || math.Abs(util-4e6) > 4e5 {
 		t.Fatalf("Counter32 fallback utilization = %v (ok=%v), want ~4e6", util, ok)
+	}
+}
+
+// TestNoHCProbeCostsOneExchangeMore pins what gear without high-capacity
+// counters pays for the HC-first probe: a probe cycle costs each device
+// exactly two exchanges — the HC probe, then one batched Counter32 read,
+// not one per interface — after which every point has a Counter32
+// baseline, and the next cycle is one exchange per device again.
+func TestNoHCProbeCostsOneExchangeMore(t *testing.T) {
+	st := newSite(t, nil)
+	attachNoHC(st)
+	q := collector.Query{Hosts: []netip.Addr{addrOf(st, "h1"), addrOf(st, "h2")}}
+	if _, err := st.sc.Collect(q); err != nil {
+		t.Fatal(err)
+	}
+	// Every point probes again on the next cycle.
+	devices := map[netip.Addr]bool{}
+	st.sc.mu.Lock()
+	for _, p := range st.sc.monitors {
+		p.mu.Lock()
+		p.resync()
+		p.mu.Unlock()
+		devices[p.agent] = true
+	}
+	points := len(st.sc.monitors)
+	st.sc.mu.Unlock()
+
+	meter := meterPolls(st.sc)
+	st.sc.pollOnce()
+	if reqs, vbs, _ := meter.Counts(); reqs != 2*len(devices) || vbs != 4*points {
+		t.Fatalf("probe cycle on %d HC-less devices, %d points = %d exchanges / %d varbinds, want %d / %d",
+			len(devices), points, reqs, vbs, 2*len(devices), 4*points)
+	}
+	if m := st.sc.modes(); m[mode32] != points {
+		t.Fatalf("modes after the probe cycle = %v, want all %d mode32", m, points)
+	}
+	st.sc.mu.Lock()
+	for _, p := range st.sc.monitors {
+		if !p.havePrev {
+			t.Errorf("point %v/%d has no Counter32 baseline after the probe cycle", p.agent, p.ifIndex)
+		}
+	}
+	st.sc.mu.Unlock()
+	meter.Reset()
+	st.sc.pollOnce()
+	if reqs, _, _ := meter.Counts(); reqs != len(devices) {
+		t.Fatalf("settled cycle = %d exchanges, want %d", reqs, len(devices))
+	}
+}
+
+// TestMixedDeviceSettlesEachInterface: on devices serving HC counters for
+// some interfaces only, the probe cycle settles each point on its own
+// generation (two exchanges a device), and from then on a device's points
+// of both generations are read together, in one.
+func TestMixedDeviceSettlesEachInterface(t *testing.T) {
+	const agents, ifaces = 2, 8
+	hc := func(a, i int) bool { return (a+i)%2 == 0 }
+	c := newPollRigServing(t, agents, ifaces, 24, hc)
+	meter := meterPolls(c)
+	c.pollOnce()
+	if reqs, vbs, _ := meter.Counts(); reqs != 2*agents || vbs != agents*ifaces*2+agents*ifaces {
+		t.Fatalf("probe cycle = %d exchanges / %d varbinds, want %d / %d",
+			reqs, vbs, 2*agents, agents*ifaces*2+agents*ifaces)
+	}
+	meter.Reset()
+	c.pollOnce()
+	if reqs, vbs, _ := meter.Counts(); reqs != agents || vbs != agents*ifaces*2 {
+		t.Fatalf("settled cycle = %d exchanges / %d varbinds, want %d / %d", reqs, vbs, agents, agents*ifaces*2)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for mk, p := range c.monitors {
+		want := mode32
+		if hc(int(mk.agent.As4()[2]), mk.ifIndex) {
+			want = modeHC
+		}
+		if p.mode != want {
+			t.Errorf("%v/%d settled on mode %d, want %d", mk.agent, mk.ifIndex, p.mode, want)
+		}
+		if _, ok := c.Utilization(p.from, p.to); !ok {
+			t.Errorf("%v/%d recorded no sample", mk.agent, mk.ifIndex)
+		}
 	}
 }
 

@@ -161,6 +161,9 @@ type recordingTransport struct {
 	total int
 	asked map[exchangeKind]int // requests per (device, phase)
 	binds map[exchangeKind]int // varbinds those requests carried
+	// polled holds the poll points the baseline phase read, by agent
+	// address and interface index.
+	polled map[string]bool
 }
 
 type exchangeKind struct {
@@ -192,6 +195,11 @@ func (r *recordingTransport) RoundTrip(addr string, req []byte) ([]byte, time.Du
 	r.total++
 	r.asked[k]++
 	r.binds[k] += len(msg.PDU.VarBinds)
+	if phase == "baseline" {
+		for _, vb := range msg.PDU.VarBinds {
+			r.polled[fmt.Sprintf("%s/%d", addr, vb.Name[len(vb.Name)-1])] = true
+		}
+	}
 	r.mu.Unlock()
 	return r.inner.RoundTrip(addr, req)
 }
@@ -199,7 +207,19 @@ func (r *recordingTransport) RoundTrip(addr string, req []byte) ([]byte, time.Du
 func (r *recordingTransport) reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total, r.asked, r.binds = 0, map[exchangeKind]int{}, map[exchangeKind]int{}
+	r.total, r.asked, r.binds, r.polled = 0, map[exchangeKind]int{}, map[exchangeKind]int{}, map[string]bool{}
+}
+
+// baselineBinds is how many varbinds the baseline phase carried in all.
+func (r *recordingTransport) baselineBinds() (n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, b := range r.binds {
+		if k.phase == "baseline" {
+			n += b
+		}
+	}
+	return n
 }
 
 // TestCampusExchangeBudget pins what a 32-host query on the 256-host
@@ -207,6 +227,8 @@ func (r *recordingTransport) reset() {
 // walk with one-varbind Gets took 193 and 40), and in each phase no device
 // — whichever of its addresses it is asked under — gets more requests
 // than its varbinds need under MaxVarBinds: one, for nearly all of them.
+// The cold baseline reads of the newly monitored points ask for one
+// counter generation each: two varbinds a point.
 func TestCampusExchangeBudget(t *testing.T) {
 	camp := buildCampus(t, 256)
 	rec := &recordingTransport{inner: camp.Dep.Transport, device: map[string]string{}}
@@ -257,6 +279,10 @@ func TestCampusExchangeBudget(t *testing.T) {
 			}
 		}
 		check("cold", 80)
+		if binds, points := rec.baselineBinds(), len(rec.polled); points == 0 || binds > 2*points {
+			t.Errorf("seed %d cold: the baseline phase read %d points in %d varbinds, want at most 2 a point",
+				seed, points, binds)
+		}
 		camp.Sim.RunFor(6 * time.Second) // settle the poller outside the count
 		rec.reset()
 		check("warm", 30)

@@ -16,8 +16,8 @@ import (
 // poll points for links not yet monitored. It reports whether any link was
 // cold (registered just now, so utilization is not yet available). The new
 // points are registered first and then given their baseline read together,
-// one Get per device, so the first poll yields a delta one interval from
-// now.
+// one Get per device (two on gear without HC counters), so the first poll
+// yields a delta one interval from now.
 func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
 	var added []*pollPoint
 	var slab []pollPoint // the new points, made together
@@ -69,28 +69,18 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 // plus the interface index.
 var pollOIDLen = len(mib.IfHCInOctets) + 1
 
-// pollOIDs appends the OIDs a point's next read fetches, by mode, carving
-// them from arena (sized 4*pollOIDLen per point at most). A probe asks for
-// both counter generations in one Get so the first (baseline) exchange
-// also decides which pair this interface serves — the cold read stays a
-// single exchange either way.
+// pollOIDs appends the two OIDs a point's next read fetches, carving them
+// from arena (sized 2*pollOIDLen per point). A point still probing asks for
+// the high-capacity pair only: RFC 2863 requires it on every interface
+// faster than 20 Mb/s, so the probe is the baseline read nearly always. A
+// point whose agent does not serve it settles on the legacy Counter32 pair,
+// which readDevice reads for all such points of the device in one more Get.
 func (p *pollPoint) pollOIDs(dst []snmp.OID, arena *snmp.OIDArena) []snmp.OID {
 	idx := uint32(p.ifIndex)
-	if p.mode != mode32 { // modeHC, modeProbe
-		dst = append(dst, arena.Append(mib.IfHCInOctets, idx), arena.Append(mib.IfHCOutOctets, idx))
+	if p.mode == mode32 {
+		return append(dst, arena.Append(mib.IfInOctets, idx), arena.Append(mib.IfOutOctets, idx))
 	}
-	if p.mode != modeHC { // mode32, modeProbe
-		dst = append(dst, arena.Append(mib.IfInOctets, idx), arena.Append(mib.IfOutOctets, idx))
-	}
-	return dst
-}
-
-// width is how many OIDs the point's next read asks for.
-func (p *pollPoint) width() int {
-	if p.mode == modeProbe {
-		return 4
-	}
-	return 2
+	return append(dst, arena.Append(mib.IfHCInOctets, idx), arena.Append(mib.IfHCOutOctets, idx))
 }
 
 // counterKind is the value kind the mode's counters must carry.
@@ -101,63 +91,50 @@ func (m counterMode) counterKind() snmp.Kind {
 	return snmp.KindCounter32
 }
 
-// readCountersLocked reads a poll point's octet counters once (p.mu
-// held) from its agent at addr, recording a utilization sample when a previous baseline exists.
-func (c *Collector) readCountersLocked(ctx context.Context, cl *snmp.Client, addr string, p *pollPoint) {
-	now := c.cfg.Sched.Now()
-	arena := make(snmp.OIDArena, 0, 4*pollOIDLen)
-	oids := p.pollOIDs(make([]snmp.OID, 0, 4), &arena)
-	err := cl.GetFunc(ctx, addr, oids, func(vbs []snmp.VarBind) {
-		if in, out, ok := p.applyCounterVarBinds(oids, vbs); ok {
-			c.applyDelta(p, in, out, now)
-		}
-	})
-	if err != nil {
-		p.havePrev = false // device unreachable; resync next time
-	}
+// readOutcome is what one point's varbinds in a response came to.
+type readOutcome int
+
+const (
+	readOK     readOutcome = iota // the counter pair was read
+	readLegacy                    // the probe found no HC counters: the point is mode32, not yet read
+	readResync                    // unexpected OID or kind: the point resynchronized
+)
+
+// resync drops the point's baseline and has its next read re-probe.
+func (p *pollPoint) resync() {
+	p.havePrev = false
+	p.mode = modeProbe
 }
 
-// applyCounterVarBinds validates a response against the OIDs the point
-// asked for and extracts the (in, out) counter pair. Probe responses
-// resolve the point's mode: high-capacity counters when served, legacy
-// Counter32 otherwise. Any unexpected OID or value kind resynchronizes
-// the point (baseline dropped, mode re-probed) and returns ok=false —
+// applyCounterVarBinds validates the two varbinds answering the point's
+// two OIDs and extracts the (in, out) counter pair. A probe answered under
+// the names asked but not with two Counter64s (noSuchObject, noSuchInstance
+// or another kind) settles the point on Counter32. Any unexpected OID, or a
+// settled point answered with the wrong kind, resynchronizes the point —
 // the satellite fix for the old matcher, which took any non-ifInOctets
 // varbind for the out-counter.
-func (p *pollPoint) applyCounterVarBinds(oids []snmp.OID, vbs []snmp.VarBind) (in, out uint64, ok bool) {
-	resync := func() (uint64, uint64, bool) {
-		p.havePrev = false
-		p.mode = modeProbe
-		return 0, 0, false
-	}
-	if len(vbs) != len(oids) {
-		return resync()
-	}
+func (p *pollPoint) applyCounterVarBinds(oids []snmp.OID, vbs []snmp.VarBind) (in, out uint64, r readOutcome) {
 	for i, vb := range vbs {
 		if vb.Name.Cmp(oids[i]) != 0 {
-			return resync()
+			p.resync()
+			return 0, 0, readResync
 		}
-	}
-	if p.mode == modeProbe {
-		// vbs: HCIn, HCOut, In32, Out32.
-		if vbs[0].Value.Kind == snmp.KindCounter64 && vbs[1].Value.Kind == snmp.KindCounter64 {
-			p.mode = modeHC
-			return uint64(vbs[0].Value.Int), uint64(vbs[1].Value.Int), true
-		}
-		if vbs[2].Value.Kind == snmp.KindCounter32 && vbs[3].Value.Kind == snmp.KindCounter32 {
-			p.mode = mode32
-			return uint64(uint32(vbs[2].Value.Int)), uint64(uint32(vbs[3].Value.Int)), true
-		}
-		return resync()
 	}
 	kind := p.mode.counterKind()
-	if vbs[0].Value.Kind != kind || vbs[1].Value.Kind != kind {
-		return resync()
+	switch {
+	case p.mode == modeProbe && (vbs[0].Value.Kind != snmp.KindCounter64 || vbs[1].Value.Kind != snmp.KindCounter64):
+		p.mode = mode32
+		return 0, 0, readLegacy
+	case p.mode == modeProbe:
+		p.mode = modeHC
+	case vbs[0].Value.Kind != kind || vbs[1].Value.Kind != kind:
+		p.resync()
+		return 0, 0, readResync
 	}
 	if p.mode == mode32 {
-		return uint64(uint32(vbs[0].Value.Int)), uint64(uint32(vbs[1].Value.Int)), true
+		return uint64(uint32(vbs[0].Value.Int)), uint64(uint32(vbs[1].Value.Int)), readOK
 	}
-	return uint64(vbs[0].Value.Int), uint64(vbs[1].Value.Int), true
+	return uint64(vbs[0].Value.Int), uint64(vbs[1].Value.Int), readOK
 }
 
 // applyDelta records a utilization sample from a fresh counter reading
@@ -245,12 +222,13 @@ func (c *Collector) readPoints(ctx context.Context, cl *snmp.Client, points []*p
 }
 
 // readDevice reads one device's poll points in multi-varbind Gets bounded
-// by Config.MaxVarBinds — two varbinds for a settled point, four for one
-// still probing its counter generation — so a round costs the device one
-// exchange, or a few, rather than one per interface. The points' mutexes
-// are held throughout, serializing reads of one interface so a query-path
-// baseline read and a parallel poll never interleave their delta
-// computations.
+// by Config.MaxVarBinds, two varbinds a point, so a round costs the device
+// one exchange, or a few, rather than one per interface. The points a probe
+// settles on Counter32 are read again together in the same pass: legacy
+// gear pays one exchange more per device, once in each point's life. The
+// points' mutexes are held throughout, serializing reads of one interface
+// so a query-path baseline read and a parallel poll never interleave their
+// delta computations.
 func (c *Collector) readDevice(ctx context.Context, cl *snmp.Client, points []*pollPoint) {
 	for _, p := range points {
 		p.mu.Lock()
@@ -260,60 +238,59 @@ func (c *Collector) readDevice(ctx context.Context, cl *snmp.Client, points []*p
 			p.mu.Unlock()
 		}
 	}()
-	limit := c.maxVarBinds()
 	addr := points[0].agent.String() // rendered once for all of the device's exchanges
-	for start := 0; start < len(points); {
-		end, n := start, 0
-		for end < len(points) {
-			w := points[end].width()
-			if end > start && n+w > limit {
-				break
-			}
-			n += w
-			end++
-		}
-		c.readBatchLocked(ctx, cl, addr, points[start:end])
-		start = end
+	legacy := c.readChunksLocked(ctx, cl, addr, points)
+	// A point that settles on Counter32 again here is read next time.
+	c.readChunksLocked(ctx, cl, addr, legacy)
+}
+
+// readChunksLocked reads the points in Gets of up to MaxVarBinds varbinds
+// and returns those that settled on Counter32 unread.
+func (c *Collector) readChunksLocked(ctx context.Context, cl *snmp.Client, addr string, points []*pollPoint) (legacy []*pollPoint) {
+	per := c.maxVarBinds() / 2
+	for start := 0; start < len(points); start += per {
+		legacy = c.readBatchLocked(ctx, cl, addr, points[start:min(start+per, len(points))], legacy)
 	}
+	return legacy
 }
 
 // readBatchLocked reads a chunk of the poll points of the device at addr
-// (their mutexes held) in a single Get, timestamping the whole batch once. A
-// point still probing for its counter generation contributes its four
-// probe OIDs to the same Get (the probe doubles as the baseline read). A
-// failed or short response falls back to per-interface reads, so one
-// misbehaving varbind cannot poison a device's whole batch.
-func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr string, batch []*pollPoint) {
-	if len(batch) == 1 {
-		c.readCountersLocked(ctx, cl, addr, batch[0])
-		return
-	}
-	oids := make([]snmp.OID, 0, 4*len(batch))
-	arena := make(snmp.OIDArena, 0, 4*len(batch)*pollOIDLen)
+// (their mutexes held) in a single Get, timestamping the whole batch once,
+// and appends to legacy the points it settled on Counter32 unread. A short
+// response, or a point answering with an unexpected OID or kind, falls back
+// to reading the points concerned alone, so one misbehaving varbind cannot
+// poison a device's whole batch.
+func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr string, batch, legacy []*pollPoint) []*pollPoint {
+	oids := make([]snmp.OID, 0, 2*len(batch))
+	arena := make(snmp.OIDArena, 0, 2*len(batch)*pollOIDLen)
 	for _, p := range batch {
 		oids = p.pollOIDs(oids, &arena)
 	}
 	now := c.cfg.Sched.Now()
 	err := cl.GetFunc(ctx, addr, oids, func(vbs []snmp.VarBind) {
 		if len(vbs) != len(oids) {
+			if len(batch) == 1 {
+				batch[0].resync()
+				return
+			}
 			// Malformed response: retry each interface on its own.
-			for _, p := range batch {
-				c.readCountersLocked(ctx, cl, addr, p)
+			for i := range batch {
+				legacy = c.readBatchLocked(ctx, cl, addr, batch[i:i+1], legacy)
 			}
 			return
 		}
-		lo := 0
-		for _, p := range batch {
-			hi := lo + p.width() // read before the response settles a probing point's mode
-			in, out, ok := p.applyCounterVarBinds(oids[lo:hi], vbs[lo:hi])
-			lo = hi
-			if !ok {
+		for i, p := range batch {
+			in, out, r := p.applyCounterVarBinds(oids[2*i:2*i+2], vbs[2*i:2*i+2])
+			switch {
+			case r == readOK:
+				c.applyDelta(p, in, out, now)
+			case r == readLegacy:
+				legacy = append(legacy, p)
+			case len(batch) > 1:
 				// This interface answered with an unexpected OID or kind
 				// (partial error): re-read it alone, which re-probes.
-				c.readCountersLocked(ctx, cl, addr, p)
-				continue
+				legacy = c.readBatchLocked(ctx, cl, addr, batch[i:i+1], legacy)
 			}
-			c.applyDelta(p, in, out, now)
 		}
 	})
 	if err != nil {
@@ -321,6 +298,7 @@ func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr s
 			p.havePrev = false // device unreachable; resync next time
 		}
 	}
+	return legacy
 }
 
 // Utilization returns the latest measured utilization for the directed

@@ -46,12 +46,14 @@ func NewPathIndex(g *Graph) *PathIndex {
 // NewPathIndexFrom builds the index over g, sharing prev's shape when g
 // has exactly prev's node IDs and the same link endpoints in the same
 // order and orientation — what a poll that only moved measurements
-// produces. That is checked against g in O(nodes+links), never assumed;
-// any difference (or a nil prev) falls back to NewPathIndex. Either way
-// the answers are those of NewPathIndex(g): routing reads nothing of a
-// graph but what the check compares.
+// produces. When g still shares its structure with prev's graph (a Clone
+// that no mutator has made private) that is known by a pointer compare;
+// otherwise it is checked against g in O(nodes+links), never assumed. Any
+// difference (or a nil prev) falls back to NewPathIndex. Either way the
+// answers are those of NewPathIndex(g): routing reads nothing of a graph
+// but what the check compares.
 func NewPathIndexFrom(prev *PathIndex, g *Graph) *PathIndex {
-	if prev == nil || !prev.shape.matches(g) {
+	if prev == nil || !prev.g.sharesStructure(g) && !prev.shape.matches(g) {
 		return NewPathIndex(g)
 	}
 	return &PathIndex{g: g, shape: prev.shape, links: g.links}

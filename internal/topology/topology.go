@@ -7,7 +7,9 @@ package topology
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -68,7 +70,9 @@ type Node struct {
 	Addr string
 }
 
-// Link is one undirected edge with per-direction utilization.
+// Link is one undirected edge with per-direction utilization. Its
+// measurements may be written through the graph's pointers; its endpoints
+// are the graph's structure, which only the graph's own mutators rewrite.
 type Link struct {
 	From, To string  // node IDs
 	Capacity float64 // bits per second
@@ -98,15 +102,22 @@ func clampNonNeg(v float64) float64 {
 }
 
 // Graph is a virtual topology. Like a map, it may be read from several
-// goroutines at once but not while one of them mutates it.
+// goroutines at once but not while one of them mutates it; Clone counts as
+// a read.
 type Graph struct {
+	// nodes, byAddr and linkIdx are the graph's structure. A Clone shares
+	// them, and the nodes they point to, with its original; only the links
+	// are copied. shared is the marker both then carry: set by Clone on
+	// each, it makes every structural mutator take a private copy first
+	// (own), so a graph never writes structure another graph reads.
 	nodes map[string]*Node
 	// byAddr finds the node carrying an address without scanning nodes;
 	// AddNode maintains it, as does everything else that binds or drops a
 	// node or rewrites a node's Addr.
 	byAddr  map[string]*Node
 	links   []*Link
-	linkIdx map[[2]string]*Link // canonical (sorted) endpoint pair -> first link
+	linkIdx map[[2]string]int32 // canonical (sorted) endpoint pair -> index of the first link
+	shared  atomic.Bool
 	// nodeSlab and linkSlab are where AddNode and AddLink put their
 	// copies: chunks that double up to slabMax, so building a graph costs
 	// a handful of allocations, not one per node and link. A chunk lives
@@ -131,7 +142,7 @@ func NewGraphSized(nodes, links int) *Graph {
 		nodes:   make(map[string]*Node, nodes),
 		byAddr:  make(map[string]*Node, nodes),
 		links:   make([]*Link, 0, links),
-		linkIdx: make(map[[2]string]*Link, links),
+		linkIdx: make(map[[2]string]int32, links),
 	}
 	g.reserve(nodes, links)
 	return g
@@ -166,6 +177,30 @@ func carve[T any](slab []T) []T {
 // invalidate drops what is memoized about the graph's structure.
 func (g *Graph) invalidate() { g.adj.Store(nil) }
 
+// own gives g a structure of its own before it writes one: if a Clone
+// shares g's nodes and indexes, g copies them, nodes included, and drops
+// its marker. The copy leaves the shape unchanged, so what is memoized
+// stays.
+func (g *Graph) own() {
+	if !g.shared.Load() {
+		return
+	}
+	nodes := make(map[string]*Node, len(g.nodes))
+	byAddr := make(map[string]*Node, len(g.byAddr))
+	slab := make([]Node, 0, len(g.nodes))
+	for id, n := range g.nodes {
+		slab = append(slab, *n)
+		cp := &slab[len(slab)-1]
+		nodes[id] = cp
+		if g.byAddr[n.Addr] == n {
+			byAddr[n.Addr] = cp
+		}
+	}
+	g.nodes, g.byAddr, g.nodeSlab = nodes, byAddr, slab
+	g.linkIdx = maps.Clone(g.linkIdx)
+	g.shared.Store(false)
+}
+
 func pairKey(a, b string) [2]string {
 	if a > b {
 		a, b = b, a
@@ -175,6 +210,7 @@ func pairKey(a, b string) [2]string {
 
 // AddNode inserts or replaces a node.
 func (g *Graph) AddNode(n Node) *Node {
+	g.own()
 	g.nodeSlab = carve(g.nodeSlab)
 	cp := &g.nodeSlab[len(g.nodeSlab)-1]
 	*cp = n
@@ -200,17 +236,20 @@ func (g *Graph) unindexAddr(n *Node) {
 // dropNode unbinds a node ID and its address; links are the caller's
 // business.
 func (g *Graph) dropNode(id string) {
-	if n := g.nodes[id]; n != nil {
-		g.unindexAddr(n)
+	if g.nodes[id] != nil {
+		g.own()
+		g.unindexAddr(g.nodes[id])
 		delete(g.nodes, id)
 		g.invalidate()
 	}
 }
 
-// Node returns the node with the given ID, or nil.
+// Node returns the node with the given ID, or nil. The node may be shared
+// with the graph's clones: it must not be written.
 func (g *Graph) Node(id string) *Node { return g.nodes[id] }
 
-// Nodes returns all nodes sorted by ID.
+// Nodes returns all nodes sorted by ID. Like Node's, they must not be
+// written.
 func (g *Graph) Nodes() []*Node {
 	out := make([]*Node, 0, len(g.nodes))
 	for _, n := range g.nodes {
@@ -223,7 +262,8 @@ func (g *Graph) Nodes() []*Node {
 // Links returns the graph's links (stable order of insertion).
 func (g *Graph) Links() []*Link { return g.links }
 
-// NodeByAddr returns the node with the given address, or nil.
+// NodeByAddr returns the node with the given address, or nil. Like Node's,
+// it must not be written.
 func (g *Graph) NodeByAddr(addr string) *Node { return g.byAddr[addr] }
 
 // AddLink inserts a link. Both endpoints must already exist.
@@ -231,30 +271,41 @@ func (g *Graph) AddLink(l Link) (*Link, error) {
 	if g.nodes[l.From] == nil || g.nodes[l.To] == nil {
 		return nil, fmt.Errorf("topology: link %s-%s references missing node", l.From, l.To)
 	}
+	g.own()
 	g.linkSlab = carve(g.linkSlab)
 	cp := &g.linkSlab[len(g.linkSlab)-1]
 	*cp = l
-	g.links = append(g.links, cp)
-	if k := pairKey(l.From, l.To); g.linkIdx[k] == nil {
-		g.linkIdx[k] = cp
+	k := pairKey(l.From, l.To)
+	if _, ok := g.linkIdx[k]; !ok {
+		g.linkIdx[k] = int32(len(g.links))
 	}
+	g.links = append(g.links, cp)
 	g.invalidate()
 	return cp, nil
 }
 
+// HasParallelLinks reports whether two of the graph's links join the same
+// pair of nodes, which Merge would fold into one.
+func (g *Graph) HasParallelLinks() bool { return len(g.linkIdx) != len(g.links) }
+
 // FindLink returns the first link joining the two nodes in either
 // orientation, or nil.
 func (g *Graph) FindLink(a, b string) *Link {
-	return g.linkIdx[pairKey(a, b)]
+	if i, ok := g.linkIdx[pairKey(a, b)]; ok {
+		return g.links[i]
+	}
+	return nil
 }
 
 // reindexLinks rebuilds the link index after bulk link mutation.
 func (g *Graph) reindexLinks() {
+	g.own()
 	g.invalidate()
-	g.linkIdx = make(map[[2]string]*Link, len(g.links))
-	for _, l := range g.links {
-		if k := pairKey(l.From, l.To); g.linkIdx[k] == nil {
-			g.linkIdx[k] = l
+	g.linkIdx = make(map[[2]string]int32, len(g.links))
+	for i, l := range g.links {
+		k := pairKey(l.From, l.To)
+		if _, ok := g.linkIdx[k]; !ok {
+			g.linkIdx[k] = int32(i)
 		}
 	}
 }
@@ -267,6 +318,7 @@ func (g *Graph) reindexLinks() {
 // that node's counterpart in g, so the result does not depend on the
 // order the nodes are visited in.
 func (g *Graph) Merge(other *Graph) {
+	g.own()
 	fresh := 0
 	for id := range other.nodes {
 		if g.nodes[id] == nil {
@@ -315,18 +367,27 @@ func (g *Graph) Merge(other *Graph) {
 // readings outright. Where Merge resolves concurrent measurements of the
 // same link by keeping the larger utilization, Update is for snapshot
 // maintenance — other is a newer poll of the same region, so latest wins.
+// A node is written only where other changes it, so a poll that moved
+// measurements only leaves the structure shared with g's clones.
 func (g *Graph) Update(other *Graph) {
 	for _, n := range other.nodes {
-		if exist := g.nodes[n.ID]; exist != nil {
-			exist.Kind = n.Kind
-			if n.Addr != "" && n.Addr != exist.Addr {
-				g.unindexAddr(exist)
-				exist.Addr = n.Addr
-				g.indexAddr(exist)
-			}
+		exist := g.nodes[n.ID]
+		if exist == nil {
+			g.AddNode(*n)
 			continue
 		}
-		g.AddNode(*n)
+		newAddr := n.Addr != "" && n.Addr != exist.Addr
+		if exist.Kind == n.Kind && !newAddr {
+			continue
+		}
+		g.own()
+		exist = g.nodes[n.ID]
+		exist.Kind = n.Kind
+		if newAddr {
+			g.unindexAddr(exist)
+			exist.Addr = n.Addr
+			g.indexAddr(exist)
+		}
 	}
 	for _, l := range other.links {
 		if exist := g.FindLink(l.From, l.To); exist != nil {
@@ -345,39 +406,31 @@ func (g *Graph) Update(other *Graph) {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy whose links may be written and whose structure may
+// be mutated without touching g. Copies sit on serving paths (cache hits,
+// snapshot generations, predictions), so only the links are copied, into
+// one slab: the structure is shared until one side mutates it (own).
 func (g *Graph) Clone() *Graph {
-	// Copies sit on the warm-query serving path (every cache hit clones),
-	// so nodes and links are copied into two slabs and presized maps:
-	// five allocations total instead of one per node and link.
-	out := &Graph{
-		nodes:   make(map[string]*Node, len(g.nodes)),
-		byAddr:  make(map[string]*Node, len(g.byAddr)),
-		linkIdx: make(map[[2]string]*Link, len(g.linkIdx)),
-	}
-	nodeSlab := make([]Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		nodeSlab = append(nodeSlab, *n)
-		cp := &nodeSlab[len(nodeSlab)-1]
-		out.nodes[n.ID] = cp
-		if g.byAddr[n.Addr] == n {
-			out.byAddr[n.Addr] = cp
-		}
-	}
+	g.shared.Store(true)
+	out := &Graph{nodes: g.nodes, byAddr: g.byAddr, linkIdx: g.linkIdx}
+	out.shared.Store(true)
 	if len(g.links) > 0 {
-		linkSlab := make([]Link, 0, len(g.links))
-		out.links = make([]*Link, 0, len(g.links))
-		for _, l := range g.links {
-			linkSlab = append(linkSlab, *l)
-			cp := &linkSlab[len(linkSlab)-1]
-			out.links = append(out.links, cp)
-			k := pairKey(l.From, l.To)
-			if _, ok := out.linkIdx[k]; !ok {
-				out.linkIdx[k] = cp // first link wins, as AddLink does
-			}
+		out.linkSlab = make([]Link, len(g.links))
+		out.links = make([]*Link, len(g.links))
+		for i, l := range g.links {
+			out.linkSlab[i] = *l
+			out.links[i] = &out.linkSlab[i]
 		}
 	}
 	return out
+}
+
+// sharesStructure reports whether g and other share one structure, which
+// means the same node IDs and, link for link, the same endpoints in the
+// same order: two graphs hold one node map only from a Clone that neither
+// has mutated since.
+func (g *Graph) sharesStructure(other *Graph) bool {
+	return reflect.ValueOf(g.nodes).UnsafePointer() == reflect.ValueOf(other.nodes).UnsafePointer()
 }
 
 // halfLink is one direction of travel over a link.

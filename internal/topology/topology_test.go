@@ -441,14 +441,21 @@ func TestNodeByAddrIndexFollowsMutations(t *testing.T) {
 	check(g, "10.0.0.1", "")
 	check(g, "10.0.0.9", "a")
 
-	// Clone indexes its own copies.
+	// A clone answers as its original, and rebinding an address on it
+	// leaves the original's index as it was.
 	c := g.Clone()
 	check(c, "10.0.0.2", "b")
-	if c.NodeByAddr("10.0.0.2") == g.NodeByAddr("10.0.0.2") {
-		t.Fatal("clone's index points into the original")
-	}
+	rebind := NewGraph()
+	rebind.AddNode(Node{ID: "b", Kind: HostNode, Addr: "10.0.0.7"})
+	c.Update(rebind)
+	check(c, "10.0.0.7", "b")
+	check(c, "10.0.0.2", "")
+	check(g, "10.0.0.2", "b")
+	check(g, "10.0.0.7", "")
 
-	// Merge fills an empty address; Update rewrites one.
+	// Merge fills an empty address; Update rewrites one. Neither reaches
+	// a clone taken before.
+	before := g.Clone()
 	other := NewGraph()
 	other.AddNode(Node{ID: "sw", Kind: SwitchNode, Addr: "10.0.0.250"})
 	other.AddNode(Node{ID: "b", Kind: HostNode, Addr: "10.0.0.3"})
@@ -458,6 +465,9 @@ func TestNodeByAddrIndexFollowsMutations(t *testing.T) {
 	g.Update(other)
 	check(g, "10.0.0.3", "b")
 	check(g, "10.0.0.2", "")
+	check(before, "10.0.0.2", "b")
+	check(before, "10.0.0.3", "")
+	check(before, "10.0.0.250", "")
 
 	// Pruning copies nodes, collapsing drops them: addresses follow.
 	p, err := g.Prune([]string{"a", "b"})
