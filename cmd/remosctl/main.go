@@ -101,7 +101,7 @@ func main() {
 	if *loadSrv != "" {
 		opts = append(opts, remos.WithHostLoad("tcp://"+*loadSrv))
 	}
-	m, err := remos.Connect(target, opts...)
+	m, err := remos.Dial(target, opts...)
 	if err != nil {
 		die(err)
 	}

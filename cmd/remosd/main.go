@@ -12,25 +12,32 @@
 //
 // The command is a thin flag→Config translator over the embeddable
 // remosd package: each flag sets one remosd.Config field and defaults to
-// that field's remosd.DefaultConfig value, so everything below is equally
-// settable programmatically via remosd.Start.
+// that field's remosd.DefaultConfig value, and every field but Logf has
+// its flag, so everything below is equally settable programmatically
+// through remosd.Config.
 //
 // Usage:
 //
 //	remosd [-listen :3567] [-http :3568] [-dir :3569] [-hostload :3570]
 //	       [-obs :3571] [-slow-query 500ms]
-//	       [-scenario twosite|campus] [-qcache-ttl 2s] [-parallelism 0]
+//	       [-scenario twosite|campus] [-max-stale 2s] [-parallelism 0]
 //	       [-max-varbinds 24]
-//	       [-sched-interval 1s] [-bench-interval 0] [-snapshot-stale 5s]
+//	       [-sched-interval 1s] [-bench-interval 0]
 //	       [-tenant id:key:rate:burst:conc:watches:tier ...]
 //	       [-anon-limits rate:burst:conc:watches] [-max-queue-wait 500ms]
 //	       [-domains 2 -domain 0 -peer host:port ... -fed-priority 0
 //	        -fed-refresh 1s -fed-lease 3s]
 //
+// -max-stale is the one staleness bound: a QUERY answered from the
+// warm-query cache and a FLOWS answered from the snapshot plane are never
+// older, and the background scheduler re-polls a covered pair at least
+// that often.
+//
 // The -obs listener exposes the observability plane: /metrics
-// (Prometheus text), /healthz (per-collector liveness and last-poll
-// age), /debug/queries (recent query traces) and /debug/tenants
-// (per-tenant admission state). remosctl stats renders them.
+// (Prometheus text, the process's runtime gauges included), /healthz
+// (per-collector liveness and last-poll age), /debug/queries (recent
+// query traces) and /debug/tenants (per-tenant admission state).
+// remosctl stats renders them.
 //
 // -tenant (repeatable) registers one tenant with the multi-tenant
 // admission layer: a shared key, a token-bucket rate and burst, a
@@ -74,6 +81,7 @@ import (
 	"strconv"
 	"strings"
 
+	"remos/internal/admission"
 	"remos/remosd"
 )
 
@@ -127,7 +135,11 @@ func parseTenantSpec(v string) (id, key string, lim remosd.Limits, err error) {
 	if err := cnt(5, &lim.MaxWatches); err != nil {
 		return "", "", lim, err
 	}
-	lim.Priority = get(6)
+	tier, ok := admission.ParseTier(get(6))
+	if !ok {
+		return "", "", lim, fmt.Errorf("tenant spec %q: unknown priority tier %q", v, get(6))
+	}
+	lim.Tier = tier
 	return id, key, lim, nil
 }
 
@@ -137,19 +149,17 @@ func parseAnonSpec(v string) (remosd.Limits, error) {
 	return lim, err
 }
 
-// parseFlags reads a command line into a Config. Each flag's default is
-// the field's DefaultConfig value, so an empty command line is exactly
-// DefaultConfig.
-func parseFlags(args []string) (remosd.Config, error) {
-	cfg := remosd.DefaultConfig()
+// bindFlags defines every flag on a new FlagSet, each bound to its
+// field of cfg with the field's current value as its default.
+func bindFlags(cfg *remosd.Config) *flag.FlagSet {
 	fs := flag.NewFlagSet("remosd", flag.ContinueOnError)
 	fs.StringVar(&cfg.ListenASCII, "listen", cfg.ListenASCII, "ASCII protocol listen address")
 	fs.StringVar(&cfg.ListenHTTP, "http", cfg.ListenHTTP, "XML/HTTP protocol listen address ('' disables)")
 	fs.StringVar(&cfg.ListenDirectory, "dir", cfg.ListenDirectory, "directory service listen address ('' disables)")
 	fs.StringVar(&cfg.ListenHostLoad, "hostload", cfg.ListenHostLoad, "host load collector listen address ('' disables)")
 	fs.StringVar(&cfg.Scenario, "scenario", cfg.Scenario, "demo scenario: twosite or campus")
-	fs.DurationVar(&cfg.QueryCacheTTL, "qcache-ttl", cfg.QueryCacheTTL,
-		"warm-query cache staleness bound; 0 keeps only single-flight dedup of concurrent identical queries")
+	fs.DurationVar(&cfg.MaxStale, "max-stale", cfg.MaxStale,
+		"staleness bound (> 0) for answers from the warm-query cache and the snapshot plane; the background scheduler re-polls covered pairs within it")
 	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism,
 		"collector pipeline parallelism (master fan-out, device walks, polling); 0 = GOMAXPROCS, 1 = serial")
 	fs.IntVar(&cfg.MaxVarBinds, "max-varbinds", cfg.MaxVarBinds,
@@ -162,8 +172,6 @@ func parseFlags(args []string) (remosd.Config, error) {
 		"continuous-collection base poll interval (adaptive around this); 0 disables the background scheduler and the watch plane")
 	fs.DurationVar(&cfg.BenchInterval, "bench-interval", cfg.BenchInterval,
 		"wide-area benchmark round interval (0 = collector default); the WAN hop is benchmark-measured, so this bounds watch-update freshness across sites")
-	fs.DurationVar(&cfg.SnapshotStale, "snapshot-stale", cfg.SnapshotStale,
-		"staleness bound for answers served from the versioned topology snapshot plane (kept fresh by background polls; zero collector round-trips while fresh); older generations fall back to a coalesced collector walk")
 	fs.Func("tenant",
 		"register one admission tenant as id:key:rate:burst:conc:watches:tier (repeatable; empty fields unlimited)",
 		func(v string) error {
@@ -171,11 +179,22 @@ func parseFlags(args []string) (remosd.Config, error) {
 			if err != nil {
 				return err
 			}
-			remosd.WithTenant(id, key, lim)(&cfg)
+			if cfg.Tenants == nil {
+				cfg.Tenants = map[string]remosd.Tenant{}
+			}
+			cfg.Tenants[id] = remosd.Tenant{Key: key, Limits: lim}
 			return nil
 		})
-	anonSpec := fs.String("anon-limits", "",
-		"admission limits for unidentified connections as rate:burst:conc:watches ('' = unlimited)")
+	fs.Func("anon-limits",
+		"admission limits for unidentified connections as rate:burst:conc:watches (unset = unlimited)",
+		func(v string) error {
+			lim, err := parseAnonSpec(v)
+			if err != nil {
+				return err
+			}
+			cfg.Anonymous = &lim
+			return nil
+		})
 	fs.DurationVar(&cfg.MaxQueueWait, "max-queue-wait", cfg.MaxQueueWait,
 		"bound on admission queueing before a request is shed (0 = admission default)")
 	fs.IntVar(&cfg.Domains, "domains", cfg.Domains,
@@ -195,15 +214,16 @@ func parseFlags(args []string) (remosd.Config, error) {
 		"federation heartbeat/serving-graph refresh interval (0 = 1s default)")
 	fs.DurationVar(&cfg.FedLeaseTTL, "fed-lease", cfg.FedLeaseTTL,
 		"federation advert lease lifetime (0 = 3x refresh default)")
-	if err := fs.Parse(args); err != nil {
+	return fs
+}
+
+// parseFlags reads a command line into a Config. Each flag's default is
+// the field's DefaultConfig value, so an empty command line is exactly
+// DefaultConfig.
+func parseFlags(args []string) (remosd.Config, error) {
+	cfg := remosd.DefaultConfig()
+	if err := bindFlags(&cfg).Parse(args); err != nil {
 		return cfg, err
-	}
-	if *anonSpec != "" {
-		lim, err := parseAnonSpec(*anonSpec)
-		if err != nil {
-			return cfg, fmt.Errorf("-anon-limits: %v", err)
-		}
-		cfg.Anonymous = &lim
 	}
 	if cfg.Domains <= 1 && (len(cfg.FedPeers) > 0 || cfg.FedPriority != 0) {
 		return cfg, fmt.Errorf("-peer and -fed-priority need federated mode (-domains >= 2)")

@@ -29,6 +29,11 @@ import (
 	"remos/internal/watch"
 )
 
+// staticEntries is a fixed master directory.
+type staticEntries []master.Entry
+
+func (e staticEntries) Entries() ([]master.Entry, error) { return e, nil }
+
 // sleepTransport wraps a transport with a real (wall-clock) per-request
 // delay, modeling management-plane RTT that the in-process transport only
 // reports but never pays.
@@ -157,7 +162,7 @@ func newMultiSiteRig(b testing.TB, nSites, parallelism int, delay time.Duration)
 
 	rig.master = master.New(master.Config{
 		Name:        "master-bench",
-		Entries:     entries,
+		Directory:   staticEntries(entries),
 		WideArea:    wide,
 		Parallelism: parallelism,
 	})

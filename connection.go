@@ -2,11 +2,13 @@ package remos
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
 	"sync"
 
+	"remos/internal/proto"
 	"remos/internal/watch"
 )
 
@@ -53,18 +55,13 @@ func WatchBuffer(n int) WatchOption {
 	return func(s *watch.Spec) { s.Buf = n }
 }
 
-// watcher is the protocol-client side of the subscription plane; both
-// proto.TCPClient and proto.HTTPClient implement it.
-type watcher interface {
-	Watch(ctx context.Context, spec watch.Spec) (<-chan watch.Update, error)
-}
-
-// Connection is a Modeler plus the subscription plane: everything Dial
-// offers, and Watch for server-pushed updates. Build one with Connect.
+// Connection is a Modeler plus the subscription plane: every query the
+// Modeler answers, Watch for server-pushed updates, and Close. Build one
+// with Dial.
 type Connection struct {
 	*Modeler
-	w   watcher
-	raw io.Closer // the protocol client, when it holds a connection
+	client   proto.Client
+	hostLoad proto.Client // nil without WithHostLoad
 
 	mu      sync.Mutex
 	watches map[uint64]context.CancelFunc // live watches, by sequence number
@@ -72,29 +69,11 @@ type Connection struct {
 	closed  bool
 }
 
-// Connect is Dial returning a Connection: the same target grammar and
-// options, plus access to the server's watch plane.
-//
-//	conn, err := remos.Connect("tcp://master.example.edu:3567")
-//	...
-//	ch, err := conn.Watch(ctx, remos.WatchQuery{Src: src, Dst: dst},
-//		remos.WatchBelow(5e6))
-//	for u := range ch { ... }
-func Connect(target string, opts ...Option) (*Connection, error) {
-	m, raw, err := dial(target, opts...)
-	if err != nil {
-		return nil, err
-	}
-	conn := &Connection{Modeler: m}
-	conn.w, _ = raw.(watcher)
-	conn.raw, _ = raw.(io.Closer)
-	return conn, nil
-}
-
 // Close tears the connection down: every live Watch started through it
 // is cancelled — the server releases the subscriptions and the tenant's
-// watch quota — and the underlying protocol connection is dropped.
-// Update channels drain their terminal update and close as usual.
+// watch quota — and the underlying protocol connections, the host load
+// one included, are dropped. Update channels drain their terminal update
+// and close as usual.
 // Close is idempotent; queries after Close redial transparently on the
 // protocols that can (ASCII), so Close is also a way to reset a
 // connection.
@@ -107,8 +86,13 @@ func (c *Connection) Close() error {
 	for _, cancel := range watches {
 		cancel()
 	}
-	if c.raw != nil {
-		return c.raw.Close()
+	return errors.Join(closeClient(c.client), closeClient(c.hostLoad))
+}
+
+// closeClient drops a protocol client's connection, if it holds one.
+func closeClient(c proto.Client) error {
+	if c, ok := c.(io.Closer); ok {
+		return c.Close()
 	}
 	return nil
 }
@@ -125,9 +109,6 @@ func (c *Connection) Close() error {
 // Err carries the typed close reason, then close the channel; every
 // goroutine involved is torn down.
 func (c *Connection) Watch(ctx context.Context, q WatchQuery, opts ...WatchOption) (<-chan Update, error) {
-	if c.w == nil {
-		return nil, fmt.Errorf("remos: connection target does not support watches")
-	}
 	spec := watch.Spec{Src: q.Src, Dst: q.Dst}
 	for _, o := range opts {
 		o(&spec)
@@ -155,7 +136,7 @@ func (c *Connection) Watch(ctx context.Context, q WatchQuery, opts ...WatchOptio
 		delete(c.watches, id)
 		c.mu.Unlock()
 	})
-	ch, err := c.w.Watch(wctx, spec)
+	ch, err := c.client.Watch(wctx, spec)
 	if err != nil {
 		cancel()
 		return nil, err

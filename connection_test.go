@@ -22,7 +22,7 @@ func TestWatchCyclesLeaveNoConnectionState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	conn, err := Connect("tcp://" + addr)
+	conn, err := Dial("tcp://" + addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,8 @@ package remos
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"remos/internal/collector"
-	"remos/internal/collector/qcache"
 	"remos/internal/modeler"
 	"remos/internal/obs"
 	"remos/internal/proto"
@@ -31,17 +28,13 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 // the flag).
 func NewTraceRing(n int, slowAfter time.Duration) *TraceRing { return obs.NewRing(n, slowAfter) }
 
-// dialConfig accumulates Dial options.
+// dialConfig accumulates Dial options: the dialed Modeler's settings,
+// and what Dial resolves into its collectors.
 type dialConfig struct {
-	hostLoad  string
-	predictor string
-	cacheTTL  time.Duration
-	obs       *obs.Registry
-	traces    *obs.Ring
-	srvFlows  bool
-	tenant    string
-	tenantKey string
-	priority  string
+	modeler.Config
+	hostLoad string
+	srvFlows bool
+	id       proto.Identity
 }
 
 // Priority is a queue tier for the server's admission layer.
@@ -68,14 +61,7 @@ func WithHostLoad(target string) Option {
 // WithPredictor sets the default RPS model spec for flow predictions,
 // e.g. "AR(16)" or "REFIT(ARIMA(8,1,8),128)".
 func WithPredictor(spec string) Option {
-	return func(c *dialConfig) { c.predictor = spec }
-}
-
-// WithCacheTTL interposes a client-side warm-query cache: identical
-// queries inside ttl answer locally, and concurrent identical queries
-// share one wire exchange.
-func WithCacheTTL(ttl time.Duration) Option {
-	return func(c *dialConfig) { c.cacheTTL = ttl }
+	return func(c *dialConfig) { c.PredictModel = spec }
 }
 
 // WithServerFlows delegates flow queries (and the bandwidth queries
@@ -90,7 +76,7 @@ func WithServerFlows() Option {
 // WithObservability attaches metrics and tracing to the dialed Modeler.
 // Either argument may be nil to enable only the other.
 func WithObservability(reg *MetricsRegistry, traces *TraceRing) Option {
-	return func(c *dialConfig) { c.obs, c.traces = reg, traces }
+	return func(c *dialConfig) { c.Obs, c.Traces = reg, traces }
 }
 
 // WithTenant identifies this client to the server's multi-tenant
@@ -102,7 +88,7 @@ func WithObservability(reg *MetricsRegistry, traces *TraceRing) Option {
 // layer ignore the identity, so tenant-configured clients interoperate
 // with older daemons.
 func WithTenant(id, key string) Option {
-	return func(c *dialConfig) { c.tenant, c.tenantKey = id, key }
+	return func(c *dialConfig) { c.id.Tenant, c.id.Key = id, key }
 }
 
 // WithPriority sets the default queue tier for this client's queries
@@ -110,88 +96,42 @@ func WithTenant(id, key string) Option {
 // admission queue dispatches interactive queries first. Unset means the
 // tenant's server-configured default.
 func WithPriority(tier Priority) Option {
-	return func(c *dialConfig) { c.priority = string(tier) }
+	return func(c *dialConfig) { c.id.Priority = string(tier) }
 }
 
-// clientFor maps a Dial target to a protocol client. "tcp://host:port"
-// (or a bare "host:port") speaks the ASCII protocol; "http://..." and
-// "https://..." speak the XML protocol. The dial config's tenant
-// identity is stamped onto whichever client is built.
-func clientFor(target string, dc *dialConfig) (collector.Interface, error) {
-	switch {
-	case strings.HasPrefix(target, "http://"), strings.HasPrefix(target, "https://"):
-		return &proto.HTTPClient{
-			BaseURL: strings.TrimSuffix(target, "/"),
-			Tenant:  dc.tenant, TenantKey: dc.tenantKey, Priority: dc.priority,
-		}, nil
-	case strings.HasPrefix(target, "tcp://"):
-		target = strings.TrimPrefix(target, "tcp://")
-		fallthrough
-	default:
-		if target == "" {
-			return nil, fmt.Errorf("remos: empty dial target")
-		}
-		if strings.Contains(target, "://") {
-			return nil, fmt.Errorf("remos: unsupported scheme in dial target %q (want tcp:// or http://)", target)
-		}
-		return &proto.TCPClient{
-			Addr:   target,
-			Tenant: dc.tenant, TenantKey: dc.tenantKey, Priority: dc.priority,
-		}, nil
-	}
-}
-
-// Dial connects a Modeler to a remote Master Collector. The target
-// scheme selects the protocol — "tcp://host:port" (or a bare
-// "host:port") for ASCII over TCP, "http://host:port" for XML over HTTP
-// — and options configure host load access, prediction defaults,
-// client-side caching, and observability:
+// Dial connects to a remote Master Collector. The target scheme selects
+// the protocol — "tcp://host:port" (or a bare "host:port") for ASCII over
+// TCP, "http://host:port" or "https://..." for XML over HTTP — and
+// options configure host load access, prediction defaults, server-side
+// flow answers, tenant identity, and observability:
 //
-//	m, err := remos.Dial("tcp://master.example.edu:3567",
-//		remos.WithCacheTTL(5*time.Second))
+//	conn, err := remos.Dial("tcp://master.example.edu:3567")
 //	...
-//	bw, err := m.AvailableBandwidthContext(ctx, src, dst)
+//	defer conn.Close()
+//	bw, err := conn.AvailableBandwidthContext(ctx, src, dst)
 //
-// Dialing is lazy: no connection is made until the first query.
-func Dial(target string, opts ...Option) (*Modeler, error) {
-	m, _, err := dial(target, opts...)
-	return m, err
-}
-
-// dial is the shared body of Dial and Connect: it also returns the raw
-// protocol client so Connect can reach the watch plane beneath any
-// cache wrapping.
-func dial(target string, opts ...Option) (*Modeler, collector.Interface, error) {
+// The Connection is the Modeler plus the server's watch plane. Dialing
+// is lazy: no connection is made until the first query.
+func Dial(target string, opts ...Option) (*Connection, error) {
 	var dc dialConfig
 	for _, o := range opts {
 		o(&dc)
 	}
-	raw, err := clientFor(target, &dc)
+	client, err := proto.NewClient(target, dc.id)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	coll := raw
-	if dc.cacheTTL > 0 {
-		coll = qcache.New(coll, qcache.Config{TTL: dc.cacheTTL, Now: time.Now, Obs: dc.obs})
-	}
-	cfg := modeler.Config{
-		Collector:    coll,
-		PredictModel: dc.predictor,
-		Obs:          dc.obs,
-		Traces:       dc.traces,
-	}
+	conn := &Connection{client: client}
+	dc.Collector = client
 	if dc.srvFlows {
-		// Both protocol clients speak the FLOWS verb; delegation goes
-		// around any client-side cache (the server answers from its
-		// snapshot plane, which is cheaper than a cached graph here).
-		if fc, ok := raw.(modeler.FlowsClient); ok {
-			cfg.RemoteFlows = fc
-		}
+		dc.RemoteFlows = client
 	}
 	if dc.hostLoad != "" {
-		if cfg.HostLoad, err = clientFor(dc.hostLoad, &dc); err != nil {
-			return nil, nil, fmt.Errorf("remos: host load target: %w", err)
+		if conn.hostLoad, err = proto.NewClient(dc.hostLoad, dc.id); err != nil {
+			return nil, fmt.Errorf("remos: host load target: %w", err)
 		}
+		dc.HostLoad = conn.hostLoad
 	}
-	return modeler.New(cfg), raw, nil
+	conn.Modeler = modeler.New(dc.Config)
+	return conn, nil
 }

@@ -41,16 +41,12 @@ func TestFederatedDaemonsE2E(t *testing.T) {
 	}
 	dirA, dirB := reserveAddr(t), reserveAddr(t)
 	start := func(domain int, dirAddr, peer string) *remosd.Daemon {
-		d, err := remosd.Start(
-			remosd.WithFederation(2, domain),
-			remosd.WithFederationPeer(peer),
-			remosd.WithFederationLease(200*time.Millisecond, 2*time.Second),
-			remosd.WithListen("127.0.0.1:0"),
-			remosd.WithHTTP("127.0.0.1:0"),
-			remosd.WithDirectory(dirAddr),
-			remosd.WithHostLoad(""),
-			remosd.WithObs("127.0.0.1:0"),
-		)
+		cfg := remosd.DefaultConfig()
+		cfg.Domains, cfg.Domain, cfg.FedPeers = 2, domain, []string{peer}
+		cfg.FedRefresh, cfg.FedLeaseTTL = 200*time.Millisecond, 2*time.Second
+		cfg.ListenASCII, cfg.ListenHTTP, cfg.ListenObs = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
+		cfg.ListenDirectory, cfg.ListenHostLoad = dirAddr, ""
+		d, err := cfg.Start()
 		if err != nil {
 			t.Fatalf("start domain %d: %v", domain, err)
 		}

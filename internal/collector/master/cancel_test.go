@@ -33,7 +33,7 @@ func TestCancellationMidFanout(t *testing.T) {
 	siteB := &blockingFake{name: "snmp-b", entered: make(chan struct{}, 1)}
 	m := New(Config{
 		Name: "master-a",
-		Entries: []Entry{
+		Directory: entries{
 			{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}, Collector: siteA, BenchHost: addr("10.0.1.9")},
 			{Name: "b", Prefixes: []netip.Prefix{pfx("10.0.2.0/24")}, Collector: siteB, BenchHost: addr("10.0.2.9")},
 		},
@@ -90,7 +90,7 @@ func TestPreCanceledQueryShortCircuits(t *testing.T) {
 	}}
 	m := New(Config{
 		Name: "master-a",
-		Entries: []Entry{
+		Directory: entries{
 			{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}, Collector: siteA},
 		},
 	})

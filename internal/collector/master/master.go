@@ -40,11 +40,10 @@ type Entry struct {
 	BenchHost netip.Addr
 }
 
-// Directory supplies the master's entries dynamically — the SLP-style
-// lookup of Section 3.1.4. When set, the static Entries are ignored and
-// every query consults the directory, so collectors registering or
+// Directory supplies the master's entries — the SLP-style lookup of
+// Section 3.1.4. Every query consults it, so collectors registering or
 // expiring take effect without reconfiguration. Implemented by
-// *directory.Service via master.FromDirectory.
+// *directory.Service.
 type Directory interface {
 	// Entries returns the current directory contents.
 	Entries() ([]Entry, error)
@@ -52,9 +51,8 @@ type Directory interface {
 
 // Config configures a Master Collector.
 type Config struct {
-	Name    string
-	Entries []Entry
-	// Directory, when non-nil, overrides Entries per query.
+	Name string
+	// Directory resolves each query's hosts to their collectors. Required.
 	Directory Directory
 	// WideArea answers queries between sites — normally the local
 	// Benchmark Collector. Optional for single-site deployments.
@@ -96,42 +94,6 @@ func (m *Master) Name() string {
 	return "master"
 }
 
-// Prefixes returns the union of the directory's prefixes, so a Master can
-// itself be registered as an Entry of a higher-level Master. On directory
-// failure it falls back to the static Entries; use PrefixesErr to observe
-// the error.
-func (m *Master) Prefixes() []netip.Prefix {
-	ps, _ := m.PrefixesErr()
-	return ps
-}
-
-// PrefixesErr returns the union of the directory's prefixes along with
-// any directory error. A failing directory does not silently look like an
-// empty one: the static Entries still contribute their prefixes, and the
-// error reports what went wrong.
-func (m *Master) PrefixesErr() ([]netip.Prefix, error) {
-	entries, err := m.entries()
-	if err != nil {
-		// Degrade to the static configuration rather than reporting an
-		// empty responsibility.
-		entries = m.cfg.Entries
-		err = fmt.Errorf("master: directory lookup: %w", err)
-	}
-	var out []netip.Prefix
-	for _, e := range entries {
-		out = append(out, e.Prefixes...)
-	}
-	return out, err
-}
-
-// entries resolves the current directory contents.
-func (m *Master) entries() ([]Entry, error) {
-	if m.cfg.Directory != nil {
-		return m.cfg.Directory.Entries()
-	}
-	return m.cfg.Entries, nil
-}
-
 // entryFor finds the directory entry responsible for an address.
 func entryFor(entries []Entry, h netip.Addr) (*Entry, bool) {
 	best := -1
@@ -169,7 +131,7 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 	// "The first task for the Master Collector is identifying the IP
 	// networks and subnets needed to answer the query, along with the
 	// associated collectors."
-	all, err := m.entries()
+	all, err := m.cfg.Directory.Entries()
 	if err != nil {
 		return nil, fmt.Errorf("master: directory lookup: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"remos/internal/collector"
 	"remos/internal/obs"
+	"remos/internal/rerr"
 	"remos/internal/topology"
 )
 
@@ -28,6 +29,11 @@ func (f *fake) Collect(q collector.Query) (*collector.Result, error) {
 	f.mu.Unlock()
 	return f.results(q)
 }
+
+// entries is a fixed directory.
+type entries []Entry
+
+func (e entries) Entries() ([]Entry, error) { return e, nil }
 
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -72,7 +78,7 @@ func newTestMaster() (*Master, *fake, *fake, *fake) {
 	}}
 	m := New(Config{
 		Name: "master-a",
-		Entries: []Entry{
+		Directory: entries{
 			{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}, Collector: siteA, BenchHost: addr("10.0.1.9")},
 			{Name: "b", Prefixes: []netip.Prefix{pfx("10.0.2.0/24")}, Collector: siteB, BenchHost: addr("10.0.2.9")},
 		},
@@ -157,7 +163,7 @@ func TestSubCollectorErrorPropagates(t *testing.T) {
 	bad := &fake{name: "bad", results: func(collector.Query) (*collector.Result, error) {
 		return nil, boom
 	}}
-	m := New(Config{Entries: []Entry{{Name: "x", Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}, Collector: bad}}})
+	m := New(Config{Directory: entries{{Name: "x", Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}, Collector: bad}}})
 	if _, err := m.Collect(collector.Query{Hosts: []netip.Addr{addr("10.1.2.3")}}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -186,7 +192,7 @@ func TestLongestPrefixWins(t *testing.T) {
 		}
 		return lineGraph(ids...), nil
 	}}
-	m := New(Config{Entries: []Entry{
+	m := New(Config{Directory: entries{
 		{Name: "broad", Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}, Collector: broad},
 		{Name: "special", Prefixes: []netip.Prefix{pfx("10.0.5.0/24")}, Collector: special},
 	}})
@@ -204,8 +210,8 @@ func TestHierarchicalMasters(t *testing.T) {
 	// master — "the remote collector might be another Master Collector".
 	outer := New(Config{
 		Name: "master-top",
-		Entries: []Entry{
-			{Name: "region", Prefixes: inner.Prefixes(), Collector: inner},
+		Directory: entries{
+			{Name: "region", Prefixes: []netip.Prefix{pfx("10.0.0.0/16")}, Collector: inner},
 		},
 		Obs: obs.New(),
 	})
@@ -267,7 +273,7 @@ func TestParallelFanoutMatchesSerial(t *testing.T) {
 		}}
 		return New(Config{
 			Parallelism: parallelism,
-			Entries: []Entry{
+			Directory: entries{
 				{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}, Collector: siteA, BenchHost: addr("10.0.1.9")},
 				{Name: "b", Prefixes: []netip.Prefix{pfx("10.0.2.0/24")}, Collector: siteB, BenchHost: addr("10.0.2.9")},
 			},
@@ -331,7 +337,7 @@ func TestParallelErrorIsDeterministic(t *testing.T) {
 	}
 	for trial := 0; trial < 4; trial++ {
 		m := New(Config{
-			Entries: []Entry{
+			Directory: entries{
 				{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}, Collector: failing(errA, 3*time.Millisecond)},
 				{Name: "b", Prefixes: []netip.Prefix{pfx("10.0.2.0/24")}, Collector: failing(errB, 0)},
 			},
@@ -346,45 +352,19 @@ func TestParallelErrorIsDeterministic(t *testing.T) {
 	}
 }
 
-// errDirectory fails lookups after a scripted number of calls.
-type errDirectory struct {
-	entries []Entry
-	fail    bool
-}
+// errDirectory fails every lookup.
+type errDirectory struct{}
 
-func (d *errDirectory) Entries() ([]Entry, error) {
-	if d.fail {
-		return nil, errors.New("directory down")
-	}
-	return d.entries, nil
-}
+func (errDirectory) Entries() ([]Entry, error) { return nil, errors.New("directory down") }
 
-// TestPrefixesSurfacesDirectoryErrors: a failing directory no longer
-// masquerades as an empty one — PrefixesErr reports the failure and falls
-// back to the static entries.
-func TestPrefixesSurfacesDirectoryErrors(t *testing.T) {
-	static := []Entry{{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}}}
-	dir := &errDirectory{entries: []Entry{
-		{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}},
-		{Name: "b", Prefixes: []netip.Prefix{pfx("10.0.2.0/24")}},
-	}}
-	m := New(Config{Entries: static, Directory: dir})
-
-	ps, err := m.PrefixesErr()
-	if err != nil || len(ps) != 2 {
-		t.Fatalf("healthy directory: prefixes=%v err=%v", ps, err)
-	}
-	dir.fail = true
-	ps, err = m.PrefixesErr()
-	if err == nil {
-		t.Fatal("directory failure not reported")
-	}
-	if len(ps) != 1 || ps[0] != pfx("10.0.1.0/24") {
-		t.Fatalf("no fallback to static entries: %v", ps)
-	}
-	// The error-swallowing accessor still degrades gracefully.
-	if got := m.Prefixes(); len(got) != 1 {
-		t.Fatalf("Prefixes() = %v, want static fallback", got)
+// TestDirectoryFailureFailsCollect: a failing directory is not an empty
+// one — the query fails with the directory's error rather than as an
+// unknown host.
+func TestDirectoryFailureFailsCollect(t *testing.T) {
+	m := New(Config{Directory: errDirectory{}})
+	_, err := m.Collect(collector.Query{Hosts: []netip.Addr{addr("10.0.1.1")}})
+	if err == nil || !strings.Contains(err.Error(), "directory down") || errors.Is(err, rerr.ErrUnknownHost) {
+		t.Fatalf("err = %v, want the directory's failure", err)
 	}
 }
 

@@ -354,19 +354,6 @@ func (c *Cache) evictInto(m entryMap) {
 	}
 }
 
-// Flush drops every cache slot. Waiters already attached to an in-flight
-// collection still receive its answer, but the flushed flight is not
-// retained when it lands.
-func (c *Cache) Flush() {
-	empty := make(entryMap)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m.Store(&empty)
-		sh.mu.Unlock()
-	}
-}
-
 // Invalidate drops every cached answer whose canonical key starts with
 // one of the prefixes, and returns how many slots were dropped. Use
 // Key(collector.Query{Hosts: hosts}) to build the prefix for a host set:

@@ -268,17 +268,6 @@ func TestEvictionSweepsAllExpiredFirst(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	inner := &slowColl{}
-	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
-	c.Collect(q("10.0.0.1"))
-	c.Flush()
-	c.Collect(q("10.0.0.1"))
-	if inner.calls.Load() != 2 {
-		t.Fatalf("flush did not drop the entry (calls=%d)", inner.calls.Load())
-	}
-}
-
 func TestInvalidateDropsMatchingPrefixes(t *testing.T) {
 	inner := &slowColl{}
 	c := New(inner, Config{TTL: time.Hour, Now: time.Now})

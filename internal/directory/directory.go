@@ -274,16 +274,6 @@ func (s *Service) Adverts() []Advert {
 	return out
 }
 
-// Lookup returns the advertisement responsible for the address by
-// longest-prefix match.
-func (s *Service) Lookup(h netip.Addr) (Advert, bool) {
-	all := s.LookupAll(h)
-	if len(all) == 0 {
-		return Advert{}, false
-	}
-	return all[0], true
-}
-
 // LookupAll returns every unexpired advertisement with a prefix
 // containing the address, best first: longest matching prefix, then
 // lowest Priority, then name. The federation router walks this list for
@@ -342,17 +332,6 @@ func (s *Service) Status() []AdvertStatus {
 // compute lease ages against the same time base.
 func (s *Service) Now() time.Time { return s.sched.Now() }
 
-// clientFor builds a protocol client for an advertised endpoint.
-func clientFor(endpoint string) (collector.Interface, error) {
-	switch {
-	case len(endpoint) > 6 && endpoint[:6] == "tcp://":
-		return &proto.TCPClient{Addr: endpoint[6:]}, nil
-	case len(endpoint) > 7 && endpoint[:7] == "http://":
-		return &proto.HTTPClient{BaseURL: endpoint}, nil
-	}
-	return nil, fmt.Errorf("directory: cannot resolve endpoint %q", endpoint)
-}
-
 // Entries implements master.Directory: the current advertisements as
 // master entries, with remote endpoints resolved to protocol clients.
 func (s *Service) Entries() ([]master.Entry, error) {
@@ -389,7 +368,7 @@ func (s *Service) Resolve(a Advert) (collector.Interface, error) {
 	if c, ok := s.resolved[key]; ok {
 		return c, nil
 	}
-	c, err := clientFor(a.Endpoint)
+	c, err := proto.NewClient(a.Endpoint, proto.Identity{})
 	if err != nil {
 		return nil, err
 	}

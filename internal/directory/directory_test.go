@@ -31,6 +31,15 @@ func (f *fakeColl) Collect(q collector.Query) (*collector.Result, error) {
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func adr(s string) netip.Addr   { return netip.MustParseAddr(s) }
 
+// lookup is the address's best advert: LookupAll's first.
+func lookup(s *Service, h netip.Addr) (Advert, bool) {
+	all := s.LookupAll(h)
+	if len(all) == 0 {
+		return Advert{}, false
+	}
+	return all[0], true
+}
+
 func TestRegisterLookupExpire(t *testing.T) {
 	s := sim.NewSim()
 	d := New(s)
@@ -40,16 +49,16 @@ func TestRegisterLookupExpire(t *testing.T) {
 	}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	a, ok := d.Lookup(adr("10.1.2.3"))
+	a, ok := lookup(d, adr("10.1.2.3"))
 	if !ok || a.Name != "siteA" {
 		t.Fatalf("Lookup = %+v ok=%v", a, ok)
 	}
-	if _, ok := d.Lookup(adr("10.2.0.1")); ok {
+	if _, ok := lookup(d, adr("10.2.0.1")); ok {
 		t.Fatal("out-of-scope address resolved")
 	}
 	// Advance past the TTL: the advert ages out, as SLP registrations do.
 	s.RunFor(2 * time.Hour)
-	if _, ok := d.Lookup(adr("10.1.2.3")); ok {
+	if _, ok := lookup(d, adr("10.1.2.3")); ok {
 		t.Fatal("expired advert still resolves")
 	}
 	if len(d.Adverts()) != 0 {
@@ -66,7 +75,7 @@ func TestReregisterRefreshesTTL(t *testing.T) {
 	s.RunFor(50 * time.Minute)
 	d.Register(ad, time.Hour) // refresh
 	s.RunFor(50 * time.Minute)
-	if _, ok := d.Lookup(adr("10.1.0.1")); !ok {
+	if _, ok := lookup(d, adr("10.1.0.1")); !ok {
 		t.Fatal("refreshed advert expired")
 	}
 }
@@ -87,7 +96,7 @@ func TestLongestPrefixLookup(t *testing.T) {
 	narrow := &fakeColl{name: "narrow"}
 	d.Register(Advert{Name: "broad", Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}, Collector: broad}, 0)
 	d.Register(Advert{Name: "narrow", Prefixes: []netip.Prefix{pfx("10.1.2.0/24")}, Collector: narrow}, 0)
-	a, ok := d.Lookup(adr("10.1.2.9"))
+	a, ok := lookup(d, adr("10.1.2.9"))
 	if !ok || a.Name != "narrow" {
 		t.Fatalf("longest prefix did not win: %+v", a)
 	}

@@ -56,7 +56,7 @@ func FuzzServeCommands(f *testing.F) {
 			}
 		}
 		// The service survives whatever was parsed.
-		if _, ok := svc.Lookup(netip.MustParseAddr("10.0.0.7")); !ok {
+		if _, ok := lookup(svc, netip.MustParseAddr("10.0.0.7")); !ok {
 			// The fuzz input may legitimately DEREGISTER "resident"; only
 			// lookups after an observed deregister may fail.
 			if !bytes.Contains(data, []byte("DEREGISTER resident")) {
@@ -141,7 +141,7 @@ func TestTTLExpiryRacesReRegistration(t *testing.T) {
 						return
 					}
 				}
-				svc.Lookup(netip.MustParseAddr("10.0.0.1"))
+				lookup(svc, netip.MustParseAddr("10.0.0.1"))
 			}
 		}()
 	}
@@ -151,7 +151,7 @@ func TestTTLExpiryRacesReRegistration(t *testing.T) {
 
 	// Quiesced: one final registration must win over any expiry.
 	svc.Register(advert(9999), time.Hour)
-	got, ok := svc.Lookup(netip.MustParseAddr("10.0.0.1"))
+	got, ok := lookup(svc, netip.MustParseAddr("10.0.0.1"))
 	if !ok || got.Endpoint != "tcp://127.0.0.1:10999" {
 		t.Fatalf("final registration lost: ok=%v advert=%+v", ok, got)
 	}

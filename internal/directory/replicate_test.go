@@ -39,7 +39,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if err := svc.Register(fedAdvert(0, 1000), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := svc.Lookup(netip.MustParseAddr("10.1.0.5"))
+	cur, _ := lookup(svc, netip.MustParseAddr("10.1.0.5"))
 	if cur.Seq != 1 {
 		t.Fatalf("local register seq = %d, want 1", cur.Seq)
 	}
@@ -48,7 +48,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if svc.ReplicaApply(fedAdvert(0, 2000), time.Hour) {
 		t.Fatal("stale replica (seq 0) applied over fresh lease (seq 1)")
 	}
-	cur, _ = svc.Lookup(netip.MustParseAddr("10.1.0.5"))
+	cur, _ = lookup(svc, netip.MustParseAddr("10.1.0.5"))
 	if cur.Endpoint != "tcp://127.0.0.1:1000" {
 		t.Fatalf("stale replica overwrote endpoint: %q", cur.Endpoint)
 	}
@@ -71,7 +71,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if !svc.ReplicaApply(fedAdvert(2, 4000), time.Hour) {
 		t.Fatal("newer replica rejected")
 	}
-	cur, _ = svc.Lookup(netip.MustParseAddr("10.1.0.5"))
+	cur, _ = lookup(svc, netip.MustParseAddr("10.1.0.5"))
 	if cur.Endpoint != "tcp://127.0.0.1:4000" || cur.Seq != 2 {
 		t.Fatalf("newer replica not applied: %+v", cur)
 	}
@@ -81,7 +81,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if err := svc.Register(fedAdvert(0, 5000), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ = svc.Lookup(netip.MustParseAddr("10.1.0.5"))
+	cur, _ = lookup(svc, netip.MustParseAddr("10.1.0.5"))
 	if cur.Seq != 3 || cur.Endpoint != "tcp://127.0.0.1:5000" {
 		t.Fatalf("re-registration did not supersede replica: %+v", cur)
 	}
@@ -124,7 +124,7 @@ func TestReplicateConflictOverWire(t *testing.T) {
 	if err != nil || !applied {
 		t.Fatalf("newer replicate: applied=%v err=%v", applied, err)
 	}
-	got, ok := svc.Lookup(netip.MustParseAddr("10.1.0.9"))
+	got, ok := lookup(svc, netip.MustParseAddr("10.1.0.9"))
 	if !ok || got.Seq != 4 || got.Domain != "east" || got.Priority != 1 || got.Epoch != 44 {
 		t.Fatalf("lease fields lost on the wire: %+v", got)
 	}
@@ -189,7 +189,7 @@ func TestReplicatorConvergesMesh(t *testing.T) {
 	defer r.Close()
 
 	s.RunFor(time.Second) // first anti-entropy tick
-	got, ok := peer.Lookup(netip.MustParseAddr("10.1.0.2"))
+	got, ok := lookup(peer, netip.MustParseAddr("10.1.0.2"))
 	if !ok || got.Seq != 1 || got.Endpoint != "tcp://127.0.0.1:1000" {
 		t.Fatalf("peer after first push: ok=%v %+v", ok, got)
 	}
@@ -200,7 +200,7 @@ func TestReplicatorConvergesMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunFor(time.Second)
-	got, ok = peer.Lookup(netip.MustParseAddr("10.1.0.2"))
+	got, ok = lookup(peer, netip.MustParseAddr("10.1.0.2"))
 	if !ok || got.Seq != 2 || got.Endpoint != "tcp://127.0.0.1:2000" {
 		t.Fatalf("peer after re-lease: ok=%v %+v", ok, got)
 	}

@@ -36,7 +36,7 @@ func TestRemoteRegisterListDeregister(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Visible server-side.
-	got, ok := svc.Lookup(adr("10.6.1.1"))
+	got, ok := lookup(svc, adr("10.6.1.1"))
 	if !ok || got.Name != "siteX" || got.Endpoint != a.Endpoint {
 		t.Fatalf("server-side lookup = %+v ok=%v", got, ok)
 	}
@@ -54,7 +54,7 @@ func TestRemoteRegisterListDeregister(t *testing.T) {
 	if err := cl.Deregister("siteX"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := svc.Lookup(adr("10.5.1.1")); ok {
+	if _, ok := lookup(svc, adr("10.5.1.1")); ok {
 		t.Fatal("deregistered advert still resolves")
 	}
 }
@@ -77,7 +77,7 @@ func TestRemoteAdvertWithoutBenchHost(t *testing.T) {
 	}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	a, ok := svc.Lookup(adr("10.7.0.1"))
+	a, ok := lookup(svc, adr("10.7.0.1"))
 	if !ok || a.BenchHost.IsValid() {
 		t.Fatalf("advert = %+v ok=%v", a, ok)
 	}

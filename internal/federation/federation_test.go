@@ -315,7 +315,7 @@ func TestFailoverToSecondaryOnLeaseExpiry(t *testing.T) {
 	// 3×Refresh = 3s).
 	m.masters[0].Kill()
 	s.RunFor(4 * time.Second)
-	if _, ok := m.dir.Lookup(m.p.DomainHosts(0)[0]); !ok {
+	if len(m.dir.LookupAll(m.p.DomainHosts(0)[0])) == 0 {
 		t.Fatal("domain 0 lost both adverts")
 	}
 	checkFlowsMatchGroundTruth(t, m, flows)

@@ -100,7 +100,7 @@ func DefaultPolicy() Policy {
 		PoolReturn: set("proto", "snmp"),
 		MetricSubsystems: set("admission", "bench", "bridge", "directory",
 			"federation", "hostload", "master", "modeler", "qcache",
-			"request", "requests", "sched", "snapshot", "snmp", "snmpcoll",
+			"request", "requests", "runtime", "sched", "snapshot", "snmp", "snmpcoll",
 			"watch", "wireless"),
 	}
 }

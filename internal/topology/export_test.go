@@ -1,0 +1,30 @@
+package topology
+
+import (
+	"math/rand"
+	"net/netip"
+)
+
+// RandomFabric is the property tests' addressed generator without its
+// island and without parallel links, for tests outside the package: a
+// connected random graph — chords, a router and an off-address host
+// included — and the addresses of its hosts.
+func RandomFabric(rng *rand.Rand) (*Graph, []netip.Addr) {
+	ad := randomAddressed(rng)
+	island := map[string]bool{"isw": true}
+	for _, h := range ad.island {
+		island[h.String()] = true
+	}
+	g := NewGraph()
+	for _, n := range ad.g.Nodes() {
+		if !island[n.ID] {
+			g.AddNode(*n)
+		}
+	}
+	for _, l := range ad.g.Links() {
+		if !island[l.From] && g.FindLink(l.From, l.To) == nil {
+			g.AddLink(*l)
+		}
+	}
+	return g, ad.hosts
+}

@@ -15,12 +15,14 @@
 // Bridge Collectors (level-2 topology from forwarding databases) and
 // Benchmark Collectors (active wide-area probes). Collectors may be local
 // objects or remote daemons reached through the ASCII/TCP or XML/HTTP
-// protocols.
+// protocols. Dial is the one way to a remote daemon: it returns a
+// Connection, the Modeler plus the daemon's watch plane and Close.
 //
 // Quick start against a remote Master Collector:
 //
 //	m, err := remos.Dial("tcp://master.example.edu:3567")
 //	if err != nil { ... }
+//	defer m.Close()
 //	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 //	defer cancel()
 //	bw, err := m.AvailableBandwidthContext(ctx, src, dst)

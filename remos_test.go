@@ -63,13 +63,14 @@ func stackOpts(t testing.TB, opts core.Options) (*core.Deployment, map[string]*n
 	return dep, d
 }
 
-func dial(t *testing.T, target string) *remos.Modeler {
+func dial(t *testing.T, target string) *remos.Connection {
 	t.Helper()
-	m, err := remos.Dial(target)
+	conn, err := remos.Dial(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	t.Cleanup(func() { conn.Close() })
+	return conn
 }
 
 func TestEndToEndInProcess(t *testing.T) {

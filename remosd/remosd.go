@@ -1,30 +1,29 @@
-// Package remosd embeds the Remos measurement daemon. It is the
-// programmatic twin of cmd/remosd: the same demo deployment over the
-// in-repository network emulator, the same serving stack — ASCII and
-// XML wire protocols, directory service, host load collector,
-// observability plane, continuous collection, snapshot plane, and the
-// multi-tenant admission layer — configured through an exported Config
-// (or the equivalent functional options) instead of flags:
+// Package remosd embeds the Remos measurement daemon: the demo
+// deployment over the in-repository network emulator and its serving
+// stack — ASCII and XML wire protocols, directory service, host load
+// collector, observability plane, continuous collection, snapshot plane,
+// and the multi-tenant admission layer. Config is the one way to
+// configure it; cmd/remosd sets its fields from flags:
 //
-//	d, err := remosd.Start(
-//		remosd.WithListen("127.0.0.1:0"),
-//		remosd.WithHTTP("127.0.0.1:0"),
-//		remosd.WithTenant("app", "sekrit", remosd.Limits{Rate: 50, Burst: 100}),
-//	)
+//	cfg := remosd.DefaultConfig()
+//	cfg.ListenASCII, cfg.ListenHTTP = "127.0.0.1:0", "127.0.0.1:0"
+//	cfg.Tenants = map[string]remosd.Tenant{
+//		"app": {Key: "sekrit", Limits: remosd.Limits{Rate: 50, Burst: 100}},
+//	}
+//	d, err := cfg.Start()
 //	...
-//	m, err := remos.Dial("tcp://"+d.ASCIIAddr, remos.WithTenant("app", "sekrit"))
+//	conn, err := remos.Dial("tcp://"+d.ASCIIAddr, remos.WithTenant("app", "sekrit"))
 //	...
 //	d.Close()
-//
-// cmd/remosd is a thin flag→Config translator over this package, so
-// everything settable on the command line is settable here too.
 package remosd
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/netip"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -51,25 +50,18 @@ import (
 
 // Limits bounds one tenant's (or the anonymous pool's) use of the
 // daemon. The zero value of any field means unlimited.
-type Limits struct {
-	// Rate is the sustained request rate in requests/second; Burst is
-	// the token-bucket depth (defaults to max(Rate, 1) when Rate is
-	// set).
-	Rate, Burst float64
-	// MaxConcurrent caps requests in flight; MaxWatches caps live watch
-	// subscriptions; MaxQueued caps requests waiting for admission.
-	MaxConcurrent, MaxWatches, MaxQueued int
-	// Priority is the tenant's default queue tier: "interactive",
-	// "batch", or "" (interactive).
-	Priority string
-}
+type Limits = admission.Limits
 
 // Tenant is one configured identity: its shared key (empty means the
 // id alone suffices) and its limits.
-type Tenant struct {
-	Key    string
-	Limits Limits
-}
+type Tenant = admission.TenantConfig
+
+// The queue tiers a tenant's Limits.Tier may name; the zero tier is
+// Interactive.
+const (
+	Interactive = admission.Interactive
+	Batch       = admission.Batch
+)
 
 // Config holds every daemon setting; DefaultConfig mirrors the
 // command-line defaults. Zero-value listen addresses disable their
@@ -85,12 +77,15 @@ type Config struct {
 	Parallelism int    // collector pipeline parallelism; 0 = GOMAXPROCS
 	MaxVarBinds int    // varbinds per polling Get PDU
 
-	QueryCacheTTL time.Duration // warm-query cache staleness bound
-	SlowQuery     time.Duration // trace-flagging threshold
+	// MaxStale is the one staleness bound: the oldest reading a QUERY
+	// answers from the warm-query cache or a FLOWS answers from the
+	// snapshot plane, and the widest gap the scheduler leaves between
+	// two polls of a covered pair. It must be positive.
+	MaxStale  time.Duration
+	SlowQuery time.Duration // trace-flagging threshold
 
 	SchedInterval time.Duration // background poll base interval; 0 disables
 	BenchInterval time.Duration // wide-area benchmark round interval
-	SnapshotStale time.Duration // staleness bound for snapshot-backed answers
 
 	// Admission: the multi-tenant front end. The controller is built
 	// when any of these are set; otherwise both servers run ungated,
@@ -129,107 +124,10 @@ func DefaultConfig() Config {
 		ListenObs:       "127.0.0.1:3571",
 		Scenario:        "twosite",
 		MaxVarBinds:     24,
-		QueryCacheTTL:   2 * time.Second,
+		MaxStale:        2 * time.Second,
 		SlowQuery:       500 * time.Millisecond,
 		SchedInterval:   time.Second,
-		SnapshotStale:   5 * time.Second,
 	}
-}
-
-// Option mutates a Config; pass options to Start.
-type Option func(*Config)
-
-// WithListen sets the ASCII protocol listen address.
-func WithListen(addr string) Option { return func(c *Config) { c.ListenASCII = addr } }
-
-// WithHTTP sets the XML/HTTP listen address ("" disables).
-func WithHTTP(addr string) Option { return func(c *Config) { c.ListenHTTP = addr } }
-
-// WithDirectory sets the directory service listen address ("" disables).
-func WithDirectory(addr string) Option { return func(c *Config) { c.ListenDirectory = addr } }
-
-// WithHostLoad sets the host load collector listen address ("" disables).
-func WithHostLoad(addr string) Option { return func(c *Config) { c.ListenHostLoad = addr } }
-
-// WithObs sets the observability listen address ("" disables).
-func WithObs(addr string) Option { return func(c *Config) { c.ListenObs = addr } }
-
-// WithScenario selects the demo network ("twosite" or "campus").
-func WithScenario(name string) Option { return func(c *Config) { c.Scenario = name } }
-
-// WithQueryCacheTTL bounds warm-query cache staleness.
-func WithQueryCacheTTL(ttl time.Duration) Option {
-	return func(c *Config) { c.QueryCacheTTL = ttl }
-}
-
-// WithCollectorTuning sets the collector pipeline's parallelism and
-// varbinds per PDU.
-func WithCollectorTuning(parallelism, maxVarBinds int) Option {
-	return func(c *Config) { c.Parallelism, c.MaxVarBinds = parallelism, maxVarBinds }
-}
-
-// WithScheduler configures the continuous-collection plane (base = 0
-// disables it and the watch plane).
-func WithScheduler(base time.Duration) Option {
-	return func(c *Config) { c.SchedInterval = base }
-}
-
-// WithSnapshotStaleness bounds snapshot-backed answer staleness.
-func WithSnapshotStaleness(d time.Duration) Option {
-	return func(c *Config) { c.SnapshotStale = d }
-}
-
-// WithBenchInterval sets the wide-area benchmark round interval.
-func WithBenchInterval(d time.Duration) Option { return func(c *Config) { c.BenchInterval = d } }
-
-// WithSlowQuery sets the trace-flagging threshold.
-func WithSlowQuery(d time.Duration) Option { return func(c *Config) { c.SlowQuery = d } }
-
-// WithTenant registers one tenant identity with its limits. Repeatable.
-func WithTenant(id, key string, lim Limits) Option {
-	return func(c *Config) {
-		if c.Tenants == nil {
-			c.Tenants = map[string]Tenant{}
-		}
-		c.Tenants[id] = Tenant{Key: key, Limits: lim}
-	}
-}
-
-// WithAnonymousLimits bounds connections that carry no tenant identity.
-func WithAnonymousLimits(lim Limits) Option {
-	return func(c *Config) { c.Anonymous = &lim }
-}
-
-// WithMaxQueueWait bounds how long an admitted-later request may queue
-// before it is shed.
-func WithMaxQueueWait(d time.Duration) Option { return func(c *Config) { c.MaxQueueWait = d } }
-
-// WithFederation puts the daemon in federated mode: the scenario
-// network is split into domains administrative domains and this daemon
-// serves domain index domain as a federated master.
-func WithFederation(domains, domain int) Option {
-	return func(c *Config) { c.Domains, c.Domain = domains, domain }
-}
-
-// WithFederationPeer adds one peer daemon's directory address for
-// lease replication. Repeatable.
-func WithFederationPeer(addr string) Option {
-	return func(c *Config) { c.FedPeers = append(c.FedPeers, addr) }
-}
-
-// WithFederationPriority sets this master's failover rank among its
-// domain's replicas (lower is preferred).
-func WithFederationPriority(p int) Option { return func(c *Config) { c.FedPriority = p } }
-
-// WithFederationLease tunes the federation heartbeat interval and
-// advert lease lifetime (zero keeps the defaults).
-func WithFederationLease(refresh, ttl time.Duration) Option {
-	return func(c *Config) { c.FedRefresh, c.FedLeaseTTL = refresh, ttl }
-}
-
-// WithLogf directs the daemon's progress log (nil keeps it silent).
-func WithLogf(logf func(format string, args ...any)) Option {
-	return func(c *Config) { c.Logf = logf }
 }
 
 // HostInfo names one queryable demo host.
@@ -272,55 +170,45 @@ func (d *Daemon) Close() error {
 
 func (d *Daemon) onClose(f func()) { d.closers = append(d.closers, f) }
 
-// Start builds DefaultConfig, applies the options, and starts the
-// daemon.
-func Start(opts ...Option) (*Daemon, error) {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(&cfg)
+// check rejects a Config Start cannot serve: a staleness bound that is
+// not positive, or a tenant tier the admission layer does not know.
+func (cfg Config) check() error {
+	if cfg.MaxStale <= 0 {
+		return fmt.Errorf("remosd: max-stale %v is not positive", cfg.MaxStale)
 	}
-	return cfg.Start()
+	tiers := map[string]admission.Tier{}
+	for id, t := range cfg.Tenants {
+		tiers[id] = t.Limits.Tier
+	}
+	if cfg.Anonymous != nil {
+		tiers[admission.AnonymousTenant] = cfg.Anonymous.Tier
+	}
+	for id, tier := range tiers {
+		if tier < admission.TierDefault || tier > Batch {
+			return fmt.Errorf("remosd: tenant %q: unknown priority tier %d", id, tier)
+		}
+	}
+	return nil
 }
 
-// admissionController translates the Config's tenant section, or
-// returns nil when no admission settings are present (both servers
-// then run ungated, exactly as before the admission layer existed).
-func (cfg Config) admissionController(s sim.Scheduler, reg *obs.Registry) (*admission.Controller, error) {
+// admissionController builds the controller for the Config's tenant
+// section, or returns nil when no admission settings are present (both
+// servers then run ungated, exactly as before the admission layer
+// existed).
+func (cfg Config) admissionController(s sim.Scheduler, reg *obs.Registry) *admission.Controller {
 	if len(cfg.Tenants) == 0 && cfg.Anonymous == nil && cfg.MaxQueueWait == 0 {
-		return nil, nil
-	}
-	translate := func(id string, l Limits) (admission.Limits, error) {
-		tier, ok := admission.ParseTier(l.Priority)
-		if !ok {
-			return admission.Limits{}, fmt.Errorf("remosd: tenant %q: unknown priority tier %q", id, l.Priority)
-		}
-		return admission.Limits{
-			Rate: l.Rate, Burst: l.Burst,
-			MaxConcurrent: l.MaxConcurrent, MaxWatches: l.MaxWatches, MaxQueued: l.MaxQueued,
-			Tier: tier,
-		}, nil
+		return nil
 	}
 	acfg := admission.Config{
-		Tenants:      make(map[string]admission.TenantConfig, len(cfg.Tenants)),
+		Tenants:      maps.Clone(cfg.Tenants),
 		MaxQueueWait: cfg.MaxQueueWait,
 		Sched:        s,
 		Obs:          reg,
 	}
-	for id, t := range cfg.Tenants {
-		lim, err := translate(id, t.Limits)
-		if err != nil {
-			return nil, err
-		}
-		acfg.Tenants[id] = admission.TenantConfig{Key: t.Key, Limits: lim}
-	}
 	if cfg.Anonymous != nil {
-		lim, err := translate(admission.AnonymousTenant, *cfg.Anonymous)
-		if err != nil {
-			return nil, err
-		}
-		acfg.Anonymous = lim
+		acfg.Anonymous = *cfg.Anonymous
 	}
-	return admission.New(acfg), nil
+	return admission.New(acfg)
 }
 
 // stack is what the daemon serves: Start makes the clock, registry and
@@ -350,10 +238,7 @@ type stack struct {
 // the driver that advances the deployment's clock in step with the wall
 // clock. Every listener it starts is registered on d for Close.
 func (cfg Config) serve(d *Daemon, logf func(format string, args ...any), st stack) error {
-	ctrl, err := cfg.admissionController(st.sim, st.reg)
-	if err != nil {
-		return err
-	}
+	ctrl := cfg.admissionController(st.sim, st.reg)
 	if ctrl != nil {
 		d.onClose(ctrl.Close)
 		logf("remosd: admission on (%d tenants, anonymous limits %v)", len(cfg.Tenants), cfg.Anonymous != nil)
@@ -437,11 +322,15 @@ func (cfg Config) serve(d *Daemon, logf func(format string, args ...any), st sta
 // Start brings the configured daemon up. On error, everything already
 // started is torn down before returning.
 func (cfg Config) Start() (*Daemon, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	d := &Daemon{Metrics: obs.New()}
+	registerRuntimeGauges(d.Metrics)
 	st := stack{sim: sim.NewSim(), reg: d.Metrics, traces: obs.NewRing(128, cfg.SlowQuery)}
 	assemble := cfg.singleMaster
 	if cfg.Domains > 1 {
@@ -458,10 +347,28 @@ func (cfg Config) Start() (*Daemon, error) {
 	return d, nil
 }
 
+// registerRuntimeGauges exports the process's own state beside the
+// serving metrics: live goroutines, heap in use, and the most recent
+// garbage collection's stop-the-world pause.
+func registerRuntimeGauges(reg *obs.Registry) {
+	reg.GaugeFunc("remos_runtime_goroutines", "goroutines in the daemon process", func() float64 {
+		return float64(runtime.NumGoroutine())
+	})
+	reg.GaugeFunc("remos_runtime_heap_bytes", "bytes of allocated heap objects", func() float64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	})
+	reg.GaugeFunc("remos_runtime_gc_pause_seconds", "stop-the-world pause of the most recent garbage collection", func() float64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return time.Duration(ms.PauseNs[(ms.NumGC+255)%256]).Seconds() // 0 before the first collection
+	})
+}
+
 // singleMaster assembles the single-master stack: the scenario's
-// collector deployment, its first site's Master behind the warm-query
-// cache, the snapshot store, and (unless disabled) the background
-// scheduler, the watch registry and the host load collector.
+// collector deployment, the serving planes over its first site's Master,
+// and (unless disabled) the host load collector.
 func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any), st *stack) error {
 	s, reg := st.sim, st.reg
 	dep, hosts, err := buildScenario(s, cfg.Scenario, cfg.BenchInterval, core.Options{
@@ -480,39 +387,16 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 		d.Hosts = append(d.Hosts, HostInfo{Name: h.Name, Addr: h.Addr()})
 	}
 
-	// The served collector: the first site's Master behind the
-	// warm-query cache. Cache, snapshot store, scheduler and watch
-	// registry all age their state on the deployment's clock.
-	master := dep.Sites[firstSite(dep)].Master
-	queryable := qcache.New(master, qcache.Config{TTL: cfg.QueryCacheTTL, Now: s.Now, Obs: reg})
-	logf("remosd: warm-query cache TTL %v, parallelism %d (0=GOMAXPROCS), max-varbinds %d",
-		cfg.QueryCacheTTL, cfg.Parallelism, cfg.MaxVarBinds)
-
-	snapStore := snapshot.New(snapshot.Config{Now: s.Now, Obs: reg})
-	logf("remosd: snapshot plane on (staleness bound %v)", cfg.SnapshotStale)
-
-	// Continuous-collection plane and watch registry.
-	var watchReg *watch.Registry
-	if cfg.SchedInterval > 0 {
-		var plane *sched.Scheduler
-		watchReg = watch.New(watch.Config{
-			Obs:           reg,
-			Now:           s.Now,
-			EnsureTarget:  func(h []netip.Addr) { plane.AddTarget(h) },
-			ReleaseTarget: func(h []netip.Addr) { plane.RemoveTarget(h) },
-		})
-		plane = cfg.pollPlane(s, queryable, snapStore, reg, func(_ []netip.Addr, res *collector.Result) {
-			watchReg.Evaluate(res)
-		})
-		d.onClose(plane.Stop)
-		d.onClose(func() {
-			watchReg.Close(rerr.Tagf(rerr.ErrCollectorUnavailable, "remosd shutting down"))
-		})
+	sv := cfg.servePlanes(s, dep.Sites[firstSite(dep)].Master, reg, st.traces)
+	d.onClose(sv.close)
+	logf("remosd: staleness bound %v (warm-query cache and snapshot plane), parallelism %d (0=GOMAXPROCS), max-varbinds %d",
+		cfg.MaxStale, cfg.Parallelism, cfg.MaxVarBinds)
+	if sv.plane != nil {
 		// Preseed the demo pairs so their queries answer warm from the
 		// first client on; watches add and remove their own targets.
 		if len(hosts) >= 2 && len(hosts) <= 8 {
 			for _, h := range hosts[1:] {
-				plane.AddTarget([]netip.Addr{hosts[0].Addr(), h.Addr()})
+				sv.plane.AddTarget([]netip.Addr{hosts[0].Addr(), h.Addr()})
 			}
 		}
 		logf("remosd: background scheduler on (base %v, max %v); watch plane enabled",
@@ -548,48 +432,78 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 		logf("remosd: host load collector on %s", laddr)
 	}
 
-	st.collector, st.watch, st.dir, st.health = queryable, watchReg, dep.Directory, healthFunc(dep)
-	// The server-side Modeler behind the FLOWS verb.
-	st.flows = modeler.New(modeler.Config{
-		Collector: queryable, Snapshot: snapStore, MaxStale: cfg.SnapshotStale,
-		Obs: reg, Traces: st.traces,
-	})
+	st.collector, st.flows, st.watch = sv.cache, sv.flows, sv.watch
+	st.dir, st.health = dep.Directory, healthFunc(dep)
 	return nil
 }
 
-// maxPollInterval is the widest gap the scheduler leaves between two
-// polls of a stable target: eight base intervals, narrowed to the tighter
-// of the positive staleness bounds, so the cache entry and the snapshot
-// generation a covered pair answers from are re-polled before they age
-// past what their readers accept.
-func (cfg Config) maxPollInterval() time.Duration {
-	maxIval := 8 * cfg.SchedInterval
-	for _, bound := range []time.Duration{cfg.QueryCacheTTL, cfg.SnapshotStale} {
-		if bound > 0 && bound < maxIval {
-			maxIval = bound
-		}
-	}
-	return maxIval
+// planes is the single-master serving assembly over one master: the
+// warm-query cache QUERY answers through, the snapshot store and the
+// Modeler FLOWS answers from, and — when SchedInterval is set — the poll
+// plane that keeps both warm and the watch registry it feeds. All of it
+// ages its state on one clock, against the one bound MaxStale.
+type planes struct {
+	cache *qcache.Cache
+	store *snapshot.Store
+	flows *modeler.Modeler
+	plane *sched.Scheduler // nil when SchedInterval is 0
+	watch *watch.Registry  // nil when SchedInterval is 0
 }
 
-// pollPlane builds the background scheduler over the served cache: each
-// poll invalidates its target's entry and collects through the cache, so
-// the answer is the entry's new warm state, and folds it into the
-// snapshot store before onResult sees it.
-func (cfg Config) pollPlane(s sim.Scheduler, cache *qcache.Cache, store *snapshot.Store, reg *obs.Registry,
-	onResult func([]netip.Addr, *collector.Result)) *sched.Scheduler {
-	return sched.New(sched.Config{
-		Collector: cache,
+// servePlanes assembles the planes over master. The snapshot plane
+// refreshes from master itself: Store.Refresh already coalesces
+// concurrent walks, and a refresh through the cache would stamp a
+// cached reading with the refresh's own start time. The poll plane
+// invalidates a target's cache entry and collects through the cache, so
+// a covered pair's QUERY answers warm and its FLOWS from the same poll.
+func (cfg Config) servePlanes(s sim.Scheduler, master collector.Interface, reg *obs.Registry, traces *obs.Ring) *planes {
+	p := &planes{
+		cache: qcache.New(master, qcache.Config{TTL: cfg.MaxStale, Now: s.Now, Obs: reg}),
+		store: snapshot.New(snapshot.Config{Now: s.Now, Obs: reg}),
+	}
+	p.flows = modeler.New(modeler.Config{
+		Collector: master, Snapshot: p.store, MaxStale: cfg.MaxStale,
+		Obs: reg, Traces: traces,
+	})
+	if cfg.SchedInterval <= 0 {
+		return p
+	}
+	p.watch = watch.New(watch.Config{
+		Obs:           reg,
+		Now:           s.Now,
+		EnsureTarget:  func(h []netip.Addr) { p.plane.AddTarget(h) },
+		ReleaseTarget: func(h []netip.Addr) { p.plane.RemoveTarget(h) },
+	})
+	p.plane = sched.New(sched.Config{
+		Collector: p.cache,
 		Invalidate: func(h []netip.Addr) {
-			cache.Invalidate(qcache.Key(collector.Query{Hosts: h}))
+			p.cache.Invalidate(qcache.Key(collector.Query{Hosts: h}))
 		},
 		Sched:        s,
 		BaseInterval: cfg.SchedInterval,
 		MaxInterval:  cfg.maxPollInterval(),
-		OnResult:     onResult,
-		Snapshot:     store,
+		OnResult:     func(_ []netip.Addr, res *collector.Result) { p.watch.Evaluate(res) },
+		Snapshot:     p.store,
 		Obs:          reg,
 	})
+	return p
+}
+
+// close ends every watch and stops the poll plane.
+func (p *planes) close() {
+	if p.plane == nil {
+		return
+	}
+	p.watch.Close(rerr.Tagf(rerr.ErrCollectorUnavailable, "remosd shutting down"))
+	p.plane.Stop()
+}
+
+// maxPollInterval is the widest gap the scheduler leaves between two
+// polls of a stable target: eight base intervals, narrowed to MaxStale,
+// so the cache entry and the snapshot generation a covered pair answers
+// from are re-polled before they age past the bound.
+func (cfg Config) maxPollInterval() time.Duration {
+	return min(8*cfg.SchedInterval, cfg.MaxStale)
 }
 
 // healthFunc reports per-collector liveness: each site's SNMP collector

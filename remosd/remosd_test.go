@@ -14,24 +14,29 @@ import (
 	"remos/remosd"
 )
 
-// TestStartProgrammatic boots the daemon through the exported options
-// — ephemeral ports, two tenants — and drives it through the public
-// client API: a metered tenant's queries succeed inside its burst and
-// shed typed beyond it, and the observability plane exposes the
-// per-tenant admission state.
+// testConfig is DefaultConfig on ephemeral ports with the directory,
+// host load and scheduler planes off.
+func testConfig() remosd.Config {
+	cfg := remosd.DefaultConfig()
+	cfg.ListenASCII, cfg.ListenHTTP, cfg.ListenObs = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
+	cfg.ListenDirectory, cfg.ListenHostLoad, cfg.SchedInterval = "", "", 0
+	return cfg
+}
+
+// TestStartProgrammatic boots the daemon from a Config — ephemeral
+// ports, two tenants — and drives it through the public client API: a
+// metered tenant's queries succeed inside its burst and shed typed
+// beyond it, and the observability plane exposes the per-tenant
+// admission state and the process's runtime gauges.
 func TestStartProgrammatic(t *testing.T) {
-	d, err := remosd.Start(
-		remosd.WithListen("127.0.0.1:0"),
-		remosd.WithHTTP("127.0.0.1:0"),
-		remosd.WithObs("127.0.0.1:0"),
-		remosd.WithDirectory(""),
-		remosd.WithHostLoad(""),
-		remosd.WithScheduler(0),
-		// Refill is negligible over the test's lifetime, so the burst
-		// is the whole budget: one query in, the next one shed.
-		remosd.WithTenant("app", "sekrit", remosd.Limits{Rate: 0.001, Burst: 1}),
-		remosd.WithTenant("bulk", "", remosd.Limits{Priority: "batch"}),
-	)
+	cfg := testConfig()
+	cfg.Tenants = map[string]remosd.Tenant{
+		// Refill is negligible over the test's lifetime, so the burst is
+		// the whole budget: one query in, the next one shed.
+		"app":  {Key: "sekrit", Limits: remosd.Limits{Rate: 0.001, Burst: 1}},
+		"bulk": {Limits: remosd.Limits{Tier: remosd.Batch}},
+	}
+	d, err := cfg.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +55,7 @@ func TestStartProgrammatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	src, dst := d.Hosts[0].Addr, d.Hosts[1].Addr
@@ -66,7 +72,8 @@ func TestStartProgrammatic(t *testing.T) {
 
 	for path, wants := range map[string][]string{
 		"/debug/tenants": {`"tenant": "app"`, `"shed": 1`},
-		"/metrics":       {`remos_admission_admitted_total{tenant="app"} 1`, `remos_admission_shed_total{tenant="app"} 1`},
+		"/metrics": {`remos_admission_admitted_total{tenant="app"} 1`, `remos_admission_shed_total{tenant="app"} 1`,
+			"remos_runtime_goroutines ", "remos_runtime_heap_bytes ", "remos_runtime_gc_pause_seconds "},
 	} {
 		resp, err := http.Get("http://" + d.ObsAddr + path)
 		if err != nil {
@@ -87,17 +94,26 @@ func TestStartProgrammatic(t *testing.T) {
 	d.Close() // idempotent
 }
 
-// TestStartRejectsBadTier: config errors surface from Start, with
-// everything already started torn back down.
+// TestStartRejectsBadTier: config errors surface from Start, before
+// anything is started.
 func TestStartRejectsBadTier(t *testing.T) {
-	_, err := remosd.Start(
-		remosd.WithListen("127.0.0.1:0"),
-		remosd.WithHTTP(""), remosd.WithObs(""), remosd.WithDirectory(""),
-		remosd.WithHostLoad(""), remosd.WithScheduler(0),
-		remosd.WithTenant("x", "", remosd.Limits{Priority: "urgent"}),
-	)
+	cfg := testConfig()
+	cfg.Anonymous = &remosd.Limits{Tier: remosd.Batch + 1}
+	_, err := cfg.Start()
 	if err == nil || !strings.Contains(err.Error(), "unknown priority tier") {
 		t.Fatalf("Start error = %v, want unknown priority tier", err)
+	}
+}
+
+// TestStartRejectsNonPositiveMaxStale: there is no "no bound" setting;
+// a zero or negative MaxStale is a configuration error.
+func TestStartRejectsNonPositiveMaxStale(t *testing.T) {
+	for _, bound := range []time.Duration{0, -time.Second} {
+		cfg := testConfig()
+		cfg.MaxStale = bound
+		if _, err := cfg.Start(); err == nil || !strings.Contains(err.Error(), "max-stale") {
+			t.Errorf("MaxStale %v: Start error = %v, want a max-stale error", bound, err)
+		}
 	}
 }
 
@@ -109,20 +125,17 @@ func TestStartRejectsBadTier(t *testing.T) {
 func TestBothModesServeEveryPlane(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
-		opts      []remosd.Option
+		domains   int
 		component string // a /healthz row only this mode reports
 	}{
-		{"single-master", nil, "master-a"},
-		{"federated", []remosd.Option{remosd.WithFederation(2, 0)}, "federation-master-d0"},
+		{"single-master", 0, "master-a"},
+		{"federated", 2, "federation-master-d0"},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			d, err := remosd.Start(append([]remosd.Option{
-				remosd.WithListen("127.0.0.1:0"),
-				remosd.WithHTTP("127.0.0.1:0"),
-				remosd.WithDirectory("127.0.0.1:0"),
-				remosd.WithObs("127.0.0.1:0"),
-				remosd.WithHostLoad(""),
-			}, mode.opts...)...)
+			cfg := testConfig()
+			cfg.ListenDirectory, cfg.SchedInterval = "127.0.0.1:0", remosd.DefaultConfig().SchedInterval
+			cfg.Domains = mode.domains
+			d, err := cfg.Start()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,6 +151,7 @@ func TestBothModesServeEveryPlane(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				defer m.Close()
 				infos, err := m.GetFlowsContext(ctx, flow, remos.FlowOptions{})
 				if err != nil || len(infos) != 1 || infos[0].Available <= 0 {
 					t.Fatalf("%s: flow answer %+v, %v", target, infos, err)

@@ -1,15 +1,16 @@
 package remosd
 
 import (
+	"context"
+	"math/rand"
 	"net/netip"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"remos/internal/collector"
-	"remos/internal/collector/qcache"
+	"remos/internal/modeler"
 	"remos/internal/sim"
-	"remos/internal/snapshot"
 	"remos/internal/topology"
 )
 
@@ -21,65 +22,167 @@ func (*stablePair) Name() string { return "stable" }
 
 func (c *stablePair) Collect(q collector.Query) (*collector.Result, error) {
 	c.calls.Add(1)
-	g := topology.NewGraph()
-	for _, h := range q.Hosts {
-		g.AddNode(topology.Node{ID: h.String(), Kind: topology.HostNode, Addr: h.String()})
-	}
-	g.AddLink(topology.Link{From: q.Hosts[0].String(), To: q.Hosts[1].String(), Capacity: 10e6, UtilFromTo: 1e6})
-	return &collector.Result{Graph: g}, nil
+	return &collector.Result{Graph: pairGraph(q.Hosts, 1e6)}, nil
 }
 
-// TestCoveredPairNeverGoesStale runs the daemon's poll plane over the
-// warm-query cache and the snapshot store for ten simulated minutes of a
-// stable network, asking about the scheduler-covered pair every 100 ms:
-// the pair must always answer from a generation within SnapshotStale
-// and, when the cache keeps answers, from the cache without a walk. The
-// widest gap between polls is what decides it, under the default bounds,
-// with the cache's retention off, and with a snapshot bound tighter than
-// the cache's.
+// pairGraph is the two hosts joined by one 10 Mb/s link carrying util.
+func pairGraph(hosts []netip.Addr, util float64) *topology.Graph {
+	g := topology.NewGraph()
+	for _, h := range hosts {
+		g.AddNode(topology.Node{ID: h.String(), Kind: topology.HostNode, Addr: h.String()})
+	}
+	g.AddLink(topology.Link{From: hosts[0].String(), To: hosts[1].String(), Capacity: 10e6, UtilFromTo: util})
+	return g
+}
+
+var testPair = []netip.Addr{netip.MustParseAddr("10.0.16.2"), netip.MustParseAddr("10.0.16.3")}
+
+// TestCoveredPairNeverGoesStale runs the daemon's serving planes over a
+// stable network for ten simulated minutes, asking about the
+// scheduler-covered pair every 100 ms: the pair must always answer from a
+// generation within MaxStale and from the cache without a walk. The
+// widest gap between polls is what decides it, with the bound at its
+// default, at the base poll interval, and above eight base intervals.
 func TestCoveredPairNeverGoesStale(t *testing.T) {
-	pair := []netip.Addr{netip.MustParseAddr("10.0.16.2"), netip.MustParseAddr("10.0.16.3")}
 	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
+		name     string
+		maxStale time.Duration
 	}{
-		{"defaults", func(*Config) {}},
-		{"qcache-ttl 0", func(c *Config) { c.QueryCacheTTL = 0 }},
-		{"snapshot-stale 2s", func(c *Config) { c.SnapshotStale = 2 * time.Second }},
+		{"defaults", DefaultConfig().MaxStale},
+		{"max-stale 1s", time.Second},
+		{"max-stale 10s", 10 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			tc.mut(&cfg)
+			cfg.MaxStale = tc.maxStale
 			s := sim.NewSim()
 			inner := &stablePair{}
-			cache := qcache.New(inner, qcache.Config{TTL: cfg.QueryCacheTTL, Now: s.Now})
-			store := snapshot.New(snapshot.Config{Now: s.Now})
-			plane := cfg.pollPlane(s, cache, store, nil, nil)
-			defer plane.Stop()
-			plane.AddTarget(pair)
+			p := cfg.servePlanes(s, inner, nil, nil)
+			defer p.close()
+			p.plane.AddTarget(testPair)
 			s.RunFor(cfg.SchedInterval) // the first poll lands inside a quarter base interval
 
 			var asked, stale, walked int
 			probe := s.Every(100*time.Millisecond, func() {
 				asked++
-				if store.Fresh(pair, cfg.SnapshotStale) == nil {
+				if p.store.Fresh(testPair, cfg.MaxStale) == nil {
 					stale++
 				}
-				if cfg.QueryCacheTTL > 0 {
-					before := inner.calls.Load()
-					if _, err := cache.Collect(collector.Query{Hosts: pair}); err != nil {
-						t.Fatal(err)
-					}
-					if inner.calls.Load() != before {
-						walked++
-					}
+				before := inner.calls.Load()
+				if _, err := p.cache.Collect(collector.Query{Hosts: testPair}); err != nil {
+					t.Fatal(err)
+				}
+				if inner.calls.Load() != before {
+					walked++
 				}
 			})
 			s.RunFor(10 * time.Minute)
 			probe.Stop()
 			if stale > 0 || walked > 0 {
 				t.Fatalf("of %d instants, the pair's generation was older than %v at %d and a client query walked at %d",
-					asked, cfg.SnapshotStale, stale, walked)
+					asked, cfg.MaxStale, stale, walked)
+			}
+		})
+	}
+}
+
+// movingLink is testPair's link under the test's control: each Collect
+// reads the utilization set at that instant, and the link remembers when
+// it was read offering each availability.
+type movingLink struct {
+	now   func() time.Time
+	util  float64
+	reads map[float64][]time.Time // available bits/s -> the instants it was read
+}
+
+func (*movingLink) Name() string { return "moving" }
+
+func (l *movingLink) Collect(q collector.Query) (*collector.Result, error) {
+	avail := 10e6 - l.util
+	l.reads[avail] = append(l.reads[avail], l.now())
+	return &collector.Result{Graph: pairGraph(q.Hosts, l.util)}, nil
+}
+
+// readWithin reports whether avail was read in [now-bound, now].
+func (l *movingLink) readWithin(avail float64, now time.Time, bound time.Duration) bool {
+	for _, at := range l.reads[avail] {
+		if !at.After(now) && now.Sub(at) <= bound {
+			return true
+		}
+	}
+	return false
+}
+
+// flowAvail asks the planes' Modeler, as the FLOWS verb does, what the
+// pair's one flow gets.
+func flowAvail(t *testing.T, p *planes) float64 {
+	t.Helper()
+	infos, err := p.flows.GetFlowsContext(context.Background(),
+		[]modeler.Flow{{Src: testPair[0], Dst: testPair[1]}}, modeler.FlowOptions{})
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("FLOWS: %+v, %v", infos, err)
+	}
+	return infos[0].Available
+}
+
+// TestFlowsNeverAnswerFromAnOlderReading: a QUERY warms the cache, the
+// link moves, and a FLOWS 1.9 s later — inside the cache's bound, but
+// with no snapshot generation for the pair — must walk and see the moved
+// link, not fold the cached reading into a generation stamped as new.
+// Then, over ten simulated minutes of QUERYs, FLOWS and link moves at
+// random, with the pair uncovered and covered by the scheduler, no FLOWS
+// answer may be a reading older than MaxStale.
+func TestFlowsNeverAnswerFromAnOlderReading(t *testing.T) {
+	t.Run("query then flows", func(t *testing.T) {
+		cfg := DefaultConfig()
+		s := sim.NewSim()
+		link := &movingLink{now: s.Now, util: 1e6, reads: map[float64][]time.Time{}}
+		p := cfg.servePlanes(s, link, nil, nil)
+		defer p.close()
+		if _, err := p.cache.Collect(collector.Query{Hosts: testPair}); err != nil {
+			t.Fatal(err)
+		}
+		link.util = 9e6
+		s.RunFor(1900 * time.Millisecond)
+		if got := flowAvail(t, p); got != 1e6 {
+			t.Fatalf("FLOWS at 1.9 s answered %.0f b/s; the link has offered 1e6 since the QUERY's reading", got)
+		}
+	})
+	for _, covered := range []bool{false, true} {
+		name := "uncovered"
+		if covered {
+			name = "covered"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			s := sim.NewSim()
+			link := &movingLink{now: s.Now, util: 1e6, reads: map[float64][]time.Time{}}
+			p := cfg.servePlanes(s, link, nil, nil)
+			defer p.close()
+			if covered {
+				p.plane.AddTarget(testPair)
+			}
+			rng := rand.New(rand.NewSource(30))
+			var flows, old int
+			tick := s.Every(100*time.Millisecond, func() {
+				switch rng.Intn(3) {
+				case 0:
+					link.util += 1e3 // every setting offers an availability of its own
+				case 1:
+					if _, err := p.cache.Collect(collector.Query{Hosts: testPair}); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					flows++
+					if got := flowAvail(t, p); !link.readWithin(got, s.Now(), cfg.MaxStale) {
+						old++
+					}
+				}
+			})
+			s.RunFor(10 * time.Minute)
+			tick.Stop()
+			if flows < 1000 || old > 0 {
+				t.Fatalf("%d of %d FLOWS answers came from no reading within %v", old, flows, cfg.MaxStale)
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # obs_smoke.sh — boot remosd, drive a real query through the ASCII
 # protocol, and assert the observability plane reports it: /metrics
-# counts the request, /healthz answers, and /debug/queries shows the
-# traced fan-out. remosctl is the only fetcher used (no curl needed).
+# counts the request and renders the runtime gauges, /healthz answers,
+# and /debug/queries shows the traced fan-out. remosctl is the only fetcher used (no curl needed).
 set -eu
 
 ASCII=${ASCII:-127.0.0.1:43567}
@@ -60,7 +60,8 @@ for want in \
     'remos_request_seconds_bucket' \
     'remos_master_queries_total' \
     'remos_snmp_exchanges_total' \
-    'remos_qcache_misses_total'; do
+    'remos_qcache_misses_total' \
+    'remos_runtime_goroutines '; do
     if ! grep -qF "$want" "$WORK/metrics"; then
         echo "obs-smoke: /metrics missing: $want" >&2
         cat "$WORK/metrics" >&2

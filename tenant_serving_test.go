@@ -160,7 +160,7 @@ func TestConnectionCloseReleasesWatchQuota(t *testing.T) {
 				target = ts.http
 			}
 			dial := func() *remos.Connection {
-				conn, err := remos.Connect(target, remos.WithTenant("app", ""))
+				conn, err := remos.Dial(target, remos.WithTenant("app", ""))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -124,7 +124,7 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 	// app->srv path, whose WAN hop is 8e6.
 	chans := map[string]<-chan remos.Update{}
 	for name, target := range map[string]string{"ascii": "tcp://" + ws.tcp, "sse": ws.http} {
-		conn, err := remos.Connect(target)
+		conn, err := remos.Dial(target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func TestMixedConcurrentServing(t *testing.T) {
 		if w%3 == 2 {
 			target = ws.http
 		}
-		conn, err := remos.Connect(target)
+		conn, err := remos.Dial(target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ func TestWatchPlaneServerShutdownTypedReason(t *testing.T) {
 
 	chans := map[string]<-chan remos.Update{}
 	for name, target := range map[string]string{"ascii": "tcp://" + ws.tcp, "sse": ws.http} {
-		conn, err := remos.Connect(target)
+		conn, err := remos.Dial(target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func TestWatchPlaneLeaksNoGoroutines(t *testing.T) {
 	src, dst := ws.d["app"].Addr(), ws.d["srv"].Addr()
 
 	connect := func(target string) *remos.Connection {
-		conn, err := remos.Connect(target)
+		conn, err := remos.Dial(target)
 		if err != nil {
 			t.Fatal(err)
 		}
