@@ -36,9 +36,10 @@ race:
 # generation is copied from), the cold path's three — snmp (the agent's
 # and the client's pooled scratch), mib (the device layout published per
 # topology epoch, walked beside a relayout) and snmpcoll (parallel device
-# walks and polls over both) — and the root package, whose end-to-end tests
+# walks and polls over both) — the root package, whose end-to-end tests
 # drive those planes concurrently over the wire (load shedding, mixed
-# serving beside the watch plane) — the fast inner loop while working on
+# serving beside the watch plane), and remosd (a closed daemon leaves no
+# goroutine or descriptor behind) — the fast inner loop while working on
 # locking code (full-tree `make race` stays the merge gate). The
 # publish-through-atomic.Pointer sites have no analyzer: the
 # reader-beside-writer tests in these packages are their guard. CI's
@@ -52,7 +53,7 @@ race-hot:
 		./internal/topology/ ./internal/modeler/ ./internal/conc/ \
 		./internal/collector/ ./internal/collector/benchcoll/ \
 		./internal/collector/master/ ./internal/snmp/ ./internal/mib/ \
-		./internal/collector/snmpcoll/ .
+		./internal/collector/snmpcoll/ . ./remosd/
 
 verify: vet lint build test race
 
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReadResult -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzSSEEvents -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzDecodeHTTPError -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzWatchLines -fuzztime 10s ./internal/proto/
 
 # Boots remosd and asserts the observability plane (/metrics, /healthz,
 # /debug/queries) reports a real query end to end.

@@ -233,11 +233,7 @@ func ablationPredictSource(b *testing.B, fromCollector bool) {
 		b.Fatal(err)
 	}
 	st.s.RunFor(20 * time.Minute)
-	m := remos.NewModelerConfig(remos.ModelerConfig{
-		Collector:    st.sc,
-		PredictModel: "AR(16)",
-		MinHistory:   32,
-	})
+	m := remos.NewModelerConfig(remos.ModelerConfig{Collector: st.sc})
 	flows := []remos.Flow{{Src: st.hosts[0], Dst: st.hosts[1]}}
 	opt := remos.FlowOptions{Predict: true, Horizon: 3, FromCollector: fromCollector}
 	b.ResetTimer()

@@ -19,9 +19,8 @@
 // Usage:
 //
 //	remosd [-listen :3567] [-http :3568] [-dir :3569] [-hostload :3570]
-//	       [-obs :3571] [-slow-query 500ms]
+//	       [-obs :3571]
 //	       [-scenario twosite|campus] [-max-stale 2s] [-parallelism 0]
-//	       [-max-varbinds 24]
 //	       [-sched-interval 1s] [-bench-interval 0]
 //	       [-tenant id:key:rate:burst:conc:watches:tier ...]
 //	       [-anon-limits rate:burst:conc:watches] [-max-queue-wait 500ms]
@@ -36,7 +35,8 @@
 // The -obs listener exposes the observability plane: /metrics
 // (Prometheus text, the process's runtime gauges included), /healthz
 // (per-collector liveness and last-poll age), /debug/queries (recent
-// query traces) and /debug/tenants (per-tenant admission state).
+// query traces, those of half a second or more flagged slow) and
+// /debug/tenants (per-tenant admission state).
 // remosctl stats renders them.
 //
 // -tenant (repeatable) registers one tenant with the multi-tenant
@@ -162,14 +162,10 @@ func bindFlags(cfg *remosd.Config) *flag.FlagSet {
 		"staleness bound (> 0) for answers from the warm-query cache and the snapshot plane; the background scheduler re-polls covered pairs within it")
 	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism,
 		"collector pipeline parallelism (master fan-out, device walks, polling); 0 = GOMAXPROCS, 1 = serial")
-	fs.IntVar(&cfg.MaxVarBinds, "max-varbinds", cfg.MaxVarBinds,
-		"varbinds per polling Get PDU; the poller batches a device's interfaces into PDUs of this size")
 	fs.StringVar(&cfg.ListenObs, "obs", cfg.ListenObs,
 		"observability listen address for /metrics, /healthz, /debug/queries and /debug/tenants ('' disables)")
-	fs.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery,
-		"queries at least this slow are flagged in /debug/queries")
 	fs.DurationVar(&cfg.SchedInterval, "sched-interval", cfg.SchedInterval,
-		"continuous-collection base poll interval (adaptive around this); 0 disables the background scheduler and the watch plane")
+		"continuous-collection base poll interval (> 0; adaptive around this)")
 	fs.DurationVar(&cfg.BenchInterval, "bench-interval", cfg.BenchInterval,
 		"wide-area benchmark round interval (0 = collector default); the WAN hop is benchmark-measured, so this bounds watch-update freshness across sites")
 	fs.Func("tenant",

@@ -64,8 +64,7 @@ func TestEmptyCommandLineIsDefaultConfig(t *testing.T) {
 var everyFlag = map[string]string{
 	"listen": "127.0.0.1:1", "http": "127.0.0.1:2", "dir": "127.0.0.1:3",
 	"hostload": "127.0.0.1:4", "obs": "127.0.0.1:5",
-	"scenario": "campus", "parallelism": "3", "max-varbinds": "7",
-	"max-stale": "3s", "slow-query": "1s",
+	"scenario": "campus", "parallelism": "3", "max-stale": "3s",
 	"sched-interval": "2s", "bench-interval": "4s",
 	"tenant": "app:sekrit:50", "anon-limits": "5:10", "max-queue-wait": "250ms",
 	"domains": "2", "domain": "1", "peer": "127.0.0.1:4569", "fed-priority": "1",

@@ -48,13 +48,6 @@ func WatchOnChange(frac float64) WatchOption {
 	return func(s *watch.Spec) { s.ChangeFrac = frac }
 }
 
-// WatchBuffer sets the update channel depth (default 16). A consumer
-// lagging further behind loses intermediate updates, never blocks the
-// server's measurement path.
-func WatchBuffer(n int) WatchOption {
-	return func(s *watch.Spec) { s.Buf = n }
-}
-
 // Connection is a Modeler plus the subscription plane: every query the
 // Modeler answers, Watch for server-pushed updates, and Close. Build one
 // with Dial.

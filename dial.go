@@ -2,36 +2,14 @@ package remos
 
 import (
 	"fmt"
-	"time"
 
 	"remos/internal/modeler"
-	"remos/internal/obs"
 	"remos/internal/proto"
 )
 
-// Observability re-exports for library embedders: a MetricsRegistry
-// collects counters/gauges/histograms across the query path and renders
-// them in Prometheus text format; a TraceRing retains the most recent
-// per-query traces with per-stage durations. remosd serves both over
-// HTTP; an embedding application can do the same with ObsHandler.
-type (
-	MetricsRegistry = obs.Registry
-	TraceRing       = obs.Ring
-	TraceRecord     = obs.TraceRecord
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
-
-// NewTraceRing returns a ring retaining the last n query traces; traces
-// lasting slowAfter or longer are flagged slow (slowAfter <= 0 disables
-// the flag).
-func NewTraceRing(n int, slowAfter time.Duration) *TraceRing { return obs.NewRing(n, slowAfter) }
-
-// dialConfig accumulates Dial options: the dialed Modeler's settings,
-// and what Dial resolves into its collectors.
+// dialConfig accumulates Dial options: what Dial resolves into the
+// dialed Modeler's collectors.
 type dialConfig struct {
-	modeler.Config
 	hostLoad string
 	srvFlows bool
 	id       proto.Identity
@@ -58,12 +36,6 @@ func WithHostLoad(target string) Option {
 	return func(c *dialConfig) { c.hostLoad = target }
 }
 
-// WithPredictor sets the default RPS model spec for flow predictions,
-// e.g. "AR(16)" or "REFIT(ARIMA(8,1,8),128)".
-func WithPredictor(spec string) Option {
-	return func(c *dialConfig) { c.PredictModel = spec }
-}
-
 // WithServerFlows delegates flow queries (and the bandwidth queries
 // built on them) to the daemon's FLOWS verb, so answers come from the
 // server's versioned topology snapshot without shipping the graph.
@@ -71,12 +43,6 @@ func WithPredictor(spec string) Option {
 // the verb falls back transparently to the graph-fetching path.
 func WithServerFlows() Option {
 	return func(c *dialConfig) { c.srvFlows = true }
-}
-
-// WithObservability attaches metrics and tracing to the dialed Modeler.
-// Either argument may be nil to enable only the other.
-func WithObservability(reg *MetricsRegistry, traces *TraceRing) Option {
-	return func(c *dialConfig) { c.Obs, c.Traces = reg, traces }
 }
 
 // WithTenant identifies this client to the server's multi-tenant
@@ -102,8 +68,8 @@ func WithPriority(tier Priority) Option {
 // Dial connects to a remote Master Collector. The target scheme selects
 // the protocol — "tcp://host:port" (or a bare "host:port") for ASCII over
 // TCP, "http://host:port" or "https://..." for XML over HTTP — and
-// options configure host load access, prediction defaults, server-side
-// flow answers, tenant identity, and observability:
+// options configure host load access, server-side flow answers, and
+// tenant identity:
 //
 //	conn, err := remos.Dial("tcp://master.example.edu:3567")
 //	...
@@ -122,16 +88,16 @@ func Dial(target string, opts ...Option) (*Connection, error) {
 		return nil, err
 	}
 	conn := &Connection{client: client}
-	dc.Collector = client
+	mc := modeler.Config{Collector: client}
 	if dc.srvFlows {
-		dc.RemoteFlows = client
+		mc.RemoteFlows = client
 	}
 	if dc.hostLoad != "" {
 		if conn.hostLoad, err = proto.NewClient(dc.hostLoad, dc.id); err != nil {
 			return nil, fmt.Errorf("remos: host load target: %w", err)
 		}
-		dc.HostLoad = conn.hostLoad
+		mc.HostLoad = conn.hostLoad
 	}
-	conn.Modeler = modeler.New(dc.Config)
+	conn.Modeler = modeler.New(mc)
 	return conn, nil
 }

@@ -18,7 +18,7 @@
 // on a cache-wide mutex. Writers (misses, eviction, invalidation) take
 // the shard mutex, copy the shard map, and publish the replacement —
 // cheap, because a write already pays a collector fan-out and shards stay
-// small (see Config.Shards).
+// small (shardCount stripes of shardEntries answers each).
 package qcache
 
 import (
@@ -36,27 +36,24 @@ import (
 // Config tunes the cache.
 type Config struct {
 	// TTL is the staleness bound: a cached answer older than this is
-	// re-collected. TTL <= 0 disables retention — the cache then only
-	// coalesces concurrent identical queries (pure single-flight).
+	// re-collected. It must be positive.
 	TTL time.Duration
 	// Now supplies the clock entries age on: the deployment's sim clock,
 	// so TTLs follow simulated time, or time.Now. Required.
 	Now func() time.Time
-	// MaxEntries bounds the number of retained answers (default 1024);
-	// the oldest entries are evicted first. The bound is enforced per
-	// shard (MaxEntries/shards each), so a pathological key skew can
-	// hold the total slightly under MaxEntries on other shards.
-	MaxEntries int
-	// Shards is the lock-striping width (default 32, rounded down to a
-	// power of two). It is additionally capped so every shard can hold
-	// at least 8 entries, which keeps small caches on one shard — and
-	// Shards: 1 gives the deterministic global eviction order the tests
-	// pin.
-	Shards int
 	// Obs, when set, receives hit/miss/coalesce/evict counters. Nil
 	// disables instrumentation.
 	Obs *obs.Registry
 }
+
+// The cache retains at most shardCount × shardEntries = 1024 answers,
+// the oldest evicted first. The bound is enforced per shard, so a
+// pathological key skew can hold the total under 1024 while one shard
+// evicts.
+const (
+	shardCount   = 32
+	shardEntries = 32
+)
 
 // Stats is a snapshot of cache effectiveness counters.
 type Stats struct {
@@ -120,9 +117,8 @@ type Cache struct {
 	inner collector.Interface
 	cfg   Config
 
-	shards    []shard
-	shardMask uint32
-	perShard  int // MaxEntries budget per shard
+	shards   []shard // a power of two of them
+	perShard int     // retained answers per shard
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -137,28 +133,21 @@ type Cache struct {
 }
 
 // New wraps a collector with a warm-query cache. It panics on a Config
-// without a clock: a cache silently ageing entries on the wall clock
-// beside a deployment on simulated time is a wiring bug.
+// without a clock or without a positive TTL: a cache silently ageing
+// entries on the wall clock beside a deployment on simulated time, or one
+// that retains nothing, is a wiring bug.
 func New(inner collector.Interface, cfg Config) *Cache {
 	if cfg.Now == nil {
 		panic("qcache: Config.Now is required")
 	}
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 1024
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 32
-	}
-	n := 1
-	for n*2 <= cfg.Shards && cfg.MaxEntries/(n*2) >= 8 {
-		n *= 2
+	if cfg.TTL <= 0 {
+		panic("qcache: Config.TTL must be positive")
 	}
 	c := &Cache{
-		inner:     inner,
-		cfg:       cfg,
-		shards:    make([]shard, n),
-		shardMask: uint32(n - 1),
-		perShard:  (cfg.MaxEntries + n - 1) / n,
+		inner:    inner,
+		cfg:      cfg,
+		shards:   make([]shard, shardCount),
+		perShard: shardEntries,
 	}
 	empty := make(entryMap)
 	for i := range c.shards {
@@ -184,7 +173,7 @@ func (c *Cache) shardFor(key string) *shard {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &c.shards[h&c.shardMask]
+	return &c.shards[h&uint32(len(c.shards)-1)]
 }
 
 // Key renders the canonical cache key for a query: the host set sorted
@@ -263,7 +252,7 @@ func (c *Cache) Collect(q collector.Query) (*collector.Result, error) {
 				tr.Event("cache", "coalesced")
 				return e.res.Clone(), nil
 			}
-			if e.err == nil && c.cfg.TTL > 0 && c.cfg.Now().Sub(e.at) < c.cfg.TTL {
+			if e.err == nil && c.cfg.Now().Sub(e.at) < c.cfg.TTL {
 				// The warm hit: an atomic snapshot load, a read of an
 				// immutable map, and atomic counters — no lock, exclusive
 				// or shared, anywhere on this path.
@@ -301,9 +290,8 @@ func (c *Cache) Collect(q collector.Query) (*collector.Result, error) {
 	e.res, e.err = c.inner.Collect(q)
 	e.at = c.cfg.Now()
 	close(e.done)
-	if e.err != nil || c.cfg.TTL <= 0 {
-		// Errors are never cached; without a TTL nothing is retained
-		// beyond the flight itself.
+	if e.err != nil {
+		// Errors are never cached: drop the slot once its waiters have it.
 		sh.mu.Lock()
 		if sh.load()[key] == e {
 			next := sh.cloneFor()
@@ -311,8 +299,6 @@ func (c *Cache) Collect(q collector.Query) (*collector.Result, error) {
 			sh.m.Store(&next)
 		}
 		sh.mu.Unlock()
-	}
-	if e.err != nil {
 		return nil, e.err
 	}
 	return e.res.Clone(), nil
@@ -328,7 +314,7 @@ func (c *Cache) evictInto(m entryMap) {
 	}
 	now := c.cfg.Now()
 	for k, e := range m {
-		if e.landed() && c.cfg.TTL > 0 && now.Sub(e.at) >= c.cfg.TTL {
+		if e.landed() && now.Sub(e.at) >= c.cfg.TTL {
 			delete(m, k)
 			c.evictions.Add(1)
 			c.mEvictions.Inc()

@@ -144,19 +144,6 @@ func TestSingleFlightCoalescesConcurrentIdenticalQueries(t *testing.T) {
 	}
 }
 
-func TestNoTTLStillCoalescesButDoesNotRetain(t *testing.T) {
-	inner := &slowColl{}
-	c := New(inner, Config{Now: time.Now})
-	c.Collect(q("10.0.0.1"))
-	c.Collect(q("10.0.0.1"))
-	if inner.calls.Load() != 2 {
-		t.Fatalf("TTL=0 retained an answer (calls=%d)", inner.calls.Load())
-	}
-	if c.Len() != 0 {
-		t.Fatalf("TTL=0 left %d entries", c.Len())
-	}
-}
-
 func TestErrorsAreNotCached(t *testing.T) {
 	inner := &slowColl{err: errors.New("boom")}
 	c := New(inner, Config{TTL: time.Hour, Now: time.Now})
@@ -175,16 +162,16 @@ func TestErrorsAreNotCached(t *testing.T) {
 func TestEvictionBound(t *testing.T) {
 	inner := &slowColl{}
 	now := time.Unix(0, 0)
-	c := New(inner, Config{TTL: time.Hour, MaxEntries: 8, Now: func() time.Time {
+	c := oneShard(New(inner, Config{TTL: time.Hour, Now: func() time.Time {
 		now = now.Add(time.Millisecond) // distinct fill times for LRU order
 		return now
-	}})
+	}}), 8)
 	for i := 0; i < 64; i++ {
 		if _, err := c.Collect(q(fmt.Sprintf("10.0.%d.1", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() > 9 { // MaxEntries plus at most the newest in-flight slot
+	if c.Len() > 9 { // the bound plus at most the newest in-flight slot
 		t.Fatalf("cache grew to %d entries", c.Len())
 	}
 	if c.Stats().Evictions == 0 {
@@ -195,15 +182,15 @@ func TestEvictionBound(t *testing.T) {
 // TestEvictionOrderOldestFillFirst pins the eviction policy: entries
 // leave in fill-time order, and a warm hit does not refresh an entry's
 // age (the cache is FIFO by fill, not LRU by access — a deliberately
-// cheaper policy whose order this test documents). Shards: 1 makes the
+// cheaper policy whose order this test documents). One shard makes the
 // global order deterministic.
 func TestEvictionOrderOldestFillFirst(t *testing.T) {
 	inner := &slowColl{}
 	now := time.Unix(0, 0)
-	c := New(inner, Config{TTL: time.Hour, MaxEntries: 4, Shards: 1, Now: func() time.Time {
+	c := oneShard(New(inner, Config{TTL: time.Hour, Now: func() time.Time {
 		now = now.Add(time.Millisecond)
 		return now
-	}})
+	}}), 4)
 	for i := 0; i < 4; i++ {
 		if _, err := c.Collect(q(fmt.Sprintf("10.0.%d.1", i))); err != nil {
 			t.Fatal(err)
@@ -244,10 +231,10 @@ func TestEvictionOrderOldestFillFirst(t *testing.T) {
 func TestEvictionSweepsAllExpiredFirst(t *testing.T) {
 	inner := &slowColl{}
 	now := time.Unix(0, 0)
-	c := New(inner, Config{TTL: 10 * time.Second, MaxEntries: 4, Shards: 1, Now: func() time.Time {
+	c := oneShard(New(inner, Config{TTL: 10 * time.Second, Now: func() time.Time {
 		now = now.Add(time.Millisecond)
 		return now
-	}})
+	}}), 4)
 	for i := 0; i < 3; i++ {
 		if _, err := c.Collect(q(fmt.Sprintf("10.0.%d.1", i))); err != nil {
 			t.Fatal(err)
@@ -412,4 +399,19 @@ func TestNewRefusesNilClock(t *testing.T) {
 		}
 	}()
 	New(&slowColl{}, Config{TTL: time.Hour})
+}
+
+// TestNewRefusesNonPositiveTTL: there is no retain-nothing mode; a cache
+// without a positive TTL is a wiring bug.
+func TestNewRefusesNonPositiveTTL(t *testing.T) {
+	for _, ttl := range []time.Duration{0, -time.Second} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted TTL %v", ttl)
+				}
+			}()
+			New(&slowColl{}, Config{TTL: ttl, Now: time.Now})
+		}()
+	}
 }

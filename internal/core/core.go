@@ -89,8 +89,6 @@ type Options struct {
 	// master fan-out, SNMP device walks and polling, and bridge walks.
 	// 0 selects GOMAXPROCS; 1 restores the fully serial pipeline.
 	Parallelism int
-	// MaxVarBinds bounds varbinds per polling Get PDU (0 = default 24).
-	MaxVarBinds int
 	// Obs, when set, instruments every collector layer (SNMP exchange
 	// counters, master fan-out counters, per-collector query counters)
 	// into one registry. Nil disables instrumentation.
@@ -201,7 +199,6 @@ func (d *Deployment) AddSite(spec SiteSpec) (*Site, error) {
 		PollInterval:  spec.PollInterval,
 		StreamPredict: spec.StreamPredict,
 		Parallelism:   d.opt.Parallelism,
-		MaxVarBinds:   d.opt.MaxVarBinds,
 		Obs:           d.opt.Obs,
 	})
 

@@ -378,3 +378,17 @@ func (s *Service) Resolve(a Advert) (collector.Interface, error) {
 	s.resolved[key] = c
 	return c, nil
 }
+
+// Close closes every protocol client Resolve has cached. The directory
+// stays usable: a later Resolve dials anew.
+func (s *Service) Close() {
+	s.mu.Lock()
+	resolved := s.resolved
+	s.resolved = nil
+	s.mu.Unlock()
+	for _, c := range resolved {
+		if c, ok := c.(io.Closer); ok {
+			c.Close()
+		}
+	}
+}

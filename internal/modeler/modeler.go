@@ -40,28 +40,18 @@ type Config struct {
 	// second needs measurement history the snapshot does not carry.
 	Snapshot *snapshot.Store
 
-	// MaxStale is the default staleness bound for snapshot-backed
-	// answers (default 5s); per-query options override it.
+	// MaxStale is the staleness bound for snapshot-backed answers: the
+	// oldest reading a query answered from the snapshot plane may carry.
+	// It must be positive when Snapshot is set.
 	MaxStale time.Duration
 
 	// RemoteFlows, when set, delegates flow queries to a remote daemon's
 	// FLOWS verb so the answer comes from the server's snapshot plane
-	// without shipping the graph. Only queries on the default staleness
-	// bound delegate — predictions need local model choices and explicit
-	// MaxStale bounds cannot cross the wire. A server that does not
-	// answer FLOWS (rerr.ErrCollectorUnavailable) falls back to fetching
-	// the graph and solving locally.
+	// without shipping the graph. Prediction queries do not delegate:
+	// they need collector-side history and a local model choice. A server
+	// that does not answer FLOWS (rerr.ErrCollectorUnavailable) falls
+	// back to fetching the graph and solving locally.
 	RemoteFlows FlowsClient
-
-	// PredictModel is the RPS model spec used for flow predictions
-	// (default "AR(16)", the paper's host-load choice; bandwidth series
-	// at 5s polls are well served by it too).
-	PredictModel string
-
-	// MinHistory is the minimum samples before a model is fitted;
-	// shorter histories fall back to the last measured value (default
-	// 64).
-	MinHistory int
 
 	// HostLoad, when set, answers host load queries (a host load
 	// collector, local or remote). Optional; HostLoad queries fail
@@ -119,16 +109,22 @@ func hostAttrs(hosts []netip.Addr) string {
 	return strings.Join(ids, ",")
 }
 
-// New creates a Modeler over the given collector.
+// predictModel is the RPS model spec flow predictions use unless the
+// query names one, and host load forecasts always: AR(16), the paper's
+// host-load choice; bandwidth series at 5s polls are well served by it
+// too. A series shorter than minHistory samples is not fitted: its
+// forecast is the last measured value.
+const (
+	predictModel = "AR(16)"
+	minHistory   = 64
+)
+
+// New creates a Modeler over the given collector. It panics on a Config
+// with a snapshot store and no positive staleness bound: a store nothing
+// may answer from is a wiring bug.
 func New(cfg Config) *Modeler {
-	if cfg.PredictModel == "" {
-		cfg.PredictModel = "AR(16)"
-	}
-	if cfg.MinHistory <= 0 {
-		cfg.MinHistory = 64
-	}
-	if cfg.MaxStale <= 0 {
-		cfg.MaxStale = 5 * time.Second
+	if cfg.Snapshot != nil && cfg.MaxStale <= 0 {
+		panic("modeler: Config.MaxStale must be positive with a Snapshot")
 	}
 	m := &Modeler{cfg: cfg}
 	for kind, name := range queryKinds {
@@ -182,31 +178,18 @@ func compactHosts(hosts []netip.Addr, at []int32) []netip.Addr {
 	return out
 }
 
-// staleBound resolves a per-query staleness bound against the modeler
-// default: 0 inherits Config.MaxStale, negative disables the snapshot
-// path for this query.
-func (m *Modeler) staleBound(q time.Duration) time.Duration {
-	if q < 0 {
-		return 0
-	}
-	if q > 0 {
-		return q
-	}
-	return m.cfg.MaxStale
-}
-
-// snapshotFor returns a generation covering hosts within bound,
+// snapshotFor returns a generation covering hosts within MaxStale,
 // running the coalesced refresh on miss. nil means "serve this query
-// through a direct collect" — the plane is off, disabled for this
-// query, or the shared walk failed (its failure is shared, the
-// fallback is private). nodes, when not nil, is as long as hosts and
-// receives their node numbers in the generation's path index.
-func (m *Modeler) snapshotFor(ctx context.Context, hosts []netip.Addr, nodes []int32, bound time.Duration) *snapshot.Snapshot {
+// through a direct collect" — the plane is off, or the shared walk
+// failed (its failure is shared, the fallback is private). nodes, when
+// not nil, is as long as hosts and receives their node numbers in the
+// generation's path index.
+func (m *Modeler) snapshotFor(ctx context.Context, hosts []netip.Addr, nodes []int32) *snapshot.Snapshot {
 	st := m.cfg.Snapshot
-	if st == nil || bound <= 0 {
+	if st == nil {
 		return nil
 	}
-	if s := st.FreshNodes(hosts, nodes, bound); s != nil {
+	if s := st.FreshNodes(hosts, nodes, m.cfg.MaxStale); s != nil {
 		return s
 	}
 	s, err := st.Refresh(ctx, m.cfg.Collector, hosts)
@@ -226,12 +209,6 @@ type TopologyOptions struct {
 	// Raw disables all simplification, returning the collectors' graph.
 	// Raw queries never answer from the snapshot plane.
 	Raw bool
-	// KeepSwitches retains individual switches instead of collapsing
-	// switch clouds into virtual switches.
-	KeepSwitches bool
-	// MaxStale bounds how stale a snapshot-backed answer may be: 0
-	// inherits the modeler default, negative forces a collector walk.
-	MaxStale time.Duration
 }
 
 // GetTopologyContext answers the Remos topology query: the virtual
@@ -252,9 +229,9 @@ func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, op
 		ids[i] = h.String()
 	}
 	if !opt.Raw {
-		if snap := m.snapshotFor(ctx, hosts, nil, m.staleBound(opt.MaxStale)); snap != nil {
+		if snap := m.snapshotFor(ctx, hosts, nil); snap != nil {
 			sp := tr.Start("simplify")
-			g, err := m.cfg.Snapshot.Subgraph(snap, ids, opt.KeepSwitches)
+			g, err := m.cfg.Snapshot.Subgraph(snap, ids)
 			sp.End()
 			if err == nil {
 				return g, nil
@@ -282,9 +259,7 @@ func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, op
 	if err != nil {
 		return nil, err
 	}
-	if !opt.KeepSwitches {
-		g.CollapseSwitchClouds("vswitch")
-	}
+	g.CollapseSwitchClouds("vswitch")
 	g.CollapseChains(protect)
 	return g, nil
 }
@@ -364,7 +339,7 @@ type FlowOptions struct {
 	Predict bool
 	// Horizon is the number of steps ahead (default 1).
 	Horizon int
-	// Model overrides the modeler's prediction model spec.
+	// Model is the RPS model spec to predict with (default "AR(16)").
 	Model string
 	// FromCollector prefers collector-side streaming predictions over
 	// fitting models client-side — the Section 2.3 trade-off: streaming
@@ -372,10 +347,6 @@ type FlowOptions struct {
 	// client-side fitting honors per-application model choices. Links
 	// without a streaming forecast fall back to client-side fitting.
 	FromCollector bool
-	// MaxStale bounds how stale a snapshot-backed answer may be: 0
-	// inherits the modeler default, negative forces a collector walk.
-	// Prediction queries ignore it — they always collect, for history.
-	MaxStale time.Duration
 }
 
 // GetFlowsContext answers the Remos flow query: for the set of flows the
@@ -413,7 +384,7 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 	// max-min run over only the links these flows cross. Prediction
 	// queries skip it; they need collector-side history.
 	if !opt.Predict {
-		if snap := m.snapshotFor(ctx, hosts, nodes, m.staleBound(opt.MaxStale)); snap != nil {
+		if snap := m.snapshotFor(ctx, hosts, nodes); snap != nil {
 			for k, pos := range ends {
 				ends[k] = nodes[pos]
 			}
@@ -430,9 +401,8 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 			}
 		}
 		// Remote delegation: let the daemon answer from its own snapshot
-		// plane instead of shipping the graph here. Only default-bound
-		// queries qualify — an explicit MaxStale cannot cross the wire.
-		if rf := m.cfg.RemoteFlows; rf != nil && opt.MaxStale == 0 {
+		// plane instead of shipping the graph here.
+		if rf := m.cfg.RemoteFlows; rf != nil {
 			sp := tr.Start("remote")
 			rout, rferr := rf.Flows(ctx, flows)
 			sp.End()
@@ -485,7 +455,7 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 	}
 	spec := opt.Model
 	if spec == "" {
-		spec = m.cfg.PredictModel
+		spec = predictModel
 	}
 	fitter, err := rps.ParseFitter(spec)
 	if err != nil {
@@ -560,7 +530,7 @@ func (m *Modeler) predictSeries(ss []collector.Sample, fitter rps.Fitter, horizo
 		return -1, 0
 	}
 	vals := collector.Values(ss)
-	if len(vals) < m.cfg.MinHistory {
+	if len(vals) < minHistory {
 		// Too little history to fit: use the last measurement.
 		return vals[len(vals)-1], 0
 	}
@@ -682,8 +652,8 @@ func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int
 		return info, nil
 	}
 	// Client-side fit over the history.
-	if len(hist) >= m.cfg.MinHistory {
-		fitter, err := rps.ParseFitter(m.cfg.PredictModel)
+	if len(hist) >= minHistory {
+		fitter, err := rps.ParseFitter(predictModel)
 		if err == nil {
 			if p, err := rps.Predict(fitter, collector.Values(hist), horizon); err == nil {
 				info.Forecast = p

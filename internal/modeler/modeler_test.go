@@ -168,7 +168,7 @@ func TestFlowPredictionUsesHistory(t *testing.T) {
 }
 
 func TestFlowPredictionShortHistoryFallsBack(t *testing.T) {
-	fc := &fakeColl{histGen: steadyHistory(9e6, 5)} // below MinHistory
+	fc := &fakeColl{histGen: steadyHistory(9e6, 5)} // below minHistory
 	m := New(Config{Collector: fc})
 	infos, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}},
 		FlowOptions{Predict: true})
@@ -352,7 +352,7 @@ func TestHostLoadClientSideFallback(t *testing.T) {
 		samples[i] = collector.Sample{Bits: 0.8}
 	}
 	lc := &loadColl{hist: map[collector.HistKey][]collector.Sample{key: samples}}
-	m := New(Config{Collector: &fakeColl{}, HostLoad: lc, PredictModel: "BM(16)"})
+	m := New(Config{Collector: &fakeColl{}, HostLoad: lc})
 	info, err := m.HostLoadContext(context.Background(), a("10.0.1.1"), 3)
 	if err != nil {
 		t.Fatal(err)

@@ -109,28 +109,19 @@ func TestSnapshotStaleFallsBackToRefresh(t *testing.T) {
 	}
 }
 
-func TestNegativeMaxStaleForcesCollectorWalk(t *testing.T) {
-	cc := &countingColl{}
-	ck := &testClock{t: time.Unix(1000, 0)}
-	m := snapModeler(cc, ck)
-	flows := []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}
-	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// Opting out per query bypasses the (fresh) snapshot.
-	if _, err := m.GetFlowsContext(context.Background(), flows, FlowOptions{MaxStale: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cc.calls.Load(); got != 2 {
-		t.Fatalf("MaxStale<0 query ran %d walks total, want 2", got)
-	}
-	// Same for topology queries.
-	if _, err := m.GetTopologyContext(context.Background(), []netip.Addr{a("10.0.1.1"), a("10.0.2.1")},
-		TopologyOptions{MaxStale: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cc.calls.Load(); got != 3 {
-		t.Fatalf("MaxStale<0 topology query ran %d walks total, want 3", got)
+// TestNewRefusesStoreWithoutBound: a snapshot store comes with the
+// staleness bound answers from it are held to; there is no default.
+func TestNewRefusesStoreWithoutBound(t *testing.T) {
+	store := snapshot.New(snapshot.Config{Now: time.Now})
+	for _, bound := range []time.Duration{0, -time.Second} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted a snapshot store with MaxStale %v", bound)
+				}
+			}()
+			New(Config{Collector: &countingColl{}, Snapshot: store, MaxStale: bound})
+		}()
 	}
 }
 
@@ -233,17 +224,19 @@ func (c *slowColl) Collect(q collector.Query) (*collector.Result, error) {
 
 // TestSlowWalkAgesTheGenerationItProduces: a generation is as old as the
 // moment its walk began. The query that led a two-second walk is answered
-// from it; the next one, tolerating one second, walks again rather than
-// take two-second-old readings for fresh; one tolerating five does not.
+// from it; the next one, on a modeler tolerating one second, walks again
+// rather than take two-second-old readings for fresh; one on a modeler
+// tolerating five over the same store does not.
 func TestSlowWalkAgesTheGenerationItProduces(t *testing.T) {
 	ck := &testClock{t: time.Unix(1000, 0)}
 	cc := &slowColl{ck: ck}
-	m := snapModeler(cc, ck)
+	store := snapshot.New(snapshot.Config{Now: ck.Now})
 	ctx := context.Background()
 	flows := []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}
 	ask := func(maxStale time.Duration, wantWalks int64, what string) {
 		t.Helper()
-		infos, err := m.GetFlowsContext(ctx, flows, FlowOptions{MaxStale: maxStale})
+		m := New(Config{Collector: cc, Snapshot: store, MaxStale: maxStale})
+		infos, err := m.GetFlowsContext(ctx, flows, FlowOptions{})
 		if err != nil || math.Abs(infos[0].Available-6e6) > 1 {
 			t.Fatalf("%s: %+v, %v", what, infos, err)
 		}

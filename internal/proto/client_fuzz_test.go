@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"remos/internal/rerr"
+	"remos/internal/watch"
 )
 
 // The client side of both wire protocols reads bytes a peer chose: the
@@ -199,6 +201,50 @@ func FuzzSSEEvents(f *testing.F) {
 		}
 		if again := read(rendered.Bytes()); fmt.Sprint(again) != fmt.Sprint(kept) {
 			t.Fatalf("events changed through a rendering:\n got: %q\nwant: %q", again, kept)
+		}
+	})
+}
+
+// FuzzWatchLines feeds arbitrary streams, line by line, to the ASCII
+// watch client's line decoder: no panic; an UPDATE it accepts, rendered
+// back the way the server writes it, decodes to the same update; and
+// every END, and every UNWATCHED whether or not the client asked for it,
+// ends the watch with an error, a known wire code in it surviving
+// errors.Is. Seeds are the recorded ASCII watch transcripts.
+func FuzzWatchLines(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "transcripts", "ascii", "watch_*.out"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no ASCII watch transcripts: %v", err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte("UPDATE 1 +2 -9223372036854775808 NaN -0 x\r\nEND 1 CANCELED bye\nUNWATCHED\nEND\n"))
+	spec := watch.Spec{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		for _, line := range strings.SplitAfter(string(stream), "\n") {
+			u, ok := decodeWatchLine(line, spec, nil)
+			fields := append(strings.Fields(line), "", "", "")
+			terminal := ok && u.Err != nil
+			if terminal != (fields[0] == "END" || fields[0] == "UNWATCHED") {
+				t.Fatalf("%q decoded terminal=%v (ok=%v, %+v)", line, terminal, ok, u)
+			}
+			if code := fields[2]; fields[0] == "END" && rerr.Known(code) && rerr.Code(u.Err) != code {
+				t.Fatalf("%q ended with %v, code %q", line, u.Err, rerr.Code(u.Err))
+			}
+			if !ok || terminal {
+				continue
+			}
+			var rendered bytes.Buffer
+			writeWatchLine(&rendered, 1, u)
+			again, ok := decodeWatchLine(rendered.String(), spec, nil)
+			if !ok || fmt.Sprint(again) != fmt.Sprint(u) {
+				t.Fatalf("an update changed through a rendering:\n line: %q\n  got: %+v (ok=%v)\n want: %+v", rendered.String(), again, ok, u)
+			}
 		}
 	})
 }

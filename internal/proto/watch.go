@@ -110,18 +110,24 @@ func parseWatchArgs(line []byte, args fields) (watch.Spec, error) {
 // subscription, which ends this loop.
 func drainASCII(w io.Writer, sub *watch.Subscription) {
 	for u := range sub.Updates() {
-		if u.Err != nil {
-			code := rerr.Code(u.Err)
-			if code == "" {
-				code = "-"
-			}
-			msg := strings.ReplaceAll(u.Err.Error(), "\n", " ")
-			fmt.Fprintf(w, "END %d %s %s\n", sub.ID, code, msg)
-			continue
-		}
-		fmt.Fprintf(w, "UPDATE %d %d %d %g %g %s\n",
-			sub.ID, u.Seq, u.At.UnixNano(), u.Avail, u.Prev, u.Reason)
+		writeWatchLine(w, sub.ID, u)
 	}
+}
+
+// writeWatchLine renders one update of watch id: an END line for a
+// terminal update, an UPDATE line otherwise.
+func writeWatchLine(w io.Writer, id int64, u watch.Update) {
+	if u.Err != nil {
+		code := rerr.Code(u.Err)
+		if code == "" {
+			code = "-"
+		}
+		msg := strings.ReplaceAll(u.Err.Error(), "\n", " ")
+		fmt.Fprintf(w, "END %d %s %s\n", id, code, msg)
+		return
+	}
+	fmt.Fprintf(w, "UPDATE %d %d %d %g %g %s\n",
+		id, u.Seq, u.At.UnixNano(), u.Avail, u.Prev, u.Reason)
 }
 
 // unwatch serves "UNWATCH <id>".
@@ -190,11 +196,7 @@ func (c *TCPClient) watchOn(ctx context.Context, conn net.Conn, spec watch.Spec,
 	id := f[1]
 	conn.SetDeadline(time.Time{})
 
-	buf := spec.Buf
-	if buf <= 0 {
-		buf = 16
-	}
-	ch := make(chan watch.Update, buf)
+	ch := make(chan watch.Update, watchDepth)
 	done := make(chan struct{})
 	go func() {
 		// Cancellation watcher: a polite UNWATCH, then tear the
@@ -220,64 +222,73 @@ func (c *TCPClient) watchOn(ctx context.Context, conn net.Conn, spec watch.Spec,
 				deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst, Err: ferr})
 				return
 			}
-			f := strings.Fields(line)
-			if len(f) == 0 {
+			u, ok := decodeWatchLine(line, spec, ctx.Err())
+			if !ok {
 				continue
 			}
-			switch f[0] {
-			case "UPDATE":
-				u, ok := parseUpdateLine(f, spec)
-				if !ok {
-					continue
-				}
-				select {
-				case ch <- u:
-				case <-ctx.Done():
-					// Consumer gone; the watcher goroutine is closing the
-					// connection, the next read fails, and we exit there.
-				}
-			case "END":
-				code, msg := "", ""
-				if len(f) >= 3 && f[2] != "-" {
-					code = f[2]
-				}
-				if len(f) >= 4 {
-					msg = strings.Join(f[3:], " ")
-				}
-				deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst,
-					Err: decodeRemoteError(code, "proto: watch ended by server: "+msg)})
+			if u.Err != nil {
+				deliverTerminal(ch, u)
 				return
-			case "UNWATCHED":
-				// The server's answer to the cancellation watcher's
-				// UNWATCH, when it arrives before that goroutine's Close
-				// fails the read: the watch still ended by the caller's
-				// cancellation, and says so.
-				deliverTerminal(ch, watch.Update{Src: spec.Src, Dst: spec.Dst, Err: ctx.Err()})
-				return
+			}
+			select {
+			case ch <- u:
+			case <-ctx.Done():
+				// Consumer gone; the watcher goroutine is closing the
+				// connection, the next read fails, and we exit there.
 			}
 		}
 	}()
 	return ch, nil
 }
 
-// parseUpdateLine decodes "UPDATE <id> <seq> <unixnanos> <avail> <prev> <reason>".
-func parseUpdateLine(f []string, spec watch.Spec) (watch.Update, bool) {
-	if len(f) != 7 {
-		return watch.Update{}, false
+// decodeWatchLine decodes one line of spec's ASCII watch stream: an
+// UPDATE, or for END and UNWATCHED the terminal update, Err set. ok is
+// false for a line the client skips. An UNWATCHED answers the UNWATCH the
+// caller's cancellation sends, so it ends the watch with canceled.
+func decodeWatchLine(line string, spec watch.Spec, canceled error) (u watch.Update, ok bool) {
+	f := strings.Fields(line)
+	if len(f) == 0 {
+		return u, false
 	}
-	seq, err1 := strconv.ParseInt(f[2], 10, 64)
-	ns, err2 := strconv.ParseInt(f[3], 10, 64)
-	avail, err3 := strconv.ParseFloat(f[4], 64)
-	prev, err4 := strconv.ParseFloat(f[5], 64)
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-		return watch.Update{}, false
+	u.Src, u.Dst = spec.Src, spec.Dst
+	switch f[0] {
+	case "UPDATE": // UPDATE <id> <seq> <unixnanos> <avail> <prev> <reason>
+		if len(f) != 7 {
+			return u, false
+		}
+		seq, err1 := strconv.ParseInt(f[2], 10, 64)
+		ns, err2 := strconv.ParseInt(f[3], 10, 64)
+		avail, err3 := strconv.ParseFloat(f[4], 64)
+		prev, err4 := strconv.ParseFloat(f[5], 64)
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+			return u, false
+		}
+		u.Seq, u.At, u.Avail, u.Prev, u.Reason = seq, time.Unix(0, ns), avail, prev, f[6]
+		return u, true
+	case "END": // END <id> <CODE|-> <message...>
+		code, msg := "", ""
+		if len(f) >= 3 && f[2] != "-" {
+			code = f[2]
+		}
+		if len(f) >= 4 {
+			msg = strings.Join(f[3:], " ")
+		}
+		u.Err = decodeRemoteError(code, "proto: watch ended by server: "+msg)
+		return u, true
+	case "UNWATCHED":
+		u.Err = canceled
+		if u.Err == nil {
+			// Nobody asked: the server ended the watch.
+			u.Err = decodeRemoteError("", "proto: watch ended by server: "+strings.TrimSpace(line))
+		}
+		return u, true
 	}
-	return watch.Update{
-		Seq: seq, At: time.Unix(0, ns),
-		Src: spec.Src, Dst: spec.Dst,
-		Avail: avail, Prev: prev, Reason: f[6],
-	}, true
+	return u, false
 }
+
+// watchDepth is a client watch's channel depth: a consumer lagging
+// further behind loses intermediate updates and never blocks the reader.
+const watchDepth = 16
 
 // deliverTerminal pushes the close-reason update, evicting one stale
 // buffered update if needed so the reason is not lost on a full channel.
@@ -403,11 +414,7 @@ func (c *HTTPClient) Watch(ctx context.Context, spec watch.Spec) (<-chan watch.U
 	if err != nil {
 		return nil, err
 	}
-	buf := spec.Buf
-	if buf <= 0 {
-		buf = 16
-	}
-	ch := make(chan watch.Update, buf)
+	ch := make(chan watch.Update, watchDepth)
 	go func() {
 		defer close(ch)
 		defer resp.Body.Close()

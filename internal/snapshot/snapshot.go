@@ -241,6 +241,12 @@ func New(cfg Config) *Store {
 	st.mReshapes = cfg.Obs.Counter("remos_snapshot_reshapes_total", "applies that could not share the previous generation's routing shape and re-homed every freshness stamp")
 	st.gEpoch = cfg.Obs.Gauge("remos_snapshot_epoch", "current snapshot generation number")
 	st.gOffGraph = cfg.Obs.Gauge("remos_snapshot_offgraph_hosts", "applied hosts the current generation's graph does not hold as a node")
+	cfg.Obs.GaugeFunc("remos_snapshot_tree_builds", "routing trees the current generation's shape has built (0 before the first generation)", func() float64 {
+		if s := st.Current(); s != nil {
+			return float64(s.Paths().TreeBuilds())
+		}
+		return 0
+	})
 	return st
 }
 
@@ -311,13 +317,10 @@ func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) 
 // generation's graph for the given endpoint node IDs, memoized on the
 // generation per endpoint-set signature. The returned graph is a private
 // clone the caller owns.
-func (st *Store) Subgraph(s *Snapshot, ids []string, keepSwitches bool) (*topology.Graph, error) {
+func (st *Store) Subgraph(s *Snapshot, ids []string) (*topology.Graph, error) {
 	sorted := append([]string(nil), ids...)
 	sort.Strings(sorted)
 	sig := strings.Join(sorted, ",")
-	if keepSwitches {
-		sig = "ks|" + sig
-	}
 	s.memoMu.Lock()
 	g, ok := s.memo[sig]
 	s.memoMu.Unlock()
@@ -329,9 +332,7 @@ func (st *Store) Subgraph(s *Snapshot, ids []string, keepSwitches bool) (*topolo
 	if err != nil {
 		return nil, err
 	}
-	if !keepSwitches {
-		pruned.CollapseSwitchClouds("vswitch")
-	}
+	pruned.CollapseSwitchClouds("vswitch")
 	protect := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		protect[id] = true

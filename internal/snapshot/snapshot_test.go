@@ -121,7 +121,7 @@ func TestSubgraphMemoizedPerEpochAndEvicted(t *testing.T) {
 	st := New(Config{Now: ck.Now})
 	s1 := st.Apply(testHosts, &collector.Result{Graph: dumbbell()}, ck.Now())
 	ids := []string{"10.0.1.1", "10.0.2.1"}
-	g1, err := st.Subgraph(s1, ids, false)
+	g1, err := st.Subgraph(s1, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSubgraphMemoizedPerEpochAndEvicted(t *testing.T) {
 	}
 	// The hit returns a private clone: mutating it must not poison the memo.
 	g1.FindLink("10.0.1.1", "r1").Capacity = 1
-	g2, err := st.Subgraph(s1, ids, false)
+	g2, err := st.Subgraph(s1, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestSubgraphMemoizedPerEpochAndEvicted(t *testing.T) {
 	hot := dumbbell()
 	hot.FindLink("r1", "r2").UtilFromTo = 8e6
 	s2 := st.Apply(testHosts, &collector.Result{Graph: hot}, ck.Now())
-	old, err := st.Subgraph(s1, []string{"10.0.1.2", "10.0.2.1"}, false)
+	old, err := st.Subgraph(s1, []string{"10.0.1.2", "10.0.2.1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestReadersBesideApply(t *testing.T) {
 					t.Errorf("generation %d index answers %g, %v; want %g", s.Epoch(), bw, err, 10e6-want)
 					return
 				}
-				g, err := st.Subgraph(s, []string{"10.0.1.1", "10.0.2.1"}, false)
+				g, err := st.Subgraph(s, []string{"10.0.1.1", "10.0.2.1"})
 				if err != nil || g.FindLink("r1", "r2").UtilFromTo != want {
 					t.Errorf("generation %d subgraph: %v", s.Epoch(), err)
 					return

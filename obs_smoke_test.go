@@ -25,8 +25,8 @@ import (
 // inspected through the HTTP observability plane the way remosctl
 // stats does.
 func TestObservabilitySmoke(t *testing.T) {
-	reg := remos.NewMetricsRegistry()
-	traces := remos.NewTraceRing(64, 0)
+	reg := obs.New()
+	traces := obs.NewRing(64, 0)
 	dep, d := stackOpts(t, core.Options{Obs: reg})
 
 	queryable := qcache.New(dep.Sites["cmu"].Master, qcache.Config{TTL: time.Minute, Now: dep.Sim.Now, Obs: reg})

@@ -16,7 +16,9 @@
 // Benchmark Collectors (active wide-area probes). Collectors may be local
 // objects or remote daemons reached through the ASCII/TCP or XML/HTTP
 // protocols. Dial is the one way to a remote daemon: it returns a
-// Connection, the Modeler plus the daemon's watch plane and Close.
+// Connection, the Modeler plus the daemon's watch plane and Close. How
+// fresh a daemon's answers are is the daemon's one staleness bound; a
+// query does not set its own.
 //
 // Quick start against a remote Master Collector:
 //

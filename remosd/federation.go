@@ -47,6 +47,7 @@ func (cfg Config) federated(d *Daemon, logf func(format string, args ...any), st
 	// anti-entropy over a full mesh converges every replica on the
 	// union of live leases.
 	dir := directory.New(s)
+	d.onClose(dir.Close) // the router's clients of peer masters
 	router, err := federation.NewRouter(federation.RouterConfig{
 		Directory:   dir,
 		Obs:         reg,

@@ -3,7 +3,10 @@
 // stack — ASCII and XML wire protocols, directory service, host load
 // collector, observability plane, continuous collection, snapshot plane,
 // and the multi-tenant admission layer. Config is the one way to
-// configure it; cmd/remosd sets its fields from flags:
+// configure it; cmd/remosd sets its fields from flags. A single-master
+// daemon always runs the warm-query cache, the snapshot plane, the poll
+// plane and the watch plane: MaxStale and SchedInterval must be
+// positive, and Start refuses a Config where they are not.
 //
 //	cfg := remosd.DefaultConfig()
 //	cfg.ListenASCII, cfg.ListenHTTP = "127.0.0.1:0", "127.0.0.1:0"
@@ -23,6 +26,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -75,16 +79,14 @@ type Config struct {
 
 	Scenario    string // demo scenario: "twosite" or "campus"
 	Parallelism int    // collector pipeline parallelism; 0 = GOMAXPROCS
-	MaxVarBinds int    // varbinds per polling Get PDU
 
 	// MaxStale is the one staleness bound: the oldest reading a QUERY
 	// answers from the warm-query cache or a FLOWS answers from the
 	// snapshot plane, and the widest gap the scheduler leaves between
 	// two polls of a covered pair. It must be positive.
-	MaxStale  time.Duration
-	SlowQuery time.Duration // trace-flagging threshold
+	MaxStale time.Duration
 
-	SchedInterval time.Duration // background poll base interval; 0 disables
+	SchedInterval time.Duration // background poll base interval; must be positive
 	BenchInterval time.Duration // wide-area benchmark round interval
 
 	// Admission: the multi-tenant front end. The controller is built
@@ -123,12 +125,14 @@ func DefaultConfig() Config {
 		ListenHostLoad:  "127.0.0.1:3570",
 		ListenObs:       "127.0.0.1:3571",
 		Scenario:        "twosite",
-		MaxVarBinds:     24,
 		MaxStale:        2 * time.Second,
-		SlowQuery:       500 * time.Millisecond,
 		SchedInterval:   time.Second,
 	}
 }
+
+// slowQuery is the trace duration from which /debug/queries flags a
+// query slow.
+const slowQuery = 500 * time.Millisecond
 
 // HostInfo names one queryable demo host.
 type HostInfo struct {
@@ -170,11 +174,15 @@ func (d *Daemon) Close() error {
 
 func (d *Daemon) onClose(f func()) { d.closers = append(d.closers, f) }
 
-// check rejects a Config Start cannot serve: a staleness bound that is
-// not positive, or a tenant tier the admission layer does not know.
+// check rejects a Config Start cannot serve: a staleness bound or poll
+// interval that is not positive, or a tenant tier the admission layer
+// does not know.
 func (cfg Config) check() error {
 	if cfg.MaxStale <= 0 {
 		return fmt.Errorf("remosd: max-stale %v is not positive", cfg.MaxStale)
+	}
+	if cfg.SchedInterval <= 0 {
+		return fmt.Errorf("remosd: sched-interval %v is not positive", cfg.SchedInterval)
 	}
 	tiers := map[string]admission.Tier{}
 	for id, t := range cfg.Tenants {
@@ -331,7 +339,7 @@ func (cfg Config) Start() (*Daemon, error) {
 	}
 	d := &Daemon{Metrics: obs.New()}
 	registerRuntimeGauges(d.Metrics)
-	st := stack{sim: sim.NewSim(), reg: d.Metrics, traces: obs.NewRing(128, cfg.SlowQuery)}
+	st := stack{sim: sim.NewSim(), reg: d.Metrics, traces: obs.NewRing(128, slowQuery)}
 	assemble := cfg.singleMaster
 	if cfg.Domains > 1 {
 		assemble = cfg.federated
@@ -348,8 +356,9 @@ func (cfg Config) Start() (*Daemon, error) {
 }
 
 // registerRuntimeGauges exports the process's own state beside the
-// serving metrics: live goroutines, heap in use, and the most recent
-// garbage collection's stop-the-world pause.
+// serving metrics: live goroutines, heap in use, the most recent garbage
+// collection's stop-the-world pause and, where /proc/self/fd is
+// readable, open file descriptors.
 func registerRuntimeGauges(reg *obs.Registry) {
 	reg.GaugeFunc("remos_runtime_goroutines", "goroutines in the daemon process", func() float64 {
 		return float64(runtime.NumGoroutine())
@@ -364,6 +373,12 @@ func registerRuntimeGauges(reg *obs.Registry) {
 		runtime.ReadMemStats(&ms)
 		return time.Duration(ms.PauseNs[(ms.NumGC+255)%256]).Seconds() // 0 before the first collection
 	})
+	if _, err := os.ReadDir("/proc/self/fd"); err == nil {
+		reg.GaugeFunc("remos_runtime_open_fds", "open file descriptors of the daemon process", func() float64 {
+			fds, _ := os.ReadDir("/proc/self/fd")
+			return float64(len(fds))
+		})
+	}
 }
 
 // singleMaster assembles the single-master stack: the scenario's
@@ -373,7 +388,6 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 	s, reg := st.sim, st.reg
 	dep, hosts, err := buildScenario(s, cfg.Scenario, cfg.BenchInterval, core.Options{
 		Parallelism: cfg.Parallelism,
-		MaxVarBinds: cfg.MaxVarBinds,
 		Obs:         reg,
 	})
 	if err != nil {
@@ -389,19 +403,17 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 
 	sv := cfg.servePlanes(s, dep.Sites[firstSite(dep)].Master, reg, st.traces)
 	d.onClose(sv.close)
-	logf("remosd: staleness bound %v (warm-query cache and snapshot plane), parallelism %d (0=GOMAXPROCS), max-varbinds %d",
-		cfg.MaxStale, cfg.Parallelism, cfg.MaxVarBinds)
-	if sv.plane != nil {
-		// Preseed the demo pairs so their queries answer warm from the
-		// first client on; watches add and remove their own targets.
-		if len(hosts) >= 2 && len(hosts) <= 8 {
-			for _, h := range hosts[1:] {
-				sv.plane.AddTarget([]netip.Addr{hosts[0].Addr(), h.Addr()})
-			}
+	logf("remosd: staleness bound %v (warm-query cache and snapshot plane), parallelism %d (0=GOMAXPROCS)",
+		cfg.MaxStale, cfg.Parallelism)
+	// Preseed the demo pairs so their queries answer warm from the first
+	// client on; watches add and remove their own targets.
+	if len(hosts) >= 2 && len(hosts) <= 8 {
+		for _, h := range hosts[1:] {
+			sv.plane.AddTarget([]netip.Addr{hosts[0].Addr(), h.Addr()})
 		}
-		logf("remosd: background scheduler on (base %v, max %v); watch plane enabled",
-			cfg.SchedInterval, cfg.maxPollInterval())
 	}
+	logf("remosd: background scheduler on (base %v, max %v); watch plane enabled",
+		cfg.SchedInterval, cfg.maxPollInterval())
 
 	if cfg.ListenHostLoad != "" {
 		// Host load: attach synthetic load signals to the demo hosts,
@@ -439,15 +451,15 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 
 // planes is the single-master serving assembly over one master: the
 // warm-query cache QUERY answers through, the snapshot store and the
-// Modeler FLOWS answers from, and — when SchedInterval is set — the poll
-// plane that keeps both warm and the watch registry it feeds. All of it
-// ages its state on one clock, against the one bound MaxStale.
+// Modeler FLOWS answers from, the poll plane that keeps both warm, and
+// the watch registry it feeds. All of it ages its state on one clock,
+// against the one bound MaxStale.
 type planes struct {
 	cache *qcache.Cache
 	store *snapshot.Store
 	flows *modeler.Modeler
-	plane *sched.Scheduler // nil when SchedInterval is 0
-	watch *watch.Registry  // nil when SchedInterval is 0
+	plane *sched.Scheduler
+	watch *watch.Registry
 }
 
 // servePlanes assembles the planes over master. The snapshot plane
@@ -465,9 +477,6 @@ func (cfg Config) servePlanes(s sim.Scheduler, master collector.Interface, reg *
 		Collector: master, Snapshot: p.store, MaxStale: cfg.MaxStale,
 		Obs: reg, Traces: traces,
 	})
-	if cfg.SchedInterval <= 0 {
-		return p
-	}
 	p.watch = watch.New(watch.Config{
 		Obs:           reg,
 		Now:           s.Now,
@@ -491,9 +500,6 @@ func (cfg Config) servePlanes(s sim.Scheduler, master collector.Interface, reg *
 
 // close ends every watch and stops the poll plane.
 func (p *planes) close() {
-	if p.plane == nil {
-		return
-	}
 	p.watch.Close(rerr.Tagf(rerr.ErrCollectorUnavailable, "remosd shutting down"))
 	p.plane.Stop()
 }

@@ -14,12 +14,12 @@ import (
 	"remos/remosd"
 )
 
-// testConfig is DefaultConfig on ephemeral ports with the directory,
-// host load and scheduler planes off.
+// testConfig is DefaultConfig on ephemeral ports with the directory and
+// host load planes off.
 func testConfig() remosd.Config {
 	cfg := remosd.DefaultConfig()
 	cfg.ListenASCII, cfg.ListenHTTP, cfg.ListenObs = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
-	cfg.ListenDirectory, cfg.ListenHostLoad, cfg.SchedInterval = "", "", 0
+	cfg.ListenDirectory, cfg.ListenHostLoad = "", ""
 	return cfg
 }
 
@@ -27,7 +27,7 @@ func testConfig() remosd.Config {
 // ports, two tenants — and drives it through the public client API: a
 // metered tenant's queries succeed inside its burst and shed typed
 // beyond it, and the observability plane exposes the per-tenant
-// admission state and the process's runtime gauges.
+// admission state, the process's runtime gauges and the snapshot plane's.
 func TestStartProgrammatic(t *testing.T) {
 	cfg := testConfig()
 	cfg.Tenants = map[string]remosd.Tenant{
@@ -73,7 +73,8 @@ func TestStartProgrammatic(t *testing.T) {
 	for path, wants := range map[string][]string{
 		"/debug/tenants": {`"tenant": "app"`, `"shed": 1`},
 		"/metrics": {`remos_admission_admitted_total{tenant="app"} 1`, `remos_admission_shed_total{tenant="app"} 1`,
-			"remos_runtime_goroutines ", "remos_runtime_heap_bytes ", "remos_runtime_gc_pause_seconds "},
+			"remos_runtime_goroutines ", "remos_runtime_heap_bytes ", "remos_runtime_gc_pause_seconds ",
+			"remos_snapshot_tree_builds "},
 	} {
 		resp, err := http.Get("http://" + d.ObsAddr + path)
 		if err != nil {
@@ -117,6 +118,18 @@ func TestStartRejectsNonPositiveMaxStale(t *testing.T) {
 	}
 }
 
+// TestStartRejectsNonPositiveSchedInterval: the poll plane and the watch
+// plane it feeds always run; there is no setting that turns them off.
+func TestStartRejectsNonPositiveSchedInterval(t *testing.T) {
+	for _, ival := range []time.Duration{0, -time.Second} {
+		cfg := testConfig()
+		cfg.SchedInterval = ival
+		if _, err := cfg.Start(); err == nil || !strings.Contains(err.Error(), "sched-interval") {
+			t.Errorf("SchedInterval %v: Start error = %v, want a sched-interval error", ival, err)
+		}
+	}
+}
+
 // TestBothModesServeEveryPlane starts a single-master daemon and one
 // master of a two-domain mesh — both through the one bring-up the modes
 // share — and checks that each answers on every listener it opens: a
@@ -133,7 +146,7 @@ func TestBothModesServeEveryPlane(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.ListenDirectory, cfg.SchedInterval = "127.0.0.1:0", remosd.DefaultConfig().SchedInterval
+			cfg.ListenDirectory = "127.0.0.1:0"
 			cfg.Domains = mode.domains
 			d, err := cfg.Start()
 			if err != nil {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # obs_smoke.sh — boot remosd, drive a real query through the ASCII
 # protocol, and assert the observability plane reports it: /metrics
-# counts the request and renders the runtime gauges, /healthz answers,
+# counts the request and renders the runtime and snapshot gauges, /healthz answers,
 # and /debug/queries shows the traced fan-out. remosctl is the only fetcher used (no curl needed).
 set -eu
 
@@ -61,7 +61,9 @@ for want in \
     'remos_master_queries_total' \
     'remos_snmp_exchanges_total' \
     'remos_qcache_misses_total' \
-    'remos_runtime_goroutines '; do
+    'remos_runtime_goroutines ' \
+    'remos_runtime_open_fds ' \
+    'remos_snapshot_tree_builds '; do
     if ! grep -qF "$want" "$WORK/metrics"; then
         echo "obs-smoke: /metrics missing: $want" >&2
         cat "$WORK/metrics" >&2

@@ -46,8 +46,8 @@ func (c *countingFlows) count() int {
 
 // TestServerFlowsDelegation pins the WithServerFlows contract: default
 // flow queries (and the bandwidth query built on them) ride the FLOWS
-// verb to the server's answerer, while prediction queries and explicit
-// staleness bounds stay client-side.
+// verb to the server's answerer, while prediction queries stay
+// client-side.
 func TestServerFlowsDelegation(t *testing.T) {
 	dep, d := stack(t)
 	ff := &countingFlows{}
@@ -89,23 +89,15 @@ func TestServerFlowsDelegation(t *testing.T) {
 		t.Fatalf("server answerer saw %d queries, want 2", got)
 	}
 
-	// An explicit staleness bound cannot cross the wire: the query walks
-	// the collectors from here and never reaches the server answerer.
-	infos, err = m.GetFlowsContext(ctx, flows, remos.FlowOptions{MaxStale: -1})
+	// Prediction queries need collector-side history and client-side
+	// model choices: they walk the collectors from here and never reach
+	// the server answerer.
+	infos, err = m.GetFlowsContext(ctx, flows, remos.FlowOptions{Predict: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if infos[0].Available == 42e6 {
-		t.Fatal("explicit-bound query answered by the server answerer, want a local walk")
-	}
-	if got := ff.count(); got != 2 {
-		t.Fatalf("server answerer saw %d queries after local-path queries, want 2", got)
-	}
-
-	// Prediction queries need collector-side history and client-side
-	// model choices; they stay local as well.
-	if _, err := m.GetFlowsContext(ctx, flows, remos.FlowOptions{Predict: true}); err != nil {
-		t.Fatal(err)
+		t.Fatal("prediction query answered by the server answerer, want a local walk")
 	}
 	if got := ff.count(); got != 2 {
 		t.Fatalf("server answerer saw %d queries after predict query, want 2", got)

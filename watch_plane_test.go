@@ -19,6 +19,7 @@ import (
 	"remos/internal/core"
 	"remos/internal/modeler"
 	"remos/internal/netsim"
+	"remos/internal/obs"
 	"remos/internal/proto"
 	"remos/internal/rerr"
 	"remos/internal/sched"
@@ -33,7 +34,7 @@ import (
 type watchStack struct {
 	dep   *core.Deployment
 	d     map[string]*netsim.Device
-	reg   *remos.MetricsRegistry
+	reg   *obs.Registry
 	cache *qcache.Cache
 	plane *sched.Scheduler
 	watch *watch.Registry
@@ -43,7 +44,7 @@ type watchStack struct {
 
 func newWatchStack(t *testing.T) *watchStack {
 	t.Helper()
-	reg := remos.NewMetricsRegistry()
+	reg := obs.New()
 	dep, d := stackOpts(t, core.Options{Obs: reg})
 
 	cache := qcache.New(dep.Sites["cmu"].Master, qcache.Config{
