@@ -120,12 +120,13 @@ bench-concurrency:
 # The cold-path exhibits: device-batched polling vs. per-interface
 # exchanges, the BER codec, one whole exchange against a device layout (the
 # poller's 24-varbind Get and a 7-column walk step) and a GetNext walk of
-# it, and the ASCII graph codec on a cold reply graph, all with allocation
-# counts. CI runs it with a short fixed BENCH_SNMP_TIME so the cold-path
-# pins cannot rot unbuilt.
+# it, the ASCII graph codec on a cold reply graph, and one 32-host query on
+# the 256-host campus collected cold (every cache dropped) and warm, all
+# with allocation counts. CI runs it with a short fixed BENCH_SNMP_TIME so
+# the cold-path pins cannot rot unbuilt.
 BENCH_SNMP_TIME ?= 1s
 bench-snmp:
-	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|GraphTextCodec' -benchmem \
+	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|GraphTextCodec|CampusCollect' -benchmem \
 		-benchtime $(BENCH_SNMP_TIME) ./internal/collector/snmpcoll/ ./internal/snmp/ ./internal/mib/ ./internal/topology/
 
 # The snapshot-backed flow query: the Modeler's 8-flow queries over one

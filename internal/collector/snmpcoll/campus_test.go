@@ -2,6 +2,8 @@ package snmpcoll_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -148,6 +150,84 @@ func TestCampusDiscoveryIndependentOfParallelism(t *testing.T) {
 		if !bytes.Equal(texts[0], text) {
 			t.Fatalf("run %d (Parallelism 8) encodes differently from Parallelism 1:\n%s\nvs\n%s", i+1, text, texts[0])
 		}
+	}
+}
+
+// campusReply renders a reply the way the pins compare it: the graph's
+// ASCII encoding, which fixes node and link order and link orientation,
+// then the canonical discovery with the collector's poll points.
+func campusReply(t testing.TB, c *snmpcoll.Collector, res *collector.Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.Graph.EncodeText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(snmpcoll.CanonicalDiscovery(c, res.Graph))
+	return buf.Bytes()
+}
+
+// TestCampusColdRepliesPinned pins, byte for byte, the replies to twenty
+// seeded 32-host queries each discovered from empty caches, and a warm
+// repeat of the first after the poller sampled. The digest changes only
+// when discovery adds different links, in another order or orientation,
+// or registers different poll points: a change meant to make discovery
+// cheaper must leave it alone.
+func TestCampusColdRepliesPinned(t *testing.T) {
+	const want = "5cf1806923a653ce678c9b391e4bc960776af80d7a29a8fd3efd60852bdd3f45"
+	camp := buildCampus(t, 256)
+	c := campusTwin(t, camp, nil)
+	sum := sha256.New()
+	query := func(seed int64) {
+		t.Helper()
+		res, err := c.Collect(collector.Query{Hosts: pick(rand.New(rand.NewSource(seed)), camp, 32)})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sum.Write(campusReply(t, c, res))
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		c.DropCaches()
+		query(seed)
+	}
+	camp.Sim.RunFor(11 * time.Second)
+	query(1)
+	if got := hex.EncodeToString(sum.Sum(nil)); got != want {
+		t.Fatalf("cold campus replies digest %s, pinned %s", got, want)
+	}
+}
+
+// BenchmarkCampusCollect times one 32-host query on the 256-host campus,
+// cycling through 16 seeded host sets: cold drops every cache before each
+// query, warm keeps them (the sets were each asked once before timing).
+func BenchmarkCampusCollect(b *testing.B) {
+	camp := buildCampus(b, 256)
+	queries := make([]collector.Query, 16)
+	for i := range queries {
+		queries[i] = collector.Query{Hosts: pick(rand.New(rand.NewSource(int64(i+1))), camp, 32)}
+	}
+	for _, cold := range []bool{true, false} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			c := campusTwin(b, camp, func(cfg *snmpcoll.Config) { cfg.Parallelism = 1 })
+			for _, q := range queries {
+				if _, err := c.Collect(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					c.DropCaches()
+				}
+				if _, err := c.Collect(queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -35,12 +35,21 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")
 	}
 	b := newBuild(ctx, c, cl, len(q.Hosts))
-	sp := tr.Start(c.Name() + ":discover")
+	// Span names and details are formatted only for a traced query.
+	start := func(stage string) *obs.Span {
+		if tr == nil {
+			return nil
+		}
+		return tr.Start(c.Name() + ":" + stage)
+	}
+	sp := start("discover")
 	if err := b.discover(q.Hosts); err != nil {
 		sp.EndDetail(err.Error())
 		return nil, QueryStats{}, err
 	}
-	sp.EndDetail(fmt.Sprintf("%d routers", len(b.used)))
+	if sp != nil {
+		sp.EndDetail(fmt.Sprintf("%d routers", len(b.used)))
+	}
 
 	// Per-query validation of every cached router involved (reboot and
 	// liveness check) — the warm-cache query cost. A router fetched by this
@@ -54,19 +63,21 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 		}
 	}
 	sort.Slice(stale, func(i, j int) bool { return stale[i].addr.Less(stale[j].addr) })
-	sp = tr.Start(c.Name() + ":validate")
+	sp = start("validate")
 	if err := conc.ForEachCtx(ctx, len(stale), c.cfg.Parallelism, func(i int) error {
 		return c.validateRouter(ctx, cl, stale[i])
 	}); err != nil {
 		sp.EndDetail(err.Error())
 		return nil, QueryStats{}, err
 	}
-	sp.EndDetail(fmt.Sprintf("%d devices", len(stale)))
+	if sp != nil {
+		sp.EndDetail(fmt.Sprintf("%d devices", len(stale)))
+	}
 
 	// Annotate utilization from monitoring history, registering any
 	// unmonitored links for the poller; registration performs the
 	// initial counter read.
-	sp = tr.Start(c.Name() + ":annotate")
+	sp = start("annotate")
 	cold := c.annotate(ctx, cl, b)
 	sp.End()
 
@@ -82,7 +93,9 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	if cold {
 		c.mCold.Inc()
 	}
-	tr.Event(c.Name()+":snmp", fmt.Sprintf("%d exchanges, rtt %v", reqs, rtt))
+	if tr != nil {
+		tr.Event(c.Name()+":snmp", fmt.Sprintf("%d exchanges, rtt %v", reqs, rtt))
+	}
 	return res, QueryStats{Requests: reqs, RTT: rtt, ColdStart: cold}, nil
 }
 
@@ -107,10 +120,20 @@ type build struct {
 	used      []*routerInfo              // routers on some path, each once
 
 	segs   []bridgecoll.Segment // l2Path's scratch
-	chains [][]netip.Addr       // the distinct router chains walked, see internChain
+	chains []chain              // the distinct router chains walked, see routerChain
+	hops   []netip.Addr         // their addresses, and routerChain's scratch past them
 
-	linkPolls map[pairKey]pollReg // link -> poll registration
-	connected map[pairKey]bool    // node-ID pairs already joined (possibly multi-hop)
+	linkPolls []pollReg        // by graph link number: each link's poll registration
+	connected map[pairKey]bool // node-ID pairs already joined (possibly multi-hop)
+}
+
+// chain is one distinct router chain a query walked, and how far the
+// query has joined it into the graph.
+type chain struct {
+	addrs   []netip.Addr // the routers' addresses, gateway first
+	last    *routerInfo  // the router at addrs[len(addrs)-1]
+	joined  bool         // its router hops are in the graph
+	lastSrc netip.Addr   // the source last attached to its first router
 }
 
 // pairKey names an unordered pair of node IDs.
@@ -132,7 +155,7 @@ type pollReg struct {
 
 // newBuild starts a query's build with its maps sized from the number of
 // hosts queried: a host brings itself, about one switch and about two
-// links into the graph.
+// links into the graph, and 32 campus hosts walk 12 distinct chains.
 func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *build {
 	return &build{
 		ctx:       ctx,
@@ -146,7 +169,9 @@ func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *bu
 		routers:   make(map[netip.Addr]*routerInfo),
 		routerErr: make(map[netip.Addr]error),
 		fresh:     make(map[*routerInfo]bool),
-		linkPolls: make(map[pairKey]pollReg, 2*hosts),
+		chains:    make([]chain, 0, hosts/2),
+		hops:      make([]netip.Addr, 0, 2*hosts),
+		linkPolls: make([]pollReg, 0, 2*hosts),
 		connected: make(map[pairKey]bool, hosts),
 	}
 }
@@ -550,6 +575,8 @@ func (b *build) connect(hosts []netip.Addr) error {
 		}
 	}
 
+	// lastRouter[j]: the router host j was last attached to as a destination.
+	lastRouter := make([]*routerInfo, n)
 	for i, src := range hosts {
 		if !firstOfGroup[i] {
 			if routedLater[i] {
@@ -574,7 +601,7 @@ func (b *build) connect(hosts []netip.Addr) error {
 				}
 				// The bridge database changed under the query: route.
 			}
-			if err := b.addRoutedPath(src, dst); err != nil {
+			if err := b.addRoutedPath(src, dst, &lastRouter[j]); err != nil {
 				return fmt.Errorf("snmpcoll: path %v-%v: %w", src, dst, err)
 			}
 		}
@@ -588,7 +615,7 @@ func (b *build) attachToGateway(h netip.Addr) error {
 	if !gw.IsValid() {
 		return fmt.Errorf("no gateway configured for %v", h)
 	}
-	if err := b.useRouter(gw); err != nil {
+	if _, err := b.useRouter(gw); err != nil {
 		return err
 	}
 	return b.attachHostToRouter(h, gw)
@@ -596,71 +623,74 @@ func (b *build) attachToGateway(h netip.Addr) error {
 
 // addRoutedPath adds the routed path between two hosts: src to its
 // gateway, the router chain from there toward dst, dst to the chain's last
-// router.
-func (b *build) addRoutedPath(src, dst netip.Addr) error {
+// router — each join only when neither the chain nor *dstAt (the router
+// dst was last attached to) shows it made. The joins left may still be
+// made: chains share hops, and a host is a source and a destination.
+func (b *build) addRoutedPath(src, dst netip.Addr, dstAt **routerInfo) error {
 	gw := b.gateways[src]
 	if !gw.IsValid() {
 		return fmt.Errorf("no gateway configured for %v", src)
 	}
-	chain, err := b.routerChain(gw, dst)
+	ch, err := b.routerChain(gw, dst)
 	if err != nil {
 		return err
 	}
 	// Attach src to the first router over level 2.
-	if err := b.attachHostToRouter(src, chain[0]); err != nil {
-		return err
-	}
-	// Router-to-router hops.
-	for i := 0; i+1 < len(chain); i++ {
-		if err := b.addRouterHop(chain[i], chain[i+1], dst); err != nil {
+	if ch.lastSrc != src {
+		if err := b.attachHostToRouter(src, ch.addrs[0]); err != nil {
 			return err
 		}
+		ch.lastSrc = src
+	}
+	// Router-to-router hops.
+	if !ch.joined {
+		for i := 0; i+1 < len(ch.addrs); i++ {
+			if err := b.addRouterHop(ch.addrs[i], ch.addrs[i+1], dst); err != nil {
+				return err
+			}
+		}
+		ch.joined = true
 	}
 	// Attach dst to the last router.
-	return b.attachHostToRouter(dst, chain[len(chain)-1])
+	if *dstAt == ch.last {
+		return nil
+	}
+	*dstAt = ch.last
+	return b.attachHostToRouter(dst, ch.addrs[len(ch.addrs)-1])
 }
 
 // ensureLink adds a link once per unordered pair, remembering its poll
-// point.
+// point under the link's number.
 func (b *build) ensureLink(l topology.Link, reg pollReg) error {
-	key := pairOf(l.From, l.To)
-	if _, dup := b.linkPolls[key]; dup {
+	if b.g.FindLink(l.From, l.To) != nil {
 		return nil
 	}
 	if _, err := b.g.AddLink(l); err != nil {
 		return err
 	}
-	b.linkPolls[key] = reg
+	b.linkPolls = append(b.linkPolls, reg)
 	return nil
 }
 
-// routerChain follows routes hop-to-hop from the start router toward dst,
-// returning the router addresses traversed. Cached per (start, dst).
-func (b *build) routerChain(start, dst netip.Addr) ([]netip.Addr, error) {
-	ck := chainKey{start: start, dst: dst}
-	b.c.mu.Lock()
-	cached, ok := b.c.chains[ck]
-	b.c.mu.Unlock()
-	if ok && !b.c.cfg.DisableRouteCache {
-		for _, r := range cached {
-			if err := b.useRouter(r); err != nil {
-				return nil, err
-			}
-		}
-		return cached, nil
-	}
-	var buf [8]netip.Addr // longer chains spill to the heap
-	walked := buf[:0]
-	cur := start
-	for hops := 0; ; hops++ {
-		if hops > 32 {
+// routerChain follows routes hop-to-hop from the start router toward dst
+// and returns the query's one copy of the chain of routers traversed,
+// valid until the next call. The host pairs of a query walk few distinct
+// chains (one per pair of gateways), so each is stored once and shared by
+// every (start, dst) it serves, and so is what has been joined through it.
+func (b *build) routerChain(start, dst netip.Addr) (*chain, error) {
+	base := len(b.hops)
+	walked := b.hops // the walk goes past the stored chains, kept if new
+	var ri *routerInfo
+	for cur := start; ; {
+		if len(walked)-base > 32 {
 			return nil, fmt.Errorf("route loop toward %v", dst)
 		}
 		walked = append(walked, cur)
-		if err := b.useRouter(cur); err != nil {
+		var err error
+		if ri, err = b.useRouter(cur); err != nil {
 			return nil, err
 		}
-		e, ok := b.routers[cur].lpm(dst)
+		e, ok := ri.lpm(dst)
 		if !ok {
 			return nil, fmt.Errorf("router %v has no route to %v", cur, dst)
 		}
@@ -669,45 +699,33 @@ func (b *build) routerChain(start, dst netip.Addr) ([]netip.Addr, error) {
 		}
 		cur = e.nextHop
 	}
-	chain := b.internChain(walked)
-	b.c.mu.Lock()
-	if len(b.c.chains) >= chainBudget {
-		clear(b.c.chains)
-	}
-	b.c.chains[ck] = chain
-	b.c.mu.Unlock()
-	return chain, nil
-}
-
-// internChain returns the query's one copy of a router chain. The host
-// pairs of a query walk few distinct chains (one per pair of gateways),
-// so each is stored once and shared by every (start, dst) it serves;
-// nothing writes to a stored chain.
-func (b *build) internChain(chain []netip.Addr) []netip.Addr {
-	for _, have := range b.chains {
-		if slices.Equal(have, chain) {
-			return have
+	addrs := walked[base:len(walked):len(walked)]
+	for i := range b.chains {
+		if slices.Equal(b.chains[i].addrs, addrs) {
+			b.hops = walked[:base]
+			return &b.chains[i], nil
 		}
 	}
-	chain = slices.Clone(chain)
-	b.chains = append(b.chains, chain)
-	return chain
+	b.hops = walked
+	b.chains = append(b.chains, chain{addrs: addrs, last: ri})
+	return &b.chains[len(b.chains)-1], nil
 }
 
 // useRouter ensures the router at addr is loaded, validated and in the
 // graph. The graph node is keyed by the router's canonical identity
 // (sysName), so a router reached under several of its addresses appears
-// once, carrying the address it was first reached by.
-func (b *build) useRouter(addr netip.Addr) error {
+// once, carrying the address it was first reached by. It returns the
+// router's view; a router this query placed is known by that pointer.
+func (b *build) useRouter(addr netip.Addr) (*routerInfo, error) {
 	ri, err := b.router(addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if b.g.Node(ri.nodeID()) == nil {
+	if !slices.Contains(b.used, ri) && b.g.Node(ri.nodeID()) == nil {
 		b.used = append(b.used, ri)
 		b.g.AddNode(topology.Node{ID: ri.nodeID(), Kind: topology.RouterNode, Addr: addr.String()})
 	}
-	return nil
+	return ri, nil
 }
 
 // attachHostToRouter adds the host-to-gateway connection: through the

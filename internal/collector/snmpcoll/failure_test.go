@@ -184,15 +184,13 @@ func TestUnresolvableHostGetsVirtualAttachment(t *testing.T) {
 	}
 }
 
-// TestRouteChangeBehindRebootDropsCachedChains: the route cache holds
-// the router chain of every (gateway, host) asked about, each the answer
-// of the tables the routers had then. A router that reboots onto new
-// routes gets its tables re-read by the query that notices; the chains
-// walked through its old tables must go with them, or the next query
-// follows the old chain taking the new tables' hops. Here ra-mid-rb gains
-// a direct ra-rb link: the query after the one that detects the reboots
+// TestRouteChangeBehindRebootFollowsNewRoutes: a router that reboots onto
+// new routes gets its tables re-read by the query that notices, and the
+// next query follows the new tables hop by hop — no chain walked through
+// the old ones outlives the query that walked it. Here ra-mid-rb gains a
+// direct ra-rb link: the query after the one that detects the reboots
 // must answer like a collector that never saw the old routes.
-func TestRouteChangeBehindRebootDropsCachedChains(t *testing.T) {
+func TestRouteChangeBehindRebootFollowsNewRoutes(t *testing.T) {
 	// The middle router is made first so the link added later is the last
 	// broadcast domain AssignSubnets meets: nothing else is renumbered.
 	st := newSiteOn(t, nil, func(n *netsim.Network, d map[string]*netsim.Device) {
@@ -255,26 +253,5 @@ func TestRouteChangeBehindRebootDropsCachedChains(t *testing.T) {
 	}
 	if res.Graph.Node("mid") != nil || res.Graph.FindLink("ra", "rb") == nil {
 		t.Fatalf("after the change the path should be ra-rb direct: %v", ids(res.Graph))
-	}
-}
-
-// TestRouteCacheIsBounded: at chainBudget entries the cache is dropped
-// whole, so a daemon asked about ever more host pairs does not hold a
-// chain for each for life.
-func TestRouteCacheIsBounded(t *testing.T) {
-	st := newSite(t, nil)
-	st.sc.mu.Lock()
-	for i := 0; i < chainBudget; i++ {
-		gw := netip.AddrFrom4([4]byte{172, 16, byte(i >> 8), byte(i)})
-		st.sc.chains[chainKey{start: gw, dst: gw}] = nil
-	}
-	st.sc.mu.Unlock()
-	if _, err := st.sc.Collect(collector.Query{Hosts: []netip.Addr{addrOf(st, "h1"), addrOf(st, "h2")}}); err != nil {
-		t.Fatal(err)
-	}
-	st.sc.mu.Lock()
-	defer st.sc.mu.Unlock()
-	if n := len(st.sc.chains); n == 0 || n > 4 {
-		t.Fatalf("route cache holds %d chains after a two-host query at the bound, want that query's own", n)
 	}
 }

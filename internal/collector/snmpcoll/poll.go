@@ -24,7 +24,7 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 	hist := c.pred.History()
 	links := b.g.Links()
 	for i, l := range links {
-		reg := b.linkPolls[pairOf(l.From, l.To)]
+		reg := b.linkPolls[i]
 		if !reg.agent.IsValid() {
 			continue // unmeasurable link (virtual host side)
 		}
@@ -308,13 +308,12 @@ func (c *Collector) Utilization(from, to string) (float64, bool) {
 	return s.Bits, ok
 }
 
-// DropCaches clears the router, route, and monitoring caches — used by
+// DropCaches clears the router, ARP and monitoring caches — used by
 // experiments to produce the Fig 3 "cold" scenario on a running collector.
 func (c *Collector) DropCaches() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.routers = make(map[netip.Addr]*routerInfo)
-	c.chains = make(map[chainKey][]netip.Addr)
 	c.arp = make(map[netip.Addr]collector.MAC)
 	c.monitors = make(map[monitorKey]*pollPoint)
 	c.pred.Reset()

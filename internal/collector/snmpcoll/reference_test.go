@@ -16,10 +16,12 @@ import (
 // This file keeps the discovery this package used before it went linear —
 // a walk over all host pairs, resolving and verifying each host with its
 // own one-varbind Gets — as the reference the differential tests compare
-// the phased discovery against. Only the walk is kept: where a pair needs
-// a routed path, a level-2 path folded in or a poll point registered, the
-// reference calls the same helpers production does, so the two can differ
-// only in which paths they add and in which order.
+// the phased discovery against. Only the walk is kept: it joins every
+// pair in full, with no memory of which chains or hosts an earlier pair
+// joined, but each join — a router chain walked, a host attached, a hop
+// added, a level-2 path folded in, a poll point registered — is made by
+// the same helpers production uses, so the two can differ only in which
+// joins they make and in which order.
 
 // referenceWalk is the per-query state of the pairwise walk.
 type referenceWalk struct {
@@ -158,7 +160,31 @@ func (w *referenceWalk) addPath(src, dst netip.Addr) error {
 		}
 	}
 	// Routed: follow from src's gateway.
-	return b.addRoutedPath(src, dst)
+	return w.addRoutedPath(src, dst)
+}
+
+// addRoutedPath adds the routed path between two hosts in full: walk the
+// router chain from src's gateway toward dst, attach src to its first
+// router, join every hop, attach dst to its last router.
+func (w *referenceWalk) addRoutedPath(src, dst netip.Addr) error {
+	b := w.b
+	gw := b.gateways[src]
+	if !gw.IsValid() {
+		return fmt.Errorf("no gateway configured for %v", src)
+	}
+	ch, err := b.routerChain(gw, dst)
+	if err != nil {
+		return err
+	}
+	if err := b.attachHostToRouter(src, ch.addrs[0]); err != nil {
+		return err
+	}
+	for i := 0; i+1 < len(ch.addrs); i++ {
+		if err := b.addRouterHop(ch.addrs[i], ch.addrs[i+1], dst); err != nil {
+			return err
+		}
+	}
+	return b.attachHostToRouter(dst, ch.addrs[len(ch.addrs)-1])
 }
 
 // Twin returns a second collector over the same network, Bridge Collector

@@ -48,8 +48,9 @@ type Config struct {
 	// PollInterval is the utilization monitoring period (default 5s,
 	// the paper's default).
 	PollInterval time.Duration
-	// DisableRouteCache turns off route and router-table caching, the
-	// ablation knob behind the Fig 3 cold/warm comparison.
+	// DisableRouteCache turns off the router-table and ARP caches, the
+	// ablation knob behind the Fig 3 cold/warm comparison. Router chains
+	// are never kept past the query that walked them.
 	DisableRouteCache bool
 	// Parallelism bounds how many devices are walked, asked or polled
 	// concurrently (the gateway, resolve and verify phases of a query,
@@ -168,7 +169,6 @@ type Collector struct {
 
 	mu       sync.Mutex
 	routers  map[netip.Addr]*routerInfo
-	chains   map[chainKey][]netip.Addr // route cache: first router + dst -> router chain
 	arp      map[netip.Addr]collector.MAC
 	monitors map[monitorKey]*pollPoint
 	pred     *collector.Predictor // per-link history and forecasts
@@ -185,17 +185,6 @@ type Collector struct {
 	mQueries *obs.Counter
 	mCold    *obs.Counter
 }
-
-type chainKey struct {
-	start netip.Addr
-	dst   netip.Addr
-}
-
-// chainBudget bounds the route cache, which otherwise holds an entry
-// per (gateway, host) ever asked about for the daemon's life. At the
-// bound the cache is dropped whole and refills with the pairs still
-// being asked about, from router tables that stay cached.
-const chainBudget = 1 << 16
 
 type monitorKey struct {
 	agent   netip.Addr
@@ -223,7 +212,6 @@ func New(cfg Config) *Collector {
 	c := &Collector{
 		cfg:      cfg,
 		routers:  make(map[netip.Addr]*routerInfo),
-		chains:   make(map[chainKey][]netip.Addr),
 		arp:      make(map[netip.Addr]collector.MAC),
 		monitors: make(map[monitorKey]*pollPoint),
 		pred:     pred,
@@ -463,20 +451,12 @@ func (c *Collector) validateRouter(ctx context.Context, cl *snmp.Client, ri *rou
 		ri.upTime.Store(uint32(v.Int))
 		return nil
 	}
-	// Rebooted: drop what we believed about it and re-learn. That
-	// includes every cached chain through it: a chain is the old tables'
-	// answer, and the next query would follow it with the new tables'
-	// hops.
+	// Rebooted: drop what we believed about it and re-learn.
 	c.mu.Lock()
 	var points []*pollPoint
 	for _, a := range ri.addrs {
 		if c.routers[a] == ri {
 			delete(c.routers, a)
-		}
-	}
-	for ck, chain := range c.chains {
-		if slices.ContainsFunc(chain, func(r netip.Addr) bool { return slices.Contains(ri.addrs, r) }) {
-			delete(c.chains, ck)
 		}
 	}
 	for _, p := range c.monitors {
