@@ -33,10 +33,11 @@ race:
 # and its one user outside the serving planes), collector (the shared
 # streaming Predictor parallel polls feed), modeler (whose queries
 # run beside the snapshot writer and read the stamp vector the next
-# generation is copied from), the cold path's three — snmp (the agent's
+# generation is copied from), the cold path's four — snmp (the agent's
 # and the client's pooled scratch), mib (the device layout published per
-# topology epoch, walked beside a relayout) and snmpcoll (parallel device
-# walks and polls over both) — the root package, whose end-to-end tests
+# topology epoch, walked beside a relayout), snmpcoll (parallel device
+# walks and polls over both) and bridgecoll (the numbered bridge tree,
+# replaced by every re-walk while path queries read it) — the root package, whose end-to-end tests
 # drive those planes concurrently over the wire (load shedding, mixed
 # serving beside the watch plane), and remosd (a closed daemon leaves no
 # goroutine or descriptor behind) — the fast inner loop while working on
@@ -53,7 +54,8 @@ race-hot:
 		./internal/topology/ ./internal/modeler/ ./internal/conc/ \
 		./internal/collector/ ./internal/collector/benchcoll/ \
 		./internal/collector/master/ ./internal/snmp/ ./internal/mib/ \
-		./internal/collector/snmpcoll/ . ./remosd/
+		./internal/collector/snmpcoll/ ./internal/collector/bridgecoll/ \
+		. ./remosd/
 
 verify: vet lint build test race
 
@@ -120,14 +122,15 @@ bench-concurrency:
 # The cold-path exhibits: device-batched polling vs. per-interface
 # exchanges, the BER codec, one whole exchange against a device layout (the
 # poller's 24-varbind Get and a 7-column walk step) and a GetNext walk of
-# it, the ASCII graph codec on a cold reply graph, and one 32-host query on
-# the 256-host campus collected cold (every cache dropped) and warm, all
-# with allocation counts. CI runs it with a short fixed BENCH_SNMP_TIME so
+# it, the ASCII graph codec on a cold reply graph, one 32-host query on
+# the 256-host campus collected cold (every cache dropped) and warm, and
+# the Bridge Collector's level-2 path of every in-wing host pair of that
+# campus, all with allocation counts. CI runs it with a short fixed BENCH_SNMP_TIME so
 # the cold-path pins cannot rot unbuilt.
 BENCH_SNMP_TIME ?= 1s
 bench-snmp:
-	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|GraphTextCodec|CampusCollect' -benchmem \
-		-benchtime $(BENCH_SNMP_TIME) ./internal/collector/snmpcoll/ ./internal/snmp/ ./internal/mib/ ./internal/topology/
+	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|GraphTextCodec|CampusCollect|CampusL2Paths' -benchmem \
+		-benchtime $(BENCH_SNMP_TIME) ./internal/collector/snmpcoll/ ./internal/collector/bridgecoll/ ./internal/snmp/ ./internal/mib/ ./internal/topology/
 
 # The snapshot-backed flow query: the Modeler's 8-flow queries over one
 # generation of the 10 204-node two-tier fabric (what bench/'s

@@ -7,10 +7,11 @@
 package bridgecoll
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -73,10 +74,25 @@ func (l swLink) reversed() swLink {
 
 // station is one end host/router attachment.
 type station struct {
-	mac  collector.MAC
-	id   string // StationID(mac), rendered once when the station is learned
-	sw   netip.Addr
-	port int
+	mac   collector.MAC
+	id    string // StationID(mac), rendered once when the station is learned
+	sw    int32  // the switch it is attached to, by number in the tree
+	port  int
+	speed float64 // of that port
+}
+
+// treeSwitch is one switch of the numbered bridge tree, with its uplink:
+// the link toward the root of its broadcast domain.
+type treeSwitch struct {
+	addr   netip.Addr
+	id     string // addr rendered once: the bridge's graph node ID
+	parent int32  // number of the switch the uplink leads to; -1 at a root
+	depth  int32
+	domain int32 // broadcast-domain id, from 1
+	// The uplink's two ends: this switch's port and the parent's, with
+	// their speeds.
+	upPort, parentPort   int
+	upSpeed, parentSpeed float64
 }
 
 // Collector is a running Bridge Collector.
@@ -86,15 +102,17 @@ type Collector struct {
 	mu       sync.Mutex
 	switches map[netip.Addr]*switchInfo
 	links    []swLink
-	stations map[collector.MAC]station
-	domainOf map[netip.Addr]int // switch -> broadcast-domain id
-	// parent and depth root a tree in every domain: each non-root
-	// switch's link toward the root (a = the switch, b = its parent) and
-	// its distance from it.
-	parent  map[netip.Addr]swLink
-	depth   map[netip.Addr]int
-	started bool
-	monitor *sim.Timer
+	// The database path queries read, renumbered by every inference:
+	// tree holds the switches in address order, stations the stations in
+	// MAC order. A station's number is its position; stationAt finds it.
+	// The level-2 links are numbered too: station s's attachment is link
+	// s, switch k's uplink is link len(stations)+k.
+	tree      []treeSwitch
+	stations  []station
+	stationAt map[collector.MAC]int32
+	gen       Generation // the numbering's
+	started   bool
+	monitor   *sim.Timer
 
 	// walkRequests counts full FDB walks, for cost accounting in tests.
 	walkRequests int
@@ -109,9 +127,9 @@ func New(cfg Config) *Collector {
 		cfg.Client.Instrument(cfg.Obs)
 	}
 	return &Collector{
-		cfg:      cfg,
-		switches: make(map[netip.Addr]*switchInfo),
-		stations: make(map[collector.MAC]station),
+		cfg:       cfg,
+		switches:  make(map[netip.Addr]*switchInfo),
+		stationAt: make(map[collector.MAC]int32),
 		mWalks: cfg.Obs.Counter("remos_bridge_walks_total",
 			"full bridge FDB walks performed"),
 	}
@@ -250,7 +268,7 @@ func (c *Collector) inferTopologyLocked() error {
 	for mac := range universe {
 		macs = append(macs, mac)
 	}
-	sort.Slice(macs, func(i, j int) bool { return lessMAC(macs[i], macs[j]) })
+	slices.SortFunc(macs, compareMAC)
 	macIdx := make(map[collector.MAC]int, len(macs))
 	for i, m := range macs {
 		macIdx[m] = i
@@ -286,7 +304,7 @@ func (c *Collector) inferTopologyLocked() error {
 	for a := range c.switches {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+	slices.SortFunc(addrs, netip.Addr.Compare)
 
 	c.links = nil
 	linkPorts := make(map[netip.Addr]map[int]bool)
@@ -326,36 +344,45 @@ func (c *Collector) inferTopologyLocked() error {
 	// Broadcast-domain ids: connected components of the inferred switch
 	// topology. The same search roots a tree in each domain (a bridged
 	// Ethernet is one — spanning tree keeps it so) and records every
-	// switch's link toward the root, so a switch-to-switch path is a walk
-	// up two parent chains instead of a search.
-	c.domainOf = make(map[netip.Addr]int)
-	c.parent = make(map[netip.Addr]swLink)
-	c.depth = make(map[netip.Addr]int)
-	domain := 0
-	for _, a := range addrs {
-		if _, seen := c.domainOf[a]; seen {
+	// switch's uplink toward the root, so a switch-to-switch path is a
+	// walk up two parent chains instead of a search. Switches are numbered
+	// in address order.
+	num := make(map[netip.Addr]int32, len(addrs))
+	tree := make([]treeSwitch, len(addrs))
+	for i, a := range addrs {
+		num[a] = int32(i)
+		tree[i] = treeSwitch{addr: a, id: c.switches[a].id, parent: -1}
+	}
+	domain := int32(0)
+	queue := make([]int32, 0, len(addrs))
+	for root := range tree {
+		if tree[root].domain != 0 {
 			continue
 		}
 		domain++
-		queue := []netip.Addr{a}
-		c.domainOf[a] = domain
+		tree[root].domain = domain
+		queue = append(queue[:0], int32(root))
 		for len(queue) > 0 {
-			cur := queue[0]
+			cur := &tree[queue[0]]
 			queue = queue[1:]
 			for _, l := range c.links {
 				up := l // oriented child -> parent (cur)
-				switch cur {
+				switch cur.addr {
 				case l.a:
 					up = l.reversed()
 				case l.b:
 				default:
 					continue
 				}
-				if _, seen := c.domainOf[up.a]; !seen {
-					c.domainOf[up.a] = domain
-					c.parent[up.a] = up
-					c.depth[up.a] = c.depth[cur] + 1
-					queue = append(queue, up.a)
+				k := num[up.a]
+				if child := &tree[k]; child.domain == 0 {
+					*child = treeSwitch{
+						addr: child.addr, id: child.id,
+						parent: num[cur.addr], depth: cur.depth + 1, domain: domain,
+						upPort: up.aPort, upSpeed: c.switches[up.a].speed[up.aPort],
+						parentPort: up.bPort, parentSpeed: c.switches[up.b].speed[up.bPort],
+					}
+					queue = append(queue, k)
 				}
 			}
 		}
@@ -363,9 +390,10 @@ func (c *Collector) inferTopologyLocked() error {
 
 	// Stations: MACs learned on edge ports of the switch that sees them
 	// closest (the unique switch-port pair where the MAC is on a
-	// non-link port).
-	c.stations = make(map[collector.MAC]station)
-	for _, a := range addrs {
+	// non-link port). Should two switches claim one, the higher address
+	// wins.
+	var stations []station
+	for i, a := range addrs {
 		si := c.switches[a]
 		for mac, port := range si.fdb {
 			if bridgeMAC[mac].IsValid() {
@@ -374,9 +402,22 @@ func (c *Collector) inferTopologyLocked() error {
 			if linkPorts[a][port] {
 				continue // learned through another switch
 			}
-			c.stations[mac] = station{mac: mac, id: StationID(mac), sw: a, port: port}
+			stations = append(stations, station{mac: mac, sw: int32(i), port: port, speed: si.speed[port]})
 		}
 	}
+	slices.SortStableFunc(stations, func(x, y station) int { return compareMAC(x.mac, y.mac) })
+	c.stations = stations[:0]
+	c.stationAt = make(map[collector.MAC]int32, len(stations))
+	for i, st := range stations {
+		if i+1 < len(stations) && stations[i+1].mac == st.mac {
+			continue
+		}
+		st.id = StationID(st.mac)
+		c.stationAt[st.mac] = int32(len(c.stations))
+		c.stations = append(c.stations, st)
+	}
+	c.tree = tree
+	c.gen = Generation{seq: c.gen.seq + 1, links: len(c.stations) + len(tree)}
 	return nil
 }
 
@@ -407,11 +448,4 @@ func orSets(a, b []uint64) []uint64 {
 	return out
 }
 
-func lessMAC(a, b collector.MAC) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
+func compareMAC(a, b collector.MAC) int { return bytes.Compare(a[:], b[:]) }

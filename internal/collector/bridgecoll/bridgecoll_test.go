@@ -1,9 +1,11 @@
 package bridgecoll
 
 import (
+	"bytes"
 	"net/netip"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -433,4 +435,94 @@ func TestNoPathAcrossDomains(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no L2 path") {
 		t.Fatalf("path across domains = %v, want a no-L2-path error", err)
 	}
+}
+
+// The Bridge Collector's own answer is a function of its database: two
+// Collect calls encode the same nodes and links in the same order.
+func TestCollectEncodesStably(t *testing.T) {
+	_, _, bc, _ := lan(t)
+	var first []byte
+	for i := 0; i < 20; i++ {
+		res, err := bc.Collect(collector.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Graph.EncodeText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("Collect %d encodes\n%s\nthe first encoded\n%s", i, buf.Bytes(), first)
+		}
+	}
+}
+
+// checkPath fails unless segs is a well-formed level-2 path from station a
+// to station b: consecutive segments meet, both ends are the stations,
+// every segment is polled at a switch port and numbered inside gen.
+func checkPath(t testing.TB, segs []Segment, gen Generation, a, b collector.MAC) {
+	if len(segs) < 2 || segs[0].FromID != StationID(a) || segs[len(segs)-1].ToID != StationID(b) {
+		t.Errorf("path %v-%v has ends %v", a, b, segs)
+		return
+	}
+	for i, s := range segs {
+		if i > 0 && segs[i-1].ToID != s.FromID {
+			t.Errorf("path %v-%v breaks between segments %d and %d: %v", a, b, i-1, i, segs)
+			return
+		}
+		if !s.PollSwitch.IsValid() || s.PollPort == 0 || s.Link < 0 || int(s.Link) >= gen.Links() {
+			t.Errorf("path %v-%v segment %d: %+v (generation of %d links)", a, b, i, s, gen.Links())
+			return
+		}
+	}
+}
+
+// Path queries are answered from the numbered tree while re-walks replace
+// it: readers beside the writer see one whole generation or the next.
+func TestPathsBesideRewalks(t *testing.T) {
+	_, _, bc, d := lan(t)
+	hosts := []collector.MAC{macOf(d["h0"]), macOf(d["h1"]), macOf(d["h2"]), macOf(d["h3"]), macOf(d["h4"]), macOf(d["r"])}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var segs []Segment
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				a, b := hosts[i%len(hosts)], hosts[(i/len(hosts)+i+1)%len(hosts)]
+				if a == b {
+					continue
+				}
+				var gen Generation
+				var err error
+				if segs, gen, err = bc.AppendPath(segs[:0], a, b); err != nil {
+					t.Errorf("path %v-%v: %v", a, b, err)
+					return
+				}
+				checkPath(t, segs, gen, a, b)
+				if _, _, ok := bc.Locate(a); !ok {
+					t.Errorf("%v not located", a)
+				}
+				if dom, ok := bc.Domain(a); !ok || dom == 0 {
+					t.Errorf("%v in domain %d (%v)", a, dom, ok)
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 50; i++ {
+		if err := bc.SearchStations(hosts[:1]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -26,7 +26,22 @@ type Segment struct {
 	// the port's out-octets measure From->To traffic; false means the
 	// polled port is at the To end and its in-octets measure From->To.
 	PollIsFrom bool
+	// Link numbers the level-2 link the segment crosses, from 0 to below
+	// the Links of its Generation. Within one generation two segments
+	// carry the same Link exactly when they join the same two nodes, in
+	// either direction.
+	Link int32
 }
+
+// Generation names one state of the topology database, from one walk of
+// the bridges to the next: the numbering its segments' Links are in.
+type Generation struct {
+	seq   uint64
+	links int
+}
+
+// Links is the number of level-2 links the generation numbers.
+func (g Generation) Links() int { return g.links }
 
 // StationID renders the graph node ID used for a station.
 func StationID(mac collector.MAC) string {
@@ -39,11 +54,11 @@ func StationID(mac collector.MAC) string {
 func (c *Collector) Domain(mac collector.MAC) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.stations[mac]
+	i, ok := c.stationAt[mac]
 	if !ok {
 		return 0, false
 	}
-	return c.domainOf[st.sw], true
+	return int(c.tree[c.stations[i].sw].domain), true
 }
 
 // Locate returns the believed attachment point of a station from the
@@ -51,11 +66,16 @@ func (c *Collector) Domain(mac collector.MAC) (int, bool) {
 func (c *Collector) Locate(mac collector.MAC) (sw netip.Addr, port int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.stations[mac]
+	return c.locateLocked(mac)
+}
+
+func (c *Collector) locateLocked(mac collector.MAC) (netip.Addr, int, bool) {
+	i, ok := c.stationAt[mac]
 	if !ok {
 		return netip.Addr{}, 0, false
 	}
-	return st.sw, st.port, true
+	st := c.stations[i]
+	return c.tree[st.sw].addr, st.port, true
 }
 
 // VerifyLocation checks a station's forwarding entry on the bridge it is
@@ -64,15 +84,13 @@ func (c *Collector) Locate(mac collector.MAC) (sw netip.Addr, port int, ok bool)
 // re-walked and the topology database updated. It reports the (possibly
 // corrected) location.
 func (c *Collector) VerifyLocation(mac collector.MAC) (netip.Addr, int, error) {
-	c.mu.Lock()
-	st, known := c.stations[mac]
-	c.mu.Unlock()
+	sw, port, known := c.Locate(mac)
 	if !known {
 		return c.SearchStation(mac)
 	}
-	v, err := c.cfg.Client.GetOne(context.Background(), st.sw.String(), mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...))
-	if err == nil && int(v.Int) == st.port {
-		return st.sw, st.port, nil // still where we thought
+	v, err := c.cfg.Client.GetOne(context.Background(), sw.String(), mib.Dot1dTpFdbPort.Append(mac.OIDSuffix()...))
+	if err == nil && int(v.Int) == port {
+		return sw, port, nil // still where we thought
 	}
 	return c.SearchStation(mac)
 }
@@ -95,10 +113,14 @@ func (c *Collector) SearchStation(mac collector.MAC) (netip.Addr, int, error) {
 // so a query that found many stations off their believed ports pays for
 // it once. It fails if any of the stations is on no bridge afterwards.
 func (c *Collector) SearchStations(macs []collector.MAC) error {
+	type location struct {
+		sw   netip.Addr // invalid: unknown before
+		port int
+	}
 	c.mu.Lock()
-	old := make([]station, len(macs))
+	old := make([]location, len(macs))
 	for i, mac := range macs {
-		old[i] = c.stations[mac] // zero station (invalid sw) = unknown before
+		old[i].sw, old[i].port, _ = c.locateLocked(mac)
 	}
 	c.mu.Unlock()
 	if err := c.rewalkAll(); err != nil {
@@ -119,13 +141,7 @@ func (c *Collector) SearchStations(macs []collector.MAC) error {
 // monitorOnce verifies the location of every known station, the
 // continuous monitoring Section 3.1.2 requires for mobile nodes.
 func (c *Collector) monitorOnce() {
-	c.mu.Lock()
-	macs := make([]collector.MAC, 0, len(c.stations))
-	for m := range c.stations {
-		macs = append(macs, m)
-	}
-	c.mu.Unlock()
-	for _, m := range macs {
+	for _, m := range c.Stations() {
 		c.VerifyLocation(m) // errors are tolerated; next round retries
 	}
 }
@@ -150,93 +166,99 @@ func (e *noPathError) Error() string {
 // Path returns the level-2 segments between two stations. Both must be in
 // the topology database and in the same broadcast domain.
 func (c *Collector) Path(a, b collector.MAC) ([]Segment, error) {
-	return c.AppendPath(nil, a, b)
+	segs, _, err := c.AppendPath(nil, a, b)
+	return segs, err
 }
 
 // AppendPath is Path appending to segs, for a caller that folds one path
-// after another into a graph and keeps none of them. On error segs comes
-// back as it was.
-func (c *Collector) AppendPath(segs []Segment, a, b collector.MAC) ([]Segment, error) {
+// after another into a graph and keeps none of them. It also reports the
+// generation of the database the path was read from: every re-walk of the
+// bridges starts a new one. On error segs comes back as it was.
+func (c *Collector) AppendPath(segs []Segment, a, b collector.MAC) ([]Segment, Generation, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sa, oka := c.stations[a]
-	sb, okb := c.stations[b]
-	if !oka || !okb || c.domainOf[sa.sw] != c.domainOf[sb.sw] {
-		return segs, &noPathError{a: a, b: b, oka: oka, okb: okb, swA: sa.sw, swB: sb.sw}
+	ia, oka := c.stationAt[a]
+	ib, okb := c.stationAt[b]
+	if !oka || !okb {
+		return segs, c.gen, &noPathError{a: a, b: b, oka: oka, okb: okb}
 	}
-	swA, swB := c.switches[sa.sw], c.switches[sb.sw]
-	segs = slices.Grow(segs, 2+c.depth[sa.sw]+c.depth[sb.sw])
+	sa, sb := &c.stations[ia], &c.stations[ib]
+	if c.tree[sa.sw].domain != c.tree[sb.sw].domain {
+		return segs, c.gen, &noPathError{a: a, b: b, oka: true, okb: true, swA: c.tree[sa.sw].addr, swB: c.tree[sb.sw].addr}
+	}
+	// Up a's parent chain to the switch the two chains share, then down
+	// b's. Both are counted first; b's side is then written back to front
+	// as it is climbed, so every segment points from a toward b.
+	up, down := 0, 0
+	for x, y := sa.sw, sb.sw; x != y; {
+		if c.tree[x].depth >= c.tree[y].depth {
+			x, up = c.tree[x].parent, up+1
+		} else {
+			y, down = c.tree[y].parent, down+1
+		}
+	}
+	segs = slices.Grow(segs, 2+up+down)
+	swA, swB := &c.tree[sa.sw], &c.tree[sb.sw]
 	segs = append(segs, Segment{
 		FromID:     sa.id,
 		ToID:       swA.id,
-		Capacity:   swA.speed[sa.port],
-		PollSwitch: sa.sw,
+		Capacity:   sa.speed,
+		PollSwitch: swA.addr,
 		PollPort:   sa.port,
 		PollIsFrom: false, // polled port is at the To (switch) end
+		Link:       ia,
 	})
-	// Up a's parent chain to the switch the two chains share, then down
-	// b's. Both walks climb; b's links are collected and replayed
-	// reversed so every segment points from a toward b.
-	x, y := sa.sw, sb.sw
-	var downBuf [8]swLink // deeper trees than this spill to the heap
-	down := downBuf[:0]
-	for x != y {
-		if c.depth[x] >= c.depth[y] {
-			l := c.parent[x]
-			segs = append(segs, c.switchSegmentLocked(l))
-			x = l.b
-		} else {
-			l := c.parent[y]
-			down = append(down, l.reversed())
-			y = l.b
-		}
+	uplink := int32(len(c.stations)) // link number of switch 0's uplink
+	for x := sa.sw; up > 0; up-- {
+		sw := &c.tree[x]
+		segs = append(segs, Segment{
+			FromID:     sw.id,
+			ToID:       c.tree[sw.parent].id,
+			Capacity:   sw.upSpeed,
+			PollSwitch: sw.addr,
+			PollPort:   sw.upPort,
+			PollIsFrom: true,
+			Link:       uplink + x,
+		})
+		x = sw.parent
 	}
-	for i := len(down) - 1; i >= 0; i-- {
-		segs = append(segs, c.switchSegmentLocked(down[i]))
+	n := len(segs)
+	segs = segs[:n+down]
+	for y, i := sb.sw, n+down-1; i >= n; i-- {
+		sw := &c.tree[y]
+		p := &c.tree[sw.parent]
+		segs[i] = Segment{
+			FromID:     p.id,
+			ToID:       sw.id,
+			Capacity:   sw.parentSpeed,
+			PollSwitch: p.addr,
+			PollPort:   sw.parentPort,
+			PollIsFrom: true,
+			Link:       uplink + y,
+		}
+		y = sw.parent
 	}
 	segs = append(segs, Segment{
 		FromID:     swB.id,
 		ToID:       sb.id,
-		Capacity:   swB.speed[sb.port],
-		PollSwitch: sb.sw,
+		Capacity:   sb.speed,
+		PollSwitch: swB.addr,
 		PollPort:   sb.port,
 		PollIsFrom: true, // polled port is at the From (switch) end
+		Link:       ib,
 	})
-	return segs, nil
-}
-
-// switchSegmentLocked renders one switch-to-switch hop, polled at the port
-// it leaves through.
-func (c *Collector) switchSegmentLocked(l swLink) Segment {
-	from := c.switches[l.a]
-	return Segment{
-		FromID:     from.id,
-		ToID:       c.switches[l.b].id,
-		Capacity:   from.speed[l.aPort],
-		PollSwitch: l.a,
-		PollPort:   l.aPort,
-		PollIsFrom: true,
-	}
+	return segs, c.gen, nil
 }
 
 // Stations lists the known station MACs in stable order.
 func (c *Collector) Stations() []collector.MAC {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]collector.MAC, 0, len(c.stations))
-	for m := range c.stations {
-		out = append(out, m)
+	out := make([]collector.MAC, len(c.stations))
+	for i, st := range c.stations {
+		out[i] = st.mac
 	}
-	sortMACs(out)
 	return out
-}
-
-func sortMACs(ms []collector.MAC) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && lessMAC(ms[j], ms[j-1]); j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
-		}
-	}
 }
 
 // SwitchLinks returns the number of inferred switch-to-switch links.
@@ -269,10 +291,7 @@ func (c *Collector) Graph() *topology.Graph {
 	}
 	for _, st := range c.stations {
 		g.AddNode(topology.Node{ID: st.id, Kind: topology.HostNode})
-		g.AddLink(topology.Link{
-			From: st.id, To: st.sw.String(),
-			Capacity: c.switches[st.sw].speed[st.port],
-		})
+		g.AddLink(topology.Link{From: st.id, To: c.tree[st.sw].id, Capacity: st.speed})
 	}
 	for _, l := range c.links {
 		g.AddLink(topology.Link{

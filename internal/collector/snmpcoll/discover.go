@@ -2,6 +2,7 @@ package snmpcoll
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -110,7 +111,8 @@ type build struct {
 	g   *topology.Graph
 
 	hosts    []netip.Addr              // the distinct queried hosts, in query order
-	ids      map[netip.Addr]string     // their node IDs
+	ids      []string                  // their node IDs
+	pos      map[netip.Addr]int32      // their positions in hosts
 	gateways map[netip.Addr]netip.Addr // their configured first-hop routers (invalid: none)
 	macs     map[netip.Addr]collector.MAC
 
@@ -122,9 +124,12 @@ type build struct {
 	segs   []bridgecoll.Segment // l2Path's scratch
 	chains []chain              // the distinct router chains walked, see routerChain
 	hops   []netip.Addr         // their addresses, and routerChain's scratch past them
+	routes []route              // routerChain's memo: which chain a destination takes
 
-	linkPolls []pollReg        // by graph link number: each link's poll registration
-	connected map[pairKey]bool // node-ID pairs already joined (possibly multi-hop)
+	linkPolls []pollReg             // by graph link number: each link's poll registration
+	joined    map[join]struct{}     // hosts attached to routers, routers joined to routers
+	l2gen     bridgecoll.Generation // the bridge database generation l2links belong to
+	l2links   []int32               // by bridge link number: 1 + the graph link it was folded into
 }
 
 // chain is one distinct router chain a query walked, and how far the
@@ -136,14 +141,31 @@ type chain struct {
 	lastSrc netip.Addr   // the source last attached to its first router
 }
 
-// pairKey names an unordered pair of node IDs.
-type pairKey [2]string
+// route remembers the chain a walk from start toward dst took. Every
+// router on it chose its route by longest-prefix match over prefixes no
+// longer than bits, so any IPv4 destination equal to dst in its first bits
+// bits matches the same route at every hop and takes the same chain.
+type route struct {
+	start, dst uint32 // IPv4 addresses, big-endian
+	bits       int32
+	chain      int32 // index into build.chains
+}
 
-func pairOf(a, b string) pairKey {
-	if a > b {
-		a, b = b, a
+// ip4 returns an IPv4 address as a number.
+func ip4(a netip.Addr) (uint32, bool) {
+	if !a.Is4() {
+		return 0, false
 	}
-	return pairKey{a, b}
+	a4 := a.As4()
+	return binary.BigEndian.Uint32(a4[:]), true
+}
+
+// join names one connection the query made: the queried host at position
+// host attached to router a, or (host -1) routers a and b joined, a the
+// lower-addressed.
+type join struct {
+	host int32
+	a, b *routerInfo
 }
 
 type pollReg struct {
@@ -163,7 +185,8 @@ func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *bu
 		cl:        cl,
 		g:         topology.NewGraphSized(2*hosts, 2*hosts),
 		hosts:     make([]netip.Addr, 0, hosts),
-		ids:       make(map[netip.Addr]string, hosts),
+		ids:       make([]string, 0, hosts),
+		pos:       make(map[netip.Addr]int32, hosts),
 		gateways:  make(map[netip.Addr]netip.Addr, hosts),
 		macs:      make(map[netip.Addr]collector.MAC, hosts),
 		routers:   make(map[netip.Addr]*routerInfo),
@@ -171,8 +194,9 @@ func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *bu
 		fresh:     make(map[*routerInfo]bool),
 		chains:    make([]chain, 0, hosts/2),
 		hops:      make([]netip.Addr, 0, 2*hosts),
+		routes:    make([]route, 0, hosts/2),
 		linkPolls: make([]pollReg, 0, 2*hosts),
-		connected: make(map[pairKey]bool, hosts),
+		joined:    make(map[join]struct{}, hosts),
 	}
 }
 
@@ -193,7 +217,7 @@ func (b *build) discover(hosts []netip.Addr) error {
 		}
 		return b.connect(hosts)
 	}
-	var unresolved []netip.Addr
+	unresolved := make([]netip.Addr, 0, len(b.hosts))
 	for _, h := range b.hosts {
 		if _, ok := b.cachedMAC(h); !ok {
 			unresolved = append(unresolved, h)
@@ -209,13 +233,13 @@ func (b *build) discover(hosts []netip.Addr) error {
 
 // addHost places a queried host in the graph.
 func (b *build) addHost(h netip.Addr) {
-	if _, dup := b.ids[h]; dup {
+	if _, dup := b.pos[h]; dup {
 		return
 	}
 	id := h.String()
-	b.ids[h] = id
+	b.pos[h] = int32(len(b.hosts))
+	b.hosts, b.ids = append(b.hosts, h), append(b.ids, id)
 	b.gateways[h], _ = b.c.cfg.GatewayOf(h)
-	b.hosts = append(b.hosts, h)
 	b.g.AddNode(topology.Node{ID: id, Kind: topology.HostNode, Addr: id})
 }
 
@@ -539,47 +563,53 @@ func (b *build) verifyLocations() error {
 // over all pairs.
 func (b *build) connect(hosts []netip.Addr) error {
 	n := len(hosts)
-	domain := make([]int, n) // 0: none
-	gateway := make([]netip.Addr, n)
+	// What connect knows of each host. domain 0 is none; lastRouter is the
+	// router the host was last attached to as a destination.
+	type place struct {
+		domain                      int32
+		firstOfDomain, firstOfGroup bool
+		routedLater                 bool // some later host is outside this one's domain
+		lastRouter                  *routerInfo
+	}
 	type group struct {
-		domain  int
+		domain  int32
 		gateway netip.Addr
 	}
-	domainSeen := make(map[int]bool)
-	groupSeen := make(map[group]bool)
-	firstOfDomain := make([]bool, n)
-	firstOfGroup := make([]bool, n)
+	at := make([]place, n)
+	// A query meets few domains and gateways: they are remembered in
+	// lists, searched linearly.
+	var domainBuf [8]int32
+	var groupBuf [8]group
+	domains, groups := domainBuf[:0], groupBuf[:0]
 	for i, h := range hosts {
+		p := &at[i]
 		if mac, ok := b.macs[h]; ok && b.c.cfg.Bridge != nil {
-			domain[i], _ = b.c.cfg.Bridge.Domain(mac)
+			d, _ := b.c.cfg.Bridge.Domain(mac)
+			p.domain = int32(d)
 		}
-		gateway[i] = b.gateways[h]
-		if d := domain[i]; d != 0 && !domainSeen[d] {
-			domainSeen[d], firstOfDomain[i] = true, true
+		if d := p.domain; d != 0 && !slices.Contains(domains, d) {
+			domains, p.firstOfDomain = append(domains, d), true
 		}
-		if g := (group{domain[i], gateway[i]}); !groupSeen[g] {
-			groupSeen[g], firstOfGroup[i] = true, true
+		if g := (group{p.domain, b.gateways[h]}); !slices.Contains(groups, g) {
+			groups, p.firstOfGroup = append(groups, g), true
 		}
 	}
-	sameDomain := func(i, j int) bool { return domain[i] != 0 && domain[i] == domain[j] }
-	// routedLater[i]: some later host is outside host i's domain. after is
-	// the common domain of the hosts behind i: -1 none yet, 0 several (or
-	// a host without one).
-	routedLater := make([]bool, n)
-	for i, after := n-1, -1; i >= 0; i-- {
-		routedLater[i] = after != -1 && (after == 0 || after != domain[i])
+	sameDomain := func(i, j int) bool { return at[i].domain != 0 && at[i].domain == at[j].domain }
+	// after is the common domain of the hosts behind i: -1 none yet, 0
+	// several (or a host without one).
+	for i, after := n-1, int32(-1); i >= 0; i-- {
+		d := at[i].domain
+		at[i].routedLater = after != -1 && (after == 0 || after != d)
 		if after == -1 {
-			after = domain[i]
-		} else if after != domain[i] {
+			after = d
+		} else if after != d {
 			after = 0
 		}
 	}
 
-	// lastRouter[j]: the router host j was last attached to as a destination.
-	lastRouter := make([]*routerInfo, n)
 	for i, src := range hosts {
-		if !firstOfGroup[i] {
-			if routedLater[i] {
+		if !at[i].firstOfGroup {
+			if at[i].routedLater {
 				if err := b.attachToGateway(src); err != nil {
 					return fmt.Errorf("snmpcoll: attaching %v: %w", src, err)
 				}
@@ -589,19 +619,19 @@ func (b *build) connect(hosts []netip.Addr) error {
 		for j := i + 1; j < n; j++ {
 			dst := hosts[j]
 			if sameDomain(i, j) {
-				if !firstOfDomain[i] {
+				if !at[i].firstOfDomain {
 					continue
 				}
 				segs, err := b.l2Path(b.macs[src], b.macs[dst])
 				if err == nil {
-					if err := b.addL2Segments(segs, b.ids[src], b.ids[dst]); err != nil {
+					if err := b.addL2Segments(segs, b.ids[b.pos[src]], b.ids[b.pos[dst]]); err != nil {
 						return err
 					}
 					continue
 				}
 				// The bridge database changed under the query: route.
 			}
-			if err := b.addRoutedPath(src, dst, &lastRouter[j]); err != nil {
+			if err := b.addRoutedPath(src, dst, &at[j].lastRouter); err != nil {
 				return fmt.Errorf("snmpcoll: path %v-%v: %w", src, dst, err)
 			}
 		}
@@ -660,16 +690,17 @@ func (b *build) addRoutedPath(src, dst netip.Addr, dstAt **routerInfo) error {
 }
 
 // ensureLink adds a link once per unordered pair, remembering its poll
-// point under the link's number.
-func (b *build) ensureLink(l topology.Link, reg pollReg) error {
+// point under the link's number. It returns that number, or -1 when the
+// graph already joined the pair.
+func (b *build) ensureLink(l topology.Link, reg pollReg) (int, error) {
 	if b.g.FindLink(l.From, l.To) != nil {
-		return nil
+		return -1, nil
 	}
 	if _, err := b.g.AddLink(l); err != nil {
-		return err
+		return 0, err
 	}
 	b.linkPolls = append(b.linkPolls, reg)
-	return nil
+	return len(b.linkPolls) - 1, nil
 }
 
 // routerChain follows routes hop-to-hop from the start router toward dst
@@ -677,10 +708,22 @@ func (b *build) ensureLink(l topology.Link, reg pollReg) error {
 // valid until the next call. The host pairs of a query walk few distinct
 // chains (one per pair of gateways), so each is stored once and shared by
 // every (start, dst) it serves, and so is what has been joined through it.
+// A chain is walked once per start and destination prefix: see route.
 func (b *build) routerChain(start, dst netip.Addr) (*chain, error) {
+	from, okFrom := ip4(start)
+	to, okTo := ip4(dst)
+	memo := okFrom && okTo
+	if memo {
+		for _, r := range b.routes {
+			if r.start == from && (r.dst^to)>>(32-r.bits) == 0 {
+				return &b.chains[r.chain], nil
+			}
+		}
+	}
 	base := len(b.hops)
 	walked := b.hops // the walk goes past the stored chains, kept if new
 	var ri *routerInfo
+	bits := int32(0)
 	for cur := start; ; {
 		if len(walked)-base > 32 {
 			return nil, fmt.Errorf("route loop toward %v", dst)
@@ -690,6 +733,7 @@ func (b *build) routerChain(start, dst netip.Addr) (*chain, error) {
 		if ri, err = b.useRouter(cur); err != nil {
 			return nil, err
 		}
+		bits = max(bits, int32(ri.longest))
 		e, ok := ri.lpm(dst)
 		if !ok {
 			return nil, fmt.Errorf("router %v has no route to %v", cur, dst)
@@ -700,15 +744,18 @@ func (b *build) routerChain(start, dst netip.Addr) (*chain, error) {
 		cur = e.nextHop
 	}
 	addrs := walked[base:len(walked):len(walked)]
-	for i := range b.chains {
-		if slices.Equal(b.chains[i].addrs, addrs) {
-			b.hops = walked[:base]
-			return &b.chains[i], nil
-		}
+	i := slices.IndexFunc(b.chains, func(ch chain) bool { return slices.Equal(ch.addrs, addrs) })
+	if i >= 0 {
+		b.hops = walked[:base]
+	} else {
+		i = len(b.chains)
+		b.hops = walked
+		b.chains = append(b.chains, chain{addrs: addrs, last: ri})
 	}
-	b.hops = walked
-	b.chains = append(b.chains, chain{addrs: addrs, last: ri})
-	return &b.chains[len(b.chains)-1], nil
+	if memo {
+		b.routes = append(b.routes, route{start: from, dst: to, bits: bits, chain: int32(i)})
+	}
+	return &b.chains[i], nil
 }
 
 // useRouter ensures the router at addr is loaded, validated and in the
@@ -735,12 +782,12 @@ func (b *build) useRouter(addr netip.Addr) (*routerInfo, error) {
 // shared Ethernets and segments the collector cannot see inside.
 func (b *build) attachHostToRouter(h, r netip.Addr) error {
 	ri := b.routers[r]
-	hostID, rtrID := b.ids[h], ri.nodeID()
-	joined := pairOf(hostID, rtrID)
-	if b.connected[joined] {
+	n := b.pos[h]
+	if _, done := b.joined[join{host: n, a: ri}]; done {
 		return nil
 	}
-	b.connected[joined] = true
+	b.joined[join{host: n, a: ri}] = struct{}{}
+	hostID, rtrID := b.ids[n], ri.nodeID()
 	e, routed := ri.lpm(h)
 	if b.c.cfg.Bridge != nil && routed {
 		mh, okH := b.macs[h]
@@ -761,7 +808,7 @@ func (b *build) attachHostToRouter(h, r netip.Addr) error {
 	if b.g.Node(vID) == nil {
 		b.g.AddNode(topology.Node{ID: vID, Kind: topology.VirtualNode})
 	}
-	if err := b.ensureLink(topology.Link{From: hostID, To: vID, Capacity: speed}, pollReg{}); err != nil {
+	if _, err := b.ensureLink(topology.Link{From: hostID, To: vID, Capacity: speed}, pollReg{}); err != nil {
 		return err
 	}
 	// Router side of the virtual switch is pollable on the router.
@@ -769,21 +816,29 @@ func (b *build) attachHostToRouter(h, r netip.Addr) error {
 	if routed {
 		reg = pollReg{agent: r, ifIndex: e.ifIndex, from: rtrID, to: vID, outIsFromTo: true}
 	}
-	return b.ensureLink(topology.Link{From: rtrID, To: vID, Capacity: speed}, reg)
+	_, err := b.ensureLink(topology.Link{From: rtrID, To: vID, Capacity: speed}, reg)
+	return err
 }
 
 // l2Path asks the Bridge Collector for the level-2 path between two
 // stations. The segments live in the build's scratch until the next call:
-// addL2Segments folds them into the graph right away.
+// addL2Segments folds them into the graph right away. A path from a new
+// generation of the bridge database drops the marks of the last one: the
+// link numbers they are kept under have changed.
 func (b *build) l2Path(from, to collector.MAC) ([]bridgecoll.Segment, error) {
-	segs, err := b.c.cfg.Bridge.AppendPath(b.segs[:0], from, to)
+	segs, gen, err := b.c.cfg.Bridge.AppendPath(b.segs[:0], from, to)
 	b.segs = segs[:0]
+	if gen != b.l2gen {
+		b.l2gen = gen
+		b.l2links = make([]int32, gen.Links())
+	}
 	return segs, err
 }
 
 // addL2Segments folds Bridge Collector path segments into the graph,
 // renaming the station endpoints to the given IDs and registering each
-// segment's poll point.
+// segment's poll point. A bridge link is folded in once: a segment whose
+// link is already in the graph between the same two nodes is passed by.
 func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) error {
 	for i, s := range segs {
 		f, t := s.FromID, s.ToID
@@ -792,6 +847,11 @@ func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) er
 		}
 		if i == len(segs)-1 {
 			t = toID
+		}
+		if n := b.l2links[s.Link]; n != 0 {
+			if l := b.g.Links()[n-1]; l.From == f && l.To == t || l.From == t && l.To == f {
+				continue
+			}
 		}
 		// Interior IDs are switch management addresses: add nodes.
 		for _, id := range [2]string{f, t} {
@@ -808,8 +868,12 @@ func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) er
 			// octets measure From->To.
 			outIsFromTo: s.PollIsFrom,
 		}
-		if err := b.ensureLink(topology.Link{From: f, To: t, Capacity: s.Capacity}, reg); err != nil {
+		l, err := b.ensureLink(topology.Link{From: f, To: t, Capacity: s.Capacity}, reg)
+		if err != nil {
 			return err
+		}
+		if l >= 0 {
+			b.l2links[s.Link] = int32(l + 1)
 		}
 	}
 	return nil
@@ -822,16 +886,19 @@ func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) er
 // speed gives the capacity and the egress interface is the poll point.
 func (b *build) addRouterHop(a, bAddr netip.Addr, dst netip.Addr) error {
 	riA, riB := b.routers[a], b.routers[bAddr]
-	aID, bID := riA.nodeID(), riB.nodeID()
-	joined := pairOf(aID, bID)
-	if b.connected[joined] {
+	key := join{host: -1, a: riA, b: riB}
+	if riB.addr.Less(riA.addr) {
+		key.a, key.b = riB, riA
+	}
+	if _, done := b.joined[key]; done {
 		return nil
 	}
 	e, ok := riA.lpm(dst)
 	if !ok {
 		return fmt.Errorf("router %v lost its route to %v", a, dst)
 	}
-	b.connected[joined] = true
+	b.joined[key] = struct{}{}
+	aID, bID := riA.nodeID(), riB.nodeID()
 	if b.c.cfg.Bridge != nil {
 		ma, okA := riA.macByIf[e.ifIndex]
 		mb, okB := b.nextHopMAC(a, riA, e.ifIndex, bAddr)
@@ -842,7 +909,8 @@ func (b *build) addRouterHop(a, bAddr netip.Addr, dst netip.Addr) error {
 		}
 	}
 	reg := pollReg{agent: a, ifIndex: e.ifIndex, from: aID, to: bID, outIsFromTo: true}
-	return b.ensureLink(topology.Link{From: aID, To: bID, Capacity: riA.ifSpeed[e.ifIndex]}, reg)
+	_, err := b.ensureLink(topology.Link{From: aID, To: bID, Capacity: riA.ifSpeed[e.ifIndex]}, reg)
+	return err
 }
 
 // nextHopMAC resolves the MAC of target, a next hop of the router at via

@@ -18,7 +18,7 @@ import (
 // own one-varbind Gets — as the reference the differential tests compare
 // the phased discovery against. Only the walk is kept: it joins every
 // pair in full, with no memory of which chains or hosts an earlier pair
-// joined, but each join — a router chain walked, a host attached, a hop
+// joined (nor of which chain a destination took), but each join — a router chain walked, a host attached, a hop
 // added, a level-2 path folded in, a poll point registered — is made by
 // the same helpers production uses, so the two can differ only in which
 // joins they make and in which order.
@@ -149,7 +149,7 @@ func (w *referenceWalk) addPath(src, dst netip.Addr) error {
 			if okDS && okDD && dS == dD && w.l2Attached[src] && w.l2Attached[dst] {
 				return nil
 			}
-			if segs, err := b.c.cfg.Bridge.Path(ms, md); err == nil {
+			if segs, err := b.l2Path(ms, md); err == nil {
 				if err := b.addL2Segments(segs, src.String(), dst.String()); err != nil {
 					return err
 				}
@@ -172,6 +172,7 @@ func (w *referenceWalk) addRoutedPath(src, dst netip.Addr) error {
 	if !gw.IsValid() {
 		return fmt.Errorf("no gateway configured for %v", src)
 	}
+	b.routes = b.routes[:0] // every chain walked hop by hop, none taken from the memo
 	ch, err := b.routerChain(gw, dst)
 	if err != nil {
 		return err

@@ -93,6 +93,9 @@ type routerInfo struct {
 	sysName string
 	upTime  atomic.Uint32 // ticks at cache fill/validation, for reboot detection
 	routes  []routeEntry
+	// longest is the longest prefix length in routes: destinations equal
+	// in their first longest bits take the same route here.
+	longest int
 	// ifNumber is the interface count the router reported; with the
 	// route count it sizes the walk that refreshes this view.
 	ifNumber int
@@ -365,6 +368,9 @@ func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip
 		})
 	if err != nil {
 		return nil, err
+	}
+	for _, e := range ri.routes {
+		ri.longest = max(ri.longest, e.prefix.Bits())
 	}
 	ri.sysName = string(scalars[0].Bytes)
 	ri.upTime.Store(uint32(scalars[1].Int))
