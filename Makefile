@@ -65,6 +65,7 @@ verify: vet lint build test race
 # target is missing from it.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/snmp/
+	$(GO) test -run xxx -fuzz FuzzAgentHandleBytes -fuzztime 10s ./internal/snmp/
 	$(GO) test -run xxx -fuzz FuzzServeCommands -fuzztime 10s ./internal/directory/
 	$(GO) test -run xxx -fuzz FuzzReplicationMessages -fuzztime 10s ./internal/directory/
 	$(GO) test -run xxx -fuzz FuzzDecodeText -fuzztime 10s ./internal/topology/
@@ -120,16 +121,17 @@ bench-concurrency:
 		-benchmem -cpu 1,4,8 ./ ./internal/collector/qcache/
 
 # The cold-path exhibits: device-batched polling vs. per-interface
-# exchanges, the BER codec, one whole exchange against a device layout (the
-# poller's 24-varbind Get and a 7-column walk step) and a GetNext walk of
-# it, the ASCII graph codec on a cold reply graph, one 32-host query on
+# exchanges, the BER codec, one whole exchange against a device layout (a
+# baseline read's 2-varbind Get, the poller's 24-varbind Get and a 7-column
+# walk step), a GetNext walk of it and the per-epoch build of a router's
+# and an edge switch's layout, the ASCII graph codec on a cold reply graph, one 32-host query on
 # the 256-host campus collected cold (every cache dropped) and warm, and
 # the Bridge Collector's level-2 path of every in-wing host pair of that
 # campus, all with allocation counts. CI runs it with a short fixed BENCH_SNMP_TIME so
 # the cold-path pins cannot rot unbuilt.
 BENCH_SNMP_TIME ?= 1s
 bench-snmp:
-	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|GraphTextCodec|CampusCollect|CampusL2Paths' -benchmem \
+	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|DeviceViewBuild|GraphTextCodec|CampusCollect|CampusL2Paths' -benchmem \
 		-benchtime $(BENCH_SNMP_TIME) ./internal/collector/snmpcoll/ ./internal/collector/bridgecoll/ ./internal/snmp/ ./internal/mib/ ./internal/topology/
 
 # The snapshot-backed flow query: the Modeler's 8-flow queries over one

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"remos/internal/mib"
 	"remos/internal/netsim"
 	"remos/internal/snmp"
+	"remos/internal/topology"
 )
 
 // The campus tests run the phased discovery on the Fig 3 substrate
@@ -151,6 +153,109 @@ func TestCampusDiscoveryIndependentOfParallelism(t *testing.T) {
 			t.Fatalf("run %d (Parallelism 8) encodes differently from Parallelism 1:\n%s\nvs\n%s", i+1, text, texts[0])
 		}
 	}
+}
+
+// The counters' ground truth: after a cold 32-host query and two poll
+// intervals, every link direction of the warm answer carries the load the
+// emulator routes over that direction, within 1 %. Graph nodes are mapped
+// to the emulator's devices by the IDs the collectors give them — hosts by
+// address, routers by sysName, switches by management address — so a
+// counter read under the wrong name, or applied to the wrong direction,
+// shows as a link carrying another link's load.
+func TestCampusCountersMatchTheEmulator(t *testing.T) {
+	camp := buildCampus(t, 256)
+	var hosts []netip.Addr
+	queried := map[int]bool{}
+	ask := func(i int) {
+		if !queried[i] && len(hosts) < 32 {
+			queried[i] = true
+			hosts = append(hosts, camp.Hosts[i].Addr())
+		}
+	}
+	// The flows of TestCampusDiscoveryMatchesPairwiseWalk, their ends
+	// among the queried hosts.
+	for _, pair := range [][2]int{{0, 1}, {2, 7}, {4, 8}, {5, 64}} {
+		if _, err := camp.Net.StartFlow(camp.Hosts[pair[0]], camp.Hosts[pair[1]], netsim.FlowSpec{Demand: 3e6}); err != nil {
+			t.Fatal(err)
+		}
+		ask(pair[0])
+		ask(pair[1])
+	}
+	for _, i := range rand.New(rand.NewSource(3)).Perm(len(camp.Hosts)) {
+		ask(i)
+	}
+	c := campusTwin(t, camp, nil)
+	q := collector.Query{Hosts: hosts}
+	if _, err := c.Collect(q); err != nil {
+		t.Fatalf("cold query: %v", err)
+	}
+	camp.Sim.RunFor(11 * time.Second)
+	res, err := c.Collect(q)
+	if err != nil {
+		t.Fatalf("warm query: %v", err)
+	}
+
+	switches := map[string]*netsim.Device{}
+	for _, d := range camp.Net.Devices() {
+		if d.Kind == netsim.Switch {
+			switches[d.ManagementAddr().String()] = d
+		}
+	}
+	device := map[string]*netsim.Device{}
+	for _, n := range res.Graph.Nodes() {
+		var d *netsim.Device
+		switch n.Kind {
+		case topology.HostNode:
+			d = camp.Net.DeviceByIP(netip.MustParseAddr(n.Addr))
+		case topology.RouterNode:
+			d = camp.Net.Device(n.ID)
+		case topology.SwitchNode:
+			d = switches[n.ID]
+		}
+		if d == nil {
+			t.Fatalf("node %s (%v) names no device", n.ID, n.Kind)
+		}
+		device[n.ID] = d
+	}
+	type ends [2]*netsim.Device
+	between := map[ends][]*netsim.Link{}
+	for _, l := range camp.Net.Links() {
+		a, b := l.A.Dev, l.B.Dev
+		between[ends{a, b}] = append(between[ends{a, b}], l)
+		between[ends{b, a}] = append(between[ends{b, a}], l)
+	}
+	loaded, lopsided := 0, 0
+	for _, l := range res.Graph.Links() {
+		from, to := device[l.From], device[l.To]
+		emu := between[ends{from, to}]
+		if len(emu) != 1 {
+			t.Fatalf("link %s-%s: %d emulator links join %s and %s", l.From, l.To, len(emu), from.Name, to.Name)
+		}
+		fwd, rev := camp.Net.LinkRate(emu[0])
+		if emu[0].A.Dev != from {
+			fwd, rev = rev, fwd
+		}
+		for _, dir := range []struct {
+			name      string
+			got, want float64
+		}{{l.From + "->" + l.To, l.UtilFromTo, fwd}, {l.To + "->" + l.From, l.UtilToFrom, rev}} {
+			if math.Abs(dir.got-dir.want) > 0.01*dir.want {
+				t.Errorf("%s carries %g b/s, the emulator routes %g b/s over it", dir.name, dir.got, dir.want)
+			}
+			if dir.want > 0 {
+				loaded++
+			}
+		}
+		if fwd != rev {
+			lopsided++
+		}
+	}
+	// The check must have had something to hold: loaded directions, and
+	// links whose two directions differ, so that in and out cannot trade.
+	if loaded < 16 || lopsided < 8 {
+		t.Fatalf("%d loaded link directions, %d links loaded one way more than the other", loaded, lopsided)
+	}
+	t.Logf("%d links: %d directions loaded, %d links loaded one way more", len(res.Graph.Links()), loaded, lopsided)
 }
 
 // campusReply renders a reply the way the pins compare it: the graph's

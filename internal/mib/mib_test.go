@@ -2,6 +2,7 @@ package mib
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -315,6 +316,38 @@ func BenchmarkDeviceViewNext(b *testing.B) {
 			}
 			cur = next
 		}
+	}
+}
+
+// BenchmarkDeviceViewBuild lays out one wing of the Fig. 3 campus — a
+// gateway router behind a core switch, an aggregation switch and four edge
+// switches of 16 hosts — from its router and from one edge switch: the
+// per-epoch build every host move makes each agent pay, name and fixed
+// value encoding included.
+func BenchmarkDeviceViewBuild(b *testing.B) {
+	n := netsim.New(sim.NewSim())
+	gw := n.AddRouter("gw0")
+	n.Connect(gw, n.AddSwitch("core-sw"), 1e9, time.Millisecond)
+	agg := n.AddSwitch("agg0")
+	n.Connect(agg, gw, 1e9, time.Millisecond)
+	var edge *netsim.Device
+	for e := 0; e < 4; e++ {
+		edge = n.AddSwitch(fmt.Sprintf("edge0-%d", e))
+		n.Connect(edge, agg, 1e9, time.Millisecond)
+		for h := 0; h < 16; h++ {
+			n.Connect(n.AddHost(fmt.Sprintf("h0-%d", 16*e+h)), edge, 100e6, time.Millisecond)
+		}
+	}
+	n.AssignSubnets()
+	n.ComputeRoutes()
+	for _, dev := range []*netsim.Device{gw, edge} {
+		view := NewDeviceView(n, dev)
+		b.Run(dev.Kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				view.build()
+			}
+		})
 	}
 }
 

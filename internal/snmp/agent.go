@@ -35,71 +35,120 @@ const maxPresize = 4096
 // is written, never built and dropped by the socket.
 const maxDatagram = 65507
 
+// row is one varbind of a response, as the bytes it is written with: a
+// name body and a value TLV. Both alias what they were read from — the
+// table's layout, the request, or the scratch's live values.
+type row struct{ name, value []byte }
+
+// size is the row's varbind TLV size.
+func (r *row) size() int { return sizeTLV(sizeTLV(len(r.name)) + len(r.value)) }
+
+// The exception values a response row may carry.
+var (
+	noSuchObjectTLV = []byte{tagNoSuchObject, 0}
+	endOfMibViewTLV = []byte{tagEndOfMibView, 0}
+)
+
 // agentScratch is everything one HandleBytes needs and nothing outlives:
-// the decoded request and its arenas, the response, and the GetBulk walk
-// state. The response's names alias the request's arena and the table's
-// own OIDs; it is marshalled before the scratch goes back to the pool.
+// the request, decoded with its names kept as bytes, the response rows and
+// the live values they carry, and the GetBulk walk state. The rows alias
+// the request, the table and vals; they are written out before the scratch
+// goes back to the pool.
 type agentScratch struct {
 	dec  decoder
-	resp Message
-	pos  []int // per repeater: the table position of its next row
-	last []OID // per repeater: the name its previous row answered with
+	rows []row
+	vals []byte   // the live values of this response, encoded
+	pos  []int    // per repeater: the table position of its next row
+	last [][]byte // per repeater: the name its previous row answered with
 
-	// How a GetBulk response is laid out, for fit: the varbinds answering
+	// How a GetBulk response is laid out, for fit: the rows answering
 	// non-repeaters, then rows of width varbinds. width is 0 otherwise.
 	nonRep, width int
 }
 
-var agentPool = sync.Pool{New: func() any { return new(agentScratch) }}
+var agentPool = sync.Pool{New: func() any { return &agentScratch{dec: decoder{raw: true}} }}
 
-// Handle processes one request message and produces the response message,
-// or nil if the request must be silently dropped (community mismatch, as
-// real agents do). The response's names are the request's own and the
-// view's, not copies.
-func (a *Agent) Handle(req *Message) *Message {
-	if req.Community != a.Community {
-		return nil // drop, like an agent with a wrong community
+// encode encodes v into the scratch's live values and returns its TLV;
+// false when v cannot be encoded.
+func (sc *agentScratch) encode(v Value) ([]byte, bool) {
+	if _, err := sizeValue(v); err != nil {
+		return nil, false
 	}
-	var sc agentScratch
-	a.respond(&req.PDU, &sc)
-	resp := sc.resp
-	resp.Community = req.Community
-	return &resp
+	start := len(sc.vals)
+	sc.vals = appendValue(sc.vals, v)
+	return sc.vals[start:len(sc.vals):len(sc.vals)], true
 }
 
-// next answers one GetNext step: the table's successor of name, or name
-// itself with endOfMibView.
-func next(t *Table, name OID) VarBind {
-	if i := t.Seek(name); i < t.Len() {
-		o, v := t.At(i)
-		return VarBind{Name: o, Value: v}
+// value returns the TLV of binding i's value: the layout's own bytes, or
+// its live value encoded now.
+func (sc *agentScratch) value(t *Table, i int) ([]byte, bool) {
+	if v := t.fixed(i); len(v) > 0 {
+		return v, true
 	}
-	return VarBind{Name: name, Value: EndOfMibView}
+	return sc.encode(t.binds[i].value())
 }
 
-// respond answers req into sc.resp.PDU from one table, reusing the
-// capacity sc holds.
-func (a *Agent) respond(req *PDU, sc *agentScratch) {
+// at returns the row of binding i; false when it cannot be encoded.
+func (sc *agentScratch) at(t *Table, i int) (row, bool) {
+	name := t.name(i)
+	if len(name) == 0 {
+		return row{}, false
+	}
+	v, ok := sc.value(t, i)
+	return row{name, v}, ok
+}
+
+// seek returns the position of the table's successor of an encoded
+// request name, which the decoder has validated. The name is decoded past
+// the end of the decoder's OID arena, and dropped once sought.
+func (sc *agentScratch) seek(t *Table, name []byte) int {
+	d := &sc.dec
+	start := len(d.oids)
+	d.oids, _ = appendOIDSubs(d.oids, name)
+	i := t.Seek(d.oids[start:])
+	d.oids = d.oids[:start]
+	return i
+}
+
+// next returns the row answering one GetNext step: the table's successor
+// of name, or name itself with endOfMibView.
+func (sc *agentScratch) next(t *Table, name []byte) (row, bool) {
+	if i := sc.seek(t, name); i < t.Len() {
+		return sc.at(t, i)
+	}
+	return row{name, endOfMibViewTLV}, true
+}
+
+// respond answers the decoded request into sc.rows from one table, reusing
+// the capacity sc holds, and returns the response's error status; false
+// when a row cannot be encoded, which drops the request.
+func (a *Agent) respond(sc *agentScratch) (status int, ok bool) {
 	t := a.View.Table()
-	resp := &sc.resp.PDU
-	*resp = PDU{Type: GetResponse, RequestID: req.RequestID, VarBinds: resp.VarBinds[:0]}
+	req := &sc.dec.msg.PDU
+	names := sc.dec.names
+	sc.rows, sc.vals = sc.rows[:0], sc.vals[:0]
 	sc.nonRep, sc.width = 0, 0
 
 	switch req.Type {
 	case GetRequest:
-		resp.VarBinds = slices.Grow(resp.VarBinds, len(req.VarBinds))
-		for i := range req.VarBinds {
-			name := req.VarBinds[i].Name
-			v, ok := t.Get(name)
-			if !ok {
-				v = NoSuchObject
+		sc.rows = slices.Grow(sc.rows, len(names))
+		for _, name := range names {
+			r := row{name, noSuchObjectTLV}
+			if i, found := t.find(name); found {
+				if r.value, ok = sc.value(t, i); !ok {
+					return 0, false
+				}
 			}
-			resp.VarBinds = append(resp.VarBinds, VarBind{Name: name, Value: v})
+			sc.rows = append(sc.rows, r)
 		}
 	case GetNextRequest:
-		resp.VarBinds = slices.Grow(resp.VarBinds, len(req.VarBinds))
-		for i := range req.VarBinds {
-			resp.VarBinds = append(resp.VarBinds, next(t, req.VarBinds[i].Name))
+		sc.rows = slices.Grow(sc.rows, len(names))
+		for _, name := range names {
+			r, ok := sc.next(t, name)
+			if !ok {
+				return 0, false
+			}
+			sc.rows = append(sc.rows, r)
 		}
 	case GetBulkRequest:
 		limit := a.MaxRepetitions
@@ -107,13 +156,17 @@ func (a *Agent) respond(req *PDU, sc *agentScratch) {
 			limit = 64
 		}
 		// Clamp what the peer asked for before anything is sized by it.
-		nonRep := min(max(req.ErrorStatus, 0), len(req.VarBinds))
+		nonRep := min(max(req.ErrorStatus, 0), len(names))
 		maxRep := min(max(req.ErrorIndex, 0), limit)
-		reps := req.VarBinds[nonRep:]
+		reps := names[nonRep:]
 		sc.nonRep, sc.width = nonRep, len(reps)
-		resp.VarBinds = slices.Grow(resp.VarBinds, min(nonRep+len(reps)*maxRep, maxPresize))
-		for i := range req.VarBinds[:nonRep] {
-			resp.VarBinds = append(resp.VarBinds, next(t, req.VarBinds[i].Name))
+		sc.rows = slices.Grow(sc.rows, min(nonRep+len(reps)*maxRep, maxPresize))
+		for _, name := range names[:nonRep] {
+			r, ok := sc.next(t, name)
+			if !ok {
+				return 0, false
+			}
+			sc.rows = append(sc.rows, r)
 		}
 		// Repeaters are answered row by row (RFC 3416 §4.2.3): the i-th
 		// successor of every repeater, then the (i+1)-th of every repeater
@@ -122,67 +175,79 @@ func (a *Agent) respond(req *PDU, sc *agentScratch) {
 		// under the last name it had, so rows stay aligned; a row of
 		// nothing else ends the response.
 		pos, last := sc.pos[:0], sc.last[:0]
-		for k := range reps {
-			pos, last = append(pos, t.Seek(reps[k].Name)), append(last, reps[k].Name)
+		for _, name := range reps {
+			pos, last = append(pos, sc.seek(t, name)), append(last, name)
 		}
 		sc.pos, sc.last = pos, last
 		for i := 0; i < maxRep && len(reps) > 0; i++ {
 			live := false
 			for k := range reps {
 				if pos[k] < t.Len() {
-					o, v := t.At(pos[k])
-					resp.VarBinds = append(resp.VarBinds, VarBind{Name: o, Value: v})
+					r, ok := sc.at(t, pos[k])
+					if !ok {
+						return 0, false
+					}
+					sc.rows = append(sc.rows, r)
 					pos[k]++
-					last[k] = o
+					last[k] = r.name
 					live = true
 					continue
 				}
-				resp.VarBinds = append(resp.VarBinds, VarBind{Name: last[k], Value: EndOfMibView})
+				sc.rows = append(sc.rows, row{last[k], endOfMibViewTLV})
 			}
 			if !live {
 				break
 			}
 		}
 	default:
-		resp.ErrorStatus = ErrStatusGenErr
-		resp.VarBinds = append(resp.VarBinds, req.VarBinds...)
+		// Nothing is settable: the request's varbinds come back with
+		// genErr.
+		sc.rows = slices.Grow(sc.rows, len(names))
+		for i, name := range names {
+			v, ok := sc.encode(req.VarBinds[i].Value)
+			if !ok {
+				return 0, false
+			}
+			sc.rows = append(sc.rows, row{name, v})
+		}
+		return ErrStatusGenErr, true
 	}
+	return ErrStatusNoError, true
 }
 
-// fit makes the response one datagram can carry, re-running the sizing
-// pass over what it keeps: a GetBulk response is cut at the last whole row
-// that fits (RFC 3416 §4.2.3); anything else, and a GetBulk with no room
-// for one row, answers tooBig with no varbinds.
-func (sc *agentScratch) fit(s *sizing) error {
-	resp := &sc.resp
-	keep := 0
+// fit makes the response one datagram can carry, re-framing what it keeps:
+// a GetBulk response is cut at the last whole row that fits (RFC 3416
+// §4.2.3); anything else, and a GetBulk with no room for one row, answers
+// tooBig with no varbinds.
+func (sc *agentScratch) fit(resp *Message, f *frame) {
+	keep, keptLen := 0, 0
 	if sc.width > 0 {
 		vbsLen := 0
-		for i := range resp.PDU.VarBinds {
-			name, value, err := sizeVarBind(&resp.PDU.VarBinds[i])
-			if err != nil {
-				return err
-			}
-			vbsLen += sizeTLV(sizeTLV(name) + value)
+		for i := range sc.rows {
+			vbsLen += sc.rows[i].size()
 			if n := i + 1; n >= sc.nonRep && (n-sc.nonRep)%sc.width == 0 {
-				if s.frame(resp, vbsLen); s.total > maxDatagram {
+				if f.set(resp, vbsLen); f.total > maxDatagram {
 					break
 				}
-				keep = n
+				keep, keptLen = n, vbsLen
 			}
 		}
 	}
 	if keep < sc.nonRep+max(sc.width, 1) {
-		resp.PDU.ErrorStatus, keep = ErrStatusTooBig, 0
+		resp.PDU.ErrorStatus, keep, keptLen = ErrStatusTooBig, 0, 0
 	}
-	resp.PDU.VarBinds = resp.PDU.VarBinds[:keep]
-	return resp.marshalSize(s)
+	sc.rows = sc.rows[:keep]
+	f.set(resp, keptLen)
 }
 
 // HandleBytes decodes a request datagram, handles it, and encodes the
-// response; nil means drop. The request is decoded into pooled scratch
-// and req is not retained; the returned datagram is the caller's and never
-// longer than a datagram carries.
+// response; nil means drop (a malformed request, another community — as
+// real agents do — or a value that cannot be encoded). The request's names
+// are kept as bytes: a Get looks each one up by them, and every response
+// name and fixed value is copied, not encoded; only live values are. The
+// request is decoded into pooled scratch and req is not retained; the
+// returned datagram is the caller's and never longer than a datagram
+// carries.
 func (a *Agent) HandleBytes(req []byte) []byte {
 	sc := agentPool.Get().(*agentScratch)
 	defer agentPool.Put(sc)
@@ -192,15 +257,25 @@ func (a *Agent) HandleBytes(req []byte) []byte {
 	if string(sc.dec.community) != a.Community {
 		return nil // drop, like an agent with a wrong community
 	}
-	sc.resp.Community = a.Community
-	a.respond(&sc.dec.msg.PDU, sc)
-	var s sizing
-	err := sc.resp.marshalSize(&s)
-	if err == nil && s.total > maxDatagram {
-		err = sc.fit(&s)
-	}
-	if err != nil {
+	status, ok := a.respond(sc)
+	if !ok {
 		return nil
 	}
-	return sc.resp.appendSized(make([]byte, 0, s.total), &s)
+	resp := Message{Community: a.Community, PDU: PDU{Type: GetResponse,
+		RequestID: sc.dec.msg.PDU.RequestID, ErrorStatus: status}}
+	vbsLen := 0
+	for i := range sc.rows {
+		vbsLen += sc.rows[i].size()
+	}
+	var f frame
+	if f.set(&resp, vbsLen); f.total > maxDatagram {
+		sc.fit(&resp, &f)
+	}
+	dst := resp.appendHead(make([]byte, 0, f.total), &f)
+	for _, r := range sc.rows {
+		dst = appendHeader(dst, tagSequence, sizeTLV(len(r.name))+len(r.value))
+		dst = appendHeader(dst, tagOID, len(r.name))
+		dst = append(append(dst, r.name...), r.value...)
+	}
+	return dst
 }

@@ -460,7 +460,7 @@ func parseUintBody(b []byte) (uint64, error) {
 }
 
 // countOIDBody returns how many sub-identifiers appendOIDSubs will produce
-// for a well-formed body: two for the head byte, one per byte without the
+// for a body it accepts: two for the head byte, one per byte without the
 // continuation bit after it.
 func countOIDBody(b []byte) int {
 	if len(b) == 0 {
@@ -475,10 +475,25 @@ func countOIDBody(b []byte) int {
 	return n
 }
 
-// appendOIDSubs decodes an OID body onto dst.
+// An OID body is accepted in one encoding only (X.690 §8.19.2): no
+// sub-identifier starts with a 0x80 byte, and none passes 32 bits. So equal
+// bodies name equal OIDs and unequal bodies unequal ones, and a name can be
+// matched by its bytes.
+var (
+	errOIDEmpty   = errors.New("snmp: empty OID body")
+	errOIDPadded  = errors.New("snmp: OID sub-identifier starts with 0x80")
+	errOIDTooWide = errors.New("snmp: OID sub-identifier exceeds 32 bits")
+)
+
+// maxSubPrefix is the largest sub-identifier prefix that may take one more
+// base-128 digit without passing 32 bits.
+const maxSubPrefix = 1<<32>>7 - 1
+
+// appendOIDSubs decodes an OID body onto dst. checkOIDBody accepts exactly
+// the bodies it does, with the same errors.
 func appendOIDSubs(dst []uint32, b []byte) ([]uint32, error) {
 	if len(b) == 0 {
-		return dst, fmt.Errorf("snmp: empty OID body")
+		return dst, errOIDEmpty
 	}
 	if b[0] >= 80 {
 		dst = append(dst, 2, uint32(b[0])-80)
@@ -488,19 +503,48 @@ func appendOIDSubs(dst []uint32, b []byte) ([]uint32, error) {
 	var cur uint32
 	inRun := false
 	for _, c := range b[1:] {
+		if !inRun && c == 0x80 {
+			return dst, errOIDPadded
+		}
+		if cur > maxSubPrefix {
+			return dst, errOIDTooWide
+		}
 		cur = cur<<7 | uint32(c&0x7f)
-		if c&0x80 == 0 {
+		if inRun = c&0x80 != 0; !inRun {
 			dst = append(dst, cur)
 			cur = 0
-			inRun = false
-		} else {
-			inRun = true
 		}
 	}
 	if inRun {
 		return dst, ErrTruncated
 	}
 	return dst, nil
+}
+
+// checkOIDBody validates an OID body without decoding it: what the agent
+// does with the names of a Get, which it matches by their bytes.
+func checkOIDBody(b []byte) error {
+	if len(b) == 0 {
+		return errOIDEmpty
+	}
+	var cur uint32
+	inRun := false
+	for _, c := range b[1:] {
+		if !inRun && c == 0x80 {
+			return errOIDPadded
+		}
+		if cur > maxSubPrefix {
+			return errOIDTooWide
+		}
+		cur = cur<<7 | uint32(c&0x7f)
+		if inRun = c&0x80 != 0; !inRun {
+			cur = 0
+		}
+	}
+	if inRun {
+		return ErrTruncated
+	}
+	return nil
 }
 
 // readInteger reads one INTEGER TLV.
@@ -531,6 +575,19 @@ type decoder struct {
 	community []byte // aliases the input, valid only while it is
 	oids      []uint32
 	octets    []byte
+
+	// raw keeps names as bytes: each varbind's name body is validated and
+	// kept in names, aliasing the input, and its Name is left nil. The
+	// agent decodes requests so.
+	raw   bool
+	names [][]byte
+
+	// asked are the name bodies of the Get a response answers, by
+	// position, and askedVBs the varbinds they encode: a response name
+	// whose bytes equal its position's body is that varbind's Name, not
+	// decoded again. The client sets them for each Get it sends.
+	asked    [][]byte
+	askedVBs []VarBind
 }
 
 // oid decodes an OID body into the arena.
@@ -541,6 +598,30 @@ func (d *decoder) oid(body []byte) (OID, error) {
 		return nil, err
 	}
 	return OID(d.oids[start:len(d.oids):len(d.oids)]), nil
+}
+
+// name reads the name of the message's i-th varbind.
+func (d *decoder) name(r *reader, i int) (OID, error) {
+	tag, length, err := r.readTL()
+	if err != nil {
+		return nil, err
+	}
+	body, err := r.readBytes(length)
+	if err != nil {
+		return nil, err
+	}
+	if tag != tagOID {
+		return nil, fmt.Errorf("snmp: varbind name tag 0x%02x", tag)
+	}
+	switch {
+	case d.raw:
+		d.names = append(d.names, body)
+		return nil, checkOIDBody(body)
+	case i < len(d.asked) && string(body) == string(d.asked[i]):
+		o := d.askedVBs[i].Name
+		return o[:len(o):len(o)], nil
+	}
+	return d.oid(body)
 }
 
 // bytes copies an octet-string body into the arena. The result is never

@@ -57,6 +57,16 @@ func (r *exchangeRig) get24(t testing.TB) {
 	}
 }
 
+// get2 is one interface's HC counter pair: the shape of a cold query's
+// baseline reads.
+func (r *exchangeRig) get2(t testing.TB) {
+	seen := 0
+	err := r.client.GetFunc(context.Background(), r.addr, r.oids[:2], func(vbs []snmp.VarBind) { seen = len(vbs) })
+	if err != nil || seen != 2 {
+		t.Fatalf("Get of 2: %d varbinds, %v", seen, err)
+	}
+}
+
 func (r *exchangeRig) bulk7x8(t testing.TB) {
 	seen := 0
 	_, err := r.client.BulkWalkColumns(context.Background(), r.addr, nil, r.columns, 8,
@@ -86,13 +96,13 @@ func TestExchangeAllocationBudget(t *testing.T) {
 
 // BenchmarkAgentExchange is one whole exchange over snmp.InProc against a
 // mib.DeviceView: encode, the agent's decode, lookup and encode, the
-// client's decode.
+// client's decode — for two varbinds, twenty-four, and a table walk step.
 func BenchmarkAgentExchange(b *testing.B) {
 	rig := newExchangeRig(b)
 	for _, c := range []struct {
 		name     string
 		exchange func(testing.TB)
-	}{{"get24", rig.get24}, {"bulk7x8", rig.bulk7x8}} {
+	}{{"get2", rig.get2}, {"get24", rig.get24}, {"bulk7x8", rig.bulk7x8}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,17 +189,28 @@ func (sc *clientScratch) response(b []byte, reqID int32) (*PDU, error) {
 
 // roundTrip is the one exchange core: it encodes pdu, with sc.req for
 // varbinds, once into sc under one RequestID, sends it, and decodes the
-// answer into sc, re-sending the same bytes after a timeout and after a
+// answer into sc — a Get's answer under sc.req's own names where it repeats
+// them — re-sending the same bytes after a timeout and after a
 // response that does not decode or match. The PDU it returns lives in sc
 // and dies with sc's next exchange.
 func (c *Client) roundTrip(ctx context.Context, addr string, sc *clientScratch, pdu PDU) (*PDU, error) {
 	msg := Message{Community: c.Community, PDU: pdu}
 	msg.PDU.VarBinds = sc.req
 	msg.PDU.RequestID = c.reqID.Add(1)
-	var err error
-	if sc.buf, err = msg.AppendMarshal(sc.buf[:0]); err != nil {
+	var s sizing
+	if err := msg.marshalSize(&s); err != nil {
 		return nil, err
 	}
+	// A Get is answered under the names it asked for: the encoder keeps
+	// each name's bytes, and the decoder takes a response name equal to
+	// the one asked in its place as the caller's OID.
+	d := &sc.dec
+	d.asked, d.askedVBs = d.asked[:0], nil
+	var asked *[][]byte
+	if pdu.Type == GetRequest {
+		asked, d.askedVBs = &d.asked, sc.req
+	}
+	sc.buf = msg.appendSized(slices.Grow(sc.buf[:0], s.total), &s, asked)
 	var lastErr error
 	for i := 0; i < c.attempts(); i++ {
 		// The blocking RoundTrip itself is not interruptible, but
@@ -248,7 +260,8 @@ func (c *Client) exchange(ctx context.Context, addr string, typ PDUType, names [
 // GetFunc fetches the exact OIDs and shows fn the response's varbinds,
 // honoring the context's cancellation between attempts. The varbinds live
 // in the exchange's scratch: they are valid until fn returns, and fn
-// copies out what it keeps.
+// copies out what it keeps. A varbind named as asked carries the caller's
+// own OID, cap-limited, as its Name.
 func (c *Client) GetFunc(ctx context.Context, addr string, oids []OID, fn func([]VarBind)) error {
 	return c.exchange(ctx, addr, GetRequest, oids, func(vbs []VarBind) error {
 		fn(vbs)

@@ -315,7 +315,7 @@ func (t *tapTransport) RoundTrip(addr string, req []byte) ([]byte, time.Duration
 // lets a client tell the columns of a multi-repeater response apart.
 func TestAgentGetBulkInterleavesRepeaters(t *testing.T) {
 	a := &Agent{Community: "public", View: tableView(t)}
-	resp := a.Handle(&Message{Community: "public", PDU: PDU{Type: GetBulkRequest,
+	resp := handle(t, a, &Message{Community: "public", PDU: PDU{Type: GetBulkRequest,
 		ErrorStatus: 1, ErrorIndex: 3,
 		VarBinds: []VarBind{
 			{Name: MustParseOID("1.3.6.1.2.1.1.5"), Value: Null},

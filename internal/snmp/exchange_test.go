@@ -13,20 +13,26 @@ import (
 	"time"
 )
 
+// wireFile returns the datagram testdata/wire/<name>.hex holds.
+func wireFile(t testing.TB, name string) []byte {
+	text, err := os.ReadFile("testdata/wire/" + name + ".hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := hex.DecodeString(strings.TrimSpace(string(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 // The encoder's fast paths must have changed no byte: testdata/wire holds
 // the widest Get and GetBulk of a 32-host cold campus query and their
 // responses as the encoder wrote them before it carried sizes between its
 // passes and took short sub-identifiers without the base-128 loop.
 func TestWireBytesUnchanged(t *testing.T) {
 	for _, name := range []string{"get_request", "get_response", "getbulk_request", "getbulk_response"} {
-		text, err := os.ReadFile("testdata/wire/" + name + ".hex")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire, err := hex.DecodeString(strings.TrimSpace(string(text)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		wire := wireFile(t, name)
 		m, err := Unmarshal(wire)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -98,7 +104,19 @@ func TestOversizeBulkIsTruncatedNotDropped(t *testing.T) {
 	for _, root := range roots {
 		req.PDU.VarBinds = append(req.PDU.VarBinds, VarBind{Name: root, Value: Null})
 	}
-	full := a.Handle(req)
+	// The whole answer, row by row, from one GetBulk per column: each of
+	// those fits a datagram.
+	full := &Message{Community: "public", PDU: PDU{Type: GetResponse, RequestID: 77}}
+	perCol := make([][]VarBind, len(roots))
+	for k, root := range roots {
+		perCol[k] = handle(t, a, &Message{Community: "public", PDU: PDU{Type: GetBulkRequest, RequestID: 77,
+			ErrorIndex: rows, VarBinds: []VarBind{{Name: root, Value: Null}}}}).PDU.VarBinds
+	}
+	for r := 0; r < rows; r++ {
+		for k := range perCol {
+			full.PDU.VarBinds = append(full.PDU.VarBinds, perCol[k][r])
+		}
+	}
 	if b, _ := full.Marshal(); len(b) <= maxDatagram {
 		t.Fatalf("the whole answer is %d B: not an oversize request", len(b))
 	}

@@ -1,8 +1,11 @@
 package snmp
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +112,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	for _, body := range offEncodingBodies {
+		f.Add(getWithNameBody(f, body))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0x30, 0x84, 0xff, 0xff, 0xff, 0xff}) // absurd length claim
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -207,4 +213,142 @@ func TestMessageRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// offEncodingBodies are OID bodies outside the one encoding the decoder
+// accepts. Before it was enforced they decoded to 1.3.0, 1.3.1 and 1.3.5,
+// so a malformed name reached a different object.
+var offEncodingBodies = [][]byte{
+	{0x2b, 0x90, 0x80, 0x80, 0x80, 0x00},       // 2^32: wrapped to 0
+	{0x2b, 0x81, 0x80, 0x80, 0x80, 0x80, 0x01}, // 2^35+1: wrapped to 1
+	{0x2b, 0x80, 0x05},                         // 5 with a leading 0x80
+}
+
+// getWithNameBody is a GetRequest of one name given as its encoded body,
+// which need not be one the encoder writes.
+func getWithNameBody(t testing.TB, body []byte) []byte {
+	// The same message with a placeholder name of the body's length, whose
+	// body is then overwritten.
+	name := OID{1, 3}
+	for len(name) < len(body)+1 {
+		name = append(name, 0x55)
+	}
+	wire, err := (&Message{Community: "public", PDU: PDU{Type: GetRequest, RequestID: 1,
+		VarBinds: []VarBind{{Name: name, Value: Null}}}}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(wire, appendOIDBody(nil, name))
+	copy(wire[at:], body)
+	return wire
+}
+
+func TestOIDBodyHasOneEncoding(t *testing.T) {
+	tab := NewTable([]Binding{
+		{Name: OID{1, 3, 0}, Value: Str("zero")},
+		{Name: OID{1, 3, 1}, Value: Str("one")},
+		{Name: OID{1, 3, 5}, Value: Str("five")},
+	})
+	a := &Agent{Community: "public", View: tab}
+	for _, body := range offEncodingBodies {
+		subs, err := appendOIDSubs(nil, body)
+		if err == nil {
+			t.Errorf("% x decodes to %v", body, OID(subs))
+		}
+		if cerr := checkOIDBody(body); !errors.Is(cerr, err) {
+			t.Errorf("% x: the decoder says %v, the agent's check %v", body, err, cerr)
+		}
+		wire := getWithNameBody(t, body)
+		if m, err := Unmarshal(wire); err == nil {
+			t.Errorf("a Get of % x decodes, naming %v", body, m.PDU.VarBinds[0].Name)
+		}
+		if err := dirtyDecoder(t).decode(wire); err == nil {
+			t.Errorf("a reused decoder accepts a Get of % x", body)
+		}
+		if resp := a.HandleBytes(wire); resp != nil {
+			t.Errorf("the agent answers a Get of % x", body)
+		}
+	}
+	// Both sides of each bound: the largest sub-identifier, and the
+	// shortest encodings of every width, are accepted.
+	for _, sub := range []uint32{0, 127, 128, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<32 - 1} {
+		body := appendOIDBody(nil, OID{1, 3, sub})
+		got, err := appendOIDSubs(nil, body)
+		if err != nil || checkOIDBody(body) != nil || !slices.Equal(got, []uint32{1, 3, sub}) {
+			t.Errorf("% x (1.3.%d) decodes to %v, %v", body, sub, OID(got), err)
+		}
+	}
+}
+
+// fuzzTable is the layout FuzzAgentHandleBytes serves: random names at the
+// base-128 boundaries of every value kind, and every name the seed
+// responses carry, their counters bound live.
+func fuzzTable(t testing.TB) *Table {
+	binds := randomBindings(rand.New(rand.NewSource(1)), 64)
+	resps := corpusMessages()
+	for _, name := range []string{"get_response", "getbulk_response"} {
+		m, err := Unmarshal(wireFile(t, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps = append(resps, m)
+	}
+	for _, m := range resps {
+		if m.PDU.Type != GetResponse {
+			continue
+		}
+		for _, vb := range m.PDU.VarBinds {
+			switch v := vb.Value; v.Kind {
+			case KindCounter32, KindCounter64:
+				binds = append(binds, Binding{Name: vb.Name, Live: func() Value { return v }})
+			default:
+				binds = append(binds, Binding{Name: vb.Name, Value: v})
+			}
+		}
+	}
+	return NewTable(binds)
+}
+
+// FuzzAgentHandleBytes drives the agent — what snmp.Server answers every
+// UDP datagram with — with arbitrary bytes. It must never panic; it drops
+// exactly what the reference agent (decode, a linear search per varbind,
+// encode) drops; and anything else it answers with at most one datagram:
+// a GetResponse under the request's ID, byte for byte the reference's.
+func FuzzAgentHandleBytes(f *testing.F) {
+	for _, m := range corpusMessages() {
+		b, err := m.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, name := range []string{"get_request", "getbulk_request"} {
+		f.Add(wireFile(f, name))
+	}
+	for _, body := range offEncodingBodies {
+		f.Add(getWithNameBody(f, body))
+	}
+	tab := fuzzTable(f)
+	a := &Agent{Community: "public", View: tab, MaxRepetitions: 16}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got := a.HandleBytes(b)
+		want := refAnswer(tab.binds, b, a.Community, a.MaxRepetitions)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("the agent answers %d B, the reference %d B (nil is a drop)", len(got), len(want))
+		}
+		if got == nil {
+			return
+		}
+		if len(got) > maxDatagram {
+			t.Fatalf("a %d B answer", len(got))
+		}
+		req, _ := Unmarshal(b) // the reference decoded it
+		resp, err := Unmarshal(got)
+		if err != nil || resp.PDU.Type != GetResponse || resp.PDU.RequestID != req.PDU.RequestID {
+			t.Fatalf("the answer is not a GetResponse to request %d: %+v, %v", req.PDU.RequestID, resp, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("the agent and the reference disagree:\n got %x\nwant %x", got, want)
+		}
+	})
 }

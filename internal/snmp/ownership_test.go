@@ -93,7 +93,8 @@ func TestUnmarshalValuesDoNotAlias(t *testing.T) {
 // names: a response must be fully encoded before the scratch is reused, so
 // interleaved requests of different shapes must each get their own answer.
 func TestHandleBytesScratchReuse(t *testing.T) {
-	a := &Agent{Community: "public", View: testView(t)}
+	tab := testView(t).Table()
+	a := &Agent{Community: "public", View: tab}
 	reqs := []*Message{
 		{Community: "public", PDU: PDU{Type: GetRequest, RequestID: 1, VarBinds: []VarBind{
 			{Name: MustParseOID("1.3.6.1.2.1.1.5.0"), Value: Null},
@@ -113,12 +114,9 @@ func TestHandleBytesScratchReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Unmarshal(a.HandleBytes(wire))
-			if err != nil {
-				t.Fatalf("request %d: %v", req.PDU.RequestID, err)
-			}
-			if want := a.Handle(req); !reflect.DeepEqual(got, want) {
-				t.Fatalf("request %d, round %d: HandleBytes and Handle disagree:\n got %+v\nwant %+v",
+			got := a.HandleBytes(wire)
+			if want := refAnswer(tab.binds, wire, "public", 64); !bytes.Equal(got, want) {
+				t.Fatalf("request %d, round %d: the agent and the reference disagree:\n got %x\nwant %x",
 					req.PDU.RequestID, round, got, want)
 			}
 		}
@@ -145,13 +143,20 @@ func TestGetBulkPresizeIsClamped(t *testing.T) {
 		{"both", -1 << 30, 1 << 30},
 		{"negative max-repetitions", 0, -5},
 	} {
-		resp := a.Handle(&Message{Community: "public", PDU: PDU{Type: GetBulkRequest,
+		req := &Message{Community: "public", PDU: PDU{Type: GetBulkRequest,
 			ErrorStatus: c.nonRep, ErrorIndex: c.maxRep,
-			VarBinds: []VarBind{{Name: MustParseOID("1.3.6.1.2.1.2.2.1.10"), Value: Null}}}})
-		// One repeater, at most the default 64 repetitions; allow for the
-		// allocator rounding a slice up to its size class.
-		if got := cap(resp.PDU.VarBinds); got > 2*64 {
-			t.Errorf("%s: response slice has capacity %d for at most 64 rows", c.name, got)
+			VarBinds: []VarBind{{Name: MustParseOID("1.3.6.1.2.1.2.2.1.10"), Value: Null}}}}
+		resp := handle(t, a, req)
+		// The rows of a fresh scratch: one repeater, at most the default 64
+		// repetitions; allow for the allocator rounding a slice up to its
+		// size class.
+		wire, _ := req.Marshal()
+		sc := &agentScratch{dec: decoder{raw: true}}
+		if err := sc.dec.decode(wire); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := a.respond(sc); !ok || cap(sc.rows) > 2*64 {
+			t.Errorf("%s: the agent sized %d rows for at most 64", c.name, cap(sc.rows))
 		}
 		if len(resp.PDU.VarBinds) > 64 {
 			t.Errorf("%s: %d rows returned, cap is 64", c.name, len(resp.PDU.VarBinds))

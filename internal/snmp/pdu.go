@@ -70,23 +70,26 @@ const snmpVersion2c = 1
 // Get fit. Past it the append pass sizes a varbind again.
 const sizedVarBinds = 128
 
-// sizing is what the sizing pass learns and the append pass needs to write
-// headers front-to-back: the message size, the interior pdu and
-// varbind-list content lengths, and each varbind's name body length and
-// value TLV size.
-type sizing struct {
-	total, pduLen, vbsLen int
-	vb                    [sizedVarBinds]struct{ name, value int32 }
-}
+// frame is the lengths around a varbind list: the message's size, and the
+// PDU's and the list's content lengths.
+type frame struct{ total, pduLen, vbsLen int }
 
-// frame sets the lengths around a varbind list of vbsLen content bytes.
-func (s *sizing) frame(m *Message, vbsLen int) {
-	s.vbsLen = vbsLen
-	s.pduLen = sizeTLV(sizeIntBody(int64(m.PDU.RequestID))) +
+// set sets the lengths around a varbind list of vbsLen content bytes.
+func (f *frame) set(m *Message, vbsLen int) {
+	f.vbsLen = vbsLen
+	f.pduLen = sizeTLV(sizeIntBody(int64(m.PDU.RequestID))) +
 		sizeTLV(sizeIntBody(int64(m.PDU.ErrorStatus))) +
 		sizeTLV(sizeIntBody(int64(m.PDU.ErrorIndex))) +
 		sizeTLV(vbsLen)
-	s.total = sizeTLV(m.bodyLen(s.pduLen))
+	f.total = sizeTLV(m.bodyLen(f.pduLen))
+}
+
+// sizing is what the sizing pass learns and the append pass needs to write
+// headers front-to-back: the frame, and each varbind's name body length and
+// value TLV size.
+type sizing struct {
+	frame
+	vb [sizedVarBinds]struct{ name, value int32 }
 }
 
 // bodyLen is the content length of the outer SEQUENCE.
@@ -119,7 +122,7 @@ func (m *Message) marshalSize(s *sizing) error {
 		}
 		vbsLen += sizeTLV(sizeTLV(name) + value)
 	}
-	s.frame(m, vbsLen)
+	s.set(m, vbsLen)
 	return nil
 }
 
@@ -137,25 +140,32 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 		copy(grown, dst)
 		dst = grown
 	}
-	return m.appendSized(dst, &s), nil
+	return m.appendSized(dst, &s, nil), nil
 }
 
-// appendSized is the append pass, given the sizing pass's lengths; dst has
-// room.
-func (m *Message) appendSized(dst []byte, s *sizing) []byte {
-	dst = appendHeader(dst, tagSequence, m.bodyLen(s.pduLen))
+// appendHead appends the message up to its first varbind, given the
+// lengths around its varbind list.
+func (m *Message) appendHead(dst []byte, f *frame) []byte {
+	dst = appendHeader(dst, tagSequence, m.bodyLen(f.pduLen))
 	dst = appendHeader(dst, tagInteger, sizeIntBody(snmpVersion2c))
 	dst = appendIntBody(dst, snmpVersion2c)
 	dst = appendHeader(dst, tagOctetString, len(m.Community))
 	dst = append(dst, m.Community...)
-	dst = appendHeader(dst, byte(m.PDU.Type), s.pduLen)
+	dst = appendHeader(dst, byte(m.PDU.Type), f.pduLen)
 	dst = appendHeader(dst, tagInteger, sizeIntBody(int64(m.PDU.RequestID)))
 	dst = appendIntBody(dst, int64(m.PDU.RequestID))
 	dst = appendHeader(dst, tagInteger, sizeIntBody(int64(m.PDU.ErrorStatus)))
 	dst = appendIntBody(dst, int64(m.PDU.ErrorStatus))
 	dst = appendHeader(dst, tagInteger, sizeIntBody(int64(m.PDU.ErrorIndex)))
 	dst = appendIntBody(dst, int64(m.PDU.ErrorIndex))
-	dst = appendHeader(dst, tagSequence, s.vbsLen)
+	return appendHeader(dst, tagSequence, f.vbsLen)
+}
+
+// appendSized is the append pass, given the sizing pass's lengths; dst has
+// room. When names is not nil, the window of dst each varbind's name body
+// was written to is appended to it, in order.
+func (m *Message) appendSized(dst []byte, s *sizing, names *[][]byte) []byte {
+	dst = m.appendHead(dst, &s.frame)
 	for i := range m.PDU.VarBinds {
 		vb := &m.PDU.VarBinds[i]
 		var nameLen, vsz int
@@ -166,7 +176,11 @@ func (m *Message) appendSized(dst []byte, s *sizing) []byte {
 		}
 		dst = appendHeader(dst, tagSequence, sizeTLV(nameLen)+vsz)
 		dst = appendHeader(dst, tagOID, nameLen)
+		start := len(dst)
 		dst = appendOIDBody(dst, vb.Name)
+		if names != nil {
+			*names = append(*names, dst[start:len(dst):len(dst)])
+		}
 		dst = appendValue(dst, vb.Value)
 	}
 	return dst
@@ -179,7 +193,7 @@ func (m *Message) Marshal() ([]byte, error) {
 	if err := m.marshalSize(&s); err != nil {
 		return nil, err
 	}
-	return m.appendSized(make([]byte, 0, s.total), &s), nil
+	return m.appendSized(make([]byte, 0, s.total), &s, nil), nil
 }
 
 // header reads the message prologue — outer SEQUENCE, version, community —
@@ -338,7 +352,7 @@ func (d *decoder) decode(b []byte) error {
 		d.oids = make([]uint32, 0, nsub)
 		d.octets = make([]byte, 0, noct)
 	}
-	pdu.VarBinds, d.oids, d.octets = pdu.VarBinds[:0], d.oids[:0], d.octets[:0]
+	pdu.VarBinds, d.oids, d.octets, d.names = pdu.VarBinds[:0], d.oids[:0], d.octets[:0], d.names[:0]
 
 	vr := reader{b: vbody}
 	for vr.remaining() > 0 {
@@ -354,15 +368,12 @@ func (d *decoder) decode(b []byte) error {
 			return err
 		}
 		er := reader{b: ebody}
-		var name Value
-		if err := d.value(&er, &name); err != nil {
+		name, err := d.name(&er, len(pdu.VarBinds))
+		if err != nil {
 			return err
 		}
-		if name.Kind != KindOID {
-			return fmt.Errorf("snmp: varbind name kind %v", name.Kind)
-		}
 		// The value is decoded where it will live, not copied there.
-		pdu.VarBinds = append(pdu.VarBinds, VarBind{Name: name.Oid})
+		pdu.VarBinds = append(pdu.VarBinds, VarBind{Name: name})
 		if err := d.value(&er, &pdu.VarBinds[len(pdu.VarBinds)-1].Value); err != nil {
 			return err
 		}

@@ -240,18 +240,37 @@ func testView(t *testing.T) MIBView {
 	return v
 }
 
+// handle is one request through the agent's datagram path, its answer
+// decoded; nil when the agent drops it.
+func handle(t testing.TB, a *Agent, req *Message) *Message {
+	t.Helper()
+	wire, err := req.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a.HandleBytes(wire)
+	if b == nil {
+		return nil
+	}
+	resp, err := Unmarshal(b)
+	if err != nil {
+		t.Fatalf("the agent's answer does not decode: %v", err)
+	}
+	return resp
+}
+
 func TestStaticViewOrdering(t *testing.T) {
 	v := testView(t).Table()
 	// Numeric, not string, ordering: .10.2 < .10.10.
-	next := next(v, MustParseOID("1.3.6.1.2.1.2.2.1.10.2"))
-	if next.Name.String() != "1.3.6.1.2.1.2.2.1.10.10" {
+	next, _ := v.At(v.Seek(MustParseOID("1.3.6.1.2.1.2.2.1.10.2")))
+	if next.String() != "1.3.6.1.2.1.2.2.1.10.10" {
 		t.Fatalf("next(.10.2) = %v, want .10.10", next)
 	}
 }
 
 func TestAgentGet(t *testing.T) {
 	a := &Agent{Community: "public", View: testView(t)}
-	resp := a.Handle(&Message{Community: "public", PDU: PDU{Type: GetRequest, RequestID: 5,
+	resp := handle(t, a, &Message{Community: "public", PDU: PDU{Type: GetRequest, RequestID: 5,
 		VarBinds: []VarBind{
 			{Name: MustParseOID("1.3.6.1.2.1.1.5.0"), Value: Null},
 			{Name: MustParseOID("1.3.6.1.99"), Value: Null},
@@ -269,7 +288,7 @@ func TestAgentGet(t *testing.T) {
 
 func TestAgentCommunityMismatchDrops(t *testing.T) {
 	a := &Agent{Community: "secret", View: testView(t)}
-	resp := a.Handle(&Message{Community: "public", PDU: PDU{Type: GetRequest}})
+	resp := handle(t, a, &Message{Community: "public", PDU: PDU{Type: GetRequest}})
 	if resp != nil {
 		t.Fatal("agent answered with wrong community")
 	}
@@ -277,12 +296,12 @@ func TestAgentCommunityMismatchDrops(t *testing.T) {
 
 func TestAgentGetNextAndEnd(t *testing.T) {
 	a := &Agent{Community: "public", View: testView(t)}
-	resp := a.Handle(&Message{Community: "public", PDU: PDU{Type: GetNextRequest,
+	resp := handle(t, a, &Message{Community: "public", PDU: PDU{Type: GetNextRequest,
 		VarBinds: []VarBind{{Name: MustParseOID("1.3.6.1.2.1.1.1.0"), Value: Null}}}})
 	if got := resp.PDU.VarBinds[0].Name.String(); got != "1.3.6.1.2.1.1.5.0" {
 		t.Fatalf("GetNext = %s", got)
 	}
-	resp = a.Handle(&Message{Community: "public", PDU: PDU{Type: GetNextRequest,
+	resp = handle(t, a, &Message{Community: "public", PDU: PDU{Type: GetNextRequest,
 		VarBinds: []VarBind{{Name: MustParseOID("1.3.6.1.2.1.2.2.1.16.1"), Value: Null}}}})
 	if resp.PDU.VarBinds[0].Value.Kind != KindEndOfMibView {
 		t.Fatalf("walk past end = %v, want endOfMibView", resp.PDU.VarBinds[0].Value)
@@ -291,7 +310,7 @@ func TestAgentGetNextAndEnd(t *testing.T) {
 
 func TestAgentGetBulk(t *testing.T) {
 	a := &Agent{Community: "public", View: testView(t)}
-	resp := a.Handle(&Message{Community: "public", PDU: PDU{Type: GetBulkRequest,
+	resp := handle(t, a, &Message{Community: "public", PDU: PDU{Type: GetBulkRequest,
 		ErrorStatus: 0, ErrorIndex: 4,
 		VarBinds: []VarBind{{Name: MustParseOID("1.3.6.1.2.1.2.2.1.10"), Value: Null}}}})
 	if len(resp.PDU.VarBinds) != 4 {

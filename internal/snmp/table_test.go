@@ -1,6 +1,7 @@
 package snmp
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -29,11 +30,13 @@ func refSeek(sorted []Binding, oid OID) int {
 	return len(sorted)
 }
 
-func refNext(sorted []Binding, name OID) VarBind {
+// refNext is one GetNext step, and whether it found a successor: a bound
+// value may itself be endOfMibView.
+func refNext(sorted []Binding, name OID) (VarBind, bool) {
 	if i := refSeek(sorted, name); i < len(sorted) {
-		return VarBind{Name: sorted[i].Name, Value: sorted[i].value()}
+		return VarBind{Name: sorted[i].Name, Value: sorted[i].value()}, true
 	}
-	return VarBind{Name: name, Value: EndOfMibView}
+	return VarBind{Name: name, Value: EndOfMibView}, false
 }
 
 // refRespond is RFC 3416 §4.2.1–4.2.3 read literally: every varbind of the
@@ -51,13 +54,15 @@ func refRespond(sorted []Binding, req *PDU, limit int) []VarBind {
 		}
 	case GetNextRequest:
 		for _, vb := range req.VarBinds {
-			out = append(out, refNext(sorted, vb.Name))
+			next, _ := refNext(sorted, vb.Name)
+			out = append(out, next)
 		}
 	case GetBulkRequest:
 		nonRep := min(max(req.ErrorStatus, 0), len(req.VarBinds))
 		maxRep := min(max(req.ErrorIndex, 0), limit)
 		for _, vb := range req.VarBinds[:nonRep] {
-			out = append(out, refNext(sorted, vb.Name))
+			next, _ := refNext(sorted, vb.Name)
+			out = append(out, next)
 		}
 		reps := req.VarBinds[nonRep:]
 		cur := make([]OID, len(reps))
@@ -67,9 +72,9 @@ func refRespond(sorted []Binding, req *PDU, limit int) []VarBind {
 		for i := 0; i < maxRep && len(reps) > 0; i++ {
 			live := false
 			for k := range reps {
-				vb := refNext(sorted, cur[k])
+				vb, found := refNext(sorted, cur[k])
 				out = append(out, vb)
-				if vb.Value.Kind != KindEndOfMibView {
+				if found {
 					cur[k], live = vb.Name, true
 				}
 			}
@@ -77,16 +82,88 @@ func refRespond(sorted []Binding, req *PDU, limit int) []VarBind {
 				break
 			}
 		}
+	default: // nothing is settable: the varbinds come back, with genErr
+		out = append(out, req.VarBinds...)
 	}
 	return out
+}
+
+// refAnswer is the reference agent on the wire: nil when it drops the
+// request datagram (it does not decode, names another community, or its
+// answer cannot be encoded), else the encoded answer. One that does not
+// fit a datagram is cut as RFC 3416 §4.2.3 says: a GetBulk answer to the
+// most whole rows that fit, anything else to tooBig with no varbinds.
+func refAnswer(sorted []Binding, wire []byte, community string, limit int) []byte {
+	req, err := Unmarshal(wire)
+	if err != nil || req.Community != community {
+		return nil
+	}
+	resp := &Message{Community: community, PDU: PDU{Type: GetResponse, RequestID: req.PDU.RequestID,
+		VarBinds: refRespond(sorted, &req.PDU, limit)}}
+	switch req.PDU.Type {
+	case GetRequest, GetNextRequest, GetBulkRequest:
+	default:
+		resp.PDU.ErrorStatus = ErrStatusGenErr
+	}
+	b, err := resp.Marshal()
+	if err != nil || len(b) <= maxDatagram {
+		return b
+	}
+	all := resp.PDU.VarBinds
+	if req.PDU.Type == GetBulkRequest {
+		nonRep := min(max(req.PDU.ErrorStatus, 0), len(req.PDU.VarBinds))
+		if width := len(req.PDU.VarBinds) - nonRep; width > 0 {
+			for keep := len(all) - width; keep >= nonRep+width; keep -= width {
+				resp.PDU.VarBinds = all[:keep]
+				if b, _ := resp.Marshal(); len(b) <= maxDatagram {
+					return b
+				}
+			}
+		}
+	}
+	resp.PDU.ErrorStatus, resp.PDU.VarBinds = ErrStatusTooBig, nil
+	b, _ = resp.Marshal()
+	return b
 }
 
 // edgeSubs are the sub-identifiers names are drawn from: both sides of
 // the one-, two- and three-byte base-128 boundaries and the largest.
 var edgeSubs = []uint32{0, 1, 2, 127, 128, 16383, 16384, 1<<32 - 1}
 
+// kindValue is the i-th of a cycle through every value kind a binding may
+// hold, exceptions included.
+func kindValue(i int) Value {
+	n := int64(i)
+	switch i % 12 {
+	case 0:
+		return Null
+	case 1:
+		return Int64(-n * 1000003)
+	case 2:
+		return Str(fmt.Sprintf("value %d", i))
+	case 3:
+		return OIDValue(OID{1, 3, 6, 1, uint32(i), 1<<32 - 1})
+	case 4:
+		return IPv4([4]byte{10, byte(i), 0, 1})
+	case 5:
+		return Counter(uint64(n) * 0x1234567)
+	case 6:
+		return Gauge(uint32(n) << 24)
+	case 7:
+		return Ticks(uint32(n) * 100)
+	case 8:
+		return Counter64Val(1<<63 + uint64(n))
+	case 9:
+		return NoSuchObject
+	case 10:
+		return Value{Kind: KindNoSuchInstance}
+	}
+	return Octets([]byte{})
+}
+
 // randomBindings draws n distinct names, short and over a small alphabet
-// so that many are prefixes of one another, some bound to a function.
+// so that many are prefixes of one another, of every value kind, some
+// bound to a function.
 func randomBindings(rng *rand.Rand, n int) []Binding {
 	seen := map[string]bool{}
 	var out []Binding
@@ -99,7 +176,7 @@ func randomBindings(rng *rand.Rand, n int) []Binding {
 			continue
 		}
 		seen[name.String()] = true
-		val := Int64(int64(len(out)))
+		val := kindValue(len(out))
 		if rng.Intn(3) == 0 {
 			out = append(out, Binding{Name: name, Live: func() Value { return val }})
 		} else {
@@ -165,12 +242,18 @@ func TestTableMatchesLinearReference(t *testing.T) {
 				}
 			}
 
-			// Whole responses through the agent, against the reference.
+			// Whole answers on the wire, the agent's against the reference's.
+			var wireable []OID
+			for _, o := range asked {
+				if checkOID(o) == nil {
+					wireable = append(wireable, o)
+				}
+			}
 			a := &Agent{Community: "public", View: tab, MaxRepetitions: 1 + rng.Intn(12)}
 			pick := func(k int) []VarBind {
 				vbs := make([]VarBind, k)
 				for i := range vbs {
-					vbs[i] = VarBind{Name: asked[rng.Intn(len(asked))], Value: Null}
+					vbs[i] = VarBind{Name: wireable[rng.Intn(len(wireable))], Value: kindValue(rng.Intn(12))}
 				}
 				return vbs
 			}
@@ -184,25 +267,106 @@ func TestTableMatchesLinearReference(t *testing.T) {
 				{Type: GetBulkRequest, ErrorStatus: 9, ErrorIndex: 4, VarBinds: pick(2)}, // more non-repeaters than varbinds
 				{Type: GetBulkRequest, ErrorStatus: 1, ErrorIndex: 0, VarBinds: pick(4)}, // no repetitions
 				{Type: GetBulkRequest, ErrorStatus: 0, ErrorIndex: 3, VarBinds: []VarBind{ // straight off the end
-					{Name: OID{1, 3, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 0}, Value: Null}, {Name: OID{2}, Value: Null}}},
+					{Name: OID{1, 3, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 1<<32 - 1, 0}, Value: Null}, {Name: OID{2, 0}, Value: Null}}},
 				// The clamped cases of TestGetBulkPresizeIsClamped.
 				{Type: GetBulkRequest, ErrorStatus: 0, ErrorIndex: 4096, VarBinds: pick(1)},
 				{Type: GetBulkRequest, ErrorStatus: -1000, ErrorIndex: 40, VarBinds: pick(2)},
 				{Type: GetBulkRequest, ErrorStatus: -1 << 30, ErrorIndex: 1 << 30, VarBinds: pick(2)},
 				{Type: GetBulkRequest, ErrorStatus: 0, ErrorIndex: -5, VarBinds: pick(2)},
+				{Type: SetRequest, VarBinds: pick(5)},
 			}
 			for i := range reqs {
 				reqs[i].RequestID = int32(i)
-				resp := a.Handle(&Message{Community: "public", PDU: reqs[i]})
-				want := refRespond(sorted, &reqs[i], a.MaxRepetitions)
-				if resp.PDU.Type != GetResponse || resp.PDU.RequestID != int32(i) || resp.PDU.ErrorStatus != 0 {
-					t.Fatalf("%s: request %d answered with header %+v", name, i, resp.PDU)
-				}
-				if got := resp.PDU.VarBinds; !reflect.DeepEqual(append([]VarBind{}, got...), want) {
-					t.Fatalf("%s: request %d (%v, non-repeaters %d, max-repetitions %d):\n got %v\nwant %v",
-						name, i, reqs[i].Type, reqs[i].ErrorStatus, reqs[i].ErrorIndex, got, want)
-				}
+				assertAnswersAsReference(t, a, sorted, &Message{Community: "public", PDU: reqs[i]},
+					fmt.Sprintf("%s: request %d (%v, non-repeaters %d, max-repetitions %d)",
+						name, i, reqs[i].Type, reqs[i].ErrorStatus, reqs[i].ErrorIndex))
 			}
+		}
+	}
+}
+
+// assertAnswersAsReference sends req through HandleBytes and holds the
+// answer to the reference's, byte for byte.
+func assertAnswersAsReference(t *testing.T, a *Agent, sorted []Binding, req *Message, what string) {
+	t.Helper()
+	wire, err := req.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := a.MaxRepetitions
+	if limit <= 0 {
+		limit = 64
+	}
+	got, want := a.HandleBytes(wire), refAnswer(sorted, wire, a.Community, limit)
+	if !bytes.Equal(got, want) {
+		g, _ := Unmarshal(got)
+		w, _ := Unmarshal(want)
+		t.Fatalf("%s:\n got %x\n     %+v\nwant %x\n     %+v", what, got, g, want, w)
+	}
+}
+
+// Answers that do not fit a datagram, and a value no answer can carry, on
+// the wire against the reference: a GetBulk cut to its last whole row that
+// fits, a GetBulk with room for no row and an oversize Get answered tooBig,
+// and requests dropped because a value cannot be encoded.
+func TestOversizeAnswersMatchReference(t *testing.T) {
+	view, roots := wideView(t, 40, 64, 40)
+	big := OID{1, 3, 6, 1, 5, 2}
+	binds := slices.Clone(view.binds)
+	binds = append(binds,
+		Binding{Name: big.Append(1), Value: Octets(make([]byte, 40000))},
+		Binding{Name: big.Append(2), Value: Octets(make([]byte, 40000))},
+		Binding{Name: OID{1, 3, 6, 1, 7, 1}, Value: Value{Kind: KindIPAddress, Bytes: []byte{1, 2, 3}}},
+		Binding{Name: OID{1, 3, 6, 1, 7, 2}, Live: func() Value { return Value{Kind: Kind(99)} }},
+		Binding{Name: OID{1, 3, 6, 1, 7, 3}, Value: Str("after the unencodable")},
+	)
+	tab := NewTable(binds)
+	sorted := slices.Clone(tab.binds)
+	a := &Agent{Community: "public", View: tab}
+	columns := func(nonRep int, maxRep int, names ...OID) *Message {
+		m := &Message{Community: "public", PDU: PDU{Type: GetBulkRequest, RequestID: 9, ErrorStatus: nonRep, ErrorIndex: maxRep}}
+		for _, o := range names {
+			m.PDU.VarBinds = append(m.PDU.VarBinds, VarBind{Name: o, Value: Null})
+		}
+		return m
+	}
+	get := func(names ...OID) *Message {
+		m := columns(0, 0, names...)
+		m.PDU.Type = GetRequest
+		return m
+	}
+	for _, c := range []struct {
+		what    string
+		req     *Message
+		outcome string // "cut", "tooBig" or "drop"
+	}{
+		{"GetBulk of 40 columns x 64 rows", columns(0, 64, roots...), "cut"},
+		{"GetBulk with a non-repeater, 40 x 64", columns(1, 64, append([]OID{big}, roots...)...), "cut"},
+		{"GetBulk whose first row does not fit", columns(0, 1, big, big), "tooBig"},
+		{"GetBulk of non-repeaters only", columns(2, 4, big, big), "tooBig"},
+		{"Get of two 40 kB strings", get(big.Append(1), big.Append(2)), "tooBig"},
+		{"Get of a malformed IpAddress", get(OID{1, 3, 6, 1, 7, 1}), "drop"},
+		{"Get of a live value of no kind", get(OID{1, 3, 6, 1, 7, 2}), "drop"},
+		{"GetNext onto a malformed IpAddress", &Message{Community: "public", PDU: PDU{Type: GetNextRequest,
+			VarBinds: []VarBind{{Name: OID{1, 3, 6, 1, 7}, Value: Null}}}}, "drop"},
+	} {
+		assertAnswersAsReference(t, a, sorted, c.req, c.what)
+		wire, _ := c.req.Marshal()
+		got := a.HandleBytes(wire)
+		if c.outcome == "drop" {
+			if got != nil {
+				t.Errorf("%s: answered, want dropped", c.what)
+			}
+			continue
+		}
+		resp, err := Unmarshal(got)
+		if err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if tooBig := resp.PDU.ErrorStatus == ErrStatusTooBig; tooBig != (c.outcome == "tooBig") || len(got) > maxDatagram ||
+			(c.outcome == "cut" && len(resp.PDU.VarBinds) == 0) {
+			t.Errorf("%s: %d B, error status %d, %d varbinds; want %s", c.what, len(got), resp.PDU.ErrorStatus,
+				len(resp.PDU.VarBinds), c.outcome)
 		}
 	}
 }
