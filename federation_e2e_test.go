@@ -110,6 +110,18 @@ func TestFederatedDaemonsE2E(t *testing.T) {
 		t.Fatalf("cross-domain flow carries no path")
 	}
 
+	// QUERY reads the stitched graph FLOWS reads: the unsimplified
+	// topology for the pair holds every hop and link of the FLOWS path.
+	g, err := ma.GetTopologyContext(ctx, []netip.Addr{app1, srv}, remos.TopologyOptions{Raw: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, hop := range infos[0].Path {
+		if g.Node(hop) == nil || (i > 0 && g.FindLink(infos[0].Path[i-1], hop) == nil) {
+			t.Fatalf("topology for %v-%v lacks hop %s of the FLOWS path %v", app1, srv, hop, infos[0].Path)
+		}
+	}
+
 	// An intra-domain flow answers through the same stitched graph.
 	local, err := ma.GetFlowsContext(ctx, []remos.Flow{{Src: app1, Dst: app2}}, remos.FlowOptions{})
 	if err != nil {
@@ -147,7 +159,9 @@ func TestFederatedDaemonsE2E(t *testing.T) {
 	// A host nobody advertises fails with the unknown-host class, not
 	// collector-unavailable: "no route to a domain" and "domain master
 	// down" stay distinguishable through the public API.
-	mc, err := remos.Dial("tcp://" + da.ASCIIAddr) // client-side flows: exercises Router.Collect
+	// Without server flows the client asks QUERY for the graph, so this
+	// is Router.Collect refusing the host.
+	mc, err := remos.Dial("tcp://" + da.ASCIIAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

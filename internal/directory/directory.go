@@ -44,7 +44,7 @@ type Advert struct {
 	// Priority orders replica masters for the same domain: lower is
 	// preferred, so failover walks surviving adverts in priority order.
 	Priority int
-	// Epoch is the registrant's current snapshot generation, refreshed
+	// Epoch is the registrant's current serving-graph epoch, refreshed
 	// on every heartbeat re-registration. The federation plane compares
 	// it against cached remote answers for domain-scoped invalidation.
 	Epoch uint64
@@ -270,45 +270,6 @@ func (s *Service) Adverts() []Advert {
 	out := make([]Advert, len(all))
 	for i := range all {
 		out[i] = all[i].Advert
-	}
-	return out
-}
-
-// LookupAll returns every unexpired advertisement with a prefix
-// containing the address, best first: longest matching prefix, then
-// lowest Priority, then name. The federation router walks this list for
-// failover — when the preferred master's lease has lapsed (its advert
-// is gone), the next surviving replica answers.
-func (s *Service) LookupAll(h netip.Addr) []Advert {
-	type match struct {
-		a    Advert
-		bits int
-	}
-	var ms []match
-	for _, st := range s.View().All {
-		a := st.Advert
-		best := -1
-		for _, p := range a.Prefixes {
-			if p.Contains(h) && p.Bits() > best {
-				best = p.Bits()
-			}
-		}
-		if best >= 0 {
-			ms = append(ms, match{a: a, bits: best})
-		}
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].bits != ms[j].bits {
-			return ms[i].bits > ms[j].bits
-		}
-		if ms[i].a.Priority != ms[j].a.Priority {
-			return ms[i].a.Priority < ms[j].a.Priority
-		}
-		return ms[i].a.Name < ms[j].a.Name
-	})
-	out := make([]Advert, len(ms))
-	for i, m := range ms {
-		out[i] = m.a
 	}
 	return out
 }

@@ -31,13 +31,15 @@ func (f *fakeColl) Collect(q collector.Query) (*collector.Result, error) {
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func adr(s string) netip.Addr   { return netip.MustParseAddr(s) }
 
-// lookup is the address's best advert: LookupAll's first.
-func lookup(s *Service, h netip.Addr) (Advert, bool) {
-	all := s.LookupAll(h)
-	if len(all) == 0 {
-		return Advert{}, false
+// advertNamed is the unexpired advert registered under name, as Status
+// lists it.
+func advertNamed(s *Service, name string) (Advert, bool) {
+	for _, st := range s.Status() {
+		if st.Name == name {
+			return st.Advert, true
+		}
 	}
-	return all[0], true
+	return Advert{}, false
 }
 
 func TestRegisterLookupExpire(t *testing.T) {
@@ -49,17 +51,14 @@ func TestRegisterLookupExpire(t *testing.T) {
 	}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	a, ok := lookup(d, adr("10.1.2.3"))
-	if !ok || a.Name != "siteA" {
-		t.Fatalf("Lookup = %+v ok=%v", a, ok)
-	}
-	if _, ok := lookup(d, adr("10.2.0.1")); ok {
-		t.Fatal("out-of-scope address resolved")
+	a, ok := advertNamed(d, "siteA")
+	if !ok || a.Collector != fc || a.Prefixes[0] != pfx("10.1.0.0/16") {
+		t.Fatalf("registered advert = %+v ok=%v", a, ok)
 	}
 	// Advance past the TTL: the advert ages out, as SLP registrations do.
 	s.RunFor(2 * time.Hour)
-	if _, ok := lookup(d, adr("10.1.2.3")); ok {
-		t.Fatal("expired advert still resolves")
+	if _, ok := advertNamed(d, "siteA"); ok {
+		t.Fatal("expired advert still in the view")
 	}
 	if len(d.Adverts()) != 0 {
 		t.Fatal("expired advert still listed")
@@ -75,7 +74,7 @@ func TestReregisterRefreshesTTL(t *testing.T) {
 	s.RunFor(50 * time.Minute)
 	d.Register(ad, time.Hour) // refresh
 	s.RunFor(50 * time.Minute)
-	if _, ok := lookup(d, adr("10.1.0.1")); !ok {
+	if _, ok := advertNamed(d, "siteA"); !ok {
 		t.Fatal("refreshed advert expired")
 	}
 }
@@ -87,18 +86,6 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := d.Register(Advert{Name: "x", Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}}, 0); err == nil {
 		t.Fatal("advert with no collector and no endpoint accepted")
-	}
-}
-
-func TestLongestPrefixLookup(t *testing.T) {
-	d := New(sim.NewSim())
-	broad := &fakeColl{name: "broad"}
-	narrow := &fakeColl{name: "narrow"}
-	d.Register(Advert{Name: "broad", Prefixes: []netip.Prefix{pfx("10.0.0.0/8")}, Collector: broad}, 0)
-	d.Register(Advert{Name: "narrow", Prefixes: []netip.Prefix{pfx("10.1.2.0/24")}, Collector: narrow}, 0)
-	a, ok := lookup(d, adr("10.1.2.9"))
-	if !ok || a.Name != "narrow" {
-		t.Fatalf("longest prefix did not win: %+v", a)
 	}
 }
 

@@ -56,9 +56,9 @@ func FuzzServeCommands(f *testing.F) {
 			}
 		}
 		// The service survives whatever was parsed.
-		if _, ok := lookup(svc, netip.MustParseAddr("10.0.0.7")); !ok {
+		if _, ok := advertNamed(svc, "resident"); !ok {
 			// The fuzz input may legitimately DEREGISTER "resident"; only
-			// lookups after an observed deregister may fail.
+			// reads after an observed deregister may miss it.
 			if !bytes.Contains(data, []byte("DEREGISTER resident")) {
 				t.Fatal("resident advert lost without a deregister")
 			}
@@ -141,7 +141,7 @@ func TestTTLExpiryRacesReRegistration(t *testing.T) {
 						return
 					}
 				}
-				lookup(svc, netip.MustParseAddr("10.0.0.1"))
+				advertNamed(svc, name)
 			}
 		}()
 	}
@@ -151,7 +151,7 @@ func TestTTLExpiryRacesReRegistration(t *testing.T) {
 
 	// Quiesced: one final registration must win over any expiry.
 	svc.Register(advert(9999), time.Hour)
-	got, ok := lookup(svc, netip.MustParseAddr("10.0.0.1"))
+	got, ok := advertNamed(svc, name)
 	if !ok || got.Endpoint != "tcp://127.0.0.1:10999" {
 		t.Fatalf("final registration lost: ok=%v advert=%+v", ok, got)
 	}

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"net/netip"
-	"strconv"
 	"strings"
 	"time"
 
@@ -59,78 +57,6 @@ func (c *Client) Replicate(a Advert, ttl time.Duration) (applied bool, err error
 		return nil
 	})
 	return applied, err
-}
-
-// RemoteAdvert is one LISTX row: the advert plus its lease's remaining
-// lifetime at the moment the peer answered.
-type RemoteAdvert struct {
-	Advert
-	TTL time.Duration
-}
-
-// ListX fetches the remote directory's advertisements with their
-// federation lease fields.
-func (c *Client) ListX() ([]RemoteAdvert, error) {
-	var out []RemoteAdvert
-	err := c.exchange(func(conn net.Conn, r *bufio.Reader) error {
-		fmt.Fprintln(conn, "LISTX")
-		head, err := r.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		var n int
-		if _, err := fmt.Sscanf(head, "OK %d", &n); err != nil {
-			return fmt.Errorf("directory: %s", strings.TrimSpace(head))
-		}
-		for i := 0; i < n; i++ {
-			line, err := r.ReadString('\n')
-			if err != nil {
-				return err
-			}
-			f := strings.Fields(line)
-			if len(f) != 10 || f[0] != "ADVERTX" {
-				return fmt.Errorf("directory: bad advertx line %q", strings.TrimSpace(line))
-			}
-			ra := RemoteAdvert{Advert: Advert{Name: f[1]}}
-			if f[2] != "-" {
-				ra.Endpoint = f[2]
-			}
-			if f[3] != "-" {
-				bh, err := netip.ParseAddr(f[3])
-				if err != nil {
-					return err
-				}
-				ra.BenchHost = bh
-			}
-			if f[4] != "-" {
-				ra.Domain = f[4]
-			}
-			prio, err1 := strconv.Atoi(f[5])
-			epoch, err2 := strconv.ParseUint(f[6], 10, 64)
-			seq, err3 := strconv.ParseUint(f[7], 10, 64)
-			ttlSec, err4 := strconv.Atoi(f[8])
-			np, err5 := strconv.Atoi(f[9])
-			if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil || np < 0 || np > 1024 {
-				return fmt.Errorf("directory: bad advertx numbers %q", strings.TrimSpace(line))
-			}
-			ra.Priority, ra.Epoch, ra.Seq = prio, epoch, seq
-			ra.TTL = time.Duration(ttlSec) * time.Second
-			for j := 0; j < np; j++ {
-				pl, err := r.ReadString('\n')
-				if err != nil {
-					return err
-				}
-				p, err := netip.ParsePrefix(strings.TrimSpace(pl))
-				if err != nil {
-					return err
-				}
-				ra.Prefixes = append(ra.Prefixes, p)
-			}
-			out = append(out, ra)
-		}
-		return nil
-	})
-	return out, err
 }
 
 // ReplicatorConfig wires a Replicator.

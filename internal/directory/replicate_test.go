@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"net/netip"
 	"strings"
 	"sync"
@@ -39,7 +38,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if err := svc.Register(fedAdvert(0, 1000), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := lookup(svc, netip.MustParseAddr("10.1.0.5"))
+	cur, _ := advertNamed(svc, "master-east")
 	if cur.Seq != 1 {
 		t.Fatalf("local register seq = %d, want 1", cur.Seq)
 	}
@@ -48,7 +47,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if svc.ReplicaApply(fedAdvert(0, 2000), time.Hour) {
 		t.Fatal("stale replica (seq 0) applied over fresh lease (seq 1)")
 	}
-	cur, _ = lookup(svc, netip.MustParseAddr("10.1.0.5"))
+	cur, _ = advertNamed(svc, "master-east")
 	if cur.Endpoint != "tcp://127.0.0.1:1000" {
 		t.Fatalf("stale replica overwrote endpoint: %q", cur.Endpoint)
 	}
@@ -71,7 +70,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if !svc.ReplicaApply(fedAdvert(2, 4000), time.Hour) {
 		t.Fatal("newer replica rejected")
 	}
-	cur, _ = lookup(svc, netip.MustParseAddr("10.1.0.5"))
+	cur, _ = advertNamed(svc, "master-east")
 	if cur.Endpoint != "tcp://127.0.0.1:4000" || cur.Seq != 2 {
 		t.Fatalf("newer replica not applied: %+v", cur)
 	}
@@ -81,7 +80,7 @@ func TestReplicaApplyLatestLeaseWins(t *testing.T) {
 	if err := svc.Register(fedAdvert(0, 5000), time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	cur, _ = lookup(svc, netip.MustParseAddr("10.1.0.5"))
+	cur, _ = advertNamed(svc, "master-east")
 	if cur.Seq != 3 || cur.Endpoint != "tcp://127.0.0.1:5000" {
 		t.Fatalf("re-registration did not supersede replica: %+v", cur)
 	}
@@ -124,42 +123,9 @@ func TestReplicateConflictOverWire(t *testing.T) {
 	if err != nil || !applied {
 		t.Fatalf("newer replicate: applied=%v err=%v", applied, err)
 	}
-	got, ok := lookup(svc, netip.MustParseAddr("10.1.0.9"))
+	got, ok := advertNamed(svc, "master-east")
 	if !ok || got.Seq != 4 || got.Domain != "east" || got.Priority != 1 || got.Epoch != 44 {
 		t.Fatalf("lease fields lost on the wire: %+v", got)
-	}
-}
-
-// TestListXRoundTrip checks that LISTX carries the federation lease
-// fields and a sane remaining TTL.
-func TestListXRoundTrip(t *testing.T) {
-	svc := New(sim.NewSim())
-	srv := &Server{Service: svc}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := svc.Register(fedAdvert(0, 1000), time.Hour); err != nil {
-		t.Fatal(err)
-	}
-
-	c := &Client{Addr: addr, Timeout: 5 * time.Second}
-	ras, err := c.ListX()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ras) != 1 {
-		t.Fatalf("got %d adverts, want 1", len(ras))
-	}
-	ra := ras[0]
-	if ra.Name != "master-east" || ra.Domain != "east" || ra.Priority != 1 ||
-		ra.Epoch != 40 || ra.Seq != 1 || len(ra.Prefixes) != 1 {
-		t.Fatalf("advert fields: %+v", ra)
-	}
-	// The sim clock does not advance, so the full hour remains.
-	if ra.TTL != time.Hour {
-		t.Fatalf("remaining TTL = %v, want %v", ra.TTL, time.Hour)
 	}
 }
 
@@ -189,7 +155,7 @@ func TestReplicatorConvergesMesh(t *testing.T) {
 	defer r.Close()
 
 	s.RunFor(time.Second) // first anti-entropy tick
-	got, ok := lookup(peer, netip.MustParseAddr("10.1.0.2"))
+	got, ok := advertNamed(peer, "master-east")
 	if !ok || got.Seq != 1 || got.Endpoint != "tcp://127.0.0.1:1000" {
 		t.Fatalf("peer after first push: ok=%v %+v", ok, got)
 	}
@@ -200,21 +166,20 @@ func TestReplicatorConvergesMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunFor(time.Second)
-	got, ok = lookup(peer, netip.MustParseAddr("10.1.0.2"))
+	got, ok = advertNamed(peer, "master-east")
 	if !ok || got.Seq != 2 || got.Endpoint != "tcp://127.0.0.1:2000" {
 		t.Fatalf("peer after re-lease: ok=%v %+v", ok, got)
 	}
 }
 
-// TestExpiryDuringLookupRace races LookupAll and Status (which purge
-// expired entries) against replication applying fresh leases and the
-// clock marching entries to expiry. Run under -race; the invariant is
-// that every observed advert is internally consistent — a lookup never
+// TestExpiryDuringLookupRace races View and Status (whose rebuilds
+// purge expired entries) against replication applying fresh leases and
+// the clock marching entries to expiry. Run under -race; the invariant
+// is that every observed advert is internally consistent — a read never
 // yields a half-applied or resurrected lease.
 func TestExpiryDuringLookupRace(t *testing.T) {
 	s := sim.NewSim()
 	svc := New(s)
-	addr := netip.MustParseAddr("10.1.0.3")
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -260,7 +225,7 @@ func TestExpiryDuringLookupRace(t *testing.T) {
 					return
 				default:
 				}
-				for _, a := range svc.LookupAll(addr) {
+				for _, a := range svc.View().All {
 					want := fmt.Sprintf("tcp://127.0.0.1:%d", a.Seq%40000)
 					if a.Endpoint != want {
 						t.Errorf("torn advert: seq %d endpoint %q", a.Seq, a.Endpoint)
@@ -281,11 +246,12 @@ func TestExpiryDuringLookupRace(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzReplicationMessages drives the REPLICATE and LISTX verbs with
-// arbitrary byte streams, mirroring FuzzServeCommands for the
-// federation verbs: the parser must answer or reject every input
-// without panicking, and latest-lease-wins must hold — the resident
-// seq-5 lease can only ever be replaced by a strictly newer sequence.
+// FuzzReplicationMessages drives the REPLICATE verb with arbitrary byte
+// streams, mirroring FuzzServeCommands for the federation verb: the
+// parser must answer or reject every input without panicking, the
+// retired LISTX verb is an unknown command, and latest-lease-wins must
+// hold — the resident seq-5 lease can only ever be replaced by a
+// strictly newer sequence.
 func FuzzReplicationMessages(f *testing.F) {
 	seeds := []string{
 		"REPLICATE m 60 tcp://1.2.3.4:3567 10.0.0.9 east 1 42 7 2\n10.0.0.0/24\n10.1.0.0/16\n",
@@ -299,8 +265,8 @@ func FuzzReplicationMessages(f *testing.F) {
 		"REPLICATE m 60 tcp://x - - 0 18446744073709551615 18446744073709551615 1\nnot-a-prefix\n",
 		"REPLICATE m 60 tcp://x - - 0 0 1 1\n", // truncated: prefix missing
 		"LISTX\n",
-		"LISTX extra args\n",
-		strings.Repeat("LISTX\n", 8),
+		"REPLICATE resident 60 tcp://9.9.9.9:9 - home 0 5 5 1\n10.0.0.0/8\nLIST\n",
+		strings.Repeat("REPLICATE m 60 tcp://x - - 0 0 0 0\n", 8),
 		"REPLICATE\n",
 	}
 	for _, s := range seeds {
@@ -320,10 +286,14 @@ func FuzzReplicationMessages(f *testing.F) {
 		}
 		srv := &Server{Service: svc}
 		r := bufio.NewReader(bytes.NewReader(data))
+		var out bytes.Buffer
 		for i := 0; i < 1024; i++ {
-			if err := srv.serveOne(io.Discard, r); err != nil {
+			if err := srv.serveOne(&out, r); err != nil {
 				break
 			}
+		}
+		if bytes.HasPrefix(data, []byte("LISTX\n")) && !bytes.HasPrefix(out.Bytes(), []byte("ERR unknown command")) {
+			t.Fatalf("LISTX answered %q, want an unknown-command error", out.String())
 		}
 		// Latest-lease-wins: while the resident entry exists, its seq can
 		// only have grown (a newer replicated lease may replace it, a

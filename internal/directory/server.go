@@ -29,21 +29,15 @@ import (
 //	S: ADVERT <name> <endpoint> <benchHost|-> <nPrefixes>
 //	S: <prefix> ... (n lines, repeated per advert)
 //
-// The federation plane adds two verbs. REPLICATE pushes one advert
+// The federation plane adds one verb. REPLICATE pushes one advert
 // between peer directories under latest-lease-wins (the reply's flag
 // reports whether it was applied or lost to a fresher lease), carrying
 // the lease fields REGISTER does not: domain, replica priority,
-// snapshot epoch and lease sequence. LISTX is LIST with those fields
-// and the lease's remaining lifetime, so a peer can re-lease exactly.
+// serving-graph epoch and lease sequence.
 //
 //	C: REPLICATE <name> <ttlSeconds> <endpoint> <benchHost|-> <domain|-> <priority> <epoch> <seq> <nPrefixes>
 //	C: <prefix> ... (n lines)
 //	S: OK <applied:0|1> | ERR <message>
-//
-//	C: LISTX
-//	S: OK <n>
-//	S: ADVERTX <name> <endpoint> <benchHost|-> <domain|-> <priority> <epoch> <seq> <ttlSeconds> <nPrefixes>
-//	S: <prefix> ... (n lines, repeated per advert)
 
 // wireTTL renders a live lease's lifetime in the whole seconds the wire
 // grammar carries, rounding up: truncation would collapse a sub-second
@@ -203,30 +197,6 @@ func (s *Server) serveOne(w io.Writer, r *bufio.Reader) error {
 			}
 			fmt.Fprintf(bw, "ADVERT %s %s %s %d\n", a.Name, endpoint, bench, len(a.Prefixes))
 			for _, p := range a.Prefixes {
-				fmt.Fprintln(bw, p.String())
-			}
-		}
-		return bw.Flush()
-	case "LISTX":
-		status := s.Service.Status()
-		now := s.Service.Now()
-		bw := bufio.NewWriter(w)
-		fmt.Fprintf(bw, "OK %d\n", len(status))
-		for _, st := range status {
-			bench, endpoint, domain := "-", st.Endpoint, st.Domain
-			if st.BenchHost.IsValid() {
-				bench = st.BenchHost.String()
-			}
-			if endpoint == "" {
-				endpoint = "-"
-			}
-			if domain == "" {
-				domain = "-"
-			}
-			ttl := wireTTL(st.Expires.Sub(now))
-			fmt.Fprintf(bw, "ADVERTX %s %s %s %s %d %d %d %d %d\n",
-				st.Name, endpoint, bench, domain, st.Priority, st.Epoch, st.Seq, ttl, len(st.Prefixes))
-			for _, p := range st.Prefixes {
 				fmt.Fprintln(bw, p.String())
 			}
 		}

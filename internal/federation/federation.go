@@ -1,12 +1,12 @@
 // Package federation is the multi-master collector mesh: each
-// administrative domain runs its own master (a DomainServer) over its
-// slice of the network, masters advertise their responsibility into a
-// replicated directory (internal/directory grows leases, peer
-// replication, and priority-ordered failover for this), and a Router on
-// any daemon answers cross-domain queries by resolving the owning
-// master per host, fanning sub-queries out over the existing wire
-// protocols, and stitching the per-domain subgraphs at their declared
-// border links into one answer.
+// administrative domain runs its own master (a DomainServer) that
+// publishes one whole serving graph per epoch, masters advertise their
+// responsibility into a replicated directory (internal/directory grows
+// leases, peer replication, and priority-ordered failover for this), and
+// a Router on any daemon fetches every domain's graph over the existing
+// wire protocols and stitches them at their declared border links into
+// one graph. Topology (QUERY) and flow (FLOWS) queries both read that
+// stitched graph, so the two verbs always describe the same network.
 //
 // The stitched answer is exact, not approximate: a partition's serving
 // graphs (domain interior plus incident border links, see
@@ -18,7 +18,7 @@
 // pin the end-to-end equality.
 //
 // Liveness rides on directory leases. A master heartbeats its advert
-// (carrying its current snapshot epoch) at a fraction of the lease TTL
+// (carrying its current serving-graph epoch) at a fraction of the lease TTL
 // and the directory replicates it to every peer under latest-lease-wins.
 // When a master dies its lease lapses, the advert vanishes from every
 // replica, and the Router fails over to the domain's next surviving
@@ -31,6 +31,7 @@ package federation
 import (
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 	"time"
 
 	"remos/internal/collector"
@@ -38,7 +39,6 @@ import (
 	"remos/internal/obs"
 	"remos/internal/rerr"
 	"remos/internal/sim"
-	"remos/internal/snapshot"
 	"remos/internal/topology"
 )
 
@@ -58,10 +58,13 @@ type DomainConfig struct {
 	Endpoint string
 	// Graph supplies the domain's current serving graph — interior
 	// links plus incident border links (Partition.ServingGraph), with
-	// live utilizations. Called on every refresh. Required.
+	// live utilizations. Called on every refresh; the graph it returns
+	// is served as is, so the source must not modify it afterwards.
+	// Required.
 	Graph func() (*topology.Graph, error)
-	// Hosts are the domain's endpoint addresses, stamped fresh on every
-	// refresh.
+	// Hosts is read by nothing: a domain publishes its whole serving
+	// graph each epoch, so no per-host freshness is kept. It goes with
+	// the next amendment of the federation benchmark rig, which sets it.
 	Hosts []netip.Addr
 	// Prefixes are the subnets this master advertises responsibility
 	// for (Partition.HostPrefixes). Required.
@@ -74,7 +77,7 @@ type DomainConfig struct {
 	// Obs, when set, receives the remos_federation_* domain metrics.
 	Obs *obs.Registry
 	// Refresh is the serving-graph refresh (and heartbeat) interval;
-	// each refresh advances the domain's snapshot epoch. Default 1s.
+	// each refresh advances the domain's epoch. Default 1s.
 	Refresh time.Duration
 	// LeaseTTL is the advert lease lifetime; default 3×Refresh. The
 	// heartbeat runs at min(Refresh, LeaseTTL/3), so a healthy master
@@ -82,14 +85,15 @@ type DomainConfig struct {
 	LeaseTTL time.Duration
 }
 
-// DomainServer is one domain's master: a snapshot store refreshed from
-// the domain's serving graph on a timer, a collector serving the current
-// generation, and a heartbeat keeping the directory lease alive with the
-// current epoch piggybacked on the advert.
+// DomainServer is one domain's master: on a timer it publishes the
+// serving graph its source returns as the next epoch, whole — a link the
+// domain lost leaves with that epoch — serves the latest one through its
+// collector, and heartbeats the directory lease with that epoch on the
+// advert.
 type DomainServer struct {
-	cfg   DomainConfig
-	store *snapshot.Store
-	timer *sim.Timer
+	cfg    DomainConfig
+	latest atomic.Pointer[served]
+	timer  *sim.Timer
 
 	gEpoch      *obs.Gauge
 	mRefreshes  *obs.Counter
@@ -118,12 +122,9 @@ func StartDomain(cfg DomainConfig) (*DomainServer, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 3 * cfg.Refresh
 	}
-	d := &DomainServer{
-		cfg:   cfg,
-		store: snapshot.New(snapshot.Config{Now: cfg.Sched.Now}),
-	}
+	d := &DomainServer{cfg: cfg}
 	d.gEpoch = cfg.Obs.Gauge("remos_federation_domain_epoch",
-		"domain master's current snapshot generation", "domain", cfg.Domain, "advert", cfg.Name)
+		"domain master's current serving-graph epoch", "domain", cfg.Domain, "advert", cfg.Name)
 	d.mRefreshes = cfg.Obs.Counter("remos_federation_refreshes_total",
 		"domain serving-graph refreshes", "domain", cfg.Domain)
 	d.mRefreshErr = cfg.Obs.Counter("remos_federation_refresh_errors_total",
@@ -139,8 +140,16 @@ func StartDomain(cfg DomainConfig) (*DomainServer, error) {
 	return d, nil
 }
 
-// refresh folds the current serving graph into a new snapshot epoch and
-// renews the directory lease with that epoch on the advert.
+// served is one published epoch: the serving graph, never mutated
+// after it is stored.
+type served struct {
+	graph *topology.Graph
+	epoch uint64
+}
+
+// refresh publishes the current serving graph as the next epoch and
+// renews the directory lease with that epoch on the advert. Only the
+// heartbeat timer calls it after StartDomain, so epochs never race.
 func (d *DomainServer) refresh() error {
 	g, err := d.cfg.Graph()
 	if err != nil {
@@ -148,8 +157,9 @@ func (d *DomainServer) refresh() error {
 		return fmt.Errorf("federation: master %q: serving graph: %w", d.cfg.Name, err)
 	}
 	d.mRefreshes.Inc()
-	snap := d.store.Apply(d.cfg.Hosts, &collector.Result{Graph: g}, d.cfg.Sched.Now())
-	d.gEpoch.Set(float64(snap.Epoch()))
+	epoch := d.Epoch() + 1
+	d.latest.Store(&served{graph: g, epoch: epoch})
+	d.gEpoch.Set(float64(epoch))
 	return d.cfg.Directory.Register(directory.Advert{
 		Name:      d.cfg.Name,
 		Prefixes:  d.cfg.Prefixes,
@@ -157,14 +167,15 @@ func (d *DomainServer) refresh() error {
 		Endpoint:  d.cfg.Endpoint,
 		Domain:    d.cfg.Domain,
 		Priority:  d.cfg.Priority,
-		Epoch:     uint64(snap.Epoch()),
+		Epoch:     epoch,
 	}, d.cfg.LeaseTTL)
 }
 
-// Epoch returns the domain's current snapshot generation.
-func (d *DomainServer) Epoch() snapshot.Epoch {
-	if s := d.store.Current(); s != nil {
-		return s.Epoch()
+// Epoch returns the domain's current serving-graph epoch, 0 before the
+// first refresh.
+func (d *DomainServer) Epoch() uint64 {
+	if s := d.latest.Load(); s != nil {
+		return s.epoch
 	}
 	return 0
 }
@@ -202,12 +213,12 @@ func (c domainCollector) Collect(q collector.Query) (*collector.Result, error) {
 	if err := q.Context().Err(); err != nil {
 		return nil, err
 	}
-	snap := c.d.store.Current()
-	if snap == nil {
+	s := c.d.latest.Load()
+	if s == nil {
 		return nil, rerr.Tagf(rerr.ErrCollectorUnavailable,
 			"federation: master %q has no serving graph yet", c.d.cfg.Name)
 	}
-	// Cloned: the caller may merge or annotate the result, the snapshot
-	// generation is immutable.
-	return &collector.Result{Graph: snap.Graph().Clone()}, nil
+	// Cloned: the caller may merge or annotate the result, the published
+	// graph is immutable.
+	return &collector.Result{Graph: s.graph.Clone()}, nil
 }

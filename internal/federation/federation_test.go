@@ -63,7 +63,6 @@ func buildMesh(t *testing.T, n *netsim.Network, s *sim.Sim, k int) *mesh {
 			Name:      fmt.Sprintf("dom%d-a", i),
 			Domain:    fmt.Sprintf("dom%d", i),
 			Graph:     func() (*topology.Graph, error) { return m.p.ServingGraph(i) },
-			Hosts:     p.DomainHosts(i),
 			Prefixes:  p.HostPrefixes(i),
 			Directory: m.dir,
 			Sched:     s,
@@ -146,6 +145,61 @@ func TestStitchedFlowsMatchSingleMasterTwoTier(t *testing.T) {
 	checkFlowsMatchGroundTruth(t, m, flows)
 }
 
+// randomMesh builds one random routed fabric — 2–6 routers in a random
+// tree plus up to as many again redundant links of mixed capacity, and
+// behind each router a switch with 2–3 hosts — partitions it into a
+// random number of domains (1 to one per router, so a transit domain
+// can sit between two others), starts cross traffic so the serving
+// graphs carry non-zero load, and runs the clock until every master has
+// refreshed at the same instant, the moment a deployment's schedulers
+// would all have polled.
+func randomMesh(t *testing.T, rnd *rand.Rand, seed int64) *mesh {
+	t.Helper()
+	s := sim.NewSim()
+	n := netsim.New(s)
+	nr := 2 + rnd.Intn(5)
+	routers := make([]*netsim.Device, nr)
+	wired := map[[2]int]bool{}
+	connect := func(a, b int, capacity float64) {
+		key := [2]int{min(a, b), max(a, b)}
+		if a == b || wired[key] {
+			return
+		}
+		wired[key] = true
+		n.Connect(routers[a], routers[b], capacity, time.Millisecond)
+	}
+	for i := range routers {
+		routers[i] = n.AddRouter(fmt.Sprintf("r%d", i))
+		if i > 0 {
+			connect(i, rnd.Intn(i), 1e9)
+		}
+	}
+	for extra := rnd.Intn(nr); extra > 0; extra-- {
+		connect(rnd.Intn(nr), rnd.Intn(nr), 1e9+float64(rnd.Intn(5))*1e8)
+	}
+	var hostDevs []*netsim.Device
+	for i, r := range routers {
+		sw := n.AddSwitch(fmt.Sprintf("sw%d", i))
+		n.Connect(sw, r, 1e9, time.Millisecond)
+		for h := 0; h < 2+rnd.Intn(2); h++ {
+			host := n.AddHost(fmt.Sprintf("h%d-%d", i, h))
+			n.Connect(host, sw, 100e6, time.Millisecond)
+			hostDevs = append(hostDevs, host)
+		}
+	}
+	n.AssignSubnets()
+	n.ComputeRoutes()
+
+	m := buildMesh(t, n, s, 1+rnd.Intn(nr))
+	if _, err := n.StartCrossTraffic(hostDevs[0], hostDevs[len(hostDevs)-1], netsim.CrossTrafficSpec{
+		Mean: 5e6, Jitter: 0.5, Period: 500 * time.Millisecond, Seed: seed,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(3 * time.Second)
+	return m
+}
+
 // TestStitchedFlowsMatchSingleMasterRandom is the randomized stitching
 // property test: over random fabrics, random partitions, and random
 // flow sets — with cross traffic perturbing utilizations between rounds
@@ -155,55 +209,7 @@ func TestStitchedFlowsMatchSingleMasterTwoTier(t *testing.T) {
 func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
 	rnd := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 12; trial++ {
-		s := sim.NewSim()
-		n := netsim.New(s)
-		nr := 2 + rnd.Intn(5)
-		routers := make([]*netsim.Device, nr)
-		wired := map[[2]int]bool{}
-		connect := func(a, b int, capacity float64) {
-			key := [2]int{min(a, b), max(a, b)}
-			if a == b || wired[key] {
-				return
-			}
-			wired[key] = true
-			n.Connect(routers[a], routers[b], capacity, time.Millisecond)
-		}
-		for i := range routers {
-			routers[i] = n.AddRouter(fmt.Sprintf("r%d", i))
-			if i > 0 {
-				connect(i, rnd.Intn(i), 1e9)
-			}
-		}
-		for extra := rnd.Intn(nr); extra > 0; extra-- {
-			connect(rnd.Intn(nr), rnd.Intn(nr), 1e9+float64(rnd.Intn(5))*1e8)
-		}
-		var hostDevs []*netsim.Device
-		for i, r := range routers {
-			sw := n.AddSwitch(fmt.Sprintf("sw%d", i))
-			n.Connect(sw, r, 1e9, time.Millisecond)
-			for h := 0; h < 2+rnd.Intn(2); h++ {
-				host := n.AddHost(fmt.Sprintf("h%d-%d", i, h))
-				n.Connect(host, sw, 100e6, time.Millisecond)
-				hostDevs = append(hostDevs, host)
-			}
-		}
-		n.AssignSubnets()
-		n.ComputeRoutes()
-
-		k := 1 + rnd.Intn(nr)
-		m := buildMesh(t, n, s, k)
-
-		// Perturb utilizations so the serving graphs carry non-zero load,
-		// then refresh every master at the same instant — the moment a
-		// deployment's schedulers would all have polled.
-		if len(hostDevs) >= 2 {
-			if _, err := n.StartCrossTraffic(hostDevs[0], hostDevs[len(hostDevs)-1], netsim.CrossTrafficSpec{
-				Mean: 5e6, Jitter: 0.5, Period: 500 * time.Millisecond, Seed: int64(trial + 1),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.RunFor(3 * time.Second)
+		m := randomMesh(t, rnd, int64(trial+1))
 
 		var flows []modeler.Flow
 		for i := 0; i < 16; i++ {
@@ -236,6 +242,87 @@ func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
 				t.Fatalf("trial %d: bottleneck diverges: got %v %v %v, want %v %v %v",
 					trial, gotBW, gotPath, gotErr, wantBW, wantPath, wantErr)
 			}
+		}
+	}
+}
+
+// TestRouterCollectMatchesSingleMaster holds the QUERY face to the same
+// truth as the FLOWS face: on random fabrics and partitions, for every
+// ordered host pair, max-min on the graph Router.Collect returns for the
+// pair equals max-min on the whole unpartitioned topology — rate, delay,
+// jitter and path. A reply that leaves out a transit domain has no route
+// between two domains that do not border each other, and fails here.
+func TestRouterCollectMatchesSingleMaster(t *testing.T) {
+	rnd := rand.New(rand.NewSource(99))
+	pairs := 0
+	for trial := 0; trial < 60; trial++ {
+		m := randomMesh(t, rnd, int64(trial+1))
+		truth, err := netsim.TopologyGraph(m.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range m.hosts {
+			for _, b := range m.hosts {
+				if a == b {
+					continue
+				}
+				pairs++
+				req := []topology.FlowRequest{{Src: a.String(), Dst: b.String()}}
+				want, err := truth.FlowAlloc(req)
+				if err != nil {
+					t.Fatalf("trial %d: ground-truth walk %v -> %v: %v", trial, a, b, err)
+				}
+				res, err := m.router.Collect(collector.Query{Hosts: []netip.Addr{a, b}})
+				if err != nil {
+					t.Fatalf("trial %d: collect %v -> %v: %v", trial, a, b, err)
+				}
+				got, err := res.Graph.FlowAlloc(req)
+				if err != nil {
+					t.Fatalf("trial %d: %v -> %v on the collected graph: %v (%d domains)",
+						trial, a, b, err, m.p.K())
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: %v -> %v diverges from the single-master walk:\ngot  %+v\nwant %+v",
+						trial, a, b, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d ordered host pairs agree", pairs)
+}
+
+// TestMovedHostLeavesTheServingGraph moves a host inside one domain and
+// checks the federated answers follow it: a domain publishes the graph
+// its source returns now, so the link the host left is gone from the
+// next epoch, for FLOWS and for QUERY alike.
+func TestMovedHostLeavesTheServingGraph(t *testing.T) {
+	s := sim.NewSim()
+	n := netsim.New(s)
+	r := n.AddRouter("r")
+	sw1, sw2 := n.AddSwitch("sw1"), n.AddSwitch("sw2")
+	n.Connect(sw1, r, 1e9, time.Millisecond)
+	n.Connect(sw2, r, 1e9, time.Millisecond)
+	h, h1, h2 := n.AddHost("h"), n.AddHost("h1"), n.AddHost("h2")
+	n.Connect(h, sw1, 100e6, time.Millisecond)
+	n.Connect(h1, sw1, 100e6, time.Millisecond)
+	n.Connect(h2, sw2, 100e6, time.Millisecond)
+	n.AssignSubnets()
+	n.ComputeRoutes()
+	m := buildMesh(t, n, s, 1)
+	flows := []modeler.Flow{{Src: h.Addr(), Dst: h1.Addr()}}
+	checkFlowsMatchGroundTruth(t, m, flows)
+
+	n.MoveHost(h, sw2, 10e6, time.Millisecond)
+	s.RunFor(3 * time.Second)
+	checkFlowsMatchGroundTruth(t, m, flows)
+	res, err := m.router.Collect(collector.Query{Hosts: []netip.Addr{h.Addr(), h1.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hid, swid := h.Addr().String(), sw1.ManagementAddr().String()
+	for _, l := range res.Graph.Links() {
+		if (l.From == hid && l.To == swid) || (l.From == swid && l.To == hid) {
+			t.Fatalf("QUERY still attaches %s to sw1 after the move: %+v", hid, *l)
 		}
 	}
 }
@@ -296,7 +383,6 @@ func TestFailoverToSecondaryOnLeaseExpiry(t *testing.T) {
 		Domain:    "dom0",
 		Priority:  1,
 		Graph:     func() (*topology.Graph, error) { return m.p.ServingGraph(0) },
-		Hosts:     m.p.DomainHosts(0),
 		Prefixes:  m.p.HostPrefixes(0),
 		Directory: m.dir,
 		Sched:     s,
@@ -315,8 +401,9 @@ func TestFailoverToSecondaryOnLeaseExpiry(t *testing.T) {
 	// 3×Refresh = 3s).
 	m.masters[0].Kill()
 	s.RunFor(4 * time.Second)
-	if len(m.dir.LookupAll(m.p.DomainHosts(0)[0])) == 0 {
-		t.Fatal("domain 0 lost both adverts")
+	if doms := m.dir.View().Domains; len(doms) == 0 || doms[0].Name != "dom0" ||
+		len(doms[0].Adverts) != 1 || doms[0].Adverts[0].Name != "dom0-b" {
+		t.Fatalf("domain 0 after the primary's lease lapsed: %+v", doms)
 	}
 	checkFlowsMatchGroundTruth(t, m, flows)
 	snap := m.router.Snapshot()
@@ -352,7 +439,6 @@ func startWireMaster(t *testing.T, m *mesh, peer string, domain, priority int) (
 		Priority:  priority,
 		Endpoint:  "tcp://" + addr,
 		Graph:     func() (*topology.Graph, error) { return m.p.ServingGraph(domain) },
-		Hosts:     m.p.DomainHosts(domain),
 		Prefixes:  m.p.HostPrefixes(domain),
 		Directory: mdir,
 		Sched:     m.s,
@@ -457,11 +543,13 @@ func TestKillFailoverOverSockets(t *testing.T) {
 
 	// Heartbeats move every epoch: re-fetch and re-stitch under load.
 	hammer(func() { s.RunFor(2 * time.Second) })
+	// With no query running, the primary heartbeats an epoch nobody has
+	// fetched, and then dies. Its lease still stands, so the next fetch
+	// of domain 0 walks the adverts in priority order: the primary
+	// refuses, the standby answers.
+	s.RunFor(time.Second)
+	crashPrimary()
 	hammer(func() {
-		crashPrimary()
-		// The dead lease still stands, so a host-scoped query walks
-		// domain 0's adverts in priority order: the primary refuses, the
-		// standby answers.
 		cl := &proto.TCPClient{Addr: routerAddr}
 		defer cl.Close()
 		if _, err := cl.Collect(collector.Query{Hosts: m.p.DomainHosts(0)[:1]}); err != nil {
@@ -502,7 +590,7 @@ func TestStaleServeWhenAllMastersUnreachable(t *testing.T) {
 		Graph:  func() (*topology.Graph, error) { return p.ServingGraph(0) },
 		// Registered below with the endpoint; keep it out of the local
 		// directory so resolution must go through the wire.
-		Hosts: p.DomainHosts(0), Prefixes: p.HostPrefixes(0),
+		Prefixes:  p.HostPrefixes(0),
 		Directory: directory.New(s), Sched: s, Obs: reg, Refresh: time.Second,
 	})
 	if err != nil {
@@ -525,8 +613,8 @@ func TestStaleServeWhenAllMastersUnreachable(t *testing.T) {
 	// Domain 1 is local.
 	d1, err := StartDomain(DomainConfig{
 		Name: "dom1-a", Domain: "dom1",
-		Graph: func() (*topology.Graph, error) { return p.ServingGraph(1) },
-		Hosts: p.DomainHosts(1), Prefixes: p.HostPrefixes(1),
+		Graph:     func() (*topology.Graph, error) { return p.ServingGraph(1) },
+		Prefixes:  p.HostPrefixes(1),
 		Directory: dir, Sched: s, Obs: reg, Refresh: time.Second,
 	})
 	if err != nil {
@@ -549,7 +637,7 @@ func TestStaleServeWhenAllMastersUnreachable(t *testing.T) {
 	srv.Close()
 	if err := dir.Register(directory.Advert{
 		Name: "dom0-a", Domain: "dom0", Endpoint: "tcp://" + addr,
-		Prefixes: p.HostPrefixes(0), Epoch: uint64(d0.Epoch()) + 1,
+		Prefixes: p.HostPrefixes(0), Epoch: d0.Epoch() + 1,
 	}, time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -583,45 +671,95 @@ func (g *gatedCollector) Collect(q collector.Query) (*collector.Result, error) {
 	return g.inner.Collect(q)
 }
 
-// TestRouterCollectFanOut pins the collector face: hosts grouped by
-// owning master, answered over the wire where the advert is remote,
-// merged deterministically, and unknown hosts refused with the typed
-// no-responsible-collector error (distinct from domain-unreachable).
+// TestRouterCollectFanOut pins the collector face: a host query is
+// answered from the stitched graph of every domain — on a two-tier
+// fabric, and on a chain of three domains whose ends do not border each
+// other, where the route crosses the middle domain — and unknown hosts
+// are refused with the typed no-responsible-collector error (distinct
+// from domain-unreachable).
 func TestRouterCollectFanOut(t *testing.T) {
-	s := sim.NewSim()
-	n := netsim.New(s)
-	tt := netsim.BuildTwoTier(n, netsim.TwoTierSpec{Spines: 2, Leaves: 4, HostsPerLeaf: 2})
-	m := buildMesh(t, n, s, 2)
+	for _, tc := range []struct {
+		name  string
+		k     int
+		build func(n *netsim.Network) []*netsim.Device
+	}{
+		{"two-tier", 2, func(n *netsim.Network) []*netsim.Device {
+			return netsim.BuildTwoTier(n, netsim.TwoTierSpec{Spines: 2, Leaves: 4, HostsPerLeaf: 2}).Hosts
+		}},
+		// Five routers in a line, three domains: the middle domain owns
+		// r1-r2, so only its graph joins the ends.
+		{"chain of three", 3, func(n *netsim.Network) []*netsim.Device {
+			var hosts []*netsim.Device
+			var prev *netsim.Device
+			for i := 0; i < 5; i++ {
+				r, sw := n.AddRouter(fmt.Sprintf("r%d", i)), n.AddSwitch(fmt.Sprintf("sw%d", i))
+				if prev != nil {
+					n.Connect(prev, r, 1e9, time.Millisecond)
+				}
+				prev = r
+				n.Connect(sw, r, 1e9, time.Millisecond)
+				for j := 0; j < 2; j++ {
+					h := n.AddHost(fmt.Sprintf("h%d-%d", i, j))
+					n.Connect(h, sw, 100e6, time.Millisecond)
+					hosts = append(hosts, h)
+				}
+			}
+			n.AssignSubnets()
+			n.ComputeRoutes()
+			return hosts
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewSim()
+			n := netsim.New(s)
+			hosts := tc.build(n)
+			m := buildMesh(t, n, s, tc.k)
 
-	// Find a pair of hosts owned by different domains.
-	var src, dst netip.Addr
-	for _, h := range tt.Hosts[1:] {
-		if m.p.DomainOf(h) != m.p.DomainOf(tt.Hosts[0]) {
-			src, dst = tt.Hosts[0].Addr(), h.Addr()
-			break
-		}
-	}
-	if !dst.IsValid() {
-		t.Fatal("partition put every host in one domain")
-	}
-	res, err := m.router.Collect(collector.Query{Hosts: []netip.Addr{src, dst}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph.NodeByAddr(src.String()) == nil || res.Graph.NodeByAddr(dst.String()) == nil {
-		t.Fatal("merged cross-domain answer missing an endpoint")
-	}
-	// The merged serving graphs must route between the domains.
-	if _, _, err := res.Graph.BottleneckAvail(src.String(), dst.String()); err != nil {
-		t.Fatalf("no cross-domain route in merged answer: %v", err)
-	}
+			// The first host, and the last host outside its domain; on
+			// the chain, the two domains are ones no border link joins.
+			a, b := hosts[0], hosts[0]
+			for _, h := range hosts {
+				if m.p.DomainOf(h) != m.p.DomainOf(a) {
+					b = h
+				}
+			}
+			da, db := m.p.DomainOf(a), m.p.DomainOf(b)
+			if da == db {
+				t.Fatal("partition put every host in one domain")
+			}
+			adjacent := false
+			for _, l := range m.p.Borders {
+				x, y := m.p.DomainOf(l.A.Dev), m.p.DomainOf(l.B.Dev)
+				adjacent = adjacent || (x == da && y == db) || (x == db && y == da)
+			}
+			if tc.k == 3 && adjacent {
+				t.Fatal("the chain's end domains border each other")
+			}
+			src, dst := a.Addr(), b.Addr()
+			res, err := m.router.Collect(collector.Query{Hosts: []netip.Addr{src, dst}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Graph.NodeByAddr(src.String()) == nil || res.Graph.NodeByAddr(dst.String()) == nil {
+				t.Fatal("cross-domain answer missing an endpoint")
+			}
+			got, err := res.Graph.FlowAlloc([]topology.FlowRequest{{Src: src.String(), Dst: dst.String()}})
+			if err != nil {
+				t.Fatalf("no cross-domain route in the answer: %v", err)
+			}
+			want := groundTruth(t, n, []modeler.Flow{{Src: src, Dst: dst}})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cross-domain route diverges from the single-master walk:\ngot  %+v\nwant %+v", got, want)
+			}
 
-	_, err = m.router.Collect(collector.Query{Hosts: []netip.Addr{netip.MustParseAddr("192.0.2.1")}})
-	if !errors.Is(err, rerr.ErrUnknownHost) {
-		t.Fatalf("unknown host error = %v, want ErrUnknownHost", err)
-	}
-	if errors.Is(err, rerr.ErrCollectorUnavailable) {
-		t.Fatal("unknown host conflated with domain-unreachable")
+			_, err = m.router.Collect(collector.Query{Hosts: []netip.Addr{src, netip.MustParseAddr("192.0.2.1")}})
+			if !errors.Is(err, rerr.ErrUnknownHost) {
+				t.Fatalf("unknown host error = %v, want ErrUnknownHost", err)
+			}
+			if errors.Is(err, rerr.ErrCollectorUnavailable) {
+				t.Fatal("unknown host conflated with domain-unreachable")
+			}
+		})
 	}
 }
 

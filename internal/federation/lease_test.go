@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
+	"remos/internal/collector"
 	"remos/internal/directory"
 	"remos/internal/modeler"
 	"remos/internal/netsim"
@@ -25,7 +27,6 @@ func (m *mesh) lease(t *testing.T, domain int, name string, priority int, ttl ti
 		Name:      name,
 		Domain:    fmt.Sprintf("dom%d", domain),
 		Graph:     func() (*topology.Graph, error) { return m.p.ServingGraph(domain) },
-		Hosts:     m.p.DomainHosts(domain),
 		Prefixes:  m.p.HostPrefixes(domain),
 		Directory: directory.New(m.s),
 		Sched:     m.s,
@@ -37,7 +38,7 @@ func (m *mesh) lease(t *testing.T, domain int, name string, priority int, ttl ti
 	t.Cleanup(ds.Close)
 	if err := m.dir.Register(directory.Advert{
 		Name: name, Domain: fmt.Sprintf("dom%d", domain), Priority: priority,
-		Epoch: uint64(ds.Epoch()), Prefixes: m.p.HostPrefixes(domain), Collector: ds.Collector(),
+		Epoch: ds.Epoch(), Prefixes: m.p.HostPrefixes(domain), Collector: ds.Collector(),
 	}, ttl); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,8 @@ func TestRouterFollowsLeasesAlone(t *testing.T) {
 // TestLapsedDomainFlowIsUnknownHost: once the last lease of a domain
 // lapses, a flow into it fails with ErrUnknownHost — from the router in
 // process, over the ASCII FLOWS verb and over POST /flows — exactly as a
-// host no domain ever advertised does.
+// host no domain ever advertised does, and so does a topology query for
+// the same hosts, in process and over both QUERY verbs.
 func TestLapsedDomainFlowIsUnknownHost(t *testing.T) {
 	s := sim.NewSim()
 	n := netsim.New(s)
@@ -91,7 +93,11 @@ func TestLapsedDomainFlowIsUnknownHost(t *testing.T) {
 	m.lease(t, 0, "dom0-a", 0, time.Second)
 	m.lease(t, 1, "dom1-a", 0, time.Hour)
 	flows := []modeler.Flow{{Src: m.p.DomainHosts(1)[0], Dst: m.p.DomainHosts(0)[0]}}
+	query := collector.Query{Hosts: []netip.Addr{flows[0].Src, flows[0].Dst}}
 	checkFlowsMatchGroundTruth(t, m, flows)
+	if _, err := m.router.Collect(query); err != nil {
+		t.Fatalf("QUERY before the lapse: %v", err)
+	}
 
 	tsrv := &proto.TCPServer{Collector: m.router, Flows: m.router}
 	taddr, err := tsrv.ListenAndServe("127.0.0.1:0")
@@ -115,8 +121,11 @@ func TestLapsedDomainFlowIsUnknownHost(t *testing.T) {
 			_, err := m.router.GetFlowsContext(context.Background(), flows, modeler.FlowOptions{})
 			return err
 		},
-		"ASCII": func() error { _, err := tcl.Flows(context.Background(), flows); return err },
-		"HTTP":  func() error { _, err := hcl.Flows(context.Background(), flows); return err },
+		"ASCII":        func() error { _, err := tcl.Flows(context.Background(), flows); return err },
+		"HTTP":         func() error { _, err := hcl.Flows(context.Background(), flows); return err },
+		"router QUERY": func() error { _, err := m.router.Collect(query); return err },
+		"ASCII QUERY":  func() error { _, err := tcl.Collect(query); return err },
+		"HTTP QUERY":   func() error { _, err := hcl.Collect(query); return err },
 	} {
 		if err := ask(); !errors.Is(err, rerr.ErrUnknownHost) {
 			t.Errorf("%s: a flow into the lapsed domain fails with %v (code %q), want ErrUnknownHost",

@@ -3,8 +3,6 @@ package federation
 import (
 	"context"
 	"fmt"
-	"net/netip"
-	"sort"
 	"sync"
 	"time"
 
@@ -25,8 +23,9 @@ type RouterConfig struct {
 	Directory *directory.Service
 	// Obs, when set, receives the remos_federation_* router metrics.
 	Obs *obs.Registry
-	// Parallelism bounds concurrent sub-queries during fan-out
-	// (0 = unbounded by the router; conc applies its default).
+	// Parallelism bounds concurrent domain fetches while the stitched
+	// graph is brought up to the advertised epochs (0 = unbounded by the
+	// router; conc applies its default).
 	Parallelism int
 	// Timeout bounds each per-domain fetch (default 10s).
 	Timeout time.Duration
@@ -52,12 +51,12 @@ func (st domainState) current(best directory.Advert) bool {
 	return !st.Stale && st.From == best.Name && st.Epoch == best.Epoch
 }
 
-// Router answers queries that may span administrative domains. It is a
-// collector (Collect fans sub-queries to the owning masters and merges)
-// and a flow answerer (GetFlowsContext stitches every domain's serving
-// graph at the border links and runs max-min on the whole), so a proto
-// server backed by a Router serves intra- and cross-domain queries
-// alike.
+// Router answers queries that may span administrative domains. It
+// stitches every domain's serving graph at the border links into one
+// graph and answers both faces from it: as a collector (Collect returns
+// the stitched graph) and as a flow answerer (GetFlowsContext runs
+// max-min on it), so a proto server backed by a Router serves intra- and
+// cross-domain queries alike.
 type Router struct {
 	cfg RouterConfig
 
@@ -91,17 +90,17 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{cfg: cfg, domains: make(map[string]domainState)}
 	r.mCollects = cfg.Obs.Counter("remos_federation_collects_total",
-		"topology queries fanned out to owning domain masters")
+		"topology queries answered from the stitched graph")
 	r.mFlows = cfg.Obs.Counter("remos_federation_flow_queries_total",
 		"flow queries answered on the stitched federated graph")
 	r.mFetches = cfg.Obs.Counter("remos_federation_domain_fetches_total",
 		"domain serving graphs fetched from masters")
 	r.mCacheHits = cfg.Obs.Counter("remos_federation_cache_hits_total",
-		"domain answers served from the epoch-validated cache")
+		"domain graphs served from the epoch-validated cache (QUERY and FLOWS)")
 	r.mStale = cfg.Obs.Counter("remos_federation_stale_serves_total",
 		"domains served from a stale cache because every master was unreachable")
 	r.mFailovers = cfg.Obs.Counter("remos_federation_failovers_total",
-		"sub-queries answered by a lower-priority replica after the preferred master failed")
+		"domain graphs fetched from a lower-priority replica after the preferred master failed")
 	r.mStitches = cfg.Obs.Counter("remos_federation_stitches_total",
 		"stitched federated graphs built (cache-miss path)")
 	r.gDomains = cfg.Obs.Gauge("remos_federation_domains",
@@ -251,85 +250,30 @@ func (r *Router) GetFlowsContext(ctx context.Context, flows []modeler.Flow, _ mo
 	return modeler.AllocFlows(paths, flows, nil)
 }
 
-// Collect implements collector.Interface. A query with hosts fans
-// sub-queries to the masters owning those hosts (longest-prefix match
-// through the directory, failover in priority order) and merges the
-// answers in sorted domain order. The empty query answers with the
-// local domains' serving graphs — it is what peers send to fetch this
-// daemon's slice of the mesh.
+// Collect implements collector.Interface. A query with hosts answers
+// from the stitched graph FLOWS reads — the same per-domain cache,
+// failover and last-resort stale serve — so QUERY and FLOWS describe one
+// network, transit domains included. The reply is the whole stitched
+// graph; the modeler prunes it to the hosts. The empty query answers
+// with the local domains' serving graphs — it is what peers send to
+// fetch this daemon's slice of the mesh.
 func (r *Router) Collect(q collector.Query) (*collector.Result, error) {
 	ctx := q.Context()
 	r.mCollects.Inc()
 	if len(q.Hosts) == 0 {
 		return r.collectLocal(ctx)
 	}
-
-	// Group hosts by owning domain. Every advert for a host shares the
-	// host's owning domain by construction (one subnet never spans
-	// domains), so the first advert's domain names the group and the
-	// full list is the group's failover order.
-	groups := make(map[string][]netip.Addr)
-	failover := make(map[string][]directory.Advert)
-	for _, h := range q.Hosts {
-		adverts := r.cfg.Directory.LookupAll(h)
-		if len(adverts) == 0 {
-			return nil, rerr.Tagf(rerr.ErrUnknownHost,
-				"federation: no domain advertises %v", h)
-		}
-		key := adverts[0].Domain
-		if key == "" {
-			key = adverts[0].Name
-		}
-		if _, ok := failover[key]; !ok {
-			failover[key] = adverts
-		}
-		groups[key] = append(groups[key], h)
-	}
-	names := make([]string, 0, len(groups))
-	for name := range groups {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	results := make([]*collector.Result, len(names))
-	err := conc.ForEachCtx(ctx, len(names), r.cfg.Parallelism, func(i int) error {
-		name := names[i]
-		var firstErr error
-		for n, a := range failover[name] {
-			coll, err := r.cfg.Directory.Resolve(a)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			fctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-			res, err := coll.Collect(collector.Query{
-				Hosts: groups[name], WithHistory: q.WithHistory, WithPredictions: q.WithPredictions,
-			}.WithContext(fctx))
-			cancel()
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if n > 0 {
-				r.mFailovers.Inc()
-			}
-			results[i] = res
-			return nil
-		}
-		return rerr.Tag(fmt.Errorf("federation: domain %q unreachable: %w", name, firstErr),
-			rerr.ErrCollectorUnavailable)
-	})
+	paths, err := r.stitchedPaths(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return collector.MergeResults(results, q), nil
+	for _, h := range q.Hosts {
+		if paths.NodeOf(h) == topology.NoNode {
+			return nil, rerr.Tagf(rerr.ErrUnknownHost,
+				"federation: host %v is in no domain's serving graph", h)
+		}
+	}
+	return &collector.Result{Graph: paths.Graph().Clone()}, nil
 }
 
 // collectLocal answers the empty query with the locally-served domains'

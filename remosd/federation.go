@@ -79,10 +79,10 @@ func (cfg Config) federated(d *Daemon, logf func(format string, args ...any), st
 	domainName := fmt.Sprintf("d%d", cfg.Domain)
 	var master *federation.DomainServer
 	// The domain master registers once the ASCII server is listening: the
-	// advert carries that server's bound address as its endpoint, so peers
-	// can fan sub-queries in over the wire. The advert also carries the
-	// local collector handle, so this daemon's own router never dials
-	// itself.
+	// advert carries that server's bound address as its endpoint, so
+	// peers' routers fetch this domain's serving graph over the wire with
+	// the empty query. The advert also carries the local collector
+	// handle, so this daemon's own router never dials itself.
 	startMaster := func(asciiAddr string) error {
 		var err error
 		master, err = federation.StartDomain(federation.DomainConfig{
@@ -91,7 +91,6 @@ func (cfg Config) federated(d *Daemon, logf func(format string, args ...any), st
 			Priority:  cfg.FedPriority,
 			Endpoint:  "tcp://" + asciiAddr,
 			Graph:     func() (*topology.Graph, error) { return part.ServingGraph(cfg.Domain) },
-			Hosts:     part.DomainHosts(cfg.Domain),
 			Prefixes:  part.HostPrefixes(cfg.Domain),
 			Directory: dir,
 			Sched:     s,
