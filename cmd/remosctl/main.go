@@ -400,7 +400,7 @@ func stats(ctx context.Context, base string, args []string) error {
 		}
 		if strings.HasPrefix(line, "remos_requests_total") ||
 			strings.HasPrefix(line, "remos_request_errors_total") ||
-			strings.HasPrefix(line, "remos_qcache_") ||
+			strings.HasPrefix(line, "remos_snapshot_") ||
 			strings.HasPrefix(line, "remos_sched_") ||
 			strings.HasPrefix(line, "remos_watch_") ||
 			strings.HasPrefix(line, "remos_admission_") ||

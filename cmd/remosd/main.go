@@ -27,10 +27,9 @@
 //	       [-domains 2 -domain 0 -peer host:port ... -fed-priority 0
 //	        -fed-refresh 1s -fed-lease 3s]
 //
-// -max-stale is the one staleness bound: a QUERY answered from the
-// warm-query cache and a FLOWS answered from the snapshot plane are never
-// older, and the background scheduler re-polls a covered pair at least
-// that often.
+// -max-stale is the one staleness bound: a QUERY or a FLOWS answered
+// from the snapshot plane is never older, and the background scheduler
+// re-polls a covered pair at least that often.
 //
 // The -obs listener exposes the observability plane: /metrics
 // (Prometheus text, the process's runtime gauges included), /healthz
@@ -159,7 +158,7 @@ func bindFlags(cfg *remosd.Config) *flag.FlagSet {
 	fs.StringVar(&cfg.ListenHostLoad, "hostload", cfg.ListenHostLoad, "host load collector listen address ('' disables)")
 	fs.StringVar(&cfg.Scenario, "scenario", cfg.Scenario, "demo scenario: twosite or campus")
 	fs.DurationVar(&cfg.MaxStale, "max-stale", cfg.MaxStale,
-		"staleness bound (> 0) for answers from the warm-query cache and the snapshot plane; the background scheduler re-polls covered pairs within it")
+		"staleness bound (> 0) for answers from the snapshot plane; the background scheduler re-polls covered pairs within it")
 	fs.IntVar(&cfg.Parallelism, "parallelism", cfg.Parallelism,
 		"collector pipeline parallelism (master fan-out, device walks, polling); 0 = GOMAXPROCS, 1 = serial")
 	fs.StringVar(&cfg.ListenObs, "obs", cfg.ListenObs,

@@ -235,13 +235,14 @@ func TestMasterFanoutRigDeterminism(t *testing.T) {
 // the scaling curve (on a small box the higher widths oversubscribe, which
 // is exactly the regime where a contended lock shows up as a cliff).
 
-// watchFanoutRig builds a star topology graph plus a registry carrying
-// nSubs subscriptions spread over nPairs endpoint pairs.
-func watchFanoutRig(b testing.TB, nPairs, nSubs int) (*watch.Registry, *collector.Result) {
+// watchFanoutRig builds a star topology's path index plus a registry
+// carrying nSubs subscriptions spread over nPairs endpoint pairs, and
+// returns the pairs as the scheduler polls them.
+func watchFanoutRig(b testing.TB, nPairs, nSubs int) (*watch.Registry, *topology.PathIndex, [][]netip.Addr) {
 	b.Helper()
 	g := topology.NewGraph()
 	g.AddNode(topology.Node{ID: "sw", Kind: topology.SwitchNode})
-	pairs := make([][2]netip.Addr, nPairs)
+	pairs := make([][]netip.Addr, nPairs)
 	for i := 0; i < nPairs; i++ {
 		src := netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})
 		dst := netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)})
@@ -249,7 +250,7 @@ func watchFanoutRig(b testing.TB, nPairs, nSubs int) (*watch.Registry, *collecto
 			g.AddNode(topology.Node{ID: a.String(), Kind: topology.HostNode, Addr: a.String()})
 			g.AddLink(topology.Link{From: a.String(), To: "sw", Capacity: 100e6, UtilFromTo: 10e6})
 		}
-		pairs[i] = [2]netip.Addr{src, dst}
+		pairs[i] = []netip.Addr{src, dst}
 	}
 	reg := watch.New(watch.Config{Now: time.Now})
 	b.Cleanup(func() { reg.Close(nil) })
@@ -261,20 +262,26 @@ func watchFanoutRig(b testing.TB, nPairs, nSubs int) (*watch.Registry, *collecto
 		}
 		_ = sub // closed by registry Close
 	}
-	return reg, &collector.Result{Graph: g}
+	return reg, topology.NewPathIndex(g), pairs
 }
 
-// benchWatchEvaluate measures one poll's evaluation sweep. Grouped
-// evaluation makes the graph-walk cost O(pairs); the per-subscription
+// benchWatchEvaluate measures one round of polls, one per watched
+// pair, each evaluated against the generation. Grouped evaluation makes
+// the path-walk cost one per pair direction; the per-subscription
 // residue is a predicate check. The 10k case is the paper's "many
 // applications watching few paths" regime.
 func benchWatchEvaluate(b *testing.B, nPairs, nSubs int) {
-	reg, res := watchFanoutRig(b, nPairs, nSubs)
-	reg.Evaluate(res) // deliver the initial pushes outside the timer
+	reg, px, pairs := watchFanoutRig(b, nPairs, nSubs)
+	round := func() {
+		for _, p := range pairs {
+			reg.Evaluate(p, px)
+		}
+	}
+	round() // deliver the initial pushes outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg.Evaluate(res)
+		round()
 	}
 }
 
@@ -287,7 +294,7 @@ func BenchmarkWatchEvaluate10kSubs(b *testing.B) { benchWatchEvaluate(b, 64, 100
 // Distinct goroutines land on distinct pairs, so stripes are exercised
 // in parallel rather than serializing on one registry lock.
 func BenchmarkWatchSubscribeChurn(b *testing.B) {
-	reg, _ := watchFanoutRig(b, 64, 1000)
+	reg, _, _ := watchFanoutRig(b, 64, 1000)
 	var seq atomic.Uint32
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,10 +2,10 @@
 // both wire planes. It identifies each connection as a tenant, meters
 // queries against per-tenant token buckets and concurrency caps,
 // bounds how many watch subscriptions a tenant may hold (each watch
-// pins scheduler targets and warm qcache entries, so the watch quota is
-// the qcache/collector-pressure quota), and runs a deadline-aware
-// two-tier priority queue — interactive ahead of batch — that sheds
-// gracefully with a typed rerr.ErrOverloaded carrying a retry-after
+// pins a scheduler target that polls the collectors into the snapshot
+// plane, so the watch quota is the collector-pressure quota), and runs a
+// deadline-aware two-tier priority queue — interactive ahead of batch —
+// that sheds gracefully with a typed rerr.ErrOverloaded carrying a retry-after
 // hint instead of dropping connections.
 //
 // The controller is clock-injected (sim.Scheduler): token refill and
@@ -539,8 +539,8 @@ func (c *Controller) dispatch(now time.Time) []delivery {
 // AcquireWatch charges one watch subscription to t's quota, returning a
 // release func (idempotent) for the subscription's teardown path, or a
 // typed rerr.ErrOverloaded when the quota is exhausted. Watches pin
-// scheduler targets and warm qcache entries, so this quota is what
-// bounds a tenant's standing collector pressure.
+// scheduler targets, each polled into the snapshot plane, so this quota
+// is what bounds a tenant's standing collector pressure.
 func (c *Controller) AcquireWatch(t Tenant) (func(), error) {
 	if c == nil || t.st == nil {
 		return func() {}, nil

@@ -30,14 +30,13 @@ type Config struct {
 	// Collector, local or reached through one of the wire protocols.
 	Collector collector.Interface
 
-	// Snapshot, when set, is the versioned snapshot plane: topology and
-	// flow queries are answered from the current generation when it is
-	// fresh within the staleness bound — no collector round-trip, no
-	// graph rebuild — and fall back to collector fan-out (coalesced
-	// through the store's single-flight) on miss or stale. Raw topology
-	// queries and prediction-bearing flow queries always go to the
-	// collectors: the first reports what collectors see right now, the
-	// second needs measurement history the snapshot does not carry.
+	// Snapshot, when set, is the versioned snapshot plane: topology
+	// queries (Collect, raw or not) and flow queries are answered from
+	// the current generation when it is fresh within the staleness
+	// bound — no collector round-trip — and fall back to collector
+	// fan-out (coalesced through the store's single-flight) on miss or
+	// stale. Queries that need measurement history (history, prediction)
+	// always go to the collectors: the snapshot does not carry it.
 	Snapshot *snapshot.Store
 
 	// MaxStale is the staleness bound for snapshot-backed answers: the
@@ -136,8 +135,7 @@ func New(cfg Config) *Modeler {
 
 // dedupeHosts returns the unique hosts in first-seen order. Queries
 // built from flow lists (or careless callers) repeat endpoints, and a
-// duplicated host both walks the collectors twice and fragments the
-// warm-query cache key ("a,a,b" is not "a,b"), so every collector-bound
+// duplicated host walks the collectors twice, so every collector-bound
 // host set passes through here first.
 func dedupeHosts(hosts []netip.Addr) []netip.Addr {
 	return compactHosts(slices.Clone(hosts), nil)
@@ -204,10 +202,29 @@ func (m *Modeler) snapshotFor(ctx context.Context, hosts []netip.Addr, nodes []i
 	return s
 }
 
+// Name implements collector.Interface.
+func (m *Modeler) Name() string { return "modeler" }
+
+// Collect implements collector.Interface: it is the QUERY verb's answer
+// and the graph GetTopologyContext simplifies. A query with hosts and
+// neither history flag answers from a generation covering them within
+// MaxStale: the whole serving graph, copy-on-write, which the asker
+// prunes. Anything else — history, predictions, no snapshot plane, a
+// failed shared walk — goes to the collectors, privately: the shared
+// walk's failure may belong to another caller's host.
+func (m *Modeler) Collect(q collector.Query) (*collector.Result, error) {
+	if len(q.Hosts) > 0 && !q.WithHistory && !q.WithPredictions {
+		if snap := m.snapshotFor(q.Context(), dedupeHosts(q.Hosts), nil); snap != nil {
+			return &collector.Result{Graph: snap.Graph().Clone()}, nil
+		}
+	}
+	return m.cfg.Collector.Collect(q)
+}
+
 // TopologyOptions controls post-processing of topology query results.
 type TopologyOptions struct {
-	// Raw disables all simplification, returning the collectors' graph.
-	// Raw queries never answer from the snapshot plane.
+	// Raw disables all simplification, returning the graph Collect
+	// answers: with a snapshot plane, the whole serving generation.
 	Raw bool
 }
 
@@ -224,24 +241,8 @@ func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, op
 	ctx, finish := m.begin(ctx, topologyQuery, hosts)
 	defer func() { finish(err) }()
 	tr := obs.FromContext(ctx)
-	ids := make([]string, len(hosts))
-	for i, h := range hosts {
-		ids[i] = h.String()
-	}
-	if !opt.Raw {
-		if snap := m.snapshotFor(ctx, hosts, nil); snap != nil {
-			sp := tr.Start("simplify")
-			g, err := m.cfg.Snapshot.Subgraph(snap, ids)
-			sp.End()
-			if err == nil {
-				return g, nil
-			}
-			// The snapshot cannot place these endpoints (e.g. a host it
-			// has never polled under this ID); a direct walk still can.
-		}
-	}
 	sp := tr.Start("collect")
-	res, err := m.cfg.Collector.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
+	res, err := m.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -251,9 +252,11 @@ func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, op
 		return g, nil
 	}
 	defer tr.Start("simplify").End()
+	ids := make([]string, len(hosts))
 	protect := make(map[string]bool, len(hosts))
-	for _, id := range ids {
-		protect[id] = true
+	for i, h := range hosts {
+		ids[i] = h.String()
+		protect[ids[i]] = true
 	}
 	g, err = g.Prune(ids)
 	if err != nil {

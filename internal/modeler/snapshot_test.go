@@ -146,7 +146,11 @@ func TestPredictionQueriesBypassSnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshotTopologyAnswersFromSubgraphMemo(t *testing.T) {
+// TestSnapshotTopologyAnswersFromTheGeneration: topology queries,
+// simplified or raw, answer from the generation the first one's walk
+// produced — the raw one with the whole serving graph — and so does a
+// QUERY through Collect; a history QUERY goes to the collectors.
+func TestSnapshotTopologyAnswersFromTheGeneration(t *testing.T) {
 	cc := &countingColl{}
 	ck := &testClock{t: time.Unix(1000, 0)}
 	m := snapModeler(cc, ck)
@@ -168,15 +172,25 @@ func TestSnapshotTopologyAnswersFromSubgraphMemo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cc.calls.Load(); got != 1 {
-		t.Fatalf("warm topology queries ran %d walks, want 1", got)
-	}
-	// Raw queries never answer from the snapshot.
-	if _, err := m.GetTopologyContext(context.Background(), hosts, TopologyOptions{Raw: true}); err != nil {
+	raw, err := m.GetTopologyContext(context.Background(), hosts, TopologyOptions{Raw: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cc.calls.Load(); got != 2 {
-		t.Fatalf("raw query ran %d walks total, want 2", got)
+	if raw.Node("10.0.1.2") == nil || raw.Node("s1") == nil {
+		t.Fatal("the raw answer is not the whole serving graph")
+	}
+	res, err := m.Collect(collector.Query{Hosts: hosts})
+	if err != nil || len(res.Graph.Links()) != len(raw.Links()) {
+		t.Fatalf("QUERY: %v, want the serving graph", err)
+	}
+	if got := cc.calls.Load(); got != 1 {
+		t.Fatalf("warm topology queries, raw and QUERY included, ran %d walks, want 1", got)
+	}
+	if _, err := m.Collect(collector.Query{Hosts: hosts, WithHistory: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := cc.calls.Load(); got != 2 || !cc.lastQ.WithHistory {
+		t.Fatalf("a history QUERY ran %d walks total, want 2 with history", got)
 	}
 }
 

@@ -200,16 +200,16 @@ var asciiTranscripts = []transcript{
 		script: func(rig *transcriptRig, x *exchange) {
 			x.sendLines(1)
 			x.await("WATCHING 1\n")
-			rig.reg.Evaluate(availResult(8e6))
+			rig.reg.Evaluate(watchPair, availIndex(8e6))
 			x.await(" init\n")
-			rig.reg.Evaluate(availResult(3e6))
+			rig.reg.Evaluate(watchPair, availIndex(3e6))
 			x.await(" below\n")
 		}},
 	{name: "watch_server_end", req: asciiWatch,
 		script: func(rig *transcriptRig, x *exchange) {
 			x.sendLines(1)
 			x.await("WATCHING 1\n")
-			rig.reg.Evaluate(availResult(8e6))
+			rig.reg.Evaluate(watchPair, availIndex(8e6))
 			x.await(" init\n")
 			rig.reg.Close(errTranscriptShutdown)
 			x.await("END 1 ")
@@ -279,9 +279,9 @@ var httpTranscripts = []transcript{
 		script: func(rig *transcriptRig, x *exchange) {
 			x.sendLines(4)
 			waitActive(x.t, rig.reg, 1)
-			rig.reg.Evaluate(availResult(8e6))
+			rig.reg.Evaluate(watchPair, availIndex(8e6))
 			x.await(`"reason":"init"}`)
-			rig.reg.Evaluate(availResult(3e6))
+			rig.reg.Evaluate(watchPair, availIndex(3e6))
 			x.await(`"reason":"below"}`)
 			rig.reg.Close(errTranscriptShutdown)
 		}},

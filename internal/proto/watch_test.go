@@ -23,9 +23,13 @@ var (
 	watchDst = netip.MustParseAddr("10.0.2.2")
 )
 
-// availResult builds a result whose src->dst bottleneck availability is
-// exactly avail (capacity 10e6), for driving Registry.Evaluate.
-func availResult(avail float64) *collector.Result {
+// watchPair is the watched pair as the scheduler polls it.
+var watchPair = []netip.Addr{watchSrc, watchDst}
+
+// availIndex builds a generation's path index whose src->dst bottleneck
+// availability is exactly avail (capacity 10e6), for driving
+// Registry.Evaluate.
+func availIndex(avail float64) *topology.PathIndex {
 	g := topology.NewGraph()
 	g.AddNode(topology.Node{ID: watchSrc.String(), Kind: topology.HostNode, Addr: watchSrc.String()})
 	g.AddNode(topology.Node{ID: watchDst.String(), Kind: topology.HostNode, Addr: watchDst.String()})
@@ -33,7 +37,7 @@ func availResult(avail float64) *collector.Result {
 		From: watchSrc.String(), To: watchDst.String(),
 		Capacity: 10e6, UtilFromTo: 10e6 - avail, UtilToFrom: 10e6 - avail,
 	})
-	return &collector.Result{Graph: g}
+	return topology.NewPathIndex(g)
 }
 
 func waitActive(t *testing.T, reg *watch.Registry, n int) {
@@ -103,7 +107,7 @@ func testWatchRoundTrip(t *testing.T, mk func(*testing.T, *watch.Registry) watch
 	}
 	waitActive(t, reg, 1)
 
-	reg.Evaluate(availResult(8e6))
+	reg.Evaluate(watchPair, availIndex(8e6))
 	u := recvUpdate(t, ch)
 	if u.Reason != watch.ReasonInit || u.Avail != 8e6 || u.Seq != 1 {
 		t.Fatalf("baseline update = %+v", u)
@@ -112,7 +116,7 @@ func testWatchRoundTrip(t *testing.T, mk func(*testing.T, *watch.Registry) watch
 		t.Fatalf("endpoints did not survive the wire: %+v", u)
 	}
 
-	reg.Evaluate(availResult(3e6))
+	reg.Evaluate(watchPair, availIndex(3e6))
 	u = recvUpdate(t, ch)
 	if u.Reason != watch.ReasonBelow || u.Avail != 3e6 || u.Prev != 8e6 || u.Seq != 2 {
 		t.Fatalf("crossing update = %+v", u)
@@ -301,7 +305,7 @@ func TestASCIIQueriesAndWatchesShareAConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitActive(t, reg, 1)
-	reg.Evaluate(availResult(8e6))
+	reg.Evaluate(watchPair, availIndex(8e6))
 	recvUpdate(t, ch)
 
 	for i := 0; i < 5; i++ {
@@ -312,7 +316,7 @@ func TestASCIIQueriesAndWatchesShareAConnection(t *testing.T) {
 		if len(res.Graph.Nodes()) != 2 {
 			t.Fatalf("query %d returned %d nodes", i, len(res.Graph.Nodes()))
 		}
-		reg.Evaluate(availResult(8e6 * (1 - 0.1*float64(i+1))))
+		reg.Evaluate(watchPair, availIndex(8e6*(1-0.1*float64(i+1))))
 		recvUpdate(t, ch)
 	}
 }
@@ -349,7 +353,7 @@ func TestWatchGoroutineCleanup(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitActive(t, reg, 1)
-			reg.Evaluate(availResult(5e6))
+			reg.Evaluate(watchPair, availIndex(5e6))
 			recvUpdate(t, ch)
 			cancel()
 			for range ch {

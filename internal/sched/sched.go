@@ -6,14 +6,13 @@
 // narrowing when the network moves — so the system converts from
 // N-clients-polling to measure-once-push-many.
 //
-// Every poll invalidates-then-refreshes the qcache entries it
-// supersedes: because the scheduler collects *through* the cache with
-// the same canonical key a client query produces, hot queries are
-// answered from warm state without triggering new SNMP exchanges.
-// Fresh results are folded into the snapshot store (Config.Snapshot) and
-// handed to the watch registry (Config.OnResult) for predicate
-// evaluation and push delivery. History and streaming prediction stay
-// where the paper puts them, at the collectors (collector.Predictor).
+// Every poll collects from the master and folds the result into the
+// snapshot store (Config.Snapshot), the one state QUERY, FLOWS and WATCH
+// answer from: a covered pair's queries find a fresh generation and cost
+// no SNMP exchange. The generation each poll produced is handed to the
+// watch registry (Config.OnApply) for predicate evaluation and push
+// delivery. History and streaming prediction stay where the paper puts
+// them, at the collectors (collector.Predictor).
 package sched
 
 import (
@@ -34,14 +33,8 @@ import (
 
 // Config wires a Scheduler.
 type Config struct {
-	// Collector answers the polls — normally the qcache-wrapped master,
-	// so each poll re-warms the exact entry client queries hit.
+	// Collector answers the polls: the master.
 	Collector collector.Interface
-	// Invalidate, when set, is called with the target's hosts just
-	// before each poll so superseded cache entries are dropped and the
-	// poll's answer becomes the new warm state. remosd passes a closure
-	// over qcache.Invalidate.
-	Invalidate func(hosts []netip.Addr)
 	// Sched supplies timers and the clock: the simulated scheduler in
 	// tests and experiments, real time in remosd.
 	Sched sim.Scheduler
@@ -52,13 +45,14 @@ type Config struct {
 	// target re-polled within that bound.
 	BaseInterval time.Duration
 	MaxInterval  time.Duration
-	// OnResult receives every successful poll's result (already a
-	// private clone) — the watch registry's Evaluate hooks in here.
-	OnResult func(hosts []netip.Addr, res *collector.Result)
-	// Snapshot, when set, receives every successful poll via Apply, so
-	// the versioned snapshot plane advances one epoch per poll and
+	// Snapshot receives every successful poll via Apply, so the
+	// versioned snapshot plane advances one epoch per poll and
 	// snapshot-backed queries stay fresh without their own walks.
+	// Required.
 	Snapshot *snapshot.Store
+	// OnApply receives the generation each successful poll produced —
+	// the watch registry's Evaluate hooks in here.
+	OnApply func(hosts []netip.Addr, snap *snapshot.Snapshot)
 	// Obs, when set, receives the scheduler's counters and per-target
 	// poll-interval gauges.
 	Obs *obs.Registry
@@ -103,8 +97,12 @@ type target struct {
 }
 
 // New fills the config's defaults and returns a scheduler with no
-// targets.
+// targets. It panics on a Config without a snapshot store: a poll would
+// have nowhere to go.
 func New(cfg Config) *Scheduler {
+	if cfg.Snapshot == nil {
+		panic("sched: Config.Snapshot is required")
+	}
 	if cfg.BaseInterval <= 0 {
 		cfg.BaseInterval = 2 * time.Second
 	}
@@ -132,8 +130,8 @@ func New(cfg Config) *Scheduler {
 // minInterval is the floor of interval adaptation.
 func (s *Scheduler) minInterval() time.Duration { return s.cfg.BaseInterval / 4 }
 
-// targetKey canonicalizes a host set exactly like qcache.Key does for a
-// flagless query: sorted addresses joined by commas.
+// targetKey canonicalizes a host set: sorted addresses joined by
+// commas, so one set in any order is one target.
 func targetKey(hosts []netip.Addr) string {
 	ss := make([]string, len(hosts))
 	for i, h := range hosts {
@@ -197,9 +195,9 @@ func (s *Scheduler) RemoveTarget(hosts []netip.Addr) {
 	delete(s.targets, key)
 }
 
-// poll runs one collection for a target, hands the result to the
-// snapshot store and the watches, adapts the interval to how far the
-// readings moved, and reschedules itself.
+// poll runs one collection for a target, applies the result to the
+// snapshot store, hands the generation to the watches, adapts the
+// interval to how far the readings moved, and reschedules itself.
 func (s *Scheduler) poll(t *target) {
 	s.mu.Lock()
 	if s.closed || s.targets[t.key] != t {
@@ -208,9 +206,6 @@ func (s *Scheduler) poll(t *target) {
 	}
 	s.mu.Unlock()
 
-	if s.cfg.Invalidate != nil {
-		s.cfg.Invalidate(t.hosts)
-	}
 	q := collector.Query{Hosts: t.hosts}.WithContext(s.ctx)
 	began := s.cfg.Sched.Now() // the snapshot's stamp: no reading is younger
 	res, err := s.cfg.Collector.Collect(q)
@@ -243,11 +238,9 @@ func (s *Scheduler) poll(t *target) {
 			}
 		}
 		changed = maxChange >= changeFrac
-		if s.cfg.Snapshot != nil {
-			s.cfg.Snapshot.Apply(t.hosts, res, began)
-		}
-		if s.cfg.OnResult != nil {
-			s.cfg.OnResult(t.hosts, res)
+		snap := s.cfg.Snapshot.Apply(t.hosts, res, began)
+		if s.cfg.OnApply != nil {
+			s.cfg.OnApply(t.hosts, snap)
 		}
 	}
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"remos/internal/collector"
-	"remos/internal/collector/qcache"
 	"remos/internal/obs"
 	"remos/internal/sim"
 	"remos/internal/snapshot"
@@ -61,6 +60,7 @@ func newTestSched(t *testing.T, s sim.Scheduler, coll collector.Interface, mut f
 	cfg := Config{
 		Collector:    coll,
 		Sched:        s,
+		Snapshot:     snapshot.New(snapshot.Config{Now: s.Now}),
 		BaseInterval: 2 * time.Second,
 		MaxInterval:  16 * time.Second,
 	}
@@ -104,7 +104,7 @@ func TestGapsStayInsideMaxInterval(t *testing.T) {
 	var last time.Time
 	var widest time.Duration
 	sc := newTestSched(t, s, &scriptColl{}, func(c *Config) {
-		c.OnResult = func([]netip.Addr, *collector.Result) {
+		c.OnApply = func([]netip.Addr, *snapshot.Snapshot) {
 			if !last.IsZero() {
 				widest = max(widest, s.Now().Sub(last))
 			}
@@ -201,83 +201,40 @@ func TestStopIsIdempotentAndHaltsPolls(t *testing.T) {
 	}
 }
 
-func TestInvalidateRunsBeforeEachPoll(t *testing.T) {
+// TestOnApplyDeliversEveryPoll: every poll lands in the store, and
+// OnApply is handed the generation that poll made — the current one.
+func TestOnApplyDeliversEveryPoll(t *testing.T) {
 	s := sim.NewSim()
 	coll := &scriptColl{}
-	var invalidations atomic.Int64
+	store := snapshot.New(snapshot.Config{Now: s.Now})
+	var applied atomic.Int64
 	sc := newTestSched(t, s, coll, func(c *Config) {
-		c.Invalidate = func(hosts []netip.Addr) {
-			if len(hosts) != 2 {
-				t.Errorf("invalidate got %v", hosts)
+		c.Snapshot = store
+		c.OnApply = func(hosts []netip.Addr, snap *snapshot.Snapshot) {
+			if snap == nil || snap != store.Current() || len(hosts) != 2 {
+				t.Errorf("OnApply(%v, %v): not the generation the poll made", hosts, snap)
 			}
-			invalidations.Add(1)
+			applied.Add(1)
 		}
 	})
 	sc.AddTarget([]netip.Addr{hostA, hostB})
 	s.RunFor(time.Minute)
-	if invalidations.Load() != coll.calls.Load() {
-		t.Fatalf("%d invalidations for %d polls, want 1:1", invalidations.Load(), coll.calls.Load())
+	if applied.Load() != coll.calls.Load() || applied.Load() == 0 {
+		t.Fatalf("OnApply ran %d times for %d polls", applied.Load(), coll.calls.Load())
+	}
+	if got := store.Current().Epoch(); got != snapshot.Epoch(applied.Load()) {
+		t.Fatalf("the store is at generation %d after %d polls", got, applied.Load())
 	}
 }
 
-// TestPollThroughCacheKeepsQueriesWarm is the heart of the warm-query
-// guarantee: the scheduler collects through the qcache with the same
-// canonical key a client bandwidth query produces, so after each poll a
-// client query is answered without touching the inner collector.
-func TestPollThroughCacheKeepsQueriesWarm(t *testing.T) {
-	s := sim.NewSim()
-	inner := &scriptColl{}
-	cache := qcache.New(inner, qcache.Config{TTL: time.Hour, Now: s.Now})
-	var results atomic.Int64
-	sc := newTestSched(t, s, cache, func(c *Config) {
-		c.Invalidate = func(hosts []netip.Addr) {
-			cache.Invalidate(qcache.Key(collector.Query{Hosts: hosts}))
+// TestNewRefusesNoSnapshot: the store is where every poll goes.
+func TestNewRefusesNoSnapshot(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a Config without a snapshot store")
 		}
-		c.OnResult = func([]netip.Addr, *collector.Result) { results.Add(1) }
-	})
-	sc.AddTarget([]netip.Addr{hostA, hostB})
-	s.RunFor(time.Minute)
-
-	polls := inner.calls.Load()
-	if polls == 0 {
-		t.Fatal("no polls")
-	}
-	// A client query for the covered pair (either host order) is warm.
-	for _, hosts := range [][]netip.Addr{{hostA, hostB}, {hostB, hostA}} {
-		if _, err := cache.Collect(collector.Query{Hosts: hosts}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if inner.calls.Load() != polls {
-		t.Fatalf("client query reached the inner collector (%d -> %d exchanges)",
-			polls, inner.calls.Load())
-	}
-	// And each poll really did refresh: every poll invalidated then
-	// re-collected, so each was a cache miss that reached the inner
-	// collector and delivered a result; only the two client queries hit.
-	if st := cache.Stats(); st.Misses != polls || st.Hits != 2 || results.Load() != polls {
-		t.Fatalf("cache %+v and %d results delivered for %d polls, want every poll a miss and a result, 2 hits",
-			st, results.Load(), polls)
-	}
-}
-
-func TestOnResultDeliversEveryPoll(t *testing.T) {
-	s := sim.NewSim()
-	coll := &scriptColl{}
-	var results atomic.Int64
-	sc := newTestSched(t, s, coll, func(c *Config) {
-		c.OnResult = func(hosts []netip.Addr, res *collector.Result) {
-			if res == nil || res.Graph == nil {
-				t.Error("OnResult without a graph")
-			}
-			results.Add(1)
-		}
-	})
-	sc.AddTarget([]netip.Addr{hostA, hostB})
-	s.RunFor(time.Minute)
-	if results.Load() != coll.calls.Load() {
-		t.Fatalf("OnResult ran %d times for %d polls", results.Load(), coll.calls.Load())
-	}
+	}()
+	New(Config{Collector: &scriptColl{}, Sched: sim.NewSim()})
 }
 
 func TestMetricsExported(t *testing.T) {

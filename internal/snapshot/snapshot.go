@@ -1,13 +1,14 @@
 // Package snapshot is the versioned topology snapshot plane: an
 // immutable topology+metrics generation maintained incrementally from
 // background poll completions (internal/sched) and swapped in via
-// atomic.Pointer, the same copy-on-write discipline the warm-query
-// cache uses. The Modeler answers topology and flow queries from the
-// current generation when it is fresh enough — zero collector
-// round-trips, zero graph clones — and falls back to collector fan-out
-// only on miss or staleness, with overlapping cold queries single-flight
-// coalesced by merged host set so N clients asking about the same
-// region trigger one walk.
+// atomic.Pointer. It is a single-master daemon's one answer state: the
+// Modeler answers QUERY (the generation's graph), FLOWS (its path index)
+// and the watch plane evaluates WATCH predicates (the same index) from
+// the generation that is current, when it is fresh enough — zero
+// collector round-trips — and falls back to collector fan-out only on
+// miss or staleness, with overlapping cold queries single-flight
+// coalesced by merged host set so N clients asking about the same region
+// trigger one walk.
 //
 // Each generation (an Epoch) carries the merged graph, a
 // topology.PathIndex whose memoized BFS trees and reduced-capacity
@@ -18,10 +19,10 @@
 // the routing shape as it was, so the new generation's index shares the
 // old one's adjacency, trees and node numbers (topology.NewPathIndexFrom
 // checks that it may) and its stamps are the old vector copied and
-// patched. State derived from one generation alone — the pruned/collapsed
-// subgraph memo — belongs to that generation and is collected with it:
-// the Store holds nothing keyed by epoch, so there is nothing to evict
-// on a swap.
+// patched. A poll that shows a host on a new link drops the host's old
+// links from the generation (topology.Graph.Update). The Store holds
+// nothing keyed by epoch, so there is nothing to evict on a swap: a
+// superseded generation is collected once its last reader lets go.
 package snapshot
 
 import (
@@ -30,7 +31,6 @@ import (
 	"math"
 	"net/netip"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +43,8 @@ import (
 // Epoch numbers snapshot generations. Every Apply produces a new epoch.
 type Epoch uint64
 
-// Snapshot is one immutable generation. Everything but the subgraph
-// memo is frozen at Apply time; readers share the struct without
-// synchronization.
+// Snapshot is one immutable generation, frozen at Apply time; readers
+// share the struct without synchronization.
 type Snapshot struct {
 	epoch Epoch
 	graph *topology.Graph
@@ -66,19 +65,13 @@ type Snapshot struct {
 	stamps   []time.Duration
 	offGraph map[netip.Addr]time.Duration
 	ownsOff  bool // Apply's, while it builds s: offGraph is not the predecessor's map
-
-	// memo holds the generation's pruned/collapsed subgraphs by
-	// endpoint-set signature (sorted node IDs joined by commas). It is
-	// made on the first Subgraph and dies with the generation.
-	memoMu sync.Mutex
-	memo   map[string]*topology.Graph
 }
 
 // Epoch returns the generation number.
 func (s *Snapshot) Epoch() Epoch { return s.epoch }
 
 // Graph returns the generation's merged graph. It is shared and must
-// not be mutated; use Clone (or Store.Subgraph) for a caller-owned copy.
+// not be mutated; use Clone for a caller-owned copy.
 func (s *Snapshot) Graph() *topology.Graph { return s.graph }
 
 // Paths returns the generation's path index.
@@ -207,8 +200,6 @@ type Store struct {
 	mRefreshes  *obs.Counter
 	mRefreshErr *obs.Counter
 	mCoalesced  *obs.Counter
-	mSubHits    *obs.Counter
-	mSubBuilds  *obs.Counter
 	mReshapes   *obs.Counter
 	gEpoch      *obs.Gauge
 	gOffGraph   *obs.Gauge
@@ -236,8 +227,6 @@ func New(cfg Config) *Store {
 	st.mRefreshes = cfg.Obs.Counter("remos_snapshot_refreshes_total", "coalesced collector walks launched on snapshot miss")
 	st.mRefreshErr = cfg.Obs.Counter("remos_snapshot_refresh_errors_total", "coalesced collector walks that failed")
 	st.mCoalesced = cfg.Obs.Counter("remos_snapshot_coalesced_total", "cold queries that joined an in-flight walk instead of launching one")
-	st.mSubHits = cfg.Obs.Counter("remos_snapshot_subgraph_hits_total", "simplified-subgraph memo hits")
-	st.mSubBuilds = cfg.Obs.Counter("remos_snapshot_subgraph_builds_total", "simplified subgraphs computed and memoized")
 	st.mReshapes = cfg.Obs.Counter("remos_snapshot_reshapes_total", "applies that could not share the previous generation's routing shape and re-homed every freshness stamp")
 	st.gEpoch = cfg.Obs.Gauge("remos_snapshot_epoch", "current snapshot generation number")
 	st.gOffGraph = cfg.Obs.Gauge("remos_snapshot_offgraph_hosts", "applied hosts the current generation's graph does not hold as a node")
@@ -311,41 +300,6 @@ func (st *Store) Apply(hosts []netip.Addr, res *collector.Result, at time.Time) 
 	st.gEpoch.Set(float64(snap.epoch))
 	st.gOffGraph.Set(float64(len(snap.offGraph)))
 	return snap
-}
-
-// Subgraph returns the pruned + collapsed simplification of the
-// generation's graph for the given endpoint node IDs, memoized on the
-// generation per endpoint-set signature. The returned graph is a private
-// clone the caller owns.
-func (st *Store) Subgraph(s *Snapshot, ids []string) (*topology.Graph, error) {
-	sorted := append([]string(nil), ids...)
-	sort.Strings(sorted)
-	sig := strings.Join(sorted, ",")
-	s.memoMu.Lock()
-	g, ok := s.memo[sig]
-	s.memoMu.Unlock()
-	if ok {
-		st.mSubHits.Inc()
-		return g.Clone(), nil
-	}
-	pruned, err := s.graph.Prune(ids)
-	if err != nil {
-		return nil, err
-	}
-	pruned.CollapseSwitchClouds("vswitch")
-	protect := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		protect[id] = true
-	}
-	pruned.CollapseChains(protect)
-	s.memoMu.Lock()
-	if s.memo == nil {
-		s.memo = make(map[string]*topology.Graph)
-	}
-	s.memo[sig] = pruned
-	s.memoMu.Unlock()
-	st.mSubBuilds.Inc()
-	return pruned.Clone(), nil
 }
 
 // Refresh performs a coalesced collector walk covering hosts and

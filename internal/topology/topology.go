@@ -369,7 +369,13 @@ func (g *Graph) Merge(other *Graph) {
 // maintenance — other is a newer poll of the same region, so latest wins.
 // A node is written only where other changes it, so a poll that moved
 // measurements only leaves the structure shared with g's clones.
+//
+// A host other links to a peer g did not link it to has moved: every
+// link of g at that host that other lacks is dropped, so the host leaves
+// its old attachment. Into a graph without links nothing has moved.
 func (g *Graph) Update(other *Graph) {
+	var moved map[string]bool
+	rehome := len(g.links) > 0
 	for _, n := range other.nodes {
 		exist := g.nodes[n.ID]
 		if exist == nil {
@@ -403,7 +409,25 @@ func (g *Graph) Update(other *Graph) {
 			continue
 		}
 		g.AddLink(*l)
+		if !rehome {
+			continue
+		}
+		for _, id := range [2]string{l.From, l.To} {
+			if other.nodes[id].Kind == HostNode {
+				if moved == nil {
+					moved = make(map[string]bool)
+				}
+				moved[id] = true
+			}
+		}
 	}
+	if len(moved) == 0 {
+		return
+	}
+	g.links = slices.DeleteFunc(g.links, func(l *Link) bool {
+		return (moved[l.From] || moved[l.To]) && other.FindLink(l.From, l.To) == nil
+	})
+	g.reindexLinks()
 }
 
 // Clone returns a copy whose links may be written and whose structure may

@@ -483,3 +483,77 @@ func TestNodeByAddrIndexFollowsMutations(t *testing.T) {
 	check(p, "10.0.0.250", "")
 	check(p, "10.0.0.3", "b")
 }
+
+// TestUpdateRehomesAMovedHost: a poll that shows a host on a new link
+// drops the host's old link from the graph it updates — the host moves,
+// and moves back — while a poll that moves measurements only leaves the
+// structure shared, and the first poll into an empty graph drops nothing.
+func TestUpdateRehomesAMovedHost(t *testing.T) {
+	// lan is h and h1 on sw1, sw1 and sw2 on r; at names h's switch.
+	lan := func(at string) *Graph {
+		g := NewGraph()
+		for _, n := range []Node{
+			{ID: "h", Kind: HostNode, Addr: "10.0.0.1"},
+			{ID: "h1", Kind: HostNode, Addr: "10.0.0.2"},
+			{ID: "sw1", Kind: SwitchNode}, {ID: "sw2", Kind: SwitchNode},
+			{ID: "r", Kind: RouterNode},
+		} {
+			g.AddNode(n)
+		}
+		for _, l := range []Link{
+			{From: "sw1", To: "r", Capacity: 1e9},
+			{From: "sw2", To: "r", Capacity: 1e9},
+			{From: "h1", To: "sw1", Capacity: 100e6},
+			{From: "h", To: at, Capacity: 10e6},
+		} {
+			if _, err := g.AddLink(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	attached := func(g *Graph) []string {
+		var out []string
+		for _, sw := range []string{"sw1", "sw2"} {
+			if g.FindLink("h", sw) != nil {
+				out = append(out, sw)
+			}
+		}
+		return out
+	}
+
+	g := NewGraph()
+	g.Update(lan("sw1"))
+	if got := len(g.Links()); got != 4 {
+		t.Fatalf("the first Update into an empty graph kept %d of 4 links", got)
+	}
+
+	next := g.Clone()
+	poll := lan("sw1")
+	poll.FindLink("h1", "sw1").UtilFromTo = 30e6
+	next.Update(poll)
+	if !next.sharesStructure(g) {
+		t.Fatal("a measurement-only Update took a private structure")
+	}
+	if got := next.FindLink("h1", "sw1").UtilFromTo; got != 30e6 {
+		t.Fatalf("the measurement-only Update read %g, want 30e6", got)
+	}
+
+	for _, to := range []string{"sw2", "sw1"} {
+		before := g.Clone()
+		g.Update(lan(to))
+		if got := attached(g); !reflect.DeepEqual(got, []string{to}) {
+			t.Fatalf("after h moved to %s it is attached to %v", to, got)
+		}
+		if got := len(g.Links()); got != 4 {
+			t.Fatalf("after h moved to %s the graph holds %d links, want 4", to, got)
+		}
+		path, err := g.Path("h1", "h")
+		if want := map[string]int{"sw1": 3, "sw2": 5}[to]; err != nil || len(path) != want {
+			t.Fatalf("after h moved to %s, h1->h routes %v (%v), want %d nodes", to, path, err, want)
+		}
+		if got := attached(before); len(got) != 1 || got[0] == to {
+			t.Fatalf("the move reached a clone taken before it: %v", got)
+		}
+	}
+}

@@ -1,10 +1,11 @@
 // Package watch is the server-side subscription registry of the
 // continuous-collection plane: clients register predicates over
 // flow/topology results ("available bandwidth from A to B drops below
-// X", "any change beyond Y%"), the background poll scheduler's fresh
-// samples are evaluated against every active watch, and matching
-// updates are pushed to subscribers instead of being re-polled — the
-// measure-once-push-many shape the paper's collectors were built for.
+// X", "any change beyond Y%"), each snapshot generation a background
+// poll produces is evaluated against the watches on the polled pair,
+// and matching updates are pushed to subscribers instead of being
+// re-polled — the measure-once-push-many shape the paper's collectors
+// were built for.
 //
 // The registry is transport-agnostic: internal/proto drains each
 // Subscription's channel onto the ASCII protocol (UPDATE lines) or the
@@ -22,9 +23,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"remos/internal/collector"
 	"remos/internal/obs"
 	"remos/internal/rerr"
+	"remos/internal/topology"
 )
 
 // Reason strings carried on every Update.
@@ -47,7 +48,7 @@ const (
 type Spec struct {
 	// Src, Dst are the endpoints; the watched value is the bottleneck
 	// available bandwidth of the path between them, the same number
-	// AvailableBandwidthContext reports.
+	// AvailableBandwidthContext reports from the same generation.
 	Src, Dst netip.Addr
 	// Below pushes when availability drops below this many bits/s
 	// (edge-triggered: once per downward crossing). 0 disables.
@@ -118,9 +119,9 @@ type Config struct {
 const registryShards = 16
 
 // pairGroup collects every subscription watching one (unordered)
-// endpoint pair. Grouping is what makes evaluation O(pairs) instead of
-// O(subscriptions): the bottleneck bandwidth is computed once per pair
-// direction and fanned out to every predicate.
+// endpoint pair. Grouping is what makes a poll's evaluation cost one
+// path walk per direction, not one per subscription: the bottleneck
+// bandwidth is computed once and fanned out to every predicate.
 type pairGroup struct {
 	subs map[int64]*Subscription
 }
@@ -360,61 +361,50 @@ func relChange(v, prev float64) float64 {
 	return math.Abs(v-prev) / denom
 }
 
-// Evaluate runs every active subscription whose endpoints resolve in
-// the result's graph against the freshly collected value. The scheduler
-// calls this after each poll; pushes are non-blocking.
-//
-// Work is grouped by endpoint pair: the bottleneck bandwidth of a pair's
-// path is computed once per direction and fanned out to every predicate
-// watching it, so 10k watchers on one path cost one graph walk, not 10k.
-func (r *Registry) Evaluate(res *collector.Result) {
-	if res == nil || res.Graph == nil {
+// Evaluate runs the subscriptions watching the polled pair against the
+// generation the poll produced: each watched direction's value is the
+// path index's bottleneck availability — the answer a single-flow FLOWS
+// gets from the same generation — computed once and fanned out to every
+// predicate on it, so 10k watchers on one path cost one walk, not 10k.
+// The scheduler calls this after each poll; a host set that is not a
+// pair, or whose endpoints the generation cannot route between, is
+// evaluated by nobody. Pushes are non-blocking.
+func (r *Registry) Evaluate(hosts []netip.Addr, px *topology.PathIndex) {
+	if len(hosts) != 2 || px == nil {
 		return
 	}
-	at := r.cfg.Now()
-	type pairWork struct {
-		subs []*Subscription
+	pk := pairKey(hosts[0], hosts[1])
+	sh := r.shardFor(pk)
+	sh.mu.RLock()
+	var subs []*Subscription
+	if g := sh.pairs[pk]; g != nil {
+		subs = make([]*Subscription, 0, len(g.subs))
+		for _, s := range g.subs {
+			subs = append(subs, s)
+		}
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		groups := make([]pairWork, 0, len(sh.pairs))
-		for _, g := range sh.pairs {
-			w := pairWork{subs: make([]*Subscription, 0, len(g.subs))}
-			for _, s := range g.subs {
-				w.subs = append(w.subs, s)
-			}
-			groups = append(groups, w)
+	sh.mu.RUnlock()
+	at := r.cfg.Now()
+	// vals[d] is the value in direction d: 0 from pk[0] to pk[1], 1 back.
+	var vals [2]struct {
+		done, ok bool
+		v        float64
+	}
+	for _, s := range subs {
+		d := 0
+		if s.Spec.Src != pk[0] {
+			d = 1
 		}
-		sh.mu.RUnlock()
-		for _, w := range groups {
-			// One bottleneck computation per direction present in the
-			// group; both directions of an unordered pair share the walk
-			// cache below.
-			type dirVal struct {
-				ok bool
-				v  float64
-			}
-			vals := make(map[[2]netip.Addr]dirVal, 2)
-			for _, s := range w.subs {
-				dk := [2]netip.Addr{s.Spec.Src, s.Spec.Dst}
-				dv, seen := vals[dk]
-				if !seen {
-					src, dst := s.Spec.Src.String(), s.Spec.Dst.String()
-					if res.Graph.Node(src) != nil && res.Graph.Node(dst) != nil {
-						if v, _, err := res.Graph.BottleneckAvail(src, dst); err == nil {
-							dv = dirVal{ok: true, v: v}
-						}
-					}
-					vals[dk] = dv
-				}
-				if !dv.ok {
-					continue // this poll covered a different region
-				}
-				r.mEvals.Inc()
-				s.evaluate(dv.v, at)
-			}
+		dv := &vals[d]
+		if !dv.done {
+			bw, _, err := px.BottleneckAvail(s.Spec.Src.String(), s.Spec.Dst.String())
+			dv.done, dv.ok, dv.v = true, err == nil, bw
 		}
+		if !dv.ok {
+			continue // the generation cannot route this pair
+		}
+		r.mEvals.Inc()
+		s.evaluate(dv.v, at)
 	}
 }
 

@@ -3,12 +3,12 @@ package watch
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"remos/internal/collector"
 	"remos/internal/obs"
 	"remos/internal/rerr"
 	"remos/internal/topology"
@@ -19,20 +19,26 @@ var (
 	hostB = netip.MustParseAddr("10.0.0.2")
 )
 
-// resultWithAvail builds a collector result whose A->B bottleneck
-// available bandwidth is exactly avail (capacity 10e6).
-func resultWithAvail(avail float64) *collector.Result {
+// pair is the watched pair as the scheduler polls it.
+var pair = []netip.Addr{hostA, hostB}
+
+// indexWithAvail builds a generation's path index whose A->B and B->A
+// bottleneck available bandwidth is exactly avail (capacity 10e6).
+func indexWithAvail(avail float64) *topology.PathIndex { return indexWithAvails(avail, avail) }
+
+// indexWithAvails is indexWithAvail with A->B offering fwd and B->A rev.
+func indexWithAvails(fwd, rev float64) *topology.PathIndex {
 	const cap = 10e6
 	g := topology.NewGraph()
 	g.AddNode(topology.Node{ID: hostA.String(), Kind: topology.HostNode, Addr: hostA.String()})
 	g.AddNode(topology.Node{ID: hostB.String(), Kind: topology.HostNode, Addr: hostB.String()})
 	if _, err := g.AddLink(topology.Link{
 		From: hostA.String(), To: hostB.String(),
-		Capacity: cap, UtilFromTo: cap - avail, UtilToFrom: cap - avail,
+		Capacity: cap, UtilFromTo: cap - fwd, UtilToFrom: cap - rev,
 	}); err != nil {
 		panic(err)
 	}
-	return &collector.Result{Graph: g}
+	return topology.NewPathIndex(g)
 }
 
 func drain(t *testing.T, sub *Subscription) []Update {
@@ -80,36 +86,36 @@ func TestInitThenEdgeTriggeredBelow(t *testing.T) {
 	defer sub.Close(nil)
 
 	// Baseline above the threshold: the first evaluation pushes "init".
-	r.Evaluate(resultWithAvail(8e6))
+	r.Evaluate(pair, indexWithAvail(8e6))
 	us := drain(t, sub)
 	if len(us) != 1 || us[0].Reason != ReasonInit || us[0].Avail != 8e6 || us[0].Seq != 1 {
 		t.Fatalf("after baseline: %+v", us)
 	}
 
 	// Still above: nothing.
-	r.Evaluate(resultWithAvail(7e6))
+	r.Evaluate(pair, indexWithAvail(7e6))
 	if us := drain(t, sub); len(us) != 0 {
 		t.Fatalf("no crossing, got %+v", us)
 	}
 
 	// Crosses under: one "below" push.
-	r.Evaluate(resultWithAvail(3e6))
+	r.Evaluate(pair, indexWithAvail(3e6))
 	us = drain(t, sub)
 	if len(us) != 1 || us[0].Reason != ReasonBelow || us[0].Avail != 3e6 || us[0].Prev != 8e6 {
 		t.Fatalf("after crossing: %+v", us)
 	}
 
 	// Stays under: edge-triggered, so silent.
-	r.Evaluate(resultWithAvail(2e6))
+	r.Evaluate(pair, indexWithAvail(2e6))
 	if us := drain(t, sub); len(us) != 0 {
 		t.Fatalf("level-triggered push: %+v", us)
 	}
 
 	// Recovers (silently — no Above predicate), then crosses again:
 	// the recovery re-arms the edge, so the watch fires again.
-	r.Evaluate(resultWithAvail(3e6))
-	r.Evaluate(resultWithAvail(9e6))
-	r.Evaluate(resultWithAvail(1e6))
+	r.Evaluate(pair, indexWithAvail(3e6))
+	r.Evaluate(pair, indexWithAvail(9e6))
+	r.Evaluate(pair, indexWithAvail(1e6))
 	us = drain(t, sub)
 	if len(us) != 1 || us[0].Reason != ReasonBelow {
 		t.Fatalf("re-crossing: %+v", us)
@@ -120,7 +126,7 @@ func TestInitReportsAlreadySatisfiedPredicate(t *testing.T) {
 	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, Below: 5e6})
 	defer sub.Close(nil)
-	r.Evaluate(resultWithAvail(2e6)) // already under the threshold
+	r.Evaluate(pair, indexWithAvail(2e6)) // already under the threshold
 	us := drain(t, sub)
 	if len(us) != 1 || us[0].Reason != ReasonBelow {
 		t.Fatalf("want immediate below, got %+v", us)
@@ -131,8 +137,8 @@ func TestAbovePredicate(t *testing.T) {
 	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, Above: 6e6})
 	defer sub.Close(nil)
-	r.Evaluate(resultWithAvail(4e6)) // init, under
-	r.Evaluate(resultWithAvail(8e6)) // crosses over
+	r.Evaluate(pair, indexWithAvail(4e6)) // init, under
+	r.Evaluate(pair, indexWithAvail(8e6)) // crosses over
 	us := drain(t, sub)
 	if len(us) != 2 || us[0].Reason != ReasonInit || us[1].Reason != ReasonAbove {
 		t.Fatalf("got %+v", us)
@@ -143,10 +149,10 @@ func TestChangeFraction(t *testing.T) {
 	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.10})
 	defer sub.Close(nil)
-	r.Evaluate(resultWithAvail(5e6))   // init
-	r.Evaluate(resultWithAvail(5.3e6)) // +6%: silent
-	r.Evaluate(resultWithAvail(5.6e6)) // +12% vs last push: fires
-	r.Evaluate(resultWithAvail(4.9e6)) // -12.5% vs 5.6e6: fires
+	r.Evaluate(pair, indexWithAvail(5e6))   // init
+	r.Evaluate(pair, indexWithAvail(5.3e6)) // +6%: silent
+	r.Evaluate(pair, indexWithAvail(5.6e6)) // +12% vs last push: fires
+	r.Evaluate(pair, indexWithAvail(4.9e6)) // -12.5% vs 5.6e6: fires
 	us := drain(t, sub)
 	if len(us) != 3 {
 		t.Fatalf("got %d updates: %+v", len(us), us)
@@ -210,7 +216,7 @@ func TestSlowConsumerDropsNeverBlocks(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			// Alternate far apart so every evaluation fires.
-			r.Evaluate(resultWithAvail(float64(1e6 * (1 + i%2))))
+			r.Evaluate(pair, indexWithAvail(float64(1e6*(1+i%2))))
 		}
 	}()
 	select {
@@ -240,7 +246,7 @@ func TestSlowConsumerDropsNeverBlocks(t *testing.T) {
 func TestCloseWithReasonDeliversTerminalUpdate(t *testing.T) {
 	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, Below: 5e6, Buf: 1})
-	r.Evaluate(resultWithAvail(2e6)) // fills the 1-deep buffer
+	r.Evaluate(pair, indexWithAvail(2e6)) // fills the 1-deep buffer
 	reason := rerr.Tagf(rerr.ErrCollectorUnavailable, "shutting down")
 	sub.Close(reason)
 
@@ -288,17 +294,38 @@ func TestRegistryCloseTerminatesAllAndRejectsNew(t *testing.T) {
 	r.Close(nil) // idempotent
 }
 
+// TestEvaluateReadsEachDirection: one poll of the pair, in either host
+// order, serves both directions' watches, each with its own direction's
+// availability.
+func TestEvaluateReadsEachDirection(t *testing.T) {
+	r := New(Config{Now: time.Now})
+	fwd, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.1})
+	rev, _ := r.Subscribe(Spec{Src: hostB, Dst: hostA, ChangeFrac: 0.1})
+	defer fwd.Close(nil)
+	defer rev.Close(nil)
+	r.Evaluate([]netip.Addr{hostB, hostA}, indexWithAvails(8e6, 3e6))
+	if us := drain(t, fwd); len(us) != 1 || us[0].Avail != 8e6 {
+		t.Fatalf("A->B watch: %+v, want one push of 8e6", us)
+	}
+	if us := drain(t, rev); len(us) != 1 || us[0].Avail != 3e6 {
+		t.Fatalf("B->A watch: %+v, want one push of 3e6", us)
+	}
+}
+
+// TestEvaluateSkipsForeignGraphs: only a poll of the watched pair, on a
+// generation that routes it, is evaluated.
 func TestEvaluateSkipsForeignGraphs(t *testing.T) {
 	r := New(Config{Now: time.Now})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.1})
 	defer sub.Close(nil)
 	g := topology.NewGraph()
 	g.AddNode(topology.Node{ID: "10.9.9.9", Kind: topology.HostNode, Addr: "10.9.9.9"})
-	r.Evaluate(&collector.Result{Graph: g})
-	r.Evaluate(nil)
-	r.Evaluate(&collector.Result{})
+	r.Evaluate(pair, topology.NewPathIndex(g))
+	r.Evaluate(pair, nil)
+	r.Evaluate([]netip.Addr{hostA, netip.MustParseAddr("10.9.9.9")}, indexWithAvail(5e6))
+	r.Evaluate(append(slices.Clone(pair), hostA), indexWithAvail(5e6))
 	if us := drain(t, sub); len(us) != 0 {
-		t.Fatalf("evaluated against a graph missing the endpoints: %+v", us)
+		t.Fatalf("evaluated against a generation missing the endpoints, or for another poll: %+v", us)
 	}
 }
 
@@ -314,7 +341,7 @@ func TestConcurrentSubscribeEvaluateClose(t *testing.T) {
 				return
 			default:
 			}
-			r.Evaluate(resultWithAvail(float64(1e6 * (1 + i%8))))
+			r.Evaluate(pair, indexWithAvail(float64(1e6*(1+i%8))))
 		}
 	}()
 	var wg sync.WaitGroup
@@ -355,7 +382,7 @@ func TestMetricsNames(t *testing.T) {
 	reg := obs.New()
 	r := New(Config{Now: time.Now, Obs: reg})
 	sub, _ := r.Subscribe(Spec{Src: hostA, Dst: hostB, ChangeFrac: 0.1})
-	r.Evaluate(resultWithAvail(5e6))
+	r.Evaluate(pair, indexWithAvail(5e6))
 	var buf strings.Builder
 	reg.WritePrometheus(&buf)
 	out := buf.String()

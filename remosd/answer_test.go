@@ -1,0 +1,197 @@
+package remosd
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"net/netip"
+	"slices"
+	"testing"
+	"time"
+
+	"remos/internal/collector"
+	"remos/internal/core"
+	"remos/internal/modeler"
+	"remos/internal/netsim"
+	"remos/internal/proto"
+	"remos/internal/sim"
+	"remos/internal/topology"
+	"remos/internal/watch"
+)
+
+// TestVerbsAgreeOnOneGeneration runs the daemon's serving planes over a
+// real collector deployment of one LAN — h, h1 and h3 on sw1, h2 on sw2,
+// both switches on router r — with cross traffic from h1 to h3 loading
+// the first hop of h1->h, and a WATCH on h1->h that pushes on any
+// change. At random instants about every 100 ms, the QUERY graph run
+// through FlowAlloc and the FLOWS answer for h1->h must agree in rate
+// and path, and both must be the last value the WATCH pushed. Partway
+// through, h moves to sw2: the three verbs must follow it together.
+func TestVerbsAgreeOnOneGeneration(t *testing.T) {
+	s := sim.NewSim()
+	n := netsim.New(s)
+	r := n.AddRouter("r")
+	sw1, sw2 := n.AddSwitch("sw1"), n.AddSwitch("sw2")
+	n.Connect(sw1, r, 1e9, time.Millisecond)
+	n.Connect(sw2, r, 1e9, time.Millisecond)
+	h, h1, h2, h3 := n.AddHost("h"), n.AddHost("h1"), n.AddHost("h2"), n.AddHost("h3")
+	for _, at := range []*netsim.Device{h, h1, h3} {
+		n.Connect(at, sw1, 100e6, time.Millisecond)
+	}
+	n.Connect(h2, sw2, 100e6, time.Millisecond)
+	n.AssignSubnets()
+	n.ComputeRoutes()
+	dep := core.NewDeployment(s, n, core.Options{})
+	if _, err := dep.AddSite(core.SiteSpec{Name: "lan", Switches: []*netsim.Device{sw1, sw2}, PollInterval: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Stop()
+	if _, err := n.StartCrossTraffic(h1, h3, netsim.CrossTrafficSpec{Mean: 40e6, Jitter: 0.5, Period: 700 * time.Millisecond, Seed: 39}); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultConfig()
+	p := cfg.servePlanes(s, dep.Sites["lan"].Master, nil, nil)
+	defer p.close()
+	src, dst := h1.Addr(), h.Addr()
+	sub, err := p.watch.Subscribe(watch.Spec{Src: src, Dst: dst, ChangeFrac: 1e-9, Buf: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close(nil)
+
+	ctx := context.Background()
+	req := []topology.FlowRequest{{Src: src.String(), Dst: dst.String()}}
+	rng := rand.New(rand.NewSource(39))
+	moveAt := s.Now().Add(30 * time.Second)
+	var (
+		watched, asked, disagree, moved int
+		last                            float64 // the last value the WATCH pushed
+		rates                           = map[float64]bool{}
+		probe                           func()
+	)
+	probe = func() {
+		for drained := false; !drained; {
+			select {
+			case u := <-sub.Updates():
+				watched, last = watched+1, u.Avail
+			default:
+				drained = true
+			}
+		}
+		if watched > 0 {
+			asked++
+			res, err := p.answer.Collect(collector.Query{Hosts: []netip.Addr{src, dst}}.WithContext(ctx))
+			if err != nil {
+				t.Fatalf("QUERY: %v", err)
+			}
+			query, err := res.Graph.FlowAlloc(req)
+			if err != nil {
+				t.Fatalf("QUERY graph through FlowAlloc: %v", err)
+			}
+			flows, err := p.answer.GetFlowsContext(ctx, []modeler.Flow{{Src: src, Dst: dst}}, modeler.FlowOptions{})
+			if err != nil {
+				t.Fatalf("FLOWS: %v", err)
+			}
+			q, f := query[0], flows[0]
+			if q.Available != f.Available || !slices.Equal(q.Path, f.Path) || f.Available != last {
+				disagree++
+				if disagree <= 3 {
+					t.Errorf("at %v: QUERY %.0f b/s over %v, FLOWS %.0f b/s over %v, last WATCH %.0f b/s",
+						s.Now().Sub(moveAt), q.Available, q.Path, f.Available, f.Path, last)
+				}
+			}
+			rates[f.Available] = true
+			if s.Now().After(moveAt) && len(f.Path) == 5 {
+				moved++
+			}
+		}
+		s.After(time.Duration(1+rng.Int63n(int64(200*time.Millisecond))), probe)
+	}
+	s.After(0, probe)
+	s.At(moveAt, func() { n.MoveHost(h, sw2, 10e6, time.Millisecond) })
+	s.RunFor(time.Minute)
+	t.Logf("%d instants, %d distinct rates, %d after the move on the new path, %d pushes", asked, len(rates), moved, watched)
+	if disagree > 0 {
+		t.Fatalf("%d of %d instants disagree", disagree, asked)
+	}
+	if asked < 400 || len(rates) < 5 || moved == 0 {
+		t.Fatalf("%d instants, %d distinct rates, %d after the move on the new path: the run did not exercise the verbs",
+			asked, len(rates), moved)
+	}
+}
+
+// TestRemoteTopologyMatchesInProcess: a topology query answered in
+// process by the planes' Modeler and the same query through a client
+// Modeler over either wire protocol are one computation, so for every
+// ordered host pair of the twosite scenario, raw and simplified, the
+// three answers encode to the same bytes.
+func TestRemoteTopologyMatchesInProcess(t *testing.T) {
+	s := sim.NewSim()
+	dep, hosts, err := buildScenario(s, "twosite", 0, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Stop()
+	if err := dep.MeasureAllBenchmarks(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	p := cfg.servePlanes(s, dep.Sites[firstSite(dep)].Master, nil, nil)
+	defer p.close()
+	tcp := &proto.TCPServer{Collector: p.answer, Flows: p.answer}
+	tcpAddr, err := tcp.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	web := &proto.HTTPServer{Collector: p.answer, Flows: p.answer}
+	webAddr, err := web.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer web.Close()
+	remote := map[string]*modeler.Modeler{
+		"ascii": modeler.New(modeler.Config{Collector: &proto.TCPClient{Addr: tcpAddr}}),
+		"xml":   modeler.New(modeler.Config{Collector: &proto.HTTPClient{BaseURL: "http://" + webAddr}}),
+	}
+
+	ctx := context.Background()
+	encode := func(m *modeler.Modeler, pair []netip.Addr, opt modeler.TopologyOptions) []byte {
+		t.Helper()
+		g, err := m.GetTopologyContext(ctx, pair, opt)
+		if err != nil {
+			t.Fatalf("%v raw=%t: %v", pair, opt.Raw, err)
+		}
+		var b bytes.Buffer
+		if err := g.EncodeText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	answers := 0
+	for _, a := range hosts {
+		for _, b := range hosts {
+			if a == b {
+				continue
+			}
+			pair := []netip.Addr{a.Addr(), b.Addr()}
+			for _, raw := range []bool{false, true} {
+				opt := modeler.TopologyOptions{Raw: raw}
+				want := encode(p.answer, pair, opt)
+				for name, m := range remote {
+					if got := encode(m, pair, opt); !bytes.Equal(got, want) {
+						t.Fatalf("%s -> %s raw=%t over %s:\n%s\nin process:\n%s", a.Name, b.Name, raw, name, got, want)
+					}
+				}
+				answers++
+			}
+		}
+	}
+	if answers != 40 {
+		t.Fatalf("compared %d answers, want 40", answers)
+	}
+}

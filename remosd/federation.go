@@ -109,7 +109,7 @@ func (cfg Config) federated(d *Daemon, logf func(format string, args ...any), st
 		return nil
 	}
 
-	st.collector, st.flows, st.dir, st.bound = router, router, dir, startMaster
+	st.answer, st.dir, st.bound = router, dir, startMaster
 	st.health = func() []obs.ComponentHealth { return fedHealth(domainName, master, dir) }
 	st.debug = map[string]http.Handler{"/debug/federation": router.DebugHandler()}
 	return nil

@@ -4,9 +4,10 @@
 // collector, observability plane, continuous collection, snapshot plane,
 // and the multi-tenant admission layer. Config is the one way to
 // configure it; cmd/remosd sets its fields from flags. A single-master
-// daemon always runs the warm-query cache, the snapshot plane, the poll
-// plane and the watch plane: MaxStale and SchedInterval must be
-// positive, and Start refuses a Config where they are not.
+// daemon always runs the snapshot plane, the poll plane and the watch
+// plane, and answers QUERY, FLOWS and WATCH from one snapshot
+// generation: MaxStale and SchedInterval must be positive, and Start
+// refuses a Config where they are not.
 //
 //	cfg := remosd.DefaultConfig()
 //	cfg.ListenASCII, cfg.ListenHTTP = "127.0.0.1:0", "127.0.0.1:0"
@@ -35,7 +36,6 @@ import (
 	"remos/internal/admission"
 	"remos/internal/collector"
 	"remos/internal/collector/hostcoll"
-	"remos/internal/collector/qcache"
 	"remos/internal/core"
 	"remos/internal/directory"
 	"remos/internal/hostload"
@@ -81,9 +81,9 @@ type Config struct {
 	Parallelism int    // collector pipeline parallelism; 0 = GOMAXPROCS
 
 	// MaxStale is the one staleness bound: the oldest reading a QUERY
-	// answers from the warm-query cache or a FLOWS answers from the
-	// snapshot plane, and the widest gap the scheduler leaves between
-	// two polls of a covered pair. It must be positive.
+	// or a FLOWS answers from the snapshot plane, and the widest gap the
+	// scheduler leaves between two polls of a covered pair. It must be
+	// positive.
 	MaxStale time.Duration
 
 	SchedInterval time.Duration // background poll base interval; must be positive
@@ -227,10 +227,9 @@ type stack struct {
 	reg    *obs.Registry
 	traces *obs.Ring
 
-	collector collector.Interface // answers QUERY
-	flows     proto.FlowAnswerer  // answers FLOWS
-	watch     *watch.Registry     // nil: no watch plane
-	dir       *directory.Service  // served on ListenDirectory
+	answer answerer           // answers QUERY and FLOWS
+	watch  *watch.Registry    // nil: no watch plane
+	dir    *directory.Service // served on ListenDirectory
 
 	health obs.HealthFunc
 	debug  map[string]http.Handler // the mode's own routes on the obs mux
@@ -239,6 +238,13 @@ type stack struct {
 	// anything else starts: the federated master advertises that address
 	// as its endpoint.
 	bound func(asciiAddr string) error
+}
+
+// answerer answers QUERY and FLOWS: the federation router, or the
+// single-master Modeler.
+type answerer interface {
+	collector.Interface
+	proto.FlowAnswerer
 }
 
 // serve is the bring-up both modes share: the admission front end, the
@@ -253,7 +259,7 @@ func (cfg Config) serve(d *Daemon, logf func(format string, args ...any), st sta
 	}
 
 	tcpSrv := &proto.TCPServer{
-		Collector: st.collector, Watch: st.watch, Flows: st.flows,
+		Collector: st.answer, Watch: st.watch, Flows: st.answer,
 		Admission: ctrl, Obs: st.reg, Traces: st.traces,
 	}
 	addr, err := tcpSrv.ListenAndServe(cfg.ListenASCII)
@@ -271,7 +277,7 @@ func (cfg Config) serve(d *Daemon, logf func(format string, args ...any), st sta
 
 	if cfg.ListenHTTP != "" {
 		httpSrv := &proto.HTTPServer{
-			Collector: st.collector, Watch: st.watch, Flows: st.flows,
+			Collector: st.answer, Watch: st.watch, Flows: st.answer,
 			Admission: ctrl, Obs: st.reg, Traces: st.traces,
 		}
 		haddr, err := httpSrv.ListenAndServe(cfg.ListenHTTP)
@@ -403,7 +409,7 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 
 	sv := cfg.servePlanes(s, dep.Sites[firstSite(dep)].Master, reg, st.traces)
 	d.onClose(sv.close)
-	logf("remosd: staleness bound %v (warm-query cache and snapshot plane), parallelism %d (0=GOMAXPROCS)",
+	logf("remosd: staleness bound %v (snapshot plane), parallelism %d (0=GOMAXPROCS)",
 		cfg.MaxStale, cfg.Parallelism)
 	// Preseed the demo pairs so their queries answer warm from the first
 	// client on; watches add and remove their own targets.
@@ -444,36 +450,31 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 		logf("remosd: host load collector on %s", laddr)
 	}
 
-	st.collector, st.flows, st.watch = sv.cache, sv.flows, sv.watch
+	st.answer, st.watch = sv.answer, sv.watch
 	st.dir, st.health = dep.Directory, healthFunc(dep)
 	return nil
 }
 
 // planes is the single-master serving assembly over one master: the
-// warm-query cache QUERY answers through, the snapshot store and the
-// Modeler FLOWS answers from, the poll plane that keeps both warm, and
-// the watch registry it feeds. All of it ages its state on one clock,
-// against the one bound MaxStale.
+// snapshot store, the Modeler that answers QUERY and FLOWS from it, the
+// poll plane that keeps it warm, and the watch registry that evaluates
+// each generation the poll plane makes. All of it ages its state on one
+// clock, against the one bound MaxStale.
 type planes struct {
-	cache *qcache.Cache
-	store *snapshot.Store
-	flows *modeler.Modeler
-	plane *sched.Scheduler
-	watch *watch.Registry
+	store  *snapshot.Store
+	answer *modeler.Modeler
+	plane  *sched.Scheduler
+	watch  *watch.Registry
 }
 
 // servePlanes assembles the planes over master. The snapshot plane
-// refreshes from master itself: Store.Refresh already coalesces
-// concurrent walks, and a refresh through the cache would stamp a
-// cached reading with the refresh's own start time. The poll plane
-// invalidates a target's cache entry and collects through the cache, so
-// a covered pair's QUERY answers warm and its FLOWS from the same poll.
+// refreshes from master itself — Store.Refresh coalesces concurrent
+// walks — and the poll plane polls master into the store, so a covered
+// pair's QUERY, FLOWS and WATCH all read the generation its last poll
+// made.
 func (cfg Config) servePlanes(s sim.Scheduler, master collector.Interface, reg *obs.Registry, traces *obs.Ring) *planes {
-	p := &planes{
-		cache: qcache.New(master, qcache.Config{TTL: cfg.MaxStale, Now: s.Now, Obs: reg}),
-		store: snapshot.New(snapshot.Config{Now: s.Now, Obs: reg}),
-	}
-	p.flows = modeler.New(modeler.Config{
+	p := &planes{store: snapshot.New(snapshot.Config{Now: s.Now, Obs: reg})}
+	p.answer = modeler.New(modeler.Config{
 		Collector: master, Snapshot: p.store, MaxStale: cfg.MaxStale,
 		Obs: reg, Traces: traces,
 	})
@@ -484,15 +485,12 @@ func (cfg Config) servePlanes(s sim.Scheduler, master collector.Interface, reg *
 		ReleaseTarget: func(h []netip.Addr) { p.plane.RemoveTarget(h) },
 	})
 	p.plane = sched.New(sched.Config{
-		Collector: p.cache,
-		Invalidate: func(h []netip.Addr) {
-			p.cache.Invalidate(qcache.Key(collector.Query{Hosts: h}))
-		},
+		Collector:    master,
 		Sched:        s,
 		BaseInterval: cfg.SchedInterval,
 		MaxInterval:  cfg.maxPollInterval(),
-		OnResult:     func(_ []netip.Addr, res *collector.Result) { p.watch.Evaluate(res) },
 		Snapshot:     p.store,
+		OnApply:      func(h []netip.Addr, snap *snapshot.Snapshot) { p.watch.Evaluate(h, snap.Paths()) },
 		Obs:          reg,
 	})
 	return p
@@ -506,8 +504,8 @@ func (p *planes) close() {
 
 // maxPollInterval is the widest gap the scheduler leaves between two
 // polls of a stable target: eight base intervals, narrowed to MaxStale,
-// so the cache entry and the snapshot generation a covered pair answers
-// from are re-polled before they age past the bound.
+// so the snapshot generation a covered pair answers from is re-polled
+// before it ages past the bound.
 func (cfg Config) maxPollInterval() time.Duration {
 	return min(8*cfg.SchedInterval, cfg.MaxStale)
 }

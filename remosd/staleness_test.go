@@ -40,7 +40,7 @@ var testPair = []netip.Addr{netip.MustParseAddr("10.0.16.2"), netip.MustParseAdd
 // TestCoveredPairNeverGoesStale runs the daemon's serving planes over a
 // stable network for ten simulated minutes, asking about the
 // scheduler-covered pair every 100 ms: the pair must always answer from a
-// generation within MaxStale and from the cache without a walk. The
+// generation within MaxStale, and its QUERY without a walk. The
 // widest gap between polls is what decides it, with the bound at its
 // default, at the base poll interval, and above eight base intervals.
 func TestCoveredPairNeverGoesStale(t *testing.T) {
@@ -69,7 +69,7 @@ func TestCoveredPairNeverGoesStale(t *testing.T) {
 					stale++
 				}
 				before := inner.calls.Load()
-				if _, err := p.cache.Collect(collector.Query{Hosts: testPair}); err != nil {
+				if _, err := p.answer.Collect(collector.Query{Hosts: testPair}); err != nil {
 					t.Fatal(err)
 				}
 				if inner.calls.Load() != before {
@@ -117,7 +117,7 @@ func (l *movingLink) readWithin(avail float64, now time.Time, bound time.Duratio
 // pair's one flow gets.
 func flowAvail(t *testing.T, p *planes) float64 {
 	t.Helper()
-	infos, err := p.flows.GetFlowsContext(context.Background(),
+	infos, err := p.answer.GetFlowsContext(context.Background(),
 		[]modeler.Flow{{Src: testPair[0], Dst: testPair[1]}}, modeler.FlowOptions{})
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("FLOWS: %+v, %v", infos, err)
@@ -125,13 +125,28 @@ func flowAvail(t *testing.T, p *planes) float64 {
 	return infos[0].Available
 }
 
-// TestFlowsNeverAnswerFromAnOlderReading: a QUERY warms the cache, the
-// link moves, and a FLOWS 1.9 s later — inside the cache's bound, but
-// with no snapshot generation for the pair — must walk and see the moved
-// link, not fold the cached reading into a generation stamped as new.
-// Then, over ten simulated minutes of QUERYs, FLOWS and link moves at
-// random, with the pair uncovered and covered by the scheduler, no FLOWS
-// answer may be a reading older than MaxStale.
+// queryAvail asks the planes' Modeler, as the QUERY verb does, for the
+// pair's graph and reads what its link offers.
+func queryAvail(t *testing.T, p *planes) float64 {
+	t.Helper()
+	res, err := p.answer.Collect(collector.Query{Hosts: testPair})
+	if err != nil {
+		t.Fatalf("QUERY: %v", err)
+	}
+	l := res.Graph.FindLink(testPair[0].String(), testPair[1].String())
+	if l == nil {
+		t.Fatalf("QUERY: no link between the pair in %d links", len(res.Graph.Links()))
+	}
+	return l.AvailFromTo()
+}
+
+// TestFlowsNeverAnswerFromAnOlderReading: a QUERY builds a generation
+// stamped with its own reading, the link moves, and a FLOWS 1.9 s later
+// answers that reading, inside the bound; one past the bound must walk
+// and see the moved link. Then, over ten simulated minutes of QUERYs,
+// FLOWS and link moves at random, with the pair uncovered and covered by
+// the scheduler, no QUERY or FLOWS answer may be a reading older than
+// MaxStale.
 func TestFlowsNeverAnswerFromAnOlderReading(t *testing.T) {
 	t.Run("query then flows", func(t *testing.T) {
 		cfg := DefaultConfig()
@@ -139,13 +154,17 @@ func TestFlowsNeverAnswerFromAnOlderReading(t *testing.T) {
 		link := &movingLink{now: s.Now, util: 1e6, reads: map[float64][]time.Time{}}
 		p := cfg.servePlanes(s, link, nil, nil)
 		defer p.close()
-		if _, err := p.cache.Collect(collector.Query{Hosts: testPair}); err != nil {
-			t.Fatal(err)
+		if got := queryAvail(t, p); got != 9e6 {
+			t.Fatalf("QUERY answered %.0f b/s; the link offers 9e6", got)
 		}
 		link.util = 9e6
 		s.RunFor(1900 * time.Millisecond)
+		if got := flowAvail(t, p); got != 9e6 {
+			t.Fatalf("FLOWS at 1.9 s answered %.0f b/s; the QUERY's reading of 9e6 is inside the bound", got)
+		}
+		s.RunFor(200 * time.Millisecond)
 		if got := flowAvail(t, p); got != 1e6 {
-			t.Fatalf("FLOWS at 1.9 s answered %.0f b/s; the link has offered 1e6 since the QUERY's reading", got)
+			t.Fatalf("FLOWS at 2.1 s answered %.0f b/s; the link has offered 1e6 since the QUERY's reading", got)
 		}
 	})
 	for _, covered := range []bool{false, true} {
@@ -163,26 +182,28 @@ func TestFlowsNeverAnswerFromAnOlderReading(t *testing.T) {
 				p.plane.AddTarget(testPair)
 			}
 			rng := rand.New(rand.NewSource(30))
-			var flows, old int
+			var queries, flows, old int
 			tick := s.Every(100*time.Millisecond, func() {
+				var got float64
 				switch rng.Intn(3) {
 				case 0:
 					link.util += 1e3 // every setting offers an availability of its own
+					return
 				case 1:
-					if _, err := p.cache.Collect(collector.Query{Hosts: testPair}); err != nil {
-						t.Fatal(err)
-					}
+					queries++
+					got = queryAvail(t, p)
 				default:
 					flows++
-					if got := flowAvail(t, p); !link.readWithin(got, s.Now(), cfg.MaxStale) {
-						old++
-					}
+					got = flowAvail(t, p)
+				}
+				if !link.readWithin(got, s.Now(), cfg.MaxStale) {
+					old++
 				}
 			})
 			s.RunFor(10 * time.Minute)
 			tick.Stop()
-			if flows < 1000 || old > 0 {
-				t.Fatalf("%d of %d FLOWS answers came from no reading within %v", old, flows, cfg.MaxStale)
+			if queries < 1000 || flows < 1000 || old > 0 {
+				t.Fatalf("%d of %d QUERY and %d FLOWS answers came from no reading within %v", old, queries, flows, cfg.MaxStale)
 			}
 		})
 	}

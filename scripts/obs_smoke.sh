@@ -60,7 +60,7 @@ for want in \
     'remos_request_seconds_bucket' \
     'remos_master_queries_total' \
     'remos_snmp_exchanges_total' \
-    'remos_qcache_misses_total' \
+    'remos_snapshot_misses_total' \
     'remos_runtime_goroutines ' \
     'remos_runtime_open_fds ' \
     'remos_snapshot_tree_builds '; do

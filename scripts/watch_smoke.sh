@@ -68,7 +68,7 @@ for want in \
     'remos_sched_poll_interval_seconds{target=' \
     'remos_watch_updates_total' \
     'remos_watch_active 0' \
-    'remos_qcache_invalidations_total'; do
+    'remos_snapshot_applies_total'; do
     if ! grep -qF "$want" "$WORK/metrics"; then
         echo "watch-smoke: /metrics missing: $want" >&2
         cat "$WORK/metrics" >&2
@@ -77,16 +77,16 @@ for want in \
 done
 
 # A scheduler-covered pair answers warm: the preseeded app1 pairs are
-# polled in the background, so this query must be a cache hit.
-# -server-flows=false keeps it on the graph-fetching path — the warm
-# query cache is what this asserts, not the snapshot plane.
+# polled in the background, so this query must answer from the snapshot
+# generation the last poll made. -server-flows=false keeps it on the
+# graph-fetching QUERY path, which reads the same generation FLOWS does.
 echo "watch-smoke: warm query $APP -> $SRV"
-before=$(awk '/^remos_qcache_hits_total /{print $2}' "$WORK/metrics")
+before=$(awk '/^remos_snapshot_hits_total /{print $2}' "$WORK/metrics")
 "$WORK/remosctl" -server "$ASCII" -hostload '' -server-flows=false bw "$APP" "$SRV"
 "$WORK/remosctl" -obs "http://$OBS" stats metrics >"$WORK/metrics2"
-after=$(awk '/^remos_qcache_hits_total /{print $2}' "$WORK/metrics2")
+after=$(awk '/^remos_snapshot_hits_total /{print $2}' "$WORK/metrics2")
 if [ "${after:-0}" -le "${before:-0}" ]; then
-    echo "watch-smoke: query did not hit the warm cache (hits $before -> $after)" >&2
+    echo "watch-smoke: query did not answer warm (snapshot hits $before -> $after)" >&2
     exit 1
 fi
 

@@ -15,7 +15,6 @@ import (
 
 	"remos"
 	"remos/internal/collector"
-	"remos/internal/collector/qcache"
 	"remos/internal/core"
 	"remos/internal/modeler"
 	"remos/internal/netsim"
@@ -28,14 +27,13 @@ import (
 )
 
 // watchStack wires the full continuous-collection plane the way remosd
-// does: deployment -> qcache -> background scheduler -> watch registry,
-// served over both wire protocols, with a snapshot-backed Modeler
-// answering FLOWS.
+// does: master -> snapshot store -> background scheduler -> watch
+// registry, served over both wire protocols, with the snapshot-backed
+// Modeler answering QUERY and FLOWS.
 type watchStack struct {
 	dep   *core.Deployment
 	d     map[string]*netsim.Device
 	reg   *obs.Registry
-	cache *qcache.Cache
 	plane *sched.Scheduler
 	watch *watch.Registry
 	tcp   string // ASCII address
@@ -47,10 +45,9 @@ func newWatchStack(t *testing.T) *watchStack {
 	reg := obs.New()
 	dep, d := stackOpts(t, core.Options{Obs: reg})
 
-	cache := qcache.New(dep.Sites["cmu"].Master, qcache.Config{
-		TTL: time.Minute, Now: dep.Sim.Now, Obs: reg,
-	})
-	ws := &watchStack{dep: dep, d: d, reg: reg, cache: cache}
+	master := dep.Sites["cmu"].Master
+	store := snapshot.New(snapshot.Config{Now: dep.Sim.Now, Obs: reg})
+	ws := &watchStack{dep: dep, d: d, reg: reg}
 	ws.watch = watch.New(watch.Config{
 		Obs:           reg,
 		Now:           dep.Sim.Now,
@@ -58,32 +55,27 @@ func newWatchStack(t *testing.T) *watchStack {
 		ReleaseTarget: func(hosts []netip.Addr) { ws.plane.RemoveTarget(hosts) },
 	})
 	ws.plane = sched.New(sched.Config{
-		Collector: cache,
-		Invalidate: func(hosts []netip.Addr) {
-			cache.Invalidate(qcache.Key(collector.Query{Hosts: hosts}))
-		},
+		Collector:    master,
 		Sched:        dep.Sim,
 		BaseInterval: time.Second,
 		MaxInterval:  4 * time.Second,
-		OnResult:     func(_ []netip.Addr, res *collector.Result) { ws.watch.Evaluate(res) },
+		Snapshot:     store,
+		OnApply:      func(hosts []netip.Addr, snap *snapshot.Snapshot) { ws.watch.Evaluate(hosts, snap.Paths()) },
 		Obs:          reg,
 	})
 	t.Cleanup(ws.plane.Stop)
 	t.Cleanup(func() { ws.watch.Close(nil) })
 
-	// The server-side Modeler behind the FLOWS verb, snapshot-backed as
-	// in remosd.
-	flows := modeler.New(modeler.Config{
-		Collector: cache, MaxStale: time.Minute, Obs: reg,
-		Snapshot: snapshot.New(snapshot.Config{Now: dep.Sim.Now, Obs: reg}),
-	})
-	tsrv := &proto.TCPServer{Collector: cache, Watch: ws.watch, Flows: flows, Obs: reg}
+	// The server-side Modeler behind the QUERY and FLOWS verbs, reading
+	// the store the scheduler polls into, as in remosd.
+	answer := modeler.New(modeler.Config{Collector: master, Snapshot: store, MaxStale: time.Minute, Obs: reg})
+	tsrv := &proto.TCPServer{Collector: answer, Watch: ws.watch, Flows: answer, Obs: reg}
 	tcpAddr, err := tsrv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tsrv.Close() })
-	hsrv := &proto.HTTPServer{Collector: cache, Watch: ws.watch, Flows: flows, Obs: reg}
+	hsrv := &proto.HTTPServer{Collector: answer, Watch: ws.watch, Flows: answer, Obs: reg}
 	httpAddr, err := hsrv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -112,8 +104,8 @@ func pump(t *testing.T, dep *core.Deployment, cond func() bool) {
 // TestWatchPlaneEndToEnd is the PR's acceptance test: a netsim-scripted
 // threshold crossing delivers an UPDATE over the ASCII transport and
 // over HTTP/SSE without the clients issuing a second query, and a
-// query for the scheduler-covered pair is then served from warm cache
-// state with zero new SNMP exchanges.
+// query for the scheduler-covered pair is then served from the
+// generation the last poll made, with zero new SNMP exchanges.
 func TestWatchPlaneEndToEnd(t *testing.T) {
 	ws := newWatchStack(t)
 	src, dst := ws.d["app"].Addr(), ws.d["srv"].Addr()
@@ -190,10 +182,10 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 
 	// Warm-query guarantee: freeze the simulation (no more polls, no
 	// counter movement except what we cause) and query the covered pair
-	// through the public API. The scheduler's last poll refilled the
-	// cache entry this query hits, so no new SNMP exchanges happen.
+	// through the public API. The scheduler's last poll made the
+	// generation this query answers from, so no new SNMP exchanges happen.
 	snmpBefore := ws.reg.Counter("remos_snmp_exchanges_total", "").Value()
-	hitsBefore := ws.reg.Counter("remos_qcache_hits_total", "").Value()
+	hitsBefore := ws.reg.Counter("remos_snapshot_hits_total", "").Value()
 	m, err := remos.Dial("tcp://" + ws.tcp)
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +202,8 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 	if got := ws.reg.Counter("remos_snmp_exchanges_total", "").Value(); got != snmpBefore {
 		t.Fatalf("warm query cost %d new SNMP exchanges", got-snmpBefore)
 	}
-	if got := ws.reg.Counter("remos_qcache_hits_total", "").Value(); got != hitsBefore+1 {
-		t.Fatalf("qcache hits %d -> %d, want exactly one warm hit", hitsBefore, got)
+	if got := ws.reg.Counter("remos_snapshot_hits_total", "").Value(); got != hitsBefore+1 {
+		t.Fatalf("snapshot hits %d -> %d, want exactly one warm hit", hitsBefore, got)
 	}
 
 	// The plane's own metrics are exposed for /metrics and remosctl
@@ -225,7 +217,7 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 		"remos_sched_polls_total",
 		"remos_sched_targets 1",
 		"remos_sched_poll_interval_seconds{target=",
-		"remos_qcache_invalidations_total",
+		"remos_snapshot_applies_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -259,8 +251,7 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 }
 
 // TestMixedConcurrentServing drives every serving path of one stack at
-// once — warm FLOWS, cold QUERYs that invalidate their cache slot first,
-// and both verbs over XML/HTTP — while the scheduler polls and watchers
+// once — FLOWS, QUERYs, and both verbs over XML/HTTP — while the scheduler polls and watchers
 // on both transports are pushed a baseline and then a threshold
 // crossing. Every query completes with a usable answer and every watcher
 // is pushed both updates with no gap in sequence; under -race this is
@@ -280,12 +271,11 @@ func TestMixedConcurrentServing(t *testing.T) {
 		}
 		return err
 	}
-	cold := func(c collector.Interface, i int) error {
+	collect := func(c collector.Interface, i int) error {
 		q := collector.Query{Hosts: mix[i%len(mix)]}
-		ws.cache.Invalidate(qcache.Key(q))
 		res, err := c.Collect(q)
 		if err == nil && (res.Graph.NodeByAddr(q.Hosts[0].String()) == nil || res.Graph.NodeByAddr(q.Hosts[1].String()) == nil) {
-			err = fmt.Errorf("cold answer lacks an endpoint of %v", q.Hosts)
+			err = fmt.Errorf("QUERY answer lacks an endpoint of %v", q.Hosts)
 		}
 		return err
 	}
@@ -293,12 +283,12 @@ func TestMixedConcurrentServing(t *testing.T) {
 	clients := []func(i int) error{
 		func(i int) error { return warm((&proto.TCPClient{Addr: ws.tcp}).Flows, i) }, // a connection per query
 		func(i int) error { return warm(ascii1.Flows, i) },
-		func(i int) error { return cold(ascii2, i) },
+		func(i int) error { return collect(ascii2, i) },
 		func(i int) error {
 			if i%2 == 0 {
 				return warm(xml.Flows, i)
 			}
-			return cold(xml, i)
+			return collect(xml, i)
 		},
 	}
 	stop := make(chan struct{})
