@@ -52,8 +52,6 @@ func main() {
 	raw := flag.Bool("raw", false, "topology: skip simplification")
 	predictFlows := flag.Bool("predicted", false, "flows: include RPS prediction")
 	count := flag.Int("count", 0, "watch: exit after this many non-baseline updates (0 = stream until interrupted)")
-	serverFlows := flag.Bool("server-flows", true,
-		"delegate flow/bw queries to the daemon's snapshot-backed FLOWS verb; false fetches the graph and computes client-side")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		flag.Usage()
@@ -87,13 +85,7 @@ func main() {
 		return
 	}
 
-	// Server-side flow answers: the daemon solves flow (and bw) queries
-	// from its snapshot plane instead of shipping the graph here; old
-	// daemons without the FLOWS verb fall back transparently.
 	var opts []remos.Option
-	if *serverFlows {
-		opts = append(opts, remos.WithServerFlows())
-	}
 	target := "tcp://" + *server
 	if *xml != "" {
 		target = *xml

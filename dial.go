@@ -11,7 +11,6 @@ import (
 // dialed Modeler's collectors.
 type dialConfig struct {
 	hostLoad string
-	srvFlows bool
 	id       proto.Identity
 }
 
@@ -34,15 +33,6 @@ type Option func(*dialConfig)
 // collector endpoint (same target syntax as Dial).
 func WithHostLoad(target string) Option {
 	return func(c *dialConfig) { c.hostLoad = target }
-}
-
-// WithServerFlows delegates flow queries (and the bandwidth queries
-// built on them) to the daemon's FLOWS verb, so answers come from the
-// server's versioned topology snapshot without shipping the graph.
-// Prediction queries still run client-side, and a server that predates
-// the verb falls back transparently to the graph-fetching path.
-func WithServerFlows() Option {
-	return func(c *dialConfig) { c.srvFlows = true }
 }
 
 // WithTenant identifies this client to the server's multi-tenant
@@ -68,16 +58,19 @@ func WithPriority(tier Priority) Option {
 // Dial connects to a remote Master Collector. The target scheme selects
 // the protocol — "tcp://host:port" (or a bare "host:port") for ASCII over
 // TCP, "http://host:port" or "https://..." for XML over HTTP — and
-// options configure host load access, server-side flow answers, and
-// tenant identity:
+// options configure host load access and tenant identity:
 //
 //	conn, err := remos.Dial("tcp://master.example.edu:3567")
 //	...
 //	defer conn.Close()
 //	bw, err := conn.AvailableBandwidthContext(ctx, src, dst)
 //
-// The Connection is the Modeler plus the server's watch plane. Dialing
-// is lazy: no connection is made until the first query.
+// The Connection is the Modeler plus the server's watch plane. Flow
+// queries (and the bandwidth queries built on them) ride the FLOWS verb,
+// so answers come from the server's snapshot plane without shipping the
+// graph; prediction queries fetch the graph and history and run here,
+// and so does every flow query against a server that does not answer
+// FLOWS. Dialing is lazy: no connection is made until the first query.
 func Dial(target string, opts ...Option) (*Connection, error) {
 	var dc dialConfig
 	for _, o := range opts {
@@ -88,10 +81,7 @@ func Dial(target string, opts ...Option) (*Connection, error) {
 		return nil, err
 	}
 	conn := &Connection{client: client}
-	mc := modeler.Config{Collector: client}
-	if dc.srvFlows {
-		mc.RemoteFlows = client
-	}
+	mc := modeler.Config{Collector: client, RemoteFlows: client}
 	if dc.hostLoad != "" {
 		if conn.hostLoad, err = proto.NewClient(dc.hostLoad, dc.id); err != nil {
 			return nil, fmt.Errorf("remos: host load target: %w", err)

@@ -76,7 +76,7 @@ func TestFederatedDaemonsE2E(t *testing.T) {
 		t.Fatalf("fabrics disagree: app1 = %v on A, %v on B", app1, a2)
 	}
 
-	ma, err := remos.Dial("tcp://"+da.ASCIIAddr, remos.WithServerFlows())
+	ma, err := remos.Dial("tcp://" + da.ASCIIAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFederatedDaemonsE2E(t *testing.T) {
 
 	// Dialing the other daemon gives the identical answer: both stitch
 	// the same serving graphs at the same border links.
-	mb, err := remos.Dial("tcp://"+db.ASCIIAddr, remos.WithServerFlows())
+	mb, err := remos.Dial("tcp://" + db.ASCIIAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,17 +158,16 @@ func TestFederatedDaemonsE2E(t *testing.T) {
 
 	// A host nobody advertises fails with the unknown-host class, not
 	// collector-unavailable: "no route to a domain" and "domain master
-	// down" stay distinguishable through the public API.
-	// Without server flows the client asks QUERY for the graph, so this
-	// is Router.Collect refusing the host.
-	mc, err := remos.Dial("tcp://" + da.ASCIIAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = mc.GetFlowsContext(ctx,
-		[]remos.Flow{{Src: netip.MustParseAddr("203.0.113.7"), Dst: srv}}, remos.FlowOptions{})
+	// down" stay distinguishable through the public API — over FLOWS,
+	// and over QUERY, where Router.Collect refuses the host.
+	stray := netip.MustParseAddr("203.0.113.7")
+	_, err = ma.GetFlowsContext(ctx, []remos.Flow{{Src: stray, Dst: srv}}, remos.FlowOptions{})
 	if !errors.Is(err, remos.ErrUnknownHost) {
-		t.Fatalf("unadvertised host error = %v; want ErrUnknownHost", err)
+		t.Fatalf("unadvertised host FLOWS error = %v; want ErrUnknownHost", err)
+	}
+	_, err = ma.GetTopologyContext(ctx, []netip.Addr{stray, srv}, remos.TopologyOptions{})
+	if !errors.Is(err, remos.ErrUnknownHost) {
+		t.Fatalf("unadvertised host QUERY error = %v; want ErrUnknownHost", err)
 	}
 
 	// The observability plane reports the mesh: both domains advertised,

@@ -121,6 +121,20 @@ func groundTruth(t *testing.T, n *netsim.Network, flows []modeler.Flow) []topolo
 	return want
 }
 
+// truthInfos is groundTruth as the answers a flow query gives: each
+// flow's allocation, its prediction the current value.
+func truthInfos(t *testing.T, n *netsim.Network, flows []modeler.Flow) []modeler.FlowInfo {
+	t.Helper()
+	out := make([]modeler.FlowInfo, len(flows))
+	for i, p := range groundTruth(t, n, flows) {
+		out[i] = modeler.FlowInfo{
+			Flow: flows[i], Available: p.Available, Latency: p.Latency, Jitter: p.Jitter, Path: p.Path,
+			Predicted: p.Available,
+		}
+	}
+	return out
+}
+
 func TestStitchedFlowsMatchSingleMasterTwoTier(t *testing.T) {
 	s := sim.NewSim()
 	n := netsim.New(s)
@@ -499,7 +513,7 @@ func TestKillFailoverOverSockets(t *testing.T) {
 			if a != b {
 				f := []modeler.Flow{{Src: a.Addr(), Dst: b.Addr()}}
 				flows = append(flows, f[0])
-				want = append(want, modeler.FlowInfos(f, groundTruth(t, n, f)))
+				want = append(want, truthInfos(t, n, f))
 			}
 		}
 	}

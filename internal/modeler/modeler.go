@@ -291,30 +291,12 @@ type FlowInfo struct {
 	ErrVar    float64
 }
 
-// FlowInfos pairs each requested flow with its allocation on the current
-// topology (preds[i] answers flows[i]). Without a forecast, the
-// prediction is the current value.
-func FlowInfos(flows []Flow, preds []topology.FlowPrediction) []FlowInfo {
-	out := make([]FlowInfo, len(flows))
-	for i := range preds {
-		p := &preds[i]
-		out[i] = FlowInfo{
-			Flow:      flows[i],
-			Available: p.Available,
-			Latency:   p.Latency,
-			Jitter:    p.Jitter,
-			Path:      p.Path,
-			Predicted: p.Available,
-		}
-	}
-	return out
-}
-
 // AllocFlows answers flows from a path index over a graph whose hosts
-// are identified by address text — FlowInfos of the index's FlowAlloc on
-// the rendered endpoints, without rendering them and with the answers
-// written where the caller keeps them. ends is the endpoints' node
-// numbers if the caller has them, else nil (PathIndex.FlowAllocAddrs).
+// are identified by address text — the index's FlowAlloc on the rendered
+// endpoints, without rendering them — each flow's prediction the current
+// value. ends is the endpoints' node numbers if the caller has them, else
+// nil (PathIndex.FlowAllocAddrs). Every flow answer the Modeler computes
+// is this one's.
 func AllocFlows(px *topology.PathIndex, flows []Flow, ends []int32) ([]FlowInfo, error) {
 	out := make([]FlowInfo, len(flows))
 	err := px.FlowAllocAddrs(flows, ends, func(i int, avail float64, lat, jitter time.Duration, path []string) {
@@ -431,18 +413,13 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 		return nil, err
 	}
 
-	// Only the collectors' own graph is asked in text.
-	reqs := make([]topology.FlowRequest, len(flows))
-	for i, f := range flows {
-		reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
-	}
 	sp = tr.Start("maxmin")
-	preds, err := res.Graph.FlowAlloc(reqs)
+	px := topology.NewPathIndex(res.Graph)
+	out, err = AllocFlows(px, flows, nil)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	out = FlowInfos(flows, preds)
 	if !opt.Predict {
 		return out, nil
 	}
@@ -478,7 +455,9 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 		}
 		linkErr[l.From+"|"+l.To] = maxf(fv, rv)
 	}
-	ppreds, err := predicted.FlowAlloc(reqs)
+	// The clone carries the walk's shape, so its index reuses the walk's
+	// trees.
+	ppreds, err := AllocFlows(topology.NewPathIndexFrom(px, predicted), flows, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -679,8 +658,8 @@ func (m *Modeler) PredictSeriesContext(ctx context.Context, src, dst netip.Addr,
 	if err != nil {
 		return rps.Prediction{}, err
 	}
-	// Use the bottleneck link's history along the path.
-	_, path, err := res.Graph.BottleneckAvail(src.String(), dst.String())
+	// Fit the longest link history along the path.
+	path, err := res.Graph.Path(src.String(), dst.String())
 	if err != nil {
 		return rps.Prediction{}, err
 	}

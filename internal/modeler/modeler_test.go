@@ -2,6 +2,7 @@ package modeler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/netip"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"remos/internal/collector"
+	"remos/internal/rerr"
 	"remos/internal/topology"
 )
 
@@ -82,6 +84,21 @@ func TestGetTopologySimplifies(t *testing.T) {
 	bw, _, err := g.BottleneckAvail("10.0.1.1", "10.0.2.1")
 	if err != nil || math.Abs(bw-6e6) > 1 {
 		t.Fatalf("bw = %v err = %v, want 6e6", bw, err)
+	}
+}
+
+// An address that is a node's Addr but not its ID is no endpoint: flow
+// answers resolve addresses as node IDs on every path, the collectors'
+// walk included, so the walk fails typed, plain or predicted, and the
+// caller can tell it from a network with no route.
+func TestWalkedFlowsTypeAnUnknownEndpoint(t *testing.T) {
+	m := New(Config{Collector: &fakeColl{}})
+	flows := []Flow{{Src: a("10.9.0.1"), Dst: a("10.0.2.1")}} // r1's Addr
+	for _, opt := range []FlowOptions{{}, {Predict: true}} {
+		_, err := m.GetFlowsContext(context.Background(), flows, opt)
+		if !errors.Is(err, rerr.ErrUnknownHost) {
+			t.Fatalf("predict=%t: err = %v, want ErrUnknownHost", opt.Predict, err)
+		}
 	}
 }
 

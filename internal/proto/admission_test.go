@@ -8,6 +8,7 @@ import (
 
 	"remos/internal/admission"
 	"remos/internal/collector"
+	"remos/internal/modeler"
 	"remos/internal/rerr"
 	"remos/internal/sim"
 	"remos/internal/watch"
@@ -161,6 +162,48 @@ func TestFlowsAdmission(t *testing.T) {
 	}
 	if _, err := httpCl.Flows(context.Background(), nil); !errors.Is(err, rerr.ErrOverloaded) {
 		t.Fatalf("xml FLOWS shed error = %v", err)
+	}
+}
+
+// TestFlowsWithoutAnswererCostsNoToken: a FLOWS a server cannot answer
+// is refused before admission, so a client falling back to QUERY spends
+// the tenant's tokens once, on the QUERY.
+func TestFlowsWithoutAnswererCostsNoToken(t *testing.T) {
+	s := sim.NewSim()
+	cfg := meteredTenants()
+	cfg.Sched = s
+	ctrl := admission.New(cfg)
+	defer ctrl.Close()
+	coll := &echoCollector{}
+	tcpSrv := &TCPServer{Collector: coll, Admission: ctrl}
+	addr, err := tcpSrv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcpSrv.Close()
+	httpSrv := &HTTPServer{Collector: coll, Admission: ctrl}
+	haddr, err := httpSrv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer httpSrv.Close()
+	tcpCl := &TCPClient{Addr: addr, Tenant: "metered", TenantKey: "k1"}
+	defer tcpCl.Close()
+	httpCl := &HTTPClient{BaseURL: "http://" + haddr, Tenant: "metered", TenantKey: "k1"}
+
+	hosts := hostList("10.0.0.1", "10.0.0.2")
+	flows := []modeler.Flow{{Src: hosts[0], Dst: hosts[1]}}
+	if _, err := tcpCl.Flows(context.Background(), flows); !errors.Is(err, rerr.ErrCollectorUnavailable) {
+		t.Fatalf("ascii FLOWS without an answerer: %v, want ErrCollectorUnavailable", err)
+	}
+	if _, err := httpCl.Flows(context.Background(), flows); !errors.Is(err, rerr.ErrCollectorUnavailable) {
+		t.Fatalf("xml FLOWS without an answerer: %v, want ErrCollectorUnavailable", err)
+	}
+	// The burst of two is whole: both queries pass on the frozen clock.
+	for i, cl := range []collector.Interface{tcpCl, httpCl} {
+		if _, err := cl.Collect(collector.Query{Hosts: hostList("10.0.0.1")}); err != nil {
+			t.Fatalf("query %d after the refused FLOWS: %v", i, err)
+		}
 	}
 }
 

@@ -113,11 +113,19 @@ func (c *core) query(q collector.Query) (*collector.Result, *obs.Trace, error) {
 	return res, tr, nil
 }
 
-// flows runs one decoded FLOWS request through the flow answerer.
-func (c *core) flows(ctx context.Context, flows []modeler.Flow) ([]modeler.FlowInfo, error) {
+// canFlow refuses FLOWS on a server with no flow answerer. The codecs
+// ask it before admission, as subscribe checks its registry before the
+// watch quota: a client that falls back to QUERY is not charged twice.
+func (c *core) canFlow() error {
 	if c.answerer == nil {
-		return nil, rerr.Tagf(rerr.ErrCollectorUnavailable, "proto: server has no flow answerer")
+		return rerr.Tagf(rerr.ErrCollectorUnavailable, "proto: server has no flow answerer")
 	}
+	return nil
+}
+
+// flows runs one decoded FLOWS request through the flow answerer, which
+// canFlow has found.
+func (c *core) flows(ctx context.Context, flows []modeler.Flow) ([]modeler.FlowInfo, error) {
 	start := time.Now()
 	infos, err := c.answerer.GetFlowsContext(ctx, flows, modeler.FlowOptions{})
 	return infos, c.observe(start, err)

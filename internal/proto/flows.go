@@ -200,6 +200,9 @@ func (c *asciiConn) flows(line []byte) (keep bool, err error) {
 	if err != nil {
 		return false, nil // garbage mid-request: drop the connection
 	}
+	if err := c.srv.core.canFlow(); err != nil {
+		return true, err
+	}
 	release, err := c.srv.core.admit(context.Background(), c.ten, c.tier)
 	if err != nil {
 		return true, err
@@ -271,6 +274,9 @@ type xmlFlowInfo struct {
 
 // handleFlows serves POST /flows on the XML protocol.
 func (s *HTTPServer) handleFlows(w http.ResponseWriter, r *http.Request) error {
+	if err := s.core.canFlow(); err != nil {
+		return err
+	}
 	var flows []modeler.Flow
 	release, err := s.admitPost(r, func(body []byte) (err error) {
 		flows, err = decodeFlowsQuery(body)

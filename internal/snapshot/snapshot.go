@@ -16,10 +16,10 @@
 // the hosts' freshness stamps as a vector indexed by the index's node
 // numbers — so one resolution of a host's address serves the freshness
 // check and the routing both. A poll that only moved measurements leaves
-// the routing shape as it was, so the new generation's index shares the
-// old one's adjacency, trees and node numbers (topology.NewPathIndexFrom
-// checks that it may) and its stamps are the old vector copied and
-// patched. A poll that shows a host on a new link drops the host's old
+// the routing shape as it was, so the new generation — a Clone of the
+// old, which carries the old graph's shape — indexes on the old one's
+// adjacency, trees and node numbers (topology.NewPathIndexFrom) and its
+// stamps are the old vector copied and patched. A poll that shows a host on a new link drops the host's old
 // links from the generation (topology.Graph.Update). The Store holds
 // nothing keyed by epoch, so there is nothing to evict on a swap: a
 // superseded generation is collected once its last reader lets go.

@@ -198,10 +198,8 @@ func assertLikeGraph(t *testing.T, g *Graph, reqs []FlowRequest, got []FlowPredi
 
 // TestPropertyAddrEntryMatchesTextEntry: the address entry, the text
 // entry on the rendered endpoints and the whole-graph calculation agree —
-// the first two word for word, errors included; the third on paths,
-// latency, jitter, rates to rounding, and on which kind of failure it is
-// (the whole graph does not tag an unknown endpoint, so there "unknown"
-// is whatever is not "no route").
+// all three word for word on errors; the first two on answers too, the
+// third on paths, latency, jitter, and rates to rounding.
 func TestPropertyAddrEntryMatchesTextEntry(t *testing.T) {
 	seen := map[string]int{}
 	for seed := int64(0); seed < 300; seed++ {
@@ -225,8 +223,9 @@ func TestPropertyAddrEntryMatchesTextEntry(t *testing.T) {
 			}
 			seen[errClass(gerr)]++
 			_, graphErr := ad.g.FlowAlloc(reqs)
-			if c := errClass(graphErr); (c == "no route") != (errClass(gerr) == "no route") || (c == "ok") != (gerr == nil) {
-				t.Fatalf("seed %d %v: index says %v, whole graph %v", seed, flows, gerr, graphErr)
+			if fmt.Sprint(graphErr) != fmt.Sprint(gerr) || errClass(graphErr) != errClass(gerr) {
+				t.Fatalf("seed %d %v: index says %v (%s), whole graph %v (%s)",
+					seed, flows, gerr, errClass(gerr), graphErr, errClass(graphErr))
 			}
 			if gerr == nil {
 				assertLikeGraph(t, ad.g, reqs, got)

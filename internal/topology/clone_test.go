@@ -129,9 +129,33 @@ var cloneMutators = []struct {
 	}},
 }
 
+// assertIndexLikeRebuild holds the index NewPathIndexFrom builds over g
+// after prev — on the shape g carries, or on prev's — to a fresh index
+// over a copy of g with no memo: every node pair must route alike and see
+// the same bottleneck.
+func assertIndexLikeRebuild(t *testing.T, after string, prev *PathIndex, g *Graph) {
+	t.Helper()
+	ref := g.Clone()
+	ref.invalidate()
+	px, rx := NewPathIndexFrom(prev, g), NewPathIndex(ref)
+	nodes := g.Nodes()
+	for _, a := range nodes {
+		for _, b := range nodes {
+			bw, got, gotErr := px.BottleneckAvail(a.ID, b.ID)
+			wantBW, want, wantErr := rx.BottleneckAvail(a.ID, b.ID)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || bw != wantBW || !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %s: index says %s -> %s is %v at %g (%v); a rebuilt one says %v at %g (%v)",
+					after, a.ID, b.ID, got, bw, gotErr, want, wantBW, wantErr)
+			}
+		}
+	}
+}
+
 // TestCloneIsolatesEveryMutator: whichever side of a Clone a mutator runs
 // on, the other side reads as it did, and the side mutated reads as a
-// graph sharing nothing would after the same mutation.
+// graph sharing nothing would after the same mutation. Both sides route —
+// by Graph and by an index built after the original's — as they would
+// with no memo carried.
 func TestCloneIsolatesEveryMutator(t *testing.T) {
 	for _, m := range cloneMutators {
 		for _, mutateClone := range []bool{false, true} {
@@ -140,6 +164,10 @@ func TestCloneIsolatesEveryMutator(t *testing.T) {
 				g, hosts := randomMeshed(rng)
 				addressHosts(g, hosts)
 				if _, err := g.Path(hosts[0], hosts[1]); err != nil { // a warm memo on the original
+					t.Fatal(err)
+				}
+				prev := NewPathIndexFrom(nil, g) // on that memo, with a tree
+				if _, err := prev.Path(hosts[1], hosts[0]); err != nil {
 					t.Fatal(err)
 				}
 				c := g.Clone()
@@ -158,6 +186,8 @@ func TestCloneIsolatesEveryMutator(t *testing.T) {
 				assertReadsLike(t, what+" (the side mutated)", mutated, mutatedRef)
 				assertRoutesLikeClone(t, what, other)
 				assertRoutesLikeClone(t, what, mutated)
+				assertIndexLikeRebuild(t, what, prev, other)
+				assertIndexLikeRebuild(t, what, prev, mutated)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 )
 
 // RandomFabric is the property tests' addressed generator without its
@@ -27,4 +28,12 @@ func RandomFabric(rng *rand.Rand) (*Graph, []netip.Addr) {
 		}
 	}
 	return g, ad.hosts
+}
+
+// sharesStructure reports whether g and other share one structure, which
+// means the same node IDs and, link for link, the same endpoints in the
+// same order: two graphs hold one node map only from a Clone that neither
+// has mutated since.
+func (g *Graph) sharesStructure(other *Graph) bool {
+	return reflect.ValueOf(g.nodes).UnsafePointer() == reflect.ValueOf(other.nodes).UnsafePointer()
 }

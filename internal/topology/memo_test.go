@@ -9,14 +9,15 @@ import (
 	"time"
 )
 
-// assertRoutesLikeClone holds g, whose adjacency memo may be warm, to a
-// fresh Clone, which has none: every node pair must route alike.
+// assertRoutesLikeClone holds g, whose shape memo may be warm, to a Clone
+// whose carried memo is dropped: every node pair must route alike.
 func assertRoutesLikeClone(t *testing.T, after string, g *Graph) {
 	t.Helper()
 	fresh := g.Clone()
-	if fresh.adj.Load() != nil {
-		t.Fatal("a Clone starts with a memoized adjacency")
+	if fresh.shape.Load() != g.shape.Load() {
+		t.Fatal("a Clone does not carry its original's memoized shape")
 	}
+	fresh.invalidate()
 	nodes := g.Nodes()
 	for _, a := range nodes {
 		for _, b := range nodes {
@@ -30,9 +31,9 @@ func assertRoutesLikeClone(t *testing.T, after string, g *Graph) {
 	}
 }
 
-// Every exported mutator must drop the adjacency memo: route (which fills
-// it), mutate, and route again against a clone that never had one.
-func TestAdjacencyMemoFollowsEveryMutator(t *testing.T) {
+// Every exported mutator must drop the shape memo: route (which fills
+// it), mutate, and route again against a clone whose memo is rebuilt.
+func TestShapeMemoFollowsEveryMutator(t *testing.T) {
 	mutators := []struct {
 		name string
 		do   func(t *testing.T, g *Graph, rng *rand.Rand)
@@ -88,8 +89,8 @@ func TestAdjacencyMemoFollowsEveryMutator(t *testing.T) {
 			if _, err := g.Path(hosts[0], hosts[1]); err != nil {
 				t.Fatal(err)
 			}
-			if g.adj.Load() == nil {
-				t.Fatal("Path left no memoized adjacency")
+			if g.shape.Load() == nil {
+				t.Fatal("Path left no memoized shape")
 			}
 			m.do(t, g, rng)
 			assertRoutesLikeClone(t, m.name, g)
@@ -97,16 +98,16 @@ func TestAdjacencyMemoFollowsEveryMutator(t *testing.T) {
 	}
 }
 
-// A second routing request on an unchanged graph reads the adjacency the
-// first one built; so do FlowAlloc, BottleneckAvail and Prune.
-func TestAdjacencyBuiltOncePerChange(t *testing.T) {
+// A second routing request on an unchanged graph reads the shape the
+// first one built; so do FlowAlloc, BottleneckAvail, Prune and a Clone.
+func TestShapeBuiltOncePerChange(t *testing.T) {
 	g := sample(t)
 	if _, err := g.Path("h1", "h2"); err != nil {
 		t.Fatal(err)
 	}
-	built := g.adj.Load()
+	built := g.shape.Load()
 	if built == nil {
-		t.Fatal("Path left no memoized adjacency")
+		t.Fatal("Path left no memoized shape")
 	}
 	if _, err := g.Path("h3", "h2"); err != nil {
 		t.Fatal(err)
@@ -120,8 +121,11 @@ func TestAdjacencyBuiltOncePerChange(t *testing.T) {
 	if _, err := g.Prune([]string{"h1", "h2", "h3"}); err != nil {
 		t.Fatal(err)
 	}
-	if g.adj.Load() != built {
-		t.Fatal("a routing request on an unchanged graph rebuilt the adjacency")
+	if g.shape.Load() != built {
+		t.Fatal("a routing request on an unchanged graph rebuilt the shape")
+	}
+	if c := g.Clone(); c.shape.Load() != built {
+		t.Fatal("a Clone does not carry the memoized shape")
 	}
 	// Measurements move through the link pointers without touching the
 	// structure: the memo stays, and the answers follow the new numbers.
@@ -130,19 +134,19 @@ func TestAdjacencyBuiltOncePerChange(t *testing.T) {
 	if err != nil || bw != 1e6 {
 		t.Fatalf("BottleneckAvail after a re-measurement = %v, %v; want 1e6", bw, err)
 	}
-	if g.adj.Load() != built {
-		t.Fatal("re-measuring a link dropped the adjacency")
+	if g.shape.Load() != built {
+		t.Fatal("re-measuring a link dropped the shape")
 	}
 	g.AddNode(Node{ID: "h4", Kind: HostNode})
-	if g.adj.Load() != nil {
-		t.Fatal("AddNode kept the memoized adjacency")
+	if g.shape.Load() != nil {
+		t.Fatal("AddNode kept the memoized shape")
 	}
 }
 
 // Readers beside readers: a graph nobody mutates may be routed over from
 // many goroutines at once, the first of which build the memo under the
 // others' feet (meaningful under -race).
-func TestConcurrentReadersShareAdjacency(t *testing.T) {
+func TestConcurrentReadersShareShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g, hosts := randomMeshed(rng)
 	ref := g.Clone()
@@ -227,4 +231,39 @@ func coldReply() *Graph {
 		}
 	}
 	return g
+}
+
+// Routing on a bare graph builds only the shape: no address tables and no
+// tree memo, which only an index reads. NewPathIndex builds a shape of
+// its own — a warm memo does not make its trees warm — and leaves the
+// graph's memo as it was; over a graph with none, its shape becomes the
+// memo, and NewPathIndexFrom reads it.
+func TestIndexShapeBesideGraphMemo(t *testing.T) {
+	g := sample(t)
+	if _, err := g.Prune([]string{"h1", "h2"}); err != nil {
+		t.Fatal(err)
+	}
+	memo := g.shape.Load()
+	if memo == nil || memo.addr4 != nil || memo.memo.Load() != nil {
+		t.Fatal("graph routing left no shape, or built what only an index reads")
+	}
+	px := NewPathIndex(g)
+	if px.shape == memo || g.shape.Load() != memo {
+		t.Fatal("NewPathIndex did not build a fresh shape beside the graph's memo")
+	}
+	if px.shape.addr4 == nil || memo.addr4 != nil {
+		t.Fatal("NewPathIndex built no address tables, or built them on the memo")
+	}
+	if nx := NewPathIndexFrom(px, g); nx.shape != memo || memo.addr4 == nil {
+		t.Fatal("NewPathIndexFrom did not read the graph's memo, address tables built")
+	}
+
+	bare := sample(t)
+	bx := NewPathIndex(bare)
+	if bare.shape.Load() != bx.shape {
+		t.Fatal("NewPathIndex over a graph with no memo did not store its shape")
+	}
+	if c := bare.Clone(); NewPathIndexFrom(nil, c).shape != bx.shape {
+		t.Fatal("an index over a clone did not read the shape the clone carries")
+	}
 }

@@ -27,36 +27,48 @@ import (
 // cost proportional to path lengths rather than graph size — the
 // property that keeps 10^4-node snapshots answerable at serving rates.
 //
-// A PathIndex must only be attached to a graph that will not change. A
-// new generation gets its own index, but NewPathIndexFrom lets it share
-// the previous one's shape — adjacency and memoized trees — when the two
-// graphs provably route alike.
+// The shape is the one the graph memoizes for its own routing, and a
+// Clone carries it, so a generation cloned from the last one — and not
+// reshaped since — reads the last one's adjacency and trees. A PathIndex
+// must only be attached to a graph that will not change.
 type PathIndex struct {
 	g     *Graph
 	shape *shape
 	links []*Link // g's links; the shape's link i is links[i]
 }
 
-// NewPathIndex builds the index over g from scratch. The graph must not
-// be mutated afterwards.
+// NewPathIndex builds the index over g on a shape of its own, with no
+// trees yet, which becomes g's memoized shape only if g has none. The
+// graph must not be mutated afterwards.
 func NewPathIndex(g *Graph) *PathIndex {
-	return &PathIndex{g: g, shape: newShape(g), links: g.links}
+	sh := newShape(g)
+	g.shape.CompareAndSwap(nil, sh)
+	return newIndex(g, sh)
 }
 
-// NewPathIndexFrom builds the index over g, sharing prev's shape when g
-// has exactly prev's node IDs and the same link endpoints in the same
-// order and orientation — what a poll that only moved measurements
-// produces. When g still shares its structure with prev's graph (a Clone
-// that no mutator has made private) that is known by a pointer compare;
-// otherwise it is checked against g in O(nodes+links), never assumed. Any
-// difference (or a nil prev) falls back to NewPathIndex. Either way the
-// answers are those of NewPathIndex(g): routing reads nothing of a graph
-// but what the check compares.
+// NewPathIndexFrom builds the index over g on the shape g carries — a
+// Clone's is its original's, trees and all. A graph carrying none adopts
+// prev's shape when it has exactly prev's node IDs and the same link
+// endpoints in the same order and orientation (checked in O(nodes+links),
+// never assumed); otherwise, or with a nil prev, this is NewPathIndex.
+// Either way the answers are those of NewPathIndex(g): routing reads
+// nothing of a graph but what the check compares.
 func NewPathIndexFrom(prev *PathIndex, g *Graph) *PathIndex {
-	if prev == nil || !prev.g.sharesStructure(g) && !prev.shape.matches(g) {
+	if sh := g.shape.Load(); sh != nil {
+		return newIndex(g, sh)
+	}
+	if prev == nil || !prev.shape.matches(g) {
 		return NewPathIndex(g)
 	}
-	return &PathIndex{g: g, shape: prev.shape, links: g.links}
+	g.shape.CompareAndSwap(nil, prev.shape)
+	return newIndex(g, g.shape.Load())
+}
+
+// newIndex is the index over g on sh, with the address tables only an
+// index reads built, once per shape.
+func newIndex(g *Graph, sh *shape) *PathIndex {
+	sh.addrOnce.Do(sh.indexAddrs)
+	return &PathIndex{g: g, shape: sh, links: g.links}
 }
 
 // Graph returns the indexed graph (shared, not a copy).
@@ -102,10 +114,12 @@ const noHop hop = -1
 const treeBudget = 64 << 20
 
 // shape is the routing structure of a graph, immutable but for the tree
-// memo: dense node numbers in ID order, links by endpoint numbers, and a
-// CSR adjacency in canonical order (peers ascending by ID, parallel
-// links in insertion order) so that BFS tie-breaking depends on the
-// graph's content and not on how it was assembled.
+// memo: dense node numbers in ID order, links numbered by their position
+// in the graph's links, and a CSR adjacency in canonical order (peers
+// ascending by ID, parallel links in insertion order) so that BFS
+// tie-breaking depends on the graph's content and not on how it was
+// assembled — a federated stitch of per-domain subgraphs arrives in a
+// different link order than a single-master walk, and routes alike.
 type shape struct {
 	ids      []string         // node number -> ID, sorted
 	num      map[string]int32 // ID -> node number
@@ -114,8 +128,8 @@ type shape struct {
 	peers    []int32          // neighbour node numbers
 	hops     []hop            // the hop taken to reach the neighbour
 
-	budget int64 // treeBudget; a field so tests can reach the bound
-	memo   atomic.Pointer[treeMemo]
+	budget int64                    // treeBudget; a field so tests can reach the bound
+	memo   atomic.Pointer[treeMemo] // nil until the first tree
 	builds atomic.Int64
 
 	// addr4 and addrs are num keyed by parsed address, for the node IDs
@@ -124,8 +138,10 @@ type shape struct {
 	// 32 bits, which the runtime hashes and compares as one word; the
 	// 24-byte netip.Addr keys of addrs (IPv6, 4-in-6, zoned) cost several
 	// times that per lookup.
-	addr4 map[uint32]int32
-	addrs map[netip.Addr]int32
+	// Only an index resolves addresses: its constructor builds them.
+	addrOnce sync.Once
+	addr4    map[uint32]int32
+	addrs    map[netip.Addr]int32
 }
 
 // treeMemo holds one tree per source node: trees[src][v] is the hop
@@ -186,8 +202,6 @@ func newShape(g *Graph) *shape {
 			next[u]++
 		}
 	}
-	sh.memo.Store(newTreeMemo(n))
-	sh.indexAddrs()
 	return sh
 }
 
@@ -229,6 +243,10 @@ func (sh *shape) matches(g *Graph) bool {
 // first use.
 func (sh *shape) tree(src int32) []hop {
 	memo := sh.memo.Load()
+	if memo == nil {
+		sh.memo.CompareAndSwap(nil, newTreeMemo(len(sh.ids)))
+		memo = sh.memo.Load()
+	}
 	if t := memo.trees[src].Load(); t != nil {
 		return *t
 	}
@@ -346,6 +364,58 @@ func (sh *shape) route(buf []hop, src, dst int32) ([]hop, error) {
 	return buf, nil
 }
 
+// search is a breadth-first search from one node ID that stops at the
+// other: Graph routing, and the reference for the memoized trees, which
+// it matches hop for hop since both visit peers in canonical order.
+func (sh *shape) search(from, to string) ([]hop, error) {
+	src, dst, err := sh.ends(from, to)
+	if err != nil || src == dst {
+		return nil, err
+	}
+	// arrive[v] is the hop the search reached v by.
+	arrive := make([]hop, len(sh.ids))
+	for i := range arrive {
+		arrive[i] = noHop
+	}
+	queue := make([]int32, 1, len(sh.ids))
+	queue[0] = src
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for i := sh.off[cur]; i < sh.off[cur+1]; i++ {
+			peer := sh.peers[i]
+			if peer == src || arrive[peer] != noHop {
+				continue
+			}
+			arrive[peer] = sh.hops[i]
+			if peer != dst {
+				queue = append(queue, peer)
+				continue
+			}
+			n := 0
+			for v := dst; v != src; v = sh.tail(arrive[v]) {
+				n++
+			}
+			out := make([]hop, n)
+			for v := dst; v != src; v = sh.tail(arrive[v]) {
+				n--
+				out[n] = arrive[v]
+			}
+			return out, nil
+		}
+	}
+	return nil, rerr.Tagf(rerr.ErrNoRoute, "topology: no path from %s to %s", from, to)
+}
+
+// nodePath appends to out the node IDs along hops, starting at from.
+func (sh *shape) nodePath(out []string, from string, hops []hop) []string {
+	out = append(out, from)
+	for _, h := range hops {
+		out = append(out, sh.ids[sh.head(h)])
+	}
+	return out
+}
+
 // walk is route between two node IDs.
 func (px *PathIndex) walk(buf []hop, from, to string) ([]hop, error) {
 	src, dst, err := px.shape.ends(from, to)
@@ -355,22 +425,23 @@ func (px *PathIndex) walk(buf []hop, from, to string) ([]hop, error) {
 	return px.shape.route(buf, src, dst)
 }
 
-// avail is the available bandwidth in the hop's direction, from this
-// generation's measurements.
-func (px *PathIndex) avail(h hop) float64 {
+// avail is the available bandwidth in the hop's direction over links,
+// which the hop's link number indexes.
+func avail(links []*Link, h hop) float64 {
 	if h&1 == 0 {
-		return px.links[h>>1].AvailFromTo()
+		return links[h>>1].AvailFromTo()
 	}
-	return px.links[h>>1].AvailToFrom()
+	return links[h>>1].AvailToFrom()
 }
 
-// nodePath appends to out the node IDs along hops, starting at from.
-func (px *PathIndex) nodePath(out []string, from string, hops []hop) []string {
-	out = append(out, from)
-	for _, h := range hops {
-		out = append(out, px.shape.ids[px.shape.head(h)])
+// bottleneck is the least available bandwidth along hops, 0 for none.
+func bottleneck(links []*Link, hops []hop) (bw float64) {
+	for i, h := range hops {
+		if a := avail(links, h); i == 0 || a < bw {
+			bw = a
+		}
 	}
-	return out
+	return bw
 }
 
 // Path returns the node IDs of a shortest path between two nodes,
@@ -383,7 +454,7 @@ func (px *PathIndex) Path(from, to string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return px.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
+	return px.shape.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
 }
 
 // BottleneckAvail is Graph.BottleneckAvail from the memoized trees.
@@ -395,12 +466,7 @@ func (px *PathIndex) BottleneckAvail(from, to string) (bw float64, path []string
 	if err != nil {
 		return 0, nil, err
 	}
-	for i, h := range hops {
-		if a := px.avail(h); i == 0 || a < bw {
-			bw = a
-		}
-	}
-	return bw, px.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
+	return bottleneck(px.links, hops), px.shape.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
 }
 
 // flowScratch is the per-call working state of the PathIndex queries,
@@ -485,7 +551,7 @@ func (px *PathIndex) allocate(st *flowScratch, answer FlowAnswer) error {
 			s := &st.slots[h]
 			if s.stamp != stamp {
 				*s = hopSlot{stamp: stamp, pos: int32(len(st.caps))}
-				st.caps = append(st.caps, px.avail(h))
+				st.caps = append(st.caps, avail(px.links, h))
 			}
 			links[j] = int(s.pos)
 		}

@@ -186,18 +186,14 @@ func randomClouded(rng *rand.Rand) (*Graph, []string) {
 // flowBottleneck is the sharing-oblivious per-flow answer, computed by
 // maxmin.Bottleneck over the flow's directed residual capacities.
 func flowBottleneck(g *Graph, src, dst string) (float64, error) {
-	hops, err := g.pathHalfLinks(src, dst)
+	hops, err := g.routing().search(src, dst)
 	if err != nil {
 		return 0, err
 	}
 	caps := make([]float64, len(hops))
 	links := make([]int, len(hops))
 	for i, h := range hops {
-		avail := h.link.AvailFromTo()
-		if !h.fromA {
-			avail = h.link.AvailToFrom()
-		}
-		caps[i] = avail
+		caps[i] = avail(g.links, h)
 		links[i] = i
 	}
 	return maxmin.Bottleneck(caps, maxmin.Flow{Links: links})

@@ -16,33 +16,37 @@ import (
 // between every pair of the given endpoints. Nodes and links not on any
 // such path are "unnecessary information" and dropped.
 func (g *Graph) Prune(endpoints []string) (*Graph, error) {
-	keepNode := make(map[string]bool)
-	keepLink := make(map[*Link]bool)
+	sh := g.routing()
+	keepNode := make([]bool, len(sh.ids))
+	keepLink := make([]bool, len(g.links))
 	for i := 0; i < len(endpoints); i++ {
 		for j := i + 1; j < len(endpoints); j++ {
-			hops, err := g.pathHalfLinks(endpoints[i], endpoints[j])
+			hops, err := sh.search(endpoints[i], endpoints[j])
 			if err != nil {
 				return nil, err
 			}
-			keepNode[endpoints[i]] = true
+			keepNode[sh.num[endpoints[i]]] = true
 			for _, h := range hops {
-				keepNode[h.peerID()] = true
-				keepLink[h.link] = true
+				keepNode[sh.head(h)] = true
+				keepLink[h>>1] = true
 			}
 		}
 	}
 	if len(endpoints) == 1 {
-		if g.nodes[endpoints[0]] == nil {
+		v, ok := sh.num[endpoints[0]]
+		if !ok {
 			return nil, fmt.Errorf("topology: unknown endpoint %s", endpoints[0])
 		}
-		keepNode[endpoints[0]] = true
+		keepNode[v] = true
 	}
 	out := NewGraph()
-	for id := range keepNode {
-		out.AddNode(*g.nodes[id])
+	for v, keep := range keepNode {
+		if keep {
+			out.AddNode(*g.nodes[sh.ids[v]])
+		}
 	}
-	for _, l := range g.links {
-		if keepLink[l] {
+	for i, l := range g.links {
+		if keepLink[i] {
 			out.AddLink(*l)
 		}
 	}
@@ -56,57 +60,58 @@ func (g *Graph) Prune(endpoints []string) (*Graph, error) {
 // structurally meaningful and never collapsed.
 func (g *Graph) CollapseChains(protect map[string]bool) {
 	for {
-		adj := g.adjacency()
-		var victim *Node
-		for _, n := range g.Nodes() {
-			if protect[n.ID] || (n.Kind != SwitchNode && n.Kind != VirtualNode) {
+		sh := g.routing()
+		victim := NoNode
+		for v, id := range sh.ids {
+			if n := g.nodes[id]; protect[id] || (n.Kind != SwitchNode && n.Kind != VirtualNode) {
 				continue
 			}
-			hl := adj.of(n.ID)
-			if len(hl) == 2 && hl[0].peerID() != n.ID && hl[1].peerID() != n.ID && hl[0].peerID() != hl[1].peerID() {
-				victim = n
-				break
+			if at := sh.off[v]; sh.off[v+1]-at == 2 {
+				if a, b := sh.peers[at], sh.peers[at+1]; a != int32(v) && b != int32(v) && a != b {
+					victim = int32(v)
+					break
+				}
 			}
 		}
-		if victim == nil {
+		if victim == NoNode {
 			return
 		}
-		hl := adj.of(victim.ID)
-		a, b := hl[0], hl[1]
-		// Orient each half-link outward from the victim: "toward peer"
-		// and "from peer" utilizations.
-		towardA, fromA := dirUtils(a)
-		towardB, fromB := dirUtils(b)
+		a, b := sh.hops[sh.off[victim]], sh.hops[sh.off[victim]+1]
+		la, lb := g.links[a>>1], g.links[b>>1]
+		// Orient each hop outward from the victim: "toward peer" and
+		// "from peer" utilizations.
+		towardA, fromA := dirUtils(la, a)
+		towardB, fromB := dirUtils(lb, b)
 		// The splice must preserve each direction's available
 		// bandwidth exactly — that is the quantity flow queries
 		// consume. A->B traffic crosses (peerA -> victim) then
 		// (victim -> peerB); its availability is the minimum of the
 		// two, expressed as utilization against the bottleneck
 		// capacity.
-		bottleneck := minf(a.link.Capacity, b.link.Capacity)
-		availAB := minf(a.link.Capacity-fromA, b.link.Capacity-towardB)
-		availBA := minf(b.link.Capacity-fromB, a.link.Capacity-towardA)
+		bottleneck := minf(la.Capacity, lb.Capacity)
+		availAB := minf(la.Capacity-fromA, lb.Capacity-towardB)
+		availBA := minf(lb.Capacity-fromB, la.Capacity-towardA)
 		merged := Link{
-			From:       a.peerID(),
-			To:         b.peerID(),
+			From:       sh.ids[sh.head(a)],
+			To:         sh.ids[sh.head(b)],
 			Capacity:   bottleneck,
 			UtilFromTo: maxf(0, bottleneck-clampNonNeg(availAB)),
 			UtilToFrom: maxf(0, bottleneck-clampNonNeg(availBA)),
-			Latency:    a.link.Latency + b.link.Latency,
-			Jitter:     combineJitter(a.link.Jitter, b.link.Jitter),
+			Latency:    la.Latency + lb.Latency,
+			Jitter:     combineJitter(la.Jitter, lb.Jitter),
 		}
-		g.removeNode(victim.ID)
+		g.removeNode(sh.ids[victim])
 		g.AddLink(merged)
 	}
 }
 
-// dirUtils returns the utilization toward the half-link's peer and from
-// the peer, given the half-link is held from the victim's side.
-func dirUtils(h halfLink) (toward, from float64) {
-	if h.fromA { // victim is link.From
-		return h.link.UtilFromTo, h.link.UtilToFrom
+// dirUtils returns the utilization toward the hop's peer and from the
+// peer, given the hop leaves the victim over l.
+func dirUtils(l *Link, h hop) (toward, from float64) {
+	if h&1 == 0 { // victim is l.From
+		return l.UtilFromTo, l.UtilToFrom
 	}
-	return h.link.UtilToFrom, h.link.UtilFromTo
+	return l.UtilToFrom, l.UtilFromTo
 }
 
 // CollapseSwitchClouds replaces every maximal connected component of
@@ -115,7 +120,7 @@ func dirUtils(h halfLink) (toward, from float64) {
 // uses for shared Ethernets and unreachable regions; interior structure is
 // intentionally hidden. Returns the number of clouds collapsed.
 func (g *Graph) CollapseSwitchClouds(prefix string) int {
-	adj := g.adjacency()
+	sh := g.routing()
 	visited := make(map[string]bool)
 	clouds := 0
 	for _, n := range g.Nodes() {
@@ -124,16 +129,16 @@ func (g *Graph) CollapseSwitchClouds(prefix string) int {
 		}
 		// Flood the switch component.
 		var comp []string
-		queue := []string{n.ID}
+		queue := []int32{sh.num[n.ID]}
 		visited[n.ID] = true
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			comp = append(comp, cur)
-			for _, h := range adj.of(cur) {
-				p := h.peerID()
-				if pn := g.nodes[p]; pn != nil && pn.Kind == SwitchNode && !visited[p] {
-					visited[p] = true
+			comp = append(comp, sh.ids[cur])
+			for _, p := range sh.peers[sh.off[cur]:sh.off[cur+1]] {
+				id := sh.ids[p]
+				if pn := g.nodes[id]; pn != nil && pn.Kind == SwitchNode && !visited[id] {
+					visited[id] = true
 					queue = append(queue, p)
 				}
 			}
@@ -168,7 +173,7 @@ func (g *Graph) CollapseSwitchClouds(prefix string) int {
 		for _, id := range comp {
 			g.dropNode(id)
 		}
-		adj = g.adjacency()
+		sh = g.routing()
 	}
 	return clouds
 }

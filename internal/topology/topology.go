@@ -9,14 +9,12 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"remos/internal/maxmin"
-	"remos/internal/rerr"
 )
 
 // NodeKind classifies graph nodes.
@@ -124,12 +122,12 @@ type Graph struct {
 	// as long as anything in it is referenced.
 	nodeSlab []Node
 	linkSlab []Link
-	// adj memoizes adjacency(): built by the first routing request after
-	// a change, read by every one until the next. Everything that binds
-	// or drops a node or a link, or rewrites a link's endpoints, drops it
-	// (invalidate). Concurrent readers may each build it; they build the
-	// same thing.
-	adj atomic.Pointer[adjacency]
+	// shape memoizes the graph's routing structure (routing): built by
+	// the first routing request after a change, read by every one until
+	// the next, and handed to a Clone, whose links are this graph's in
+	// the same order. Everything that binds or drops a node or a link, or
+	// rewrites a link's endpoints, drops it (invalidate).
+	shape atomic.Pointer[shape]
 }
 
 // NewGraph returns an empty graph.
@@ -175,7 +173,7 @@ func carve[T any](slab []T) []T {
 }
 
 // invalidate drops what is memoized about the graph's structure.
-func (g *Graph) invalidate() { g.adj.Store(nil) }
+func (g *Graph) invalidate() { g.shape.Store(nil) }
 
 // own gives g a structure of its own before it writes one: if a Clone
 // shares g's nodes and indexes, g copies them, nodes included, and drops
@@ -431,13 +429,16 @@ func (g *Graph) Update(other *Graph) {
 }
 
 // Clone returns a copy whose links may be written and whose structure may
-// be mutated without touching g. Copies sit on serving paths (cache hits,
-// snapshot generations, predictions), so only the links are copied, into
-// one slab: the structure is shared until one side mutates it (own).
+// be mutated without touching g. Copies sit on serving paths (snapshot
+// generations, QUERY answers, predictions), so only the links are copied,
+// into one slab: the structure is shared until one side mutates it (own),
+// and so is the memoized shape, whose link numbers are positions in the
+// copy's links as much as in g's.
 func (g *Graph) Clone() *Graph {
 	g.shared.Store(true)
 	out := &Graph{nodes: g.nodes, byAddr: g.byAddr, linkIdx: g.linkIdx}
 	out.shared.Store(true)
+	out.shape.Store(g.shape.Load())
 	if len(g.links) > 0 {
 		out.linkSlab = make([]Link, len(g.links))
 		out.links = make([]*Link, len(g.links))
@@ -449,180 +450,39 @@ func (g *Graph) Clone() *Graph {
 	return out
 }
 
-// sharesStructure reports whether g and other share one structure, which
-// means the same node IDs and, link for link, the same endpoints in the
-// same order: two graphs hold one node map only from a Clone that neither
-// has mutated since.
-func (g *Graph) sharesStructure(other *Graph) bool {
-	return reflect.ValueOf(g.nodes).UnsafePointer() == reflect.ValueOf(other.nodes).UnsafePointer()
-}
-
-// halfLink is one direction of travel over a link.
-type halfLink struct {
-	link  *Link
-	fromA bool  // true when traversing From->To
-	peer  int32 // the node arrived at, by its number in the adjacency this half belongs to
-}
-
-func (h halfLink) peerID() string {
-	if h.fromA {
-		return h.link.To
+// routing returns the memoized shape, building it if a mutation dropped
+// it. Racing builders share the first shape stored.
+func (g *Graph) routing() *shape {
+	if sh := g.shape.Load(); sh != nil {
+		return sh
 	}
-	return h.link.From
-}
-
-// adjacency is the graph's links by the node they leave, in canonical
-// order. Nodes are numbered densely (in no particular order) so that a
-// search keeps its state in slices; node i's half-links are
-// half[off[i]:off[i+1]].
-type adjacency struct {
-	num  map[string]int32
-	off  []int32
-	half []halfLink
-}
-
-// of returns the half-links leaving the node.
-func (a *adjacency) of(id string) []halfLink {
-	i, ok := a.num[id]
-	if !ok {
-		return nil
-	}
-	return a.half[a.off[i]:a.off[i+1]]
-}
-
-// adjacency returns the memoized adjacency, building it if a mutation
-// dropped it.
-func (g *Graph) adjacency() *adjacency {
-	if a := g.adj.Load(); a != nil {
-		return a
-	}
-	a := g.buildAdjacency()
-	g.adj.Store(a)
-	return a
-}
-
-func (g *Graph) buildAdjacency() *adjacency {
-	a := &adjacency{num: make(map[string]int32, len(g.nodes))}
-	for id := range g.nodes {
-		a.num[id] = int32(len(a.num))
-	}
-	a.off = make([]int32, len(a.num)+1)
-	for _, l := range g.links {
-		a.off[a.num[l.From]+1]++
-		a.off[a.num[l.To]+1]++
-	}
-	for i := 1; i < len(a.off); i++ {
-		a.off[i] += a.off[i-1]
-	}
-	a.half = make([]halfLink, 2*len(g.links))
-	next := slices.Clone(a.off[:len(a.num)])
-	for _, l := range g.links {
-		from, to := a.num[l.From], a.num[l.To]
-		a.half[next[from]] = halfLink{link: l, fromA: true, peer: to}
-		next[from]++
-		a.half[next[to]] = halfLink{link: l, fromA: false, peer: from}
-		next[to]++
-	}
-	// Canonical neighbor order: BFS tie-breaking must depend on the
-	// graph's content, not on link insertion history, so that two graphs
-	// with the same nodes and links route identically no matter how they
-	// were assembled (a federated stitch of per-domain subgraphs arrives
-	// in a different link order than a single-master walk). Sort each
-	// node's neighbors by peer ID; parallel links between the same pair
-	// keep their relative insertion order.
-	for i := 0; i < len(a.num); i++ {
-		slices.SortStableFunc(a.half[a.off[i]:a.off[i+1]], func(x, y halfLink) int {
-			return strings.Compare(x.peerID(), y.peerID())
-		})
-	}
-	return a
+	g.shape.CompareAndSwap(nil, newShape(g))
+	return g.shape.Load()
 }
 
 // Path returns the node IDs of a shortest (hop-count) path between two
 // nodes, inclusive, or an error if none exists.
 func (g *Graph) Path(from, to string) ([]string, error) {
-	hops, err := g.pathHalfLinks(from, to)
+	sh := g.routing()
+	hops, err := sh.search(from, to)
 	if err != nil {
 		return nil, err
 	}
-	return nodePath(from, hops), nil
-}
-
-// nodePath lists the node IDs along hops, starting at from.
-func nodePath(from string, hops []halfLink) []string {
-	out := make([]string, 1, len(hops)+1)
-	out[0] = from
-	for _, h := range hops {
-		out = append(out, h.peerID())
-	}
-	return out
-}
-
-func (g *Graph) pathHalfLinks(from, to string) ([]halfLink, error) {
-	if g.nodes[from] == nil || g.nodes[to] == nil {
-		return nil, fmt.Errorf("topology: path endpoints %s,%s not both present", from, to)
-	}
-	if from == to {
-		return nil, nil
-	}
-	adj := g.adjacency()
-	src, dst := adj.num[from], adj.num[to]
-	// Breadth-first from src. arrive[v] is the half-link the search
-	// reached v by (nil link: not reached), depth[v] how many it took.
-	arrive := make([]halfLink, len(adj.num))
-	depth := make([]int32, len(adj.num))
-	queue := make([]int32, 1, len(adj.num))
-	queue[0] = src
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, h := range adj.half[adj.off[cur]:adj.off[cur+1]] {
-			if h.peer == src || arrive[h.peer].link != nil {
-				continue
-			}
-			arrive[h.peer], depth[h.peer] = h, depth[cur]+1
-			if h.peer == dst {
-				out := make([]halfLink, depth[dst])
-				for v := dst; v != src; {
-					h := arrive[v]
-					out[depth[v]-1] = h
-					if h.fromA {
-						v = adj.num[h.link.From]
-					} else {
-						v = adj.num[h.link.To]
-					}
-				}
-				return out, nil
-			}
-			queue = append(queue, h.peer)
-		}
-	}
-	return nil, rerr.Tagf(rerr.ErrNoRoute, "topology: no path from %s to %s", from, to)
+	return sh.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
 }
 
 // BottleneckAvail returns the path and its bottleneck available bandwidth
 // between two nodes: the minimum per-direction available bandwidth along
 // a shortest path. This is the sharing-oblivious baseline; FlowAlloc is
-// the max-min answer for concurrent requested flows.
+// the max-min answer for concurrent requested flows. Serving paths ask
+// PathIndex.BottleneckAvail; this search is the reference it is held to.
 func (g *Graph) BottleneckAvail(from, to string) (bw float64, path []string, err error) {
-	hops, err := g.pathHalfLinks(from, to)
+	sh := g.routing()
+	hops, err := sh.search(from, to)
 	if err != nil {
 		return 0, nil, err
 	}
-	bw = -1
-	for _, h := range hops {
-		avail := h.link.AvailFromTo()
-		if !h.fromA {
-			avail = h.link.AvailToFrom()
-		}
-		if bw < 0 || avail < bw {
-			bw = avail
-		}
-	}
-	if bw < 0 {
-		bw = 0
-	}
-	return bw, nodePath(from, hops), nil
+	return bottleneck(g.links, hops), sh.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
 }
 
 // FlowRequest names one flow an application intends to create.
@@ -645,20 +505,21 @@ type FlowPrediction struct {
 // FlowAlloc answers a flow query: given the residual (available) capacity
 // of every link and the set of flows the application wants to create
 // simultaneously, it computes each flow's max-min fair share. This is the
-// Modeler's flow calculation from Section 3.2.
+// Modeler's flow calculation from Section 3.2, whole-graph: every served
+// flow answer is PathIndex's, and this is the reference it is held to.
 func (g *Graph) FlowAlloc(reqs []FlowRequest) ([]FlowPrediction, error) {
-	// Directed capacity vector: 2 entries per link.
+	sh := g.routing()
+	// Directed capacity vector, indexed by hop: caps[2i] is link i
+	// From->To, caps[2i+1] To->From.
 	caps := make([]float64, len(g.links)*2)
-	index := make(map[*Link]int, len(g.links))
 	for i, l := range g.links {
-		index[l] = i
 		caps[i*2] = l.AvailFromTo()
 		caps[i*2+1] = l.AvailToFrom()
 	}
 	preds := make([]FlowPrediction, len(reqs))
 	flows := make([]maxmin.Flow, len(reqs))
 	for i, rq := range reqs {
-		hops, err := g.pathHalfLinks(rq.Src, rq.Dst)
+		hops, err := sh.search(rq.Src, rq.Dst)
 		if err != nil {
 			return nil, err
 		}
@@ -666,18 +527,15 @@ func (g *Graph) FlowAlloc(reqs []FlowRequest) ([]FlowPrediction, error) {
 		var lat time.Duration
 		var jitterVar float64
 		for j, h := range hops {
-			li := index[h.link] * 2
-			if !h.fromA {
-				li++
-			}
-			links[j] = li
-			lat += h.link.Latency
-			js := h.link.Jitter.Seconds()
+			links[j] = int(h)
+			l := g.links[h>>1]
+			lat += l.Latency
+			js := l.Jitter.Seconds()
 			jitterVar += js * js
 		}
 		flows[i] = maxmin.Flow{Links: links, Demand: rq.Demand}
 		preds[i] = FlowPrediction{
-			Request: rq, Latency: lat, Path: nodePath(rq.Src, hops),
+			Request: rq, Latency: lat, Path: sh.nodePath(make([]string, 0, len(hops)+1), rq.Src, hops),
 			Jitter: time.Duration(math.Sqrt(jitterVar) * float64(time.Second)),
 		}
 	}

@@ -3,6 +3,7 @@ package remosd
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -11,6 +12,7 @@ import (
 
 	"remos/internal/collector"
 	"remos/internal/core"
+	"remos/internal/experiments"
 	"remos/internal/modeler"
 	"remos/internal/netsim"
 	"remos/internal/proto"
@@ -193,5 +195,138 @@ func TestRemoteTopologyMatchesInProcess(t *testing.T) {
 	}
 	if answers != 40 {
 		t.Fatalf("compared %d answers, want 40", answers)
+	}
+}
+
+// TestFlowAnswersMatchGroundTruth is the flow answer paths' ground-truth
+// gate. On an idle 64-host campus, 60 seeded batches of 1 to 8 flows
+// with random demands are asked five ways: an in-process Modeler that
+// walks the collectors, the planes' snapshot-backed Modeler, FLOWS over
+// each wire protocol, and QUERY over ASCII with the reply's graph run
+// through Graph.FlowAlloc. All five must agree exactly on every flow's
+// path, latency and jitter, and every rate must be the emulator's own
+// graph's whole-graph allocation, to the bench oracle's 1e-9 relative
+// slack.
+func TestFlowAnswersMatchGroundTruth(t *testing.T) {
+	c, err := experiments.BuildCampus(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Dep.Stop()
+	truth, err := netsim.TopologyGraph(c.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	p := cfg.servePlanes(c.Sim, c.Site.Master, nil, nil)
+	defer p.close()
+	tcp := &proto.TCPServer{Collector: p.answer, Flows: p.answer}
+	tcpAddr, err := tcp.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	web := &proto.HTTPServer{Collector: p.answer, Flows: p.answer}
+	webAddr, err := web.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer web.Close()
+	tcpCl := &proto.TCPClient{Addr: tcpAddr}
+	defer tcpCl.Close()
+	httpCl := &proto.HTTPClient{BaseURL: "http://" + webAddr}
+	walk := modeler.New(modeler.Config{Collector: c.Site.Master})
+
+	ctx := context.Background()
+	noPredict := modeler.FlowOptions{}
+	paths := []struct {
+		name string
+		ask  func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error)
+	}{
+		{"walk", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+			return walk.GetFlowsContext(ctx, flows, noPredict)
+		}},
+		{"snapshot", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+			return p.answer.GetFlowsContext(ctx, flows, noPredict)
+		}},
+		{"ascii FLOWS", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+			return tcpCl.Flows(ctx, flows)
+		}},
+		{"xml FLOWS", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+			return httpCl.Flows(ctx, flows)
+		}},
+		{"ascii QUERY", func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+			var hosts []netip.Addr
+			for _, f := range flows {
+				hosts = append(hosts, f.Src, f.Dst)
+			}
+			res, err := tcpCl.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
+			if err != nil {
+				return nil, err
+			}
+			preds, err := res.Graph.FlowAlloc(reqs)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]modeler.FlowInfo, len(preds))
+			for i, pr := range preds {
+				out[i] = modeler.FlowInfo{Available: pr.Available, Latency: pr.Latency, Jitter: pr.Jitter, Path: pr.Path}
+			}
+			return out, nil
+		}},
+	}
+
+	rng := rand.New(rand.NewSource(40))
+	asked, wrong := 0, 0
+	rates := map[float64]bool{}
+	for batch := 0; batch < 60; batch++ {
+		flows := make([]modeler.Flow, 1+rng.Intn(8))
+		reqs := make([]topology.FlowRequest, len(flows))
+		for i := range flows {
+			src := rng.Intn(len(c.Hosts))
+			dst := (src + 1 + rng.Intn(len(c.Hosts)-1)) % len(c.Hosts)
+			f := modeler.Flow{Src: c.Hosts[src].Addr(), Dst: c.Hosts[dst].Addr()}
+			if rng.Intn(3) > 0 {
+				f.Demand = float64(1+rng.Intn(150)) * 1e6
+			}
+			flows[i] = f
+			reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
+		}
+		want, err := truth.FlowAlloc(reqs)
+		if err != nil {
+			t.Fatalf("batch %d: ground truth: %v", batch, err)
+		}
+		for _, w := range want {
+			rates[w.Available] = true
+		}
+		var first []modeler.FlowInfo
+		for _, path := range paths {
+			got, err := path.ask(flows, reqs)
+			if err != nil {
+				t.Fatalf("batch %d over %s: %v", batch, path.name, err)
+			}
+			if len(got) != len(flows) {
+				t.Fatalf("batch %d over %s: %d answers for %d flows", batch, path.name, len(got), len(flows))
+			}
+			if first == nil {
+				first = got
+			}
+			for i, g := range got {
+				f := first[i]
+				if !slices.Equal(g.Path, f.Path) || g.Latency != f.Latency || g.Jitter != f.Jitter {
+					t.Fatalf("batch %d flow %d: %s says %v, %v, %v; %s says %v, %v, %v", batch, i,
+						path.name, g.Path, g.Latency, g.Jitter, paths[0].name, f.Path, f.Latency, f.Jitter)
+				}
+				if w := want[i].Available; math.Abs(g.Available-w) > 1e-9*math.Max(1, math.Abs(w)) {
+					wrong++
+					t.Errorf("batch %d flow %d over %s: %.9g b/s, ground truth %.9g", batch, i, path.name, g.Available, w)
+				}
+				asked++
+			}
+		}
+	}
+	t.Logf("%d flow answers, %d off the ground truth, %d distinct true rates", asked, wrong, len(rates))
+	if len(rates) < 20 {
+		t.Fatalf("only %d distinct true rates: the batches did not exercise the allocation", len(rates))
 	}
 }

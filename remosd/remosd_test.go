@@ -160,7 +160,7 @@ func TestBothModesServeEveryPlane(t *testing.T) {
 			defer cancel()
 			flow := []remos.Flow{{Src: d.Hosts[0].Addr, Dst: d.Hosts[1].Addr}}
 			for _, target := range []string{"tcp://" + d.ASCIIAddr, "http://" + d.HTTPAddr} {
-				m, err := remos.Dial(target, remos.WithServerFlows())
+				m, err := remos.Dial(target)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -49,7 +49,7 @@ func TestCloseLeavesNothing(t *testing.T) {
 		// and federated domain d0.
 		pair := []netip.Addr{d.Hosts[0].Addr, d.Hosts[1].Addr}
 		for _, target := range []string{"tcp://" + d.ASCIIAddr, "http://" + d.HTTPAddr} {
-			conn, err := remos.Dial(target, remos.WithServerFlows(), remos.WithTenant("app", "sekrit"))
+			conn, err := remos.Dial(target, remos.WithTenant("app", "sekrit"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,11 +47,11 @@ if [ -z "$APP" ] || [ -z "$SRV" ]; then
     exit 1
 fi
 
-# -server-flows=false forces the graph-fetching QUERY path: the trace
+# A topology query rides the graph-fetching QUERY verb: the trace
 # assertions below want the fan-out AND the response encode stage, and
 # the snapshot-backed FLOWS verb ships no graph to encode.
-echo "obs-smoke: querying bandwidth $APP -> $SRV"
-"$WORK/remosctl" -server "$ASCII" -hostload '' -server-flows=false bw "$APP" "$SRV"
+echo "obs-smoke: querying topology $APP -> $SRV"
+"$WORK/remosctl" -server "$ASCII" -hostload '' topo "$APP" "$SRV"
 
 echo "obs-smoke: checking /metrics"
 "$WORK/remosctl" -obs "http://$OBS" stats metrics >"$WORK/metrics"

@@ -78,11 +78,11 @@ done
 
 # A scheduler-covered pair answers warm: the preseeded app1 pairs are
 # polled in the background, so this query must answer from the snapshot
-# generation the last poll made. -server-flows=false keeps it on the
-# graph-fetching QUERY path, which reads the same generation FLOWS does.
+# generation the last poll made. A topology query rides the QUERY verb,
+# which reads the same generation FLOWS does.
 echo "watch-smoke: warm query $APP -> $SRV"
 before=$(awk '/^remos_snapshot_hits_total /{print $2}' "$WORK/metrics")
-"$WORK/remosctl" -server "$ASCII" -hostload '' -server-flows=false bw "$APP" "$SRV"
+"$WORK/remosctl" -server "$ASCII" -hostload '' topo "$APP" "$SRV"
 "$WORK/remosctl" -obs "http://$OBS" stats metrics >"$WORK/metrics2"
 after=$(awk '/^remos_snapshot_hits_total /{print $2}' "$WORK/metrics2")
 if [ "${after:-0}" -le "${before:-0}" ]; then

@@ -44,10 +44,9 @@ func (c *countingFlows) count() int {
 	return c.calls
 }
 
-// TestServerFlowsDelegation pins the WithServerFlows contract: default
-// flow queries (and the bandwidth query built on them) ride the FLOWS
-// verb to the server's answerer, while prediction queries stay
-// client-side.
+// TestServerFlowsDelegation pins what Dial gives: flow queries (and the
+// bandwidth query built on them) ride the FLOWS verb to the server's
+// answerer, while prediction queries stay client-side.
 func TestServerFlowsDelegation(t *testing.T) {
 	dep, d := stack(t)
 	ff := &countingFlows{}
@@ -58,7 +57,7 @@ func TestServerFlowsDelegation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	m, err := remos.Dial("tcp://"+addr, remos.WithServerFlows())
+	m, err := remos.Dial("tcp://" + addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +104,9 @@ func TestServerFlowsDelegation(t *testing.T) {
 }
 
 // TestServerFlowsFallback pins the compatibility path: against a server
-// without a flow answerer, a WithServerFlows client transparently falls
-// back to fetching the graph and solving locally — same answers, same
-// typed errors.
+// without a flow answerer, a dialed client transparently falls back to
+// fetching the graph and solving locally — same answers, same typed
+// errors.
 func TestServerFlowsFallback(t *testing.T) {
 	dep, d := stack(t)
 	srv := &proto.TCPServer{Collector: dep.Sites["cmu"].Master}
@@ -117,7 +116,7 @@ func TestServerFlowsFallback(t *testing.T) {
 	}
 	defer srv.Close()
 
-	m, err := remos.Dial("tcp://"+addr, remos.WithServerFlows())
+	m, err := remos.Dial("tcp://" + addr)
 	if err != nil {
 		t.Fatal(err)
 	}
