@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
+	"sync"
 
 	"remos/internal/collector"
 	"remos/internal/collector/bridgecoll"
@@ -29,13 +29,21 @@ func (c *Collector) Collect(q collector.Query) (*collector.Result, error) {
 func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, QueryStats, error) {
 	ctx := q.Context()
 	tr := obs.FromContext(ctx)
-	meter := &snmp.Meter{}
-	cl := c.client(meter)
 
 	if len(q.Hosts) == 0 {
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")
 	}
-	b := newBuild(ctx, c, cl, len(q.Hosts))
+	b, _ := c.builds.Get().(*build)
+	if b == nil {
+		b = new(build)
+	}
+	defer func() {
+		if b.reset() {
+			c.builds.Put(b)
+		}
+	}()
+	b.start(ctx, c, c.client(&b.meter), len(q.Hosts))
+	cl := b.cl
 	// Span names and details are formatted only for a traced query.
 	start := func(stage string) *obs.Span {
 		if tr == nil {
@@ -57,13 +65,14 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	// very query just answered with its sysUpTime and is not asked again.
 	// Devices validate in parallel; the address ordering keeps the
 	// reported error (if any) deterministic.
-	var stale []*routerInfo
+	stale := b.stale[:0]
 	for _, ri := range b.used {
 		if !b.fresh[ri] {
 			stale = append(stale, ri)
 		}
 	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i].addr.Less(stale[j].addr) })
+	b.stale = stale
+	slices.SortFunc(stale, func(x, y *routerInfo) int { return x.addr.Compare(y.addr) })
 	sp = start("validate")
 	if err := conc.ForEachCtx(ctx, len(stale), c.cfg.Parallelism, func(i int) error {
 		return c.validateRouter(ctx, cl, stale[i])
@@ -89,7 +98,7 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	if q.WithPredictions {
 		res.Predictions = c.pred.Forecasts()
 	}
-	reqs, rtt := meter.Snapshot()
+	reqs, rtt := b.meter.Snapshot()
 	c.mQueries.Inc()
 	if cold {
 		c.mCold.Inc()
@@ -103,12 +112,16 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 // build accumulates one query's graph. Everything a query learns is kept
 // here for the query's duration even when DisableRouteCache forbids
 // keeping it longer, so no device is asked the same thing twice by one
-// query.
+// query. A build outlives its query in the collector's pool: reset empties
+// it, and the next query reuses its maps and slices instead of making its
+// own, so a query allocates its answer and the cache entries it creates,
+// not its working state.
 type build struct {
-	ctx context.Context
-	c   *Collector
-	cl  *snmp.Client
-	g   *topology.Graph
+	ctx   context.Context
+	c     *Collector
+	cl    *snmp.Client
+	meter snmp.Meter // the query's SNMP cost, metered by cl
+	g     *topology.Graph
 
 	hosts    []netip.Addr              // the distinct queried hosts, in query order
 	ids      []string                  // their node IDs
@@ -130,6 +143,93 @@ type build struct {
 	joined    map[join]struct{}     // hosts attached to routers, routers joined to routers
 	l2gen     bridgecoll.Generation // the bridge database generation l2links belong to
 	l2links   []int32               // by bridge link number: 1 + the graph link it was folded into
+
+	// The phases' scratch, each read by one phase only.
+	index      map[netip.Addr]int32 // a phase's address -> group, cleared by the phase
+	unresolved []netip.Addr         // discover: the hosts whose MACs are not known
+	gws        []netip.Addr         // gatewaysOf's result
+	fetched    []fetched            // fetchRouters: each address's outcome
+	arpGroups  []arpGroup           // resolveMACs: the ARP entries asked of each gateway
+	asked      []arpEntry           // resolveMACs' fallbacks, nextHopMAC's Get
+	swGroups   []swGroup            // verifyLocations: the stations asked of each switch
+	moved      []collector.MAC      // verifyLocations: the stations found off their port
+	places     []place              // connect: what it knows of each host
+	stale      []*routerInfo        // CollectWithStats: the cached routers to validate
+	added      []*pollPoint         // annotate: the points registered this query
+}
+
+// poolMax bounds what pooled scratch keeps: a build or request holding a
+// map or slice that grew past poolMax entries is dropped, not pooled, so
+// the pool keeps what ordinary queries need and one huge query cannot pin
+// its maps.
+const poolMax = 4096
+
+// start readies an empty build for a query of the given number of hosts,
+// sizing what it has to make from it: a host brings itself, about one
+// switch and about two links into the graph, and 32 campus hosts walk 12
+// distinct chains.
+func (b *build) start(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) {
+	b.ctx, b.c, b.cl = ctx, c, cl
+	b.meter = snmp.Meter{}
+	b.g = topology.NewGraphSized(2*hosts, 2*hosts)
+	if b.pos == nil {
+		b.pos = make(map[netip.Addr]int32, hosts)
+		b.gateways = make(map[netip.Addr]netip.Addr, hosts)
+		b.macs = make(map[netip.Addr]collector.MAC, hosts)
+		b.routers = make(map[netip.Addr]*routerInfo)
+		b.routerErr = make(map[netip.Addr]error)
+		b.fresh = make(map[*routerInfo]bool)
+		b.joined = make(map[join]struct{}, hosts)
+		b.index = make(map[netip.Addr]int32)
+	}
+	b.hosts = slices.Grow(b.hosts, hosts)
+	b.ids = slices.Grow(b.ids, hosts)
+	b.chains = slices.Grow(b.chains, hosts/2)
+	b.hops = slices.Grow(b.hops, 2*hosts)
+	b.routes = slices.Grow(b.routes, hosts/2)
+	b.linkPolls = slices.Grow(b.linkPolls, 2*hosts)
+}
+
+// reset empties the build after its query — every map cleared, every
+// slice cleared and truncated, so the pool keeps no graph, router or poll
+// point alive — and reports whether it may go back to the pool: not when
+// anything in it grew past poolMax. The bridge generation is forgotten
+// with the link numbers kept under it, which name links of the last
+// query's graph. The groups keep their entry slices for the next query.
+func (b *build) reset() (pool bool) {
+	b.ctx, b.c, b.cl, b.g = nil, nil, nil, nil
+	b.l2gen = bridgecoll.Generation{}
+	most := 0
+	for i := range b.arpGroups {
+		most = max(most, cap(b.arpGroups[i].entries))
+		b.arpGroups[i].ri = nil
+	}
+	for _, g := range b.swGroups {
+		most = max(most, cap(g.stations))
+	}
+	b.arpGroups, b.swGroups = b.arpGroups[:0], b.swGroups[:0]
+	most = max(most, cap(b.arpGroups), cap(b.swGroups),
+		empty(b.pos), empty(b.gateways), empty(b.macs), empty(b.routers), empty(b.routerErr),
+		empty(b.fresh), empty(b.joined), empty(b.index),
+		truncate(&b.hosts), truncate(&b.ids), truncate(&b.used), truncate(&b.segs),
+		truncate(&b.chains), truncate(&b.hops), truncate(&b.routes), truncate(&b.linkPolls),
+		truncate(&b.l2links), truncate(&b.unresolved), truncate(&b.gws), truncate(&b.fetched),
+		truncate(&b.asked), truncate(&b.moved), truncate(&b.places), truncate(&b.stale), truncate(&b.added))
+	return most <= poolMax
+}
+
+// empty clears a map and returns how many entries it held.
+func empty[M ~map[K]V, K comparable, V any](m M) int {
+	n := len(m)
+	clear(m)
+	return n
+}
+
+// truncate clears a slice and cuts it to length 0, and returns its capacity.
+func truncate[S ~[]E, E any](s *S) int {
+	clear(*s)
+	*s = (*s)[:0]
+	return cap(*s)
 }
 
 // chain is one distinct router chain a query walked, and how far the
@@ -175,31 +275,6 @@ type pollReg struct {
 	outIsFromTo bool
 }
 
-// newBuild starts a query's build with its maps sized from the number of
-// hosts queried: a host brings itself, about one switch and about two
-// links into the graph, and 32 campus hosts walk 12 distinct chains.
-func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *build {
-	return &build{
-		ctx:       ctx,
-		c:         c,
-		cl:        cl,
-		g:         topology.NewGraphSized(2*hosts, 2*hosts),
-		hosts:     make([]netip.Addr, 0, hosts),
-		ids:       make([]string, 0, hosts),
-		pos:       make(map[netip.Addr]int32, hosts),
-		gateways:  make(map[netip.Addr]netip.Addr, hosts),
-		macs:      make(map[netip.Addr]collector.MAC, hosts),
-		routers:   make(map[netip.Addr]*routerInfo),
-		routerErr: make(map[netip.Addr]error),
-		fresh:     make(map[*routerInfo]bool),
-		chains:    make([]chain, 0, hosts/2),
-		hops:      make([]netip.Addr, 0, 2*hosts),
-		routes:    make([]route, 0, hosts/2),
-		linkPolls: make([]pollReg, 0, 2*hosts),
-		joined:    make(map[join]struct{}, hosts),
-	}
-}
-
 // discover builds the graph joining the queried hosts, in phases whose
 // work is linear in the hosts and whose SNMP traffic is one request per
 // device and phase: place the hosts, fetch their gateway routers, resolve
@@ -217,12 +292,13 @@ func (b *build) discover(hosts []netip.Addr) error {
 		}
 		return b.connect(hosts)
 	}
-	unresolved := make([]netip.Addr, 0, len(b.hosts))
+	unresolved := b.unresolved[:0]
 	for _, h := range b.hosts {
 		if _, ok := b.cachedMAC(h); !ok {
 			unresolved = append(unresolved, h)
 		}
 	}
+	b.unresolved = unresolved
 	b.fetchRouters(b.gatewaysOf(unresolved))
 	b.resolveMACs(unresolved)
 	if err := b.verifyLocations(); err != nil {
@@ -246,14 +322,17 @@ func (b *build) addHost(h netip.Addr) {
 // gatewaysOf returns the distinct configured gateways of the hosts, in
 // first-seen order.
 func (b *build) gatewaysOf(hosts []netip.Addr) []netip.Addr {
-	seen := make(map[netip.Addr]bool)
-	var gws []netip.Addr
+	clear(b.index)
+	gws := b.gws[:0]
 	for _, h := range hosts {
-		if gw := b.gateways[h]; gw.IsValid() && !seen[gw] {
-			seen[gw] = true
-			gws = append(gws, gw)
+		if gw := b.gateways[h]; gw.IsValid() {
+			if _, seen := b.index[gw]; !seen {
+				b.index[gw] = int32(len(gws))
+				gws = append(gws, gw)
+			}
 		}
 	}
+	b.gws = gws
 	return gws
 }
 
@@ -261,12 +340,9 @@ func (b *build) gatewaysOf(hosts []netip.Addr) []netip.Addr {
 // ahead of the serial path following. A failure is remembered, not
 // reported: the path that needs the router reports it with its context.
 func (b *build) fetchRouters(addrs []netip.Addr) {
-	type result struct {
-		ri    *routerInfo
-		fresh bool
-		err   error
-	}
-	out := make([]result, len(addrs))
+	out := slices.Grow(b.fetched[:0], len(addrs))[:len(addrs)]
+	clear(out)
+	b.fetched = out
 	// Per-item errors land in out; an expired ctx resurfaces at the next exchange.
 	conc.ForEachCtx(b.ctx, len(addrs), b.c.cfg.Parallelism, func(i int) error {
 		out[i].ri, out[i].fresh, out[i].err = b.c.routerFor(b.ctx, b.cl, addrs[i])
@@ -279,6 +355,13 @@ func (b *build) fetchRouters(addrs []netip.Addr) {
 			b.adopt(r.ri, r.fresh)
 		}
 	}
+}
+
+// fetched is one fetchRouters outcome.
+type fetched struct {
+	ri    *routerInfo
+	fresh bool
+	err   error
 }
 
 // adopt makes a router view this query's view of every address the router
@@ -329,22 +412,51 @@ func (b *build) cachedMAC(ip netip.Addr) (collector.MAC, bool) {
 	return mac, ok
 }
 
-// learnMACs records resolved MACs for this query and in the collector's
-// ARP cache.
-func (b *build) learnMACs(found map[netip.Addr]collector.MAC) {
+// learn records the MACs found for the given ARP entries, for this query
+// and in the collector's ARP cache.
+func (b *build) learn(entries []arpEntry) {
 	b.c.mu.Lock()
 	defer b.c.mu.Unlock()
-	for ip, m := range found {
-		b.macs[ip] = m
-		b.c.arp[ip] = m
+	for _, e := range entries {
+		if e.found {
+			b.macs[e.ip] = e.mac
+			b.c.arp[e.ip] = e.mac
+		}
 	}
 }
 
-// arpEntry names one row of a router's ipNetToMediaTable.
+// arpEntry names one row of a router's ipNetToMediaTable, and what asking
+// for it found.
 type arpEntry struct {
 	ifIndex int
 	ip      netip.Addr
+	mac     collector.MAC
+	found   bool
 }
+
+// request is the scratch one Get's names are built in: the OIDs, carved
+// from one arena. Queries and the poller draw it from reqPool.
+type request struct {
+	oids  []snmp.OID
+	arena snmp.OIDArena
+}
+
+var reqPool = sync.Pool{New: func() any { return new(request) }}
+
+// withRequest hands fn an empty request whose arena has room for subIDs
+// sub-identifiers, and pools it again after fn unless it grew past
+// poolMax.
+func withRequest(subIDs int, fn func(r *request)) {
+	r := reqPool.Get().(*request)
+	r.oids, r.arena = r.oids[:0], slices.Grow(r.arena[:0], subIDs)
+	fn(r)
+	if r.poolable() {
+		reqPool.Put(r)
+	}
+}
+
+// poolable reports whether the request is small enough to pool again.
+func (r *request) poolable() bool { return max(cap(r.oids), cap(r.arena)) <= poolMax }
 
 // getEach reads the given objects from one agent, as many per Get as
 // MaxVarBinds allows, and shows fn every one by its position in oids,
@@ -377,23 +489,19 @@ func (b *build) getEach(agent netip.Addr, oids []snmp.OID, fn func(i int, v snmp
 	}
 }
 
-// arpGet reads ARP entries from the router at via; entries it does not
-// hold are absent from the result.
-func (b *build) arpGet(via netip.Addr, entries []arpEntry) map[netip.Addr]collector.MAC {
-	oids := make([]snmp.OID, len(entries))
-	arena := make(snmp.OIDArena, 0, len(entries)*(len(mib.IPNetToMediaPhys)+5))
-	for i, e := range entries {
-		ip4 := e.ip.As4()
-		oids[i] = arena.Append(mib.IPNetToMediaPhys, uint32(e.ifIndex),
-			uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3]))
-	}
-	found := make(map[netip.Addr]collector.MAC, len(entries))
-	b.getEach(via, oids, func(i int, v snmp.Value) {
-		if m, ok := collector.MACFromBytes(v.Bytes); ok {
-			found[entries[i].ip] = m
+// arpGet reads the given ARP entries from the router at via, marking those
+// it holds found, with their MACs.
+func (b *build) arpGet(via netip.Addr, entries []arpEntry) {
+	withRequest(len(entries)*(len(mib.IPNetToMediaPhys)+5), func(r *request) {
+		for _, e := range entries {
+			ip4 := e.ip.As4()
+			r.oids = append(r.oids, r.arena.Append(mib.IPNetToMediaPhys, uint32(e.ifIndex),
+				uint32(ip4[0]), uint32(ip4[1]), uint32(ip4[2]), uint32(ip4[3])))
 		}
+		b.getEach(via, r.oids, func(i int, v snmp.Value) {
+			entries[i].mac, entries[i].found = collector.MACFromBytes(v.Bytes)
+		})
 	})
-	return found
 }
 
 // appendNextHops extends entries, up to limit, with the ARP entries of the
@@ -415,20 +523,34 @@ func (b *build) appendNextHops(entries []arpEntry, ri *routerInfo, limit int) []
 	return entries
 }
 
+// extend lengthens s by one element and returns it, reusing the element a
+// previous query left past s's length (slices inside it included) when
+// there is one.
+func extend[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
+	}
+	return s, &s[len(s)-1]
+}
+
+// arpGroup is the ARP entries resolveMACs asks of one gateway.
+type arpGroup struct {
+	gw      netip.Addr
+	ri      *routerInfo
+	entries []arpEntry
+}
+
 // resolveMACs resolves the given hosts' MACs: one ipNetToMedia Get per
 // gateway router for all the hosts behind it (the router's next hops fill
 // the PDU's spare room), configuration for whatever that leaves. What it
 // learns joins the collector's ARP cache.
 func (b *build) resolveMACs(hosts []netip.Addr) {
-	type group struct {
-		gw      netip.Addr
-		ri      *routerInfo
-		entries []arpEntry
-		found   map[netip.Addr]collector.MAC
-	}
 	per := b.c.maxVarBinds()
-	var groups []group
-	byGW := make(map[netip.Addr]int) // gateway -> index in groups
+	clear(b.index) // gateway -> index in groups
+	groups := b.arpGroups[:0]
 	for _, h := range hosts {
 		gw := b.gateways[h]
 		ri := b.routers[gw] // loaded by fetchRouters, or unreachable, or no gateway
@@ -439,39 +561,54 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 		if !ok {
 			continue
 		}
-		i, seen := byGW[gw]
+		i, seen := b.index[gw]
 		if !seen {
-			i = len(groups)
-			byGW[gw] = i
-			groups = append(groups, group{gw: gw, ri: ri, entries: make([]arpEntry, 0, per)})
+			i = int32(len(groups))
+			b.index[gw] = i
+			var g *arpGroup
+			groups, g = extend(groups)
+			g.gw, g.ri, g.entries = gw, ri, slices.Grow(g.entries[:0], per)
 		}
 		groups[i].entries = append(groups[i].entries, arpEntry{ifIndex: e.ifIndex, ip: h})
 	}
+	b.arpGroups = groups
 	for i := range groups {
 		g := &groups[i]
 		g.entries = b.appendNextHops(g.entries, g.ri, (len(g.entries)+per-1)/per*per)
 	}
-	// arpGet reports failure as absence; configuration covers it below.
+	// arpGet leaves what it could not read unfound; configuration covers it below.
 	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
-		groups[i].found = b.arpGet(groups[i].gw, groups[i].entries)
+		b.arpGet(groups[i].gw, groups[i].entries)
 		return nil
 	})
-	learned := make(map[netip.Addr]collector.MAC, len(hosts))
 	for _, g := range groups {
-		for ip, m := range g.found {
-			learned[ip] = m
-		}
+		b.learn(g.entries)
 	}
 	if b.c.cfg.ResolveMAC != nil {
+		fallback := b.asked[:0]
 		for _, h := range hosts {
-			if _, ok := learned[h]; !ok {
+			if _, ok := b.macs[h]; !ok {
 				if m, ok := b.c.cfg.ResolveMAC(h); ok {
-					learned[h] = m
+					fallback = append(fallback, arpEntry{ip: h, mac: m, found: true})
 				}
 			}
 		}
+		b.asked = fallback
+		b.learn(fallback)
 	}
-	b.learnMACs(learned)
+}
+
+// station is one queried station verifyLocations asks a switch about.
+type station struct {
+	mac   collector.MAC
+	port  int
+	moved bool
+}
+
+// swGroup is the stations verifyLocations asks of one switch.
+type swGroup struct {
+	sw       netip.Addr
+	stations []station
 }
 
 // verifyLocations performs the per-query host location check through the
@@ -483,17 +620,8 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 // domain and are left alone.
 func (b *build) verifyLocations() error {
 	br := b.c.cfg.Bridge
-	type station struct {
-		mac   collector.MAC
-		port  int
-		moved bool
-	}
-	type group struct {
-		sw       netip.Addr
-		stations []station
-	}
-	var groups []group
-	bySwitch := make(map[netip.Addr]int) // switch -> index in groups
+	clear(b.index) // switch -> index in groups
+	groups := b.swGroups[:0]
 	for _, h := range b.hosts {
 		mac, ok := b.macs[h]
 		if !ok {
@@ -503,28 +631,31 @@ func (b *build) verifyLocations() error {
 		if !known {
 			continue
 		}
-		i, seen := bySwitch[sw]
+		i, seen := b.index[sw]
 		if !seen {
-			i = len(groups)
-			bySwitch[sw] = i
-			groups = append(groups, group{sw: sw, stations: make([]station, 0, 4)})
+			i = int32(len(groups))
+			b.index[sw] = i
+			var g *swGroup
+			groups, g = extend(groups)
+			g.sw, g.stations = sw, g.stations[:0]
 		}
 		groups[i].stations = append(groups[i].stations, station{mac: mac, port: port})
 	}
+	b.swGroups = groups
 	// A failed exchange marks its stations moved; the re-walk reports a dead switch.
 	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
 		g := &groups[i]
-		oids := make([]snmp.OID, len(g.stations))
-		arena := make(snmp.OIDArena, 0, len(oids)*(len(mib.Dot1dTpFdbPort)+len(collector.MAC{})))
-		for k, st := range g.stations {
-			oids[k] = arena.Append(mib.Dot1dTpFdbPort, st.mac.OIDSuffix()...)
-		}
-		b.getEach(g.sw, oids, func(k int, v snmp.Value) {
-			g.stations[k].moved = v.Kind != snmp.KindInteger || int(v.Int) != g.stations[k].port
+		withRequest(len(g.stations)*(len(mib.Dot1dTpFdbPort)+len(collector.MAC{})), func(r *request) {
+			for _, st := range g.stations {
+				r.oids = append(r.oids, r.arena.Append(mib.Dot1dTpFdbPort, st.mac.OIDSuffix()...))
+			}
+			b.getEach(g.sw, r.oids, func(k int, v snmp.Value) {
+				g.stations[k].moved = v.Kind != snmp.KindInteger || int(v.Int) != g.stations[k].port
+			})
 		})
 		return nil
 	})
-	var moved []collector.MAC
+	moved := b.moved[:0]
 	for _, g := range groups {
 		for _, st := range g.stations {
 			if st.moved {
@@ -532,10 +663,20 @@ func (b *build) verifyLocations() error {
 			}
 		}
 	}
+	b.moved = moved
 	if len(moved) == 0 {
 		return nil
 	}
 	return br.SearchStations(moved)
+}
+
+// place is what connect knows of a host. domain 0 is none; lastRouter is
+// the router the host was last attached to as a destination.
+type place struct {
+	domain                      int32
+	firstOfDomain, firstOfGroup bool
+	routedLater                 bool // some later host is outside this one's domain
+	lastRouter                  *routerInfo
 }
 
 // connect joins the queried hosts. The graph wanted is the union of the
@@ -563,19 +704,13 @@ func (b *build) verifyLocations() error {
 // over all pairs.
 func (b *build) connect(hosts []netip.Addr) error {
 	n := len(hosts)
-	// What connect knows of each host. domain 0 is none; lastRouter is the
-	// router the host was last attached to as a destination.
-	type place struct {
-		domain                      int32
-		firstOfDomain, firstOfGroup bool
-		routedLater                 bool // some later host is outside this one's domain
-		lastRouter                  *routerInfo
-	}
 	type group struct {
 		domain  int32
 		gateway netip.Addr
 	}
-	at := make([]place, n)
+	at := slices.Grow(b.places[:0], n)[:n]
+	clear(at)
+	b.places = at
 	// A query meets few domains and gateways: they are remembered in
 	// lists, searched linearly.
 	var domainBuf [8]int32
@@ -830,7 +965,8 @@ func (b *build) l2Path(from, to collector.MAC) ([]bridgecoll.Segment, error) {
 	b.segs = segs[:0]
 	if gen != b.l2gen {
 		b.l2gen = gen
-		b.l2links = make([]int32, gen.Links())
+		b.l2links = slices.Grow(b.l2links[:0], gen.Links())[:gen.Links()]
+		clear(b.l2links)
 	}
 	return segs, err
 }
@@ -920,8 +1056,10 @@ func (b *build) nextHopMAC(via netip.Addr, ri *routerInfo, ifIndex int, target n
 	if mac, ok := b.cachedMAC(target); ok {
 		return mac, true
 	}
-	entries := b.appendNextHops([]arpEntry{{ifIndex: ifIndex, ip: target}}, ri, b.c.maxVarBinds())
-	b.learnMACs(b.arpGet(via, entries))
+	entries := b.appendNextHops(append(b.asked[:0], arpEntry{ifIndex: ifIndex, ip: target}), ri, b.c.maxVarBinds())
+	b.asked = entries
+	b.arpGet(via, entries)
+	b.learn(entries)
 	mac, ok := b.macs[target]
 	return mac, ok
 }

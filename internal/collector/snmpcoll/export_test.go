@@ -1,0 +1,55 @@
+package snmpcoll
+
+import (
+	"context"
+
+	"remos/internal/collector"
+	"remos/internal/snmp"
+)
+
+// newBuild returns a build of its own, not the pool's, for one query.
+func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *build {
+	b := new(build)
+	b.start(ctx, c, cl, hosts)
+	return b
+}
+
+// PoolMax is the most entries a pooled build's or request's map or slice
+// may hold.
+const PoolMax = poolMax
+
+// PooledAfter answers q on a build as CollectWithStats does, then adds
+// extra entries to the build's joins, as a query that made that many more
+// joins would have. It reports whether reset lets the build go back to the
+// pool and, when it does, how many entries the build's maps and slices
+// still hold and whether it still refers to the query.
+func (c *Collector) PooledAfter(q collector.Query, extra int) (pooled bool, held int, err error) {
+	ctx := q.Context()
+	b := newBuild(ctx, c, c.client(nil), len(q.Hosts))
+	if err := b.discover(q.Hosts); err != nil {
+		return false, 0, err
+	}
+	c.annotate(ctx, b.cl, b)
+	for i := range extra {
+		b.joined[join{host: int32(-2 - i)}] = struct{}{}
+	}
+	if !b.reset() {
+		return false, 0, nil
+	}
+	held = len(b.pos) + len(b.gateways) + len(b.macs) + len(b.routers) + len(b.routerErr) +
+		len(b.fresh) + len(b.joined) + len(b.index) + len(b.hosts) + len(b.ids) + len(b.used) +
+		len(b.segs) + len(b.chains) + len(b.hops) + len(b.routes) + len(b.linkPolls) + len(b.l2links) +
+		len(b.unresolved) + len(b.gws) + len(b.fetched) + len(b.arpGroups) + len(b.asked) +
+		len(b.swGroups) + len(b.moved) + len(b.places) + len(b.stale) + len(b.added)
+	if b.ctx != nil || b.c != nil || b.cl != nil || b.g != nil || b.l2gen.Links() != 0 {
+		held++
+	}
+	return true, held, nil
+}
+
+// RequestPooled reports whether a request whose arena grew to hold subIDs
+// sub-identifiers goes back to the pool.
+func RequestPooled(subIDs int) bool {
+	r := &request{arena: make(snmp.OIDArena, 0, subIDs)}
+	return r.poolable()
+}

@@ -1,9 +1,10 @@
 package snmpcoll
 
 import (
+	"cmp"
 	"context"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"remos/internal/collector"
@@ -19,8 +20,8 @@ import (
 // one Get per device (two on gear without HC counters), so the first poll
 // yields a delta one interval from now.
 func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
-	var added []*pollPoint
-	var slab []pollPoint // the new points, made together
+	added := b.added[:0]
+	var slab []pollPoint // the new points, made together: the collector keeps them
 	hist := c.pred.History()
 	links := b.g.Links()
 	for i, l := range links {
@@ -49,7 +50,7 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 		if _, monitored := c.monitors[mk]; !monitored {
 			if slab == nil {
 				slab = make([]pollPoint, 0, len(links)-i)
-				added = make([]*pollPoint, 0, len(links)-i)
+				added = slices.Grow(added, len(links)-i)
 			}
 			slab = slab[:len(slab)+1]
 			p := &slab[len(slab)-1]
@@ -61,6 +62,7 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 		}
 		c.mu.Unlock()
 	}
+	b.added = added
 	c.readPoints(ctx, cl, added)
 	return coldStart
 }
@@ -200,23 +202,23 @@ func (c *Collector) pollOnce() {
 // (Config.Parallelism wide) so a large monitoring set completes within the
 // poll interval.
 func (c *Collector) readPoints(ctx context.Context, cl *snmp.Client, points []*pollPoint) {
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].agent != points[j].agent {
-			return points[i].agent.Less(points[j].agent)
+	slices.SortFunc(points, func(p, q *pollPoint) int {
+		if d := p.agent.Compare(q.agent); d != 0 {
+			return d
 		}
-		return points[i].ifIndex < points[j].ifIndex
+		return cmp.Compare(p.ifIndex, q.ifIndex)
 	})
-	var devices [][]*pollPoint
-	for start := 0; start < len(points); {
+	// Each device is read by the item at its first point.
+	conc.ForEach(len(points), c.cfg.Parallelism, func(start int) error {
+		agent := points[start].agent
+		if start > 0 && points[start-1].agent == agent {
+			return nil
+		}
 		end := start + 1
-		for end < len(points) && points[end].agent == points[start].agent {
+		for end < len(points) && points[end].agent == agent {
 			end++
 		}
-		devices = append(devices, points[start:end])
-		start = end
-	}
-	conc.ForEach(len(devices), c.cfg.Parallelism, func(i int) error {
-		c.readDevice(ctx, cl, devices[i])
+		c.readDevice(ctx, cl, points[start:end])
 		return nil
 	})
 }
@@ -261,43 +263,44 @@ func (c *Collector) readChunksLocked(ctx context.Context, cl *snmp.Client, addr 
 // to reading the points concerned alone, so one misbehaving varbind cannot
 // poison a device's whole batch.
 func (c *Collector) readBatchLocked(ctx context.Context, cl *snmp.Client, addr string, batch, legacy []*pollPoint) []*pollPoint {
-	oids := make([]snmp.OID, 0, 2*len(batch))
-	arena := make(snmp.OIDArena, 0, 2*len(batch)*pollOIDLen)
-	for _, p := range batch {
-		oids = p.pollOIDs(oids, &arena)
-	}
-	now := c.cfg.Sched.Now()
-	err := cl.GetFunc(ctx, addr, oids, func(vbs []snmp.VarBind) {
-		if len(vbs) != len(oids) {
-			if len(batch) == 1 {
-				batch[0].resync()
+	withRequest(2*len(batch)*pollOIDLen, func(req *request) {
+		for _, p := range batch {
+			req.oids = p.pollOIDs(req.oids, &req.arena)
+		}
+		oids := req.oids
+		now := c.cfg.Sched.Now()
+		err := cl.GetFunc(ctx, addr, oids, func(vbs []snmp.VarBind) {
+			if len(vbs) != len(oids) {
+				if len(batch) == 1 {
+					batch[0].resync()
+					return
+				}
+				// Malformed response: retry each interface on its own.
+				for i := range batch {
+					legacy = c.readBatchLocked(ctx, cl, addr, batch[i:i+1], legacy)
+				}
 				return
 			}
-			// Malformed response: retry each interface on its own.
-			for i := range batch {
-				legacy = c.readBatchLocked(ctx, cl, addr, batch[i:i+1], legacy)
+			for i, p := range batch {
+				in, out, r := p.applyCounterVarBinds(oids[2*i:2*i+2], vbs[2*i:2*i+2])
+				switch {
+				case r == readOK:
+					c.applyDelta(p, in, out, now)
+				case r == readLegacy:
+					legacy = append(legacy, p)
+				case len(batch) > 1:
+					// This interface answered with an unexpected OID or kind
+					// (partial error): re-read it alone, which re-probes.
+					legacy = c.readBatchLocked(ctx, cl, addr, batch[i:i+1], legacy)
+				}
 			}
-			return
-		}
-		for i, p := range batch {
-			in, out, r := p.applyCounterVarBinds(oids[2*i:2*i+2], vbs[2*i:2*i+2])
-			switch {
-			case r == readOK:
-				c.applyDelta(p, in, out, now)
-			case r == readLegacy:
-				legacy = append(legacy, p)
-			case len(batch) > 1:
-				// This interface answered with an unexpected OID or kind
-				// (partial error): re-read it alone, which re-probes.
-				legacy = c.readBatchLocked(ctx, cl, addr, batch[i:i+1], legacy)
+		})
+		if err != nil {
+			for _, p := range batch {
+				p.havePrev = false // device unreachable; resync next time
 			}
 		}
 	})
-	if err != nil {
-		for _, p := range batch {
-			p.havePrev = false // device unreachable; resync next time
-		}
-	}
 	return legacy
 }
 

@@ -1,0 +1,5 @@
+//go:build race
+
+package snmpcoll_test
+
+const raceEnabled = true

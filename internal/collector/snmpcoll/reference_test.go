@@ -72,7 +72,7 @@ func (w *referenceWalk) resolveMAC(h netip.Addr) (collector.MAC, bool) {
 		return mac, true
 	}
 	remember := func(m collector.MAC) (collector.MAC, bool) {
-		b.learnMACs(map[netip.Addr]collector.MAC{h: m})
+		b.learn([]arpEntry{{ip: h, mac: m, found: true}})
 		return m, true
 	}
 	if gw, okGw := b.c.cfg.GatewayOf(h); okGw {

@@ -1,0 +1,223 @@
+package snmpcoll_test
+
+import (
+	"bytes"
+	"math/rand"
+	"net/netip"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"remos/internal/collector"
+	"remos/internal/collector/snmpcoll"
+	"remos/internal/experiments"
+	"remos/internal/netsim"
+	"remos/internal/topology"
+)
+
+// A collector reuses the working state of its finished queries. These
+// tests hold a reused collector's answers to those of fresh collectors and
+// to the emulator, and pin what a cold query allocates.
+
+// encodeText renders a graph as the ASCII protocol ships it.
+func encodeText(t testing.TB, g *topology.Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.EncodeText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// freshAnswer is the reply a collector with nothing to reuse gives q.
+func freshAnswer(t testing.TB, camp *experiments.Campus, q collector.Query) []byte {
+	t.Helper()
+	res, err := campusTwin(t, camp, nil).Collect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeText(t, res.Graph)
+}
+
+// checkGatewayPaths holds the reply's path from every queried host to its
+// gateway router to the emulator's forwarding path between them. Graph
+// nodes name devices as the collectors name them: hosts by address,
+// routers by sysName, switches by management address.
+func checkGatewayPaths(t testing.TB, camp *experiments.Campus, g *topology.Graph, hosts []netip.Addr) {
+	t.Helper()
+	nodeID := func(d *netsim.Device) string {
+		switch d.Kind {
+		case netsim.Router:
+			return d.Name
+		case netsim.Switch:
+			return d.ManagementAddr().String()
+		}
+		return d.Addr().String()
+	}
+	for _, h := range hosts {
+		host := camp.Net.DeviceByIP(h)
+		gw := camp.Net.DeviceByIP(host.Gateway)
+		devs, err := camp.Net.Path(host, gw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]string, len(devs))
+		for i, d := range devs {
+			want[i] = nodeID(d)
+		}
+		got, err := g.Path(h.String(), gw.Name)
+		if err != nil {
+			t.Fatalf("reply has no path from %v to its gateway %s: %v", h, gw.Name, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("reply routes %v to its gateway through %v, the emulator through %v", h, got, want)
+		}
+	}
+}
+
+// TestReusedColdBuildsAnswerLikeFresh: one collector answers 24 seeded
+// 32-host queries, cold and warm, back to back under one bridge database
+// generation and across a forced re-walk of the bridges. Every reply
+// encodes byte for byte as the same query's on a fresh collector, and
+// routes every queried host to its gateway as the emulator does. State a
+// finished query left behind — link numbers kept under the bridge
+// generation, joins made — would show here as a link missing or added.
+func TestReusedColdBuildsAnswerLikeFresh(t *testing.T) {
+	camp := buildCampus(t, 256)
+	c := campusTwin(t, camp, nil)
+	for seed := int64(1); seed <= 24; seed++ {
+		q := collector.Query{Hosts: pick(rand.New(rand.NewSource(seed)), camp, 32)}
+		switch {
+		case seed == 13:
+			// A new bridge database generation, numbering its links anew.
+			if err := camp.Site.Bridge.SearchStations(nil); err != nil {
+				t.Fatal(err)
+			}
+		case seed%3 == 0:
+			// Warm: the routers and MACs the last queries learned are
+			// reused along with their build.
+		default:
+			c.DropCaches()
+		}
+		res, err := c.Collect(q)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got, want := encodeText(t, res.Graph), freshAnswer(t, camp, q); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: the reused collector answers\n%s\na fresh one\n%s", seed, got, want)
+		}
+		checkGatewayPaths(t, camp, res.Graph, q.Hosts)
+	}
+}
+
+// TestReusedColdBuildsAnswerLikeFreshConcurrently runs the queries of
+// TestReusedColdBuildsAnswerLikeFresh on one collector from four
+// goroutines at once, so builds and request scratch pass between
+// concurrent queries through the pools (the race detector watches the
+// hand-over under make race-hot).
+func TestReusedColdBuildsAnswerLikeFreshConcurrently(t *testing.T) {
+	camp := buildCampus(t, 256)
+	const workers, each = 4, 6
+	queries := make([]collector.Query, workers*each)
+	want := make([][]byte, len(queries))
+	for i := range queries {
+		queries[i] = collector.Query{Hosts: pick(rand.New(rand.NewSource(int64(i+1))), camp, 32)}
+		want[i] = freshAnswer(t, camp, queries[i])
+	}
+	c := campusTwin(t, camp, nil)
+	got := make([][]byte, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(queries); i += workers {
+				res, err := c.Collect(queries[i])
+				if errs[i] = err; err == nil {
+					var buf bytes.Buffer
+					errs[i] = res.Graph.EncodeText(&buf)
+					got[i] = buf.Bytes()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range queries {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("query %d: the shared collector answers\n%s\na fresh one\n%s", i, got[i], want[i])
+		}
+	}
+}
+
+// The allocation budget of one cold 32-host query on the 256-host campus
+// (Parallelism 1): its answer graph, the cache entries it creates (router
+// views, ARP entries, poll points) and what the emulated agents allocate to
+// answer it, 5 % over what was measured once its working state came from
+// the collector's pool (225 allocations, ~58.6 KB). Before, the query
+// allocated 410 times and ~114.9 KB. Budgets only get tighter.
+const (
+	coldCollectAllocs = 236
+	coldCollectBytes  = 61500
+)
+
+func TestColdCollectAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	camp := buildCampus(t, 256)
+	c := campusTwin(t, camp, func(cfg *snmpcoll.Config) { cfg.Parallelism = 1 })
+	queries := make([]collector.Query, 16)
+	for i := range queries {
+		queries[i] = collector.Query{Hosts: pick(rand.New(rand.NewSource(int64(i+1))), camp, 32)}
+		if _, err := c.Collect(queries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 64
+	var mallocs, bytes uint64
+	var before, after runtime.MemStats
+	for i := range runs {
+		c.DropCaches()
+		runtime.ReadMemStats(&before)
+		if _, err := c.Collect(queries[i%len(queries)]); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	allocs, size := float64(mallocs)/runs, float64(bytes)/runs
+	t.Logf("one cold query: %.1f allocations, %.0f bytes", allocs, size)
+	if allocs > coldCollectAllocs || size > coldCollectBytes {
+		t.Fatalf("one cold query allocates %.1f times and %.0f bytes, budget %d and %d",
+			allocs, size, coldCollectAllocs, coldCollectBytes)
+	}
+}
+
+// TestPoolRetentionIsBounded: the build of an ordinary query goes back to
+// the pool holding nothing of the query; one whose maps grew past the cap
+// is dropped, and so is request scratch that did.
+func TestPoolRetentionIsBounded(t *testing.T) {
+	camp := buildCampus(t, 256)
+	c := campusTwin(t, camp, nil)
+	q := collector.Query{Hosts: pick(rand.New(rand.NewSource(5)), camp, 32)}
+	pooled, held, err := c.PooledAfter(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pooled || held != 0 {
+		t.Fatalf("an ordinary query's build: pooled %t, holding %d entries after its reset", pooled, held)
+	}
+	if pooled, _, err := c.PooledAfter(q, snmpcoll.PoolMax); err != nil || pooled {
+		t.Fatalf("a build past the cap: pooled %t (%v), want dropped", pooled, err)
+	}
+	if !snmpcoll.RequestPooled(snmpcoll.PoolMax) || snmpcoll.RequestPooled(snmpcoll.PoolMax+1) {
+		t.Fatal("request scratch is pooled past the cap, or not up to it")
+	}
+}

@@ -183,6 +183,10 @@ type Collector struct {
 
 	pollClient *snmp.Client // the periodic poller's client
 
+	// builds holds the working state of finished queries for the next
+	// ones to reuse (see build).
+	builds sync.Pool
+
 	lastPoll atomic.Int64 // unix nanos of the last completed poll cycle
 
 	mQueries *obs.Counter
@@ -303,16 +307,17 @@ const firstContactRows = 8
 // one row more than the longest table it held, so the walk sees every
 // column end.
 func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip.Addr, prev *routerInfo) (*routerInfo, error) {
-	ri := &routerInfo{
-		addr:     addr,
-		addrs:    []netip.Addr{addr},
-		ifSpeed:  make(map[int]float64),
-		addrByIf: make(map[int]netip.Addr),
-		macByIf:  make(map[int]collector.MAC),
-	}
 	rows := firstContactRows
 	if prev != nil {
 		rows = max(len(prev.routes), prev.ifNumber) + 1
+	}
+	ri := &routerInfo{
+		addr:     addr,
+		addrs:    []netip.Addr{addr},
+		routes:   make([]routeEntry, 0, rows),
+		ifSpeed:  make(map[int]float64),
+		addrByIf: make(map[int]netip.Addr),
+		macByIf:  make(map[int]collector.MAC),
 	}
 	// Route rows are keyed by destination; a column may mention a
 	// destination the dest column has not reached yet, so rows are created

@@ -97,7 +97,7 @@ func DefaultPolicy() Policy {
 		ErrWrap: set("proto", "master", "remos"),
 		GoCtx: set("proto", "directory", "snmp", "sim", "sched", "watch",
 			"benchcoll", "qcache", "master", "admission", "federation"),
-		PoolReturn: set("proto", "snmp"),
+		PoolReturn: set("proto", "snmp", "snmpcoll", "topology"),
 		MetricSubsystems: set("admission", "bench", "bridge", "directory",
 			"federation", "hostload", "master", "modeler", "qcache",
 			"request", "requests", "runtime", "sched", "snapshot", "snmp", "snmpcoll",

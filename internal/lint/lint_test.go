@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"fmt"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -293,6 +294,30 @@ func TestRaceHotListsMatch(t *testing.T) {
 	sort.Strings(fromCI)
 	if len(fromMake) == 0 || !reflect.DeepEqual(fromMake, fromCI) {
 		t.Errorf("race-hot lists differ:\nMakefile:   %v\nverify.yml: %v", fromMake, fromCI)
+	}
+}
+
+// TestPoolReturnCoversEveryPool keeps poolreturn's package list equal to
+// the packages that hold a sync.Pool, so a pool added to a package the
+// analyzer does not audit cannot lose its Puts unnoticed.
+func TestPoolReturnCoversEveryPool(t *testing.T) {
+	var pooling []string
+	for _, pkg := range loadRepo(t) {
+		for _, obj := range pkg.TypesInfo.Uses {
+			if tn, ok := obj.(*types.TypeName); ok && tn.Name() == "Pool" && tn.Pkg() != nil && tn.Pkg().Path() == "sync" {
+				pooling = append(pooling, pkg.Name)
+				break
+			}
+		}
+	}
+	var audited []string
+	for name := range DefaultPolicy().PoolReturn {
+		audited = append(audited, name)
+	}
+	sort.Strings(pooling)
+	sort.Strings(audited)
+	if len(pooling) == 0 || !reflect.DeepEqual(pooling, audited) {
+		t.Errorf("poolreturn audits %v, the packages holding a sync.Pool are %v", audited, pooling)
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 )
 
 // poolreturnCheck enforces pooling hygiene in the packages that recycle
-// hot-path buffers (the wire protocols and the SNMP codec): every
+// hot-path buffers (the wire protocols, the SNMP codec, the SNMP
+// Collector's query and request scratch, the flow scratch): every
 // sync.Pool Get must be matched by a Put on the same pool within the
 // same top-level function — directly or via defer — so pooled objects
 // cannot leak on early returns and quietly turn the pool into a

@@ -34,7 +34,7 @@ var ErrBadLink = errors.New("maxmin: flow references unknown link")
 // units, conventionally bits per second.
 //
 // A flow crossing no links is limited only by its demand; if it is also
-// elastic its rate is +Inf.
+// elastic its rate is +Inf. A negative or NaN capacity is read as 0.
 func Allocate(capacities []float64, flows []Flow) ([]float64, error) {
 	var a Allocator
 	return a.AllocateInto(nil, capacities, flows)
@@ -68,10 +68,7 @@ func (a *Allocator) AllocateInto(dst []float64, capacities []float64, flows []Fl
 	a.residual = growFloats(a.residual, len(capacities))
 	residual := a.residual
 	for i, c := range capacities {
-		if c < 0 {
-			c = 0
-		}
-		residual[i] = c
+		residual[i] = usable(c)
 	}
 	a.active = growInts(a.active, len(capacities))
 	active := a.active
@@ -166,7 +163,7 @@ func (a *Allocator) AllocateInto(dst []float64, capacities []float64, flows []Fl
 			freeze := f.Demand > 0 && rates[fi] >= f.Demand-eps*math.Max(1, f.Demand)
 			if !freeze {
 				for _, li := range f.Links {
-					if residual[li] <= eps*math.Max(1, capacities[li]) {
+					if residual[li] <= eps*math.Max(1, usable(capacities[li])) {
 						freeze = true
 						break
 					}
@@ -182,6 +179,15 @@ func (a *Allocator) AllocateInto(dst []float64, capacities []float64, flows []Fl
 		}
 	}
 	return rates, nil
+}
+
+// usable is a link capacity as allocation reads it: a negative or NaN
+// capacity carries nothing.
+func usable(c float64) float64 {
+	if c < 0 || math.IsNaN(c) {
+		return 0
+	}
+	return c
 }
 
 // growFloats returns s resized to n, reallocating only when capacity is

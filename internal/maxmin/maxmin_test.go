@@ -124,6 +124,48 @@ func TestNegativeCapacityTreatedAsZero(t *testing.T) {
 	}
 }
 
+// A NaN capacity carries nothing, as a negative one does: a flow over it
+// gets 0, not the +Inf an unbounded increment would hand it.
+func TestNaNCapacityTreatedAsZero(t *testing.T) {
+	nan := math.NaN()
+	rates, err := Allocate([]float64{nan, 5}, []Flow{{Links: []int{0}}, {Links: []int{1}}, {Links: []int{0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rates[0] != 0 || rates[2] != 0 || !approx(rates[1], 5) {
+		t.Fatalf("rates over a NaN and a 5 capacity = %v, want [0 5 0]", rates)
+	}
+}
+
+// Property: NaN capacities allocate exactly as zero capacities do.
+func TestPropertyNaNCapacityIsZero(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		caps, flows := randomProblem(r)
+		zeroed := make([]float64, len(caps))
+		for li := range caps {
+			if r.Intn(3) == 0 {
+				caps[li] = math.NaN()
+			} else {
+				zeroed[li] = caps[li]
+			}
+		}
+		got, err := Allocate(caps, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Allocate(zeroed, flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for fi := range flows {
+			if got[fi] != want[fi] {
+				t.Fatalf("problem %d: flow %d gets %v over capacities %v, %v over %v", i, fi, got[fi], caps, want[fi], zeroed)
+			}
+		}
+	}
+}
+
 func TestEmptyProblem(t *testing.T) {
 	rates, err := Allocate([]float64{1, 2}, nil)
 	if err != nil || len(rates) != 0 {

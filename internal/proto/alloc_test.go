@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"remos/internal/admission"
 	"remos/internal/collector"
 	"remos/internal/modeler"
+	"remos/internal/topology"
 )
 
 // wireQuery renders one on-the-wire query for nHosts hosts.
@@ -123,6 +126,93 @@ func TestServeFlowsAllocationBudget(t *testing.T) {
 		t.Fatalf("one FLOWS exchange allocates %.0f times, want <= 7", n)
 	}
 }
+
+// staticCollector answers every QUERY with the same prebuilt result, so
+// the exchange below measures the protocol and not the collector.
+type staticCollector struct{ res *collector.Result }
+
+func (staticCollector) Name() string { return "static" }
+
+func (s staticCollector) Collect(collector.Query) (*collector.Result, error) { return s.res, nil }
+
+// campusReply is a graph of the shape and size a cold 32-host campus
+// QUERY answers with: four gateways on a core switch, their aggregation
+// and edge switches, and 32 hosts under the edges.
+func campusReply() *topology.Graph {
+	g := topology.NewGraph()
+	link := func(from, to string, capacity float64) {
+		g.AddLink(topology.Link{From: from, To: to, Capacity: capacity, UtilFromTo: 1234567.5, UtilToFrom: 0.25, Latency: time.Millisecond})
+	}
+	g.AddNode(topology.Node{ID: "10.0.0.1", Kind: topology.SwitchNode, Addr: "10.0.0.1"})
+	for w := 0; w < 4; w++ {
+		gw, agg := fmt.Sprintf("gw%d", w), fmt.Sprintf("10.0.%d.2", w+1)
+		g.AddNode(topology.Node{ID: gw, Kind: topology.RouterNode, Addr: fmt.Sprintf("10.0.%d.1", w+1)})
+		g.AddNode(topology.Node{ID: agg, Kind: topology.SwitchNode, Addr: agg})
+		link(gw, "10.0.0.1", 1e9)
+		link(agg, gw, 1e9)
+		for e := 0; e < 4; e++ {
+			edge := fmt.Sprintf("10.0.%d.%d", w+1, 10+e)
+			g.AddNode(topology.Node{ID: edge, Kind: topology.SwitchNode, Addr: edge})
+			link(edge, agg, 1e9)
+		}
+		for h := 0; h < 8; h++ {
+			host := fmt.Sprintf("10.%d.0.%d", w+1, 2+h)
+			g.AddNode(topology.Node{ID: host, Kind: topology.HostNode, Addr: host})
+			link(host, fmt.Sprintf("10.0.%d.%d", w+1, 10+h%4), 100e6)
+		}
+	}
+	return g
+}
+
+// TestServeQueryAllocationBudget pins one server-side ASCII QUERY exchange
+// answered with a cold campus reply's graph — decode off a pooled reader,
+// admission, the core's verb, encode into the pooled reply buffer. The
+// graph's text is appended straight into that buffer; when EncodeText
+// built it in a buffer of its own for writeResult to copy, the exchange
+// allocated 6 times and ~8.4 KB.
+func TestServeQueryAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	ctrl := admission.New(admission.Config{})
+	defer ctrl.Close()
+	srv := &TCPServer{}
+	srv.core = newCore("ascii", staticCollector{&collector.Result{Graph: campusReply()}}, nil, nil, ctrl, nil, nil)
+	c := &asciiConn{srv: srv, r: bufio.NewReaderSize(nil, 4096), w: lockedWriter{w: io.Discard}}
+	c.ten, c.tier, _ = srv.core.identify("", "", "")
+	wire := wireQuery(t, 32)
+	src := bytes.NewReader(nil)
+	exchange := func() {
+		src.Reset(wire)
+		c.r.Reset(src)
+		line, err := readLine(c.r, &c.scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep, err := c.query(line); !keep || err != nil {
+			t.Fatalf("QUERY exchange failed: keep=%t err=%v", keep, err)
+		}
+	}
+	exchange() // the pooled reply buffer grows to the reply once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := testing.AllocsPerRun(200, exchange)
+	runtime.ReadMemStats(&after)
+	size := float64(after.TotalAlloc-before.TotalAlloc) / 201
+	t.Logf("one QUERY exchange: %.0f allocations, %.0f bytes", n, size)
+	if n > queryExchangeAllocs || size > queryExchangeBytes {
+		t.Fatalf("one QUERY exchange allocates %.0f times and %.0f bytes, want <= %d and %d",
+			n, size, queryExchangeAllocs, queryExchangeBytes)
+	}
+}
+
+// The QUERY exchange's budget: what was measured with the graph appended
+// into the pooled buffer (5 allocations, ~1.5 KB), the bytes 5 % over.
+// Budgets only get tighter.
+const (
+	queryExchangeAllocs = 5
+	queryExchangeBytes  = 1600
+)
 
 // TestHTTPFlowsAllocationBudget pins the XML side of the same exchange,
 // so what the hand-written codec bought cannot erode silently: one

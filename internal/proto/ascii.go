@@ -153,9 +153,18 @@ func sortedKeys[V any](m map[collector.HistKey]V) []collector.HistKey {
 // a history-bearing answer can carry thousands of them.
 func writeResult(buf *bytes.Buffer, res *collector.Result) error {
 	buf.WriteString("OK\n")
-	if err := res.Graph.EncodeText(buf); err != nil {
+	// The graph is encoded straight into the buffer's spare room. Text
+	// that outgrew it leaves the buffer as roomy as the text asked for, so
+	// the pooled buffer takes the next reply this size in place.
+	room := buf.AvailableBuffer()
+	text, err := res.Graph.AppendText(room)
+	if err != nil {
 		return err
 	}
+	if cap(text) > cap(room) {
+		buf.Grow(cap(text))
+	}
+	buf.Write(text)
 	keys := sortedKeys(res.History)
 	buf.WriteString("HISTORY ")
 	bufInt(buf, int64(len(keys)))

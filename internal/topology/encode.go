@@ -26,28 +26,42 @@ import (
 //
 // Node IDs must not contain whitespace.
 func (g *Graph) EncodeText(w io.Writer) error {
+	b, err := g.AppendText(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendText appends the graph's EncodeText form to dst and returns the
+// extended buffer; on error dst comes back as it was. Room is made once,
+// for what the lines usually need: the IDs and addresses as they are, plus
+// the keywords, separators and numbers of a line (five numbers of a link
+// rarely print longer than twelve bytes each).
+func (g *Graph) AppendText(dst []byte) ([]byte, error) {
 	nodes := g.Nodes()
-	// One buffer, sized for what the lines below usually need: the IDs
-	// and addresses as they are, plus room for the keywords, separators
-	// and numbers of a line (five numbers of a link rarely print longer
-	// than twelve bytes each).
 	size := len("GRAPH 4294967296 4294967296\nEND\n")
 	for _, n := range nodes {
+		if strings.ContainsAny(n.ID, " \t\n") {
+			return dst, fmt.Errorf("topology: node ID %q contains whitespace", n.ID)
+		}
 		size += len("NODE   virtual \n") + len(n.ID) + len(n.Addr)
 	}
 	for _, l := range g.links {
 		size += len("LINK       \n") + len(l.From) + len(l.To) + 5*12
 	}
-	b := make([]byte, 0, size)
+	b := dst
+	if cap(b)-len(b) < size {
+		b = make([]byte, len(dst), len(dst)+size)
+		copy(b, dst)
+	}
 	b = append(b, "GRAPH "...)
 	b = strconv.AppendInt(b, int64(len(nodes)), 10)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(len(g.links)), 10)
 	b = append(b, '\n')
 	for _, n := range nodes {
-		if strings.ContainsAny(n.ID, " \t\n") {
-			return fmt.Errorf("topology: node ID %q contains whitespace", n.ID)
-		}
 		b = append(b, "NODE "...)
 		b = append(b, n.ID...)
 		b = append(b, ' ')
@@ -73,9 +87,7 @@ func (g *Graph) EncodeText(w io.Writer) error {
 		b = strconv.AppendInt(append(b, ' '), l.Jitter.Nanoseconds(), 10)
 		b = append(b, '\n')
 	}
-	b = append(b, "END\n"...)
-	_, err := w.Write(b)
-	return err
+	return append(b, "END\n"...), nil
 }
 
 // textFields splits a line on ASCII white space into at most len(dst)

@@ -120,6 +120,25 @@ func TestDecodeTextDistrustsHeaderCounts(t *testing.T) {
 	}
 }
 
+// AppendText appends after what dst holds, and on error hands dst back as
+// it was.
+func TestAppendText(t *testing.T) {
+	g := coldReply()
+	var want bytes.Buffer
+	if err := g.EncodeText(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.AppendText([]byte("OK\n"))
+	if err != nil || string(got) != "OK\n"+want.String() {
+		t.Fatalf("AppendText after %q = %q, %v", "OK\n", got, err)
+	}
+	g.AddNode(Node{ID: "bad id", Kind: HostNode})
+	dst := []byte("OK\n")
+	if got, err := g.AppendText(dst); err == nil || string(got) != "OK\n" {
+		t.Fatalf("AppendText of a node ID with a space = %q, %v; want an error and dst unchanged", got, err)
+	}
+}
+
 func TestTextCodecAllocationBudget(t *testing.T) {
 	g := coldReply()
 	var buf bytes.Buffer
@@ -134,6 +153,20 @@ func TestTextCodecAllocationBudget(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Fatalf("EncodeText allocates %.0f times, want <= 2", n)
+	}
+	// Appended into a buffer with room, the text costs only the sorted
+	// node list, and it is the text EncodeText writes.
+	dst := make([]byte, 0, 2*buf.Len())
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if dst, err = g.AppendText(dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("AppendText into a buffer with room allocates %.0f times, want <= 1", n)
+	}
+	if !bytes.Equal(dst, buf.Bytes()) {
+		t.Fatalf("AppendText appends\n%s\nEncodeText writes\n%s", dst, buf.Bytes())
 	}
 	// Decoding makes the strings the graph keeps (an ID per node, and an
 	// address where it is not the ID again) and a fixed number of tables,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,35 @@ func pathIndexFixture() *PathIndex {
 	g.AddLink(Link{From: "h1", To: "r1", Capacity: 100e6})
 	g.AddLink(Link{From: "r1", To: "h2", Capacity: 10e6, UtilFromTo: 4e6})
 	return NewPathIndex(g)
+}
+
+// A link decoded with a NaN capacity or a non-finite utilization has
+// nothing available across it: a flow over it is answered 0, not +Inf.
+func TestNonFiniteLinkAnswersZero(t *testing.T) {
+	for _, tc := range []struct {
+		link     string
+		fwd, rev float64 // what 10.0.0.1->10.0.0.2 and back get
+	}{
+		{"LINK 10.0.0.1 10.0.0.2 NaN 0 0 1000 0", 0, 0},
+		{"LINK 10.0.0.1 10.0.0.2 1e+06 -Inf 0 1000 0", 0, 1e6},
+		{"LINK 10.0.0.1 10.0.0.2 1e+06 0 +Inf 1000 0", 1e6, 0},
+		{"LINK 10.0.0.1 10.0.0.2 1e+06 NaN 0 1000 0", 0, 1e6},
+	} {
+		text := "GRAPH 2 1\nNODE 10.0.0.1 host 10.0.0.1\nNODE 10.0.0.2 host 10.0.0.2\n" + tc.link + "\nEND\n"
+		g, err := DecodeText(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.link, err)
+		}
+		preds, err := NewPathIndex(g).FlowAlloc([]FlowRequest{
+			{Src: "10.0.0.1", Dst: "10.0.0.2"}, {Src: "10.0.0.2", Dst: "10.0.0.1"},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.link, err)
+		}
+		if preds[0].Available != tc.fwd || preds[1].Available != tc.rev {
+			t.Errorf("%s: flows get %v and %v, want %v and %v", tc.link, preds[0].Available, preds[1].Available, tc.fwd, tc.rev)
+		}
+	}
 }
 
 func TestPathIndexUnknownHost(t *testing.T) {

@@ -87,10 +87,21 @@ type Link struct {
 }
 
 // AvailFromTo returns the available bandwidth From->To.
-func (l *Link) AvailFromTo() float64 { return clampNonNeg(l.Capacity - l.UtilFromTo) }
+func (l *Link) AvailFromTo() float64 { return availBits(l.Capacity, l.UtilFromTo) }
 
 // AvailToFrom returns the available bandwidth To->From.
-func (l *Link) AvailToFrom() float64 { return clampNonNeg(l.Capacity - l.UtilToFrom) }
+func (l *Link) AvailToFrom() float64 { return availBits(l.Capacity, l.UtilToFrom) }
+
+// availBits is capacity less utilization, floored at 0. A utilization that
+// is not finite, or a difference that is not a number, leaves nothing
+// available: a NaN or -Inf load read off the wire must not answer +Inf.
+func availBits(capacity, util float64) float64 {
+	v := capacity - util
+	if math.IsInf(util, 0) || math.IsNaN(v) || v < 0 {
+		return 0
+	}
+	return v
+}
 
 func clampNonNeg(v float64) float64 {
 	if v < 0 {
