@@ -43,6 +43,14 @@ type Generation struct {
 // Links is the number of level-2 links the generation numbers.
 func (g Generation) Links() int { return g.links }
 
+// Generation returns the database's current generation: it changes
+// exactly when the bridges are re-walked.
+func (c *Collector) Generation() Generation {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
 // StationID renders the graph node ID used for a station.
 func StationID(mac collector.MAC) string {
 	b := make([]byte, 0, len("st:00:00:00:00:00:00"))

@@ -17,7 +17,8 @@ package master
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 
 	"remos/internal/collector"
 	"remos/internal/conc"
@@ -135,35 +136,34 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("master: directory lookup: %w", err)
 	}
-	groups := make(map[string][]netip.Addr)
-	grouped := make(map[string]map[netip.Addr]bool) // set view of groups
-	entries := make(map[string]*Entry)
+	// One site per responsible entry name, hosts in first-seen order. A
+	// query meets few sites and names tens of hosts, so both are found by
+	// scanning: no set is made per site.
+	type site struct {
+		e     *Entry
+		hosts []netip.Addr
+	}
+	var siteBuf [4]site
+	sites := siteBuf[:0]
 	for _, h := range q.Hosts {
 		e, ok := entryFor(all, h)
 		if !ok {
 			return nil, rerr.Tagf(rerr.ErrUnknownHost, "master: no collector is responsible for %v", h)
 		}
-		set := grouped[e.Name]
-		if set == nil {
+		i := slices.IndexFunc(sites, func(s site) bool { return s.e.Name == e.Name })
+		if i < 0 {
 			// Sized for the usual case, every host at one site (and the
 			// site's benchmark endpoint joining the list below).
-			set = make(map[netip.Addr]bool, len(q.Hosts))
-			groups[e.Name] = make([]netip.Addr, 0, len(q.Hosts)+1)
-			grouped[e.Name] = set
-			entries[e.Name] = e
+			i = len(sites)
+			sites = append(sites, site{e: e, hosts: make([]netip.Addr, 0, len(q.Hosts)+1)})
 		}
-		if !set[h] {
-			set[h] = true
-			groups[e.Name] = append(groups[e.Name], h)
+		if s := &sites[i]; !slices.Contains(s.hosts, h) {
+			s.hosts = append(s.hosts, h)
 		}
 	}
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	slices.SortFunc(sites, func(a, b site) int { return strings.Compare(a.e.Name, b.e.Name) })
 
-	multiSite := len(names) > 1
+	multiSite := len(sites) > 1
 
 	// Build the sub-query list: one per site in sorted order, plus (for
 	// multi-site queries) the wide-area benchmark query in the final
@@ -172,36 +172,45 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 	type subQuery struct {
 		coll  collector.Interface
 		hosts []netip.Addr
-		label string
+		label string // names the sub-query in errors; "" for a site's, formatted when needed
 	}
-	subs := make([]subQuery, 0, len(names)+1)
-	for _, name := range names {
-		e := entries[name]
-		hosts := groups[name]
-		if multiSite && e.BenchHost.IsValid() && !grouped[name][e.BenchHost] {
+	subs := make([]subQuery, 0, len(sites)+1)
+	for _, s := range sites {
+		hosts := s.hosts
+		if multiSite && s.e.BenchHost.IsValid() && !slices.Contains(hosts, s.e.BenchHost) {
 			// Join point: the site's benchmark endpoint.
-			hosts = append(hosts, e.BenchHost)
+			hosts = append(hosts, s.e.BenchHost)
 		}
-		subs = append(subs, subQuery{coll: e.Collector, hosts: hosts, label: "collector " + e.Collector.Name()})
+		subs = append(subs, subQuery{coll: s.e.Collector, hosts: hosts})
 	}
 	if multiSite {
 		if m.cfg.WideArea == nil {
-			return nil, fmt.Errorf("master: query spans %d sites but no wide-area collector is configured", len(names))
+			return nil, fmt.Errorf("master: query spans %d sites but no wide-area collector is configured", len(sites))
 		}
 		var benchHosts []netip.Addr
-		for _, name := range names {
-			if e := entries[name]; e.BenchHost.IsValid() {
-				benchHosts = append(benchHosts, e.BenchHost)
+		for _, s := range sites {
+			if s.e.BenchHost.IsValid() {
+				benchHosts = append(benchHosts, s.e.BenchHost)
 			}
 		}
 		subs = append(subs, subQuery{coll: m.cfg.WideArea, hosts: benchHosts, label: "wide-area collector"})
+	}
+	label := func(s subQuery) string {
+		if s.label != "" {
+			return s.label
+		}
+		return "collector " + s.coll.Name()
 	}
 
 	results := make([]*collector.Result, len(subs))
 	fanout := tr.Start("fanout")
 	m.mSubQueries.Add(int64(len(subs)))
 	err = conc.ForEachCtx(ctx, len(subs), m.cfg.Parallelism, func(i int) error {
-		sp := tr.Start("sub:" + subs[i].label)
+		// Span names and details are formatted only for a traced query.
+		var sp *obs.Span
+		if tr != nil {
+			sp = tr.Start("sub:" + label(subs[i]))
+		}
 		sub, err := subs[i].coll.Collect(collector.Query{
 			Hosts: subs[i].hosts, WithHistory: q.WithHistory, WithPredictions: q.WithPredictions,
 		}.WithContext(ctx))
@@ -210,13 +219,15 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 			// A failing sub-collector (unless the failure is the caller's
 			// own cancellation) is the UNAVAILABLE class: the master is
 			// fine, a site it depends on is not.
-			err = fmt.Errorf("master: %s: %w", subs[i].label, err)
+			err = fmt.Errorf("master: %s: %w", label(subs[i]), err)
 			if ctx.Err() == nil {
 				err = rerr.Tag(err, rerr.ErrCollectorUnavailable)
 			}
 			return err
 		}
-		sp.EndDetail(fmt.Sprintf("%d hosts", len(subs[i].hosts)))
+		if sp != nil {
+			sp.EndDetail(fmt.Sprintf("%d hosts", len(subs[i].hosts)))
+		}
 		results[i] = sub
 		return nil
 	})
@@ -224,7 +235,9 @@ func (m *Master) Collect(q collector.Query) (res *collector.Result, err error) {
 		fanout.EndDetail(err.Error())
 		return nil, err
 	}
-	fanout.EndDetail(fmt.Sprintf("%d sub-queries", len(subs)))
+	if fanout != nil {
+		fanout.EndDetail(fmt.Sprintf("%d sub-queries", len(subs)))
+	}
 
 	// Deterministic coalescing: sites in sorted name order, wide-area
 	// last — the same order the serial implementation used.

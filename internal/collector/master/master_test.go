@@ -3,6 +3,7 @@ package master
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -304,8 +305,8 @@ func TestParallelFanoutMatchesSerial(t *testing.T) {
 }
 
 // TestDuplicateHostsDeduplicated: repeated hosts in a query collapse to
-// one per sub-query (the set-based grouping), and a BenchHost already in
-// the query is not appended twice.
+// one per sub-query, and a BenchHost already in the query is not appended
+// twice.
 func TestDuplicateHostsDeduplicated(t *testing.T) {
 	m, siteA, siteB, _ := newTestMaster()
 	_, err := m.Collect(collector.Query{Hosts: []netip.Addr{
@@ -412,5 +413,61 @@ func TestConcurrentCollects(t *testing.T) {
 	}
 	if got := m.mQueries.Value(); got != goroutines+1 {
 		t.Fatalf("queries = %d, want %d", got, goroutines+1)
+	}
+}
+
+// fixed answers every query with one result.
+type fixed struct{ res *collector.Result }
+
+func (f fixed) Name() string                                       { return "fixed" }
+func (f fixed) Collect(collector.Query) (*collector.Result, error) { return f.res, nil }
+
+// TestHostGroupingKeepsOrderAndJoins pins how the master splits a query:
+// each site's sub-query lists its hosts once each, in the order the query
+// first names them; a multi-site query joins each site's benchmark
+// endpoint to its list unless the query named it already, and asks the
+// wide area for the endpoints in site order. A one-site 32-host query
+// makes no per-site set to group its hosts: it allocates the sub-query's
+// host list and the fan-out's slots, five times in all (fourteen, ~3.6 KB,
+// when each site's hosts were grouped through a set).
+func TestHostGroupingKeepsOrderAndJoins(t *testing.T) {
+	m, siteA, siteB, wide := newTestMaster()
+	_, err := m.Collect(collector.Query{Hosts: []netip.Addr{
+		addr("10.0.2.7"), addr("10.0.1.3"), addr("10.0.1.1"), addr("10.0.2.7"),
+		addr("10.0.1.3"), addr("10.0.2.9"), addr("10.0.1.2"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  []netip.Addr
+		want []netip.Addr
+	}{
+		{"a", siteA.gotQs[0].Hosts, []netip.Addr{addr("10.0.1.3"), addr("10.0.1.1"), addr("10.0.1.2"), addr("10.0.1.9")}},
+		{"b", siteB.gotQs[0].Hosts, []netip.Addr{addr("10.0.2.7"), addr("10.0.2.9")}},
+		{"wide area", wide.gotQs[0].Hosts, []netip.Addr{addr("10.0.1.9"), addr("10.0.2.9")}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("site %s sub-query hosts = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+
+	lone := New(Config{Directory: entries{
+		{Name: "a", Prefixes: []netip.Prefix{pfx("10.0.1.0/24")}, Collector: fixed{lineGraph("10.0.1.1")}},
+	}})
+	hosts := make([]netip.Addr, 32)
+	for i := range hosts {
+		hosts[i] = netip.AddrFrom4([4]byte{10, 0, 1, byte(i + 1)})
+	}
+	q := collector.Query{Hosts: hosts}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := lone.Collect(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 5
+	if allocs > budget {
+		t.Fatalf("a one-site 32-host query allocates %.0f times, budget %d", allocs, budget)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,14 +156,41 @@ func TestCampusDiscoveryIndependentOfParallelism(t *testing.T) {
 	}
 }
 
-// The counters' ground truth: after a cold 32-host query and two poll
-// intervals, every link direction of the warm answer carries the load the
-// emulator routes over that direction, within 1 %. Graph nodes are mapped
-// to the emulator's devices by the IDs the collectors give them — hosts by
-// address, routers by sysName, switches by management address — so a
-// counter read under the wrong name, or applied to the wrong direction,
-// shows as a link carrying another link's load.
+// moveHost moves a campus host to the edge switch e places after its own
+// in its wing, and returns where the Bridge Collector still believes it:
+// the switch's management address and port.
+func moveHost(t testing.TB, camp *experiments.Campus, h netip.Addr, e int) (netip.Addr, int) {
+	t.Helper()
+	host := camp.Net.DeviceByIP(h)
+	var w, idx int
+	fmt.Sscanf(host.Name, "h%d-%d", &w, &idx)
+	sw, port, ok := camp.Site.Bridge.Locate(collector.MAC(host.Ifaces()[0].MAC))
+	if !ok {
+		t.Fatalf("the Bridge Collector does not know %v", h)
+	}
+	camp.Net.MoveHost(host, camp.Net.Device(fmt.Sprintf("edge%d-%d", w, (idx/16+e)%4)), 100e6, time.Millisecond)
+	return sw, port
+}
+
+// The counters' ground truth: after a cold 32-host query and one poll
+// interval, every link direction of the warm answer carries the load the
+// emulator routes over that direction, within 1 %. One interval is enough
+// only because the cold query took every new poll point's baseline itself:
+// a baseline read late, on the wrong interface or for the wrong direction
+// shows here. Graph nodes are mapped to the emulator's devices by the IDs
+// the collectors give them — hosts by address, routers by sysName,
+// switches by management address — so a counter read under the wrong
+// name, or applied to the wrong direction, shows as a link carrying
+// another link's load. The check runs on the campus as built, and with a
+// queried host moved just before the cold query, which then drops what it
+// built on the stale location — baselines included — and builds again.
 func TestCampusCountersMatchTheEmulator(t *testing.T) {
+	for _, move := range []bool{false, true} {
+		t.Run(fmt.Sprintf("moved=%t", move), func(t *testing.T) { countersMatchTheEmulator(t, move) })
+	}
+}
+
+func countersMatchTheEmulator(t *testing.T, move bool) {
 	camp := buildCampus(t, 256)
 	var hosts []netip.Addr
 	queried := map[int]bool{}
@@ -184,12 +212,22 @@ func TestCampusCountersMatchTheEmulator(t *testing.T) {
 	for _, i := range rand.New(rand.NewSource(3)).Perm(len(camp.Hosts)) {
 		ask(i)
 	}
+	// Let the counters run first, so that a baseline read in the wrong
+	// direction, on another interface or at another time is off.
+	camp.Sim.RunFor(3 * time.Second)
+	gen := camp.Site.Bridge.Generation()
+	if move {
+		moveHost(t, camp, hosts[len(hosts)-1], 1) // no flow's end
+	}
 	c := campusTwin(t, camp, nil)
 	q := collector.Query{Hosts: hosts}
 	if _, err := c.Collect(q); err != nil {
 		t.Fatalf("cold query: %v", err)
 	}
-	camp.Sim.RunFor(11 * time.Second)
+	if rewalked := camp.Site.Bridge.Generation() != gen; rewalked != move {
+		t.Fatalf("the cold query re-walked the bridges: %t, want %t", rewalked, move)
+	}
+	camp.Sim.RunFor(c.PollInterval())
 	res, err := c.Collect(q)
 	if err != nil {
 		t.Fatalf("warm query: %v", err)
@@ -304,6 +342,7 @@ func TestCampusColdRepliesPinned(t *testing.T) {
 // BenchmarkCampusCollect times one 32-host query on the 256-host campus,
 // cycling through 16 seeded host sets: cold drops every cache before each
 // query, warm keeps them (the sets were each asked once before timing).
+// It reports the SNMP exchanges a query costs as exchanges/op.
 func BenchmarkCampusCollect(b *testing.B) {
 	camp := buildCampus(b, 256)
 	queries := make([]collector.Query, 16)
@@ -324,29 +363,36 @@ func BenchmarkCampusCollect(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			exchanges := 0
 			for i := 0; i < b.N; i++ {
 				if cold {
 					c.DropCaches()
 				}
-				if _, err := c.Collect(queries[i%len(queries)]); err != nil {
+				_, stats, err := c.CollectWithStats(queries[i%len(queries)])
+				if err != nil {
 					b.Fatal(err)
 				}
+				exchanges += stats.Requests
 			}
+			b.ReportMetric(float64(exchanges)/float64(b.N), "exchanges/op")
 		})
 	}
 }
 
 // recordingTransport notes, for every exchange, which device was asked
-// what kind of question.
+// what kinds of question. One request may carry several kinds — a
+// switch's confirm Get carries forwarding entries and counters — so each
+// varbind is classified on its own.
 type recordingTransport struct {
 	inner  snmp.Transport
 	device map[string]string // agent address -> device name
 
 	mu    sync.Mutex
 	total int
-	asked map[exchangeKind]int // requests per (device, phase)
-	binds map[exchangeKind]int // varbinds those requests carried
-	// polled holds the poll points the baseline phase read, by agent
+	asked map[exchangeKind]int // requests carrying some of a (device, phase)'s varbinds
+	binds map[exchangeKind]int // those varbinds
+	sent  map[string]int       // requests per device
+	// polled holds the poll points the baseline varbinds read, by agent
 	// address and interface index.
 	polled map[string]bool
 }
@@ -356,32 +402,42 @@ type exchangeKind struct {
 	phase  string
 }
 
+// phaseOf names the question a request's varbind asks.
+func phaseOf(pdu snmp.PDUType, name snmp.OID) string {
+	switch {
+	case pdu == snmp.GetBulkRequest:
+		return "walk"
+	case name.HasPrefix(mib.IPNetToMediaPhys):
+		return "arp"
+	case name.HasPrefix(mib.Dot1dTpFdbPort):
+		return "verify"
+	case name.Cmp(mib.SysUpTime) == 0:
+		return "validate"
+	case name.HasPrefix(mib.IfTable), name.HasPrefix(mib.IfXTable):
+		return "baseline"
+	}
+	return "other " + name.String()
+}
+
 func (r *recordingTransport) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) {
 	msg, err := snmp.Unmarshal(req)
 	if err != nil || len(msg.PDU.VarBinds) == 0 {
 		return nil, 0, fmt.Errorf("recordingTransport: undecodable request to %s", addr)
 	}
-	name := msg.PDU.VarBinds[0].Name
-	phase := "other " + name.String()
-	switch {
-	case msg.PDU.Type == snmp.GetBulkRequest:
-		phase = "walk"
-	case name.HasPrefix(mib.IPNetToMediaPhys):
-		phase = "arp"
-	case name.HasPrefix(mib.Dot1dTpFdbPort):
-		phase = "verify"
-	case name.Cmp(mib.SysUpTime) == 0:
-		phase = "validate"
-	case name.HasPrefix(mib.IfTable), name.HasPrefix(mib.IfXTable):
-		phase = "baseline"
-	}
-	k := exchangeKind{device: r.device[addr], phase: phase}
+	dev := r.device[addr]
 	r.mu.Lock()
 	r.total++
-	r.asked[k]++
-	r.binds[k] += len(msg.PDU.VarBinds)
-	if phase == "baseline" {
-		for _, vb := range msg.PDU.VarBinds {
+	r.sent[dev]++
+	carried := map[string]bool{}
+	for _, vb := range msg.PDU.VarBinds {
+		phase := phaseOf(msg.PDU.Type, vb.Name)
+		k := exchangeKind{device: dev, phase: phase}
+		if !carried[phase] {
+			carried[phase] = true
+			r.asked[k]++
+		}
+		r.binds[k]++
+		if phase == "baseline" {
 			r.polled[fmt.Sprintf("%s/%d", addr, vb.Name[len(vb.Name)-1])] = true
 		}
 	}
@@ -392,7 +448,8 @@ func (r *recordingTransport) RoundTrip(addr string, req []byte) ([]byte, time.Du
 func (r *recordingTransport) reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total, r.asked, r.binds, r.polled = 0, map[exchangeKind]int{}, map[exchangeKind]int{}, map[string]bool{}
+	r.total, r.asked, r.binds = 0, map[exchangeKind]int{}, map[exchangeKind]int{}
+	r.sent, r.polled = map[string]int{}, map[string]bool{}
 }
 
 // baselineBinds is how many varbinds the baseline phase carried in all.
@@ -408,12 +465,15 @@ func (r *recordingTransport) baselineBinds() (n int) {
 }
 
 // TestCampusExchangeBudget pins what a 32-host query on the 256-host
-// campus may cost: at most 80 exchanges cold and 30 warm (the pairwise
-// walk with one-varbind Gets took 193 and 40), and in each phase no device
-// — whichever of its addresses it is asked under — gets more requests
-// than its varbinds need under MaxVarBinds: one, for nearly all of them.
-// The cold baseline reads of the newly monitored points ask for one
-// counter generation each: two varbinds a point.
+// campus may cost: at most 31 exchanges cold (2 over the most these seeds
+// measured) and 30 warm (the pairwise walk with one-varbind Gets took 193
+// and 40), and in each phase no device — whichever of its addresses it is
+// asked under — gets more requests than its varbinds need under
+// MaxVarBinds: one, for nearly all of them. Cold, a switch holding queried
+// stations is asked once for everything — the stations' forwarding
+// entries and its new poll points' baselines — whenever that fits one
+// PDU. The baseline reads ask for one counter generation each: two
+// varbinds a point.
 func TestCampusExchangeBudget(t *testing.T) {
 	camp := buildCampus(t, 256)
 	rec := &recordingTransport{inner: camp.Dep.Transport, device: map[string]string{}}
@@ -428,6 +488,7 @@ func TestCampusExchangeBudget(t *testing.T) {
 		}
 	}
 	const maxVarBinds = 24 // the default
+	need := func(binds int) int { return (binds + maxVarBinds - 1) / maxVarBinds }
 	for seed := int64(1); seed <= 5; seed++ {
 		rec.reset()
 		c := campusTwin(t, camp, func(cfg *snmpcoll.Config) { cfg.Transport = rec })
@@ -457,19 +518,97 @@ func TestCampusExchangeBudget(t *testing.T) {
 					}
 					continue
 				}
-				if need := (rec.binds[k] + maxVarBinds - 1) / maxVarBinds; n > need {
+				if n > need(rec.binds[k]) {
 					t.Errorf("seed %d %s: %s got %d %s requests for %d varbinds, %d would do",
-						seed, when, k.device, n, k.phase, rec.binds[k], need)
+						seed, when, k.device, n, k.phase, rec.binds[k], need(rec.binds[k]))
 				}
 			}
 		}
-		check("cold", 80)
+		check("cold", 31)
 		if binds, points := rec.baselineBinds(), len(rec.polled); points == 0 || binds > 2*points {
 			t.Errorf("seed %d cold: the baseline phase read %d points in %d varbinds, want at most 2 a point",
 				seed, points, binds)
 		}
+		for k := range rec.asked {
+			if k.phase != "verify" {
+				continue
+			}
+			carried := 0
+			for j, b := range rec.binds {
+				if j.device == k.device {
+					carried += b
+				}
+			}
+			if n := rec.sent[k.device]; n > need(carried) {
+				t.Errorf("seed %d cold: switch %s holding queried stations got %d requests for %d varbinds, %d would do",
+					seed, k.device, n, carried, need(carried))
+			}
+		}
 		camp.Sim.RunFor(6 * time.Second) // settle the poller outside the count
 		rec.reset()
 		check("warm", 30)
+	}
+}
+
+// TestLegacyEdgeSwitchesSettleOnCounter32: on a campus whose edge switches
+// serve no high-capacity counters, the cold query's confirm Gets meet
+// noSuchObject where its new points' counters should be. That settles
+// those points on Counter32, for annotate to read, and is no station's
+// move: the graph is the one the same query gets on the campus as built,
+// and the bridges are not re-walked (the one re-walk would serve every
+// station found moved).
+func TestLegacyEdgeSwitchesSettleOnCounter32(t *testing.T) {
+	modern, legacy := buildCampus(t, 256), buildCampus(t, 256)
+	edges := map[netip.Addr]bool{}
+	for _, d := range legacy.Net.Devices() {
+		if !strings.HasPrefix(d.Name, "edge") {
+			continue
+		}
+		view := mib.NewDeviceView(legacy.Net, d)
+		view.NoHC = true
+		agent := &snmp.Agent{Community: d.SNMP.Community, View: view}
+		for _, ifc := range d.Ifaces() {
+			if ifc.IP.IsValid() {
+				legacy.Dep.Registry.Register(ifc.IP.String(), agent)
+			}
+		}
+		legacy.Dep.Registry.Register(d.ManagementAddr().String(), agent)
+		edges[d.ManagementAddr()] = true
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		q := collector.Query{Hosts: pick(rand.New(rand.NewSource(seed)), modern, 32)}
+		want, err := campusTwin(t, modern, nil).Collect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := legacy.Site.Bridge.Generation()
+		c := campusTwin(t, legacy, nil)
+		got, err := c.Collect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := encodeText(t, got.Graph), encodeText(t, want.Graph); !bytes.Equal(g, w) {
+			t.Fatalf("seed %d: legacy edge switches answer\n%s\nthe campus as built\n%s", seed, g, w)
+		}
+		if legacy.Site.Bridge.Generation() != gen {
+			t.Fatalf("seed %d: the query re-walked the bridges", seed)
+		}
+		legacyPoints := 0
+		for _, p := range c.Points() {
+			switch {
+			case !p.Baseline:
+				t.Errorf("seed %d: point %v/%d has no baseline", seed, p.Agent, p.IfIndex)
+			case edges[p.Agent] && !p.Counter32:
+				t.Errorf("seed %d: point %v/%d on a legacy edge switch is not on Counter32", seed, p.Agent, p.IfIndex)
+			case !edges[p.Agent] && !p.HC:
+				t.Errorf("seed %d: point %v/%d is not on the high-capacity counters", seed, p.Agent, p.IfIndex)
+			}
+			if edges[p.Agent] {
+				legacyPoints++
+			}
+		}
+		if legacyPoints == 0 {
+			t.Fatalf("seed %d: no point on a legacy edge switch", seed)
+		}
 	}
 }

@@ -151,11 +151,12 @@ type build struct {
 	fetched    []fetched            // fetchRouters: each address's outcome
 	arpGroups  []arpGroup           // resolveMACs: the ARP entries asked of each gateway
 	asked      []arpEntry           // resolveMACs' fallbacks, nextHopMAC's Get
-	swGroups   []swGroup            // verifyLocations: the stations asked of each switch
-	moved      []collector.MAC      // verifyLocations: the stations found off their port
+	swGroups   []swGroup            // confirm: what is asked of each switch
+	moved      []collector.MAC      // confirm: the stations found off their port
 	places     []place              // connect: what it knows of each host
 	stale      []*routerInfo        // CollectWithStats: the cached routers to validate
-	added      []*pollPoint         // annotate: the points registered this query
+	added      []*pollPoint         // newPoints: the points this query registers, see annotate
+	unread     []*pollPoint         // annotate: those confirm could not read
 }
 
 // poolMax bounds what pooled scratch keeps: a build or request holding a
@@ -204,8 +205,10 @@ func (b *build) reset() (pool bool) {
 		most = max(most, cap(b.arpGroups[i].entries))
 		b.arpGroups[i].ri = nil
 	}
-	for _, g := range b.swGroups {
-		most = max(most, cap(g.stations))
+	for i := range b.swGroups {
+		g := &b.swGroups[i]
+		most = max(most, cap(g.stations), cap(g.points))
+		clear(g.points)
 	}
 	b.arpGroups, b.swGroups = b.arpGroups[:0], b.swGroups[:0]
 	most = max(most, cap(b.arpGroups), cap(b.swGroups),
@@ -214,7 +217,8 @@ func (b *build) reset() (pool bool) {
 		truncate(&b.hosts), truncate(&b.ids), truncate(&b.used), truncate(&b.segs),
 		truncate(&b.chains), truncate(&b.hops), truncate(&b.routes), truncate(&b.linkPolls),
 		truncate(&b.l2links), truncate(&b.unresolved), truncate(&b.gws), truncate(&b.fetched),
-		truncate(&b.asked), truncate(&b.moved), truncate(&b.places), truncate(&b.stale), truncate(&b.added))
+		truncate(&b.asked), truncate(&b.moved), truncate(&b.places), truncate(&b.stale), truncate(&b.added),
+		truncate(&b.unread))
 	return most <= poolMax
 }
 
@@ -278,19 +282,22 @@ type pollReg struct {
 // discover builds the graph joining the queried hosts, in phases whose
 // work is linear in the hosts and whose SNMP traffic is one request per
 // device and phase: place the hosts, fetch their gateway routers, resolve
-// every host's MAC at its gateway, verify every station's location at its
-// switch, then connect.
+// every host's MAC at its gateway, connect the hosts on the Bridge
+// Collector's believed station locations, then confirm those locations,
+// each switch asked in one Get that also reads the counter baselines of
+// its new poll points. A station found moved costs the re-walk of the
+// bridges and a second connect, on the corrected database.
 func (b *build) discover(hosts []netip.Addr) error {
 	for _, h := range hosts {
 		b.addHost(h)
 	}
 	if b.c.cfg.Bridge == nil {
-		// No MACs to resolve, no stations to verify: every pair is routed,
+		// No MACs to resolve, no stations to confirm: every pair is routed,
 		// through the hosts' gateways.
 		if len(b.hosts) > 1 {
 			b.fetchRouters(b.gatewaysOf(b.hosts))
 		}
-		return b.connect(hosts)
+		return b.connectUnconfirmed(hosts)
 	}
 	unresolved := b.unresolved[:0]
 	for _, h := range b.hosts {
@@ -301,10 +308,25 @@ func (b *build) discover(hosts []netip.Addr) error {
 	b.unresolved = unresolved
 	b.fetchRouters(b.gatewaysOf(unresolved))
 	b.resolveMACs(unresolved)
-	if err := b.verifyLocations(); err != nil {
+	gen := b.c.cfg.Bridge.Generation()
+	if err := b.connect(hosts); err != nil {
 		return err
 	}
-	return b.connect(hosts)
+	if rebuild, err := b.confirm(gen); err != nil || !rebuild {
+		return err
+	}
+	b.rollback()
+	return b.connectUnconfirmed(hosts)
+}
+
+// connectUnconfirmed connects the hosts with no confirm to follow:
+// annotate reads every new point's baseline.
+func (b *build) connectUnconfirmed(hosts []netip.Addr) error {
+	if err := b.connect(hosts); err != nil {
+		return err
+	}
+	b.newPoints()
+	return nil
 }
 
 // addHost places a queried host in the graph.
@@ -316,7 +338,31 @@ func (b *build) addHost(h netip.Addr) {
 	b.pos[h] = int32(len(b.hosts))
 	b.hosts, b.ids = append(b.hosts, h), append(b.ids, id)
 	b.gateways[h], _ = b.c.cfg.GatewayOf(h)
-	b.g.AddNode(topology.Node{ID: id, Kind: topology.HostNode, Addr: id})
+	b.g.AddNode(hostNode(id))
+}
+
+func hostNode(id string) topology.Node {
+	return topology.Node{ID: id, Kind: topology.HostNode, Addr: id}
+}
+
+// rollback drops what connect built on station locations confirm found
+// stale: the graph, every join made into it, and the new points with the
+// baselines confirm read for them. The hosts stay placed, their MACs
+// resolved and their routers fetched, for connect to start again.
+func (b *build) rollback() {
+	b.g = topology.NewGraphSized(2*len(b.hosts), 2*len(b.hosts))
+	for _, id := range b.ids {
+		b.g.AddNode(hostNode(id))
+	}
+	b.l2gen = bridgecoll.Generation{}
+	clear(b.joined)
+	truncate(&b.used)
+	truncate(&b.chains)
+	truncate(&b.hops)
+	truncate(&b.routes)
+	truncate(&b.linkPolls)
+	truncate(&b.l2links)
+	truncate(&b.added)
 }
 
 // gatewaysOf returns the distinct configured gateways of the hosts, in
@@ -459,33 +505,25 @@ func withRequest(subIDs int, fn func(r *request)) {
 func (r *request) poolable() bool { return max(cap(r.oids), cap(r.arena)) <= poolMax }
 
 // getEach reads the given objects from one agent, as many per Get as
-// MaxVarBinds allows, and shows fn every one by its position in oids,
-// while the response its value came in is alive: fn copies out what it
-// keeps. An object the agent does not answer for by name, and every object
-// of a failed exchange, is shown as the zero Value.
+// MaxVarBinds allows, and shows fn every object the agent answered for by
+// name, by its position in oids, while the response its value came in is
+// alive: fn copies out what it keeps. An object answered under another
+// name, and every object of a failed exchange, is not shown.
 func (b *build) getEach(agent netip.Addr, oids []snmp.OID, fn func(i int, v snmp.Value)) {
 	per := b.c.maxVarBinds()
 	addr := agent.String()
 	for lo := 0; lo < len(oids); lo += per {
 		chunk := oids[lo:min(lo+per, len(oids))]
-		answered := false
-		_ = b.cl.GetFunc(b.ctx, addr, chunk, func(vbs []snmp.VarBind) { // a failed exchange leaves answered unset
-			if answered = len(vbs) == len(chunk); !answered {
+		_ = b.cl.GetFunc(b.ctx, addr, chunk, func(vbs []snmp.VarBind) { // a failed exchange shows nothing
+			if len(vbs) != len(chunk) {
 				return
 			}
 			for k, vb := range vbs {
-				v := vb.Value
-				if vb.Name.Cmp(chunk[k]) != 0 {
-					v = snmp.Value{}
+				if vb.Name.Cmp(chunk[k]) == 0 {
+					fn(lo+k, vb.Value)
 				}
-				fn(lo+k, v)
 			}
 		})
-		if !answered {
-			for k := range chunk {
-				fn(lo+k, snmp.Value{})
-			}
-		}
 	}
 }
 
@@ -598,27 +636,37 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 	}
 }
 
-// station is one queried station verifyLocations asks a switch about.
+// station is one queried station confirm asks a switch about.
 type station struct {
 	mac   collector.MAC
 	port  int
 	moved bool
 }
 
-// swGroup is the stations verifyLocations asks of one switch.
+// swGroup is what confirm asks of one switch: the forwarding entries of
+// the queried stations believed attached to it, and the counters of the
+// new poll points on it.
 type swGroup struct {
 	sw       netip.Addr
 	stations []station
+	points   []*pollPoint
 }
 
-// verifyLocations performs the per-query host location check through the
-// Bridge Collector: one Get per switch of the forwarding entries of all the
-// queried stations believed attached to it. Stations found off their
-// believed port (or not answered for) have moved; one re-walk of the
-// bridges then resynchronizes the Bridge Collector's database for all of
-// them. Stations the database does not know are outside the bridged
-// domain and are left alone.
-func (b *build) verifyLocations() error {
+// confirm performs the per-query host location check through the Bridge
+// Collector, after connect built the graph on the locations it checks: one
+// Get per switch of the forwarding entries of all the queried stations
+// believed attached to it, carrying the baseline reads of the switch's new
+// poll points too. Stations found off their believed port (or not answered
+// for) have moved; one re-walk of the bridges then resynchronizes the
+// Bridge Collector's database for all of them. A counter varbind never
+// reads as a move: a point confirm could not read is left to annotate.
+// Stations the database does not know are outside the bridged domain and
+// are left alone. confirm reports whether the graph must be built again:
+// when a station moved, and when the database is no longer generation
+// gen, the one connect began on — another query re-walked the bridges,
+// so what connect read may be stale while what confirm checked is not.
+func (b *build) confirm(gen bridgecoll.Generation) (bool, error) {
+	b.newPoints()
 	br := b.c.cfg.Bridge
 	clear(b.index) // switch -> index in groups
 	groups := b.swGroups[:0]
@@ -637,22 +685,19 @@ func (b *build) verifyLocations() error {
 			b.index[sw] = i
 			var g *swGroup
 			groups, g = extend(groups)
-			g.sw, g.stations = sw, g.stations[:0]
+			g.sw, g.stations, g.points = sw, g.stations[:0], g.points[:0]
 		}
-		groups[i].stations = append(groups[i].stations, station{mac: mac, port: port})
+		groups[i].stations = append(groups[i].stations, station{mac: mac, port: port, moved: true})
+	}
+	for _, p := range b.added {
+		if i, ok := b.index[p.agent]; ok {
+			groups[i].points = append(groups[i].points, p)
+		}
 	}
 	b.swGroups = groups
 	// A failed exchange marks its stations moved; the re-walk reports a dead switch.
 	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
-		g := &groups[i]
-		withRequest(len(g.stations)*(len(mib.Dot1dTpFdbPort)+len(collector.MAC{})), func(r *request) {
-			for _, st := range g.stations {
-				r.oids = append(r.oids, r.arena.Append(mib.Dot1dTpFdbPort, st.mac.OIDSuffix()...))
-			}
-			b.getEach(g.sw, r.oids, func(k int, v snmp.Value) {
-				g.stations[k].moved = v.Kind != snmp.KindInteger || int(v.Int) != g.stations[k].port
-			})
-		})
+		b.confirmSwitch(&groups[i])
 		return nil
 	})
 	moved := b.moved[:0]
@@ -665,9 +710,48 @@ func (b *build) verifyLocations() error {
 	}
 	b.moved = moved
 	if len(moved) == 0 {
-		return nil
+		return br.Generation() != gen, nil
 	}
-	return br.SearchStations(moved)
+	return true, br.SearchStations(moved)
+}
+
+// confirmSwitch asks one switch for its group's forwarding entries and
+// then the high-capacity counter pairs of its new points, in as few Gets
+// as MaxVarBinds allows. A station is confirmed by its believed port; a
+// point answered with two Counter64s has its baseline, one answered under
+// the names asked with anything else is settled on Counter32 for annotate
+// to read, and one not answered stays probing.
+func (b *build) confirmSwitch(g *swGroup) {
+	ns := len(g.stations)
+	withRequest(ns*(len(mib.Dot1dTpFdbPort)+len(collector.MAC{}))+2*len(g.points)*pollOIDLen, func(r *request) {
+		for _, st := range g.stations {
+			r.oids = append(r.oids, r.arena.Append(mib.Dot1dTpFdbPort, st.mac.OIDSuffix()...))
+		}
+		for _, p := range g.points {
+			r.oids = p.pollOIDs(r.oids, &r.arena)
+		}
+		now := b.c.cfg.Sched.Now()
+		var in snmp.Value // the in-counter answered at position inAt
+		inAt := -1
+		b.getEach(g.sw, r.oids, func(k int, v snmp.Value) {
+			if k < ns {
+				st := &g.stations[k]
+				st.moved = v.Kind != snmp.KindInteger || int(v.Int) != st.port
+				return
+			}
+			if (k-ns)%2 == 0 {
+				in, inAt = v, k
+				return
+			}
+			if inAt != k-1 {
+				return
+			}
+			p := g.points[(k-ns)/2]
+			if cin, cout, res := p.counterPair(in, v); res == readOK {
+				b.c.applyDelta(p, cin, cout, now)
+			}
+		})
+	})
 }
 
 // place is what connect knows of a host. domain 0 is none; lastRouter is

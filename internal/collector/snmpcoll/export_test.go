@@ -2,6 +2,7 @@ package snmpcoll
 
 import (
 	"context"
+	"net/netip"
 
 	"remos/internal/collector"
 	"remos/internal/snmp"
@@ -40,7 +41,7 @@ func (c *Collector) PooledAfter(q collector.Query, extra int) (pooled bool, held
 		len(b.fresh) + len(b.joined) + len(b.index) + len(b.hosts) + len(b.ids) + len(b.used) +
 		len(b.segs) + len(b.chains) + len(b.hops) + len(b.routes) + len(b.linkPolls) + len(b.l2links) +
 		len(b.unresolved) + len(b.gws) + len(b.fetched) + len(b.arpGroups) + len(b.asked) +
-		len(b.swGroups) + len(b.moved) + len(b.places) + len(b.stale) + len(b.added)
+		len(b.swGroups) + len(b.moved) + len(b.places) + len(b.stale) + len(b.added) + len(b.unread)
 	if b.ctx != nil || b.c != nil || b.cl != nil || b.g != nil || b.l2gen.Links() != 0 {
 		held++
 	}
@@ -52,4 +53,27 @@ func (c *Collector) PooledAfter(q collector.Query, extra int) (pooled bool, held
 func RequestPooled(subIDs int) bool {
 	r := &request{arena: make(snmp.OIDArena, 0, subIDs)}
 	return r.poolable()
+}
+
+// PointState is what one of the collector's poll points holds.
+type PointState struct {
+	Agent     netip.Addr
+	IfIndex   int
+	HC        bool // settled on the high-capacity counters
+	Counter32 bool // settled on the legacy ones
+	Baseline  bool // a counter reading to take the next delta from
+}
+
+// Points lists the collector's poll points.
+func (c *Collector) Points() []PointState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []PointState
+	for _, p := range c.monitors {
+		p.mu.Lock()
+		out = append(out, PointState{Agent: p.agent, IfIndex: p.ifIndex,
+			HC: p.mode == modeHC, Counter32: p.mode == mode32, Baseline: p.havePrev})
+		p.mu.Unlock()
+	}
+	return out
 }

@@ -13,18 +13,49 @@ import (
 	"remos/internal/snmp"
 )
 
-// annotate fills each graph link's utilization from history, registering
-// poll points for links not yet monitored. It reports whether any link was
-// cold (registered just now, so utilization is not yet available). The new
-// points are registered first and then given their baseline read together,
-// one Get per device (two on gear without HC counters), so the first poll
-// yields a delta one interval from now.
-func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
+// newPoints makes, unread, a poll point for each graph link measured at a
+// device interface no monitor covers yet. Nothing else sees them until
+// annotate publishes them, in link order: when two links are measured at
+// one interface, the first names what its point measures.
+func (b *build) newPoints() {
+	c := b.c
+	links := b.g.Links()
 	added := b.added[:0]
 	var slab []pollPoint // the new points, made together: the collector keeps them
+	c.mu.Lock()
+	for i := range links {
+		reg := &b.linkPolls[i]
+		if !reg.agent.IsValid() {
+			continue // unmeasurable link (virtual host side)
+		}
+		if _, monitored := c.monitors[monitorKey{agent: reg.agent, ifIndex: reg.ifIndex}]; monitored {
+			continue
+		}
+		if slab == nil {
+			slab = make([]pollPoint, 0, len(links)-i)
+			added = slices.Grow(added, len(links)-i)
+		}
+		slab = slab[:len(slab)+1]
+		p := &slab[len(slab)-1]
+		p.agent, p.ifIndex = reg.agent, reg.ifIndex
+		p.from, p.to, p.outIsFromTo = reg.from, reg.to, reg.outIsFromTo
+		added = append(added, p)
+	}
+	c.mu.Unlock()
+	b.added = added
+}
+
+// annotate fills each graph link's utilization from history and registers
+// the query's new poll points. It reports whether any link was cold
+// (registered just now, so utilization is not yet available). The points
+// confirm could not read — those settled on Counter32, and those on
+// devices holding no queried station — are read first, one Get per
+// device, and every point is published with its baseline and counter
+// generation: no poll meets a point nobody read, and the first poll
+// yields a delta one interval from now.
+func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
 	hist := c.pred.History()
-	links := b.g.Links()
-	for i, l := range links {
+	for i, l := range b.g.Links() {
 		reg := b.linkPolls[i]
 		if !reg.agent.IsValid() {
 			continue // unmeasurable link (virtual host side)
@@ -45,25 +76,25 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 		} else {
 			coldStart = true // no delta yet
 		}
-		mk := monitorKey{agent: reg.agent, ifIndex: reg.ifIndex}
-		c.mu.Lock()
-		if _, monitored := c.monitors[mk]; !monitored {
-			if slab == nil {
-				slab = make([]pollPoint, 0, len(links)-i)
-				added = slices.Grow(added, len(links)-i)
-			}
-			slab = slab[:len(slab)+1]
-			p := &slab[len(slab)-1]
-			p.agent, p.ifIndex = reg.agent, reg.ifIndex
-			p.from, p.to, p.outIsFromTo = reg.from, reg.to, reg.outIsFromTo
+	}
+	unread := b.unread[:0]
+	for _, p := range b.added {
+		if !p.havePrev {
+			unread = append(unread, p)
+		}
+	}
+	b.unread = unread
+	c.readPoints(ctx, cl, unread)
+	c.mu.Lock()
+	for _, p := range b.added {
+		// An earlier link, or a concurrent query, may have registered the
+		// interface since.
+		if mk := (monitorKey{agent: p.agent, ifIndex: p.ifIndex}); c.monitors[mk] == nil {
 			c.monitors[mk] = p
-			added = append(added, p)
 			coldStart = true
 		}
-		c.mu.Unlock()
 	}
-	b.added = added
-	c.readPoints(ctx, cl, added)
+	c.mu.Unlock()
 	return coldStart
 }
 
@@ -109,12 +140,9 @@ func (p *pollPoint) resync() {
 }
 
 // applyCounterVarBinds validates the two varbinds answering the point's
-// two OIDs and extracts the (in, out) counter pair. A probe answered under
-// the names asked but not with two Counter64s (noSuchObject, noSuchInstance
-// or another kind) settles the point on Counter32. Any unexpected OID, or a
-// settled point answered with the wrong kind, resynchronizes the point —
-// the satellite fix for the old matcher, which took any non-ifInOctets
-// varbind for the out-counter.
+// two OIDs and extracts the (in, out) counter pair. Any unexpected OID
+// resynchronizes the point — the satellite fix for the old matcher, which
+// took any non-ifInOctets varbind for the out-counter.
 func (p *pollPoint) applyCounterVarBinds(oids []snmp.OID, vbs []snmp.VarBind) (in, out uint64, r readOutcome) {
 	for i, vb := range vbs {
 		if vb.Name.Cmp(oids[i]) != 0 {
@@ -122,21 +150,30 @@ func (p *pollPoint) applyCounterVarBinds(oids []snmp.OID, vbs []snmp.VarBind) (i
 			return 0, 0, readResync
 		}
 	}
+	return p.counterPair(vbs[0].Value, vbs[1].Value)
+}
+
+// counterPair extracts the (in, out) counter pair from the values the
+// point's two OIDs were answered with, by name. A probe not answered with
+// two Counter64s (noSuchObject, noSuchInstance or another kind) settles
+// the point on Counter32, unread; a settled point answered with the wrong
+// kind resynchronizes.
+func (p *pollPoint) counterPair(vIn, vOut snmp.Value) (in, out uint64, r readOutcome) {
 	kind := p.mode.counterKind()
 	switch {
-	case p.mode == modeProbe && (vbs[0].Value.Kind != snmp.KindCounter64 || vbs[1].Value.Kind != snmp.KindCounter64):
+	case p.mode == modeProbe && (vIn.Kind != snmp.KindCounter64 || vOut.Kind != snmp.KindCounter64):
 		p.mode = mode32
 		return 0, 0, readLegacy
 	case p.mode == modeProbe:
 		p.mode = modeHC
-	case vbs[0].Value.Kind != kind || vbs[1].Value.Kind != kind:
+	case vIn.Kind != kind || vOut.Kind != kind:
 		p.resync()
 		return 0, 0, readResync
 	}
 	if p.mode == mode32 {
-		return uint64(uint32(vbs[0].Value.Int)), uint64(uint32(vbs[1].Value.Int)), readOK
+		return uint64(uint32(vIn.Int)), uint64(uint32(vOut.Int)), readOK
 	}
-	return uint64(vbs[0].Value.Int), uint64(vbs[1].Value.Int), readOK
+	return uint64(vIn.Int), uint64(vOut.Int), readOK
 }
 
 // applyDelta records a utilization sample from a fresh counter reading

@@ -59,6 +59,7 @@ func (c *Collector) ReferenceCollect(q collector.Query) (*collector.Result, Quer
 			return nil, QueryStats{}, err
 		}
 	}
+	w.b.newPoints()
 	cold := c.annotate(ctx, cl, w.b)
 	reqs, rtt := meter.Snapshot()
 	return &collector.Result{Graph: w.b.g}, QueryStats{Requests: reqs, RTT: rtt, ColdStart: cold}, nil

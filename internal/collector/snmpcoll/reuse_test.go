@@ -2,10 +2,12 @@ package snmpcoll_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -78,16 +80,21 @@ func checkGatewayPaths(t testing.TB, camp *experiments.Campus, g *topology.Graph
 
 // TestReusedColdBuildsAnswerLikeFresh: one collector answers 24 seeded
 // 32-host queries, cold and warm, back to back under one bridge database
-// generation and across a forced re-walk of the bridges. Every reply
-// encodes byte for byte as the same query's on a fresh collector, and
-// routes every queried host to its gateway as the emulator does. State a
-// finished query left behind — link numbers kept under the bridge
-// generation, joins made — would show here as a link missing or added.
+// generation, across a forced re-walk of the bridges, and across a queried
+// host's move, which the query meets after building on the stale location.
+// Every reply encodes byte for byte as the same query's on a fresh
+// collector, and routes every queried host to its gateway as the emulator
+// does. State a finished query left behind — link numbers kept under the
+// bridge generation, joins made — would show here as a link missing or
+// added, and so would state the query that met the move kept from the
+// graph it dropped; a poll point it kept would show as a monitor on the
+// port the host left.
 func TestReusedColdBuildsAnswerLikeFresh(t *testing.T) {
 	camp := buildCampus(t, 256)
 	c := campusTwin(t, camp, nil)
 	for seed := int64(1); seed <= 24; seed++ {
 		q := collector.Query{Hosts: pick(rand.New(rand.NewSource(seed)), camp, 32)}
+		var vacated string
 		switch {
 		case seed == 13:
 			// A new bridge database generation, numbering its links anew.
@@ -97,15 +104,26 @@ func TestReusedColdBuildsAnswerLikeFresh(t *testing.T) {
 		case seed%3 == 0:
 			// Warm: the routers and MACs the last queries learned are
 			// reused along with their build.
+		case seed == 17:
+			c.DropCaches()
+			sw, port := moveHost(t, camp, q.Hosts[5], 2)
+			vacated = fmt.Sprintf("monitor %s if%d\n", sw, port)
 		default:
 			c.DropCaches()
 		}
+		gen := camp.Site.Bridge.Generation()
 		res, err := c.Collect(q)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		if rewalked := camp.Site.Bridge.Generation() != gen; rewalked != (vacated != "") {
+			t.Fatalf("seed %d: the query re-walked the bridges: %t", seed, rewalked)
+		}
 		if got, want := encodeText(t, res.Graph), freshAnswer(t, camp, q); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: the reused collector answers\n%s\na fresh one\n%s", seed, got, want)
+		}
+		if vacated != "" && strings.Contains(snmpcoll.CanonicalDiscovery(c, res.Graph), vacated) {
+			t.Fatalf("seed %d: the query that met the move monitors the port its host left: %s", seed, vacated)
 		}
 		checkGatewayPaths(t, camp, res.Graph, q.Hosts)
 	}
@@ -157,12 +175,14 @@ func TestReusedColdBuildsAnswerLikeFreshConcurrently(t *testing.T) {
 // The allocation budget of one cold 32-host query on the 256-host campus
 // (Parallelism 1): its answer graph, the cache entries it creates (router
 // views, ARP entries, poll points) and what the emulated agents allocate to
-// answer it, 5 % over what was measured once its working state came from
-// the collector's pool (225 allocations, ~58.6 KB). Before, the query
-// allocated 410 times and ~114.9 KB. Budgets only get tighter.
+// answer it, 5 % over what was measured once each switch holding queried
+// stations was asked once, its new points' baselines riding its confirm Get
+// (196 allocations, ~57.7 KB). Before, the query allocated 225 times and
+// ~58.8 KB, and before its working state came from the collector's pool,
+// 410 times and ~114.9 KB. Budgets only get tighter.
 const (
-	coldCollectAllocs = 236
-	coldCollectBytes  = 61500
+	coldCollectAllocs = 206
+	coldCollectBytes  = 60600
 )
 
 func TestColdCollectAllocBudget(t *testing.T) {

@@ -53,7 +53,7 @@ type Config struct {
 	// are never kept past the query that walked them.
 	DisableRouteCache bool
 	// Parallelism bounds how many devices are walked, asked or polled
-	// concurrently (the gateway, resolve and verify phases of a query,
+	// concurrently (the gateway, resolve and confirm phases of a query,
 	// cached-router validation, baseline reads, periodic polling).
 	// 0 selects GOMAXPROCS; 1 restores the fully serial paths.
 	Parallelism int
@@ -61,8 +61,9 @@ type Config struct {
 	// The poller batches all of a device's monitored interfaces into
 	// ceil(2*ifaces/MaxVarBinds) exchanges instead of one exchange per
 	// interface, and a query asks one device for all the ARP or
-	// forwarding entries it needs from it under the same bound. 0 selects
-	// the default; values below 2 are raised to 2 (one interface per PDU).
+	// forwarding entries and counters it needs from it under the same
+	// bound. 0 selects the default; values below 2 are raised to 2 (one
+	// interface per PDU).
 	MaxVarBinds int
 
 	// StreamPredict, when set to an RPS model spec (e.g. "AR(16)"),

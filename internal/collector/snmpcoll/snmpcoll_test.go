@@ -1,6 +1,7 @@
 package snmpcoll
 
 import (
+	"context"
 	"math"
 	"net/netip"
 	"testing"
@@ -221,9 +222,13 @@ func TestWarmQueryCheaperThanCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Requests*2 > cold.Requests {
-		t.Fatalf("warm query (%d reqs) should cost well under half of cold (%d reqs)",
-			warm.Requests, cold.Requests)
+	// Cold, each router is walked and asked for its hosts' ARP entries,
+	// each switch confirms its stations in the Get that also reads its
+	// new poll points' baselines, and r1 has its WAN interface's baseline
+	// read: 2+2+2+1. Warm, each cached router answers one liveness check
+	// and each switch one confirm: 2+2.
+	if cold.Requests != 7 || warm.Requests != 4 {
+		t.Fatalf("cold query %d reqs, warm %d; want 7 and 4", cold.Requests, warm.Requests)
 	}
 }
 
@@ -344,6 +349,40 @@ func TestHostMoveReflectedInNextQuery(t *testing.T) {
 	// must have updated the bridge database.
 	if len(res.Graph.Nodes()) < 4 {
 		t.Fatalf("post-move query still shows old topology: %v", ids(res.Graph))
+	}
+}
+
+// TestConfirmRebuildsOnANewerBridgeDatabase: a query builds its graph
+// again when another query re-walked the bridges after its connect began,
+// though every location it then confirms is right — connect may have read
+// the old one. Here h3 moves to another port of its switch between the two
+// phases, and that re-walk finds it there.
+func TestConfirmRebuildsOnANewerBridgeDatabase(t *testing.T) {
+	st := newSite(t, nil)
+	hosts := []netip.Addr{addrOf(st, "h1"), addrOf(st, "h3")}
+	b := newBuild(context.Background(), st.sc, st.sc.client(nil), len(hosts))
+	for _, h := range hosts {
+		b.addHost(h)
+	}
+	b.fetchRouters(b.gatewaysOf(b.hosts))
+	b.resolveMACs(b.hosts)
+	gen := st.bridge.Generation()
+	if err := b.connect(hosts); err != nil {
+		t.Fatal(err)
+	}
+	st.n.MoveHost(st.d["h3"], st.d["swA"], 100e6, time.Millisecond)
+	if err := st.bridge.SearchStations(nil); err != nil {
+		t.Fatal(err)
+	}
+	rebuild, err := b.confirm(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rebuild {
+		t.Fatal("confirm keeps a graph connect built on a bridge database re-walked since")
+	}
+	if len(b.moved) != 0 {
+		t.Fatalf("confirm found %d stations off their ports in the re-walked database, want none", len(b.moved))
 	}
 }
 
