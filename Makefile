@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race race-hot verify fuzz-smoke obs-smoke watch-smoke bench-smoke bench-aa bench bench-concurrency bench-snmp bench-flows
+.PHONY: build test vet lint race race-hot verify property-soak fuzz-smoke obs-smoke watch-smoke bench-smoke bench-aa bench bench-concurrency bench-snmp bench-flows
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,15 @@ race-hot:
 		. ./remosd/
 
 verify: vet lint build test race
+
+# The random-fabric properties and cross-path gates at scale: every
+# netsim.RandomFabric gate in netsim (routing, conservation, link limits,
+# partition stitching, family coverage) and federation (stitched FLOWS
+# and QUERY against the single master) draws 20× its tier-1 seed count
+# through testing/quick's standard -quickchecks flag, on the same fixed
+# seed list.
+property-soak:
+	$(GO) test -count=1 ./internal/netsim/ ./internal/federation/ -quickchecks=2000
 
 # Shake each fuzz target for 10s so the targets (and their seed corpora)
 # can't bit-rot; CI runs this on every push. The list is every func Fuzz*

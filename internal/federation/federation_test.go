@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"remos/internal/collector"
@@ -35,6 +36,7 @@ type mesh struct {
 	masters []*DomainServer
 	hosts   []netip.Addr
 	reg     *obs.Registry
+	shape   string // what the mesh stands on, for failure messages
 }
 
 // newMesh partitions the fabric into k domains and puts a router over an
@@ -45,7 +47,7 @@ func newMesh(t *testing.T, n *netsim.Network, s *sim.Sim, k int) *mesh {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &mesh{s: s, n: n, p: p, dir: directory.New(s), reg: obs.New()}
+	m := &mesh{s: s, n: n, p: p, dir: directory.New(s), reg: obs.New(), shape: fmt.Sprintf("k=%d", k)}
 	m.router, err = NewRouter(RouterConfig{Directory: m.dir, Obs: m.reg})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +88,7 @@ func checkFlowsMatchGroundTruth(t *testing.T, m *mesh, flows []modeler.Flow) {
 	t.Helper()
 	got, err := m.router.GetFlowsContext(context.Background(), flows, modeler.FlowOptions{})
 	if err != nil {
-		t.Fatalf("federated flows: %v", err)
+		t.Fatalf("%s: federated flows: %v", m.shape, err)
 	}
 	want := groundTruth(t, m.n, flows)
 	for i := range flows {
@@ -94,8 +96,8 @@ func checkFlowsMatchGroundTruth(t *testing.T, m *mesh, flows []modeler.Flow) {
 			got[i].Latency != want[i].Latency ||
 			got[i].Jitter != want[i].Jitter ||
 			!reflect.DeepEqual(got[i].Path, want[i].Path) {
-			t.Fatalf("flow %d (%v -> %v) diverges from single-master walk:\ngot  %v %v %v %v\nwant %v %v %v %v",
-				i, flows[i].Src, flows[i].Dst,
+			t.Fatalf("%s: flow %d (%v -> %v) diverges from single-master walk:\ngot  %v %v %v %v\nwant %v %v %v %v",
+				m.shape, i, flows[i].Src, flows[i].Dst,
 				got[i].Available, got[i].Latency, got[i].Jitter, got[i].Path,
 				want[i].Available, want[i].Latency, want[i].Jitter, want[i].Path)
 		}
@@ -159,59 +161,54 @@ func TestStitchedFlowsMatchSingleMasterTwoTier(t *testing.T) {
 	checkFlowsMatchGroundTruth(t, m, flows)
 }
 
-// randomMesh builds one random routed fabric — 2–6 routers in a random
-// tree plus up to as many again redundant links of mixed capacity, and
-// behind each router a switch with 2–3 hosts — partitions it into a
-// random number of domains (1 to one per router, so a transit domain
-// can sit between two others), starts cross traffic so the serving
-// graphs carry non-zero load, and runs the clock until every master has
-// refreshed at the same instant, the moment a deployment's schedulers
-// would all have polled.
-func randomMesh(t *testing.T, rnd *rand.Rand, seed int64) *mesh {
+// fabricChecks is the quick configuration the random-fabric gates draw
+// their seeds through: a fixed Rand keeps every run on one seed list,
+// and the standard -quickchecks flag scales its length.
+func fabricChecks(scale float64) *quick.Config {
+	return &quick.Config{Rand: rand.New(rand.NewSource(1)), MaxCountScale: scale}
+}
+
+// randomMesh draws the seed's random fabric (netsim.RandomFabric),
+// partitions it into 1 to one domain per router, so a transit domain
+// can sit between two others, starts cross traffic from the first host
+// to the last one it reaches, so the serving graphs carry non-zero load,
+// and runs the clock until every master has refreshed at the same
+// instant, the moment a deployment's schedulers would all have polled.
+func randomMesh(t *testing.T, seed int64) *mesh {
 	t.Helper()
 	s := sim.NewSim()
-	n := netsim.New(s)
-	nr := 2 + rnd.Intn(5)
-	routers := make([]*netsim.Device, nr)
-	wired := map[[2]int]bool{}
-	connect := func(a, b int, capacity float64) {
-		key := [2]int{min(a, b), max(a, b)}
-		if a == b || wired[key] {
-			return
-		}
-		wired[key] = true
-		n.Connect(routers[a], routers[b], capacity, time.Millisecond)
-	}
-	for i := range routers {
-		routers[i] = n.AddRouter(fmt.Sprintf("r%d", i))
-		if i > 0 {
-			connect(i, rnd.Intn(i), 1e9)
+	fab := netsim.RandomFabric(s, seed)
+	m := buildMesh(t, fab.Net, s, 1+rand.New(rand.NewSource(seed^0x9a7)).Intn(len(fab.Routers)))
+	m.shape = fab.Shape + ", " + m.shape
+	src, dst := fab.Hosts[0], fab.Hosts[1]
+	for _, h := range fab.Hosts[2:] {
+		if _, err := fab.Net.Path(src, h); err == nil {
+			dst = h
 		}
 	}
-	for extra := rnd.Intn(nr); extra > 0; extra-- {
-		connect(rnd.Intn(nr), rnd.Intn(nr), 1e9+float64(rnd.Intn(5))*1e8)
-	}
-	var hostDevs []*netsim.Device
-	for i, r := range routers {
-		sw := n.AddSwitch(fmt.Sprintf("sw%d", i))
-		n.Connect(sw, r, 1e9, time.Millisecond)
-		for h := 0; h < 2+rnd.Intn(2); h++ {
-			host := n.AddHost(fmt.Sprintf("h%d-%d", i, h))
-			n.Connect(host, sw, 100e6, time.Millisecond)
-			hostDevs = append(hostDevs, host)
-		}
-	}
-	n.AssignSubnets()
-	n.ComputeRoutes()
-
-	m := buildMesh(t, n, s, 1+rnd.Intn(nr))
-	if _, err := n.StartCrossTraffic(hostDevs[0], hostDevs[len(hostDevs)-1], netsim.CrossTrafficSpec{
+	if _, err := fab.Net.StartCrossTraffic(src, dst, netsim.CrossTrafficSpec{
 		Mean: 5e6, Jitter: 0.5, Period: 500 * time.Millisecond, Seed: seed,
 	}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", m.shape, err)
 	}
 	s.RunFor(3 * time.Second)
 	return m
+}
+
+// checkNoRoute holds a pair the whole graph cannot route, failing with
+// want, to the same typed failure on both federated faces: max-min on
+// the graph QUERY returns, and FLOWS.
+func checkNoRoute(t *testing.T, m *mesh, a, b netip.Addr, want error) {
+	t.Helper()
+	res, qerr := m.router.Collect(collector.Query{Hosts: []netip.Addr{a, b}})
+	if qerr == nil {
+		_, qerr = res.Graph.FlowAlloc([]topology.FlowRequest{{Src: a.String(), Dst: b.String()}})
+	}
+	_, ferr := m.router.GetFlowsContext(context.Background(), []modeler.Flow{{Src: a, Dst: b}}, modeler.FlowOptions{})
+	if code := rerr.Code(want); code == "" || rerr.Code(qerr) != code || rerr.Code(ferr) != code {
+		t.Fatalf("%s: %v -> %v: the whole graph fails %q (%v), QUERY %q (%v), FLOWS %q (%v)",
+			m.shape, a, b, rerr.Code(want), want, rerr.Code(qerr), qerr, rerr.Code(ferr), ferr)
+	}
 }
 
 // TestStitchedFlowsMatchSingleMasterRandom is the randomized stitching
@@ -219,12 +216,16 @@ func randomMesh(t *testing.T, rnd *rand.Rand, seed int64) *mesh {
 // flow sets — with cross traffic perturbing utilizations between rounds
 // — the federated answer equals the single-master ground-truth walk
 // exactly, and the stitched path index's bottleneck walk (max-min over
-// the path's reduced capacities) matches the whole graph's.
+// the path's reduced capacities) matches the whole graph's. A pair the
+// whole graph cannot route, across islands, fails alike on every face.
 func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
-	rnd := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 12; trial++ {
-		m := randomMesh(t, rnd, int64(trial+1))
-
+	f := func(seed int64) bool {
+		m := randomMesh(t, seed)
+		rnd := rand.New(rand.NewSource(seed ^ 0xf10))
+		truth, err := netsim.TopologyGraph(m.n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var flows []modeler.Flow
 		for i := 0; i < 16; i++ {
 			a := m.hosts[rnd.Intn(len(m.hosts))]
@@ -232,19 +233,19 @@ func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
 			if a == b {
 				continue
 			}
+			if _, err := truth.FlowAlloc([]topology.FlowRequest{{Src: a.String(), Dst: b.String()}}); err != nil {
+				checkNoRoute(t, m, a, b, err)
+				continue
+			}
 			flows = append(flows, modeler.Flow{Src: a, Dst: b})
 		}
 		if len(flows) == 0 {
-			continue
+			return true
 		}
 		checkFlowsMatchGroundTruth(t, m, flows)
 
 		// The bottleneck walk on the stitched index equals the walk on
 		// the whole graph (same maxmin.Bottleneck over the same links).
-		truth, err := netsim.TopologyGraph(m.n)
-		if err != nil {
-			t.Fatal(err)
-		}
 		paths, err := m.router.stitchedPaths(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -253,10 +254,14 @@ func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
 			gotBW, gotPath, gotErr := paths.BottleneckAvail(f.Src.String(), f.Dst.String())
 			wantBW, wantPath, wantErr := truth.BottleneckAvail(f.Src.String(), f.Dst.String())
 			if (gotErr == nil) != (wantErr == nil) || gotBW != wantBW || !reflect.DeepEqual(gotPath, wantPath) {
-				t.Fatalf("trial %d: bottleneck diverges: got %v %v %v, want %v %v %v",
-					trial, gotBW, gotPath, gotErr, wantBW, wantPath, wantErr)
+				t.Fatalf("%s: bottleneck diverges: got %v %v %v, want %v %v %v",
+					m.shape, gotBW, gotPath, gotErr, wantBW, wantPath, wantErr)
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, fabricChecks(0.12)); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -265,12 +270,13 @@ func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
 // ordered host pair, max-min on the graph Router.Collect returns for the
 // pair equals max-min on the whole unpartitioned topology — rate, delay,
 // jitter and path. A reply that leaves out a transit domain has no route
-// between two domains that do not border each other, and fails here.
+// between two domains that do not border each other, and fails here. A
+// pair the whole topology cannot route, across islands, fails with the
+// same typed error on QUERY and FLOWS.
 func TestRouterCollectMatchesSingleMaster(t *testing.T) {
-	rnd := rand.New(rand.NewSource(99))
-	pairs := 0
-	for trial := 0; trial < 60; trial++ {
-		m := randomMesh(t, rnd, int64(trial+1))
+	pairs, unrouted := 0, 0
+	f := func(seed int64) bool {
+		m := randomMesh(t, seed)
 		truth, err := netsim.TopologyGraph(m.n)
 		if err != nil {
 			t.Fatal(err)
@@ -284,25 +290,30 @@ func TestRouterCollectMatchesSingleMaster(t *testing.T) {
 				req := []topology.FlowRequest{{Src: a.String(), Dst: b.String()}}
 				want, err := truth.FlowAlloc(req)
 				if err != nil {
-					t.Fatalf("trial %d: ground-truth walk %v -> %v: %v", trial, a, b, err)
+					unrouted++
+					checkNoRoute(t, m, a, b, err)
+					continue
 				}
 				res, err := m.router.Collect(collector.Query{Hosts: []netip.Addr{a, b}})
 				if err != nil {
-					t.Fatalf("trial %d: collect %v -> %v: %v", trial, a, b, err)
+					t.Fatalf("%s: collect %v -> %v: %v", m.shape, a, b, err)
 				}
 				got, err := res.Graph.FlowAlloc(req)
 				if err != nil {
-					t.Fatalf("trial %d: %v -> %v on the collected graph: %v (%d domains)",
-						trial, a, b, err, m.p.K())
+					t.Fatalf("%s: %v -> %v on the collected graph: %v", m.shape, a, b, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d: %v -> %v diverges from the single-master walk:\ngot  %+v\nwant %+v",
-						trial, a, b, got, want)
+					t.Fatalf("%s: %v -> %v diverges from the single-master walk:\ngot  %+v\nwant %+v",
+						m.shape, a, b, got, want)
 				}
 			}
 		}
+		return true
 	}
-	t.Logf("%d ordered host pairs agree", pairs)
+	if err := quick.Check(f, fabricChecks(0.6)); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d ordered host pairs agree, %d of them on having no route", pairs, unrouted)
 }
 
 // TestMovedHostLeavesTheServingGraph moves a host inside one domain and

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"remos/internal/sim"
@@ -464,21 +465,20 @@ func TestSeparateLANsWithoutRouterUnreachable(t *testing.T) {
 	}
 }
 
+// TestDeterministicAddressing: two draws of one random fabric are one
+// network, byte for byte: the same topology text, addresses included,
+// and the same device names in the same order.
 func TestDeterministicAddressing(t *testing.T) {
-	build := func() []string {
-		s := sim.NewSim()
-		_, d := dumbbell(t, s, 10e6)
-		var out []string
-		for _, name := range []string{"h1", "h2", "h3", "h4"} {
-			out = append(out, d[name].Addr().String())
+	f := func(seed int64) bool {
+		a, b := RandomFabric(sim.NewSim(), seed), RandomFabric(sim.NewSim(), seed)
+		if ta, tb := fabricText(t, a), fabricText(t, b); ta != tb {
+			t.Logf("%s drew twice:\n%s\n%s", a.Shape, ta, tb)
+			return false
 		}
-		return out
+		return true
 	}
-	a, b := build(), build()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("addressing not deterministic: %v vs %v", a, b)
-		}
+	if err := quick.Check(f, fabricChecks(0.6)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
+	"testing/quick"
 
 	"remos/internal/sim"
 	"remos/internal/topology"
@@ -111,47 +111,22 @@ func TestPartitionReconstructsTwoTier(t *testing.T) {
 	}
 }
 
+// TestPartitionReconstructsRandomNetworks runs the stitch invariant on
+// random fabrics, transit routers, bridged clouds and islands included,
+// each cut into 1 to one domain per router.
 func TestPartitionReconstructsRandomNetworks(t *testing.T) {
-	rnd := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 24; trial++ {
-		s := sim.NewSim()
-		n := New(s)
-		// A random router core (spanning tree plus chords) with a random
-		// block of hosts behind a switch on each router.
-		nr := 2 + rnd.Intn(6)
-		routers := make([]*Device, nr)
-		// The virtual topology keeps one link per device pair (Merge
-		// dedupes by unordered endpoints), so the generator does too.
-		wired := map[[2]int]bool{}
-		connect := func(a, b int, capacity float64) {
-			key := [2]int{min(a, b), max(a, b)}
-			if a == b || wired[key] {
-				return
+	f := func(seed int64) bool {
+		fab := RandomFabric(sim.NewSim(), seed)
+		defer func() {
+			if t.Failed() {
+				t.Log(fab.Shape)
 			}
-			wired[key] = true
-			n.Connect(routers[a], routers[b], capacity, time.Millisecond)
-		}
-		for i := range routers {
-			routers[i] = n.AddRouter(fmt.Sprintf("r%d", i))
-			if i > 0 {
-				connect(i, rnd.Intn(i), 1e9)
-			}
-		}
-		for extra := rnd.Intn(nr); extra > 0; extra-- {
-			connect(rnd.Intn(nr), rnd.Intn(nr), 1e9+float64(rnd.Intn(5))*1e8)
-		}
-		for i, r := range routers {
-			sw := n.AddSwitch(fmt.Sprintf("sw%d", i))
-			n.Connect(sw, r, 1e9, time.Millisecond)
-			for h := 0; h < 1+rnd.Intn(3); h++ {
-				host := n.AddHost(fmt.Sprintf("h%d-%d", i, h))
-				n.Connect(host, sw, 100e6, time.Millisecond)
-			}
-		}
-		n.AssignSubnets()
-		n.ComputeRoutes()
-		k := 1 + rnd.Intn(nr)
-		checkReconstruction(t, n, k)
+		}()
+		checkReconstruction(t, fab.Net, 1+rand.New(rand.NewSource(seed^0x9a7)).Intn(len(fab.Routers)))
+		return true
+	}
+	if err := quick.Check(f, fabricChecks(0.24)); err != nil {
+		t.Fatal(err)
 	}
 }
 

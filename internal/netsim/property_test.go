@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,44 +10,26 @@ import (
 	"remos/internal/sim"
 )
 
-// randomCampus builds a random routed+switched internetwork: several
-// wings (router + switch tree + hosts) joined through a core segment.
-func randomCampus(rng *rand.Rand) (*Network, []*Device) {
-	s := sim.NewSim()
-	n := New(s)
-	core := n.AddSwitch("core")
-	wings := 2 + rng.Intn(3)
-	var hosts []*Device
-	for w := 0; w < wings; w++ {
-		r := n.AddRouter("r" + strconv.Itoa(w))
-		n.Connect(r, core, 1e9, time.Millisecond)
-		// A random switch tree under the wing.
-		sws := []*Device{n.AddSwitch("w" + strconv.Itoa(w) + "s0")}
-		n.Connect(sws[0], r, 1e9, time.Millisecond)
-		extra := rng.Intn(3)
-		for k := 1; k <= extra; k++ {
-			sw := n.AddSwitch("w" + strconv.Itoa(w) + "s" + strconv.Itoa(k))
-			n.Connect(sw, sws[rng.Intn(len(sws))], 1e9, time.Millisecond)
-			sws = append(sws, sw)
-		}
-		nh := 1 + rng.Intn(4)
-		for k := 0; k < nh; k++ {
-			h := n.AddHost("w" + strconv.Itoa(w) + "h" + strconv.Itoa(k))
-			n.Connect(h, sws[rng.Intn(len(sws))], 100e6, time.Millisecond)
-			hosts = append(hosts, h)
-		}
+// routable reports whether err, the emulator's answer to routing a to b,
+// agrees with the fabric's components: nil within one, an error across
+// two.
+func routable(t *testing.T, fab *Fabric, a, b *Device, err error) bool {
+	comps := components(fab.Net)
+	if apart := comps.root(a) != comps.root(b); apart != (err != nil) {
+		t.Logf("%s: %s->%s in different components %v, routing error %v", fab.Shape, a.Name, b.Name, apart, err)
+		return false
 	}
-	n.AssignSubnets()
-	n.ComputeRoutes()
-	return n, hosts
+	return true
 }
 
-// Property: every host pair routes loop-free, and the path visits only
-// hosts at the endpoints.
+// Property: every host pair in one component routes loop-free, and the
+// path visits only hosts at the endpoints; a pair in two components has
+// no path.
 func TestPropertyRoutingLoopFree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n, hosts := randomCampus(rng)
+		fab := RandomFabric(sim.NewSim(), seed)
+		n, hosts := fab.Net, fab.Hosts
 		for trial := 0; trial < 6; trial++ {
 			a := hosts[rng.Intn(len(hosts))]
 			b := hosts[rng.Intn(len(hosts))]
@@ -56,9 +37,11 @@ func TestPropertyRoutingLoopFree(t *testing.T) {
 				continue
 			}
 			path, err := n.Path(a, b)
-			if err != nil {
-				t.Logf("no path %s->%s: %v", a.Name, b.Name, err)
+			if !routable(t, fab, a, b, err) {
 				return false
+			}
+			if err != nil {
+				continue
 			}
 			seen := map[*Device]bool{}
 			for i, d := range path {
@@ -78,7 +61,7 @@ func TestPropertyRoutingLoopFree(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, fabricChecks(0.6)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,7 +72,8 @@ func TestPropertyRoutingLoopFree(t *testing.T) {
 func TestPropertyFlowConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed ^ 0xf10))
-		n, hosts := randomCampus(rng)
+		fab := RandomFabric(sim.NewSim(), seed)
+		n, hosts := fab.Net, fab.Hosts
 		a := hosts[rng.Intn(len(hosts))]
 		b := hosts[rng.Intn(len(hosts))]
 		if a == b {
@@ -99,7 +83,7 @@ func TestPropertyFlowConservation(t *testing.T) {
 		demand := float64(1+rng.Intn(50)) * 1e6
 		fl, err := n.StartFlow(a, b, FlowSpec{Demand: demand})
 		if err != nil {
-			return false
+			return routable(t, fab, a, b, err)
 		}
 		dur := time.Duration(1+rng.Intn(20)) * time.Second
 		s.RunFor(dur)
@@ -122,7 +106,7 @@ func TestPropertyFlowConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, fabricChecks(0.6)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,10 +115,8 @@ func TestPropertyFlowConservation(t *testing.T) {
 func TestPropertyNoLinkOversubscription(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed ^ 0xcafe))
-		n, hosts := randomCampus(rng)
-		if len(hosts) < 2 {
-			return true
-		}
+		fab := RandomFabric(sim.NewSim(), seed)
+		n, hosts := fab.Net, fab.Hosts
 		for k := 0; k < 6; k++ {
 			a := hosts[rng.Intn(len(hosts))]
 			b := hosts[rng.Intn(len(hosts))]
@@ -145,7 +127,9 @@ func TestPropertyNoLinkOversubscription(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				demand = float64(1+rng.Intn(200)) * 1e6
 			}
-			n.StartFlow(a, b, FlowSpec{Demand: demand})
+			if _, err := n.StartFlow(a, b, FlowSpec{Demand: demand}); !routable(t, fab, a, b, err) {
+				return false
+			}
 		}
 		for _, l := range n.Links() {
 			fwd, rev := n.LinkRate(l)
@@ -156,7 +140,7 @@ func TestPropertyNoLinkOversubscription(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, fabricChecks(0.6)); err != nil {
 		t.Fatal(err)
 	}
 }
