@@ -145,7 +145,8 @@ bench-snmp:
 
 # The snapshot-backed flow query: the Modeler's 8-flow queries over one
 # generation of the 10 204-node two-tier fabric (what bench/'s
-# scale_static runs), the path index asked in text and by address, and
+# scale_static runs), the path index asked in text and by address,
+# max-min alone on a reused Allocator as the path index calls it, and
 # the store beside them — the freshness check of a query's 11 hosts and
 # one Apply of the fabric's 10 000, onto the same shape and onto another
 # (what scale_churn's writer does). The pin for this path's layout,
@@ -153,5 +154,5 @@ bench-snmp:
 # short fixed BENCH_FLOWS_TIME so the pins cannot rot unbuilt.
 BENCH_FLOWS_TIME ?= 1s
 bench-flows:
-	$(GO) test -run xxx -bench 'SnapshotFlows|PathIndexFlowAlloc|StoreApply|StoreFresh' -benchmem \
-		-benchtime $(BENCH_FLOWS_TIME) ./internal/modeler/ ./internal/topology/ ./internal/snapshot/
+	$(GO) test -run xxx -bench 'SnapshotFlows|PathIndexFlowAlloc|Allocate64Flows|StoreApply|StoreFresh' -benchmem \
+		-benchtime $(BENCH_FLOWS_TIME) ./internal/modeler/ ./internal/topology/ ./internal/maxmin/ ./internal/snapshot/

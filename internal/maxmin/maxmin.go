@@ -41,12 +41,13 @@ func Allocate(capacities []float64, flows []Flow) ([]float64, error) {
 }
 
 // Allocator runs Allocate with reusable scratch vectors (residual
-// capacities, per-link active counts, per-flow frozen flags), so batched
-// allocations on a serving path do not pay three slice allocations per
-// call. The zero value is ready; an Allocator is not safe for concurrent
-// use — pool instances instead.
+// capacities, saturation thresholds and active counts per link, frozen
+// flags per flow), so batched allocations on a serving path allocate no
+// scratch per call. The zero value is ready; an Allocator is not safe for
+// concurrent use — pool instances instead.
 type Allocator struct {
 	residual []float64
+	full     []float64 // a link is saturated once its residual is at most this
 	active   []int
 	frozen   []bool
 }
@@ -64,11 +65,23 @@ func (a *Allocator) AllocateInto(dst []float64, capacities []float64, flows []Fl
 		return rates, nil
 	}
 
-	// residual capacity per link, count of unfrozen flows per link
+	// residual capacity, saturation threshold and count of unfrozen flows
+	// per link
+	const eps = 1e-9
 	a.residual = growFloats(a.residual, len(capacities))
-	residual := a.residual
+	a.full = growFloats(a.full, len(capacities))
+	residual, full := a.residual, a.full
 	for i, c := range capacities {
-		residual[i] = usable(c)
+		c = usable(c)
+		residual[i] = c
+		// c is neither NaN nor negative here, so the builtin max is
+		// math.Max without the call.
+		full[i] = eps * max(1, c)
+		if math.IsInf(c, 1) {
+			// No finite increment drains an infinite link: it never
+			// saturates (its residual stays +Inf, which is <= +Inf).
+			full[i] = math.Inf(-1)
+		}
 	}
 	a.active = growInts(a.active, len(capacities))
 	active := a.active
@@ -155,7 +168,6 @@ func (a *Allocator) AllocateInto(dst []float64, capacities []float64, flows []Fl
 		}
 
 		// Freeze flows at demand and flows crossing saturated links.
-		const eps = 1e-9
 		for fi, f := range flows {
 			if frozen[fi] {
 				continue
@@ -163,7 +175,7 @@ func (a *Allocator) AllocateInto(dst []float64, capacities []float64, flows []Fl
 			freeze := f.Demand > 0 && rates[fi] >= f.Demand-eps*math.Max(1, f.Demand)
 			if !freeze {
 				for _, li := range f.Links {
-					if residual[li] <= eps*math.Max(1, usable(capacities[li])) {
+					if residual[li] <= full[li] {
 						freeze = true
 						break
 					}

@@ -137,6 +137,26 @@ func TestNaNCapacityTreatedAsZero(t *testing.T) {
 	}
 }
 
+// An infinite link never saturates: a flow crossing one is held by its
+// other links, not frozen when an unrelated flow's link fills.
+func TestInfiniteCapacityNeverSaturates(t *testing.T) {
+	inf := math.Inf(1)
+	rates, err := Allocate([]float64{inf, 100, 10}, []Flow{{Links: []int{0, 1}}, {Links: []int{2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rates[0] != 100 || rates[1] != 10 {
+		t.Fatalf("rates over +Inf, 100 and 10 capacities = %v, want [100 10]", rates)
+	}
+	rates, err = Allocate([]float64{inf, 10}, []Flow{{Links: []int{0}}, {Links: []int{0}, Demand: 7}, {Links: []int{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(rates[0], 1) || rates[1] != 7 || rates[2] != 10 {
+		t.Fatalf("rates over +Inf and 10 capacities = %v, want [+Inf 7 10]", rates)
+	}
+}
+
 // Property: NaN capacities allocate exactly as zero capacities do.
 func TestPropertyNaNCapacityIsZero(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
@@ -320,6 +340,9 @@ func TestPropertyBottleneckLinkExists(t *testing.T) {
 	}
 }
 
+// BenchmarkAllocate64Flows is 64 two-link flows over 32 links, solved
+// the way the path index solves a query: on one reused Allocator, into
+// one reused rate vector.
 func BenchmarkAllocate64Flows(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	caps := make([]float64, 32)
@@ -328,11 +351,16 @@ func BenchmarkAllocate64Flows(b *testing.B) {
 	}
 	flows := make([]Flow, 64)
 	for i := range flows {
-		flows[i] = Flow{Links: []int{r.Intn(32), r.Intn(32)}}
+		// Two distinct links: a flow names a link at most once.
+		l := r.Intn(32)
+		flows[i] = Flow{Links: []int{l, (l + 1 + r.Intn(31)) % 32}}
 	}
+	var a Allocator
+	var rates []float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Allocate(caps, flows); err != nil {
+		var err error
+		if rates, err = a.AllocateInto(rates[:0], caps, flows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,11 +14,12 @@ import (
 )
 
 // TestSnapshotFlowsAllocationBudget pins what a snapshot-backed flow
-// query allocates with the metrics registry on and no trace to open:
-// the deduped host set, the answer, and the slab its paths share —
+// query allocates with the metrics registry on and no trace to open: the
+// answer and the slab its paths share — the host set stays on the stack,
 // nothing for a trace label nobody reads, nothing to find the query
 // counter, no endpoint rendered as text, nothing per hop in the path
-// index (33 before the first three were fixed, 10 before the rest).
+// index (33 before the first three were fixed, 10 before the rest, 3
+// while the host set went on the heap).
 func TestSnapshotFlowsAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
@@ -38,8 +39,8 @@ func TestSnapshotFlowsAllocationBudget(t *testing.T) {
 		if _, err := m.GetFlowsContext(ctx, flows, FlowOptions{}); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Fatalf("snapshot-backed GetFlows allocates %.0f times per 2-flow query, want <= 3", n)
+	}); n > 2 {
+		t.Fatalf("snapshot-backed GetFlows allocates %.0f times per 2-flow query, want <= 2", n)
 	}
 	if got := reg.Counter("remos_modeler_queries_total", "", "kind", "flows").Value(); got < 200 {
 		t.Fatalf("flows counter = %v after 200+ queries", got)
@@ -47,7 +48,7 @@ func TestSnapshotFlowsAllocationBudget(t *testing.T) {
 
 	// The shape of bench/'s scale queries: 8 flows from 3 sources, 11
 	// distinct hosts of 16 endpoints.
-	m, hosts := twoTierSnapshot(t, netsim.TwoTierSpec{Spines: 2, Leaves: 4, HostsPerLeaf: 8})
+	m, hosts := twoTierSnapshot(t, netsim.TwoTierSpec{Spines: 2, Leaves: 4, HostsPerLeaf: 8}, nil)
 	flows = flows[:0]
 	for i := 0; i < 8; i++ {
 		flows = append(flows, Flow{Src: hosts[i%3], Dst: hosts[3+i]})
@@ -56,8 +57,8 @@ func TestSnapshotFlowsAllocationBudget(t *testing.T) {
 		if _, err := m.GetFlowsContext(ctx, flows, FlowOptions{}); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Fatalf("snapshot-backed GetFlows allocates %.0f times per 8-flow query, want <= 3", n)
+	}); n > 2 {
+		t.Fatalf("snapshot-backed GetFlows allocates %.0f times per 8-flow query, want <= 2", n)
 	}
 }
 

@@ -11,18 +11,23 @@ import (
 	"remos/internal/netsim"
 	"remos/internal/sim"
 	"remos/internal/snapshot"
+	"remos/internal/topology"
 )
 
 // twoTierSnapshot is a Modeler over a store holding one of netsim's
 // two-tier fabrics (the zero spec: 10 204 nodes) as one generation with
-// every host fresh, and the fabric's host addresses.
-func twoTierSnapshot(tb testing.TB, spec netsim.TwoTierSpec) (*Modeler, []netip.Addr) {
+// every host fresh, and the fabric's host addresses. load, if not nil,
+// measures the fabric's graph before the store holds it.
+func twoTierSnapshot(tb testing.TB, spec netsim.TwoTierSpec, load func(*topology.Graph)) (*Modeler, []netip.Addr) {
 	s := sim.NewSim()
 	n := netsim.New(s)
 	tt := netsim.BuildTwoTier(n, spec)
 	g, err := netsim.TopologyGraph(n)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if load != nil {
+		load(g)
 	}
 	hosts := make([]netip.Addr, len(tt.Hosts))
 	for i, h := range tt.Hosts {
@@ -40,21 +45,8 @@ func twoTierSnapshot(tb testing.TB, spec netsim.TwoTierSpec) (*Modeler, []netip.
 // 10 204-node fabric. The pin for this path's layout and hashing outside
 // the contract run.
 func BenchmarkSnapshotFlows(b *testing.B) {
-	m, hosts := twoTierSnapshot(b, netsim.TwoTierSpec{})
-	rng := rand.New(rand.NewSource(1))
-	sources := rng.Perm(len(hosts))[:32]
-	queries := make([][]Flow, 64)
-	for q := range queries {
-		pick := rng.Perm(len(sources))[:3]
-		for i := 0; i < 8; i++ {
-			src := hosts[sources[pick[i%3]]]
-			dst := hosts[rng.Intn(len(hosts))]
-			for dst == src {
-				dst = hosts[rng.Intn(len(hosts))]
-			}
-			queries[q] = append(queries[q], Flow{Src: src, Dst: dst})
-		}
-	}
+	m, hosts := twoTierSnapshot(b, netsim.TwoTierSpec{}, nil)
+	queries := scaleQueries(rand.New(rand.NewSource(1)), hosts)
 	ctx := context.Background()
 	for _, flows := range queries { // build the sources' trees
 		if _, err := m.GetFlowsContext(ctx, flows, FlowOptions{}); err != nil {
@@ -68,4 +60,23 @@ func BenchmarkSnapshotFlows(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// scaleQueries is 64 distinct 8-flow queries as bench/'s scale workloads
+// ask them: each from three of 32 sources to destinations anywhere.
+func scaleQueries(rng *rand.Rand, hosts []netip.Addr) [][]Flow {
+	sources := rng.Perm(len(hosts))[:32]
+	queries := make([][]Flow, 64)
+	for q := range queries {
+		pick := rng.Perm(len(sources))[:3]
+		for i := 0; i < 8; i++ {
+			src := hosts[sources[pick[i%3]]]
+			dst := hosts[rng.Intn(len(hosts))]
+			for dst == src {
+				dst = hosts[rng.Intn(len(hosts))]
+			}
+			queries[q] = append(queries[q], Flow{Src: src, Dst: dst})
+		}
+	}
+	return queries
 }

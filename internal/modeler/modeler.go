@@ -343,17 +343,18 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("modeler: no flows requested")
 	}
-	hosts := make([]netip.Addr, 0, len(flows)*2)
+	// hosts is every endpoint, then the distinct ones; ends[k] is where
+	// endpoint k stands among the distinct hosts, then its node number;
+	// nodes holds the distinct hosts' numbers. All three live on the stack
+	// for any query the scan dedupes: only the collect below copies hosts.
+	var hostsBuf [dedupeScanMax]netip.Addr
+	var endsBuf, nodesBuf [dedupeScanMax]int32
+	hosts, ends, nodes := hostsBuf[:0], endsBuf[:], nodesBuf[:]
+	if n := 2 * len(flows); n > dedupeScanMax {
+		hosts, ends, nodes = make([]netip.Addr, 0, n), make([]int32, n), make([]int32, n)
+	}
 	for _, f := range flows {
 		hosts = append(hosts, f.Src, f.Dst)
-	}
-	// ends[k] is where endpoint k stands among the distinct hosts, then
-	// its node number; nodes holds the distinct hosts' numbers. Both live
-	// on the stack for any query the scan dedupes.
-	var endsBuf, nodesBuf [dedupeScanMax]int32
-	ends, nodes := endsBuf[:], nodesBuf[:]
-	if len(hosts) > dedupeScanMax {
-		ends, nodes = make([]int32, len(hosts)), make([]int32, len(hosts))
 	}
 	ends = ends[:len(hosts)]
 	hosts = compactHosts(hosts, ends)
@@ -404,7 +405,7 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 
 	sp := tr.Start("collect")
 	res, err := m.cfg.Collector.Collect(collector.Query{
-		Hosts:           hosts,
+		Hosts:           slices.Clone(hosts),
 		WithHistory:     opt.Predict,
 		WithPredictions: opt.Predict && opt.FromCollector,
 	}.WithContext(ctx))

@@ -3,6 +3,7 @@ package modeler
 import (
 	"context"
 	"math"
+	"math/rand"
 	"net/netip"
 	"slices"
 	"sync"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"remos/internal/collector"
+	"remos/internal/netsim"
 	"remos/internal/snapshot"
+	"remos/internal/topology"
 )
 
 // countingColl wraps the dumbbell fake with a collect counter.
@@ -82,6 +85,45 @@ func TestSnapshotHitGetFlowsZeroCollectorRoundTrips(t *testing.T) {
 	}
 	if got := cc.calls.Load(); got != 1 {
 		t.Fatalf("snapshot-hit GetFlows performed %d collector round-trips, want 0", got-1)
+	}
+}
+
+// TestSnapshotFlowsMatchGraphFlowAlloc is the cross-path gate on a loaded
+// fabric: on the 10 204-node two-tier fabric, every link loaded and
+// jittered differently in each direction, the snapshot's answers to 64
+// eight-flow batches are exactly what that generation's whole-graph
+// Graph.FlowAlloc answers — rates bit for bit, latency, jitter and path.
+func TestSnapshotFlowsMatchGraphFlowAlloc(t *testing.T) {
+	m, hosts := twoTierSnapshot(t, netsim.TwoTierSpec{}, func(g *topology.Graph) {
+		rng := rand.New(rand.NewSource(44))
+		for _, l := range g.Links() {
+			l.UtilFromTo = l.Capacity * rng.Float64()
+			l.UtilToFrom = l.Capacity * rng.Float64()
+			l.Jitter = time.Duration(rng.Intn(50)) * time.Microsecond
+		}
+	})
+	g := m.cfg.Snapshot.Current().Graph()
+	ctx := context.Background()
+	for q, flows := range scaleQueries(rand.New(rand.NewSource(2)), hosts) {
+		got, err := m.GetFlowsContext(ctx, flows, FlowOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]topology.FlowRequest, len(flows))
+		for i, f := range flows {
+			reqs[i] = topology.FlowRequest{Src: f.Src.String(), Dst: f.Dst.String(), Demand: f.Demand}
+		}
+		want, err := g.FlowAlloc(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			o := got[i]
+			if o.Available != w.Available || o.Latency != w.Latency || o.Jitter != w.Jitter || !slices.Equal(o.Path, w.Path) {
+				t.Fatalf("query %d flow %d: snapshot answers %v, %v, %v over %v; the graph %v, %v, %v over %v",
+					q, i, o.Available, o.Latency, o.Jitter, o.Path, w.Available, w.Latency, w.Jitter, w.Path)
+			}
+		}
 	}
 }
 

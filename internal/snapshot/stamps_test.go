@@ -550,10 +550,11 @@ func twoTier(tb testing.TB) ([]netip.Addr, *collector.Result) {
 }
 
 // TestShapePreservingApplyAllocationBudget pins what a measurement-only
-// apply of all 10 000 hosts of the fabric allocates: 113 under go1.24 —
-// the index, the stamp vector, the generation, and the graph clone's two
+// apply of all 10 000 hosts of the fabric allocates: 11 under go1.24 —
+// the generation, its stamp vector, the graph clone's link vector, the
+// index and its metrics vector among them (113 while the clone copied two
 // slabs and three presized maps, which the runtime makes of a hundred-odd
-// pieces (142 when the host map was cloned beside them). Nothing per
+// pieces; 142 when the host map was cloned beside them). Nothing per
 // host, which would read 10 000 more, and no address-keyed map touched
 // for a host the graph holds.
 func TestShapePreservingApplyAllocationBudget(t *testing.T) {

@@ -19,8 +19,10 @@ import (
 // depends on — which node IDs exist, which links join them, in which
 // order and orientation — as dense integers: an adjacency list built
 // once, and a BFS tree per source node computed on first use and reused
-// for every destination. The metrics view is the generation's own links,
-// addressed by the shape's link numbers. Flow allocations run max-min
+// for every destination. The metrics view is what the answers read of
+// the generation's links, copied out once when the index is built into
+// one dense vector by link number: the available bandwidth each way,
+// latency, and jitter squared. Flow allocations run max-min
 // over only the directed link halves the requested flows actually cross,
 // which yields the same rates as the whole-graph calculation (links
 // carrying no requested flow never constrain progressive filling) at a
@@ -30,11 +32,21 @@ import (
 // The shape is the one the graph memoizes for its own routing, and a
 // Clone carries it, so a generation cloned from the last one — and not
 // reshaped since — reads the last one's adjacency and trees. A PathIndex
-// must only be attached to a graph that will not change.
+// must only be attached to a graph that will not change, measurements
+// included: the index has read them already.
 type PathIndex struct {
-	g     *Graph
-	shape *shape
-	links []*Link // g's links; the shape's link i is links[i]
+	g       *Graph
+	shape   *shape
+	metrics []linkMetrics // the shape's link i is g's links[i], measured as metrics[i]
+}
+
+// linkMetrics is what an index's answers read of one link: avail[h&1] is
+// the bandwidth available along hop h, and jitter2 is the jitter squared
+// in seconds², a path's variance being the sum over its links.
+type linkMetrics struct {
+	avail   [2]float64
+	latency time.Duration
+	jitter2 float64
 }
 
 // NewPathIndex builds the index over g on a shape of its own, with no
@@ -65,10 +77,20 @@ func NewPathIndexFrom(prev *PathIndex, g *Graph) *PathIndex {
 }
 
 // newIndex is the index over g on sh, with the address tables only an
-// index reads built, once per shape.
+// index reads built, once per shape, and g's measurements read into the
+// metrics vector.
 func newIndex(g *Graph, sh *shape) *PathIndex {
 	sh.addrOnce.Do(sh.indexAddrs)
-	return &PathIndex{g: g, shape: sh, links: g.links}
+	metrics := make([]linkMetrics, len(g.links))
+	for i, l := range g.links {
+		js := l.Jitter.Seconds()
+		metrics[i] = linkMetrics{
+			avail:   [2]float64{l.AvailFromTo(), l.AvailToFrom()},
+			latency: l.Latency,
+			jitter2: js * js,
+		}
+	}
+	return &PathIndex{g: g, shape: sh, metrics: metrics}
 }
 
 // Graph returns the indexed graph (shared, not a copy).
@@ -444,6 +466,9 @@ func bottleneck(links []*Link, hops []hop) (bw float64) {
 	return bw
 }
 
+// avail is the bandwidth available along hop h.
+func (px *PathIndex) avail(h hop) float64 { return px.metrics[h>>1].avail[h&1] }
+
 // Path returns the node IDs of a shortest path between two nodes,
 // inclusive, from the memoized BFS tree.
 func (px *PathIndex) Path(from, to string) ([]string, error) {
@@ -466,7 +491,12 @@ func (px *PathIndex) BottleneckAvail(from, to string) (bw float64, path []string
 	if err != nil {
 		return 0, nil, err
 	}
-	return bottleneck(px.links, hops), px.shape.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
+	for i, h := range hops {
+		if a := px.avail(h); i == 0 || a < bw {
+			bw = a
+		}
+	}
+	return bw, px.shape.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
 }
 
 // flowScratch is the per-call working state of the PathIndex queries,
@@ -543,7 +573,7 @@ type FlowAnswer func(i int, avail float64, lat, jitter time.Duration, path []str
 func (px *PathIndex) allocate(st *flowScratch, answer FlowAnswer) error {
 	st.links = slices.Grow(st.links[:0], len(st.hops))[:len(st.hops)]
 	st.caps = st.caps[:0]
-	stamp := st.nextStamp(2 * len(px.links))
+	stamp := st.nextStamp(2 * len(px.metrics))
 	start := 0
 	for i, end := range st.ends {
 		links := st.links[start:end]
@@ -551,7 +581,7 @@ func (px *PathIndex) allocate(st *flowScratch, answer FlowAnswer) error {
 			s := &st.slots[h]
 			if s.stamp != stamp {
 				*s = hopSlot{stamp: stamp, pos: int32(len(st.caps))}
-				st.caps = append(st.caps, avail(px.links, h))
+				st.caps = append(st.caps, px.avail(h))
 			}
 			links[j] = int(s.pos)
 		}
@@ -573,12 +603,9 @@ func (px *PathIndex) allocate(st *flowScratch, answer FlowAnswer) error {
 		first := len(nodes)
 		nodes = append(nodes, sh.ids[st.srcs[i]])
 		for _, h := range st.hops[start:end] {
-			l := px.links[h>>1]
-			lat += l.Latency
-			if l.Jitter != 0 { // SNMP-derived links carry none
-				js := l.Jitter.Seconds()
-				jitterVar += js * js
-			}
+			m := &px.metrics[h>>1]
+			lat += m.latency
+			jitterVar += m.jitter2
 			nodes = append(nodes, sh.ids[sh.head(h)])
 		}
 		start = end

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +15,10 @@ import (
 
 // TestPathIndexMatchesGraph pins the snapshot plane's core equivalence:
 // PathIndex answers (paths, bottlenecks, max-min allocations over the
-// reduced capacity vector) are identical to the whole-graph calculation
-// on random topologies.
+// reduced capacity vector, latencies and jitters) are exactly those of
+// the whole-graph calculation on random topologies, each link loaded
+// differently in each direction — the same arithmetic on the same
+// numbers, so equal bit for bit, not approximately.
 func TestPathIndexMatchesGraph(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed ^ 0x1dec5))
@@ -34,14 +37,14 @@ func TestPathIndexMatchesGraph(t *testing.T) {
 					t.Logf("path errors: %v / %v", err1, err2)
 					return false
 				}
-				if len(wantPath) != len(gotPath) {
+				if !slices.Equal(wantPath, gotPath) {
 					t.Logf("path %s->%s: %v vs %v", a, b, wantPath, gotPath)
 					return false
 				}
-				wantBw, _, err1 := g.BottleneckAvail(a, b)
-				gotBw, _, err2 := px.BottleneckAvail(a, b)
-				if err1 != nil || err2 != nil || math.Abs(wantBw-gotBw) > 1e-6*math.Max(1, wantBw) {
-					t.Logf("bottleneck %s->%s: %v vs %v (%v/%v)", a, b, wantBw, gotBw, err1, err2)
+				wantBw, wantVia, err1 := g.BottleneckAvail(a, b)
+				gotBw, gotVia, err2 := px.BottleneckAvail(a, b)
+				if err1 != nil || err2 != nil || wantBw != gotBw || !slices.Equal(wantVia, gotVia) {
+					t.Logf("bottleneck %s->%s: %v via %v vs %v via %v (%v/%v)", a, b, wantBw, wantVia, gotBw, gotVia, err1, err2)
 					return false
 				}
 			}
@@ -69,13 +72,10 @@ func TestPathIndexMatchesGraph(t *testing.T) {
 			return false
 		}
 		for i := range want {
-			if math.Abs(want[i].Available-got[i].Available) > 1e-6*math.Max(1, want[i].Available) {
-				t.Logf("flow %d: available %v vs %v", i, want[i].Available, got[i].Available)
-				return false
-			}
-			if want[i].Latency != got[i].Latency || len(want[i].Path) != len(got[i].Path) {
-				t.Logf("flow %d: latency/path %v %v vs %v %v",
-					i, want[i].Latency, want[i].Path, got[i].Latency, got[i].Path)
+			w, o := want[i], got[i]
+			if w.Request != o.Request || w.Available != o.Available || w.Latency != o.Latency ||
+				w.Jitter != o.Jitter || !slices.Equal(w.Path, o.Path) {
+				t.Logf("flow %d: %+v vs %+v", i, w, o)
 				return false
 			}
 		}
@@ -125,6 +125,33 @@ func TestNonFiniteLinkAnswersZero(t *testing.T) {
 		}
 		if preds[0].Available != tc.fwd || preds[1].Available != tc.rev {
 			t.Errorf("%s: flows get %v and %v, want %v and %v", tc.link, preds[0].Available, preds[1].Available, tc.fwd, tc.rev)
+		}
+	}
+}
+
+// A link decoded with an infinite capacity never saturates: a flow
+// across it gets what its other links leave, asked alone or beside an
+// unrelated flow that fills its own link first.
+func TestInfiniteLinkNeverSaturates(t *testing.T) {
+	g, err := DecodeText(strings.NewReader("GRAPH 5 3\n" +
+		"NODE 10.0.0.1 host 10.0.0.1\nNODE 10.0.0.2 host 10.0.0.2\nNODE 10.0.0.3 host 10.0.0.3\n" +
+		"NODE 10.0.0.4 host 10.0.0.4\nNODE 10.0.0.9 router 10.0.0.9\n" +
+		"LINK 10.0.0.1 10.0.0.9 +Inf 0 0 1000 0\nLINK 10.0.0.9 10.0.0.2 1e+08 0 0 1000 0\n" +
+		"LINK 10.0.0.3 10.0.0.4 1e+07 0 0 1000 0\nEND\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	px := NewPathIndex(g)
+	for _, reqs := range [][]FlowRequest{
+		{{Src: "10.0.0.1", Dst: "10.0.0.2"}},
+		{{Src: "10.0.0.1", Dst: "10.0.0.2"}, {Src: "10.0.0.3", Dst: "10.0.0.4"}},
+	} {
+		preds, err := px.FlowAlloc(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if preds[0].Available != 1e8 || len(preds) == 2 && preds[1].Available != 1e7 {
+			t.Errorf("%d flows over an infinite link: %+v, want 1e8 for the first, 1e7 for the second", len(reqs), preds)
 		}
 	}
 }

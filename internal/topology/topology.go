@@ -69,7 +69,8 @@ type Node struct {
 }
 
 // Link is one undirected edge with per-direction utilization. Its
-// measurements may be written through the graph's pointers; its endpoints
+// measurements may be written through the graph's pointers until a
+// PathIndex is built over the graph, which reads them once; its endpoints
 // are the graph's structure, which only the graph's own mutators rewrite.
 type Link struct {
 	From, To string  // node IDs
