@@ -61,12 +61,14 @@ verify: vet lint build test race
 
 # The random-fabric properties and cross-path gates at scale: every
 # netsim.RandomFabric gate in netsim (routing, conservation, link limits,
-# partition stitching, family coverage) and federation (stitched FLOWS
-# and QUERY against the single master) draws 20× its tier-1 seed count
+# partition stitching, family coverage), federation (stitched FLOWS
+# and QUERY against the single master) and proto (the graph a remote
+# QUERY's ASCII and XML clients decode against the one served) draws
+# 20× its tier-1 seed count
 # through testing/quick's standard -quickchecks flag, on the same fixed
 # seed list.
 property-soak:
-	$(GO) test -count=1 ./internal/netsim/ ./internal/federation/ -quickchecks=2000
+	$(GO) test -count=1 ./internal/netsim/ ./internal/federation/ ./internal/proto/ -quickchecks=2000
 
 # Shake each fuzz target for 10s so the targets (and their seed corpora)
 # can't bit-rot; CI runs this on every push. The list is every func Fuzz*
@@ -134,14 +136,16 @@ bench-concurrency:
 # baseline read's 2-varbind Get, the poller's 24-varbind Get and a 7-column
 # walk step), a GetNext walk of it and the per-epoch build of a router's
 # and an edge switch's layout, the ASCII graph codec on a cold reply graph, one 32-host query on
-# the 256-host campus collected cold (every cache dropped) and warm, and
+# the 256-host campus collected cold (every cache dropped) and warm,
 # the Bridge Collector's level-2 path of every in-wing host pair of that
-# campus, all with allocation counts. CI runs it with a short fixed BENCH_SNMP_TIME so
+# campus, and the client's read of an ASCII result (ColdGraph: a cold
+# reply's graph off the reader, as it arrives on the wire), all with
+# allocation counts. CI runs it with a short fixed BENCH_SNMP_TIME so
 # the cold-path pins cannot rot unbuilt.
 BENCH_SNMP_TIME ?= 1s
 bench-snmp:
-	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|DeviceViewBuild|GraphTextCodec|CampusCollect|CampusL2Paths' -benchmem \
-		-benchtime $(BENCH_SNMP_TIME) ./internal/collector/snmpcoll/ ./internal/collector/bridgecoll/ ./internal/snmp/ ./internal/mib/ ./internal/topology/
+	$(GO) test -run xxx -bench 'PollBatchedVsSerial|BERCodec|AgentExchange|DeviceViewNext|DeviceViewBuild|GraphTextCodec|CampusCollect|CampusL2Paths|ASCIIResultRoundTrip' -benchmem \
+		-benchtime $(BENCH_SNMP_TIME) ./internal/collector/snmpcoll/ ./internal/collector/bridgecoll/ ./internal/snmp/ ./internal/mib/ ./internal/topology/ ./internal/proto/
 
 # The snapshot-backed flow query: the Modeler's 8-flow queries over one
 # generation of the 10 204-node two-tier fabric (what bench/'s

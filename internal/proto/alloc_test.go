@@ -206,6 +206,41 @@ func TestServeQueryAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestReadResultAllocationBudget pins the client's half of a cold QUERY:
+// readResult of a 57-node campus reply off a pooled reader. The graph is
+// decoded off that reader in place, its IDs and addresses cut from one
+// string and each of its tables made once; through an io.Reader adapter,
+// a line scanner and a per-node AddNode it cost 80 allocations.
+func TestReadResultAllocationBudget(t *testing.T) {
+	var wire bytes.Buffer
+	if err := writeResult(&wire, &collector.Result{Graph: campusReply()}); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReaderSize(nil, 4096)
+	src := bytes.NewReader(nil)
+	var scratch []byte
+	var res *collector.Result
+	n := testing.AllocsPerRun(200, func() {
+		src.Reset(wire.Bytes())
+		r.Reset(src)
+		var err error
+		if res, err = readResult(r, &scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("readResult of a cold reply: %.0f allocations", n)
+	if got := len(res.Graph.Nodes()); got != 57 {
+		t.Fatalf("the cold reply decoded to %d nodes, want 57", got)
+	}
+	if n > readResultAllocs {
+		t.Fatalf("readResult of a 57-node cold reply allocates %.0f times, want <= %d", n, readResultAllocs)
+	}
+}
+
+// readResultAllocs is readResult's budget for a cold reply, what was
+// measured with a few to spare. Budgets only get tighter.
+const readResultAllocs = 30
+
 // The QUERY exchange's budget: what was measured with the graph appended
 // into the pooled buffer (5 allocations, ~1.5 KB), the bytes 5 % over.
 // Budgets only get tighter.
@@ -304,77 +339,6 @@ func TestReadLineUnterminated(t *testing.T) {
 	}
 }
 
-// TestLineLimitedReaderTruncation exercises the graph-decoder adapter on
-// edge shapes: exact-buffer-multiple lines, lines straddling the bufio
-// buffer, an END mid-stream (stop exactly there), and EOF without END.
-func TestLineLimitedReaderTruncation(t *testing.T) {
-	t.Run("stops_at_end", func(t *testing.T) {
-		r := bufio.NewReaderSize(strings.NewReader("a b\nEND\nAFTER\n"), 4096)
-		l := &lineLimitedReader{r: r}
-		all, err := io.ReadAll(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(all) != "a b\nEND\n" {
-			t.Fatalf("read %q, want through END only", all)
-		}
-		// The line after END must still be available to the caller.
-		rest, err := readLine(r, new([]byte))
-		if err != nil || string(rest) != "AFTER\n" {
-			t.Fatalf("after END: %q, %v", rest, err)
-		}
-	})
-	t.Run("long_lines", func(t *testing.T) {
-		long := strings.Repeat("n", 9000)
-		input := long + "\nEND\n"
-		l := &lineLimitedReader{r: bufio.NewReaderSize(strings.NewReader(input), 64)}
-		all, err := io.ReadAll(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(all) != input {
-			t.Fatalf("long line mangled: got %d bytes, want %d", len(all), len(input))
-		}
-	})
-	t.Run("eof_without_end", func(t *testing.T) {
-		// Without an END line the adapter surfaces the underlying EOF, so
-		// a graph decoder mid-parse sees a truncated stream, not a clean
-		// end baked in by the adapter.
-		l := &lineLimitedReader{r: bufio.NewReaderSize(strings.NewReader("a\nb\n"), 4096)}
-		all, err := io.ReadAll(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(all) != "a\nb\n" {
-			t.Fatalf("read %q", all)
-		}
-		if l.done {
-			t.Fatal("adapter claims END was seen")
-		}
-		if _, err := l.Read(make([]byte, 1)); err != io.EOF {
-			t.Fatalf("want io.EOF after exhaustion, got %v", err)
-		}
-	})
-	t.Run("tiny_read_buffer", func(t *testing.T) {
-		l := &lineLimitedReader{r: bufio.NewReaderSize(strings.NewReader("abcdef\nEND\n"), 4096)}
-		var out []byte
-		p := make([]byte, 3) // force multi-Read consumption of one line
-		for {
-			n, err := l.Read(p)
-			out = append(out, p[:n]...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if string(out) != "abcdef\nEND\n" {
-			t.Fatalf("chunked read got %q", out)
-		}
-	})
-}
-
 // sampleResult builds a history- and prediction-bearing result of the
 // shape a warm modeler query returns: a small graph plus per-pair series.
 func sampleResult(t testing.TB) *collector.Result {
@@ -434,18 +398,29 @@ func BenchmarkASCIIResultRoundTrip(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Decode", func(b *testing.B) {
-		r := bufio.NewReaderSize(nil, 4096)
-		src := bytes.NewReader(nil)
-		var scratch []byte
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src.Reset(wire)
-			r.Reset(src)
-			if _, err := readResult(r, &scratch); err != nil {
-				b.Fatal(err)
+	decode := func(wire []byte) func(b *testing.B) {
+		return func(b *testing.B) {
+			r := bufio.NewReaderSize(nil, 4096)
+			src := bytes.NewReader(nil)
+			var scratch []byte
+			b.ReportAllocs()
+			b.SetBytes(int64(len(wire)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Reset(wire)
+				r.Reset(src)
+				if _, err := readResult(r, &scratch); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("Decode", decode(wire))
+	// A cold campus reply's graph, read off the reader as the client reads
+	// it from its connection.
+	var cold bytes.Buffer
+	if err := writeResult(&cold, &collector.Result{Graph: campusReply()}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ColdGraph", decode(cold.Bytes()))
 }

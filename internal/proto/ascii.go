@@ -246,9 +246,10 @@ const maxPresize = 1024
 // presize is a peer-declared count as a capacity hint, at most maxPresize.
 func presize(n int64) int { return int(min(n, maxPresize)) }
 
-// readResult parses one ASCII result. Per-sample lines are scanned in
-// place; only the strings the Result retains (keys, error text) are
-// materialized.
+// readResult parses one ASCII result. The graph is decoded off r itself
+// (topology.DecodeText reads a bufio.Reader in place and stops after
+// END), and per-sample lines are scanned in place; only the strings the
+// Result retains (IDs, keys, error text) are materialized.
 func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 	line, err := readLine(r, scratch)
 	if err != nil {
@@ -261,7 +262,7 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 	if !bytes.Equal(head, []byte("OK")) {
 		return nil, fmt.Errorf("proto: unexpected response %q", head)
 	}
-	g, err := topology.DecodeText(&lineLimitedReader{r: r})
+	g, err := topology.DecodeText(r)
 	if err != nil {
 		return nil, err
 	}
@@ -364,37 +365,6 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 		return nil, fmt.Errorf("proto: missing DONE trailer")
 	}
 	return res, nil
-}
-
-// lineLimitedReader adapts a bufio.Reader to io.Reader for the graph
-// decoder without over-reading: the graph format is line-oriented and
-// self-delimiting (header gives counts, END trails), so we feed it exactly
-// the lines it needs. Served lines alias the bufio buffer (with a scratch
-// fallback for oversized lines) — no per-line copy.
-type lineLimitedReader struct {
-	r       *bufio.Reader
-	buf     []byte
-	scratch []byte
-	done    bool
-}
-
-func (l *lineLimitedReader) Read(p []byte) (int, error) {
-	if len(l.buf) == 0 {
-		if l.done {
-			return 0, io.EOF
-		}
-		line, err := readLine(l.r, &l.scratch)
-		if err != nil {
-			return 0, err
-		}
-		if bytes.Equal(bytes.TrimSpace(line), []byte("END")) {
-			l.done = true
-		}
-		l.buf = line
-	}
-	n := copy(p, l.buf)
-	l.buf = l.buf[n:]
-	return n, nil
 }
 
 // TCPServer serves a collector over the ASCII protocol. Connections are

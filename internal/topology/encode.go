@@ -115,62 +115,154 @@ func asciiSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
-// DecodeText parses the ASCII form produced by EncodeText. Lines are
-// scanned in place; only the strings the graph keeps are made.
+// maxTextLine bounds one line of the ASCII form; a longer one is refused
+// rather than gathered without end.
+const maxTextLine = 16 << 20
+
+// textLines hands DecodeText the lines of a bufio.Reader one at a time,
+// in place: a line aliases the reader's buffer until the next call. Only
+// a line longer than that buffer is gathered, into long.
+type textLines struct {
+	r    *bufio.Reader
+	long []byte
+}
+
+// next returns the next line without its "\n" or "\r\n"; a last line
+// with no newline is a line too. It reads nothing past that line, and
+// returns io.EOF when no line is left.
+func (tl *textLines) next() ([]byte, error) {
+	line, err := tl.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		tl.long = append(tl.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			if len(tl.long) > maxTextLine {
+				return nil, fmt.Errorf("topology: line longer than %d bytes", maxTextLine)
+			}
+			line, err = tl.r.ReadSlice('\n')
+			tl.long = append(tl.long, line...)
+		}
+		line = tl.long
+	}
+	if err != nil && (err != io.EOF || len(line) == 0) {
+		return nil, err
+	}
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\r")), nil
+}
+
+// missing is the error for a section cut short: a clean end of input
+// says the lines never came, any other read error is passed on.
+func missing(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// nodeSpan is one NODE line as the node section's text holds it: the
+// ID and the address as offsets into that text, the address empty for
+// "-" and equal to the ID where the line repeats it.
+type nodeSpan struct {
+	kind     NodeKind
+	id, addr [2]int
+}
+
+// DecodeText parses the ASCII form produced by EncodeText. A *bufio.Reader
+// is read in place, one line at a time, and is left on the line after END;
+// any other reader is wrapped in one, which may read ahead.
+//
+// The graph is built in one pass over the lines, without AddNode or
+// AddLink. The IDs and addresses of all nodes are cut from one string, and
+// each table of the graph is made once: the node tables at the count of
+// node lines read, the link tables presized from the header only up to
+// slabMax, since its counts are the peer's word. A NODE line repeating an
+// ID replaces the earlier node, whose address is unbound, and parallel
+// LINK lines are all kept, the first one indexed: what AddNode and AddLink
+// would do.
 func DecodeText(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), 16*1024*1024)
-	if !sc.Scan() {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	tl := textLines{r: br}
+	line, err := tl.next()
+	if err == io.EOF {
 		return nil, fmt.Errorf("topology: empty input")
 	}
+	if err != nil {
+		return nil, err
+	}
 	var f [9][]byte
-	bad := func(what string) error { return fmt.Errorf("topology: bad %s %q", what, sc.Bytes()) }
-	if textFields(sc.Bytes(), f[:]) < 3 || string(f[0]) != "GRAPH" {
-		return nil, bad("header")
+	if textFields(line, f[:]) < 3 || string(f[0]) != "GRAPH" {
+		return nil, badLine("header", line)
 	}
 	nn, err1 := strconv.Atoi(string(f[1]))
 	nl, err2 := strconv.Atoi(string(f[2]))
 	if err1 != nil || err2 != nil {
-		return nil, bad("header")
+		return nil, badLine("header", line)
 	}
 	if nn < 0 || nl < 0 {
-		return nil, fmt.Errorf("topology: negative count in header %q", sc.Bytes())
+		return nil, fmt.Errorf("topology: negative count in header %q", line)
 	}
-	// The counts are the peer's word: room is made for one chunk's worth,
-	// beyond which storage follows the lines that actually arrive.
-	g := NewGraphSized(min(nn, slabMax), min(nl, slabMax))
+
+	// The node lines go into one text, their IDs and addresses as spans
+	// of it, before the strings the graph keeps are made from it at once.
+	spans := make([]nodeSpan, 0, min(nn, slabMax))
+	text := make([]byte, 0, 16*min(nn, slabMax))
 	for i := 0; i < nn; i++ {
-		if !sc.Scan() {
-			return nil, io.ErrUnexpectedEOF
+		line, err := tl.next()
+		if err != nil {
+			return nil, missing(err)
 		}
-		if textFields(sc.Bytes(), f[:]) != 4 || string(f[0]) != "NODE" {
-			return nil, bad("node line")
+		if textFields(line, f[:]) != 4 || string(f[0]) != "NODE" {
+			return nil, badLine("node line", line)
 		}
 		kind, ok := parseKind(f[2])
 		if !ok {
 			return nil, fmt.Errorf("topology: unknown node kind %q", f[2])
 		}
-		n := Node{ID: string(f[1]), Kind: kind}
+		sp := nodeSpan{kind: kind, id: [2]int{len(text), len(text) + len(f[1])}}
+		text = append(text, f[1]...)
 		switch {
 		case string(f[3]) == "-":
-		case string(f[3]) == n.ID:
-			n.Addr = n.ID // a host's ID is its address: one string
+		case string(f[3]) == string(f[1]):
+			sp.addr = sp.id // a host's ID is its address: one string
 		default:
-			n.Addr = string(f[3])
+			sp.addr = [2]int{len(text), len(text) + len(f[3])}
+			text = append(text, f[3]...)
 		}
-		g.AddNode(n)
+		spans = append(spans, sp)
 	}
-	for i := 0; i < nl; i++ {
-		if !sc.Scan() {
-			return nil, io.ErrUnexpectedEOF
+	s := string(text)
+	nodeSlab := make([]Node, len(spans))
+	nodes := make(map[string]*Node, len(spans))
+	byAddr := make(map[string]*Node, len(spans))
+	for i, sp := range spans {
+		n := &nodeSlab[i]
+		*n = Node{ID: s[sp.id[0]:sp.id[1]], Kind: sp.kind, Addr: s[sp.addr[0]:sp.addr[1]]}
+		if old := nodes[n.ID]; old != nil && byAddr[old.Addr] == old {
+			delete(byAddr, old.Addr)
 		}
-		nf := textFields(sc.Bytes(), f[:])
+		nodes[n.ID] = n
+		if n.Addr != "" {
+			byAddr[n.Addr] = n
+		}
+	}
+
+	linkSlab := make([]Link, 0, min(nl, slabMax))
+	linkIdx := make(map[[2]string]int32, min(nl, slabMax))
+	for i := 0; i < nl; i++ {
+		line, err := tl.next()
+		if err != nil {
+			return nil, missing(err)
+		}
+		nf := textFields(line, f[:])
 		if (nf != 7 && nf != 8) || string(f[0]) != "LINK" {
-			return nil, bad("link line")
+			return nil, badLine("link line", line)
 		}
 		// The endpoints must name nodes already read; the link shares
 		// their ID strings.
-		from, to := g.nodes[string(f[1])], g.nodes[string(f[2])]
+		from, to := nodes[string(f[1])], nodes[string(f[2])]
 		if from == nil || to == nil {
 			return nil, fmt.Errorf("topology: link %s-%s references missing node", f[1], f[2])
 		}
@@ -193,18 +285,36 @@ func DecodeText(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("topology: bad jitter %q: %v", f[7], err)
 			}
 		}
-		if _, err := g.AddLink(Link{
+		k := pairKey(from.ID, to.ID)
+		if _, ok := linkIdx[k]; !ok {
+			linkIdx[k] = int32(len(linkSlab))
+		}
+		linkSlab = append(linkSlab, Link{
 			From: from.ID, To: to.ID,
 			Capacity: vals[0], UtilFromTo: vals[1], UtilToFrom: vals[2],
 			Latency: time.Duration(ns), Jitter: time.Duration(jitterNs),
-		}); err != nil {
-			return nil, err
-		}
+		})
 	}
-	if !sc.Scan() || string(bytes.TrimSpace(sc.Bytes())) != "END" {
+	line, err = tl.next()
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	if err != nil || string(bytes.TrimSpace(line)) != "END" {
 		return nil, fmt.Errorf("topology: missing END trailer")
 	}
-	return g, nil
+	links := make([]*Link, len(linkSlab))
+	for i := range linkSlab {
+		links[i] = &linkSlab[i]
+	}
+	return &Graph{
+		nodes: nodes, byAddr: byAddr, links: links, linkIdx: linkIdx,
+		nodeSlab: nodeSlab, linkSlab: linkSlab,
+	}, nil
+}
+
+// badLine is the error for a line DecodeText cannot read as what.
+func badLine(what string, line []byte) error {
+	return fmt.Errorf("topology: bad %s %q", what, line)
 }
 
 // xmlGraph mirrors Graph for the XML protocol.

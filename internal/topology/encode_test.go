@@ -120,6 +120,173 @@ func TestDecodeTextDistrustsHeaderCounts(t *testing.T) {
 	}
 }
 
+// builtFrom is the graph the AddNode and AddLink calls of the ASCII
+// form's lines build, one call per line in order: what DecodeText must
+// come to without making them.
+func builtFrom(t *testing.T, text string) *Graph {
+	t.Helper()
+	g := NewGraph()
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "NODE":
+			kind, err := ParseNodeKind(f[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := f[3]
+			if addr == "-" {
+				addr = ""
+			}
+			g.AddNode(Node{ID: f[1], Kind: kind, Addr: addr})
+		case len(f) == 8 && f[0] == "LINK":
+			var l Link
+			if _, err := fmt.Sscan(strings.Join(f[3:], " "), &l.Capacity, &l.UtilFromTo, &l.UtilToFrom, &l.Latency, &l.Jitter); err != nil {
+				t.Fatal(err)
+			}
+			l.From, l.To = f[1], f[2]
+			if _, err := g.AddLink(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+// assertDecodedAsBuilt holds a decoded graph to the one AddNode and
+// AddLink build from the same lines: the same nodes, the same addresses
+// bound (addrs lists every address the lines name), the same links in
+// order, and the same first link per pair.
+func assertDecodedAsBuilt(t *testing.T, got, want *Graph, addrs ...string) {
+	t.Helper()
+	assertGraphsEqual(t, want, got)
+	for _, a := range addrs {
+		w, g := want.NodeByAddr(a), got.NodeByAddr(a)
+		if (w == nil) != (g == nil) || (w != nil && *w != *g) {
+			t.Fatalf("NodeByAddr(%q) = %+v, built %+v", a, g, w)
+		}
+	}
+	for _, l := range want.Links() {
+		if got.FindLink(l.To, l.From) == nil || *got.FindLink(l.To, l.From) != *want.FindLink(l.From, l.To) {
+			t.Fatalf("FindLink(%s, %s) = %+v, built %+v", l.To, l.From, got.FindLink(l.To, l.From), want.FindLink(l.From, l.To))
+		}
+	}
+	if got.HasParallelLinks() != want.HasParallelLinks() {
+		t.Fatalf("HasParallelLinks = %t, built %t", got.HasParallelLinks(), want.HasParallelLinks())
+	}
+}
+
+// DecodeText reads a bufio.Reader in place, one line at a time: it stops
+// on the line after END, gathers a line longer than the reader's buffer,
+// and fails on input that ends before END. Line ends and repeated lines
+// decode as the line scanner it replaced read them.
+func TestDecodeTextReadsInPlace(t *testing.T) {
+	const reply = "GRAPH 2 1\nNODE a host 10.0.0.1\nNODE b switch -\nLINK a b 1e+08 5 0.25 1000 0\nEND\n"
+	t.Run("stops_at_end", func(t *testing.T) {
+		r := bufio.NewReaderSize(strings.NewReader(reply+"HISTORY 0\n"), 64)
+		g, err := DecodeText(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDecodedAsBuilt(t, g, builtFrom(t, reply), "10.0.0.1")
+		// The line after END is still the reader's.
+		if rest, err := r.ReadString('\n'); err != nil || rest != "HISTORY 0\n" {
+			t.Fatalf("after END: %q, %v", rest, err)
+		}
+	})
+	t.Run("long_lines", func(t *testing.T) {
+		long := strings.Repeat("n", 9000)
+		text := "GRAPH 2 1\nNODE " + long + " router 10.0.0.9\nNODE h host h\nLINK h " + long + " 1e+09 0 0 0 0\nEND\nAFTER\n"
+		r := bufio.NewReaderSize(strings.NewReader(text), 64)
+		g, err := DecodeText(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := g.Node(long); n == nil || g.NodeByAddr("10.0.0.9") != n || g.FindLink(long, "h") == nil {
+			t.Fatalf("the 9000-byte node ID did not decode: %+v", g.Nodes())
+		}
+		if rest, err := r.ReadString('\n'); err != nil || rest != "AFTER\n" {
+			t.Fatalf("after END: %q, %v", rest, err)
+		}
+	})
+	t.Run("eof_without_end", func(t *testing.T) {
+		for _, in := range []string{
+			strings.TrimSuffix(reply, "END\n"),
+			"GRAPH 2 1\nNODE a host -\n",
+			"GRAPH 2 1\nNODE a host -\nNODE b host -\n",
+		} {
+			if g, err := DecodeText(bufio.NewReaderSize(strings.NewReader(in), 64)); err == nil {
+				t.Fatalf("%q decoded to %d nodes with no END", in, len(g.Nodes()))
+			}
+		}
+		if _, err := DecodeText(bufio.NewReaderSize(strings.NewReader("GRAPH 2 1\nNODE a host -\n"), 64)); err != io.ErrUnexpectedEOF {
+			t.Fatalf("a node section cut short: %v, want %v", err, io.ErrUnexpectedEOF)
+		}
+	})
+	t.Run("tiny_reader_buffer", func(t *testing.T) {
+		// The smallest buffer a bufio.Reader takes, well under most lines.
+		var text bytes.Buffer
+		if err := coldReply().EncodeText(&text); err != nil {
+			t.Fatal(err)
+		}
+		g, err := DecodeText(bufio.NewReaderSize(bytes.NewReader(text.Bytes()), 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDecodedAsBuilt(t, g, coldReply())
+	})
+	t.Run("crlf", func(t *testing.T) {
+		g, err := DecodeText(strings.NewReader(strings.ReplaceAll(reply, "\n", "\r\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDecodedAsBuilt(t, g, builtFrom(t, reply), "10.0.0.1")
+	})
+	t.Run("unterminated_end", func(t *testing.T) {
+		for _, end := range []string{"END", "END\r"} {
+			in := strings.TrimSuffix(reply, "END\n") + end
+			g, err := DecodeText(strings.NewReader(in))
+			if err != nil {
+				t.Fatalf("%q: %v", in, err)
+			}
+			assertDecodedAsBuilt(t, g, builtFrom(t, reply), "10.0.0.1")
+		}
+	})
+	t.Run("duplicate_node", func(t *testing.T) {
+		// The later line wins; the earlier node's address is unbound, and
+		// an address the later node takes from another moves to it.
+		text := "GRAPH 4 2\nNODE a host 10.0.0.1\nNODE b host 10.0.0.2\nNODE a router 10.0.0.2\nNODE c switch -\n" +
+			"LINK a b 1 0 0 0 0\nLINK c a 2 0 0 0 0\nEND\n"
+		g, err := DecodeText(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDecodedAsBuilt(t, g, builtFrom(t, text), "10.0.0.1", "10.0.0.2")
+		if n := g.NodeByAddr("10.0.0.2"); n == nil || n.ID != "a" || n.Kind != RouterNode {
+			t.Fatalf("10.0.0.2 is bound to %+v, want the later a", n)
+		}
+		if n := g.NodeByAddr("10.0.0.1"); n != nil {
+			t.Fatalf("the replaced node's 10.0.0.1 is still bound, to %+v", n)
+		}
+	})
+	t.Run("parallel_links", func(t *testing.T) {
+		text := "GRAPH 2 3\nNODE a host a\nNODE b host b\nLINK a b 1 0 0 0 0\nLINK b a 2 0 0 0 0\nLINK a b 3 0 0 0 0\nEND\n"
+		g, err := DecodeText(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDecodedAsBuilt(t, g, builtFrom(t, text), "a", "b")
+		if len(g.Links()) != 3 || g.FindLink("b", "a").Capacity != 1 || !g.HasParallelLinks() {
+			t.Fatalf("parallel links: %d kept, first %+v", len(g.Links()), g.FindLink("b", "a"))
+		}
+		// The decoded graph is the caller's to grow: a link added after
+		// decoding is indexed after the three read.
+		if _, err := g.AddLink(Link{From: "a", To: "b", Capacity: 4}); err != nil || len(g.Links()) != 4 || g.FindLink("a", "b").Capacity != 1 {
+			t.Fatalf("AddLink after decode: %v, %d links, first %+v", err, len(g.Links()), g.FindLink("a", "b"))
+		}
+	})
+}
+
 // AppendText appends after what dst holds, and on error hands dst back as
 // it was.
 func TestAppendText(t *testing.T) {
@@ -168,17 +335,20 @@ func TestTextCodecAllocationBudget(t *testing.T) {
 	if !bytes.Equal(dst, buf.Bytes()) {
 		t.Fatalf("AppendText appends\n%s\nEncodeText writes\n%s", dst, buf.Bytes())
 	}
-	// Decoding makes the strings the graph keeps (an ID per node, and an
-	// address where it is not the ID again) and a fixed number of tables,
-	// slabs and buffers: nothing per link, nothing per field.
+	// Decoding makes one string for every ID and address of the reply and
+	// a fixed number of tables, slabs and buffers: nothing per node,
+	// nothing per link, nothing per field. (Per node, with a string each,
+	// it was len(nodes)+22: 87 here.)
 	text := buf.Bytes()
-	budget := float64(len(g.Nodes()) + 28)
-	if n := testing.AllocsPerRun(100, func() {
+	const budget = 28
+	n := testing.AllocsPerRun(100, func() {
 		if _, err := DecodeText(bytes.NewReader(text)); err != nil {
 			t.Fatal(err)
 		}
-	}); n > budget {
-		t.Fatalf("DecodeText allocates %.0f times for %d nodes and %d links, want <= %.0f",
+	})
+	t.Logf("DecodeText of %d nodes and %d links: %.0f allocations", len(g.Nodes()), len(g.Links()), n)
+	if n > budget {
+		t.Fatalf("DecodeText allocates %.0f times for %d nodes and %d links, want <= %d",
 			n, len(g.Nodes()), len(g.Links()), budget)
 	}
 }
@@ -265,12 +435,21 @@ func FuzzDecodeText(f *testing.F) {
 	f.Add([]byte("GRAPH 2 2\nNODE a host a\nNODE a router -\nLINK a a NaN -Inf 1e-7 -5\nLINK a a 0x1p-2 +Inf -0 7 9\nEND\n"))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		g, err := DecodeText(bytes.NewReader(b))
+		// Read in place through the smallest buffer a bufio.Reader takes,
+		// where most lines straddle it, the input decodes alike.
+		small, smallErr := DecodeText(bufio.NewReaderSize(bytes.NewReader(b), 16))
+		if (err == nil) != (smallErr == nil) {
+			t.Fatalf("decoding through a 16-byte reader: %v; through the default one: %v", smallErr, err)
+		}
 		if err != nil {
 			return
 		}
-		var text bytes.Buffer
+		var text, smallText bytes.Buffer
 		if err := g.EncodeText(&text); err != nil {
 			t.Fatalf("a decoded graph failed to encode: %v", err)
+		}
+		if err := small.EncodeText(&smallText); err != nil || !bytes.Equal(text.Bytes(), smallText.Bytes()) {
+			t.Fatalf("through a 16-byte reader the graph re-encodes as\n%s\nnot\n%s", smallText.Bytes(), text.Bytes())
 		}
 		again, err := DecodeText(bytes.NewReader(text.Bytes()))
 		if err != nil {
