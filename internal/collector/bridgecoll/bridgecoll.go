@@ -207,34 +207,38 @@ func (c *Collector) walkSwitch(addr netip.Addr) (*switchInfo, error) {
 		perPort: make(map[int][]collector.MAC),
 		speed:   make(map[int]float64),
 	}
-	scalars, err := c.cfg.Client.BulkWalkColumns(context.Background(), addr.String(),
+	hasPorts := false
+	err := c.cfg.Client.BulkWalkColumns(context.Background(), addr.String(),
 		[]snmp.OID{mib.SysName, mib.Dot1dBaseNumPorts, mib.Dot1dBaseBridgeAddr},
 		[]snmp.OID{mib.Dot1dTpFdbPort, mib.IfSpeed}, 32,
 		func(col int, o snmp.OID, val snmp.Value) bool {
-			if col == 1 {
+			switch col {
+			case -1: // sysName
+				si.name = string(val.Bytes)
+			case -2: // dot1dBaseNumPorts
+				si.numPorts, hasPorts = int(val.Int), val.Kind != snmp.KindNoSuchObject
+			case -3:
+				// dot1dBaseBridgeAddress names the bridge's own MAC, which
+				// must not be mistaken for a station.
+				if m, ok := collector.MACFromBytes(val.Bytes); ok {
+					si.mgmtMAC = m
+				}
+			case 1:
 				si.speed[int(o[len(o)-1])] = float64(val.Int)
-				return true
-			}
-			if mac, ok := collector.MACFromOID(o); ok {
-				port := int(val.Int)
-				si.fdb[mac] = port
-				si.perPort[port] = append(si.perPort[port], mac)
+			default:
+				if mac, ok := collector.MACFromOID(o); ok {
+					port := int(val.Int)
+					si.fdb[mac] = port
+					si.perPort[port] = append(si.perPort[port], mac)
+				}
 			}
 			return true
 		})
 	if err != nil {
 		return nil, err
 	}
-	name, numPorts, bridgeAddr := scalars[0], scalars[1], scalars[2]
-	if numPorts.Kind == snmp.KindNoSuchObject {
+	if !hasPorts {
 		return nil, fmt.Errorf("agent serves no dot1dBaseNumPorts")
-	}
-	si.name = string(name.Bytes)
-	si.numPorts = int(numPorts.Int)
-	// dot1dBaseBridgeAddress names the bridge's own MAC, which must not
-	// be mistaken for a station.
-	if m, ok := collector.MACFromBytes(bridgeAddr.Bytes); ok {
-		si.mgmtMAC = m
 	}
 	return si, nil
 }

@@ -334,7 +334,7 @@ func (b *build) addHost(h netip.Addr) {
 	if _, dup := b.pos[h]; dup {
 		return
 	}
-	id := h.String()
+	id := b.c.name(h)
 	b.pos[h] = int32(len(b.hosts))
 	b.hosts, b.ids = append(b.hosts, h), append(b.ids, id)
 	b.gateways[h], _ = b.c.cfg.GatewayOf(h)
@@ -511,7 +511,7 @@ func (r *request) poolable() bool { return max(cap(r.oids), cap(r.arena)) <= poo
 // name, and every object of a failed exchange, is not shown.
 func (b *build) getEach(agent netip.Addr, oids []snmp.OID, fn func(i int, v snmp.Value)) {
 	per := b.c.maxVarBinds()
-	addr := agent.String()
+	addr := b.c.name(agent)
 	for lo := 0; lo < len(oids); lo += per {
 		chunk := oids[lo:min(lo+per, len(oids))]
 		_ = b.cl.GetFunc(b.ctx, addr, chunk, func(vbs []snmp.VarBind) { // a failed exchange shows nothing
@@ -989,7 +989,7 @@ func (b *build) useRouter(addr netip.Addr) (*routerInfo, error) {
 	}
 	if !slices.Contains(b.used, ri) && b.g.Node(ri.nodeID()) == nil {
 		b.used = append(b.used, ri)
-		b.g.AddNode(topology.Node{ID: ri.nodeID(), Kind: topology.RouterNode, Addr: addr.String()})
+		b.g.AddNode(topology.Node{ID: ri.nodeID(), Kind: topology.RouterNode, Addr: b.c.name(addr)})
 	}
 	return ri, nil
 }
@@ -1010,7 +1010,7 @@ func (b *build) attachHostToRouter(h, r netip.Addr) error {
 	e, routed := ri.lpm(h)
 	if b.c.cfg.Bridge != nil && routed {
 		mh, okH := b.macs[h]
-		mr, okR := ri.macByIf[e.ifIndex]
+		mr, okR := ri.mac(e.ifIndex)
 		if okH && okR {
 			if segs, err := b.l2Path(mh, mr); err == nil {
 				return b.addL2Segments(segs, hostID, rtrID)
@@ -1021,7 +1021,7 @@ func (b *build) attachHostToRouter(h, r netip.Addr) error {
 	// the router's interface speed toward the host.
 	speed := 0.0
 	if routed {
-		speed = ri.ifSpeed[e.ifIndex]
+		speed = ri.speed(e.ifIndex)
 	}
 	vID := "v:" + rtrID
 	if b.g.Node(vID) == nil {
@@ -1120,7 +1120,7 @@ func (b *build) addRouterHop(a, bAddr netip.Addr, dst netip.Addr) error {
 	b.joined[key] = struct{}{}
 	aID, bID := riA.nodeID(), riB.nodeID()
 	if b.c.cfg.Bridge != nil {
-		ma, okA := riA.macByIf[e.ifIndex]
+		ma, okA := riA.mac(e.ifIndex)
 		mb, okB := b.nextHopMAC(a, riA, e.ifIndex, bAddr)
 		if okA && okB {
 			if segs, err := b.l2Path(ma, mb); err == nil {
@@ -1129,7 +1129,7 @@ func (b *build) addRouterHop(a, bAddr netip.Addr, dst netip.Addr) error {
 		}
 	}
 	reg := pollReg{agent: a, ifIndex: e.ifIndex, from: aID, to: bID, outIsFromTo: true}
-	_, err := b.ensureLink(topology.Link{From: aID, To: bID, Capacity: riA.ifSpeed[e.ifIndex]}, reg)
+	_, err := b.ensureLink(topology.Link{From: aID, To: bID, Capacity: riA.speed(e.ifIndex)}, reg)
 	return err
 }
 

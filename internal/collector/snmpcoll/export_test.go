@@ -77,3 +77,44 @@ func (c *Collector) Points() []PointState {
 	}
 	return out
 }
+
+// RouterView is what one cold walk learned of a router.
+type RouterView struct {
+	Addrs  []netip.Addr // the address walked first, then the router's others
+	Routes []RouteView
+	ri     *routerInfo
+}
+
+// RouteView is one route of a router view.
+type RouteView struct {
+	Prefix  netip.Prefix
+	NextHop netip.Addr // invalid = directly connected
+	IfIndex int
+}
+
+// WalkRouter walks the router at addr as a first contact does, sharing no
+// cache with the collector's queries.
+func (c *Collector) WalkRouter(addr netip.Addr) (RouterView, error) {
+	ri, err := c.fetchRouter(context.Background(), c.client(nil), addr, nil)
+	if err != nil {
+		return RouterView{}, err
+	}
+	v := RouterView{Addrs: ri.addrs, ri: ri}
+	for _, e := range ri.routes {
+		v.Routes = append(v.Routes, RouteView{Prefix: e.prefix, NextHop: e.nextHop, IfIndex: e.ifIndex})
+	}
+	return v, nil
+}
+
+// Ifaces returns the interface indexes the view holds, in its order.
+func (v RouterView) Ifaces() []int {
+	out := make([]int, len(v.ri.ifaces))
+	for i, f := range v.ri.ifaces {
+		out[i] = f.index
+	}
+	return out
+}
+
+// Speed and MAC look an interface up as discovery does.
+func (v RouterView) Speed(ifIndex int) float64             { return v.ri.speed(ifIndex) }
+func (v RouterView) MAC(ifIndex int) (collector.MAC, bool) { return v.ri.mac(ifIndex) }

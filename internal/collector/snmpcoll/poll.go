@@ -277,7 +277,7 @@ func (c *Collector) readDevice(ctx context.Context, cl *snmp.Client, points []*p
 			p.mu.Unlock()
 		}
 	}()
-	addr := points[0].agent.String() // rendered once for all of the device's exchanges
+	addr := c.name(points[0].agent)
 	legacy := c.readChunksLocked(ctx, cl, addr, points)
 	// A point that settles on Counter32 again here is read next time.
 	c.readChunksLocked(ctx, cl, addr, legacy)
@@ -350,6 +350,7 @@ func (c *Collector) Utilization(from, to string) (float64, bool) {
 
 // DropCaches clears the router, ARP and monitoring caches — used by
 // experiments to produce the Fig 3 "cold" scenario on a running collector.
+// The address names stay: an address's text never goes stale.
 func (c *Collector) DropCaches() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -175,14 +175,16 @@ func TestReusedColdBuildsAnswerLikeFreshConcurrently(t *testing.T) {
 // The allocation budget of one cold 32-host query on the 256-host campus
 // (Parallelism 1): its answer graph, the cache entries it creates (router
 // views, ARP entries, poll points) and what the emulated agents allocate to
-// answer it, 5 % over what was measured once each switch holding queried
-// stations was asked once, its new points' baselines riding its confirm Get
-// (196 allocations, ~57.7 KB). Before, the query allocated 225 times and
-// ~58.8 KB, and before its working state came from the collector's pool,
-// 410 times and ~114.9 KB. Budgets only get tighter.
+// answer it, 5 % over what was measured once every address was named once
+// in the collector's life and each router view was learned into three
+// flat slices (99.8 allocations, ~54.6 KB). Before, the query allocated 196
+// times and ~57.7 KB; before each switch holding queried stations was
+// asked once, 225 times and ~58.8 KB; and before its working state came
+// from the collector's pool, 410 times and ~114.9 KB. Budgets only get
+// tighter.
 const (
-	coldCollectAllocs = 206
-	coldCollectBytes  = 60600
+	coldCollectAllocs = 105
+	coldCollectBytes  = 57300
 )
 
 func TestColdCollectAllocBudget(t *testing.T) {

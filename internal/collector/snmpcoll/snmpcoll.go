@@ -10,6 +10,7 @@
 package snmpcoll
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/netip"
@@ -100,14 +101,48 @@ type routerInfo struct {
 	// ifNumber is the interface count the router reported; with the
 	// route count it sizes the walk that refreshes this view.
 	ifNumber int
-	ifSpeed  map[int]float64
-	// addrByIf and macByIf come from ipAddrTable and ifPhysAddress:
-	// every address the router holds and each interface's MAC. They let
-	// the collector recognize one router contacted under several
-	// addresses and find its attachment points on bridged segments.
-	addrByIf map[int]netip.Addr
-	macByIf  map[int]collector.MAC
+	// ifaces holds what ifSpeed and ifPhysAddress say of each interface,
+	// sorted by ifIndex: its capacity, and the MAC that finds its
+	// attachment point on a bridged segment. An agent numbers its
+	// interfaces as it likes, so a lookup searches, it does not index.
+	ifaces []ifaceInfo
 }
+
+// ifaceInfo is one interface of a router view.
+type ifaceInfo struct {
+	index  int
+	speed  float64
+	mac    collector.MAC
+	hasMAC bool
+}
+
+// speed returns the capacity of the router's interface ifIndex, 0 for one
+// it did not report.
+func (ri *routerInfo) speed(ifIndex int) float64 {
+	if f := ri.iface(ifIndex); f != nil {
+		return f.speed
+	}
+	return 0
+}
+
+// mac returns the MAC of the router's interface ifIndex, if it reported
+// one.
+func (ri *routerInfo) mac(ifIndex int) (collector.MAC, bool) {
+	if f := ri.iface(ifIndex); f != nil {
+		return f.mac, f.hasMAC
+	}
+	return collector.MAC{}, false
+}
+
+func (ri *routerInfo) iface(ifIndex int) *ifaceInfo {
+	i, ok := slices.BinarySearchFunc(ri.ifaces, ifIndex, ifaceInfo.compareIndex)
+	if !ok {
+		return nil
+	}
+	return &ri.ifaces[i]
+}
+
+func (f ifaceInfo) compareIndex(ifIndex int) int { return cmp.Compare(f.index, ifIndex) }
 
 // nodeID is the canonical graph identity of the router: its sysName,
 // which stays stable no matter which address the collector contacted.
@@ -119,10 +154,12 @@ func (ri *routerInfo) nodeID() string {
 }
 
 type routeEntry struct {
-	prefix  netip.Prefix
-	nextHop netip.Addr // invalid = directly connected
+	prefix  netip.Prefix // its address is the row's destination, as the agent indexed it
+	nextHop netip.Addr   // invalid = directly connected
 	ifIndex int
 }
+
+func (e routeEntry) compareDest(dst netip.Addr) int { return e.prefix.Addr().Compare(dst) }
 
 // counterMode tracks which octet counters a poll point reads. A fresh
 // point probes for the 64-bit high-capacity counters (RFC 2863) and locks
@@ -182,6 +219,10 @@ type Collector struct {
 	// so a query storm walks each device once.
 	fetches conc.Flight[netip.Addr, *routerInfo]
 
+	// names holds the text of the addresses queries name (see name).
+	namesMu sync.Mutex
+	names   map[netip.Addr]string
+
 	pollClient *snmp.Client // the periodic poller's client
 
 	// builds holds the working state of finished queries for the next
@@ -222,6 +263,7 @@ func New(cfg Config) *Collector {
 		routers:  make(map[netip.Addr]*routerInfo),
 		arp:      make(map[netip.Addr]collector.MAC),
 		monitors: make(map[monitorKey]*pollPoint),
+		names:    make(map[netip.Addr]string),
 		pred:     pred,
 	}
 	c.pollClient = c.client(nil)
@@ -265,6 +307,26 @@ func (c *Collector) LastPoll() time.Time {
 	return time.Unix(0, ns)
 }
 
+// name returns an address's text. A cold query names every host it places
+// and every agent it asks, so each is rendered once in the collector's
+// life and kept in one table: an address's text never goes stale, and
+// DropCaches keeps it. Past poolMax addresses, names render uncached.
+func (c *Collector) name(a netip.Addr) string {
+	c.namesMu.Lock()
+	s, ok := c.names[a]
+	c.namesMu.Unlock()
+	if ok {
+		return s
+	}
+	s = a.String()
+	c.namesMu.Lock()
+	if len(c.names) < poolMax {
+		c.names[a] = s
+	}
+	c.namesMu.Unlock()
+	return s
+}
+
 // maxVarBinds returns the configured per-PDU varbind bound.
 func (c *Collector) maxVarBinds() int {
 	n := c.cfg.MaxVarBinds
@@ -280,12 +342,23 @@ func (c *Collector) maxVarBinds() int {
 // PollInterval returns the monitoring period.
 func (c *Collector) PollInterval() time.Duration { return c.cfg.PollInterval }
 
-// routerColumns are the table columns fetchRouter walks together: the
-// four route-table columns, then the interface and address tables.
-var routerColumns = []snmp.OID{
-	mib.IPRouteDest, mib.IPRouteMask, mib.IPRouteNext, mib.IPRouteIfIdx,
-	mib.IfSpeed, mib.IfPhysAddr, mib.IPAdEntIfIndex,
-}
+// routerScalars are the objects fetchRouter reads beside its columns, and
+// routerColumns the table columns it walks together: the four route-table
+// columns, then the interface and address tables. The walk shows scalar i
+// as column -1-i.
+var (
+	routerScalars = []snmp.OID{mib.SysName, mib.SysUpTime, mib.IfNumber}
+	routerColumns = []snmp.OID{
+		mib.IPRouteDest, mib.IPRouteMask, mib.IPRouteNext, mib.IPRouteIfIdx,
+		mib.IfSpeed, mib.IfPhysAddr, mib.IPAdEntIfIndex,
+	}
+)
+
+const (
+	colSysName = -1 - iota
+	colSysUpTime
+	colIfNumber
+)
 
 const (
 	colRouteDest = iota
@@ -306,43 +379,48 @@ const firstContactRows = 8
 // whose tables fit the first response costs one exchange. prev, the view
 // this fetch replaces (nil on first contact), sizes that first request:
 // one row more than the longest table it held, so the walk sees every
-// column end.
+// column end. The view's tables are filled as the walk streams, each sized
+// by that row count.
 func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip.Addr, prev *routerInfo) (*routerInfo, error) {
 	rows := firstContactRows
 	if prev != nil {
 		rows = max(len(prev.routes), prev.ifNumber) + 1
 	}
 	ri := &routerInfo{
-		addr:     addr,
-		addrs:    []netip.Addr{addr},
-		routes:   make([]routeEntry, 0, rows),
-		ifSpeed:  make(map[int]float64),
-		addrByIf: make(map[int]netip.Addr),
-		macByIf:  make(map[int]collector.MAC),
+		addr:   addr,
+		addrs:  append(make([]netip.Addr, 0, rows), addr),
+		routes: make([]routeEntry, 0, rows),
+		ifaces: make([]ifaceInfo, 0, rows),
 	}
-	// Route rows are keyed by destination; a column may mention a
-	// destination the dest column has not reached yet, so rows are created
-	// on first mention and keep that order.
-	routeAt := map[netip.Addr]int{}
+	// Route rows are keyed by destination, and a column may mention a
+	// destination the dest column has not reached yet: a row is made on
+	// first mention, in destination order.
 	route := func(ip netip.Addr) *routeEntry {
-		i, ok := routeAt[ip]
-		if !ok {
-			i = len(ri.routes)
-			routeAt[ip] = i
-			ri.routes = append(ri.routes, routeEntry{prefix: netip.PrefixFrom(ip, 24)})
-		}
-		return &ri.routes[i]
+		return sortedAt(&ri.routes, ip, routeEntry.compareDest, routeEntry{prefix: netip.PrefixFrom(ip, 24)})
 	}
-	scalars, err := cl.BulkWalkColumns(ctx, addr.String(),
-		[]snmp.OID{mib.SysName, mib.SysUpTime, mib.IfNumber}, routerColumns, rows,
+	iface := func(o snmp.OID) *ifaceInfo {
+		index := int(o[len(o)-1])
+		return sortedAt(&ri.ifaces, index, ifaceInfo.compareIndex, ifaceInfo{index: index})
+	}
+	err := cl.BulkWalkColumns(ctx, c.name(addr), routerScalars, routerColumns, rows,
 		func(col int, o snmp.OID, v snmp.Value) bool {
 			switch col {
+			case colSysName:
+				ri.sysName = string(v.Bytes)
+				return true
+			case colSysUpTime:
+				ri.upTime.Store(uint32(v.Int))
+				return true
+			case colIfNumber:
+				ri.ifNumber = int(v.Int)
+				return true
 			case colIfSpeed:
-				ri.ifSpeed[int(o[len(o)-1])] = float64(v.Int)
+				iface(o).speed = float64(v.Int)
 				return true
 			case colIfPhysAddr:
 				if m, ok := collector.MACFromBytes(v.Bytes); ok {
-					ri.macByIf[int(o[len(o)-1])] = m
+					f := iface(o)
+					f.mac, f.hasMAC = m, true
 				}
 				return true
 			}
@@ -352,7 +430,6 @@ func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip
 			}
 			switch col {
 			case colIPAdEnt:
-				ri.addrByIf[int(v.Int)] = ip
 				if ip != addr {
 					ri.addrs = append(ri.addrs, ip)
 				}
@@ -378,10 +455,28 @@ func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip
 	for _, e := range ri.routes {
 		ri.longest = max(ri.longest, e.prefix.Bits())
 	}
-	ri.sysName = string(scalars[0].Bytes)
-	ri.upTime.Store(uint32(scalars[1].Int))
-	ri.ifNumber = int(scalars[2].Int)
 	return ri, nil
+}
+
+// sortedAt returns the element of s, sorted by compare, whose key is k,
+// inserting fresh in its place when there is none. A column walk mentions
+// keys in ascending order, so the element is nearly always the last one or
+// goes after it.
+func sortedAt[E, K any](s *[]E, k K, compare func(E, K) int, fresh E) *E {
+	t := *s
+	i, found := len(t), false
+	if i > 0 {
+		if d := compare(t[i-1], k); d == 0 {
+			i, found = i-1, true
+		} else if d > 0 {
+			i, found = slices.BinarySearchFunc(t, k, compare)
+		}
+	}
+	if !found {
+		t = slices.Insert(t, i, fresh)
+		*s = t
+	}
+	return &t[i]
 }
 
 // ip4Suffix reads the IPv4 address indexing a row from the last four
@@ -455,7 +550,7 @@ func (c *Collector) storeRouter(ri *routerInfo) {
 // mutated, so queries already holding the old pointer keep a consistent
 // pre-reboot snapshot). An unreachable agent is an error.
 func (c *Collector) validateRouter(ctx context.Context, cl *snmp.Client, ri *routerInfo) error {
-	v, err := cl.GetOne(ctx, ri.addr.String(), mib.SysUpTime)
+	v, err := cl.GetOne(ctx, c.name(ri.addr), mib.SysUpTime)
 	if err != nil {
 		return fmt.Errorf("snmpcoll: router %v unreachable: %w", ri.addr, err)
 	}

@@ -104,10 +104,12 @@ type Flight[K comparable, V any] struct {
 	calls map[K]*flightCall[V]
 }
 
+// flightCall is one call in flight. Its waiters wait on the embedded
+// WaitGroup, so a call costs one allocation, not a call and a channel.
 type flightCall[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	sync.WaitGroup
+	val V
+	err error
 }
 
 // Do invokes fn once per key among concurrent callers. shared reports
@@ -119,10 +121,11 @@ func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared b
 	}
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
-		<-c.done
+		c.Wait()
 		return c.val, c.err, true
 	}
-	c := &flightCall[V]{done: make(chan struct{})}
+	c := new(flightCall[V])
+	c.Add(1)
 	f.calls[key] = c
 	f.mu.Unlock()
 
@@ -130,6 +133,6 @@ func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared b
 	f.mu.Lock()
 	delete(f.calls, key)
 	f.mu.Unlock()
-	close(c.done)
+	c.Done()
 	return c.val, c.err, false
 }

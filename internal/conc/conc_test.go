@@ -126,6 +126,17 @@ func TestFlightDeduplicates(t *testing.T) {
 	}
 }
 
+// TestFlightAllocatesOncePerCall pins what a call costs when nobody
+// shares it: the one record its waiters would wait on.
+func TestFlightAllocatesOncePerCall(t *testing.T) {
+	var f Flight[int, int]
+	fn := func() (int, error) { return 1, nil }
+	f.Do(0, fn) // makes the call table
+	if n := testing.AllocsPerRun(100, func() { f.Do(1, fn) }); n != 1 {
+		t.Fatalf("Do allocates %v times a call, want 1", n)
+	}
+}
+
 func TestFlightDistinctKeysDoNotBlock(t *testing.T) {
 	var f Flight[int, int]
 	var wg sync.WaitGroup

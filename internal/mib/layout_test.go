@@ -157,7 +157,7 @@ func TestWalkBesideRelayout(t *testing.T) {
 				default:
 				}
 				rows := 0
-				_, err := c.BulkWalkColumns(context.Background(), addr, nil, columns, 8,
+				err := c.BulkWalkColumns(context.Background(), addr, nil, columns, 8,
 					func(col int, _ snmp.OID, _ snmp.Value) bool {
 						if col == 0 {
 							rows++

@@ -69,7 +69,7 @@ func (r *exchangeRig) get2(t testing.TB) {
 
 func (r *exchangeRig) bulk7x8(t testing.TB) {
 	seen := 0
-	_, err := r.client.BulkWalkColumns(context.Background(), r.addr, nil, r.columns, 8,
+	err := r.client.BulkWalkColumns(context.Background(), r.addr, nil, r.columns, 8,
 		func(int, snmp.OID, snmp.Value) bool { seen++; return true })
 	if err != nil || seen != 49 {
 		t.Fatalf("walk of 7 columns x 7 rows: %d objects, %v", seen, err)

@@ -337,10 +337,9 @@ func (c *Client) Walk(ctx context.Context, addr string, root OID, fn func(OID, V
 // repetition count (<=0 selects 32), which costs far fewer round trips
 // than Walk on large tables: the one-column case of BulkWalkColumns.
 func (c *Client) BulkWalk(ctx context.Context, addr string, root OID, maxRep int, fn func(OID, Value) bool) error {
-	_, err := c.BulkWalkColumns(ctx, addr, nil, []OID{root}, maxRep, func(_ int, o OID, v Value) bool {
+	return c.BulkWalkColumns(ctx, addr, nil, []OID{root}, maxRep, func(_ int, o OID, v Value) bool {
 		return fn(o, v)
 	})
-	return err
 }
 
 // maxBulkVarBinds bounds the repeater varbinds one GetBulk asks for
@@ -351,11 +350,12 @@ const maxBulkVarBinds = 512
 // lock-step GetBulk exchanges: every request carries one repeating varbind
 // per column still inside its root, so a table of k columns costs the
 // round trips of its longest column instead of k walks. scalars are
-// instance OIDs fetched as the first request's non-repeaters; their values
-// come back in order, as copies, KindNoSuchObject standing for one the
-// agent does not hold. fn sees the objects row by row (row i of every open
-// column, then row i+1); returning false stops the walk. A column is
-// dropped when a response leaves its root or ends the MIB.
+// instance OIDs fetched as the first request's non-repeaters. fn sees them
+// first, in order, scalar i as column -1-i, under the name asked for and
+// with KindNoSuchObject standing for one the agent does not hold; then the
+// objects row by row (row i of every open column, then row i+1). Returning
+// false stops the walk. A column is dropped when a response leaves its
+// root or ends the MIB.
 //
 // Every response of the walk is decoded into one scratch: the name and
 // value fn is shown are valid until it returns, and fn copies out what it
@@ -367,13 +367,12 @@ const maxBulkVarBinds = 512
 // every row comes back used and columns remain open, never more than an
 // agent that capped a request has shown it returns.
 func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, columns []OID, maxRep int,
-	fn func(col int, name OID, v Value) bool) ([]Value, error) {
+	fn func(col int, name OID, v Value) bool) error {
 	if maxRep <= 0 {
 		maxRep = 32
 	}
 	sc := clientPool.Get().(*clientScratch)
 	defer clientPool.Put(sc)
-	vals := make([]Value, len(scalars))
 	open, at := sc.open[:0], sc.at[:0]
 	for k, root := range columns {
 		open, at = append(open, k), append(at, root)
@@ -402,13 +401,16 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 			ErrorIndex:  maxRep, // max-repetitions
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		got := pdu.VarBinds
-		for i := range vals[:nonRep] {
-			vals[i] = NoSuchObject
-			if i < len(got) && got[i].Name.Cmp(scalars[i]) == 0 {
-				vals[i] = got[i].Value.Clone()
+		for i, inst := range scalars[:nonRep] {
+			v := NoSuchObject
+			if i < len(got) && got[i].Name.Cmp(inst) == 0 {
+				v = got[i].Value
+			}
+			if !fn(-1-i, inst, v) {
+				return nil
 			}
 		}
 		got = got[min(nonRep, len(got)):]
@@ -432,10 +434,10 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 				continue
 			}
 			if vb.Name.Cmp(at[k]) <= 0 {
-				return nil, fmt.Errorf("snmp: agent %s walked backwards at %s", addr, vb.Name)
+				return fmt.Errorf("snmp: agent %s walked backwards at %s", addr, vb.Name)
 			}
 			if !fn(k, vb.Name, vb.Value) {
-				return vals, nil
+				return nil
 			}
 			at[k] = vb.Name
 		}
@@ -457,5 +459,5 @@ func (c *Client) BulkWalkColumns(ctx context.Context, addr string, scalars, colu
 		}
 		maxRep = min(2*maxRep, agentCap)
 	}
-	return vals, nil
+	return nil
 }

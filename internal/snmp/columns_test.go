@@ -40,13 +40,24 @@ var (
 )
 
 // walkTable runs BulkWalkColumns over the table and returns each column's
-// values, the scalars and the number of exchanges.
+// values, copies of the scalars and the number of exchanges.
 func walkTable(t *testing.T, c *Client, addr string, scalars []OID, maxRep int) ([][]int64, []Value, int) {
 	t.Helper()
 	c.Meter = &Meter{}
 	cols := make([][]int64, len(tableColumns))
-	vals, err := c.BulkWalkColumns(context.Background(), addr, scalars, tableColumns, maxRep,
+	var vals []Value
+	err := c.BulkWalkColumns(context.Background(), addr, scalars, tableColumns, maxRep,
 		func(col int, name OID, v Value) bool {
+			if col < 0 {
+				if len(vals) != -1-col || name.Cmp(scalars[-1-col]) != 0 {
+					t.Errorf("scalar %d shown as column %d, named %s", len(vals), col, name)
+				}
+				vals = append(vals, v.Clone())
+				return true
+			}
+			if len(vals) != len(scalars) {
+				t.Errorf("column %d shown before the scalars", col)
+			}
 			if !name.HasPrefix(tableColumns[col]) {
 				t.Errorf("column %d handed %s", col, name)
 			}
@@ -118,7 +129,7 @@ func TestBulkWalkColumnsEndOfMibViewMidResponse(t *testing.T) {
 	c, reg := newInProcClient(t, "public")
 	reg.Register("a", &Agent{Community: "public", View: v})
 	var got []string
-	_, err = c.BulkWalkColumns(context.Background(), "a", nil, tableColumns[:2], 4,
+	err = c.BulkWalkColumns(context.Background(), "a", nil, tableColumns[:2], 4,
 		func(col int, name OID, v Value) bool {
 			got = append(got, fmt.Sprintf("%d:%d", col, v.Int))
 			return true
@@ -170,9 +181,11 @@ func TestBulkWalkColumnsMissingScalars(t *testing.T) {
 	}
 	// Scalars alone, no columns: one exchange.
 	c.Meter = &Meter{}
-	vals, err := c.BulkWalkColumns(context.Background(), "a", []OID{sysUpTime0}, nil, 0, nil)
-	if err != nil || vals[0].Int != 4200 {
-		t.Fatalf("scalar-only walk = %v, %v", vals, err)
+	var up Value
+	err := c.BulkWalkColumns(context.Background(), "a", []OID{sysUpTime0}, nil, 0,
+		func(_ int, _ OID, v Value) bool { up = v; return true })
+	if err != nil || up.Int != 4200 {
+		t.Fatalf("scalar-only walk = %v, %v", up, err)
 	}
 	if n, _ := c.Meter.Snapshot(); n != 1 {
 		t.Fatalf("scalar-only walk took %d exchanges", n)
@@ -184,8 +197,13 @@ func TestBulkWalkColumnsEarlyStop(t *testing.T) {
 	reg.Register("a", &Agent{Community: "public", View: tableView(t)})
 	c.Meter = &Meter{}
 	seen := 0
-	vals, err := c.BulkWalkColumns(context.Background(), "a", []OID{sysName0}, tableColumns, 1,
-		func(int, OID, Value) bool {
+	var name string
+	err := c.BulkWalkColumns(context.Background(), "a", []OID{sysName0}, tableColumns, 1,
+		func(col int, _ OID, v Value) bool {
+			if col < 0 {
+				name = string(v.Bytes)
+				return true
+			}
 			seen++
 			return seen < 3
 		})
@@ -195,8 +213,8 @@ func TestBulkWalkColumnsEarlyStop(t *testing.T) {
 	if seen != 3 {
 		t.Fatalf("callback ran %d times after asking to stop at 3", seen)
 	}
-	if string(vals[0].Bytes) != "dev1" {
-		t.Fatalf("scalars lost on early stop: %v", vals)
+	if name != "dev1" {
+		t.Fatalf("scalar lost on early stop: %q", name)
 	}
 	if n, _ := c.Meter.Snapshot(); n != 2 {
 		t.Fatalf("stopped walk took %d exchanges, want 2", n)
@@ -209,7 +227,7 @@ func TestBulkWalkColumnsCancelBetweenPDUs(t *testing.T) {
 	c.Meter = &Meter{}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := c.BulkWalkColumns(ctx, "a", nil, tableColumns, 1, func(int, OID, Value) bool {
+	err := c.BulkWalkColumns(ctx, "a", nil, tableColumns, 1, func(int, OID, Value) bool {
 		cancel() // during the first response: the second request must not go out
 		return true
 	})
@@ -223,7 +241,7 @@ func TestBulkWalkColumnsCancelBetweenPDUs(t *testing.T) {
 
 func TestBulkWalkColumnsRejectsBackwardsAgent(t *testing.T) {
 	c := NewClient(stuckAgent{}, "public")
-	_, err := c.BulkWalkColumns(context.Background(), "a", nil, tableColumns[:1], 4,
+	err := c.BulkWalkColumns(context.Background(), "a", nil, tableColumns[:1], 4,
 		func(int, OID, Value) bool { return true })
 	if err == nil {
 		t.Fatal("walk of an agent that never advances returned without error")

@@ -150,7 +150,7 @@ func TestOversizeBulkIsTruncatedNotDropped(t *testing.T) {
 	// And the walk that meets the cut goes on from it.
 	c := NewClient(&UDP{Timeout: 300 * time.Millisecond}, "public")
 	seen := 0
-	if _, err := c.BulkWalkColumns(context.Background(), addr, nil, roots, 0,
+	if err := c.BulkWalkColumns(context.Background(), addr, nil, roots, 0,
 		func(int, OID, Value) bool { seen++; return true }); err != nil || seen != cols*rows {
 		t.Fatalf("walk over the wide table saw %d of %d objects (%v)", seen, cols*rows, err)
 	}
@@ -285,8 +285,12 @@ func TestClientScratchIsDeadAfterCallback(t *testing.T) {
 		one.Meter = &Meter{}
 		// Two rows at a time, then four, then eight, ...: the walk's later
 		// responses are larger than, and decoded over, its earlier ones.
-		scalars, err := one.BulkWalkColumns(context.Background(), "a", scalarOIDs, columns, 2,
+		var scalars []Value // copied out, as a caller keeping them must
+		err := one.BulkWalkColumns(context.Background(), "a", scalarOIDs, columns, 2,
 			func(col int, name OID, v Value) bool {
+				if col < 0 {
+					scalars = append(scalars, v.Clone())
+				}
 				if col == 0 {
 					names = append(names, name.String())
 					strs = append(strs, string(v.Bytes))
