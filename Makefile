@@ -62,13 +62,15 @@ verify: vet lint build test race
 # The random-fabric properties and cross-path gates at scale: every
 # netsim.RandomFabric gate in netsim (routing, conservation, link limits,
 # partition stitching, family coverage), federation (stitched FLOWS
-# and QUERY against the single master) and proto (the graph a remote
-# QUERY's ASCII and XML clients decode against the one served) draws
-# 20× its tier-1 seed count
+# and QUERY against the single master), proto (the graph a remote
+# QUERY's ASCII and XML clients decode against the one served) and
+# snmpcoll (router views against the emulator, the numbered discovery
+# against the pairwise walk) draws 20× its tier-1 seed count
 # through testing/quick's standard -quickchecks flag, on the same fixed
 # seed list.
 property-soak:
-	$(GO) test -count=1 ./internal/netsim/ ./internal/federation/ ./internal/proto/ -quickchecks=2000
+	$(GO) test -count=1 ./internal/netsim/ ./internal/federation/ ./internal/proto/ \
+		./internal/collector/snmpcoll/ -quickchecks=2000
 
 # Shake each fuzz target for 10s so the targets (and their seed corpora)
 # can't bit-rot; CI runs this on every push. The list is every func Fuzz*

@@ -421,7 +421,7 @@ func (c *Collector) inferTopologyLocked() error {
 		c.stations = append(c.stations, st)
 	}
 	c.tree = tree
-	c.gen = Generation{seq: c.gen.seq + 1, links: len(c.stations) + len(tree)}
+	c.gen = Generation{seq: c.gen.seq + 1, links: len(c.stations) + len(tree), switches: len(tree)}
 	return nil
 }
 

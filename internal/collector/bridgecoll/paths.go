@@ -31,17 +31,23 @@ type Segment struct {
 	// carry the same Link exactly when they join the same two nodes, in
 	// either direction.
 	Link int32
+	// From and To number the switches at the segment's ends, from 0 to
+	// below the Switches of its Generation; a station's end is -1.
+	From, To int32
 }
 
 // Generation names one state of the topology database, from one walk of
 // the bridges to the next: the numbering its segments' Links are in.
 type Generation struct {
-	seq   uint64
-	links int
+	seq             uint64
+	links, switches int
 }
 
 // Links is the number of level-2 links the generation numbers.
 func (g Generation) Links() int { return g.links }
+
+// Switches is the number of switches the generation numbers.
+func (g Generation) Switches() int { return g.switches }
 
 // Generation returns the database's current generation: it changes
 // exactly when the bridges are re-walked.
@@ -215,6 +221,8 @@ func (c *Collector) AppendPath(segs []Segment, a, b collector.MAC) ([]Segment, G
 		PollPort:   sa.port,
 		PollIsFrom: false, // polled port is at the To (switch) end
 		Link:       ia,
+		From:       -1,
+		To:         sa.sw,
 	})
 	uplink := int32(len(c.stations)) // link number of switch 0's uplink
 	for x := sa.sw; up > 0; up-- {
@@ -227,6 +235,8 @@ func (c *Collector) AppendPath(segs []Segment, a, b collector.MAC) ([]Segment, G
 			PollPort:   sw.upPort,
 			PollIsFrom: true,
 			Link:       uplink + x,
+			From:       x,
+			To:         sw.parent,
 		})
 		x = sw.parent
 	}
@@ -243,6 +253,8 @@ func (c *Collector) AppendPath(segs []Segment, a, b collector.MAC) ([]Segment, G
 			PollPort:   sw.parentPort,
 			PollIsFrom: true,
 			Link:       uplink + y,
+			From:       sw.parent,
+			To:         y,
 		}
 		y = sw.parent
 	}
@@ -254,6 +266,8 @@ func (c *Collector) AppendPath(segs []Segment, a, b collector.MAC) ([]Segment, G
 		PollPort:   sb.port,
 		PollIsFrom: true, // polled port is at the From (switch) end
 		Link:       ib,
+		From:       sb.sw,
+		To:         -1,
 	})
 	return segs, c.gen, nil
 }

@@ -64,21 +64,24 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	// liveness check) — the warm-cache query cost. A router fetched by this
 	// very query just answered with its sysUpTime and is not asked again.
 	// Devices validate in parallel; the address ordering keeps the
-	// reported error (if any) deterministic.
+	// reported error (if any) deterministic. A cold query has nothing to
+	// validate, and makes no closure for it.
 	stale := b.stale[:0]
-	for _, ri := range b.used {
-		if !b.fresh[ri] {
-			stale = append(stale, ri)
+	for _, v := range b.used {
+		if r := b.routers[v]; !r.fresh {
+			stale = append(stale, r.ri)
 		}
 	}
 	b.stale = stale
 	slices.SortFunc(stale, func(x, y *routerInfo) int { return x.addr.Compare(y.addr) })
 	sp = start("validate")
-	if err := conc.ForEachCtx(ctx, len(stale), c.cfg.Parallelism, func(i int) error {
-		return c.validateRouter(ctx, cl, stale[i])
-	}); err != nil {
-		sp.EndDetail(err.Error())
-		return nil, QueryStats{}, err
+	if len(stale) > 0 {
+		if err := conc.ForEachCtx(ctx, len(stale), c.cfg.Parallelism, func(i int) error {
+			return c.validateRouter(ctx, cl, stale[i])
+		}); err != nil {
+			sp.EndDetail(err.Error())
+			return nil, QueryStats{}, err
+		}
 	}
 	if sp != nil {
 		sp.EndDetail(fmt.Sprintf("%d devices", len(stale)))
@@ -91,7 +94,7 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	cold := c.annotate(ctx, cl, b)
 	sp.End()
 
-	res := &collector.Result{Graph: b.g}
+	res := &collector.Result{Graph: b.graph()}
 	if q.WithHistory {
 		res.History = c.pred.History().Snapshot()
 	}
@@ -116,47 +119,92 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 // it, and the next query reuses its maps and slices instead of making its
 // own, so a query allocates its answer and the cache entries it creates,
 // not its working state.
+//
+// The graph is built by number: a queried host's node is its position in
+// hosts; a router and its virtual switch take the next two numbers when
+// the query first uses the router, and a bridged switch the next one when
+// a segment first names it. Nodes and links are joined by these numbers,
+// and the answer graph is assembled from them once, when discovery ends.
 type build struct {
 	ctx   context.Context
 	c     *Collector
 	cl    *snmp.Client
 	meter snmp.Meter // the query's SNMP cost, metered by cl
-	g     *topology.Graph
 
-	hosts    []netip.Addr              // the distinct queried hosts, in query order
-	ids      []string                  // their node IDs
-	pos      map[netip.Addr]int32      // their positions in hosts
-	gateways map[netip.Addr]netip.Addr // their configured first-hop routers (invalid: none)
-	macs     map[netip.Addr]collector.MAC
+	nodes  []topology.Node     // by number; a virtual switch not made yet has no ID
+	links  []link              // in the order they joined the graph
+	linked map[uint64]struct{} // the unordered node pairs links join, see pairKey
 
-	routers   map[netip.Addr]*routerInfo // by any address met this query
-	routerErr map[netip.Addr]error       // fetches that failed this query
-	fresh     map[*routerInfo]bool       // fetched by this query: already validated
-	used      []*routerInfo              // routers on some path, each once
+	hosts []netip.Addr         // the distinct queried hosts, in query order
+	pos   map[netip.Addr]int32 // their positions in hosts
+	at    []host               // what the query knows of each, by position
+	order []int32              // the query's hosts as positions, in query order, repeats kept
+
+	// What the query knows of routers, and of addresses that are not
+	// queried hosts, is kept in short lists searched linearly: a query
+	// meets few routers.
+	routers   []view     // the router views this query holds, in the order met
+	routerErr []failure  // the router fetches that failed this query
+	used      []int32    // the views that numbered a router on some path, each once
+	joins     []pair     // routers joined to routers, and hosts joined to a second router
+	nextHops  []arpEntry // the MACs of addresses that are not queried hosts, latest last
 
 	segs   []bridgecoll.Segment // l2Path's scratch
 	chains []chain              // the distinct router chains walked, see routerChain
-	hops   []netip.Addr         // their addresses, and routerChain's scratch past them
+	hops   []hop                // their routers, and routerChain's scratch past them
 	routes []route              // routerChain's memo: which chain a destination takes
 
-	linkPolls []pollReg             // by graph link number: each link's poll registration
-	joined    map[join]struct{}     // hosts attached to routers, routers joined to routers
-	l2gen     bridgecoll.Generation // the bridge database generation l2links belong to
-	l2links   []int32               // by bridge link number: 1 + the graph link it was folded into
+	l2gen   bridgecoll.Generation // the bridge database generation l2links and l2nodes belong to
+	l2links []int32               // by bridge link number: 1 + the link it was folded into
+	l2nodes []int32               // by bridge switch number: 1 + the switch's node
+	l2regen bool                  // the graph holds switches numbered under an earlier generation
 
 	// The phases' scratch, each read by one phase only.
-	index      map[netip.Addr]int32 // a phase's address -> group, cleared by the phase
-	unresolved []netip.Addr         // discover: the hosts whose MACs are not known
-	gws        []netip.Addr         // gatewaysOf's result
-	fetched    []fetched            // fetchRouters: each address's outcome
-	arpGroups  []arpGroup           // resolveMACs: the ARP entries asked of each gateway
-	asked      []arpEntry           // resolveMACs' fallbacks, nextHopMAC's Get
-	swGroups   []swGroup            // confirm: what is asked of each switch
-	moved      []collector.MAC      // confirm: the stations found off their port
-	places     []place              // connect: what it knows of each host
-	stale      []*routerInfo        // CollectWithStats: the cached routers to validate
-	added      []*pollPoint         // newPoints: the points this query registers, see annotate
-	unread     []*pollPoint         // annotate: those confirm could not read
+	index     map[netip.Addr]int32 // a phase's address -> group, cleared by the phase
+	ask       []int32              // discover: the hosts whose gateways are fetched
+	gws       []netip.Addr         // gatewaysOf's result
+	fetched   []fetched            // fetchRouters: each address's outcome
+	arpGroups []arpGroup           // resolveMACs: the ARP entries asked of each gateway
+	asked     []arpEntry           // resolveMACs' fallbacks, nextHopMAC's Get
+	swGroups  []swGroup            // confirm: what is asked of each switch
+	moved     []collector.MAC      // confirm: the stations found off their port
+	places    []place              // connect: what it knows of each host, in query order
+	stale     []*routerInfo        // CollectWithStats: the cached routers to validate
+	added     []*pollPoint         // newPoints: the points this query registers, see annotate
+	unread    []*pollPoint         // annotate: those confirm could not read
+}
+
+// host is what a query knows of one queried host.
+type host struct {
+	gateway netip.Addr // its configured first-hop router (invalid: none)
+	mac     collector.MAC
+	hasMAC  bool
+	joined  int32 // 1 + the view of the first router it was joined to, 0 none
+}
+
+// view is one router view a query holds.
+type view struct {
+	ri    *routerInfo
+	fresh bool  // fetched by this query: already validated
+	node  int32 // 1 + the router's node, 0 until the query uses it; its virtual switch's is next
+}
+
+// failure is a router fetch that failed.
+type failure struct {
+	addr netip.Addr
+	err  error
+}
+
+// pair is one join on the query's short list: routers a < b, by view, or
+// the queried host at position -1-a and router b.
+type pair struct{ a, b int32 }
+
+// link is one link of the graph being built: the answer's link, its ends
+// by node number and where it is polled.
+type link struct {
+	topology.Link
+	from, to int32
+	poll     pollReg
 }
 
 // poolMax bounds what pooled scratch keeps: a build or request holding a
@@ -172,34 +220,30 @@ const poolMax = 4096
 func (b *build) start(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) {
 	b.ctx, b.c, b.cl = ctx, c, cl
 	b.meter = snmp.Meter{}
-	b.g = topology.NewGraphSized(2*hosts, 2*hosts)
 	if b.pos == nil {
 		b.pos = make(map[netip.Addr]int32, hosts)
-		b.gateways = make(map[netip.Addr]netip.Addr, hosts)
-		b.macs = make(map[netip.Addr]collector.MAC, hosts)
-		b.routers = make(map[netip.Addr]*routerInfo)
-		b.routerErr = make(map[netip.Addr]error)
-		b.fresh = make(map[*routerInfo]bool)
-		b.joined = make(map[join]struct{}, hosts)
+		b.linked = make(map[uint64]struct{}, 2*hosts)
 		b.index = make(map[netip.Addr]int32)
 	}
+	b.nodes = slices.Grow(b.nodes, 2*hosts)
+	b.links = slices.Grow(b.links, 2*hosts)
 	b.hosts = slices.Grow(b.hosts, hosts)
-	b.ids = slices.Grow(b.ids, hosts)
+	b.at = slices.Grow(b.at, hosts)
+	b.order = slices.Grow(b.order, hosts)
 	b.chains = slices.Grow(b.chains, hosts/2)
 	b.hops = slices.Grow(b.hops, 2*hosts)
 	b.routes = slices.Grow(b.routes, hosts/2)
-	b.linkPolls = slices.Grow(b.linkPolls, 2*hosts)
 }
 
 // reset empties the build after its query — every map cleared, every
 // slice cleared and truncated, so the pool keeps no graph, router or poll
 // point alive — and reports whether it may go back to the pool: not when
 // anything in it grew past poolMax. The bridge generation is forgotten
-// with the link numbers kept under it, which name links of the last
+// with the numbers kept under it, which name links and nodes of the last
 // query's graph. The groups keep their entry slices for the next query.
 func (b *build) reset() (pool bool) {
-	b.ctx, b.c, b.cl, b.g = nil, nil, nil, nil
-	b.l2gen = bridgecoll.Generation{}
+	b.ctx, b.c, b.cl = nil, nil, nil
+	b.l2gen, b.l2regen = bridgecoll.Generation{}, false
 	most := 0
 	for i := range b.arpGroups {
 		most = max(most, cap(b.arpGroups[i].entries))
@@ -211,14 +255,13 @@ func (b *build) reset() (pool bool) {
 		clear(g.points)
 	}
 	b.arpGroups, b.swGroups = b.arpGroups[:0], b.swGroups[:0]
-	most = max(most, cap(b.arpGroups), cap(b.swGroups),
-		empty(b.pos), empty(b.gateways), empty(b.macs), empty(b.routers), empty(b.routerErr),
-		empty(b.fresh), empty(b.joined), empty(b.index),
-		truncate(&b.hosts), truncate(&b.ids), truncate(&b.used), truncate(&b.segs),
-		truncate(&b.chains), truncate(&b.hops), truncate(&b.routes), truncate(&b.linkPolls),
-		truncate(&b.l2links), truncate(&b.unresolved), truncate(&b.gws), truncate(&b.fetched),
-		truncate(&b.asked), truncate(&b.moved), truncate(&b.places), truncate(&b.stale), truncate(&b.added),
-		truncate(&b.unread))
+	most = max(most, cap(b.arpGroups), cap(b.swGroups), empty(b.pos), empty(b.linked), empty(b.index),
+		truncate(&b.nodes), truncate(&b.links), truncate(&b.hosts), truncate(&b.at), truncate(&b.order),
+		truncate(&b.routers), truncate(&b.routerErr), truncate(&b.used), truncate(&b.joins),
+		truncate(&b.nextHops), truncate(&b.segs), truncate(&b.chains), truncate(&b.hops),
+		truncate(&b.routes), truncate(&b.l2links), truncate(&b.l2nodes), truncate(&b.ask),
+		truncate(&b.gws), truncate(&b.fetched), truncate(&b.asked), truncate(&b.moved),
+		truncate(&b.places), truncate(&b.stale), truncate(&b.added), truncate(&b.unread))
 	return most <= poolMax
 }
 
@@ -239,10 +282,16 @@ func truncate[S ~[]E, E any](s *S) int {
 // chain is one distinct router chain a query walked, and how far the
 // query has joined it into the graph.
 type chain struct {
-	addrs   []netip.Addr // the routers' addresses, gateway first
-	last    *routerInfo  // the router at addrs[len(addrs)-1]
-	joined  bool         // its router hops are in the graph
-	lastSrc netip.Addr   // the source last attached to its first router
+	hops    []hop // the routers, gateway first
+	joined  bool  // its router hops are in the graph
+	lastSrc int32 // 1 + the position of the source last attached to its first router
+}
+
+// hop is one router of a chain: the address the walk reached it by, and
+// the query's view of it.
+type hop struct {
+	addr netip.Addr
+	view int32
 }
 
 // route remembers the chain a walk from start toward dst took. Every
@@ -264,18 +313,12 @@ func ip4(a netip.Addr) (uint32, bool) {
 	return binary.BigEndian.Uint32(a4[:]), true
 }
 
-// join names one connection the query made: the queried host at position
-// host attached to router a, or (host -1) routers a and b joined, a the
-// lower-addressed.
-type join struct {
-	host int32
-	a, b *routerInfo
-}
-
+// pollReg is where a link is polled: the device interface, and the node
+// numbers at the polled port's end (from) and the other.
 type pollReg struct {
-	agent       netip.Addr
+	agent       netip.Addr // invalid: the link is not measured
 	ifIndex     int
-	from, to    string
+	from, to    int32
 	outIsFromTo bool
 }
 
@@ -288,90 +331,116 @@ type pollReg struct {
 // its new poll points. A station found moved costs the re-walk of the
 // bridges and a second connect, on the corrected database.
 func (b *build) discover(hosts []netip.Addr) error {
-	for _, h := range hosts {
-		b.addHost(h)
+	b.place(hosts)
+	ask := b.ask[:0]
+	for p := range int32(len(b.hosts)) {
+		// Without a bridge no MAC is resolved: every pair is routed,
+		// through the hosts' gateways, and no station is confirmed.
+		if b.c.cfg.Bridge == nil {
+			ask = append(ask, p)
+		} else if _, known := b.hostMAC(p); !known {
+			ask = append(ask, p)
+		}
 	}
+	b.ask = ask
 	if b.c.cfg.Bridge == nil {
-		// No MACs to resolve, no stations to confirm: every pair is routed,
-		// through the hosts' gateways.
 		if len(b.hosts) > 1 {
-			b.fetchRouters(b.gatewaysOf(b.hosts))
+			b.fetchRouters(b.gatewaysOf(ask))
 		}
-		return b.connectUnconfirmed(hosts)
+		return b.connectUnconfirmed()
 	}
-	unresolved := b.unresolved[:0]
-	for _, h := range b.hosts {
-		if _, ok := b.cachedMAC(h); !ok {
-			unresolved = append(unresolved, h)
-		}
-	}
-	b.unresolved = unresolved
-	b.fetchRouters(b.gatewaysOf(unresolved))
-	b.resolveMACs(unresolved)
+	b.fetchRouters(b.gatewaysOf(ask))
+	b.resolveMACs(ask)
 	gen := b.c.cfg.Bridge.Generation()
-	if err := b.connect(hosts); err != nil {
+	if err := b.connect(); err != nil {
 		return err
 	}
 	if rebuild, err := b.confirm(gen); err != nil || !rebuild {
 		return err
 	}
 	b.rollback()
-	return b.connectUnconfirmed(hosts)
+	return b.connectUnconfirmed()
 }
 
 // connectUnconfirmed connects the hosts with no confirm to follow:
 // annotate reads every new point's baseline.
-func (b *build) connectUnconfirmed(hosts []netip.Addr) error {
-	if err := b.connect(hosts); err != nil {
+func (b *build) connectUnconfirmed() error {
+	if err := b.connect(); err != nil {
 		return err
 	}
 	b.newPoints()
 	return nil
 }
 
-// addHost places a queried host in the graph.
-func (b *build) addHost(h netip.Addr) {
-	if _, dup := b.pos[h]; dup {
-		return
+// place numbers the queried hosts: each distinct one takes the next
+// position, and its node that number.
+func (b *build) place(hosts []netip.Addr) {
+	for _, h := range hosts {
+		p, dup := b.pos[h]
+		if !dup {
+			p = int32(len(b.hosts))
+			b.pos[h] = p
+			b.hosts = append(b.hosts, h)
+			gw, _ := b.c.cfg.GatewayOf(h)
+			b.at = append(b.at, host{gateway: gw})
+			id := b.c.name(h)
+			b.nodes = append(b.nodes, topology.Node{ID: id, Kind: topology.HostNode, Addr: id})
+		}
+		b.order = append(b.order, p)
 	}
-	id := b.c.name(h)
-	b.pos[h] = int32(len(b.hosts))
-	b.hosts, b.ids = append(b.hosts, h), append(b.ids, id)
-	b.gateways[h], _ = b.c.cfg.GatewayOf(h)
-	b.g.AddNode(hostNode(id))
 }
 
-func hostNode(id string) topology.Node {
-	return topology.Node{ID: id, Kind: topology.HostNode, Addr: id}
+// graph assembles the answer from what the build made, into slabs the
+// answer keeps: every node but the virtual switches never used, and every
+// link, in order.
+func (b *build) graph() *topology.Graph {
+	nodes := make([]topology.Node, 0, len(b.nodes))
+	for _, n := range b.nodes {
+		if n.ID != "" {
+			nodes = append(nodes, n)
+		}
+	}
+	links := make([]topology.Link, len(b.links))
+	for i := range b.links {
+		links[i] = b.links[i].Link
+	}
+	return topology.Assemble(nodes, links)
 }
 
 // rollback drops what connect built on station locations confirm found
-// stale: the graph, every join made into it, and the new points with the
-// baselines confirm read for them. The hosts stay placed, their MACs
-// resolved and their routers fetched, for connect to start again.
+// stale: every node but the hosts', every link and join, and the new
+// points with the baselines confirm read for them. The hosts stay placed,
+// their MACs resolved and their routers fetched, for connect to start
+// again.
 func (b *build) rollback() {
-	b.g = topology.NewGraphSized(2*len(b.hosts), 2*len(b.hosts))
-	for _, id := range b.ids {
-		b.g.AddNode(hostNode(id))
+	clear(b.nodes[len(b.hosts):])
+	b.nodes = b.nodes[:len(b.hosts)]
+	for i := range b.routers {
+		b.routers[i].node = 0
 	}
-	b.l2gen = bridgecoll.Generation{}
-	clear(b.joined)
+	for i := range b.at {
+		b.at[i].joined = 0
+	}
+	b.l2gen, b.l2regen = bridgecoll.Generation{}, false
+	clear(b.linked)
+	truncate(&b.links)
+	truncate(&b.joins)
 	truncate(&b.used)
 	truncate(&b.chains)
 	truncate(&b.hops)
 	truncate(&b.routes)
-	truncate(&b.linkPolls)
 	truncate(&b.l2links)
+	truncate(&b.l2nodes)
 	truncate(&b.added)
 }
 
-// gatewaysOf returns the distinct configured gateways of the hosts, in
-// first-seen order.
-func (b *build) gatewaysOf(hosts []netip.Addr) []netip.Addr {
+// gatewaysOf returns the distinct configured gateways of the hosts at the
+// given positions, in first-seen order.
+func (b *build) gatewaysOf(hosts []int32) []netip.Addr {
 	clear(b.index)
 	gws := b.gws[:0]
-	for _, h := range hosts {
-		if gw := b.gateways[h]; gw.IsValid() {
+	for _, p := range hosts {
+		if gw := b.at[p].gateway; gw.IsValid() {
 			if _, seen := b.index[gw]; !seen {
 				b.index[gw] = int32(len(gws))
 				gws = append(gws, gw)
@@ -396,7 +465,7 @@ func (b *build) fetchRouters(addrs []netip.Addr) {
 	})
 	for i, r := range out {
 		if r.err != nil {
-			b.routerErr[addrs[i]] = r.err
+			b.routerErr = append(b.routerErr, failure{addrs[i], r.err})
 		} else {
 			b.adopt(r.ri, r.fresh)
 		}
@@ -411,49 +480,85 @@ type fetched struct {
 }
 
 // adopt makes a router view this query's view of every address the router
-// holds.
-func (b *build) adopt(ri *routerInfo, fresh bool) {
-	for _, a := range ri.addrs {
-		b.routers[a] = ri
+// holds, and returns its number.
+func (b *build) adopt(ri *routerInfo, fresh bool) int32 {
+	for i := range b.routers {
+		if r := &b.routers[i]; r.ri == ri {
+			r.fresh = r.fresh || fresh
+			return int32(i)
+		}
 	}
-	if fresh {
-		b.fresh[ri] = true
-	}
+	b.routers = append(b.routers, view{ri: ri, fresh: fresh})
+	return int32(len(b.routers) - 1)
 }
 
-// router returns this query's view of the router at addr, loading it on
-// first mention.
-func (b *build) router(addr netip.Addr) (*routerInfo, error) {
-	if ri, ok := b.routers[addr]; ok {
-		return ri, nil
+// viewOf returns the number of this query's view of the router at addr,
+// -1 for none. Of two views holding the address, the later adopted is it.
+func (b *build) viewOf(addr netip.Addr) int32 {
+	for i := len(b.routers) - 1; i >= 0; i-- {
+		if slices.Contains(b.routers[i].ri.addrs, addr) {
+			return int32(i)
+		}
 	}
-	if err, failed := b.routerErr[addr]; failed {
-		return nil, err
+	return -1
+}
+
+// router returns the number of this query's view of the router at addr,
+// loading it on first mention.
+func (b *build) router(addr netip.Addr) (int32, error) {
+	if v := b.viewOf(addr); v >= 0 {
+		return v, nil
+	}
+	for _, f := range b.routerErr {
+		if f.addr == addr {
+			return -1, f.err
+		}
 	}
 	ri, fresh, err := b.c.routerFor(b.ctx, b.cl, addr)
 	if err != nil {
-		b.routerErr[addr] = err
-		return nil, err
+		b.routerErr = append(b.routerErr, failure{addr, err})
+		return -1, err
 	}
-	b.adopt(ri, fresh)
-	return ri, nil
+	return b.adopt(ri, fresh), nil
+}
+
+// hostMAC returns the MAC this query holds for the queried host at
+// position p, or the one in the collector's ARP cache (see cachedMAC).
+func (b *build) hostMAC(p int32) (collector.MAC, bool) {
+	st := &b.at[p]
+	if !st.hasMAC && !b.c.cfg.DisableRouteCache {
+		b.c.mu.Lock()
+		st.mac, st.hasMAC = b.c.arp[b.hosts[p]]
+		b.c.mu.Unlock()
+	}
+	return st.mac, st.hasMAC
+}
+
+// listedMAC returns the MAC on the query's next-hop list for an address.
+func (b *build) listedMAC(ip netip.Addr) (collector.MAC, bool) {
+	for i := len(b.nextHops) - 1; i >= 0; i-- {
+		if e := &b.nextHops[i]; e.ip == ip {
+			return e.mac, true
+		}
+	}
+	return collector.MAC{}, false
 }
 
 // cachedMAC returns the MAC this query already holds for an address, or
 // the one in the collector's ARP cache — part of its static state (dropped
 // by DropCaches, kept by DropDynamic), which DisableRouteCache bypasses.
 func (b *build) cachedMAC(ip netip.Addr) (collector.MAC, bool) {
-	if mac, ok := b.macs[ip]; ok {
-		return mac, true
+	if p, ok := b.pos[ip]; ok {
+		return b.hostMAC(p)
 	}
-	if b.c.cfg.DisableRouteCache {
-		return collector.MAC{}, false
+	if mac, ok := b.listedMAC(ip); ok || b.c.cfg.DisableRouteCache {
+		return mac, ok
 	}
 	b.c.mu.Lock()
 	mac, ok := b.c.arp[ip]
 	b.c.mu.Unlock()
 	if ok {
-		b.macs[ip] = mac
+		b.nextHops = append(b.nextHops, arpEntry{ip: ip, mac: mac, found: true})
 	}
 	return mac, ok
 }
@@ -464,9 +569,18 @@ func (b *build) learn(entries []arpEntry) {
 	b.c.mu.Lock()
 	defer b.c.mu.Unlock()
 	for _, e := range entries {
-		if e.found {
-			b.macs[e.ip] = e.mac
-			b.c.arp[e.ip] = e.mac
+		if !e.found {
+			continue
+		}
+		b.c.arp[e.ip] = e.mac
+		p, queried := e.host-1, e.host != 0
+		if !queried {
+			p, queried = b.pos[e.ip]
+		}
+		if queried {
+			b.at[p].mac, b.at[p].hasMAC = e.mac, true
+		} else {
+			b.nextHops = append(b.nextHops, e)
 		}
 	}
 }
@@ -476,6 +590,7 @@ func (b *build) learn(entries []arpEntry) {
 type arpEntry struct {
 	ifIndex int
 	ip      netip.Addr
+	host    int32 // 1 + the position of the queried host at ip, 0 if unknown
 	mac     collector.MAC
 	found   bool
 }
@@ -581,21 +696,22 @@ type arpGroup struct {
 	entries []arpEntry
 }
 
-// resolveMACs resolves the given hosts' MACs: one ipNetToMedia Get per
-// gateway router for all the hosts behind it (the router's next hops fill
-// the PDU's spare room), configuration for whatever that leaves. What it
-// learns joins the collector's ARP cache.
-func (b *build) resolveMACs(hosts []netip.Addr) {
+// resolveMACs resolves the MACs of the hosts at the given positions: one
+// ipNetToMedia Get per gateway router for all the hosts behind it (the
+// router's next hops fill the PDU's spare room), configuration for
+// whatever that leaves. What it learns joins the collector's ARP cache.
+func (b *build) resolveMACs(hosts []int32) {
 	per := b.c.maxVarBinds()
 	clear(b.index) // gateway -> index in groups
 	groups := b.arpGroups[:0]
-	for _, h := range hosts {
-		gw := b.gateways[h]
-		ri := b.routers[gw] // loaded by fetchRouters, or unreachable, or no gateway
-		if ri == nil {
+	for _, p := range hosts {
+		gw := b.at[p].gateway
+		v := b.viewOf(gw) // loaded by fetchRouters, or unreachable, or no gateway
+		if v < 0 {
 			continue
 		}
-		e, ok := ri.lpm(h)
+		ri := b.routers[v].ri
+		e, ok := ri.lpm(b.hosts[p])
 		if !ok {
 			continue
 		}
@@ -607,7 +723,7 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 			groups, g = extend(groups)
 			g.gw, g.ri, g.entries = gw, ri, slices.Grow(g.entries[:0], per)
 		}
-		groups[i].entries = append(groups[i].entries, arpEntry{ifIndex: e.ifIndex, ip: h})
+		groups[i].entries = append(groups[i].entries, arpEntry{ifIndex: e.ifIndex, ip: b.hosts[p], host: p + 1})
 	}
 	b.arpGroups = groups
 	for i := range groups {
@@ -624,10 +740,10 @@ func (b *build) resolveMACs(hosts []netip.Addr) {
 	}
 	if b.c.cfg.ResolveMAC != nil {
 		fallback := b.asked[:0]
-		for _, h := range hosts {
-			if _, ok := b.macs[h]; !ok {
-				if m, ok := b.c.cfg.ResolveMAC(h); ok {
-					fallback = append(fallback, arpEntry{ip: h, mac: m, found: true})
+		for _, p := range hosts {
+			if !b.at[p].hasMAC {
+				if m, ok := b.c.cfg.ResolveMAC(b.hosts[p]); ok {
+					fallback = append(fallback, arpEntry{ip: b.hosts[p], host: p + 1, mac: m, found: true})
 				}
 			}
 		}
@@ -670,11 +786,11 @@ func (b *build) confirm(gen bridgecoll.Generation) (bool, error) {
 	br := b.c.cfg.Bridge
 	clear(b.index) // switch -> index in groups
 	groups := b.swGroups[:0]
-	for _, h := range b.hosts {
-		mac, ok := b.macs[h]
-		if !ok {
+	for _, h := range b.at {
+		if !h.hasMAC {
 			continue
 		}
+		mac := h.mac
 		sw, port, known := br.Locate(mac)
 		if !known {
 			continue
@@ -754,13 +870,13 @@ func (b *build) confirmSwitch(g *swGroup) {
 	})
 }
 
-// place is what connect knows of a host. domain 0 is none; lastRouter is
-// the router the host was last attached to as a destination.
+// place is what connect knows of a host at one place in the query's
+// order. domain 0 is none.
 type place struct {
 	domain                      int32
 	firstOfDomain, firstOfGroup bool
-	routedLater                 bool // some later host is outside this one's domain
-	lastRouter                  *routerInfo
+	routedLater                 bool  // some later host is outside this one's domain
+	lastRouter                  int32 // 1 + the view of the router last attached to as a destination
 }
 
 // connect joins the queried hosts. The graph wanted is the union of the
@@ -783,11 +899,12 @@ type place struct {
 // have no domain: they are routed to everybody, and grouped by gateway
 // alone.
 //
-// Pairs are visited in query order, so each link is first added — and
-// takes its orientation and poll point — by the same path as in a walk
-// over all pairs.
-func (b *build) connect(hosts []netip.Addr) error {
-	n := len(hosts)
+// Pairs are visited in query order, a host named twice included, so each
+// link is first added — and takes its orientation and poll point — by the
+// same path as in a walk over all pairs.
+func (b *build) connect() error {
+	order := b.order
+	n := len(order)
 	type group struct {
 		domain  int32
 		gateway netip.Addr
@@ -800,17 +917,17 @@ func (b *build) connect(hosts []netip.Addr) error {
 	var domainBuf [8]int32
 	var groupBuf [8]group
 	domains, groups := domainBuf[:0], groupBuf[:0]
-	for i, h := range hosts {
-		p := &at[i]
-		if mac, ok := b.macs[h]; ok && b.c.cfg.Bridge != nil {
-			d, _ := b.c.cfg.Bridge.Domain(mac)
-			p.domain = int32(d)
+	for i, p := range order {
+		pl, h := &at[i], &b.at[p]
+		if h.hasMAC && b.c.cfg.Bridge != nil {
+			d, _ := b.c.cfg.Bridge.Domain(h.mac)
+			pl.domain = int32(d)
 		}
-		if d := p.domain; d != 0 && !slices.Contains(domains, d) {
-			domains, p.firstOfDomain = append(domains, d), true
+		if d := pl.domain; d != 0 && !slices.Contains(domains, d) {
+			domains, pl.firstOfDomain = append(domains, d), true
 		}
-		if g := (group{p.domain, b.gateways[h]}); !slices.Contains(groups, g) {
-			groups, p.firstOfGroup = append(groups, g), true
+		if g := (group{pl.domain, h.gateway}); !slices.Contains(groups, g) {
+			groups, pl.firstOfGroup = append(groups, g), true
 		}
 	}
 	sameDomain := func(i, j int) bool { return at[i].domain != 0 && at[i].domain == at[j].domain }
@@ -826,100 +943,114 @@ func (b *build) connect(hosts []netip.Addr) error {
 		}
 	}
 
-	for i, src := range hosts {
+	for i, src := range order {
 		if !at[i].firstOfGroup {
 			if at[i].routedLater {
 				if err := b.attachToGateway(src); err != nil {
-					return fmt.Errorf("snmpcoll: attaching %v: %w", src, err)
+					return fmt.Errorf("snmpcoll: attaching %v: %w", b.hosts[src], err)
 				}
 			}
 			continue
 		}
 		for j := i + 1; j < n; j++ {
-			dst := hosts[j]
+			dst := order[j]
 			if sameDomain(i, j) {
 				if !at[i].firstOfDomain {
 					continue
 				}
-				segs, err := b.l2Path(b.macs[src], b.macs[dst])
-				if err == nil {
-					if err := b.addL2Segments(segs, b.ids[b.pos[src]], b.ids[b.pos[dst]]); err != nil {
-						return err
-					}
+				if segs, err := b.l2Path(b.at[src].mac, b.at[dst].mac); err == nil {
+					b.addL2Segments(segs, src, dst)
 					continue
 				}
 				// The bridge database changed under the query: route.
 			}
 			if err := b.addRoutedPath(src, dst, &at[j].lastRouter); err != nil {
-				return fmt.Errorf("snmpcoll: path %v-%v: %w", src, dst, err)
+				return fmt.Errorf("snmpcoll: path %v-%v: %w", b.hosts[src], b.hosts[dst], err)
 			}
 		}
 	}
 	return nil
 }
 
-// attachToGateway joins a host to its configured first-hop router.
-func (b *build) attachToGateway(h netip.Addr) error {
-	gw := b.gateways[h]
+// attachToGateway joins the host at position h to its configured
+// first-hop router.
+func (b *build) attachToGateway(h int32) error {
+	gw := b.at[h].gateway
 	if !gw.IsValid() {
-		return fmt.Errorf("no gateway configured for %v", h)
+		return fmt.Errorf("no gateway configured for %v", b.hosts[h])
 	}
-	if _, err := b.useRouter(gw); err != nil {
+	v, err := b.useRouter(gw)
+	if err != nil {
 		return err
 	}
-	return b.attachHostToRouter(h, gw)
+	b.attachHostToRouter(h, hop{gw, v})
+	return nil
 }
 
-// addRoutedPath adds the routed path between two hosts: src to its
-// gateway, the router chain from there toward dst, dst to the chain's last
-// router — each join only when neither the chain nor *dstAt (the router
-// dst was last attached to) shows it made. The joins left may still be
-// made: chains share hops, and a host is a source and a destination.
-func (b *build) addRoutedPath(src, dst netip.Addr, dstAt **routerInfo) error {
-	gw := b.gateways[src]
+// addRoutedPath adds the routed path between the hosts at positions src
+// and dst: src to its gateway, the router chain from there toward dst, dst
+// to the chain's last router — each join only when neither the chain nor
+// *dstAt (1 + the view of the router dst was last attached to) shows it
+// made. The joins left may still be made: chains share hops, and a host is
+// a source and a destination.
+func (b *build) addRoutedPath(src, dst int32, dstAt *int32) error {
+	gw := b.at[src].gateway
 	if !gw.IsValid() {
-		return fmt.Errorf("no gateway configured for %v", src)
+		return fmt.Errorf("no gateway configured for %v", b.hosts[src])
 	}
-	ch, err := b.routerChain(gw, dst)
+	ch, err := b.routerChain(gw, b.hosts[dst])
 	if err != nil {
 		return err
 	}
 	// Attach src to the first router over level 2.
-	if ch.lastSrc != src {
-		if err := b.attachHostToRouter(src, ch.addrs[0]); err != nil {
-			return err
-		}
-		ch.lastSrc = src
+	if ch.lastSrc != src+1 {
+		b.attachHostToRouter(src, ch.hops[0])
+		ch.lastSrc = src + 1
 	}
 	// Router-to-router hops.
 	if !ch.joined {
-		for i := 0; i+1 < len(ch.addrs); i++ {
-			if err := b.addRouterHop(ch.addrs[i], ch.addrs[i+1], dst); err != nil {
+		for i := 0; i+1 < len(ch.hops); i++ {
+			if err := b.addRouterHop(ch.hops[i], ch.hops[i+1], b.hosts[dst]); err != nil {
 				return err
 			}
 		}
 		ch.joined = true
 	}
 	// Attach dst to the last router.
-	if *dstAt == ch.last {
+	last := ch.hops[len(ch.hops)-1]
+	if *dstAt == last.view+1 {
 		return nil
 	}
-	*dstAt = ch.last
-	return b.attachHostToRouter(dst, ch.addrs[len(ch.addrs)-1])
+	*dstAt = last.view + 1
+	b.attachHostToRouter(dst, last)
+	return nil
 }
 
-// ensureLink adds a link once per unordered pair, remembering its poll
-// point under the link's number. It returns that number, or -1 when the
+// addNode numbers a node.
+func (b *build) addNode(n topology.Node) int32 {
+	b.nodes = append(b.nodes, n)
+	return int32(len(b.nodes) - 1)
+}
+
+// pairKey is the map key of the unordered pair of nodes a and b.
+func pairKey(a, b int32) uint64 {
+	return uint64(uint32(min(a, b)))<<32 | uint64(uint32(max(a, b)))
+}
+
+// ensureLink adds a link between nodes from and to once per unordered
+// pair, polled as reg says. It returns the link's number, or -1 when the
 // graph already joined the pair.
-func (b *build) ensureLink(l topology.Link, reg pollReg) (int, error) {
-	if b.g.FindLink(l.From, l.To) != nil {
-		return -1, nil
+func (b *build) ensureLink(from, to int32, capacity float64, reg pollReg) int {
+	k := pairKey(from, to)
+	if _, ok := b.linked[k]; ok {
+		return -1
 	}
-	if _, err := b.g.AddLink(l); err != nil {
-		return 0, err
-	}
-	b.linkPolls = append(b.linkPolls, reg)
-	return len(b.linkPolls) - 1, nil
+	b.linked[k] = struct{}{}
+	b.links = append(b.links, link{
+		Link: topology.Link{From: b.nodes[from].ID, To: b.nodes[to].ID, Capacity: capacity},
+		from: from, to: to, poll: reg,
+	})
+	return len(b.links) - 1
 }
 
 // routerChain follows routes hop-to-hop from the start router toward dst
@@ -941,17 +1072,17 @@ func (b *build) routerChain(start, dst netip.Addr) (*chain, error) {
 	}
 	base := len(b.hops)
 	walked := b.hops // the walk goes past the stored chains, kept if new
-	var ri *routerInfo
 	bits := int32(0)
 	for cur := start; ; {
 		if len(walked)-base > 32 {
 			return nil, fmt.Errorf("route loop toward %v", dst)
 		}
-		walked = append(walked, cur)
-		var err error
-		if ri, err = b.useRouter(cur); err != nil {
+		v, err := b.useRouter(cur)
+		if err != nil {
 			return nil, err
 		}
+		walked = append(walked, hop{cur, v})
+		ri := b.routers[v].ri
 		bits = max(bits, int32(ri.longest))
 		e, ok := ri.lpm(dst)
 		if !ok {
@@ -962,14 +1093,14 @@ func (b *build) routerChain(start, dst netip.Addr) (*chain, error) {
 		}
 		cur = e.nextHop
 	}
-	addrs := walked[base:len(walked):len(walked)]
-	i := slices.IndexFunc(b.chains, func(ch chain) bool { return slices.Equal(ch.addrs, addrs) })
+	hops := walked[base:len(walked):len(walked)]
+	i := slices.IndexFunc(b.chains, func(ch chain) bool { return slices.Equal(ch.hops, hops) })
 	if i >= 0 {
 		b.hops = walked[:base]
 	} else {
 		i = len(b.chains)
 		b.hops = walked
-		b.chains = append(b.chains, chain{addrs: addrs, last: ri})
+		b.chains = append(b.chains, chain{hops: hops})
 	}
 	if memo {
 		b.routes = append(b.routes, route{start: from, dst: to, bits: bits, chain: int32(i)})
@@ -978,42 +1109,55 @@ func (b *build) routerChain(start, dst netip.Addr) (*chain, error) {
 }
 
 // useRouter ensures the router at addr is loaded, validated and in the
-// graph. The graph node is keyed by the router's canonical identity
-// (sysName), so a router reached under several of its addresses appears
-// once, carrying the address it was first reached by. It returns the
-// router's view; a router this query placed is known by that pointer.
-func (b *build) useRouter(addr netip.Addr) (*routerInfo, error) {
-	ri, err := b.router(addr)
+// graph, and returns the number of its view. The graph node is keyed by
+// the router's canonical identity (sysName), so a router reached under
+// several of its addresses, or held in two views, appears once, carrying
+// the address it was first reached by; its number is followed by its
+// virtual switch's, made on first use.
+func (b *build) useRouter(addr netip.Addr) (int32, error) {
+	v, err := b.router(addr)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
-	if !slices.Contains(b.used, ri) && b.g.Node(ri.nodeID()) == nil {
-		b.used = append(b.used, ri)
-		b.g.AddNode(topology.Node{ID: ri.nodeID(), Kind: topology.RouterNode, Addr: b.c.name(addr)})
+	if b.routers[v].node != 0 {
+		return v, nil
 	}
-	return ri, nil
+	id := b.routers[v].ri.nodeID()
+	for _, r := range b.routers {
+		if r.node != 0 && b.nodes[r.node-1].ID == id {
+			b.routers[v].node = r.node
+			return v, nil
+		}
+	}
+	b.used = append(b.used, v)
+	b.routers[v].node = b.addNode(topology.Node{ID: id, Kind: topology.RouterNode, Addr: b.c.name(addr)}) + 1
+	b.addNode(topology.Node{})
+	return v, nil
 }
 
-// attachHostToRouter adds the host-to-gateway connection: through the
-// Bridge Collector's level-2 path when available (using the router's own
-// interface MAC on the host's segment, from its ifPhysAddress table),
-// otherwise through a virtual switch — the paper's representation for
-// shared Ethernets and segments the collector cannot see inside.
-func (b *build) attachHostToRouter(h, r netip.Addr) error {
-	ri := b.routers[r]
-	n := b.pos[h]
-	if _, done := b.joined[join{host: n, a: ri}]; done {
-		return nil
+// attachHostToRouter adds the connection of the host at position h to the
+// router at r: through the Bridge Collector's level-2 path when available
+// (using the router's own interface MAC on the host's segment, from its
+// ifPhysAddress table), otherwise through a virtual switch — the paper's
+// representation for shared Ethernets and segments the collector cannot
+// see inside. A host is joined to a router once.
+func (b *build) attachHostToRouter(h int32, r hop) {
+	st := &b.at[h]
+	switch {
+	case st.joined == 0:
+		st.joined = r.view + 1
+	case st.joined == r.view+1 || slices.Contains(b.joins, pair{-1 - h, r.view}):
+		return
+	default:
+		b.joins = append(b.joins, pair{-1 - h, r.view})
 	}
-	b.joined[join{host: n, a: ri}] = struct{}{}
-	hostID, rtrID := b.ids[n], ri.nodeID()
-	e, routed := ri.lpm(h)
+	ri, rtr := b.routers[r.view].ri, b.routers[r.view].node-1
+	e, routed := ri.lpm(b.hosts[h])
 	if b.c.cfg.Bridge != nil && routed {
-		mh, okH := b.macs[h]
-		mr, okR := ri.mac(e.ifIndex)
-		if okH && okR {
-			if segs, err := b.l2Path(mh, mr); err == nil {
-				return b.addL2Segments(segs, hostID, rtrID)
+		if mr, okR := ri.mac(e.ifIndex); st.hasMAC && okR {
+			if segs, err := b.l2Path(st.mac, mr); err == nil {
+				b.addL2Segments(segs, h, rtr)
+				return
 			}
 		}
 	}
@@ -1023,60 +1167,74 @@ func (b *build) attachHostToRouter(h, r netip.Addr) error {
 	if routed {
 		speed = ri.speed(e.ifIndex)
 	}
-	vID := "v:" + rtrID
-	if b.g.Node(vID) == nil {
-		b.g.AddNode(topology.Node{ID: vID, Kind: topology.VirtualNode})
+	vs := rtr + 1
+	if b.nodes[vs].ID == "" {
+		b.nodes[vs] = topology.Node{ID: "v:" + b.nodes[rtr].ID, Kind: topology.VirtualNode}
 	}
-	if _, err := b.ensureLink(topology.Link{From: hostID, To: vID, Capacity: speed}, pollReg{}); err != nil {
-		return err
-	}
+	b.ensureLink(h, vs, speed, pollReg{})
 	// Router side of the virtual switch is pollable on the router.
 	var reg pollReg
 	if routed {
-		reg = pollReg{agent: r, ifIndex: e.ifIndex, from: rtrID, to: vID, outIsFromTo: true}
+		reg = pollReg{agent: r.addr, ifIndex: e.ifIndex, from: rtr, to: vs, outIsFromTo: true}
 	}
-	_, err := b.ensureLink(topology.Link{From: rtrID, To: vID, Capacity: speed}, reg)
-	return err
+	b.ensureLink(rtr, vs, speed, reg)
 }
 
 // l2Path asks the Bridge Collector for the level-2 path between two
 // stations. The segments live in the build's scratch until the next call:
 // addL2Segments folds them into the graph right away. A path from a new
-// generation of the bridge database drops the marks of the last one: the
-// link numbers they are kept under have changed.
+// generation of the bridge database drops the numbers kept under the last
+// one, which have changed.
 func (b *build) l2Path(from, to collector.MAC) ([]bridgecoll.Segment, error) {
 	segs, gen, err := b.c.cfg.Bridge.AppendPath(b.segs[:0], from, to)
 	b.segs = segs[:0]
 	if gen != b.l2gen {
+		b.l2regen = b.l2regen || len(b.l2nodes) > 0
 		b.l2gen = gen
 		b.l2links = slices.Grow(b.l2links[:0], gen.Links())[:gen.Links()]
 		clear(b.l2links)
+		b.l2nodes = slices.Grow(b.l2nodes[:0], gen.Switches())[:gen.Switches()]
+		clear(b.l2nodes)
 	}
 	return segs, err
 }
 
+// switchNode returns the node of the bridged switch the generation l2gen
+// numbers k, numbering it on first mention. A graph begun under an earlier
+// generation may hold it already, under that generation's number: then it
+// is found by its ID.
+func (b *build) switchNode(k int32, id string) int32 {
+	if n := b.l2nodes[k]; n != 0 {
+		return n - 1
+	}
+	n := int32(-1)
+	if b.l2regen {
+		n = int32(slices.IndexFunc(b.nodes, func(x topology.Node) bool { return x.Kind == topology.SwitchNode && x.ID == id }))
+	}
+	if n < 0 {
+		n = b.addNode(topology.Node{ID: id, Kind: topology.SwitchNode, Addr: id})
+	}
+	b.l2nodes[k] = n + 1
+	return n
+}
+
 // addL2Segments folds Bridge Collector path segments into the graph,
-// renaming the station endpoints to the given IDs and registering each
-// segment's poll point. A bridge link is folded in once: a segment whose
-// link is already in the graph between the same two nodes is passed by.
-func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) error {
+// from node from to node to, numbering the switches between and
+// registering each segment's poll point. A bridge link is folded in once:
+// a segment whose link is already in the graph between the same two nodes
+// is passed by.
+func (b *build) addL2Segments(segs []bridgecoll.Segment, from, to int32) {
 	for i, s := range segs {
-		f, t := s.FromID, s.ToID
-		if i == 0 {
-			f = fromID
+		f, t := from, to
+		if i > 0 {
+			f = b.switchNode(s.From, s.FromID)
 		}
-		if i == len(segs)-1 {
-			t = toID
+		if i < len(segs)-1 {
+			t = b.switchNode(s.To, s.ToID)
 		}
 		if n := b.l2links[s.Link]; n != 0 {
-			if l := b.g.Links()[n-1]; l.From == f && l.To == t || l.From == t && l.To == f {
+			if l := &b.links[n-1]; l.from == f && l.to == t || l.from == t && l.to == f {
 				continue
-			}
-		}
-		// Interior IDs are switch management addresses: add nodes.
-		for _, id := range [2]string{f, t} {
-			if b.g.Node(id) == nil {
-				b.g.AddNode(topology.Node{ID: id, Kind: topology.SwitchNode, Addr: id})
 			}
 		}
 		reg := pollReg{
@@ -1088,15 +1246,10 @@ func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) er
 			// octets measure From->To.
 			outIsFromTo: s.PollIsFrom,
 		}
-		l, err := b.ensureLink(topology.Link{From: f, To: t, Capacity: s.Capacity}, reg)
-		if err != nil {
-			return err
-		}
-		if l >= 0 {
+		if l := b.ensureLink(f, t, s.Capacity, reg); l >= 0 {
 			b.l2links[s.Link] = int32(l + 1)
 		}
 	}
-	return nil
 }
 
 // addRouterHop connects two adjacent routers: through the bridged segment
@@ -1104,33 +1257,31 @@ func (b *build) addL2Segments(segs []bridgecoll.Segment, fromID, toID string) er
 // MAC comes from the router's own ifPhysAddress, the next hop's from the
 // router's ARP table), otherwise as a direct link. The egress interface
 // speed gives the capacity and the egress interface is the poll point.
-func (b *build) addRouterHop(a, bAddr netip.Addr, dst netip.Addr) error {
-	riA, riB := b.routers[a], b.routers[bAddr]
-	key := join{host: -1, a: riA, b: riB}
-	if riB.addr.Less(riA.addr) {
-		key.a, key.b = riB, riA
-	}
-	if _, done := b.joined[key]; done {
+func (b *build) addRouterHop(a, c hop, dst netip.Addr) error {
+	key := pair{min(a.view, c.view), max(a.view, c.view)}
+	if slices.Contains(b.joins, key) {
 		return nil
 	}
+	riA := b.routers[a.view].ri
 	e, ok := riA.lpm(dst)
 	if !ok {
-		return fmt.Errorf("router %v lost its route to %v", a, dst)
+		return fmt.Errorf("router %v lost its route to %v", a.addr, dst)
 	}
-	b.joined[key] = struct{}{}
-	aID, bID := riA.nodeID(), riB.nodeID()
+	b.joins = append(b.joins, key)
+	from, to := b.routers[a.view].node-1, b.routers[c.view].node-1
 	if b.c.cfg.Bridge != nil {
 		ma, okA := riA.mac(e.ifIndex)
-		mb, okB := b.nextHopMAC(a, riA, e.ifIndex, bAddr)
+		mb, okB := b.nextHopMAC(a.addr, riA, e.ifIndex, c.addr)
 		if okA && okB {
 			if segs, err := b.l2Path(ma, mb); err == nil {
-				return b.addL2Segments(segs, aID, bID)
+				b.addL2Segments(segs, from, to)
+				return nil
 			}
 		}
 	}
-	reg := pollReg{agent: a, ifIndex: e.ifIndex, from: aID, to: bID, outIsFromTo: true}
-	_, err := b.ensureLink(topology.Link{From: aID, To: bID, Capacity: riA.speed(e.ifIndex)}, reg)
-	return err
+	reg := pollReg{agent: a.addr, ifIndex: e.ifIndex, from: from, to: to, outIsFromTo: true}
+	b.ensureLink(from, to, riA.speed(e.ifIndex), reg)
+	return nil
 }
 
 // nextHopMAC resolves the MAC of target, a next hop of the router at via
@@ -1144,6 +1295,8 @@ func (b *build) nextHopMAC(via netip.Addr, ri *routerInfo, ifIndex int, target n
 	b.asked = entries
 	b.arpGet(via, entries)
 	b.learn(entries)
-	mac, ok := b.macs[target]
-	return mac, ok
+	if p, ok := b.pos[target]; ok {
+		return b.at[p].mac, b.at[p].hasMAC
+	}
+	return b.listedMAC(target)
 }

@@ -32,17 +32,17 @@ func (c *Collector) PooledAfter(q collector.Query, extra int) (pooled bool, held
 	}
 	c.annotate(ctx, b.cl, b)
 	for i := range extra {
-		b.joined[join{host: int32(-2 - i)}] = struct{}{}
+		b.joins = append(b.joins, pair{int32(-2 - i), 0})
 	}
 	if !b.reset() {
 		return false, 0, nil
 	}
-	held = len(b.pos) + len(b.gateways) + len(b.macs) + len(b.routers) + len(b.routerErr) +
-		len(b.fresh) + len(b.joined) + len(b.index) + len(b.hosts) + len(b.ids) + len(b.used) +
-		len(b.segs) + len(b.chains) + len(b.hops) + len(b.routes) + len(b.linkPolls) + len(b.l2links) +
-		len(b.unresolved) + len(b.gws) + len(b.fetched) + len(b.arpGroups) + len(b.asked) +
+	held = len(b.nodes) + len(b.links) + len(b.linked) + len(b.hosts) + len(b.pos) + len(b.at) +
+		len(b.order) + len(b.routers) + len(b.routerErr) + len(b.used) + len(b.joins) + len(b.nextHops) +
+		len(b.segs) + len(b.chains) + len(b.hops) + len(b.routes) + len(b.l2links) + len(b.l2nodes) +
+		len(b.index) + len(b.ask) + len(b.gws) + len(b.fetched) + len(b.arpGroups) + len(b.asked) +
 		len(b.swGroups) + len(b.moved) + len(b.places) + len(b.stale) + len(b.added) + len(b.unread)
-	if b.ctx != nil || b.c != nil || b.cl != nil || b.g != nil || b.l2gen.Links() != 0 {
+	if b.ctx != nil || b.c != nil || b.cl != nil || b.l2gen.Links() != 0 || b.l2regen {
 		held++
 	}
 	return true, held, nil

@@ -154,8 +154,12 @@ func TestChainMemoHonoursLongerPrefixes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(ch.addrs, want[name]) {
-			t.Fatalf("chain toward %s = %v, want %v", name, ch.addrs, want[name])
+		var addrs []netip.Addr
+		for _, hp := range ch.hops {
+			addrs = append(addrs, hp.addr)
+		}
+		if !slices.Equal(addrs, want[name]) {
+			t.Fatalf("chain toward %s = %v, want %v", name, addrs, want[name])
 		}
 	}
 	if len(b.routes) != 2 || len(b.chains) != 2 {

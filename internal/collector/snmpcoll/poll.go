@@ -13,18 +13,17 @@ import (
 	"remos/internal/snmp"
 )
 
-// newPoints makes, unread, a poll point for each graph link measured at a
+// newPoints makes, unread, a poll point for each link measured at a
 // device interface no monitor covers yet. Nothing else sees them until
 // annotate publishes them, in link order: when two links are measured at
 // one interface, the first names what its point measures.
 func (b *build) newPoints() {
 	c := b.c
-	links := b.g.Links()
 	added := b.added[:0]
 	var slab []pollPoint // the new points, made together: the collector keeps them
 	c.mu.Lock()
-	for i := range links {
-		reg := &b.linkPolls[i]
+	for i := range b.links {
+		reg := &b.links[i].poll
 		if !reg.agent.IsValid() {
 			continue // unmeasurable link (virtual host side)
 		}
@@ -32,21 +31,21 @@ func (b *build) newPoints() {
 			continue
 		}
 		if slab == nil {
-			slab = make([]pollPoint, 0, len(links)-i)
-			added = slices.Grow(added, len(links)-i)
+			slab = make([]pollPoint, 0, len(b.links)-i)
+			added = slices.Grow(added, len(b.links)-i)
 		}
 		slab = slab[:len(slab)+1]
 		p := &slab[len(slab)-1]
 		p.agent, p.ifIndex = reg.agent, reg.ifIndex
-		p.from, p.to, p.outIsFromTo = reg.from, reg.to, reg.outIsFromTo
+		p.from, p.to, p.outIsFromTo = b.nodes[reg.from].ID, b.nodes[reg.to].ID, reg.outIsFromTo
 		added = append(added, p)
 	}
 	c.mu.Unlock()
 	b.added = added
 }
 
-// annotate fills each graph link's utilization from history and registers
-// the query's new poll points. It reports whether any link was cold
+// annotate fills each link's utilization from history and registers the
+// query's new poll points. It reports whether any link was cold
 // (registered just now, so utilization is not yet available). The points
 // confirm could not read — those settled on Counter32, and those on
 // devices holding no queried station — are read first, one Get per
@@ -55,20 +54,20 @@ func (b *build) newPoints() {
 // yields a delta one interval from now.
 func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
 	hist := c.pred.History()
-	for i, l := range b.g.Links() {
-		reg := b.linkPolls[i]
+	for i := range b.links {
+		l := &b.links[i]
+		reg := l.poll
 		if !reg.agent.IsValid() {
 			continue // unmeasurable link (virtual host side)
 		}
-		kFwd := collector.HistKey{From: reg.from, To: reg.to}
-		kRev := collector.HistKey{From: reg.to, To: reg.from}
-		sFwd, okF := hist.Latest(kFwd)
-		sRev, okR := hist.Latest(kRev)
+		from, to := b.nodes[reg.from].ID, b.nodes[reg.to].ID
+		sFwd, okF := hist.Latest(collector.HistKey{From: from, To: to})
+		sRev, okR := hist.Latest(collector.HistKey{From: to, To: from})
 		if okF || okR {
 			// Orient onto the link (reg.from/to may be swapped
-			// relative to l.From/To).
+			// relative to l.from/to).
 			fwd, rev := sFwd.Bits, sRev.Bits
-			if l.From != reg.from {
+			if l.from != reg.from {
 				fwd, rev = rev, fwd
 			}
 			l.UtilFromTo = fwd

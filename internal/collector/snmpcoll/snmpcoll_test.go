@@ -62,6 +62,17 @@ func newSiteOn(t testing.TB, cfgMut func(*Config), wire func(n *netsim.Network, 
 	wire(n, d)
 	n.AssignSubnets()
 	n.ComputeRoutes()
+	st := siteOver(t, s, n, cfgMut)
+	st.d = d
+	t.Cleanup(st.stop)
+	return st
+}
+
+// siteOver attaches agents to a finished network and starts a Bridge
+// Collector over all its switches and an SNMP Collector beside it; stop
+// stops both.
+func siteOver(t testing.TB, s *sim.Sim, n *netsim.Network, cfgMut func(*Config)) *site {
+	t.Helper()
 	reg := snmp.NewRegistry()
 	mib.AttachAll(n, reg)
 	tr := &snmp.InProc{Registry: reg, Latency: func(string) time.Duration { return 2 * time.Millisecond }}
@@ -103,10 +114,12 @@ func newSiteOn(t testing.TB, cfgMut func(*Config), wire func(n *netsim.Network, 
 	if cfgMut != nil {
 		cfgMut(&cfg)
 	}
-	sc := New(cfg)
-	t.Cleanup(sc.Stop)
-	t.Cleanup(bc.Stop)
-	return &site{s: s, n: n, d: d, reg: reg, tr: tr, bridge: bc, sc: sc}
+	return &site{s: s, n: n, reg: reg, tr: tr, bridge: bc, sc: New(cfg)}
+}
+
+func (st *site) stop() {
+	st.sc.Stop()
+	st.bridge.Stop()
 }
 
 func addrOf(st *site, name string) netip.Addr { return st.d[name].Addr() }
@@ -361,13 +374,12 @@ func TestConfirmRebuildsOnANewerBridgeDatabase(t *testing.T) {
 	st := newSite(t, nil)
 	hosts := []netip.Addr{addrOf(st, "h1"), addrOf(st, "h3")}
 	b := newBuild(context.Background(), st.sc, st.sc.client(nil), len(hosts))
-	for _, h := range hosts {
-		b.addHost(h)
-	}
-	b.fetchRouters(b.gatewaysOf(b.hosts))
-	b.resolveMACs(b.hosts)
+	b.place(hosts)
+	all := []int32{0, 1}
+	b.fetchRouters(b.gatewaysOf(all))
+	b.resolveMACs(all)
 	gen := st.bridge.Generation()
-	if err := b.connect(hosts); err != nil {
+	if err := b.connect(); err != nil {
 		t.Fatal(err)
 	}
 	st.n.MoveHost(st.d["h3"], st.d["swA"], 100e6, time.Millisecond)
@@ -383,6 +395,35 @@ func TestConfirmRebuildsOnANewerBridgeDatabase(t *testing.T) {
 	}
 	if len(b.moved) != 0 {
 		t.Fatalf("confirm found %d stations off their ports in the re-walked database, want none", len(b.moved))
+	}
+}
+
+// TestBuildSpansABridgeRewalk: a graph begun under one bridge database
+// generation and finished under the next — another query re-walked the
+// bridges in between, renumbering their links and switches — keeps one
+// node per switch and one link per node pair, as a graph keyed by ID
+// does, though the second path crosses the first's links the other way.
+func TestBuildSpansABridgeRewalk(t *testing.T) {
+	st := newSite(t, nil)
+	hosts := []netip.Addr{addrOf(st, "h1"), addrOf(st, "h3")}
+	b := newBuild(context.Background(), st.sc, st.sc.client(nil), len(hosts))
+	b.place(hosts)
+	b.resolveMACs([]int32{0, 1})
+	fold := func(from, to int32) {
+		segs, err := b.l2Path(b.at[from].mac, b.at[to].mac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.addL2Segments(segs, from, to)
+	}
+	fold(0, 1)
+	if err := st.bridge.SearchStations(nil); err != nil {
+		t.Fatal(err)
+	}
+	fold(1, 0)
+	g := b.graph()
+	if len(g.Nodes()) != 3 || len(g.Links()) != 2 {
+		t.Fatalf("h1 -- swA -- h3 folded under two generations: %d nodes %v, %d links", len(g.Nodes()), ids(g), len(g.Links()))
 	}
 }
 

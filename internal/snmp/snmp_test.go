@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -473,6 +474,50 @@ func TestUDPTransportEndToEnd(t *testing.T) {
 	}
 	if rows != 4 {
 		t.Fatalf("UDP BulkWalk saw %d rows, want 4", rows)
+	}
+}
+
+// TestUDPExchangeAllocatesLittle: one exchange over a loopback socket —
+// dialling, the request, the agent's answer, the datagram read — allocates
+// under 4 KiB in all. The 64 KiB a read must have room for is pooled, and
+// the caller gets back a copy the size of the datagram.
+func TestUDPExchangeAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	srv := &Server{Agent: &Agent{Community: "public", View: testView(t)}}
+	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	req, err := (&Message{Community: "public", PDU: PDU{Type: GetRequest, RequestID: 1,
+		VarBinds: []VarBind{{Name: MustParseOID("1.3.6.1.2.1.1.1.0"), Value: Null}}}}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &UDP{Timeout: time.Second}
+	exchange := func() {
+		resp, _, err := tr.RoundTrip(addr, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(resp) != len(resp) {
+			t.Fatalf("a %d-byte response holds %d bytes", len(resp), cap(resp))
+		}
+	}
+	exchange()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		exchange()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("one UDP exchange: %d bytes", per)
+	if per >= 4096 {
+		t.Fatalf("one UDP exchange allocates %d bytes, want under 4096", per)
 	}
 }
 

@@ -93,7 +93,8 @@ type UDP struct {
 	Timeout time.Duration
 }
 
-// RoundTrip implements Transport over a fresh UDP socket per call.
+// RoundTrip implements Transport over a fresh UDP socket per call. The
+// response is a copy of its own.
 func (t *UDP) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) {
 	timeout := t.Timeout
 	if timeout == 0 {
@@ -111,16 +112,24 @@ func (t *UDP) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) 
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, 0, err
 	}
-	buf := make([]byte, 65535)
-	n, err := conn.Read(buf)
+	buf := datagramPool.Get().(*[]byte)
+	defer datagramPool.Put(buf)
+	n, err := conn.Read(*buf)
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			return nil, time.Since(start), ErrTimeout
 		}
 		return nil, time.Since(start), err
 	}
-	return buf[:n], time.Since(start), nil
+	resp := make([]byte, n)
+	copy(resp, *buf)
+	return resp, time.Since(start), nil
 }
+
+// datagramPool holds the buffers UDP reads responses into: room for the
+// largest datagram, reused, so a caller keeping a response holds its
+// exact size and not 64 KiB.
+var datagramPool = sync.Pool{New: func() any { b := make([]byte, 65535); return &b }}
 
 // Server serves one agent over a real UDP socket, for live deployments and
 // loopback integration tests.

@@ -303,7 +303,7 @@ func TestAddrEntryAllocations(t *testing.T) {
 // fanGraph is spokes switches around a core, hosts hosts on each: a
 // graph as wide as wanted, for the scratch tests and the benchmark.
 func fanGraph(spokes, hosts int) (*Graph, []netip.Addr) {
-	g := NewGraphSized(1+spokes*(1+hosts), spokes*(1+hosts))
+	g := NewGraph()
 	g.AddNode(Node{ID: "core", Kind: RouterNode})
 	var addrs []netip.Addr
 	for s := 0; s < spokes; s++ {

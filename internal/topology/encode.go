@@ -171,14 +171,10 @@ type nodeSpan struct {
 // is read in place, one line at a time, and is left on the line after END;
 // any other reader is wrapped in one, which may read ahead.
 //
-// The graph is built in one pass over the lines, without AddNode or
-// AddLink. The IDs and addresses of all nodes are cut from one string, and
-// each table of the graph is made once: the node tables at the count of
-// node lines read, the link tables presized from the header only up to
-// slabMax, since its counts are the peer's word. A NODE line repeating an
-// ID replaces the earlier node, whose address is unbound, and parallel
-// LINK lines are all kept, the first one indexed: what AddNode and AddLink
-// would do.
+// The graph is assembled as Assemble does, in one pass over the lines.
+// The IDs and addresses of all nodes are cut from one string, and the
+// link slab is presized from the header only up to slabMax, since its
+// counts are the peer's word.
 func DecodeText(r io.Reader) (*Graph, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -235,22 +231,12 @@ func DecodeText(r io.Reader) (*Graph, error) {
 	}
 	s := string(text)
 	nodeSlab := make([]Node, len(spans))
-	nodes := make(map[string]*Node, len(spans))
-	byAddr := make(map[string]*Node, len(spans))
 	for i, sp := range spans {
-		n := &nodeSlab[i]
-		*n = Node{ID: s[sp.id[0]:sp.id[1]], Kind: sp.kind, Addr: s[sp.addr[0]:sp.addr[1]]}
-		if old := nodes[n.ID]; old != nil && byAddr[old.Addr] == old {
-			delete(byAddr, old.Addr)
-		}
-		nodes[n.ID] = n
-		if n.Addr != "" {
-			byAddr[n.Addr] = n
-		}
+		nodeSlab[i] = Node{ID: s[sp.id[0]:sp.id[1]], Kind: sp.kind, Addr: s[sp.addr[0]:sp.addr[1]]}
 	}
+	g := assembleNodes(nodeSlab)
 
 	linkSlab := make([]Link, 0, min(nl, slabMax))
-	linkIdx := make(map[[2]string]int32, min(nl, slabMax))
 	for i := 0; i < nl; i++ {
 		line, err := tl.next()
 		if err != nil {
@@ -262,7 +248,7 @@ func DecodeText(r io.Reader) (*Graph, error) {
 		}
 		// The endpoints must name nodes already read; the link shares
 		// their ID strings.
-		from, to := nodes[string(f[1])], nodes[string(f[2])]
+		from, to := g.nodes[string(f[1])], g.nodes[string(f[2])]
 		if from == nil || to == nil {
 			return nil, fmt.Errorf("topology: link %s-%s references missing node", f[1], f[2])
 		}
@@ -285,10 +271,6 @@ func DecodeText(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("topology: bad jitter %q: %v", f[7], err)
 			}
 		}
-		k := pairKey(from.ID, to.ID)
-		if _, ok := linkIdx[k]; !ok {
-			linkIdx[k] = int32(len(linkSlab))
-		}
 		linkSlab = append(linkSlab, Link{
 			From: from.ID, To: to.ID,
 			Capacity: vals[0], UtilFromTo: vals[1], UtilToFrom: vals[2],
@@ -302,14 +284,8 @@ func DecodeText(r io.Reader) (*Graph, error) {
 	if err != nil || string(bytes.TrimSpace(line)) != "END" {
 		return nil, fmt.Errorf("topology: missing END trailer")
 	}
-	links := make([]*Link, len(linkSlab))
-	for i := range linkSlab {
-		links[i] = &linkSlab[i]
-	}
-	return &Graph{
-		nodes: nodes, byAddr: byAddr, links: links, linkIdx: linkIdx,
-		nodeSlab: nodeSlab, linkSlab: linkSlab,
-	}, nil
+	g.assembleLinks(linkSlab)
+	return g, nil
 }
 
 // badLine is the error for a line DecodeText cannot read as what.

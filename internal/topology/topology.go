@@ -143,19 +143,41 @@ type Graph struct {
 }
 
 // NewGraph returns an empty graph.
-func NewGraph() *Graph { return NewGraphSized(0, 0) }
+func NewGraph() *Graph { return Assemble(nil, nil) }
 
-// NewGraphSized returns an empty graph with room for the given number of
-// nodes and links, for a builder that knows roughly what it will hold.
-func NewGraphSized(nodes, links int) *Graph {
-	g := &Graph{
-		nodes:   make(map[string]*Node, nodes),
-		byAddr:  make(map[string]*Node, nodes),
-		links:   make([]*Link, 0, links),
-		linkIdx: make(map[[2]string]int32, links),
-	}
-	g.reserve(nodes, links)
+// Assemble returns the graph of nodes and links, taking both slices as its
+// slabs and making each table once, at its exact size. A node repeating an
+// earlier node's ID replaces it, and parallel links are all kept, the first
+// indexed, as AddNode and AddLink have it. Links must join the nodes' IDs.
+func Assemble(nodes []Node, links []Link) *Graph {
+	g := assembleNodes(nodes)
+	g.assembleLinks(links)
 	return g
+}
+
+// assembleNodes is Assemble's first half: a graph of the nodes alone.
+func assembleNodes(nodes []Node) *Graph {
+	g := &Graph{nodeSlab: nodes, nodes: make(map[string]*Node, len(nodes))}
+	g.byAddr = make(map[string]*Node, len(nodes))
+	for i := range nodes {
+		n := &nodes[i]
+		if old := g.nodes[n.ID]; old != nil {
+			g.unindexAddr(old)
+		}
+		g.nodes[n.ID] = n
+		g.indexAddr(n)
+	}
+	return g
+}
+
+// assembleLinks is Assemble's second half: it gives a graph its links.
+func (g *Graph) assembleLinks(links []Link) {
+	g.linkSlab = links
+	g.links = make([]*Link, len(links))
+	for i := range links {
+		g.links[i] = &links[i]
+	}
+	g.indexLinks()
 }
 
 // slabMin and slabMax bound the chunks AddNode and AddLink carve from.
@@ -164,15 +186,12 @@ const (
 	slabMax = 256
 )
 
-// reserve makes sure the next nodes AddNode calls and links AddLink
-// calls carve from one chunk each.
-func (g *Graph) reserve(nodes, links int) {
-	if cap(g.nodeSlab)-len(g.nodeSlab) < nodes {
-		g.nodeSlab = make([]Node, 0, nodes)
+// reserve returns a slab the next n carves take from one chunk of.
+func reserve[T any](slab []T, n int) []T {
+	if cap(slab)-len(slab) < n {
+		return make([]T, 0, n)
 	}
-	if cap(g.linkSlab)-len(g.linkSlab) < links {
-		g.linkSlab = make([]Link, 0, links)
-	}
+	return slab
 }
 
 // carve returns room for one more element of a slab, starting a chunk
@@ -311,12 +330,15 @@ func (g *Graph) FindLink(a, b string) *Link {
 func (g *Graph) reindexLinks() {
 	g.own()
 	g.invalidate()
+	g.indexLinks()
+}
+
+// indexLinks makes the link index anew, from the last link back: the first
+// of parallel links is the one it keeps.
+func (g *Graph) indexLinks() {
 	g.linkIdx = make(map[[2]string]int32, len(g.links))
-	for i, l := range g.links {
-		k := pairKey(l.From, l.To)
-		if _, ok := g.linkIdx[k]; !ok {
-			g.linkIdx[k] = int32(i)
-		}
+	for i := len(g.links) - 1; i >= 0; i-- {
+		g.linkIdx[pairKey(g.links[i].From, g.links[i].To)] = int32(i)
 	}
 }
 
@@ -335,7 +357,7 @@ func (g *Graph) Merge(other *Graph) {
 			fresh++
 		}
 	}
-	g.reserve(fresh, 0)
+	g.nodeSlab = reserve(g.nodeSlab, fresh)
 	for _, n := range other.nodes {
 		into := g.nodes[n.ID]
 		switch {
@@ -367,8 +389,8 @@ func (g *Graph) Merge(other *Graph) {
 			}
 			continue
 		}
-		g.reserve(0, len(other.links)-i) // one chunk for all that are new; a no-op after the first
-		g.AddLink(*l)                    // both endpoints were just united
+		g.linkSlab = reserve(g.linkSlab, len(other.links)-i) // one chunk for all that are new; a no-op after the first
+		g.AddLink(*l)                                        // both endpoints were just united
 	}
 }
 
