@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSSEEvents -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzDecodeHTTPError -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzWatchLines -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzLines -fuzztime 10s ./internal/lines/
 
 # Boots remosd and asserts the observability plane (/metrics, /healthz,
 # /debug/queries) reports a real query end to end.

@@ -19,9 +19,8 @@ import (
 type snmpcollCollector = snmpcoll.Collector
 
 // newBenchSite wires the standard two-router, two-LAN testbed with a
-// bridge collector and an SNMP collector, optionally with caching
-// disabled for the ablation runs.
-func newBenchSite(b *testing.B, disableCache bool) *benchSite {
+// bridge collector and an SNMP collector.
+func newBenchSite(b *testing.B) *benchSite {
 	b.Helper()
 	s := sim.NewSim()
 	n := netsim.New(s)
@@ -68,8 +67,7 @@ func newBenchSite(b *testing.B, disableCache bool) *benchSite {
 			}
 			return collector.MAC(ifc.MAC), true
 		},
-		Bridge:            bc,
-		DisableRouteCache: disableCache,
+		Bridge: bc,
 	})
 	b.Cleanup(sc.Stop)
 	b.Cleanup(bc.Stop)

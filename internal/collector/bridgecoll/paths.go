@@ -290,17 +290,6 @@ func (c *Collector) SwitchLinks() int {
 	return len(c.links)
 }
 
-// PortSpeed reports the learned speed of a switch port.
-func (c *Collector) PortSpeed(sw netip.Addr, port int) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	si := c.switches[sw]
-	if si == nil {
-		return 0
-	}
-	return si.speed[port]
-}
-
 // Graph returns the level-2 topology as a graph: switches and stations,
 // links with capacities, no utilization (dynamic data is the SNMP
 // Collector's job).

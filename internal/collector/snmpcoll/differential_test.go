@@ -69,14 +69,16 @@ func TestDiscoveryMatchesPairwiseWalkWithoutBridge(t *testing.T) {
 	}
 }
 
-// With the route cache disabled nothing survives between queries, and the
-// graph is still the pairwise walk's.
+// With the caches dropped before each query nothing survives between
+// queries, and the graph is still the pairwise walk's.
 func TestDiscoveryMatchesPairwiseWalkUncached(t *testing.T) {
-	st := newSite(t, func(c *Config) { c.DisableRouteCache = true })
+	st := newSite(t, nil)
 	ref := twin(t, st)
 	hosts := hostSet(st, "h1", "h2", "h3", "h4")
-	AssertSameDiscovery(t, st.sc, ref, hosts)
-	AssertSameDiscovery(t, st.sc, ref, hosts)
+	for range 2 {
+		st.sc.DropCaches()
+		AssertSameDiscovery(t, st.sc, ref, hosts)
+	}
 }
 
 func TestDiscoveryMatchesPairwiseWalkAfterMove(t *testing.T) {

@@ -113,12 +113,11 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 }
 
 // build accumulates one query's graph. Everything a query learns is kept
-// here for the query's duration even when DisableRouteCache forbids
-// keeping it longer, so no device is asked the same thing twice by one
-// query. A build outlives its query in the collector's pool: reset empties
-// it, and the next query reuses its maps and slices instead of making its
-// own, so a query allocates its answer and the cache entries it creates,
-// not its working state.
+// here for the query's duration, so no device is asked the same thing
+// twice by one query. A build outlives its query in the collector's pool:
+// reset empties it, and the next query reuses its maps and slices instead
+// of making its own, so a query allocates its answer and the cache entries
+// it creates, not its working state.
 //
 // The graph is built by number: a queried host's node is its position in
 // hosts; a router and its virtual switch take the next two numbers when
@@ -526,7 +525,7 @@ func (b *build) router(addr netip.Addr) (int32, error) {
 // position p, or the one in the collector's ARP cache (see cachedMAC).
 func (b *build) hostMAC(p int32) (collector.MAC, bool) {
 	st := &b.at[p]
-	if !st.hasMAC && !b.c.cfg.DisableRouteCache {
+	if !st.hasMAC {
 		b.c.mu.Lock()
 		st.mac, st.hasMAC = b.c.arp[b.hosts[p]]
 		b.c.mu.Unlock()
@@ -546,12 +545,12 @@ func (b *build) listedMAC(ip netip.Addr) (collector.MAC, bool) {
 
 // cachedMAC returns the MAC this query already holds for an address, or
 // the one in the collector's ARP cache — part of its static state (dropped
-// by DropCaches, kept by DropDynamic), which DisableRouteCache bypasses.
+// by DropCaches, kept by DropDynamic).
 func (b *build) cachedMAC(ip netip.Addr) (collector.MAC, bool) {
 	if p, ok := b.pos[ip]; ok {
 		return b.hostMAC(p)
 	}
-	if mac, ok := b.listedMAC(ip); ok || b.c.cfg.DisableRouteCache {
+	if mac, ok := b.listedMAC(ip); ok {
 		return mac, ok
 	}
 	b.c.mu.Lock()

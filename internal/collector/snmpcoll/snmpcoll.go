@@ -49,10 +49,6 @@ type Config struct {
 	// PollInterval is the utilization monitoring period (default 5s,
 	// the paper's default).
 	PollInterval time.Duration
-	// DisableRouteCache turns off the router-table and ARP caches, the
-	// ablation knob behind the Fig 3 cold/warm comparison. Router chains
-	// are never kept past the query that walked them.
-	DisableRouteCache bool
 	// Parallelism bounds how many devices are walked, asked or polled
 	// concurrently (the gateway, resolve and confirm phases of a query,
 	// cached-router validation, baseline reads, periodic polling).
@@ -505,31 +501,24 @@ func maskBits(m [4]byte) int {
 
 // routerFor returns a (possibly cached) router view, and whether it was
 // fetched just now — a fetch reads sysUpTime, so a fresh view needs no
-// validation this query. Caching is skipped when the ablation knob
-// disables it. Cache fills are single-flighted: concurrent queries missing
-// on the same router share one walk instead of each walking the device
-// (skipped under the ablation knob, where every query must pay the full
-// cold cost).
+// validation this query. Cache fills are single-flighted: concurrent
+// queries missing on the same router share one walk instead of each
+// walking the device.
 func (c *Collector) routerFor(ctx context.Context, cl *snmp.Client, addr netip.Addr) (ri *routerInfo, fresh bool, err error) {
 	c.mu.Lock()
 	cached := c.routers[addr]
 	c.mu.Unlock()
-	if cached != nil && !c.cfg.DisableRouteCache {
+	if cached != nil {
 		return cached, false, nil
 	}
-	fetch := func() (*routerInfo, error) {
-		ri, err := c.fetchRouter(ctx, cl, addr, cached)
+	ri, err, _ = c.fetches.Do(addr, func() (*routerInfo, error) {
+		ri, err := c.fetchRouter(ctx, cl, addr, nil)
 		if err != nil {
 			return nil, err
 		}
 		c.storeRouter(ri)
 		return ri, nil
-	}
-	if c.cfg.DisableRouteCache {
-		ri, err = fetch()
-	} else {
-		ri, err, _ = c.fetches.Do(addr, fetch)
-	}
+	})
 	return ri, true, err
 }
 

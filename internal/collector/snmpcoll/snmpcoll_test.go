@@ -247,11 +247,12 @@ func TestWarmQueryCheaperThanCold(t *testing.T) {
 
 func TestRouteCacheAblation(t *testing.T) {
 	stCached := newSite(t, nil)
-	stNo := newSite(t, func(c *Config) { c.DisableRouteCache = true })
+	stNo := newSite(t, nil)
 	q := func(st *site) collector.Query {
 		return collector.Query{Hosts: []netip.Addr{addrOf(st, "h1"), addrOf(st, "h2")}}
 	}
-	// Warm both once, then measure a repeat query.
+	// Warm both once, then measure a repeat query, the caches of one
+	// dropped before it.
 	if _, _, err := stCached.sc.CollectWithStats(q(stCached)); err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +260,7 @@ func TestRouteCacheAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, a, _ := stCached.sc.CollectWithStats(q(stCached))
+	stNo.sc.DropCaches()
 	_, b, _ := stNo.sc.CollectWithStats(q(stNo))
 	if a.Requests >= b.Requests {
 		t.Fatalf("cache-disabled repeat query (%d reqs) should exceed cached (%d reqs)",

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"net/netip"
 	"strings"
 	"sync"
@@ -17,7 +16,10 @@ import (
 // FuzzServeCommands drives the directory server's line parser with
 // arbitrary byte streams: it must answer or reject every input without
 // panicking, hanging, or corrupting the service, exactly as it would
-// facing a confused or hostile peer on the registration port.
+// facing a confused or hostile peer on the registration port. The
+// stream is read through the shared line reader at two buffer sizes,
+// 16 bytes (where most lines are gathered into scratch) and 4 KiB, and
+// both must answer alike.
 func FuzzServeCommands(f *testing.F) {
 	seeds := []string{
 		"REGISTER cmu 60 tcp://1.2.3.4:3567 10.0.0.9 2\n10.0.0.0/24\n10.1.0.0/16\n",
@@ -33,35 +35,45 @@ func FuzzServeCommands(f *testing.F) {
 		"REGISTER a 60 tcp://x - 1\n", // truncated: prefix line missing
 		"REGISTER \x00 -60 tcp://x 999.999.999.999 0\n",
 		strings.Repeat("LIST\n", 10),
+		"REGISTER crlf 60 tcp://x - 1\r\n10.0.0.0/24\r\nLIST\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		svc := New(sim.NewSim())
-		// A resident advert ensures LIST renders non-trivial output.
-		svc.Register(Advert{
-			Name:      "resident",
-			Endpoint:  "tcp://127.0.0.1:1",
-			BenchHost: netip.MustParseAddr("10.0.0.1"),
-			Prefixes:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
-		}, time.Hour)
-		srv := &Server{Service: svc}
-		r := bufio.NewReader(bytes.NewReader(data))
-		// The reader is finite, so the loop terminates at io.EOF; bound it
-		// anyway against pathological no-progress parses.
-		for i := 0; i < 1024; i++ {
-			if err := srv.serveOne(io.Discard, r); err != nil {
-				break
+		var answers [2][]byte
+		for i, size := range []int{16, 4096} {
+			svc := New(sim.NewSim())
+			// A resident advert ensures LIST renders non-trivial output.
+			svc.Register(Advert{
+				Name:      "resident",
+				Endpoint:  "tcp://127.0.0.1:1",
+				BenchHost: netip.MustParseAddr("10.0.0.1"),
+				Prefixes:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+			}, time.Hour)
+			srv := &Server{Service: svc}
+			r := bufio.NewReaderSize(bytes.NewReader(data), size)
+			var out bytes.Buffer
+			var scratch []byte
+			// The reader is finite, so the loop terminates at io.EOF; bound it
+			// anyway against pathological no-progress parses.
+			for i := 0; i < 1024; i++ {
+				if err := srv.serveOne(&out, r, &scratch); err != nil {
+					break
+				}
+			}
+			answers[i] = out.Bytes()
+			// The service survives whatever was parsed.
+			if _, ok := advertNamed(svc, "resident"); !ok {
+				// The fuzz input may legitimately DEREGISTER "resident"; only
+				// reads after an observed deregister may miss it.
+				if !bytes.Contains(data, []byte("DEREGISTER resident")) {
+					t.Fatal("resident advert lost without a deregister")
+				}
 			}
 		}
-		// The service survives whatever was parsed.
-		if _, ok := advertNamed(svc, "resident"); !ok {
-			// The fuzz input may legitimately DEREGISTER "resident"; only
-			// reads after an observed deregister may miss it.
-			if !bytes.Contains(data, []byte("DEREGISTER resident")) {
-				t.Fatal("resident advert lost without a deregister")
-			}
+		if !bytes.Equal(answers[0], answers[1]) {
+			t.Fatalf("through a 16-byte reader the server answered\n%q\nthrough a 4 KiB one\n%q", answers[0], answers[1])
 		}
 	})
 }
@@ -74,8 +86,9 @@ func TestRegisterRoundTripThroughServeOne(t *testing.T) {
 	in := "REGISTER cmu 60 tcp://1.2.3.4:3567 10.0.0.9 1\n10.0.0.0/24\nLIST\n"
 	r := bufio.NewReader(strings.NewReader(in))
 	var out bytes.Buffer
+	var scratch []byte
 	for {
-		if err := srv.serveOne(&out, r); err != nil {
+		if err := srv.serveOne(&out, r, &scratch); err != nil {
 			break
 		}
 	}

@@ -2,11 +2,12 @@ package directory
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
+	"remos/internal/lines"
 	"remos/internal/obs"
 	"remos/internal/sim"
 )
@@ -44,13 +45,14 @@ func (c *Client) Replicate(a Advert, ttl time.Duration) (applied bool, err error
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		line, err := r.ReadString('\n')
+		var scratch []byte
+		line, err := lines.Read(r, &scratch)
 		if err != nil {
 			return err
 		}
-		line = strings.TrimSpace(line)
+		line = bytes.TrimSpace(line)
 		var flag int
-		if _, err := fmt.Sscanf(line, "OK %d", &flag); err != nil {
+		if _, err := fmt.Sscanf(string(line), "OK %d", &flag); err != nil {
 			return fmt.Errorf("directory: %s", line)
 		}
 		applied = flag != 0

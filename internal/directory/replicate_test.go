@@ -287,8 +287,9 @@ func FuzzReplicationMessages(f *testing.F) {
 		srv := &Server{Service: svc}
 		r := bufio.NewReader(bytes.NewReader(data))
 		var out bytes.Buffer
+		var scratch []byte
 		for i := 0; i < 1024; i++ {
-			if err := srv.serveOne(&out, r); err != nil {
+			if err := srv.serveOne(&out, r, &scratch); err != nil {
 				break
 			}
 		}

@@ -2,6 +2,7 @@ package directory
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -11,11 +12,16 @@ import (
 	"time"
 
 	"remos/internal/conc"
+	"remos/internal/lines"
 )
 
 // The directory wire protocol: a line-oriented service in the spirit of
 // SLP, letting collectors at other sites register their responsibilities
-// with a deployment's directory and masters elsewhere list them.
+// with a deployment's directory and masters elsewhere list them. Lines
+// are framed as on every ASCII wire (package lines): they end at LF or
+// CRLF, fields are separated by ASCII white space, and a line is at most
+// 16 MiB — a longer one, or an unterminated tail at the end of input,
+// ends the connection.
 //
 //	C: REGISTER <name> <ttlSeconds> <endpoint> <benchHost|-> <nPrefixes>
 //	C: <prefix> ... (n lines)
@@ -62,8 +68,9 @@ type Server struct {
 func (s *Server) ListenAndServe(addr string) (string, error) {
 	ln, err := conc.Listen(addr, func(conn net.Conn) {
 		r := bufio.NewReader(conn)
+		var scratch []byte
 		for {
-			if err := s.serveOne(conn, r); err != nil {
+			if err := s.serveOne(conn, r, &scratch); err != nil {
 				return
 			}
 		}
@@ -80,51 +87,41 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 // exited.
 func (s *Server) Close() error { return s.ln.Close() }
 
-// serveOne reads and answers one command. It takes plain reader/writer
+// serveOne reads and answers one command; scratch holds a line longer
+// than r's buffer (see package lines). It takes plain reader/writer
 // halves (rather than a net.Conn) so the parser is drivable from fuzz
 // and unit tests without a socket.
-func (s *Server) serveOne(w io.Writer, r *bufio.Reader) error {
-	line, err := r.ReadString('\n')
+func (s *Server) serveOne(w io.Writer, r *bufio.Reader, scratch *[]byte) error {
+	line, err := lines.Read(r, scratch)
 	if err != nil {
 		return err
 	}
-	f := strings.Fields(line)
-	if len(f) == 0 {
+	var f [10][]byte
+	n := lines.Split(line, f[:])
+	if n == 0 {
 		fmt.Fprintln(w, "ERR empty command")
 		return nil
 	}
-	switch f[0] {
+	switch string(f[0]) {
 	case "REGISTER":
-		if len(f) != 6 {
+		if n != 6 {
 			fmt.Fprintln(w, "ERR REGISTER needs name ttl endpoint benchHost nPrefixes")
 			return nil
 		}
-		ttlSec, err1 := strconv.Atoi(f[2])
-		nPrefixes, err2 := strconv.Atoi(f[5])
+		ttlSec, err1 := strconv.Atoi(string(f[2]))
+		nPrefixes, err2 := strconv.Atoi(string(f[5]))
 		if err1 != nil || err2 != nil || nPrefixes < 0 || nPrefixes > 1024 {
 			fmt.Fprintln(w, "ERR bad numbers")
 			return nil
 		}
-		a := Advert{Name: f[1], Endpoint: f[3]}
-		if f[4] != "-" {
-			bh, err := netip.ParseAddr(f[4])
-			if err != nil {
-				fmt.Fprintln(w, "ERR bad bench host")
-				return nil
-			}
-			a.BenchHost = bh
+		a := Advert{Name: string(f[1]), Endpoint: string(f[3])}
+		if a.BenchHost, err = parseBenchHost(f[4]); err != nil {
+			fmt.Fprintln(w, "ERR bad bench host")
+			return nil
 		}
-		for i := 0; i < nPrefixes; i++ {
-			pl, err := r.ReadString('\n')
-			if err != nil {
-				return err
-			}
-			p, err := netip.ParsePrefix(strings.TrimSpace(pl))
-			if err != nil {
-				fmt.Fprintf(w, "ERR bad prefix %q\n", strings.TrimSpace(pl))
-				return nil
-			}
-			a.Prefixes = append(a.Prefixes, p)
+		var ok bool
+		if a.Prefixes, ok, err = readPrefixes(w, r, scratch, nPrefixes); !ok {
+			return err
 		}
 		if err := s.Service.Register(a, time.Duration(ttlSec)*time.Second); err != nil {
 			fmt.Fprintf(w, "ERR %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
@@ -132,42 +129,30 @@ func (s *Server) serveOne(w io.Writer, r *bufio.Reader) error {
 		}
 		fmt.Fprintln(w, "OK")
 	case "REPLICATE":
-		if len(f) != 10 {
+		if n != 10 {
 			fmt.Fprintln(w, "ERR REPLICATE needs name ttl endpoint benchHost domain priority epoch seq nPrefixes")
 			return nil
 		}
-		ttlSec, err1 := strconv.Atoi(f[2])
-		prio, err2 := strconv.Atoi(f[6])
-		epoch, err3 := strconv.ParseUint(f[7], 10, 64)
-		seq, err4 := strconv.ParseUint(f[8], 10, 64)
-		nPrefixes, err5 := strconv.Atoi(f[9])
+		ttlSec, err1 := strconv.Atoi(string(f[2]))
+		prio, err2 := strconv.Atoi(string(f[6]))
+		epoch, err3 := strconv.ParseUint(string(f[7]), 10, 64)
+		seq, err4 := strconv.ParseUint(string(f[8]), 10, 64)
+		nPrefixes, err5 := strconv.Atoi(string(f[9]))
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil || nPrefixes < 0 || nPrefixes > 1024 {
 			fmt.Fprintln(w, "ERR bad numbers")
 			return nil
 		}
-		a := Advert{Name: f[1], Endpoint: f[3], Priority: prio, Epoch: epoch, Seq: seq}
-		if f[4] != "-" {
-			bh, err := netip.ParseAddr(f[4])
-			if err != nil {
-				fmt.Fprintln(w, "ERR bad bench host")
-				return nil
-			}
-			a.BenchHost = bh
+		a := Advert{Name: string(f[1]), Endpoint: string(f[3]), Priority: prio, Epoch: epoch, Seq: seq}
+		if a.BenchHost, err = parseBenchHost(f[4]); err != nil {
+			fmt.Fprintln(w, "ERR bad bench host")
+			return nil
 		}
-		if f[5] != "-" {
-			a.Domain = f[5]
+		if string(f[5]) != "-" {
+			a.Domain = string(f[5])
 		}
-		for i := 0; i < nPrefixes; i++ {
-			pl, err := r.ReadString('\n')
-			if err != nil {
-				return err
-			}
-			p, err := netip.ParsePrefix(strings.TrimSpace(pl))
-			if err != nil {
-				fmt.Fprintf(w, "ERR bad prefix %q\n", strings.TrimSpace(pl))
-				return nil
-			}
-			a.Prefixes = append(a.Prefixes, p)
+		var ok bool
+		if a.Prefixes, ok, err = readPrefixes(w, r, scratch, nPrefixes); !ok {
+			return err
 		}
 		applied := s.Service.ReplicaApply(a, time.Duration(ttlSec)*time.Second)
 		flag := 0
@@ -176,11 +161,11 @@ func (s *Server) serveOne(w io.Writer, r *bufio.Reader) error {
 		}
 		fmt.Fprintf(w, "OK %d\n", flag)
 	case "DEREGISTER":
-		if len(f) != 2 {
+		if n != 2 {
 			fmt.Fprintln(w, "ERR DEREGISTER needs name")
 			return nil
 		}
-		s.Service.Deregister(f[1])
+		s.Service.Deregister(string(f[1]))
 		fmt.Fprintln(w, "OK")
 	case "LIST":
 		adverts := s.Service.Adverts()
@@ -207,6 +192,33 @@ func (s *Server) serveOne(w io.Writer, r *bufio.Reader) error {
 	return nil
 }
 
+// parseBenchHost reads an advert's bench host token, "-" for none.
+func parseBenchHost(tok []byte) (netip.Addr, error) {
+	if string(tok) == "-" {
+		return netip.Addr{}, nil
+	}
+	return netip.ParseAddr(string(tok))
+}
+
+// readPrefixes reads the n prefix lines that follow an advert's header.
+// A line that is no prefix is answered with ERR and returns ok false and
+// no error: the connection stays. A read error is returned, to end it.
+func readPrefixes(w io.Writer, r *bufio.Reader, scratch *[]byte, n int) (ps []netip.Prefix, ok bool, err error) {
+	for i := 0; i < n; i++ {
+		line, err := lines.Read(r, scratch)
+		if err != nil {
+			return nil, false, err
+		}
+		p, err := netip.ParsePrefix(string(bytes.TrimSpace(line)))
+		if err != nil {
+			fmt.Fprintf(w, "ERR bad prefix %q\n", bytes.TrimSpace(line))
+			return nil, false, nil
+		}
+		ps = append(ps, p)
+	}
+	return ps, true, nil
+}
+
 // Client registers with a remote directory server.
 type Client struct {
 	Addr string
@@ -229,12 +241,12 @@ func (c *Client) exchange(fn func(conn net.Conn, r *bufio.Reader) error) error {
 }
 
 func expectOK(r *bufio.Reader) error {
-	line, err := r.ReadString('\n')
+	var scratch []byte
+	line, err := lines.Read(r, &scratch)
 	if err != nil {
 		return err
 	}
-	line = strings.TrimSpace(line)
-	if line != "OK" {
+	if line = bytes.TrimSpace(line); string(line) != "OK" {
 		return fmt.Errorf("directory: %s", line)
 	}
 	return nil
@@ -280,44 +292,41 @@ func (c *Client) List() ([]Advert, error) {
 	var out []Advert
 	err := c.exchange(func(conn net.Conn, r *bufio.Reader) error {
 		fmt.Fprintln(conn, "LIST")
-		head, err := r.ReadString('\n')
+		var scratch []byte
+		head, err := lines.Read(r, &scratch)
 		if err != nil {
 			return err
 		}
 		var n int
-		if _, err := fmt.Sscanf(head, "OK %d", &n); err != nil {
-			return fmt.Errorf("directory: %s", strings.TrimSpace(head))
+		if _, err := fmt.Sscanf(string(head), "OK %d", &n); err != nil {
+			return fmt.Errorf("directory: %s", bytes.TrimSpace(head))
 		}
 		for i := 0; i < n; i++ {
-			line, err := r.ReadString('\n')
+			line, err := lines.Read(r, &scratch)
 			if err != nil {
 				return err
 			}
-			f := strings.Fields(line)
-			if len(f) != 5 || f[0] != "ADVERT" {
-				return fmt.Errorf("directory: bad advert line %q", strings.TrimSpace(line))
+			var f [5][]byte
+			if lines.Split(line, f[:]) != 5 || string(f[0]) != "ADVERT" {
+				return fmt.Errorf("directory: bad advert line %q", bytes.TrimSpace(line))
 			}
-			a := Advert{Name: f[1]}
-			if f[2] != "-" {
-				a.Endpoint = f[2]
+			a := Advert{Name: string(f[1])}
+			if string(f[2]) != "-" {
+				a.Endpoint = string(f[2])
 			}
-			if f[3] != "-" {
-				bh, err := netip.ParseAddr(f[3])
-				if err != nil {
-					return err
-				}
-				a.BenchHost = bh
+			if a.BenchHost, err = parseBenchHost(f[3]); err != nil {
+				return err
 			}
-			np, err := strconv.Atoi(f[4])
+			np, err := strconv.Atoi(string(f[4]))
 			if err != nil || np < 0 || np > 1024 {
 				return fmt.Errorf("directory: bad prefix count %q", f[4])
 			}
 			for j := 0; j < np; j++ {
-				pl, err := r.ReadString('\n')
+				pl, err := lines.Read(r, &scratch)
 				if err != nil {
 					return err
 				}
-				p, err := netip.ParsePrefix(strings.TrimSpace(pl))
+				p, err := netip.ParsePrefix(string(bytes.TrimSpace(pl)))
 				if err != nil {
 					return err
 				}

@@ -1,13 +1,18 @@
 package directory
 
 import (
+	"bufio"
+	"errors"
+	"io"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
 	"remos/internal/collector"
 	"remos/internal/collector/master"
+	"remos/internal/lines"
 	"remos/internal/proto"
 	"remos/internal/sim"
 )
@@ -149,5 +154,53 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	n, err := conn2.Read(buf)
 	if err != nil || n == 0 || string(buf[:3]) != "ERR" {
 		t.Fatalf("expected ERR reply, got %q err=%v", buf[:n], err)
+	}
+}
+
+// endlessLine is a peer that sends prefix and then never sends "\n". It
+// stops after limit bytes so that a reader with no bound fails the test
+// rather than the machine.
+type endlessLine struct {
+	prefix      *strings.Reader
+	read, limit int
+}
+
+func (e *endlessLine) Read(p []byte) (int, error) {
+	if e.prefix.Len() > 0 {
+		n, _ := e.prefix.Read(p)
+		e.read += n
+		return n, nil
+	}
+	if e.read >= e.limit {
+		return 0, io.EOF
+	}
+	n := min(len(p), e.limit-e.read)
+	for i := range p[:n] {
+		p[i] = 'a'
+	}
+	e.read += n
+	return n, nil
+}
+
+// The server ends a connection whose command line or prefix line never
+// ends, after reading at most the line bound and one reader buffer, its
+// scratch no longer than the bound.
+func TestServeOneBoundsALine(t *testing.T) {
+	srv := &Server{Service: New(sim.NewSim())}
+	for _, prefix := range []string{"", "REGISTER a 60 tcp://x - 1\n", "REPLICATE a 60 tcp://x - - 0 1 1 1\n"} {
+		src := &endlessLine{prefix: strings.NewReader(prefix), limit: len(prefix) + lines.Max + 1<<20}
+		r := bufio.NewReaderSize(src, 4096)
+		var scratch []byte
+		var err error
+		for err == nil {
+			err = srv.serveOne(io.Discard, r, &scratch)
+		}
+		if !errors.Is(err, lines.ErrTooLong) {
+			t.Errorf("after %q an endless line ended the connection with %v, want %v", prefix, err, lines.ErrTooLong)
+		}
+		if max := len(prefix) + lines.Max + 4096; src.read > max || cap(scratch) > lines.Max {
+			t.Errorf("after %q the server read %d bytes into %d of scratch, want at most %d and %d",
+				prefix, src.read, cap(scratch), max, lines.Max)
+		}
 	}
 }

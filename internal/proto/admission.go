@@ -36,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"remos/internal/lines"
 	"remos/internal/rerr"
 )
 
@@ -63,12 +64,12 @@ func unblank(tok string) string {
 // preamble pipelines ahead of the first request, so keeping a connection
 // whose preamble was answered with an error would desync the
 // request/response pairing.
-func (c *asciiConn) tenant(line []byte, args fields) (keep bool, err error) {
-	var tok [3][]byte // id, key, tier; only the id is required
-	if n := args.collect(tok[:]); n < 1 || n > len(tok) {
+func (c *asciiConn) tenant(line []byte) (keep bool, err error) {
+	var tok [4][]byte // TENANT, id, key, tier; only the id is required
+	if n := lines.Split(line, tok[:]); n < 2 || n > len(tok) {
 		return false, fmt.Errorf("proto: bad tenant line %q", bytes.TrimSpace(line))
 	}
-	c.ten, c.tier, err = c.srv.core.identify(unblank(string(tok[0])), unblank(string(tok[1])), string(tok[2]))
+	c.ten, c.tier, err = c.srv.core.identify(unblank(string(tok[1])), unblank(string(tok[2])), string(tok[3]))
 	return err == nil, err
 }
 

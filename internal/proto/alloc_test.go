@@ -10,12 +10,12 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"remos/internal/admission"
 	"remos/internal/collector"
+	"remos/internal/lines"
 	"remos/internal/modeler"
 	"remos/internal/topology"
 )
@@ -115,7 +115,7 @@ func TestServeFlowsAllocationBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() {
 		src.Reset(wire)
 		c.r.Reset(src)
-		line, err := readLine(c.r, &c.scratch)
+		line, err := lines.Read(c.r, &c.scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestServeQueryAllocationBudget(t *testing.T) {
 	exchange := func() {
 		src.Reset(wire)
 		c.r.Reset(src)
-		line, err := readLine(c.r, &c.scratch)
+		line, err := lines.Read(c.r, &c.scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,40 +302,6 @@ func TestHTTPFlowsAllocationBudget(t *testing.T) {
 		}
 	}); n > 8 {
 		t.Fatalf("one codec round allocates %.0f times, want <= 8", n)
-	}
-}
-
-// TestReadLineLongLines covers the scratch fallback: lines longer than
-// the bufio buffer must come back intact and reuse the scratch slice.
-func TestReadLineLongLines(t *testing.T) {
-	long := strings.Repeat("x", 10000)
-	input := "short\n" + long + "\n" + long + "y\n"
-	r := bufio.NewReaderSize(strings.NewReader(input), 64)
-	var scratch []byte
-	for i, want := range []string{"short\n", long + "\n", long + "y\n"} {
-		got, err := readLine(r, &scratch)
-		if err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		if string(got) != want {
-			t.Fatalf("line %d: got %d bytes, want %d", i, len(got), len(want))
-		}
-	}
-	if _, err := readLine(r, &scratch); err != io.EOF {
-		t.Fatalf("want EOF at end, got %v", err)
-	}
-}
-
-// TestReadLineUnterminated: a final line without a newline is an error
-// (the protocol always terminates lines), surfacing as io.EOF from
-// ReadSlice — both for short and buffer-straddling lines.
-func TestReadLineUnterminated(t *testing.T) {
-	for _, input := range []string{"dangling", strings.Repeat("z", 200)} {
-		r := bufio.NewReaderSize(strings.NewReader(input), 64)
-		var scratch []byte
-		if _, err := readLine(r, &scratch); err != io.EOF {
-			t.Fatalf("input %d bytes: want io.EOF, got %v", len(input), err)
-		}
 	}
 }
 

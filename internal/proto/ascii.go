@@ -26,6 +26,7 @@ import (
 	"remos/internal/admission"
 	"remos/internal/collector"
 	"remos/internal/conc"
+	"remos/internal/lines"
 	"remos/internal/obs"
 	"remos/internal/rerr"
 	"remos/internal/topology"
@@ -68,7 +69,7 @@ func writeQuery(w io.Writer, q collector.Query) error {
 
 // readQuery parses one ASCII query; io.EOF on a cleanly closed connection.
 func readQuery(r *bufio.Reader, scratch *[]byte) (collector.Query, error) {
-	line, err := readLine(r, scratch)
+	line, err := lines.Read(r, scratch)
 	if err != nil {
 		return collector.Query{}, err
 	}
@@ -82,22 +83,18 @@ func readQueryBody(line []byte, r *bufio.Reader, scratch *[]byte) (collector.Que
 	badHeader := func() error {
 		return fmt.Errorf("proto: bad query header %q", bytes.TrimSpace(line))
 	}
-	fs := newFields(line)
-	if !bytes.Equal(fs.next(), []byte("QUERY")) {
+	var f [4][]byte
+	nf := lines.Split(line, f[:])
+	if nf < 3 || nf > len(f) || string(f[0]) != "QUERY" {
 		return collector.Query{}, badHeader()
 	}
 	var nums [3]int64
-	cnt := 0
-	for tok := fs.next(); tok != nil; tok = fs.next() {
+	for i, tok := range f[1:nf] {
 		v, ok := parseInt(tok)
-		if !ok || cnt == len(nums) {
+		if !ok {
 			return collector.Query{}, badHeader()
 		}
-		nums[cnt] = v
-		cnt++
-	}
-	if cnt < 2 {
-		return collector.Query{}, badHeader()
+		nums[i] = v
 	}
 	n, hist, pred := nums[0], nums[1], nums[2]
 	if n < 0 || n > 1<<20 {
@@ -108,7 +105,7 @@ func readQueryBody(line []byte, r *bufio.Reader, scratch *[]byte) (collector.Que
 		q.Hosts = make([]netip.Addr, 0, n)
 	}
 	for i := int64(0); i < n; i++ {
-		line, err := readLine(r, scratch)
+		line, err := lines.Read(r, scratch)
 		if err != nil {
 			return collector.Query{}, err
 		}
@@ -122,7 +119,7 @@ func readQueryBody(line []byte, r *bufio.Reader, scratch *[]byte) (collector.Que
 		}
 		q.Hosts = append(q.Hosts, a)
 	}
-	line, err := readLine(r, scratch)
+	line, err := lines.Read(r, scratch)
 	if err != nil {
 		return collector.Query{}, err
 	}
@@ -251,7 +248,7 @@ func presize(n int64) int { return int(min(n, maxPresize)) }
 // END), and per-sample lines are scanned in place; only the strings the
 // Result retains (IDs, keys, error text) are materialized.
 func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
-	line, err := readLine(r, scratch)
+	line, err := lines.Read(r, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -267,51 +264,47 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 		return nil, err
 	}
 	res := &collector.Result{Graph: g}
-	line, err = readLine(r, scratch)
+	line, err = lines.Read(r, scratch)
 	if err != nil {
 		return nil, err
 	}
-	fs := newFields(line)
-	nk := int64(0)
-	if tok := fs.next(); !bytes.Equal(tok, []byte("HISTORY")) {
+	var f [4][]byte
+	nf := lines.Split(line, f[:2])
+	nk, ok := parseInt(f[1])
+	if nf != 2 || string(f[0]) != "HISTORY" || !ok || nk < 0 {
 		return nil, fmt.Errorf("proto: bad history header %q", bytes.TrimSpace(line))
-	} else if v, ok := parseInt(fs.next()); !ok || v < 0 || fs.next() != nil {
-		return nil, fmt.Errorf("proto: bad history header %q", bytes.TrimSpace(line))
-	} else {
-		nk = v
 	}
 	if nk > 0 {
 		res.History = make(map[collector.HistKey][]collector.Sample, presize(nk))
 	}
 	for i := int64(0); i < nk; i++ {
-		line, err := readLine(r, scratch)
+		line, err := lines.Read(r, scratch)
 		if err != nil {
 			return nil, err
 		}
-		fs := newFields(line)
-		verb, from, to, cnt := fs.next(), fs.next(), fs.next(), fs.next()
-		m, ok := parseInt(cnt)
-		if !bytes.Equal(verb, []byte("HIST")) || to == nil || !ok || m < 0 || fs.next() != nil {
+		nf := lines.Split(line, f[:])
+		m, ok := parseInt(f[3])
+		if nf != 4 || string(f[0]) != "HIST" || !ok || m < 0 {
 			return nil, fmt.Errorf("proto: bad HIST line %q", bytes.TrimSpace(line))
 		}
-		key := collector.HistKey{From: string(from), To: string(to)}
+		key := collector.HistKey{From: string(f[1]), To: string(f[2])}
 		samples := make([]collector.Sample, 0, presize(m))
 		for j := int64(0); j < m; j++ {
-			line, err := readLine(r, scratch)
+			line, err := lines.Read(r, scratch)
 			if err != nil {
 				return nil, err
 			}
-			fs := newFields(line)
-			ns, ok1 := parseInt(fs.next())
-			bits, ok2 := parseFloat(fs.next())
-			if !ok1 || !ok2 || fs.next() != nil {
+			nf := lines.Split(line, f[:2])
+			ns, ok1 := parseInt(f[0])
+			bits, ok2 := parseFloat(f[1])
+			if nf != 2 || !ok1 || !ok2 {
 				return nil, fmt.Errorf("proto: bad sample line %q", bytes.TrimSpace(line))
 			}
 			samples = append(samples, collector.Sample{T: time.Unix(0, ns), Bits: bits})
 		}
 		res.History[key] = samples
 	}
-	line, err = readLine(r, scratch)
+	line, err = lines.Read(r, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -325,37 +318,37 @@ func readResult(r *bufio.Reader, scratch *[]byte) (*collector.Result, error) {
 			res.Predictions = make(map[collector.HistKey]collector.Forecast, presize(nk))
 		}
 		for i := int64(0); i < nk; i++ {
-			line, err := readLine(r, scratch)
+			line, err := lines.Read(r, scratch)
 			if err != nil {
 				return nil, err
 			}
-			fs := newFields(line)
-			verb, from, to, cnt := fs.next(), fs.next(), fs.next(), fs.next()
-			h, ok := parseInt(cnt)
-			if !bytes.Equal(verb, []byte("PRED")) || to == nil || !ok || h < 0 || fs.next() != nil {
+			nf := lines.Split(line, f[:])
+			h, ok := parseInt(f[3])
+			if nf != 4 || string(f[0]) != "PRED" || !ok || h < 0 {
 				return nil, fmt.Errorf("proto: bad PRED line %q", bytes.TrimSpace(line))
 			}
+			key := collector.HistKey{From: string(f[1]), To: string(f[2])}
 			fc := collector.Forecast{
 				Values: make([]float64, 0, presize(h)),
 				ErrVar: make([]float64, 0, presize(h)),
 			}
 			for j := int64(0); j < h; j++ {
-				line, err := readLine(r, scratch)
+				line, err := lines.Read(r, scratch)
 				if err != nil {
 					return nil, err
 				}
-				fs := newFields(line)
-				v, ok1 := parseFloat(fs.next())
-				ev, ok2 := parseFloat(fs.next())
-				if !ok1 || !ok2 || fs.next() != nil {
+				nf := lines.Split(line, f[:2])
+				v, ok1 := parseFloat(f[0])
+				ev, ok2 := parseFloat(f[1])
+				if nf != 2 || !ok1 || !ok2 {
 					return nil, fmt.Errorf("proto: bad forecast line %q", bytes.TrimSpace(line))
 				}
 				fc.Values = append(fc.Values, v)
 				fc.ErrVar = append(fc.ErrVar, ev)
 			}
-			res.Predictions[collector.HistKey{From: string(from), To: string(to)}] = fc
+			res.Predictions[key] = fc
 		}
-		line, err = readLine(r, scratch)
+		line, err = lines.Read(r, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -445,19 +438,19 @@ func (s *TCPServer) serveConn(rd io.Reader, wr io.Writer) {
 		readerPool.Put(c.r)
 	}()
 	for {
-		line, err := readLine(c.r, &c.scratch)
+		line, err := lines.Read(c.r, &c.scratch)
 		if err != nil {
 			return // EOF: drop the connection
 		}
-		fs := newFields(line)
+		verb, _ := lines.Cut(line)
 		var keep bool
-		switch string(fs.next()) {
+		switch string(verb) {
 		case "TENANT":
-			keep, err = c.tenant(line, fs)
+			keep, err = c.tenant(line)
 		case "WATCH":
-			keep, err = true, c.watch(line, fs)
+			keep, err = true, c.watch(line)
 		case "UNWATCH":
-			keep, err = true, c.unwatch(line, fs)
+			keep, err = true, c.unwatch(line)
 		case "FLOWS":
 			keep, err = c.flows(line)
 		default:

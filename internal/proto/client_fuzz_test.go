@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"remos/internal/lines"
 	"remos/internal/rerr"
 	"remos/internal/watch"
 )
@@ -205,7 +206,8 @@ func FuzzSSEEvents(f *testing.F) {
 	})
 }
 
-// FuzzWatchLines feeds arbitrary streams, line by line, to the ASCII
+// FuzzWatchLines feeds arbitrary streams, read line by line through the
+// shared line reader as the client reads its connection, to the ASCII
 // watch client's line decoder: no panic; an UPDATE it accepts, rendered
 // back the way the server writes it, decodes to the same update; and
 // every END, and every UNWATCHED whether or not the client asked for it,
@@ -226,14 +228,22 @@ func FuzzWatchLines(f *testing.F) {
 	f.Add([]byte("UPDATE 1 +2 -9223372036854775808 NaN -0 x\r\nEND 1 CANCELED bye\nUNWATCHED\nEND\n"))
 	spec := watch.Spec{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2")}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		for _, line := range strings.SplitAfter(string(stream), "\n") {
+		r := bufio.NewReaderSize(bytes.NewReader(stream), 16)
+		var scratch []byte
+		for {
+			line, err := lines.Read(r, &scratch)
+			if err != nil {
+				return
+			}
 			u, ok := decodeWatchLine(line, spec, nil)
-			fields := append(strings.Fields(line), "", "", "")
+			var fields [3][]byte
+			lines.Split(line, fields[:])
+			verb, code := string(fields[0]), string(fields[2])
 			terminal := ok && u.Err != nil
-			if terminal != (fields[0] == "END" || fields[0] == "UNWATCHED") {
+			if terminal != (verb == "END" || verb == "UNWATCHED") {
 				t.Fatalf("%q decoded terminal=%v (ok=%v, %+v)", line, terminal, ok, u)
 			}
-			if code := fields[2]; fields[0] == "END" && rerr.Known(code) && rerr.Code(u.Err) != code {
+			if verb == "END" && rerr.Known(code) && rerr.Code(u.Err) != code {
 				t.Fatalf("%q ended with %v, code %q", line, u.Err, rerr.Code(u.Err))
 			}
 			if !ok || terminal {
@@ -241,7 +251,7 @@ func FuzzWatchLines(f *testing.F) {
 			}
 			var rendered bytes.Buffer
 			writeWatchLine(&rendered, 1, u)
-			again, ok := decodeWatchLine(rendered.String(), spec, nil)
+			again, ok := decodeWatchLine(bytes.TrimSuffix(rendered.Bytes(), []byte("\n")), spec, nil)
 			if !ok || fmt.Sprint(again) != fmt.Sprint(u) {
 				t.Fatalf("an update changed through a rendering:\n line: %q\n  got: %+v (ok=%v)\n want: %+v", rendered.String(), again, ok, u)
 			}

@@ -34,6 +34,7 @@ import (
 	"net/netip"
 	"time"
 
+	"remos/internal/lines"
 	"remos/internal/modeler"
 )
 
@@ -71,35 +72,34 @@ func writeFlowsQuery(w io.Writer, flows []modeler.Flow) error {
 // readFlowsBody parses a FLOWS request whose header line was already
 // consumed by the server's verb dispatch.
 func readFlowsBody(line []byte, r *bufio.Reader, scratch *[]byte) ([]modeler.Flow, error) {
-	fs := newFields(line)
-	fs.next() // FLOWS, checked by the dispatcher
-	n, ok := parseInt(fs.next())
-	if !ok || n < 0 || n > 1<<20 || fs.next() != nil {
+	var f [3][]byte
+	nf := lines.Split(line, f[:2]) // FLOWS, checked by the dispatcher, and the count
+	n, ok := parseInt(f[1])
+	if nf != 2 || !ok || n < 0 || n > 1<<20 {
 		return nil, fmt.Errorf("proto: bad flows header %q", bytes.TrimSpace(line))
 	}
 	flows := make([]modeler.Flow, 0, n)
 	for i := int64(0); i < n; i++ {
-		line, err := readLine(r, scratch)
+		line, err := lines.Read(r, scratch)
 		if err != nil {
 			return nil, err
 		}
-		fs := newFields(line)
-		srcTok, dstTok, demTok := fs.next(), fs.next(), fs.next()
-		dem, ok := parseFloat(demTok)
-		if !ok || fs.next() != nil {
+		nf := lines.Split(line, f[:])
+		dem, ok := parseFloat(f[2])
+		if nf != 3 || !ok {
 			return nil, fmt.Errorf("proto: bad flow line %q", bytes.TrimSpace(line))
 		}
-		src, err := netip.ParseAddr(string(srcTok))
+		src, err := netip.ParseAddr(string(f[0]))
 		if err != nil {
-			return nil, fmt.Errorf("proto: bad flow src %q: %w", srcTok, err)
+			return nil, fmt.Errorf("proto: bad flow src %q: %w", f[0], err)
 		}
-		dst, err := netip.ParseAddr(string(dstTok))
+		dst, err := netip.ParseAddr(string(f[1]))
 		if err != nil {
-			return nil, fmt.Errorf("proto: bad flow dst %q: %w", dstTok, err)
+			return nil, fmt.Errorf("proto: bad flow dst %q: %w", f[1], err)
 		}
 		flows = append(flows, modeler.Flow{Src: src, Dst: dst, Demand: dem})
 	}
-	line, err := readLine(r, scratch)
+	line, err := lines.Read(r, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func writeFlowsResult(buf *bytes.Buffer, infos []modeler.FlowInfo) {
 
 // readFlowsResult parses one FLOWS answer (or the shared ERR line).
 func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, error) {
-	line, err := readLine(r, scratch)
+	line, err := lines.Read(r, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -141,25 +141,29 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 	if bytes.HasPrefix(head, []byte("ERR ")) {
 		return nil, decodeErrLine(string(head[len("ERR "):]))
 	}
-	fs := newFields(head)
-	if !bytes.Equal(fs.next(), []byte("OKF")) {
+	var f [4][]byte
+	nf := lines.Split(head, f[:2])
+	if string(f[0]) != "OKF" {
 		return nil, fmt.Errorf("proto: unexpected flows response %q", head)
 	}
-	n, ok := parseInt(fs.next())
-	if !ok || n < 0 || fs.next() != nil {
+	n, ok := parseInt(f[1])
+	if nf != 2 || !ok || n < 0 {
 		return nil, fmt.Errorf("proto: bad flows response header %q", head)
 	}
 	infos := make([]modeler.FlowInfo, 0, presize(n))
 	for i := int64(0); i < n; i++ {
-		line, err := readLine(r, scratch)
+		line, err := lines.Read(r, scratch)
 		if err != nil {
 			return nil, err
 		}
-		fs := newFields(line)
-		avail, ok1 := parseFloat(fs.next())
-		latNs, ok2 := parseInt(fs.next())
-		jitNs, ok3 := parseInt(fs.next())
-		k, ok4 := parseInt(fs.next())
+		rest := line
+		for j := range f {
+			f[j], rest = lines.Cut(rest)
+		}
+		avail, ok1 := parseFloat(f[0])
+		latNs, ok2 := parseInt(f[1])
+		jitNs, ok3 := parseInt(f[2])
+		k, ok4 := parseInt(f[3])
 		if !ok1 || !ok2 || !ok3 || !ok4 || k < 0 {
 			return nil, fmt.Errorf("proto: bad flow answer line %q", bytes.TrimSpace(line))
 		}
@@ -172,19 +176,19 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 		if k > 0 {
 			fi.Path = make([]string, 0, presize(k))
 			for j := int64(0); j < k; j++ {
-				tok := fs.next()
-				if tok == nil {
+				var id []byte
+				if id, rest = lines.Cut(rest); id == nil {
 					return nil, fmt.Errorf("proto: short flow path in %q", bytes.TrimSpace(line))
 				}
-				fi.Path = append(fi.Path, string(tok))
+				fi.Path = append(fi.Path, string(id))
 			}
 		}
-		if fs.next() != nil {
+		if extra, _ := lines.Cut(rest); extra != nil {
 			return nil, fmt.Errorf("proto: trailing tokens in flow answer %q", bytes.TrimSpace(line))
 		}
 		infos = append(infos, fi)
 	}
-	line, err = readLine(r, scratch)
+	line, err = lines.Read(r, scratch)
 	if err != nil {
 		return nil, err
 	}

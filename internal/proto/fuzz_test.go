@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"remos/internal/admission"
+	"remos/internal/lines"
 	"remos/internal/sim"
 	"remos/internal/watch"
 )
@@ -76,14 +77,14 @@ func FuzzASCIIConn(f *testing.F) {
 			case bytes.HasPrefix(head, []byte("OKF ")):
 				_, err = readFlowsResult(r, &scratch)
 			case bytes.HasPrefix(head, []byte("ERR ")):
-				_, err = readLine(r, &scratch)
+				_, err = lines.Read(r, &scratch)
 			default:
 				var line []byte
-				if line, err = readLine(r, &scratch); err == nil {
-					fs := newFields(line)
-					verb := string(fs.next())
-					_, isID := parseInt(fs.next())
-					if (verb != "WATCHING" && verb != "UNWATCHED") || !isID || fs.next() != nil {
+				if line, err = lines.Read(r, &scratch); err == nil {
+					var f [2][]byte
+					n := lines.Split(line, f[:])
+					_, isID := parseInt(f[1])
+					if (string(f[0]) != "WATCHING" && string(f[0]) != "UNWATCHED") || !isID || n != 2 {
 						t.Fatalf("server wrote an unknown message %q", line)
 					}
 				}

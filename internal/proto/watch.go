@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"remos/internal/lines"
 	"remos/internal/rerr"
 	"remos/internal/watch"
 )
@@ -60,8 +61,8 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 // turns pushed updates into UPDATE/END lines. The subscription is
 // recorded in the per-connection map so UNWATCH and connection teardown
 // find it.
-func (c *asciiConn) watch(line []byte, args fields) error {
-	spec, err := parseWatchArgs(line, args)
+func (c *asciiConn) watch(line []byte) error {
+	spec, err := parseWatchArgs(line)
 	if err != nil {
 		return err
 	}
@@ -83,18 +84,18 @@ func (c *asciiConn) watch(line []byte, args fields) error {
 	return nil
 }
 
-func parseWatchArgs(line []byte, args fields) (watch.Spec, error) {
-	var tok [5][]byte
-	if args.collect(tok[:]) != len(tok) {
+func parseWatchArgs(line []byte) (watch.Spec, error) {
+	var tok [6][]byte // WATCH, checked by the dispatcher, and its five arguments
+	if lines.Split(line, tok[:]) != len(tok) {
 		return watch.Spec{}, fmt.Errorf("proto: bad watch line %q", bytes.TrimSpace(line))
 	}
-	src, err1 := netip.ParseAddr(string(tok[0]))
-	dst, err2 := netip.ParseAddr(string(tok[1]))
+	src, err1 := netip.ParseAddr(string(tok[1]))
+	dst, err2 := netip.ParseAddr(string(tok[2]))
 	if err1 != nil || err2 != nil {
 		return watch.Spec{}, fmt.Errorf("proto: bad watch endpoints %q", bytes.TrimSpace(line))
 	}
 	var nums [3]float64
-	for i, t := range tok[2:] {
+	for i, t := range tok[3:] {
 		v, ok := parseFloat(t)
 		if !ok || v < 0 {
 			return watch.Spec{}, fmt.Errorf("proto: bad watch predicate %q", t)
@@ -131,14 +132,14 @@ func writeWatchLine(w io.Writer, id int64, u watch.Update) {
 }
 
 // unwatch serves "UNWATCH <id>".
-func (c *asciiConn) unwatch(line []byte, args fields) error {
-	var tok [1][]byte
-	if args.collect(tok[:]) != len(tok) {
+func (c *asciiConn) unwatch(line []byte) error {
+	var tok [2][]byte // UNWATCH and the id
+	if lines.Split(line, tok[:]) != len(tok) {
 		return fmt.Errorf("proto: bad unwatch line %q", bytes.TrimSpace(line))
 	}
-	id, ok := parseInt(tok[0])
+	id, ok := parseInt(tok[1])
 	if !ok {
-		return fmt.Errorf("proto: bad watch id %q", tok[0])
+		return fmt.Errorf("proto: bad watch id %q", tok[1])
 	}
 	if sub := c.subs[id]; sub != nil {
 		sub.Close(nil)
@@ -178,22 +179,24 @@ func (c *TCPClient) watchOn(ctx context.Context, conn net.Conn, spec watch.Spec,
 	fmt.Fprintf(conn, "WATCH %s %s %g %g %g\n",
 		spec.Src, spec.Dst, spec.Below, spec.Above, spec.ChangeFrac)
 	r := bufio.NewReader(conn)
-	line, err := r.ReadString('\n')
+	var scratch []byte
+	line, err := lines.Read(r, &scratch)
 	if err != nil {
 		conn.Close()
 		return nil, classifyClientErr(c.Addr, err)
 	}
-	f := strings.Fields(line)
+	var f [2][]byte
+	n := lines.Split(line, f[:])
 	switch {
-	case len(f) >= 1 && f[0] == "ERR":
+	case n >= 1 && string(f[0]) == "ERR":
 		conn.Close()
-		return nil, decodeErrLine(strings.TrimSpace(strings.TrimPrefix(line, "ERR")))
-	case len(f) == 2 && f[0] == "WATCHING":
+		return nil, decodeErrLine(string(bytes.TrimSpace(bytes.TrimPrefix(line, []byte("ERR")))))
+	case n == 2 && string(f[0]) == "WATCHING":
 	default:
 		conn.Close()
-		return nil, fmt.Errorf("proto: unexpected watch response %q", strings.TrimSpace(line))
+		return nil, fmt.Errorf("proto: unexpected watch response %q", bytes.TrimSpace(line))
 	}
-	id := f[1]
+	id := string(f[1])
 	conn.SetDeadline(time.Time{})
 
 	ch := make(chan watch.Update, watchDepth)
@@ -213,7 +216,7 @@ func (c *TCPClient) watchOn(ctx context.Context, conn net.Conn, spec watch.Spec,
 		defer close(ch)
 		defer close(done)
 		for {
-			line, err := r.ReadString('\n')
+			line, err := lines.Read(r, &scratch)
 			if err != nil {
 				ferr := classifyClientErr(c.Addr, err)
 				if cerr := ctx.Err(); cerr != nil {
@@ -245,41 +248,40 @@ func (c *TCPClient) watchOn(ctx context.Context, conn net.Conn, spec watch.Spec,
 // UPDATE, or for END and UNWATCHED the terminal update, Err set. ok is
 // false for a line the client skips. An UNWATCHED answers the UNWATCH the
 // caller's cancellation sends, so it ends the watch with canceled.
-func decodeWatchLine(line string, spec watch.Spec, canceled error) (u watch.Update, ok bool) {
-	f := strings.Fields(line)
-	if len(f) == 0 {
-		return u, false
-	}
+func decodeWatchLine(line []byte, spec watch.Spec, canceled error) (u watch.Update, ok bool) {
+	var f [7][]byte
+	n := lines.Split(line, f[:])
 	u.Src, u.Dst = spec.Src, spec.Dst
-	switch f[0] {
+	switch string(f[0]) {
 	case "UPDATE": // UPDATE <id> <seq> <unixnanos> <avail> <prev> <reason>
-		if len(f) != 7 {
+		if n != 7 {
 			return u, false
 		}
-		seq, err1 := strconv.ParseInt(f[2], 10, 64)
-		ns, err2 := strconv.ParseInt(f[3], 10, 64)
-		avail, err3 := strconv.ParseFloat(f[4], 64)
-		prev, err4 := strconv.ParseFloat(f[5], 64)
+		seq, err1 := strconv.ParseInt(string(f[2]), 10, 64)
+		ns, err2 := strconv.ParseInt(string(f[3]), 10, 64)
+		avail, err3 := strconv.ParseFloat(string(f[4]), 64)
+		prev, err4 := strconv.ParseFloat(string(f[5]), 64)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return u, false
 		}
-		u.Seq, u.At, u.Avail, u.Prev, u.Reason = seq, time.Unix(0, ns), avail, prev, f[6]
+		u.Seq, u.At, u.Avail, u.Prev, u.Reason = seq, time.Unix(0, ns), avail, prev, string(f[6])
 		return u, true
 	case "END": // END <id> <CODE|-> <message...>
-		code, msg := "", ""
-		if len(f) >= 3 && f[2] != "-" {
-			code = f[2]
+		code := ""
+		if n >= 3 && string(f[2]) != "-" {
+			code = string(f[2])
 		}
-		if len(f) >= 4 {
-			msg = strings.Join(f[3:], " ")
+		msg := line
+		for range 3 {
+			_, msg = lines.Cut(msg)
 		}
-		u.Err = decodeRemoteError(code, "proto: watch ended by server: "+msg)
+		u.Err = decodeRemoteError(code, "proto: watch ended by server: "+string(bytes.TrimSpace(msg)))
 		return u, true
 	case "UNWATCHED":
 		u.Err = canceled
 		if u.Err == nil {
 			// Nobody asked: the server ended the watch.
-			u.Err = decodeRemoteError("", "proto: watch ended by server: "+strings.TrimSpace(line))
+			u.Err = decodeRemoteError("", "proto: watch ended by server: "+string(bytes.TrimSpace(line)))
 		}
 		return u, true
 	}

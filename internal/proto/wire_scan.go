@@ -1,11 +1,11 @@
 package proto
 
-// Byte-level line scanning and number formatting for the ASCII wire
-// path. The request/response loops below run once per served query, so
-// they follow the BER codec's zero-allocation discipline: lines are
-// scanned in place from the connection's pooled bufio.Reader (no
-// per-line string), tokens split without building a []string, and
-// numbers append into stack scratch instead of going through fmt.
+// Number parsing and formatting for the ASCII wire path. The
+// request/response loops run once per served query, so they follow the
+// BER codec's zero-allocation discipline: lines are read in place from
+// the connection's pooled bufio.Reader and split without building a
+// []string (package lines), and numbers parse from the line's bytes and
+// append into stack scratch instead of going through fmt.
 
 import (
 	"bufio"
@@ -29,74 +29,6 @@ var (
 type emptyReader struct{}
 
 func (emptyReader) Read([]byte) (int, error) { return 0, io.EOF }
-
-// readLine returns the next newline-terminated line, aliasing the
-// reader's internal buffer — valid only until the next read, never
-// retained. Lines longer than the buffer accumulate into *scratch
-// (grown once, reused across calls). Any error, including a final
-// unterminated line, is returned as is.
-func readLine(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err == nil {
-		return line, nil
-	}
-	if err != bufio.ErrBufferFull {
-		return nil, err
-	}
-	buf := append((*scratch)[:0], line...)
-	for {
-		line, err = r.ReadSlice('\n')
-		buf = append(buf, line...)
-		*scratch = buf
-		if err == nil {
-			return buf, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
-}
-
-// fields iterates the whitespace-separated tokens of one line without
-// allocating. next returns nil after the last token.
-type fields struct{ rest []byte }
-
-func newFields(line []byte) fields { return fields{rest: line} }
-
-func asciiSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-func (f *fields) next() []byte {
-	i := 0
-	for i < len(f.rest) && asciiSpace(f.rest[i]) {
-		i++
-	}
-	if i == len(f.rest) {
-		f.rest = nil
-		return nil
-	}
-	j := i
-	for j < len(f.rest) && !asciiSpace(f.rest[j]) {
-		j++
-	}
-	tok := f.rest[i:j]
-	f.rest = f.rest[j:]
-	return tok
-}
-
-// collect fills dst with the remaining tokens and reports how many there
-// were, counting at most one past what dst holds — enough for the
-// control verbs to tell "too many" from "just right".
-func (f *fields) collect(dst [][]byte) int {
-	n := 0
-	for tok := f.next(); tok != nil; tok = f.next() {
-		if n == len(dst) {
-			return n + 1
-		}
-		dst[n] = tok
-		n++
-	}
-	return n
-}
 
 // parseInt is a minimal decimal parser for wire counts and timestamps
 // (optional leading minus, digits only), avoiding the []byte->string

@@ -127,10 +127,11 @@ func (s *xmlScan) lit(tok string) bool {
 	return true
 }
 
-// space consumes a run of whitespace and reports whether there was any.
+// space consumes a run of XML white space (space, \t, \n, \r) and
+// reports whether there was any.
 func (s *xmlScan) space() bool {
 	start := s.i
-	for s.i < len(s.b) && asciiSpace(s.b[s.i]) {
+	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
 		s.i++
 	}
 	return s.i > start

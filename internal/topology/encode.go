@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"remos/internal/lines"
 )
 
 // This file provides the two wire encodings of topology graphs: the
@@ -90,66 +92,6 @@ func (g *Graph) AppendText(dst []byte) ([]byte, error) {
 	return append(b, "END\n"...), nil
 }
 
-// textFields splits a line on ASCII white space into at most len(dst)
-// fields, in place; n is how many fields the line has in all, so n >
-// len(dst) says it has too many.
-func textFields(line []byte, dst [][]byte) (n int) {
-	for i := 0; i < len(line); {
-		if asciiSpace(line[i]) {
-			i++
-			continue
-		}
-		start := i
-		for i < len(line) && !asciiSpace(line[i]) {
-			i++
-		}
-		if n < len(dst) {
-			dst[n] = line[start:i]
-		}
-		n++
-	}
-	return n
-}
-
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
-
-// maxTextLine bounds one line of the ASCII form; a longer one is refused
-// rather than gathered without end.
-const maxTextLine = 16 << 20
-
-// textLines hands DecodeText the lines of a bufio.Reader one at a time,
-// in place: a line aliases the reader's buffer until the next call. Only
-// a line longer than that buffer is gathered, into long.
-type textLines struct {
-	r    *bufio.Reader
-	long []byte
-}
-
-// next returns the next line without its "\n" or "\r\n"; a last line
-// with no newline is a line too. It reads nothing past that line, and
-// returns io.EOF when no line is left.
-func (tl *textLines) next() ([]byte, error) {
-	line, err := tl.r.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		tl.long = append(tl.long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			if len(tl.long) > maxTextLine {
-				return nil, fmt.Errorf("topology: line longer than %d bytes", maxTextLine)
-			}
-			line, err = tl.r.ReadSlice('\n')
-			tl.long = append(tl.long, line...)
-		}
-		line = tl.long
-	}
-	if err != nil && (err != io.EOF || len(line) == 0) {
-		return nil, err
-	}
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	return bytes.TrimSuffix(line, []byte("\r")), nil
-}
-
 // missing is the error for a section cut short: a clean end of input
 // says the lines never came, any other read error is passed on.
 func missing(err error) error {
@@ -180,16 +122,16 @@ func DecodeText(r io.Reader) (*Graph, error) {
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	tl := textLines{r: br}
-	line, err := tl.next()
-	if err == io.EOF {
+	var long []byte // a line longer than br's buffer
+	line, err := lines.Read(br, &long)
+	if err == io.EOF && len(line) == 0 {
 		return nil, fmt.Errorf("topology: empty input")
 	}
 	if err != nil {
-		return nil, err
+		return nil, missing(err)
 	}
 	var f [9][]byte
-	if textFields(line, f[:]) < 3 || string(f[0]) != "GRAPH" {
+	if lines.Split(line, f[:]) < 3 || string(f[0]) != "GRAPH" {
 		return nil, badLine("header", line)
 	}
 	nn, err1 := strconv.Atoi(string(f[1]))
@@ -206,11 +148,11 @@ func DecodeText(r io.Reader) (*Graph, error) {
 	spans := make([]nodeSpan, 0, min(nn, slabMax))
 	text := make([]byte, 0, 16*min(nn, slabMax))
 	for i := 0; i < nn; i++ {
-		line, err := tl.next()
+		line, err := lines.Read(br, &long)
 		if err != nil {
 			return nil, missing(err)
 		}
-		if textFields(line, f[:]) != 4 || string(f[0]) != "NODE" {
+		if lines.Split(line, f[:]) != 4 || string(f[0]) != "NODE" {
 			return nil, badLine("node line", line)
 		}
 		kind, ok := parseKind(f[2])
@@ -238,11 +180,11 @@ func DecodeText(r io.Reader) (*Graph, error) {
 
 	linkSlab := make([]Link, 0, min(nl, slabMax))
 	for i := 0; i < nl; i++ {
-		line, err := tl.next()
+		line, err := lines.Read(br, &long)
 		if err != nil {
 			return nil, missing(err)
 		}
-		nf := textFields(line, f[:])
+		nf := lines.Split(line, f[:])
 		if (nf != 7 && nf != 8) || string(f[0]) != "LINK" {
 			return nil, badLine("link line", line)
 		}
@@ -277,11 +219,12 @@ func DecodeText(r io.Reader) (*Graph, error) {
 			Latency: time.Duration(ns), Jitter: time.Duration(jitterNs),
 		})
 	}
-	line, err = tl.next()
+	// A last line with no newline counts: an unterminated END ends the graph.
+	line, err = lines.Read(br, &long)
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	if err != nil || string(bytes.TrimSpace(line)) != "END" {
+	if string(bytes.TrimSpace(line)) != "END" {
 		return nil, fmt.Errorf("topology: missing END trailer")
 	}
 	g.assembleLinks(linkSlab)

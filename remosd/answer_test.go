@@ -200,13 +200,16 @@ func TestRemoteTopologyMatchesInProcess(t *testing.T) {
 
 // TestFlowAnswersMatchGroundTruth is the flow answer paths' ground-truth
 // gate. On an idle 64-host campus, 60 seeded batches of 1 to 8 flows
-// with random demands are asked five ways: an in-process Modeler that
+// with random demands are asked six ways: an in-process Modeler that
 // walks the collectors, the planes' snapshot-backed Modeler, FLOWS over
-// each wire protocol, and QUERY over ASCII with the reply's graph run
-// through Graph.FlowAlloc. All five must agree exactly on every flow's
-// path, latency and jitter, and every rate must be the emulator's own
-// graph's whole-graph allocation, to the bench oracle's 1e-9 relative
-// slack.
+// each wire protocol, and QUERY over each wire protocol with the reply's
+// graph run through Graph.FlowAlloc. All six must agree exactly on every
+// flow's path, latency and jitter, and every rate must be the emulator's
+// own graph's whole-graph allocation, to the bench oracle's 1e-9
+// relative slack. Then 24 host pairs are watched over ASCII and over SSE,
+// served from the planes' watch registry, and each watch's first push
+// must carry the emulator's bottleneck bandwidth for its pair, to the
+// same slack.
 func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 	c, err := experiments.BuildCampus(64)
 	if err != nil {
@@ -220,13 +223,13 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 	cfg := DefaultConfig()
 	p := cfg.servePlanes(c.Sim, c.Site.Master, nil, nil)
 	defer p.close()
-	tcp := &proto.TCPServer{Collector: p.answer, Flows: p.answer}
+	tcp := &proto.TCPServer{Collector: p.answer, Flows: p.answer, Watch: p.watch}
 	tcpAddr, err := tcp.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	web := &proto.HTTPServer{Collector: p.answer, Flows: p.answer}
+	web := &proto.HTTPServer{Collector: p.answer, Flows: p.answer, Watch: p.watch}
 	webAddr, err := web.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +240,29 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 	httpCl := &proto.HTTPClient{BaseURL: "http://" + webAddr}
 	walk := modeler.New(modeler.Config{Collector: c.Site.Master})
 
-	ctx := context.Background()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	viaQuery := func(cl collector.Interface) func([]modeler.Flow, []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+		return func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+			var hosts []netip.Addr
+			for _, f := range flows {
+				hosts = append(hosts, f.Src, f.Dst)
+			}
+			res, err := cl.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
+			if err != nil {
+				return nil, err
+			}
+			preds, err := res.Graph.FlowAlloc(reqs)
+			if err != nil {
+				return nil, err
+			}
+			out := make([]modeler.FlowInfo, len(preds))
+			for i, pr := range preds {
+				out[i] = modeler.FlowInfo{Available: pr.Available, Latency: pr.Latency, Jitter: pr.Jitter, Path: pr.Path}
+			}
+			return out, nil
+		}
+	}
 	noPredict := modeler.FlowOptions{}
 	paths := []struct {
 		name string
@@ -255,25 +280,8 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 		{"xml FLOWS", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
 			return httpCl.Flows(ctx, flows)
 		}},
-		{"ascii QUERY", func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error) {
-			var hosts []netip.Addr
-			for _, f := range flows {
-				hosts = append(hosts, f.Src, f.Dst)
-			}
-			res, err := tcpCl.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
-			if err != nil {
-				return nil, err
-			}
-			preds, err := res.Graph.FlowAlloc(reqs)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]modeler.FlowInfo, len(preds))
-			for i, pr := range preds {
-				out[i] = modeler.FlowInfo{Available: pr.Available, Latency: pr.Latency, Jitter: pr.Jitter, Path: pr.Path}
-			}
-			return out, nil
-		}},
+		{"ascii QUERY", viaQuery(tcpCl)},
+		{"xml QUERY", viaQuery(httpCl)},
 	}
 
 	rng := rand.New(rand.NewSource(40))
@@ -328,5 +336,44 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 	t.Logf("%d flow answers, %d off the ground truth, %d distinct true rates", asked, wrong, len(rates))
 	if len(rates) < 20 {
 		t.Fatalf("only %d distinct true rates: the batches did not exercise the allocation", len(rates))
+	}
+
+	// The watch plane: every watch is open before the poll plane polls
+	// its pair, so its first push is the init push of a polled generation.
+	type watched struct {
+		name    string
+		spec    watch.Spec
+		updates <-chan watch.Update
+	}
+	var watches []watched
+	for i := 0; i < 24; i++ {
+		src := c.Hosts[rng.Intn(len(c.Hosts))]
+		dst := c.Hosts[(slices.Index(c.Hosts, src)+1+rng.Intn(len(c.Hosts)-1))%len(c.Hosts)]
+		spec := watch.Spec{Src: src.Addr(), Dst: dst.Addr(), ChangeFrac: 1e-9}
+		for name, open := range map[string]func(context.Context, watch.Spec) (<-chan watch.Update, error){
+			"ascii WATCH": tcpCl.Watch, "sse WATCH": httpCl.Watch,
+		} {
+			ch, err := open(ctx, spec)
+			if err != nil {
+				t.Fatalf("%s %v -> %v: %v", name, spec.Src, spec.Dst, err)
+			}
+			watches = append(watches, watched{name, spec, ch})
+		}
+	}
+	c.Sim.RunFor(3 * cfg.SchedInterval)
+	for _, w := range watches {
+		var u watch.Update
+		select {
+		case u = <-w.updates:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s %v -> %v: no push", w.name, w.spec.Src, w.spec.Dst)
+		}
+		want, _, err := truth.BottleneckAvail(w.spec.Src.String(), w.spec.Dst.String())
+		if err != nil {
+			t.Fatalf("ground truth for %v -> %v: %v", w.spec.Src, w.spec.Dst, err)
+		}
+		if u.Err != nil || u.Reason != watch.ReasonInit || math.Abs(u.Avail-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Errorf("%s %v -> %v: first push %+v, ground truth %.9g b/s", w.name, w.spec.Src, w.spec.Dst, u, want)
+		}
 	}
 }
