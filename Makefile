@@ -15,12 +15,12 @@ vet:
 	$(GO) vet ./...
 
 # remoslint: the Remos invariant analyzers — clock injection (wallclock),
-# seeded determinism (globalrand), error taxonomy (errwrap), metric
-# naming (metricname), goroutine hygiene (goctx), pooled-buffer balance
-# (poolreturn), and the lock discipline read off the code (lockorder:
-# no cycle in the observed lock order; lockheld: nothing blocks under a
-# held mutex, module-wide). Exit 1 on findings; `go run
-# ./cmd/remoslint -allows` lists the live allow directives.
+# seeded determinism (globalrand), error taxonomy (errwrap), goroutine
+# hygiene (goctx), pooled-buffer balance (poolreturn), and the lock
+# discipline read off the code (lockorder: no cycle in the observed lock
+# order; lockheld: nothing blocks under a held mutex, module-wide). Exit
+# 1 on findings; `go run ./cmd/remoslint -allows` lists the live allow
+# directives.
 lint:
 	$(GO) run ./cmd/remoslint ./...
 

@@ -318,7 +318,7 @@ func BenchmarkWatchSubscribeChurn(b *testing.B) {
 // keeps concurrent observers off a shared float64 CAS loop.
 func BenchmarkHistogramObserveParallel(b *testing.B) {
 	reg := obs.New()
-	h := reg.Histogram("bench_request_seconds", "benchmark histogram", nil)
+	h := reg.Histogram("remos_request_seconds", "query serving latency in seconds", nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

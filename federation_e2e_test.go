@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/netip"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
@@ -15,9 +16,8 @@ import (
 	"remos/remosd"
 )
 
-// reserveAddr picks a free loopback address for a listener that has to
-// be known before the daemon owning it starts (the peer directory
-// addresses of a federated mesh are mutually referential).
+// reserveAddr picks a loopback address that is free now, for a listener
+// whose address its peer must know before it starts.
 func reserveAddr(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -27,6 +27,41 @@ func reserveAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
+}
+
+// startFederatedPair starts two remosd daemons splitting the twosite
+// scenario into domains d0 and d1, each peering the other's directory,
+// and closes both when the test ends. Another test can take a reserved
+// directory port before its daemon binds it: a pair whose Start fails
+// with EADDRINUSE is closed and started again on fresh addresses, a
+// bounded number of times.
+func startFederatedPair(t *testing.T) (*remosd.Daemon, *remosd.Daemon) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		dirs := [2]string{reserveAddr(t), reserveAddr(t)}
+		var pair [2]*remosd.Daemon
+		var err error
+		for domain := range pair {
+			cfg := remosd.DefaultConfig()
+			cfg.Domains, cfg.Domain, cfg.FedPeers = 2, domain, []string{dirs[1-domain]}
+			cfg.FedRefresh, cfg.FedLeaseTTL = 200*time.Millisecond, 2*time.Second
+			cfg.ListenASCII, cfg.ListenHTTP, cfg.ListenObs = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
+			cfg.ListenDirectory, cfg.ListenHostLoad = dirs[domain], ""
+			if pair[domain], err = cfg.Start(); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			t.Cleanup(func() { pair[0].Close(); pair[1].Close() })
+			return pair[0], pair[1]
+		}
+		if pair[0] != nil {
+			pair[0].Close()
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || attempt == 5 {
+			t.Fatalf("start a federated pair (attempt %d): %v", attempt, err)
+		}
+	}
 }
 
 // TestFederatedDaemonsE2E runs the federated quickstart through the
@@ -39,22 +74,7 @@ func TestFederatedDaemonsE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("federated mesh spins real daemons")
 	}
-	dirA, dirB := reserveAddr(t), reserveAddr(t)
-	start := func(domain int, dirAddr, peer string) *remosd.Daemon {
-		cfg := remosd.DefaultConfig()
-		cfg.Domains, cfg.Domain, cfg.FedPeers = 2, domain, []string{peer}
-		cfg.FedRefresh, cfg.FedLeaseTTL = 200*time.Millisecond, 2*time.Second
-		cfg.ListenASCII, cfg.ListenHTTP, cfg.ListenObs = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
-		cfg.ListenDirectory, cfg.ListenHostLoad = dirAddr, ""
-		d, err := cfg.Start()
-		if err != nil {
-			t.Fatalf("start domain %d: %v", domain, err)
-		}
-		t.Cleanup(func() { d.Close() })
-		return d
-	}
-	da := start(0, dirA, dirB)
-	db := start(1, dirB, dirA)
+	da, db := startFederatedPair(t)
 	if da.FedDomain != "d0" || db.FedDomain != "d1" {
 		t.Fatalf("served domains = %q, %q; want d0, d1", da.FedDomain, db.FedDomain)
 	}

@@ -36,6 +36,8 @@ func FuzzServeCommands(f *testing.F) {
 		"REGISTER \x00 -60 tcp://x 999.999.999.999 0\n",
 		strings.Repeat("LIST\n", 10),
 		"REGISTER crlf 60 tcp://x - 1\r\n10.0.0.0/24\r\nLIST\r\n",
+		"REGISTER a 60 tcp://x - 3\nbad\n10.0.0.0/8\n10.1.0.0/16\nLIST\n",
+		"REPLICATE a x60 tcp://x - - 0 1 1 2\n10.0.0.0/8\n10.1.0.0/16\nLIST\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -83,16 +85,7 @@ func FuzzServeCommands(f *testing.F) {
 func TestRegisterRoundTripThroughServeOne(t *testing.T) {
 	svc := New(sim.NewSim())
 	srv := &Server{Service: svc}
-	in := "REGISTER cmu 60 tcp://1.2.3.4:3567 10.0.0.9 1\n10.0.0.0/24\nLIST\n"
-	r := bufio.NewReader(strings.NewReader(in))
-	var out bytes.Buffer
-	var scratch []byte
-	for {
-		if err := srv.serveOne(&out, r, &scratch); err != nil {
-			break
-		}
-	}
-	got := out.String()
+	got := serveAll(srv, "REGISTER cmu 60 tcp://1.2.3.4:3567 10.0.0.9 1\n10.0.0.0/24\nLIST\n")
 	if !strings.HasPrefix(got, "OK\nOK 1\nADVERT cmu tcp://1.2.3.4:3567 10.0.0.9 1\n10.0.0.0/24\n") {
 		t.Fatalf("serveOne transcript:\n%s", got)
 	}

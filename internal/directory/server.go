@@ -3,6 +3,7 @@ package directory
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -44,6 +45,13 @@ import (
 //	C: REPLICATE <name> <ttlSeconds> <endpoint> <benchHost|-> <domain|-> <priority> <epoch> <seq> <nPrefixes>
 //	C: <prefix> ... (n lines)
 //	S: OK <applied:0|1> | ERR <message>
+//
+// A REGISTER or REPLICATE is answered once, after all n prefix lines are
+// read, whatever else is wrong with it: one ERR names the header's fault
+// or else the first bad prefix line. A header whose prefix count cannot
+// be read (a wrong field count, or a count that is no number in
+// 0..1024) is answered ERR and ends the connection, since the lines
+// after it can no longer be framed.
 
 // wireTTL renders a live lease's lifetime in the whole seconds the wire
 // grammar carries, rounding up: truncation would collapse a sub-second
@@ -106,21 +114,23 @@ func (s *Server) serveOne(w io.Writer, r *bufio.Reader, scratch *[]byte) error {
 	case "REGISTER":
 		if n != 6 {
 			fmt.Fprintln(w, "ERR REGISTER needs name ttl endpoint benchHost nPrefixes")
-			return nil
+			return errUnframed
 		}
-		ttlSec, err1 := strconv.Atoi(string(f[2]))
-		nPrefixes, err2 := strconv.Atoi(string(f[5]))
-		if err1 != nil || err2 != nil || nPrefixes < 0 || nPrefixes > 1024 {
+		nPrefixes, ok := prefixCount(f[5])
+		if !ok {
 			fmt.Fprintln(w, "ERR bad numbers")
-			return nil
+			return errUnframed
+		}
+		var reject string
+		ttlSec, err := strconv.Atoi(string(f[2]))
+		if err != nil {
+			reject = "bad numbers"
 		}
 		a := Advert{Name: string(f[1]), Endpoint: string(f[3])}
-		if a.BenchHost, err = parseBenchHost(f[4]); err != nil {
-			fmt.Fprintln(w, "ERR bad bench host")
-			return nil
+		if a.BenchHost, err = parseBenchHost(f[4]); err != nil && reject == "" {
+			reject = "bad bench host"
 		}
-		var ok bool
-		if a.Prefixes, ok, err = readPrefixes(w, r, scratch, nPrefixes); !ok {
+		if a.Prefixes, ok, err = readPrefixes(w, r, scratch, nPrefixes, reject); !ok {
 			return err
 		}
 		if err := s.Service.Register(a, time.Duration(ttlSec)*time.Second); err != nil {
@@ -131,27 +141,29 @@ func (s *Server) serveOne(w io.Writer, r *bufio.Reader, scratch *[]byte) error {
 	case "REPLICATE":
 		if n != 10 {
 			fmt.Fprintln(w, "ERR REPLICATE needs name ttl endpoint benchHost domain priority epoch seq nPrefixes")
-			return nil
+			return errUnframed
 		}
+		nPrefixes, ok := prefixCount(f[9])
+		if !ok {
+			fmt.Fprintln(w, "ERR bad numbers")
+			return errUnframed
+		}
+		var reject string
 		ttlSec, err1 := strconv.Atoi(string(f[2]))
 		prio, err2 := strconv.Atoi(string(f[6]))
 		epoch, err3 := strconv.ParseUint(string(f[7]), 10, 64)
 		seq, err4 := strconv.ParseUint(string(f[8]), 10, 64)
-		nPrefixes, err5 := strconv.Atoi(string(f[9]))
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil || nPrefixes < 0 || nPrefixes > 1024 {
-			fmt.Fprintln(w, "ERR bad numbers")
-			return nil
+		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+			reject = "bad numbers"
 		}
 		a := Advert{Name: string(f[1]), Endpoint: string(f[3]), Priority: prio, Epoch: epoch, Seq: seq}
-		if a.BenchHost, err = parseBenchHost(f[4]); err != nil {
-			fmt.Fprintln(w, "ERR bad bench host")
-			return nil
+		if a.BenchHost, err = parseBenchHost(f[4]); err != nil && reject == "" {
+			reject = "bad bench host"
 		}
 		if string(f[5]) != "-" {
 			a.Domain = string(f[5])
 		}
-		var ok bool
-		if a.Prefixes, ok, err = readPrefixes(w, r, scratch, nPrefixes); !ok {
+		if a.Prefixes, ok, err = readPrefixes(w, r, scratch, nPrefixes, reject); !ok {
 			return err
 		}
 		applied := s.Service.ReplicaApply(a, time.Duration(ttlSec)*time.Second)
@@ -200,21 +212,39 @@ func parseBenchHost(tok []byte) (netip.Addr, error) {
 	return netip.ParseAddr(string(tok))
 }
 
-// readPrefixes reads the n prefix lines that follow an advert's header.
-// A line that is no prefix is answered with ERR and returns ok false and
-// no error: the connection stays. A read error is returned, to end it.
-func readPrefixes(w io.Writer, r *bufio.Reader, scratch *[]byte, n int) (ps []netip.Prefix, ok bool, err error) {
+// errUnframed ends a connection whose advert header carries no readable
+// prefix count: the prefix lines that follow cannot be told from
+// commands.
+var errUnframed = errors.New("directory: advert header without a readable prefix count")
+
+// prefixCount reads an advert header's prefix count, 0 through 1024.
+func prefixCount(tok []byte) (int, bool) {
+	n, err := strconv.Atoi(string(tok))
+	return n, err == nil && n >= 0 && n <= 1024
+}
+
+// readPrefixes reads the n prefix lines that follow an advert's header,
+// all of them whatever else is wrong, so the stream stays framed. A
+// header fault (reject non-empty) or a line that is no prefix is
+// answered with one ERR, the header's fault or else the first bad
+// line's, and returns ok false and no error: the connection stays. A
+// read error is returned, to end it.
+func readPrefixes(w io.Writer, r *bufio.Reader, scratch *[]byte, n int, reject string) (ps []netip.Prefix, ok bool, err error) {
 	for i := 0; i < n; i++ {
 		line, err := lines.Read(r, scratch)
 		if err != nil {
 			return nil, false, err
 		}
-		p, err := netip.ParsePrefix(string(bytes.TrimSpace(line)))
-		if err != nil {
-			fmt.Fprintf(w, "ERR bad prefix %q\n", bytes.TrimSpace(line))
-			return nil, false, nil
+		line = bytes.TrimSpace(line)
+		p, err := netip.ParsePrefix(string(line))
+		if err != nil && reject == "" {
+			reject = fmt.Sprintf("bad prefix %q", line)
 		}
 		ps = append(ps, p)
+	}
+	if reject != "" {
+		fmt.Fprintf(w, "ERR %s\n", reject)
+		return nil, false, nil
 	}
 	return ps, true, nil
 }

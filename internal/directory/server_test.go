@@ -157,6 +157,39 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	}
 }
 
+// serveAll answers every command in the input through serveOne, as one
+// connection would, and returns the replies.
+func serveAll(srv *Server, in string) string {
+	r := bufio.NewReader(strings.NewReader(in))
+	var out strings.Builder
+	var scratch []byte
+	for srv.serveOne(&out, r, &scratch) == nil {
+	}
+	return out.String()
+}
+
+// A rejected advert is answered once, after all its prefix lines are
+// read, so none of them is read as a command; a header whose prefix
+// count cannot be read ends the connection.
+func TestRejectedAdvertKeepsTheStreamFramed(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"REGISTER a 60 tcp://x - 3\nbad\n10.0.0.0/8\n10.1.0.0/16\nLIST\n",
+			"ERR bad prefix \"bad\"\nOK 0\n"},
+		{"REPLICATE a x60 tcp://x - - 0 1 1 2\n10.0.0.0/8\n10.1.0.0/16\nLIST\n",
+			"ERR bad numbers\nOK 0\n"},
+		{"REGISTER a 60 tcp://x nohost 1\n10.0.0.0/8\nLIST\n",
+			"ERR bad bench host\nOK 0\n"},
+		{"REGISTER a 60 tcp://x - x1\n10.0.0.0/8\nLIST\n",
+			"ERR bad numbers\n"},
+		{"REPLICATE a 60 tcp://x - - 0 1 1\n10.0.0.0/8\nLIST\n",
+			"ERR REPLICATE needs name ttl endpoint benchHost domain priority epoch seq nPrefixes\n"},
+	} {
+		if got := serveAll(&Server{Service: New(sim.NewSim())}, c.in); got != c.want {
+			t.Errorf("%q answered\n%q\nwant\n%q", c.in, got, c.want)
+		}
+	}
+}
+
 // endlessLine is a peer that sends prefix and then never sends "\n". It
 // stops after limit bytes so that a reader with no bound fails the test
 // rather than the machine.

@@ -244,14 +244,19 @@ func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
 		}
 		checkFlowsMatchGroundTruth(t, m, flows)
 
-		// The bottleneck walk on the stitched index equals the walk on
-		// the whole graph (same maxmin.Bottleneck over the same links).
+		// A lone flow on the stitched index gets the bottleneck the
+		// search on the whole graph finds, over the same path.
 		paths, err := m.router.stitchedPaths(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range flows[:1] {
-			gotBW, gotPath, gotErr := paths.BottleneckAvail(f.Src.String(), f.Dst.String())
+			var gotBW float64
+			var gotPath []string
+			preds, gotErr := paths.FlowAlloc([]topology.FlowRequest{{Src: f.Src.String(), Dst: f.Dst.String()}})
+			if gotErr == nil {
+				gotBW, gotPath = preds[0].Available, preds[0].Path
+			}
 			wantBW, wantPath, wantErr := truth.BottleneckAvail(f.Src.String(), f.Dst.String())
 			if (gotErr == nil) != (wantErr == nil) || gotBW != wantBW || !reflect.DeepEqual(gotPath, wantPath) {
 				t.Fatalf("%s: bottleneck diverges: got %v %v %v, want %v %v %v",

@@ -4,8 +4,8 @@
 // emulated deployments stay deterministic (discrete-event clock, seeded
 // randomness), predictions and cache TTLs read the injected clock
 // rather than the wall clock, errors crossing the public API carry the
-// rerr taxonomy, metric names stay in one namespace, and long-running
-// goroutines stay cancelable. Each invariant is one analyzer:
+// rerr taxonomy, and long-running goroutines stay cancelable. Each
+// invariant is one analyzer:
 //
 //	wallclock  — no direct time.Now/Sleep/After/... in clock-injected
 //	             packages; the designated nil-Now fallback sites carry a
@@ -16,10 +16,6 @@
 //	errwrap    — fmt.Errorf across the wire/master/public boundaries
 //	             must wrap error operands with %w (or construct via
 //	             rerr), so codes survive to the wire.
-//	metricname — every obs metric name is snake_case under the remos_
-//	             namespace with a known subsystem token, counters end in
-//	             _total, histograms carry a unit suffix, and each name
-//	             is registered from exactly one call site.
 //	goctx      — every go statement in long-running packages is
 //	             cancelable: the goroutine receives from a channel,
 //	             observes a context.Context, or the launch is delegated
@@ -83,9 +79,6 @@ type Policy struct {
 	// PoolReturn packages recycle hot-path buffers through sync.Pool;
 	// every Get must have a same-function (possibly deferred) Put.
 	PoolReturn map[string]bool
-	// MetricSubsystems are the allowed second tokens of a metric name
-	// (remos_<subsystem>_...).
-	MetricSubsystems map[string]bool
 }
 
 // DefaultPolicy is the Remos repository policy.
@@ -98,10 +91,6 @@ func DefaultPolicy() Policy {
 		GoCtx: set("proto", "directory", "snmp", "sim", "sched", "watch",
 			"benchcoll", "qcache", "master", "admission", "federation"),
 		PoolReturn: set("proto", "snmp", "snmpcoll", "topology"),
-		MetricSubsystems: set("admission", "bench", "bridge", "directory",
-			"federation", "hostload", "master", "modeler", "qcache",
-			"request", "requests", "runtime", "sched", "snapshot", "snmp", "snmpcoll",
-			"watch", "wireless"),
 	}
 }
 
@@ -120,7 +109,7 @@ type checker interface {
 }
 
 // finisher is implemented by checks that need a whole-run view (the
-// metricname duplicate-registration analysis).
+// module-wide lock analyses).
 type finisher interface {
 	finish(r *runner)
 }
@@ -139,10 +128,8 @@ func (p *pass) report(pos token.Pos, check, msg string) {
 
 // runner accumulates findings and allow directives across packages.
 type runner struct {
-	policy     Policy
 	findings   []rawFinding
 	directives []*directive
-	metrics    map[string][]metricSite // metricname cross-package index
 }
 
 type rawFinding struct {
@@ -169,7 +156,7 @@ type directive struct {
 
 // knownChecks names every analyzer (plus the directive verifier
 // itself), for directive validation.
-var knownChecks = set("wallclock", "globalrand", "errwrap", "metricname", "goctx",
+var knownChecks = set("wallclock", "globalrand", "errwrap", "goctx",
 	"poolreturn", "lockorder", "lockheld")
 
 // collectDirectives parses the allow directives of one package.
@@ -209,13 +196,12 @@ func (r *runner) collectDirectives(pkg *Package) {
 // substrate (function summaries + call graph) is built lazily by the
 // first check that needs it.
 func Run(pkgs []*Package, policy Policy) []Diagnostic {
-	r := &runner{policy: policy, metrics: make(map[string][]metricSite)}
+	r := &runner{}
 	cs := newConcState()
 	checks := []checker{
 		wallclockCheck{},
 		globalrandCheck{},
 		errwrapCheck{},
-		&metricnameCheck{},
 		goctxCheck{},
 		poolreturnCheck{},
 		&lockorderCheck{cs: cs},

@@ -99,7 +99,6 @@ func golden(t *testing.T, name string) []Diagnostic {
 func TestWallclockGolden(t *testing.T)  { golden(t, "wallclock") }
 func TestGlobalrandGolden(t *testing.T) { golden(t, "globalrand") }
 func TestErrwrapGolden(t *testing.T)    { golden(t, "errwrap") }
-func TestMetricnameGolden(t *testing.T) { golden(t, "metricname") }
 func TestGoctxGolden(t *testing.T)      { golden(t, "goctx") }
 func TestPoolreturnGolden(t *testing.T) { golden(t, "poolreturn") }
 func TestLockorderGolden(t *testing.T)  { golden(t, "lockorder") }
@@ -109,7 +108,7 @@ func TestLockheldGolden(t *testing.T)   { golden(t, "lockheld") }
 // run — the acceptance criterion that remoslint demonstrably exits 1 on
 // each analyzer's golden cases.
 func TestGoldenExitStatus(t *testing.T) {
-	for _, name := range []string{"wallclock", "globalrand", "errwrap", "metricname", "goctx",
+	for _, name := range []string{"wallclock", "globalrand", "errwrap", "goctx",
 		"poolreturn", "lockorder", "lockheld", "allow"} {
 		pkg, err := LoadDir(filepath.Join("testdata", "src", name), "golden/"+name)
 		if err != nil {

@@ -40,21 +40,3 @@ func isContextType(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
-
-// recvNamed returns the named type of a method call's receiver, looking
-// through pointers ("" when the callee is not a method or the receiver
-// is unnamed).
-func recvNamed(p *pass, sel *ast.SelectorExpr) string {
-	s, ok := p.pkg.TypesInfo.Selections[sel]
-	if !ok {
-		return ""
-	}
-	t := s.Recv()
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}

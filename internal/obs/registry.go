@@ -194,20 +194,80 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
+// subsystems are the known second tokens of a metric name
+// (remos_<subsystem>_...): one per component that registers metrics.
+var subsystems = map[string]bool{
+	"admission": true, "bridge": true, "directory": true, "federation": true,
+	"master": true, "modeler": true, "qcache": true, "request": true,
+	"requests": true, "runtime": true, "sched": true, "snapshot": true,
+	"snmp": true, "snmpcoll": true, "watch": true,
+}
+
+// checkName enforces the naming grammar on one registration: a
+// snake_case name under remos_<subsystem>_ with a known subsystem,
+// counters ending in _total, histograms carrying a unit suffix
+// (_seconds or _bytes), gauges not ending in _total. It panics naming
+// the metric, so a bad name fails the first test that builds its
+// component, and it allocates nothing on the accepted path.
+func checkName(name, typ string) {
+	if msg := nameProblem(name, typ); msg != "" {
+		panic(fmt.Sprintf("obs: %s %q %s", typ, name, msg))
+	}
+}
+
+// nameProblem says what is wrong with a metric name of type typ, or ""
+// when it is well formed.
+func nameProblem(name, typ string) string {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		switch {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9' && i > 0:
+		case c == '_' && i > 0 && i < len(name)-1 && name[i-1] != '_':
+		default:
+			return "is not snake_case"
+		}
+	}
+	rest, ok := strings.CutPrefix(name, "remos_")
+	if !ok {
+		return "is outside the remos_ namespace"
+	}
+	sub, _, ok := strings.Cut(rest, "_")
+	if !ok || !subsystems[sub] {
+		return "has no known subsystem token (remos_<subsystem>_...)"
+	}
+	switch {
+	case typ == "counter" && !strings.HasSuffix(name, "_total"):
+		return "must end in _total"
+	case typ == "histogram" && !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes"):
+		return "must carry a unit suffix (_seconds or _bytes)"
+	case typ == "gauge" && strings.HasSuffix(name, "_total"):
+		return "must not end in _total"
+	}
+	return ""
+}
+
 // lookup finds or creates the series for (name, labels), enforcing one
-// type per family.
+// type per family and one help text: an empty help neither sets nor
+// checks the family's, so a reader can fetch a family by name alone.
 func (r *Registry) lookup(name, typ, help string, kv []string) *series {
 	lbl := renderLabels(kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, typ: typ, help: help, byLbl: make(map[string]*series)}
+		f = &family{name: name, typ: typ, byLbl: make(map[string]*series)}
 		r.families[name] = f
 		r.order = append(r.order, name)
 	}
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %s registered as %s and %s", name, f.typ, typ))
+	}
+	switch {
+	case help == "":
+	case f.help == "":
+		f.help = help
+	case f.help != help:
+		panic(fmt.Sprintf("obs: metric %s registered with help %q and %q", name, f.help, help))
 	}
 	s := f.byLbl[lbl]
 	if s == nil {
@@ -222,6 +282,7 @@ func (r *Registry) lookup(name, typ, help string, kv []string) *series {
 // creating it on first use. Repeated calls with the same name and labels
 // return the same counter. Nil registries return a nil (no-op) counter.
 func (r *Registry) Counter(name, help string, kv ...string) *Counter {
+	checkName(name, "counter")
 	if r == nil {
 		return nil
 	}
@@ -234,6 +295,7 @@ func (r *Registry) Counter(name, help string, kv ...string) *Counter {
 
 // Gauge returns the gauge for name and optional label pairs.
 func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
+	checkName(name, "gauge")
 	if r == nil {
 		return nil
 	}
@@ -248,6 +310,7 @@ func (r *Registry) Gauge(name, help string, kv ...string) *Gauge {
 // for quantities another component already tracks (cache sizes,
 // last-poll ages).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string) {
+	checkName(name, "gauge")
 	if r == nil {
 		return
 	}
@@ -258,6 +321,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, kv ...string)
 // Histogram returns the histogram for name with the given bucket bounds
 // (nil selects DefBuckets). The bounds of the first registration win.
 func (r *Registry) Histogram(name, help string, bounds []float64, kv ...string) *Histogram {
+	checkName(name, "histogram")
 	if r == nil {
 		return nil
 	}

@@ -385,9 +385,9 @@ func TestReadersBesideApply(t *testing.T) {
 					t.Errorf("generation %d graph reads WAN util %g, want %g", s.Epoch(), got, want)
 					return
 				}
-				bw, _, err := s.Paths().BottleneckAvail("10.0.1.1", "10.0.2.1")
-				if err != nil || bw != 10e6-want {
-					t.Errorf("generation %d index answers %g, %v; want %g", s.Epoch(), bw, err, 10e6-want)
+				preds, err := s.Paths().FlowAlloc([]topology.FlowRequest{{Src: "10.0.1.1", Dst: "10.0.2.1"}})
+				if err != nil || preds[0].Available != 10e6-want {
+					t.Errorf("generation %d index answers %v, %v; want %g", s.Epoch(), preds, err, 10e6-want)
 					return
 				}
 			}

@@ -141,8 +141,8 @@ func assertIndexLikeRebuild(t *testing.T, after string, prev *PathIndex, g *Grap
 	nodes := g.Nodes()
 	for _, a := range nodes {
 		for _, b := range nodes {
-			bw, got, gotErr := px.BottleneckAvail(a.ID, b.ID)
-			wantBW, want, wantErr := rx.BottleneckAvail(a.ID, b.ID)
+			bw, got, gotErr := loneFlow(px, a.ID, b.ID)
+			wantBW, want, wantErr := loneFlow(rx, a.ID, b.ID)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || bw != wantBW || !reflect.DeepEqual(got, want) {
 				t.Fatalf("after %s: index says %s -> %s is %v at %g (%v); a rebuilt one says %v at %g (%v)",
 					after, a.ID, b.ID, got, bw, gotErr, want, wantBW, wantErr)

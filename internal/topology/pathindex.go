@@ -482,23 +482,6 @@ func (px *PathIndex) Path(from, to string) ([]string, error) {
 	return px.shape.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
 }
 
-// BottleneckAvail is Graph.BottleneckAvail from the memoized trees.
-func (px *PathIndex) BottleneckAvail(from, to string) (bw float64, path []string, err error) {
-	st := flowScratchPool.Get().(*flowScratch)
-	defer flowScratchPool.Put(st)
-	hops, err := px.walk(st.hops[:0], from, to)
-	st.hops = hops
-	if err != nil {
-		return 0, nil, err
-	}
-	for i, h := range hops {
-		if a := px.avail(h); i == 0 || a < bw {
-			bw = a
-		}
-	}
-	return bw, px.shape.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
-}
-
 // flowScratch is the per-call working state of the PathIndex queries,
 // pooled so batched allocations reuse the hop buffer, the capacity
 // vector, the hop->capacity table, and the maxmin scratch.

@@ -42,7 +42,7 @@ func TestPathIndexMatchesGraph(t *testing.T) {
 					return false
 				}
 				wantBw, wantVia, err1 := g.BottleneckAvail(a, b)
-				gotBw, gotVia, err2 := px.BottleneckAvail(a, b)
+				gotBw, gotVia, err2 := loneFlow(px, a, b)
 				if err1 != nil || err2 != nil || wantBw != gotBw || !slices.Equal(wantVia, gotVia) {
 					t.Logf("bottleneck %s->%s: %v via %v vs %v via %v (%v/%v)", a, b, wantBw, wantVia, gotBw, gotVia, err1, err2)
 					return false
@@ -169,12 +169,23 @@ func TestPathIndexUnknownHost(t *testing.T) {
 	}
 }
 
+// loneFlow asks px for a lone flow from -> to: its max-min rate is the
+// path's bottleneck available bandwidth, the number Graph.BottleneckAvail
+// finds by search.
+func loneFlow(px *PathIndex, from, to string) (float64, []string, error) {
+	preds, err := px.FlowAlloc([]FlowRequest{{Src: from, Dst: to}})
+	if err != nil {
+		return 0, nil, err
+	}
+	return preds[0].Available, preds[0].Path, nil
+}
+
 func TestPathIndexNoRoute(t *testing.T) {
 	px := pathIndexFixture()
 	if _, err := px.Path("h1", "island"); !errors.Is(err, rerr.ErrNoRoute) {
 		t.Fatalf("unreachable err = %v, want ErrNoRoute", err)
 	}
-	if _, _, err := px.BottleneckAvail("island", "h2"); !errors.Is(err, rerr.ErrNoRoute) {
+	if _, _, err := loneFlow(px, "island", "h2"); !errors.Is(err, rerr.ErrNoRoute) {
 		t.Fatalf("unreachable bottleneck err = %v, want ErrNoRoute", err)
 	}
 }

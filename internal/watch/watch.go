@@ -46,9 +46,9 @@ const (
 // predicates that trigger a push. At least one of Below, Above or
 // ChangeFrac must be set.
 type Spec struct {
-	// Src, Dst are the endpoints; the watched value is the bottleneck
-	// available bandwidth of the path between them, the same number
-	// AvailableBandwidthContext reports from the same generation.
+	// Src, Dst are the endpoints; the watched value is the Available a
+	// one-flow FLOWS query for Src->Dst answers on the same generation
+	// (the bottleneck available bandwidth of the path between them).
 	Src, Dst netip.Addr
 	// Below pushes when availability drops below this many bits/s
 	// (edge-triggered: once per downward crossing). 0 disables.
@@ -67,6 +67,9 @@ type Spec struct {
 func (s Spec) validate() error {
 	if !s.Src.IsValid() || !s.Dst.IsValid() {
 		return fmt.Errorf("watch: spec needs valid src and dst addresses")
+	}
+	if s.Src == s.Dst {
+		return fmt.Errorf("watch: spec watches %v to itself, which no path joins", s.Src)
 	}
 	if s.Below <= 0 && s.Above <= 0 && s.ChangeFrac <= 0 {
 		return fmt.Errorf("watch: spec needs at least one predicate (below/above/change)")
@@ -363,9 +366,10 @@ func relChange(v, prev float64) float64 {
 
 // Evaluate runs the subscriptions watching the polled pair against the
 // generation the poll produced: each watched direction's value is the
-// path index's bottleneck availability — the answer a single-flow FLOWS
-// gets from the same generation — computed once and fanned out to every
-// predicate on it, so 10k watchers on one path cost one walk, not 10k.
+// Available of the one-flow FLOWS answer on that generation
+// (PathIndex.FlowAllocAddrs, the computation FLOWS runs), computed once
+// and fanned out to every predicate on it, so 10k watchers on one path
+// cost one walk, not 10k.
 // The scheduler calls this after each poll; a host set that is not a
 // pair, or whose endpoints the generation cannot route between, is
 // evaluated by nobody. Pushes are non-blocking.
@@ -397,8 +401,13 @@ func (r *Registry) Evaluate(hosts []netip.Addr, px *topology.PathIndex) {
 		}
 		dv := &vals[d]
 		if !dv.done {
-			bw, _, err := px.BottleneckAvail(s.Spec.Src.String(), s.Spec.Dst.String())
-			dv.done, dv.ok, dv.v = true, err == nil, bw
+			// The one-flow FLOWS answer on this generation: its rate is
+			// the path's bottleneck, the Available FLOWS reports.
+			flow := [1]topology.AddrFlow{{Src: s.Spec.Src, Dst: s.Spec.Dst}}
+			err := px.FlowAllocAddrs(flow[:], nil, func(_ int, avail float64, _, _ time.Duration, _ []string) {
+				dv.v = avail
+			})
+			dv.done, dv.ok = true, err == nil
 		}
 		if !dv.ok {
 			continue // the generation cannot route this pair

@@ -64,6 +64,7 @@ func TestSpecValidation(t *testing.T) {
 		{Src: hostA, Dst: hostB}, // no predicate
 		{Src: hostA, Below: 1e6}, // missing dst
 		{Src: hostA, Dst: hostB, Below: -1, ChangeFrac: 0.1}, // negative
+		{Src: hostA, Dst: hostA, ChangeFrac: 0.1},            // no path to watch
 	}
 	for i, sp := range cases {
 		if _, err := r.Subscribe(sp); err == nil {

@@ -209,7 +209,10 @@ func TestRemoteTopologyMatchesInProcess(t *testing.T) {
 // relative slack. Then 24 host pairs are watched over ASCII and over SSE,
 // served from the planes' watch registry, and each watch's first push
 // must carry the emulator's bottleneck bandwidth for its pair, to the
-// same slack.
+// same slack. Last, two federated daemons split the twosite scenario,
+// and for every ordered host pair each daemon's FLOWS and QUERY over
+// both protocols must give a lone flow the rate and path the emulator's
+// graph of an idle copy of the fabric gives it.
 func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 	c, err := experiments.BuildCampus(64)
 	if err != nil {
@@ -242,32 +245,8 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	viaQuery := func(cl collector.Interface) func([]modeler.Flow, []topology.FlowRequest) ([]modeler.FlowInfo, error) {
-		return func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error) {
-			var hosts []netip.Addr
-			for _, f := range flows {
-				hosts = append(hosts, f.Src, f.Dst)
-			}
-			res, err := cl.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
-			if err != nil {
-				return nil, err
-			}
-			preds, err := res.Graph.FlowAlloc(reqs)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]modeler.FlowInfo, len(preds))
-			for i, pr := range preds {
-				out[i] = modeler.FlowInfo{Available: pr.Available, Latency: pr.Latency, Jitter: pr.Jitter, Path: pr.Path}
-			}
-			return out, nil
-		}
-	}
 	noPredict := modeler.FlowOptions{}
-	paths := []struct {
-		name string
-		ask  func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error)
-	}{
+	paths := []answerPath{
 		{"walk", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
 			return walk.GetFlowsContext(ctx, flows, noPredict)
 		}},
@@ -280,8 +259,8 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 		{"xml FLOWS", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
 			return httpCl.Flows(ctx, flows)
 		}},
-		{"ascii QUERY", viaQuery(tcpCl)},
-		{"xml QUERY", viaQuery(httpCl)},
+		{"ascii QUERY", viaQuery(ctx, tcpCl)},
+		{"xml QUERY", viaQuery(ctx, httpCl)},
 	}
 
 	rng := rand.New(rand.NewSource(40))
@@ -325,7 +304,7 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 					t.Fatalf("batch %d flow %d: %s says %v, %v, %v; %s says %v, %v, %v", batch, i,
 						path.name, g.Path, g.Latency, g.Jitter, paths[0].name, f.Path, f.Latency, f.Jitter)
 				}
-				if w := want[i].Available; math.Abs(g.Available-w) > 1e-9*math.Max(1, math.Abs(w)) {
+				if w := want[i].Available; !nearTruth(g.Available, w) {
 					wrong++
 					t.Errorf("batch %d flow %d over %s: %.9g b/s, ground truth %.9g", batch, i, path.name, g.Available, w)
 				}
@@ -372,8 +351,122 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ground truth for %v -> %v: %v", w.spec.Src, w.spec.Dst, err)
 		}
-		if u.Err != nil || u.Reason != watch.ReasonInit || math.Abs(u.Avail-want) > 1e-9*math.Max(1, math.Abs(want)) {
+		if u.Err != nil || u.Reason != watch.ReasonInit || !nearTruth(u.Avail, want) {
 			t.Errorf("%s %v -> %v: first push %+v, ground truth %.9g b/s", w.name, w.spec.Src, w.spec.Dst, u, want)
 		}
 	}
+
+	// The federated legs: two daemons split the twosite scenario into two
+	// domains and replicate their leases to each other. Federated mode
+	// runs no background traffic, so for every ordered host pair each
+	// daemon's FLOWS and QUERY, over both protocols, must give a lone
+	// flow the idle fabric's whole-graph rate over the same path.
+	fcfg := DefaultConfig()
+	fcfg.ListenASCII, fcfg.ListenHTTP, fcfg.ListenObs, fcfg.ListenHostLoad = "127.0.0.1:0", "127.0.0.1:0", "", ""
+	fcfg.FedRefresh, fcfg.FedLeaseTTL = 100*time.Millisecond, 2*time.Second
+	sn, err := buildNetwork(sim.NewSim(), fcfg.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fedTruth, err := netsim.TopologyGraph(sn.n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legs []answerPath
+	for _, d := range StartFederatedPair(t, fcfg) {
+		tcp := &proto.TCPClient{Addr: d.ASCIIAddr}
+		defer tcp.Close()
+		web := &proto.HTTPClient{BaseURL: "http://" + d.HTTPAddr}
+		legs = append(legs,
+			answerPath{d.FedDomain + " ascii FLOWS", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+				return tcp.Flows(ctx, flows)
+			}},
+			answerPath{d.FedDomain + " xml FLOWS", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+				return web.Flows(ctx, flows)
+			}},
+			answerPath{d.FedDomain + " ascii QUERY", viaQuery(ctx, tcp)},
+			answerPath{d.FedDomain + " xml QUERY", viaQuery(ctx, web)})
+	}
+	// Both leases have replicated once every leg answers the cross-domain
+	// pair app1 -> srv (hosts 0 and 2, on either side of the WAN link).
+	cross := []modeler.Flow{{Src: sn.hosts[0].Addr(), Dst: sn.hosts[2].Addr()}}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		var err error
+		for _, leg := range legs {
+			if _, err = leg.ask(cross, []topology.FlowRequest{{Src: cross[0].Src.String(), Dst: cross[0].Dst.String()}}); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the federated pair never answered the cross-domain pair: %v", err)
+		}
+	}
+	fedAsked := 0
+	for _, a := range sn.hosts {
+		for _, b := range sn.hosts {
+			if a == b {
+				continue
+			}
+			flows := []modeler.Flow{{Src: a.Addr(), Dst: b.Addr()}}
+			reqs := []topology.FlowRequest{{Src: a.Addr().String(), Dst: b.Addr().String()}}
+			want, err := fedTruth.FlowAlloc(reqs)
+			if err != nil {
+				t.Fatalf("ground truth for %s -> %s: %v", a.Name, b.Name, err)
+			}
+			for _, leg := range legs {
+				got, err := leg.ask(flows, reqs)
+				if err != nil {
+					t.Fatalf("%s -> %s over %s: %v", a.Name, b.Name, leg.name, err)
+				}
+				if len(got) != 1 || !nearTruth(got[0].Available, want[0].Available) || !slices.Equal(got[0].Path, want[0].Path) {
+					t.Errorf("%s -> %s over %s: %+v; ground truth %.9g b/s over %v",
+						a.Name, b.Name, leg.name, got, want[0].Available, want[0].Path)
+				}
+				fedAsked++
+			}
+		}
+	}
+	if fedAsked != 160 {
+		t.Fatalf("asked %d federated answers, want 20 pairs over 8 legs", fedAsked)
+	}
+}
+
+// answerPath is one way of asking for flows: a Modeler, a wire FLOWS, or
+// a wire QUERY whose graph runs through FlowAlloc.
+type answerPath struct {
+	name string
+	ask  func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error)
+}
+
+// viaQuery answers flows by asking cl for the flows' hosts and running
+// the reply's graph through Graph.FlowAlloc.
+func viaQuery(ctx context.Context, cl collector.Interface) func([]modeler.Flow, []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+	return func(flows []modeler.Flow, reqs []topology.FlowRequest) ([]modeler.FlowInfo, error) {
+		var hosts []netip.Addr
+		for _, f := range flows {
+			hosts = append(hosts, f.Src, f.Dst)
+		}
+		res, err := cl.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
+		if err != nil {
+			return nil, err
+		}
+		preds, err := res.Graph.FlowAlloc(reqs)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]modeler.FlowInfo, len(preds))
+		for i, pr := range preds {
+			out[i] = modeler.FlowInfo{Available: pr.Available, Latency: pr.Latency, Jitter: pr.Jitter, Path: pr.Path}
+		}
+		return out, nil
+	}
+}
+
+// nearTruth reports whether a rate is the ground truth's, to the bench
+// oracle's 1e-9 relative slack.
+func nearTruth(got, want float64) bool {
+	return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
 }

@@ -30,15 +30,10 @@ func TestCloseLeavesNothing(t *testing.T) {
 
 	single := testConfig()
 	single.Tenants = map[string]remosd.Tenant{"app": {Key: "sekrit"}}
-	daemons := []*remosd.Daemon{startDaemon(t, single)}
-	dirs := []string{freeAddr(t), freeAddr(t)}
-	for domain := range dirs {
-		cfg := testConfig()
-		cfg.Domains, cfg.Domain = 2, domain
-		cfg.ListenDirectory, cfg.FedPeers = dirs[domain], []string{dirs[1-domain]}
-		cfg.FedRefresh, cfg.FedLeaseTTL = 100*time.Millisecond, 2*time.Second
-		daemons = append(daemons, startDaemon(t, cfg))
-	}
+	fed := testConfig()
+	fed.FedRefresh, fed.FedLeaseTTL = 100*time.Millisecond, 2*time.Second
+	pair := remosd.StartFederatedPair(t, fed)
+	daemons := []*remosd.Daemon{startDaemon(t, single), pair[0], pair[1]}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -123,19 +118,6 @@ func startDaemon(t *testing.T, cfg remosd.Config) *remosd.Daemon {
 	}
 	t.Cleanup(func() { d.Close() })
 	return d
-}
-
-// freeAddr picks a free loopback address for a listener whose address
-// must be known before its daemon starts: a federated mesh's directory
-// addresses name each other.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	return ln.Addr().String()
 }
 
 // openFDs counts the process's open descriptors, or returns -1 where
