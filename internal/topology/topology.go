@@ -509,7 +509,8 @@ func (g *Graph) Path(from, to string) ([]string, error) {
 // between two nodes: the minimum per-direction available bandwidth along
 // a shortest path. This is the sharing-oblivious baseline; FlowAlloc is
 // the max-min answer for concurrent requested flows. Serving paths ask
-// PathIndex.BottleneckAvail; this search is the reference it is held to.
+// PathIndex.FlowAllocAddrs, whose one-flow rate is this bottleneck; this
+// search is the reference it is held to.
 func (g *Graph) BottleneckAvail(from, to string) (bw float64, path []string, err error) {
 	sh := g.routing()
 	hops, err := sh.search(from, to)

@@ -13,29 +13,20 @@ import (
 	"time"
 
 	"remos"
-	"remos/internal/collector/qcache"
 	"remos/internal/core"
 	"remos/internal/obs"
-	"remos/internal/proto"
 )
 
 // TestObservabilitySmoke is the end-to-end observability exercise: a
-// full deployment instrumented into one registry, served over the ASCII
-// protocol with tracing, queried through the public Dial API, and then
+// full deployment instrumented into one registry, served as remosd
+// serves it with tracing, queried through the public Dial API, and then
 // inspected through the HTTP observability plane the way remosctl
 // stats does.
 func TestObservabilitySmoke(t *testing.T) {
 	reg := obs.New()
 	traces := obs.NewRing(64, 0)
 	dep, d := stackOpts(t, core.Options{Obs: reg})
-
-	queryable := qcache.New(dep.Sites["cmu"].Master, qcache.Config{TTL: time.Minute, Now: dep.Sim.Now, Obs: reg})
-	srv := &proto.TCPServer{Collector: queryable, Obs: reg, Traces: traces}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, srv := served(t, dep.Sim, dep.Sites["cmu"].Master, nil, reg, traces)
 
 	osrv := httptest.NewServer(obs.Handler(reg, traces, func() []obs.ComponentHealth {
 		last := dep.Sites["cmu"].SNMP.LastPoll()
@@ -47,15 +38,16 @@ func TestObservabilitySmoke(t *testing.T) {
 	}))
 	defer osrv.Close()
 
-	m, err := remos.Dial("tcp://" + addr)
+	m, err := remos.Dial("tcp://" + srv.ASCIIAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Two identical flow queries: the first is a cache miss that walks
-	// the network, the second answers warm.
+	// Two identical flow queries over FLOWS: the first is a snapshot miss
+	// that walks the network, the second answers warm from the generation
+	// the walk made.
 	flows := []remos.Flow{{Src: d["app"].Addr(), Dst: d["srv"].Addr()}}
 	for i := 0; i < 2; i++ {
 		if _, err := m.GetFlowsContext(ctx, flows, remos.FlowOptions{}); err != nil {
@@ -80,8 +72,10 @@ func TestObservabilitySmoke(t *testing.T) {
 	for _, want := range []string{
 		`remos_requests_total{proto="ascii"} 2`,
 		"remos_request_seconds_bucket",
-		"remos_qcache_hits_total 1",
-		"remos_qcache_misses_total 1",
+		"remos_snapshot_hits_total 1",
+		"remos_snapshot_misses_total 1",
+		"remos_snapshot_refreshes_total 1",
+		`remos_modeler_queries_total{kind="flows"} 2`,
 		"remos_master_queries_total 1",
 		"remos_snmp_exchanges_total",
 		`remos_snmpcoll_queries_total{collector="snmp-cmu"}`,
@@ -94,22 +88,17 @@ func TestObservabilitySmoke(t *testing.T) {
 		t.Logf("metrics:\n%s", metrics)
 	}
 
-	// The ASCII server hands a trace to the ring after it has written the
-	// reply, so the second one may land a moment after the client returns.
+	// The served Modeler traces each FLOWS and hands the trace to the ring
+	// before the server writes the reply.
 	var recs []obs.TraceRecord
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if err := json.Unmarshal([]byte(get("/debug/queries")), &recs); err != nil {
-			t.Fatalf("parsing /debug/queries: %v", err)
-		}
-		if len(recs) >= 2 || time.Now().After(deadline) {
-			break
-		}
+	if err := json.Unmarshal([]byte(get("/debug/queries")), &recs); err != nil {
+		t.Fatalf("parsing /debug/queries: %v", err)
 	}
 	if len(recs) != 2 {
 		t.Fatalf("ring holds %d traces, want 2", len(recs))
 	}
-	// Newest first: recs[0] is the warm hit, recs[1] the cold miss that
-	// fanned out to the collectors.
+	// Newest first: recs[0] is the warm hit, recs[1] the cold miss whose
+	// walk fanned out to the collectors.
 	stages := func(r obs.TraceRecord) map[string]bool {
 		out := map[string]bool{}
 		for _, sp := range r.Spans {
@@ -118,21 +107,18 @@ func TestObservabilitySmoke(t *testing.T) {
 		return out
 	}
 	cold := stages(recs[1])
-	for _, want := range []string{"parse", "cache", "fanout", "merge", "encode", "snmp-cmu:discover", "snmp-cmu:validate"} {
+	for _, want := range []string{"fanout", "merge", "maxmin", "snmp-cmu:discover", "snmp-cmu:validate", "snmp-cmu:snmp"} {
 		if !cold[want] {
 			t.Errorf("cold trace missing stage %q (has %v)", want, recs[1].Spans)
 		}
 	}
 	warm := stages(recs[0])
-	if warm["fanout"] {
-		t.Errorf("warm trace fanned out despite cache hit: %v", recs[0].Spans)
-	}
-	if !warm["cache"] || !warm["encode"] {
-		t.Errorf("warm trace missing cache/encode stages: %v", recs[0].Spans)
+	if warm["fanout"] || !warm["maxmin"] {
+		t.Errorf("warm trace fanned out or ran no max-min despite a snapshot hit: %v", recs[0].Spans)
 	}
 	for _, r := range recs {
-		if r.Kind != "ascii" {
-			t.Errorf("trace kind %q, want ascii", r.Kind)
+		if r.Kind != "flows" {
+			t.Errorf("trace kind %q, want flows", r.Kind)
 		}
 		if r.Dur <= 0 {
 			t.Errorf("trace has non-positive duration: %+v", r)
@@ -168,13 +154,8 @@ func TestDialErrors(t *testing.T) {
 // the wire, must come back as remos.ErrUnknownHost.
 func TestTypedErrorsThroughPublicAPI(t *testing.T) {
 	dep, d := stack(t)
-	srv := &proto.TCPServer{Collector: dep.Sites["cmu"].Master}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	m, err := remos.Dial("tcp://" + addr)
+	_, srv := served(t, dep.Sim, dep.Sites["cmu"].Master, nil, nil, nil)
+	m, err := remos.Dial("tcp://" + srv.ASCIIAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,13 +95,8 @@ func TestEndToEndInProcess(t *testing.T) {
 
 func TestEndToEndOverASCIIProtocol(t *testing.T) {
 	dep, d := stack(t)
-	srv := &proto.TCPServer{Collector: dep.Sites["cmu"].Master}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	m := dial(t, "tcp://"+addr)
+	_, srv := served(t, dep.Sim, dep.Sites["cmu"].Master, nil, nil, nil)
+	m := dial(t, "tcp://"+srv.ASCIIAddr)
 	bw, err := m.AvailableBandwidthContext(context.Background(), d["app"].Addr(), d["srv"].Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -113,13 +108,8 @@ func TestEndToEndOverASCIIProtocol(t *testing.T) {
 
 func TestEndToEndOverXMLProtocol(t *testing.T) {
 	dep, d := stack(t)
-	srv := &proto.HTTPServer{Collector: dep.Sites["cmu"].Master}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	m := dial(t, "http://"+addr)
+	_, srv := served(t, dep.Sim, dep.Sites["cmu"].Master, nil, nil, nil)
+	m := dial(t, "http://"+srv.HTTPAddr)
 	g, err := m.GetTopologyContext(context.Background(), []netip.Addr{d["app"].Addr(), d["srv"].Addr()}, remos.TopologyOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"remos/internal/modeler"
 	"remos/internal/netsim"
 	"remos/internal/proto"
+	"remos/internal/serve"
 	"remos/internal/sim"
 	"remos/internal/topology"
 	"remos/internal/watch"
@@ -56,10 +58,9 @@ func TestVerbsAgreeOnOneGeneration(t *testing.T) {
 	}
 
 	cfg := DefaultConfig()
-	p := cfg.servePlanes(s, dep.Sites["lan"].Master, nil, nil)
-	defer p.close()
+	p := newPlanes(t, cfg, s, dep.Sites["lan"].Master)
 	src, dst := h1.Addr(), h.Addr()
-	sub, err := p.watch.Subscribe(watch.Spec{Src: src, Dst: dst, ChangeFrac: 1e-9, Buf: 1024})
+	sub, err := p.Watch.Subscribe(watch.Spec{Src: src, Dst: dst, ChangeFrac: 1e-9, Buf: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestVerbsAgreeOnOneGeneration(t *testing.T) {
 		}
 		if watched > 0 {
 			asked++
-			res, err := p.answer.Collect(collector.Query{Hosts: []netip.Addr{src, dst}}.WithContext(ctx))
+			res, err := p.Answer.Collect(collector.Query{Hosts: []netip.Addr{src, dst}}.WithContext(ctx))
 			if err != nil {
 				t.Fatalf("QUERY: %v", err)
 			}
@@ -94,7 +95,7 @@ func TestVerbsAgreeOnOneGeneration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("QUERY graph through FlowAlloc: %v", err)
 			}
-			flows, err := p.answer.GetFlowsContext(ctx, []modeler.Flow{{Src: src, Dst: dst}}, modeler.FlowOptions{})
+			flows, err := p.Answer.GetFlowsContext(ctx, []modeler.Flow{{Src: src, Dst: dst}}, modeler.FlowOptions{})
 			if err != nil {
 				t.Fatalf("FLOWS: %v", err)
 			}
@@ -142,23 +143,15 @@ func TestRemoteTopologyMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	p := cfg.servePlanes(s, dep.Sites[firstSite(dep)].Master, nil, nil)
-	defer p.close()
-	tcp := &proto.TCPServer{Collector: p.answer, Flows: p.answer}
-	tcpAddr, err := tcp.ListenAndServe("127.0.0.1:0")
+	p := newPlanes(t, cfg, s, dep.Sites[firstSite(dep)].Master)
+	srv, err := serve.Listen("127.0.0.1:0", "127.0.0.1:0", p.Answer, p.Watch, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tcp.Close()
-	web := &proto.HTTPServer{Collector: p.answer, Flows: p.answer}
-	webAddr, err := web.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer web.Close()
+	defer srv.Close()
 	remote := map[string]*modeler.Modeler{
-		"ascii": modeler.New(modeler.Config{Collector: &proto.TCPClient{Addr: tcpAddr}}),
-		"xml":   modeler.New(modeler.Config{Collector: &proto.HTTPClient{BaseURL: "http://" + webAddr}}),
+		"ascii": modeler.New(modeler.Config{Collector: &proto.TCPClient{Addr: srv.ASCIIAddr}}),
+		"xml":   modeler.New(modeler.Config{Collector: &proto.HTTPClient{BaseURL: "http://" + srv.HTTPAddr}}),
 	}
 
 	ctx := context.Background()
@@ -183,7 +176,7 @@ func TestRemoteTopologyMatchesInProcess(t *testing.T) {
 			pair := []netip.Addr{a.Addr(), b.Addr()}
 			for _, raw := range []bool{false, true} {
 				opt := modeler.TopologyOptions{Raw: raw}
-				want := encode(p.answer, pair, opt)
+				want := encode(p.Answer, pair, opt)
 				for name, m := range remote {
 					if got := encode(m, pair, opt); !bytes.Equal(got, want) {
 						t.Fatalf("%s -> %s raw=%t over %s:\n%s\nin process:\n%s", a.Name, b.Name, raw, name, got, want)
@@ -209,7 +202,10 @@ func TestRemoteTopologyMatchesInProcess(t *testing.T) {
 // relative slack. Then 24 host pairs are watched over ASCII and over SSE,
 // served from the planes' watch registry, and each watch's first push
 // must carry the emulator's bottleneck bandwidth for its pair, to the
-// same slack. Last, two federated daemons split the twosite scenario,
+// same slack. Then the host the most watches touch moves onto its wing's
+// agg switch over a 10 Mb/s link: each watch touching it must carry, as
+// its last push, the moved fabric's bottleneck, and no other watch may
+// push. Last, two federated daemons split the twosite scenario,
 // and for every ordered host pair each daemon's FLOWS and QUERY over
 // both protocols must give a lone flow the rate and path the emulator's
 // graph of an idle copy of the fabric gives it.
@@ -224,23 +220,15 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	p := cfg.servePlanes(c.Sim, c.Site.Master, nil, nil)
-	defer p.close()
-	tcp := &proto.TCPServer{Collector: p.answer, Flows: p.answer, Watch: p.watch}
-	tcpAddr, err := tcp.ListenAndServe("127.0.0.1:0")
+	p := newPlanes(t, cfg, c.Sim, c.Site.Master)
+	srv, err := serve.Listen("127.0.0.1:0", "127.0.0.1:0", p.Answer, p.Watch, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tcp.Close()
-	web := &proto.HTTPServer{Collector: p.answer, Flows: p.answer, Watch: p.watch}
-	webAddr, err := web.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer web.Close()
-	tcpCl := &proto.TCPClient{Addr: tcpAddr}
+	defer srv.Close()
+	tcpCl := &proto.TCPClient{Addr: srv.ASCIIAddr}
 	defer tcpCl.Close()
-	httpCl := &proto.HTTPClient{BaseURL: "http://" + webAddr}
+	httpCl := &proto.HTTPClient{BaseURL: "http://" + srv.HTTPAddr}
 	walk := modeler.New(modeler.Config{Collector: c.Site.Master})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -251,7 +239,7 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 			return walk.GetFlowsContext(ctx, flows, noPredict)
 		}},
 		{"snapshot", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
-			return p.answer.GetFlowsContext(ctx, flows, noPredict)
+			return p.Answer.GetFlowsContext(ctx, flows, noPredict)
 		}},
 		{"ascii FLOWS", func(flows []modeler.Flow, _ []topology.FlowRequest) ([]modeler.FlowInfo, error) {
 			return tcpCl.Flows(ctx, flows)
@@ -356,6 +344,75 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 		}
 	}
 
+	// A generation change: the host the most watches touch moves onto its
+	// wing's agg switch over a 10 Mb/s link. Every watch touching it must
+	// end on the moved fabric's bottleneck, and no other watch may push.
+	count := map[*netsim.Device]int{}
+	var moved *netsim.Device
+	for _, h := range c.Hosts {
+		for _, w := range watches {
+			if w.spec.Src == h.Addr() || w.spec.Dst == h.Addr() {
+				count[h]++
+			}
+		}
+		if moved == nil || count[h] > count[moved] {
+			moved = h
+		}
+	}
+	wing, _, _ := strings.Cut(strings.TrimPrefix(moved.Name, "h"), "-")
+	c.Net.MoveHost(moved, c.Net.Device("agg"+wing), 10e6, time.Millisecond)
+	movedTruth, err := netsim.TopologyGraph(c.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touches := func(w watched) bool { return w.spec.Src == moved.Addr() || w.spec.Dst == moved.Addr() }
+	last := make([]*watch.Update, len(watches)) // each watch's last push since the move
+	settled := func() bool {
+		done := true
+		for i, w := range watches {
+			for drained := false; !drained; {
+				select {
+				case u, ok := <-w.updates:
+					drained = !ok
+					if ok {
+						last[i] = &u
+					}
+				default:
+					drained = true
+				}
+			}
+			if touches(w) {
+				want, _, err := movedTruth.BottleneckAvail(w.spec.Src.String(), w.spec.Dst.String())
+				done = done && err == nil && last[i] != nil && last[i].Err == nil && nearTruth(last[i].Avail, want)
+			}
+		}
+		return done
+	}
+	for deadline := time.Now().Add(30 * time.Second); !settled(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			for i, w := range watches {
+				if touches(w) {
+					t.Errorf("%s %v -> %v: last push since %s moved %+v", w.name, w.spec.Src, w.spec.Dst, moved.Name, last[i])
+				}
+			}
+			t.Fatalf("the watches touching %s never carried the moved fabric's bottleneck", moved.Name)
+		}
+		c.Sim.RunFor(250 * time.Millisecond)
+	}
+	// Two more poll caps: the truth stays the last push, and the watches
+	// the move does not touch stay quiet.
+	c.Sim.RunFor(2 * serve.PollCap(cfg.MaxStale, cfg.SchedInterval))
+	time.Sleep(100 * time.Millisecond)
+	if !settled() {
+		t.Errorf("a watch touching %s moved off the truth after settling", moved.Name)
+	}
+	for i, w := range watches {
+		if !touches(w) && last[i] != nil {
+			t.Errorf("%s %v -> %v: pushed %+v, but the move of %s does not touch the pair", w.name, w.spec.Src, w.spec.Dst, *last[i], moved.Name)
+		}
+	}
+	t.Logf("%d of %d watches touch %s", count[moved], len(watches), moved.Name)
+
 	// The federated legs: two daemons split the twosite scenario into two
 	// domains and replicate their leases to each other. Federated mode
 	// runs no background traffic, so for every ordered host pair each
@@ -432,6 +489,14 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 	if fedAsked != 160 {
 		t.Fatalf("asked %d federated answers, want 20 pairs over 8 legs", fedAsked)
 	}
+}
+
+// newPlanes assembles cfg's serving planes over master on s, as Start
+// does, and closes them when the test ends.
+func newPlanes(t *testing.T, cfg Config, s sim.Scheduler, master collector.Interface) *serve.Planes {
+	p := serve.NewPlanes(s, master, cfg.MaxStale, cfg.SchedInterval, nil, nil)
+	t.Cleanup(p.Close)
+	return p
 }
 
 // answerPath is one way of asking for flows: a Modeler, a wire FLOWS, or

@@ -78,8 +78,8 @@ func (cfg Config) federated(d *Daemon, logf func(format string, args ...any), st
 
 	domainName := fmt.Sprintf("d%d", cfg.Domain)
 	var master *federation.DomainServer
-	// The domain master registers once the ASCII server is listening: the
-	// advert carries that server's bound address as its endpoint, so
+	// The domain master registers once both wire servers are listening:
+	// the advert carries the ASCII server's bound address as its endpoint, so
 	// peers' routers fetch this domain's serving graph over the wire with
 	// the empty query. The advert also carries the local collector
 	// handle, so this daemon's own router never dials itself.

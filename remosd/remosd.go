@@ -34,20 +34,16 @@ import (
 	"time"
 
 	"remos/internal/admission"
-	"remos/internal/collector"
 	"remos/internal/collector/hostcoll"
 	"remos/internal/core"
 	"remos/internal/directory"
 	"remos/internal/hostload"
 	"remos/internal/mib"
-	"remos/internal/modeler"
 	"remos/internal/netsim"
 	"remos/internal/obs"
 	"remos/internal/proto"
-	"remos/internal/rerr"
-	"remos/internal/sched"
+	"remos/internal/serve"
 	"remos/internal/sim"
-	"remos/internal/snapshot"
 	"remos/internal/snmp"
 	"remos/internal/watch"
 )
@@ -90,8 +86,8 @@ type Config struct {
 	BenchInterval time.Duration // wide-area benchmark round interval
 
 	// Admission: the multi-tenant front end. The controller is built
-	// when any of these are set; otherwise both servers run ungated,
-	// as before the admission layer existed.
+	// when any of these are set, and it meters the two wire servers and
+	// the host load listener alike; otherwise all three run ungated.
 	Tenants      map[string]Tenant
 	Anonymous    *Limits       // limits for unidentified connections
 	MaxQueueWait time.Duration // queue-wait bound before shedding
@@ -200,93 +196,60 @@ func (cfg Config) check() error {
 }
 
 // admissionController builds the controller for the Config's tenant
-// section, or returns nil when no admission settings are present (both
-// servers then run ungated, exactly as before the admission layer
-// existed).
+// section, or returns nil when no admission settings are present (every
+// listener then runs ungated).
 func (cfg Config) admissionController(s sim.Scheduler, reg *obs.Registry) *admission.Controller {
 	if len(cfg.Tenants) == 0 && cfg.Anonymous == nil && cfg.MaxQueueWait == 0 {
 		return nil
 	}
-	acfg := admission.Config{
-		Tenants:      maps.Clone(cfg.Tenants),
-		MaxQueueWait: cfg.MaxQueueWait,
-		Sched:        s,
-		Obs:          reg,
-	}
+	acfg := admission.Config{Tenants: maps.Clone(cfg.Tenants), MaxQueueWait: cfg.MaxQueueWait, Sched: s, Obs: reg}
 	if cfg.Anonymous != nil {
 		acfg.Anonymous = *cfg.Anonymous
 	}
 	return admission.New(acfg)
 }
 
-// stack is what the daemon serves: Start makes the clock, registry and
-// trace ring, a mode (singleMaster or federated) assembles the rest, and
-// serve puts it on the network.
+// stack is what the daemon serves: Start makes the clock, registry,
+// trace ring and admission controller, a mode (singleMaster or federated)
+// assembles the rest, and serve puts it on the network.
 type stack struct {
 	sim    *sim.Sim
 	reg    *obs.Registry
 	traces *obs.Ring
+	ctrl   *admission.Controller // nil: every listener runs ungated
 
-	answer answerer           // answers QUERY and FLOWS
+	answer serve.Answerer
 	watch  *watch.Registry    // nil: no watch plane
 	dir    *directory.Service // served on ListenDirectory
 
 	health obs.HealthFunc
 	debug  map[string]http.Handler // the mode's own routes on the obs mux
 
-	// bound, when set, runs once the ASCII server is listening and before
-	// anything else starts: the federated master advertises that address
-	// as its endpoint.
+	// bound, when set, runs once both wire servers are listening and
+	// before anything else starts: the federated master advertises the
+	// ASCII address as its endpoint.
 	bound func(asciiAddr string) error
 }
 
-// answerer answers QUERY and FLOWS: the federation router, or the
-// single-master Modeler.
-type answerer interface {
-	collector.Interface
-	proto.FlowAnswerer
-}
-
-// serve is the bring-up both modes share: the admission front end, the
-// two wire servers, the directory listener, the observability mux, and
-// the driver that advances the deployment's clock in step with the wall
-// clock. Every listener it starts is registered on d for Close.
+// serve is the bring-up both modes share: the two wire servers, the
+// directory listener, the observability mux, and the driver that
+// advances the deployment's clock in step with the wall clock. Every
+// listener it starts is registered on d for Close.
 func (cfg Config) serve(d *Daemon, logf func(format string, args ...any), st stack) error {
-	ctrl := cfg.admissionController(st.sim, st.reg)
-	if ctrl != nil {
-		d.onClose(ctrl.Close)
-		logf("remosd: admission on (%d tenants, anonymous limits %v)", len(cfg.Tenants), cfg.Anonymous != nil)
-	}
-
-	tcpSrv := &proto.TCPServer{
-		Collector: st.answer, Watch: st.watch, Flows: st.answer,
-		Admission: ctrl, Obs: st.reg, Traces: st.traces,
-	}
-	addr, err := tcpSrv.ListenAndServe(cfg.ListenASCII)
+	srv, err := serve.Listen(cfg.ListenASCII, cfg.ListenHTTP, st.answer, st.watch, st.ctrl, st.reg, st.traces)
 	if err != nil {
-		return fmt.Errorf("remosd: listen: %w", err)
+		return fmt.Errorf("remosd: %w", err)
 	}
-	d.onClose(func() { tcpSrv.Close() })
-	d.ASCIIAddr = addr
-	logf("remosd: ASCII protocol on %s", addr)
+	d.onClose(srv.Close)
+	d.ASCIIAddr, d.HTTPAddr = srv.ASCIIAddr, srv.HTTPAddr
+	logf("remosd: ASCII protocol on %s", d.ASCIIAddr)
+	if d.HTTPAddr != "" {
+		logf("remosd: XML protocol on http://%s", d.HTTPAddr)
+	}
 	if st.bound != nil {
-		if err := st.bound(addr); err != nil {
+		if err := st.bound(d.ASCIIAddr); err != nil {
 			return err
 		}
-	}
-
-	if cfg.ListenHTTP != "" {
-		httpSrv := &proto.HTTPServer{
-			Collector: st.answer, Watch: st.watch, Flows: st.answer,
-			Admission: ctrl, Obs: st.reg, Traces: st.traces,
-		}
-		haddr, err := httpSrv.ListenAndServe(cfg.ListenHTTP)
-		if err != nil {
-			return fmt.Errorf("remosd: http listen: %w", err)
-		}
-		d.onClose(func() { httpSrv.Close() })
-		d.HTTPAddr = haddr
-		logf("remosd: XML protocol on http://%s", haddr)
 	}
 
 	if cfg.ListenDirectory != "" {
@@ -310,8 +273,8 @@ func (cfg Config) serve(d *Daemon, logf func(format string, args ...any), st sta
 		for path, h := range st.debug {
 			mux.Handle(path, h)
 		}
-		if ctrl != nil {
-			mux.Handle("/debug/tenants", ctrl.DebugHandler())
+		if st.ctrl != nil {
+			mux.Handle("/debug/tenants", st.ctrl.DebugHandler())
 		}
 		osrv := &http.Server{Handler: mux}
 		go osrv.Serve(oln)
@@ -346,6 +309,10 @@ func (cfg Config) Start() (*Daemon, error) {
 	d := &Daemon{Metrics: obs.New()}
 	registerRuntimeGauges(d.Metrics)
 	st := stack{sim: sim.NewSim(), reg: d.Metrics, traces: obs.NewRing(128, slowQuery)}
+	if st.ctrl = cfg.admissionController(st.sim, st.reg); st.ctrl != nil {
+		d.onClose(st.ctrl.Close)
+		logf("remosd: admission on (%d tenants, anonymous limits %v)", len(cfg.Tenants), cfg.Anonymous != nil)
+	}
 	assemble := cfg.singleMaster
 	if cfg.Domains > 1 {
 		assemble = cfg.federated
@@ -407,24 +374,25 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 		d.Hosts = append(d.Hosts, HostInfo{Name: h.Name, Addr: h.Addr()})
 	}
 
-	sv := cfg.servePlanes(s, dep.Sites[firstSite(dep)].Master, reg, st.traces)
-	d.onClose(sv.close)
+	sv := serve.NewPlanes(s, dep.Sites[firstSite(dep)].Master, cfg.MaxStale, cfg.SchedInterval, reg, st.traces)
+	d.onClose(sv.Close)
 	logf("remosd: staleness bound %v (snapshot plane), parallelism %d (0=GOMAXPROCS)",
 		cfg.MaxStale, cfg.Parallelism)
 	// Preseed the demo pairs so their queries answer warm from the first
 	// client on; watches add and remove their own targets.
 	if len(hosts) >= 2 && len(hosts) <= 8 {
 		for _, h := range hosts[1:] {
-			sv.plane.AddTarget([]netip.Addr{hosts[0].Addr(), h.Addr()})
+			sv.Poll.AddTarget([]netip.Addr{hosts[0].Addr(), h.Addr()})
 		}
 	}
 	logf("remosd: background scheduler on (base %v, max %v); watch plane enabled",
-		cfg.SchedInterval, cfg.maxPollInterval())
+		cfg.SchedInterval, serve.PollCap(cfg.MaxStale, cfg.SchedInterval))
 
 	if cfg.ListenHostLoad != "" {
 		// Host load: attach synthetic load signals to the demo hosts,
 		// run a host load collector at 1 Hz, and serve it over the
-		// ASCII protocol (remosctl load / WithHostLoad).
+		// ASCII protocol (remosctl load / WithHostLoad), metered like
+		// the wire servers.
 		var managed []netip.Addr
 		for i, h := range hosts {
 			gen := hostload.NewGenerator(hostload.Config{Seed: int64(100 + i)})
@@ -440,7 +408,7 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 			StreamPredict: "AR(16)",
 		})
 		d.onClose(hc.Stop)
-		loadSrv := &proto.TCPServer{Collector: hc}
+		loadSrv := &proto.TCPServer{Collector: hc, Admission: st.ctrl}
 		laddr, err := loadSrv.ListenAndServe(cfg.ListenHostLoad)
 		if err != nil {
 			return fmt.Errorf("remosd: host load listen: %w", err)
@@ -450,64 +418,9 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 		logf("remosd: host load collector on %s", laddr)
 	}
 
-	st.answer, st.watch = sv.answer, sv.watch
+	st.answer, st.watch = sv.Answer, sv.Watch
 	st.dir, st.health = dep.Directory, healthFunc(dep)
 	return nil
-}
-
-// planes is the single-master serving assembly over one master: the
-// snapshot store, the Modeler that answers QUERY and FLOWS from it, the
-// poll plane that keeps it warm, and the watch registry that evaluates
-// each generation the poll plane makes. All of it ages its state on one
-// clock, against the one bound MaxStale.
-type planes struct {
-	store  *snapshot.Store
-	answer *modeler.Modeler
-	plane  *sched.Scheduler
-	watch  *watch.Registry
-}
-
-// servePlanes assembles the planes over master. The snapshot plane
-// refreshes from master itself — Store.Refresh coalesces concurrent
-// walks — and the poll plane polls master into the store, so a covered
-// pair's QUERY, FLOWS and WATCH all read the generation its last poll
-// made.
-func (cfg Config) servePlanes(s sim.Scheduler, master collector.Interface, reg *obs.Registry, traces *obs.Ring) *planes {
-	p := &planes{store: snapshot.New(snapshot.Config{Now: s.Now, Obs: reg})}
-	p.answer = modeler.New(modeler.Config{
-		Collector: master, Snapshot: p.store, MaxStale: cfg.MaxStale,
-		Obs: reg, Traces: traces,
-	})
-	p.watch = watch.New(watch.Config{
-		Obs:           reg,
-		Now:           s.Now,
-		EnsureTarget:  func(h []netip.Addr) { p.plane.AddTarget(h) },
-		ReleaseTarget: func(h []netip.Addr) { p.plane.RemoveTarget(h) },
-	})
-	p.plane = sched.New(sched.Config{
-		Collector:    master,
-		Sched:        s,
-		BaseInterval: cfg.SchedInterval,
-		MaxInterval:  cfg.maxPollInterval(),
-		Snapshot:     p.store,
-		OnApply:      func(h []netip.Addr, snap *snapshot.Snapshot) { p.watch.Evaluate(h, snap.Paths()) },
-		Obs:          reg,
-	})
-	return p
-}
-
-// close ends every watch and stops the poll plane.
-func (p *planes) close() {
-	p.watch.Close(rerr.Tagf(rerr.ErrCollectorUnavailable, "remosd shutting down"))
-	p.plane.Stop()
-}
-
-// maxPollInterval is the widest gap the scheduler leaves between two
-// polls of a stable target: eight base intervals, narrowed to MaxStale,
-// so the snapshot generation a covered pair answers from is re-polled
-// before it ages past the bound.
-func (cfg Config) maxPollInterval() time.Duration {
-	return min(8*cfg.SchedInterval, cfg.MaxStale)
 }
 
 // healthFunc reports per-collector liveness: each site's SNMP collector

@@ -95,6 +95,63 @@ func TestStartProgrammatic(t *testing.T) {
 	d.Close() // idempotent
 }
 
+// TestHostLoadIsMetered: the host load listener sits behind the same
+// admission controller as the wire servers, so a tenant whose burst is
+// one query gets one host load answer and then a typed shed with a retry
+// hint, while an unmetered tenant still gets answers.
+func TestHostLoadIsMetered(t *testing.T) {
+	cfg := testConfig()
+	cfg.ListenHostLoad = "127.0.0.1:0"
+	cfg.Tenants = map[string]remosd.Tenant{
+		"app":  {Key: "sekrit", Limits: remosd.Limits{Rate: 0.001, Burst: 1}},
+		"bulk": {},
+	}
+	d, err := cfg.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dial := func(tenant, key string) *remos.Connection {
+		t.Helper()
+		conn, err := remos.Dial("tcp://"+d.ASCIIAddr, remos.WithTenant(tenant, key),
+			remos.WithHostLoad("tcp://"+d.HostLoadAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	app, bulk := dial("app", "sekrit"), dial("bulk", "")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	host := d.Hosts[0].Addr
+
+	// The collector samples at 1 Hz: wait, unmetered, for the first sample.
+	for {
+		_, err := bulk.HostLoadContext(ctx, host, 1)
+		if err == nil {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatalf("bulk host load: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if _, err := app.HostLoadContext(ctx, host, 1); err != nil {
+		t.Fatalf("app's one host load query: %v", err)
+	}
+	_, err = app.HostLoadContext(ctx, host, 1)
+	if !errors.Is(err, remos.ErrOverloaded) {
+		t.Fatalf("app's second host load query: %v, want remos.ErrOverloaded", err)
+	}
+	if hint, ok := remos.RetryAfter(err); !ok || hint <= 0 {
+		t.Fatalf("retry hint = %v, %t", hint, ok)
+	}
+	if _, err := bulk.HostLoadContext(ctx, host, 1); err != nil {
+		t.Fatalf("bulk host load after app's shed: %v", err)
+	}
+}
+
 // TestStartRejectsBadTier: config errors surface from Start, before
 // anything is started.
 func TestStartRejectsBadTier(t *testing.T) {

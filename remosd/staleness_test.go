@@ -10,6 +10,7 @@ import (
 
 	"remos/internal/collector"
 	"remos/internal/modeler"
+	"remos/internal/serve"
 	"remos/internal/sim"
 	"remos/internal/topology"
 )
@@ -57,19 +58,18 @@ func TestCoveredPairNeverGoesStale(t *testing.T) {
 			cfg.MaxStale = tc.maxStale
 			s := sim.NewSim()
 			inner := &stablePair{}
-			p := cfg.servePlanes(s, inner, nil, nil)
-			defer p.close()
-			p.plane.AddTarget(testPair)
+			p := newPlanes(t, cfg, s, inner)
+			p.Poll.AddTarget(testPair)
 			s.RunFor(cfg.SchedInterval) // the first poll lands inside a quarter base interval
 
 			var asked, stale, walked int
 			probe := s.Every(100*time.Millisecond, func() {
 				asked++
-				if p.store.Fresh(testPair, cfg.MaxStale) == nil {
+				if p.Store.Fresh(testPair, cfg.MaxStale) == nil {
 					stale++
 				}
 				before := inner.calls.Load()
-				if _, err := p.answer.Collect(collector.Query{Hosts: testPair}); err != nil {
+				if _, err := p.Answer.Collect(collector.Query{Hosts: testPair}); err != nil {
 					t.Fatal(err)
 				}
 				if inner.calls.Load() != before {
@@ -115,9 +115,9 @@ func (l *movingLink) readWithin(avail float64, now time.Time, bound time.Duratio
 
 // flowAvail asks the planes' Modeler, as the FLOWS verb does, what the
 // pair's one flow gets.
-func flowAvail(t *testing.T, p *planes) float64 {
+func flowAvail(t *testing.T, p *serve.Planes) float64 {
 	t.Helper()
-	infos, err := p.answer.GetFlowsContext(context.Background(),
+	infos, err := p.Answer.GetFlowsContext(context.Background(),
 		[]modeler.Flow{{Src: testPair[0], Dst: testPair[1]}}, modeler.FlowOptions{})
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("FLOWS: %+v, %v", infos, err)
@@ -127,9 +127,9 @@ func flowAvail(t *testing.T, p *planes) float64 {
 
 // queryAvail asks the planes' Modeler, as the QUERY verb does, for the
 // pair's graph and reads what its link offers.
-func queryAvail(t *testing.T, p *planes) float64 {
+func queryAvail(t *testing.T, p *serve.Planes) float64 {
 	t.Helper()
-	res, err := p.answer.Collect(collector.Query{Hosts: testPair})
+	res, err := p.Answer.Collect(collector.Query{Hosts: testPair})
 	if err != nil {
 		t.Fatalf("QUERY: %v", err)
 	}
@@ -152,8 +152,7 @@ func TestFlowsNeverAnswerFromAnOlderReading(t *testing.T) {
 		cfg := DefaultConfig()
 		s := sim.NewSim()
 		link := &movingLink{now: s.Now, util: 1e6, reads: map[float64][]time.Time{}}
-		p := cfg.servePlanes(s, link, nil, nil)
-		defer p.close()
+		p := newPlanes(t, cfg, s, link)
 		if got := queryAvail(t, p); got != 9e6 {
 			t.Fatalf("QUERY answered %.0f b/s; the link offers 9e6", got)
 		}
@@ -176,10 +175,9 @@ func TestFlowsNeverAnswerFromAnOlderReading(t *testing.T) {
 			cfg := DefaultConfig()
 			s := sim.NewSim()
 			link := &movingLink{now: s.Now, util: 1e6, reads: map[float64][]time.Time{}}
-			p := cfg.servePlanes(s, link, nil, nil)
-			defer p.close()
+			p := newPlanes(t, cfg, s, link)
 			if covered {
-				p.plane.AddTarget(testPair)
+				p.Poll.AddTarget(testPair)
 			}
 			rng := rand.New(rand.NewSource(30))
 			var queries, flows, old int

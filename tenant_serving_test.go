@@ -17,7 +17,6 @@ import (
 	"remos/internal/rerr"
 	"remos/internal/sim"
 	"remos/internal/topology"
-	"remos/internal/watch"
 )
 
 // linkCollector answers any query with a chain of 10e6 links between
@@ -46,7 +45,6 @@ func (linkCollector) Collect(q collector.Query) (*collector.Result, error) {
 type tenantStack struct {
 	ctrl *admission.Controller
 	sim  *sim.Sim
-	reg  *watch.Registry
 	tcp  string
 	http string
 }
@@ -57,24 +55,8 @@ func newTenantStack(t *testing.T, cfg admission.Config) *tenantStack {
 	cfg.Sched = ts.sim
 	ts.ctrl = admission.New(cfg)
 	t.Cleanup(ts.ctrl.Close)
-	ts.reg = watch.New(watch.Config{Now: ts.sim.Now})
-	t.Cleanup(func() { ts.reg.Close(nil) })
-
-	tsrv := &proto.TCPServer{Collector: linkCollector{}, Watch: ts.reg, Admission: ts.ctrl}
-	addr, err := tsrv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tsrv.Close() })
-	ts.tcp = "tcp://" + addr
-
-	hsrv := &proto.HTTPServer{Collector: linkCollector{}, Watch: ts.reg, Admission: ts.ctrl}
-	haddr, err := hsrv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hsrv.Close() })
-	ts.http = "http://" + haddr
+	_, srv := served(t, ts.sim, linkCollector{}, ts.ctrl, nil, nil)
+	ts.tcp, ts.http = "tcp://"+srv.ASCIIAddr, "http://"+srv.HTTPAddr
 	return ts
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"remos"
+	"remos/internal/admission"
 	"remos/internal/collector"
 	"remos/internal/core"
 	"remos/internal/modeler"
@@ -21,69 +22,45 @@ import (
 	"remos/internal/obs"
 	"remos/internal/proto"
 	"remos/internal/rerr"
-	"remos/internal/sched"
-	"remos/internal/snapshot"
-	"remos/internal/watch"
+	"remos/internal/serve"
+	"remos/internal/sim"
 )
 
-// watchStack wires the full continuous-collection plane the way remosd
-// does: master -> snapshot store -> background scheduler -> watch
-// registry, served over both wire protocols, with the snapshot-backed
-// Modeler answering QUERY and FLOWS.
+// watchStack is the product's single-master serving stack, assembled as
+// remosd assembles it (internal/serve), over the two-site deployment:
+// master -> snapshot store -> poll plane -> watch registry, served over
+// both wire protocols, with the snapshot-backed Modeler answering QUERY
+// and FLOWS.
 type watchStack struct {
-	dep   *core.Deployment
-	d     map[string]*netsim.Device
-	reg   *obs.Registry
-	plane *sched.Scheduler
-	watch *watch.Registry
-	tcp   string // ASCII address
-	http  string // XML/SSE base URL
+	*serve.Planes
+	dep  *core.Deployment
+	d    map[string]*netsim.Device
+	reg  *obs.Registry
+	tcp  string // ASCII address
+	http string // XML/SSE base URL
 }
 
 func newWatchStack(t *testing.T) *watchStack {
 	t.Helper()
 	reg := obs.New()
 	dep, d := stackOpts(t, core.Options{Obs: reg})
+	p, srv := served(t, dep.Sim, dep.Sites["cmu"].Master, nil, reg, nil)
+	return &watchStack{Planes: p, dep: dep, d: d, reg: reg, tcp: srv.ASCIIAddr, http: "http://" + srv.HTTPAddr}
+}
 
-	master := dep.Sites["cmu"].Master
-	store := snapshot.New(snapshot.Config{Now: dep.Sim.Now, Obs: reg})
-	ws := &watchStack{dep: dep, d: d, reg: reg}
-	ws.watch = watch.New(watch.Config{
-		Obs:           reg,
-		Now:           dep.Sim.Now,
-		EnsureTarget:  func(hosts []netip.Addr) { ws.plane.AddTarget(hosts) },
-		ReleaseTarget: func(hosts []netip.Addr) { ws.plane.RemoveTarget(hosts) },
-	})
-	ws.plane = sched.New(sched.Config{
-		Collector:    master,
-		Sched:        dep.Sim,
-		BaseInterval: time.Second,
-		MaxInterval:  4 * time.Second,
-		Snapshot:     store,
-		OnApply:      func(hosts []netip.Addr, snap *snapshot.Snapshot) { ws.watch.Evaluate(hosts, snap.Paths()) },
-		Obs:          reg,
-	})
-	t.Cleanup(ws.plane.Stop)
-	t.Cleanup(func() { ws.watch.Close(nil) })
-
-	// The server-side Modeler behind the QUERY and FLOWS verbs, reading
-	// the store the scheduler polls into, as in remosd.
-	answer := modeler.New(modeler.Config{Collector: master, Snapshot: store, MaxStale: time.Minute, Obs: reg})
-	tsrv := &proto.TCPServer{Collector: answer, Watch: ws.watch, Flows: answer, Obs: reg}
-	tcpAddr, err := tsrv.ListenAndServe("127.0.0.1:0")
+// served puts master behind the product's serving stack, assembled as
+// remosd assembles it (internal/serve): the snapshot-backed planes on s's
+// clock behind both wire servers, metered by ctrl (nil: ungated).
+func served(t testing.TB, s sim.Scheduler, master collector.Interface, ctrl *admission.Controller, reg *obs.Registry, traces *obs.Ring) (*serve.Planes, *serve.Servers) {
+	t.Helper()
+	p := serve.NewPlanes(s, master, time.Minute, time.Second, reg, traces)
+	t.Cleanup(p.Close)
+	srv, err := serve.Listen("127.0.0.1:0", "127.0.0.1:0", p.Answer, p.Watch, ctrl, reg, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tsrv.Close() })
-	hsrv := &proto.HTTPServer{Collector: answer, Watch: ws.watch, Flows: answer, Obs: reg}
-	httpAddr, err := hsrv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hsrv.Close() })
-	ws.tcp = tcpAddr
-	ws.http = "http://" + httpAddr
-	return ws
+	t.Cleanup(srv.Close)
+	return p, srv
 }
 
 // pump advances simulated time in slices, yielding real time between
@@ -129,7 +106,7 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 	}
 	// Both subscriptions registered server-side; the pair they share is
 	// under background polling.
-	pump(t, ws.dep, func() bool { return ws.watch.Active() == 2 && ws.plane.Targets() == 1 })
+	pump(t, ws.dep, func() bool { return ws.Watch.Active() == 2 && ws.Poll.Targets() == 1 })
 
 	// Baseline: the uncongested path reports ~8e6, above the threshold.
 	baselines := map[string]remos.Update{}
@@ -230,7 +207,7 @@ func TestWatchPlaneEndToEnd(t *testing.T) {
 	// Unsubscribe both: the scheduler drops the pair once the last watch
 	// on it ends.
 	cancel()
-	pump(t, ws.dep, func() bool { return ws.watch.Active() == 0 && ws.plane.Targets() == 0 })
+	pump(t, ws.dep, func() bool { return ws.Watch.Active() == 0 && ws.Poll.Targets() == 0 })
 	for name, ch := range chans {
 		deadline := time.After(5 * time.Second)
 		for open := true; open; {
@@ -385,9 +362,9 @@ func TestWatchPlaneServerShutdownTypedReason(t *testing.T) {
 		}
 		chans[name] = ch
 	}
-	pump(t, ws.dep, func() bool { return ws.watch.Active() == 2 })
+	pump(t, ws.dep, func() bool { return ws.Watch.Active() == 2 })
 
-	ws.watch.Close(rerr.Tagf(rerr.ErrCollectorUnavailable, "remosd shutting down"))
+	ws.Watch.Close(rerr.Tagf(rerr.ErrCollectorUnavailable, "remosd shutting down"))
 	for name, ch := range chans {
 		sawTyped := false
 		deadline := time.After(10 * time.Second)
@@ -434,9 +411,9 @@ func TestWatchPlaneLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pump(t, ws.dep, func() bool { return ws.watch.Active() == 2 })
+	pump(t, ws.dep, func() bool { return ws.Watch.Active() == 2 })
 	warmCancel()
-	pump(t, ws.dep, func() bool { return ws.watch.Active() == 0 })
+	pump(t, ws.dep, func() bool { return ws.Watch.Active() == 0 })
 	time.Sleep(50 * time.Millisecond)
 
 	before := runtime.NumGoroutine()
@@ -451,13 +428,13 @@ func TestWatchPlaneLeaksNoGoroutines(t *testing.T) {
 			}
 			got = append(got, ch)
 		}
-		pump(t, ws.dep, func() bool { return ws.watch.Active() == 2 })
+		pump(t, ws.dep, func() bool { return ws.Watch.Active() == 2 })
 		cancel()
 		for _, ch := range got {
 			for range ch {
 			}
 		}
-		pump(t, ws.dep, func() bool { return ws.watch.Active() == 0 && ws.plane.Targets() == 0 })
+		pump(t, ws.dep, func() bool { return ws.Watch.Active() == 0 && ws.Poll.Targets() == 0 })
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
