@@ -9,6 +9,7 @@ import (
 	"remos/internal/collector"
 	"remos/internal/netsim"
 	"remos/internal/sim"
+	"remos/internal/topology"
 )
 
 // wan builds three sites joined through a WAN core router:
@@ -144,11 +145,11 @@ func TestCollectGraph(t *testing.T) {
 	if len(g.Nodes()) != 3 {
 		t.Fatalf("graph nodes = %d, want 3", len(g.Nodes()))
 	}
-	bw, _, err := g.BottleneckAvail(d["a"].Addr().String(), d["b"].Addr().String())
+	preds, err := g.FlowAlloc([]topology.FlowRequest{{Src: d["a"].Addr().String(), Dst: d["b"].Addr().String()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(bw-10e6) > 1e6 {
+	if bw := preds[0].Available; math.Abs(bw-10e6) > 1e6 {
 		t.Fatalf("graph end-to-end bandwidth %v, want ~10e6", bw)
 	}
 	if len(res.History) == 0 {

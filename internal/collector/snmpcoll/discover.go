@@ -35,15 +35,14 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	}
 	b, _ := c.builds.Get().(*build)
 	if b == nil {
-		b = new(build)
+		b = c.newBuild()
 	}
 	defer func() {
 		if b.reset() {
 			c.builds.Put(b)
 		}
 	}()
-	b.start(ctx, c, c.client(&b.meter), len(q.Hosts))
-	cl := b.cl
+	b.start(ctx, len(q.Hosts))
 	// Span names and details are formatted only for a traced query.
 	start := func(stage string) *obs.Span {
 		if tr == nil {
@@ -64,8 +63,7 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	// liveness check) — the warm-cache query cost. A router fetched by this
 	// very query just answered with its sysUpTime and is not asked again.
 	// Devices validate in parallel; the address ordering keeps the
-	// reported error (if any) deterministic. A cold query has nothing to
-	// validate, and makes no closure for it.
+	// reported error (if any) deterministic.
 	stale := b.stale[:0]
 	for _, v := range b.used {
 		if r := b.routers[v]; !r.fresh {
@@ -76,9 +74,7 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	slices.SortFunc(stale, func(x, y *routerInfo) int { return x.addr.Compare(y.addr) })
 	sp = start("validate")
 	if len(stale) > 0 {
-		if err := conc.ForEachCtx(ctx, len(stale), c.cfg.Parallelism, func(i int) error {
-			return c.validateRouter(ctx, cl, stale[i])
-		}); err != nil {
+		if err := conc.ForEachCtx(ctx, len(stale), c.cfg.Parallelism, b.validateItem); err != nil {
 			sp.EndDetail(err.Error())
 			return nil, QueryStats{}, err
 		}
@@ -91,7 +87,7 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	// unmonitored links for the poller; registration performs the
 	// initial counter read.
 	sp = start("annotate")
-	cold := c.annotate(ctx, cl, b)
+	cold := b.annotate()
 	sp.End()
 
 	res := &collector.Result{Graph: b.graph()}
@@ -112,12 +108,21 @@ func (c *Collector) CollectWithStats(q collector.Query) (*collector.Result, Quer
 	return res, QueryStats{Requests: reqs, RTT: rtt, ColdStart: cold}, nil
 }
 
+// validateAt validates the i-th cached router the query uses.
+func (b *build) validateAt(i int) error {
+	return b.c.validateRouter(b.ctx, b.cl, b.stale[i])
+}
+
 // build accumulates one query's graph. Everything a query learns is kept
 // here for the query's duration, so no device is asked the same thing
 // twice by one query. A build outlives its query in the collector's pool:
 // reset empties it, and the next query reuses its maps and slices instead
 // of making its own, so a query allocates its answer and the cache entries
 // it creates, not its working state.
+//
+// A build is made for one collector, and keeps what every query it serves
+// uses alike: its SNMP client, metered by its meter, and the funcs its
+// fan-outs hand package conc.
 //
 // The graph is built by number: a queried host's node is its position in
 // hosts; a router and its virtual switch take the next two numbers when
@@ -129,6 +134,10 @@ type build struct {
 	c     *Collector
 	cl    *snmp.Client
 	meter snmp.Meter // the query's SNMP cost, metered by cl
+
+	// The fan-outs' items, each reading the phase's scratch: fetchAt,
+	// arpAt, confirmAt, readAt and validateAt.
+	fetchItem, arpItem, confirmItem, readItem, validateItem func(int) error
 
 	nodes  []topology.Node     // by number; a virtual switch not made yet has no ID
 	links  []link              // in the order they joined the graph
@@ -162,7 +171,7 @@ type build struct {
 	index     map[netip.Addr]int32 // a phase's address -> group, cleared by the phase
 	ask       []int32              // discover: the hosts whose gateways are fetched
 	gws       []netip.Addr         // gatewaysOf's result
-	fetched   []fetched            // fetchRouters: each address's outcome
+	fetched   []fetched            // fetchGateways: each gateway's outcome
 	arpGroups []arpGroup           // resolveMACs: the ARP entries asked of each gateway
 	asked     []arpEntry           // resolveMACs' fallbacks, nextHopMAC's Get
 	swGroups  []swGroup            // confirm: what is asked of each switch
@@ -212,13 +221,23 @@ type link struct {
 // its maps.
 const poolMax = 4096
 
+// newBuild makes an empty build for the collector's queries.
+func (c *Collector) newBuild() *build {
+	b := &build{c: c}
+	b.cl = c.client(&b.meter)
+	b.fetchItem, b.arpItem, b.confirmItem, b.readItem, b.validateItem = b.fetchAt, b.arpAt, b.confirmAt, b.readAt, b.validateAt
+	return b
+}
+
 // start readies an empty build for a query of the given number of hosts,
 // sizing what it has to make from it: a host brings itself, about one
 // switch and about two links into the graph, and 32 campus hosts walk 12
-// distinct chains.
-func (b *build) start(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) {
-	b.ctx, b.c, b.cl = ctx, c, cl
+// distinct chains. The query's exchanges are metered from zero and
+// numbered from 1, as a new client's.
+func (b *build) start(ctx context.Context, hosts int) {
+	b.ctx = ctx
 	b.meter = snmp.Meter{}
+	b.cl.Rewind()
 	if b.pos == nil {
 		b.pos = make(map[netip.Addr]int32, hosts)
 		b.linked = make(map[uint64]struct{}, 2*hosts)
@@ -235,13 +254,14 @@ func (b *build) start(ctx context.Context, c *Collector, cl *snmp.Client, hosts 
 }
 
 // reset empties the build after its query — every map cleared, every
-// slice cleared and truncated, so the pool keeps no graph, router or poll
-// point alive — and reports whether it may go back to the pool: not when
-// anything in it grew past poolMax. The bridge generation is forgotten
-// with the numbers kept under it, which name links and nodes of the last
-// query's graph. The groups keep their entry slices for the next query.
+// slice cleared and truncated, so the pool keeps no query's context,
+// graph, router or poll point alive — and reports whether it may go back
+// to the pool: not when anything in it grew past poolMax. The bridge
+// generation is forgotten with the numbers kept under it, which name links
+// and nodes of the last query's graph. The groups keep their entry slices
+// for the next query.
 func (b *build) reset() (pool bool) {
-	b.ctx, b.c, b.cl = nil, nil, nil
+	b.ctx = nil
 	b.l2gen, b.l2regen = bridgecoll.Generation{}, false
 	most := 0
 	for i := range b.arpGroups {
@@ -344,11 +364,11 @@ func (b *build) discover(hosts []netip.Addr) error {
 	b.ask = ask
 	if b.c.cfg.Bridge == nil {
 		if len(b.hosts) > 1 {
-			b.fetchRouters(b.gatewaysOf(ask))
+			b.fetchGateways(ask)
 		}
 		return b.connectUnconfirmed()
 	}
-	b.fetchRouters(b.gatewaysOf(ask))
+	b.fetchGateways(ask)
 	b.resolveMACs(ask)
 	gen := b.c.cfg.Bridge.Generation()
 	if err := b.connect(); err != nil {
@@ -433,6 +453,33 @@ func (b *build) rollback() {
 	truncate(&b.added)
 }
 
+// fetchGateways loads the distinct configured gateways of the hosts at the
+// given positions, in first-seen order, concurrently, ahead of the serial
+// path following. A failure is remembered, not reported: the path that
+// needs the router reports it with its context.
+func (b *build) fetchGateways(hosts []int32) {
+	gws := b.gatewaysOf(hosts)
+	out := slices.Grow(b.fetched[:0], len(gws))[:len(gws)]
+	clear(out)
+	b.fetched = out
+	// Per-item errors land in out; an expired ctx resurfaces at the next exchange.
+	conc.ForEachCtx(b.ctx, len(gws), b.c.cfg.Parallelism, b.fetchItem)
+	for i, r := range out {
+		if r.err != nil {
+			b.routerErr = append(b.routerErr, failure{gws[i], r.err})
+		} else {
+			b.adopt(r.ri, r.fresh)
+		}
+	}
+}
+
+// fetchAt fetches the i-th gateway gatewaysOf found.
+func (b *build) fetchAt(i int) error {
+	r := &b.fetched[i]
+	r.ri, r.fresh, r.err = b.c.routerFor(b.ctx, b.cl, b.gws[i])
+	return nil
+}
+
 // gatewaysOf returns the distinct configured gateways of the hosts at the
 // given positions, in first-seen order.
 func (b *build) gatewaysOf(hosts []int32) []netip.Addr {
@@ -450,28 +497,7 @@ func (b *build) gatewaysOf(hosts []int32) []netip.Addr {
 	return gws
 }
 
-// fetchRouters loads the routers at the given addresses concurrently,
-// ahead of the serial path following. A failure is remembered, not
-// reported: the path that needs the router reports it with its context.
-func (b *build) fetchRouters(addrs []netip.Addr) {
-	out := slices.Grow(b.fetched[:0], len(addrs))[:len(addrs)]
-	clear(out)
-	b.fetched = out
-	// Per-item errors land in out; an expired ctx resurfaces at the next exchange.
-	conc.ForEachCtx(b.ctx, len(addrs), b.c.cfg.Parallelism, func(i int) error {
-		out[i].ri, out[i].fresh, out[i].err = b.c.routerFor(b.ctx, b.cl, addrs[i])
-		return nil
-	})
-	for i, r := range out {
-		if r.err != nil {
-			b.routerErr = append(b.routerErr, failure{addrs[i], r.err})
-		} else {
-			b.adopt(r.ri, r.fresh)
-		}
-	}
-}
-
-// fetched is one fetchRouters outcome.
+// fetched is one fetchGateways outcome.
 type fetched struct {
 	ri    *routerInfo
 	fresh bool
@@ -705,7 +731,7 @@ func (b *build) resolveMACs(hosts []int32) {
 	groups := b.arpGroups[:0]
 	for _, p := range hosts {
 		gw := b.at[p].gateway
-		v := b.viewOf(gw) // loaded by fetchRouters, or unreachable, or no gateway
+		v := b.viewOf(gw) // loaded by fetchGateways, or unreachable, or no gateway
 		if v < 0 {
 			continue
 		}
@@ -730,10 +756,7 @@ func (b *build) resolveMACs(hosts []int32) {
 		g.entries = b.appendNextHops(g.entries, g.ri, (len(g.entries)+per-1)/per*per)
 	}
 	// arpGet leaves what it could not read unfound; configuration covers it below.
-	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
-		b.arpGet(groups[i].gw, groups[i].entries)
-		return nil
-	})
+	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, b.arpItem)
 	for _, g := range groups {
 		b.learn(g.entries)
 	}
@@ -749,6 +772,13 @@ func (b *build) resolveMACs(hosts []int32) {
 		b.asked = fallback
 		b.learn(fallback)
 	}
+}
+
+// arpAt asks the i-th gateway resolveMACs grouped for its ARP entries.
+func (b *build) arpAt(i int) error {
+	g := &b.arpGroups[i]
+	b.arpGet(g.gw, g.entries)
+	return nil
 }
 
 // station is one queried station confirm asks a switch about.
@@ -811,10 +841,7 @@ func (b *build) confirm(gen bridgecoll.Generation) (bool, error) {
 	}
 	b.swGroups = groups
 	// A failed exchange marks its stations moved; the re-walk reports a dead switch.
-	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, func(i int) error {
-		b.confirmSwitch(&groups[i])
-		return nil
-	})
+	conc.ForEachCtx(b.ctx, len(groups), b.c.cfg.Parallelism, b.confirmItem)
 	moved := b.moved[:0]
 	for _, g := range groups {
 		for _, st := range g.stations {
@@ -828,6 +855,12 @@ func (b *build) confirm(gen bridgecoll.Generation) (bool, error) {
 		return br.Generation() != gen, nil
 	}
 	return true, br.SearchStations(moved)
+}
+
+// confirmAt asks the i-th switch confirm grouped.
+func (b *build) confirmAt(i int) error {
+	b.confirmSwitch(&b.swGroups[i])
+	return nil
 }
 
 // confirmSwitch asks one switch for its group's forwarding entries and

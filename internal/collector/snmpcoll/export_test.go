@@ -3,15 +3,17 @@ package snmpcoll
 import (
 	"context"
 	"net/netip"
+	"testing"
 
 	"remos/internal/collector"
 	"remos/internal/snmp"
 )
 
-// newBuild returns a build of its own, not the pool's, for one query.
-func newBuild(ctx context.Context, c *Collector, cl *snmp.Client, hosts int) *build {
-	b := new(build)
-	b.start(ctx, c, cl, hosts)
+// startBuild returns a build of its own, not the pool's, started for one
+// query.
+func startBuild(ctx context.Context, c *Collector, hosts int) *build {
+	b := c.newBuild()
+	b.start(ctx, hosts)
 	return b
 }
 
@@ -26,11 +28,11 @@ const PoolMax = poolMax
 // still hold and whether it still refers to the query.
 func (c *Collector) PooledAfter(q collector.Query, extra int) (pooled bool, held int, err error) {
 	ctx := q.Context()
-	b := newBuild(ctx, c, c.client(nil), len(q.Hosts))
+	b := startBuild(ctx, c, len(q.Hosts))
 	if err := b.discover(q.Hosts); err != nil {
 		return false, 0, err
 	}
-	c.annotate(ctx, b.cl, b)
+	b.annotate()
 	for i := range extra {
 		b.joins = append(b.joins, pair{int32(-2 - i), 0})
 	}
@@ -42,7 +44,7 @@ func (c *Collector) PooledAfter(q collector.Query, extra int) (pooled bool, held
 		len(b.segs) + len(b.chains) + len(b.hops) + len(b.routes) + len(b.l2links) + len(b.l2nodes) +
 		len(b.index) + len(b.ask) + len(b.gws) + len(b.fetched) + len(b.arpGroups) + len(b.asked) +
 		len(b.swGroups) + len(b.moved) + len(b.places) + len(b.stale) + len(b.added) + len(b.unread)
-	if b.ctx != nil || b.c != nil || b.cl != nil || b.l2gen.Links() != 0 || b.l2regen {
+	if b.ctx != nil || b.l2gen.Links() != 0 || b.l2regen {
 		held++
 	}
 	return true, held, nil
@@ -78,6 +80,14 @@ func (c *Collector) Points() []PointState {
 	return out
 }
 
+// Cached reports how many router views (by address), ARP entries and
+// monitors the collector holds.
+func (c *Collector) Cached() (routers, arp, monitors int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.routers), len(c.arp), len(c.monitors)
+}
+
 // RouterView is what one cold walk learned of a router.
 type RouterView struct {
 	Addrs  []netip.Addr // the address walked first, then the router's others
@@ -104,6 +114,19 @@ func (c *Collector) WalkRouter(addr netip.Addr) (RouterView, error) {
 		v.Routes = append(v.Routes, RouteView{Prefix: e.prefix, NextHop: e.nextHop, IfIndex: e.ifIndex})
 	}
 	return v, nil
+}
+
+// FirstContactAllocs measures a first-contact fetch of the router at addr:
+// the allocations a walk of its columns makes with a callback that keeps
+// nothing, and those the fetch makes, walk included.
+func (c *Collector) FirstContactAllocs(addr netip.Addr) (walk, fetch float64) {
+	ctx, cl := context.Background(), c.client(nil)
+	walk = testing.AllocsPerRun(20, func() {
+		_ = cl.BulkWalkColumns(ctx, c.name(addr), routerScalars, routerColumns, firstContactRows,
+			func(int, snmp.OID, snmp.Value) bool { return true })
+	})
+	fetch = testing.AllocsPerRun(20, func() { _, _ = c.fetchRouter(ctx, cl, addr, nil) })
+	return walk, fetch
 }
 
 // Ifaces returns the interface indexes the view holds, in its order.

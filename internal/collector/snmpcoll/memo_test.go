@@ -142,7 +142,7 @@ func TestChainMemoHonoursLongerPrefixes(t *testing.T) {
 		AssertSameDiscovery(t, c.Twin(nil), c.Twin(nil), hosts)
 	}
 
-	b := newBuild(context.Background(), c, c.client(nil), 4)
+	b := startBuild(context.Background(), c, 4)
 	gw := netip.MustParseAddr("10.0.1.1")
 	want := map[string][]netip.Addr{
 		"d1": {gw, netip.MustParseAddr("10.0.12.2"), netip.MustParseAddr("10.0.23.3")},

@@ -3,7 +3,6 @@ package snmpcoll
 import (
 	"cmp"
 	"context"
-	"net/netip"
 	"slices"
 	"time"
 
@@ -52,7 +51,8 @@ func (b *build) newPoints() {
 // device, and every point is published with its baseline and counter
 // generation: no poll meets a point nobody read, and the first poll
 // yields a delta one interval from now.
-func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (coldStart bool) {
+func (b *build) annotate() (coldStart bool) {
+	c := b.c
 	hist := c.pred.History()
 	for i := range b.links {
 		l := &b.links[i]
@@ -83,7 +83,7 @@ func (c *Collector) annotate(ctx context.Context, cl *snmp.Client, b *build) (co
 		}
 	}
 	b.unread = unread
-	c.readPoints(ctx, cl, unread)
+	c.readPoints(unread, b.readItem)
 	c.mu.Lock()
 	for _, p := range b.added {
 		// An earlier link, or a concurrent query, may have registered the
@@ -228,7 +228,10 @@ func (c *Collector) pollOnce() {
 		points = append(points, p)
 	}
 	c.mu.Unlock()
-	c.readPoints(context.Background(), c.pollClient, points)
+	c.readPoints(points, func(start int) error {
+		c.readFrom(context.Background(), c.pollClient, points, start)
+		return nil
+	})
 	c.lastPoll.Store(c.cfg.Sched.Now().UnixNano())
 }
 
@@ -236,27 +239,37 @@ func (c *Collector) pollOnce() {
 // at a time (in (agent, ifIndex) order, which is also the order their
 // locks are taken in); the devices are spread over a worker pool
 // (Config.Parallelism wide) so a large monitoring set completes within the
-// poll interval.
-func (c *Collector) readPoints(ctx context.Context, cl *snmp.Client, points []*pollPoint) {
+// poll interval. It sorts the points, then calls read with each index:
+// read is readFrom over the same points.
+func (c *Collector) readPoints(points []*pollPoint, read func(start int) error) {
 	slices.SortFunc(points, func(p, q *pollPoint) int {
 		if d := p.agent.Compare(q.agent); d != 0 {
 			return d
 		}
 		return cmp.Compare(p.ifIndex, q.ifIndex)
 	})
-	// Each device is read by the item at its first point.
-	conc.ForEach(len(points), c.cfg.Parallelism, func(start int) error {
-		agent := points[start].agent
-		if start > 0 && points[start-1].agent == agent {
-			return nil
-		}
-		end := start + 1
-		for end < len(points) && points[end].agent == agent {
-			end++
-		}
-		c.readDevice(ctx, cl, points[start:end])
-		return nil
-	})
+	conc.ForEach(len(points), c.cfg.Parallelism, read)
+}
+
+// readFrom reads the device whose points, sorted by readPoints, begin at
+// points[start]: each device is read by the item at its first point, and
+// every other item reads nothing.
+func (c *Collector) readFrom(ctx context.Context, cl *snmp.Client, points []*pollPoint, start int) {
+	agent := points[start].agent
+	if start > 0 && points[start-1].agent == agent {
+		return
+	}
+	end := start + 1
+	for end < len(points) && points[end].agent == agent {
+		end++
+	}
+	c.readDevice(ctx, cl, points[start:end])
+}
+
+// readAt is readFrom over the points annotate reads.
+func (b *build) readAt(start int) error {
+	b.c.readFrom(b.ctx, b.cl, b.unread, start)
+	return nil
 }
 
 // readDevice reads one device's poll points in multi-varbind Gets bounded
@@ -347,24 +360,28 @@ func (c *Collector) Utilization(from, to string) (float64, bool) {
 	return s.Bits, ok
 }
 
-// DropCaches clears the router, ARP and monitoring caches — used by
-// experiments to produce the Fig 3 "cold" scenario on a running collector.
-// The address names stay: an address's text never goes stale.
+// DropCaches empties the router, ARP and monitoring caches and the
+// utilization history — the Fig 3 "cold" scenario on a running collector:
+// it holds no router view, ARP entry or monitor, so the next query learns
+// all it uses. The tables are cleared, not made anew, and keep the room
+// they grew to, as a running daemon's do (DESIGN §7.1). The address names
+// stay: an address's text never goes stale.
 func (c *Collector) DropCaches() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.routers = make(map[netip.Addr]*routerInfo)
-	c.arp = make(map[netip.Addr]collector.MAC)
-	c.monitors = make(map[monitorKey]*pollPoint)
+	clear(c.routers)
+	clear(c.arp)
+	clear(c.monitors)
 	c.pred.Reset()
 }
 
-// DropDynamic clears only the dynamic data (monitoring baselines and
-// history), keeping static topology caches — the Fig 3 "warm-bridge"
-// scenario (static warm, dynamic cold).
+// DropDynamic empties only the dynamic data (monitors, their baselines and
+// the utilization history), keeping the router views and ARP entries —
+// the Fig 3 "warm-bridge" scenario (static warm, dynamic cold). Like
+// DropCaches it clears the monitor table, keeping its room.
 func (c *Collector) DropDynamic() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.monitors = make(map[monitorKey]*pollPoint)
+	clear(c.monitors)
 	c.pred.Reset()
 }

@@ -10,7 +10,6 @@ import (
 	"remos/internal/collector"
 	"remos/internal/collector/bridgecoll"
 	"remos/internal/mib"
-	"remos/internal/snmp"
 	"remos/internal/topology"
 )
 
@@ -58,13 +57,11 @@ type refJoin struct {
 // through packages this one cannot import.
 func (c *Collector) ReferenceCollect(q collector.Query) (*collector.Result, QueryStats, error) {
 	ctx := q.Context()
-	meter := &snmp.Meter{}
-	cl := c.client(meter)
 	if len(q.Hosts) == 0 {
 		return nil, QueryStats{}, fmt.Errorf("snmpcoll: empty query")
 	}
 	w := &referenceWalk{
-		b:          newBuild(ctx, c, cl, len(q.Hosts)),
+		b:          startBuild(ctx, c, len(q.Hosts)),
 		g:          topology.NewGraph(),
 		joined:     make(map[refJoin]bool),
 		verified:   make(map[netip.Addr]bool),
@@ -86,8 +83,8 @@ func (c *Collector) ReferenceCollect(q collector.Query) (*collector.Result, Quer
 	}
 	w.load()
 	w.b.newPoints()
-	cold := c.annotate(ctx, cl, w.b)
-	reqs, rtt := meter.Snapshot()
+	cold := w.b.annotate()
+	reqs, rtt := w.b.meter.Snapshot()
 	return &collector.Result{Graph: w.b.graph()}, QueryStats{Requests: reqs, RTT: rtt, ColdStart: cold}, nil
 }
 

@@ -173,23 +173,70 @@ func TestReusedColdBuildsAnswerLikeFreshConcurrently(t *testing.T) {
 	}
 }
 
+// TestDroppedCachesAnswerLikeAFreshCollector is the cross-path gate on
+// DropCaches, which clears the collector's tables rather than making new
+// ones: a collector that has answered other queries, its caches dropped
+// before each of twenty seeded 32-host queries, holds no router view, ARP
+// entry or monitor, and answers each query with the bytes and the
+// exchange count of a collector built for it. A table left holding
+// entries would answer from them and skip the exchanges that learn them.
+func TestDroppedCachesAnswerLikeAFreshCollector(t *testing.T) {
+	camp := buildCampus(t, 256)
+	query := func(seed int64) collector.Query {
+		return collector.Query{Hosts: pick(rand.New(rand.NewSource(seed)), camp, 32)}
+	}
+	c := campusTwin(t, camp, nil)
+	for seed := int64(101); seed <= 104; seed++ {
+		if _, err := c.Collect(query(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		c.DropCaches()
+		if routers, arp, monitors := c.Cached(); routers+arp+monitors != 0 {
+			t.Fatalf("seed %d: the dropped collector holds %d router views, %d ARP entries and %d monitors",
+				seed, routers, arp, monitors)
+		}
+		res, stats, err := c.CollectWithStats(query(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fresh := campusTwin(t, camp, nil)
+		want, wantStats, err := fresh.CollectWithStats(query(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got, want := campusReply(t, c, res), campusReply(t, fresh, want); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: the dropped collector answers\n%s\na fresh one\n%s", seed, got, want)
+		}
+		if stats.Requests != wantStats.Requests {
+			t.Fatalf("seed %d: the dropped collector makes %d exchanges, a fresh one %d",
+				seed, stats.Requests, wantStats.Requests)
+		}
+	}
+}
+
 // The allocation budget of one cold 32-host query on the 256-host campus
 // (Parallelism 1): its answer graph, the cache entries it creates (router
 // views, ARP entries, poll points) and what the emulated agents allocate to
 // answer it, 5 % over what it measures with the pools filled at the
-// measured GOMAXPROCS and no collection running (94.5 allocations, 47.3–47.4
-// KB, every run). Once the query built its graph by number and assembled
-// its answer once, and before the pools were held steady, it read 94.7 or
-// 97.3–98.0 allocations and 47.4–48.3 KB, the upper mode when the pools
-// were dropped mid-test. Before that, the query allocated 96.7–99.6 times and
-// 53.7–54.4 KB; before every address was named once in the collector's
-// life and each router view was learned into three flat slices, 196 times
-// and ~57.7 KB; before each switch holding queried stations was asked
-// once, 225 times and ~58.8 KB; and before its working state came from
-// the collector's pool, 410 times and ~114.9 KB. Budgets only get tighter.
+// measured GOMAXPROCS and no collection running (57.5 allocations, 37.4
+// KB, every run). Before each pooled build kept its client and fan-out
+// funcs, each router view held its tables inside it, and DropCaches
+// cleared the collector's tables instead of making new ones, it read 94.5
+// allocations and 47.3–47.4 KB. Once the query built its graph by number
+// and assembled its answer once, and before the pools were held steady, it
+// read 94.7 or 97.3–98.0 allocations and 47.4–48.3 KB, the upper mode when
+// the pools were dropped mid-test. Before that, the query allocated
+// 96.7–99.6 times and 53.7–54.4 KB; before every address was named once in
+// the collector's life and each router view was learned into three flat
+// slices, 196 times and ~57.7 KB; before each switch holding queried
+// stations was asked once, 225 times and ~58.8 KB; and before its working
+// state came from the collector's pool, 410 times and ~114.9 KB. Budgets
+// only get tighter.
 const (
-	coldCollectAllocs = 99
-	coldCollectBytes  = 49700
+	coldCollectAllocs = 60
+	coldCollectBytes  = 39300
 )
 
 func TestColdCollectAllocBudget(t *testing.T) {
@@ -202,7 +249,8 @@ func TestColdCollectAllocBudget(t *testing.T) {
 	// at: a change of it drops what a sync.Pool holds outside its victim
 	// cache. A collection would shed the pools too, so none runs from the
 	// first query to the last; either would add remaking the pooled builds
-	// and request scratch to the count, about 3 allocations a query.
+	// (each with its client and fan-out funcs) and request scratch to the
+	// count.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	queries := make([]collector.Query, 16)

@@ -105,3 +105,20 @@ func checkRouterViews(t *testing.T, shape string, c *snmpcoll.Collector, devs []
 	}
 	return routers
 }
+
+// TestFirstContactViewIsOneAllocation: the view a first contact with a
+// campus gateway makes is one allocation, its tables inside it, and the
+// router's sysName one more; everything else the fetch allocates is its
+// walk's.
+func TestFirstContactViewIsOneAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	camp := buildCampus(t, 256)
+	c := campusTwin(t, camp, nil)
+	walk, fetch := c.FirstContactAllocs(camp.Hosts[0].Gateway)
+	if fetch-walk != 2 {
+		t.Fatalf("a first contact allocates %v times, its walk %v: %v for the view and its sysName, want 2",
+			fetch, walk, fetch-walk)
+	}
+}

@@ -102,6 +102,13 @@ type routerInfo struct {
 	// attachment point on a bridged segment. An agent numbers its
 	// interfaces as it likes, so a lookup searches, it does not index.
 	ifaces []ifaceInfo
+
+	// The first rows of addrs, routes and ifaces, kept in the view: the
+	// view of a router whose tables fit firstContactRows rows is one
+	// allocation. Longer tables grow on the heap.
+	addrRows  [firstContactRows]netip.Addr
+	routeRows [firstContactRows]routeEntry
+	ifaceRows [firstContactRows]ifaceInfo
 }
 
 // ifaceInfo is one interface of a router view.
@@ -376,18 +383,16 @@ const firstContactRows = 8
 // this fetch replaces (nil on first contact), sizes that first request:
 // one row more than the longest table it held, so the walk sees every
 // column end. The view's tables are filled as the walk streams, each sized
-// by that row count.
+// by that row count: inside the view up to firstContactRows rows.
 func (c *Collector) fetchRouter(ctx context.Context, cl *snmp.Client, addr netip.Addr, prev *routerInfo) (*routerInfo, error) {
 	rows := firstContactRows
 	if prev != nil {
 		rows = max(len(prev.routes), prev.ifNumber) + 1
 	}
-	ri := &routerInfo{
-		addr:   addr,
-		addrs:  append(make([]netip.Addr, 0, rows), addr),
-		routes: make([]routeEntry, 0, rows),
-		ifaces: make([]ifaceInfo, 0, rows),
-	}
+	ri := &routerInfo{addr: addr}
+	ri.addrs = append(slices.Grow(ri.addrRows[:0], rows), addr)
+	ri.routes = slices.Grow(ri.routeRows[:0], rows)
+	ri.ifaces = slices.Grow(ri.ifaceRows[:0], rows)
 	// Route rows are keyed by destination, and a column may mention a
 	// destination the dest column has not reached yet: a row is made on
 	// first mention, in destination order.

@@ -375,10 +375,10 @@ func TestHostMoveReflectedInNextQuery(t *testing.T) {
 func TestConfirmRebuildsOnANewerBridgeDatabase(t *testing.T) {
 	st := newSite(t, nil)
 	hosts := []netip.Addr{addrOf(st, "h1"), addrOf(st, "h3")}
-	b := newBuild(context.Background(), st.sc, st.sc.client(nil), len(hosts))
+	b := startBuild(context.Background(), st.sc, len(hosts))
 	b.place(hosts)
 	all := []int32{0, 1}
-	b.fetchRouters(b.gatewaysOf(all))
+	b.fetchGateways(all)
 	b.resolveMACs(all)
 	gen := st.bridge.Generation()
 	if err := b.connect(); err != nil {
@@ -408,7 +408,7 @@ func TestConfirmRebuildsOnANewerBridgeDatabase(t *testing.T) {
 func TestBuildSpansABridgeRewalk(t *testing.T) {
 	st := newSite(t, nil)
 	hosts := []netip.Addr{addrOf(st, "h1"), addrOf(st, "h3")}
-	b := newBuild(context.Background(), st.sc, st.sc.client(nil), len(hosts))
+	b := startBuild(context.Background(), st.sc, len(hosts))
 	b.place(hosts)
 	b.resolveMACs([]int32{0, 1})
 	fold := func(from, to int32) {

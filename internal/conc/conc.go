@@ -27,7 +27,30 @@ func Limit(n int) int {
 // plain for-loop. With par > 1 every item runs even when some fail, and
 // the returned error is the failing item with the LOWEST index — so the
 // error a caller observes does not depend on goroutine completion order.
+// At par == 1 the loop allocates nothing: a caller handing it a func made
+// once pays nothing per loop.
 func ForEach(n, par int, fn func(int) error) error {
+	return forEach(context.Background(), n, par, fn)
+}
+
+// ForEachCtx is ForEach with cancellation: once ctx is done, workers
+// stop picking up new items (items already running are left to finish —
+// fn itself observes ctx for in-item cancellation). When the context is
+// canceled before all items ran and no item failed first, the context's
+// error is returned, so callers see context.Canceled / DeadlineExceeded.
+func ForEachCtx(ctx context.Context, n, par int, fn func(int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := forEach(ctx, n, par, fn); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
+
+// forEach is ForEach checking ctx before each item. The check sits in the
+// loop, not in a wrapper around fn, so a loop makes no closure of its own.
+func forEach(ctx context.Context, n, par int, fn func(int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -37,7 +60,7 @@ func ForEach(n, par int, fn func(int) error) error {
 	}
 	if par == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := run(ctx, fn, i); err != nil {
 				return err
 			}
 		}
@@ -59,7 +82,7 @@ func ForEach(n, par int, fn func(int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := run(ctx, fn, i); err != nil {
 					mu.Lock()
 					if i < firstIdx {
 						firstIdx, firstErr = i, err
@@ -73,25 +96,12 @@ func ForEach(n, par int, fn func(int) error) error {
 	return firstErr
 }
 
-// ForEachCtx is ForEach with cancellation: once ctx is done, workers
-// stop picking up new items (items already running are left to finish —
-// fn itself observes ctx for in-item cancellation). When the context is
-// canceled before all items ran and no item failed first, the context's
-// error is returned, so callers see context.Canceled / DeadlineExceeded.
-func ForEachCtx(ctx context.Context, n, par int, fn func(int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	err := ForEach(n, par, func(i int) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return fn(i)
-	})
-	if err != nil {
+// run runs item i, unless ctx is done.
+func run(ctx context.Context, fn func(int) error, i int) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return ctx.Err()
+	return fn(i)
 }
 
 // Flight deduplicates concurrent calls by key: while a call for a key is

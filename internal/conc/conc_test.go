@@ -1,6 +1,7 @@
 package conc
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -79,6 +80,47 @@ func TestForEachSerialStopsEarly(t *testing.T) {
 func TestForEachEmpty(t *testing.T) {
 	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForEachCtxStopsWhenCanceled: no item starts once the context is
+// done, and the loop reports the context's error — serially from the item
+// after the one that canceled, in parallel from the first item.
+func TestForEachCtxStopsWhenCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := 0
+	err := ForEachCtx(ctx, 8, 1, func(i int) error {
+		if ran++; i == 2 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || ran != 3 {
+		t.Fatalf("par=1: err=%v after %d items, want context.Canceled after 3", err, ran)
+	}
+	var started atomic.Int32
+	err = ForEachCtx(ctx, 8, 4, func(int) error { started.Add(1); return nil })
+	if !errors.Is(err, context.Canceled) || started.Load() != 0 {
+		t.Fatalf("par=4: err=%v after %d items, want context.Canceled before any", err, started.Load())
+	}
+}
+
+// TestSerialLoopsAllocateNothing pins what a serial loop costs a caller
+// that made its func once: nothing, with or without a context.
+func TestSerialLoopsAllocateNothing(t *testing.T) {
+	ctx := context.Background()
+	sum := 0
+	fn := func(i int) error { sum += i; return nil }
+	for name, loop := range map[string]func(){
+		"ForEach":    func() { ForEach(8, 1, fn) },
+		"ForEachCtx": func() { ForEachCtx(ctx, 8, 1, fn) },
+	} {
+		if n := testing.AllocsPerRun(100, loop); n != 0 {
+			t.Errorf("%s at par 1 allocates %v times a loop, want 0", name, n)
+		}
+	}
+	if sum == 0 {
+		t.Fatal("no item ran")
 	}
 }
 

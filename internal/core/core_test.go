@@ -106,12 +106,12 @@ func TestCrossSiteQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, path, err := res.Graph.BottleneckAvail(d["app1"].Addr().String(), d["srv1"].Addr().String())
+	preds, err := res.Graph.FlowAlloc([]topology.FlowRequest{{Src: d["app1"].Addr().String(), Dst: d["srv1"].Addr().String()}})
 	if err != nil {
 		t.Fatalf("no end-to-end path: %v", err)
 	}
 	// The WAN benchmark measured ~10 Mbit/s; it is the bottleneck.
-	if math.Abs(bw-10e6) > 1e6 {
+	if bw, path := preds[0].Available, preds[0].Path; math.Abs(bw-10e6) > 1e6 {
 		t.Fatalf("end-to-end available bandwidth %v, want ~10e6 (path %v)", bw, path)
 	}
 }

@@ -45,6 +45,36 @@ func TestFig3Shape(t *testing.T) {
 	}
 }
 
+// TestFig3Pinned pins every duration of Fig 3 up to 64 nodes. Each is
+// simulated — metered SNMP round trips, plus one poll interval for a query
+// that starts monitoring — so it moves only when a scenario asks another
+// number of questions or waits another way: a change to what the
+// collector allocates, or to how DropCaches and DropDynamic empty its
+// tables, must leave it alone.
+func TestFig3Pinned(t *testing.T) {
+	const ms = time.Millisecond
+	want := []Fig3Row{
+		{N: 2, Cold: 5018 * ms, PartWarm: 5016 * ms, WarmBridge: 5014 * ms, Warm: 8 * ms},
+		{N: 4, Cold: 5034 * ms, PartWarm: 5026 * ms, WarmBridge: 5026 * ms, Warm: 16 * ms},
+		{N: 8, Cold: 5034 * ms, PartWarm: 5024 * ms, WarmBridge: 5026 * ms, Warm: 16 * ms},
+		{N: 16, Cold: 5034 * ms, PartWarm: 5024 * ms, WarmBridge: 5026 * ms, Warm: 16 * ms},
+		{N: 32, Cold: 5042 * ms, PartWarm: 5024 * ms, WarmBridge: 5034 * ms, Warm: 16 * ms},
+		{N: 64, Cold: 5050 * ms, PartWarm: 5032 * ms, WarmBridge: 5042 * ms, Warm: 16 * ms},
+	}
+	r, err := Fig3(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(r.Rows), len(want))
+	}
+	for i, row := range r.Rows {
+		if row != want[i] {
+			t.Errorf("row %d: %+v, want %+v", i, row, want[i])
+		}
+	}
+}
+
 func TestFig45Shape(t *testing.T) {
 	r2, err := Fig45(2*time.Second, 180*time.Second)
 	if err != nil {

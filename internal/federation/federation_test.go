@@ -244,20 +244,24 @@ func TestStitchedFlowsMatchSingleMasterRandom(t *testing.T) {
 		}
 		checkFlowsMatchGroundTruth(t, m, flows)
 
-		// A lone flow on the stitched index gets the bottleneck the
-		// search on the whole graph finds, over the same path.
+		// A lone flow on the stitched index gets the bottleneck a lone
+		// flow on the whole graph gets, over the same path.
 		paths, err := m.router.stitchedPaths(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range flows[:1] {
-			var gotBW float64
-			var gotPath []string
-			preds, gotErr := paths.FlowAlloc([]topology.FlowRequest{{Src: f.Src.String(), Dst: f.Dst.String()}})
-			if gotErr == nil {
-				gotBW, gotPath = preds[0].Available, preds[0].Path
+		lone := func(fa interface {
+			FlowAlloc([]topology.FlowRequest) ([]topology.FlowPrediction, error)
+		}, f modeler.Flow) (float64, []string, error) {
+			preds, err := fa.FlowAlloc([]topology.FlowRequest{{Src: f.Src.String(), Dst: f.Dst.String()}})
+			if err != nil {
+				return 0, nil, err
 			}
-			wantBW, wantPath, wantErr := truth.BottleneckAvail(f.Src.String(), f.Dst.String())
+			return preds[0].Available, preds[0].Path, nil
+		}
+		for _, f := range flows[:1] {
+			gotBW, gotPath, gotErr := lone(paths, f)
+			wantBW, wantPath, wantErr := lone(truth, f)
 			if (gotErr == nil) != (wantErr == nil) || gotBW != wantBW || !reflect.DeepEqual(gotPath, wantPath) {
 				t.Fatalf("%s: bottleneck diverges: got %v %v %v, want %v %v %v",
 					m.shape, gotBW, gotPath, gotErr, wantBW, wantPath, wantErr)

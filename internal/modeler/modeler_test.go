@@ -81,10 +81,19 @@ func TestGetTopologySimplifies(t *testing.T) {
 		t.Fatal("degree-2 switches survived simplification")
 	}
 	// The answer is still correct: bottleneck 6e6 toward 10.0.2.1.
-	bw, _, err := g.BottleneckAvail("10.0.1.1", "10.0.2.1")
-	if err != nil || math.Abs(bw-6e6) > 1 {
+	if bw, err := loneFlowRate(g, "10.0.1.1", "10.0.2.1"); err != nil || math.Abs(bw-6e6) > 1 {
 		t.Fatalf("bw = %v err = %v, want 6e6", bw, err)
 	}
+}
+
+// loneFlowRate is the max-min rate of a lone flow from -> to on g: its
+// path's bottleneck available bandwidth.
+func loneFlowRate(g *topology.Graph, from, to string) (float64, error) {
+	preds, err := g.FlowAlloc([]topology.FlowRequest{{Src: from, Dst: to}})
+	if err != nil {
+		return 0, err
+	}
+	return preds[0].Available, nil
 }
 
 // An address that is a node's Addr but not its ID is no endpoint: flow

@@ -205,8 +205,7 @@ func TestSnapshotTopologyAnswersFromTheGeneration(t *testing.T) {
 	if g1.Node("10.0.1.2") != nil || g1.Node("s1") != nil || g1.Node("s2") != nil {
 		t.Fatal("snapshot-backed topology not simplified")
 	}
-	bw, _, err := g1.BottleneckAvail("10.0.1.1", "10.0.2.1")
-	if err != nil || math.Abs(bw-6e6) > 1 {
+	if bw, err := loneFlowRate(g1, "10.0.1.1", "10.0.2.1"); err != nil || math.Abs(bw-6e6) > 1 {
 		t.Fatalf("bw = %v err = %v, want 6e6", bw, err)
 	}
 	for i := 0; i < 10; i++ {

@@ -124,6 +124,11 @@ func NewClient(t Transport, community string) *Client {
 	return &Client{Transport: t, Community: community, Retries: 1}
 }
 
+// Rewind numbers the client's next request 1, as a new client's first:
+// a client reused for another sequence of exchanges sends the bytes a new
+// one would. Call it when no exchange is in flight.
+func (c *Client) Rewind() { c.reqID.Store(0) }
+
 // Instrument resolves the client's metric handles against reg once, so
 // the per-exchange hot path touches atomics only, never the registry
 // map. A nil registry leaves the client uninstrumented. Call before

@@ -99,7 +99,7 @@ func TestShapeMemoFollowsEveryMutator(t *testing.T) {
 }
 
 // A second routing request on an unchanged graph reads the shape the
-// first one built; so do FlowAlloc, BottleneckAvail, Prune and a Clone.
+// first one built; so do FlowAlloc, Prune and a Clone.
 func TestShapeBuiltOncePerChange(t *testing.T) {
 	g := sample(t)
 	if _, err := g.Path("h1", "h2"); err != nil {
@@ -115,9 +115,6 @@ func TestShapeBuiltOncePerChange(t *testing.T) {
 	if _, err := g.FlowAlloc([]FlowRequest{{Src: "h1", Dst: "h2"}, {Src: "h2", Dst: "h3"}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.BottleneckAvail("h2", "h1"); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := g.Prune([]string{"h1", "h2", "h3"}); err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +127,9 @@ func TestShapeBuiltOncePerChange(t *testing.T) {
 	// Measurements move through the link pointers without touching the
 	// structure: the memo stays, and the answers follow the new numbers.
 	g.FindLink("r1", "r2").UtilFromTo = 9e6
-	bw, _, err := g.BottleneckAvail("h1", "h2")
+	bw, _, err := loneFlow(g, "h1", "h2")
 	if err != nil || bw != 1e6 {
-		t.Fatalf("BottleneckAvail after a re-measurement = %v, %v; want 1e6", bw, err)
+		t.Fatalf("a lone flow after a re-measurement = %v, %v; want 1e6", bw, err)
 	}
 	if g.shape.Load() != built {
 		t.Fatal("re-measuring a link dropped the shape")
@@ -175,16 +172,10 @@ func TestConcurrentReadersShareShape(t *testing.T) {
 					p := pairs[(w*17+i)%len(pairs)]
 					var got []string
 					var err error
-					switch i % 3 {
-					case 0:
+					if i%2 == 0 {
 						got, err = g.Path(p.a, p.b)
-					case 1:
-						_, got, err = g.BottleneckAvail(p.a, p.b)
-					default:
-						var preds []FlowPrediction
-						if preds, err = g.FlowAlloc([]FlowRequest{{Src: p.a, Dst: p.b}}); err == nil {
-							got = preds[0].Path
-						}
+					} else {
+						_, got, err = loneFlow(g, p.a, p.b)
 					}
 					if err == nil && !reflect.DeepEqual(got, want[p]) {
 						err = fmt.Errorf("%s -> %s: path %v, want %v", p.a, p.b, got, want[p])

@@ -447,25 +447,6 @@ func (px *PathIndex) walk(buf []hop, from, to string) ([]hop, error) {
 	return px.shape.route(buf, src, dst)
 }
 
-// avail is the available bandwidth in the hop's direction over links,
-// which the hop's link number indexes.
-func avail(links []*Link, h hop) float64 {
-	if h&1 == 0 {
-		return links[h>>1].AvailFromTo()
-	}
-	return links[h>>1].AvailToFrom()
-}
-
-// bottleneck is the least available bandwidth along hops, 0 for none.
-func bottleneck(links []*Link, hops []hop) (bw float64) {
-	for i, h := range hops {
-		if a := avail(links, h); i == 0 || a < bw {
-			bw = a
-		}
-	}
-	return bw
-}
-
 // avail is the bandwidth available along hop h.
 func (px *PathIndex) avail(h hop) float64 { return px.metrics[h>>1].avail[h&1] }
 

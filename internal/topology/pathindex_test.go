@@ -41,7 +41,7 @@ func TestPathIndexMatchesGraph(t *testing.T) {
 					t.Logf("path %s->%s: %v vs %v", a, b, wantPath, gotPath)
 					return false
 				}
-				wantBw, wantVia, err1 := g.BottleneckAvail(a, b)
+				wantBw, wantVia, err1 := loneFlow(g, a, b)
 				gotBw, gotVia, err2 := loneFlow(px, a, b)
 				if err1 != nil || err2 != nil || wantBw != gotBw || !slices.Equal(wantVia, gotVia) {
 					t.Logf("bottleneck %s->%s: %v via %v vs %v via %v (%v/%v)", a, b, wantBw, wantVia, gotBw, gotVia, err1, err2)
@@ -169,11 +169,15 @@ func TestPathIndexUnknownHost(t *testing.T) {
 	}
 }
 
-// loneFlow asks px for a lone flow from -> to: its max-min rate is the
-// path's bottleneck available bandwidth, the number Graph.BottleneckAvail
-// finds by search.
-func loneFlow(px *PathIndex, from, to string) (float64, []string, error) {
-	preds, err := px.FlowAlloc([]FlowRequest{{Src: from, Dst: to}})
+// flowAllocator answers flow queries: a Graph or a PathIndex.
+type flowAllocator interface {
+	FlowAlloc([]FlowRequest) ([]FlowPrediction, error)
+}
+
+// loneFlow asks a for a lone flow from -> to: its max-min rate is the
+// path's bottleneck available bandwidth.
+func loneFlow(a flowAllocator, from, to string) (float64, []string, error) {
+	preds, err := a.FlowAlloc([]FlowRequest{{Src: from, Dst: to}})
 	if err != nil {
 		return 0, nil, err
 	}

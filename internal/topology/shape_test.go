@@ -87,7 +87,7 @@ func assertAnswersMatch(t *testing.T, got *PathIndex, hosts []string, reqs []Flo
 			if err != nil {
 				t.Fatalf("graph path %s->%s: %v", a, b, err)
 			}
-			wantBw, _, _ := g.BottleneckAvail(a, b)
+			wantBw, _, _ := loneFlow(g, a, b)
 			for name, px := range map[string]*PathIndex{"index": got, "fresh index": fresh} {
 				path, err := px.Path(a, b)
 				if err != nil || !reflect.DeepEqual(path, wantPath) {

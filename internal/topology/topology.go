@@ -505,21 +505,6 @@ func (g *Graph) Path(from, to string) ([]string, error) {
 	return sh.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
 }
 
-// BottleneckAvail returns the path and its bottleneck available bandwidth
-// between two nodes: the minimum per-direction available bandwidth along
-// a shortest path. This is the sharing-oblivious baseline; FlowAlloc is
-// the max-min answer for concurrent requested flows. Serving paths ask
-// PathIndex.FlowAllocAddrs, whose one-flow rate is this bottleneck; this
-// search is the reference it is held to.
-func (g *Graph) BottleneckAvail(from, to string) (bw float64, path []string, err error) {
-	sh := g.routing()
-	hops, err := sh.search(from, to)
-	if err != nil {
-		return 0, nil, err
-	}
-	return bottleneck(g.links, hops), sh.nodePath(make([]string, 0, len(hops)+1), from, hops), nil
-}
-
 // FlowRequest names one flow an application intends to create.
 type FlowRequest struct {
 	Src, Dst string  // node IDs

@@ -62,16 +62,16 @@ func TestPathDisconnected(t *testing.T) {
 	}
 }
 
-func TestBottleneckAvailUsesDirection(t *testing.T) {
+func TestFlowAllocUsesDirection(t *testing.T) {
 	g := sample(t)
-	bw, _, err := g.BottleneckAvail("h1", "h2")
+	bw, _, err := loneFlow(g, "h1", "h2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bw != 6e6 { // 10e6 cap - 4e6 util in r1->r2 direction
 		t.Fatalf("h1->h2 avail = %v, want 6e6", bw)
 	}
-	bw, _, err = g.BottleneckAvail("h2", "h1")
+	bw, _, err = loneFlow(g, "h2", "h1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCollapseChains(t *testing.T) {
 		t.Fatalf("spliced link = %+v", l)
 	}
 	// Flow answers must be unchanged by chain collapse.
-	bw, _, err := p.BottleneckAvail("h1", "h2")
+	bw, _, err := loneFlow(p, "h1", "h2")
 	if err != nil || bw != 6e6 {
 		t.Fatalf("post-collapse avail = %v (err %v), want 6e6", bw, err)
 	}

@@ -335,7 +335,7 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s %v -> %v: no push", w.name, w.spec.Src, w.spec.Dst)
 		}
-		want, _, err := truth.BottleneckAvail(w.spec.Src.String(), w.spec.Dst.String())
+		want, err := loneFlowRate(truth, w.spec.Src.String(), w.spec.Dst.String())
 		if err != nil {
 			t.Fatalf("ground truth for %v -> %v: %v", w.spec.Src, w.spec.Dst, err)
 		}
@@ -382,7 +382,7 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 				}
 			}
 			if touches(w) {
-				want, _, err := movedTruth.BottleneckAvail(w.spec.Src.String(), w.spec.Dst.String())
+				want, err := loneFlowRate(movedTruth, w.spec.Src.String(), w.spec.Dst.String())
 				done = done && err == nil && last[i] != nil && last[i].Err == nil && nearTruth(last[i].Avail, want)
 			}
 		}
@@ -532,6 +532,16 @@ func viaQuery(ctx context.Context, cl collector.Interface) func([]modeler.Flow, 
 
 // nearTruth reports whether a rate is the ground truth's, to the bench
 // oracle's 1e-9 relative slack.
+// loneFlowRate is the max-min rate of a lone flow from -> to on g: its
+// path's bottleneck available bandwidth, what a watch on the pair pushes.
+func loneFlowRate(g *topology.Graph, from, to string) (float64, error) {
+	preds, err := g.FlowAlloc([]topology.FlowRequest{{Src: from, Dst: to}})
+	if err != nil {
+		return 0, err
+	}
+	return preds[0].Available, nil
+}
+
 func nearTruth(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-9*math.Max(1, math.Abs(want))
 }
