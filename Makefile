@@ -63,14 +63,15 @@ verify: vet lint build test race
 # netsim.RandomFabric gate in netsim (routing, conservation, link limits,
 # partition stitching, family coverage), federation (stitched FLOWS
 # and QUERY against the single master), proto (the graph a remote
-# QUERY's ASCII and XML clients decode against the one served) and
+# QUERY's ASCII and XML clients decode against the one served),
 # snmpcoll (router views against the emulator, the numbered discovery
-# against the pairwise walk) draws 20× its tier-1 seed count
-# through testing/quick's standard -quickchecks flag, on the same fixed
-# seed list.
+# against the pairwise walk) and topology (a graph added node by node,
+# assembled and decoded answering every lookup alike) draws 20× its
+# tier-1 seed count through testing/quick's standard -quickchecks flag,
+# on the same fixed seed list.
 property-soak:
 	$(GO) test -count=1 ./internal/netsim/ ./internal/federation/ ./internal/proto/ \
-		./internal/collector/snmpcoll/ -quickchecks=2000
+		./internal/collector/snmpcoll/ ./internal/topology/ -quickchecks=2000
 
 # Shake each fuzz target for 10s so the targets (and their seed corpora)
 # can't bit-rot; CI runs this on every push. The list is every func Fuzz*

@@ -155,14 +155,21 @@ func assertIndexLikeRebuild(t *testing.T, after string, prev *PathIndex, g *Grap
 // on, the other side reads as it did, and the side mutated reads as a
 // graph sharing nothing would after the same mutation. Both sides route —
 // by Graph and by an index built after the original's — as they would
-// with no memo carried.
+// with no memo carried. The original is either built node by node, its
+// tables and shape warm when it is cloned, or decoded and cloned before
+// anything reads it, so that each side builds its own tables.
 func TestCloneIsolatesEveryMutator(t *testing.T) {
 	for _, m := range cloneMutators {
 		for _, mutateClone := range []bool{false, true} {
-			for seed := int64(1); seed <= 20; seed++ {
+			for seed := int64(1); seed <= 40; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				g, hosts := randomMeshed(rng)
 				addressHosts(g, hosts)
+				var c *Graph
+				if unread := seed%2 == 0; unread {
+					g = deepCopy(t, g)
+					c = g.Clone()
+				}
 				if _, err := g.Path(hosts[0], hosts[1]); err != nil { // a warm memo on the original
 					t.Fatal(err)
 				}
@@ -170,7 +177,9 @@ func TestCloneIsolatesEveryMutator(t *testing.T) {
 				if _, err := prev.Path(hosts[1], hosts[0]); err != nil {
 					t.Fatal(err)
 				}
-				c := g.Clone()
+				if c == nil {
+					c = g.Clone()
+				}
 				mutated, other := g, c
 				if mutateClone {
 					mutated, other = c, g
@@ -257,6 +266,102 @@ func TestCloneBesideReaders(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestFirstReadsRace has eight readers make the first lookups on a decoded
+// graph nothing has read, half of them on a Clone taken before any read,
+// each reader starting with another lookup, while a writer mutates a
+// third clone (meaningful under -race): racing builders of a table share
+// the first one stored, and every reader reads what the graph's text
+// says.
+func TestFirstReadsRace(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	src, hosts := randomClouded(rng)
+	addressHosts(src, hosts)
+	wantPath, err := src.Path(hosts[0], hosts[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNodes := src.Nodes()
+	for round := 0; round < 20; round++ {
+		g := deepCopy(t, src)
+		c, m := g.Clone(), g.Clone()
+		var wg sync.WaitGroup
+		errs := make(chan error, 9)
+		for w := 0; w < 8; w++ {
+			r := g
+			if w%2 == 1 {
+				r = c
+			}
+			reads := []func() error{
+				func() error {
+					for _, n := range wantNodes {
+						if got := r.Node(n.ID); got == nil || *got != *n {
+							return fmt.Errorf("Node(%s) = %v, want %v", n.ID, got, *n)
+						}
+					}
+					return nil
+				},
+				func() error {
+					if n := r.NodeByAddr("10.9.0.1"); n == nil || n.ID != hosts[0] {
+						return fmt.Errorf("NodeByAddr(10.9.0.1) = %v, want %s", n, hosts[0])
+					}
+					return nil
+				},
+				func() error {
+					for _, l := range src.Links() {
+						if got := r.FindLink(l.To, l.From); got == nil || *got != *src.FindLink(l.From, l.To) {
+							return fmt.Errorf("FindLink(%s, %s) = %v", l.To, l.From, got)
+						}
+					}
+					if r.FindLink(hosts[0], "zz") != nil {
+						return fmt.Errorf("found a link the writer added")
+					}
+					return nil
+				},
+				func() error {
+					if got := r.Nodes(); !reflect.DeepEqual(got, wantNodes) {
+						return fmt.Errorf("Nodes() = %v, want %v", got, wantNodes)
+					}
+					return nil
+				},
+				func() error {
+					if path, err := r.Path(hosts[0], hosts[1]); err != nil || !reflect.DeepEqual(path, wantPath) {
+						return fmt.Errorf("Path = %v (%v), want %v", path, err, wantPath)
+					}
+					return nil
+				},
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range reads {
+					if err := reads[(w+i)%len(reads)](); err != nil {
+						errs <- fmt.Errorf("round %d, reader %d: %v", round, w, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.AddNode(Node{ID: "zz", Kind: SwitchNode, Addr: "10.9.0.1"})
+			m.AddLink(Link{From: hosts[0], To: "zz", Capacity: 1})
+			m.CollapseSwitchClouds("v")
+			if n := m.NodeByAddr("10.9.0.1"); n == nil || n.ID != "zz" {
+				errs <- fmt.Errorf("round %d, writer: the mutated clone lost its rebinding", round)
+			}
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if g.Node(hosts[0]) != c.Node(hosts[0]) {
+			t.Fatalf("round %d: a graph and its clone name different nodes by one ID", round)
+		}
 	}
 }
 

@@ -42,7 +42,11 @@ func (g *Graph) EncodeText(w io.Writer) error {
 // the keywords, separators and numbers of a line (five numbers of a link
 // rarely print longer than twelve bytes each).
 func (g *Graph) AppendText(dst []byte) ([]byte, error) {
-	nodes := g.Nodes()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.nodes = g.appendNodes(sc.nodes[:0])
+	defer clear(sc.nodes) // the pool holds no graph's nodes
+	nodes := sc.nodes
 	size := len("GRAPH 4294967296 4294967296\nEND\n")
 	for _, n := range nodes {
 		if strings.ContainsAny(n.ID, " \t\n") {
@@ -113,10 +117,11 @@ type nodeSpan struct {
 // is read in place, one line at a time, and is left on the line after END;
 // any other reader is wrapped in one, which may read ahead.
 //
-// The graph is assembled as Assemble does, in one pass over the lines.
-// The IDs and addresses of all nodes are cut from one string, and the
-// link slab is presized from the header only up to slabMax, since its
-// counts are the peer's word.
+// The graph is assembled as Assemble does, in one pass over the lines,
+// and builds no table: a link's endpoints are found through a pooled index
+// of the node lines. The IDs and addresses of all nodes are cut from one
+// string, and the link slab is presized from the header only up to
+// slabMax, since its counts are the peer's word.
 func DecodeText(r io.Reader) (*Graph, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -145,8 +150,9 @@ func DecodeText(r io.Reader) (*Graph, error) {
 
 	// The node lines go into one text, their IDs and addresses as spans
 	// of it, before the strings the graph keeps are made from it at once.
-	spans := make([]nodeSpan, 0, min(nn, slabMax))
-	text := make([]byte, 0, 16*min(nn, slabMax))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.spans, sc.text = sc.spans[:0], sc.text[:0]
 	for i := 0; i < nn; i++ {
 		line, err := lines.Read(br, &long)
 		if err != nil {
@@ -159,24 +165,30 @@ func DecodeText(r io.Reader) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("topology: unknown node kind %q", f[2])
 		}
-		sp := nodeSpan{kind: kind, id: [2]int{len(text), len(text) + len(f[1])}}
-		text = append(text, f[1]...)
+		sp := nodeSpan{kind: kind, id: [2]int{len(sc.text), len(sc.text) + len(f[1])}}
+		sc.text = append(sc.text, f[1]...)
 		switch {
 		case string(f[3]) == "-":
 		case string(f[3]) == string(f[1]):
 			sp.addr = sp.id // a host's ID is its address: one string
 		default:
-			sp.addr = [2]int{len(text), len(text) + len(f[3])}
-			text = append(text, f[3]...)
+			sp.addr = [2]int{len(sc.text), len(sc.text) + len(f[3])}
+			sc.text = append(sc.text, f[3]...)
 		}
-		spans = append(spans, sp)
+		sc.spans = append(sc.spans, sp)
 	}
-	s := string(text)
-	nodeSlab := make([]Node, len(spans))
-	for i, sp := range spans {
+	s := string(sc.text)
+	nodeSlab := make([]Node, len(sc.spans))
+	for i, sp := range sc.spans {
 		nodeSlab[i] = Node{ID: s[sp.id[0]:sp.id[1]], Kind: sp.kind, Addr: s[sp.addr[0]:sp.addr[1]]}
 	}
-	g := assembleNodes(nodeSlab)
+	if sc.ids == nil {
+		sc.ids = make(map[string]int32)
+	}
+	defer func() { sc.ids = emptied(sc.ids) }()
+	for i := range nodeSlab {
+		sc.ids[nodeSlab[i].ID] = int32(i)
+	}
 
 	linkSlab := make([]Link, 0, min(nl, slabMax))
 	for i := 0; i < nl; i++ {
@@ -190,8 +202,9 @@ func DecodeText(r io.Reader) (*Graph, error) {
 		}
 		// The endpoints must name nodes already read; the link shares
 		// their ID strings.
-		from, to := g.nodes[string(f[1])], g.nodes[string(f[2])]
-		if from == nil || to == nil {
+		from, fromOK := sc.ids[string(f[1])]
+		to, toOK := sc.ids[string(f[2])]
+		if !fromOK || !toOK {
 			return nil, fmt.Errorf("topology: link %s-%s references missing node", f[1], f[2])
 		}
 		var vals [3]float64
@@ -214,7 +227,7 @@ func DecodeText(r io.Reader) (*Graph, error) {
 			}
 		}
 		linkSlab = append(linkSlab, Link{
-			From: from.ID, To: to.ID,
+			From: nodeSlab[from].ID, To: nodeSlab[to].ID,
 			Capacity: vals[0], UtilFromTo: vals[1], UtilToFrom: vals[2],
 			Latency: time.Duration(ns), Jitter: time.Duration(jitterNs),
 		})
@@ -227,6 +240,7 @@ func DecodeText(r io.Reader) (*Graph, error) {
 	if string(bytes.TrimSpace(line)) != "END" {
 		return nil, fmt.Errorf("topology: missing END trailer")
 	}
+	g := &Graph{nodeSlab: nodeSlab}
 	g.assembleLinks(linkSlab)
 	return g, nil
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -307,40 +308,46 @@ func TestAppendText(t *testing.T) {
 }
 
 func TestTextCodecAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
 	g := coldReply()
 	var buf bytes.Buffer
 	if err := g.EncodeText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The sorted node list and the one buffer the text is appended into.
+	// The one buffer the text is appended into: the nodes are sorted in
+	// pooled scratch.
 	if n := testing.AllocsPerRun(100, func() {
 		buf.Reset()
 		if err := g.EncodeText(&buf); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Fatalf("EncodeText allocates %.0f times, want <= 2", n)
+	}); n > 1 {
+		t.Fatalf("EncodeText allocates %.0f times, want <= 1", n)
 	}
-	// Appended into a buffer with room, the text costs only the sorted
-	// node list, and it is the text EncodeText writes.
+	// Appended into a buffer with room, the text costs nothing, and it is
+	// the text EncodeText writes.
 	dst := make([]byte, 0, 2*buf.Len())
 	if n := testing.AllocsPerRun(100, func() {
 		var err error
 		if dst, err = g.AppendText(dst[:0]); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Fatalf("AppendText into a buffer with room allocates %.0f times, want <= 1", n)
+	}); n > 0 {
+		t.Fatalf("AppendText into a buffer with room allocates %.0f times, want 0", n)
 	}
 	if !bytes.Equal(dst, buf.Bytes()) {
 		t.Fatalf("AppendText appends\n%s\nEncodeText writes\n%s", dst, buf.Bytes())
 	}
-	// Decoding makes one string for every ID and address of the reply and
-	// a fixed number of tables, slabs and buffers: nothing per node,
-	// nothing per link, nothing per field. (Per node, with a string each,
-	// it was len(nodes)+22: 87 here.)
+	// Decoding makes one string for every ID and address of the reply, the
+	// node and link slabs, the graph and its links vector, and the
+	// bufio.Reader a bytes.Reader is wrapped in: no table, nothing per
+	// node, nothing per link, nothing per field. (Per node, with a string
+	// each, it was len(nodes)+22: 87 here; with its three tables and its
+	// line scratch, 21.)
 	text := buf.Bytes()
-	const budget = 28
+	const budget = 7
 	n := testing.AllocsPerRun(100, func() {
 		if _, err := DecodeText(bytes.NewReader(text)); err != nil {
 			t.Fatal(err)
@@ -350,6 +357,42 @@ func TestTextCodecAllocationBudget(t *testing.T) {
 	if n > budget {
 		t.Fatalf("DecodeText allocates %.0f times for %d nodes and %d links, want <= %d",
 			n, len(g.Nodes()), len(g.Links()), budget)
+	}
+	// The graph decoded builds no table until it is read, and answers
+	// HasParallelLinks without building one.
+	d, err := DecodeText(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if d.HasParallelLinks() {
+			t.Fatal("the cold reply has parallel links")
+		}
+	}); n > 0 || d.nodes.load() != nil || d.byAddr.load() != nil || d.linkIdx.load() != nil {
+		t.Fatalf("HasParallelLinks of a decoded graph allocates %.0f times, or a table was built", n)
+	}
+}
+
+// assembled keeps what Assemble returns on the heap, as a reply is.
+var assembled *Graph
+
+// An assembled cold reply costs its Graph and its links vector: no table
+// is built until the graph is read.
+func TestAssembleAllocationBudget(t *testing.T) {
+	g := coldReply()
+	var nodes []Node
+	for _, n := range g.Nodes() {
+		nodes = append(nodes, *n)
+	}
+	var links []Link
+	for _, l := range g.Links() {
+		links = append(links, *l)
+	}
+	if n := testing.AllocsPerRun(100, func() { assembled = Assemble(nodes, links) }); n > 2 {
+		t.Fatalf("Assemble of %d nodes and %d links allocates %.0f times, want <= 2", len(nodes), len(links), n)
+	}
+	if assembled.nodes.load() != nil || assembled.byAddr.load() != nil || assembled.linkIdx.load() != nil {
+		t.Fatal("Assemble built a table")
 	}
 }
 
@@ -383,6 +426,52 @@ func BenchmarkGraphTextCodec(b *testing.B) {
 	})
 }
 
+// assertReadsAsAdded holds a graph that has built no table to the graph
+// AddNode and AddLink build from its slabs in order — for a decoded graph,
+// its lines in text order — on what a reader asks: HasParallelLinks,
+// Nodes, Node and NodeByAddr for every node line, and FindLink both ways
+// for every link line, by position, since a reading may be NaN.
+func assertReadsAsAdded(t *testing.T, g *Graph) {
+	t.Helper()
+	built := NewGraph()
+	for _, n := range g.nodeSlab {
+		built.AddNode(n)
+	}
+	for _, l := range g.linkSlab {
+		if _, err := built.AddLink(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := g.HasParallelLinks(), built.HasParallelLinks(); got != want {
+		t.Fatalf("HasParallelLinks = %t, built %t", got, want)
+	}
+	got, want := g.Nodes(), built.Nodes()
+	if len(got) != len(want) {
+		t.Fatalf("Nodes() holds %d nodes, built %d", len(got), len(want))
+	}
+	for i := range got {
+		if *got[i] != *want[i] {
+			t.Fatalf("Nodes()[%d] = %+v, built %+v", i, *got[i], *want[i])
+		}
+	}
+	for _, n := range g.nodeSlab {
+		if got, want := g.Node(n.ID), built.Node(n.ID); *got != *want {
+			t.Fatalf("Node(%q) = %+v, built %+v", n.ID, *got, *want)
+		}
+		if got, want := g.NodeByAddr(n.Addr), built.NodeByAddr(n.Addr); (got == nil) != (want == nil) || got != nil && *got != *want {
+			t.Fatalf("NodeByAddr(%q) = %v, built %v", n.Addr, got, want)
+		}
+	}
+	for _, l := range g.linkSlab {
+		for _, p := range [2][2]string{{l.From, l.To}, {l.To, l.From}} {
+			got, want := slices.Index(g.links, g.FindLink(p[0], p[1])), slices.Index(built.links, built.FindLink(p[0], p[1]))
+			if got != want {
+				t.Fatalf("FindLink(%s, %s) is link %d, built %d", p[0], p[1], got, want)
+			}
+		}
+	}
+}
+
 // graphBlocks cuts the GRAPH ... END blocks out of a recorded ASCII reply.
 func graphBlocks(reply []byte) [][]byte {
 	var blocks [][]byte
@@ -403,8 +492,11 @@ func graphBlocks(reply []byte) [][]byte {
 
 // FuzzDecodeText drives the ASCII graph decoder — what a client, or a
 // federation router, reads from a peer daemon — with arbitrary bytes. It
-// must never panic, and whatever it accepts must re-encode and decode to
-// the same graph. Seeds are the graph blocks of the recorded ASCII reply
+// must never panic, whatever it accepts must re-encode and decode to the
+// same graph, and the tables the decoded graph builds when first read must
+// answer as those of the graph AddNode and AddLink build from its lines:
+// repeated IDs, shared addresses and parallel links are what the fuzzer
+// makes most. Seeds are the graph blocks of the recorded ASCII reply
 // transcripts.
 func FuzzDecodeText(f *testing.F) {
 	outs, err := filepath.Glob(filepath.Join("..", "proto", "testdata", "transcripts", "ascii", "*.out"))
@@ -451,6 +543,8 @@ func FuzzDecodeText(f *testing.F) {
 		if err := small.EncodeText(&smallText); err != nil || !bytes.Equal(text.Bytes(), smallText.Bytes()) {
 			t.Fatalf("through a 16-byte reader the graph re-encodes as\n%s\nnot\n%s", smallText.Bytes(), text.Bytes())
 		}
+		// Encoding built no table: the lookups below build small's.
+		assertReadsAsAdded(t, small)
 		again, err := DecodeText(bytes.NewReader(text.Bytes()))
 		if err != nil {
 			t.Fatalf("a re-encoded graph failed to decode: %v\n%s", err, text.Bytes())

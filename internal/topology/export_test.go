@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"unsafe"
 )
 
 // RandomFabric is the property tests' addressed generator without its
@@ -32,8 +33,9 @@ func RandomFabric(rng *rand.Rand) (*Graph, []netip.Addr) {
 
 // sharesStructure reports whether g and other share one structure, which
 // means the same node IDs and, link for link, the same endpoints in the
-// same order: two graphs hold one node map only from a Clone that neither
-// has mutated since.
+// same order: two graphs hold one node slab and node table only from a
+// Clone that neither has mutated since.
 func (g *Graph) sharesStructure(other *Graph) bool {
-	return reflect.ValueOf(g.nodes).UnsafePointer() == reflect.ValueOf(other.nodes).UnsafePointer()
+	return unsafe.SliceData(g.nodeSlab) == unsafe.SliceData(other.nodeSlab) &&
+		reflect.ValueOf(g.nodes.load()).UnsafePointer() == reflect.ValueOf(other.nodes.load()).UnsafePointer()
 }

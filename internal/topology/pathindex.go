@@ -176,7 +176,8 @@ type treeMemo struct {
 }
 
 func newShape(g *Graph) *shape {
-	n := len(g.nodes)
+	nodes := g.nodeTable()
+	n := len(nodes)
 	sh := &shape{
 		ids:    make([]string, 0, n),
 		num:    make(map[string]int32, n),
@@ -187,7 +188,7 @@ func newShape(g *Graph) *shape {
 		hops:   make([]hop, 2*len(g.links)),
 		budget: treeBudget,
 	}
-	for id := range g.nodes {
+	for id := range nodes {
 		sh.ids = append(sh.ids, id)
 	}
 	sort.Strings(sh.ids)
@@ -245,11 +246,12 @@ func (sh *shape) head(h hop) int32 { return sh.tail(h ^ 1) }
 // built from: the same node IDs, and link for link the same endpoints in
 // the same orientation.
 func (sh *shape) matches(g *Graph) bool {
-	if len(g.nodes) != len(sh.ids) || len(g.links) != len(sh.from) {
+	nodes := g.nodeTable()
+	if len(nodes) != len(sh.ids) || len(g.links) != len(sh.from) {
 		return false
 	}
 	for _, id := range sh.ids {
-		if g.nodes[id] == nil {
+		if nodes[id] == nil {
 			return false
 		}
 	}

@@ -42,7 +42,7 @@ func (g *Graph) Prune(endpoints []string) (*Graph, error) {
 	out := NewGraph()
 	for v, keep := range keepNode {
 		if keep {
-			out.AddNode(*g.nodes[sh.ids[v]])
+			out.AddNode(*g.Node(sh.ids[v]))
 		}
 	}
 	for i, l := range g.links {
@@ -63,7 +63,7 @@ func (g *Graph) CollapseChains(protect map[string]bool) {
 		sh := g.routing()
 		victim := NoNode
 		for v, id := range sh.ids {
-			if n := g.nodes[id]; protect[id] || (n.Kind != SwitchNode && n.Kind != VirtualNode) {
+			if n := g.Node(id); protect[id] || (n.Kind != SwitchNode && n.Kind != VirtualNode) {
 				continue
 			}
 			if at := sh.off[v]; sh.off[v+1]-at == 2 {
@@ -137,7 +137,7 @@ func (g *Graph) CollapseSwitchClouds(prefix string) int {
 			comp = append(comp, sh.ids[cur])
 			for _, p := range sh.peers[sh.off[cur]:sh.off[cur+1]] {
 				id := sh.ids[p]
-				if pn := g.nodes[id]; pn != nil && pn.Kind == SwitchNode && !visited[id] {
+				if pn := g.Node(id); pn != nil && pn.Kind == SwitchNode && !visited[id] {
 					visited[id] = true
 					queue = append(queue, p)
 				}

@@ -11,6 +11,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -115,25 +116,29 @@ func clampNonNeg(v float64) float64 {
 // goroutines at once but not while one of them mutates it; Clone counts as
 // a read.
 type Graph struct {
-	// nodes, byAddr and linkIdx are the graph's structure. A Clone shares
-	// them, and the nodes they point to, with its original; only the links
-	// are copied. shared is the marker both then carry: set by Clone on
-	// each, it makes every structural mutator take a private copy first
-	// (own), so a graph never writes structure another graph reads.
-	nodes map[string]*Node
-	// byAddr finds the node carrying an address without scanning nodes;
-	// AddNode maintains it, as does everything else that binds or drops a
-	// node or rewrites a node's Addr.
-	byAddr  map[string]*Node
-	links   []*Link
-	linkIdx map[[2]string]int32 // canonical (sorted) endpoint pair -> index of the first link
-	shared  atomic.Bool
-	// nodeSlab and linkSlab are where AddNode and AddLink put their
-	// copies: chunks that double up to slabMax, so building a graph costs
-	// a handful of allocations, not one per node and link. A chunk lives
-	// as long as anything in it is referenced.
+	// nodeSlab and linkSlab are where the graph's nodes and links live:
+	// the slices Assemble was given, or chunks that AddNode and AddLink
+	// carve from, doubling up to slabMax, so building a graph costs a
+	// handful of allocations, not one per node and link. A chunk lives as
+	// long as anything in it is referenced.
 	nodeSlab []Node
 	linkSlab []Link
+	links    []*Link
+	// nodes, byAddr and linkIdx are the graph's lookup tables, each a memo
+	// built from the slabs by its first reader (table): a graph that
+	// never mutates, such as an answer assembled, encoded and decoded,
+	// builds only the ones it is asked through. Every structural mutator
+	// builds all three first (own) and keeps them, so a table that is
+	// missing means the slabs are the whole truth. A Clone shares the
+	// node slab and the tables built so far, and the nodes they point
+	// to; only the links are copied. shared is the marker both then
+	// carry: set by Clone on each, it makes every structural mutator take
+	// a private copy first (own), so a graph never writes structure
+	// another graph reads.
+	nodes   table[map[string]*Node]
+	byAddr  table[map[string]*Node]    // address -> the node carrying it
+	linkIdx table[map[[2]string]int32] // canonical (sorted) endpoint pair -> index of the first link
+	shared  atomic.Bool
 	// shape memoizes the graph's routing structure (routing): built by
 	// the first routing request after a change, read by every one until
 	// the next, and handed to a Clone, whose links are this graph's in
@@ -142,42 +147,105 @@ type Graph struct {
 	shape atomic.Pointer[shape]
 }
 
+// table is one of a graph's lookup tables: nil until its first reader
+// builds it, racing builders sharing the first one stored, as routing
+// shares the shape. It holds a map, which an atomic.Value stores without
+// allocating.
+type table[M any] struct{ v atomic.Value }
+
+// load returns the table, nil if no reader has built it.
+func (t *table[M]) load() M {
+	m, _ := t.v.Load().(M)
+	return m
+}
+
+// get returns the table, building it from g first if no reader has.
+func (t *table[M]) get(g *Graph, build func(*Graph) M) M {
+	if m, ok := t.v.Load().(M); ok {
+		return m
+	}
+	t.v.CompareAndSwap(nil, build(g))
+	return t.v.Load().(M)
+}
+
+// shareWith hands the table, if built, to another graph's.
+func (t *table[M]) shareWith(to *table[M]) {
+	if m, ok := t.v.Load().(M); ok {
+		to.v.Store(m)
+	}
+}
+
+func (g *Graph) nodeTable() map[string]*Node    { return g.nodes.get(g, indexNodes) }
+func (g *Graph) addrTable() map[string]*Node    { return g.byAddr.get(g, indexAddrs) }
+func (g *Graph) linkTable() map[[2]string]int32 { return g.linkIdx.get(g, indexLinks) }
+
+// indexNodes makes the node table from the node slab: a node repeating an
+// earlier node's ID replaces it.
+func indexNodes(g *Graph) map[string]*Node {
+	m := make(map[string]*Node, len(g.nodeSlab))
+	for i := range g.nodeSlab {
+		m[g.nodeSlab[i].ID] = &g.nodeSlab[i]
+	}
+	return m
+}
+
+// indexAddrs makes the address table from the node slab, binding each
+// node's address in turn as AddNode would: a node takes its address from
+// any earlier carrier, and a node replaced by a later one of its ID
+// unbinds the address it still holds. Only a slab where an ID repeats,
+// which the node table tells, needs each ID's node so far for the latter.
+func indexAddrs(g *Graph) map[string]*Node {
+	m := make(map[string]*Node, len(g.nodeSlab))
+	var bound map[string]*Node
+	if len(g.nodeTable()) != len(g.nodeSlab) {
+		bound = make(map[string]*Node, len(g.nodeSlab))
+	}
+	for i := range g.nodeSlab {
+		n := &g.nodeSlab[i]
+		if bound != nil {
+			if old := bound[n.ID]; old != nil && m[old.Addr] == old {
+				delete(m, old.Addr)
+			}
+			bound[n.ID] = n
+		}
+		if n.Addr != "" {
+			m[n.Addr] = n
+		}
+	}
+	return m
+}
+
+// indexLinks makes the link table from the last link back: the first of
+// parallel links is the one it keeps.
+func indexLinks(g *Graph) map[[2]string]int32 {
+	m := make(map[[2]string]int32, len(g.links))
+	for i := len(g.links) - 1; i >= 0; i-- {
+		m[pairKey(g.links[i].From, g.links[i].To)] = int32(i)
+	}
+	return m
+}
+
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return Assemble(nil, nil) }
 
 // Assemble returns the graph of nodes and links, taking both slices as its
-// slabs and making each table once, at its exact size. A node repeating an
-// earlier node's ID replaces it, and parallel links are all kept, the first
-// indexed, as AddNode and AddLink have it. Links must join the nodes' IDs.
+// slabs and building no table: its first reader builds the one it asks
+// through. A node repeating an earlier node's ID replaces it, and parallel
+// links are all kept, the first indexed, as AddNode and AddLink have it.
+// Links must join the nodes' IDs.
 func Assemble(nodes []Node, links []Link) *Graph {
-	g := assembleNodes(nodes)
+	g := &Graph{nodeSlab: nodes}
 	g.assembleLinks(links)
 	return g
 }
 
-// assembleNodes is Assemble's first half: a graph of the nodes alone.
-func assembleNodes(nodes []Node) *Graph {
-	g := &Graph{nodeSlab: nodes, nodes: make(map[string]*Node, len(nodes))}
-	g.byAddr = make(map[string]*Node, len(nodes))
-	for i := range nodes {
-		n := &nodes[i]
-		if old := g.nodes[n.ID]; old != nil {
-			g.unindexAddr(old)
-		}
-		g.nodes[n.ID] = n
-		g.indexAddr(n)
-	}
-	return g
-}
-
-// assembleLinks is Assemble's second half: it gives a graph its links.
+// assembleLinks gives a graph its links.
 func (g *Graph) assembleLinks(links []Link) {
 	g.linkSlab = links
 	g.links = make([]*Link, len(links))
 	for i := range links {
 		g.links[i] = &links[i]
 	}
-	g.indexLinks()
 }
 
 // slabMin and slabMax bound the chunks AddNode and AddLink carve from.
@@ -206,27 +274,30 @@ func carve[T any](slab []T) []T {
 // invalidate drops what is memoized about the graph's structure.
 func (g *Graph) invalidate() { g.shape.Store(nil) }
 
-// own gives g a structure of its own before it writes one: if a Clone
-// shares g's nodes and indexes, g copies them, nodes included, and drops
-// its marker. The copy leaves the shape unchanged, so what is memoized
-// stays.
+// own gives g a structure of its own before it writes one: it builds
+// every table a reader has not, and if a Clone shares g's nodes and
+// tables, g copies them, nodes included, and drops its marker. The copy
+// leaves the shape unchanged, so what is memoized stays.
 func (g *Graph) own() {
+	nodes, byAddr, linkIdx := g.nodeTable(), g.addrTable(), g.linkTable()
 	if !g.shared.Load() {
 		return
 	}
-	nodes := make(map[string]*Node, len(g.nodes))
-	byAddr := make(map[string]*Node, len(g.byAddr))
-	slab := make([]Node, 0, len(g.nodes))
-	for id, n := range g.nodes {
+	ownNodes := make(map[string]*Node, len(nodes))
+	ownAddrs := make(map[string]*Node, len(byAddr))
+	slab := make([]Node, 0, len(nodes))
+	for id, n := range nodes {
 		slab = append(slab, *n)
 		cp := &slab[len(slab)-1]
-		nodes[id] = cp
-		if g.byAddr[n.Addr] == n {
-			byAddr[n.Addr] = cp
+		ownNodes[id] = cp
+		if byAddr[n.Addr] == n {
+			ownAddrs[n.Addr] = cp
 		}
 	}
-	g.nodes, g.byAddr, g.nodeSlab = nodes, byAddr, slab
-	g.linkIdx = maps.Clone(g.linkIdx)
+	g.nodes.v.Store(ownNodes)
+	g.byAddr.v.Store(ownAddrs)
+	g.linkIdx.v.Store(maps.Clone(linkIdx))
+	g.nodeSlab = slab
 	g.shared.Store(false)
 }
 
@@ -244,7 +315,7 @@ func (g *Graph) AddNode(n Node) *Node {
 	cp := &g.nodeSlab[len(g.nodeSlab)-1]
 	*cp = n
 	g.dropNode(n.ID)
-	g.nodes[n.ID] = cp
+	g.nodeTable()[n.ID] = cp
 	g.indexAddr(cp)
 	g.invalidate()
 	return cp
@@ -252,40 +323,93 @@ func (g *Graph) AddNode(n Node) *Node {
 
 func (g *Graph) indexAddr(n *Node) {
 	if n.Addr != "" {
-		g.byAddr[n.Addr] = n
+		g.addrTable()[n.Addr] = n
 	}
 }
 
 func (g *Graph) unindexAddr(n *Node) {
-	if g.byAddr[n.Addr] == n {
-		delete(g.byAddr, n.Addr)
+	if byAddr := g.addrTable(); byAddr[n.Addr] == n {
+		delete(byAddr, n.Addr)
 	}
 }
 
 // dropNode unbinds a node ID and its address; links are the caller's
 // business.
 func (g *Graph) dropNode(id string) {
-	if g.nodes[id] != nil {
+	if g.Node(id) != nil {
 		g.own()
-		g.unindexAddr(g.nodes[id])
-		delete(g.nodes, id)
+		g.unindexAddr(g.Node(id))
+		delete(g.nodeTable(), id)
 		g.invalidate()
 	}
 }
 
 // Node returns the node with the given ID, or nil. The node may be shared
 // with the graph's clones: it must not be written.
-func (g *Graph) Node(id string) *Node { return g.nodes[id] }
+func (g *Graph) Node(id string) *Node { return g.nodeTable()[id] }
 
 // Nodes returns all nodes sorted by ID. Like Node's, they must not be
 // written.
 func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		out = append(out, n)
+	n := len(g.nodeSlab)
+	if nodes := g.nodes.load(); nodes != nil {
+		n = len(nodes)
 	}
-	slices.SortFunc(out, func(a, b *Node) int { return strings.Compare(a.ID, b.ID) })
-	return out
+	return g.appendNodes(make([]*Node, 0, n))
+}
+
+// appendNodes appends the graph's nodes to dst sorted by ID. A graph with
+// no node table reads them off its slab, keeping the last node of an ID
+// that repeats.
+func (g *Graph) appendNodes(dst []*Node) []*Node {
+	start := len(dst)
+	if nodes := g.nodes.load(); nodes != nil {
+		for _, n := range nodes {
+			dst = append(dst, n)
+		}
+		slices.SortFunc(dst[start:], byID)
+		return dst
+	}
+	for i := range g.nodeSlab {
+		dst = append(dst, &g.nodeSlab[i])
+	}
+	sorted := dst[start:]
+	slices.SortStableFunc(sorted, byID)
+	kept := sorted[:0]
+	for i, n := range sorted {
+		if i+1 == len(sorted) || sorted[i+1].ID != n.ID {
+			kept = append(kept, n)
+		}
+	}
+	return dst[:start+len(kept)]
+}
+
+func byID(a, b *Node) int { return strings.Compare(a.ID, b.ID) }
+
+// scratch is a reader's working memory, pooled so that encoding, decoding
+// or asking HasParallelLinks of a graph allocates nothing it does not
+// return: the nodes in ID order, the node lines DecodeText has read and
+// the line each ID names, and the endpoint pairs HasParallelLinks has
+// seen. The maps are emptied after each use.
+type scratch struct {
+	nodes []*Node
+	spans []nodeSpan
+	text  []byte
+	ids   map[string]int32
+	pairs map[[2]string]struct{}
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// emptied returns a pooled map cleared for its next use, or nil once it
+// holds more than slabMax entries: clearing costs what a map has room for,
+// so one large graph would otherwise tax every later use.
+func emptied[M ~map[K]V, K comparable, V any](m M) M {
+	if len(m) > slabMax {
+		return nil
+	}
+	clear(m)
+	return m
 }
 
 // Links returns the graph's links (stable order of insertion).
@@ -293,20 +417,20 @@ func (g *Graph) Links() []*Link { return g.links }
 
 // NodeByAddr returns the node with the given address, or nil. Like Node's,
 // it must not be written.
-func (g *Graph) NodeByAddr(addr string) *Node { return g.byAddr[addr] }
+func (g *Graph) NodeByAddr(addr string) *Node { return g.addrTable()[addr] }
 
 // AddLink inserts a link. Both endpoints must already exist.
 func (g *Graph) AddLink(l Link) (*Link, error) {
-	if g.nodes[l.From] == nil || g.nodes[l.To] == nil {
+	if g.Node(l.From) == nil || g.Node(l.To) == nil {
 		return nil, fmt.Errorf("topology: link %s-%s references missing node", l.From, l.To)
 	}
 	g.own()
 	g.linkSlab = carve(g.linkSlab)
 	cp := &g.linkSlab[len(g.linkSlab)-1]
 	*cp = l
-	k := pairKey(l.From, l.To)
-	if _, ok := g.linkIdx[k]; !ok {
-		g.linkIdx[k] = int32(len(g.links))
+	linkIdx, k := g.linkTable(), pairKey(l.From, l.To)
+	if _, ok := linkIdx[k]; !ok {
+		linkIdx[k] = int32(len(g.links))
 	}
 	g.links = append(g.links, cp)
 	g.invalidate()
@@ -314,32 +438,43 @@ func (g *Graph) AddLink(l Link) (*Link, error) {
 }
 
 // HasParallelLinks reports whether two of the graph's links join the same
-// pair of nodes, which Merge would fold into one.
-func (g *Graph) HasParallelLinks() bool { return len(g.linkIdx) != len(g.links) }
+// pair of nodes, which Merge would fold into one. A graph with no link
+// table answers from a pooled set of pairs, without building one.
+func (g *Graph) HasParallelLinks() bool {
+	if linkIdx := g.linkIdx.load(); linkIdx != nil {
+		return len(linkIdx) != len(g.links)
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	if sc.pairs == nil {
+		sc.pairs = make(map[[2]string]struct{})
+	}
+	parallel := false
+	for _, l := range g.links {
+		k := pairKey(l.From, l.To)
+		if _, parallel = sc.pairs[k]; parallel {
+			break
+		}
+		sc.pairs[k] = struct{}{}
+	}
+	sc.pairs = emptied(sc.pairs)
+	return parallel
+}
 
 // FindLink returns the first link joining the two nodes in either
 // orientation, or nil.
 func (g *Graph) FindLink(a, b string) *Link {
-	if i, ok := g.linkIdx[pairKey(a, b)]; ok {
+	if i, ok := g.linkTable()[pairKey(a, b)]; ok {
 		return g.links[i]
 	}
 	return nil
 }
 
-// reindexLinks rebuilds the link index after bulk link mutation.
+// reindexLinks rebuilds the link table after bulk link mutation.
 func (g *Graph) reindexLinks() {
 	g.own()
 	g.invalidate()
-	g.indexLinks()
-}
-
-// indexLinks makes the link index anew, from the last link back: the first
-// of parallel links is the one it keeps.
-func (g *Graph) indexLinks() {
-	g.linkIdx = make(map[[2]string]int32, len(g.links))
-	for i := len(g.links) - 1; i >= 0; i-- {
-		g.linkIdx[pairKey(g.links[i].From, g.links[i].To)] = int32(i)
-	}
+	g.linkIdx.v.Store(indexLinks(g))
 }
 
 // Merge folds other into g: nodes are united by ID (other's attributes win
@@ -352,14 +487,14 @@ func (g *Graph) indexLinks() {
 func (g *Graph) Merge(other *Graph) {
 	g.own()
 	fresh := 0
-	for id := range other.nodes {
-		if g.nodes[id] == nil {
+	for id := range other.nodeTable() {
+		if g.Node(id) == nil {
 			fresh++
 		}
 	}
 	g.nodeSlab = reserve(g.nodeSlab, fresh)
-	for _, n := range other.nodes {
-		into := g.nodes[n.ID]
+	for _, n := range other.nodeTable() {
+		into := g.Node(n.ID)
 		switch {
 		case into == nil:
 			// Added without its address: whether the address binds to
@@ -371,8 +506,8 @@ func (g *Graph) Merge(other *Graph) {
 		default:
 			continue
 		}
-		if n.Addr != "" && other.byAddr[n.Addr] == n {
-			g.byAddr[n.Addr] = into
+		if n.Addr != "" && other.NodeByAddr(n.Addr) == n {
+			g.addrTable()[n.Addr] = into
 		}
 	}
 	for i, l := range other.links {
@@ -408,8 +543,8 @@ func (g *Graph) Merge(other *Graph) {
 func (g *Graph) Update(other *Graph) {
 	var moved map[string]bool
 	rehome := len(g.links) > 0
-	for _, n := range other.nodes {
-		exist := g.nodes[n.ID]
+	for _, n := range other.nodeTable() {
+		exist := g.Node(n.ID)
 		if exist == nil {
 			g.AddNode(*n)
 			continue
@@ -419,7 +554,7 @@ func (g *Graph) Update(other *Graph) {
 			continue
 		}
 		g.own()
-		exist = g.nodes[n.ID]
+		exist = g.Node(n.ID)
 		exist.Kind = n.Kind
 		if newAddr {
 			g.unindexAddr(exist)
@@ -445,7 +580,7 @@ func (g *Graph) Update(other *Graph) {
 			continue
 		}
 		for _, id := range [2]string{l.From, l.To} {
-			if other.nodes[id].Kind == HostNode {
+			if other.Node(id).Kind == HostNode {
 				if moved == nil {
 					moved = make(map[string]bool)
 				}
@@ -465,12 +600,16 @@ func (g *Graph) Update(other *Graph) {
 // Clone returns a copy whose links may be written and whose structure may
 // be mutated without touching g. Copies sit on serving paths (snapshot
 // generations, QUERY answers, predictions), so only the links are copied,
-// into one slab: the structure is shared until one side mutates it (own),
-// and so is the memoized shape, whose link numbers are positions in the
-// copy's links as much as in g's.
+// into one slab: the node slab and the tables g has built are shared
+// until one side mutates its structure (own), each side building for
+// itself a table neither had, and so is the memoized shape, whose link
+// numbers are positions in the copy's links as much as in g's.
 func (g *Graph) Clone() *Graph {
 	g.shared.Store(true)
-	out := &Graph{nodes: g.nodes, byAddr: g.byAddr, linkIdx: g.linkIdx}
+	out := &Graph{nodeSlab: g.nodeSlab}
+	g.nodes.shareWith(&out.nodes)
+	g.byAddr.shareWith(&out.byAddr)
+	g.linkIdx.shareWith(&out.linkIdx)
 	out.shared.Store(true)
 	out.shape.Store(g.shape.Load())
 	if len(g.links) > 0 {

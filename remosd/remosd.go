@@ -408,7 +408,7 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 			StreamPredict: "AR(16)",
 		})
 		d.onClose(hc.Stop)
-		loadSrv := &proto.TCPServer{Collector: hc, Admission: st.ctrl}
+		loadSrv := &proto.TCPServer{Collector: hc, Admission: st.ctrl, Obs: reg, Traces: st.traces}
 		laddr, err := loadSrv.ListenAndServe(cfg.ListenHostLoad)
 		if err != nil {
 			return fmt.Errorf("remosd: host load listen: %w", err)

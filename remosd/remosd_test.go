@@ -2,7 +2,9 @@ package remosd_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -11,6 +13,7 @@ import (
 
 	"remos"
 	"remos/internal/directory"
+	"remos/internal/obs"
 	"remos/remosd"
 )
 
@@ -98,7 +101,9 @@ func TestStartProgrammatic(t *testing.T) {
 // TestHostLoadIsMetered: the host load listener sits behind the same
 // admission controller as the wire servers, so a tenant whose burst is
 // one query gets one host load answer and then a typed shed with a retry
-// hint, while an unmetered tenant still gets answers.
+// hint, while an unmetered tenant still gets answers. It reports to the
+// same observability plane: every query admitted is counted and timed in
+// the ASCII request metrics and leaves a /debug/queries record.
 func TestHostLoadIsMetered(t *testing.T) {
 	cfg := testConfig()
 	cfg.ListenHostLoad = "127.0.0.1:0"
@@ -127,8 +132,10 @@ func TestHostLoadIsMetered(t *testing.T) {
 	host := d.Hosts[0].Addr
 
 	// The collector samples at 1 Hz: wait, unmetered, for the first sample.
+	admitted := 0 // the test asks nothing else over ASCII
 	for {
 		_, err := bulk.HostLoadContext(ctx, host, 1)
+		admitted++
 		if err == nil {
 			break
 		}
@@ -149,6 +156,48 @@ func TestHostLoadIsMetered(t *testing.T) {
 	}
 	if _, err := bulk.HostLoadContext(ctx, host, 1); err != nil {
 		t.Fatalf("bulk host load after app's shed: %v", err)
+	}
+	admitted += 2 // app's first and bulk's last; app's second was shed
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + d.ObsAddr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	metrics := string(get("/metrics"))
+	for _, want := range []string{
+		fmt.Sprintf(`remos_requests_total{proto="ascii"} %d`, admitted),
+		fmt.Sprintf(`remos_request_seconds_count{proto="ascii"} %d`, admitted),
+	} {
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	var recs []obs.TraceRecord
+	if err := json.Unmarshal(get("/debug/queries"), &recs); err != nil {
+		t.Fatalf("parsing /debug/queries: %v", err)
+	}
+	answered := 0
+	for _, r := range recs {
+		if r.Kind != "ascii" || r.Attrs != host.String() {
+			t.Errorf("trace of kind %q for %q, want ascii for %s", r.Kind, r.Attrs, host)
+		}
+		for _, sp := range r.Spans {
+			if sp.Name == "encode" {
+				answered++
+			}
+		}
+	}
+	if len(recs) != admitted || answered < 3 {
+		t.Errorf("/debug/queries holds %d host load traces, %d of them answered; want %d, at least 3 answered", len(recs), answered, admitted)
 	}
 }
 
