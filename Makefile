@@ -65,10 +65,10 @@ verify: vet lint build test race
 # and QUERY against the single master), proto (the graph a remote
 # QUERY's ASCII and XML clients decode against the one served),
 # snmpcoll (router views against the emulator, the numbered discovery
-# against the pairwise walk) and topology (a graph added node by node,
-# assembled and decoded answering every lookup alike) draws 20× its
-# tier-1 seed count through testing/quick's standard -quickchecks flag,
-# on the same fixed seed list.
+# against the pairwise walk) and topology (a graph built five ways and
+# cloned answering every lookup alike, and Update against a pair-table
+# reference over random polls) draws 20× its tier-1 seed count through
+# testing/quick's standard -quickchecks flag, on the same fixed seed list.
 property-soak:
 	$(GO) test -count=1 ./internal/netsim/ ./internal/federation/ ./internal/proto/ \
 		./internal/collector/snmpcoll/ ./internal/topology/ -quickchecks=2000

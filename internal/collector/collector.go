@@ -122,11 +122,10 @@ func (r *Result) Clone() *Result {
 // MergeResults takes ownership of the sub-results, which is what lets it
 // hand a lone one up as it is, trimmed to what q asked for, where a merge
 // would only copy it: unless its graph has parallel links (which a merge
-// folds), the copy would encode, bind addresses and route exactly as the
-// original. That holds because every Collect returns a result its caller
-// owns: qcache a Clone of its entry, the Modeler and the federation
-// domain collector a Clone of a generation's graph, the proto clients
-// what they decoded,
+// folds), the copy would encode and route exactly as the original. That
+// holds because every Collect returns a result its caller owns: qcache a
+// Clone of its entry, the Modeler and the federation domain collector a
+// Clone of a generation's graph, the proto clients what they decoded,
 // the master and the federation router what MergeResults made of results
 // they own in turn, and the SNMP, bridge, benchmark, host-load and
 // wireless collectors a graph built for the call.

@@ -47,9 +47,9 @@ var (
 //
 // Every device pair is joined by at most one link. Parallel links are
 // left out because topology.Graph keeps one link per node pair (Merge
-// and FindLink fold the second into the first), so a stitched or
-// collected graph of such a fabric would lose a link the emulator
-// carries traffic on.
+// folds the second into the first, and FindLink answers only the first),
+// so a stitched or collected graph of such a fabric would lose a link the
+// emulator carries traffic on.
 func RandomFabric(sched sim.Scheduler, seed int64) *Fabric {
 	rng := rand.New(rand.NewSource(seed))
 	f := &Fabric{Net: New(sched)}

@@ -572,6 +572,58 @@ func TestShapePreservingApplyAllocationBudget(t *testing.T) {
 
 const applyAllocBudget = 120
 
+// TestReshapingApplyAllocationBudget pins what an apply of all 10 000
+// hosts of the fabric allocates onto a generation one host short: 127
+// under go1.24, most of them the pieces of two maps of ten thousand-odd
+// entries — the node table the generation copies before it takes the
+// host in, and the new routing shape's ID numbering — beside the
+// generation, the clone's links, the shape's arrays and the index. (230
+// while a graph kept an address table and a pair table beside its node
+// table, each copied before the host was added and the pair table rebuilt
+// after.)
+func TestReshapingApplyAllocationBudget(t *testing.T) {
+	ck := newClock()
+	hosts, res := twoTier(t)
+	short := &collector.Result{Graph: lessHost(res.Graph, hosts[len(hosts)-1])}
+	const runs = 3
+	stores := make([]*Store, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range stores {
+		stores[i] = New(Config{Now: ck.Now})
+		stores[i].Apply(hosts, short, ck.Now())
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		stores[next].Apply(hosts, res, ck.Now())
+		next++
+	})
+	t.Logf("a reshaping Apply of %d hosts: %.0f allocations", len(hosts), n)
+	if n > reshapeAllocBudget {
+		t.Fatalf("a reshaping Apply of %d hosts allocates %.0f times, want <= %d", len(hosts), n, reshapeAllocBudget)
+	}
+	if last := hosts[len(hosts)-1].String(); stores[0].Current().Graph().Node(last) == nil {
+		t.Fatalf("the reshaping Apply did not take %s in", last)
+	}
+}
+
+const reshapeAllocBudget = 160
+
+// lessHost is g without the host h and its links, built node by node.
+func lessHost(g *topology.Graph, h netip.Addr) *topology.Graph {
+	id := h.String()
+	short := topology.NewGraph()
+	for _, n := range g.Nodes() {
+		if n.ID != id {
+			short.AddNode(*n)
+		}
+	}
+	for _, l := range g.Links() {
+		if l.From != id && l.To != id {
+			short.AddLink(*l)
+		}
+	}
+	return short
+}
+
 // BenchmarkStoreApply is one Apply of every host of the 10 204-node
 // fabric: onto a generation of the same shape (the stamp vector copied
 // and patched), and onto one a host short (every stamp re-homed).
@@ -589,18 +641,7 @@ func BenchmarkStoreApply(b *testing.B) {
 	})
 	b.Run("reshape", func(b *testing.B) {
 		// Each iteration's store starts from the fabric less one host.
-		last := hosts[len(hosts)-1].String()
-		short := topology.NewGraph()
-		for _, n := range res.Graph.Nodes() {
-			if n.ID != last {
-				short.AddNode(*n)
-			}
-		}
-		for _, l := range res.Graph.Links() {
-			if l.From != last && l.To != last {
-				short.AddLink(*l)
-			}
-		}
+		short := lessHost(res.Graph, hosts[len(hosts)-1])
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()

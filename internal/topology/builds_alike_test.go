@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,12 +17,15 @@ import (
 	"remos/internal/topology"
 )
 
-// TestGraphBuildsAnswerAlike is the cross-path gate on a graph's lookup
-// tables, which a graph builds when first read: one set of node and link
-// slabs is built three ways — AddNode and AddLink in slab order, Assemble
-// of the slabs, and DecodeText of the first way's EncodeText — and every
-// lookup must answer alike on all three, whichever lookup comes first on
-// a fresh graph. The slabs are netsim.RandomFabric draws (seeds through
+// TestGraphBuildsAnswerAlike is the cross-path gate on a graph's lookups,
+// which read the node table a graph builds when first read and the routing
+// shape: one set of node and link slabs is built five ways — AddNode and
+// AddLink in slab order, Assemble of the slabs, DecodeText of the first
+// way's EncodeText, DecodeXML of its EncodeXML, and Merge of it into an
+// empty graph — each also cloned before anything reads it, and every
+// lookup must answer alike on all ten, whichever lookup comes first on a
+// fresh graph. Every FindLink answer must be the first link of its pair in
+// Links(). The slabs are netsim.RandomFabric draws (seeds through
 // testing/quick on a fixed list, so -quickchecks scales them: make
 // property-soak) and a collected cold campus reply, each as drawn and
 // with a repeated node ID, two nodes carrying one address, and an
@@ -61,7 +65,7 @@ func TestGraphBuildsAnswerAlike(t *testing.T) {
 }
 
 // checkVariantsAlike takes g's nodes, in an order of rng's, and links as
-// slabs, and holds the three builds of each variant of them to each other.
+// slabs, and holds the builds of each variant of them to each other.
 func checkVariantsAlike(t *testing.T, what string, rng *rand.Rand, g *topology.Graph) {
 	t.Helper()
 	var nodes []topology.Node
@@ -79,11 +83,10 @@ func checkVariantsAlike(t *testing.T, what string, rng *rand.Rand, g *topology.G
 	}
 }
 
-// slabVariants are the slabs as given and with each thing a table
-// resolves by a rule: which of two nodes an ID or an address names, and
-// which of two links a pair does. The text carries nodes in ID order, so
-// a node sharing an address is given an ID after every other: each build
-// binds the address to the later node.
+// slabVariants are the slabs as given and with each thing a lookup
+// resolves by a rule: which of two nodes an ID names (AddNode's: the
+// later), which of two an address does (NodeByAddr's), and which of two
+// links a pair does (FindLink's: the first).
 var slabVariants = []struct {
 	name string
 	vary func(rng *rand.Rand, nodes []topology.Node, links []topology.Link) ([]topology.Node, []topology.Link)
@@ -97,9 +100,16 @@ var slabVariants = []struct {
 		return append(nodes, again), links
 	}},
 	{"shared address", func(rng *rand.Rand, nodes []topology.Node, links []topology.Link) ([]topology.Node, []topology.Link) {
+		// The twin's ID sorts just after a random node's, so before the
+		// carrier's about half the time.
 		carrier := nodes[rng.Intn(len(nodes))]
-		nodes = append(nodes, topology.Node{ID: "zz-twin", Kind: topology.SwitchNode, Addr: carrier.Addr})
-		return nodes, append(links, topology.Link{From: carrier.ID, To: "zz-twin", Capacity: 1e8})
+		twin := topology.Node{Kind: topology.SwitchNode, Addr: carrier.Addr}
+		for taken := true; taken; {
+			twin.ID = nodes[rng.Intn(len(nodes))].ID + fmt.Sprintf("-%d", rng.Intn(100))
+			taken = slices.ContainsFunc(nodes, func(n topology.Node) bool { return n.ID == twin.ID })
+		}
+		nodes = append(nodes, twin)
+		return nodes, append(links, topology.Link{From: carrier.ID, To: twin.ID, Capacity: 1e8})
 	}},
 	{"parallel link", func(rng *rand.Rand, nodes []topology.Node, links []topology.Link) ([]topology.Node, []topology.Link) {
 		l := links[rng.Intn(len(links))]
@@ -114,9 +124,14 @@ type lookup struct {
 	ask  func(g *topology.Graph) string
 }
 
-// checkBuildsAlike builds the slabs three ways and asks each build every
+// checkBuildsAlike builds the slabs every way and asks each build every
 // lookup, once per lookup kind: on fresh graphs, that kind's lookups come
-// first and the rest follow, each part in an order of rng's.
+// first and the rest follow, each part in an order of rng's. A node ID
+// the slab repeats, AddNode resolves by replacing the earlier node;
+// Assemble, whose nodes must be distinct, is given the slab as AddNode
+// resolves it, and both decoders must refuse the text with the earlier
+// node's line put back. Merge folds parallel links, so it is a way only
+// for slabs without them.
 func checkBuildsAlike(t *testing.T, what string, rng *rand.Rand, nodes []topology.Node, links []topology.Link) {
 	t.Helper()
 	added := func() *topology.Graph {
@@ -131,16 +146,29 @@ func checkBuildsAlike(t *testing.T, what string, rng *rand.Rand, nodes []topolog
 		}
 		return g
 	}
-	var text bytes.Buffer
-	if err := added().EncodeText(&text); err != nil {
+	base := added()
+	var distinct []topology.Node
+	for i, n := range nodes {
+		if slices.ContainsFunc(nodes[i+1:], func(m topology.Node) bool { return m.ID == n.ID }) {
+			assertDecodersRefuse(t, what, base, n)
+			continue
+		}
+		distinct = append(distinct, n)
+	}
+	var text, xmlText bytes.Buffer
+	if err := base.EncodeText(&text); err != nil {
 		t.Fatal(err)
 	}
-	ways := []struct {
+	if err := base.EncodeXML(&xmlText); err != nil {
+		t.Fatal(err)
+	}
+	type way struct {
 		name  string
 		build func() *topology.Graph
-	}{
+	}
+	ways := []way{
 		{"AddNode/AddLink", added},
-		{"Assemble", func() *topology.Graph { return topology.Assemble(slices.Clone(nodes), slices.Clone(links)) }},
+		{"Assemble", func() *topology.Graph { return topology.Assemble(slices.Clone(distinct), slices.Clone(links)) }},
 		{"DecodeText", func() *topology.Graph {
 			g, err := topology.DecodeText(bytes.NewReader(text.Bytes()))
 			if err != nil {
@@ -148,8 +176,25 @@ func checkBuildsAlike(t *testing.T, what string, rng *rand.Rand, nodes []topolog
 			}
 			return g
 		}},
+		{"DecodeXML", func() *topology.Graph {
+			g, err := topology.DecodeXML(bytes.NewReader(xmlText.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}},
 	}
-	asks := lookups(rng, nodes, links)
+	if !base.HasParallelLinks() {
+		ways = append(ways, way{"Merge", func() *topology.Graph {
+			g := topology.NewGraph()
+			g.Merge(added())
+			return g
+		}})
+	}
+	for _, w := range ways {
+		ways = append(ways, way{w.name + ", cloned", func() *topology.Graph { return w.build().Clone() }})
+	}
+	asks := lookups(t, rng, nodes, links)
 	kinds := []string{"Node", "NodeByAddr", "FindLink", "HasParallelLinks", "Nodes", "Path", "FlowAlloc"}
 	var want []string
 	for _, first := range kinds {
@@ -177,6 +222,33 @@ func checkBuildsAlike(t *testing.T, what string, rng *rand.Rand, nodes []topolog
 	}
 }
 
+// assertDecodersRefuse puts n's node line back into g's text and its XML,
+// where g holds a later node of n's ID, and holds both decoders to
+// refusing the result.
+func assertDecodersRefuse(t *testing.T, what string, g *topology.Graph, n topology.Node) {
+	t.Helper()
+	var text, xmlText bytes.Buffer
+	if err := g.EncodeText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.EncodeXML(&xmlText); err != nil {
+		t.Fatal(err)
+	}
+	addr := n.Addr
+	if addr == "" {
+		addr = "-"
+	}
+	_, rest, _ := strings.Cut(text.String(), "\n")
+	repeated := fmt.Sprintf("GRAPH %d %d\nNODE %s %s %s\n%s", len(g.Nodes())+1, len(g.Links()), n.ID, n.Kind, addr, rest)
+	if _, err := topology.DecodeText(strings.NewReader(repeated)); err == nil {
+		t.Fatalf("%s: DecodeText took a second node %s", what, n.ID)
+	}
+	node := fmt.Sprintf(`<topology><node id=%q kind=%q addr=%q></node>`, n.ID, n.Kind, n.Addr)
+	if _, err := topology.DecodeXML(strings.NewReader(strings.Replace(xmlText.String(), "<topology>", node, 1))); err == nil {
+		t.Fatalf("%s: DecodeXML took a second node %s", what, n.ID)
+	}
+}
+
 func boolInt(b bool) int {
 	if b {
 		return 1
@@ -187,9 +259,9 @@ func boolInt(b bool) int {
 // lookups lists what the gate asks of a graph built from the slabs: Node
 // for every ID and a missing one, NodeByAddr for every address and a
 // missing one, FindLink both ways for every linked pair and for sampled
-// pairs, HasParallelLinks, Nodes, and Path and FlowAlloc for sampled
-// pairs.
-func lookups(rng *rand.Rand, nodes []topology.Node, links []topology.Link) []lookup {
+// pairs, each answer held to a scan of Links(), HasParallelLinks, Nodes,
+// and Path and FlowAlloc for sampled pairs.
+func lookups(t *testing.T, rng *rand.Rand, nodes []topology.Node, links []topology.Link) []lookup {
 	ids := []string{"no-such-node"}
 	addrs := []string{"203.0.113.9"}
 	for _, n := range nodes {
@@ -215,7 +287,12 @@ func lookups(rng *rand.Rand, nodes []topology.Node, links []topology.Link) []loo
 	}
 	for _, p := range pairs {
 		out = append(out, lookup{"FindLink", func(g *topology.Graph) string {
-			return linkText(g.FindLink(p[0], p[1])) + " " + linkText(g.FindLink(p[1], p[0]))
+			ab, ba := g.FindLink(p[0], p[1]), g.FindLink(p[1], p[0])
+			if first := firstLink(g, p[0], p[1]); ab != first || ba != first {
+				t.Fatalf("FindLink(%s, %s) = %s and FindLink(%s, %s) = %s; the first link of the pair is %s",
+					p[0], p[1], linkText(ab), p[1], p[0], linkText(ba), linkText(first))
+			}
+			return linkText(ab) + " " + linkText(ba)
 		}})
 	}
 	out = append(out,
@@ -246,6 +323,16 @@ func lookups(rng *rand.Rand, nodes []topology.Node, links []topology.Link) []loo
 		}})
 	}
 	return out
+}
+
+// firstLink is the first of g's links joining a and b, by a scan.
+func firstLink(g *topology.Graph, a, b string) *topology.Link {
+	for _, l := range g.Links() {
+		if l.From == a && l.To == b || l.From == b && l.To == a {
+			return l
+		}
+	}
+	return nil
 }
 
 func nodeText(n *topology.Node) string {

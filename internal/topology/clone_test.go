@@ -156,8 +156,8 @@ func assertIndexLikeRebuild(t *testing.T, after string, prev *PathIndex, g *Grap
 // graph sharing nothing would after the same mutation. Both sides route —
 // by Graph and by an index built after the original's — as they would
 // with no memo carried. The original is either built node by node, its
-// tables and shape warm when it is cloned, or decoded and cloned before
-// anything reads it, so that each side builds its own tables.
+// node map and shape warm when it is cloned, or decoded and cloned before
+// anything reads it, so that each side builds its own node map.
 func TestCloneIsolatesEveryMutator(t *testing.T) {
 	for _, m := range cloneMutators {
 		for _, mutateClone := range []bool{false, true} {
@@ -202,6 +202,12 @@ func TestCloneIsolatesEveryMutator(t *testing.T) {
 	}
 }
 
+// twinID is a node the writers below add beside hosts[0], carrying its
+// address 10.9.0.1 under that address as its ID: NodeByAddr names it
+// rather than hosts[0] in the clone it is added to, and in that clone
+// only.
+const twinID = "10.9.0.1"
+
 // TestCloneBesideReaders has readers clone and read a graph while another
 // goroutine mutates a third clone of it, structurally and not (meaningful
 // under -race).
@@ -233,7 +239,7 @@ func TestCloneBesideReaders(t *testing.T) {
 					err = fmt.Errorf("reader %d: clone routes %v, want %v", w, path, wantPath)
 				case g.NodeByAddr("10.9.0.1") == nil || g.NodeByAddr("10.9.0.1").ID != hosts[0]:
 					err = fmt.Errorf("reader %d: the original lost %s's address", w, hosts[0])
-				case g.FindLink(hosts[0], "zz") != nil:
+				case g.FindLink(hosts[0], twinID) != nil:
 					err = fmt.Errorf("reader %d: the original found a link the writer added", w)
 				}
 				if err != nil {
@@ -253,11 +259,11 @@ func TestCloneBesideReaders(t *testing.T) {
 				l.UtilToFrom = float64(i)
 			}
 			m.Update(poll)
-			m.AddNode(Node{ID: "zz", Kind: SwitchNode, Addr: "10.9.0.1"})
-			m.AddLink(Link{From: hosts[0], To: "zz", Capacity: 1})
+			m.AddNode(Node{ID: twinID, Kind: SwitchNode, Addr: "10.9.0.1"})
+			m.AddLink(Link{From: hosts[0], To: twinID, Capacity: 1})
 			m.CollapseSwitchClouds("v")
-			if m.NodeByAddr("10.9.0.1").ID != "zz" {
-				errs <- fmt.Errorf("writer: the mutated clone lost its rebinding")
+			if m.NodeByAddr("10.9.0.1").ID != twinID {
+				errs <- fmt.Errorf("writer: the mutated clone does not answer its own node for 10.9.0.1")
 				return
 			}
 		}
@@ -315,7 +321,7 @@ func TestFirstReadsRace(t *testing.T) {
 							return fmt.Errorf("FindLink(%s, %s) = %v", l.To, l.From, got)
 						}
 					}
-					if r.FindLink(hosts[0], "zz") != nil {
+					if r.FindLink(hosts[0], twinID) != nil {
 						return fmt.Errorf("found a link the writer added")
 					}
 					return nil
@@ -347,11 +353,11 @@ func TestFirstReadsRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.AddNode(Node{ID: "zz", Kind: SwitchNode, Addr: "10.9.0.1"})
-			m.AddLink(Link{From: hosts[0], To: "zz", Capacity: 1})
+			m.AddNode(Node{ID: twinID, Kind: SwitchNode, Addr: "10.9.0.1"})
+			m.AddLink(Link{From: hosts[0], To: twinID, Capacity: 1})
 			m.CollapseSwitchClouds("v")
-			if n := m.NodeByAddr("10.9.0.1"); n == nil || n.ID != "zz" {
-				errs <- fmt.Errorf("round %d, writer: the mutated clone lost its rebinding", round)
+			if n := m.NodeByAddr("10.9.0.1"); n == nil || n.ID != twinID {
+				errs <- fmt.Errorf("round %d, writer: the mutated clone does not answer its own node for 10.9.0.1", round)
 			}
 		}()
 		wg.Wait()

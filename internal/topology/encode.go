@@ -119,9 +119,10 @@ type nodeSpan struct {
 //
 // The graph is assembled as Assemble does, in one pass over the lines,
 // and builds no table: a link's endpoints are found through a pooled index
-// of the node lines. The IDs and addresses of all nodes are cut from one
-// string, and the link slab is presized from the header only up to
-// slabMax, since its counts are the peer's word.
+// of the node lines, which also refuses a second node of an ID. The IDs
+// and addresses of all nodes are cut from one string, and the link slab is
+// presized from the header only up to slabMax, since its counts are the
+// peer's word.
 func DecodeText(r io.Reader) (*Graph, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -187,7 +188,9 @@ func DecodeText(r io.Reader) (*Graph, error) {
 	}
 	defer func() { sc.ids = emptied(sc.ids) }()
 	for i := range nodeSlab {
-		sc.ids[nodeSlab[i].ID] = int32(i)
+		if sc.ids[nodeSlab[i].ID] = int32(i); len(sc.ids) != i+1 {
+			return nil, repeatedNode(nodeSlab[i].ID)
+		}
 	}
 
 	linkSlab := make([]Link, 0, min(nl, slabMax))
@@ -245,6 +248,12 @@ func DecodeText(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
+// repeatedNode is the error for a second node of an ID: the encoders
+// never write one.
+func repeatedNode(id string) error {
+	return fmt.Errorf("topology: repeated node ID %q", id)
+}
+
 // badLine is the error for a line DecodeText cannot read as what.
 func badLine(what string, line []byte) error {
 	return fmt.Errorf("topology: bad %s %q", what, line)
@@ -292,7 +301,8 @@ func (g *Graph) EncodeXML(w io.Writer) error {
 	return enc.Encode(x)
 }
 
-// DecodeXML parses the XML form produced by EncodeXML.
+// DecodeXML parses the XML form produced by EncodeXML. Like DecodeText, it
+// refuses a second node of an ID.
 func DecodeXML(r io.Reader) (*Graph, error) {
 	var x xmlGraph
 	if err := xml.NewDecoder(r).Decode(&x); err != nil {
@@ -303,6 +313,9 @@ func DecodeXML(r io.Reader) (*Graph, error) {
 		kind, err := ParseNodeKind(n.Kind)
 		if err != nil {
 			return nil, err
+		}
+		if g.Node(n.ID) != nil {
+			return nil, repeatedNode(n.ID)
 		}
 		g.AddNode(Node{ID: n.ID, Kind: kind, Addr: n.Addr})
 	}

@@ -254,20 +254,16 @@ func TestDecodeTextReadsInPlace(t *testing.T) {
 		}
 	})
 	t.Run("duplicate_node", func(t *testing.T) {
-		// The later line wins; the earlier node's address is unbound, and
-		// an address the later node takes from another moves to it.
+		// The encoders never write a second node of an ID, and neither
+		// decoder takes one.
 		text := "GRAPH 4 2\nNODE a host 10.0.0.1\nNODE b host 10.0.0.2\nNODE a router 10.0.0.2\nNODE c switch -\n" +
 			"LINK a b 1 0 0 0 0\nLINK c a 2 0 0 0 0\nEND\n"
-		g, err := DecodeText(strings.NewReader(text))
-		if err != nil {
-			t.Fatal(err)
+		if g, err := DecodeText(strings.NewReader(text)); err == nil || !strings.Contains(err.Error(), `repeated node ID "a"`) {
+			t.Fatalf("a repeated node ID decoded to %v, %v", g, err)
 		}
-		assertDecodedAsBuilt(t, g, builtFrom(t, text), "10.0.0.1", "10.0.0.2")
-		if n := g.NodeByAddr("10.0.0.2"); n == nil || n.ID != "a" || n.Kind != RouterNode {
-			t.Fatalf("10.0.0.2 is bound to %+v, want the later a", n)
-		}
-		if n := g.NodeByAddr("10.0.0.1"); n != nil {
-			t.Fatalf("the replaced node's 10.0.0.1 is still bound, to %+v", n)
+		xml := `<topology><node id="a" kind="host"></node><node id="a" kind="router"></node></topology>`
+		if g, err := DecodeXML(strings.NewReader(xml)); err == nil || !strings.Contains(err.Error(), `repeated node ID "a"`) {
+			t.Fatalf("a repeated node ID decoded from XML to %v, %v", g, err)
 		}
 	})
 	t.Run("parallel_links", func(t *testing.T) {
@@ -368,7 +364,7 @@ func TestTextCodecAllocationBudget(t *testing.T) {
 		if d.HasParallelLinks() {
 			t.Fatal("the cold reply has parallel links")
 		}
-	}); n > 0 || d.nodes.load() != nil || d.byAddr.load() != nil || d.linkIdx.load() != nil {
+	}); n > 0 || d.builtNodes() != nil {
 		t.Fatalf("HasParallelLinks of a decoded graph allocates %.0f times, or a table was built", n)
 	}
 }
@@ -391,7 +387,7 @@ func TestAssembleAllocationBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { assembled = Assemble(nodes, links) }); n > 2 {
 		t.Fatalf("Assemble of %d nodes and %d links allocates %.0f times, want <= 2", len(nodes), len(links), n)
 	}
-	if assembled.nodes.load() != nil || assembled.byAddr.load() != nil || assembled.linkIdx.load() != nil {
+	if assembled.builtNodes() != nil {
 		t.Fatal("Assemble built a table")
 	}
 }
@@ -493,11 +489,11 @@ func graphBlocks(reply []byte) [][]byte {
 // FuzzDecodeText drives the ASCII graph decoder — what a client, or a
 // federation router, reads from a peer daemon — with arbitrary bytes. It
 // must never panic, whatever it accepts must re-encode and decode to the
-// same graph, and the tables the decoded graph builds when first read must
-// answer as those of the graph AddNode and AddLink build from its lines:
-// repeated IDs, shared addresses and parallel links are what the fuzzer
-// makes most. Seeds are the graph blocks of the recorded ASCII reply
-// transcripts.
+// same graph, and the decoded graph must answer every lookup as the graph
+// AddNode and AddLink build from its lines: shared addresses and parallel
+// links are what the fuzzer makes most. Input that repeats a node ID is
+// refused, so what decodes holds each ID once. Seeds are the graph blocks
+// of the recorded ASCII reply transcripts.
 func FuzzDecodeText(f *testing.F) {
 	outs, err := filepath.Glob(filepath.Join("..", "proto", "testdata", "transcripts", "ascii", "*.out"))
 	if err != nil {
@@ -542,6 +538,13 @@ func FuzzDecodeText(f *testing.F) {
 		}
 		if err := small.EncodeText(&smallText); err != nil || !bytes.Equal(text.Bytes(), smallText.Bytes()) {
 			t.Fatalf("through a 16-byte reader the graph re-encodes as\n%s\nnot\n%s", smallText.Bytes(), text.Bytes())
+		}
+		seen := make(map[string]bool, len(small.nodeSlab))
+		for _, n := range small.nodeSlab {
+			if seen[n.ID] {
+				t.Fatalf("node ID %q decoded twice", n.ID)
+			}
+			seen[n.ID] = true
 		}
 		// Encoding built no table: the lookups below build small's.
 		assertReadsAsAdded(t, small)

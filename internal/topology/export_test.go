@@ -23,8 +23,10 @@ func RandomFabric(rng *rand.Rand) (*Graph, []netip.Addr) {
 			g.AddNode(*n)
 		}
 	}
+	linked := map[[2]string]bool{}
 	for _, l := range ad.g.Links() {
-		if !island[l.From] && g.FindLink(l.From, l.To) == nil {
+		if k := pairKey(l.From, l.To); !island[l.From] && !linked[k] {
+			linked[k] = true
 			g.AddLink(*l)
 		}
 	}
@@ -37,5 +39,5 @@ func RandomFabric(rng *rand.Rand) (*Graph, []netip.Addr) {
 // Clone that neither has mutated since.
 func (g *Graph) sharesStructure(other *Graph) bool {
 	return unsafe.SliceData(g.nodeSlab) == unsafe.SliceData(other.nodeSlab) &&
-		reflect.ValueOf(g.nodes.load()).UnsafePointer() == reflect.ValueOf(other.nodes.load()).UnsafePointer()
+		reflect.ValueOf(g.builtNodes()).UnsafePointer() == reflect.ValueOf(other.builtNodes()).UnsafePointer()
 }

@@ -263,6 +263,25 @@ func (sh *shape) matches(g *Graph) bool {
 	return true
 }
 
+// noLink is the link number of a pair no link joins.
+const noLink int32 = -1
+
+// link returns the number of the first link, in insertion order, joining
+// the two node IDs, or noLink: a lower-bound search of the first node's
+// peers, which ascend, a pair's hops in link order.
+func (sh *shape) link(a, b string) int32 {
+	u, okA := sh.num[a]
+	v, okB := sh.num[b]
+	if !okA || !okB {
+		return noLink
+	}
+	at := sh.off[u]
+	if i, ok := slices.BinarySearch(sh.peers[at:sh.off[u+1]], v); ok {
+		return int32(sh.hops[at+int32(i)] >> 1)
+	}
+	return noLink
+}
+
 // tree returns the memoized BFS tree rooted at src, computing it on
 // first use.
 func (sh *shape) tree(src int32) []hop {

@@ -177,14 +177,14 @@ func TestShapeChangeForcesFreshShape(t *testing.T) {
 		"node added":   func(g *Graph) { g.AddNode(Node{ID: "e", Kind: HostNode}) },
 		"node removed": func(g *Graph) { g.removeNode("spare") },
 		"link added":   func(g *Graph) { g.AddLink(Link{From: "b", To: "d", Capacity: 100e6}) },
-		"link removed": func(g *Graph) { g.links = g.links[:len(g.links)-1]; g.reindexLinks() },
+		"link removed": func(g *Graph) { g.links = g.links[:len(g.links)-1]; g.invalidate() },
 		"endpoints swapped": func(g *Graph) {
 			l := g.links[2]
 			l.From, l.To = l.To, l.From
 		},
 		"parallel links reordered": func(g *Graph) {
 			g.links[0], g.links[1] = g.links[1], g.links[0]
-			g.reindexLinks()
+			g.invalidate()
 		},
 		"same counts, another ID": func(g *Graph) {
 			g.removeNode("spare")
@@ -192,7 +192,7 @@ func TestShapeChangeForcesFreshShape(t *testing.T) {
 		},
 		"same counts, link moved": func(g *Graph) {
 			g.links[3].From = "b" // c-d becomes b-d
-			g.reindexLinks()
+			g.invalidate()
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -169,7 +169,7 @@ func (g *Graph) CollapseSwitchClouds(prefix string) int {
 			kept = append(kept, l)
 		}
 		g.links = kept
-		g.reindexLinks()
+		g.invalidate()
 		for _, id := range comp {
 			g.dropNode(id)
 		}
@@ -188,7 +188,7 @@ func (g *Graph) removeNode(id string) {
 		}
 	}
 	g.links = kept
-	g.reindexLinks()
+	g.invalidate()
 }
 
 // combineJitter adds independent delay variations: root of summed

@@ -7,7 +7,6 @@ package topology
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -124,21 +123,19 @@ type Graph struct {
 	nodeSlab []Node
 	linkSlab []Link
 	links    []*Link
-	// nodes, byAddr and linkIdx are the graph's lookup tables, each a memo
-	// built from the slabs by its first reader (table): a graph that
-	// never mutates, such as an answer assembled, encoded and decoded,
-	// builds only the ones it is asked through. Every structural mutator
-	// builds all three first (own) and keeps them, so a table that is
-	// missing means the slabs are the whole truth. A Clone shares the
-	// node slab and the tables built so far, and the nodes they point
-	// to; only the links are copied. shared is the marker both then
-	// carry: set by Clone on each, it makes every structural mutator take
-	// a private copy first (own), so a graph never writes structure
-	// another graph reads.
-	nodes   table[map[string]*Node]
-	byAddr  table[map[string]*Node]    // address -> the node carrying it
-	linkIdx table[map[[2]string]int32] // canonical (sorted) endpoint pair -> index of the first link
-	shared  atomic.Bool
+	// nodes is the graph's one lookup table, ID -> node: a memo built from
+	// the node slab by its first reader (nodeTable), so a graph that never
+	// mutates, such as an answer assembled, encoded and decoded, may never
+	// build it. Every structural mutator builds it first (own) and keeps
+	// it, so a graph without it holds its nodes in the slab alone, under
+	// distinct IDs. What is asked by endpoint pair, the shape answers. A
+	// Clone shares the node slab, the table if built and the nodes it
+	// points to; only the links are copied. shared is the marker both then
+	// carry: set by Clone on each, it makes every structural mutator take a
+	// private copy first (own), so a graph never writes structure another
+	// graph reads.
+	nodes  atomic.Value // map[string]*Node, which it stores without allocating
+	shared atomic.Bool
 	// shape memoizes the graph's routing structure (routing): built by
 	// the first routing request after a change, read by every one until
 	// the next, and handed to a Clone, whose links are this graph's in
@@ -147,92 +144,48 @@ type Graph struct {
 	shape atomic.Pointer[shape]
 }
 
-// table is one of a graph's lookup tables: nil until its first reader
-// builds it, racing builders sharing the first one stored, as routing
-// shares the shape. It holds a map, which an atomic.Value stores without
-// allocating.
-type table[M any] struct{ v atomic.Value }
-
-// load returns the table, nil if no reader has built it.
-func (t *table[M]) load() M {
-	m, _ := t.v.Load().(M)
-	return m
-}
-
-// get returns the table, building it from g first if no reader has.
-func (t *table[M]) get(g *Graph, build func(*Graph) M) M {
-	if m, ok := t.v.Load().(M); ok {
-		return m
+// nodeTable returns the node table, building it from the node slab first
+// if no reader has. Racing builders share the first table stored, as
+// routing shares the shape.
+func (g *Graph) nodeTable() map[string]*Node {
+	if nodes := g.builtNodes(); nodes != nil {
+		return nodes
 	}
-	t.v.CompareAndSwap(nil, build(g))
-	return t.v.Load().(M)
-}
-
-// shareWith hands the table, if built, to another graph's.
-func (t *table[M]) shareWith(to *table[M]) {
-	if m, ok := t.v.Load().(M); ok {
-		to.v.Store(m)
-	}
-}
-
-func (g *Graph) nodeTable() map[string]*Node    { return g.nodes.get(g, indexNodes) }
-func (g *Graph) addrTable() map[string]*Node    { return g.byAddr.get(g, indexAddrs) }
-func (g *Graph) linkTable() map[[2]string]int32 { return g.linkIdx.get(g, indexLinks) }
-
-// indexNodes makes the node table from the node slab: a node repeating an
-// earlier node's ID replaces it.
-func indexNodes(g *Graph) map[string]*Node {
 	m := make(map[string]*Node, len(g.nodeSlab))
 	for i := range g.nodeSlab {
 		m[g.nodeSlab[i].ID] = &g.nodeSlab[i]
 	}
+	g.nodes.CompareAndSwap(nil, m)
+	return g.builtNodes()
+}
+
+// builtNodes returns the node table, nil if no reader has built it.
+func (g *Graph) builtNodes() map[string]*Node {
+	m, _ := g.nodes.Load().(map[string]*Node)
 	return m
 }
 
-// indexAddrs makes the address table from the node slab, binding each
-// node's address in turn as AddNode would: a node takes its address from
-// any earlier carrier, and a node replaced by a later one of its ID
-// unbinds the address it still holds. Only a slab where an ID repeats,
-// which the node table tells, needs each ID's node so far for the latter.
-func indexAddrs(g *Graph) map[string]*Node {
-	m := make(map[string]*Node, len(g.nodeSlab))
-	var bound map[string]*Node
-	if len(g.nodeTable()) != len(g.nodeSlab) {
-		bound = make(map[string]*Node, len(g.nodeSlab))
+// eachNode calls f on each of the graph's nodes, in no order, building
+// nothing: the table's nodes if it is built, else the slab's.
+func (g *Graph) eachNode(f func(*Node)) {
+	if nodes := g.builtNodes(); nodes != nil {
+		for _, n := range nodes {
+			f(n)
+		}
+		return
 	}
 	for i := range g.nodeSlab {
-		n := &g.nodeSlab[i]
-		if bound != nil {
-			if old := bound[n.ID]; old != nil && m[old.Addr] == old {
-				delete(m, old.Addr)
-			}
-			bound[n.ID] = n
-		}
-		if n.Addr != "" {
-			m[n.Addr] = n
-		}
+		f(&g.nodeSlab[i])
 	}
-	return m
-}
-
-// indexLinks makes the link table from the last link back: the first of
-// parallel links is the one it keeps.
-func indexLinks(g *Graph) map[[2]string]int32 {
-	m := make(map[[2]string]int32, len(g.links))
-	for i := len(g.links) - 1; i >= 0; i-- {
-		m[pairKey(g.links[i].From, g.links[i].To)] = int32(i)
-	}
-	return m
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph { return Assemble(nil, nil) }
 
 // Assemble returns the graph of nodes and links, taking both slices as its
-// slabs and building no table: its first reader builds the one it asks
-// through. A node repeating an earlier node's ID replaces it, and parallel
-// links are all kept, the first indexed, as AddNode and AddLink have it.
-// Links must join the nodes' IDs.
+// slabs and building no table: its first reader builds it. The nodes' IDs
+// must be distinct, and the links must join them; parallel links are all
+// kept, as AddLink keeps them.
 func Assemble(nodes []Node, links []Link) *Graph {
 	g := &Graph{nodeSlab: nodes}
 	g.assembleLinks(links)
@@ -274,29 +227,22 @@ func carve[T any](slab []T) []T {
 // invalidate drops what is memoized about the graph's structure.
 func (g *Graph) invalidate() { g.shape.Store(nil) }
 
-// own gives g a structure of its own before it writes one: it builds
-// every table a reader has not, and if a Clone shares g's nodes and
-// tables, g copies them, nodes included, and drops its marker. The copy
-// leaves the shape unchanged, so what is memoized stays.
+// own gives g a structure of its own before it writes one: it builds the
+// node table if no reader has, and if a Clone shares g's nodes and table,
+// g copies both and drops its marker. The copy leaves the shape
+// unchanged, so what is memoized stays.
 func (g *Graph) own() {
-	nodes, byAddr, linkIdx := g.nodeTable(), g.addrTable(), g.linkTable()
+	nodes := g.nodeTable()
 	if !g.shared.Load() {
 		return
 	}
-	ownNodes := make(map[string]*Node, len(nodes))
-	ownAddrs := make(map[string]*Node, len(byAddr))
+	own := make(map[string]*Node, len(nodes))
 	slab := make([]Node, 0, len(nodes))
 	for id, n := range nodes {
 		slab = append(slab, *n)
-		cp := &slab[len(slab)-1]
-		ownNodes[id] = cp
-		if byAddr[n.Addr] == n {
-			ownAddrs[n.Addr] = cp
-		}
+		own[id] = &slab[len(slab)-1]
 	}
-	g.nodes.v.Store(ownNodes)
-	g.byAddr.v.Store(ownAddrs)
-	g.linkIdx.v.Store(maps.Clone(linkIdx))
+	g.nodes.Store(own)
 	g.nodeSlab = slab
 	g.shared.Store(false)
 }
@@ -314,31 +260,15 @@ func (g *Graph) AddNode(n Node) *Node {
 	g.nodeSlab = carve(g.nodeSlab)
 	cp := &g.nodeSlab[len(g.nodeSlab)-1]
 	*cp = n
-	g.dropNode(n.ID)
 	g.nodeTable()[n.ID] = cp
-	g.indexAddr(cp)
 	g.invalidate()
 	return cp
 }
 
-func (g *Graph) indexAddr(n *Node) {
-	if n.Addr != "" {
-		g.addrTable()[n.Addr] = n
-	}
-}
-
-func (g *Graph) unindexAddr(n *Node) {
-	if byAddr := g.addrTable(); byAddr[n.Addr] == n {
-		delete(byAddr, n.Addr)
-	}
-}
-
-// dropNode unbinds a node ID and its address; links are the caller's
-// business.
+// dropNode unbinds a node ID; links are the caller's business.
 func (g *Graph) dropNode(id string) {
 	if g.Node(id) != nil {
 		g.own()
-		g.unindexAddr(g.Node(id))
 		delete(g.nodeTable(), id)
 		g.invalidate()
 	}
@@ -352,36 +282,18 @@ func (g *Graph) Node(id string) *Node { return g.nodeTable()[id] }
 // written.
 func (g *Graph) Nodes() []*Node {
 	n := len(g.nodeSlab)
-	if nodes := g.nodes.load(); nodes != nil {
+	if nodes := g.builtNodes(); nodes != nil {
 		n = len(nodes)
 	}
 	return g.appendNodes(make([]*Node, 0, n))
 }
 
-// appendNodes appends the graph's nodes to dst sorted by ID. A graph with
-// no node table reads them off its slab, keeping the last node of an ID
-// that repeats.
+// appendNodes appends the graph's nodes to dst sorted by ID.
 func (g *Graph) appendNodes(dst []*Node) []*Node {
 	start := len(dst)
-	if nodes := g.nodes.load(); nodes != nil {
-		for _, n := range nodes {
-			dst = append(dst, n)
-		}
-		slices.SortFunc(dst[start:], byID)
-		return dst
-	}
-	for i := range g.nodeSlab {
-		dst = append(dst, &g.nodeSlab[i])
-	}
-	sorted := dst[start:]
-	slices.SortStableFunc(sorted, byID)
-	kept := sorted[:0]
-	for i, n := range sorted {
-		if i+1 == len(sorted) || sorted[i+1].ID != n.ID {
-			kept = append(kept, n)
-		}
-	}
-	return dst[:start+len(kept)]
+	g.eachNode(func(n *Node) { dst = append(dst, n) })
+	slices.SortFunc(dst[start:], byID)
+	return dst
 }
 
 func byID(a, b *Node) int { return strings.Compare(a.ID, b.ID) }
@@ -390,16 +302,25 @@ func byID(a, b *Node) int { return strings.Compare(a.ID, b.ID) }
 // or asking HasParallelLinks of a graph allocates nothing it does not
 // return: the nodes in ID order, the node lines DecodeText has read and
 // the line each ID names, and the endpoint pairs HasParallelLinks has
-// seen. The maps are emptied after each use.
+// seen, or Merge and Update have joined, each with the link it names.
+// The maps are emptied after each use.
 type scratch struct {
 	nodes []*Node
 	spans []nodeSpan
 	text  []byte
 	ids   map[string]int32
-	pairs map[[2]string]struct{}
+	pairs map[[2]string]int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// pairTable returns the scratch's pair map, empty, made on first use.
+func (sc *scratch) pairTable() map[[2]string]int32 {
+	if sc.pairs == nil {
+		sc.pairs = make(map[[2]string]int32)
+	}
+	return sc.pairs
+}
 
 // emptied returns a pooled map cleared for its next use, or nil once it
 // holds more than slabMax entries: clearing costs what a map has room for,
@@ -415,9 +336,27 @@ func emptied[M ~map[K]V, K comparable, V any](m M) M {
 // Links returns the graph's links (stable order of insertion).
 func (g *Graph) Links() []*Link { return g.links }
 
-// NodeByAddr returns the node with the given address, or nil. Like Node's,
-// it must not be written.
-func (g *Graph) NodeByAddr(addr string) *Node { return g.addrTable()[addr] }
+// NodeByAddr returns a node carrying the given address, or nil. Like
+// Node's, it must not be written. The answer depends on the graph's nodes
+// alone, not on how the graph was built, decoded, cloned or merged: the
+// node whose ID is the address, if it carries it — every host, found in
+// one lookup — and otherwise, of the nodes carrying it, the one with the
+// smallest ID, found by a scan.
+func (g *Graph) NodeByAddr(addr string) *Node {
+	if addr == "" {
+		return nil
+	}
+	if n := g.Node(addr); n != nil && n.Addr == addr {
+		return n
+	}
+	var carrier *Node
+	for _, n := range g.nodeTable() {
+		if n.Addr == addr && (carrier == nil || n.ID < carrier.ID) {
+			carrier = n
+		}
+	}
+	return carrier
+}
 
 // AddLink inserts a link. Both endpoints must already exist.
 func (g *Graph) AddLink(l Link) (*Link, error) {
@@ -428,105 +367,94 @@ func (g *Graph) AddLink(l Link) (*Link, error) {
 	g.linkSlab = carve(g.linkSlab)
 	cp := &g.linkSlab[len(g.linkSlab)-1]
 	*cp = l
-	linkIdx, k := g.linkTable(), pairKey(l.From, l.To)
-	if _, ok := linkIdx[k]; !ok {
-		linkIdx[k] = int32(len(g.links))
-	}
 	g.links = append(g.links, cp)
 	g.invalidate()
 	return cp, nil
 }
 
 // HasParallelLinks reports whether two of the graph's links join the same
-// pair of nodes, which Merge would fold into one. A graph with no link
-// table answers from a pooled set of pairs, without building one.
+// pair of nodes, which Merge would fold into one. It answers from a pooled
+// set of pairs, building nothing.
 func (g *Graph) HasParallelLinks() bool {
-	if linkIdx := g.linkIdx.load(); linkIdx != nil {
-		return len(linkIdx) != len(g.links)
-	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	if sc.pairs == nil {
-		sc.pairs = make(map[[2]string]struct{})
-	}
+	pairs := sc.pairTable()
 	parallel := false
 	for _, l := range g.links {
 		k := pairKey(l.From, l.To)
-		if _, parallel = sc.pairs[k]; parallel {
+		if _, parallel = pairs[k]; parallel {
 			break
 		}
-		sc.pairs[k] = struct{}{}
+		pairs[k] = 0
 	}
-	sc.pairs = emptied(sc.pairs)
+	sc.pairs = emptied(pairs)
 	return parallel
 }
 
 // FindLink returns the first link joining the two nodes in either
-// orientation, or nil.
+// orientation, or nil. The shape answers it, built first if a structural
+// change dropped it, so a caller that adds links between lookups should
+// keep its own index of pairs, as Merge does.
 func (g *Graph) FindLink(a, b string) *Link {
-	if i, ok := g.linkTable()[pairKey(a, b)]; ok {
+	if i := g.routing().link(a, b); i != noLink {
 		return g.links[i]
 	}
 	return nil
 }
 
-// reindexLinks rebuilds the link table after bulk link mutation.
-func (g *Graph) reindexLinks() {
-	g.own()
-	g.invalidate()
-	g.linkIdx.v.Store(indexLinks(g))
+// readingsAs returns l's readings from and to the ends of k, which joins
+// the same pair: l's own, or turned round.
+func (l *Link) readingsAs(k *Link) (fromTo, toFrom float64) {
+	if k.From != l.From {
+		return l.UtilToFrom, l.UtilFromTo
+	}
+	return l.UtilFromTo, l.UtilToFrom
 }
 
 // Merge folds other into g: nodes are united by ID (other's attributes win
 // for duplicates only where g's are empty) and duplicate links (same
 // unordered endpoints) keep the larger utilization readings — collectors
-// measuring the same physical link may report at different instants. An
-// address other binds to one of its nodes (NodeByAddr) comes out bound to
-// that node's counterpart in g, so the result does not depend on the
-// order the nodes are visited in.
+// measuring the same physical link may report at different instants. The
+// links are joined through an index of pairs local to the call, holding
+// g's first link of each pair and every link other adds, so a later link
+// of other folds into the one it found.
 func (g *Graph) Merge(other *Graph) {
 	g.own()
 	fresh := 0
-	for id := range other.nodeTable() {
-		if g.Node(id) == nil {
+	other.eachNode(func(n *Node) {
+		if g.Node(n.ID) == nil {
 			fresh++
 		}
-	}
+	})
 	g.nodeSlab = reserve(g.nodeSlab, fresh)
-	for _, n := range other.nodeTable() {
-		into := g.Node(n.ID)
-		switch {
+	other.eachNode(func(n *Node) {
+		switch into := g.Node(n.ID); {
 		case into == nil:
-			// Added without its address: whether the address binds to
-			// it is other's to say, below.
-			into = g.AddNode(Node{ID: n.ID, Kind: n.Kind})
-			into.Addr = n.Addr
+			g.AddNode(*n)
 		case into.Addr == "":
 			into.Addr = n.Addr
-		default:
-			continue
 		}
-		if n.Addr != "" && other.NodeByAddr(n.Addr) == n {
-			g.addrTable()[n.Addr] = into
-		}
+	})
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	pairs := sc.pairTable()
+	for i := len(g.links) - 1; i >= 0; i-- {
+		pairs[pairKey(g.links[i].From, g.links[i].To)] = int32(i)
 	}
 	for i, l := range other.links {
-		if exist := g.FindLink(l.From, l.To); exist != nil {
-			a, b := l.UtilFromTo, l.UtilToFrom
-			if exist.From != l.From {
-				a, b = b, a
-			}
-			if a > exist.UtilFromTo {
-				exist.UtilFromTo = a
-			}
-			if b > exist.UtilToFrom {
-				exist.UtilToFrom = b
-			}
+		k := pairKey(l.From, l.To)
+		if j, ok := pairs[k]; ok {
+			exist := g.links[j]
+			a, b := l.readingsAs(exist)
+			exist.UtilFromTo = max(exist.UtilFromTo, a)
+			exist.UtilToFrom = max(exist.UtilToFrom, b)
 			continue
 		}
+		pairs[k] = int32(len(g.links))
 		g.linkSlab = reserve(g.linkSlab, len(other.links)-i) // one chunk for all that are new; a no-op after the first
 		g.AddLink(*l)                                        // both endpoints were just united
 	}
+	sc.pairs = emptied(pairs)
 }
 
 // Update folds a fresher partial measurement into g: nodes are united by
@@ -537,50 +465,58 @@ func (g *Graph) Merge(other *Graph) {
 // A node is written only where other changes it, so a poll that moved
 // measurements only leaves the structure shared with g's clones.
 //
-// A host other links to a peer g did not link it to has moved: every
+// other's links are matched to g's first, through the shape g carries (a
+// generation's Clone carries its original's), before anything changes
+// g's structure. The links g lacks are added once the nodes are united,
+// two of one pair as one link, the later one's readings winning. A host g
+// had that other links to a peer g did not link it to has moved: every
 // link of g at that host that other lacks is dropped, so the host leaves
-// its old attachment. Into a graph without links nothing has moved.
+// its old attachment.
 func (g *Graph) Update(other *Graph) {
-	var moved map[string]bool
-	rehome := len(g.links) > 0
-	for _, n := range other.nodeTable() {
+	sh := g.routing()
+	var unmatched []*Link
+	for _, l := range other.links {
+		if i := sh.link(l.From, l.To); i != noLink {
+			g.links[i].take(l)
+		} else {
+			unmatched = append(unmatched, l)
+		}
+	}
+	other.eachNode(func(n *Node) {
 		exist := g.Node(n.ID)
 		if exist == nil {
 			g.AddNode(*n)
-			continue
+			return
 		}
-		newAddr := n.Addr != "" && n.Addr != exist.Addr
-		if exist.Kind == n.Kind && !newAddr {
-			continue
+		if exist.Kind == n.Kind && (n.Addr == "" || n.Addr == exist.Addr) {
+			return
 		}
 		g.own()
 		exist = g.Node(n.ID)
 		exist.Kind = n.Kind
-		if newAddr {
-			g.unindexAddr(exist)
+		if n.Addr != "" {
 			exist.Addr = n.Addr
-			g.indexAddr(exist)
 		}
+	})
+	if len(unmatched) == 0 {
+		return
 	}
-	for _, l := range other.links {
-		if exist := g.FindLink(l.From, l.To); exist != nil {
-			a, b := l.UtilFromTo, l.UtilToFrom
-			if exist.From != l.From {
-				a, b = b, a
-			}
-			exist.UtilFromTo = a
-			exist.UtilToFrom = b
-			exist.Capacity = l.Capacity
-			exist.Latency = l.Latency
-			exist.Jitter = l.Jitter
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	pairs := sc.pairTable()
+	var moved map[string]bool
+	g.linkSlab = reserve(g.linkSlab, len(unmatched))
+	for _, l := range unmatched {
+		k := pairKey(l.From, l.To)
+		if i, ok := pairs[k]; ok {
+			g.links[i].take(l)
 			continue
 		}
+		pairs[k] = int32(len(g.links))
 		g.AddLink(*l)
-		if !rehome {
-			continue
-		}
 		for _, id := range [2]string{l.From, l.To} {
-			if other.Node(id).Kind == HostNode {
+			// A host new to g has no link but those other brings.
+			if _, had := sh.num[id]; had && g.Node(id).Kind == HostNode {
 				if moved == nil {
 					moved = make(map[string]bool)
 				}
@@ -588,28 +524,42 @@ func (g *Graph) Update(other *Graph) {
 			}
 		}
 	}
-	if len(moved) == 0 {
-		return
+	clear(pairs)
+	if len(moved) > 0 {
+		for _, l := range other.links {
+			if moved[l.From] || moved[l.To] {
+				pairs[pairKey(l.From, l.To)] = 0
+			}
+		}
+		g.links = slices.DeleteFunc(g.links, func(l *Link) bool {
+			_, polled := pairs[pairKey(l.From, l.To)]
+			return (moved[l.From] || moved[l.To]) && !polled
+		})
+		g.invalidate()
 	}
-	g.links = slices.DeleteFunc(g.links, func(l *Link) bool {
-		return (moved[l.From] || moved[l.To]) && other.FindLink(l.From, l.To) == nil
-	})
-	g.reindexLinks()
+	sc.pairs = emptied(pairs)
+}
+
+// take writes l's readings over k's, which joins the same pair: latest
+// wins.
+func (k *Link) take(l *Link) {
+	k.UtilFromTo, k.UtilToFrom = l.readingsAs(k)
+	k.Capacity, k.Latency, k.Jitter = l.Capacity, l.Latency, l.Jitter
 }
 
 // Clone returns a copy whose links may be written and whose structure may
 // be mutated without touching g. Copies sit on serving paths (snapshot
 // generations, QUERY answers, predictions), so only the links are copied,
-// into one slab: the node slab and the tables g has built are shared
-// until one side mutates its structure (own), each side building for
-// itself a table neither had, and so is the memoized shape, whose link
+// into one slab: the node slab and the node table, if g has built it, are
+// shared until one side mutates its structure (own), each side building
+// for itself a table neither had, and so is the memoized shape, whose link
 // numbers are positions in the copy's links as much as in g's.
 func (g *Graph) Clone() *Graph {
 	g.shared.Store(true)
 	out := &Graph{nodeSlab: g.nodeSlab}
-	g.nodes.shareWith(&out.nodes)
-	g.byAddr.shareWith(&out.byAddr)
-	g.linkIdx.shareWith(&out.linkIdx)
+	if nodes := g.builtNodes(); nodes != nil {
+		out.nodes.Store(nodes)
+	}
 	out.shared.Store(true)
 	out.shape.Store(g.shape.Load())
 	if len(g.links) > 0 {
