@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"remos/internal/collector"
 	"remos/internal/collector/snmpcoll"
@@ -173,6 +174,31 @@ func TestReusedColdBuildsAnswerLikeFreshConcurrently(t *testing.T) {
 	}
 }
 
+// TestCampusHandOver is the hand-over gate on the cold campus mix: twelve
+// seeded 32-host queries, each from dropped caches, then a poll-plane read
+// and the last query again warm, asked of a serial collector whose SNMP
+// responses are destroyed once their exchange is over
+// (snmpcoll.ScribbleTransport) and of its twin over plain InProc. The
+// replies, poll points and readings must be byte-identical: a reader that
+// kept a response past its decode would read 0xFF.
+func TestCampusHandOver(t *testing.T) {
+	camp := buildCampus(t, 256)
+	scribbled, plain, tr := snmpcoll.ScribbledTwins(camp.Site.SNMP)
+	t.Cleanup(scribbled.Stop)
+	t.Cleanup(plain.Stop)
+	query := func(seed int64) collector.Query {
+		return collector.Query{Hosts: pick(rand.New(rand.NewSource(seed)), camp, 32)}
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		scribbled.DropCaches()
+		plain.DropCaches()
+		snmpcoll.AssertSameAnswer(t, scribbled, plain, tr, query(seed))
+	}
+	camp.Sim.RunFor(11 * time.Second) // the poll plane reads through both
+	tr.Scribble()
+	snmpcoll.AssertSameAnswer(t, scribbled, plain, tr, query(12))
+}
+
 // TestDroppedCachesAnswerLikeAFreshCollector is the cross-path gate on
 // DropCaches, which clears the collector's tables rather than making new
 // ones: a collector that has answered other queries, its caches dropped
@@ -217,13 +243,16 @@ func TestDroppedCachesAnswerLikeAFreshCollector(t *testing.T) {
 }
 
 // The allocation budget of one cold 32-host query on the 256-host campus
-// (Parallelism 1): its answer graph, the cache entries it creates (router
-// views, ARP entries, poll points) and what the emulated agents allocate to
-// answer it, 5 % over what it measures with the pools filled at the
-// measured GOMAXPROCS and no collection running (45.5 allocations, 30.3
-// KB, every run). Before the answer graph built its lookup tables only
-// when first read, it read 57.5 allocations and 37.4 KB (budget 60 and
-// 39,300 B). Before each pooled build kept its client and fan-out
+// (Parallelism 1): its answer graph and the cache entries it creates
+// (router views, ARP entries, poll points), 5 % over what it measures with
+// the pools filled at the measured GOMAXPROCS and no collection running
+// (18.2 allocations, 20.4 KB, every run). The emulated agents allocate
+// nothing to answer it: each response comes from the datagram pool and
+// the client gives it back once decoded. Before that, each of the ~27
+// responses was a fresh datagram, and the query read 45.5 allocations and
+// 30.3 KB (budget 48 and 31,800 B). Before the answer graph built its
+// lookup tables only when first read, it read 57.5 allocations and 37.4 KB
+// (budget 60 and 39,300 B). Before each pooled build kept its client and fan-out
 // funcs, each router view held its tables inside it, and DropCaches
 // cleared the collector's tables instead of making new ones, it read 94.5
 // allocations and 47.3–47.4 KB. Once the query built its graph by number
@@ -237,8 +266,8 @@ func TestDroppedCachesAnswerLikeAFreshCollector(t *testing.T) {
 // state came from the collector's pool, 410 times and ~114.9 KB. Budgets
 // only get tighter.
 const (
-	coldCollectAllocs = 48
-	coldCollectBytes  = 31800
+	coldCollectAllocs = 20
+	coldCollectBytes  = 21450
 )
 
 func TestColdCollectAllocBudget(t *testing.T) {

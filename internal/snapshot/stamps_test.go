@@ -550,19 +550,22 @@ func twoTier(tb testing.TB) ([]netip.Addr, *collector.Result) {
 }
 
 // TestShapePreservingApplyAllocationBudget pins what a measurement-only
-// apply of all 10 000 hosts of the fabric allocates: 11 under go1.24 —
-// the generation, its stamp vector, the graph clone's link vector, the
-// index and its metrics vector among them (113 while the clone copied two
-// slabs and three presized maps, which the runtime makes of a hundred-odd
-// pieces; 142 when the host map was cloned beside them). Nothing per
-// host, which would read 10 000 more, and no address-keyed map touched
-// for a host the graph holds.
+// apply of all 10 000 hosts of the fabric allocates: 8 under go1.24, with
+// and without -race — the generation, its stamp vector, the graph clone's
+// link vector, the index and its metrics vector among them (113 while the
+// clone copied two slabs and three presized maps, which the runtime makes
+// of a hundred-odd pieces; 142 when the host map was cloned beside them).
+// The budget is that count and a quarter more: a cloned map's hundred
+// pieces fail it. Nothing per host, which would read 10 000 more, and no
+// address-keyed map touched for a host the graph holds.
 func TestShapePreservingApplyAllocationBudget(t *testing.T) {
 	ck := newClock()
 	st := New(Config{Now: ck.Now})
 	hosts, res := twoTier(t)
 	st.Apply(hosts, res, ck.Now())
-	if n := testing.AllocsPerRun(5, func() { st.Apply(hosts, res, ck.Now()) }); n > applyAllocBudget {
+	n := testing.AllocsPerRun(5, func() { st.Apply(hosts, res, ck.Now()) })
+	t.Logf("a shape-preserving Apply of %d hosts: %.0f allocations", len(hosts), n)
+	if n > applyAllocBudget {
 		t.Fatalf("a shape-preserving Apply of %d hosts allocates %.0f times, want <= %d", len(hosts), n, applyAllocBudget)
 	}
 	if s := st.Current(); s.ownsOff || s.offGraph != nil {
@@ -570,7 +573,7 @@ func TestShapePreservingApplyAllocationBudget(t *testing.T) {
 	}
 }
 
-const applyAllocBudget = 120
+const applyAllocBudget = 10
 
 // TestReshapingApplyAllocationBudget pins what an apply of all 10 000
 // hosts of the fabric allocates onto a generation one host short: 127
@@ -640,9 +643,11 @@ func BenchmarkStoreApply(b *testing.B) {
 		}
 	})
 	b.Run("reshape", func(b *testing.B) {
-		// Each iteration's store starts from the fabric less one host.
+		// Each iteration's store starts from the fabric less one host,
+		// built before the timer starts so allocs/op is the Apply's own.
 		short := lessHost(res.Graph, hosts[len(hosts)-1])
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			st := New(Config{Now: ck.Now})

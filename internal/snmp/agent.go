@@ -245,10 +245,26 @@ func (sc *agentScratch) fit(resp *Message, f *frame) {
 // real agents do — or a value that cannot be encoded). The request's names
 // are kept as bytes: a Get looks each one up by them, and every response
 // name and fixed value is copied, not encoded; only live values are. The
-// request is decoded into pooled scratch and req is not retained; the
-// returned datagram is the caller's and never longer than a datagram
-// carries.
+// request is decoded into pooled scratch and req is not retained. The
+// response is encoded into a buffer from the datagram pool and handed
+// over: it is the caller's, never longer than a datagram carries, and a
+// caller done with it gives it back through releaseDatagram, as
+// Client.roundTrip does once it has decoded it and Server once it has
+// sent it. A caller that keeps it leaves it to the garbage collector.
 func (a *Agent) HandleBytes(req []byte) []byte {
+	//remoslint:allow poolreturn the response is handed over; Client.roundTrip and Server give it back through releaseDatagram
+	buf := datagramPool.Get().(*datagram)
+	resp := a.answer(buf[:0], req)
+	if resp == nil {
+		releaseDatagram(buf[:])
+	}
+	return resp
+}
+
+// answer is HandleBytes appending the response to dst, which has room for
+// a datagram; whatever its spare capacity held is written over. nil is a
+// drop.
+func (a *Agent) answer(dst, req []byte) []byte {
 	sc := agentPool.Get().(*agentScratch)
 	defer agentPool.Put(sc)
 	if err := sc.dec.decode(req); err != nil {
@@ -271,7 +287,7 @@ func (a *Agent) HandleBytes(req []byte) []byte {
 	if f.set(&resp, vbsLen); f.total > maxDatagram {
 		sc.fit(&resp, &f)
 	}
-	dst := resp.appendHead(make([]byte, 0, f.total), &f)
+	dst = resp.appendHead(dst, &f)
 	for _, r := range sc.rows {
 		dst = appendHeader(dst, tagSequence, sizeTLV(len(r.name))+len(r.value))
 		dst = appendHeader(dst, tagOID, len(r.name))

@@ -81,18 +81,30 @@ func bulkExchange(t testing.TB) (*Agent, []byte) {
 }
 
 // Once its pooled scratch has grown to the request's shape, the agent
-// allocates the response datagram and nothing else of its own.
+// allocates nothing of its own: a caller that keeps every response costs
+// the datagram pool one buffer a call, and one that gives each back, as
+// the client and Server do, costs it nothing.
 func TestHandleBytesAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects at random under the race detector")
 	}
 	a, wire := bulkExchange(t)
-	if n := testing.AllocsPerRun(200, func() {
-		if a.HandleBytes(wire) == nil {
-			t.Fatal("request dropped")
+	for _, c := range []struct {
+		name     string
+		giveBack bool
+		budget   float64
+	}{{"kept", false, 1}, {"given back", true, 0}} {
+		if n := testing.AllocsPerRun(200, func() {
+			resp := a.HandleBytes(wire)
+			if resp == nil {
+				t.Fatal("request dropped")
+			}
+			if c.giveBack {
+				releaseDatagram(resp)
+			}
+		}); n > c.budget {
+			t.Errorf("%s: steady-state HandleBytes allocates %.0f times, want <= %.0f", c.name, n, c.budget)
 		}
-	}); n > 2 {
-		t.Fatalf("steady-state HandleBytes allocates %.0f times, want <= 2", n)
 	}
 }
 
@@ -100,7 +112,8 @@ func TestHandleBytesAllocationBudget(t *testing.T) {
 // and on the 24-varbind mixed one, and the agent's whole exchange. Run
 // with -benchmem; the encode path should report 0 B/op when the caller
 // reuses its buffer, decode allocates the message and its three arrays,
-// and the agent its response datagram.
+// and the agent, whose responses go back to the datagram pool as the
+// client's do, nothing.
 func BenchmarkBERCodec(b *testing.B) {
 	m := benchResponse()
 	wire, err := m.Marshal()
@@ -154,12 +167,15 @@ func BenchmarkBERCodec(b *testing.B) {
 	})
 	b.Run("AgentHandleBytes", func(b *testing.B) {
 		a, req := bulkExchange(b)
+		releaseDatagram(a.HandleBytes(req)) // the pools' first buffers
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if a.HandleBytes(req) == nil {
+			resp := a.HandleBytes(req)
+			if resp == nil {
 				b.Fatal("request dropped")
 			}
+			releaseDatagram(resp)
 		}
 	})
 }

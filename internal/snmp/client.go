@@ -179,10 +179,14 @@ func (c *Client) attempts() int {
 	return c.Retries + 1
 }
 
-// response decodes one response datagram into the scratch and checks that
-// it answers reqID.
+// response decodes one response datagram into the scratch, gives the
+// datagram back, and checks that it answers reqID. The decoder copies every
+// name and value out of b; the community it cut from b is forgotten.
 func (sc *clientScratch) response(b []byte, reqID int32) (*PDU, error) {
-	if err := sc.dec.decode(b); err != nil {
+	err := sc.dec.decode(b)
+	sc.dec.community = nil
+	releaseDatagram(b)
+	if err != nil {
 		return nil, err
 	}
 	pdu := &sc.dec.msg.PDU
@@ -196,8 +200,9 @@ func (sc *clientScratch) response(b []byte, reqID int32) (*PDU, error) {
 // varbinds, once into sc under one RequestID, sends it, and decodes the
 // answer into sc — a Get's answer under sc.req's own names where it repeats
 // them — re-sending the same bytes after a timeout and after a
-// response that does not decode or match. The PDU it returns lives in sc
-// and dies with sc's next exchange.
+// response that does not decode or match. Each response datagram goes back
+// to the pool as soon as it is decoded, whatever it said. The PDU it
+// returns lives in sc and dies with sc's next exchange.
 func (c *Client) roundTrip(ctx context.Context, addr string, sc *clientScratch, pdu PDU) (*PDU, error) {
 	msg := Message{Community: c.Community, PDU: pdu}
 	msg.PDU.VarBinds = sc.req

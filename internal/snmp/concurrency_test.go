@@ -116,6 +116,7 @@ func (s *slowAgent) listen(t *testing.T) string {
 				time.Sleep(s.delay)
 				if resp := s.agent.HandleBytes(req); resp != nil {
 					conn.WriteToUDP(resp, peer)
+					releaseDatagram(resp)
 				}
 			}()
 		}

@@ -339,3 +339,81 @@ func TestClientScratchIsDeadAfterCallback(t *testing.T) {
 		}
 	}
 }
+
+// keepLast is a transport that hands out each response as a private copy
+// and keeps it, so a test can destroy it once the client has decoded it.
+type keepLast struct {
+	inner Transport
+	last  []byte
+}
+
+func (k *keepLast) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) {
+	resp, rtt, err := k.inner.RoundTrip(addr, req)
+	k.last = make([]byte, len(resp))
+	copy(k.last, resp)
+	return k.last, rtt, err
+}
+
+// The client gives each response back as soon as it is decoded, and the
+// next exchange may be answered into the same buffer. So a callback must
+// be shown nothing read from the datagram: with it filled with 0xFF before
+// each read, a Get's varbinds and a walk's scalars and rows — octet
+// strings, addresses and OIDs among them — read as the agent's.
+func TestDecodedResponseOutlivesItsDatagram(t *testing.T) {
+	binds := map[string]Value{
+		"1.3.6.1.2.1.1.1.0":  Str("a device with a description"),
+		"1.3.6.1.2.1.1.2.0":  OIDValue(MustParseOID("1.3.6.1.4.1.99999.1.300000")),
+		"1.3.6.1.2.1.1.6.0":  Octets([]byte{}),
+		"1.3.6.1.2.1.4.20.0": IPv4([4]byte{10, 0, 0, 1}),
+	}
+	for r := 1; r <= 9; r++ {
+		binds[fmt.Sprintf("1.3.6.1.5.1.1.%d", r)] = Str(fmt.Sprintf("row-%d", r))
+		binds[fmt.Sprintf("1.3.6.1.5.1.2.%d", r)] = IPv4([4]byte{10, 0, 1, byte(r)})
+	}
+	view, err := NewStaticView(binds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Register("a", &Agent{Community: "public", View: view})
+	tr := &keepLast{inner: &InProc{Registry: reg}}
+	c := NewClient(tr, "public")
+	scribbleLast := func() {
+		for i := range tr.last {
+			tr.last[i] = 0xFF
+		}
+	}
+	check := func(what string, name OID, v Value) {
+		t.Helper()
+		if want, ok := view.Get(name); !ok || !reflect.DeepEqual(v, want) {
+			t.Errorf("%s %s reads %v after its datagram was destroyed, want %v", what, name, v, want)
+		}
+	}
+	scalars := []OID{MustParseOID("1.3.6.1.2.1.1.1.0"), MustParseOID("1.3.6.1.2.1.1.2.0"),
+		MustParseOID("1.3.6.1.2.1.1.6.0"), MustParseOID("1.3.6.1.2.1.4.20.0")}
+	err = c.GetFunc(context.Background(), "a", scalars, func(vbs []VarBind) {
+		scribbleLast()
+		for _, vb := range vbs {
+			check("a Get's", vb.Name, vb.Value)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	columns := []OID{MustParseOID("1.3.6.1.5.1.1"), MustParseOID("1.3.6.1.5.1.2")}
+	err = c.BulkWalkColumns(context.Background(), "a", scalars, columns, 2, func(col int, name OID, v Value) bool {
+		scribbleLast()
+		check("a walk's", name, v)
+		if col >= 0 {
+			rows++
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != 18 {
+		t.Fatalf("the walk showed %d objects, want 18", rows)
+	}
+}

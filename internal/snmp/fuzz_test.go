@@ -314,6 +314,9 @@ func fuzzTable(t testing.TB) *Table {
 // exactly what the reference agent (decode, a linear search per varbind,
 // encode) drops; and anything else it answers with at most one datagram:
 // a GetResponse under the request's ID, byte for byte the reference's.
+// Responses are encoded into recycled buffers, so each input is answered
+// twice more: into the first answer's buffer, and into one full of
+// garbage. Both must be the reference's bytes too.
 func FuzzAgentHandleBytes(f *testing.F) {
 	for _, m := range corpusMessages() {
 		b, err := m.Marshal()
@@ -330,6 +333,7 @@ func FuzzAgentHandleBytes(f *testing.F) {
 	}
 	tab := fuzzTable(f)
 	a := &Agent{Community: "public", View: tab, MaxRepetitions: 16}
+	garbage := new(datagram)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		got := a.HandleBytes(b)
 		want := refAnswer(tab.binds, b, a.Community, a.MaxRepetitions)
@@ -349,6 +353,16 @@ func FuzzAgentHandleBytes(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("the agent and the reference disagree:\n got %x\nwant %x", got, want)
+		}
+		if again := a.answer(got[:0], b); !bytes.Equal(again, want) {
+			t.Fatalf("answered into its first answer's buffer, the agent says\n%x\nthe reference\n%x", again, want)
+		}
+		releaseDatagram(got)
+		for i := range garbage {
+			garbage[i] = byte(i*131 + 7)
+		}
+		if third := a.answer(garbage[:0], b); !bytes.Equal(third, want) {
+			t.Fatalf("answered into a buffer of garbage, the agent says\n%x\nthe reference\n%x", third, want)
 		}
 	})
 }

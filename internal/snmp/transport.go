@@ -8,13 +8,16 @@ import (
 )
 
 // Transport delivers one request datagram to an agent address and returns
-// the response. Implementations must be safe for concurrent use, and
-// concurrent exchanges — with one agent as with many — must not wait on
-// each other: InProc runs the agent on the caller's goroutine and UDP
-// dials a socket per exchange, so a Client's concurrent callers overlap
-// their round trips. The returned rtt is the (real or modeled) round-trip
-// time of the exchange, which the client accumulates into its Meter — the
-// quantity the Fig 3 scalability experiment measures.
+// the response, which it hands over: a transport keeps no reference to a
+// response it returns, because the client gives each one back to the
+// datagram pool once it has decoded it (one that did not come from the
+// pool is left to the garbage collector). Implementations must be safe for
+// concurrent use, and concurrent exchanges — with one agent as with many —
+// must not wait on each other: InProc runs the agent on the caller's
+// goroutine and UDP dials a socket per exchange, so a Client's concurrent
+// callers overlap their round trips. The returned rtt is the (real or
+// modeled) round-trip time of the exchange, which the client accumulates
+// into its Meter — the quantity the Fig 3 scalability experiment measures.
 type Transport interface {
 	RoundTrip(addr string, req []byte) (resp []byte, rtt time.Duration, err error)
 }
@@ -69,7 +72,8 @@ type InProc struct {
 // community, or a real socket timing out).
 var ErrTimeout = fmt.Errorf("snmp: request timed out")
 
-// RoundTrip implements Transport.
+// RoundTrip implements Transport. The response is the agent's buffer from
+// the datagram pool, handed over as it is.
 func (t *InProc) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) {
 	rtt := time.Millisecond
 	if t.Latency != nil {
@@ -112,9 +116,9 @@ func (t *UDP) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) 
 	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, 0, err
 	}
-	buf := datagramPool.Get().(*[]byte)
+	buf := datagramPool.Get().(*datagram)
 	defer datagramPool.Put(buf)
-	n, err := conn.Read(*buf)
+	n, err := conn.Read(buf[:])
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			return nil, time.Since(start), ErrTimeout
@@ -122,14 +126,31 @@ func (t *UDP) RoundTrip(addr string, req []byte) ([]byte, time.Duration, error) 
 		return nil, time.Since(start), err
 	}
 	resp := make([]byte, n)
-	copy(resp, *buf)
+	copy(resp, buf[:n])
 	return resp, time.Since(start), nil
 }
 
-// datagramPool holds the buffers UDP reads responses into: room for the
-// largest datagram, reused, so a caller keeping a response holds its
-// exact size and not 64 KiB.
-var datagramPool = sync.Pool{New: func() any { b := make([]byte, 65535); return &b }}
+// datagramSize is room for any UDP payload.
+const datagramSize = 65535
+
+// datagram is one buffer of the datagram pool.
+type datagram [datagramSize]byte
+
+// datagramPool holds the buffers the agent encodes responses into and UDP
+// reads them into. It holds array pointers, so a Put boxes nothing. UDP
+// copies what it reads out at the datagram's size, so a caller keeping a
+// response over a socket holds that and not 64 KiB.
+var datagramPool = sync.Pool{New: func() any { return new(datagram) }}
+
+// releaseDatagram gives a response back to the datagram pool once nothing
+// reads it. A buffer of another capacity is not the pool's (UDP's
+// exact-size copy, a test transport's own) and is left to the garbage
+// collector.
+func releaseDatagram(b []byte) {
+	if cap(b) == datagramSize {
+		datagramPool.Put((*datagram)(b[:datagramSize]))
+	}
+}
 
 // Server serves one agent over a real UDP socket, for live deployments and
 // loopback integration tests.
@@ -157,7 +178,7 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 	//remoslint:allow goctx read loop ends when Close closes the UDP socket; Close waits on the group
 	go func() {
 		defer s.wg.Done()
-		buf := make([]byte, 65535)
+		buf := make([]byte, datagramSize)
 		for {
 			n, peer, err := conn.ReadFromUDP(buf)
 			if err != nil {
@@ -165,6 +186,7 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 			}
 			if resp := s.Agent.HandleBytes(buf[:n]); resp != nil { // HandleBytes does not retain the request
 				conn.WriteToUDP(resp, peer)
+				releaseDatagram(resp)
 			}
 		}
 	}()
