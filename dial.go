@@ -68,9 +68,10 @@ func WithPriority(tier Priority) Option {
 // The Connection is the Modeler plus the server's watch plane. Flow
 // queries (and the bandwidth queries built on them) ride the FLOWS verb,
 // so answers come from the server's snapshot plane without shipping the
-// graph; prediction queries fetch the graph and history and run here,
-// and so does every flow query against a server that does not answer
-// FLOWS. Dialing is lazy: no connection is made until the first query.
+// graph; prediction queries fetch the graph and history and run here.
+// A server that does not answer FLOWS fails flow queries with
+// ErrCollectorUnavailable. Dialing is lazy: no connection is made until
+// the first query.
 func Dial(target string, opts ...Option) (*Connection, error) {
 	var dc dialConfig
 	for _, o := range opts {

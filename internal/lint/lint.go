@@ -8,8 +8,8 @@
 // invariant is one analyzer:
 //
 //	wallclock  — no direct time.Now/Sleep/After/... in clock-injected
-//	             packages; the designated nil-Now fallback sites carry a
-//	             //remoslint:allow wallclock <reason> directive.
+//	             packages; every clock there is a constructor argument,
+//	             so no site is excused.
 //	globalrand — no math/rand package-level functions anywhere in
 //	             production code; randomness is an injected, seeded
 //	             *rand.Rand.

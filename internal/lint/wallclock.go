@@ -5,9 +5,9 @@ import "go/ast"
 // wallclockCheck enforces clock injection: packages built on
 // sim.Scheduler (or an injected Now func) must never reach for the
 // runtime clock directly, or emulated runs stop being deterministic and
-// prediction timestamps drift from the deployment clock. The designated
-// "nil means time.Now" fallback sites carry an allow directive, which
-// the driver verifies stays attached to a real use.
+// prediction timestamps drift from the deployment clock. Every clock in
+// those packages is a required constructor argument, so no site carries
+// a wallclock allow directive.
 type wallclockCheck struct{}
 
 // wallclockFuncs are the time functions that read or wait on the

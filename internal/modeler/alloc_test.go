@@ -62,7 +62,7 @@ func TestSnapshotFlowsAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestDedupeHostsKeepsFirstSeenOrder holds both of dedupeHosts' ways —
+// TestDedupeHostsKeepsFirstSeenOrder holds both of DedupeHosts' ways —
 // the scan up to dedupeScanMax hosts, the map above — to the plain
 // definition, the caller's slice to what it was, and the positions
 // compactHosts reports to where each host given ended up.
@@ -81,11 +81,11 @@ func TestDedupeHostsKeepsFirstSeenOrder(t *testing.T) {
 					want = append(want, h)
 				}
 			}
-			if got := dedupeHosts(hosts); !slices.Equal(got, want) {
-				t.Fatalf("dedupeHosts(%v) = %v, want %v", hosts, got, want)
+			if got := DedupeHosts(hosts); !slices.Equal(got, want) {
+				t.Fatalf("DedupeHosts(%v) = %v, want %v", hosts, got, want)
 			}
 			if !slices.Equal(hosts, given) {
-				t.Fatalf("dedupeHosts rewrote its argument: %v, was %v", hosts, given)
+				t.Fatalf("DedupeHosts rewrote its argument: %v, was %v", hosts, given)
 			}
 			at := make([]int32, n)
 			got := compactHosts(hosts, at)

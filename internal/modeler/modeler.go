@@ -13,7 +13,6 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"remos/internal/collector"
@@ -47,9 +46,9 @@ type Config struct {
 	// RemoteFlows, when set, delegates flow queries to a remote daemon's
 	// FLOWS verb so the answer comes from the server's snapshot plane
 	// without shipping the graph. Prediction queries do not delegate:
-	// they need collector-side history and a local model choice. A server
-	// that does not answer FLOWS (rerr.ErrCollectorUnavailable) falls
-	// back to fetching the graph and solving locally.
+	// they need collector-side history and a local model choice. A
+	// remote FLOWS error is the answer: the query is not asked again as a
+	// graph fetch.
 	RemoteFlows FlowsClient
 
 	// HostLoad, when set, answers host load queries (a host load
@@ -57,11 +56,10 @@ type Config struct {
 	// without it.
 	HostLoad collector.Interface
 
-	// Obs, when set, counts API queries by kind. Traces, when set,
-	// records a trace per API call (unless the caller's context already
-	// carries one, as it does under an instrumented protocol server).
-	Obs    *obs.Registry
-	Traces *obs.Ring
+	// Obs, when set, counts API queries by kind. The Modeler opens no
+	// trace: it spans its stages on the one the caller's context carries
+	// (a protocol server opens one per request).
+	Obs *obs.Registry
 }
 
 // Modeler is a per-application Remos endpoint.
@@ -70,8 +68,7 @@ type Modeler struct {
 	queries [len(queryKinds)]*obs.Counter // remos_modeler_queries_total{kind}
 }
 
-// queryKind indexes queryKinds: the API calls the Modeler counts and
-// traces by name.
+// queryKind indexes queryKinds: the API calls the Modeler counts by name.
 type queryKind int
 
 const (
@@ -82,31 +79,6 @@ const (
 )
 
 var queryKinds = [...]string{"topology", "flows", "hostload", "predict"}
-
-// begin counts an API call and, when tracing is configured and the
-// context does not already carry a trace, opens one labelled with the
-// hosts asked about. The returned finish must be called when the API
-// call completes.
-func (m *Modeler) begin(ctx context.Context, kind queryKind, hosts []netip.Addr) (context.Context, func(error)) {
-	m.queries[kind].Inc()
-	tr := obs.FromContext(ctx)
-	if tr != nil || m.cfg.Traces == nil {
-		return ctx, func(error) {}
-	}
-	tr = obs.NewTrace(queryKinds[kind], hostAttrs(hosts))
-	return obs.NewContext(ctx, tr), func(err error) {
-		tr.SetErr(err)
-		m.cfg.Traces.Observe(tr)
-	}
-}
-
-func hostAttrs(hosts []netip.Addr) string {
-	ids := make([]string, len(hosts))
-	for i, h := range hosts {
-		ids[i] = h.String()
-	}
-	return strings.Join(ids, ",")
-}
 
 // predictModel is the RPS model spec flow predictions use unless the
 // query names one, and host load forecasts always: AR(16), the paper's
@@ -133,11 +105,11 @@ func New(cfg Config) *Modeler {
 	return m
 }
 
-// dedupeHosts returns the unique hosts in first-seen order. Queries
+// DedupeHosts returns the unique hosts in first-seen order. Queries
 // built from flow lists (or careless callers) repeat endpoints, and a
 // duplicated host walks the collectors twice, so every collector-bound
 // host set passes through here first.
-func dedupeHosts(hosts []netip.Addr) []netip.Addr {
+func DedupeHosts(hosts []netip.Addr) []netip.Addr {
 	return compactHosts(slices.Clone(hosts), nil)
 }
 
@@ -146,7 +118,7 @@ func dedupeHosts(hosts []netip.Addr) []netip.Addr {
 // few dozen hosts, and a flow query names at most a dozen or two.
 const dedupeScanMax = 32
 
-// compactHosts is dedupeHosts in place: the result is a prefix of hosts.
+// compactHosts is DedupeHosts in place: the result is a prefix of hosts.
 // at, when not nil, is as long as hosts and receives each given host's
 // position in the result.
 func compactHosts(hosts []netip.Addr, at []int32) []netip.Addr {
@@ -214,7 +186,7 @@ func (m *Modeler) Name() string { return "modeler" }
 // walk's failure may belong to another caller's host.
 func (m *Modeler) Collect(q collector.Query) (*collector.Result, error) {
 	if len(q.Hosts) > 0 && !q.WithHistory && !q.WithPredictions {
-		if snap := m.snapshotFor(q.Context(), dedupeHosts(q.Hosts), nil); snap != nil {
+		if snap := m.snapshotFor(q.Context(), DedupeHosts(q.Hosts), nil); snap != nil {
 			return &collector.Result{Graph: snap.Graph().Clone()}, nil
 		}
 	}
@@ -236,10 +208,9 @@ type TopologyOptions struct {
 // application in a more manageable form". The context's cancellation and
 // deadline reach the master fan-out and the SNMP exchanges underneath,
 // and its trace (if any) collects the query's stage timings.
-func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, opt TopologyOptions) (g *topology.Graph, err error) {
-	hosts = dedupeHosts(hosts)
-	ctx, finish := m.begin(ctx, topologyQuery, hosts)
-	defer func() { finish(err) }()
+func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, opt TopologyOptions) (*topology.Graph, error) {
+	m.queries[topologyQuery].Inc()
+	hosts = DedupeHosts(hosts)
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("collect")
 	res, err := m.Collect(collector.Query{Hosts: hosts}.WithContext(ctx))
@@ -247,7 +218,7 @@ func (m *Modeler) GetTopologyContext(ctx context.Context, hosts []netip.Addr, op
 	if err != nil {
 		return nil, err
 	}
-	g = res.Graph
+	g := res.Graph
 	if opt.Raw {
 		return g, nil
 	}
@@ -339,10 +310,11 @@ type FlowOptions struct {
 // each can expect, on the current topology and optionally on the
 // predicted one. Cancellation, deadline, and trace propagate through the
 // whole query path.
-func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOptions) (out []FlowInfo, err error) {
+func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOptions) ([]FlowInfo, error) {
 	if len(flows) == 0 {
 		return nil, fmt.Errorf("modeler: no flows requested")
 	}
+	m.queries[flowsQuery].Inc()
 	// hosts is every endpoint, then the distinct ones; ends[k] is where
 	// endpoint k stands among the distinct hosts, then its node number;
 	// nodes holds the distinct hosts' numbers. All three live on the stack
@@ -359,8 +331,6 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 	ends = ends[:len(hosts)]
 	hosts = compactHosts(hosts, ends)
 	nodes = nodes[:len(hosts)]
-	ctx, finish := m.begin(ctx, flowsQuery, hosts)
-	defer func() { finish(err) }()
 	tr := obs.FromContext(ctx)
 
 	// The snapshot fast path: a fresh-enough generation answers from its
@@ -390,16 +360,9 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 		// plane instead of shipping the graph here.
 		if rf := m.cfg.RemoteFlows; rf != nil {
 			sp := tr.Start("remote")
-			rout, rferr := rf.Flows(ctx, flows)
+			infos, err := rf.Flows(ctx, flows)
 			sp.End()
-			if rferr == nil {
-				return rout, nil
-			}
-			if !errors.Is(rferr, rerr.ErrCollectorUnavailable) {
-				return nil, rferr
-			}
-			// The server predates the FLOWS verb (or runs without a flow
-			// answerer): fetch the graph and solve locally instead.
+			return infos, err
 		}
 	}
 
@@ -416,7 +379,7 @@ func (m *Modeler) GetFlowsContext(ctx context.Context, flows []Flow, opt FlowOpt
 
 	sp = tr.Start("maxmin")
 	px := topology.NewPathIndex(res.Graph)
-	out, err = AllocFlows(px, flows, nil)
+	out, err := AllocFlows(px, flows, nil)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -600,15 +563,14 @@ type HostLoadInfo struct {
 // history with the modeler's prediction model. This is the
 // host-measurement half of the Remos/RPS coupling ("RPS provides
 // prediction services and host measurement services to Remos").
-func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int) (info HostLoadInfo, err error) {
+func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int) (HostLoadInfo, error) {
 	if m.cfg.HostLoad == nil {
 		return HostLoadInfo{}, fmt.Errorf("modeler: no host load collector configured")
 	}
 	if horizon <= 0 {
 		horizon = 1
 	}
-	ctx, finish := m.begin(ctx, hostloadQuery, []netip.Addr{h})
-	defer func() { finish(err) }()
+	m.queries[hostloadQuery].Inc()
 	res, err := m.cfg.HostLoad.Collect(collector.Query{
 		Hosts:           []netip.Addr{h},
 		WithHistory:     true,
@@ -622,7 +584,7 @@ func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int
 	if len(hist) == 0 {
 		return HostLoadInfo{}, fmt.Errorf("modeler: no load samples for %v yet", h)
 	}
-	info = HostLoadInfo{Current: hist[len(hist)-1].Bits}
+	info := HostLoadInfo{Current: hist[len(hist)-1].Bits}
 	if fc, ok := res.Predictions[key]; ok && len(fc.Values) > 0 {
 		n := horizon
 		if n > len(fc.Values) {
@@ -649,9 +611,8 @@ func (m *Modeler) HostLoadContext(ctx context.Context, h netip.Addr, horizon int
 // PredictSeriesContext runs a client-server RPS prediction over the
 // measurement history the collectors hold for the directed pair of node
 // IDs.
-func (m *Modeler) PredictSeriesContext(ctx context.Context, src, dst netip.Addr, spec string, horizon int) (p rps.Prediction, err error) {
-	ctx, finish := m.begin(ctx, predictQuery, []netip.Addr{src, dst})
-	defer func() { finish(err) }()
+func (m *Modeler) PredictSeriesContext(ctx context.Context, src, dst netip.Addr, spec string, horizon int) (rps.Prediction, error) {
+	m.queries[predictQuery].Inc()
 	res, err := m.cfg.Collector.Collect(collector.Query{
 		Hosts:       []netip.Addr{src, dst},
 		WithHistory: true,

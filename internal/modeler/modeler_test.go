@@ -159,6 +159,31 @@ func TestCollectorErrorPropagates(t *testing.T) {
 	}
 }
 
+// downFlows is a remote FLOWS endpoint that cannot be reached.
+type downFlows struct{ calls int }
+
+func (d *downFlows) Flows(context.Context, []Flow) ([]FlowInfo, error) {
+	d.calls++
+	return nil, rerr.Tagf(rerr.ErrCollectorUnavailable, "dial: connection refused")
+}
+
+// TestRemoteFlowsErrorIsTheAnswer: a failed remote FLOWS is the flow
+// query's answer, typed as the client classed it. The Modeler does not
+// ask its collector for the graph instead: against a down daemon or an
+// unreachable federated domain that second ask fails the same way, twice
+// the work.
+func TestRemoteFlowsErrorIsTheAnswer(t *testing.T) {
+	coll, rf := &countingColl{}, &downFlows{}
+	m := New(Config{Collector: coll, RemoteFlows: rf})
+	_, err := m.GetFlowsContext(context.Background(), []Flow{{Src: a("10.0.1.1"), Dst: a("10.0.2.1")}}, FlowOptions{})
+	if rf.calls != 1 || coll.calls.Load() != 0 {
+		t.Fatalf("remote FLOWS asked %d times, collector %d; want once and never", rf.calls, coll.calls.Load())
+	}
+	if !errors.Is(err, rerr.ErrCollectorUnavailable) {
+		t.Fatalf("err = %v, want the remote FLOWS's ErrCollectorUnavailable", err)
+	}
+}
+
 // steadyHistory returns per-link WAN history trending to a given level.
 func steadyHistory(level float64, n int) func() map[collector.HistKey][]collector.Sample {
 	return func() map[collector.HistKey][]collector.Sample {

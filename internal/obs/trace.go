@@ -36,8 +36,9 @@ type SpanRecord struct {
 
 var traceID atomic.Uint64
 
-// NewTrace starts a trace for one query. kind names the operation
-// ("collect", "flows", ...), attrs is free-form detail (the host set).
+// NewTrace starts a trace for one query. kind names where it was opened
+// (a protocol server's wire protocol, "ascii" or "xml"), attrs is
+// free-form detail (the host set).
 func NewTrace(kind, attrs string) *Trace {
 	return NewTraceAt(kind, attrs, nil)
 }

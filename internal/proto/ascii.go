@@ -489,12 +489,12 @@ func (c *asciiConn) query(line []byte) (keep bool, err error) {
 	buf := respPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	werr := writeResult(buf, res)
+	sp.End()
+	c.srv.core.traces.Observe(tr)
 	if werr == nil {
 		_, werr = c.w.Write(buf.Bytes())
 	}
 	respPool.Put(buf)
-	sp.End()
-	c.srv.core.traces.Observe(tr)
 	return werr == nil, nil
 }
 

@@ -3,6 +3,7 @@ package proto
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"strings"
 	"time"
 
@@ -76,38 +77,45 @@ func (c *core) admit(ctx context.Context, ten admission.Tenant, tier admission.T
 	return c.admission.Admit(ctx, ten, tier)
 }
 
+// open starts an admitted request's trace, when tracing is on: kind the
+// wire protocol, attrs the hosts asked about, first record the parse.
+func (c *core) open(hosts []netip.Addr, parse string) *obs.Trace {
+	ids := make([]string, len(hosts))
+	for i, h := range hosts {
+		ids[i] = h.String()
+	}
+	tr := obs.NewTrace(c.kind, strings.Join(ids, ","))
+	tr.Event("parse", parse)
+	return tr
+}
+
 // observe records one handler call in the request metrics and marks its
-// failure as upstream.
-func (c *core) observe(start time.Time, err error) error {
+// failure as upstream; a failed request's trace goes to the ring here.
+// A successful one is returned unfinished, so the codec can span its
+// encoding and hand it to the ring before it writes the reply.
+func (c *core) observe(start time.Time, tr *obs.Trace, err error) error {
 	c.requests.Inc()
 	c.seconds.Observe(time.Since(start).Seconds())
 	if err == nil {
 		return nil
 	}
 	c.errors.Inc()
-	return &upstreamError{err}
+	err = &upstreamError{err}
+	tr.SetErr(err)
+	c.traces.Observe(tr)
+	return err
 }
 
-// query runs one decoded QUERY through the collector with a fresh trace
-// in its context (when tracing is on). On success the trace is returned
-// unfinished so the codec can span its encoding before handing it to the
-// ring; a failed query's trace is already there.
+// query runs one decoded QUERY through the collector, traced.
 func (c *core) query(q collector.Query) (*collector.Result, *obs.Trace, error) {
 	var tr *obs.Trace
 	if c.traces != nil {
-		hosts := make([]string, len(q.Hosts))
-		for i, h := range q.Hosts {
-			hosts[i] = h.String()
-		}
-		tr = obs.NewTrace(c.kind, strings.Join(hosts, ","))
-		tr.Event("parse", fmt.Sprintf("%d hosts hist=%t pred=%t",
+		tr = c.open(q.Hosts, fmt.Sprintf("%d hosts hist=%t pred=%t",
 			len(q.Hosts), q.WithHistory, q.WithPredictions))
 	}
 	start := time.Now()
 	res, err := c.collector.Collect(q.WithContext(obs.NewContext(q.Context(), tr)))
-	if err = c.observe(start, err); err != nil {
-		tr.SetErr(err)
-		c.traces.Observe(tr)
+	if err = c.observe(start, tr, err); err != nil {
 		return nil, nil, err
 	}
 	return res, tr, nil
@@ -115,7 +123,8 @@ func (c *core) query(q collector.Query) (*collector.Result, *obs.Trace, error) {
 
 // canFlow refuses FLOWS on a server with no flow answerer. The codecs
 // ask it before admission, as subscribe checks its registry before the
-// watch quota: a client that falls back to QUERY is not charged twice.
+// watch quota: a request the server cannot answer costs the tenant
+// nothing.
 func (c *core) canFlow() error {
 	if c.answerer == nil {
 		return rerr.Tagf(rerr.ErrCollectorUnavailable, "proto: server has no flow answerer")
@@ -124,11 +133,23 @@ func (c *core) canFlow() error {
 }
 
 // flows runs one decoded FLOWS request through the flow answerer, which
-// canFlow has found.
-func (c *core) flows(ctx context.Context, flows []modeler.Flow) ([]modeler.FlowInfo, error) {
+// canFlow has found, traced as query is with the flows' distinct
+// endpoints as attrs.
+func (c *core) flows(ctx context.Context, flows []modeler.Flow) ([]modeler.FlowInfo, *obs.Trace, error) {
+	var tr *obs.Trace
+	if c.traces != nil {
+		hosts := make([]netip.Addr, 0, 2*len(flows))
+		for _, f := range flows {
+			hosts = append(hosts, f.Src, f.Dst)
+		}
+		tr = c.open(modeler.DedupeHosts(hosts), fmt.Sprintf("%d flows", len(flows)))
+	}
 	start := time.Now()
-	infos, err := c.answerer.GetFlowsContext(ctx, flows, modeler.FlowOptions{})
-	return infos, c.observe(start, err)
+	infos, err := c.answerer.GetFlowsContext(obs.NewContext(ctx, tr), flows, modeler.FlowOptions{})
+	if err = c.observe(start, tr, err); err != nil {
+		return nil, nil, err
+	}
+	return infos, tr, nil
 }
 
 // subscribe registers one watch against the tenant's quota. The codec

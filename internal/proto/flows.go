@@ -211,14 +211,17 @@ func (c *asciiConn) flows(line []byte) (keep bool, err error) {
 	if err != nil {
 		return true, err
 	}
-	infos, err := c.srv.core.flows(context.Background(), flows)
+	infos, tr, err := c.srv.core.flows(context.Background(), flows)
 	release()
 	if err != nil {
 		return true, err
 	}
+	sp := tr.Start("encode")
 	buf := respPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	writeFlowsResult(buf, infos)
+	sp.End()
+	c.srv.core.traces.Observe(tr)
 	_, werr := c.w.Write(buf.Bytes())
 	respPool.Put(buf)
 	return werr == nil, nil
@@ -290,14 +293,17 @@ func (s *HTTPServer) handleFlows(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	defer release()
-	infos, err := s.core.flows(r.Context(), flows)
+	infos, tr, err := s.core.flows(r.Context(), flows)
 	if err != nil {
 		return err
 	}
+	sp := tr.Start("encode")
 	buf := respPool.Get().(*bytes.Buffer)
 	defer respPool.Put(buf)
 	buf.Reset()
 	encodeFlowsResult(buf, infos)
+	sp.End()
+	s.core.traces.Observe(tr)
 	return writeXML(w, buf.Bytes(), nil)
 }
 

@@ -37,12 +37,9 @@ type Planes struct {
 // walks — and the poll plane polls master into the store, so a covered
 // pair's QUERY, FLOWS and WATCH all read the generation its last poll
 // made. maxStale and schedInterval must be positive.
-func NewPlanes(s sim.Scheduler, master collector.Interface, maxStale, schedInterval time.Duration, reg *obs.Registry, traces *obs.Ring) *Planes {
+func NewPlanes(s sim.Scheduler, master collector.Interface, maxStale, schedInterval time.Duration, reg *obs.Registry) *Planes {
 	p := &Planes{Store: snapshot.New(snapshot.Config{Now: s.Now, Obs: reg})}
-	p.Answer = modeler.New(modeler.Config{
-		Collector: master, Snapshot: p.Store, MaxStale: maxStale,
-		Obs: reg, Traces: traces,
-	})
+	p.Answer = modeler.New(modeler.Config{Collector: master, Snapshot: p.Store, MaxStale: maxStale, Obs: reg})
 	p.Watch = watch.New(watch.Config{
 		Obs: reg, Now: s.Now,
 		EnsureTarget:  func(h []netip.Addr) { p.Poll.AddTarget(h) },

@@ -88,8 +88,8 @@ func TestObservabilitySmoke(t *testing.T) {
 		t.Logf("metrics:\n%s", metrics)
 	}
 
-	// The served Modeler traces each FLOWS and hands the trace to the ring
-	// before the server writes the reply.
+	// The ASCII server traces each FLOWS and hands the trace to the ring
+	// before it writes the reply; the Modeler spans its stages on it.
 	var recs []obs.TraceRecord
 	if err := json.Unmarshal([]byte(get("/debug/queries")), &recs); err != nil {
 		t.Fatalf("parsing /debug/queries: %v", err)
@@ -117,8 +117,11 @@ func TestObservabilitySmoke(t *testing.T) {
 		t.Errorf("warm trace fanned out or ran no max-min despite a snapshot hit: %v", recs[0].Spans)
 	}
 	for _, r := range recs {
-		if r.Kind != "flows" {
-			t.Errorf("trace kind %q, want flows", r.Kind)
+		if r.Kind != "ascii" {
+			t.Errorf("trace kind %q, want ascii", r.Kind)
+		}
+		if st := stages(r); !st["parse"] || !st["encode"] {
+			t.Errorf("trace missing its parse event or encode span: %v", r.Spans)
 		}
 		if r.Dur <= 0 {
 			t.Errorf("trace has non-positive duration: %+v", r)

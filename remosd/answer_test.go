@@ -494,7 +494,7 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 // newPlanes assembles cfg's serving planes over master on s, as Start
 // does, and closes them when the test ends.
 func newPlanes(t *testing.T, cfg Config, s sim.Scheduler, master collector.Interface) *serve.Planes {
-	p := serve.NewPlanes(s, master, cfg.MaxStale, cfg.SchedInterval, nil, nil)
+	p := serve.NewPlanes(s, master, cfg.MaxStale, cfg.SchedInterval, nil)
 	t.Cleanup(p.Close)
 	return p
 }

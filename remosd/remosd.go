@@ -374,7 +374,7 @@ func (cfg Config) singleMaster(d *Daemon, logf func(format string, args ...any),
 		d.Hosts = append(d.Hosts, HostInfo{Name: h.Name, Addr: h.Addr()})
 	}
 
-	sv := serve.NewPlanes(s, dep.Sites[firstSite(dep)].Master, cfg.MaxStale, cfg.SchedInterval, reg, st.traces)
+	sv := serve.NewPlanes(s, dep.Sites[firstSite(dep)].Master, cfg.MaxStale, cfg.SchedInterval, reg)
 	d.onClose(sv.Close)
 	logf("remosd: staleness bound %v (snapshot plane), parallelism %d (0=GOMAXPROCS)",
 		cfg.MaxStale, cfg.Parallelism)

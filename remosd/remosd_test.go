@@ -239,8 +239,9 @@ func TestStartRejectsNonPositiveSchedInterval(t *testing.T) {
 // TestBothModesServeEveryPlane starts a single-master daemon and one
 // master of a two-domain mesh — both through the one bring-up the modes
 // share — and checks that each answers on every listener it opens: a
-// flow query over ASCII and over XML/HTTP, LIST on the directory, and
-// /healthz naming the mode's own components.
+// flow query over ASCII and over XML/HTTP, each traced once by the
+// protocol server it arrived on, LIST on the directory, and /healthz
+// naming the mode's own components.
 func TestBothModesServeEveryPlane(t *testing.T) {
 	for _, mode := range []struct {
 		name      string
@@ -277,12 +278,42 @@ func TestBothModesServeEveryPlane(t *testing.T) {
 				}
 			}
 
+			// One record a request, whichever answerer the mode runs: kind
+			// is the wire protocol, and the record holds the parse and the
+			// encode of a FLOWS.
+			resp, err := http.Get("http://" + d.ObsAddr + "/debug/queries")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var recs []obs.TraceRecord
+			err = json.NewDecoder(resp.Body).Decode(&recs)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("parsing /debug/queries: %v", err)
+			}
+			kinds := map[string]int{}
+			for _, r := range recs {
+				kinds[r.Kind]++
+				var parse, encode bool
+				for _, sp := range r.Spans {
+					parse = parse || sp.Name == "parse" && strings.HasSuffix(sp.Detail, " flows")
+					encode = encode || sp.Name == "encode"
+				}
+				if !parse || !encode || r.Err != "" {
+					t.Errorf("%s record: parse of flows %t, encode %t, err %q; want both and no error: %+v",
+						r.Kind, parse, encode, r.Err, r.Spans)
+				}
+			}
+			if len(recs) != 2 || kinds["ascii"] != 1 || kinds["xml"] != 1 {
+				t.Errorf("/debug/queries holds %d records by kind %v; want one ascii and one xml", len(recs), kinds)
+			}
+
 			adverts, err := (&directory.Client{Addr: d.DirectoryAddr}).List()
 			if err != nil || len(adverts) == 0 {
 				t.Fatalf("directory LIST = %+v, %v; want the mode's own adverts", adverts, err)
 			}
 
-			resp, err := http.Get("http://" + d.ObsAddr + "/healthz")
+			resp, err = http.Get("http://" + d.ObsAddr + "/healthz")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,7 @@
 # obs_smoke.sh — boot remosd, drive a real query through the ASCII
 # protocol, and assert the observability plane reports it: /metrics
 # counts the request and renders the runtime and snapshot gauges, /healthz answers,
-# and /debug/queries shows the traced fan-out. remosctl is the only fetcher used (no curl needed).
+# and /debug/queries shows the traced fan-out and a traced FLOWS. remosctl is the only fetcher used (no curl needed).
 set -eu
 
 ASCII=${ASCII:-127.0.0.1:43567}
@@ -47,11 +47,10 @@ if [ -z "$APP" ] || [ -z "$SRV" ]; then
     exit 1
 fi
 
-# A topology query rides the graph-fetching QUERY verb: the trace
-# assertions below want the fan-out AND the response encode stage, and
-# the snapshot-backed FLOWS verb ships no graph to encode.
 echo "obs-smoke: querying topology $APP -> $SRV"
 "$WORK/remosctl" -server "$ASCII" -hostload '' topo "$APP" "$SRV"
+echo "obs-smoke: querying flows $APP -> $SRV"
+"$WORK/remosctl" -server "$ASCII" -hostload '' flows "$APP:$SRV"
 
 echo "obs-smoke: checking /metrics"
 "$WORK/remosctl" -obs "http://$OBS" stats metrics >"$WORK/metrics"
@@ -80,6 +79,12 @@ for want in '"fanout"' '"merge"' '"encode"'; do
         exit 1
     fi
 done
+# The FLOWS is traced as the QUERY is: a second record, encode included.
+if [ "$(grep -oF '"encode"' "$WORK/queries" | wc -l)" -ne 2 ]; then
+    echo "obs-smoke: /debug/queries wants an encode stage in each of two records" >&2
+    cat "$WORK/queries" >&2
+    exit 1
+fi
 
 echo "obs-smoke: summary view"
 "$WORK/remosctl" -obs "http://$OBS" stats

@@ -3,12 +3,18 @@ package remos_test
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
 	"net/netip"
+	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"remos"
+	"remos/internal/collector"
 	"remos/internal/modeler"
 	"remos/internal/proto"
 )
@@ -103,39 +109,61 @@ func TestServerFlowsDelegation(t *testing.T) {
 	}
 }
 
-// TestServerFlowsFallback pins the compatibility path: against a server
-// without a flow answerer, a dialed client transparently falls back to
-// fetching the graph and solving locally — same answers, same typed
-// errors.
-func TestServerFlowsFallback(t *testing.T) {
-	dep, d := stack(t)
-	srv := &proto.TCPServer{Collector: dep.Sites["cmu"].Master}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
+// askedColl is a server collector that counts the queries it is asked.
+type askedColl struct{ calls atomic.Int32 }
+
+func (c *askedColl) Name() string { return "asked" }
+
+func (c *askedColl) Collect(collector.Query) (*collector.Result, error) {
+	c.calls.Add(1)
+	return nil, errors.New("askedColl: no network")
+}
+
+// TestServerFlowsWithoutAnswerer: against a server with no flow
+// answerer, a dialed flow query fails with ErrCollectorUnavailable after
+// its one FLOWS exchange, over both transports. The client does not ask
+// again as a graph fetch, so the server's collector is never asked.
+func TestServerFlowsWithoutAnswerer(t *testing.T) {
+	coll := &askedColl{}
+	tsrv := &proto.TCPServer{Collector: coll}
+	taddr, err := tsrv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	m, err := remos.Dial("tcp://" + addr)
+	defer tsrv.Close()
+	hsrv := &proto.HTTPServer{Collector: coll}
+	haddr, err := hsrv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
+	defer hsrv.Close()
+	// The XML server sits behind a front end that counts its exchanges.
+	var exchanges atomic.Int32
+	rp := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: haddr})
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		exchanges.Add(1)
+		rp.ServeHTTP(w, r)
+	}))
+	defer front.Close()
 
-	infos, err := m.GetFlowsContext(ctx,
-		[]remos.Flow{{Src: d["app"].Addr(), Dst: d["srv"].Addr()}}, remos.FlowOptions{})
-	if err != nil {
-		t.Fatalf("fallback flow query: %v", err)
+	flows := []remos.Flow{{Src: netip.MustParseAddr("10.0.1.1"), Dst: netip.MustParseAddr("10.0.2.1")}}
+	for _, target := range []string{"tcp://" + taddr, front.URL} {
+		m, err := remos.Dial(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err = m.GetFlowsContext(ctx, flows, remos.FlowOptions{})
+		cancel()
+		m.Close()
+		if !errors.Is(err, remos.ErrCollectorUnavailable) {
+			t.Errorf("%s: err = %v, want ErrCollectorUnavailable", target, err)
+		}
 	}
-	if len(infos) != 1 || infos[0].Available <= 0 {
-		t.Fatalf("fallback answer = %+v, want a positive local answer", infos)
+	if n := exchanges.Load(); n != 1 {
+		t.Errorf("XML server saw %d exchanges, want the one FLOWS", n)
 	}
-
-	// Typed errors survive the fallback path.
-	_, err = m.GetFlowsContext(ctx,
-		[]remos.Flow{{Src: netip.MustParseAddr("203.0.113.7"), Dst: d["srv"].Addr()}}, remos.FlowOptions{})
-	if !errors.Is(err, remos.ErrUnknownHost) {
-		t.Fatalf("err = %v, want ErrUnknownHost", err)
+	if n := coll.calls.Load(); n != 0 {
+		t.Errorf("server collector asked %d times, want never", n)
 	}
 }

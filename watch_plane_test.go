@@ -53,7 +53,7 @@ func newWatchStack(t *testing.T) *watchStack {
 // clock behind both wire servers, metered by ctrl (nil: ungated).
 func served(t testing.TB, s sim.Scheduler, master collector.Interface, ctrl *admission.Controller, reg *obs.Registry, traces *obs.Ring) (*serve.Planes, *serve.Servers) {
 	t.Helper()
-	p := serve.NewPlanes(s, master, time.Minute, time.Second, reg, traces)
+	p := serve.NewPlanes(s, master, time.Minute, time.Second, reg)
 	t.Cleanup(p.Close)
 	srv, err := serve.Listen("127.0.0.1:0", "127.0.0.1:0", p.Answer, p.Watch, ctrl, reg, traces)
 	if err != nil {
