@@ -87,6 +87,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzXMLRequest -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzXMLFlowsReply -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzReadResult -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzReadFlowsResult -fuzztime 10s ./internal/proto/
+	$(GO) test -run xxx -fuzz FuzzWireAddr -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzSSEEvents -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzDecodeHTTPError -fuzztime 10s ./internal/proto/
 	$(GO) test -run xxx -fuzz FuzzWatchLines -fuzztime 10s ./internal/proto/

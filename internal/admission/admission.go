@@ -162,6 +162,13 @@ type tenantState struct {
 	watches  int // live watch subscriptions
 	queued   int // waiters in the admission queue
 
+	// grants holds a generation per release slot: a grant takes a slot,
+	// and its release moves the slot's generation on, so a second call of
+	// that release finds the generation moved and does nothing. free
+	// lists the slots no grant holds.
+	grants []uint64
+	free   []int
+
 	admitted, queuedTotal, shed int64
 
 	mAdmitted, mQueued, mShed *obs.Counter
@@ -338,7 +345,9 @@ func (st *tenantState) hasSlot() bool {
 }
 
 // grant consumes a token and a slot. Caller holds c.mu and has
-// established eligibility.
+// established eligibility. The release it returns is the grant's one
+// allocation: a closure over the slot of st.grants the grant holds and
+// that slot's generation at the grant.
 func (c *Controller) grant(st *tenantState) func() {
 	if st.lim.Rate > 0 {
 		st.tokens--
@@ -346,15 +355,25 @@ func (c *Controller) grant(st *tenantState) func() {
 	st.inflight++
 	st.admitted++
 	st.mAdmitted.Inc()
-	var once sync.Once
+	slot := len(st.grants)
+	if n := len(st.free); n > 0 {
+		slot, st.free = st.free[n-1], st.free[:n-1]
+	} else {
+		st.grants = append(st.grants, 0)
+	}
+	gen := st.grants[slot]
 	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			st.inflight--
-			ds := c.dispatch(c.sched.Now())
+		c.mu.Lock()
+		if st.grants[slot] != gen {
 			c.mu.Unlock()
-			deliver(ds)
-		})
+			return // released already
+		}
+		st.grants[slot]++
+		st.free = append(st.free, slot)
+		st.inflight--
+		ds := c.dispatch(c.sched.Now())
+		c.mu.Unlock()
+		deliver(ds)
 	}
 }
 

@@ -288,6 +288,48 @@ func TestConcurrencyReleaseUnblocksWaiter(t *testing.T) {
 	}
 }
 
+// TestAdmitAllocationBudget pins the fast path every admitted QUERY and
+// FLOWS takes, on both wires: Admit with a token and a slot free, then
+// its release. The release func is the one allocation; with a sync.Once
+// of its own beside it, the pair cost two. A release called again after
+// a later grant took its slot must still do nothing.
+func TestAdmitAllocationBudget(t *testing.T) {
+	c, _ := newTestController(t, Config{
+		Tenants: map[string]TenantConfig{"metered": {Limits: Limits{Rate: 1e9, MaxConcurrent: 4}}},
+		Obs:     obs.New(),
+	})
+	ctx := context.Background()
+	for _, id := range []string{"", "metered"} {
+		ten, err := c.Authenticate(id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAdmit(t, c, ten, TierDefault)() // the tenant's first slot
+		if n := testing.AllocsPerRun(200, func() {
+			release, err := c.Admit(ctx, ten, TierDefault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		}); n > 1 {
+			t.Fatalf("tenant %q: Admit and release allocate %.0f times, want <= 1", ten.ID(), n)
+		}
+	}
+
+	ten, _ := c.Authenticate("metered", "")
+	first := mustAdmit(t, c, ten, Interactive)
+	first()
+	second := mustAdmit(t, c, ten, Interactive) // holds the slot first held
+	first()
+	if st := findStatus(t, c, "metered"); st.InFlight != 1 {
+		t.Fatalf("in-flight after a stale release = %d, want 1", st.InFlight)
+	}
+	second()
+	if st := findStatus(t, c, "metered"); st.InFlight != 0 {
+		t.Fatalf("in-flight after every release = %d, want 0", st.InFlight)
+	}
+}
+
 func TestQueueOverflowSheds(t *testing.T) {
 	c, _ := newTestController(t, Config{
 		Tenants: map[string]TenantConfig{

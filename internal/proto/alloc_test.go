@@ -92,10 +92,11 @@ func (s staticFlows) GetFlowsContext(context.Context, []modeler.Flow, modeler.Fl
 }
 
 // TestServeFlowsAllocationBudget pins one server-side FLOWS exchange —
-// decode off a pooled reader, admission, the core's verb, encode — at
-// what it cost when the handler called the answerer itself: 7
-// allocations for two flows. The request core between the codec and the
-// answerer must not add one.
+// decode off a pooled reader into the connection's flow buffer,
+// admission, the core's verb, encode — for two flows, answered by an
+// answerer that allocates nothing. It cost 7 allocations when the flows
+// were a fresh slice, every address a ParseAddr string and the
+// admission release a closure and a sync.Once.
 func TestServeFlowsAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
@@ -112,7 +113,7 @@ func TestServeFlowsAllocationBudget(t *testing.T) {
 	c.ten, c.tier, _ = srv.core.identify("", "", "")
 	wire := []byte("FLOWS 2\n10.0.1.1 10.0.2.1 0\n10.0.2.1 10.0.1.1 3e+06\nEND\n")
 	src := bytes.NewReader(nil)
-	if n := testing.AllocsPerRun(200, func() {
+	n := testing.AllocsPerRun(200, func() {
 		src.Reset(wire)
 		c.r.Reset(src)
 		line, err := lines.Read(c.r, &c.scratch)
@@ -122,10 +123,60 @@ func TestServeFlowsAllocationBudget(t *testing.T) {
 		if keep, err := c.flows(line); !keep || err != nil {
 			t.Fatalf("FLOWS exchange failed: keep=%t err=%v", keep, err)
 		}
-	}); n > 7 {
-		t.Fatalf("one FLOWS exchange allocates %.0f times, want <= 7", n)
+	})
+	t.Logf("one FLOWS exchange: %.0f allocations", n)
+	if n > serveFlowsAllocs {
+		t.Fatalf("one FLOWS exchange allocates %.0f times, want <= %d", n, serveFlowsAllocs)
 	}
 }
+
+// serveFlowsAllocs is the server's FLOWS budget: what it measures, the
+// admission release alone. Budgets only get tighter.
+const serveFlowsAllocs = 1
+
+// TestReadFlowsResultAllocationBudget pins the client's half of a FLOWS
+// exchange: readFlowsResult of a 1-flow and of a 16-flow reply off a
+// pooled reader. Whatever the flow count, a reply is the answers, one
+// string its hop IDs are cut from and one slab its paths are cut from.
+// With a slice per path and a string per hop, a 1-flow reply of three
+// hops cost 5 allocations and the 16-flow one 65.
+func TestReadFlowsResultAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	for _, nFlows := range []int{1, 16} {
+		infos := make([]modeler.FlowInfo, nFlows)
+		for i := range infos {
+			infos[i] = modeler.FlowInfo{Available: 6e6, Latency: 14 * time.Millisecond,
+				Path: []string{fmt.Sprintf("10.0.1.%d", i+1), "r1", fmt.Sprintf("10.0.2.%d", i+1)}}
+		}
+		var wire bytes.Buffer
+		writeFlowsResult(&wire, infos)
+		r := bufio.NewReaderSize(nil, 4096)
+		src := bytes.NewReader(nil)
+		var scratch []byte
+		var got []modeler.FlowInfo
+		n := testing.AllocsPerRun(200, func() {
+			src.Reset(wire.Bytes())
+			r.Reset(src)
+			var err error
+			if got, err = readFlowsResult(r, &scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("readFlowsResult of %d flows: %.0f allocations", nFlows, n)
+		if len(got) != nFlows || got[nFlows-1].Path[2] != infos[nFlows-1].Path[2] {
+			t.Fatalf("the %d-flow reply decoded to %+v", nFlows, got)
+		}
+		if n > readFlowsResultAllocs {
+			t.Fatalf("readFlowsResult of %d flows allocates %.0f times, want <= %d", nFlows, n, readFlowsResultAllocs)
+		}
+	}
+}
+
+// readFlowsResultAllocs is readFlowsResult's budget for a reply of any
+// flow count. Budgets only get tighter.
+const readFlowsResultAllocs = 3
 
 // staticCollector answers every QUERY with the same prebuilt result, so
 // the exchange below measures the protocol and not the collector.

@@ -13,7 +13,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -27,6 +26,7 @@ import (
 	"remos/internal/collector"
 	"remos/internal/conc"
 	"remos/internal/lines"
+	"remos/internal/modeler"
 	"remos/internal/obs"
 	"remos/internal/rerr"
 	"remos/internal/topology"
@@ -110,12 +110,9 @@ func readQueryBody(line []byte, r *bufio.Reader, scratch *[]byte) (collector.Que
 			return collector.Query{}, err
 		}
 		host := bytes.TrimSpace(line)
-		quad, ok := dottedQuad(host) // the usual case, parsed in place
-		a := netip.AddrFrom4(quad)
+		a, ok := attrAddr(host)
 		if !ok {
-			if a, err = netip.ParseAddr(string(host)); err != nil {
-				return collector.Query{}, fmt.Errorf("proto: bad host %q: %w", host, err)
-			}
+			return collector.Query{}, fmt.Errorf("proto: bad host %q: %w", host, addrErr(host))
 		}
 		q.Hosts = append(q.Hosts, a)
 	}
@@ -232,12 +229,12 @@ func writeError(w io.Writer, err error) {
 	fmt.Fprintf(w, "ERR %s %s\n", code, msg)
 }
 
-// maxPresize bounds every capacity the client-side readers (readResult,
-// readFlowsResult) take from a count the peer declares. A count is only
-// a claim: its lines still have to arrive one by one, so the presize
-// covers an honest reply of modest size and the line loop grows the rest
-// as it reads, while a reply declaring 10^18 samples and sending none
-// costs no more than one declaring 1024.
+// maxPresize bounds every capacity the ASCII readers (readResult,
+// readFlowsResult and the server's readFlowsBody) take from a count the
+// peer declares. A count is only a claim: its lines still have to arrive
+// one by one, so the presize covers an honest reply of modest size and
+// the line loop grows the rest as it reads, while a reply declaring
+// 10^18 samples and sending none costs no more than one declaring 1024.
 const maxPresize = 1024
 
 // presize is a peer-declared count as a capacity hint, at most maxPresize.
@@ -411,6 +408,7 @@ type asciiConn struct {
 	srv     *TCPServer
 	r       *bufio.Reader
 	scratch []byte
+	flowBuf []modeler.Flow // every FLOWS request's flows, decoded in place (readFlowsBody)
 	// Whole messages are serialized through one writer so async UPDATE
 	// lines never interleave mid-response.
 	w    lockedWriter
@@ -622,8 +620,7 @@ func (c *TCPClient) exchange(ctx context.Context, send func(io.Writer) error, re
 	// and wire I/O inside try intentionally run under it.
 	//remoslint:allow lockheld client lock is connection ownership for the full round trip
 	err := try()
-	var rem *remoteError
-	if err != nil && c.conn != nil && ctx.Err() == nil && !errors.As(err, &rem) {
+	if err != nil && c.conn != nil && ctx.Err() == nil && !isRemote(err) {
 		// Stale connection: reconnect once. A decoded remote error is
 		// not staleness — the exchange completed and the connection is
 		// healthy — and retrying one would hammer a shedding server.

@@ -159,6 +159,57 @@ func FuzzReadResult(f *testing.F) {
 	})
 }
 
+// FuzzReadFlowsResult feeds arbitrary replies to the ASCII FLOWS reply
+// reader: no panic, every path it returns is capped at its length (an
+// append to one cannot write into the next), and a reply it accepts
+// survives writeFlowsResult — read back, it renders to the same bytes
+// with the same paths. Seeds are the recorded ASCII reply transcripts,
+// each also from its first OKF line on, and the hostile FLOWS tails.
+func FuzzReadFlowsResult(f *testing.F) {
+	for _, b := range replyTranscripts(f, "ascii") {
+		f.Add(b)
+		if i := bytes.Index(b, []byte("OKF ")); i > 0 {
+			f.Add(b[i:])
+		}
+	}
+	for _, tc := range hostileTails {
+		if tc.flows {
+			f.Add([]byte(tc.reply))
+		}
+	}
+	read := func(t *testing.T, b []byte) (enc []byte, paths string, err error) {
+		var scratch []byte
+		infos, err := readFlowsResult(bufio.NewReader(bytes.NewReader(b)), &scratch)
+		if err != nil {
+			return nil, "", err
+		}
+		for _, fi := range infos {
+			if cap(fi.Path) != len(fi.Path) {
+				t.Fatalf("a path of %d hops has room for %d", len(fi.Path), cap(fi.Path))
+			}
+		}
+		var buf bytes.Buffer
+		writeFlowsResult(&buf, infos)
+		for _, fi := range infos {
+			paths += fmt.Sprintf("%q\n", fi.Path)
+		}
+		return buf.Bytes(), paths, nil
+	}
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		enc, paths, err := read(t, reply)
+		if err != nil {
+			return
+		}
+		again, pathsAgain, err := read(t, enc)
+		if err != nil {
+			t.Fatalf("a re-encoded FLOWS reply does not read back (%v):\n%s", err, enc)
+		}
+		if pathsAgain != paths || !bytes.Equal(again, enc) {
+			t.Fatalf("a FLOWS reply changed through writeFlowsResult:\n got: %s %q\nwant: %s %q", pathsAgain, again, paths, enc)
+		}
+	})
+}
+
 // FuzzSSEEvents feeds arbitrary streams to the watch client's
 // Server-Sent Events reader: no panic; every "end" event, and only an
 // "end" event, decodes to a terminal update; and the events read,

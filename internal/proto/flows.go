@@ -31,7 +31,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/netip"
+	"slices"
+	"sync"
 	"time"
 
 	"remos/internal/lines"
@@ -41,7 +42,9 @@ import (
 // FlowAnswerer answers flow queries server-side; the Modeler implements
 // it. remosd attaches its snapshot-backed Modeler so FLOWS exchanges
 // are answered from the current topology generation without a
-// collector round trip.
+// collector round trip. An answerer keeps no reference to flows after
+// it returns: the ASCII server decodes every request of a connection
+// into one buffer, so the next request overwrites them.
 type FlowAnswerer interface {
 	GetFlowsContext(ctx context.Context, flows []modeler.Flow, opt modeler.FlowOptions) ([]modeler.FlowInfo, error)
 }
@@ -70,15 +73,18 @@ func writeFlowsQuery(w io.Writer, flows []modeler.Flow) error {
 }
 
 // readFlowsBody parses a FLOWS request whose header line was already
-// consumed by the server's verb dispatch.
-func readFlowsBody(line []byte, r *bufio.Reader, scratch *[]byte) ([]modeler.Flow, error) {
+// consumed by the server's verb dispatch. The flows go into buf[:0],
+// grown as they arrive: the connection's buffer, which every request it
+// carries reuses, so parsing a request allocates nothing once it has
+// grown to the connection's largest.
+func readFlowsBody(line []byte, r *bufio.Reader, scratch *[]byte, buf []modeler.Flow) ([]modeler.Flow, error) {
 	var f [3][]byte
 	nf := lines.Split(line, f[:2]) // FLOWS, checked by the dispatcher, and the count
 	n, ok := parseInt(f[1])
 	if nf != 2 || !ok || n < 0 || n > 1<<20 {
 		return nil, fmt.Errorf("proto: bad flows header %q", bytes.TrimSpace(line))
 	}
-	flows := make([]modeler.Flow, 0, n)
+	flows := slices.Grow(buf[:0], presize(n))
 	for i := int64(0); i < n; i++ {
 		line, err := lines.Read(r, scratch)
 		if err != nil {
@@ -89,13 +95,13 @@ func readFlowsBody(line []byte, r *bufio.Reader, scratch *[]byte) ([]modeler.Flo
 		if nf != 3 || !ok {
 			return nil, fmt.Errorf("proto: bad flow line %q", bytes.TrimSpace(line))
 		}
-		src, err := netip.ParseAddr(string(f[0]))
-		if err != nil {
-			return nil, fmt.Errorf("proto: bad flow src %q: %w", f[0], err)
+		src, ok := attrAddr(f[0])
+		if !ok {
+			return nil, fmt.Errorf("proto: bad flow src %q: %w", f[0], addrErr(f[0]))
 		}
-		dst, err := netip.ParseAddr(string(f[1]))
-		if err != nil {
-			return nil, fmt.Errorf("proto: bad flow dst %q: %w", f[1], err)
+		dst, ok := attrAddr(f[1])
+		if !ok {
+			return nil, fmt.Errorf("proto: bad flow dst %q: %w", f[1], addrErr(f[1]))
 		}
 		flows = append(flows, modeler.Flow{Src: src, Dst: dst, Demand: dem})
 	}
@@ -131,7 +137,22 @@ func writeFlowsResult(buf *bytes.Buffer, infos []modeler.FlowInfo) {
 	buf.WriteString("DONE\n")
 }
 
-// readFlowsResult parses one FLOWS answer (or the shared ERR line).
+// hopText is the scratch readFlowsResult gathers a reply's paths in
+// before it makes the ones it returns: every hop ID of the reply, one
+// after another, where each ends, and each flow's hop count.
+type hopText struct {
+	text []byte
+	ends []int
+	hops []int
+}
+
+var hopTextPool = sync.Pool{New: func() any { return new(hopText) }}
+
+// readFlowsResult parses one FLOWS answer (or the shared ERR line). A
+// reply costs three allocations whatever its flow count: the answers,
+// one string every hop ID is cut from and one slab every path is cut
+// from, as topology.DecodeText cuts a graph's IDs. Both are made once
+// the reply has arrived, so no declared count sizes them.
 func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, error) {
 	line, err := lines.Read(r, scratch)
 	if err != nil {
@@ -150,6 +171,9 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 	if nf != 2 || !ok || n < 0 {
 		return nil, fmt.Errorf("proto: bad flows response header %q", head)
 	}
+	sc := hopTextPool.Get().(*hopText)
+	defer hopTextPool.Put(sc)
+	sc.text, sc.ends, sc.hops = sc.text[:0], sc.ends[:0], sc.hops[:0]
 	infos := make([]modeler.FlowInfo, 0, presize(n))
 	for i := int64(0); i < n; i++ {
 		line, err := lines.Read(r, scratch)
@@ -167,26 +191,24 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 		if !ok1 || !ok2 || !ok3 || !ok4 || k < 0 {
 			return nil, fmt.Errorf("proto: bad flow answer line %q", bytes.TrimSpace(line))
 		}
-		fi := modeler.FlowInfo{
-			Available: avail,
-			Latency:   time.Duration(latNs),
-			Jitter:    time.Duration(jitNs),
-			Predicted: avail,
-		}
-		if k > 0 {
-			fi.Path = make([]string, 0, presize(k))
-			for j := int64(0); j < k; j++ {
-				var id []byte
-				if id, rest = lines.Cut(rest); id == nil {
-					return nil, fmt.Errorf("proto: short flow path in %q", bytes.TrimSpace(line))
-				}
-				fi.Path = append(fi.Path, string(id))
+		for j := int64(0); j < k; j++ {
+			var id []byte
+			if id, rest = lines.Cut(rest); id == nil {
+				return nil, fmt.Errorf("proto: short flow path in %q", bytes.TrimSpace(line))
 			}
+			sc.text = append(sc.text, id...)
+			sc.ends = append(sc.ends, len(sc.text))
 		}
 		if extra, _ := lines.Cut(rest); extra != nil {
 			return nil, fmt.Errorf("proto: trailing tokens in flow answer %q", bytes.TrimSpace(line))
 		}
-		infos = append(infos, fi)
+		sc.hops = append(sc.hops, int(k))
+		infos = append(infos, modeler.FlowInfo{
+			Available: avail,
+			Latency:   time.Duration(latNs),
+			Jitter:    time.Duration(jitNs),
+			Predicted: avail,
+		})
 	}
 	line, err = lines.Read(r, scratch)
 	if err != nil {
@@ -195,15 +217,28 @@ func readFlowsResult(r *bufio.Reader, scratch *[]byte) ([]modeler.FlowInfo, erro
 	if !bytes.Equal(bytes.TrimSpace(line), []byte("DONE")) {
 		return nil, fmt.Errorf("proto: missing DONE trailer")
 	}
+	ids, slab := string(sc.text), make([]string, len(sc.ends))
+	start := 0
+	for j, end := range sc.ends {
+		slab[j], start = ids[start:end], end
+	}
+	// Each path's capacity is its length, so an append to one cannot
+	// write into the next.
+	for i, k := range sc.hops {
+		if k > 0 {
+			infos[i].Path, slab = slab[:k:k], slab[k:]
+		}
+	}
 	return infos, nil
 }
 
 // flows serves one FLOWS exchange on an ASCII connection.
 func (c *asciiConn) flows(line []byte) (keep bool, err error) {
-	flows, err := readFlowsBody(line, c.r, &c.scratch)
+	flows, err := readFlowsBody(line, c.r, &c.scratch, c.flowBuf)
 	if err != nil {
 		return false, nil // garbage mid-request: drop the connection
 	}
+	c.flowBuf = flows
 	if err := c.srv.core.canFlow(); err != nil {
 		return true, err
 	}

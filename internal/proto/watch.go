@@ -89,9 +89,9 @@ func parseWatchArgs(line []byte) (watch.Spec, error) {
 	if lines.Split(line, tok[:]) != len(tok) {
 		return watch.Spec{}, fmt.Errorf("proto: bad watch line %q", bytes.TrimSpace(line))
 	}
-	src, err1 := netip.ParseAddr(string(tok[1]))
-	dst, err2 := netip.ParseAddr(string(tok[2]))
-	if err1 != nil || err2 != nil {
+	src, ok1 := attrAddr(tok[1])
+	dst, ok2 := attrAddr(tok[2])
+	if !ok1 || !ok2 {
 		return watch.Spec{}, fmt.Errorf("proto: bad watch endpoints %q", bytes.TrimSpace(line))
 	}
 	var nums [3]float64

@@ -28,6 +28,14 @@ func decodeRemoteError(code, msg string) error {
 	return &remoteError{err: rerr.FromCode(code, msg)}
 }
 
+// isRemote reports whether err is, or wraps, a remoteError. The target
+// escapes through errors.As, so it is made here, where only a failed
+// exchange asks.
+func isRemote(err error) bool {
+	var rem *remoteError
+	return errors.As(err, &rem)
+}
+
 // classifyClientErr shapes a client-side query failure: remote errors
 // keep the classification decoded off the wire, context errors pass
 // through untouched, network timeouts gain the TIMEOUT class, and
@@ -37,8 +45,7 @@ func classifyClientErr(name string, err error) error {
 	if err == nil {
 		return nil
 	}
-	var rem *remoteError
-	if errors.As(err, &rem) {
+	if isRemote(err) {
 		return err
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {

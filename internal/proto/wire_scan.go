@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"net/netip"
 	"strconv"
 	"sync"
 )
@@ -60,6 +61,44 @@ func parseInt(b []byte) (int64, bool) {
 		v = -v
 	}
 	return v, true
+}
+
+// attrAddr is netip.ParseAddr, minus the string it allocates for the
+// dotted quads the wire mostly carries. Any other text is ParseAddr's
+// to judge. Every address on the ASCII lines and in the XML documents
+// parses here; a caller that reports ParseAddr's error calls ParseAddr
+// again on the failure path only.
+func attrAddr(v []byte) (netip.Addr, bool) {
+	if quad, ok := dottedQuad(v); ok {
+		return netip.AddrFrom4(quad), true
+	}
+	a, err := netip.ParseAddr(string(v))
+	return a, err == nil
+}
+
+// addrErr is ParseAddr's error for text attrAddr refused, so a bad
+// address reads as it did when ParseAddr parsed every one.
+func addrErr(v []byte) error {
+	_, err := netip.ParseAddr(string(v))
+	return err
+}
+
+// dottedQuad takes four decimal fields of at most 255, none with a
+// leading zero.
+func dottedQuad(v []byte) (quad [4]byte, ok bool) {
+	field, digits := 0, 0
+	for _, c := range v {
+		switch {
+		case c == '.' && digits > 0 && field < 3:
+			field, digits = field+1, 0
+		case c >= '0' && c <= '9' && (digits == 0 || quad[field] > 0) && int(quad[field])*10+int(c-'0') <= 255:
+			quad[field] = quad[field]*10 + c - '0'
+			digits++
+		default:
+			return quad, false
+		}
+	}
+	return quad, field == 3 && digits > 0
 }
 
 // parseFloat parses a float token. The string conversion does not

@@ -255,35 +255,6 @@ func attrBool(v []byte) (val, ok bool) {
 	return false, v == nil
 }
 
-// attrAddr is netip.ParseAddr, minus the string it allocates for the
-// dotted quads the wire mostly carries. Any other text is ParseAddr's
-// to judge.
-func attrAddr(v []byte) (netip.Addr, bool) {
-	if quad, ok := dottedQuad(v); ok {
-		return netip.AddrFrom4(quad), true
-	}
-	a, err := netip.ParseAddr(string(v))
-	return a, err == nil
-}
-
-// dottedQuad takes four decimal fields of at most 255, none with a
-// leading zero.
-func dottedQuad(v []byte) (quad [4]byte, ok bool) {
-	field, digits := 0, 0
-	for _, c := range v {
-		switch {
-		case c == '.' && digits > 0 && field < 3:
-			field, digits = field+1, 0
-		case c >= '0' && c <= '9' && (digits == 0 || quad[field] > 0) && int(quad[field])*10+int(c-'0') <= 255:
-			quad[field] = quad[field]*10 + c - '0'
-			digits++
-		default:
-			return quad, false
-		}
-	}
-	return quad, field == 3 && digits > 0
-}
-
 var (
 	flowQueryAttrs  = []string{"src", "dst", "demand"}
 	flowResultAttrs = []string{"src", "dst", "avail", "latns", "jitns", "path"}

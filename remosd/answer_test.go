@@ -3,11 +3,14 @@ package remosd
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -489,6 +492,190 @@ func TestFlowAnswersMatchGroundTruth(t *testing.T) {
 	if fedAsked != 160 {
 		t.Fatalf("asked %d federated answers, want 20 pairs over 8 legs", fedAsked)
 	}
+}
+
+// TestFlowsExchangesDoNotAlias is the FLOWS exchange's aliasing gate.
+// The ASCII server decodes every request of a connection into one flow
+// buffer, and the client cuts a reply's hop IDs and paths from one
+// string and one slab, so both sides hand out memory they reuse or
+// share. One ASCII connection carries 140 requests of 1 to 16 flows with
+// an ERR every tenth; a second connection asks its own mix alongside.
+// The server's answerer writes over every flows slice it is handed once
+// its answer is made, and reports a slice that changed while it held
+// it. On one generation, each ASCII answer must equal the in-process
+// Modeler's field for field, and the XML answer must too but for the
+// demand, which the XML reply does not echo. Every path the client
+// returned must be unchanged 100 exchanges later.
+func TestFlowsExchangesDoNotAlias(t *testing.T) {
+	c, err := experiments.BuildCampus(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Dep.Stop()
+	p := newPlanes(t, DefaultConfig(), c.Sim, c.Site.Master)
+	ctx := context.Background()
+	// One walk covers every host, so every answer below reads its
+	// generation.
+	warm := make([]modeler.Flow, len(c.Hosts))
+	for i, h := range c.Hosts {
+		warm[i] = modeler.Flow{Src: h.Addr(), Dst: c.Hosts[(i+1)%len(c.Hosts)].Addr()}
+	}
+	if _, err := p.Answer.GetFlowsContext(ctx, warm, modeler.FlowOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	gen := p.Store.Current()
+
+	scribbler := &scribblingAnswerer{inner: p.Answer}
+	asciiSrv := &proto.TCPServer{Collector: p.Answer, Flows: scribbler}
+	asciiAddr, err := asciiSrv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer asciiSrv.Close()
+	xmlSrv := &proto.HTTPServer{Collector: p.Answer, Flows: p.Answer}
+	xmlAddr, err := xmlSrv.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer xmlSrv.Close()
+	xmlCl := &proto.HTTPClient{BaseURL: "http://" + xmlAddr}
+
+	unknown := []modeler.Flow{{Src: netip.MustParseAddr("203.0.113.9"), Dst: c.Hosts[0].Addr()}}
+	mix := func(rng *rand.Rand) []modeler.Flow {
+		flows := make([]modeler.Flow, 1+rng.Intn(16))
+		for i := range flows {
+			src := rng.Intn(len(c.Hosts))
+			dst := (src + 1 + rng.Intn(len(c.Hosts)-1)) % len(c.Hosts)
+			flows[i] = modeler.Flow{Src: c.Hosts[src].Addr(), Dst: c.Hosts[dst].Addr()}
+			if rng.Intn(3) > 0 {
+				flows[i].Demand = float64(1+rng.Intn(150)) * 1e6
+			}
+		}
+		return flows
+	}
+	// ask sends exchange i of a connection's mix: the i-th flows, or the
+	// unknown host every tenth. It returns what the client answered and a
+	// copy of it, or nil for the ERR.
+	ask := func(cl *proto.TCPClient, rng *rand.Rand, i int) (got, kept []modeler.FlowInfo, err error) {
+		if i%10 == 5 {
+			if _, err := cl.Flows(ctx, unknown); err == nil {
+				return nil, nil, fmt.Errorf("exchange %d: FLOWS for %v answered", i, unknown[0].Src)
+			}
+			return nil, nil, nil
+		}
+		flows := mix(rng)
+		if got, err = cl.Flows(ctx, flows); err != nil {
+			return nil, nil, fmt.Errorf("exchange %d: ascii: %v", i, err)
+		}
+		want, err := p.Answer.GetFlowsContext(ctx, flows, modeler.FlowOptions{})
+		if err != nil {
+			return nil, nil, fmt.Errorf("exchange %d: in process: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			return nil, nil, fmt.Errorf("exchange %d: ascii answered\n%+v\nin process\n%+v", i, got, want)
+		}
+		kept = slices.Clone(got)
+		for j := range kept {
+			kept[j].Path = slices.Clone(got[j].Path)
+		}
+		return got, kept, nil
+	}
+
+	const exchanges = 140
+	other := make(chan error, 1)
+	go func() {
+		cl := &proto.TCPClient{Addr: asciiAddr}
+		defer cl.Close()
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < exchanges; i++ {
+			if _, _, err := ask(cl, rng, i); err != nil {
+				other <- fmt.Errorf("second connection: %v", err)
+				return
+			}
+		}
+		other <- nil
+	}()
+
+	cl := &proto.TCPClient{Addr: asciiAddr}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(41))
+	type answer struct {
+		at        int
+		got, kept []modeler.FlowInfo
+	}
+	var answers []answer
+	for i := 0; i < exchanges; i++ {
+		got, kept, err := ask(cl, rng, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil {
+			continue
+		}
+		answers = append(answers, answer{i, got, kept})
+		flows := make([]modeler.Flow, len(got))
+		for j := range got {
+			flows[j] = got[j].Flow
+		}
+		overXML, err := xmlCl.Flows(ctx, flows)
+		if err != nil {
+			t.Fatalf("exchange %d: xml: %v", i, err)
+		}
+		for j := range overXML {
+			overXML[j].Flow.Demand = flows[j].Demand
+		}
+		if !reflect.DeepEqual(overXML, kept) {
+			t.Fatalf("exchange %d: xml answered\n%+v\nascii\n%+v", i, overXML, kept)
+		}
+	}
+	if err := <-other; err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, a := range answers {
+		if a.at+100 >= exchanges {
+			break
+		}
+		if !reflect.DeepEqual(a.got, a.kept) {
+			t.Fatalf("exchange %d's answer changed over the 100 exchanges after it:\n%+v\nwas\n%+v", a.at, a.got, a.kept)
+		}
+		checked++
+	}
+	if n := scribbler.changed.Load(); n > 0 {
+		t.Fatalf("%d flows slices changed while the answerer held them", n)
+	}
+	if p.Store.Current() != gen {
+		t.Fatalf("the snapshot moved on from generation %v to %v: the answers were not of one", gen.Epoch(), p.Store.Current().Epoch())
+	}
+	if checked < 30 {
+		t.Fatalf("checked %d answers 100 exchanges later, want at least 30", checked)
+	}
+}
+
+// scribblingAnswerer is a FlowAnswerer that breaks the contract's
+// spirit as far as a test can: once inner has answered, it writes over
+// the flows it was handed, so a server that read a request after its
+// answerer returned would read the scribble. It counts the slices that
+// changed between its call and inner's answer, as they would if the
+// server reused one buffer for two requests in flight. It scribbles
+// before returning rather than after: a write after the return would
+// race with the server's next decode into the same buffer, which the
+// contract allows.
+type scribblingAnswerer struct {
+	inner   proto.FlowAnswerer
+	changed atomic.Int64
+}
+
+func (s *scribblingAnswerer) GetFlowsContext(ctx context.Context, flows []modeler.Flow, opt modeler.FlowOptions) ([]modeler.FlowInfo, error) {
+	asked := slices.Clone(flows)
+	infos, err := s.inner.GetFlowsContext(ctx, flows, opt)
+	if !slices.Equal(flows, asked) {
+		s.changed.Add(1)
+	}
+	for i := range flows {
+		flows[i] = modeler.Flow{Src: netip.MustParseAddr("192.0.2.1"), Dst: netip.MustParseAddr("192.0.2.2"), Demand: -1}
+	}
+	return infos, err
 }
 
 // newPlanes assembles cfg's serving planes over master on s, as Start
